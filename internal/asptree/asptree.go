@@ -142,10 +142,11 @@ func (t *Tree) Insert(p geo.Point, kws []string) {
 	n.live++
 	t.totalLive++
 	for _, kw := range kws {
-		b := int(kmv.Hash64(kw) % uint64(t.cfg.KeywordBuckets))
+		h := kmv.Hash64(kw)
+		b := int(h % uint64(t.cfg.KeywordBuckets))
 		n.kw[b*t.cfg.Slices+t.cur]++
 		n.kwLive[b]++
-		t.synopsis.Add(kw)
+		t.synopsis.AddHash(h)
 	}
 	if int(n.live) > t.cfg.SplitThreshold &&
 		n.depth < t.cfg.MaxDepth &&
@@ -219,22 +220,39 @@ func (t *Tree) EstimateRange(r geo.Rect) float64 {
 	return t.estimate(t.root, r, nil)
 }
 
+// keywordBuckets maps query keywords to their summary buckets once per
+// query, so the tree walk hashes nothing. The result is non-nil exactly
+// when kws is, which is how estimate tells "no keyword predicate" apart.
+func (t *Tree) keywordBuckets(kws []string, buf []int) []int {
+	if kws == nil {
+		return nil
+	}
+	for _, kw := range kws {
+		buf = append(buf, int(kmv.Hash64(kw)%uint64(t.cfg.KeywordBuckets)))
+	}
+	return buf
+}
+
 // EstimateRangeKeywords estimates points inside r carrying at least one of
 // kws, using each node's local keyword summary.
 func (t *Tree) EstimateRangeKeywords(r geo.Rect, kws []string) float64 {
 	if len(kws) == 0 {
 		return t.EstimateRange(r)
 	}
-	return t.estimate(t.root, r, kws)
+	var buf [8]int
+	return t.estimate(t.root, r, t.keywordBuckets(kws, buf[:0]))
 }
 
 // EstimateKeywords estimates windowed points carrying at least one of kws,
 // regardless of location.
 func (t *Tree) EstimateKeywords(kws []string) float64 {
-	return t.estimate(t.root, t.root.bounds.Expand(1), kws)
+	var buf [8]int
+	return t.estimate(t.root, t.root.bounds.Expand(1), t.keywordBuckets(kws, buf[:0]))
 }
 
-func (t *Tree) estimate(n *node, r geo.Rect, kws []string) float64 {
+// estimate sums the subtree's contribution to range r; kwb is the query's
+// keyword buckets, nil for no keyword predicate.
+func (t *Tree) estimate(n *node, r geo.Rect, kwb []int) float64 {
 	if !n.bounds.Intersects(r) {
 		return 0
 	}
@@ -243,12 +261,12 @@ func (t *Tree) estimate(n *node, r geo.Rect, kws []string) float64 {
 		frac = r.Intersect(n.bounds).Area() / n.bounds.Area()
 	}
 	est := float64(n.live) * frac
-	if kws != nil {
-		est *= t.keywordFraction(n, kws)
+	if kwb != nil {
+		est *= keywordFraction(n, kwb)
 	}
 	if n.children != nil {
 		for i := range n.children {
-			est += t.estimate(&n.children[i], r, kws)
+			est += t.estimate(&n.children[i], r, kwb)
 		}
 	}
 	return est
@@ -258,13 +276,12 @@ func (t *Tree) estimate(n *node, r geo.Rect, kws []string) float64 {
 // any query keyword, as the capped sum of per-bucket frequencies. Bucket
 // collisions and multi-keyword objects both bias this upward; the cap keeps
 // it a probability.
-func (t *Tree) keywordFraction(n *node, kws []string) float64 {
+func keywordFraction(n *node, kwb []int) float64 {
 	if n.live == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, kw := range kws {
-		b := int(kmv.Hash64(kw) % uint64(t.cfg.KeywordBuckets))
+	for _, b := range kwb {
 		sum += float64(n.kwLive[b])
 	}
 	frac := sum / float64(n.live)
@@ -277,9 +294,9 @@ func (t *Tree) keywordFraction(n *node, kws []string) float64 {
 // KeywordFloor estimates the background frequency of a single unseen
 // keyword as 1/D, where D is the KMV synopsis's distinct-keyword estimate.
 // The AASP estimator consults it on every query to bound collision noise
-// from below; the synopsis merge it forces is an inherent per-query cost of
-// the augmented design (the paper reports AASP as the slowest estimator on
-// every workload, spatial ones included).
+// from below. The synopsis re-merges its slices only after an insert
+// changed a slice's k minima or the ring advanced, so between those events
+// this is a cached read.
 func (t *Tree) KeywordFloor() float64 {
 	d := t.synopsis.Distinct()
 	if d < 1 {

@@ -195,9 +195,14 @@ func (p *Proxy) acceptLoop() {
 		if err != nil {
 			return
 		}
-		if p.draining.Load() || p.connsActive.Load() >= int64(p.cfg.MaxConns) {
+		// As in the server: refuse in the protocol, never by hanging up.
+		if code, msg := p.refusal(); code != 0 {
 			p.connsRejected.Add(1)
-			nc.Close()
+			p.connWG.Add(1)
+			go func() {
+				defer p.connWG.Done()
+				wire.Refuse(nc, p.cfg.MaxPayload, code, p.cfg.RetryAfter, msg)
+			}()
 			continue
 		}
 		c := newPconn(p, nc)
@@ -214,6 +219,18 @@ func (p *Proxy) acceptLoop() {
 		p.connWG.Add(1)
 		go c.serve()
 	}
+}
+
+// refusal reports why a newly accepted connection cannot be served, or
+// code 0 when it can.
+func (p *Proxy) refusal() (wire.Code, string) {
+	switch {
+	case p.draining.Load():
+		return wire.CodeDraining, "router draining"
+	case p.connsActive.Load() >= int64(p.cfg.MaxConns):
+		return wire.CodeBackpressure, "connection limit reached"
+	}
+	return 0, ""
 }
 
 func (p *Proxy) removeConn(c *pconn) {
@@ -234,8 +251,7 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 	var err error
 	p.stopOnce.Do(func() {
 		p.draining.Store(true)
-		p.ln.Close()
-		p.acceptWG.Wait()
+		wire.CloseAfterBacklog(p.ln, &p.acceptWG)
 		p.log.Info("draining", "conns", p.connsActive.Load())
 		done := make(chan struct{})
 		go func() {

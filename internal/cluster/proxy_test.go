@@ -191,3 +191,23 @@ func TestProxyDrainRefusesNewRequests(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 }
+
+// TestProxyAcceptedWhileDraining: a connection the proxy's accept loop
+// takes after the drain flag is up is refused in the protocol, as the
+// server refuses one (see server.TestAcceptedWhileDraining).
+func TestProxyAcceptedWhileDraining(t *testing.T) {
+	p, _, _ := startTestProxy(t)
+	p.draining.Store(true) // listener still open, as in the race window
+	rc := dialProxy(t, p.Addr())
+	h, payload := rc.roundTrip(wire.AppendPing(nil, 3))
+	if h.Type != wire.TError || h.ID != 3 {
+		t.Fatalf("got %v id=%d, want an error under the request's ID", h.Type, h.ID)
+	}
+	re, err := wire.DecodeError(payload)
+	if err != nil || re.Code != wire.CodeDraining || re.RetryAfter <= 0 {
+		t.Fatalf("refusal = (%v, %v), want draining with a retry-after hint", re, err)
+	}
+	if got := p.connsActive.Load(); got != 0 {
+		t.Fatalf("a refused connection counts as active: %d", got)
+	}
+}

@@ -478,3 +478,48 @@ func TestEstimatesTrackOracleOnStableWorkload(t *testing.T) {
 		t.Errorf("stable accuracy = %v", acc)
 	}
 }
+
+// TestIdleEstimatorsReleaseMemoryAfterPretraining: when pre-training
+// concludes every estimator but the active one is wiped, and a wiped
+// estimator holds what a freshly built one holds — Reset releases sample
+// arrays instead of truncating them, so idle summaries pin neither their
+// backing stores nor the keywords of long-evicted objects.
+func TestIdleEstimatorsReleaseMemoryAfterPretraining(t *testing.T) {
+	cfg := testConfig()
+	cfg.PretrainQueries = 60
+	d := newDriver(t, cfg)
+	d.feed(12000)
+	grew := false
+	for i := 0; d.m.Phase() != PhaseIncremental; i++ {
+		if i > 2*cfg.PretrainQueries {
+			t.Fatal("pre-training did not conclude")
+		}
+		if i == cfg.PretrainQueries/2 {
+			rsl := d.m.ests[d.m.index[estimator.NameRSL]]
+			grew = rsl.MemoryBytes() > d.fresh(t, estimator.NameRSL).MemoryBytes()
+		}
+		d.runQuery([]stream.Query{d.spatialQ(), d.keywordQ(), d.hybridQ()}[i%3])
+	}
+	if !grew {
+		t.Fatal("RSL did not grow during pre-training: the test would prove nothing")
+	}
+	for i, name := range d.m.names {
+		if i == d.m.active {
+			continue
+		}
+		if got, want := d.m.ests[i].MemoryBytes(), d.fresh(t, name).MemoryBytes(); got != want {
+			t.Errorf("idle %s holds %d bytes after pre-training, a fresh one %d", name, got, want)
+		}
+	}
+}
+
+// fresh builds the named estimator as the module built its own.
+func (d *driver) fresh(t *testing.T, name string) estimator.Estimator {
+	t.Helper()
+	c := d.m.cfg
+	e, err := c.Registry.Build(name, estimator.Params{World: c.World, Span: c.Span, Scale: c.Scale, Seed: c.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}

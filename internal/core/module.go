@@ -51,7 +51,8 @@ type Module struct {
 	cooldown        int
 
 	switches []SwitchEvent
-	pending  *pendingQuery
+	pending  *pendingQuery // nil, or &pendBuf between an Estimate and its Observe
+	pendBuf  pendingQuery  // reused for every query: the pairing is strict
 
 	prefillThreshold float64
 
@@ -148,6 +149,11 @@ func New(cfg Config) (*Module, error) {
 		m.index[name] = i
 	}
 	m.masked = make([]bool, len(m.ests))
+	m.pendBuf = pendingQuery{
+		estimates: make([]float64, len(m.ests)),
+		latencies: make([]time.Duration, len(m.ests)),
+		measured:  make([]bool, len(m.ests)),
+	}
 	m.active = m.index[cfg.Default]
 	m.brain = newBrain(m.names, cfg)
 	m.brain.masked = m.masked
@@ -227,12 +233,11 @@ func (m *Module) Estimate(q *stream.Query) float64 {
 		// is running degraded): install a replacement before serving.
 		m.rescueActive(q)
 	}
-	p := &pendingQuery{
-		q:         *q,
-		estimates: make([]float64, len(m.ests)),
-		latencies: make([]time.Duration, len(m.ests)),
-		measured:  make([]bool, len(m.ests)),
-	}
+	p := &m.pendBuf
+	p.q, p.answer = *q, 0
+	clear(p.estimates)
+	clear(p.latencies)
+	clear(p.measured)
 	measure := func(i int) {
 		est, lat, k := m.guards[i].Estimate(q)
 		m.noteCall(i, k)

@@ -66,9 +66,9 @@ func (a *AASP) Insert(o *stream.Object) {
 }
 
 // Estimate implements Estimator. Every query consults the KMV synopsis for
-// the background keyword frequency floor — an inherent per-query cost of
-// the augmented design that the paper's latency numbers reflect on all
-// workloads.
+// the background keyword frequency floor; the synopsis answers from its
+// merged cache unless an insert changed a slice's minima or the window
+// advanced since the last query, so the per-query cost is the tree walk.
 func (a *AASP) Estimate(q *stream.Query) float64 {
 	a.advance(q.Timestamp)
 	floor := a.tree.KeywordFloor()

@@ -264,9 +264,9 @@ func (e *EquiDepth) Estimate(q *stream.Query) float64 {
 // Observe implements Estimator; no feedback learning.
 func (e *EquiDepth) Observe(q *stream.Query, actual float64) {}
 
-// Reset implements Estimator.
+// Reset implements Estimator; the sample array is released, not truncated.
 func (e *EquiDepth) Reset() {
-	e.samples = e.samples[:0]
+	e.samples = nil
 	e.counter.Reset()
 	e.built = false
 	e.sinceRebuild = 0

@@ -17,13 +17,15 @@ const defaultRSHGridCells = 4096
 // into a 2-D grid bucket. Spatial and hybrid queries then touch only the
 // buckets overlapping the query range instead of scanning the whole list —
 // the iteration-overhead reduction the paper credits hybrid structures with.
-// Pure keyword queries still scan everything, so RSH's latency advantage
-// appears exactly where the paper reports it: on spatially constrained
-// workloads.
+// Pure keyword queries have no range to prune by; they stream through the
+// slot keys and reject on the keyword signature, so they cost a 32-byte
+// read per slot plus an exact compare on the few slots whose signature
+// hits, not a string scan of the whole reservoir.
 //
-// The reservoir is a slot-map: samples live in a flat array; each bucket
-// stores slot indices and each slot knows its position in its bucket, so
-// replacement and purge are O(1) per sample.
+// The reservoir is a slot-map: samples live in flat parallel arrays (keys
+// for every scan's filtering, slots for keyword verification and bucket
+// links); each bucket stores slot indices and each slot knows its position
+// in its bucket, so replacement and purge are O(1) per sample.
 type ReservoirHashmap struct {
 	capacity int
 	src      *countedSource
@@ -32,12 +34,13 @@ type ReservoirHashmap struct {
 	grid     *geo.Grid
 	span     int64
 
-	samples []rshSample
+	keys    []sampleKey
+	slots   []rshSlot // parallel to keys
 	buckets [][]int32
 }
 
-type rshSample struct {
-	sample
+type rshSlot struct {
+	kws  []string
 	cell int32
 	pos  int32 // index of this slot within buckets[cell]
 }
@@ -65,24 +68,23 @@ func (r *ReservoirHashmap) Name() string { return NameRSH }
 func (r *ReservoirHashmap) Capacity() int { return r.capacity }
 
 // Len returns the number of retained samples.
-func (r *ReservoirHashmap) Len() int { return len(r.samples) }
+func (r *ReservoirHashmap) Len() int { return len(r.keys) }
 
 // detach unlinks slot j from its bucket.
 func (r *ReservoirHashmap) detach(j int32) {
-	s := &r.samples[j]
+	s := &r.slots[j]
 	b := r.buckets[s.cell]
 	last := int32(len(b) - 1)
 	moved := b[last]
 	b[s.pos] = moved
-	r.samples[moved].pos = s.pos
+	r.slots[moved].pos = s.pos
 	r.buckets[s.cell] = b[:last]
 }
 
-// attach links slot j (whose sample fields are already set) into its cell
-// bucket.
+// attach links slot j (whose location is already set) into its cell bucket.
 func (r *ReservoirHashmap) attach(j int32) {
-	s := &r.samples[j]
-	s.cell = int32(r.grid.CellOf(s.loc))
+	s := &r.slots[j]
+	s.cell = int32(r.grid.CellOf(r.keys[j].loc))
 	r.buckets[s.cell] = append(r.buckets[s.cell], j)
 	s.pos = int32(len(r.buckets[s.cell]) - 1)
 }
@@ -90,24 +92,26 @@ func (r *ReservoirHashmap) attach(j int32) {
 // removeSlot purges slot j entirely, swapping the last slot into its place.
 func (r *ReservoirHashmap) removeSlot(j int32) {
 	r.detach(j)
-	last := int32(len(r.samples) - 1)
+	last := int32(len(r.keys) - 1)
 	if j != last {
 		// Move the final slot into j and fix its bucket backlink.
-		r.samples[j] = r.samples[last]
-		r.buckets[r.samples[j].cell][r.samples[j].pos] = j
+		r.keys[j], r.slots[j] = r.keys[last], r.slots[last]
+		r.buckets[r.slots[j].cell][r.slots[j].pos] = j
 	}
-	r.samples = r.samples[:last]
+	r.keys, r.slots = r.keys[:last], r.slots[:last]
 }
 
-// Insert implements Estimator.
+// Insert implements Estimator. The signature is hashed only for an object
+// the reservoir admits.
 func (r *ReservoirHashmap) Insert(o *stream.Object) {
 	r.counter.Add(o.Timestamp)
 	// Lazy purge: retire a few stale slots per insert so expired samples
 	// never accumulate past a small fraction of the reservoir.
 	r.purgeSome(o.Timestamp-r.span, 4)
-	if len(r.samples) < r.capacity {
-		j := int32(len(r.samples))
-		r.samples = append(r.samples, rshSample{sample: sample{loc: o.Loc, kws: o.Keywords, ts: o.Timestamp}})
+	if len(r.keys) < r.capacity {
+		j := int32(len(r.keys))
+		r.keys = append(r.keys, newSampleKey(o.Timestamp, o.Loc, o.Keywords))
+		r.slots = append(r.slots, rshSlot{kws: o.Keywords})
 		r.attach(j)
 		return
 	}
@@ -118,7 +122,7 @@ func (r *ReservoirHashmap) Insert(o *stream.Object) {
 	if j := r.rng.Intn(n); j < r.capacity {
 		jj := int32(j)
 		r.detach(jj)
-		r.samples[jj].sample = sample{loc: o.Loc, kws: o.Keywords, ts: o.Timestamp}
+		r.keys[jj], r.slots[jj].kws = newSampleKey(o.Timestamp, o.Loc, o.Keywords), o.Keywords
 		r.attach(jj)
 	}
 }
@@ -126,18 +130,21 @@ func (r *ReservoirHashmap) Insert(o *stream.Object) {
 // purgeSome checks up to n random slots and removes expired ones, keeping
 // the expired fraction of the reservoir small between query-time purges.
 func (r *ReservoirHashmap) purgeSome(cutoff int64, n int) {
-	for i := 0; i < n && len(r.samples) > 0; i++ {
-		j := int32(r.rng.Intn(len(r.samples)))
-		if r.samples[j].ts < cutoff {
+	for i := 0; i < n && len(r.keys) > 0; i++ {
+		j := int32(r.rng.Intn(len(r.keys)))
+		if r.keys[j].ts < cutoff {
 			r.removeSlot(j)
 		}
 	}
 }
 
 // Estimate implements Estimator. Spatial and hybrid queries visit only the
-// grid buckets overlapping the range; pure keyword queries scan all slots.
+// grid buckets overlapping the range; pure keyword queries stream through
+// every slot's key. Both paths reject on the keyword signature before they
+// look at a slot's keywords.
 func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 	cutoff := q.Timestamp - r.span
+	qsig := keywordSignature(q.Keywords)
 	matches := 0
 	if q.HasRange {
 		cr := r.grid.CellsOverlapping(q.Range)
@@ -145,13 +152,15 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 			b := r.buckets[idx]
 			for bi := 0; bi < len(b); {
 				j := b[bi]
-				s := &r.samples[j]
-				if s.ts < cutoff {
+				k := &r.keys[j]
+				if k.ts < cutoff {
 					r.removeSlot(j) // swaps within this bucket or shrinks it
 					b = r.buckets[idx]
 					continue
 				}
-				if sampleMatches(&s.sample, q) {
+				if qsig == 0 {
+					matches += rangeFlag(q, k.loc)
+				} else if sampleMayMatch(k, q, qsig) && sharesKeyword(r.slots[j].kws, q.Keywords) {
 					matches++
 				}
 				bi++
@@ -159,19 +168,21 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 			return true
 		})
 	} else {
-		for j := 0; j < len(r.samples); {
-			s := &r.samples[j]
-			if s.ts < cutoff {
+		for j := 0; j < len(r.keys); {
+			k := &r.keys[j]
+			if k.ts < cutoff {
 				r.removeSlot(int32(j))
 				continue
 			}
-			if sampleMatches(&s.sample, q) {
+			if qsig == 0 {
+				matches += rangeFlag(q, k.loc)
+			} else if sampleMayMatch(k, q, qsig) && sharesKeyword(r.slots[j].kws, q.Keywords) {
 				matches++
 			}
 			j++
 		}
 	}
-	live := len(r.samples)
+	live := len(r.keys)
 	if live == 0 {
 		return 0
 	}
@@ -182,18 +193,18 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 // Observe implements Estimator; sampling estimators ignore feedback.
 func (r *ReservoirHashmap) Observe(q *stream.Query, actual float64) {}
 
-// Reset implements Estimator.
+// Reset implements Estimator. Slot arrays and bucket slices are released,
+// not truncated, for the reason ReservoirList.Reset gives.
 func (r *ReservoirHashmap) Reset() {
-	r.samples = r.samples[:0]
-	for i := range r.buckets {
-		r.buckets[i] = r.buckets[i][:0]
-	}
+	r.keys, r.slots = nil, nil
+	clear(r.buckets)
 	r.counter.Reset()
 }
 
-// MemoryBytes implements Estimator.
+// MemoryBytes implements Estimator: 32 bytes of key and 32 of slot per
+// retained sample, the bucket index and the arrival counter.
 func (r *ReservoirHashmap) MemoryBytes() int {
-	b := 64 + 56*cap(r.samples) + r.counter.MemoryBytes()
+	b := 64 + 32*cap(r.keys) + 32*cap(r.slots) + r.counter.MemoryBytes()
 	for i := range r.buckets {
 		b += 4 * cap(r.buckets[i])
 	}
@@ -203,5 +214,5 @@ func (r *ReservoirHashmap) MemoryBytes() int {
 
 // String summarizes state for diagnostics.
 func (r *ReservoirHashmap) String() string {
-	return fmt.Sprintf("RSH{cap=%d len=%d cells=%d}", r.capacity, len(r.samples), r.grid.NumCells())
+	return fmt.Sprintf("RSH{cap=%d len=%d cells=%d}", r.capacity, len(r.keys), r.grid.NumCells())
 }

@@ -153,9 +153,10 @@ func (s *SPNEstimator) Estimate(q *stream.Query) float64 {
 // feedback.
 func (s *SPNEstimator) Observe(q *stream.Query, actual float64) {}
 
-// Reset implements Estimator.
+// Reset implements Estimator. The sample array is released, not truncated,
+// so an idle estimator pins neither it nor the keywords of stale samples.
 func (s *SPNEstimator) Reset() {
-	s.samples = s.samples[:0]
+	s.samples = nil
 	s.counter.Reset()
 	s.net.Train(nil)
 	s.sinceRetrain = 0

@@ -69,7 +69,7 @@ func (w *WindowCounter) LoadState(d *persist.Dec) error {
 	return nil
 }
 
-func saveSample(e *persist.Enc, s *sample) {
+func saveSample(e *persist.Enc, s sample) {
 	e.F64(s.loc.X)
 	e.F64(s.loc.Y)
 	e.I64(s.ts)
@@ -82,6 +82,17 @@ func loadSample(d *persist.Dec) sample {
 	ts := d.I64()
 	kws := d.Strs()
 	return sample{loc: geo.Point{X: x, Y: y}, ts: ts, kws: kws}
+}
+
+// split returns the sample as RSL and RSH hold it, with the keyword
+// signature — which no image carries — rebuilt from the keywords;
+// joinSample is the way back to the serialized unit.
+func (s sample) split() (sampleKey, []string) {
+	return newSampleKey(s.ts, s.loc, s.kws), s.kws
+}
+
+func joinSample(k *sampleKey, kws []string) sample {
+	return sample{loc: k.loc, kws: kws, ts: k.ts}
 }
 
 // sampleCount reads a sample-array length prefix, bounding it by the
@@ -144,9 +155,9 @@ func (r *ReservoirList) SaveState(e *persist.Enc) {
 	e.I64(seed)
 	e.U64(n)
 	r.counter.SaveState(e)
-	e.U32(uint32(len(r.samples)))
-	for i := range r.samples {
-		saveSample(e, &r.samples[i])
+	e.U32(uint32(len(r.keys)))
+	for i := range r.keys {
+		saveSample(e, joinSample(&r.keys[i], r.kws[i]))
 	}
 }
 
@@ -161,15 +172,16 @@ func (r *ReservoirList) LoadState(d *persist.Dec) error {
 	if err != nil {
 		return err
 	}
-	samples := make([]sample, 0, count)
-	for i := 0; i < count; i++ {
-		samples = append(samples, loadSample(d))
+	keys := make([]sampleKey, count)
+	kws := make([][]string, count)
+	for i := range keys {
+		keys[i], kws[i] = loadSample(d).split()
 	}
 	if d.Err() != nil {
 		return d.Err()
 	}
 	r.src.restore(seed, rngN)
-	r.samples = samples
+	r.keys, r.kws = keys, kws
 	return nil
 }
 
@@ -184,10 +196,10 @@ func (r *ReservoirHashmap) SaveState(e *persist.Enc) {
 	e.I64(seed)
 	e.U64(n)
 	r.counter.SaveState(e)
-	e.U32(uint32(len(r.samples)))
-	for i := range r.samples {
-		saveSample(e, &r.samples[i].sample)
-		e.U32(uint32(r.samples[i].pos))
+	e.U32(uint32(len(r.keys)))
+	for i := range r.keys {
+		saveSample(e, joinSample(&r.keys[i], r.slots[i].kws))
+		e.U32(uint32(r.slots[i].pos))
 	}
 }
 
@@ -203,14 +215,15 @@ func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
 	if err != nil {
 		return err
 	}
-	samples := make([]rshSample, 0, count)
+	keys := make([]sampleKey, count)
+	slots := make([]rshSlot, count)
 	perCell := make(map[int32]int32, count)
-	for i := 0; i < count; i++ {
-		s := loadSample(d)
-		pos := int32(d.U32())
-		cell := int32(r.grid.CellOf(s.loc))
-		samples = append(samples, rshSample{sample: s, cell: cell, pos: pos})
-		perCell[cell]++
+	for i := range keys {
+		s := &slots[i]
+		keys[i], s.kws = loadSample(d).split()
+		s.pos = int32(d.U32())
+		s.cell = int32(r.grid.CellOf(keys[i].loc))
+		perCell[s.cell]++
 	}
 	if d.Err() != nil {
 		return d.Err()
@@ -225,8 +238,8 @@ func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
 		}
 		buckets[cell] = b
 	}
-	for j := range samples {
-		s := &samples[j]
+	for j := range slots {
+		s := &slots[j]
 		b := buckets[s.cell]
 		if s.pos < 0 || int(s.pos) >= len(b) || b[s.pos] != -1 {
 			return persist.Errf(persist.CodeMalformed, op, "slot %d bucket position %d invalid", j, s.pos)
@@ -234,14 +247,7 @@ func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
 		b[s.pos] = int32(j)
 	}
 	r.src.restore(seed, rngN)
-	r.samples = samples
-	for i := range r.buckets {
-		if buckets[i] != nil {
-			r.buckets[i] = buckets[i]
-		} else {
-			r.buckets[i] = r.buckets[i][:0]
-		}
-	}
+	r.keys, r.slots, r.buckets = keys, slots, buckets
 	return nil
 }
 
@@ -326,7 +332,7 @@ func (s *SPNEstimator) SaveState(e *persist.Enc) {
 	s.counter.SaveState(e)
 	e.U32(uint32(len(s.samples)))
 	for i := range s.samples {
-		saveSample(e, &s.samples[i])
+		saveSample(e, s.samples[i])
 	}
 	e.Int(s.sinceRetrain)
 	e.Int(s.retrains)
@@ -372,7 +378,7 @@ func (e *EquiDepth) SaveState(enc *persist.Enc) {
 	e.counter.SaveState(enc)
 	enc.U32(uint32(len(e.samples)))
 	for i := range e.samples {
-		saveSample(enc, &e.samples[i])
+		saveSample(enc, e.samples[i])
 	}
 	enc.Int(e.sinceRebuild)
 	enc.Int(e.rebuilds)

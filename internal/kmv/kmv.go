@@ -89,26 +89,31 @@ func (s *Synopsis) K() int { return s.k }
 // (min(k, distinct seen)).
 func (s *Synopsis) Len() int { return len(s.heap) }
 
-// Add observes a string element.
-func (s *Synopsis) Add(elem string) { s.AddHash(Hash64(elem)) }
+// Add observes a string element and reports whether the retained minima
+// changed (see AddHash).
+func (s *Synopsis) Add(elem string) bool { return s.AddHash(Hash64(elem)) }
 
-// AddHash observes a pre-hashed element.
-func (s *Synopsis) AddHash(h uint64) {
+// AddHash observes a pre-hashed element. It reports whether the set of
+// retained minima changed; a repeat of a retained value or a value above
+// the k-th minimum leaves the synopsis, and anything derived from it, as
+// it was — which in steady state is nearly every add.
+func (s *Synopsis) AddHash(h uint64) bool {
+	if len(s.heap) == s.k && h >= s.heap[0] {
+		return false // the k-th minimum itself, or not among the k smallest
+	}
 	if _, dup := s.set[h]; dup {
-		return
+		return false
 	}
 	if len(s.heap) < s.k {
 		s.set[h] = struct{}{}
 		heap.Push(&s.heap, h)
-		return
-	}
-	if h >= s.heap[0] {
-		return // not among the k smallest
+		return true
 	}
 	delete(s.set, s.heap[0])
 	s.set[h] = struct{}{}
 	s.heap[0] = h
 	heap.Fix(&s.heap, 0)
+	return true
 }
 
 // Distinct estimates the number of distinct elements observed.
@@ -164,14 +169,15 @@ func (s *Synopsis) MemoryBytes() int {
 // Sliced is a sliding-window KMV: a ring of per-slice synopses. Advancing
 // the window drops the oldest slice wholesale, which is the standard way to
 // make a merge-able-but-not-deletable sketch windowed. Estimates are served
-// from a merge of all live slices, cached until the ring changes.
+// from a merge of all live slices that adds keep current and only an
+// advance of the ring invalidates.
 type Sliced struct {
 	k      int
 	slices []*Synopsis
 	cur    int
 
-	merged *Synopsis // lazily rebuilt cache
-	dirty  bool
+	merged *Synopsis // k minima of the live slices' union; nil until first use
+	dirty  bool      // merged must be rebuilt: the ring advanced or was loaded
 }
 
 // NewSliced creates a windowed synopsis with n ring slices of size k each.
@@ -187,9 +193,20 @@ func NewSliced(k, n int) *Sliced {
 }
 
 // Add observes an element in the current slice.
-func (s *Sliced) Add(elem string) {
-	s.slices[s.cur].Add(elem)
-	s.dirty = true
+func (s *Sliced) Add(elem string) { s.AddHash(Hash64(elem)) }
+
+// AddHash observes a pre-hashed element in the current slice. An add that
+// leaves the slice's minima alone leaves the merged cache valid; one that
+// changes them is folded into a valid cache directly, because the k
+// smallest of a union that gained h are the k smallest of the old k
+// smallest plus h. (A value the slice evicted to make room is larger than
+// the slice's k survivors, so it was not among the union's k smallest
+// either.) Only Advance, which removes values, forces a re-merge — in
+// steady state Distinct is a cached read.
+func (s *Sliced) AddHash(h uint64) {
+	if s.slices[s.cur].AddHash(h) && !s.dirty {
+		s.merged.AddHash(h)
+	}
 }
 
 // Advance rotates to the next slice, discarding the slice that falls out of
@@ -202,7 +219,7 @@ func (s *Sliced) Advance() {
 
 // Distinct estimates the distinct elements across all live slices.
 func (s *Sliced) Distinct() float64 {
-	if s.dirty || s.merged == nil {
+	if s.dirty {
 		if s.merged == nil {
 			s.merged = New(s.k)
 		} else {

@@ -284,3 +284,108 @@ func BenchmarkSlicedDistinct(b *testing.B) {
 		_ = s.Distinct()
 	}
 }
+
+// remergedDistinct is the reference Sliced.Distinct is checked against: a
+// fresh merge of every slice, whatever the cache believes.
+func remergedDistinct(s *Sliced) float64 {
+	m := New(s.k)
+	for _, sl := range s.slices {
+		m.Merge(sl)
+	}
+	return m.Distinct()
+}
+
+// TestSlicedDistinctEqualsRemerge: keeping the merged cache current on Add
+// never changes an answer. The vocabulary is drawn with heavy repeats (most
+// adds are no-ops), grows over time (some adds displace a slice's largest
+// retained value) and the ring advances, including past a full rotation.
+func TestSlicedDistinctEqualsRemerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := NewSliced(32, 4)
+	changed := 0
+	for i := 0; i < 20000; i++ {
+		elem := fmt.Sprintf("w%d", rng.Intn(40+i/20))
+		before := s.slices[s.cur].Len()
+		top := uint64(0)
+		if before > 0 {
+			top = s.slices[s.cur].heap[0]
+		}
+		s.Add(elem)
+		if s.slices[s.cur].Len() != before || s.slices[s.cur].heap[0] != top {
+			changed++
+		}
+		if i%1500 == 1499 {
+			s.Advance()
+		}
+		if i%7 == 0 {
+			if got, want := s.Distinct(), remergedDistinct(s); got != want {
+				t.Fatalf("after %d adds: Distinct %v, re-merge %v", i+1, got, want)
+			}
+		}
+	}
+	if changed < 100 || changed > 10000 {
+		t.Fatalf("%d of 20000 adds changed a slice: the test wants both kinds in bulk", changed)
+	}
+}
+
+// TestSynopsisAddReportsChange: AddHash says true exactly when the retained
+// set differs afterwards.
+func TestSynopsisAddReportsChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	s := New(16)
+	for i := 0; i < 5000; i++ {
+		h := Hash64(fmt.Sprintf("v%d", rng.Intn(400)))
+		_, had := s.set[h]
+		n := s.Len()
+		evicts := n == s.k && h < s.heap[0]
+		if got, want := s.AddHash(h), !had && (n < s.k || evicts); got != want {
+			t.Fatalf("add %d: AddHash reported %v, retained set changed %v", i, got, want)
+		}
+		if _, has := s.set[h]; has != (had || n < s.k || evicts) {
+			t.Fatalf("add %d: membership of the added value is wrong", i)
+		}
+	}
+}
+
+// steadySliced is a ring in steady state: every slice has seen the whole
+// vocabulary, so another pass of it changes nothing.
+func steadySliced() (*Sliced, []string) {
+	vocab := make([]string, 5000)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("e%d", i)
+	}
+	s := NewSliced(256, 8)
+	for range s.slices {
+		s.Advance()
+		for _, e := range vocab {
+			s.Add(e)
+		}
+	}
+	return s, vocab
+}
+
+func TestSlicedDistinctSteadyDoesNotAllocate(t *testing.T) {
+	s, vocab := steadySliced()
+	_ = s.Distinct()
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		s.Add(vocab[i%len(vocab)])
+		i++
+		_ = s.Distinct()
+	}); n != 0 {
+		t.Errorf("Add of a seen element then Distinct allocates %v times", n)
+	}
+	if s.dirty {
+		t.Error("a no-op Add invalidated the merged cache")
+	}
+}
+
+func BenchmarkSlicedDistinctSteady(b *testing.B) {
+	s, vocab := steadySliced()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Add(vocab[i%len(vocab)])
+		_ = s.Distinct()
+	}
+}

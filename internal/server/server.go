@@ -254,9 +254,15 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed: drain or Close
 		}
-		if s.draining.Load() || s.st.connsActive.Load() >= int64(s.cfg.MaxConns) {
+		// A connection that raced the drain out of the listen backlog, or
+		// arrives over the limit, is told so in the protocol, not hung up on.
+		if code, msg := s.refusal(); code != 0 {
 			s.st.connsRejected.Add(1)
-			nc.Close()
+			s.connWG.Add(1)
+			go func() {
+				defer s.connWG.Done()
+				wire.Refuse(nc, s.cfg.MaxPayload, code, s.cfg.RetryAfter, msg)
+			}()
 			continue
 		}
 		c := newConn(s, nc)
@@ -273,6 +279,18 @@ func (s *Server) acceptLoop() {
 		s.connWG.Add(1)
 		go c.serve()
 	}
+}
+
+// refusal reports why a newly accepted connection cannot be served, or
+// code 0 when it can.
+func (s *Server) refusal() (wire.Code, string) {
+	switch {
+	case s.draining.Load():
+		return wire.CodeDraining, "server draining"
+	case s.st.connsActive.Load() >= int64(s.cfg.MaxConns):
+		return wire.CodeBackpressure, "connection limit reached"
+	}
+	return 0, ""
 }
 
 func (s *Server) removeConn(c *conn) {
@@ -311,8 +329,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.stopOnce.Do(func() {
 		s.draining.Store(true)
-		s.ln.Close()
-		s.acceptWG.Wait()
+		wire.CloseAfterBacklog(s.ln, &s.acceptWG)
 		s.log.Info("draining", "conns", s.st.connsActive.Load(),
 			"inflight", s.st.inFlight.Load())
 

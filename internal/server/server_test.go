@@ -329,23 +329,49 @@ func TestBackpressureRefusal(t *testing.T) {
 	}
 }
 
+// TestConnectionLimit: a connection over MaxConns is refused in the
+// protocol — every request on it is answered with a retryable
+// CodeBackpressure under the request's ID.
 func TestConnectionLimit(t *testing.T) {
 	srv := startServer(t, &fakeEngine{}, Config{MaxConns: 1})
 	rc1 := dialRaw(t, srv.Addr())
 	rc1.write(wire.AppendPing(nil, 1))
 	rc1.read() // first connection is fully established and serving
 
-	nc2, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc2.Close()
-	nc2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := nc2.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("second connection not refused: %v", err)
+	rc2 := dialRaw(t, srv.Addr())
+	q := testQuery()
+	rc2.write(wire.AppendPing(nil, 9), wire.AppendEstimate(nil, 10, 0, &q))
+	for _, id := range []uint64{9, 10} {
+		h, re := rc2.readErr()
+		if h.ID != id || re.Code != wire.CodeBackpressure || re.RetryAfter <= 0 {
+			t.Fatalf("over-limit connection: id=%d code=%v retry-after=%v", h.ID, re.Code, re.RetryAfter)
+		}
 	}
 	if srv.sample().ConnsRejected == 0 {
 		t.Fatal("rejected counter did not move")
+	}
+	// The limit refuses connections, not the one it admitted.
+	rc1.write(wire.AppendPing(nil, 2))
+	if h, _ := rc1.read(); h.Type != wire.TPong {
+		t.Fatalf("admitted connection answered %v", h.Type)
+	}
+}
+
+// TestAcceptedWhileDraining pins the race TestDrainRefusesNewRequests used
+// to lose one run in twenty: a connection the accept loop takes after the
+// drain flag is up gets CodeDraining for its request, not an EOF.
+func TestAcceptedWhileDraining(t *testing.T) {
+	srv := startServer(t, &fakeEngine{}, Config{})
+	srv.draining.Store(true) // listener still open, as in the race window
+	rc := dialRaw(t, srv.Addr())
+	q := testQuery()
+	rc.write(wire.AppendEstimate(nil, 4, 0, &q)) // a request with a payload
+	h, re := rc.readErr()
+	if h.ID != 4 || re.Code != wire.CodeDraining || re.RetryAfter <= 0 {
+		t.Fatalf("id=%d code=%v retry-after=%v", h.ID, re.Code, re.RetryAfter)
+	}
+	if got := srv.sample().ConnsActive; got != 0 {
+		t.Fatalf("a refused connection counts as active: %d", got)
 	}
 }
 

@@ -134,6 +134,7 @@ func (n *Network) Train(samples []Sample) {
 	// (Likelihood-seeded init collapses: samples far from every seed tie on
 	// the uniform background and all fall into one component.)
 	assign := kmeansInit(samples, c.Components, rng)
+	logs := make([]component, len(n.comps))
 	for iter := 0; iter < c.EMIters; iter++ {
 		// M step: re-estimate each component from its members.
 		n.mStep(samples, assign)
@@ -141,10 +142,15 @@ func (n *Network) Train(samples []Sample) {
 			break
 		}
 		// E step: hard-assign each sample to its most likely component.
+		// Parameters are fixed for the step, so every logarithm a sample
+		// could ask for is taken once per component, not once per sample.
+		for ci := range n.comps {
+			logs[ci].setLogOf(&n.comps[ci])
+		}
 		for si := range samples {
 			best, bestLL := 0, math.Inf(-1)
-			for ci := range n.comps {
-				ll := n.logLik(&n.comps[ci], &samples[si])
+			for ci := range logs {
+				ll := n.logLik(&logs[ci], &samples[si])
 				if ll > bestLL {
 					best, bestLL = ci, ll
 				}
@@ -153,6 +159,25 @@ func (n *Network) Train(samples []Sample) {
 		}
 	}
 	n.trained = true
+}
+
+// setLogOf makes lc the element-wise smoothed logarithm of c's parameters
+// — the terms logLik sums — reusing lc's arrays.
+func (lc *component) setLogOf(c *component) {
+	lc.weight = math.Log(c.weight + 1e-12)
+	lc.histX = logEach(lc.histX, c.histX, 1e-12)
+	lc.histY = logEach(lc.histY, c.histY, 1e-12)
+	lc.kwP = logEach(lc.kwP, c.kwP, 1e-3)
+}
+
+func logEach(dst, src []float64, eps float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, len(src))
+	}
+	for i, p := range src {
+		dst[i] = math.Log(p + eps)
+	}
+	return dst
 }
 
 // kmeansInit returns an initial hard assignment from k-means++ seeding plus
@@ -232,14 +257,15 @@ func binOf(v float64, bins int) int {
 	return b
 }
 
-// logLik is the component's log density of the sample (up to a shared
-// constant: bin widths cancel across components).
-func (n *Network) logLik(c *component, s *Sample) float64 {
-	ll := math.Log(c.weight + 1e-12)
-	ll += math.Log(c.histX[binOf(s.X, n.cfg.XBins)] + 1e-12)
-	ll += math.Log(c.histY[binOf(s.Y, n.cfg.YBins)] + 1e-12)
+// logLik is a component's log density of the sample (up to a shared
+// constant: bin widths cancel across components), summed from the
+// component's logarithms as setLogOf prepared them.
+func (n *Network) logLik(lc *component, s *Sample) float64 {
+	ll := lc.weight
+	ll += lc.histX[binOf(s.X, n.cfg.XBins)]
+	ll += lc.histY[binOf(s.Y, n.cfg.YBins)]
 	for _, b := range s.KwB {
-		ll += math.Log(c.kwP[b] + 1e-3)
+		ll += lc.kwP[b]
 	}
 	return ll
 }

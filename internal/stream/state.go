@@ -73,14 +73,7 @@ func (w *Window) LoadState(d *persist.Dec) error {
 		last = o.Timestamp
 		w.objs = append(w.objs, o)
 		w.cells[w.grid.CellOf(o.Loc)].pushBack(base + uint64(i))
-		for _, kw := range dedupe(o.Keywords) {
-			pq := w.postings[kw]
-			if pq == nil {
-				pq = &refQueue{}
-				w.postings[kw] = pq
-			}
-			pq.pushBack(base + uint64(i))
-		}
+		w.post(o.Keywords, base+uint64(i))
 	}
 	w.inserted = inserted
 	w.evicted = evicted

@@ -118,7 +118,16 @@ func (w *Window) Insert(o Object) {
 	w.inserted++
 
 	w.cells[w.grid.CellOf(o.Loc)].pushBack(seq)
-	for _, kw := range dedupe(o.Keywords) {
+	w.post(o.Keywords, seq)
+	w.EvictBefore(o.Timestamp - w.span)
+}
+
+// post appends seq to the posting queue of each distinct keyword in kws.
+func (w *Window) post(kws []string, seq uint64) {
+	for i, kw := range kws {
+		if repeated(kws, i) {
+			continue
+		}
 		pq := w.postings[kw]
 		if pq == nil {
 			pq = &refQueue{}
@@ -126,7 +135,6 @@ func (w *Window) Insert(o Object) {
 		}
 		pq.pushBack(seq)
 	}
-	w.EvictBefore(o.Timestamp - w.span)
 }
 
 // EvictBefore drops every object with Timestamp < cutoff. The driver also
@@ -143,7 +151,10 @@ func (w *Window) EvictBefore(cutoff int64) {
 		}
 		cq.popFront()
 
-		for _, kw := range dedupe(o.Keywords) {
+		for i, kw := range o.Keywords {
+			if repeated(o.Keywords, i) {
+				continue
+			}
 			pq := w.postings[kw]
 			if pq == nil || pq.len() == 0 || pq.front() != seq {
 				panic("stream: posting queue invariant violated")
@@ -218,49 +229,67 @@ func (w *Window) countSpatial(r geo.Rect, kws []string) int {
 }
 
 // countKeyword counts distinct window objects carrying any of kws, further
-// filtered by r when non-nil.
+// filtered by r when non-nil. Posting queues hold ascending sequence
+// numbers, so the union is a k-way merge over them: every distinct sequence
+// number surfaces exactly once, in order, and is range-tested once. Nothing
+// is allocated for up to eight distinct live keywords.
 func (w *Window) countKeyword(kws []string, r *geo.Rect) int {
-	if len(kws) == 1 {
-		pq := w.postings[kws[0]]
-		if pq == nil {
-			return 0
-		}
-		if r == nil {
-			return pq.len()
-		}
-		total := 0
-		pq.each(func(seq uint64) bool {
-			if r.Contains(w.objBySeq(seq).Loc) {
-				total++
-			}
-			return true
-		})
-		return total
-	}
-	seen := make(map[uint64]struct{})
-	for _, kw := range dedupe(kws) {
-		pq := w.postings[kw]
-		if pq == nil {
+	var buf [8][]uint64
+	lists := buf[:0]
+	for i, kw := range kws {
+		if repeated(kws, i) {
 			continue
 		}
-		pq.each(func(seq uint64) bool {
-			if _, dup := seen[seq]; dup {
-				return true
-			}
-			if r == nil || r.Contains(w.objBySeq(seq).Loc) {
-				seen[seq] = struct{}{}
-			}
-			return true
-		})
+		if pq := w.postings[kw]; pq != nil {
+			lists = append(lists, pq.refs[pq.head:])
+		}
 	}
-	return len(seen)
+	total := 0
+	// Invariant: every list is non-empty (live posting queues always are).
+	for len(lists) > 1 {
+		seq := lists[0][0]
+		for _, l := range lists[1:] {
+			if l[0] < seq {
+				seq = l[0]
+			}
+		}
+		for i := 0; i < len(lists); {
+			if lists[i][0] == seq {
+				lists[i] = lists[i][1:]
+				if len(lists[i]) == 0 {
+					lists[i] = lists[len(lists)-1]
+					lists = lists[:len(lists)-1]
+					continue
+				}
+			}
+			i++
+		}
+		if r == nil || r.Contains(w.objBySeq(seq).Loc) {
+			total++
+		}
+	}
+	if len(lists) == 0 {
+		return total
+	}
+	if r == nil {
+		return total + len(lists[0])
+	}
+	for _, seq := range lists[0] {
+		if r.Contains(w.objBySeq(seq).Loc) {
+			total++
+		}
+	}
+	return total
 }
 
 // countHybrid picks the cheaper side to drive the scan: keyword postings
 // when they are collectively shorter than the spatial candidate set.
 func (w *Window) countHybrid(q *Query) int {
 	postingsLen := 0
-	for _, kw := range dedupe(q.Keywords) {
+	for i, kw := range q.Keywords {
+		if repeated(q.Keywords, i) {
+			continue
+		}
 		if pq := w.postings[kw]; pq != nil {
 			postingsLen += pq.len()
 		}
@@ -316,24 +345,15 @@ func (w *Window) EachBefore(maxSeq uint64, fn func(o *Object) bool) {
 	}
 }
 
-// dedupe returns kws with duplicates removed, preserving order. Keyword
-// lists are tiny (1-5 entries), so the quadratic scan beats a map.
-func dedupe(kws []string) []string {
-	if len(kws) < 2 {
-		return kws
-	}
-	out := kws[:0:0]
-	for i, kw := range kws {
-		dup := false
-		for _, prev := range kws[:i] {
-			if prev == kw {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, kw)
+// repeated reports whether kws[i] already occurs in kws[:i]. Skipping
+// repeated entries visits each distinct keyword once, in order, without
+// building a deduplicated copy; keyword lists are tiny (1-5 entries), so
+// the quadratic scan beats a map.
+func repeated(kws []string, i int) bool {
+	for _, prev := range kws[:i] {
+		if prev == kws[i] {
+			return true
 		}
 	}
-	return out
+	return false
 }

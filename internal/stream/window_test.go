@@ -264,3 +264,88 @@ func BenchmarkWindowAnswerSpatial(b *testing.B) {
 		_ = w.Answer(&q)
 	}
 }
+
+// TestCountKeywordMergeEqualsBruteForce: the k-way merge over posting
+// queues counts what a scan of every live object counts, for 2-6 query
+// keywords with repeats and absent words, objects that repeat a keyword,
+// with and without a range (both directly and through countHybrid's choice
+// of side), while the window evicts and its queues compact.
+func TestCountKeywordMergeEqualsBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	vocab := vocabN(12)
+	const span = 300
+	w := NewWindow(geo.UnitSquare, span, 64)
+	var all []Object
+	ts := int64(0)
+	for i := 0; i < 12000; i++ {
+		ts++
+		o := randomObject(rng, uint64(i), ts, vocab) // draws with replacement: repeats happen
+		all = append(all, o)
+		w.Insert(o)
+		if i%37 != 0 {
+			continue
+		}
+		kws := make([]string, 2+rng.Intn(5))
+		for k := range kws {
+			switch rng.Intn(5) {
+			case 0:
+				kws[k] = "absent"
+			case 1:
+				kws[k] = kws[rng.Intn(k+1)] // repeat an earlier slot (or stay empty)
+				if kws[k] == "" {
+					kws[k] = vocab[0]
+				}
+			default:
+				kws[k] = vocab[rng.Intn(len(vocab))]
+			}
+		}
+		live := all[len(all)-w.Size():]
+		kq := KeywordQ(kws, ts)
+		if got, want := w.Count(&kq), bruteCount(live, &kq, ts-span); got != want {
+			t.Fatalf("at %d, %v: merge %d, brute force %d", i, kq, got, want)
+		}
+		hq := HybridQ(randRect(rng), kws, ts)
+		want := bruteCount(live, &hq, ts-span)
+		if got := w.countKeyword(kws, &hq.Range); got != want {
+			t.Fatalf("at %d, %v: ranged merge %d, brute force %d", i, hq, got, want)
+		}
+		if got := w.Count(&hq); got != want {
+			t.Fatalf("at %d, %v: hybrid %d, brute force %d", i, hq, got, want)
+		}
+	}
+	if w.inserted-w.evicted != uint64(w.Size()) || w.evicted == 0 {
+		t.Fatalf("window did not evict: inserted %d evicted %d", w.inserted, w.evicted)
+	}
+}
+
+// keywordBenchWindow is a 100k-object window over a 100-word vocabulary
+// and a five-keyword query with one repeat.
+func keywordBenchWindow() (*Window, Query) {
+	rng := rand.New(rand.NewSource(1))
+	vocab := vocabN(100)
+	w := NewWindow(geo.UnitSquare, 1_000_000, 4096)
+	for i := 0; i < 100_000; i++ {
+		w.Insert(randomObject(rng, uint64(i), int64(i), vocab))
+	}
+	return w, KeywordQ([]string{"kw03", "kw17", "kw42", "kw17", "kw99"}, 100_000)
+}
+
+func TestCountKeywordMultiDoesNotAllocate(t *testing.T) {
+	w, q := keywordBenchWindow()
+	hq := HybridQ(geo.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9}, q.Keywords, q.Timestamp)
+	for _, q := range []Query{q, hq} {
+		q := q
+		if n := testing.AllocsPerRun(20, func() { _ = w.Count(&q) }); n != 0 {
+			t.Errorf("%v: Count allocates %v times per query", q, n)
+		}
+	}
+}
+
+func BenchmarkWindowCountKeywordMulti(b *testing.B) {
+	w, q := keywordBenchWindow()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = w.Count(&q)
+	}
+}

@@ -1,0 +1,96 @@
+package wire
+
+import (
+	"bufio"
+	"io"
+	"net"
+	"sync"
+	"testing"
+	"time"
+)
+
+// TestRefuseAnswersEveryRequest: each request on a refused connection gets
+// the typed refusal under its own ID, payload or not, and the connection
+// closes cleanly when the peer hangs up.
+func TestRefuseAnswersEveryRequest(t *testing.T) {
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Refuse(server, 0, CodeDraining, 50*time.Millisecond, "draining")
+	}()
+	fr := NewFrameReader(bufio.NewReader(client), 0)
+	frames := [][]byte{
+		AppendPing(nil, 7),
+		appendFrame(nil, TFeedBatch, 8, func(b []byte) []byte { return append(b, make([]byte, 4096)...) }),
+		AppendPing(nil, 9),
+	}
+	for i, f := range frames {
+		if _, err := client.Write(f); err != nil {
+			t.Fatal(err)
+		}
+		h, payload, err := fr.Next()
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		re, err := DecodeError(payload)
+		if err != nil || h.Type != TError || h.ID != uint64(7+i) ||
+			re.Code != CodeDraining || re.RetryAfter != 50*time.Millisecond {
+			t.Fatalf("request %d: header %+v refusal %+v err %v", i, h, re, err)
+		}
+	}
+	client.Close()
+	<-done
+}
+
+// TestRefuseGivesUpOnSilence: a peer that never sends a request is closed
+// when the grace period ends, without an answer.
+func TestRefuseGivesUpOnSilence(t *testing.T) {
+	client, server := net.Pipe()
+	start := time.Now()
+	go Refuse(server, 0, CodeBackpressure, time.Millisecond, "full")
+	client.SetReadDeadline(time.Now().Add(5 * refusalGrace))
+	if _, err := client.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on a silent refused connection: %v, want EOF", err)
+	}
+	if waited := time.Since(start); waited < refusalGrace/2 {
+		t.Fatalf("closed after %v, before the grace period", waited)
+	}
+}
+
+// TestCloseAfterBacklog: a connection that finished its handshake before
+// the drain but was never accepted is handed to the accept loop, not reset.
+func TestCloseAfterBacklog(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", ln.Addr().String()) // queued: nobody accepts yet
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	var accepted sync.WaitGroup
+	taken := 0
+	accepted.Add(1)
+	go func() {
+		defer accepted.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			taken++
+			c.Close()
+		}
+	}()
+	CloseAfterBacklog(ln, &accepted)
+	if taken != 1 {
+		t.Fatalf("accept loop took %d connections before the listener closed, want 1", taken)
+	}
+	if c, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("listener still open")
+	}
+}

@@ -140,8 +140,8 @@ const (
 	CodeVersionSkew Code = 3
 	// CodeUnknownType: the frame type is not a request the server knows.
 	CodeUnknownType Code = 4
-	// CodeBackpressure: the connection's in-flight window is full; retry
-	// after the hinted delay.
+	// CodeBackpressure: the connection's in-flight window is full, or the
+	// server is at its connection limit; retry after the hinted delay.
 	CodeBackpressure Code = 5
 	// CodeDraining: the server is shutting down gracefully; retry against
 	// another instance (or the same one after the hinted delay).
