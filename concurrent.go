@@ -126,12 +126,12 @@ func (c *ConcurrentSystem) Feed(o Object) {
 	}
 	c.mu.Lock()
 	c.feedLocked(&o)
-	occ := c.sys.window.Size()
+	occ, bytes := c.sys.window.Size(), c.sys.window.MemoryBytes()
 	c.mu.Unlock()
 	if sampled {
 		c.sys.gauges.RecordFeedLatency(time.Since(start))
 	}
-	c.sys.gauges.SetOccupancy(occ)
+	c.sys.gauges.SetWindow(occ, bytes)
 }
 
 // FeedBatch ingests a batch of stream objects under a single lock
@@ -145,10 +145,10 @@ func (c *ConcurrentSystem) FeedBatch(objs []Object) {
 	for i := range objs {
 		c.feedLocked(&objs[i])
 	}
-	occ := c.sys.window.Size()
+	occ, bytes := c.sys.window.Size(), c.sys.window.MemoryBytes()
 	c.mu.Unlock()
 	c.sys.gauges.RecordBatch(len(objs), time.Since(start))
-	c.sys.gauges.SetOccupancy(occ)
+	c.sys.gauges.SetWindow(occ, bytes)
 }
 
 // EstimateAndExecute answers the query approximately, then exactly, and

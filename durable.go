@@ -339,8 +339,9 @@ func (d *DurableEngine) replayRecords(records [][]byte) error {
 		return nil
 	}
 	objs := make([]Object, 0, len(records))
+	dec := persist.NewDec(nil) // one decoder, so records share keyword strings
 	for i, rec := range records {
-		dec := persist.NewDec(rec)
+		dec.Reset(rec)
 		o := stream.DecodeObject(dec)
 		if dec.Err() != nil || dec.Done() != nil {
 			return persist.Errf(persist.CodeMalformed, "wal replay",

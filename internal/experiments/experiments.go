@@ -58,6 +58,12 @@ type RunConfig struct {
 	Scale float64
 	// Seed drives all randomness. Default 1.
 	Seed int64
+	// LatencyOf, when non-nil, is the latency the module's switch trains on
+	// in place of the wall-clock time of each estimate (core.Config's
+	// LatencyOf). The figures report the shadow fleet's measured latency
+	// either way; tests set it so that switching decisions do not depend
+	// on how busy the host is.
+	LatencyOf func(name string, q *stream.Query, measured time.Duration) time.Duration
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -136,6 +142,7 @@ func newEnvSpec(cfg RunConfig, spec workload.Spec) *env {
 		Hoeffding:       hoeffding.Config{GracePeriod: cfg.Grace},
 		Scale:           cfg.Scale,
 		Seed:            cfg.Seed,
+		LatencyOf:       cfg.LatencyOf,
 		Refill: func(e estimator.Estimator) {
 			oracle.Each(func(o *stream.Object) bool {
 				e.Insert(o)

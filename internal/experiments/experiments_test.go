@@ -6,13 +6,17 @@ import (
 	"math"
 	"testing"
 
+	"github.com/spatiotext/latest/internal/check"
 	"github.com/spatiotext/latest/internal/workload"
 )
 
 // small returns a RunConfig sized for tests: big enough for phases and
-// switches to materialize, small enough to keep the suite fast.
+// switches to materialize, small enough to keep the suite fast. The switch
+// is scored with the goldens' fixed per-estimator latencies, so which
+// estimator it picks — and with it every shape asserted below — is the
+// same on a loaded host as on an idle one.
 func small() RunConfig {
-	return RunConfig{Queries: 1200, PretrainQueries: 300}
+	return RunConfig{Queries: 1200, PretrainQueries: 300, LatencyOf: check.DeterministicLatencyModel}
 }
 
 func TestFlatten(t *testing.T) {

@@ -25,6 +25,7 @@ type ShardGauges struct {
 	feeds         atomic.Uint64
 	reordered     atomic.Uint64
 	occupancy     atomic.Int64
+	windowBytes   atomic.Int64
 	prefillAsync  atomic.Uint64
 	prefillInline atomic.Uint64
 
@@ -114,8 +115,12 @@ func (g *ShardGauges) RecordIngestBackpressure() { g.ingestBackpressure.Add(1) }
 // pipeline chunk count.
 func (g *ShardGauges) SetIngestBacklog(n int) { g.ingestBacklog.Store(int64(n)) }
 
-// SetOccupancy publishes the shard's live window size.
-func (g *ShardGauges) SetOccupancy(n int) { g.occupancy.Store(int64(n)) }
+// SetWindow publishes the shard's live window size and the window store's
+// footprint in bytes.
+func (g *ShardGauges) SetWindow(objs, bytes int) {
+	g.occupancy.Store(int64(objs))
+	g.windowBytes.Store(int64(bytes))
+}
 
 // GaugeSnapshot is a point-in-time copy of a shard's gauges. It is a plain
 // comparable value (the histograms use fixed-size bucket arrays).
@@ -155,6 +160,8 @@ type GaugeSnapshot struct {
 	AvgQueryLatency time.Duration
 	// Occupancy is the last published live window size.
 	Occupancy int
+	// WindowBytes is the last published footprint of the window store.
+	WindowBytes int
 	// FeedLatency holds sampled single-object ingest latencies (one in
 	// FeedSampleInterval), BatchLatency per-batch ingest latencies, and
 	// QueryLatency full estimate/execute cycles.
@@ -179,6 +186,7 @@ func (g *ShardGauges) Snapshot() GaugeSnapshot {
 		IngestBacklog:      int(g.ingestBacklog.Load()),
 		IngestBackpressure: g.ingestBackpressure.Load(),
 		Occupancy:          int(g.occupancy.Load()),
+		WindowBytes:        int(g.windowBytes.Load()),
 		FeedLatency:        g.feedHist.Snapshot(),
 		BatchLatency:       g.batchHist.Snapshot(),
 		QueryLatency:       g.queryHist.Snapshot(),

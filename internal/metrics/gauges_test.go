@@ -14,10 +14,10 @@ func TestShardGauges(t *testing.T) {
 	g.RecordQuery(10 * time.Millisecond)
 	g.RecordQuery(30 * time.Millisecond)
 	g.RecordReordered()
-	g.SetOccupancy(42)
+	g.SetWindow(42, 4200)
 
 	s := g.Snapshot()
-	if s.Feeds != 13 || s.Batches != 2 || s.Queries != 2 || s.Reordered != 1 || s.Occupancy != 42 {
+	if s.Feeds != 13 || s.Batches != 2 || s.Queries != 2 || s.Reordered != 1 || s.Occupancy != 42 || s.WindowBytes != 4200 {
 		t.Errorf("snapshot counts = %+v", s)
 	}
 	if s.AvgBatchLatency != 50*time.Millisecond {
@@ -112,7 +112,7 @@ func TestShardGaugesConcurrent(t *testing.T) {
 			for i := 0; i < each; i++ {
 				g.RecordFeeds(1)
 				g.RecordQuery(time.Microsecond)
-				g.SetOccupancy(i)
+				g.SetWindow(i, 100*i)
 			}
 		}()
 	}

@@ -3,6 +3,8 @@ package persist
 import (
 	"encoding/binary"
 	"math"
+
+	"github.com/spatiotext/latest/internal/intern"
 )
 
 // codec.go holds the binary primitives every state encoder in the
@@ -106,10 +108,17 @@ type Dec struct {
 	b   []byte
 	off int
 	err error
+	// strs shares equal strings among the string lists this decoder reads
+	// (keyword lists, overwhelmingly); allocated at the first one.
+	strs *intern.Table
 }
 
 // NewDec wraps data for decoding.
 func NewDec(data []byte) *Dec { return &Dec{b: data} }
+
+// Reset points the decoder at new data and clears its error, keeping the
+// strings it shares: a caller decoding many small records reuses one Dec.
+func (d *Dec) Reset(data []byte) { d.b, d.off, d.err = data, 0, nil }
 
 // Err returns the first decode error, or nil.
 func (d *Dec) Err() error { return d.err }
@@ -214,15 +223,13 @@ func (d *Dec) length(unit int, op string) int {
 	return n
 }
 
-// Str reads a length-prefixed string.
-func (d *Dec) Str() string {
-	n := d.length(1, "string")
-	p := d.take(n, "string")
-	if p == nil {
-		return ""
-	}
-	return string(p)
+// strBytes reads a length-prefixed string's bytes, aliasing the buffer.
+func (d *Dec) strBytes() []byte {
+	return d.take(d.length(1, "string"), "string")
 }
+
+// Str reads a length-prefixed string.
+func (d *Dec) Str() string { return string(d.strBytes()) }
 
 // Blob reads a length-prefixed byte slice (copied).
 func (d *Dec) Blob() []byte {
@@ -273,15 +280,20 @@ func (d *Dec) U32s() []uint32 {
 	return out
 }
 
-// Strs reads a length-prefixed []string.
+// Strs reads a length-prefixed []string. The slice is the caller's own;
+// equal strings read through one decoder share their bytes, so a restored
+// window holds each keyword once rather than once per object carrying it.
 func (d *Dec) Strs() []string {
 	n := d.length(4, "[]string")
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	if d.strs == nil {
+		d.strs = new(intern.Table)
+	}
 	out := make([]string, n)
 	for i := range out {
-		out[i] = d.Str()
+		out[i] = d.strs.String(d.strBytes())
 	}
 	return out
 }

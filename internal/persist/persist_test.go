@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"path/filepath"
 	"testing"
+	"unsafe"
 )
 
 // TestCodecRoundTrip pins every Enc primitive to its Dec counterpart.
@@ -347,3 +348,32 @@ func TestMemStoreCorruptHook(t *testing.T) {
 }
 
 func crcOf(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
+
+// TestDecStrsShareEqualStrings: string lists read through one decoder —
+// across Reset too, as WAL replay uses it — share the bytes of equal
+// strings, while every list is its own slice.
+func TestDecStrsShareEqualStrings(t *testing.T) {
+	var e Enc
+	e.Strs([]string{"flood", "fire"})
+	e.Strs([]string{"fire", "", "flood"})
+	d := NewDec(e.Data())
+	a, b := d.Strs(), d.Strs()
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != 2 || len(b) != 3 || a[0] != "flood" || a[1] != "fire" || b[0] != "fire" || b[1] != "" || b[2] != "flood" {
+		t.Fatalf("decoded %q, %q", a, b)
+	}
+	if unsafe.StringData(a[0]) != unsafe.StringData(b[2]) || unsafe.StringData(a[1]) != unsafe.StringData(b[0]) {
+		t.Error("equal strings from one decoder are separate copies")
+	}
+
+	d.Reset(e.Data()[:1]) // poison it
+	if d.Strs(); d.Err() == nil {
+		t.Fatal("truncated list accepted")
+	}
+	d.Reset(e.Data())
+	if c := d.Strs(); d.Err() != nil || unsafe.StringData(c[0]) != unsafe.StringData(a[0]) {
+		t.Errorf("after Reset: err %v, or %q decoded as a new copy", d.Err(), a[0])
+	}
+}

@@ -34,9 +34,10 @@ func (w *Window) SaveState(e *persist.Enc) {
 	e.U64(w.inserted)
 	e.U64(w.evicted)
 	e.U32(uint32(w.Size()))
-	for i := w.head; i < len(w.objs); i++ {
-		EncodeObject(e, &w.objs[i])
-	}
+	w.Each(func(o *Object) bool {
+		EncodeObject(e, o)
+		return true
+	})
 }
 
 // LoadState restores a window saved with the same world, span and grid.
@@ -60,7 +61,7 @@ func (w *Window) LoadState(d *persist.Dec) error {
 		return persist.Errf(persist.CodeMalformed, op,
 			"%d live objects vs inserted %d - evicted %d", count, inserted, evicted)
 	}
-	w.base = base
+	w.base, w.origin = base, base
 	last := int64(0)
 	for i := 0; i < count; i++ {
 		o := DecodeObject(d)
@@ -71,9 +72,7 @@ func (w *Window) LoadState(d *persist.Dec) error {
 			return persist.Errf(persist.CodeMalformed, op, "objects out of order (%d after %d)", o.Timestamp, last)
 		}
 		last = o.Timestamp
-		w.objs = append(w.objs, o)
-		w.cells[w.grid.CellOf(o.Loc)].pushBack(base + uint64(i))
-		w.post(o.Keywords, base+uint64(i))
+		w.append(o)
 	}
 	w.inserted = inserted
 	w.evicted = evicted

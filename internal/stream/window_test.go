@@ -210,9 +210,9 @@ func TestWindowEachOrder(t *testing.T) {
 	}
 }
 
-func TestWindowCompactionKeepsAnswers(t *testing.T) {
-	// Long run with aggressive eviction: exercises arena and queue
-	// compaction paths, checking counts stay exact throughout.
+func TestWindowTurnoverKeepsAnswers(t *testing.T) {
+	// Long run with aggressive eviction: exercises chunk hand-over and ring
+	// wrap-around, checking counts stay exact throughout.
 	rng := rand.New(rand.NewSource(9))
 	vocab := vocabN(8)
 	const span = 200
@@ -265,12 +265,12 @@ func BenchmarkWindowAnswerSpatial(b *testing.B) {
 	}
 }
 
-// TestCountKeywordMergeEqualsBruteForce: the k-way merge over posting
+// TestCountKeywordUnionEqualsBruteForce: the union over posting
 // queues counts what a scan of every live object counts, for 2-6 query
 // keywords with repeats and absent words, objects that repeat a keyword,
 // with and without a range (both directly and through countHybrid's choice
-// of side), while the window evicts and its queues compact.
-func TestCountKeywordMergeEqualsBruteForce(t *testing.T) {
+// of side), while the window evicts and its rings wrap and resize.
+func TestCountKeywordUnionEqualsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	vocab := vocabN(12)
 	const span = 300
@@ -302,12 +302,12 @@ func TestCountKeywordMergeEqualsBruteForce(t *testing.T) {
 		live := all[len(all)-w.Size():]
 		kq := KeywordQ(kws, ts)
 		if got, want := w.Count(&kq), bruteCount(live, &kq, ts-span); got != want {
-			t.Fatalf("at %d, %v: merge %d, brute force %d", i, kq, got, want)
+			t.Fatalf("at %d, %v: union %d, brute force %d", i, kq, got, want)
 		}
 		hq := HybridQ(randRect(rng), kws, ts)
 		want := bruteCount(live, &hq, ts-span)
 		if got := w.countKeyword(kws, &hq.Range); got != want {
-			t.Fatalf("at %d, %v: ranged merge %d, brute force %d", i, hq, got, want)
+			t.Fatalf("at %d, %v: ranged union %d, brute force %d", i, hq, got, want)
 		}
 		if got := w.Count(&hq); got != want {
 			t.Fatalf("at %d, %v: hybrid %d, brute force %d", i, hq, got, want)

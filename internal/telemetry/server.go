@@ -30,6 +30,7 @@ type ShardSample struct {
 	PrefillsAsync  uint64 `json:"prefills_async"`
 	PrefillsInline uint64 `json:"prefills_inline"`
 	Occupancy      int    `json:"occupancy"`
+	WindowBytes    int    `json:"window_bytes"`
 	Switches       int    `json:"switches"`
 
 	// ValidationRejected counts inputs the validation policy refused,
@@ -78,6 +79,9 @@ type Snapshot struct {
 	AccuracyAvg float64 `json:"accuracy_avg"`
 	MemoryBytes int     `json:"memory_bytes"`
 	WindowSize  int     `json:"window_size"`
+	// WindowBytes is the footprint of the exact window stores, summed over
+	// shards.
+	WindowBytes int `json:"window_bytes"`
 
 	Shards    []ShardSample  `json:"shards"`
 	Decisions []Decision     `json:"decisions"`
@@ -343,6 +347,10 @@ func WriteProm(w interface{ Write([]byte) (int, error) }, snap Snapshot) {
 	gauge("latest_window_occupancy", "Live objects in the shard's exact window store.")
 	for _, sh := range snap.Shards {
 		sample("latest_window_occupancy", shardLabel(sh.Index), float64(sh.Occupancy))
+	}
+	gauge("latest_window_bytes", "Footprint of the shard's exact window store: object arena, index rings and postings map.")
+	for _, sh := range snap.Shards {
+		sample("latest_window_bytes", shardLabel(sh.Index), float64(sh.WindowBytes))
 	}
 	gauge("latest_accuracy_avg", "Sliding accuracy average the adaptor monitors, per shard.")
 	for _, sh := range snap.Shards {

@@ -20,10 +20,10 @@ func testSnapshot() Snapshot {
 		Switches: 3, AccuracyAvg: 0.91, MemoryBytes: 4096, WindowSize: 1234,
 		Shards: []ShardSample{
 			{Index: 0, Active: "RSH", Phase: "incremental", Feeds: 100, Batches: 4,
-				Queries: 50, Occupancy: 70, Switches: 2, AccuracyAvg: 0.9,
+				Queries: 50, Occupancy: 70, WindowBytes: 7168, Switches: 2, AccuracyAvg: 0.9,
 				PrefillsAsync: 2, Feed: hs, Batch: hs, Query: hs, Estimate: hs},
 			{Index: 1, Active: "H4096", Phase: "incremental", Feeds: 60,
-				Queries: 30, Occupancy: 40, Switches: 1, AccuracyAvg: 0.92,
+				Queries: 30, Occupancy: 40, WindowBytes: 4096, Switches: 1, AccuracyAvg: 0.92,
 				PrefillsInline: 1, Query: hs},
 		},
 		Decisions: []Decision{
@@ -67,6 +67,7 @@ func TestServerEndpoints(t *testing.T) {
 		`latest_qerror{estimator="RSH"} 1.4`,
 		`latest_prefills_total{shard="0",mode="async"} 2`,
 		"# TYPE latest_window_occupancy gauge",
+		`latest_window_bytes{shard="0"} 7168`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

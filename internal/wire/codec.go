@@ -3,9 +3,11 @@ package wire
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/intern"
 	"github.com/spatiotext/latest/internal/stream"
 )
 
@@ -48,10 +50,12 @@ func appendF64(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
-// cursor walks a payload with typed, bounds-checked reads.
+// cursor walks a payload with typed, bounds-checked reads. Strings are
+// shared through intern when it is set.
 type cursor struct {
-	b   []byte
-	off int
+	b      []byte
+	off    int
+	intern *intern.Table
 }
 
 func (c *cursor) remain() int { return len(c.b) - c.off }
@@ -96,9 +100,12 @@ func (c *cursor) str() (string, error) {
 	if c.remain() < int(n) {
 		return "", errMalformed("truncated string at offset %d (want %d bytes)", c.off, n)
 	}
-	s := string(c.b[c.off : c.off+int(n)])
+	b := c.b[c.off : c.off+int(n)]
 	c.off += int(n)
-	return s, nil
+	if c.intern != nil {
+		return c.intern.String(b), nil
+	}
+	return string(b), nil
 }
 
 // done rejects trailing garbage so a desynchronized encoder is caught at
@@ -180,12 +187,24 @@ func AppendFeedBatch(buf []byte, id uint64, objs []stream.Object) []byte {
 	})
 }
 
+// keywordTables holds the intern tables feed decoding borrows. The engine
+// keeps a served object's keywords for a whole window, so equal keywords
+// decoded as separate strings would stay on the heap once per occurrence;
+// through a table they share one. A pool rather than a table per
+// connection because DecodeFeedBatch has no receiver to own one: calls on
+// one P reuse that P's table without a lock, connections with the same
+// vocabulary share strings, and the collector empties an idle pool.
+var keywordTables = sync.Pool{New: func() any { return new(intern.Table) }}
+
 // DecodeFeedBatch decodes a TFeedBatch payload, reusing dst's backing
 // array when it is large enough; each object's keyword slice is freshly
-// allocated because engines retain it past the call. A zero-length batch
-// is valid (an empty ingest is acknowledged like any other).
+// allocated because engines retain it past the call, but equal keywords
+// share one string. A zero-length batch is valid (an empty ingest is
+// acknowledged like any other).
 func DecodeFeedBatch(payload []byte, dst []stream.Object) ([]stream.Object, error) {
-	c := &cursor{b: payload}
+	tab := keywordTables.Get().(*intern.Table)
+	defer keywordTables.Put(tab)
+	c := &cursor{b: payload, intern: tab}
 	n, err := c.u32()
 	if err != nil {
 		return nil, err

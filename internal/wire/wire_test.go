@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/stream"
@@ -459,5 +460,43 @@ func TestPeekHeader(t *testing.T) {
 	var pe *ProtoError
 	if _, _, err := fr.Next(); !errors.As(err, &pe) {
 		t.Fatalf("Next on corrupt header = %v", err)
+	}
+}
+
+// TestDecodeFeedBatchSharesKeywords: equal keywords in a batch decode to
+// one string, each object still owns its keyword slice, and decoding a
+// batch of known keywords allocates little beyond those slices.
+func TestDecodeFeedBatchSharesKeywords(t *testing.T) {
+	vocab := []string{"fire", "flood", "quake", "storm", "smoke", "ash", "mud", "hail", "surge", "gale"}
+	objs := make([]stream.Object, 64)
+	for i := range objs {
+		objs[i] = stream.Object{ID: uint64(i), Timestamp: int64(i),
+			Keywords: []string{vocab[i%len(vocab)], vocab[(i/3)%len(vocab)]}}
+	}
+	payload := AppendFeedBatch(nil, 1, objs)[HeaderSize:]
+	got, err := DecodeFeedBatch(payload, nil)
+	if err != nil || !reflect.DeepEqual(got, objs) {
+		t.Fatalf("round trip: %v", err)
+	}
+	first := map[string]*byte{}
+	for i := range got {
+		for _, kw := range got[i].Keywords {
+			if p, seen := first[kw]; !seen {
+				first[kw] = unsafe.StringData(kw)
+			} else if p != unsafe.StringData(kw) {
+				t.Fatalf("object %d: keyword %q is a second copy", i, kw)
+			}
+		}
+	}
+	if &got[0].Keywords[0] == &got[10].Keywords[0] {
+		t.Fatal("objects 0 and 10 share a keyword slice")
+	}
+	// One slice per object; a pooled table that the collector (or the race
+	// detector's pool) dropped costs its vocabulary again, hence the slack.
+	// Without sharing this is three allocations per object.
+	dst := got
+	n := testing.AllocsPerRun(50, func() { dst, _ = DecodeFeedBatch(payload, dst[:0]) })
+	if per := n / float64(len(objs)); per > 1.25 {
+		t.Errorf("decode allocates %.2f times per object, want about 1", per)
 	}
 }

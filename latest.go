@@ -545,7 +545,7 @@ func (s *System) Feed(o Object) {
 		s.scratch = o
 		s.feedPtr(&s.scratch)
 		s.gauges.RecordFeedLatency(time.Since(start))
-		s.gauges.SetOccupancy(s.window.Size())
+		s.gauges.SetWindow(s.window.Size(), s.window.MemoryBytes())
 		return
 	}
 	s.scratch = o
@@ -566,7 +566,7 @@ func (s *System) FeedBatch(objs []Object) {
 		s.feedPtr(&objs[i])
 	}
 	s.gauges.RecordBatch(len(objs), time.Since(start))
-	s.gauges.SetOccupancy(s.window.Size())
+	s.gauges.SetWindow(s.window.Size(), s.window.MemoryBytes())
 }
 
 // Estimate answers the query approximately through the active estimator.

@@ -209,12 +209,12 @@ func (s *ShardedSystem) applyChunk(sh *shard, c ingestChunk) {
 		}
 		sh.mu.Lock()
 		sh.feedLocked(&c.obj)
-		occ := sh.sys.window.Size()
+		occ, bytes := sh.sys.window.Size(), sh.sys.window.MemoryBytes()
 		sh.mu.Unlock()
 		if sampled {
 			sh.gauges.RecordFeedLatency(time.Since(start))
 		}
-		sh.gauges.SetOccupancy(occ)
+		sh.gauges.SetWindow(occ, bytes)
 		return
 	}
 	start := time.Now()
@@ -222,10 +222,10 @@ func (s *ShardedSystem) applyChunk(sh *shard, c ingestChunk) {
 	for i := range c.objs {
 		sh.feedLocked(&c.objs[i])
 	}
-	occ := sh.sys.window.Size()
+	occ, bytes := sh.sys.window.Size(), sh.sys.window.MemoryBytes()
 	sh.mu.Unlock()
 	sh.gauges.RecordBatch(len(c.objs), time.Since(start))
-	sh.gauges.SetOccupancy(occ)
+	sh.gauges.SetWindow(occ, bytes)
 	if c.owned {
 		s.putBuf(c.objs)
 	}

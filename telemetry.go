@@ -24,6 +24,7 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 		PrefillsAsync:      g.PrefillsAsync,
 		PrefillsInline:     g.PrefillsInline,
 		Occupancy:          g.Occupancy,
+		WindowBytes:        g.WindowBytes,
 		Switches:           st.Switches,
 		ValidationRejected: g.ValidationRejected,
 		ValidationClamped:  g.ValidationClamped,
@@ -60,6 +61,7 @@ func (c *ConcurrentSystem) TelemetrySnapshot() telemetry.Snapshot {
 // it, or wrap the engine with NewConcurrent / NewSharded.
 func (s *System) TelemetrySnapshot() telemetry.Snapshot {
 	st := s.Stats()
+	g := s.gauges.Snapshot()
 	return telemetry.Snapshot{
 		Engine:      "system",
 		Phase:       st.Phase.String(),
@@ -68,7 +70,8 @@ func (s *System) TelemetrySnapshot() telemetry.Snapshot {
 		AccuracyAvg: st.AccuracyAvg,
 		MemoryBytes: st.MemoryBytes,
 		WindowSize:  s.WindowSize(),
-		Shards:      []telemetry.ShardSample{shardSample(0, st, s.gauges.Snapshot())},
+		WindowBytes: g.WindowBytes,
+		Shards:      []telemetry.ShardSample{shardSample(0, st, g)},
 		Decisions:   st.Decisions,
 		QError:      st.QError,
 		Drift:       st.Drift,
@@ -90,6 +93,7 @@ func (c *ConcurrentSystem) telemetrySnapshot() telemetry.Snapshot {
 	st := c.sys.Stats()
 	ws := c.sys.WindowSize()
 	c.mu.Unlock()
+	g := c.sys.gauges.Snapshot()
 	return telemetry.Snapshot{
 		Engine:      "concurrent",
 		Phase:       st.Phase.String(),
@@ -98,7 +102,8 @@ func (c *ConcurrentSystem) telemetrySnapshot() telemetry.Snapshot {
 		AccuracyAvg: st.AccuracyAvg,
 		MemoryBytes: st.MemoryBytes,
 		WindowSize:  ws,
-		Shards:      []telemetry.ShardSample{shardSample(0, st, c.sys.gauges.Snapshot())},
+		WindowBytes: g.WindowBytes,
+		Shards:      []telemetry.ShardSample{shardSample(0, st, g)},
 		Decisions:   st.Decisions,
 		QError:      st.QError,
 		Drift:       st.Drift,
@@ -126,6 +131,7 @@ func (s *ShardedSystem) telemetrySnapshot() telemetry.Snapshot {
 	for i, sh := range st.Shards {
 		snap.Shards[i] = shardSample(sh.Index, sh.Core, sh.Gauges)
 		snap.WindowSize += sh.WindowSize
+		snap.WindowBytes += sh.Gauges.WindowBytes
 	}
 	return snap
 }

@@ -66,6 +66,7 @@ func TestShardedTelemetryEndpoints(t *testing.T) {
 		`latest_feeds_total{shard="0"}`,
 		`latest_feeds_total{shard="1"}`,
 		"# TYPE latest_window_occupancy gauge",
+		"# TYPE latest_window_bytes gauge",
 		"# TYPE latest_active_estimator gauge",
 		"# TYPE latest_query_latency_seconds histogram",
 		`latest_query_latency_seconds_bucket{shard="0",le="+Inf"}`,
@@ -79,10 +80,11 @@ func TestShardedTelemetryEndpoints(t *testing.T) {
 	}
 
 	var snap struct {
-		Engine     string `json:"engine"`
-		Phase      string `json:"phase"`
-		WindowSize int    `json:"window_size"`
-		Shards     []struct {
+		Engine      string `json:"engine"`
+		Phase       string `json:"phase"`
+		WindowSize  int    `json:"window_size"`
+		WindowBytes int    `json:"window_bytes"`
+		Shards      []struct {
 			Index   int    `json:"index"`
 			Active  string `json:"active"`
 			Feeds   uint64 `json:"feeds"`
@@ -102,6 +104,10 @@ func TestShardedTelemetryEndpoints(t *testing.T) {
 	}
 	if snap.WindowSize != 4000 {
 		t.Errorf("window_size = %d, want 4000", snap.WindowSize)
+	}
+	// 4000 objects cost at least their arena slots and one ref each.
+	if snap.WindowBytes < 4000*60 {
+		t.Errorf("window_bytes = %d, want at least %d", snap.WindowBytes, 4000*60)
 	}
 	if len(snap.Shards) != 2 {
 		t.Fatalf("shards = %d, want 2", len(snap.Shards))
@@ -231,6 +237,9 @@ func TestGaugesAccessors(t *testing.T) {
 	// the true size by up to one sampling interval.
 	if g.Occupancy < 1000-64 || g.Occupancy > 1000 {
 		t.Errorf("occupancy = %d, want within [936,1000]", g.Occupancy)
+	}
+	if g.WindowBytes < g.Occupancy*60 {
+		t.Errorf("window bytes = %d for %d objects", g.WindowBytes, g.Occupancy)
 	}
 }
 
