@@ -1,0 +1,146 @@
+package estimator
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/spatiotext/latest/internal/datagen"
+	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/stream"
+	"github.com/spatiotext/latest/internal/workload"
+)
+
+// The Twitter-preset cases below run a reservoir at its default capacity
+// in the steady state of the repository's benchmark (benchmark/inputs.go):
+// two objects per virtual millisecond against a 60 s window, so 120 000
+// live objects behind 16 384 samples, every admission a replacement. Their
+// numbers line up with the estimator.RSL|RSH.* lines of the ledger, which
+// the small synthetic cases above them in the output do not.
+const (
+	twitterRatePerMS = 2
+	twitterSpanMS    = 60_000
+	twitterWindow    = twitterRatePerMS * twitterSpanMS
+)
+
+// twitterStream is a replayable Twitter-preset stream: a pool of three
+// windows of objects, each stamped with the timestamp of the stream
+// position it is replayed at.
+type twitterStream struct {
+	gen  *datagen.Generator
+	pool []stream.Object
+	next int
+}
+
+func newTwitterStream() *twitterStream {
+	s := &twitterStream{gen: datagen.Twitter(1, twitterRatePerMS)}
+	s.pool = make([]stream.Object, 3*twitterWindow)
+	for i := range s.pool {
+		s.pool[i] = s.gen.Next()
+	}
+	return s
+}
+
+func (s *twitterStream) params() Params {
+	return Params{World: s.gen.World(), Span: twitterSpanMS, Seed: 1}
+}
+
+// now is the timestamp of the newest object fed.
+func (s *twitterStream) now() int64 { return int64((s.next - 1) / twitterRatePerMS) }
+
+// feed inserts the next n stream objects, through one object that escapes
+// once rather than once per insert.
+func (s *twitterStream) feed(e Estimator, n int) {
+	o := new(stream.Object)
+	for ; n > 0; n-- {
+		*o = s.pool[s.next%len(s.pool)]
+		o.ID, o.Timestamp = uint64(s.next), int64(s.next/twitterRatePerMS)
+		s.next++
+		e.Insert(o)
+	}
+}
+
+// queries draws n TwQW1 queries of one type, issued at ts.
+func (s *twitterStream) queries(typ stream.QueryType, n int, ts int64) []stream.Query {
+	g := workload.NewGenerator(workload.ByName("TwQW1"), s.gen, 1<<30)
+	var out []stream.Query
+	for len(out) < n {
+		if q := g.Next(ts); q.Type() == typ {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// reservoirBenchQueries is one query of each type over the filled test
+// reservoir; "keyword" asks for a rare word, which no posting list or
+// signature makes expensive.
+func reservoirBenchQueries(ts int64) map[string]stream.Query {
+	r := geo.CenteredRect(geo.Pt(0.3, 0.3), 0.3, 0.3)
+	return map[string]stream.Query{
+		"spatial": stream.SpatialQ(r, ts),
+		"keyword": stream.KeywordQ([]string{"kw40", "kw45"}, ts),
+		"hybrid":  stream.HybridQ(r, []string{"kw0"}, ts),
+	}
+}
+
+var benchSink float64
+
+func benchEstimate(b *testing.B, build func(Params) Estimator) {
+	e := build(testParams())
+	rng := rand.New(rand.NewSource(1))
+	ts := int64(0)
+	for i := 0; i < 40000; i++ {
+		ts++
+		o := genObject(rng, uint64(i), ts)
+		e.Insert(&o)
+	}
+	for _, name := range []string{"spatial", "keyword", "hybrid"} {
+		q := reservoirBenchQueries(ts)[name]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = e.Estimate(&q)
+			}
+		})
+	}
+	tw := newTwitterStream()
+	e = build(tw.params())
+	tw.feed(e, 2*twitterWindow)
+	for _, typ := range []stream.QueryType{stream.SpatialQuery, stream.KeywordQuery, stream.HybridQuery} {
+		qs := tw.queries(typ, 256, tw.now())
+		b.Run("twitter-"+typ.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = e.Estimate(&qs[i%len(qs)])
+			}
+		})
+	}
+}
+
+func BenchmarkRSLEstimate(b *testing.B) {
+	benchEstimate(b, func(p Params) Estimator { return NewReservoirList(p) })
+}
+
+func BenchmarkRSHEstimate(b *testing.B) {
+	benchEstimate(b, func(p Params) Estimator { return NewReservoirHashmap(p) })
+}
+
+// benchInsertSteady times Insert on a full default-capacity reservoir over
+// a full window: about one arrival in seven replaces a sample, and that
+// one pays for the keyword index.
+func benchInsertSteady(b *testing.B, build func(Params) Estimator) {
+	tw := newTwitterStream()
+	e := build(tw.params())
+	tw.feed(e, 2*twitterWindow)
+	b.ReportAllocs()
+	b.ResetTimer()
+	tw.feed(e, b.N)
+}
+
+func BenchmarkRSLInsertSteady(b *testing.B) {
+	benchInsertSteady(b, func(p Params) Estimator { return NewReservoirList(p) })
+}
+
+func BenchmarkRSHInsertSteady(b *testing.B) {
+	benchInsertSteady(b, func(p Params) Estimator { return NewReservoirHashmap(p) })
+}

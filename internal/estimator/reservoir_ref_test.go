@@ -1,0 +1,222 @@
+package estimator
+
+import (
+	"math/rand"
+
+	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/persist"
+	"github.com/spatiotext/latest/internal/stream"
+)
+
+// refRSL and refRSH are the reservoirs as they were before the keyword
+// index: a list of whole samples, every estimate a scan that purges by
+// swap-from-last and tests the plain RC-DVQ predicate on each survivor. The
+// differential test drives them beside the real ones, which must agree to
+// the bit — estimate, Len, image — because they claim to change only how
+// the count is reached. They draw from the same RNG stream in the same
+// order, so slot layouts coincide.
+
+type refReservoir struct {
+	capacity int
+	src      *countedSource
+	rng      *rand.Rand
+	counter  *WindowCounter
+	span     int64
+	samples  []sample
+}
+
+func newRefReservoir(p Params, seed int64) refReservoir {
+	src, rng := newCountedRand(p.Seed + seed)
+	return refReservoir{
+		capacity: p.scaledInt(defaultReservoirCapacity, 64),
+		src:      src,
+		rng:      rng,
+		counter:  NewWindowCounter(p.Span, defaultHistSlices),
+		span:     p.Span,
+	}
+}
+
+func (r *refReservoir) Len() int { return len(r.samples) }
+
+func sampleOf(o *stream.Object) sample {
+	return sample{loc: o.Loc, kws: append([]string(nil), o.Keywords...), ts: o.Timestamp}
+}
+
+func (s *sample) matches(q *stream.Query) bool {
+	return q.Matches(&stream.Object{Loc: s.loc, Keywords: s.kws})
+}
+
+func (r *refReservoir) estimate(matches int, now int64) float64 {
+	if len(r.samples) == 0 {
+		return 0
+	}
+	return float64(matches) / float64(len(r.samples)) * r.counter.Live(now)
+}
+
+func (r *refReservoir) saveHeader(e *persist.Enc) {
+	seed, n := r.src.state()
+	e.I64(seed)
+	e.U64(n)
+	r.counter.SaveState(e)
+	e.U32(uint32(len(r.samples)))
+}
+
+type refRSL struct{ refReservoir }
+
+func newRefRSL(p Params) *refRSL { return &refRSL{newRefReservoir(p, 0x5271)} }
+
+func (r *refRSL) Insert(o *stream.Object) {
+	r.counter.Add(o.Timestamp)
+	if len(r.samples) < r.capacity {
+		r.samples = append(r.samples, sampleOf(o))
+		return
+	}
+	n := int(r.counter.Live(o.Timestamp))
+	if n < r.capacity {
+		n = r.capacity
+	}
+	if j := r.rng.Intn(n); j < r.capacity {
+		r.samples[j] = sampleOf(o)
+	}
+}
+
+func (r *refRSL) Estimate(q *stream.Query) float64 {
+	cutoff := q.Timestamp - r.span
+	matches := 0
+	for i := 0; i < len(r.samples); {
+		if r.samples[i].ts < cutoff {
+			last := len(r.samples) - 1
+			r.samples[i] = r.samples[last]
+			r.samples = r.samples[:last]
+			continue
+		}
+		if r.samples[i].matches(q) {
+			matches++
+		}
+		i++
+	}
+	return r.estimate(matches, q.Timestamp)
+}
+
+func (r *refRSL) Reset() {
+	r.samples = nil
+	r.counter.Reset()
+}
+
+func (r *refRSL) SaveState(e *persist.Enc) {
+	r.saveHeader(e)
+	for _, s := range r.samples {
+		saveSample(e, s)
+	}
+}
+
+type refRSH struct {
+	refReservoir
+	grid    *geo.Grid
+	links   []bucketLink
+	buckets [][]int32
+}
+
+func newRefRSH(p Params) *refRSH {
+	g := geo.NewSquareGrid(p.World, nearestSquare(p.scaledInt(defaultRSHGridCells, 16)))
+	return &refRSH{refReservoir: newRefReservoir(p, 0x5248), grid: g, buckets: make([][]int32, g.NumCells())}
+}
+
+func (r *refRSH) detach(j int32) {
+	l := r.links[j]
+	b := r.buckets[l.cell]
+	last := int32(len(b) - 1)
+	moved := b[last]
+	b[l.pos] = moved
+	r.links[moved].pos = l.pos
+	r.buckets[l.cell] = b[:last]
+}
+
+func (r *refRSH) attach(j int32) {
+	cell := int32(r.grid.CellOf(r.samples[j].loc))
+	r.buckets[cell] = append(r.buckets[cell], j)
+	r.links[j] = bucketLink{cell, int32(len(r.buckets[cell]) - 1)}
+}
+
+func (r *refRSH) removeSlot(j int32) {
+	r.detach(j)
+	last := int32(len(r.samples) - 1)
+	if j != last {
+		r.samples[j], r.links[j] = r.samples[last], r.links[last]
+		r.buckets[r.links[j].cell][r.links[j].pos] = j
+	}
+	r.samples, r.links = r.samples[:last], r.links[:last]
+}
+
+func (r *refRSH) Insert(o *stream.Object) {
+	r.counter.Add(o.Timestamp)
+	cutoff := o.Timestamp - r.span
+	for i := 0; i < 4 && len(r.samples) > 0; i++ {
+		if j := int32(r.rng.Intn(len(r.samples))); r.samples[j].ts < cutoff {
+			r.removeSlot(j)
+		}
+	}
+	if len(r.samples) < r.capacity {
+		r.samples, r.links = append(r.samples, sampleOf(o)), append(r.links, bucketLink{})
+		r.attach(int32(len(r.samples) - 1))
+		return
+	}
+	n := int(r.counter.Live(o.Timestamp))
+	if n < r.capacity {
+		n = r.capacity
+	}
+	if j := r.rng.Intn(n); j < r.capacity {
+		r.detach(int32(j))
+		r.samples[j] = sampleOf(o)
+		r.attach(int32(j))
+	}
+}
+
+func (r *refRSH) Estimate(q *stream.Query) float64 {
+	cutoff := q.Timestamp - r.span
+	matches := 0
+	if q.HasRange {
+		r.grid.ForEachCell(r.grid.CellsOverlapping(q.Range), func(idx int, _ geo.Rect) bool {
+			b := r.buckets[idx]
+			for bi := 0; bi < len(b); {
+				j := b[bi]
+				if r.samples[j].ts < cutoff {
+					r.removeSlot(j)
+					b = r.buckets[idx]
+					continue
+				}
+				if r.samples[j].matches(q) {
+					matches++
+				}
+				bi++
+			}
+			return true
+		})
+	} else {
+		for j := 0; j < len(r.samples); {
+			if r.samples[j].ts < cutoff {
+				r.removeSlot(int32(j))
+				continue
+			}
+			if r.samples[j].matches(q) {
+				matches++
+			}
+			j++
+		}
+	}
+	return r.estimate(matches, q.Timestamp)
+}
+
+func (r *refRSH) Reset() {
+	r.samples, r.links = nil, nil
+	clear(r.buckets)
+	r.counter.Reset()
+}
+
+func (r *refRSH) SaveState(e *persist.Enc) {
+	r.saveHeader(e)
+	for i, s := range r.samples {
+		saveSample(e, s)
+		e.U32(uint32(r.links[i].pos))
+	}
+}

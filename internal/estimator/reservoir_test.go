@@ -2,8 +2,11 @@ package estimator
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/spatiotext/latest/internal/geo"
@@ -90,25 +93,7 @@ func TestRSHSlotMapInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	checkInvariants := func(stage string) {
 		t.Helper()
-		seen := 0
-		for cell, b := range r.buckets {
-			for pos, j := range b {
-				s := &r.slots[j]
-				if int(s.cell) != cell || int(s.pos) != pos {
-					t.Fatalf("%s: slot %d backlink broken: cell %d/%d pos %d/%d",
-						stage, j, s.cell, cell, s.pos, pos)
-				}
-				seen++
-			}
-		}
-		if seen != len(r.slots) || len(r.keys) != len(r.slots) {
-			t.Fatalf("%s: buckets hold %d refs, %d slots, %d keys", stage, seen, len(r.slots), len(r.keys))
-		}
-		for j, k := range r.keys {
-			if k.sig != keywordSignature(r.slots[j].kws) {
-				t.Fatalf("%s: slot %d carries a stale signature", stage, j)
-			}
-		}
+		checkRSHInvariants(t, stage, r)
 	}
 	// Fill phase.
 	ts := int64(0)
@@ -183,7 +168,7 @@ func TestRSHReset(t *testing.T) {
 		t.Fatalf("Len after Reset = %d", r.Len())
 	}
 	for _, b := range r.buckets {
-		if len(b) != 0 {
+		if b != nil {
 			t.Fatal("bucket not cleared by Reset")
 		}
 	}
@@ -195,134 +180,354 @@ func TestRSHReset(t *testing.T) {
 	}
 }
 
-// sampleMatches is the filter-then-verify two-step exactly as the RSL and
-// RSH scan loops spell it, for the sample an admitted o would become.
-func sampleMatches(o *stream.Object, q *stream.Query) bool {
-	k, qsig := newSampleKey(o.Timestamp, o.Loc, o.Keywords), keywordSignature(q.Keywords)
-	if qsig == 0 {
-		return rangeFlag(q, k.loc) != 0
+// checkStoreInvariants asserts that the keyword index is the one the
+// retained samples imply: every posting entry and the reference that owns
+// it point at each other, no slot is listed twice under one ID, the live
+// IDs are exactly the distinct words of the retained samples, and s.long
+// holds the lists too long for their slots and nothing else.
+func checkStoreInvariants(t testing.TB, stage string, s *sampleStore) {
+	t.Helper()
+	n := len(s.ts)
+	if len(s.loc) != n || len(s.kw) != n {
+		t.Fatalf("%s: %d timestamps, %d locations, %d keyword lists", stage, n, len(s.loc), len(s.kw))
 	}
-	return sampleMayMatch(&k, q, qsig) && sharesKeyword(o.Keywords, q.Keywords)
-}
-
-func TestSampleMatches(t *testing.T) {
-	o := stream.Object{Loc: geo.Pt(0.5, 0.5), Keywords: []string{"a", "b"}}
-	r := geo.CenteredRect(geo.Pt(0.5, 0.5), 0.2, 0.2)
-	far := geo.CenteredRect(geo.Pt(0.9, 0.9), 0.05, 0.05)
-	cases := []struct {
-		q    stream.Query
-		want bool
-	}{
-		{stream.SpatialQ(r, 0), true},
-		{stream.SpatialQ(far, 0), false},
-		{stream.KeywordQ([]string{"a"}, 0), true},
-		{stream.KeywordQ([]string{"z"}, 0), false},
-		{stream.KeywordQ([]string{"z", "b"}, 0), true},
-		{stream.HybridQ(r, []string{"a"}, 0), true},
-		{stream.HybridQ(r, []string{"z"}, 0), false},
-		{stream.HybridQ(far, []string{"a"}, 0), false},
-	}
-	for _, tc := range cases {
-		q := tc.q
-		if got := sampleMatches(&o, &q); got != tc.want {
-			t.Errorf("sampleMatches(%v) = %v, want %v", q, got, tc.want)
+	posted := make(map[uint32]int) // ID → samples that list it
+	long := 0
+	for j := 0; j < n; j++ {
+		refs := s.refsOf(int32(j))
+		if len(refs) != int(s.kw[j].n) {
+			t.Fatalf("%s: slot %d has %d keywords in a list of %d", stage, j, s.kw[j].n, len(refs))
 		}
-	}
-}
-
-// collidingKeywords returns n distinct keywords with one and the same
-// signature, so a signature hit between any two of them is a false positive
-// the exact compare must reject.
-func collidingKeywords(n int) []string {
-	var out []string
-	want := keywordSignature([]string{"kw0"})
-	for i := 0; len(out) < n; i++ {
-		if kw := fmt.Sprintf("c%d", i); keywordSignature([]string{kw}) == want {
-			out = append(out, kw)
+		if len(refs) > len(s.kw[j].inline) {
+			long++
 		}
-	}
-	return out
-}
-
-// TestSampleMatchesEqualsNaive: the signature-filtered match is the plain
-// RC-DVQ predicate on random samples and queries, including empty keyword
-// lists, duplicated keywords on either side, spatial-only queries (qsig 0)
-// and a vocabulary half of whose words share one signature.
-func TestSampleMatchesEqualsNaive(t *testing.T) {
-	vocab := append(collidingKeywords(6), "kw0", "kw1", "kw2", "kw3", "kw4", "kw5")
-	rng := rand.New(rand.NewSource(11))
-	draw := func(max int) []string {
-		kws := make([]string, rng.Intn(max+1))
-		for i := range kws {
-			kws[i] = vocab[rng.Intn(len(vocab))] // with replacement: duplicates happen
-		}
-		return kws
-	}
-	hits, falsePositives := 0, 0
-	for i := 0; i < 20000; i++ {
-		o := stream.Object{Loc: geo.Pt(rng.Float64(), rng.Float64()), Keywords: draw(3)}
-		var q stream.Query
-		rect := geo.CenteredRect(geo.Pt(rng.Float64(), rng.Float64()), 0.6, 0.6)
-		switch rng.Intn(3) {
-		case 0:
-			q = stream.SpatialQ(rect, 0)
-		case 1:
-			q = stream.KeywordQ(draw(4), 0)
-		default:
-			q = stream.HybridQ(rect, draw(4), 0)
-		}
-		sig, qsig := keywordSignature(o.Keywords), keywordSignature(q.Keywords)
-		got, want := sampleMatches(&o, &q), q.Matches(&o)
-		if got != want {
-			t.Fatalf("sample %v vs %v: sampleMatches %v, naive %v", o, q, got, want)
-		}
-		if want {
-			hits++
-		} else if qsig != 0 && signaturesMeet(sig, qsig) && !o.MatchesAny(q.Keywords) {
-			falsePositives++
-		}
-	}
-	if hits == 0 || falsePositives == 0 {
-		t.Fatalf("test did not exercise both outcomes: %d hits, %d signature false positives", hits, falsePositives)
-	}
-}
-
-// TestReservoirScanEqualsNaive: RSL and RSH count exactly the live samples
-// the plain predicate accepts, across expiry, for every query type. The
-// denominator is read back after the estimate: RSH purges only the buckets
-// a range touches, so how many stale slots remain is its own business.
-func TestReservoirScanEqualsNaive(t *testing.T) {
-	p := testParams()
-	rsl, rsh := NewReservoirList(p), NewReservoirHashmap(p)
-	rng := rand.New(rand.NewSource(17))
-	ts := int64(0)
-	for i := 0; i < 30000; i++ {
-		ts++
-		o := genObject(rng, uint64(i), ts)
-		rsl.Insert(&o)
-		rsh.Insert(&o)
-	}
-	naiveMatches := func(keys []sampleKey, kws func(int) []string, q *stream.Query) int {
-		matches := 0
-		for i, k := range keys {
-			if k.ts >= q.Timestamp-p.Span && q.Matches(&stream.Object{Loc: k.loc, Keywords: kws(i)}) {
-				matches++
+		first := make(map[uint32]bool)
+		for _, r := range refs {
+			if int(r.id) >= len(s.words) || s.ids[s.words[r.id].word] != r.id || len(s.words[r.id].postings) == 0 {
+				t.Fatalf("%s: slot %d refers to ID %d, which is not live", stage, j, r.id)
+			}
+			if r.pos == notPosted != first[r.id] {
+				t.Fatalf("%s: slot %d: occurrence of ID %d posted=%v, seen before=%v", stage, j, r.id, r.pos != notPosted, first[r.id])
+			}
+			if !first[r.id] {
+				first[r.id] = true
+				posted[r.id]++
+				if p := s.words[r.id].postings; int(r.pos) >= len(p) || p[r.pos] != uint32(j) {
+					t.Fatalf("%s: slot %d's back-position %d under ID %d does not round-trip", stage, j, r.pos, r.id)
+				}
 			}
 		}
-		return matches
 	}
-	for step, q := range append(queryMix(ts+3000), queryMix(ts+6000)...) {
-		q := q
-		matches := naiveMatches(rsl.keys, func(i int) []string { return rsl.kws[i] }, &q)
-		got := rsl.Estimate(&q)
-		if want := float64(matches) / float64(rsl.Len()) * rsl.counter.Live(q.Timestamp); got != want {
-			t.Errorf("RSL query %d %v: estimate %v, naive scan %v", step, q, got, want)
+	if len(posted) != len(s.ids) {
+		t.Fatalf("%s: %d live IDs, retained samples carry %d distinct words", stage, len(s.ids), len(posted))
+	}
+	if len(s.ids)+len(s.freeIDs) != len(s.words) {
+		t.Fatalf("%s: %d live + %d free IDs, %d entries", stage, len(s.ids), len(s.freeIDs), len(s.words))
+	}
+	for w, id := range s.ids {
+		// Equal lengths plus the round trip above: the list holds exactly the
+		// slots that refer to it, each once.
+		if e := s.words[id]; e.word != w || len(e.postings) != posted[id] {
+			t.Fatalf("%s: ID %d (%q): entry %+v, %d samples carry it", stage, id, w, e, posted[id])
 		}
-		matches = naiveMatches(rsh.keys, func(i int) []string { return rsh.slots[i].kws }, &q)
-		got = rsh.Estimate(&q)
-		if want := float64(matches) / float64(rsh.Len()) * rsh.counter.Live(q.Timestamp); got != want {
-			t.Errorf("RSH query %d %v: estimate %v, naive scan %v", step, q, got, want)
+	}
+	for _, id := range s.freeIDs {
+		if e := s.words[id]; e.word != "" || e.postings != nil {
+			t.Fatalf("%s: free ID %d still holds %+v", stage, id, e)
 		}
+	}
+	if long != len(s.long) {
+		t.Fatalf("%s: %d samples with long keyword lists, %d lists kept", stage, long, len(s.long))
+	}
+}
+
+// checkRSHInvariants adds the slot-map's: every bucket entry and its slot's
+// link point at each other, and every slot is in the bucket of its cell.
+func checkRSHInvariants(t testing.TB, stage string, r *ReservoirHashmap) {
+	t.Helper()
+	checkStoreInvariants(t, stage, &r.sampleStore)
+	seen := 0
+	for cell, b := range r.buckets {
+		for pos, j := range b {
+			l := r.links[j]
+			if int(l.cell) != cell || int(l.pos) != pos || r.grid.CellOf(r.loc[j]) != cell {
+				t.Fatalf("%s: slot %d backlink broken: cell %d/%d pos %d/%d", stage, j, l.cell, cell, l.pos, pos)
+			}
+			seen++
+		}
+	}
+	if seen != len(r.links) || len(r.ts) != len(r.links) {
+		t.Fatalf("%s: buckets hold %d refs, %d links, %d samples", stage, seen, len(r.links), len(r.ts))
+	}
+}
+
+// checkReservoirInvariants checks an RSL's or RSH's index; other
+// estimators have none.
+func checkReservoirInvariants(t testing.TB, stage string, e Estimator) {
+	t.Helper()
+	switch r := e.(type) {
+	case *ReservoirList:
+		checkStoreInvariants(t, stage, &r.sampleStore)
+	case *ReservoirHashmap:
+		checkRSHInvariants(t, stage, r)
+	}
+}
+
+// reservoirPair is a real reservoir and its reference, driven in lockstep.
+type reservoirPair struct {
+	name  string
+	build func() Estimator
+	real  Estimator
+	ref   interface {
+		Insert(*stream.Object)
+		Estimate(*stream.Query) float64
+		Reset()
+		SaveState(*persist.Enc)
+		Len() int
+	}
+}
+
+func (p *reservoirPair) check(t testing.TB, stage string) {
+	t.Helper()
+	checkReservoirInvariants(t, stage, p.real)
+	if got, want := p.real.(interface{ Len() int }).Len(), p.ref.Len(); got != want {
+		t.Fatalf("%s %s: Len %d, reference %d", p.name, stage, got, want)
+	}
+}
+
+// image returns the real reservoir's image after checking that it is the
+// reference's byte for byte.
+func (p *reservoirPair) image(t testing.TB, stage string) []byte {
+	t.Helper()
+	var got, want persist.Enc
+	p.real.(Stateful).SaveState(&got)
+	p.ref.SaveState(&want)
+	if !bytes.Equal(got.Data(), want.Data()) {
+		t.Fatalf("%s %s: image differs from the reference's", p.name, stage)
+	}
+	return got.Data()
+}
+
+// reload replaces the real reservoir by one restored from its own image.
+func (p *reservoirPair) reload(t testing.TB, stage string) {
+	t.Helper()
+	d := persist.NewDec(p.image(t, stage))
+	p.real = p.build()
+	if err := p.real.(Stateful).LoadState(d); err != nil {
+		t.Fatalf("%s %s: LoadState: %v", p.name, stage, err)
+	}
+	if err := d.Done(); err != nil {
+		t.Fatalf("%s %s: image not consumed: %v", p.name, stage, err)
+	}
+}
+
+func reservoirPairs(p Params) []*reservoirPair {
+	rsl := func() Estimator { return NewReservoirList(p) }
+	rsh := func() Estimator { return NewReservoirHashmap(p) }
+	return []*reservoirPair{
+		{name: NameRSL, build: rsl, real: rsl(), ref: newRefRSL(p)},
+		{name: NameRSH, build: rsh, real: rsh(), ref: newRefRSH(p)},
+	}
+}
+
+// TestReservoirDifferential drives RSL and RSH beside the scans they
+// replaced through random interleavings of Insert, Estimate, Reset and
+// Save→Load while the window turns over many times (and twice empties
+// outright): equal estimates to the bit, equal Len, equal images, and a
+// consistent index after every step. Objects carry no, repeated, empty and
+// more than eight keywords; queries ask for unknown, repeated and more than
+// eight.
+func TestReservoirDifferential(t *testing.T) {
+	vocab := []string{""}
+	for i := 0; i < 40; i++ {
+		vocab = append(vocab, fmt.Sprintf("kw%d", i))
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		words := func(n int, unknown bool) []string {
+			if n == 0 {
+				return nil
+			}
+			kws := make([]string, n)
+			for i := range kws {
+				kws[i] = vocab[int(rng.Float64()*rng.Float64()*float64(len(vocab)))] // skewed, with replacement
+				if unknown && rng.Intn(4) == 0 {
+					kws[i] = fmt.Sprintf("nope%d", rng.Intn(3))
+				}
+			}
+			return kws
+		}
+		count := func() int {
+			switch rng.Intn(12) {
+			case 0:
+				return 0
+			case 1:
+				return 9 + rng.Intn(12)
+			default:
+				return 1 + rng.Intn(3)
+			}
+		}
+		// 163 samples over a 500 ms window that sees about 1 000 arrivals.
+		pairs := reservoirPairs(Params{World: geo.UnitSquare, Span: 500, Scale: 0.01, Seed: seed})
+		ts := int64(0)
+		for step := 0; step < 12000; step++ {
+			stage := fmt.Sprintf("seed %d step %d", seed, step)
+			switch op := rng.Intn(100); {
+			case op < 78:
+				ts += int64(rng.Intn(2))
+				if step == 4000 || step == 8000 {
+					ts += 2000 // everything retained expires at once
+				}
+				o := genObject(rng, uint64(step), ts)
+				o.Keywords = words(count(), false)
+				for _, p := range pairs {
+					p.real.Insert(&o)
+					p.ref.Insert(&o)
+				}
+			case op < 96:
+				rect := geo.CenteredRect(geo.Pt(rng.Float64(), rng.Float64()), rng.Float64(), rng.Float64())
+				if rng.Intn(8) == 0 {
+					rect = geo.CenteredRect(geo.Pt(2, 2), 0.1, 0.1) // outside the world
+				}
+				var q stream.Query
+				switch rng.Intn(3) {
+				case 0:
+					q = stream.SpatialQ(rect, ts)
+				case 1:
+					q = stream.KeywordQ(words(max(count(), 1), true), ts)
+				default:
+					q = stream.HybridQ(rect, words(max(count(), 1), true), ts)
+				}
+				for _, p := range pairs {
+					got, want := p.real.Estimate(&q), p.ref.Estimate(&q)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %s %v: estimate %v, reference %v", p.name, stage, q, got, want)
+					}
+				}
+			case op < 97:
+				for _, p := range pairs {
+					p.real.Reset()
+					p.ref.Reset()
+				}
+			default:
+				for _, p := range pairs {
+					p.reload(t, stage)
+				}
+			}
+			for _, p := range pairs {
+				p.check(t, stage)
+			}
+		}
+		for _, p := range pairs {
+			p.image(t, fmt.Sprintf("seed %d end", seed))
+		}
+	}
+}
+
+// TestReservoirDoesNotAliasKeywords: RSL and RSH keep nothing of the
+// caller's keyword slice. A feeder that reuses one slice for every object,
+// overwriting it after each Insert, leaves the same reservoir as one that
+// hands over a fresh slice each time.
+func TestReservoirDoesNotAliasKeywords(t *testing.T) {
+	for _, p := range reservoirPairs(Params{World: geo.UnitSquare, Span: 10_000, Scale: 0.05, Seed: 4}) {
+		rng := rand.New(rand.NewSource(12))
+		reused := make([]string, 3)
+		ts := int64(0)
+		for i := 0; i < 6000; i++ {
+			ts++
+			o := genObject(rng, uint64(i), ts)
+			p.ref.Insert(&o) // the reference copies
+			o.Keywords = reused[:copy(reused, o.Keywords)]
+			p.real.Insert(&o)
+			for k := range reused {
+				reused[k] = "overwritten"
+			}
+		}
+		for _, q := range queryMix(ts) {
+			q := q
+			if got, want := p.real.Estimate(&q), p.ref.Estimate(&q); got != want {
+				t.Errorf("%s %v: estimate %v after the caller reused its slice, want %v", p.name, q, got, want)
+			}
+		}
+		p.image(t, "after the caller reused its slice")
+	}
+}
+
+// TestReservoirEstimateAllocs: a keyword or hybrid estimate allocates
+// nothing once the store's scratch exists, whether it reads one posting
+// list, merges several, or falls back to testing samples.
+func TestReservoirEstimateAllocs(t *testing.T) {
+	for _, p := range reservoirPairs(testParams()) {
+		rng := rand.New(rand.NewSource(2))
+		ts := int64(0)
+		for i := 0; i < 30000; i++ {
+			ts++
+			o := genObject(rng, uint64(i), ts)
+			p.real.Insert(&o)
+		}
+		eight := []string{"kw0", "kw1", "kw2", "kw3", "kw4", "kw5", "kw6", "nope"}
+		r := geo.CenteredRect(geo.Pt(0.3, 0.3), 0.2, 0.2)
+		for _, q := range []stream.Query{
+			stream.KeywordQ(eight[:1], ts), stream.KeywordQ(eight[:2], ts), stream.KeywordQ(eight, ts),
+			stream.HybridQ(r, eight[:1], ts), stream.HybridQ(r, eight, ts),
+			stream.HybridQ(geo.CenteredRect(geo.Pt(0.9, 0.1), 0.02, 0.02), eight, ts),
+		} {
+			q := q
+			p.real.Estimate(&q)
+			if n := testing.AllocsPerRun(50, func() { p.real.Estimate(&q) }); n != 0 {
+				t.Errorf("%s %v: %v allocations per estimate", p.name, q, n)
+			}
+		}
+	}
+}
+
+// heapAlloc is the live heap after a collection.
+func heapAlloc() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestReservoirMemoryBytesIsTheHeap: what a full default-capacity RSL or
+// RSH reports is what it holds — dictionary, keyword references and
+// posting buffers included — within 15 % of the heap it adds on the Twitter
+// preset, and no more than 1.5 × what the reservoirs reported before they
+// had an index (944 KB and 1 322 KB, keyword slices not counted). Once every
+// sample has expired and been purged it reports a fresh reservoir's size,
+// with an empty dictionary.
+func TestReservoirMemoryBytesIsTheHeap(t *testing.T) {
+	tw := newTwitterStream() // allocated before the baseline: the vocabulary's strings are the stream's
+	for _, tc := range []struct {
+		build  func(Params) Estimator
+		budget int
+	}{
+		{func(p Params) Estimator { return NewReservoirList(p) }, 944 << 10 * 3 / 2},
+		{func(p Params) Estimator { return NewReservoirHashmap(p) }, 1322 << 10 * 3 / 2},
+	} {
+		tw.next = 0
+		before := heapAlloc()
+		e := tc.build(tw.params())
+		fresh := e.MemoryBytes()
+		tw.feed(e, 2*twitterWindow)
+		held := float64(heapAlloc() - before)
+		reported := e.MemoryBytes()
+		t.Logf("%s: reports %d KB, holds %.0f KB", e.Name(), reported>>10, held/1024)
+		if ratio := float64(reported) / held; ratio < 0.85 || ratio > 1.15 {
+			t.Errorf("%s: MemoryBytes %d, heap grew by %.0f (ratio %.2f)", e.Name(), reported, held, ratio)
+		}
+		if reported > tc.budget {
+			t.Errorf("%s: MemoryBytes %d over the budget of %d", e.Name(), reported, tc.budget)
+		}
+		q := stream.KeywordQ([]string{"fire"}, tw.now()+2*twitterSpanMS)
+		if est := e.Estimate(&q); est != 0 {
+			t.Errorf("%s: estimate %v over an expired reservoir", e.Name(), est)
+		}
+		// The arrival counter's ring is the same size empty or full.
+		if got := e.MemoryBytes(); got != fresh {
+			t.Errorf("%s: MemoryBytes after every sample expired = %d, fresh = %d", e.Name(), got, fresh)
+		}
+		runtime.KeepAlive(e)
 	}
 }
 
@@ -353,86 +558,113 @@ func TestReservoirResetReleasesMemory(t *testing.T) {
 		if got, want := e.MemoryBytes(), build().MemoryBytes(); got != want {
 			t.Errorf("%s: MemoryBytes after Reset = %d, fresh = %d", name, got, want)
 		}
+		checkReservoirInvariants(t, "reset", e)
 	}
 }
 
-// TestReservoirStateRoundTripRebuildsSignatures: signatures are not in the
-// image, so a restored RSL/RSH must rebuild them — it answers keyword and
-// hybrid queries, and re-serializes, exactly as the original does.
-func TestReservoirStateRoundTripRebuildsSignatures(t *testing.T) {
-	p := testParams()
-	for _, name := range []string{NameRSL, NameRSH} {
-		build := func() Estimator {
-			e, err := DefaultRegistry().Build(name, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}
-		orig := build()
+// TestReservoirStateRoundTripRebuildsIndex: dictionary and postings are not
+// in the image, so a restored RSL/RSH must rebuild them — it answers
+// keyword and hybrid queries, and re-serializes, exactly as the original
+// does, and the image is the one the index-less reservoirs wrote.
+func TestReservoirStateRoundTripRebuildsIndex(t *testing.T) {
+	for _, p := range reservoirPairs(testParams()) {
 		rng := rand.New(rand.NewSource(9))
 		ts := int64(0)
 		for i := 0; i < 25000; i++ {
 			ts++
 			o := genObject(rng, uint64(i), ts)
-			orig.Insert(&o)
+			p.real.Insert(&o)
+			p.ref.Insert(&o)
 		}
-		var img persist.Enc
-		orig.(Stateful).SaveState(&img)
-		restored := build()
-		d := persist.NewDec(img.Data())
-		if err := restored.(Stateful).LoadState(d); err != nil {
-			t.Fatalf("%s: LoadState: %v", name, err)
-		}
-		if err := d.Done(); err != nil {
-			t.Fatalf("%s: image not consumed: %v", name, err)
-		}
+		orig := p.real
+		p.reload(t, "filled")
+		p.check(t, "restored")
 		for _, q := range queryMix(ts + 2000) {
 			q := q
-			if a, b := orig.Estimate(&q), restored.Estimate(&q); a != b {
-				t.Errorf("%s %v: original %v, restored %v", name, q, a, b)
+			a, b := orig.Estimate(&q), p.real.Estimate(&q)
+			if want := p.ref.Estimate(&q); a != b || a != want {
+				t.Errorf("%s %v: original %v, restored %v, reference %v", p.name, q, a, b, want)
 			}
 		}
-		var again, want persist.Enc
-		restored.(Stateful).SaveState(&again)
-		orig.(Stateful).SaveState(&want)
-		if !bytes.Equal(again.Data(), want.Data()) {
-			t.Errorf("%s: image after restore and queries differs from the original's", name)
+		p.check(t, "restored, queried")
+		var again persist.Enc
+		orig.(Stateful).SaveState(&again)
+		if !bytes.Equal(again.Data(), p.image(t, "restored, queried")) {
+			t.Errorf("%s: image after restore and queries differs from the original's", p.name)
+		}
+		if p.name != NameRSH {
+			continue
+		}
+		// A refused image installs nothing. An RSH image ends with its last
+		// slot's bucket position.
+		bad := append([]byte(nil), again.Data()...)
+		copy(bad[len(bad)-4:], "\xff\xff\xff\xff")
+		fresh := p.build()
+		if err := fresh.(Stateful).LoadState(persist.NewDec(bad)); persist.CodeOf(err) != persist.CodeMalformed {
+			t.Fatalf("bucket position -1: %v, want a malformed-image error", err)
+		}
+		if n := fresh.(*ReservoirHashmap).Len(); n != 0 {
+			t.Errorf("RSH: a refused image left %d samples behind", n)
+		}
+		checkReservoirInvariants(t, "refused", fresh)
+	}
+}
+
+// FuzzReservoirLoadState: LoadState builds the keyword index from bytes it
+// has no reason to trust. Whatever they are — a count above capacity, a
+// sample with thousands of keywords, duplicates, empty strings, bucket
+// positions that collide — it returns a typed persist error or leaves a
+// reservoir whose index is consistent and which inserts, answers and
+// re-serializes; it does not panic.
+func FuzzReservoirLoadState(f *testing.F) {
+	p := Params{World: geo.UnitSquare, Span: 1000, Scale: 0.004, Seed: 3} // 65 samples
+	for _, pair := range reservoirPairs(p) {
+		rng := rand.New(rand.NewSource(6))
+		for i := 0; i < 400; i++ {
+			o := genObject(rng, uint64(i), int64(i))
+			if i%50 == 0 {
+				o.Keywords = []string{"", "dup", "dup", ""}
+			}
+			pair.real.Insert(&o)
+			pair.ref.Insert(&o)
+			if i == 30 || i == 399 {
+				f.Add(pair.image(f, "seed corpus"), pair.name == NameRSH)
+			}
 		}
 	}
-}
-
-// reservoirBenchQueries is one query of each type over the filled test
-// reservoir; "keyword" asks for a rare word, which is where the signature
-// rejects nearly every sample.
-func reservoirBenchQueries(ts int64) map[string]stream.Query {
-	r := geo.CenteredRect(geo.Pt(0.3, 0.3), 0.3, 0.3)
-	return map[string]stream.Query{
-		"spatial": stream.SpatialQ(r, ts),
-		"keyword": stream.KeywordQ([]string{"kw40", "kw45"}, ts),
-		"hybrid":  stream.HybridQ(r, []string{"kw0"}, ts),
-	}
-}
-
-func benchEstimate(b *testing.B, e Estimator) {
-	rng := rand.New(rand.NewSource(1))
-	ts := int64(0)
-	for i := 0; i < 40000; i++ {
-		ts++
-		o := genObject(rng, uint64(i), ts)
+	f.Fuzz(func(t *testing.T, data []byte, rsh bool) {
+		// An image opens with the RNG seed and position, and restoring a
+		// position replays that many draws: by design linear in a number the
+		// image chooses, which is the snapshot CRC's business, not the
+		// index's. Keep the fuzzer off it.
+		if len(data) >= 16 && binary.LittleEndian.Uint64(data[8:]) > 1<<16 {
+			t.Skip()
+		}
+		var e Estimator = NewReservoirList(p)
+		if rsh {
+			e = NewReservoirHashmap(p)
+		}
+		if err := e.(Stateful).LoadState(persist.NewDec(data)); err != nil {
+			if persist.CodeOf(err) == 0 {
+				t.Fatalf("LoadState error is not a typed persist error: %v", err)
+			}
+			// A refused image installs nothing: store, links and buckets are
+			// still the fresh reservoir's.
+			if e.(interface{ Len() int }).Len() != 0 {
+				t.Fatalf("refused image left %d samples behind", e.(interface{ Len() int }).Len())
+			}
+			checkReservoirInvariants(t, "refused", e)
+			return
+		}
+		checkReservoirInvariants(t, "loaded", e)
+		o := stream.Object{Loc: geo.Pt(0.5, 0.5), Keywords: []string{"dup", "kw1", "dup"}, Timestamp: 100}
 		e.Insert(&o)
-	}
-	for _, name := range []string{"spatial", "keyword", "hybrid"} {
-		q := reservoirBenchQueries(ts)[name]
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = e.Estimate(&q)
-			}
-		})
-	}
+		for _, q := range queryMix(200) {
+			q := q
+			e.Estimate(&q)
+		}
+		checkReservoirInvariants(t, "used", e)
+		var img persist.Enc
+		e.(Stateful).SaveState(&img)
+	})
 }
-
-func BenchmarkRSLEstimate(b *testing.B) { benchEstimate(b, NewReservoirList(testParams())) }
-
-func BenchmarkRSHEstimate(b *testing.B) { benchEstimate(b, NewReservoirHashmap(testParams())) }

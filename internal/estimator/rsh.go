@@ -2,7 +2,6 @@ package estimator
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/stream"
@@ -15,32 +14,22 @@ const defaultRSHGridCells = 4096
 // ReservoirHashmap is the RSH estimator (Figure 1(b)): the same windowed
 // Algorithm R reservoir as RSL, but every retained sample is also threaded
 // into a 2-D grid bucket. Spatial and hybrid queries then touch only the
-// buckets overlapping the query range instead of scanning the whole list —
-// the iteration-overhead reduction the paper credits hybrid structures with.
-// Pure keyword queries have no range to prune by; they stream through the
-// slot keys and reject on the keyword signature, so they cost a 32-byte
-// read per slot plus an exact compare on the few slots whose signature
-// hits, not a string scan of the whole reservoir.
+// buckets overlapping the query range instead of walking the whole list —
+// the iteration-overhead reduction the paper credits hybrid structures with
+// — and pure keyword queries, which have no range to prune by, read the
+// store's posting lists.
 //
-// The reservoir is a slot-map: samples live in flat parallel arrays (keys
-// for every scan's filtering, slots for keyword verification and bucket
-// links); each bucket stores slot indices and each slot knows its position
-// in its bucket, so replacement and purge are O(1) per sample.
+// The reservoir is a slot-map: each bucket lists slot numbers and each slot
+// knows its position in its bucket, so replacement and purge are O(1) per
+// sample on the spatial side as they are O(keywords) on the textual.
 type ReservoirHashmap struct {
-	capacity int
-	src      *countedSource
-	rng      *rand.Rand
-	counter  *WindowCounter
-	grid     *geo.Grid
-	span     int64
-
-	keys    []sampleKey
-	slots   []rshSlot // parallel to keys
-	buckets [][]int32
+	reservoir
+	grid    *geo.Grid
+	links   []bucketLink // parallel to the store's slots
+	buckets [][]int32    // by cell
 }
 
-type rshSlot struct {
-	kws  []string
+type bucketLink struct {
 	cell int32
 	pos  int32 // index of this slot within buckets[cell]
 }
@@ -49,170 +38,158 @@ type rshSlot struct {
 func NewReservoirHashmap(p Params) *ReservoirHashmap {
 	cells := nearestSquare(p.scaledInt(defaultRSHGridCells, 16))
 	g := geo.NewSquareGrid(p.World, cells)
-	src, rng := newCountedRand(p.Seed + 0x5248)
 	return &ReservoirHashmap{
-		capacity: p.scaledInt(defaultReservoirCapacity, 64),
-		src:      src,
-		rng:      rng,
-		counter:  NewWindowCounter(p.Span, defaultHistSlices),
-		grid:     g,
-		span:     p.Span,
-		buckets:  make([][]int32, g.NumCells()),
+		reservoir: newReservoir(p, 0x5248),
+		grid:      g,
+		buckets:   make([][]int32, g.NumCells()),
 	}
 }
 
 // Name implements Estimator.
 func (r *ReservoirHashmap) Name() string { return NameRSH }
 
-// Capacity returns the reservoir size.
-func (r *ReservoirHashmap) Capacity() int { return r.capacity }
-
-// Len returns the number of retained samples.
-func (r *ReservoirHashmap) Len() int { return len(r.keys) }
-
 // detach unlinks slot j from its bucket.
 func (r *ReservoirHashmap) detach(j int32) {
-	s := &r.slots[j]
-	b := r.buckets[s.cell]
-	last := int32(len(b) - 1)
-	moved := b[last]
-	b[s.pos] = moved
-	r.slots[moved].pos = s.pos
-	r.buckets[s.cell] = b[:last]
+	l := r.links[j]
+	b := r.buckets[l.cell]
+	moved := b[len(b)-1]
+	b[l.pos] = moved
+	r.links[moved].pos = l.pos
+	r.buckets[l.cell] = b[:len(b)-1]
 }
 
 // attach links slot j (whose location is already set) into its cell bucket.
 func (r *ReservoirHashmap) attach(j int32) {
-	s := &r.slots[j]
-	s.cell = int32(r.grid.CellOf(r.keys[j].loc))
-	r.buckets[s.cell] = append(r.buckets[s.cell], j)
-	s.pos = int32(len(r.buckets[s.cell]) - 1)
+	cell := int32(r.grid.CellOf(r.loc[j]))
+	r.links[j] = bucketLink{cell, int32(len(r.buckets[cell]))}
+	r.buckets[cell] = append(r.buckets[cell], j)
 }
 
 // removeSlot purges slot j entirely, swapping the last slot into its place.
 func (r *ReservoirHashmap) removeSlot(j int32) {
 	r.detach(j)
-	last := int32(len(r.keys) - 1)
-	if j != last {
-		// Move the final slot into j and fix its bucket backlink.
-		r.keys[j], r.slots[j] = r.keys[last], r.slots[last]
-		r.buckets[r.slots[j].cell][r.slots[j].pos] = j
+	if r.remove(j) {
+		// The final slot moved into j: fix its bucket backlink.
+		l := r.links[len(r.ts)]
+		r.links[j], r.buckets[l.cell][l.pos] = l, j
 	}
-	r.keys, r.slots = r.keys[:last], r.slots[:last]
+	r.links = r.links[:len(r.ts)]
+	if len(r.ts) == 0 {
+		// As the store released itself: every bucket is empty.
+		r.links = nil
+		clear(r.buckets)
+	}
 }
 
-// Insert implements Estimator. The signature is hashed only for an object
-// the reservoir admits.
+// Insert implements Estimator.
 func (r *ReservoirHashmap) Insert(o *stream.Object) {
-	r.counter.Add(o.Timestamp)
 	// Lazy purge: retire a few stale slots per insert so expired samples
 	// never accumulate past a small fraction of the reservoir.
 	r.purgeSome(o.Timestamp-r.span, 4)
-	if len(r.keys) < r.capacity {
-		j := int32(len(r.keys))
-		r.keys = append(r.keys, newSampleKey(o.Timestamp, o.Loc, o.Keywords))
-		r.slots = append(r.slots, rshSlot{kws: o.Keywords})
-		r.attach(j)
+	j := r.admit(o.Timestamp)
+	if j < 0 {
 		return
 	}
-	n := int(r.counter.Live(o.Timestamp))
-	if n < r.capacity {
-		n = r.capacity
+	if int(j) < len(r.ts) {
+		r.detach(j)
+	} else {
+		r.links = append(r.links, bucketLink{})
 	}
-	if j := r.rng.Intn(n); j < r.capacity {
-		jj := int32(j)
-		r.detach(jj)
-		r.keys[jj], r.slots[jj].kws = newSampleKey(o.Timestamp, o.Loc, o.Keywords), o.Keywords
-		r.attach(jj)
-	}
+	r.put(j, o.Timestamp, o.Loc, o.Keywords, r.capacity)
+	r.attach(j)
 }
 
 // purgeSome checks up to n random slots and removes expired ones, keeping
 // the expired fraction of the reservoir small between query-time purges.
 func (r *ReservoirHashmap) purgeSome(cutoff int64, n int) {
-	for i := 0; i < n && len(r.keys) > 0; i++ {
-		j := int32(r.rng.Intn(len(r.keys)))
-		if r.keys[j].ts < cutoff {
+	for i := 0; i < n && len(r.ts) > 0; i++ {
+		j := int32(r.rng.Intn(len(r.ts)))
+		if r.ts[j] < cutoff {
 			r.removeSlot(j)
 		}
 	}
 }
 
-// Estimate implements Estimator. Spatial and hybrid queries visit only the
-// grid buckets overlapping the range; pure keyword queries stream through
-// every slot's key. Both paths reject on the keyword signature before they
-// look at a slot's keywords.
+// Estimate implements Estimator. A query with a range walks the grid
+// buckets overlapping it, and purges expired samples from those buckets
+// only; a pure keyword query purges the whole store, as RSL does, and
+// counts from the posting lists.
 func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 	cutoff := q.Timestamp - r.span
-	qsig := keywordSignature(q.Keywords)
+	if !q.HasRange {
+		for i := r.nextExpired(0, cutoff); i >= 0; i = r.nextExpired(i, cutoff) {
+			r.removeSlot(i)
+		}
+		matches := len(r.ts)
+		if len(q.Keywords) > 0 {
+			r.resolve(q.Keywords)
+			matches = r.countPostings(q)
+		}
+		return r.estimate(matches, q.Timestamp)
+	}
+	cr := r.grid.CellsOverlapping(q.Range)
+	// A hybrid query is counted through the posting lists when they are
+	// shorter than the buckets, which are then walked for the purge alone.
+	// The keywords are resolved before that purge, which is safe: a purge
+	// only frees IDs, and a freed ID has no postings and no references.
+	spatial := len(q.Keywords) == 0
+	viaPostings := false
+	if !spatial {
+		bucketed := 0
+		for row := cr.RowMin; row <= cr.RowMax; row++ {
+			for _, b := range r.buckets[row*r.grid.Cols+cr.ColMin : row*r.grid.Cols+cr.ColMax+1] {
+				bucketed += len(b)
+			}
+		}
+		viaPostings = r.resolve(q.Keywords) <= bucketed
+	}
 	matches := 0
-	if q.HasRange {
-		cr := r.grid.CellsOverlapping(q.Range)
-		r.grid.ForEachCell(cr, func(idx int, cell geo.Rect) bool {
+	for row := cr.RowMin; row <= cr.RowMax; row++ {
+		for idx := row*r.grid.Cols + cr.ColMin; idx <= row*r.grid.Cols+cr.ColMax; idx++ {
 			b := r.buckets[idx]
 			for bi := 0; bi < len(b); {
 				j := b[bi]
-				k := &r.keys[j]
-				if k.ts < cutoff {
+				if r.ts[j] < cutoff {
 					r.removeSlot(j) // swaps within this bucket or shrinks it
 					b = r.buckets[idx]
 					continue
 				}
-				if qsig == 0 {
-					matches += rangeFlag(q, k.loc)
-				} else if sampleMayMatch(k, q, qsig) && sharesKeyword(r.slots[j].kws, q.Keywords) {
+				bi++
+				switch {
+				case viaPostings:
+				case spatial:
+					matches += inRange(q.Range, r.loc[j])
+				case q.Range.Contains(r.loc[j]) && r.carriesAny(j):
 					matches++
 				}
-				bi++
 			}
-			return true
-		})
-	} else {
-		for j := 0; j < len(r.keys); {
-			k := &r.keys[j]
-			if k.ts < cutoff {
-				r.removeSlot(int32(j))
-				continue
-			}
-			if qsig == 0 {
-				matches += rangeFlag(q, k.loc)
-			} else if sampleMayMatch(k, q, qsig) && sharesKeyword(r.slots[j].kws, q.Keywords) {
-				matches++
-			}
-			j++
 		}
 	}
-	live := len(r.keys)
-	if live == 0 {
-		return 0
+	if viaPostings {
+		matches = r.countPostings(q)
 	}
-	w := r.counter.Live(q.Timestamp)
-	return float64(matches) / float64(live) * w
+	return r.estimate(matches, q.Timestamp)
 }
 
-// Observe implements Estimator; sampling estimators ignore feedback.
-func (r *ReservoirHashmap) Observe(q *stream.Query, actual float64) {}
-
-// Reset implements Estimator. Slot arrays and bucket slices are released,
+// Reset implements Estimator. Store, links and bucket slices are released,
 // not truncated, for the reason ReservoirList.Reset gives.
 func (r *ReservoirHashmap) Reset() {
-	r.keys, r.slots = nil, nil
+	r.sampleStore, r.links = sampleStore{}, nil
 	clear(r.buckets)
 	r.counter.Reset()
 }
 
-// MemoryBytes implements Estimator: 32 bytes of key and 32 of slot per
-// retained sample, the bucket index and the arrival counter.
+// MemoryBytes implements Estimator: the store, eight bytes of bucket link
+// per slot, the bucket index and the arrival counter.
 func (r *ReservoirHashmap) MemoryBytes() int {
-	b := 64 + 32*cap(r.keys) + 32*cap(r.slots) + r.counter.MemoryBytes()
+	b := 64 + r.memoryBytes() + 8*cap(r.links) + 24*len(r.buckets) + r.counter.MemoryBytes()
 	for i := range r.buckets {
 		b += 4 * cap(r.buckets[i])
 	}
-	b += 24 * len(r.buckets)
 	return b
 }
 
 // String summarizes state for diagnostics.
 func (r *ReservoirHashmap) String() string {
-	return fmt.Sprintf("RSH{cap=%d len=%d cells=%d}", r.capacity, len(r.keys), r.grid.NumCells())
+	return fmt.Sprintf("RSH{cap=%d len=%d cells=%d}", r.capacity, r.Len(), r.grid.NumCells())
 }

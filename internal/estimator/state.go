@@ -84,17 +84,6 @@ func loadSample(d *persist.Dec) sample {
 	return sample{loc: geo.Point{X: x, Y: y}, ts: ts, kws: kws}
 }
 
-// split returns the sample as RSL and RSH hold it, with the keyword
-// signature — which no image carries — rebuilt from the keywords;
-// joinSample is the way back to the serialized unit.
-func (s sample) split() (sampleKey, []string) {
-	return newSampleKey(s.ts, s.loc, s.kws), s.kws
-}
-
-func joinSample(k *sampleKey, kws []string) sample {
-	return sample{loc: k.loc, kws: kws, ts: k.ts}
-}
-
 // sampleCount reads a sample-array length prefix, bounding it by the
 // reservoir capacity (same Params ⇒ same capacity, so more is malformed).
 func sampleCount(d *persist.Dec, capacity int, op string) (int, error) {
@@ -147,86 +136,95 @@ func (h *Histogram) LoadState(d *persist.Dec) error {
 	return nil
 }
 
-// --- RSL ---
+// --- RSL and RSH ---
 
-// SaveState implements Stateful.
-func (r *ReservoirList) SaveState(e *persist.Enc) {
+// saveHeader writes what every reservoir image starts with: the RNG
+// position, the arrival counter and the sample count.
+func (r *reservoir) saveHeader(e *persist.Enc) {
 	seed, n := r.src.state()
 	e.I64(seed)
 	e.U64(n)
 	r.counter.SaveState(e)
-	e.U32(uint32(len(r.keys)))
-	for i := range r.keys {
-		saveSample(e, joinSample(&r.keys[i], r.kws[i]))
+	e.U32(uint32(len(r.ts)))
+}
+
+// reservoirImage is a decoded reservoir image, not yet installed.
+type reservoirImage struct {
+	seed  int64
+	rngN  uint64
+	store sampleStore
+}
+
+// loadSamples reads a reservoir image into a new store, whose dictionary
+// and posting lists build up as the samples go in. each, if not nil, runs
+// after every sample for what a reservoir stores beside it. Only the
+// arrival counter has changed when it returns; install does the rest.
+func (r *reservoir) loadSamples(d *persist.Dec, op string, each func(st *sampleStore, j int32)) (im reservoirImage, err error) {
+	im.seed = d.I64()
+	im.rngN = d.U64()
+	if err := r.counter.LoadState(d); err != nil {
+		return im, err
+	}
+	count, err := sampleCount(d, r.capacity, op)
+	if err != nil {
+		return im, err
+	}
+	for j := int32(0); int(j) < count && d.Err() == nil; j++ {
+		s := loadSample(d)
+		im.store.put(j, s.ts, s.loc, s.kws, count)
+		if each != nil {
+			each(&im.store, j)
+		}
+	}
+	return im, d.Err()
+}
+
+func (r *reservoir) install(im reservoirImage) {
+	r.src.restore(im.seed, im.rngN)
+	r.sampleStore = im.store
+}
+
+// SaveState implements Stateful.
+func (r *ReservoirList) SaveState(e *persist.Enc) {
+	r.saveHeader(e)
+	for i := range r.ts {
+		r.save(e, int32(i))
 	}
 }
 
 // LoadState implements Stateful.
 func (r *ReservoirList) LoadState(d *persist.Dec) error {
-	seed := d.I64()
-	rngN := d.U64()
-	if err := r.counter.LoadState(d); err != nil {
-		return err
+	im, err := r.loadSamples(d, "rsl", nil)
+	if err == nil {
+		r.install(im)
 	}
-	count, err := sampleCount(d, r.capacity, "rsl")
-	if err != nil {
-		return err
-	}
-	keys := make([]sampleKey, count)
-	kws := make([][]string, count)
-	for i := range keys {
-		keys[i], kws[i] = loadSample(d).split()
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	r.src.restore(seed, rngN)
-	r.keys, r.kws = keys, kws
-	return nil
+	return err
 }
-
-// --- RSH ---
 
 // SaveState implements Stateful. Slots are written in array order with
 // their position inside their grid bucket: the slot array's layout governs
 // future reservoir replacement and the bucket order governs purge order,
 // so both must survive exactly. Cells re-derive from the sample location.
 func (r *ReservoirHashmap) SaveState(e *persist.Enc) {
-	seed, n := r.src.state()
-	e.I64(seed)
-	e.U64(n)
-	r.counter.SaveState(e)
-	e.U32(uint32(len(r.keys)))
-	for i := range r.keys {
-		saveSample(e, joinSample(&r.keys[i], r.slots[i].kws))
-		e.U32(uint32(r.slots[i].pos))
+	r.saveHeader(e)
+	for i := range r.ts {
+		r.save(e, int32(i))
+		e.U32(uint32(r.links[i].pos))
 	}
 }
 
 // LoadState implements Stateful.
 func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
 	const op = "rsh"
-	seed := d.I64()
-	rngN := d.U64()
-	if err := r.counter.LoadState(d); err != nil {
-		return err
-	}
-	count, err := sampleCount(d, r.capacity, op)
+	var links []bucketLink
+	perCell := make(map[int32]int32)
+	im, err := r.loadSamples(d, op, func(st *sampleStore, j int32) {
+		l := bucketLink{cell: int32(r.grid.CellOf(st.loc[j])), pos: int32(d.U32())}
+		links = append(links, l)
+		perCell[l.cell]++
+	})
 	if err != nil {
 		return err
-	}
-	keys := make([]sampleKey, count)
-	slots := make([]rshSlot, count)
-	perCell := make(map[int32]int32, count)
-	for i := range keys {
-		s := &slots[i]
-		keys[i], s.kws = loadSample(d).split()
-		s.pos = int32(d.U32())
-		s.cell = int32(r.grid.CellOf(keys[i].loc))
-		perCell[s.cell]++
-	}
-	if d.Err() != nil {
-		return d.Err()
 	}
 	// Rebuild buckets by placing each slot at its recorded position; any
 	// duplicate or out-of-range position means the image is inconsistent.
@@ -238,16 +236,15 @@ func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
 		}
 		buckets[cell] = b
 	}
-	for j := range slots {
-		s := &slots[j]
-		b := buckets[s.cell]
-		if s.pos < 0 || int(s.pos) >= len(b) || b[s.pos] != -1 {
-			return persist.Errf(persist.CodeMalformed, op, "slot %d bucket position %d invalid", j, s.pos)
+	for j, l := range links {
+		b := buckets[l.cell]
+		if l.pos < 0 || int(l.pos) >= len(b) || b[l.pos] != -1 {
+			return persist.Errf(persist.CodeMalformed, op, "slot %d bucket position %d invalid", j, l.pos)
 		}
-		b[s.pos] = int32(j)
+		b[l.pos] = int32(j)
 	}
-	r.src.restore(seed, rngN)
-	r.keys, r.slots, r.buckets = keys, slots, buckets
+	r.install(im)
+	r.links, r.buckets = links, buckets
 	return nil
 }
 
