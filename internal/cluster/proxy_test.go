@@ -3,12 +3,17 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"encoding/json"
+	"io"
 	"net"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/stream"
+	"github.com/spatiotext/latest/internal/telemetry"
 	"github.com/spatiotext/latest/internal/wire"
 )
 
@@ -156,58 +161,73 @@ func TestProxyMapsBackendFailureToInternal(t *testing.T) {
 	}
 }
 
-func TestProxyDrainRefusesNewRequests(t *testing.T) {
-	p, _, _ := startTestProxy(t)
+// TestProxyAdminPlane: the router's admin plane is the node's. A
+// trace-flagged request leaves its span timeline under /debug/requests?id=,
+// the scrape carries the serving families beside the cluster ones, and
+// /healthz names the map epoch.
+func TestProxyAdminPlane(t *testing.T) {
+	truth := mustUniform(t, geo.UnitSquare, 6, 1, testNodes, 3)
+	r := NewRouter(truth, newFakeCluster(t, truth).dial, Options{})
+	p, err := NewProxy(r, ProxyConfig{Addr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0", TraceEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		p.Close()
+		r.Close()
+	})
 	rc := dialProxy(t, p.Addr())
-	// Open the connection before drain starts so it survives the listener
-	// close; prime it with a ping.
-	if h, _ := rc.roundTrip(wire.AppendPing(nil, 1)); h.Type != wire.TPong {
-		t.Fatal("prime ping failed")
+	const traceID = 0xfeedface
+	q := stream.SpatialQ(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 100)
+	if h, _ := rc.roundTrip(wire.AppendEstimateTraced(nil, 1, traceID, 0, &q)); h.Type != wire.TEstimateResult {
+		t.Fatalf("traced estimate answered %v", h.Type)
 	}
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		done <- p.Shutdown(ctx)
-	}()
-	// Wait until draining is visible, then expect CodeDraining.
-	deadline := time.Now().Add(2 * time.Second)
-	for !p.draining.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("proxy never started draining")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h, payload := rc.roundTrip(wire.AppendPing(nil, 2))
-	if h.Type != wire.TError {
-		t.Fatalf("got %v, want draining error", h.Type)
-	}
-	re, err := wire.DecodeError(payload)
-	if err != nil || re.Code != wire.CodeDraining {
-		t.Fatalf("code = (%v, %v), want draining", re, err)
-	}
-	rc.nc.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-}
 
-// TestProxyAcceptedWhileDraining: a connection the proxy's accept loop
-// takes after the drain flag is up is refused in the protocol, as the
-// server refuses one (see server.TestAcceptedWhileDraining).
-func TestProxyAcceptedWhileDraining(t *testing.T) {
-	p, _, _ := startTestProxy(t)
-	p.draining.Store(true) // listener still open, as in the race window
-	rc := dialProxy(t, p.Addr())
-	h, payload := rc.roundTrip(wire.AppendPing(nil, 3))
-	if h.Type != wire.TError || h.ID != 3 {
-		t.Fatalf("got %v id=%d, want an error under the request's ID", h.Type, h.ID)
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + p.AdminAddr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v", path, resp.StatusCode, err)
+		}
+		return string(body)
 	}
-	re, err := wire.DecodeError(payload)
-	if err != nil || re.Code != wire.CodeDraining || re.RetryAfter <= 0 {
-		t.Fatalf("refusal = (%v, %v), want draining with a retry-after hint", re, err)
+	// The write loop publishes the timeline after the bytes reach the
+	// socket, which the client may see first.
+	var dump telemetry.TraceDump
+	for deadline := time.Now().Add(2 * time.Second); len(dump.Traces) == 0 && time.Now().Before(deadline); {
+		if err := json.Unmarshal([]byte(get("/debug/requests?id="+telemetry.TraceID(traceID).String())), &dump); err != nil {
+			t.Fatalf("/debug/requests not JSON: %v", err)
+		}
 	}
-	if got := p.connsActive.Load(); got != 0 {
-		t.Fatalf("a refused connection counts as active: %d", got)
+	if len(dump.Traces) != 1 || dump.Traces[0].ID != traceID || dump.Traces[0].Op != "estimate" {
+		t.Fatalf("/debug/requests?id= returned %+v", dump.Traces)
+	}
+	have := map[string]bool{}
+	for _, sp := range dump.Traces[0].Spans {
+		have[sp.Name] = true
+	}
+	for _, name := range []string{"read", "queue", "engine", "encode", "write"} {
+		if !have[name] {
+			t.Errorf("router timeline has no %q span: %v", name, dump.Traces[0].Spans)
+		}
+	}
+
+	metrics := get("/metrics")
+	for _, want := range []string{
+		`latest_server_requests_total{op="estimate"} 1`,
+		`latest_server_connections_total{outcome="accepted"} 1`,
+		"latest_cluster_epoch 3",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("router scrape has no %q", want)
+		}
+	}
+	if body := get("/healthz"); !strings.Contains(body, `"status":"ok"`) || !strings.Contains(body, `"epoch":3`) {
+		t.Errorf("healthz: %s", body)
 	}
 }

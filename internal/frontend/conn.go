@@ -1,7 +1,8 @@
-package server
+package frontend
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -80,7 +81,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
 		srv:    s,
 		nc:     nc,
-		fr:     wire.NewFrameReader(br, s.cfg.MaxPayload),
+		fr:     wire.NewFrameReader(br, maxPayload),
 		out:    make(chan outFrame, s.cfg.MaxInFlight+outHeadroom),
 		opened: time.Now(),
 		window: make(chan struct{}, s.cfg.MaxInFlight),
@@ -128,20 +129,32 @@ func (c *conn) writeLoop() {
 }
 
 // enqueue hands one encoded response (and its trace, if sampled) to the
-// write loop. Blocking here is the backstop — dispatch refuses with
-// CodeBackpressure before the window fills, so only refusal frames ever
-// ride the headroom.
+// write loop, opening the trace's "write" span. Blocking here is the
+// backstop — dispatch refuses with CodeBackpressure before the window
+// fills, so only refusal frames ever ride the headroom.
 func (c *conn) enqueue(b *[]byte, tr *telemetry.ActiveTrace) {
+	tr.BeginSpan("write")
 	c.srv.st.inFlight.Add(1)
 	c.out <- outFrame{buf: b, tr: tr}
 }
 
-func (c *conn) sendErr(tr *telemetry.ActiveTrace, id uint64, code wire.Code, retryAfter time.Duration, msg string) {
+// reply encodes one successful response under an "encode" span and queues
+// it.
+func (c *conn) reply(tr *telemetry.ActiveTrace, encode func(b []byte) []byte) {
+	b := wire.GetBuf()
+	encStart := time.Now()
+	*b = encode(*b)
+	tr.AddSpan("encode", encStart)
+	c.enqueue(b, tr)
+}
+
+// sendErr answers with a typed error frame; retry is the retry-after hint,
+// zero for errors a retry would not cure.
+func (c *conn) sendErr(tr *telemetry.ActiveTrace, id uint64, code wire.Code, retry time.Duration, msg string) {
 	c.srv.st.countErr(code)
 	tr.SetError(code.String())
 	b := wire.GetBuf()
-	*b = wire.AppendError(*b, id, code, uint32(retryAfter.Milliseconds()), msg)
-	tr.BeginSpan("write")
+	*b = wire.AppendError(*b, id, code, uint32(retry.Milliseconds()), msg)
 	c.enqueue(b, tr)
 }
 
@@ -155,6 +168,18 @@ func (c *conn) decodeErr(tr *telemetry.ActiveTrace, id uint64, err error) {
 		return
 	}
 	c.sendErr(tr, id, wire.CodeMalformed, 0, err.Error())
+}
+
+// sendNotOwner answers a request the handler does not own with the typed
+// not-owner frame carrying the map epoch, so a stale router knows to
+// refetch the map and re-route.
+func (c *conn) sendNotOwner(tr *telemetry.ActiveTrace, id uint64, msg string) {
+	c.srv.st.notOwner.Add(1)
+	tr.SetError("not_owner")
+	epoch, _ := c.srv.h.Map()
+	b := wire.GetBuf()
+	*b = wire.AppendNotOwner(*b, id, epoch, msg)
+	c.enqueue(b, tr)
 }
 
 func (c *conn) readLoop() {
@@ -199,8 +224,8 @@ func opName(t wire.Type) string {
 }
 
 // dispatch routes one well-framed request. Refusals (draining, window
-// full, unknown type) answer without touching the engine; engine calls run
-// under a panic guard so a contained engine failure becomes CodeInternal,
+// full, unknown type) answer without touching the handler; handler calls
+// run under a panic guard so a contained failure becomes CodeInternal,
 // never a dropped connection without an answer.
 //
 // A trace-flagged request (wire.FlagTrace) may start a sampled span
@@ -221,140 +246,90 @@ func (c *conn) dispatch(h wire.Header, payload []byte, readStart time.Time) {
 		return
 	}
 	if c.srv.draining.Load() {
-		c.sendErr(tr, h.ID, wire.CodeDraining, c.srv.cfg.RetryAfter, "server draining")
+		c.sendErr(tr, h.ID, wire.CodeDraining, retryAfter, c.srv.name+" draining")
 		return
 	}
-	switch h.Type {
-	case wire.TPing:
-		if len(c.out) >= c.srv.cfg.MaxInFlight {
-			c.sendErr(tr, h.ID, wire.CodeBackpressure, c.srv.cfg.RetryAfter, "in-flight window full")
-			return
-		}
-		c.srv.st.ping.observe(start)
-		b := wire.GetBuf()
-		encStart := time.Now()
-		if cm := c.srv.cfg.ClusterMap; cm != nil {
-			// A clustered pong carries the map epoch so routers detect
-			// staleness from their cheapest probe.
-			*b = wire.AppendPongEpoch(*b, h.ID, cm.Epoch)
-		} else {
-			*b = wire.AppendPong(*b, h.ID)
-		}
-		tr.AddSpan("encode", encStart)
-		tr.BeginSpan("write")
-		c.enqueue(b, tr)
-	case wire.TMapFetch:
-		if len(c.out) >= c.srv.cfg.MaxInFlight {
-			c.sendErr(tr, h.ID, wire.CodeBackpressure, c.srv.cfg.RetryAfter, "in-flight window full")
-			return
-		}
-		if c.srv.clusterBytes == nil {
-			c.sendErr(tr, h.ID, wire.CodeUnknownType, 0, "server is not clustered")
-			return
-		}
-		b := wire.GetBuf()
-		encStart := time.Now()
-		*b = wire.AppendMapResult(*b, h.ID, c.srv.clusterBytes)
-		tr.AddSpan("encode", encStart)
-		tr.BeginSpan("write")
-		c.enqueue(b, tr)
-	case wire.TFeedBatch:
-		if len(c.out) >= c.srv.cfg.MaxInFlight {
-			c.sendErr(tr, h.ID, wire.CodeBackpressure, c.srv.cfg.RetryAfter, "in-flight window full")
-			return
-		}
-		c.handleFeed(h, payload, start, tr)
-	case wire.TEstimate, wire.TQueryBatch:
+	if h.Type == wire.TEstimate || h.Type == wire.TQueryBatch {
 		// Estimates and query batches run on worker goroutines so a
 		// pipelining client overlaps them; the window slot is held from
 		// here until the response is enqueued.
 		select {
 		case c.window <- struct{}{}:
+			c.handleQuery(h, payload, start, tr)
 		default:
-			c.sendErr(tr, h.ID, wire.CodeBackpressure, c.srv.cfg.RetryAfter, "in-flight window full")
+			c.sendErr(tr, h.ID, wire.CodeBackpressure, retryAfter, "in-flight window full")
+		}
+		return
+	}
+	if len(c.out) >= c.srv.cfg.MaxInFlight {
+		c.sendErr(tr, h.ID, wire.CodeBackpressure, retryAfter, "in-flight window full")
+		return
+	}
+	switch h.Type {
+	case wire.TPing:
+		c.srv.st.ping.observe(start)
+		// A clustered pong carries the map epoch so routers detect
+		// staleness from their cheapest probe.
+		epoch, encoded := c.srv.h.Map()
+		c.reply(tr, func(b []byte) []byte {
+			if encoded == nil {
+				return wire.AppendPong(b, h.ID)
+			}
+			return wire.AppendPongEpoch(b, h.ID, epoch)
+		})
+	case wire.TMapFetch:
+		_, encoded := c.srv.h.Map()
+		if encoded == nil {
+			c.sendErr(tr, h.ID, wire.CodeUnknownType, 0, "server is not clustered")
 			return
 		}
-		if h.Type == wire.TEstimate {
-			c.handleEstimate(h, payload, start, tr)
-		} else {
-			c.handleQueryBatch(h, payload, start, tr)
-		}
+		c.reply(tr, func(b []byte) []byte { return wire.AppendMapResult(b, h.ID, encoded) })
+	case wire.TFeedBatch:
+		c.handleFeed(h, payload, start, tr)
 	}
 }
 
-// ownsAll reports whether this node owns every object in objs under the
-// cluster map. A server without a map owns everything.
-func (c *conn) ownsAll(objs []stream.Object) bool {
-	cm := c.srv.cfg.ClusterMap
-	if cm == nil {
-		return true
-	}
-	me := c.srv.cfg.NodeID
-	for i := range objs {
-		if !cm.OwnsPoint(me, objs[i].Loc) {
-			return false
-		}
-	}
-	return true
-}
-
-// ownsQuery reports whether this node may answer q. Keyword-only queries
-// are accepted anywhere: the router broadcasts them and each node counts
-// only its own objects.
-func (c *conn) ownsQuery(q *stream.Query) bool {
-	cm := c.srv.cfg.ClusterMap
-	if cm == nil || !q.HasRange {
-		return true
-	}
-	return cm.OwnsQuery(c.srv.cfg.NodeID, q.Range)
-}
-
-// sendNotOwner answers a request this node does not own with the typed
-// not-owner frame carrying the map epoch, so a stale router knows to
-// refetch the map and re-route.
-func (c *conn) sendNotOwner(tr *telemetry.ActiveTrace, id uint64, msg string) {
-	c.srv.st.notOwner.Add(1)
-	tr.SetError("not_owner")
-	b := wire.GetBuf()
-	*b = wire.AppendNotOwner(*b, id, c.srv.cfg.ClusterMap.Epoch, msg)
-	tr.BeginSpan("write")
-	c.enqueue(b, tr)
-}
-
-// guard runs an engine call, converting a panic into CodeInternal. The
-// engines carry their own resilience layer; this is the serving layer's
-// last line — a request must always be answered.
-func (c *conn) guard(tr *telemetry.ActiveTrace, id uint64, fn func()) (ok bool) {
+// guard runs a handler call, converting a panic into an error. Engines and
+// routers carry their own resilience; this is the serving layer's last
+// line — a request must always be answered.
+func (c *conn) guard(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			c.srv.log.Error("engine panic contained", "err", fmt.Sprint(r))
-			c.sendErr(tr, id, wire.CodeInternal, 0, "engine failure")
-			ok = false
+			c.srv.log.Error("handler panic contained", "err", fmt.Sprint(r))
+			err = errors.New("engine failure")
 		}
 	}()
-	fn()
-	return true
+	return fn()
+}
+
+// errCode maps a Handler failure onto its wire code.
+func errCode(err error) wire.Code {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return wire.CodeDeadlineExceeded
+	}
+	return wire.CodeInternal
 }
 
 // handleFeed ingests one feed frame, first folding in any pipelined feed
-// frames that are already fully buffered — one engine batch instead of N,
+// frames that are already fully buffered — one handler batch instead of N,
 // while every frame still gets its own ack. Trace-flagged followers
 // coalesce too (their payload prefix is stripped); only the head frame's
-// trace records the batch, since the followers share its engine call.
+// trace records the batch, since the followers share its handler call.
 func (c *conn) handleFeed(h wire.Header, payload []byte, start time.Time, tr *telemetry.ActiveTrace) {
 	st := &c.srv.st
+	const notOwned = "batch contains objects this node does not own"
 	objs, err := wire.DecodeFeedBatch(payload, c.objs)
 	if err != nil {
 		c.decodeErr(tr, h.ID, err)
 		return
 	}
-	if !c.ownsAll(objs) {
+	if !c.srv.h.OwnsObjects(objs) {
 		c.objs = objs[:0]
-		c.sendNotOwner(tr, h.ID, "batch contains objects this node does not own")
+		c.sendNotOwner(tr, h.ID, notOwned)
 		return
 	}
 	acks := append(c.acks[:0], feedAck{h.ID, uint32(len(objs))})
-	for len(objs) < c.srv.cfg.CoalesceObjects {
+	for len(objs) < coalesceObjects {
 		nh, ready := c.fr.PeekHeader()
 		if !ready || nh.Type != wire.TFeedBatch || nh.Flags&^wire.KnownFlags != 0 ||
 			c.fr.Buffered() < wire.HeaderSize+int(nh.Length) {
@@ -375,14 +350,13 @@ func (c *conn) handleFeed(h wire.Header, payload []byte, start time.Time, tr *te
 			c.decodeErr(nil, nh.ID, err)
 			break
 		}
-		if !c.ownsAll(more) {
+		c.coalesce = more[:0]
+		if !c.srv.h.OwnsObjects(more) {
 			// Refuse this follower frame alone; the head (and any frames
 			// already folded in) passed the ownership check and still feeds.
-			c.sendNotOwner(nil, nh.ID, "batch contains objects this node does not own")
-			c.coalesce = more[:0]
+			c.sendNotOwner(nil, nh.ID, notOwned)
 			break
 		}
-		c.coalesce = more[:0]
 		objs = append(objs, more...)
 		acks = append(acks, feedAck{nh.ID, uint32(len(more))})
 		st.coalescedFeeds.Add(1)
@@ -390,46 +364,58 @@ func (c *conn) handleFeed(h wire.Header, payload []byte, start time.Time, tr *te
 	c.objs = objs[:0]
 	c.acks = acks[:0]
 	engStart := time.Now()
-	if !c.guard(tr, h.ID, func() { c.srv.eng.FeedBatch(objs) }) {
+	err = c.guard(func() error { return c.srv.h.Feed(context.Background(), objs) })
+	if err != nil {
+		// The followers were consumed from the reader with the head, so
+		// each is answered here or never: the batch failed as one.
+		for _, a := range acks {
+			c.sendErr(tr, a.id, errCode(err), 0, err.Error())
+			tr = nil // the head frame's alone
+		}
 		return
 	}
 	tr.AddSpan("engine", engStart)
 	st.feedObjects.Add(uint64(len(objs)))
-	for i, a := range acks {
+	for _, a := range acks {
 		st.feed.observe(start)
-		b := wire.GetBuf()
-		encStart := time.Now()
-		*b = wire.AppendAck(*b, a.id, a.n)
-		if i == 0 {
-			tr.AddSpan("encode", encStart)
-			tr.BeginSpan("write")
-			c.enqueue(b, tr)
-			continue
+		c.reply(tr, func(b []byte) []byte { return wire.AppendAck(b, a.id, a.n) })
+		tr = nil // the head frame's alone
+	}
+}
+
+// handleQuery decodes an estimate or a query batch on the read loop (the
+// payload aliases the frame reader's buffer and dies at the next read),
+// then answers from a worker holding the window slot dispatch took.
+// Spawning the worker hands it trace ownership. A batch's query slice is
+// freshly allocated per request — it crosses into the worker goroutine, so
+// the connection scratch cannot back it — and records one "engine" span
+// for the whole batch; per-estimator attribution stays with single
+// estimates.
+func (c *conn) handleQuery(h wire.Header, payload []byte, start time.Time, tr *telemetry.ActiveTrace) {
+	var (
+		deadlineMS uint32
+		q          stream.Query   // a single estimate's
+		qs         []stream.Query // a batch's
+		err        error
+	)
+	single, owned := h.Type == wire.TEstimate, true
+	if single {
+		if deadlineMS, q, err = wire.DecodeEstimate(payload); err == nil {
+			owned = c.srv.h.OwnsQuery(&q)
 		}
-		c.enqueue(b, nil)
+	} else {
+		deadlineMS, qs, err = wire.DecodeQueryBatch(payload, nil)
+		for i := 0; i < len(qs) && owned; i++ {
+			owned = c.srv.h.OwnsQuery(&qs[i])
+		}
 	}
-}
-
-// expired reports whether a request's relative deadline budget has
-// elapsed. Budgets are milliseconds from frame decode — the two sides
-// never need agreeing clocks.
-func expired(start time.Time, deadlineMS uint32) bool {
-	return deadlineMS > 0 && time.Since(start) > time.Duration(deadlineMS)*time.Millisecond
-}
-
-// handleEstimate decodes on the read loop (the payload aliases the frame
-// reader's buffer and dies at the next read), then answers from a worker
-// holding a window slot. Spawning the worker hands it trace ownership.
-func (c *conn) handleEstimate(h wire.Header, payload []byte, start time.Time, tr *telemetry.ActiveTrace) {
-	deadlineMS, q, err := wire.DecodeEstimate(payload)
-	if err != nil {
+	if err != nil || !owned {
 		<-c.window
-		c.decodeErr(tr, h.ID, err)
-		return
-	}
-	if !c.ownsQuery(&q) {
-		<-c.window
-		c.sendNotOwner(tr, h.ID, "query footprint not owned by this node")
+		if err != nil {
+			c.decodeErr(tr, h.ID, err)
+		} else {
+			c.sendNotOwner(tr, h.ID, "query footprint not owned by this node")
+		}
 		return
 	}
 	c.workers.Add(1)
@@ -438,71 +424,45 @@ func (c *conn) handleEstimate(h wire.Header, payload []byte, start time.Time, tr
 		defer c.workers.Done()
 		defer func() { <-c.window }()
 		tr.AddSpan("queue", queued)
-		var est float64
+		// Budgets are milliseconds from frame decode — the two sides never
+		// need agreeing clocks.
+		ctx := context.Background()
+		if deadlineMS > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, start.Add(time.Duration(deadlineMS)*time.Millisecond))
+			defer cancel()
+		}
+		var (
+			est  float64
+			ests []float64
+			acts []int
+		)
 		engStart := time.Now()
-		if !c.guard(tr, h.ID, func() { est, _ = c.srv.estimate(&q, tr) }) {
+		err := c.guard(func() (err error) {
+			if single {
+				est, err = c.srv.h.Estimate(ctx, &q, tr)
+			} else {
+				ests, acts, err = c.srv.h.QueryBatch(ctx, qs)
+			}
+			return err
+		})
+		if err != nil {
+			c.sendErr(tr, h.ID, errCode(err), 0, err.Error())
 			return
 		}
 		tr.AddSpan("engine", engStart)
-		if expired(start, deadlineMS) {
+		switch {
+		case ctx.Err() != nil:
 			// The peer has given up; an answer now is noise it must
 			// discard.
 			c.sendErr(tr, h.ID, wire.CodeDeadlineExceeded, 0,
 				fmt.Sprintf("deadline %dms elapsed", deadlineMS))
-			return
+		case single:
+			c.srv.st.estimate.observe(start)
+			c.reply(tr, func(b []byte) []byte { return wire.AppendEstimateResult(b, h.ID, est) })
+		default:
+			c.srv.st.query.observe(start)
+			c.reply(tr, func(b []byte) []byte { return wire.AppendQueryBatchResult(b, h.ID, ests, acts) })
 		}
-		c.srv.st.estimate.observe(start)
-		b := wire.GetBuf()
-		encStart := time.Now()
-		*b = wire.AppendEstimateResult(*b, h.ID, est)
-		tr.AddSpan("encode", encStart)
-		tr.BeginSpan("write")
-		c.enqueue(b, tr)
-	}()
-}
-
-// handleQueryBatch mirrors handleEstimate. The query slice is freshly
-// allocated per request — it crosses into the worker goroutine, so the
-// connection scratch cannot back it. Batches record one "engine" span for
-// the whole batch; per-estimator attribution stays with single estimates.
-func (c *conn) handleQueryBatch(h wire.Header, payload []byte, start time.Time, tr *telemetry.ActiveTrace) {
-	deadlineMS, qs, err := wire.DecodeQueryBatch(payload, nil)
-	if err != nil {
-		<-c.window
-		c.decodeErr(tr, h.ID, err)
-		return
-	}
-	for i := range qs {
-		if !c.ownsQuery(&qs[i]) {
-			<-c.window
-			c.sendNotOwner(tr, h.ID, "query footprint not owned by this node")
-			return
-		}
-	}
-	c.workers.Add(1)
-	queued := time.Now()
-	go func() {
-		defer c.workers.Done()
-		defer func() { <-c.window }()
-		tr.AddSpan("queue", queued)
-		var ests []float64
-		var acts []int
-		engStart := time.Now()
-		if !c.guard(tr, h.ID, func() { ests, acts = c.srv.eng.EstimateAndExecuteBatch(qs) }) {
-			return
-		}
-		tr.AddSpan("engine", engStart)
-		if expired(start, deadlineMS) {
-			c.sendErr(tr, h.ID, wire.CodeDeadlineExceeded, 0,
-				fmt.Sprintf("deadline %dms elapsed", deadlineMS))
-			return
-		}
-		c.srv.st.query.observe(start)
-		b := wire.GetBuf()
-		encStart := time.Now()
-		*b = wire.AppendQueryBatchResult(*b, h.ID, ests, acts)
-		tr.AddSpan("encode", encStart)
-		tr.BeginSpan("write")
-		c.enqueue(b, tr)
 	}()
 }

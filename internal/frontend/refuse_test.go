@@ -1,4 +1,4 @@
-package wire
+package frontend
 
 import (
 	"bufio"
@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/spatiotext/latest/internal/wire"
 )
 
 // TestRefuseAnswersEveryRequest: each request on a refused connection gets
@@ -17,14 +19,12 @@ func TestRefuseAnswersEveryRequest(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Refuse(server, 0, CodeDraining, 50*time.Millisecond, "draining")
+		refuse(server, wire.CodeDraining, "draining")
 	}()
-	fr := NewFrameReader(bufio.NewReader(client), 0)
-	frames := [][]byte{
-		AppendPing(nil, 7),
-		appendFrame(nil, TFeedBatch, 8, func(b []byte) []byte { return append(b, make([]byte, 4096)...) }),
-		AppendPing(nil, 9),
-	}
+	fr := wire.NewFrameReader(bufio.NewReader(client), 0)
+	big := make([]byte, wire.HeaderSize+4096) // a feed frame's worth of payload, never decoded
+	wire.PutHeader(big, wire.Header{Type: wire.TFeedBatch, ID: 8, Length: 4096})
+	frames := [][]byte{wire.AppendPing(nil, 7), big, wire.AppendPing(nil, 9)}
 	for i, f := range frames {
 		if _, err := client.Write(f); err != nil {
 			t.Fatal(err)
@@ -33,9 +33,9 @@ func TestRefuseAnswersEveryRequest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		re, err := DecodeError(payload)
-		if err != nil || h.Type != TError || h.ID != uint64(7+i) ||
-			re.Code != CodeDraining || re.RetryAfter != 50*time.Millisecond {
+		re, err := wire.DecodeError(payload)
+		if err != nil || h.Type != wire.TError || h.ID != uint64(7+i) ||
+			re.Code != wire.CodeDraining || re.RetryAfter != retryAfter {
 			t.Fatalf("request %d: header %+v refusal %+v err %v", i, h, re, err)
 		}
 	}
@@ -48,7 +48,7 @@ func TestRefuseAnswersEveryRequest(t *testing.T) {
 func TestRefuseGivesUpOnSilence(t *testing.T) {
 	client, server := net.Pipe()
 	start := time.Now()
-	go Refuse(server, 0, CodeBackpressure, time.Millisecond, "full")
+	go refuse(server, wire.CodeBackpressure, "full")
 	client.SetReadDeadline(time.Now().Add(5 * refusalGrace))
 	if _, err := client.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("read on a silent refused connection: %v, want EOF", err)
@@ -85,7 +85,7 @@ func TestCloseAfterBacklog(t *testing.T) {
 			c.Close()
 		}
 	}()
-	CloseAfterBacklog(ln, &accepted)
+	closeAfterBacklog(ln, &accepted)
 	if taken != 1 {
 		t.Fatalf("accept loop took %d connections before the listener closed, want 1", taken)
 	}

@@ -42,9 +42,9 @@ func TestServerSurvivesMidFrameClientCut(t *testing.T) {
 	// conn count returning to zero proves the handler didn't wedge on the
 	// partial frame.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.st.connsActive.Load() != 0 {
+	for srv.sample().ConnsActive != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server still holds %d conns after the cut", srv.st.connsActive.Load())
+			t.Fatalf("server still holds %d conns after the cut", srv.sample().ConnsActive)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -7,13 +7,13 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	latest "github.com/spatiotext/latest"
+	"github.com/spatiotext/latest/internal/cluster"
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/persist"
 	"github.com/spatiotext/latest/internal/stream"
@@ -22,8 +22,7 @@ import (
 )
 
 // fakeEngine is a deterministic Engine: fixed estimate, optional per-call
-// delay, optional gate that blocks estimates until released, optional
-// panic injection.
+// delay.
 type fakeEngine struct {
 	mu      sync.Mutex
 	batches int
@@ -31,8 +30,6 @@ type fakeEngine struct {
 
 	estimate float64
 	delay    time.Duration
-	gate     chan struct{} // non-nil: estimates block until a receive succeeds
-	panicky  bool
 	drift    []telemetry.DriftSample // reported by TelemetrySnapshot
 }
 
@@ -50,12 +47,6 @@ func (f *fakeEngine) counts() (batches, objects int) {
 }
 
 func (f *fakeEngine) EstimateAndExecute(q *stream.Query) (float64, int) {
-	if f.panicky {
-		panic("injected engine fault")
-	}
-	if f.gate != nil {
-		<-f.gate
-	}
 	if f.delay > 0 {
 		time.Sleep(f.delay)
 	}
@@ -149,6 +140,9 @@ func testQuery() stream.Query {
 	return stream.HybridQ(geo.CenteredRect(p, 1, 1), []string{"fire"}, 6)
 }
 
+// sample is the serving layer's slice of the telemetry snapshot.
+func (s *Server) sample() telemetry.ServerSample { return s.Sample() }
+
 func startServer(t *testing.T, eng Engine, cfg Config) *Server {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
@@ -233,47 +227,6 @@ func TestFeedAckAndCoalescing(t *testing.T) {
 	}
 }
 
-func TestMalformedPayloadKeepsConnection(t *testing.T) {
-	srv := startServer(t, &fakeEngine{}, Config{})
-	rc := dialRaw(t, srv.Addr())
-
-	// Valid header, garbage payload: typed error, connection stays up.
-	frame := wire.AppendFeedBatch(nil, 11, []stream.Object{testObj(1)})
-	frame = frame[:len(frame)-3] // truncate payload bytes
-	hdr := frame[:wire.HeaderSize]
-	wire.PutHeader(hdr, wire.Header{Type: wire.TFeedBatch, ID: 11,
-		Length: uint32(len(frame) - wire.HeaderSize)})
-	rc.write(frame)
-	h, re := rc.readErr()
-	if h.ID != 11 || re.Code != wire.CodeMalformed {
-		t.Fatalf("got id=%d code=%v", h.ID, re.Code)
-	}
-
-	rc.write(wire.AppendPing(nil, 12))
-	if h, _ := rc.read(); h.Type != wire.TPong {
-		t.Fatalf("connection unusable after payload error: %v", h.Type)
-	}
-	if srv.sample().Errors.Malformed == 0 {
-		t.Fatal("malformed counter did not move")
-	}
-}
-
-func TestFramingErrorDropsConnection(t *testing.T) {
-	srv := startServer(t, &fakeEngine{}, Config{})
-	rc := dialRaw(t, srv.Addr())
-	rc.write([]byte("this is not a frame, not even close!!"))
-	_, re := rc.readErr()
-	if re.Code != wire.CodeMalformed {
-		t.Fatalf("code = %v", re.Code)
-	}
-	// Server must hang up after a framing error.
-	rc.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := rc.fr.Next(); err != io.EOF && err != io.ErrUnexpectedEOF {
-		t.Fatalf("connection still open after framing error: %v", err)
-	}
-	_ = srv
-}
-
 func TestUnknownTypeRejected(t *testing.T) {
 	srv := startServer(t, &fakeEngine{}, Config{})
 	rc := dialRaw(t, srv.Addr())
@@ -286,128 +239,6 @@ func TestUnknownTypeRejected(t *testing.T) {
 	}
 	if srv.sample().Errors.UnknownType != 1 {
 		t.Fatal("unknown-type counter did not move")
-	}
-}
-
-func TestBackpressureRefusal(t *testing.T) {
-	eng := &fakeEngine{estimate: 1, gate: make(chan struct{})}
-	srv := startServer(t, eng, Config{MaxInFlight: 2})
-	rc := dialRaw(t, srv.Addr())
-
-	q := testQuery()
-	rc.write(
-		wire.AppendEstimate(nil, 1, 0, &q),
-		wire.AppendEstimate(nil, 2, 0, &q),
-		wire.AppendEstimate(nil, 3, 0, &q),
-	)
-	// First two occupy the window; the third must be refused immediately
-	// with a retry-after hint, while the others are still blocked.
-	h, re := rc.readErr()
-	if h.ID != 3 || re.Code != wire.CodeBackpressure {
-		t.Fatalf("id=%d code=%v", h.ID, re.Code)
-	}
-	if re.RetryAfter <= 0 {
-		t.Fatal("backpressure refusal carries no retry-after hint")
-	}
-	if !re.Temporary() {
-		t.Fatal("backpressure must be retryable")
-	}
-	close(eng.gate)
-	got := map[uint64]bool{}
-	for i := 0; i < 2; i++ {
-		h, _ := rc.read()
-		if h.Type != wire.TEstimateResult {
-			t.Fatalf("expected result, got %v", h.Type)
-		}
-		got[h.ID] = true
-	}
-	if !got[1] || !got[2] {
-		t.Fatalf("missing results: %v", got)
-	}
-	if srv.sample().Errors.Backpressure != 1 {
-		t.Fatal("backpressure counter did not move")
-	}
-}
-
-// TestConnectionLimit: a connection over MaxConns is refused in the
-// protocol — every request on it is answered with a retryable
-// CodeBackpressure under the request's ID.
-func TestConnectionLimit(t *testing.T) {
-	srv := startServer(t, &fakeEngine{}, Config{MaxConns: 1})
-	rc1 := dialRaw(t, srv.Addr())
-	rc1.write(wire.AppendPing(nil, 1))
-	rc1.read() // first connection is fully established and serving
-
-	rc2 := dialRaw(t, srv.Addr())
-	q := testQuery()
-	rc2.write(wire.AppendPing(nil, 9), wire.AppendEstimate(nil, 10, 0, &q))
-	for _, id := range []uint64{9, 10} {
-		h, re := rc2.readErr()
-		if h.ID != id || re.Code != wire.CodeBackpressure || re.RetryAfter <= 0 {
-			t.Fatalf("over-limit connection: id=%d code=%v retry-after=%v", h.ID, re.Code, re.RetryAfter)
-		}
-	}
-	if srv.sample().ConnsRejected == 0 {
-		t.Fatal("rejected counter did not move")
-	}
-	// The limit refuses connections, not the one it admitted.
-	rc1.write(wire.AppendPing(nil, 2))
-	if h, _ := rc1.read(); h.Type != wire.TPong {
-		t.Fatalf("admitted connection answered %v", h.Type)
-	}
-}
-
-// TestAcceptedWhileDraining pins the race TestDrainRefusesNewRequests used
-// to lose one run in twenty: a connection the accept loop takes after the
-// drain flag is up gets CodeDraining for its request, not an EOF.
-func TestAcceptedWhileDraining(t *testing.T) {
-	srv := startServer(t, &fakeEngine{}, Config{})
-	srv.draining.Store(true) // listener still open, as in the race window
-	rc := dialRaw(t, srv.Addr())
-	q := testQuery()
-	rc.write(wire.AppendEstimate(nil, 4, 0, &q)) // a request with a payload
-	h, re := rc.readErr()
-	if h.ID != 4 || re.Code != wire.CodeDraining || re.RetryAfter <= 0 {
-		t.Fatalf("id=%d code=%v retry-after=%v", h.ID, re.Code, re.RetryAfter)
-	}
-	if got := srv.sample().ConnsActive; got != 0 {
-		t.Fatalf("a refused connection counts as active: %d", got)
-	}
-}
-
-func TestDeadlineExceeded(t *testing.T) {
-	eng := &fakeEngine{estimate: 1, delay: 30 * time.Millisecond}
-	srv := startServer(t, eng, Config{})
-	rc := dialRaw(t, srv.Addr())
-	q := testQuery()
-	rc.write(wire.AppendEstimate(nil, 5, 1, &q)) // 1ms budget vs 30ms engine
-	h, re := rc.readErr()
-	if h.ID != 5 || re.Code != wire.CodeDeadlineExceeded {
-		t.Fatalf("id=%d code=%v", h.ID, re.Code)
-	}
-	if srv.sample().Errors.Deadline != 1 {
-		t.Fatal("deadline counter did not move")
-	}
-}
-
-func TestEnginePanicContained(t *testing.T) {
-	eng := &fakeEngine{panicky: true}
-	srv := startServer(t, eng, Config{})
-	rc := dialRaw(t, srv.Addr())
-	q := testQuery()
-	rc.write(wire.AppendEstimate(nil, 6, 0, &q))
-	h, re := rc.readErr()
-	if h.ID != 6 || re.Code != wire.CodeInternal {
-		t.Fatalf("id=%d code=%v", h.ID, re.Code)
-	}
-	// The connection survives a contained engine fault.
-	eng.panicky = false
-	rc.write(wire.AppendPing(nil, 7))
-	if h, _ := rc.read(); h.Type != wire.TPong {
-		t.Fatalf("conn dead after engine panic: %v", h.Type)
-	}
-	if srv.sample().Errors.Internal == 0 {
-		t.Fatal("internal counter did not move")
 	}
 }
 
@@ -466,33 +297,6 @@ func TestDrainUnderLoad(t *testing.T) {
 	if nc, err := net.Dial("tcp", srv.Addr()); err == nil {
 		nc.Close()
 		t.Fatal("listener still accepting after drain")
-	}
-}
-
-// TestDrainRefusesNewRequests: a request arriving after drain begins gets
-// CodeDraining with a retry-after hint, and the already-queued responses
-// still flush.
-func TestDrainRefusesNewRequests(t *testing.T) {
-	eng := &fakeEngine{estimate: 2}
-	srv := startServer(t, eng, Config{})
-	rc := dialRaw(t, srv.Addr())
-
-	shutdownDone := make(chan error, 1)
-	go func() { shutdownDone <- srv.Shutdown(context.Background()) }()
-	for !srv.Draining() {
-		time.Sleep(time.Millisecond)
-	}
-	rc.write(wire.AppendPing(nil, 1))
-	h, re := rc.readErr()
-	if h.ID != 1 || re.Code != wire.CodeDraining {
-		t.Fatalf("id=%d code=%v", h.ID, re.Code)
-	}
-	if re.RetryAfter <= 0 {
-		t.Fatal("draining refusal carries no retry-after hint")
-	}
-	rc.nc.Close()
-	if err := <-shutdownDone; err != nil {
-		t.Fatalf("Shutdown: %v", err)
 	}
 }
 
@@ -652,49 +456,16 @@ func TestHealthEndpointsReflectDrift(t *testing.T) {
 	}
 }
 
-// TestReadyzDraining: a draining server is alive but not ready.
-func TestReadyzDraining(t *testing.T) {
-	srv := startServer(t, &fakeEngine{estimate: 1}, Config{})
-	srv.draining.Store(true)
-	rec := httptest.NewRecorder()
-	srv.handleReadyz(rec, nil)
-	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "draining") {
-		t.Fatalf("draining readyz: %d %s", rec.Code, rec.Body.String())
-	}
-	rec = httptest.NewRecorder()
-	srv.handleHealthz(rec, nil)
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"status":"draining"`) {
-		t.Fatalf("draining healthz: %d %s", rec.Code, rec.Body.String())
-	}
-}
-
-// TestServerShutdownIdempotent: Shutdown then Close (and vice versa) is
-// safe, and a goroutine check catches leaked accept/conn/writer loops.
-func TestServerLifecycleNoLeak(t *testing.T) {
-	for i := 0; i < 3; i++ {
-		eng := &fakeEngine{estimate: 1}
-		srv := startServer(t, eng, Config{})
-		rc := dialRaw(t, srv.Addr())
-		rc.write(wire.AppendPing(nil, 1))
-		rc.read()
-		rc.nc.Close()
-		if err := srv.Shutdown(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	var c Config
-	c.withDefaults()
-	if c.MaxConns <= 0 || c.MaxInFlight <= 0 || c.MaxPayload <= 0 ||
-		c.CoalesceObjects <= 0 || c.RetryAfter <= 0 {
-		t.Fatalf("defaults not applied: %+v", c)
-	}
+// TestNewValidates: what New refuses before it binds anything.
+func TestNewValidates(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("nil engine accepted")
+	}
+	m, err := cluster.Uniform(geo.UnitSquare, 2, 1, []string{"a:1", "b:2"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(&fakeEngine{}, Config{ClusterMap: m, NodeID: 2}); err == nil {
+		t.Fatal("node id beyond the map accepted")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // duration/size/generation, and the startup recovery cost. The types live
 // here (below latest.DurableEngine in the dependency order) so the
 // exposition renderer can describe the layer without importing it —
-// mirroring how serving.go describes internal/server.
+// mirroring how serving.go describes internal/frontend.
 
 // DurableError is one retained persistence failure, for /statusz.
 type DurableError struct {

@@ -7,9 +7,9 @@ import (
 
 // serving.go holds the serving-layer slice of a telemetry Snapshot: the
 // connection, byte and request counters plus per-operation latency
-// histograms that internal/server publishes through the same /metrics and
-// /statusz endpoints as the engine gauges. The types live here (below the
-// server package in the dependency order) so the exposition renderer does
+// histograms that internal/frontend publishes through the same /metrics and
+// /statusz endpoints as the engine gauges. The types live here (below that
+// package in the dependency order) so the exposition renderer does
 // not need to import the serving layer to describe it.
 
 // ServerOp is one request type's serving statistics.

@@ -13,7 +13,8 @@
 #      byte-exact form runs in Go as TestClusterExactness);
 #   3. requires every routing mode to have fired (forward, scatter,
 #      broadcast) and zero node errors on the router's metrics plane;
-#   4. lints the router's live /metrics scrape, latest_cluster_* included;
+#   4. finds the latest_server_* families in the router's scrape and lints
+#      it live, latest_cluster_* included;
 #   5. SIGTERMs router and nodes and requires clean drains.
 #
 # Usage: scripts/cluster_smoke.sh [workdir]
@@ -34,28 +35,7 @@ N2="127.0.0.1:$((BASE + 10))"
 N3="127.0.0.1:$((BASE + 20))"
 WORLD="-125,24,-66,50" # Twitter dataset world, same as loadgen's default
 
-wait_addr_file() { # file
-    for _ in $(seq 1 150); do
-        [ -s "$1" ] && [ "$(wc -l < "$1")" -ge 2 ] && return 0
-        sleep 0.1
-    done
-    echo "FAIL: $1 never appeared" >&2
-    return 1
-}
-
-# http_grep buffers the body before grepping (see disk_chaos_smoke.sh for
-# why piping curl straight into grep -q flakes under pipefail).
-http_grep() { # url pattern
-    local body
-    body=$(curl -sf "$1") || return 1
-    grep -q "$2" <<<"$body"
-}
-
-statusz_field() { # admin-addr json-key -> numeric value
-    local body
-    body=$(curl -sf "http://$1/statusz") || return 1
-    grep -o "\"$2\": *[0-9]*" <<<"$body" | head -1 | grep -o '[0-9]*$'
-}
+source scripts/lib.sh
 
 metric_value() { # metrics-file pattern -> value (0 when absent)
     local line
@@ -132,6 +112,12 @@ for addr in "$N1" "$N2" "$N3"; do
     echo "node $addr carried $V requests"
     [ "$V" -gt 0 ] || { echo "FAIL: node $addr carried no requests" >&2; exit 1; }
 done
+
+echo "== router metrics: the serving families a node exports =="
+# The router runs the connection loop latestd runs, so its scrape carries
+# latest_server_* beside latest_cluster_*.
+grep '^latest_server_requests_total{op="feed"}' "$WORK/router-metrics.txt" || {
+    echo "FAIL: router scrape has no latest_server_requests_total" >&2; exit 1; }
 
 echo "== metrics-lint the live router scrape =="
 go run ./cmd/latest-metrics-lint -url "http://$RADMIN/metrics"

@@ -21,53 +21,16 @@ LATESTD="${LATESTD:-./latestd}"
 LOADGEN="${LOADGEN:-./latest-loadgen}"
 cd "$(dirname "$0")/.." || exit 1
 
-wait_gone() { # pid
-    for _ in $(seq 1 150); do
-        kill -0 "$1" 2>/dev/null || return 0
-        sleep 0.1
-    done
-    echo "FAIL: pid $1 still running" >&2
-    return 1
-}
-
-wait_addr_file() { # file
-    for _ in $(seq 1 150); do
-        [ -s "$1" ] && [ "$(wc -l < "$1")" -ge 2 ] && return 0
-        sleep 0.1
-    done
-    echo "FAIL: $1 never appeared" >&2
-    return 1
-}
-
-# http_grep buffers the body before grepping. Piping curl straight into
-# grep -q under pipefail is a flake: grep exits at the first match, curl
-# takes EPIPE on the unwritten tail of a large body and exits 23, and the
-# pipeline "fails" despite the match.
-http_grep() { # url pattern
-    local body
-    body=$(curl -sf "$1") || return 1
-    grep -q "$2" <<<"$body"
-}
-
-statusz_field() { # admin-addr json-key -> numeric value
-    local body
-    body=$(curl -sf "http://$1/statusz") || return 1
-    grep -o "\"$2\": *[0-9]*" <<<"$body" | head -1 | grep -o '[0-9]*$'
-}
+source scripts/lib.sh
 
 statusz_has() { # admin-addr pattern
     http_grep "http://$1/statusz" "$2"
 }
 
-start_daemon() { # addr-file out err extra-args...
-    local addrf="$1" out="$2" err="$3"
-    shift 3
-    "$LATESTD" -addr 127.0.0.1:0 -admin 127.0.0.1:0 -addr-file "$addrf" \
-        -engine concurrent -window 10m \
-        -data-dir "$DATA" -snapshot-interval 1s -wal-sync-every 1 \
-        -snapshot-retain 2 "$@" \
-        >"$out" 2>"$err" &
-    echo $!
+# Every start of the daemon in this script keeps two snapshot generations,
+# one second apart; a phase's own flags follow.
+start() { # addr-file out err [latestd flags...]
+    start_daemon "$@" -snapshot-interval 1s -snapshot-retain 2
 }
 
 mkdir -p "$WORK"
@@ -76,7 +39,7 @@ echo "== phase 1: WAL appends fail mid-run; serving must not notice =="
 # After 200 healthy appends, the next 50 fail — each failure degrades the
 # engine, the repair loop re-arms it with a fresh snapshot generation,
 # and the cycle repeats until the rule expires.
-PID=$(start_daemon "$WORK/addr1" "$WORK/run1.out" "$WORK/run1.err" \
+PID=$(start "$WORK/addr1" "$WORK/run1.out" "$WORK/run1.err" \
     -disk-fault "append:after=200,count=50")
 wait_addr_file "$WORK/addr1"
 ADDR=$(sed -n 1p "$WORK/addr1")
@@ -144,7 +107,7 @@ kill -9 "$PID"
 wait_gone "$PID"
 
 echo "== phase 2: restart (faults off), state must match exactly =="
-PID=$(start_daemon "$WORK/addr2" "$WORK/run2.out" "$WORK/run2.err")
+PID=$(start "$WORK/addr2" "$WORK/run2.out" "$WORK/run2.err")
 wait_addr_file "$WORK/addr2"
 ADMIN=$(sed -n 2p "$WORK/addr2")
 grep -q "state=healthy" "$WORK/run2.out" || {
@@ -167,7 +130,7 @@ SIZE=$(wc -c < "$NEWEST")
 printf 'XXXX' | dd of="$NEWEST" bs=1 seek=$((SIZE / 2)) count=4 conv=notrunc status=none
 echo "corrupted $NEWEST at offset $((SIZE / 2))"
 
-PID=$(start_daemon "$WORK/addr3" "$WORK/run3.out" "$WORK/run3.err")
+PID=$(start "$WORK/addr3" "$WORK/run3.out" "$WORK/run3.err")
 wait_addr_file "$WORK/addr3"
 ADMIN=$(sed -n 2p "$WORK/addr3")
 statusz_has "$ADMIN" '"recovered_fallback": *true' || {

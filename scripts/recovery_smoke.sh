@@ -17,46 +17,17 @@ LATESTD="${LATESTD:-./latestd}"
 LOADGEN="${LOADGEN:-./latest-loadgen}"
 cd "$(dirname "$0")/.." || exit 1
 
-# The daemons are started inside command substitutions, so they are not
-# children of this shell and `wait` cannot reap them; poll instead.
-wait_gone() { # pid
-    for _ in $(seq 1 150); do
-        kill -0 "$1" 2>/dev/null || return 0
-        sleep 0.1
-    done
-    echo "FAIL: pid $1 still running" >&2
-    return 1
-}
+source scripts/lib.sh
 
-wait_addr_file() { # file
-    for _ in $(seq 1 150); do
-        [ -s "$1" ] && [ "$(wc -l < "$1")" -ge 2 ] && return 0
-        sleep 0.1
-    done
-    echo "FAIL: $1 never appeared" >&2
-    return 1
-}
-
-statusz_window() { # admin-addr
-    # Buffer the body first: under pipefail, grep/head closing the pipe
-    # early turns curl's EPIPE (exit 23) into a phantom failure.
-    local body
-    body=$(curl -sf "http://$1/statusz") || return 1
-    grep -o '"window_size": *[0-9]*' <<<"$body" | head -1 | grep -o '[0-9]*$'
-}
-
-start_daemon() { # addr-file out err
-    "$LATESTD" -addr 127.0.0.1:0 -admin 127.0.0.1:0 -addr-file "$1" \
-        -engine concurrent -window 10m \
-        -data-dir "$DATA" -snapshot-interval 2s -wal-sync-every 1 \
-        >"$2" 2>"$3" &
-    echo $!
+# Every start of the daemon in this script takes the same flags.
+start() { # addr-file out err
+    start_daemon "$@" -snapshot-interval 2s
 }
 
 mkdir -p "$WORK"
 
 echo "== phase 1: feed under load, then SIGKILL =="
-PID=$(start_daemon "$WORK/addr1" "$WORK/run1.out" "$WORK/run1.err")
+PID=$(start "$WORK/addr1" "$WORK/run1.out" "$WORK/run1.err")
 wait_addr_file "$WORK/addr1"
 ADDR=$(sed -n 1p "$WORK/addr1")
 ADMIN=$(sed -n 2p "$WORK/addr1")
@@ -69,7 +40,7 @@ grep -q '"errors": 0' "$WORK/load1.json"
 
 # Let at least one periodic snapshot land, then record the engine state.
 sleep 3
-BEFORE=$(statusz_window "$ADMIN")
+BEFORE=$(statusz_field "$ADMIN" window_size)
 [ -n "$BEFORE" ] && [ "$BEFORE" -gt 0 ] || {
     echo "FAIL: no window size before crash (got '$BEFORE')"; exit 1; }
 echo "window before SIGKILL: $BEFORE"
@@ -78,14 +49,14 @@ kill -9 "$PID"
 wait_gone "$PID"
 
 echo "== phase 2: restart from disk, state must match exactly =="
-PID=$(start_daemon "$WORK/addr2" "$WORK/run2.out" "$WORK/run2.err")
+PID=$(start "$WORK/addr2" "$WORK/run2.out" "$WORK/run2.err")
 wait_addr_file "$WORK/addr2"
 ADDR=$(sed -n 1p "$WORK/addr2")
 ADMIN=$(sed -n 2p "$WORK/addr2")
 grep -Eq "durability=$DATA gen=[0-9]+ wal=[0-9]+" "$WORK/run2.out" || {
     echo "FAIL: restart did not report recovered generation"; cat "$WORK/run2.out"; exit 1; }
 
-AFTER=$(statusz_window "$ADMIN")
+AFTER=$(statusz_field "$ADMIN" window_size)
 echo "window after recovery: $AFTER"
 if [ "$AFTER" != "$BEFORE" ]; then
     echo "FAIL: recovered window size $AFTER != pre-crash $BEFORE (WAL is fsynced per record; recovery must be exact)"
