@@ -13,6 +13,7 @@ package latest
 // cmd/latest-bench for the full-size artifacts.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -425,6 +426,55 @@ func BenchmarkParallelFeed(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkDurableFeedBatch measures what the durable layer adds to a feed
+// batch — framing, the write, the fsync it owes — over an engine that does
+// nothing, on a MemStore and on a FileStore in the test's temp directory
+// (that disk, not a device). A 16-object batch fsyncs on every fourth call
+// at the default WALSyncEvery, a 256-object one on every call. The log is
+// rotated off the clock every 256 KiB: MemStore republishes the whole file
+// on each append, so an ever-growing one would time that copy instead.
+func BenchmarkDurableFeedBatch(b *testing.B) {
+	stores := []struct {
+		name string
+		open func(b *testing.B) Store
+	}{
+		{"MemStore", func(*testing.B) Store { return NewMemStore() }},
+		{"FileStore", func(b *testing.B) Store {
+			fs, err := NewFileStore(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			return fs
+		}},
+	}
+	for _, n := range []int{16, 256} {
+		for _, st := range stores {
+			b.Run(fmt.Sprintf("%d/%s", n, st.name), func(b *testing.B) {
+				d := quietDurable(b, &discardEngine{}, st.open(b), 0)
+				objs := testObjects(0, n)
+				rotateEvery := (256 << 10) / (n * 64)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%rotateEvery == rotateEvery-1 {
+						b.StopTimer()
+						if err := d.SnapshotNow(context.Background()); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					d.FeedBatch(objs)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/obj")
+				if err := d.Shutdown(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkSystemEstimate measures the public API's query hot path on the

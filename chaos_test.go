@@ -188,7 +188,7 @@ func TestChaosDurableDegradedServing(t *testing.T) {
 	})
 	inj.SetEnabled(false)
 	fstore := persist.NewFaultStore(NewMemStore(),
-		persist.FaultRule{Op: persist.FaultAppend}) // Count 0: every append fails while enabled
+		persist.FaultRule{Op: persist.FaultAppend}) // Count 0: every WAL write (here one per Feed) fails while enabled
 	fstore.SetEnabled(false)
 
 	eng, err := NewConcurrent(chaosWorld, 10*time.Second,

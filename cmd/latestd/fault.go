@@ -19,7 +19,9 @@ import (
 // Operations: append, sync, save, load, remove, open, any. Modifiers:
 // after=N (let N matching calls through first), count=M (fire M times
 // then expire; omitted = forever), short (torn write instead of a clean
-// failure).
+// failure). Calls are what the disk sees: append matches one WAL write —
+// a whole feed batch, or the pipelined frames the server coalesced into
+// one — not one object.
 func parseFaultSpec(spec string) ([]persist.FaultRule, error) {
 	var rules []persist.FaultRule
 	for _, part := range strings.Split(spec, ";") {

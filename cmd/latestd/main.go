@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	fs.DurationVar(&o.snapInterval, "snapshot-interval", 30*time.Second, "how often the durable engine snapshots (requires -data-dir)")
 	fs.IntVar(&o.walSyncEvery, "wal-sync-every", 0, "fsync the feed WAL every N records (0 = library default)")
 	fs.IntVar(&o.snapRetain, "snapshot-retain", 0, "snapshot generations to keep for fallback recovery (0 = library default)")
-	fs.StringVar(&o.diskFault, "disk-fault", "", "deterministic disk-fault injection for chaos drills, e.g. append:after=500,count=100;sync:count=5 (ops: append, sync, save, load, remove, open, any; add 'short' for torn writes)")
+	fs.StringVar(&o.diskFault, "disk-fault", "", "deterministic disk-fault injection for chaos drills, e.g. append:after=20,count=5;sync:count=5 (ops: append, sync, save, load, remove, open, any; add 'short' for torn writes; append counts WAL writes — one per feed batch — not objects)")
 	fs.IntVar(&o.traceDepth, "trace-depth", 0, "retained span timelines in /debug/requests (0 = library default)")
 	fs.IntVar(&o.traceSample, "trace-sample", 0, "sample one trace-flagged request in N (1 = all, 0 = library default)")
 	if err := fs.Parse(args); err != nil {

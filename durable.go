@@ -25,10 +25,11 @@ type DurableConfig struct {
 	// takes a snapshot every interval. Zero means snapshots happen only on
 	// SnapshotNow and Shutdown.
 	SnapshotInterval time.Duration
-	// WALSyncEvery batches fsyncs: the feed WAL is flushed to stable
-	// storage every N appended records (default
-	// persist.DefaultWALSyncEvery). Lower is more durable, higher is
-	// faster; a crash loses at most the un-fsynced tail, which the
+	// WALSyncEvery batches fsyncs: a feed call fsyncs the WAL once N
+	// records have been written since the last fsync (default
+	// persist.DefaultWALSyncEvery), so when Feed or FeedBatch returns at
+	// most N-1 acknowledged objects are un-fsynced. Lower is more durable,
+	// higher is faster; a crash loses at most that tail, which the
 	// checksummed record framing detects and drops on recovery.
 	WALSyncEvery int
 	// Retain is how many snapshot generations to keep (default
@@ -470,43 +471,50 @@ func (d *DurableEngine) WALAppends() uint64 {
 	return d.wal.Appends()
 }
 
-// appendWAL logs one object. Caller holds the write lock. While degraded
-// the append is not attempted — the store already failed; hammering it
-// from the feed path would add latency for nothing — but it is counted,
-// and the repair snapshot will capture the object from engine memory.
-func (d *DurableEngine) appendWAL(o *Object) {
+// appendWAL logs objs as one group commit: every object framed into the
+// log's buffer, one write, at most one fsync. Caller holds the write lock.
+// While degraded the append is not attempted — the store already failed;
+// hammering it from the feed path would add latency for nothing — but the
+// objects are counted, and the repair snapshot will capture them from
+// engine memory. A write that fails part-way drops and counts the whole
+// batch for the same reason: the repair snapshot supersedes this log.
+func (d *DurableEngine) appendWAL(objs []Object) {
 	if d.wal == nil {
 		return // Shutdown already closed the log
 	}
+	n := uint64(len(objs))
 	if DurableState(d.state.Load()) == DurableDegraded {
-		d.stats.droppedAppends.Add(1)
+		d.stats.droppedAppends.Add(n)
 		return
 	}
-	var e persist.Enc
-	stream.EncodeObject(&e, o)
-	if err := d.wal.Append(e.Data()); err != nil {
-		d.stats.droppedAppends.Add(1)
+	err := d.wal.AppendBatch(len(objs), func(i int, e *persist.Enc) {
+		stream.EncodeObject(e, &objs[i])
+	})
+	if err != nil {
+		d.stats.droppedAppends.Add(n)
 		d.degrade("wal-append", err)
+		return
 	}
+	d.stats.appends.Add(n)
 }
 
 // Feed logs the object to the WAL, then feeds the engine.
 func (d *DurableEngine) Feed(o Object) {
 	d.mu.Lock()
-	d.appendWAL(&o)
+	d.appendWAL([]Object{o})
 	d.eng.Feed(o)
 	d.mu.Unlock()
 }
 
-// FeedBatch logs every object to the WAL, then feeds the engine.
+// FeedBatch logs the batch to the WAL in one write, then feeds the engine.
+// When it returns, every object is in the log file and fewer than
+// WALSyncEvery acknowledged objects are un-fsynced.
 func (d *DurableEngine) FeedBatch(objs []Object) {
 	if len(objs) == 0 {
 		return
 	}
 	d.mu.Lock()
-	for i := range objs {
-		d.appendWAL(&objs[i])
-	}
+	d.appendWAL(objs)
 	d.eng.FeedBatch(objs)
 	d.mu.Unlock()
 }

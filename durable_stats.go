@@ -52,9 +52,9 @@ type durableStats struct {
 // durableStats implements persist.WALObserver.
 var _ persist.WALObserver = (*durableStats)(nil)
 
-// WALAppend implements persist.WALObserver.
+// WALAppend implements persist.WALObserver: one write, however many
+// records it carried (appendWAL counts those into appends).
 func (s *durableStats) WALAppend(bytes int, d time.Duration) {
-	s.appends.Add(1)
 	s.appendBytes.Add(uint64(bytes))
 	s.appendLat.Record(d)
 }

@@ -33,7 +33,9 @@ const (
 	FaultRemove
 	// FaultOpenAppend matches Store.OpenAppend (WAL open/rotation).
 	FaultOpenAppend
-	// FaultAppend matches AppendFile.Append (WAL record writes).
+	// FaultAppend matches AppendFile.Append: one WAL write, which is a whole
+	// feed batch however many records it frames (one record only for a
+	// single Feed) — a rule counts what the disk sees, not objects.
 	FaultAppend
 	// FaultSync matches AppendFile.Sync (WAL fsync batches; Close syncs
 	// too, so a sync rule can also fail Close).
@@ -71,10 +73,11 @@ const (
 	// FaultFail returns an injected error without touching the store —
 	// the ENOSPC/EIO shape: the operation simply did not happen.
 	FaultFail FaultKind = iota
-	// FaultShortWrite (Append only) writes a prefix of the record and
-	// then errors — the torn-write shape: garbage lands on disk and the
-	// recovery path's CRC framing must truncate it away. For other ops it
-	// behaves like FaultFail.
+	// FaultShortWrite (Append only) writes a prefix of the write — the
+	// first half of a batch, ending wherever that falls inside a record —
+	// and then errors: the torn-write shape. Whole records before the tear
+	// replay, the torn one is garbage the recovery path's CRC framing must
+	// truncate away. For other ops it behaves like FaultFail.
 	FaultShortWrite
 )
 
@@ -247,8 +250,8 @@ func (fs *FaultStore) OpenAppend(name string, truncateTo int64) (AppendFile, err
 // FaultWAL is the fault-injecting AppendFile a FaultStore's OpenAppend
 // returns: Append and Sync consult the store's rules (counters are shared
 // store-wide, so a schedule spans WAL rotations). A FaultShortWrite
-// append writes roughly half the record before erroring, leaving a torn
-// frame the CRC-checked replay must drop.
+// append writes the first half of the bytes it was handed before erroring,
+// leaving a torn frame the CRC-checked replay must drop.
 type FaultWAL struct {
 	inner AppendFile
 	fs    *FaultStore

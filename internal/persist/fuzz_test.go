@@ -12,14 +12,14 @@ import (
 // mutation starts adjacent to every boundary check.
 func FuzzSnapshotDecode(f *testing.F) {
 	// Seed 1: a valid two-section container.
-	w := NewSnapshotWriter()
+	w := NewSnapshotWriter(0)
 	w.Section("meta", []byte{1, 2, 3})
 	w.Section("shard-0/window", bytes.Repeat([]byte{7}, 32))
 	valid := w.Bytes()
 	f.Add(append([]byte(nil), valid...))
 
 	// Seed 2: empty container (zero sections) — still CRC-framed.
-	f.Add(NewSnapshotWriter().Bytes())
+	f.Add(NewSnapshotWriter(0).Bytes())
 
 	// Seed 3: truncated mid-section.
 	f.Add(append([]byte(nil), valid[:len(valid)/2]...))

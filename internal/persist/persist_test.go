@@ -2,9 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"hash/crc32"
 	"path/filepath"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -104,7 +106,7 @@ func TestDecDoneLeftover(t *testing.T) {
 
 func buildSnapshot(t *testing.T) []byte {
 	t.Helper()
-	w := NewSnapshotWriter()
+	w := NewSnapshotWriter(0)
 	w.Section("meta", []byte("m"))
 	w.Section("window", bytes.Repeat([]byte{0xAB}, 100))
 	return w.Bytes()
@@ -151,7 +153,7 @@ func TestSnapshotCorruption(t *testing.T) {
 
 // TestSnapshotVersionSkew: an unknown version with a valid CRC is skew.
 func TestSnapshotVersionSkew(t *testing.T) {
-	w := NewSnapshotWriter()
+	w := NewSnapshotWriter(0)
 	w.Section("meta", []byte("m"))
 	data := w.Bytes()
 	// Bump the version and recompute the trailing CRC so only the version
@@ -278,6 +280,114 @@ func TestWALCorruptRecord(t *testing.T) {
 	}
 	if tail.DroppedBytes == 0 {
 		t.Error("corrupt record not counted as dropped")
+	}
+}
+
+// pieceFile records every write a WAL hands its store.
+type pieceFile struct {
+	pieces [][]byte
+	syncs  int
+}
+
+func (f *pieceFile) Append(p []byte) error {
+	f.pieces = append(f.pieces, append([]byte(nil), p...))
+	return nil
+}
+func (f *pieceFile) Sync() error  { f.syncs++; return nil }
+func (f *pieceFile) Close() error { return nil }
+
+// pieceObserver counts the observer's callbacks.
+type pieceObserver struct{ writes, bytes, syncs int }
+
+func (o *pieceObserver) WALAppend(bytes int, _ time.Duration) { o.writes++; o.bytes += bytes }
+func (o *pieceObserver) WALSync(time.Duration)                { o.syncs++ }
+
+// TestWALBatchFlushesInPieces: a batch several times walFlushBytes goes to
+// the store in pieces that each end on a record boundary, the buffer the
+// WAL keeps afterwards is no larger than a piece needs, the observer hears
+// of each write once, and the whole batch costs one fsync.
+func TestWALBatchFlushesInPieces(t *testing.T) {
+	f := &pieceFile{}
+	obs := &pieceObserver{}
+	w := &WAL{f: f, every: DefaultWALSyncEvery, obs: obs}
+	const recs, payload = 5000, 300 // 1.5 MB framed: five full pieces and a tail
+	err := w.AppendBatch(recs, func(i int, e *Enc) {
+		e.U32(uint32(i))
+		e.b = append(e.b, make([]byte, payload-4)...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := recs * (walHeaderSize + payload) / walFlushBytes; len(f.pieces) != want+1 {
+		t.Fatalf("%d writes, want %d", len(f.pieces), want+1)
+	}
+	next := uint32(0)
+	for i, p := range f.pieces {
+		if len(p) >= walFlushBytes+walHeaderSize+payload {
+			t.Errorf("piece %d is %d bytes: more than the flush size and the record that crossed it", i, len(p))
+		}
+		records, tail := ParseWAL(p)
+		if tail.DroppedBytes != 0 {
+			t.Fatalf("piece %d does not end on a record boundary: %d stray bytes", i, tail.DroppedBytes)
+		}
+		for _, r := range records {
+			if got := NewDec(r).U32(); got != next {
+				t.Fatalf("piece %d: record %d where %d belongs", i, got, next)
+			}
+			next++
+		}
+	}
+	if next != recs || w.Appends() != recs {
+		t.Errorf("pieces hold %d records, Appends() = %d, want %d", next, w.Appends(), recs)
+	}
+	if f.syncs != 1 || obs.syncs != 1 || w.pending != 0 {
+		t.Errorf("fsyncs = %d (observer %d), pending = %d; want one fsync for the batch", f.syncs, obs.syncs, w.pending)
+	}
+	if obs.writes != len(f.pieces) || obs.bytes != recs*(walHeaderSize+payload) {
+		t.Errorf("observer saw %d writes of %d bytes, store %d writes", obs.writes, obs.bytes, len(f.pieces))
+	}
+	if len(w.buf.b) != 0 || cap(w.buf.b) > 2*walFlushBytes {
+		t.Errorf("retained buffer: len %d cap %d, want empty and under %d", len(w.buf.b), cap(w.buf.b), 2*walFlushBytes)
+	}
+
+	// Append is the same path with one record: below the fsync threshold
+	// it is one write and no fsync.
+	if err := w.Append([]byte("solo")); err != nil {
+		t.Fatal(err)
+	}
+	last := f.pieces[len(f.pieces)-1]
+	if !bytes.Equal(last, AppendWALRecord(nil, []byte("solo"))) || f.syncs != 1 || w.pending != 1 {
+		t.Errorf("Append wrote % x, fsyncs %d, pending %d", last, f.syncs, w.pending)
+	}
+}
+
+// TestWALBatchFailedWrite: a write the store refuses leaves the earlier
+// pieces' records counted, nothing of the failed piece, and an empty
+// buffer for the next call.
+func TestWALBatchFailedWrite(t *testing.T) {
+	fs := NewFaultStore(NewMemStore(), FaultRule{Op: FaultAppend, After: 1, Count: 1})
+	w, _, _, err := OpenWAL(fs, WALName(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const recs, payload = 2000, 300 // crosses walFlushBytes twice
+	err = w.AppendBatch(recs, func(i int, e *Enc) { e.b = append(e.b, make([]byte, payload)...) })
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("AppendBatch = %v, want the injected fault", err)
+	}
+	data, _ := fs.Inner().Load(WALName(0))
+	_, tail := ParseWAL(data)
+	if tail.Records == 0 || tail.DroppedBytes != 0 || uint64(tail.Records) != w.Appends() {
+		t.Fatalf("log holds %d records (+%d stray bytes), Appends() = %d: want the first piece, whole",
+			tail.Records, tail.DroppedBytes, w.Appends())
+	}
+	if err := w.Append([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	data, _ = fs.Inner().Load(WALName(0))
+	records, tail2 := ParseWAL(data)
+	if tail2.Records != tail.Records+1 || tail2.DroppedBytes != 0 || string(records[tail.Records]) != "next" {
+		t.Fatalf("after the failure the log holds %d records, %d stray bytes", tail2.Records, tail2.DroppedBytes)
 	}
 }
 

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"strconv"
@@ -69,10 +70,13 @@ type SnapshotWriter struct {
 	sections uint32
 }
 
-// NewSnapshotWriter starts an empty snapshot container.
-func NewSnapshotWriter() *SnapshotWriter {
+// NewSnapshotWriter starts an empty snapshot container with room for
+// sizeHint bytes, so a writer told the container's likely size does not
+// double its way up through megabytes of sections, re-copying them each
+// time; a low or zero hint only costs that growth.
+func NewSnapshotWriter(sizeHint int) *SnapshotWriter {
 	w := &SnapshotWriter{}
-	w.enc.b = append(w.enc.b, snapshotMagic[:]...)
+	w.enc.b = append(make([]byte, 0, max(sizeHint, 16)), snapshotMagic[:]...)
 	w.enc.U16(SnapshotVersion)
 	w.enc.U32(0) // section count, patched in Bytes
 	return w
@@ -80,12 +84,29 @@ func NewSnapshotWriter() *SnapshotWriter {
 
 // Section appends one named payload.
 func (w *SnapshotWriter) Section(name string, payload []byte) {
+	_ = w.EncodeSection(name, func(e *Enc) error {
+		e.b = append(e.b, payload...)
+		return nil
+	})
+}
+
+// EncodeSection appends one named section whose payload encode writes
+// straight into the container — appending to e and nothing else — so
+// multi-megabyte state is serialized once, where it will be saved. An
+// encode error abandons the writer.
+func (w *SnapshotWriter) EncodeSection(name string, encode func(e *Enc) error) error {
 	w.enc.U16(uint16(len(name)))
 	w.enc.b = append(w.enc.b, name...)
-	w.enc.U32(uint32(len(payload)))
-	w.enc.b = append(w.enc.b, payload...)
+	w.enc.U32(0) // payload length, patched below
+	start := len(w.enc.b)
+	if err := encode(&w.enc); err != nil {
+		return err
+	}
+	payload := w.enc.b[start:]
+	binary.LittleEndian.PutUint32(w.enc.b[start-4:], uint32(len(payload)))
 	w.enc.U32(crc32.ChecksumIEEE(payload))
 	w.sections++
+	return nil
 }
 
 // Bytes finalizes the container: patches the section count and appends the

@@ -17,11 +17,15 @@ import (
 //	u32 CRC32-IEEE of the payload
 //	payload bytes
 //
-// The WAL is append-only and fsync-batched: records buffer in the OS page
-// cache and are flushed every SyncEvery appends (and on Sync/Close). A
-// crash therefore loses at most the un-fsynced tail — and a torn final
-// record is expected, not an error: replay stops at the first frame that
-// does not verify and reports how many bytes were dropped.
+// The WAL is append-only and group-committed: one append call frames all
+// of its records into one buffer, hands it to the store in one write, and
+// fsyncs at most once, when SyncEvery written records have accumulated
+// since the last fsync (and on Sync/Close). When an append call returns,
+// every record it logged is in the file and fewer than SyncEvery are
+// un-fsynced. A crash therefore loses at most that tail — and a torn
+// final record (or a batch torn in the middle) is expected, not an error:
+// replay stops at the first frame that does not verify and reports how
+// many bytes were dropped.
 
 const walMagic = 0xA7
 
@@ -31,6 +35,13 @@ const walHeaderSize = 9
 // DefaultWALSyncEvery is how many appended records may accumulate before
 // an fsync when the caller does not configure batching.
 const DefaultWALSyncEvery = 64
+
+// walFlushBytes is how much framed data one write carries at most (plus
+// the record that crossed it): a 256-object feed batch is a small fraction
+// of it and goes out whole, while a replay-sized batch is written in
+// pieces, so the buffer the WAL keeps between calls stays near this size
+// whatever the largest batch was.
+const walFlushBytes = 256 << 10
 
 // WALName returns the conventional WAL file name for a snapshot
 // generation. Rotating the generation on every snapshot keeps replay
@@ -100,22 +111,34 @@ func ParseWAL(data []byte) (records [][]byte, tail WALTail) {
 
 // AppendWALRecord frames one payload into buf.
 func AppendWALRecord(buf []byte, payload []byte) []byte {
-	buf = append(buf, walMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	off := len(buf)
+	buf = append(append(buf, make([]byte, walHeaderSize)...), payload...)
+	sealWALRecord(buf[off:])
+	return buf
 }
 
-// WALObserver receives per-operation measurements from a WAL: append cost
-// (framing + buffered write, fsync excluded) and fsync-batch cost. The
-// callbacks run under the WAL's lock on the feed path, so implementations
-// must be cheap and non-blocking — a few atomic adds (the durable engine
-// feeds them into lock-free telemetry histograms).
+// sealWALRecord fills in the header of rec, one record's reserved header
+// bytes followed by its payload.
+func sealWALRecord(rec []byte) {
+	payload := rec[walHeaderSize:]
+	rec[0] = walMagic
+	binary.LittleEndian.PutUint32(rec[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[5:9], crc32.ChecksumIEEE(payload))
+}
+
+// WALObserver receives per-operation measurements from a WAL: write cost
+// (framing + buffered write, fsync excluded) and fsync cost. The callbacks
+// run under the WAL's lock on the feed path, so implementations must be
+// cheap and non-blocking — a few atomic adds (the durable engine feeds
+// them into lock-free telemetry histograms).
 type WALObserver interface {
-	// WALAppend reports one framed record write: the framed byte count and
-	// the append call's duration (fsync excluded).
+	// WALAppend reports one write handed to the store: every record of an
+	// append call (one for Append, a whole feed batch for AppendBatch, a
+	// walFlushBytes piece of an oversized one), its framed byte count and
+	// the time spent framing and writing it (fsync excluded). It does not
+	// say how many records the write carried; Appends counts those.
 	WALAppend(bytes int, d time.Duration)
-	// WALSync reports one fsync batch and its duration.
+	// WALSync reports one fsync and its duration.
 	WALSync(d time.Duration)
 }
 
@@ -123,9 +146,9 @@ type WALObserver interface {
 type WAL struct {
 	mu      sync.Mutex
 	f       AppendFile
-	pending int
+	pending int // records written since the last fsync
 	every   int
-	scratch []byte
+	buf     Enc // framing buffer, empty between calls, its capacity reused
 	appends uint64
 	obs     WALObserver
 }
@@ -162,24 +185,55 @@ func OpenWAL(store Store, name string, syncEvery int) (*WAL, [][]byte, WALTail, 
 	return &WAL{f: f, every: syncEvery}, records, tail, nil
 }
 
-// Append frames and writes one record, fsyncing when the batch threshold
-// is reached.
+// Append frames and writes one record: AppendBatch's one-record case.
 func (w *WAL) Append(payload []byte) error {
+	return w.AppendBatch(1, func(_ int, e *Enc) { e.b = append(e.b, payload...) })
+}
+
+// AppendBatch logs n records as one group commit. encode(i, e) appends
+// record i's payload to e — and nothing else: e is the WAL's own framing
+// buffer, so a payload is written where it will be framed, never copied.
+// The framed records go to the store in one write (one per walFlushBytes
+// for an oversized batch), followed by at most one fsync, issued when the
+// written-but-unsynced record count reaches the batch threshold. On a nil
+// return every record is in the file and fewer than SyncEvery of them are
+// un-fsynced; a batch of SyncEvery or more returns fully synced.
+//
+// On error the log holds the records of the writes that succeeded, in
+// order, possibly followed by a torn piece of the one that failed; the
+// caller must treat the whole call as not logged.
+func (w *WAL) AppendBatch(n int, encode func(i int, e *Enc)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var start time.Time
 	if w.obs != nil {
 		start = time.Now()
 	}
-	w.scratch = AppendWALRecord(w.scratch[:0], payload)
-	if err := w.f.Append(w.scratch); err != nil {
-		return err
+	framed := 0 // records in w.buf not yet written
+	for i := 0; i < n; i++ {
+		off := len(w.buf.b)
+		w.buf.b = append(w.buf.b, make([]byte, walHeaderSize)...)
+		encode(i, &w.buf)
+		sealWALRecord(w.buf.b[off:])
+		framed++
+		if len(w.buf.b) < walFlushBytes && i < n-1 {
+			continue
+		}
+		err := w.f.Append(w.buf.b)
+		size := len(w.buf.b)
+		w.buf.b = w.buf.b[:0]
+		if err != nil {
+			return err
+		}
+		w.appends += uint64(framed)
+		w.pending += framed
+		framed = 0
+		if w.obs != nil {
+			now := time.Now()
+			w.obs.WALAppend(size, now.Sub(start))
+			start = now
+		}
 	}
-	if w.obs != nil {
-		w.obs.WALAppend(len(w.scratch), time.Since(start))
-	}
-	w.appends++
-	w.pending++
 	if w.pending >= w.every {
 		w.pending = 0
 		return w.syncLocked()

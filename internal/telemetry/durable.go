@@ -30,17 +30,19 @@ type DurableSample struct {
 	State        string  `json:"state"`
 	StateSeconds float64 `json:"state_seconds"`
 
-	// WALAppends counts records appended to the live WAL across all
-	// generations; WALBytes the framed bytes written; WALSyncs the fsync
-	// batches issued; WALRotations the generation rollovers.
+	// WALAppends counts records (fed objects) appended to the live WAL
+	// across all generations, however many a write carried; WALBytes the
+	// framed bytes written; WALSyncs the fsyncs issued; WALRotations the
+	// generation rollovers.
 	WALAppends   uint64 `json:"wal_appends"`
 	WALBytes     uint64 `json:"wal_bytes"`
 	WALSyncs     uint64 `json:"wal_syncs"`
 	WALRotations uint64 `json:"wal_rotations"`
 
 	// WALErrors counts failed WAL operations; StoreErrors failed store
-	// housekeeping; DroppedAppends feeds not logged while degraded (in
-	// memory only until the repair snapshot commits).
+	// housekeeping; DroppedAppends fed objects not logged — a whole batch
+	// when its write failed or the engine was degraded (in memory only
+	// until the repair snapshot commits).
 	WALErrors      uint64 `json:"wal_errors"`
 	StoreErrors    uint64 `json:"store_errors"`
 	DroppedAppends uint64 `json:"dropped_appends"`
@@ -120,7 +122,7 @@ func writeDurableProm(b *strings.Builder, d *DurableSample) {
 	sample("latest_wal_fsyncs_total", float64(d.WALSyncs))
 	counter("latest_wal_rotations_total", "WAL generation rollovers (one per committed snapshot).")
 	sample("latest_wal_rotations_total", float64(d.WALRotations))
-	hist("latest_wal_append_latency_seconds", "WAL append latency (framing and write, fsync excluded).")
+	hist("latest_wal_append_latency_seconds", "WAL write latency, one sample per write: a whole feed batch framed and written (fsync excluded).")
 	promHistogramOne(b, "latest_wal_append_latency_seconds", "", d.AppendLatency)
 	hist("latest_wal_fsync_latency_seconds", "WAL fsync-batch latency.")
 	promHistogramOne(b, "latest_wal_fsync_latency_seconds", "", d.SyncLatency)

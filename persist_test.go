@@ -29,13 +29,27 @@ func newWorkload(seed int64) *workload {
 
 func (w *workload) feed(eng Engine, n int) {
 	for i := 0; i < n; i++ {
-		w.ts++
-		eng.Feed(Object{
-			ID:        uint64(w.ts),
-			Loc:       Pt(w.rng.Float64(), w.rng.Float64()),
-			Keywords:  []string{fmt.Sprintf("kw%d", w.rng.Intn(20))},
-			Timestamp: w.ts,
-		})
+		eng.Feed(w.object())
+	}
+}
+
+// feedBatch feeds the n objects feed would, as one FeedBatch — under a
+// DurableEngine, one WAL write.
+func (w *workload) feedBatch(eng Engine, n int) {
+	objs := make([]Object, n)
+	for i := range objs {
+		objs[i] = w.object()
+	}
+	eng.FeedBatch(objs)
+}
+
+func (w *workload) object() Object {
+	w.ts++
+	return Object{
+		ID:        uint64(w.ts),
+		Loc:       Pt(w.rng.Float64(), w.rng.Float64()),
+		Keywords:  []string{fmt.Sprintf("kw%d", w.rng.Intn(20))},
+		Timestamp: w.ts,
 	}
 }
 
@@ -438,10 +452,11 @@ func TestDurableAllGenerationsCorruptRefused(t *testing.T) {
 	}
 }
 
-// TestDurableDegradedRepair drives the state machine directly: an append
-// fault degrades the engine (serving continues, appends drop), RepairNow
-// commits a fresh generation and re-arms it, and the dropped feeds are in
-// that snapshot — a reopened engine has them.
+// TestDurableDegradedRepair drives the state machine directly: a batch
+// whose one WAL write fails degrades the engine (serving continues, the
+// whole batch counts as dropped), RepairNow commits a fresh generation and
+// re-arms it, and the dropped feeds are in that snapshot — a reopened
+// engine has them.
 func TestDurableDegradedRepair(t *testing.T) {
 	inner := NewMemStore()
 	fst := persist.NewFaultStore(inner, persist.FaultRule{Op: persist.FaultAppend, Count: 1})
@@ -454,7 +469,7 @@ func TestDurableDegradedRepair(t *testing.T) {
 	warmEngine(t, dur, w)
 	fst.SetEnabled(true)
 
-	w.feed(dur, 10) // first append fires the fault and degrades
+	w.feedBatch(dur, 10) // one write: it fires the fault and degrades
 	h := dur.Health()
 	if h.State != DurableDegraded {
 		t.Fatalf("state after append fault = %s, want degraded", h.State)

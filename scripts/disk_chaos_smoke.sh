@@ -36,20 +36,23 @@ start() { # addr-file out err [latestd flags...]
 mkdir -p "$WORK"
 
 echo "== phase 1: WAL appends fail mid-run; serving must not notice =="
-# After 200 healthy appends, the next 50 fail — each failure degrades the
-# engine, the repair loop re-arms it with a fresh snapshot generation,
-# and the cycle repeats until the rule expires.
+# The rule counts WAL writes, and a feed batch — or several pipelined ones
+# the server coalesced — is one write. After 20 healthy writes the next 5
+# fail: each failure degrades the engine and drops its whole batch, the
+# repair loop re-arms it with a fresh snapshot generation, and the cycle
+# repeats while load lasts or until the rule expires.
 PID=$(start "$WORK/addr1" "$WORK/run1.out" "$WORK/run1.err" \
-    -disk-fault "append:after=200,count=50")
+    -disk-fault "append:after=20,count=5")
 wait_addr_file "$WORK/addr1"
 ADDR=$(sed -n 1p "$WORK/addr1")
 ADMIN=$(sed -n 2p "$WORK/addr1")
 grep -q "disk-fault injection armed" "$WORK/run1.err" || {
     echo "FAIL: daemon did not log the armed fault spec"; cat "$WORK/run1.err"; exit 1; }
 
-# Feed-only load: well past the fault window (600 feed batches = 600
-# WAL appends). Zero errors is the headline assertion — degraded mode
-# must be invisible to clients.
+# Feed-only load: well past the fault window (600 feed batches are 600
+# WAL writes, fewer only where the server coalesced pipelined frames).
+# Zero errors is the headline assertion — degraded mode must be invisible
+# to clients.
 "$LOADGEN" -addr "$ADDR" -conns 4 -requests 600 -feed-frac 1.0 -batch 32 \
     -seed 42 -out "$WORK/load1.json"
 grep -q '"errors": 0' "$WORK/load1.json" || {

@@ -143,14 +143,13 @@ func decodeMeta(snap *persist.Snapshot, wantKind string, wantFP []byte) (gen uin
 // writeSections serializes one System's state group into sw under prefix
 // ("" for the monolithic engines, "shard-N/" per shard).
 func (s *System) writeSections(sw *persist.SnapshotWriter, prefix string) error {
-	var we persist.Enc
-	s.window.SaveState(&we)
-	sw.Section(prefix+"window", we.Data())
-	var me persist.Enc
-	if err := s.module.SaveState(&me); err != nil {
+	_ = sw.EncodeSection(prefix+"window", func(e *persist.Enc) error {
+		s.window.SaveState(e)
+		return nil
+	})
+	if err := sw.EncodeSection(prefix+"module", s.module.SaveState); err != nil {
 		return err
 	}
-	sw.Section(prefix+"module", me.Data())
 	var ee persist.Enc
 	ee.I64(s.lastTS)
 	sw.Section(prefix+"engine", ee.Data())
@@ -212,7 +211,7 @@ func (s *System) Snapshot(ctx context.Context, st Store) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	sw := persist.NewSnapshotWriter()
+	sw := persist.NewSnapshotWriter(s.window.MemoryBytes())
 	sw.Section(metaSectionName, encodeMeta(snapKindSingle, s.fingerprint, s.gen+1))
 	if err := s.writeSections(sw, ""); err != nil {
 		return err
@@ -313,7 +312,11 @@ func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
 			sh.mu.Unlock()
 		}
 	}()
-	sw := persist.NewSnapshotWriter()
+	windowBytes := 0
+	for _, sh := range s.shards {
+		windowBytes += sh.sys.window.MemoryBytes()
+	}
+	sw := persist.NewSnapshotWriter(windowBytes)
 	sw.Section(metaSectionName, encodeMeta(s.snapKind(), s.fingerprint, s.gen+1))
 	for i, sh := range s.shards {
 		if err := ctx.Err(); err != nil {
