@@ -475,7 +475,7 @@ func TestQuarantineCountersSurfaceInGauges(t *testing.T) {
 	if merged.Panics == 0 {
 		t.Error("no panics surfaced in merged stats")
 	}
-	snap := sys.telemetrySnapshot()
+	snap := sys.TelemetrySnapshot()
 	if snap.Resilience.Faults() == 0 {
 		t.Error("telemetry snapshot carries no faults")
 	}

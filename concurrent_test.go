@@ -3,6 +3,7 @@ package latest
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -39,6 +40,14 @@ func TestConcurrentSystemBasics(t *testing.T) {
 	if got < 0 {
 		t.Errorf("EstimateWith = %v", got)
 	}
+	// A range outside the world routes to no shard: no estimate, no truth.
+	outside := SpatialQuery(Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, ts)
+	if got := cs.EstimateWith(&outside, func(int) float64 {
+		t.Error("EstimateWith asked for the truth of an out-of-world range")
+		return 0
+	}); got != 0 {
+		t.Errorf("EstimateWith on an out-of-world range = %v, want 0", got)
+	}
 	if cs.WindowSize() == 0 || cs.ActiveEstimator() == "" {
 		t.Error("accessors broken")
 	}
@@ -53,7 +62,51 @@ func TestConcurrentSystemBasics(t *testing.T) {
 	}
 }
 
-// TestConcurrentSystemParallel hammers the wrapper from many goroutines;
+// TestConcurrentIsInline checks what "one shard, inline ingest, inline
+// pre-fill" promises: NewConcurrent starts no goroutine, and Feed and
+// FeedBatch apply on the caller under the shard's mutex without copying the
+// batch — they allocate exactly what a bare System does for the same
+// objects, so the engine layer itself allocates nothing.
+func TestConcurrentIsInline(t *testing.T) {
+	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	before := runtime.NumGoroutine()
+	cs := MustNewConcurrent(world, 50*time.Millisecond, WithSeed(1))
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("NewConcurrent raised the goroutine count from %d to %d", before, after)
+	}
+	allocs := func(eng Engine) (feed, feedBatch float64) {
+		objs := make([]Object, 64)
+		for i := range objs {
+			objs[i] = Object{ID: uint64(i), Loc: Pt(float64(i)/64, 0.5), Keywords: []string{"a"}}
+		}
+		var ts int64
+		batch := func() {
+			ts++
+			for i := range objs {
+				objs[i].Timestamp = ts
+			}
+			eng.FeedBatch(objs)
+		}
+		for i := 0; i < 500; i++ { // turn the 50 ms window over: steady state
+			batch()
+		}
+		feedBatch = testing.AllocsPerRun(200, batch)
+		feed = testing.AllocsPerRun(200, func() {
+			ts++
+			objs[0].Timestamp = ts
+			eng.Feed(objs[0])
+		})
+		return feed, feedBatch
+	}
+	sysFeed, sysBatch := allocs(MustNew(world, 50*time.Millisecond, WithSeed(1)))
+	feed, batch := allocs(cs)
+	if feed != sysFeed || batch != sysBatch {
+		t.Errorf("allocations per call: Feed %v, FeedBatch %v; a bare System's %v and %v",
+			feed, batch, sysFeed, sysBatch)
+	}
+}
+
+// TestConcurrentSystemParallel hammers the engine from many goroutines;
 // run with -race to verify the locking. One producer owns the clock (the
 // stream contract requires non-decreasing timestamps); many consumers
 // query concurrently.
@@ -127,7 +180,7 @@ func TestConcurrentSystemParallel(t *testing.T) {
 
 // TestConcurrentSystemMultiProducer runs several batch producers at once.
 // Producer interleavings inevitably present regressed timestamps; the
-// wrapper clamps them to its high-water mark instead of letting the window
+// shard clamps them to its high-water mark instead of letting the window
 // store panic. Run with -race.
 func TestConcurrentSystemMultiProducer(t *testing.T) {
 	cs, err := NewConcurrent(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, time.Minute,

@@ -12,12 +12,13 @@ import (
 // operational samples.
 type TelemetryReport = telemetry.Snapshot
 
-// Engine is the unified surface every LATEST deployment shape serves:
-// System (single-goroutine), ConcurrentSystem (one mutex) and ShardedSystem
-// (spatial partitions) all implement it, as does the DurableEngine wrapper
-// that adds snapshot + WAL persistence. Embedding applications, the network
-// serving layer (internal/server) and the correctness harness
-// (internal/check) program against this interface and work with any shape.
+// Engine is the unified surface every LATEST engine serves: System
+// (single-goroutine) and ShardedSystem (spatial partitions, each behind its
+// own mutex; NewConcurrent's is the one-shard case) implement it, as does
+// the DurableEngine wrapper that adds snapshot + WAL persistence. Embedding
+// applications, the network serving layer (internal/server) and the
+// correctness harness (internal/check) program against this interface and
+// work with any of them.
 //
 // Concurrency follows the concrete type: System is single-goroutine, the
 // others are safe for concurrent use. Snapshot and Restore are safe to call
@@ -56,8 +57,9 @@ type Engine interface {
 	Restore(ctx context.Context, st Store) error
 }
 
-// Compile-time interface checks: the unified Engine API is the contract
-// this PR establishes; losing a method on any shape is a build error.
+// Compile-time interface checks: losing a method on any engine — or on
+// ConcurrentSystem, which gets them all from the ShardedSystem it embeds —
+// is a build error.
 var (
 	_ Engine = (*System)(nil)
 	_ Engine = (*ConcurrentSystem)(nil)

@@ -11,24 +11,44 @@ import (
 // every validation policy is the same: no input may panic the engine, and
 // every estimate the engine does emit is finite and non-negative.
 
-// fuzzWorlds builds one small engine per validation policy. Engines are
-// deliberately shared across iterations of a fuzz target: accumulated state
-// (clamped clocks, evicted windows, phase transitions) is part of the
-// surface being fuzzed.
-func fuzzWorlds(f *testing.F) []*System {
+// fuzzEngine is one engine under fuzz, named for failure messages.
+type fuzzEngine struct {
+	name string
+	Engine
+}
+
+// fuzzWorlds builds, per validation policy, a small System, a NewConcurrent
+// engine and a 4-shard NewSharded engine — the last two share the shard
+// code, so hostile floats reach shardOf, edgeIndex and targets as well as
+// the module. Engines are deliberately shared across iterations of a fuzz
+// target: accumulated state (clamped clocks, evicted windows, phase
+// transitions) is part of the surface being fuzzed.
+func fuzzWorlds(f *testing.F) []fuzzEngine {
 	f.Helper()
-	policies := []ValidationPolicy{ValidationClamp, ValidationStrict, ValidationDrop}
-	systems := make([]*System, 0, len(policies))
-	for _, p := range policies {
-		sys, err := New(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second,
-			WithSeed(7), WithPretrainQueries(20), WithAccWindow(10),
-			WithValidation(p))
+	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	var engines []fuzzEngine
+	for _, p := range []ValidationPolicy{ValidationClamp, ValidationStrict, ValidationDrop} {
+		opts := []Option{WithSeed(7), WithPretrainQueries(20), WithAccWindow(10), WithValidation(p)}
+		sys, err := New(world, 10*time.Second, opts...)
 		if err != nil {
 			f.Fatal(err)
 		}
-		systems = append(systems, sys)
+		conc, err := NewConcurrent(world, 10*time.Second, opts...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sharded, err := NewSharded(world, 10*time.Second, append(opts, WithShards(4))...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(conc.Close)
+		f.Cleanup(sharded.Close)
+		engines = append(engines,
+			fuzzEngine{"System/" + p.String(), sys},
+			fuzzEngine{"NewConcurrent/" + p.String(), conc},
+			fuzzEngine{"NewSharded(4)/" + p.String(), sharded})
 	}
-	return systems
+	return engines
 }
 
 func FuzzFeed(f *testing.F) {
@@ -51,10 +71,10 @@ func FuzzFeed(f *testing.F) {
 			probe := SpatialQuery(Rect{MinX: 0.25, MinY: 0.25, MaxX: 0.75, MaxY: 0.75}, ts)
 			est, actual := sys.EstimateAndExecute(&probe)
 			if math.IsNaN(est) || math.IsInf(est, 0) || est < 0 {
-				t.Fatalf("%v: estimate %v after feeding (%v,%v,%d)", sys.policy, est, x, y, ts)
+				t.Fatalf("%s: estimate %v after feeding (%v,%v,%d)", sys.name, est, x, y, ts)
 			}
 			if actual < 0 {
-				t.Fatalf("%v: exact count %d", sys.policy, actual)
+				t.Fatalf("%s: exact count %d", sys.name, actual)
 			}
 		}
 	})
@@ -83,11 +103,11 @@ func FuzzEstimate(f *testing.F) {
 				HasRange: true, Timestamp: ts}
 			est, actual := sys.EstimateAndExecute(&q)
 			if math.IsNaN(est) || math.IsInf(est, 0) || est < 0 {
-				t.Fatalf("%v: estimate %v for rect (%v,%v,%v,%v,%d)",
-					sys.policy, est, minX, minY, maxX, maxY, ts)
+				t.Fatalf("%s: estimate %v for rect (%v,%v,%v,%v,%d)",
+					sys.name, est, minX, minY, maxX, maxY, ts)
 			}
 			if actual < 0 {
-				t.Fatalf("%v: exact count %d", sys.policy, actual)
+				t.Fatalf("%s: exact count %d", sys.name, actual)
 			}
 		}
 	})

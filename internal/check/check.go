@@ -1,7 +1,7 @@
 // Package check is the repository's correctness-verification subsystem.
-// It proves, rather than assumes, that the three deployment shapes of the
-// public API — System, ConcurrentSystem and ShardedSystem — still serve the
-// paper's RC-DVQ semantics after every layer of sharding, telemetry and
+// It proves, rather than assumes, that the engines of the public API —
+// System, and ShardedSystem as both NewConcurrent and NewSharded build it —
+// still serve the paper's RC-DVQ semantics after every layer of sharding, telemetry and
 // resilience added on top, and that the exact window store itself agrees
 // with a second, independently written implementation of the query
 // definition.
@@ -9,8 +9,8 @@
 // Three pillars (DESIGN.md §9):
 //
 //   - Differential testing (differential.go): one deterministic workload is
-//     fed into all three engines configured for bit-reproducibility plus a
-//     brute-force oracle; exact counts, estimates, switch decisions and
+//     fed into System, NewConcurrent and a pipelined 1-shard NewSharded
+//     configured for bit-reproducibility plus a brute-force oracle; exact counts, estimates, switch decisions and
 //     stats snapshots must agree at every step.
 //   - Metamorphic properties (metamorphic.go): RC-DVQ identities that must
 //     hold whatever the data — growing R/W/T never shrinks the exact count,

@@ -144,7 +144,7 @@ func (r *DiffReport) note(kind *int, format string, args ...any) {
 	}
 }
 
-// engine adapts the three public deployment shapes to one comparable
+// engine adapts the three public constructors' engines to one comparable
 // surface.
 type engine struct {
 	name string
@@ -160,9 +160,11 @@ type engine struct {
 }
 
 // RunDifferential feeds one deterministic workload into System,
-// ConcurrentSystem and a 1-shard synchronous-prefill ShardedSystem plus the
-// brute-force oracle, comparing counts, estimates, switching state and
-// stats snapshots at every step. The returned report is non-nil whenever
+// NewConcurrent (ShardedSystem with one shard, inline ingest and pre-fill)
+// and NewSharded(1) (the same shard behind the ingest pipeline, pre-fill
+// synchronous) plus the brute-force oracle, comparing counts, estimates,
+// switching state and stats snapshots at every step. The last two share
+// the shard code, so each is checked against System, not against itself. The returned report is non-nil whenever
 // err is nil, even when it records mismatches.
 func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 	if cfg.Queries <= 0 || cfg.ObjectsPerQuery <= 0 {
@@ -201,7 +203,7 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 	}
 	conc, err := latest.NewConcurrent(world, cfg.Window, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("check: build ConcurrentSystem: %w", err)
+		return nil, fmt.Errorf("check: build NewConcurrent engine: %w", err)
 	}
 	shard, err := latest.NewSharded(world, cfg.Window,
 		append(append([]latest.Option(nil), opts...),

@@ -19,8 +19,9 @@ import (
 )
 
 // Engine is the estimator surface the serving layer fronts: the unified
-// latest.Engine contract. Every engine shape — ConcurrentSystem,
-// ShardedSystem, and the persistence-wrapping DurableEngine — satisfies it
+// latest.Engine contract. Every concurrency-safe engine — ShardedSystem,
+// as NewSharded or NewConcurrent builds it, and the persistence-wrapping
+// DurableEngine — satisfies it
 // (Object and Query are aliases of the internal stream types).
 type Engine = latest.Engine
 

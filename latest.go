@@ -30,14 +30,15 @@
 // switching model. Applications that execute queries through their own
 // engine can call Estimate followed by ObserveActual instead.
 //
-// Three deployment shapes share one surface (Feed/FeedBatch,
+// Two engine types share one surface (Feed/FeedBatch,
 // EstimateAndExecute/EstimateAndExecuteBatch):
 //
 //   - System — single-goroutine, lowest overhead.
-//   - ConcurrentSystem — System behind one mutex, for request handlers.
 //   - ShardedSystem — the world spatially partitioned into N shards, each
 //     its own window + estimator fleet behind its own lock; ingest routes
-//     to one shard, queries fan out to intersecting shards.
+//     to one shard, queries fan out to intersecting shards. NewConcurrent
+//     is its one-shard inline preset (ConcurrentSystem): one module behind
+//     one mutex, no background goroutine, for request handlers.
 package latest
 
 import (
@@ -203,11 +204,12 @@ type config struct {
 	// negative disables opportunity switches).
 	OpportunityMargin float64
 	// Shards is the spatial shard count used by NewSharded (zero =
-	// runtime.GOMAXPROCS(0)). New and NewConcurrent reject it.
+	// runtime.GOMAXPROCS(0)). New rejects it; NewConcurrent rejects it and
+	// sets 1.
 	Shards int
 	// SyncPrefill makes ShardedSystem warm switch candidates on the query
-	// path instead of the shard's background goroutine. New and
-	// NewConcurrent always prefill synchronously and reject it.
+	// path instead of the shard's background goroutine. New always prefills
+	// synchronously and NewConcurrent sets it itself; both reject it.
 	SyncPrefill bool
 	// TelemetryAddr, when non-empty, starts the stdlib exposition server
 	// ("host:port"; port 0 picks a free one) publishing /metrics, /statusz,
@@ -234,15 +236,15 @@ type config struct {
 	FaultInjector *FaultInjector
 	// PrefillQueueDepth bounds each shard's deferred pre-fill queue
 	// (zero = 4). A full queue falls back to an inline replay, counted in
-	// the PrefillQueueFull gauge. New and NewConcurrent ignore it.
+	// the PrefillQueueFull gauge. New and NewConcurrent reject it.
 	PrefillQueueDepth int
 	// IngestQueueDepth bounds each shard's ingest pipeline queue in routed
 	// chunks (zero = 8). A full queue blocks the producer, counted in the
 	// IngestBackpressure gauge. New and NewConcurrent reject it.
 	IngestQueueDepth int
 	// SyncIngest makes ShardedSystem apply feeds under the shard lock on
-	// the calling goroutine instead of the shard's feed worker. New and
-	// NewConcurrent always ingest synchronously and reject it.
+	// the calling goroutine instead of the shard's feed worker. New always
+	// ingests synchronously and NewConcurrent sets it itself; both reject it.
 	SyncIngest bool
 	// LatencyModel, when non-nil, replaces wall-clock estimator latency
 	// measurement in the switching model's training signal. Correctness
@@ -328,14 +330,18 @@ func MustNew(world Rect, window time.Duration, opts ...Option) *System {
 
 // refillFunc seeds a freshly wiped estimator from the window store.
 // nil means the default synchronous full-window replay.
-type refillFunc func(w *stream.Window, e estimator.Estimator)
+type refillFunc func(e estimator.Estimator)
 
-// syncRefill replays every live window object into e.
-func syncRefill(w *stream.Window, e estimator.Estimator) {
-	w.Each(func(o *stream.Object) bool {
+// syncRefill replays every live window object into e on the calling
+// goroutine — the query path — and counts the inline pre-fill. The gauge
+// set is read at call time: a shard repoints its System's gauges after
+// construction.
+func (s *System) syncRefill(e estimator.Estimator) {
+	s.window.Each(func(o *stream.Object) bool {
 		e.Insert(o)
 		return true
 	})
+	s.gauges.RecordPrefill(false)
 }
 
 // newSystem is the shared constructor. refill overrides how switch
@@ -352,11 +358,18 @@ func newSystem(cfg config, refill refillFunc, prefillMode, component string, kin
 	if cells == 0 {
 		cells = 4096
 	}
-	if refill == nil {
-		refill = syncRefill
-	}
 	log := telemetry.NewLogger(cfg.LogOutput, cfg.LogLevel).Named(component)
 	w := stream.NewWindow(cfg.World, cfg.Window.Milliseconds(), cells)
+	s := &System{
+		window: w,
+		world:  cfg.World,
+		policy: cfg.Validation,
+		gauges: new(metrics.ShardGauges),
+		log:    log,
+	}
+	if refill == nil {
+		refill = s.syncRefill
+	}
 	m, err := core.New(core.Config{
 		World:             cfg.World,
 		Span:              cfg.Window.Milliseconds(),
@@ -386,26 +399,20 @@ func newSystem(cfg config, refill refillFunc, prefillMode, component string, kin
 		Oracle: func(q *stream.Query) float64 {
 			return float64(w.Answer(q))
 		},
-		Refill: func(e estimator.Estimator) {
-			refill(w, e)
-		},
+		Refill: refill,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &System{
-		module:      m,
-		window:      w,
-		world:       cfg.World,
-		policy:      cfg.Validation,
-		gauges:      new(metrics.ShardGauges),
-		log:         log,
-		fingerprint: configFingerprint(&cfg, m.Estimators()),
-	}, nil
+	s.module = m
+	s.fingerprint = configFingerprint(&cfg, m.Estimators())
+	return s, nil
 }
 
 // engineKind names the constructor being validated, so option-surface
 // errors can say which constructor rejected which option and why.
+// kindConcurrent is only that name: NewConcurrent validates under it, then
+// builds through newSharded like NewSharded does.
 type engineKind int
 
 const (
@@ -518,7 +525,7 @@ func validateOptions(cfg *config, kind engineKind) error {
 }
 
 // feedPtr is the allocation-free ingest path shared by Feed, FeedBatch and
-// the concurrent wrappers. The object is validated under the configured
+// the shards. The object is validated under the configured
 // policy first — non-finite coordinates are rejected, regressed timestamps
 // clamped (ValidationClamp) or rejected — and a ValidationClamp repair
 // mutates the pointee. Otherwise the pointee is only read during the call;
@@ -617,11 +624,17 @@ func (s *System) ObserveActual(actual float64) {
 	s.module.Observe(actual)
 }
 
-// estimateAndExecute is the untimed estimate+execute cycle. ShardedSystem
-// calls it so shard queries are timed once, into the shard's own gauges.
-func (s *System) estimateAndExecute(q *Query) (estimate float64, actual int) {
+// estimateAndExecute is the untimed estimate+execute cycle; a shard times
+// it once, into its own gauges. truth, when non-nil, maps the exact window
+// count to the value the model is trained on (EstimateWith); nil feeds the
+// count back as is.
+func (s *System) estimateAndExecute(q *Query, truth func(windowExact int) float64) (estimate float64, actual int) {
 	estimate = s.Estimate(q)
-	actual = s.Execute(q)
+	if truth == nil {
+		return estimate, s.Execute(q)
+	}
+	actual = s.window.Answer(q)
+	s.ObserveActual(truth(actual))
 	return estimate, actual
 }
 
@@ -630,7 +643,7 @@ func (s *System) estimateAndExecute(q *Query) (estimate float64, actual int) {
 // latency histogram.
 func (s *System) EstimateAndExecute(q *Query) (estimate float64, actual int) {
 	start := time.Now()
-	estimate, actual = s.estimateAndExecute(q)
+	estimate, actual = s.estimateAndExecute(q, nil)
 	s.gauges.RecordQuery(time.Since(start))
 	return estimate, actual
 }

@@ -8,12 +8,14 @@ import (
 // options.go defines the functional-option configuration surface shared by
 // New, NewConcurrent and NewSharded — the only way to configure an engine.
 // WithAlpha(0) unambiguously means "accuracy only", no companion boolean
-// required. Options that only make sense for a particular engine shape
-// (WithTelemetry, WithShards, WithSynchronousPrefill, WithPrefillQueueDepth)
-// are rejected by the constructors that cannot honour them.
+// required. There are two engine types: System, and ShardedSystem, of which
+// NewConcurrent builds the one-shard inline preset. Options that only make
+// sense for one constructor (WithTelemetry, WithShards and the other
+// sharding knobs, which NewConcurrent sets itself) are rejected by the
+// constructors that cannot honour them.
 
-// Option customizes a System, ConcurrentSystem or ShardedSystem at
-// construction time. Options apply in order; later options win.
+// Option customizes a System or a ShardedSystem at construction time.
+// Options apply in order; later options win.
 type Option func(*config)
 
 // WithRegistry supplies the estimator registry (nil keeps the paper's six).
@@ -102,8 +104,8 @@ func WithOracleGridCells(n int) Option {
 }
 
 // WithShards sets the number of spatial shards a ShardedSystem partitions
-// the world into (default runtime.GOMAXPROCS(0)). New and NewConcurrent
-// reject it.
+// the world into (default runtime.GOMAXPROCS(0)). New rejects it, and so
+// does NewConcurrent, which is the one-shard engine by definition.
 func WithShards(n int) Option {
 	return func(c *config) { c.Shards = n }
 }
@@ -112,8 +114,8 @@ func WithShards(n int) Option {
 // the query path (the single-threaded System behaviour) instead of handing
 // the window replay to the shard's background goroutine. Costs switch-time
 // latency, buys determinism: a 1-shard ShardedSystem with synchronous
-// prefill reproduces System bit-for-bit. New and NewConcurrent always
-// prefill synchronously and reject it.
+// prefill reproduces System bit-for-bit. New always prefills synchronously
+// and NewConcurrent sets this itself; both reject it.
 func WithSynchronousPrefill() Option {
 	return func(c *config) { c.SyncPrefill = true }
 }
@@ -208,8 +210,8 @@ func WithIngestQueueDepth(n int) Option {
 // Routing is still single-pass; what is lost is the producer/apply overlap
 // and the single-writer gauge path. Mainly for benchmark baselines and for
 // callers that need the apply completed when the call returns without
-// paying a drain. New and NewConcurrent are always synchronous and reject
-// it.
+// paying a drain. New is always synchronous and NewConcurrent sets this
+// itself; both reject it.
 func WithSynchronousIngest() Option {
 	return func(c *config) { c.SyncIngest = true }
 }

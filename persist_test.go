@@ -1,6 +1,7 @@
 package latest
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -135,19 +136,62 @@ func TestSystemSnapshotRestoreRoundTrip(t *testing.T) {
 	restoredBehavesIdentically(t, src, testSystem(t), w)
 }
 
-// TestConcurrentCrossRestore: System and ConcurrentSystem share the
-// "single" snapshot kind — a snapshot taken by one restores into the other.
+// TestConcurrentCrossRestore: System and NewConcurrent share the "single"
+// snapshot kind. The same schedule through both yields the same artifact
+// byte for byte (the latency model is a constant per estimator, so no
+// wall-clock value reaches the image), and a snapshot taken by either
+// restores into the other.
 func TestConcurrentCrossRestore(t *testing.T) {
-	src := testSystem(t)
-	w := newWorkload(8)
-	warmEngine(t, src, w)
-	conc, err := NewConcurrent(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second,
-		WithPretrainQueries(150), WithAccWindow(60), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
+	latency := WithLatencyModel(func(name string, _ *Query, _ time.Duration) time.Duration {
+		if name == EstimatorH4096 {
+			return 5 * time.Microsecond
+		}
+		return 100 * time.Microsecond
+	})
+	newConc := func() *ConcurrentSystem {
+		conc, err := NewConcurrent(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second,
+			WithPretrainQueries(150), WithAccWindow(60), WithSeed(1), latency)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(conc.Close)
+		return conc
 	}
-	defer conc.Shutdown(context.Background())
-	restoredBehavesIdentically(t, src, conc, w)
+	image := func(eng Engine) []byte {
+		st := NewMemStore()
+		if err := eng.Snapshot(context.Background(), st); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		data, err := st.Load(persist.SnapshotName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	sys, conc := testSystem(t, latency), newConc()
+	ws, wc := newWorkload(7), newWorkload(7)
+	warmEngine(t, sys, ws)
+	warmEngine(t, conc, wc)
+	// Compared before the first switch: a decision record carries the wall
+	// time it was made at, the one host-clock value an image can hold.
+	if n := sys.Stats().Switches + conc.Stats().Switches; n != 0 {
+		t.Fatalf("%d switches during warm-up, want none", n)
+	}
+	if a, b := image(sys), image(conc); !bytes.Equal(a, b) {
+		t.Fatalf("System and NewConcurrent snapshots differ (%d vs %d bytes)", len(a), len(b))
+	}
+	// The next 80 rounds switch once, after pre-filling the candidate on
+	// the query path; both engines count that replay where it ran.
+	ws.drive(sys, 80)
+	wc.drive(conc, 80)
+	for name, g := range map[string]GaugeSnapshot{"System": sys.Gauges(), "NewConcurrent": conc.Gauges()} {
+		if sw := sys.Stats().Switches; sw == 0 || sw != conc.Stats().Switches || g.PrefillsInline == 0 {
+			t.Errorf("%s: %d switches (NewConcurrent %d), PrefillsInline = %d, want equal switches and both >= 1",
+				name, sw, conc.Stats().Switches, g.PrefillsInline)
+		}
+	}
+	restoredBehavesIdentically(t, sys, newConc(), ws)
+	restoredBehavesIdentically(t, conc, testSystem(t, latency), wc)
 }
 
 func testSharded(t *testing.T) *ShardedSystem {

@@ -37,13 +37,19 @@ import (
 // switch returns immediately). WithSynchronousPrefill restores the inline
 // replay, which a 1-shard system needs to reproduce System bit-for-bit.
 //
-// As with ConcurrentSystem, Estimate and the feedback call must pair up
-// per query, which under concurrency is only maintainable atomically — so
-// the combined EstimateAndExecute operations are exposed instead of the
-// split halves. Timestamps should be non-decreasing per producer; arrivals
-// that would run a shard's clock backwards are clamped to the shard's
-// high-water mark (counted in the shard's Reordered gauge).
+// Estimate and the feedback call must pair up per query, which under
+// concurrency is only maintainable atomically — so the combined
+// EstimateAndExecute operations are exposed instead of the split halves.
+// Timestamps should be non-decreasing per producer; arrivals that would run
+// a shard's clock backwards are clamped to the shard's high-water mark
+// (counted in the shard's Reordered gauge).
 type ShardedSystem struct {
+	// engine is the /statusz engine name and snapKind the snapshot meta
+	// kind: "sharded" and "sharded:RxC", or what NewConcurrent's one-shard
+	// engine has always been called, "concurrent" and "single".
+	engine   string
+	snapKind string
+
 	world  Rect
 	rows   int
 	cols   int
@@ -80,6 +86,10 @@ type shard struct {
 	mu   sync.Mutex
 	rect Rect
 	sys  *System
+
+	// prefix names the shard's snapshot section group ("shard-N/"; "" for
+	// NewConcurrent's one shard, the layout a System writes).
+	prefix string
 
 	scratch Object
 
@@ -208,7 +218,10 @@ func (s *ShardedSystem) applyChunk(sh *shard, c ingestChunk) {
 			start = time.Now()
 		}
 		sh.mu.Lock()
-		sh.feedLocked(&c.obj)
+		// Staged in the shard so the pointer handed down does not force the
+		// chunk to the heap: a single Feed stays allocation-free.
+		sh.scratch = c.obj
+		sh.feedLocked(&sh.scratch)
 		occ, bytes := sh.sys.window.Size(), sh.sys.window.MemoryBytes()
 		sh.mu.Unlock()
 		if sampled {
@@ -275,7 +288,7 @@ type refillTask struct {
 // runtime.GOMAXPROCS(0)). Call Close when done to stop the background
 // prefill workers.
 func NewSharded(world Rect, window time.Duration, opts ...Option) (*ShardedSystem, error) {
-	return newSharded(buildConfig(world, window, opts))
+	return newSharded(buildConfig(world, window, opts), kindSharded)
 }
 
 // MustNewSharded is NewSharded but panics on error — for tests, examples
@@ -288,8 +301,12 @@ func MustNewSharded(world Rect, window time.Duration, opts ...Option) *ShardedSy
 	return s
 }
 
-// newSharded builds a ShardedSystem from the resolved option set.
-func newSharded(cfg config) (*ShardedSystem, error) {
+// newSharded builds a ShardedSystem from the resolved option set. kind
+// picks the names an operator and a data directory see — nothing else:
+// kindConcurrent keeps the "concurrent" log scope and /statusz engine and
+// the "single" snapshot kind with unprefixed sections, so NewConcurrent and
+// System snapshots stay interchangeable byte for byte.
+func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 	n := cfg.Shards
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -302,6 +319,8 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 	}
 	rows, cols := shardGridDims(n)
 	s := &ShardedSystem{
+		engine:      "sharded",
+		snapKind:    fmt.Sprintf("sharded:%dx%d", rows, cols),
 		world:       cfg.World,
 		rows:        rows,
 		cols:        cols,
@@ -311,6 +330,9 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 		syncPrefill: cfg.SyncPrefill,
 		syncIngest:  cfg.SyncIngest,
 		policy:      cfg.Validation,
+	}
+	if kind == kindConcurrent {
+		s.engine, s.snapKind = "concurrent", snapKindSingle
 	}
 	queueDepth := cfg.PrefillQueueDepth
 	if queueDepth == 0 {
@@ -325,9 +347,13 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 		r, c := i/cols, i%cols
 		component := fmt.Sprintf("shard-%d", i)
 		sh := &shard{
-			rect: Rect{MinX: s.xs[c], MinY: s.ys[r], MaxX: s.xs[c+1], MaxY: s.ys[r+1]},
-			log:  baseLog.Named(component),
+			rect:   Rect{MinX: s.xs[c], MinY: s.ys[r], MaxX: s.xs[c+1], MaxY: s.ys[r+1]},
+			prefix: component + "/",
 		}
+		if kind == kindConcurrent {
+			component, sh.prefix = "concurrent", ""
+		}
+		sh.log = baseLog.Named(component)
 		sh.prefillIdle = sync.NewCond(&sh.mu)
 		sh.feedIdle = sync.NewCond(&sh.feedMu)
 		if !s.syncIngest {
@@ -338,17 +364,14 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 		// Shard 0 keeps the configured seed so a 1-shard system matches
 		// System exactly; the rest decorrelate their estimator randomness.
 		shardCfg.Seed = cfg.Seed + int64(i)*1_000_003
-		prefillMode := "async"
+		// nil keeps newSystem's inline replay.
+		prefillMode := "inline"
 		var refill refillFunc
-		if s.syncPrefill {
-			prefillMode = "inline"
-			refill = func(w *stream.Window, e estimator.Estimator) {
-				syncRefill(w, e)
-				sh.gauges.RecordPrefill(false)
-			}
-		} else {
+		if !s.syncPrefill {
+			prefillMode = "async"
 			sh.refillCh = make(chan refillTask, queueDepth)
-			refill = func(w *stream.Window, e estimator.Estimator) {
+			refill = func(e estimator.Estimator) {
+				w := sh.sys.window
 				select {
 				case sh.refillCh <- refillTask{est: e, boundary: w.NextSeq()}:
 					// Enqueuer holds sh.mu (refills happen inside module
@@ -361,8 +384,7 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 					sh.gauges.RecordPrefillQueueFull()
 					sh.log.Warn("prefill queue full, replaying inline",
 						"estimator", e.Name(), "window", w.Size())
-					syncRefill(w, e)
-					sh.gauges.RecordPrefill(false)
+					sh.sys.syncRefill(e)
 				}
 			}
 		}
@@ -393,7 +415,7 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 	// shards, so shard 0's resolved names stand for all.
 	s.fingerprint = configFingerprint(&cfg, s.shards[0].sys.module.Estimators())
 	if cfg.TelemetryAddr != "" {
-		srv, err := telemetry.Serve(cfg.TelemetryAddr, s.telemetrySnapshot, baseLog)
+		srv, err := telemetry.Serve(cfg.TelemetryAddr, s.TelemetrySnapshot, baseLog)
 		if err != nil {
 			s.Close()
 			return nil, err
@@ -671,6 +693,35 @@ func (s *ShardedSystem) targets(q *Query) []*shard {
 	return out
 }
 
+// route validates (and under ValidationClamp, repairs) the query, then
+// returns the shards it must consult — validation first, because a NaN or
+// inverted rectangle would otherwise silently match no shard. Empty when
+// the query was rejected (counted in shard 0's gauges) or its range lies
+// wholly outside the world.
+func (s *ShardedSystem) route(q *Query) []*shard {
+	if !checkQuery(q, s.policy, s.world, &s.shards[0].gauges, s.shards[0].log) {
+		return nil
+	}
+	return s.targets(q)
+}
+
+// query is the one place a shard's System is locked for a query: wait for
+// the shard's queued feeds to land (read-your-writes), then run one atomic
+// estimate/observe cycle with tr installed on the module for exactly the
+// span of the lock, so the module never observes a stale trace. A nil tr
+// records nothing; truth is estimateAndExecute's.
+func (sh *shard) query(q *Query, tr *telemetry.ActiveTrace, truth func(windowExact int) float64) (estimate float64, actual int) {
+	sh.drainFeeds()
+	start := time.Now()
+	sh.mu.Lock()
+	sh.sys.module.SetTrace(tr)
+	estimate, actual = sh.sys.estimateAndExecute(q, truth)
+	sh.sys.module.SetTrace(nil)
+	sh.mu.Unlock()
+	sh.gauges.RecordQuery(time.Since(start))
+	return estimate, actual
+}
+
 // EstimateAndExecute answers the query approximately, then exactly, and
 // feeds each shard its own partial truth — one atomic estimate/observe
 // cycle per intersecting shard, fanned out in parallel. Estimates and
@@ -679,27 +730,7 @@ func (s *ShardedSystem) targets(q *Query) []*shard {
 // shard (range outside the world) returns (0, 0) without consulting any
 // module.
 func (s *ShardedSystem) EstimateAndExecute(q *Query) (estimate float64, actual int) {
-	// Validate (and under ValidationClamp, repair) the query before shard
-	// routing: a NaN or inverted rectangle would otherwise silently match
-	// no shard. Engine-level rejects are counted in shard 0's gauges.
-	if !checkQuery(q, s.policy, s.world, &s.shards[0].gauges, s.shards[0].log) {
-		return 0, 0
-	}
-	targets := s.targets(q)
-	switch len(targets) {
-	case 0:
-		return 0, 0
-	case 1:
-		sh := targets[0]
-		sh.drainFeeds()
-		start := time.Now()
-		sh.mu.Lock()
-		estimate, actual = sh.sys.estimateAndExecute(q)
-		sh.mu.Unlock()
-		sh.gauges.RecordQuery(time.Since(start))
-		return estimate, actual
-	}
-	return s.fanOut(q, targets)
+	return s.EstimateAndExecuteTraced(q, nil)
 }
 
 // fanOut runs the scatter-gather path over the already-routed target
@@ -717,12 +748,7 @@ func (s *ShardedSystem) fanOut(q *Query, targets []*shard) (estimate float64, ac
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			sh.drainFeeds()
-			start := time.Now()
-			sh.mu.Lock()
-			e, a := sh.sys.estimateAndExecute(q)
-			sh.mu.Unlock()
-			sh.gauges.RecordQuery(time.Since(start))
+			e, a := sh.query(q, nil, nil)
 			parts[i] = partial{est: e, act: a}
 		}(i, sh)
 	}

@@ -3,15 +3,14 @@ package latest
 import (
 	"bytes"
 	"context"
-	"fmt"
 
 	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/persist"
 	"github.com/spatiotext/latest/internal/telemetry"
 )
 
-// snapshot.go implements Engine.Snapshot / Engine.Restore for the three
-// engine shapes. A snapshot is one LSNP container (internal/persist) whose
+// snapshot.go implements Engine.Snapshot / Engine.Restore for the two
+// engine types. A snapshot is one LSNP container (internal/persist) whose
 // sections are:
 //
 //	meta               engine kind, config fingerprint, generation
@@ -19,14 +18,17 @@ import (
 //	[shard-N/]module   lifecycle counters, brain, estimator summaries
 //	[shard-N/]engine   the stream clock high-water mark
 //
-// The monolithic engines write unprefixed sections; ShardedSystem writes
-// one section group per shard. Every section and the whole file are CRC
-// guarded; the container checksum is verified before the version field, so
-// bit rot surfaces as CodeCorrupt rather than masquerading as skew.
+// System and NewConcurrent's one-shard engine write unprefixed sections;
+// NewSharded's writes one section group per shard. Every section and the
+// whole file are CRC guarded; the container checksum is verified before the
+// version field, so bit rot surfaces as CodeCorrupt rather than
+// masquerading as skew.
 
-// Engine-kind strings recorded in snapshot meta. System and
-// ConcurrentSystem share "single": the wrapper adds a mutex, not state, so
-// their snapshots are interchangeable.
+// snapKindSingle is the engine kind System and NewConcurrent record in
+// snapshot meta: one module, one window, the same sections, so their
+// snapshots are interchangeable. NewSharded records "sharded:RxC" — the
+// grid shape is part of the on-disk contract because its section groups
+// are keyed by shard index.
 const snapKindSingle = "single"
 
 // metaSectionName is the section every snapshot must carry.
@@ -141,7 +143,7 @@ func decodeMeta(snap *persist.Snapshot, wantKind string, wantFP []byte) (gen uin
 }
 
 // writeSections serializes one System's state group into sw under prefix
-// ("" for the monolithic engines, "shard-N/" per shard).
+// ("" or "shard-N/"; see shard.prefix).
 func (s *System) writeSections(sw *persist.SnapshotWriter, prefix string) error {
 	_ = sw.EncodeSection(prefix+"window", func(e *persist.Enc) error {
 		s.window.SaveState(e)
@@ -206,7 +208,7 @@ func (s *System) readSections(snap *persist.Snapshot, prefix string) error {
 // atomically (the pairing commits with the snapshot's rename).
 //
 // System is single-goroutine: do not call Snapshot concurrently with
-// traffic (use ConcurrentSystem, ShardedSystem or DurableEngine for that).
+// traffic (use NewConcurrent, NewSharded or DurableEngine for that).
 func (s *System) Snapshot(ctx context.Context, st Store) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -257,35 +259,6 @@ func (s *System) Restore(ctx context.Context, st Store) error {
 	return nil
 }
 
-// Snapshot serializes the wrapped System under the engine lock; see
-// System.Snapshot. Safe to call while traffic flows — feeds and queries
-// wait for the capture.
-func (c *ConcurrentSystem) Snapshot(ctx context.Context, st Store) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sys.Snapshot(ctx, st)
-}
-
-// Restore loads a snapshot into this freshly constructed engine; see
-// System.Restore. ConcurrentSystem shares System's on-disk shape ("single"
-// kind): the wrapper adds a mutex, not state, so either can restore the
-// other's snapshots.
-func (c *ConcurrentSystem) Restore(ctx context.Context, st Store) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sys.Restore(ctx, st)
-}
-
-// snapKind returns the sharded engine's kind string: the grid shape is
-// part of the on-disk contract because shard section groups are keyed by
-// shard index.
-func (s *ShardedSystem) snapKind() string {
-	return fmt.Sprintf("sharded:%dx%d", s.rows, s.cols)
-}
-
-// shardPrefix names shard i's section group.
-func shardPrefix(i int) string { return fmt.Sprintf("shard-%d/", i) }
-
 // Snapshot serializes every shard into st as one atomic artifact. All
 // shard locks are held for the duration (acquired in shard order), so the
 // capture is a consistent cut with respect to feeds and single-shard
@@ -317,12 +290,12 @@ func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
 		windowBytes += sh.sys.window.MemoryBytes()
 	}
 	sw := persist.NewSnapshotWriter(windowBytes)
-	sw.Section(metaSectionName, encodeMeta(s.snapKind(), s.fingerprint, s.gen+1))
-	for i, sh := range s.shards {
+	sw.Section(metaSectionName, encodeMeta(s.snapKind, s.fingerprint, s.gen+1))
+	for _, sh := range s.shards {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := sh.sys.writeSections(sw, shardPrefix(i)); err != nil {
+		if err := sh.sys.writeSections(sw, sh.prefix); err != nil {
 			return err
 		}
 	}
@@ -348,7 +321,7 @@ func (s *ShardedSystem) Restore(ctx context.Context, st Store) error {
 	if err != nil {
 		return err
 	}
-	gen, err := decodeMeta(snap, s.snapKind(), s.fingerprint)
+	gen, err := decodeMeta(snap, s.snapKind, s.fingerprint)
 	if err != nil {
 		return err
 	}
@@ -364,11 +337,11 @@ func (s *ShardedSystem) Restore(ctx context.Context, st Store) error {
 			sh.mu.Unlock()
 		}
 	}()
-	for i, sh := range s.shards {
+	for _, sh := range s.shards {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := sh.sys.readSections(snap, shardPrefix(i)); err != nil {
+		if err := sh.sys.readSections(snap, sh.prefix); err != nil {
 			return err
 		}
 	}

@@ -42,15 +42,6 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 	}
 }
 
-// TelemetrySnapshot returns the same point-in-time view the /statusz
-// endpoint serves: merged engine stats plus per-shard operational gauges.
-// Exported so an external scrape source — the serving layer's admin plane,
-// an embedding application's own exposition server — can publish an engine
-// that was built without WithTelemetry.
-func (c *ConcurrentSystem) TelemetrySnapshot() telemetry.Snapshot {
-	return c.telemetrySnapshot()
-}
-
 // TelemetrySnapshot returns the /statusz view of a single-goroutine
 // System, reporting itself as shard 0 of a one-shard engine. Unlike the
 // concurrent shapes it must not be called while another goroutine drives
@@ -80,43 +71,14 @@ func (s *System) TelemetrySnapshot() telemetry.Snapshot {
 }
 
 // TelemetrySnapshot returns the same point-in-time view the /statusz
-// endpoint serves. See ConcurrentSystem.TelemetrySnapshot.
+// endpoint serves: per-shard samples plus the merged module view, each
+// shard's lock taken briefly in turn. Exported so an external scrape source
+// — the serving layer's admin plane, an embedding application's own
+// exposition server — can publish an engine built without WithTelemetry.
 func (s *ShardedSystem) TelemetrySnapshot() telemetry.Snapshot {
-	return s.telemetrySnapshot()
-}
-
-// telemetrySnapshot is the ConcurrentSystem scrape source: the wrapped
-// System as a single shard 0. Stats takes the engine lock briefly; the
-// gauges are read atomically.
-func (c *ConcurrentSystem) telemetrySnapshot() telemetry.Snapshot {
-	c.mu.Lock()
-	st := c.sys.Stats()
-	ws := c.sys.WindowSize()
-	c.mu.Unlock()
-	g := c.sys.gauges.Snapshot()
-	return telemetry.Snapshot{
-		Engine:      "concurrent",
-		Phase:       st.Phase.String(),
-		Active:      st.Active,
-		Switches:    st.Switches,
-		AccuracyAvg: st.AccuracyAvg,
-		MemoryBytes: st.MemoryBytes,
-		WindowSize:  ws,
-		WindowBytes: g.WindowBytes,
-		Shards:      []telemetry.ShardSample{shardSample(0, st, g)},
-		Decisions:   st.Decisions,
-		QError:      st.QError,
-		Drift:       st.Drift,
-		Resilience:  st.Resilience,
-	}
-}
-
-// telemetrySnapshot is the ShardedSystem scrape source: per-shard samples
-// plus the merged module view. Each shard's lock is taken briefly in turn.
-func (s *ShardedSystem) telemetrySnapshot() telemetry.Snapshot {
 	st := s.PerShardStats()
 	snap := telemetry.Snapshot{
-		Engine:      "sharded",
+		Engine:      s.engine,
 		Phase:       st.Merged.Phase.String(),
 		Active:      st.Merged.Active,
 		Switches:    st.Merged.Switches,

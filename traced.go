@@ -17,9 +17,9 @@ import (
 
 // TracedEngine is the optional tracing extension of Engine: engines that
 // can attribute per-stage spans (notably the active estimator's inference
-// latency) to an in-flight request trace. All four shapes — System,
-// ConcurrentSystem, ShardedSystem, DurableEngine — implement it. Callers
-// holding only an Engine should type-assert and fall back to
+// latency) to an in-flight request trace. Every engine — System,
+// ShardedSystem (NewConcurrent's included), DurableEngine — implements it.
+// Callers holding only an Engine should type-assert and fall back to
 // EstimateAndExecute.
 type TracedEngine interface {
 	Engine
@@ -45,40 +45,19 @@ func (s *System) EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveTrace) (
 	return estimate, actual
 }
 
-// EstimateAndExecuteTraced implements TracedEngine; the trace is installed
-// under the engine lock, so concurrent queries cannot interleave spans.
-func (c *ConcurrentSystem) EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveTrace) (estimate float64, actual int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sys.EstimateAndExecuteTraced(q, tr)
-}
-
-// EstimateAndExecuteTraced implements TracedEngine. A single-shard query
+// EstimateAndExecuteTraced implements TracedEngine, and with a nil trace
+// is EstimateAndExecute: both take this one path. A single-shard query
 // threads the trace into that shard's module (the common case — point and
 // small-range queries route to one shard); the scatter-gather path records
 // one whole-fan-out span instead, because the trace recorder is
 // single-owner and the partial queries run on concurrent goroutines.
 func (s *ShardedSystem) EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveTrace) (estimate float64, actual int) {
-	if tr == nil {
-		return s.EstimateAndExecute(q)
-	}
-	if !checkQuery(q, s.policy, s.world, &s.shards[0].gauges, s.shards[0].log) {
-		return 0, 0
-	}
-	targets := s.targets(q)
+	targets := s.route(q)
 	switch len(targets) {
 	case 0:
 		return 0, 0
 	case 1:
-		sh := targets[0]
-		start := time.Now()
-		sh.mu.Lock()
-		sh.sys.module.SetTrace(tr)
-		estimate, actual = sh.sys.estimateAndExecute(q)
-		sh.sys.module.SetTrace(nil)
-		sh.mu.Unlock()
-		sh.gauges.RecordQuery(time.Since(start))
-		return estimate, actual
+		return targets[0].query(q, tr, nil)
 	}
 	start := time.Now()
 	estimate, actual = s.fanOut(q, targets)

@@ -126,3 +126,54 @@ func TestDurableTraced(t *testing.T) {
 	tr := traceOne(t, dur, tracedHybridQuery(w))
 	estimatorSpanOf(t, tr, dur.Stats().Active)
 }
+
+// TestTracedQueryReadsOwnWrites: a traced query waits for the target
+// shard's queued feeds exactly as an untraced one does. On the pipelined
+// engine FeedBatch returns once the batch is queued, so a query issued
+// straight after it lands while the feed worker is still applying — the
+// exact count it observes is what the switch trains on, and it must already
+// include the batch.
+func TestTracedQueryReadsOwnWrites(t *testing.T) {
+	const rounds = 50
+	batch := 20_000
+	if testing.Short() {
+		// A tenth the inserts for the race detector's repeated runs; the
+		// smaller batch loses the race on the undrained path as often.
+		batch = 2_000
+	}
+	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	// Inside shard 0 of the 2x2 grid, so the 4-shard query has one target.
+	spot := CenteredRect(Pt(0.25, 0.25), 0.1, 0.1)
+	sharded := func(n int) *ShardedSystem {
+		s := MustNewSharded(world, time.Second, WithShards(n), WithSeed(1))
+		t.Cleanup(s.Close)
+		return s
+	}
+	for name, eng := range map[string]TracedEngine{
+		"sharded1": sharded(1),
+		"sharded4": sharded(4),
+		"durable":  quietDurable(t, sharded(1), &countStore{Store: NewMemStore()}, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			tb := telemetry.NewTraceBuffer(4, 1)
+			objs := make([]Object, batch)
+			for round := 1; round <= rounds; round++ {
+				// Each round is a window span after the last, so the window
+				// holds this round's batch and nothing else.
+				ts := int64(round) * 2000
+				for i := range objs {
+					objs[i] = Object{ID: uint64(i), Loc: Pt(0.2+0.1*float64(i)/float64(batch), 0.25), Timestamp: ts}
+				}
+				eng.FeedBatch(objs)
+				q := SpatialQuery(spot, ts)
+				tr := tb.Start("estimate", telemetry.NewTraceID())
+				_, traced := eng.EstimateAndExecuteTraced(&q, tr)
+				tr.Finish()
+				_, untraced := eng.EstimateAndExecute(&q)
+				if traced != batch || untraced != batch {
+					t.Fatalf("round %d: traced query counted %d, untraced %d, fed %d", round, traced, untraced, batch)
+				}
+			}
+		})
+	}
+}

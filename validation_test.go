@@ -231,6 +231,44 @@ func TestValidationShardedRouting(t *testing.T) {
 	}
 }
 
+// TestValidationOutOfWorldRange: a range wholly outside the world matches
+// no shard, so every concurrent-safe constructor answers (0, 0) without
+// spending a training record on it; only ValidationStrict counts it as a
+// reject.
+func TestValidationOutOfWorldRange(t *testing.T) {
+	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	for name, build := range map[string]func(...Option) *ShardedSystem{
+		"NewConcurrent": func(opts ...Option) *ShardedSystem {
+			return MustNewConcurrent(world, 10*time.Second, opts...).ShardedSystem
+		},
+		"NewSharded(1)": func(opts ...Option) *ShardedSystem {
+			return MustNewSharded(world, 10*time.Second, append(opts, WithShards(1))...)
+		},
+		"NewSharded(4)": func(opts ...Option) *ShardedSystem {
+			return MustNewSharded(world, 10*time.Second, append(opts, WithShards(4))...)
+		},
+	} {
+		for _, policy := range []ValidationPolicy{ValidationClamp, ValidationStrict, ValidationDrop} {
+			eng := build(WithSeed(1), WithValidation(policy))
+			eng.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 1})
+			outside := SpatialQuery(Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 1)
+			est, actual := eng.EstimateAndExecute(&outside)
+			var rejected, want uint64
+			for _, sh := range eng.PerShardStats().Shards {
+				rejected += sh.Gauges.ValidationRejected
+			}
+			if policy == ValidationStrict {
+				want = 1
+			}
+			if seen := eng.Stats().PretrainSeen; est != 0 || actual != 0 || seen != 0 || rejected != want {
+				t.Errorf("%s/%v: answered (%v, %d), PretrainSeen %d, ValidationRejected %d; want (0, 0), 0, %d",
+					name, policy, est, actual, seen, rejected, want)
+			}
+			eng.Close()
+		}
+	}
+}
+
 func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 	// Regression: the concurrent and sharded wrappers used to advance their
 	// timestamp high-water mark before validation ran, so a rejected object
