@@ -29,7 +29,11 @@ type TelemetryReport = telemetry.Snapshot
 type Engine interface {
 	// Feed ingests one stream object.
 	Feed(o Object)
-	// FeedBatch ingests a batch of stream objects in order.
+	// FeedBatch ingests a batch of stream objects in order. The engine
+	// copies what it keeps: objs itself may be reused on return, and so
+	// may the keyword arrays its objects point to once the batch has been
+	// applied — on return, except from a ShardedSystem with pipelined
+	// ingest, whose FeedBatch says when. Keyword strings are immutable.
 	FeedBatch(objs []Object)
 	// EstimateAndExecute answers the query approximately, then exactly,
 	// and feeds the truth back to the switching model.

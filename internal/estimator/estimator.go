@@ -29,7 +29,11 @@ type Estimator interface {
 	// Name identifies the estimator in model features, logs and figures.
 	Name() string
 	// Insert observes a stream object. Timestamps must be non-decreasing
-	// across calls; estimators use them to expire their summaries.
+	// across calls; estimators use them to expire their summaries. Insert
+	// must not retain o or o.Keywords: an estimator copies what it keeps,
+	// and the caller may reuse both on return — the window store feeds a
+	// pre-fill from one scratch Object. Keyword strings are immutable and
+	// may be kept as they are.
 	Insert(o *stream.Object)
 	// Estimate answers an RC-DVQ with an approximate count over the window
 	// ending at q.Timestamp.

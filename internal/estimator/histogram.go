@@ -27,6 +27,9 @@ type Histogram struct {
 	grid   *geo.Grid
 	slicer Slicer
 	// ring[s*cells+c] is slice s's count for cell c; live[c] caches sums.
+	// Both are nil while the histogram counts nothing — from construction
+	// or Reset until the first Insert — so a wiped H4096 costs its struct.
+	// A nil array reads as all zeros wherever the state is observed.
 	ring []float64
 	live []float64
 	cur  int
@@ -39,12 +42,7 @@ type Histogram struct {
 func NewHistogram(p Params) *Histogram {
 	cells := nearestSquare(p.scaledInt(defaultHistCells, 16))
 	g := geo.NewSquareGrid(p.World, cells)
-	return &Histogram{
-		grid:   g,
-		slicer: NewSlicer(p.Span, defaultHistSlices),
-		ring:   make([]float64, defaultHistSlices*cells),
-		live:   make([]float64, cells),
-	}
+	return &Histogram{grid: g, slicer: NewSlicer(p.Span, defaultHistSlices)}
 }
 
 // nearestSquare rounds n to the nearest perfect square ≥ 1.
@@ -67,6 +65,10 @@ func (h *Histogram) Name() string { return NameH4096 }
 func (h *Histogram) Cells() int { return h.grid.NumCells() }
 
 func (h *Histogram) rotate(n int) {
+	if h.ring == nil { // every slice is zero: only the position moves
+		h.cur = (h.cur + n) % h.slicer.Slices()
+		return
+	}
 	cells := h.grid.NumCells()
 	for i := 0; i < n; i++ {
 		h.cur = (h.cur + 1) % h.slicer.Slices()
@@ -84,6 +86,10 @@ func (h *Histogram) rotate(n int) {
 // Insert implements Estimator.
 func (h *Histogram) Insert(o *stream.Object) {
 	h.rotate(h.slicer.AdvanceTo(o.Timestamp))
+	if h.ring == nil {
+		cells := h.grid.NumCells()
+		h.ring, h.live = make([]float64, h.slicer.Slices()*cells), make([]float64, cells)
+	}
 	c := h.grid.CellOf(o.Loc)
 	h.ring[h.cur*h.grid.NumCells()+c]++
 	h.live[c]++
@@ -97,6 +103,9 @@ func (h *Histogram) Estimate(q *stream.Query) float64 {
 	h.rotate(h.slicer.AdvanceTo(q.Timestamp))
 	if !q.HasRange {
 		return h.totalLive
+	}
+	if h.live == nil { // every cell reads zero
+		return 0
 	}
 	cr := h.grid.CellsOverlapping(q.Range)
 	est := 0.0
@@ -118,14 +127,10 @@ func (h *Histogram) Estimate(q *stream.Query) float64 {
 // Observe implements Estimator; the histogram does not learn from feedback.
 func (h *Histogram) Observe(q *stream.Query, actual float64) {}
 
-// Reset implements Estimator.
+// Reset implements Estimator. The counter arrays are released, not
+// zeroed, so an idle histogram pins nothing.
 func (h *Histogram) Reset() {
-	for i := range h.ring {
-		h.ring[i] = 0
-	}
-	for i := range h.live {
-		h.live[i] = 0
-	}
+	h.ring, h.live = nil, nil
 	h.cur = 0
 	h.totalLive = 0
 	h.slicer.Reset()

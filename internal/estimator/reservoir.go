@@ -14,8 +14,7 @@ import (
 const defaultReservoirCapacity = 16384
 
 // sample is a retained stream object as SPN and ED keep it, and the unit
-// every reservoir serializes. Keyword slices are shared with the inserted
-// object, which the driver treats as immutable after insert.
+// every reservoir serializes. Its keyword slice is the sample's own.
 type sample struct {
 	loc geo.Point
 	kws []string

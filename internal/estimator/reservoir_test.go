@@ -129,6 +129,43 @@ func TestRSHSlotMapInvariants(t *testing.T) {
 	}
 }
 
+// TestRSHRangeQueryEmptiesStore purges the last sample from inside the
+// bucket walk: a few samples, then a whole-world range query past the span.
+// The walk keeps reading the bucket index after the store has emptied.
+func TestRSHRangeQueryEmptiesStore(t *testing.T) {
+	p := testParams()
+	queries := map[string]func(ts int64) stream.Query{
+		"spatial": func(ts int64) stream.Query { return stream.SpatialQ(p.World, ts) },
+		"hybrid":  func(ts int64) stream.Query { return stream.HybridQ(p.World, []string{"kw0", "kw1"}, ts) },
+	}
+	for name, build := range queries {
+		for _, n := range []int{1, 5} {
+			r := NewReservoirHashmap(p)
+			rng := rand.New(rand.NewSource(13))
+			ts := int64(0)
+			for i := 0; i < n; i++ {
+				ts++
+				o := genObject(rng, uint64(i), ts)
+				r.Insert(&o)
+			}
+			q := build(ts + p.Span + 1)
+			if got := r.Estimate(&q); got != 0 {
+				t.Errorf("%s, %d samples: estimate %v over an expired store, want 0", name, n, got)
+			}
+			if r.Len() != 0 {
+				t.Errorf("%s, %d samples: Len = %d after every sample expired", name, n, r.Len())
+			}
+			checkRSHInvariants(t, name+" purge to empty", r)
+			o := genObject(rng, 99, q.Timestamp+1)
+			r.Insert(&o)
+			if r.Len() != 1 {
+				t.Errorf("%s, %d samples: insert after the purge left Len = %d", name, n, r.Len())
+			}
+			checkRSHInvariants(t, name+" insert after purge", r)
+		}
+	}
+}
+
 func TestRSHAgreesWithRSL(t *testing.T) {
 	// Same stream, same seed conventions: both samplers should produce
 	// estimates in the same ballpark (they share the estimation math).
@@ -242,7 +279,8 @@ func checkStoreInvariants(t testing.TB, stage string, s *sampleStore) {
 }
 
 // checkRSHInvariants adds the slot-map's: every bucket entry and its slot's
-// link point at each other, and every slot is in the bucket of its cell.
+// link point at each other, every slot is in the bucket of its cell, and
+// the bucket index exists exactly while there are samples.
 func checkRSHInvariants(t testing.TB, stage string, r *ReservoirHashmap) {
 	t.Helper()
 	checkStoreInvariants(t, stage, &r.sampleStore)
@@ -258,6 +296,9 @@ func checkRSHInvariants(t testing.TB, stage string, r *ReservoirHashmap) {
 	}
 	if seen != len(r.links) || len(r.ts) != len(r.links) {
 		t.Fatalf("%s: buckets hold %d refs, %d links, %d samples", stage, seen, len(r.links), len(r.ts))
+	}
+	if (len(r.ts) == 0) != (r.buckets == nil) {
+		t.Fatalf("%s: %d samples, bucket index of %d cells", stage, len(r.ts), len(r.buckets))
 	}
 }
 

@@ -26,7 +26,7 @@ type ReservoirHashmap struct {
 	reservoir
 	grid    *geo.Grid
 	links   []bucketLink // parallel to the store's slots
-	buckets [][]int32    // by cell
+	buckets [][]int32    // by cell; nil while the store is empty
 }
 
 type bucketLink struct {
@@ -38,11 +38,7 @@ type bucketLink struct {
 func NewReservoirHashmap(p Params) *ReservoirHashmap {
 	cells := nearestSquare(p.scaledInt(defaultRSHGridCells, 16))
 	g := geo.NewSquareGrid(p.World, cells)
-	return &ReservoirHashmap{
-		reservoir: newReservoir(p, 0x5248),
-		grid:      g,
-		buckets:   make([][]int32, g.NumCells()),
-	}
+	return &ReservoirHashmap{reservoir: newReservoir(p, 0x5248), grid: g}
 }
 
 // Name implements Estimator.
@@ -75,9 +71,17 @@ func (r *ReservoirHashmap) removeSlot(j int32) {
 	}
 	r.links = r.links[:len(r.ts)]
 	if len(r.ts) == 0 {
-		// As the store released itself: every bucket is empty.
+		// As the store released itself. The bucket index stays until the
+		// caller's releaseEmptied: Estimate's bucket walk may be what got here.
 		r.links = nil
-		clear(r.buckets)
+	}
+}
+
+// releaseEmptied drops the bucket index once a purge has emptied the store.
+// Whoever calls removeSlot calls this when it has finished with the buckets.
+func (r *ReservoirHashmap) releaseEmptied() {
+	if len(r.ts) == 0 {
+		r.buckets = nil
 	}
 }
 
@@ -93,6 +97,9 @@ func (r *ReservoirHashmap) Insert(o *stream.Object) {
 	if int(j) < len(r.ts) {
 		r.detach(j)
 	} else {
+		if r.buckets == nil {
+			r.buckets = make([][]int32, r.grid.NumCells())
+		}
 		r.links = append(r.links, bucketLink{})
 	}
 	r.put(j, o.Timestamp, o.Loc, o.Keywords, r.capacity)
@@ -108,6 +115,7 @@ func (r *ReservoirHashmap) purgeSome(cutoff int64, n int) {
 			r.removeSlot(j)
 		}
 	}
+	r.releaseEmptied()
 }
 
 // Estimate implements Estimator. A query with a range walks the grid
@@ -120,12 +128,16 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 		for i := r.nextExpired(0, cutoff); i >= 0; i = r.nextExpired(i, cutoff) {
 			r.removeSlot(i)
 		}
+		r.releaseEmptied()
 		matches := len(r.ts)
 		if len(q.Keywords) > 0 {
 			r.resolve(q.Keywords)
 			matches = r.countPostings(q)
 		}
 		return r.estimate(matches, q.Timestamp)
+	}
+	if r.buckets == nil { // no sample, no bucket to walk
+		return 0
 	}
 	cr := r.grid.CellsOverlapping(q.Range)
 	// A hybrid query is counted through the posting lists when they are
@@ -165,17 +177,17 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 			}
 		}
 	}
+	r.releaseEmptied()
 	if viaPostings {
 		matches = r.countPostings(q)
 	}
 	return r.estimate(matches, q.Timestamp)
 }
 
-// Reset implements Estimator. Store, links and bucket slices are released,
-// not truncated, for the reason ReservoirList.Reset gives.
+// Reset implements Estimator. Store, links and the bucket index are
+// released, not truncated, for the reason ReservoirList.Reset gives.
 func (r *ReservoirHashmap) Reset() {
-	r.sampleStore, r.links = sampleStore{}, nil
-	clear(r.buckets)
+	r.sampleStore, r.links, r.buckets = sampleStore{}, nil, nil
 	r.counter.Reset()
 }
 

@@ -73,22 +73,27 @@ func (s *SPNEstimator) Retrains() int { return s.retrains }
 // retraining.
 func (s *SPNEstimator) Insert(o *stream.Object) {
 	s.counter.Add(o.Timestamp)
-	sm := sample{loc: o.Loc, kws: o.Keywords, ts: o.Timestamp}
 	if len(s.samples) < s.capacity {
-		s.samples = append(s.samples, sm)
+		s.samples = append(s.samples, admitted(o))
 	} else {
 		n := int(s.counter.Live(o.Timestamp))
 		if n < s.capacity {
 			n = s.capacity
 		}
 		if j := s.rng.Intn(n); j < s.capacity {
-			s.samples[j] = sm
+			s.samples[j] = admitted(o)
 		}
 	}
 	s.sinceRetrain++
 	if s.sinceRetrain >= s.retrainEvery {
 		s.retrain(o.Timestamp)
 	}
+}
+
+// admitted is o as a retained sample, with its own copy of the keywords:
+// the caller's slice is not kept. Only an admitted object pays for it.
+func admitted(o *stream.Object) sample {
+	return sample{loc: o.Loc, kws: append([]string(nil), o.Keywords...), ts: o.Timestamp}
 }
 
 // retrain purges expired samples and rebuilds the SPN from the survivors.

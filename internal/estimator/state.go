@@ -99,13 +99,38 @@ func sampleCount(d *persist.Dec, capacity int, op string) (int, error) {
 
 // --- H4096 ---
 
-// SaveState implements Stateful.
+// SaveState implements Stateful. A histogram that counts nothing writes
+// the zeros its released arrays stand for: the image does not say whether
+// they were allocated.
 func (h *Histogram) SaveState(e *persist.Enc) {
 	saveSlicer(e, &h.slicer)
-	e.F64s(h.ring)
-	e.F64s(h.live)
+	cells := h.grid.NumCells()
+	saveCounts(e, h.ring, h.slicer.Slices()*cells)
+	saveCounts(e, h.live, cells)
 	e.Int(h.cur)
 	e.F64(h.totalLive)
+}
+
+// saveCounts writes vs as Enc.F64s does, or n zeros when vs is nil.
+func saveCounts(e *persist.Enc, vs []float64, n int) {
+	if vs != nil {
+		e.F64s(vs)
+		return
+	}
+	e.U32(uint32(n))
+	for i := 0; i < n; i++ {
+		e.F64(0)
+	}
+}
+
+// allZero reports whether vs holds nothing but zeros.
+func allZero(vs []float64) bool {
+	for _, v := range vs {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // LoadState implements Stateful.
@@ -122,16 +147,18 @@ func (h *Histogram) LoadState(d *persist.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if len(ring) != len(h.ring) || len(live) != len(h.live) {
+	if cells := h.grid.NumCells(); len(ring) != h.slicer.Slices()*cells || len(live) != cells {
 		return persist.Errf(persist.CodeMismatch, op,
-			"ring %d / live %d, receiver %d / %d", len(ring), len(live), len(h.ring), len(h.live))
+			"ring %d / live %d, receiver %d / %d", len(ring), len(live), h.slicer.Slices()*cells, cells)
 	}
 	if cur < 0 || cur >= h.slicer.Slices() {
 		return persist.Errf(persist.CodeMalformed, op, "current slice %d of %d", cur, h.slicer.Slices())
 	}
+	if allZero(ring) && allZero(live) { // a wiped histogram restores released
+		ring, live = nil, nil
+	}
 	h.slicer = sl
-	copy(h.ring, ring)
-	copy(h.live, live)
+	h.ring, h.live = ring, live
 	h.cur, h.totalLive = cur, totalLive
 	return nil
 }
@@ -228,7 +255,10 @@ func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
 	}
 	// Rebuild buckets by placing each slot at its recorded position; any
 	// duplicate or out-of-range position means the image is inconsistent.
-	buckets := make([][]int32, len(r.buckets))
+	var buckets [][]int32
+	if len(links) > 0 {
+		buckets = make([][]int32, r.grid.NumCells())
+	}
 	for cell, n := range perCell {
 		b := make([]int32, n)
 		for i := range b {

@@ -281,8 +281,9 @@ func (d *Dec) U32s() []uint32 {
 }
 
 // Strs reads a length-prefixed []string. The slice is the caller's own;
-// equal strings read through one decoder share their bytes, so a restored
-// window holds each keyword once rather than once per object carrying it.
+// equal strings read through one decoder share their bytes, so a restore
+// or a log replay, which keeps only the words new to its dictionaries,
+// allocates a recent keyword once rather than once per object carrying it.
 func (d *Dec) Strs() []string {
 	n := d.length(4, "[]string")
 	if d.err != nil || n == 0 {

@@ -72,7 +72,7 @@ func (w *Window) LoadState(d *persist.Dec) error {
 			return persist.Errf(persist.CodeMalformed, op, "objects out of order (%d after %d)", o.Timestamp, last)
 		}
 		last = o.Timestamp
-		w.append(o)
+		w.append(&o)
 	}
 	w.inserted = inserted
 	w.evicted = evicted

@@ -2,27 +2,66 @@ package stream
 
 import (
 	"fmt"
+	"strings"
 	"unsafe"
 
 	"github.com/spatiotext/latest/internal/geo"
 )
 
-// The object arena is a FIFO of fixed-size chunks. 512 objects (28 KB) keep
+// The object arena is a FIFO of fixed-size chunks. 512 objects (18 KB) keep
 // the partly used head and tail chunks plus the spare under 2 % of a
 // 60 000-object shard while a small window still costs one chunk.
 const (
 	chunkShift = 9
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
-	chunkBytes = chunkSize * int(unsafe.Sizeof(Object{}))
+	blockBytes = int(unsafe.Sizeof(block{}))
+	chunkBytes = int(unsafe.Sizeof(chunk{})) // block pointer and ID store header
 )
 
-type chunk [chunkSize]Object
+// rec is the fixed part of a live object. It holds no pointer: the window
+// keeps an object's keywords as dictionary IDs beside it, so nothing the
+// producer allocated stays reachable through the arena.
+type rec struct {
+	id  uint64
+	loc geo.Point
+	ts  int64
+}
 
-// postingBytes estimates what one live keyword costs beyond its ring
-// buffer: the heap-allocated ring header plus a map slot (16-byte key,
-// 8-byte pointer, control byte) at the map's typical two-thirds load.
-const postingBytes = ringHeaderBytes + 40
+// block is the storage of chunkSize consecutive arena slots: the records,
+// and for each slot where its keyword IDs end in the chunk's ID store (they
+// start where the previous slot's end). It is pointer-free, so the
+// collector never scans it, and exactly fills an 18 KB size class.
+type block struct {
+	recs [chunkSize]rec
+	end  [chunkSize]uint32
+}
+
+// chunk is a block and the keyword IDs of its objects, in arrival order
+// and with repeats, so that an object reads back with the keyword list it
+// was inserted with. The ID store grows by append and keeps its capacity
+// when the chunk is recycled.
+type chunk struct {
+	*block
+	kws []uint32
+}
+
+// ids returns the keyword IDs of the object in slot i.
+func (c *chunk) ids(i int) []uint32 {
+	start := uint32(0)
+	if i > 0 {
+		start = c.end[i-1]
+	}
+	return c.kws[start:c.end[i]]
+}
+
+// dictWordBytes estimates what the dictionary holds per word beyond the
+// word's bytes and its ring's buffer: a map entry (16-byte key, 4-byte ID
+// and a control byte, 36 bytes at the map's typical two-thirds load), a
+// string header and a ring header. All three are sized by the most words
+// that were ever live together: a Go map does not shrink, and neither do
+// the arrays IDs index.
+const dictWordBytes = 36 + int(unsafe.Sizeof("")) + ringHeaderBytes
 
 // Window is the exact store of S_T: every live object of the last T time
 // units, indexed by a uniform grid and an inverted keyword index. It is the
@@ -30,12 +69,21 @@ const postingBytes = ringHeaderBytes + 40
 // processor whose system logs reveal true selectivity. Count answers RC-DVQ
 // exactly and is used to score every estimator.
 //
+// The window owns every byte it keeps. An object is a pointer-free record
+// plus its keywords as IDs from the window's own dictionary, which holds
+// each live word once; Insert copies what it needs and retains neither the
+// Object nor its keyword slice, and Each hands out a scratch copy. A word
+// lives while some live object carries it — its posting ring's length is
+// its reference count — and its ID is reused afterwards. IDs are derived
+// data: SaveState spells the words out, so a restored window need not, and
+// does not, reproduce them.
+//
 // Everything in it is a FIFO, so nothing is ever copied to reclaim space:
 // objects sit in fixed-size chunks that are handed from the evicting head
 // to the inserting tail through one spare, and each cell and keyword lists
 // its objects in a ring of 32-bit truncated sequence numbers. The footprint
 // follows the live size, and at a steady rate Insert allocates only when a
-// ring changes size or a keyword enters the window.
+// ring or a chunk's ID store grows or a keyword enters the window.
 //
 // Window is not safe for concurrent use; the simulation driver owns it.
 type Window struct {
@@ -45,19 +93,30 @@ type Window struct {
 
 	// Object arena. chunks[0] holds the oldest live object and origin is
 	// the sequence number of its slot 0, so sequence number seq lives at
-	// offset seq-origin; base-origin < chunkSize. Evicted slots are zeroed
-	// so they pin no keyword strings; a chunk evicted whole becomes the
-	// spare, which the tail takes before allocating.
-	chunks []*chunk
-	spare  *chunk
+	// offset seq-origin; base-origin < chunkSize. A chunk evicted whole
+	// becomes the spare, which the tail takes before allocating.
+	chunks []chunk
+	spare  chunk
 	origin uint64
 	base   uint64 // sequence number of the oldest live object
 	n      int    // live objects
 
-	cells    []ring
-	postings map[string]*ring
-	slots    int      // total buffer capacity of all rings
-	seen     []uint64 // countKeyword's scratch bitmap, all zero between calls
+	// Keyword dictionary: word → ID, and by ID the word and its posting
+	// ring. A free ID has the empty ring and is listed in free; whether an
+	// ID is live is the map's to say, since "" is a word like any other.
+	ids      map[string]uint32
+	words    []string
+	postings []ring
+	free     []uint32
+
+	cells []ring
+
+	slots     int // total buffer capacity of all rings
+	kwSlots   int // total capacity of the chunks' ID stores, the spare's included
+	wordBytes int // total length of the live words
+
+	qids []uint32 // Count's scratch: the query's keywords as IDs
+	seen []uint64 // countKeyword's scratch bitmap, all zero between calls
 
 	inserted uint64 // lifetime insert count
 	evicted  uint64 // lifetime evict count
@@ -72,11 +131,11 @@ func NewWindow(world geo.Rect, span int64, gridCells int) *Window {
 	}
 	g := geo.NewSquareGrid(world, gridCells)
 	return &Window{
-		world:    world,
-		span:     span,
-		grid:     g,
-		cells:    make([]ring, g.NumCells()),
-		postings: make(map[string]*ring),
+		world: world,
+		span:  span,
+		grid:  g,
+		cells: make([]ring, g.NumCells()),
+		ids:   make(map[string]uint32),
 	}
 }
 
@@ -93,86 +152,113 @@ func (w *Window) Size() int { return w.n }
 func (w *Window) Inserted() uint64 { return w.inserted }
 
 // DistinctKeywords returns the number of distinct keywords currently live.
-func (w *Window) DistinctKeywords() int { return len(w.postings) }
+func (w *Window) DistinctKeywords() int { return len(w.ids) }
 
-// MemoryBytes returns the window's own footprint: arena chunks, ring
-// buffers and headers, and the postings map. Keyword strings belong to the
-// objects' producers and are not counted. O(1).
+// MemoryBytes returns the window's footprint, which is all its own: arena
+// chunks and their keyword ID stores, ring buffers and headers, and the
+// dictionary with the bytes of its words. O(1).
 func (w *Window) MemoryBytes() int {
-	chunks := len(w.chunks)
-	if w.spare != nil {
-		chunks++
+	blocks := len(w.chunks)
+	if w.spare.block != nil {
+		blocks++
 	}
-	return chunks*chunkBytes + 8*cap(w.chunks) +
+	return blocks*blockBytes + chunkBytes*cap(w.chunks) + 4*w.kwSlots +
 		ringHeaderBytes*len(w.cells) + 4*w.slots +
-		postingBytes*len(w.postings) + 8*cap(w.seen)
-}
-
-// at returns the arena slot at offset off from chunks[0][0].
-func (w *Window) at(off int) *Object {
-	return &w.chunks[off>>chunkShift][off&chunkMask]
+		dictWordBytes*cap(w.words) + w.wordBytes + 4*cap(w.free) +
+		4*cap(w.qids) + 8*cap(w.seen)
 }
 
 // arenaView resolves truncated sequence numbers to arena slots. Scan loops
 // take one by value so that the lookup reads no window field per object.
 type arenaView struct {
-	chunks []*chunk
+	chunks []chunk
 	origin uint32
 }
 
 func (w *Window) view() arenaView { return arenaView{w.chunks, uint32(w.origin)} }
 
-// obj returns the live object whose truncated sequence number is ref.
-func (a arenaView) obj(ref uint32) *Object {
+// rec returns the record of the live object whose truncated sequence
+// number is ref.
+func (a arenaView) rec(ref uint32) *rec {
 	off := ref - a.origin
-	return &a.chunks[off>>chunkShift][off&chunkMask]
+	return &a.chunks[off>>chunkShift].recs[off&chunkMask]
+}
+
+// ids returns that object's keyword IDs.
+func (a arenaView) ids(ref uint32) []uint32 {
+	off := ref - a.origin
+	return a.chunks[off>>chunkShift].ids(int(off & chunkMask))
 }
 
 // Insert appends an object to the window and evicts everything older than
-// o.Timestamp - T. Timestamps must be non-decreasing; Insert panics
-// otherwise because out-of-order arrival would corrupt the queue invariant.
+// o.Timestamp - T. The window copies what it keeps: neither o nor
+// o.Keywords is referenced once Insert returns. Timestamps must be
+// non-decreasing; Insert panics otherwise because out-of-order arrival
+// would corrupt the queue invariant.
 func (w *Window) Insert(o Object) {
 	off := w.base - w.origin + uint64(w.n) // arena offset of the new slot
 	if off >= 1<<32 {
 		panic(fmt.Sprintf("stream: %d live objects overflow 32-bit sequence refs", w.n))
 	}
 	if w.n > 0 {
-		if last := w.at(int(off) - 1).Timestamp; o.Timestamp < last {
+		if last := w.view().rec(uint32(w.NextSeq() - 1)).ts; o.Timestamp < last {
 			panic(fmt.Sprintf("stream: out-of-order insert (%d after %d)", o.Timestamp, last))
 		}
 	}
-	w.append(o)
+	w.append(&o)
 	w.inserted++
 	w.EvictBefore(o.Timestamp - w.span)
 }
 
 // append stores o at the arena tail under the next sequence number and
 // indexes it by cell and keyword.
-func (w *Window) append(o Object) {
+func (w *Window) append(o *Object) {
 	off := int(w.base-w.origin) + w.n
 	if off == len(w.chunks)<<chunkShift {
 		c := w.spare
-		if w.spare = nil; c == nil {
-			c = new(chunk)
+		w.spare = chunk{}
+		if c.block == nil {
+			c.block = new(block)
 		}
 		w.chunks = append(w.chunks, c)
 	}
-	*w.at(off) = o
+	c, slot := &w.chunks[off>>chunkShift], off&chunkMask
+	c.recs[slot] = rec{o.ID, o.Loc, o.Timestamp}
 	ref := uint32(w.base) + uint32(w.n)
 	w.n++
 
 	w.cells[w.grid.CellOf(o.Loc)].pushBack(ref, &w.slots)
-	for i, kw := range o.Keywords {
-		if repeated(o.Keywords, i) {
-			continue
+	start, had := len(c.kws), cap(c.kws)
+	for _, kw := range o.Keywords {
+		id := w.intern(kw)
+		// A word the object repeats is stored again and posted once.
+		if !containsID(c.kws[start:], id) {
+			w.postings[id].pushBack(ref, &w.slots)
 		}
-		pq := w.postings[kw]
-		if pq == nil {
-			pq = &ring{}
-			w.postings[kw] = pq
-		}
-		pq.pushBack(ref, &w.slots)
+		c.kws = append(c.kws, id)
 	}
+	c.end[slot] = uint32(len(c.kws))
+	w.kwSlots += cap(c.kws) - had
+}
+
+// intern returns the ID of word, entering a copy of it into the dictionary
+// if no live object carries it. The caller must post the ID at once: an ID
+// with an empty ring is free.
+func (w *Window) intern(word string) uint32 {
+	if id, ok := w.ids[word]; ok {
+		return id
+	}
+	var id uint32
+	if f := w.free; len(f) > 0 {
+		id, w.free = f[len(f)-1], f[:len(f)-1]
+	} else {
+		id = uint32(len(w.words))
+		w.words, w.postings = append(w.words, ""), append(w.postings, ring{})
+	}
+	word = strings.Clone(word)
+	w.ids[word], w.words[id] = id, word
+	w.wordBytes += len(word)
+	return id
 }
 
 // EvictBefore drops every object with Timestamp < cutoff. The driver also
@@ -181,34 +267,34 @@ func (w *Window) append(o Object) {
 func (w *Window) EvictBefore(cutoff int64) {
 	for w.n > 0 {
 		off := int(w.base - w.origin)
-		o := &w.chunks[0][off]
-		if o.Timestamp >= cutoff {
+		c := &w.chunks[0]
+		o := &c.recs[off]
+		if o.ts >= cutoff {
 			return
 		}
 		ref := uint32(w.base)
 
-		cq := &w.cells[w.grid.CellOf(o.Loc)]
+		cq := &w.cells[w.grid.CellOf(o.loc)]
 		if cq.len() == 0 || cq.front() != ref {
 			panic("stream: cell queue invariant violated")
 		}
 		cq.popFront(&w.slots)
 
-		for i, kw := range o.Keywords {
-			if repeated(o.Keywords, i) {
+		ids := c.ids(off)
+		for i, id := range ids {
+			if containsID(ids[:i], id) {
 				continue
 			}
-			pq := w.postings[kw]
-			if pq == nil || pq.len() == 0 || pq.front() != ref {
+			pq := &w.postings[id]
+			if pq.len() == 0 || pq.front() != ref {
 				panic("stream: posting queue invariant violated")
 			}
 			pq.popFront(&w.slots)
 			if pq.len() == 0 {
-				w.slots -= len(pq.buf)
-				delete(w.postings, kw)
+				w.release(id)
 			}
 		}
 
-		*o = Object{}
 		w.base++
 		w.n--
 		w.evicted++
@@ -218,14 +304,30 @@ func (w *Window) EvictBefore(cutoff int64) {
 	}
 }
 
-// releaseHead retires the fully evicted chunks[0], keeping it as the spare
-// if there is none.
+// release retires the word of id, whose last carrier has been evicted: the
+// dictionary forgets the word and its ring's buffer, and the ID is free.
+func (w *Window) release(id uint32) {
+	word := w.words[id]
+	delete(w.ids, word)
+	w.wordBytes -= len(word)
+	w.words[id] = ""
+	w.slots -= len(w.postings[id].buf)
+	w.postings[id] = ring{}
+	w.free = append(w.free, id)
+}
+
+// releaseHead retires the fully evicted chunks[0], keeping it, emptied, as
+// the spare if there is none.
 func (w *Window) releaseHead() {
-	if w.spare == nil {
-		w.spare = w.chunks[0]
+	head := w.chunks[0]
+	if w.spare.block == nil {
+		head.kws = head.kws[:0]
+		w.spare = head
+	} else {
+		w.kwSlots -= cap(head.kws)
 	}
 	last := copy(w.chunks, w.chunks[1:])
-	w.chunks[last] = nil
+	w.chunks[last] = chunk{}
 	w.chunks = w.chunks[:last]
 	w.origin += chunkSize
 }
@@ -240,25 +342,44 @@ func (w *Window) Answer(q *Query) int {
 
 // Count answers the RC-DVQ exactly over the current window contents. The
 // caller is responsible for having evicted up to q.Timestamp - T first
-// (Answer does both steps).
+// (Answer does both steps). A keyword predicate is resolved to dictionary
+// IDs once; from there on the count compares integers.
 func (w *Window) Count(q *Query) int {
 	if !q.Valid() {
 		return 0
 	}
-	switch q.Type() {
-	case SpatialQuery:
+	if len(q.Keywords) == 0 {
 		return w.countSpatial(q.Range, nil)
-	case KeywordQuery:
-		return w.countKeyword(q.Keywords, nil)
+	}
+	ids := w.resolve(q.Keywords)
+	switch {
+	case len(ids) == 0: // no live object carries any of the words
+		return 0
+	case !q.HasRange:
+		return w.countKeyword(ids, nil)
 	default:
-		return w.countHybrid(q)
+		return w.countHybrid(q.Range, ids)
 	}
 }
 
-// countSpatial counts window objects inside r that also match kws (nil kws
-// means no keyword predicate). Interior cells are counted without touching
-// objects when there is no keyword predicate.
-func (w *Window) countSpatial(r geo.Rect, kws []string) int {
+// resolve returns the IDs of the distinct live words among kws, in the
+// window's scratch. A word that is not in the dictionary is on no live
+// object, so it matches nothing and is dropped.
+func (w *Window) resolve(kws []string) []uint32 {
+	ids := w.qids[:0]
+	for _, kw := range kws {
+		if id, ok := w.ids[kw]; ok && !containsID(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	w.qids = ids
+	return ids
+}
+
+// countSpatial counts window objects inside r that also carry one of the
+// words ids (nil ids means no keyword predicate). Interior cells are
+// counted without touching objects when there is no keyword predicate.
+func (w *Window) countSpatial(r geo.Rect, ids []uint32) int {
 	cr := w.grid.CellsOverlapping(r)
 	total := 0
 	w.grid.ForEachCell(cr, func(idx int, cell geo.Rect) bool {
@@ -266,52 +387,46 @@ func (w *Window) countSpatial(r geo.Rect, kws []string) int {
 		if cq.len() == 0 {
 			return true
 		}
-		if kws == nil && r.ContainsRect(cell) {
+		if ids == nil && r.ContainsRect(cell) {
 			total += cq.len()
 			return true
 		}
 		a, b := cq.segments()
-		total += w.countRefs(a, r, kws) + w.countRefs(b, r, kws)
+		total += w.countRefs(a, r, ids) + w.countRefs(b, r, ids)
 		return true
 	})
 	return total
 }
 
-// countRefs counts the referenced objects inside r that match kws (nil kws
-// means no keyword predicate).
-func (w *Window) countRefs(refs []uint32, r geo.Rect, kws []string) int {
+// countRefs counts the referenced objects inside r that carry one of the
+// words ids (nil ids means no keyword predicate).
+func (w *Window) countRefs(refs []uint32, r geo.Rect, ids []uint32) int {
 	arena := w.view()
 	n := 0
 	for _, ref := range refs {
-		o := arena.obj(ref)
-		if r.Contains(o.Loc) && (kws == nil || o.MatchesAny(kws)) {
+		if r.Contains(arena.rec(ref).loc) && (ids == nil || carriesAny(arena.ids(ref), ids)) {
 			n++
 		}
 	}
 	return n
 }
 
-// countKeyword counts distinct window objects carrying any of kws, further
-// filtered by r when non-nil. An object carrying several of the keywords
-// sits in several posting queues and must count once: each ref marks the
-// bit of its distance from base in a scratch bitmap, and only the ref that
-// finds its bit clear is range-tested and counted. The walk is linear in
-// the postings with no data-dependent branch but that one, and it then
-// clears the words it touched. Nothing is allocated for up to eight
-// distinct live keywords once the bitmap covers the window.
-func (w *Window) countKeyword(kws []string, r *geo.Rect) int {
+// countKeyword counts distinct window objects carrying any of the words
+// ids, which are distinct and live, further filtered by r when non-nil. An
+// object carrying several of the words sits in several posting queues and
+// must count once: each ref marks the bit of its distance from base in a
+// scratch bitmap, and only the ref that finds its bit clear is range-tested
+// and counted. The walk is linear in the postings with no data-dependent
+// branch but that one, and it then clears the words it touched. Nothing is
+// allocated for up to eight keywords once the bitmap covers the window.
+func (w *Window) countKeyword(ids []uint32, r *geo.Rect) int {
 	var buf [16][]uint32
-	segs := buf[:0] // both segments of each distinct live keyword's ring
-	for i, kw := range kws {
-		if repeated(kws, i) {
-			continue
-		}
-		if pq := w.postings[kw]; pq != nil {
-			a, b := pq.segments()
-			segs = append(segs, a, b)
-		}
+	segs := buf[:0] // both segments of each keyword's ring
+	for _, id := range ids {
+		a, b := w.postings[id].segments()
+		segs = append(segs, a, b)
 	}
-	if len(segs) <= 2 { // one queue (or none) holds no duplicates
+	if len(segs) <= 2 { // one queue holds no duplicates
 		total := 0
 		for _, seg := range segs {
 			if r == nil {
@@ -335,7 +450,7 @@ func (w *Window) countKeyword(kws []string, r *geo.Rect) int {
 				continue
 			}
 			*word |= bit
-			if r == nil || r.Contains(arena.obj(ref).Loc) {
+			if r == nil || r.Contains(arena.rec(ref).loc) {
 				total++
 			}
 		}
@@ -350,40 +465,45 @@ func (w *Window) countKeyword(kws []string, r *geo.Rect) int {
 
 // countHybrid picks the cheaper side to drive the scan: keyword postings
 // when they are collectively shorter than the spatial candidate set.
-func (w *Window) countHybrid(q *Query) int {
+func (w *Window) countHybrid(r geo.Rect, ids []uint32) int {
 	postingsLen := 0
-	for i, kw := range q.Keywords {
-		if repeated(q.Keywords, i) {
-			continue
-		}
-		if pq := w.postings[kw]; pq != nil {
-			postingsLen += pq.len()
-		}
+	for _, id := range ids {
+		postingsLen += w.postings[id].len()
 	}
-	cr := w.grid.CellsOverlapping(q.Range)
+	cr := w.grid.CellsOverlapping(r)
 	spatialLen := 0
 	w.grid.ForEachCell(cr, func(idx int, _ geo.Rect) bool {
 		spatialLen += w.cells[idx].len()
 		return true
 	})
 	if postingsLen <= spatialLen {
-		return w.countKeyword(q.Keywords, &q.Range)
+		return w.countKeyword(ids, &r)
 	}
-	return w.countSpatial(q.Range, q.Keywords)
+	return w.countSpatial(r, ids)
 }
 
 // Each iterates over every live object in arrival order. Used by estimator
 // pre-filling (§V-D): a freshly recommended estimator is warmed from the
-// live window before it takes over.
+// live window before it takes over. The Object is a scratch copy the
+// window fills for each call of fn and is valid for the duration of that
+// call only: fn must copy what it keeps, o.Keywords' array included.
 func (w *Window) Each(fn func(o *Object) bool) {
 	w.eachOldest(w.n, fn)
 }
 
 // eachOldest iterates over the count oldest live objects in arrival order.
 func (w *Window) eachOldest(count int, fn func(o *Object) bool) {
+	var o Object
 	off := int(w.base - w.origin)
 	for end := off + count; off < end; off++ {
-		if !fn(w.at(off)) {
+		c, slot := &w.chunks[off>>chunkShift], off&chunkMask
+		r := &c.recs[slot]
+		o.ID, o.Loc, o.Timestamp = r.id, r.loc, r.ts
+		o.Keywords = o.Keywords[:0]
+		for _, id := range c.ids(slot) {
+			o.Keywords = append(o.Keywords, w.words[id])
+		}
+		if !fn(&o) {
 			return
 		}
 	}
@@ -401,7 +521,8 @@ func (w *Window) NextSeq() uint64 { return w.base + uint64(w.n) }
 // EachBefore iterates, in arrival order, over the live objects whose
 // sequence number is below maxSeq (i.e. those already present when
 // NextSeq returned maxSeq). Objects evicted since then are skipped
-// naturally — they are no longer live. fn returning false stops early.
+// naturally — they are no longer live. fn returning false stops early, and
+// its argument is Each's scratch copy.
 func (w *Window) EachBefore(maxSeq uint64, fn func(o *Object) bool) {
 	if maxSeq <= w.base {
 		return
@@ -409,13 +530,22 @@ func (w *Window) EachBefore(maxSeq uint64, fn func(o *Object) bool) {
 	w.eachOldest(int(min(maxSeq-w.base, uint64(w.n))), fn)
 }
 
-// repeated reports whether kws[i] already occurs in kws[:i]. Skipping
-// repeated entries visits each distinct keyword once, in order, without
-// building a deduplicated copy; keyword lists are tiny (1-5 entries), so
-// the quadratic scan beats a map.
-func repeated(kws []string, i int) bool {
-	for _, prev := range kws[:i] {
-		if prev == kws[i] {
+// containsID reports whether id is among ids. Keyword lists are tiny (1-5
+// entries), so the scan beats a set.
+func containsID(ids []uint32, id uint32) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
+}
+
+// carriesAny reports whether an object with keyword IDs have carries one
+// of want (the RC-DVQ keyword predicate: o.kw ∩ q.W ≠ ∅).
+func carriesAny(have, want []uint32) bool {
+	for _, id := range have {
+		if containsID(want, id) {
 			return true
 		}
 	}

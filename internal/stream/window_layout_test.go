@@ -2,8 +2,11 @@ package stream
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/spatiotext/latest/internal/geo"
 )
@@ -38,10 +41,82 @@ func (s *steadyStream) insert(w *Window) {
 	w.Insert(o)
 }
 
+// TestArenaRecordHasNoPointers: the collector has nothing to follow in an
+// arena block, and a record stays within half a cache line.
+func TestArenaRecordHasNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s: the arena would hold a pointer", path, typ.Kind())
+		}
+	}
+	walk("rec", reflect.TypeOf(rec{}))
+	walk("block", reflect.TypeOf(block{}))
+	if size := unsafe.Sizeof(rec{}); size > 32 {
+		t.Errorf("an arena record takes %d bytes, want at most 32", size)
+	}
+}
+
+// recount checks the window's incremental accounting against what its
+// structures hold, and returns the keyword occurrences and the posting
+// refs of the live objects.
+func recount(t *testing.T, w *Window) (occurrences, refs int) {
+	t.Helper()
+	slots := 0
+	for i := range w.cells {
+		slots += len(w.cells[i].buf)
+	}
+	words, wordBytes := 0, 0
+	for id := range w.postings {
+		pq := &w.postings[id]
+		slots += len(pq.buf)
+		refs += pq.len()
+		if pq.len() == 0 {
+			if pq.buf != nil || w.words[id] != "" {
+				t.Fatalf("free ID %d keeps a %d-slot ring and the word %q", id, len(pq.buf), w.words[id])
+			}
+			continue
+		}
+		words++
+		wordBytes += len(w.words[id])
+		if got, ok := w.ids[w.words[id]]; !ok || got != uint32(id) {
+			t.Fatalf("word %q of ID %d resolves to %d (%v)", w.words[id], id, got, ok)
+		}
+	}
+	if slots != w.slots {
+		t.Errorf("accounted %d ring slots, rings hold %d", w.slots, slots)
+	}
+	if words != len(w.ids) || words+len(w.free) != len(w.words) || wordBytes != w.wordBytes {
+		t.Errorf("dictionary: %d posted words of %d bytes, %d free and %d assigned IDs, map holds %d, accounted %d bytes",
+			words, wordBytes, len(w.free), len(w.words), len(w.ids), w.wordBytes)
+	}
+	kwSlots := cap(w.spare.kws)
+	for i := range w.chunks {
+		kwSlots += cap(w.chunks[i].kws)
+	}
+	if kwSlots != w.kwSlots {
+		t.Errorf("accounted %d keyword ID slots, chunks hold %d", w.kwSlots, kwSlots)
+	}
+	arena := w.view()
+	for seq := w.base; seq < w.NextSeq(); seq++ {
+		occurrences += len(arena.ids(uint32(seq)))
+	}
+	return occurrences, refs
+}
+
 // TestWindowFootprintTracksLiveSize: after twenty turnovers at a steady
 // 60 000 live objects the window costs at most one and a half times the
-// bytes its live contents need — an arena slot, a cell ref and a ref per
-// distinct keyword for each object — plus the fixed cell headers, and a
+// bytes its live contents need — a record, its end offset and a cell ref,
+// an ID per keyword occurrence and a ref per distinct keyword for each
+// object — plus the fixed cell headers, dictionary included, and a
 // steady-state Insert allocates nothing.
 func TestWindowFootprintTracksLiveSize(t *testing.T) {
 	const live, cells = 60_000, 4096
@@ -54,81 +129,91 @@ func TestWindowFootprintTracksLiveSize(t *testing.T) {
 	if w.Size() < live || w.Size() > live+2 {
 		t.Fatalf("window holds %d objects, want %d", w.Size(), live)
 	}
-	refs := 0
-	for _, pq := range w.postings {
-		refs += pq.len()
-	}
-	need := w.Size()*(chunkBytes/chunkSize+4) + 4*refs
+	occurrences, refs := recount(t, w)
+	need := w.Size()*(blockBytes/chunkSize+4) + 4*occurrences + 4*refs
 	fixed := ringHeaderBytes * cells
 	if got, limit := w.MemoryBytes(), need*3/2+fixed; got > limit {
-		t.Errorf("MemoryBytes = %d for %d objects and %d keyword refs: over 1.5 × %d + %d = %d",
-			got, w.Size(), refs, need, fixed, limit)
+		t.Errorf("MemoryBytes = %d for %d objects, %d keyword occurrences and %d refs: over 1.5 × %d + %d = %d",
+			got, w.Size(), occurrences, refs, need, fixed, limit)
 	}
-	t.Logf("%d objects, %.2f keywords each: %d bytes, %.1f per object (floor %.1f)",
-		w.Size(), float64(refs)/float64(w.Size()), w.MemoryBytes(),
+	t.Logf("%d objects, %.2f keywords each, %d words: %d bytes, %.1f per object (floor %.1f)",
+		w.Size(), float64(occurrences)/float64(w.Size()), w.DistinctKeywords(), w.MemoryBytes(),
 		float64(w.MemoryBytes()-fixed)/float64(w.Size()), float64(need)/float64(w.Size()))
 
 	// Ring resizes and keywords entering the window do allocate, about
-	// twenty times per thousand inserts (1.4 bytes an insert);
-	// AllocsPerRun reports the truncated mean.
+	// thirty times per thousand inserts; AllocsPerRun reports the
+	// truncated mean.
 	if n := testing.AllocsPerRun(5000, func() { s.insert(w) }); n != 0 {
 		t.Errorf("steady-state Insert allocates %v times", n)
 	}
-
-	// The accounting is incremental: recount it from the structures.
-	slots := 0
-	for i := range w.cells {
-		slots += len(w.cells[i].buf)
-	}
-	for _, pq := range w.postings {
-		slots += len(pq.buf)
-	}
-	if slots != w.slots {
-		t.Errorf("accounted %d ring slots, rings hold %d", w.slots, slots)
-	}
-	if want := (w.Size()+int(w.base-w.origin)+chunkMask)/chunkSize + 1; len(w.chunks) > want || w.spare == nil {
-		t.Errorf("%d chunks (spare %v) for %d objects, want at most %d and a spare", len(w.chunks), w.spare != nil, w.Size(), want)
+	recount(t, w)
+	if want := (w.Size()+int(w.base-w.origin)+chunkMask)/chunkSize + 1; len(w.chunks) > want || w.spare.block == nil {
+		t.Errorf("%d chunks (spare %v) for %d objects, want at most %d and a spare", len(w.chunks), w.spare.block != nil, w.Size(), want)
 	}
 }
 
-// TestWindowEvictedSlotsAreZero: an evicted arena slot, the spare chunk
-// included, holds the zero Object, so it keeps no keyword slice reachable.
-func TestWindowEvictedSlotsAreZero(t *testing.T) {
+// heapAlloc is the live heap after a collection.
+func heapAlloc() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestWindowMemoryBytesIsTheHeap: the window owns what it keeps, so what
+// it reports is what it adds to the heap — arena, ID stores, rings and the
+// dictionary with its words — within a tenth, at 60 000 live objects three
+// turnovers in. The stream's pool is built before the baseline.
+func TestWindowMemoryBytesIsTheHeap(t *testing.T) {
+	const live = 60_000
+	s := newSteadyStream(5, 4*live)
+	before := heapAlloc()
+	w := NewWindow(geo.UnitSquare, live/2, 4096)
+	for s.next < 3*live {
+		s.insert(w)
+	}
+	held := float64(heapAlloc() - before)
+	reported := w.MemoryBytes()
+	t.Logf("reports %d KB, holds %.0f KB", reported>>10, held/1024)
+	if ratio := float64(reported) / held; ratio < 0.9 || ratio > 1.1 {
+		t.Errorf("MemoryBytes %d, heap grew by %.0f (ratio %.2f)", reported, held, ratio)
+	}
+	runtime.KeepAlive(w)
+	runtime.KeepAlive(s)
+}
+
+// TestWindowEmptiedHoldsNothing: a window that has evicted everything has
+// no word in its dictionary, no posting buffer and no chunk but the spare,
+// whose ID store is empty.
+func TestWindowEmptiedHoldsNothing(t *testing.T) {
 	w := NewWindow(geo.UnitSquare, 100, 16)
 	s := newSteadyStream(4, 1000)
 	// Run until the head chunk is partly evicted while a spare waits.
-	for s.next < 3*chunkSize || w.spare == nil || w.base == w.origin {
+	for s.next < 3*chunkSize || w.spare.block == nil || w.base == w.origin {
 		s.insert(w)
 	}
-	isZero := func(o *Object) bool {
-		return o.ID == 0 && o.Loc == geo.Point{} && o.Keywords == nil && o.Timestamp == 0
-	}
-	for i := 0; i < int(w.base-w.origin); i++ {
-		if !isZero(&w.chunks[0][i]) {
-			t.Fatalf("evicted slot %d of the head chunk holds %+v", i, w.chunks[0][i])
-		}
-	}
-	for i := range w.spare {
-		if !isZero(&w.spare[i]) {
-			t.Fatalf("slot %d of the spare chunk holds %+v", i, w.spare[i])
-		}
-	}
-	// Emptying the window releases every chunk but the spare.
+	recount(t, w)
 	w.EvictBefore(1 << 40)
-	if w.Size() != 0 || len(w.chunks) > 1 || w.slots != ringMin*countRings(w) {
-		t.Errorf("emptied window keeps %d objects, %d chunks, %d ring slots", w.Size(), len(w.chunks), w.slots)
+	occurrences, refs := recount(t, w)
+	if w.Size() != 0 || occurrences != 0 || refs != 0 || w.DistinctKeywords() != 0 || w.wordBytes != 0 {
+		t.Errorf("emptied window keeps %d objects, %d keyword occurrences, %d refs, %d words of %d bytes",
+			w.Size(), occurrences, refs, w.DistinctKeywords(), w.wordBytes)
 	}
-}
-
-// countRings counts the cell rings that have ever held a ref.
-func countRings(w *Window) int {
-	n := 0
+	rings := 0 // the cell rings that have ever held a ref keep their smallest buffer
 	for i := range w.cells {
 		if w.cells[i].buf != nil {
-			n++
+			rings++
 		}
 	}
-	return n
+	if len(w.chunks) > 1 || w.spare.block == nil || len(w.spare.kws) != 0 || w.slots != ringMin*rings {
+		t.Errorf("emptied window keeps %d chunks (spare %v holding %d IDs) and %d ring slots for %d cell rings",
+			len(w.chunks), w.spare.block != nil, len(w.spare.kws), w.slots, rings)
+	}
+	// And it fills again from there.
+	for i := 0; i < 2*chunkSize; i++ {
+		s.insert(w)
+	}
+	recount(t, w)
 }
 
 // TestWindowRefSpanGuard: Insert refuses to hand out a 32-bit ref that

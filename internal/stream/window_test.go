@@ -306,7 +306,7 @@ func TestCountKeywordUnionEqualsBruteForce(t *testing.T) {
 		}
 		hq := HybridQ(randRect(rng), kws, ts)
 		want := bruteCount(live, &hq, ts-span)
-		if got := w.countKeyword(kws, &hq.Range); got != want {
+		if got := w.countKeyword(w.resolve(kws), &hq.Range); got != want {
 			t.Fatalf("at %d, %v: ranged union %d, brute force %d", i, hq, got, want)
 		}
 		if got := w.Count(&hq); got != want {

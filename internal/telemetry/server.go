@@ -348,7 +348,7 @@ func WriteProm(w interface{ Write([]byte) (int, error) }, snap Snapshot) {
 	for _, sh := range snap.Shards {
 		sample("latest_window_occupancy", shardLabel(sh.Index), float64(sh.Occupancy))
 	}
-	gauge("latest_window_bytes", "Footprint of the shard's exact window store: object arena, index rings and postings map.")
+	gauge("latest_window_bytes", "Footprint of the shard's exact window store, all of it its own: object arena with keyword IDs, index rings, and the keyword dictionary with its words.")
 	for _, sh := range snap.Shards {
 		sample("latest_window_bytes", shardLabel(sh.Index), float64(sh.WindowBytes))
 	}

@@ -217,7 +217,9 @@ type bucketExemplar struct {
 
 // TraceBuffer retains the last depth sampled traces and the most recent
 // exemplar per (op, latency bucket). Sampling is deterministic 1-in-every
-// on Start; the unsampled path costs one atomic add.
+// on Start; the unsampled path costs one atomic add. The ring grows with
+// the traces it retains, up to depth: a buffer that never sampled a request
+// holds no ring.
 type TraceBuffer struct {
 	depth int
 	every uint64
@@ -254,7 +256,6 @@ func NewTraceBuffer(depth, every int) *TraceBuffer {
 	return &TraceBuffer{
 		depth:     depth,
 		every:     uint64(every),
-		ring:      make([]Trace, 0, depth),
 		exemplars: make(map[string]*[NumBuckets]bucketExemplar),
 	}
 }
@@ -306,12 +307,12 @@ func (tb *TraceBuffer) push(t Trace) {
 	}
 	tb.sampled.Add(1)
 	tb.mu.Lock()
-	if len(tb.ring) < cap(tb.ring) {
+	if len(tb.ring) < tb.depth {
 		tb.ring = append(tb.ring, t)
 	} else {
 		tb.ring[tb.next] = t
 	}
-	tb.next = (tb.next + 1) % cap(tb.ring)
+	tb.next = (tb.next + 1) % tb.depth
 	tb.mu.Unlock()
 
 	bucket := bucketOf(time.Duration(t.DurNS))
@@ -333,7 +334,7 @@ func (tb *TraceBuffer) Snapshot() []Trace {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	out := make([]Trace, 0, len(tb.ring))
-	if len(tb.ring) < cap(tb.ring) {
+	if len(tb.ring) < tb.depth {
 		return append(out, tb.ring...)
 	}
 	out = append(out, tb.ring[tb.next:]...)

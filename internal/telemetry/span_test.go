@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +83,37 @@ func TestTraceBufferSamplingAndRing(t *testing.T) {
 	for i := 1; i < len(traces); i++ {
 		if traces[i].StartUnixNS < traces[i-1].StartUnixNS {
 			t.Fatal("ring not oldest-first")
+		}
+	}
+}
+
+// TestTraceBufferHoldsWhatItRetains: a buffer that never sampled a request
+// costs its struct whatever its depth, and one that did keeps the newest
+// depth traces oldest-first, while the ring grows and once it wraps.
+func TestTraceBufferHoldsWhatItRetains(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	idle := NewTraceBuffer(1<<16, 1)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<10 {
+		t.Errorf("an untouched buffer of depth %d allocates %d bytes", idle.depth, got)
+	}
+	if idle.Snapshot() == nil || len(idle.Snapshot()) != 0 || idle.Dump().Depth != 1<<16 {
+		t.Errorf("untouched buffer: snapshot %v, depth %d", idle.Snapshot(), idle.Dump().Depth)
+	}
+
+	const depth = 40 // not a power of two: append's capacity overshoots it
+	tb := NewTraceBuffer(depth, 1)
+	for i := 1; i <= 3*depth+7; i++ {
+		tb.push(Trace{ID: TraceID(i)})
+		traces := tb.Snapshot()
+		if want := min(i, depth); len(traces) != want {
+			t.Fatalf("after %d traces: %d retained, want %d", i, len(traces), want)
+		}
+		for k, tr := range traces {
+			if want := TraceID(i - len(traces) + 1 + k); tr.ID != want {
+				t.Fatalf("after %d traces: position %d holds trace %d, want %d", i, k, tr.ID, want)
+			}
 		}
 	}
 }

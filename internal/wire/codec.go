@@ -51,11 +51,13 @@ func appendF64(buf []byte, v float64) []byte {
 }
 
 // cursor walks a payload with typed, bounds-checked reads. Strings are
-// shared through intern when it is set.
+// shared through intern when it is set, and decoded objects take their
+// keyword slices off the front of kws.
 type cursor struct {
 	b      []byte
 	off    int
 	intern *intern.Table
+	kws    []string
 }
 
 func (c *cursor) remain() int { return len(c.b) - c.off }
@@ -136,6 +138,9 @@ func appendObject(buf []byte, o *stream.Object) []byte {
 // bounds the plausibility check on batch counts.
 const objectWireMin = 8 + 8 + 8 + 8 + 2
 
+// decodeObject reads one object at c. Its keyword slice is carved off the
+// front of c.kws, which keywordCount sized, and capped so that an append to
+// it cannot reach the next object's.
 func decodeObject(c *cursor, o *stream.Object) error {
 	var err error
 	if o.ID, err = c.u64(); err != nil {
@@ -159,14 +164,10 @@ func decodeObject(c *cursor, o *stream.Object) error {
 	if int(nkw)*2 > c.remain() {
 		return errMalformed("object declares %d keywords, only %d bytes remain", nkw, c.remain())
 	}
-	// The keyword slice is always freshly allocated, never reused from a
-	// previous decode: engines retain it after insert (reservoir samples
-	// share the inserted object's keyword slice), so recycling the backing
-	// array would mutate live estimator state.
 	if nkw == 0 {
 		o.Keywords = nil
 	} else {
-		o.Keywords = make([]string, nkw)
+		o.Keywords, c.kws = c.kws[:nkw:nkw], c.kws[nkw:]
 	}
 	for i := range o.Keywords {
 		if o.Keywords[i], err = c.str(); err != nil {
@@ -174,6 +175,30 @@ func decodeObject(c *cursor, o *stream.Object) error {
 		}
 	}
 	return nil
+}
+
+// keywordCount walks the n objects at c without decoding them and returns
+// how many keywords they declare. It stops where decodeObject will fail,
+// after counting the keywords of every object that passes decodeObject's
+// own plausibility check: the count always covers what a decode carves.
+func keywordCount(c cursor, n uint32) int {
+	total := 0
+	for ; n > 0 && c.remain() >= objectWireMin; n-- {
+		c.off += objectWireMin - 2
+		nkw, _ := c.u16()
+		if int(nkw)*2 > c.remain() {
+			break
+		}
+		total += int(nkw)
+		for ; nkw > 0; nkw-- {
+			l, err := c.u16()
+			if err != nil || c.remain() < int(l) {
+				return total
+			}
+			c.off += int(l)
+		}
+	}
+	return total
 }
 
 // AppendFeedBatch appends a complete TFeedBatch frame to buf.
@@ -188,17 +213,19 @@ func AppendFeedBatch(buf []byte, id uint64, objs []stream.Object) []byte {
 }
 
 // keywordTables holds the intern tables feed decoding borrows. The engine
-// keeps a served object's keywords for a whole window, so equal keywords
-// decoded as separate strings would stay on the heap once per occurrence;
-// through a table they share one. A pool rather than a table per
-// connection because DecodeFeedBatch has no receiver to own one: calls on
-// one P reuse that P's table without a lock, connections with the same
+// copies a word only when it enters a dictionary, so nearly every decoded
+// keyword is garbage once its batch is applied; through a table a word of
+// the recent vocabulary is not allocated at all. A pool rather than a table
+// per connection because DecodeFeedBatch has no receiver to own one: calls
+// on one P reuse that P's table without a lock, connections with the same
 // vocabulary share strings, and the collector empties an idle pool.
 var keywordTables = sync.Pool{New: func() any { return new(intern.Table) }}
 
 // DecodeFeedBatch decodes a TFeedBatch payload, reusing dst's backing
-// array when it is large enough; each object's keyword slice is freshly
-// allocated because engines retain it past the call, but equal keywords
+// array when it is large enough. The objects' keyword slices are carved
+// out of one array allocated per call: no engine retains them once the
+// batch is applied, but a pipelined engine reads a queued batch after its
+// FeedBatch has returned, so the array is never recycled. Equal keywords
 // share one string. A zero-length batch is valid (an empty ingest is
 // acknowledged like any other).
 func DecodeFeedBatch(payload []byte, dst []stream.Object) ([]stream.Object, error) {
@@ -217,6 +244,7 @@ func DecodeFeedBatch(payload []byte, dst []stream.Object) ([]stream.Object, erro
 	} else {
 		dst = make([]stream.Object, n)
 	}
+	c.kws = make([]string, keywordCount(*c, n))
 	for i := range dst {
 		if err := decodeObject(c, &dst[i]); err != nil {
 			return nil, err

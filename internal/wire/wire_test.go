@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 	"unsafe"
@@ -464,8 +465,10 @@ func TestPeekHeader(t *testing.T) {
 }
 
 // TestDecodeFeedBatchSharesKeywords: equal keywords in a batch decode to
-// one string, each object still owns its keyword slice, and decoding a
-// batch of known keywords allocates little beyond those slices.
+// one string, each object's keyword slice is its own stretch of the
+// batch's one array — an append to it cannot reach its neighbour's — and
+// decoding a batch of known keywords allocates that array and little else.
+// A payload cut anywhere is refused, never sliced past what was counted.
 func TestDecodeFeedBatchSharesKeywords(t *testing.T) {
 	vocab := []string{"fire", "flood", "quake", "storm", "smoke", "ash", "mud", "hail", "surge", "gale"}
 	objs := make([]stream.Object, 64)
@@ -491,12 +494,24 @@ func TestDecodeFeedBatchSharesKeywords(t *testing.T) {
 	if &got[0].Keywords[0] == &got[10].Keywords[0] {
 		t.Fatal("objects 0 and 10 share a keyword slice")
 	}
-	// One slice per object; a pooled table that the collector (or the race
-	// detector's pool) dropped costs its vocabulary again, hence the slack.
-	// Without sharing this is three allocations per object.
+	if grown := append(got[0].Keywords, "x"); &grown[0] == &got[0].Keywords[0] || got[1].Keywords[0] != objs[1].Keywords[0] {
+		t.Fatal("appending to object 0's keywords wrote into the shared array")
+	}
+	// The keyword array, and slack. The median of single runs, not their
+	// mean: a pooled table that the collector (or the race detector's pool,
+	// one Put in four) dropped costs a table and its vocabulary again.
 	dst := got
-	n := testing.AllocsPerRun(50, func() { dst, _ = DecodeFeedBatch(payload, dst[:0]) })
-	if per := n / float64(len(objs)); per > 1.25 {
-		t.Errorf("decode allocates %.2f times per object, want about 1", per)
+	runs := make([]float64, 21)
+	for i := range runs {
+		runs[i] = testing.AllocsPerRun(1, func() { dst, _ = DecodeFeedBatch(payload, dst[:0]) })
+	}
+	sort.Float64s(runs)
+	if n := runs[len(runs)/2]; n > 3 {
+		t.Errorf("decoding a batch of %d objects allocates %v times, want at most 3", len(objs), n)
+	}
+	for cut := 0; cut < len(payload); cut++ {
+		if _, err := DecodeFeedBatch(payload[:cut], dst[:0]); err == nil {
+			t.Fatalf("payload cut at %d of %d bytes decodes", cut, len(payload))
+		}
 	}
 }

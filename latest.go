@@ -528,8 +528,9 @@ func validateOptions(cfg *config, kind engineKind) error {
 // the shards. The object is validated under the configured
 // policy first — non-finite coordinates are rejected, regressed timestamps
 // clamped (ValidationClamp) or rejected — and a ValidationClamp repair
-// mutates the pointee. Otherwise the pointee is only read during the call;
-// estimators copy what they keep.
+// mutates the pointee. Otherwise the pointee, keyword array included, is
+// only read during the call; the window store and the estimators copy what
+// they keep.
 func (s *System) feedPtr(o *Object) {
 	if !checkObject(o, s.lastTS, s.policy, s.gauges, s.log) {
 		return

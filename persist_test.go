@@ -129,6 +129,20 @@ func restoredBehavesIdentically(t *testing.T, src, dst Engine, w *workload) {
 	}
 }
 
+// snapshotImage is the artifact eng.Snapshot writes, as bytes.
+func snapshotImage(t *testing.T, eng Engine) []byte {
+	t.Helper()
+	st := NewMemStore()
+	if err := eng.Snapshot(context.Background(), st); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	data, err := st.Load(persist.SnapshotName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestSystemSnapshotRestoreRoundTrip(t *testing.T) {
 	src := testSystem(t)
 	w := newWorkload(7)
@@ -157,17 +171,7 @@ func TestConcurrentCrossRestore(t *testing.T) {
 		t.Cleanup(conc.Close)
 		return conc
 	}
-	image := func(eng Engine) []byte {
-		st := NewMemStore()
-		if err := eng.Snapshot(context.Background(), st); err != nil {
-			t.Fatalf("snapshot: %v", err)
-		}
-		data, err := st.Load(persist.SnapshotName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
+	image := func(eng Engine) []byte { return snapshotImage(t, eng) }
 	sys, conc := testSystem(t, latency), newConc()
 	ws, wc := newWorkload(7), newWorkload(7)
 	warmEngine(t, sys, ws)

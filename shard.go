@@ -631,8 +631,15 @@ func (s *ShardedSystem) Feed(o Object) {
 // shardOf call per object, no per-shard rescans), and each non-empty
 // bucket is handed to its shard's feed pipeline in one chunk. Object order
 // is preserved within a shard; cross-shard ordering is irrelevant (shards
-// hold disjoint objects). The caller's slice is copied during routing and
-// may be reused as soon as FeedBatch returns.
+// hold disjoint objects).
+//
+// The engine copies what it keeps; the caller may reuse its buffers. objs
+// is copied during routing and is the caller's again as soon as FeedBatch
+// returns. The keyword arrays its objects point to are read when a shard
+// applies its chunk, and by nothing afterwards — window and estimators keep
+// their own copies — so they may be reused once the batch has been applied:
+// on return under WithSynchronousIngest (and from NewConcurrent), after
+// Drain otherwise.
 func (s *ShardedSystem) FeedBatch(objs []Object) {
 	if len(objs) == 0 {
 		return
