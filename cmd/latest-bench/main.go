@@ -10,22 +10,13 @@
 // The -queries/-pretrain/-scale/-seed flags rescale any experiment; zero
 // values take the defaults documented in DESIGN.md §2.
 //
-// Beyond the paper, -exp ingest measures parallel ingest throughput of
-// the single-lock ConcurrentSystem against the sharded engine:
-//
-//	latest-bench -exp ingest -shards 8 -producers 8 -objects 2000000
-//
-// and -exp query measures the estimate-path latency distribution of all
-// three engines on one deterministic workload:
-//
-//	latest-bench -exp query -out BENCH_query.json
-//
-// -exp ingest-matrix sweeps the full shards × GOMAXPROCS × producers grid
-// and reports one datapoint per cell, plus each cell's speedup over the
-// 1-shard cell at the same (procs, producers) coordinate:
+// Beyond the paper, -exp ingest-matrix sweeps the shards × GOMAXPROCS ×
+// producers grid over the sharded engine and reports one datapoint per
+// cell, plus each cell's speedup over the 1-shard cell at the same (procs,
+// producers) coordinate:
 //
 //	latest-bench -exp ingest-matrix -shards-list 1,2,4 -procs-list 1,2,4 \
-//	    -producers-list 1,4 -objects 400000 -out BENCH_ingest.json
+//	    -producers-list 1,4 -objects 400000 -out matrix.json
 //
 // With -min-speedup N the run fails unless some multi-shard cell reaches
 // N× its 1-shard baseline; the gate auto-skips (with a warning) on hosts
@@ -46,9 +37,7 @@ import (
 	"time"
 
 	"github.com/spatiotext/latest"
-	"github.com/spatiotext/latest/internal/datagen"
 	"github.com/spatiotext/latest/internal/experiments"
-	"github.com/spatiotext/latest/internal/workload"
 )
 
 func main() {
@@ -61,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("latest-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "", "experiment id (fig3..fig13, table1, table2), 'ingest', 'query' or 'all'")
+		exp      = fs.String("exp", "", "experiment id (fig3..fig13, table1, table2), 'all' or 'ingest-matrix'")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
 		queries  = fs.Int("queries", 0, "incremental-phase query count (0 = default 3000)")
 		pretrain = fs.Int("pretrain", 0, "pre-training query count (0 = default 600)")
@@ -71,13 +60,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 0, "random seed (0 = default 1)")
 		alpha    = fs.Float64("alpha", -1, "accuracy/latency weight override (-1 = experiment default)")
 		asJSON   = fs.Bool("json", false, "emit JSON instead of text")
-		outFile  = fs.String("out", "", "also write JSON results to this file (e.g. BENCH_ingest.json)")
+		outFile  = fs.String("out", "", "also write JSON results to this file")
 
-		shards    = fs.Int("shards", 0, "ingest/query: shard count (0 = GOMAXPROCS)")
-		producers = fs.Int("producers", 8, "ingest: concurrent producer goroutines")
-		objects   = fs.Int("objects", 1_000_000, "ingest: objects fed per engine")
-		batchLen  = fs.Int("batch", 256, "ingest: objects per FeedBatch call")
-
+		producers     = fs.Int("producers", 8, "ingest-matrix: concurrent producer goroutines")
+		objects       = fs.Int("objects", 1_000_000, "ingest-matrix: objects fed per cell")
+		batchLen      = fs.Int("batch", 256, "ingest-matrix: objects per FeedBatch call")
 		shardsList    = fs.String("shards-list", "1,2,4", "ingest-matrix: comma-separated shard counts")
 		procsList     = fs.String("procs-list", "", "ingest-matrix: comma-separated GOMAXPROCS values (empty = current)")
 		producersList = fs.String("producers-list", "", "ingest-matrix: comma-separated producer counts (empty = -producers)")
@@ -88,8 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch {
-	case *exp == "ingest":
-		return runIngest(stdout, stderr, *shards, *producers, *objects, *batchLen, *seed, *asJSON, *outFile)
 	case *exp == "ingest-matrix":
 		return runIngestMatrix(stdout, stderr, ingestMatrixConfig{
 			ShardsList:    *shardsList,
@@ -100,12 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			BatchLen:      *batchLen,
 			Seed:          *seed,
 			MinSpeedup:    *minSpeedup,
-		}, *asJSON, *outFile)
-	case *exp == "query":
-		return runQueryBench(stdout, stderr, queryBenchConfig{
-			Shards:  *shards,
-			Seed:    *seed,
-			Queries: *queries,
 		}, *asJSON, *outFile)
 	case *list:
 		for _, id := range experiments.IDs() {
@@ -182,148 +161,6 @@ func writeJSONFile(stderr io.Writer, path string, v any) error {
 	return nil
 }
 
-// queryEngineResult is one engine's estimate-path latency distribution.
-type queryEngineResult struct {
-	Engine  string  `json:"engine"`
-	Shards  int     `json:"shards,omitempty"`
-	Queries uint64  `json:"queries"`
-	P50Us   float64 `json:"estimate_p50_us"`
-	P95Us   float64 `json:"estimate_p95_us"`
-	P99Us   float64 `json:"estimate_p99_us"`
-	MeanUs  float64 `json:"estimate_mean_us"`
-}
-
-// queryResult is the machine-readable output of -exp query.
-type queryResult struct {
-	Experiment string              `json:"experiment"`
-	Dataset    string              `json:"dataset"`
-	Workload   string              `json:"workload"`
-	Queries    int                 `json:"queries"`
-	Seed       int64               `json:"seed"`
-	GOMAXPROCS int                 `json:"gomaxprocs"`
-	Engines    []queryEngineResult `json:"engines"`
-}
-
-// queryBenchConfig shapes the -exp query run.
-type queryBenchConfig struct {
-	Shards  int
-	Seed    int64
-	Queries int
-}
-
-// runQueryBench drives an identical deterministic workload through all
-// three engines and reports each one's estimate-path latency distribution
-// from Stats().EstimateLatency. Unlike the correctness harness this keeps
-// real wall-clock timing — the histogram is the measurement.
-func runQueryBench(stdout, stderr io.Writer, cfg queryBenchConfig, asJSON bool, outFile string) int {
-	const (
-		dataset         = "Twitter"
-		wlName          = "TwQW1"
-		objectsPerQuery = 20
-		window          = 10 * time.Second
-		rate            = 2.0
-	)
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Queries <= 0 {
-		cfg.Queries = 2000
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-
-	type engine struct {
-		name   string
-		shards int
-		feed   func(latest.Object)
-		query  func(*latest.Query) (float64, int)
-		stats  func() latest.Stats
-		close  func()
-	}
-	world := datagen.ByName(dataset, cfg.Seed, rate).World()
-	opts := func() []latest.Option {
-		return []latest.Option{latest.WithSeed(cfg.Seed)}
-	}
-	var engines []engine
-
-	sys, err := latest.New(world, window, opts()...)
-	if err != nil {
-		fmt.Fprintf(stderr, "latest-bench: %v\n", err)
-		return 1
-	}
-	engines = append(engines, engine{
-		name: "single", feed: sys.Feed, query: sys.EstimateAndExecute,
-		stats: sys.Stats, close: func() {},
-	})
-
-	cs, err := latest.NewConcurrent(world, window, opts()...)
-	if err != nil {
-		fmt.Fprintf(stderr, "latest-bench: %v\n", err)
-		return 1
-	}
-	engines = append(engines, engine{
-		name: "concurrent", feed: cs.Feed, query: cs.EstimateAndExecute,
-		stats: cs.Stats, close: cs.Close,
-	})
-
-	ss, err := latest.NewSharded(world, window, append(opts(), latest.WithShards(cfg.Shards))...)
-	if err != nil {
-		fmt.Fprintf(stderr, "latest-bench: %v\n", err)
-		return 1
-	}
-	engines = append(engines, engine{
-		name: "sharded", shards: cfg.Shards, feed: ss.Feed, query: ss.EstimateAndExecute,
-		stats: ss.Stats, close: ss.Close,
-	})
-
-	result := queryResult{
-		Experiment: "query", Dataset: dataset, Workload: wlName,
-		Queries: cfg.Queries, Seed: cfg.Seed, GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	for _, e := range engines {
-		// Each engine gets its own generator so all three see the identical
-		// object and query sequence.
-		gen := datagen.ByName(dataset, cfg.Seed, rate)
-		queries := workload.NewGenerator(workload.ByName(wlName), gen, cfg.Queries)
-		for qi := 0; qi < cfg.Queries; qi++ {
-			for j := 0; j < objectsPerQuery; j++ {
-				e.feed(gen.Next())
-			}
-			q := queries.Next(gen.Now())
-			e.query(&q)
-		}
-		hist := e.stats().EstimateLatency
-		e.close()
-		r := queryEngineResult{
-			Engine: e.name, Shards: e.shards, Queries: hist.Count,
-			P50Us: us(hist.P50()), P95Us: us(hist.P95()),
-			P99Us: us(hist.P99()), MeanUs: us(hist.Mean()),
-		}
-		result.Engines = append(result.Engines, r)
-		if !asJSON {
-			fmt.Fprintf(stdout, "%-12s estimate latency p50=%.1fµs p95=%.1fµs p99=%.1fµs mean=%.1fµs (%d queries)\n",
-				e.name, r.P50Us, r.P95Us, r.P99Us, r.MeanUs, r.Queries)
-		}
-	}
-	if asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(result); err != nil {
-			fmt.Fprintf(stderr, "latest-bench: encoding query: %v\n", err)
-			return 1
-		}
-	}
-	if outFile != "" {
-		if err := writeJSONFile(stderr, outFile, result); err != nil {
-			fmt.Fprintf(stderr, "latest-bench: %v\n", err)
-			return 1
-		}
-	}
-	return 0
-}
-
 // ingestMatrixConfig shapes an -exp ingest-matrix sweep.
 type ingestMatrixConfig struct {
 	ShardsList    string
@@ -336,9 +173,7 @@ type ingestMatrixConfig struct {
 	MinSpeedup    float64
 }
 
-// ingestMatrixCell is one (shards, GOMAXPROCS, producers) datapoint. The
-// key names deliberately match the flat -exp ingest output so downstream
-// tooling greps the same fields in either file.
+// ingestMatrixCell is one (shards, GOMAXPROCS, producers) datapoint.
 type ingestMatrixCell struct {
 	Shards     int     `json:"shards"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
@@ -543,34 +378,6 @@ func runIngestMatrix(stdout, stderr io.Writer, cfg ingestMatrixConfig, asJSON bo
 	return 0
 }
 
-// ingestEngineResult is one engine's share of an ingest benchmark run.
-type ingestEngineResult struct {
-	Engine     string  `json:"engine"`
-	Shards     int     `json:"shards,omitempty"`
-	Seconds    float64 `json:"seconds"`
-	ObjectsSec float64 `json:"objects_per_sec"`
-	WindowSize int     `json:"window_size"`
-	// Batch latency distribution across all FeedBatch calls (merged over
-	// shards for the sharded engine), in milliseconds.
-	BatchP50Ms  float64 `json:"batch_p50_ms"`
-	BatchP95Ms  float64 `json:"batch_p95_ms"`
-	BatchP99Ms  float64 `json:"batch_p99_ms"`
-	BatchMaxMs  float64 `json:"batch_max_ms"`
-	BatchCount  uint64  `json:"batch_count"`
-	Reordered   uint64  `json:"reordered"`
-	SpeedupVs1L float64 `json:"speedup_vs_single_lock,omitempty"`
-}
-
-// ingestResult is the machine-readable output of -exp ingest.
-type ingestResult struct {
-	Experiment string               `json:"experiment"`
-	Objects    int                  `json:"objects"`
-	Producers  int                  `json:"producers"`
-	BatchLen   int                  `json:"batch_len"`
-	GOMAXPROCS int                  `json:"gomaxprocs"`
-	Engines    []ingestEngineResult `json:"engines"`
-}
-
 // batchHistOf folds an engine's per-shard batch-latency histograms into one.
 func batchHistOf(gauges ...latest.GaugeSnapshot) latest.HistogramSnapshot {
 	var merged latest.HistogramSnapshot
@@ -632,105 +439,3 @@ func driveProducers(objs []latest.Object, producers, batchLen int, fn func(batch
 
 // durMS converts a duration to float milliseconds for JSON output.
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// runIngest feeds the same synthetic stream through the single-lock
-// ConcurrentSystem and the spatially-sharded engine with the requested
-// producer parallelism, reporting objects/second and the batch-latency
-// distribution for each.
-func runIngest(stdout, stderr io.Writer, shards, producers, objects, batchLen int, seed int64, asJSON bool, outFile string) int {
-	if seed == 0 {
-		seed = 1
-	}
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if producers < 1 {
-		producers = 1
-	}
-	if batchLen < 1 {
-		batchLen = 1
-	}
-	world := latest.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	objs := genIngestObjects(objects, seed)
-	if !asJSON {
-		fmt.Fprintf(stdout, "ingest: %d objects, %d producers, batch %d, GOMAXPROCS %d\n\n",
-			objects, producers, batchLen, runtime.GOMAXPROCS(0))
-	}
-
-	drive := func(fn func(batch []latest.Object)) time.Duration {
-		return driveProducers(objs, producers, batchLen, fn)
-	}
-	ms := durMS
-	report := func(name, engine string, engineShards int, d time.Duration, windowSize int,
-		hist latest.HistogramSnapshot, reordered uint64) ingestEngineResult {
-		rate := float64(objects) / d.Seconds()
-		if !asJSON {
-			fmt.Fprintf(stdout, "%-22s %10s  %12.0f obj/s  window=%d\n", name, d.Round(time.Millisecond), rate, windowSize)
-			fmt.Fprintf(stdout, "%-22s batch latency p50=%s p95=%s p99=%s max=%s (%d batches)\n",
-				"", hist.P50().Round(time.Microsecond), hist.P95().Round(time.Microsecond),
-				hist.P99().Round(time.Microsecond), hist.Max.Round(time.Microsecond), hist.Count)
-		}
-		return ingestEngineResult{
-			Engine: engine, Shards: engineShards,
-			Seconds: d.Seconds(), ObjectsSec: rate, WindowSize: windowSize,
-			BatchP50Ms: ms(hist.P50()), BatchP95Ms: ms(hist.P95()),
-			BatchP99Ms: ms(hist.P99()), BatchMaxMs: ms(hist.Max),
-			BatchCount: hist.Count, Reordered: reordered,
-		}
-	}
-
-	cs, err := latest.NewConcurrent(world, time.Hour, latest.WithSeed(seed))
-	if err != nil {
-		fmt.Fprintf(stderr, "latest-bench: %v\n", err)
-		return 1
-	}
-	csDur := drive(cs.FeedBatch)
-	csGauges := cs.Gauges()
-	base := report("concurrent (1 lock)", "concurrent", 0, csDur, cs.WindowSize(),
-		batchHistOf(csGauges), csGauges.Reordered)
-
-	ss, err := latest.NewSharded(world, time.Hour, latest.WithSeed(seed), latest.WithShards(shards))
-	if err != nil {
-		fmt.Fprintf(stderr, "latest-bench: %v\n", err)
-		return 1
-	}
-	defer ss.Close()
-	ssDur := drive(ss.FeedBatch)
-	st := ss.PerShardStats()
-	shardGauges := make([]latest.GaugeSnapshot, len(st.Shards))
-	var ssReordered uint64
-	for i, sh := range st.Shards {
-		shardGauges[i] = sh.Gauges
-		ssReordered += sh.Gauges.Reordered
-	}
-	sharded := report(fmt.Sprintf("sharded (%d shards)", shards), "sharded", shards,
-		ssDur, ss.WindowSize(), batchHistOf(shardGauges...), ssReordered)
-	sharded.SpeedupVs1L = sharded.ObjectsSec / base.ObjectsSec
-
-	result := ingestResult{
-		Experiment: "ingest", Objects: objects, Producers: producers,
-		BatchLen: batchLen, GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Engines: []ingestEngineResult{base, sharded},
-	}
-	if asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(result); err != nil {
-			fmt.Fprintf(stderr, "latest-bench: encoding ingest: %v\n", err)
-			return 1
-		}
-	} else {
-		fmt.Fprintf(stdout, "\nspeedup: %.2fx\n", sharded.SpeedupVs1L)
-		for _, sh := range st.Shards {
-			fmt.Fprintf(stdout, "  shard %d: feeds=%-9d batches=%-7d reordered=%-7d occ=%d\n",
-				sh.Index, sh.Gauges.Feeds, sh.Gauges.Batches, sh.Gauges.Reordered, sh.Gauges.Occupancy)
-		}
-	}
-	if outFile != "" {
-		if err := writeJSONFile(stderr, outFile, result); err != nil {
-			fmt.Fprintf(stderr, "latest-bench: %v\n", err)
-			return 1
-		}
-	}
-	return 0
-}

@@ -79,8 +79,7 @@ func latencyOf(hs telemetry.HistSnapshot) latencyStats {
 	}
 }
 
-// report is the JSON result shape; BENCH_serve.json stores one of these
-// per datapoint.
+// report is the JSON result shape (-out writes one).
 type report struct {
 	Addr        string  `json:"addr"`
 	Mode        string  `json:"mode"` // "closed" or "open"

@@ -1,10 +1,5 @@
 package telemetry
 
-import (
-	"strconv"
-	"strings"
-)
-
 // cluster.go holds the cluster routing layer's slice of a telemetry
 // Snapshot: the partition-map view, scatter/forward/broadcast routing
 // counters, map-negotiation counters and per-node request statistics that
@@ -62,67 +57,4 @@ type ClusterSample struct {
 	NodeErrors   uint64 `json:"node_errors"`
 
 	PerNode []ClusterNode `json:"per_node"`
-}
-
-// writeClusterProm renders the latest_cluster_* metric families.
-func writeClusterProm(b *strings.Builder, s *ClusterSample) {
-	counter := func(name, help string) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " counter\n")
-	}
-	gauge := func(name, help string) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " gauge\n")
-	}
-	sample := func(name, labels string, v float64) {
-		b.WriteString(name)
-		if labels != "" {
-			b.WriteString("{" + labels + "}")
-		}
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		b.WriteByte('\n')
-	}
-
-	gauge("latest_cluster_epoch", "Partition-map epoch the router currently holds.")
-	sample("latest_cluster_epoch", "", float64(s.Epoch))
-	gauge("latest_cluster_nodes", "Backend nodes in the held partition map.")
-	sample("latest_cluster_nodes", "", float64(s.Nodes))
-	gauge("latest_cluster_cells", "Partition-map grid cells (cols x rows).")
-	sample("latest_cluster_cells", "", float64(s.Cols*s.Rows))
-
-	counter("latest_cluster_feed_objects_total", "Objects routed to owning nodes.")
-	sample("latest_cluster_feed_objects_total", "", float64(s.FeedObjects))
-	counter("latest_cluster_requests_total", "Caller-visible operations by kind.")
-	sample("latest_cluster_requests_total", `op="feed"`, float64(s.FeedBatches))
-	sample("latest_cluster_requests_total", `op="estimate"`, float64(s.Estimates))
-	sample("latest_cluster_requests_total", `op="query"`, float64(s.Queries))
-
-	counter("latest_cluster_routing_total", "Query routing decisions by mode.")
-	sample("latest_cluster_routing_total", `mode="forward"`, float64(s.ForwardSingle))
-	sample("latest_cluster_routing_total", `mode="scatter"`, float64(s.ScatterMulti))
-	sample("latest_cluster_routing_total", `mode="broadcast"`, float64(s.Broadcasts))
-	counter("latest_cluster_subqueries_total", "Node-bound sub-requests issued for queries.")
-	sample("latest_cluster_subqueries_total", "", float64(s.Subqueries))
-
-	counter("latest_cluster_not_owner_total", "Not-owner refusals observed from nodes.")
-	sample("latest_cluster_not_owner_total", "", float64(s.NotOwner))
-	counter("latest_cluster_map_refetches_total", "Partition-map refetches.")
-	sample("latest_cluster_map_refetches_total", "", float64(s.MapRefetches))
-	counter("latest_cluster_retries_total", "Transparent re-routes after a map refetch.")
-	sample("latest_cluster_retries_total", "", float64(s.Retries))
-	counter("latest_cluster_node_errors_total", "Hard node failures surfaced to callers.")
-	sample("latest_cluster_node_errors_total", "", float64(s.NodeErrors))
-
-	counter("latest_cluster_node_requests_total", "Sub-requests per backend node.")
-	for _, n := range s.PerNode {
-		sample("latest_cluster_node_requests_total", `node="`+n.Addr+`"`, float64(n.Requests))
-	}
-	counter("latest_cluster_node_request_errors_total", "Failed sub-requests per backend node.")
-	for _, n := range s.PerNode {
-		sample("latest_cluster_node_request_errors_total", `node="`+n.Addr+`"`, float64(n.Errors))
-	}
-	b.WriteString("# HELP latest_cluster_node_latency_seconds Router-observed round-trip latency per backend node.\n" +
-		"# TYPE latest_cluster_node_latency_seconds histogram\n")
-	for _, n := range s.PerNode {
-		promHistogramOne(b, "latest_cluster_node_latency_seconds", `node="`+n.Addr+`"`, n.Latency)
-	}
 }

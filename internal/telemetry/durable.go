@@ -1,10 +1,5 @@
 package telemetry
 
-import (
-	"strconv"
-	"strings"
-)
-
 // durable.go holds the durability layer's slice of a telemetry Snapshot:
 // WAL append/fsync counters and latency distributions, snapshot
 // duration/size/generation, and the startup recovery cost. The types live
@@ -90,83 +85,4 @@ type DurableSample struct {
 	AppendLatency   HistSnapshot `json:"append_latency"`
 	SyncLatency     HistSnapshot `json:"sync_latency"`
 	SnapshotLatency HistSnapshot `json:"snapshot_latency"`
-}
-
-// writeDurableProm renders the latest_wal_*, latest_snapshot_* and
-// latest_recovery_* metric families.
-func writeDurableProm(b *strings.Builder, d *DurableSample) {
-	counter := func(name, help string) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " counter\n")
-	}
-	gauge := func(name, help string) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " gauge\n")
-	}
-	hist := func(name, help string) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " histogram\n")
-	}
-	sample := func(name string, v float64) {
-		b.WriteString(name + " " + strconv.FormatFloat(v, 'g', -1, 64) + "\n")
-	}
-	boolGauge := func(v bool) float64 {
-		if v {
-			return 1
-		}
-		return 0
-	}
-
-	counter("latest_wal_appends_total", "Records appended to the feed WAL.")
-	sample("latest_wal_appends_total", float64(d.WALAppends))
-	counter("latest_wal_bytes_total", "Framed bytes written to the feed WAL.")
-	sample("latest_wal_bytes_total", float64(d.WALBytes))
-	counter("latest_wal_fsyncs_total", "Fsync batches issued on the feed WAL.")
-	sample("latest_wal_fsyncs_total", float64(d.WALSyncs))
-	counter("latest_wal_rotations_total", "WAL generation rollovers (one per committed snapshot).")
-	sample("latest_wal_rotations_total", float64(d.WALRotations))
-	hist("latest_wal_append_latency_seconds", "WAL write latency, one sample per write: a whole feed batch framed and written (fsync excluded).")
-	promHistogramOne(b, "latest_wal_append_latency_seconds", "", d.AppendLatency)
-	hist("latest_wal_fsync_latency_seconds", "WAL fsync-batch latency.")
-	promHistogramOne(b, "latest_wal_fsync_latency_seconds", "", d.SyncLatency)
-
-	gauge("latest_durable_state", "Degraded-mode state machine position (0 healthy, 1 degraded).")
-	sample("latest_durable_state", boolGauge(d.State == "degraded"))
-	gauge("latest_durable_state_seconds", "Seconds in the current durability state.")
-	sample("latest_durable_state_seconds", d.StateSeconds)
-	counter("latest_durable_degradations_total", "Healthy-to-degraded transitions.")
-	sample("latest_durable_degradations_total", float64(d.Degradations))
-	counter("latest_durable_repair_attempts_total", "Snapshot-based repair attempts while degraded.")
-	sample("latest_durable_repair_attempts_total", float64(d.RepairAttempts))
-	counter("latest_durable_repairs_total", "Successful repairs (degraded back to healthy).")
-	sample("latest_durable_repairs_total", float64(d.Repairs))
-	counter("latest_durable_dropped_appends_total", "Feeds not WAL-logged while degraded (durable again after the repair snapshot).")
-	sample("latest_durable_dropped_appends_total", float64(d.DroppedAppends))
-	counter("latest_durable_wal_errors_total", "Failed WAL operations (append, fsync, close, recovery truncation).")
-	sample("latest_durable_wal_errors_total", float64(d.WALErrors))
-	counter("latest_durable_store_errors_total", "Failed store housekeeping operations.")
-	sample("latest_durable_store_errors_total", float64(d.StoreErrors))
-	counter("latest_durable_errors_total", "All persistence errors recorded.")
-	sample("latest_durable_errors_total", float64(d.ErrorsTotal))
-
-	counter("latest_snapshots_total", "Snapshots committed by this process.")
-	sample("latest_snapshots_total", float64(d.Snapshots))
-	counter("latest_snapshot_errors_total", "Snapshot attempts that failed (engine keeps serving).")
-	sample("latest_snapshot_errors_total", float64(d.SnapshotErrors))
-	gauge("latest_snapshot_generation", "Current snapshot generation.")
-	sample("latest_snapshot_generation", float64(d.Generation))
-	gauge("latest_snapshot_bytes", "Serialized size of the most recent committed snapshot.")
-	sample("latest_snapshot_bytes", float64(d.LastSnapshotBytes))
-	hist("latest_snapshot_duration_seconds", "Full snapshot commit latency (serialize, rename, WAL rotation).")
-	promHistogramOne(b, "latest_snapshot_duration_seconds", "", d.SnapshotLatency)
-
-	gauge("latest_recovery_seconds", "Startup restore plus WAL replay wall time.")
-	sample("latest_recovery_seconds", d.RecoverySeconds)
-	gauge("latest_recovery_wal_records", "WAL records replayed at startup.")
-	sample("latest_recovery_wal_records", float64(d.RecoveryWALRecords))
-	gauge("latest_recovery_truncated_bytes", "Torn-tail bytes truncated from the live WAL at startup.")
-	sample("latest_recovery_truncated_bytes", float64(d.RecoveryTruncatedBytes))
-	gauge("latest_recovery_from_snapshot", "1 when startup restored from a snapshot.")
-	sample("latest_recovery_from_snapshot", boolGauge(d.RecoveredSnapshot))
-	gauge("latest_recovery_generation", "Snapshot generation startup restored from.")
-	sample("latest_recovery_generation", float64(d.RecoveredGeneration))
-	gauge("latest_recovery_fallback", "1 when recovery fell back past a corrupt newest snapshot generation.")
-	sample("latest_recovery_fallback", boolGauge(d.RecoveredFallback))
 }

@@ -83,8 +83,8 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramNegativeAndHuge(t *testing.T) {
 	var h Histogram
-	h.Record(-time.Second)           // clamps to 0
-	h.Record(30 * 24 * time.Hour)    // beyond the last bound: catch-all
+	h.Record(-time.Second)        // clamps to 0
+	h.Record(30 * 24 * time.Hour) // beyond the last bound: catch-all
 	s := h.Snapshot()
 	if s.Buckets[0] != 1 {
 		t.Errorf("negative sample not clamped to bucket 0: %v", s.Buckets)

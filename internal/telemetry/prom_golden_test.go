@@ -4,44 +4,81 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden exposition file from current output")
 
-// TestWritePromGolden pins WriteProm's output byte for byte. The renderer is
-// a pure function of its Snapshot (runtime families are appended separately
-// by the HTTP handler), so any diff here is a deliberate exposition change —
-// rerun with -update and review the golden diff in the same commit.
-func TestWritePromGolden(t *testing.T) {
+// goldenScrapes is every pinned exposition: the file under testdata and the
+// scrapes whose concatenation it holds. metrics.golden exercises every
+// family with samples; metrics_minimal.golden pins what it cannot — which
+// families an empty Snapshot still declares, and that a present Durable
+// section renders from its zero value; runtime.golden pins the latest_go_*
+// block handleMetrics appends.
+var goldenScrapes = []struct {
+	file    string
+	scrapes func() []string
+}{
+	{"metrics.golden", func() []string {
+		return []string{renderProm(fullSnapshot())}
+	}},
+	{"metrics_minimal.golden", func() []string {
+		return []string{
+			renderProm(Snapshot{}),
+			renderProm(Snapshot{Shards: []ShardSample{{Active: "RSH"}}, Durable: &DurableSample{}}),
+		}
+	}},
+	{"runtime.golden", func() []string {
+		var b strings.Builder
+		WriteGoRuntimeProm(&b, GoRuntimeSample{Goroutines: 17, HeapBytes: 3 << 20, GCCycles: 42,
+			GCPauseP50: 0.000125, GCPauseP95: 0.0005, GCPauseP99: 0.0015})
+		return []string{b.String()}
+	}},
+}
+
+func renderProm(snap Snapshot) string {
 	var b strings.Builder
-	WriteProm(&b, fullSnapshot())
-	got := b.String()
+	WriteProm(&b, snap)
+	return b.String()
+}
 
-	path := filepath.Join("testdata", "metrics.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run `go test -run Golden -update ./internal/telemetry` to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("exposition differs from golden:\n%s\n(run with -update to accept)", firstDiff(string(want), got))
-	}
+// TestWritePromGolden pins WriteProm's and WriteGoRuntimeProm's output byte
+// for byte. Both are pure functions of their argument, so any diff here is
+// a deliberate exposition change — rerun with -update and review the golden
+// diff in the same commit.
+func TestWritePromGolden(t *testing.T) {
+	for _, tc := range goldenScrapes {
+		t.Run(tc.file, func(t *testing.T) {
+			scrapes := tc.scrapes()
+			got := strings.Join(scrapes, "")
 
-	// The pinned bytes must themselves be a valid exposition — a golden
-	// file can otherwise freeze a spec violation in place.
-	if errs := LintProm(strings.NewReader(got)); len(errs) != 0 {
-		for _, e := range errs {
-			t.Errorf("golden output fails lint: %v", e)
-		}
+			path := filepath.Join("testdata", tc.file)
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden (run `go test ./internal/telemetry -run Golden -update` to create): %v", err)
+			}
+			if got != string(want) {
+				t.Fatalf("exposition differs from golden:\n%s\n(run with -update to accept)", firstDiff(string(want), got))
+			}
+
+			// The pinned bytes must themselves be valid expositions — a
+			// golden file can otherwise freeze a spec violation in place.
+			for _, s := range scrapes {
+				for _, e := range LintProm(strings.NewReader(s)) {
+					t.Errorf("golden output fails lint: %v", e)
+				}
+			}
+		})
 	}
 }
 
@@ -58,22 +95,8 @@ func firstDiff(want, got string) string {
 			g = gl[i]
 		}
 		if w != g {
-			return "line " + itoa(i+1) + ":\n  golden: " + w + "\n  got:    " + g
+			return "line " + strconv.Itoa(i+1) + ":\n  golden: " + w + "\n  got:    " + g
 		}
 	}
 	return "lengths differ only"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -271,8 +272,10 @@ func parseLabels(s string) (map[string]string, string) {
 					return nil, fmt.Sprintf("label %q: dangling escape", name)
 				}
 				switch s[i+1] {
-				case '\\', '"', 'n':
+				case '\\', '"':
 					val.WriteByte(s[i+1])
+				case 'n':
+					val.WriteByte('\n')
 				default:
 					return nil, fmt.Sprintf("label %q: invalid escape \\%c", name, s[i+1])
 				}
@@ -316,7 +319,7 @@ func (l *promLinter) histSample(n int, fam, name string, labels map[string]strin
 		}
 		parts = append(parts, k+"="+v)
 	}
-	sortStrings(parts)
+	slices.Sort(parts)
 	key := strings.Join(parts, ",")
 	hs := hc.series[key]
 	if hs == nil {

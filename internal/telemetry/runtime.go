@@ -1,11 +1,6 @@
 package telemetry
 
-import (
-	"io"
-	"runtime/metrics"
-	"strconv"
-	"strings"
-)
+import "runtime/metrics"
 
 // runtime.go exports Go runtime health — goroutine count, live heap bytes,
 // GC cycle count and GC pause quantiles — via the runtime/metrics API, so
@@ -104,31 +99,4 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 		cum = next
 	}
 	return h.Buckets[len(h.Buckets)-1]
-}
-
-// WriteGoRuntimeProm renders the sample as latest_go_* metric families.
-// handleMetrics appends this after the Snapshot families.
-func WriteGoRuntimeProm(w io.Writer, s GoRuntimeSample) {
-	var b strings.Builder
-	gauge := func(name, help string, v float64) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " gauge\n")
-		b.WriteString(name + " " + strconv.FormatFloat(v, 'g', -1, 64) + "\n")
-	}
-	counter := func(name, help string, v float64) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " counter\n")
-		b.WriteString(name + " " + strconv.FormatFloat(v, 'g', -1, 64) + "\n")
-	}
-	gauge("latest_go_goroutines", "Live goroutine count.", float64(s.Goroutines))
-	gauge("latest_go_heap_bytes", "Bytes of live heap objects.", float64(s.HeapBytes))
-	counter("latest_go_gc_cycles_total", "Completed GC cycles.", float64(s.GCCycles))
-	b.WriteString("# HELP latest_go_gc_pause_seconds Stop-the-world GC pause quantiles over the process lifetime.\n" +
-		"# TYPE latest_go_gc_pause_seconds gauge\n")
-	quant := func(q string, v float64) {
-		b.WriteString(`latest_go_gc_pause_seconds{quantile="` + q + `"} ` +
-			strconv.FormatFloat(v, 'g', -1, 64) + "\n")
-	}
-	quant("0.5", s.GCPauseP50)
-	quant("0.95", s.GCPauseP95)
-	quant("0.99", s.GCPauseP99)
-	w.Write([]byte(b.String()))
 }

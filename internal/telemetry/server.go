@@ -8,8 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -294,232 +292,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// snapshot families; it stays out of WriteProm so the snapshot renderer
 	// remains a deterministic, golden-testable function of its argument.
 	WriteGoRuntimeProm(w, ReadGoRuntime())
-}
-
-// WriteProm renders a Snapshot in the Prometheus text exposition format.
-// Exported separately from the server so tests and offline tooling can
-// render without a listener.
-func WriteProm(w interface{ Write([]byte) (int, error) }, snap Snapshot) {
-	var b strings.Builder
-
-	counter := func(name, help string) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " counter\n")
-	}
-	gauge := func(name, help string) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " gauge\n")
-	}
-	sample := func(name, labels string, v float64) {
-		b.WriteString(name)
-		if labels != "" {
-			b.WriteString("{" + labels + "}")
-		}
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		b.WriteByte('\n')
-	}
-	shardLabel := func(i int) string { return `shard="` + strconv.Itoa(i) + `"` }
-
-	counter("latest_feeds_total", "Lifetime ingested objects per shard.")
-	for _, sh := range snap.Shards {
-		sample("latest_feeds_total", shardLabel(sh.Index), float64(sh.Feeds))
-	}
-	counter("latest_batches_total", "Lifetime ingested batches per shard.")
-	for _, sh := range snap.Shards {
-		sample("latest_batches_total", shardLabel(sh.Index), float64(sh.Batches))
-	}
-	counter("latest_queries_total", "Lifetime estimate/execute cycles per shard.")
-	for _, sh := range snap.Shards {
-		sample("latest_queries_total", shardLabel(sh.Index), float64(sh.Queries))
-	}
-	counter("latest_reordered_total", "Objects whose timestamps were clamped forward per shard.")
-	for _, sh := range snap.Shards {
-		sample("latest_reordered_total", shardLabel(sh.Index), float64(sh.Reordered))
-	}
-	counter("latest_prefills_total", "Estimator pre-fill replays per shard by execution mode.")
-	for _, sh := range snap.Shards {
-		sample("latest_prefills_total", shardLabel(sh.Index)+`,mode="async"`, float64(sh.PrefillsAsync))
-		sample("latest_prefills_total", shardLabel(sh.Index)+`,mode="inline"`, float64(sh.PrefillsInline))
-	}
-	counter("latest_switches_total", "Estimator switches per shard.")
-	for _, sh := range snap.Shards {
-		sample("latest_switches_total", shardLabel(sh.Index), float64(sh.Switches))
-	}
-	gauge("latest_window_occupancy", "Live objects in the shard's exact window store.")
-	for _, sh := range snap.Shards {
-		sample("latest_window_occupancy", shardLabel(sh.Index), float64(sh.Occupancy))
-	}
-	gauge("latest_window_bytes", "Footprint of the shard's exact window store, all of it its own: object arena with keyword IDs, index rings, and the keyword dictionary with its words.")
-	for _, sh := range snap.Shards {
-		sample("latest_window_bytes", shardLabel(sh.Index), float64(sh.WindowBytes))
-	}
-	gauge("latest_accuracy_avg", "Sliding accuracy average the adaptor monitors, per shard.")
-	for _, sh := range snap.Shards {
-		sample("latest_accuracy_avg", shardLabel(sh.Index), sh.AccuracyAvg)
-	}
-	gauge("latest_memory_bytes", "Estimator memory footprint per shard.")
-	for _, sh := range snap.Shards {
-		sample("latest_memory_bytes", shardLabel(sh.Index), float64(sh.MemoryBytes))
-	}
-	gauge("latest_active_estimator", "1 for the estimator currently serving each shard.")
-	for _, sh := range snap.Shards {
-		sample("latest_active_estimator",
-			shardLabel(sh.Index)+`,estimator="`+sh.Active+`"`, 1)
-	}
-	gauge("latest_qerror", "Rolling q-error per estimator (1 is perfect), merged across shards.")
-	for _, qe := range snap.QError {
-		if qe.Samples > 0 {
-			sample("latest_qerror", `estimator="`+qe.Estimator+`"`, qe.QError)
-		}
-	}
-
-	if len(snap.Drift) > 0 {
-		gauge("latest_qerror_drift", "Current-window over reference-window mean q-error ratio per estimator (0 until both windows fill; >= threshold means drifted).")
-		for _, d := range snap.Drift {
-			sample("latest_qerror_drift", `estimator="`+d.Estimator+`"`, d.Ratio)
-		}
-		gauge("latest_qerror_window", "Windowed mean q-error per estimator and window (reference is frozen at calibration, current rolls).")
-		for _, d := range snap.Drift {
-			sample("latest_qerror_window", `estimator="`+d.Estimator+`",window="reference"`, d.Reference)
-			sample("latest_qerror_window", `estimator="`+d.Estimator+`",window="current"`, d.Current)
-		}
-		gauge("latest_qerror_drifted", "1 while the estimator's drift ratio is at or above its threshold.")
-		for _, d := range snap.Drift {
-			v := 0.0
-			if d.Drifted {
-				v = 1
-			}
-			sample("latest_qerror_drifted", `estimator="`+d.Estimator+`"`, v)
-		}
-	}
-
-	counter("latest_validation_total", "Inputs handled by the validation policy per shard, by outcome.")
-	for _, sh := range snap.Shards {
-		sample("latest_validation_total", shardLabel(sh.Index)+`,outcome="rejected"`, float64(sh.ValidationRejected))
-		sample("latest_validation_total", shardLabel(sh.Index)+`,outcome="clamped"`, float64(sh.ValidationClamped))
-	}
-	counter("latest_prefill_queue_full_total", "Deferred pre-fills that found the queue full and replayed inline, per shard.")
-	for _, sh := range snap.Shards {
-		sample("latest_prefill_queue_full_total", shardLabel(sh.Index), float64(sh.PrefillQueueFull))
-	}
-	gauge("latest_ingest_rate", "Trailing mean feed rate per shard (objects/second over the last ten completed seconds).")
-	for _, sh := range snap.Shards {
-		sample("latest_ingest_rate", shardLabel(sh.Index), sh.IngestRatePerSec)
-	}
-	gauge("latest_ingest_backlog", "Routed chunks queued to the shard's feed worker but not yet applied.")
-	for _, sh := range snap.Shards {
-		sample("latest_ingest_backlog", shardLabel(sh.Index), float64(sh.IngestBacklog))
-	}
-	counter("latest_ingest_backpressure_total", "Feed hand-offs that found the shard's ingest queue full and blocked, per shard.")
-	for _, sh := range snap.Shards {
-		sample("latest_ingest_backpressure_total", shardLabel(sh.Index), float64(sh.IngestBackpressure))
-	}
-	counter("latest_faults_total", "Estimator faults contained by the guard, per shard, estimator and kind.")
-	for _, sh := range snap.Shards {
-		for _, h := range sh.Resilience.Estimators {
-			est := `,estimator="` + h.Estimator + `"`
-			sample("latest_faults_total", shardLabel(sh.Index)+est+`,kind="panic"`, float64(h.Panics))
-			sample("latest_faults_total", shardLabel(sh.Index)+est+`,kind="value"`, float64(h.ValueFaults))
-			sample("latest_faults_total", shardLabel(sh.Index)+est+`,kind="deadline"`, float64(h.Deadlines))
-		}
-	}
-	gauge("latest_quarantine_state", "Circuit-breaker state per shard and estimator: 0 closed, 1 half-open, 2 open.")
-	for _, sh := range snap.Shards {
-		for _, h := range sh.Resilience.Estimators {
-			sample("latest_quarantine_state",
-				shardLabel(sh.Index)+`,estimator="`+h.Estimator+`"`, float64(stateRank(h.State)))
-		}
-	}
-	counter("latest_quarantines_total", "Breaker trips per shard and estimator.")
-	for _, sh := range snap.Shards {
-		for _, h := range sh.Resilience.Estimators {
-			sample("latest_quarantines_total",
-				shardLabel(sh.Index)+`,estimator="`+h.Estimator+`"`, float64(h.Quarantines))
-		}
-	}
-	counter("latest_readmissions_total", "Probation re-admissions per shard and estimator.")
-	for _, sh := range snap.Shards {
-		for _, h := range sh.Resilience.Estimators {
-			sample("latest_readmissions_total",
-				shardLabel(sh.Index)+`,estimator="`+h.Estimator+`"`, float64(h.Readmissions))
-		}
-	}
-	counter("latest_sanitized_total", "Estimates repaired in place by the guard (small negatives clamped), per shard and estimator.")
-	for _, sh := range snap.Shards {
-		for _, h := range sh.Resilience.Estimators {
-			sample("latest_sanitized_total",
-				shardLabel(sh.Index)+`,estimator="`+h.Estimator+`"`, float64(h.Sanitized))
-		}
-	}
-	counter("latest_fallbacks_total", "Queries served by a fallback because the active estimate faulted, per shard and mode.")
-	for _, sh := range snap.Shards {
-		r := sh.Resilience
-		sample("latest_fallbacks_total", shardLabel(sh.Index)+`,mode="runner_up"`, float64(r.FallbackRunnerUp))
-		sample("latest_fallbacks_total", shardLabel(sh.Index)+`,mode="oracle"`, float64(r.FallbackOracle))
-		sample("latest_fallbacks_total", shardLabel(sh.Index)+`,mode="zero"`, float64(r.FallbackZero))
-	}
-
-	promHistogram(&b, "latest_feed_latency_seconds",
-		"Sampled single-object ingest latency.", snap.Shards,
-		func(sh ShardSample) HistSnapshot { return sh.Feed })
-	promHistogram(&b, "latest_batch_latency_seconds",
-		"Per-batch ingest latency.", snap.Shards,
-		func(sh ShardSample) HistSnapshot { return sh.Batch })
-	promHistogram(&b, "latest_query_latency_seconds",
-		"Full estimate+execute+observe cycle latency.", snap.Shards,
-		func(sh ShardSample) HistSnapshot { return sh.Query })
-	promHistogram(&b, "latest_estimate_latency_seconds",
-		"Active estimator's approximate-answer latency.", snap.Shards,
-		func(sh ShardSample) HistSnapshot { return sh.Estimate })
-
-	if snap.Server != nil {
-		writeServerProm(&b, snap.Server)
-	}
-	if snap.Durable != nil {
-		writeDurableProm(&b, snap.Durable)
-	}
-	if snap.Cluster != nil {
-		writeClusterProm(&b, snap.Cluster)
-	}
-
-	w.Write([]byte(b.String()))
-}
-
-// promHistogram renders one histogram family with per-shard label sets.
-// Buckets are cumulative as the exposition format requires; empty trailing
-// buckets are folded into +Inf to keep scrapes small.
-func promHistogram(b *strings.Builder, name, help string, shards []ShardSample, get func(ShardSample) HistSnapshot) {
-	b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " histogram\n")
-	for _, sh := range shards {
-		promHistogramOne(b, name, `shard="`+strconv.Itoa(sh.Index)+`"`, get(sh))
-	}
-}
-
-// promHistogramOne renders one histogram series (no HELP/TYPE preamble —
-// the caller owns the family header). An empty label renders an unlabeled
-// series.
-func promHistogramOne(b *strings.Builder, name, label string, h HistSnapshot) {
-	prefix := label // bucket-line label prefix, "le" appended after it
-	if label != "" {
-		prefix += ","
-	}
-	hi := -1
-	for i, n := range h.Buckets {
-		if n > 0 {
-			hi = i
-		}
-	}
-	var cum uint64
-	for i := 0; i <= hi && i < NumBuckets-1; i++ {
-		cum += h.Buckets[i]
-		le := strconv.FormatFloat(BucketBound(i).Seconds(), 'g', -1, 64)
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, prefix, le, cum)
-	}
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, prefix, h.Count)
-	suffix := ""
-	if label != "" {
-		suffix = "{" + label + "}"
-	}
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, suffix,
-		strconv.FormatFloat(h.Sum.Seconds(), 'g', -1, 64))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, suffix, h.Count)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -353,7 +354,7 @@ func (tb *TraceBuffer) Exemplars() []Exemplar {
 	for op := range tb.exemplars {
 		ops = append(ops, op)
 	}
-	sortStrings(ops)
+	slices.Sort(ops)
 	var out []Exemplar
 	for _, op := range ops {
 		slot := tb.exemplars[op]
@@ -369,16 +370,6 @@ func (tb *TraceBuffer) Exemplars() []Exemplar {
 		}
 	}
 	return out
-}
-
-// sortStrings is a dependency-free insertion sort; exemplar op sets are
-// tiny (a handful of operations).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // TraceDump is the /debug/requests response body.

@@ -64,10 +64,10 @@ type Decision struct {
 	// Recommended is the model's top recommendation at decision time with
 	// its class probability; RunnerUp carries the second class, exposing
 	// how close the call was (tie info).
-	Recommended     string  `json:"recommended"`
-	Confidence      float64 `json:"confidence"`
-	RunnerUp        string  `json:"runner_up,omitempty"`
-	RunnerUpConf    float64 `json:"runner_up_confidence,omitempty"`
+	Recommended  string  `json:"recommended"`
+	Confidence   float64 `json:"confidence"`
+	RunnerUp     string  `json:"runner_up,omitempty"`
+	RunnerUpConf float64 `json:"runner_up_confidence,omitempty"`
 	// QError is each estimator's rolling q-error at decision time — did
 	// the recommendation actually win on the metric estimator papers judge
 	// by?
