@@ -67,7 +67,6 @@ func TestChaosShardedPanicInjection(t *testing.T) {
 		WithSeed(11),
 		WithPretrainQueries(40),
 		WithAccWindow(30),
-		WithSynchronousPrefill(),
 		WithFaultInjector(inj),
 		WithBreaker(BreakerConfig{Window: 16, Threshold: 4, Cooldown: 40, ProbeSuccesses: 2}),
 	)
@@ -441,7 +440,6 @@ func TestQuarantineCountersSurfaceInGauges(t *testing.T) {
 		WithSeed(43),
 		WithPretrainQueries(40),
 		WithAccWindow(30),
-		WithSynchronousPrefill(),
 		WithFaultInjector(inj),
 		WithBreaker(BreakerConfig{Window: 8, Threshold: 3, Cooldown: 1_000_000}),
 	)

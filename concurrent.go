@@ -18,14 +18,13 @@ type ConcurrentSystem struct {
 
 // NewConcurrent builds a thread-safe LATEST system over the given world
 // and sliding-window span. Sharding options (WithShards,
-// WithSynchronousPrefill, WithPrefillQueueDepth, WithIngestQueueDepth,
-// WithSynchronousIngest) are rejected with a descriptive error.
+// WithIngestQueueDepth) are rejected with a descriptive error.
 func NewConcurrent(world Rect, window time.Duration, opts ...Option) (*ConcurrentSystem, error) {
 	cfg := buildConfig(world, window, opts)
 	if err := validateOptions(&cfg, kindConcurrent); err != nil {
 		return nil, err
 	}
-	cfg.Shards, cfg.SyncIngest, cfg.SyncPrefill = 1, true, true
+	cfg.Shards, cfg.SyncIngest = 1, true
 	s, err := newSharded(cfg, kindConcurrent)
 	if err != nil {
 		return nil, err

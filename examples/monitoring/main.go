@@ -205,8 +205,8 @@ func run(out io.Writer, p params) error {
 	}
 	// The merged decision trace says why each switch happened.
 	for _, d := range st.Merged.Decisions {
-		fmt.Fprintf(out, "  shard %d: %s->%s reason=%s confidence=%.2f prefill=%s\n",
-			d.Shard, d.From, d.To, d.Reason, d.Confidence, d.PrefillMode)
+		fmt.Fprintf(out, "  shard %d: %s->%s reason=%s confidence=%.2f\n",
+			d.Shard, d.From, d.To, d.Reason, d.Confidence)
 	}
 	return nil
 }

@@ -160,12 +160,13 @@ type engine struct {
 }
 
 // RunDifferential feeds one deterministic workload into System,
-// NewConcurrent (ShardedSystem with one shard, inline ingest and pre-fill)
-// and NewSharded(1) (the same shard behind the ingest pipeline, pre-fill
-// synchronous) plus the brute-force oracle, comparing counts, estimates,
+// NewConcurrent (ShardedSystem with one shard and inline ingest) and
+// NewSharded(1) (the same shard behind the ingest pipeline, as latestd
+// builds it) plus the brute-force oracle, comparing counts, estimates,
 // switching state and stats snapshots at every step. The last two share
-// the shard code, so each is checked against System, not against itself. The returned report is non-nil whenever
-// err is nil, even when it records mismatches.
+// the shard code, so each is checked against System, not against itself.
+// The returned report is non-nil whenever err is nil, even when it records
+// mismatches.
 func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 	if cfg.Queries <= 0 || cfg.ObjectsPerQuery <= 0 {
 		return nil, fmt.Errorf("check: Queries and ObjectsPerQuery must be positive, got %d/%d", cfg.Queries, cfg.ObjectsPerQuery)
@@ -207,7 +208,7 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 	}
 	shard, err := latest.NewSharded(world, cfg.Window,
 		append(append([]latest.Option(nil), opts...),
-			latest.WithShards(1), latest.WithSynchronousPrefill())...)
+			latest.WithShards(1))...)
 	if err != nil {
 		return nil, fmt.Errorf("check: build ShardedSystem: %w", err)
 	}

@@ -10,13 +10,13 @@ import (
 	"github.com/spatiotext/latest/internal/replay"
 )
 
-// golden_sharded.go replays the golden trace through a 1-shard
-// ShardedSystem with the ingest pipeline ON: objects flow through the
-// shard's bounded feed queue and are applied by its worker goroutine, and
-// the observable output must still be byte-identical to the monolithic
-// goldens. That is the determinism proof for the pipeline — hand-off order
-// is apply order within a shard, and the query path's drain barrier gives
-// single-threaded callers read-your-writes semantics.
+// golden_sharded.go replays the golden trace through the ShardedSystem as
+// latestd builds it — ingest pipeline on, switch candidates pre-filled by
+// the query that asks — and with one shard the observable output must be
+// byte-identical to the monolithic goldens. That is the determinism proof
+// for the pipeline: hand-off order is apply order within a shard, and the
+// query path's drain barrier gives single-threaded callers
+// read-your-writes semantics.
 
 // engineView abstracts the observables a golden report line reads, so one
 // formatter serves both the monolithic System and the sharded engine.
@@ -32,25 +32,30 @@ type sysView struct{ *latest.System }
 
 func (v sysView) ActiveName() string { return v.ActiveEstimator() }
 
-// shardedView adapts *latest.ShardedSystem to engineView (1-shard use:
-// the golden replays pin shard 0's observables).
+// shardedView adapts *latest.ShardedSystem to engineView. With one shard
+// the observables are the ones a System reports; with more, each is listed
+// in shard order.
 type shardedView struct{ *latest.ShardedSystem }
 
-func (v shardedView) ActiveName() string           { return v.ActiveEstimators()[0] }
-func (v shardedView) Decisions() []latest.Decision { return v.Stats().Decisions }
+func (v shardedView) ActiveName() string { return strings.Join(v.ActiveEstimators(), ",") }
 
-// RunGoldenSharded replays the trace from r through a 1-shard pipelined
-// ShardedSystem and returns the same golden-comparable count report and
-// decision trace as RunGolden. Synchronous prefill keeps switch-candidate
-// warming on the query path (the monolithic behaviour); ingest stays on
-// the pipeline — the property under test.
-func RunGoldenSharded(r io.Reader, cfg GoldenConfig) (counts, decisions string, err error) {
+// Decisions concatenates the shards' records in shard order; Stats() merges
+// them by the wall time each was made at, which no seed fixes.
+func (v shardedView) Decisions() []latest.Decision {
+	var out []latest.Decision
+	for _, sh := range v.PerShardStats().Shards {
+		out = append(out, sh.Core.Decisions...)
+	}
+	return out
+}
+
+// RunGoldenSharded replays the trace from r through a pipelined
+// ShardedSystem of the given shard count and returns the same count report
+// and decision trace as RunGolden — golden-comparable when shards is 1.
+// Beyond the shard count the engine takes no option RunGolden's does not.
+func RunGoldenSharded(r io.Reader, cfg GoldenConfig, shards int) (counts, decisions string, err error) {
 	world := goldenWorld()
-	opts := append(goldenOptions(cfg),
-		latest.WithShards(1),
-		latest.WithSynchronousPrefill(),
-	)
-	s, err := latest.NewSharded(world, cfg.Window, opts...)
+	s, err := latest.NewSharded(world, cfg.Window, append(goldenOptions(cfg), latest.WithShards(shards))...)
 	if err != nil {
 		return "", "", fmt.Errorf("check: build golden ShardedSystem: %w", err)
 	}
@@ -86,11 +91,11 @@ func RunGoldenSharded(r io.Reader, cfg GoldenConfig) (counts, decisions string, 
 }
 
 // RunGoldenShardedFile is RunGoldenSharded over a trace file path.
-func RunGoldenShardedFile(tracePath string, cfg GoldenConfig) (counts, decisions string, err error) {
+func RunGoldenShardedFile(tracePath string, cfg GoldenConfig, shards int) (counts, decisions string, err error) {
 	f, err := os.Open(tracePath)
 	if err != nil {
 		return "", "", err
 	}
 	defer f.Close()
-	return RunGoldenSharded(f, cfg)
+	return RunGoldenSharded(f, cfg, shards)
 }

@@ -1,20 +1,21 @@
 package check
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestGoldenReplayShardedPipeline is the pipeline determinism regression:
-// the golden trace replayed through a 1-shard ShardedSystem with the
-// ingest pipeline ON must match the monolithic System's golden files
+// the golden trace replayed through NewSharded(WithShards(1)), every other
+// option RunGolden's, must match the monolithic System's golden files
 // byte-for-byte — counts AND switch decisions. Never refresh the goldens
 // from this runner; if it diverges, the pipeline broke per-shard feed
 // order (or the drain barrier stopped giving read-your-writes).
 func TestGoldenReplayShardedPipeline(t *testing.T) {
 	counts, decisions, err := RunGoldenShardedFile(
-		filepath.Join(goldenDir, traceFile), DefaultGoldenConfig())
+		filepath.Join(goldenDir, traceFile), DefaultGoldenConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,6 +24,35 @@ func TestGoldenReplayShardedPipeline(t *testing.T) {
 	}
 	compareGolden(t, filepath.Join(goldenDir, countsGolden), counts)
 	compareGolden(t, filepath.Join(goldenDir, decisionGolden), decisions)
+}
+
+// TestShardedSeededRunRepeats: a seed names one run of the engine latestd
+// builds. The golden trace through a pipelined ShardedSystem, one caller,
+// yields the same count report and decision trace every time — with one
+// shard and with four, whose fan-outs run in parallel but whose shards each
+// see one fixed order of feeds and queries. A pre-fill that ran anywhere
+// but on the query that asked for it would break this: which later query
+// found the candidate half-filled would be the scheduler's choice.
+func TestShardedSeededRunRepeats(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		var counts, decisions string
+		for run := 0; run < 5; run++ {
+			c, d, err := RunGoldenShardedFile(
+				filepath.Join(goldenDir, traceFile), DefaultGoldenConfig(), shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				if !strings.Contains(d, "switch=") {
+					t.Fatalf("%d shards: no switches recorded; the scenario is not exercising the adaptor", shards)
+				}
+				counts, decisions = c, d
+				continue
+			}
+			diffReplays(t, fmt.Sprintf("%d shards, run %d: count report", shards, run), counts, c)
+			diffReplays(t, fmt.Sprintf("%d shards, run %d: decision trace", shards, run), decisions, d)
+		}
+	}
 }
 
 // TestGoldenRecoveryPipelinedDrain is the crash-during-drain oracle: a

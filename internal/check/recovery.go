@@ -182,9 +182,7 @@ func runGoldenSegmented(objs []stream.Object, rc RecoveryConfig, gapStart, gapEn
 	world := goldenWorld()
 	build := func() (latest.Engine, engineView, error) {
 		if rc.Pipelined {
-			opts := append(goldenOptions(cfg),
-				latest.WithShards(1), latest.WithSynchronousPrefill())
-			s, err := latest.NewSharded(world, cfg.Window, opts...)
+			s, err := latest.NewSharded(world, cfg.Window, append(goldenOptions(cfg), latest.WithShards(1))...)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -111,10 +111,6 @@ type Config struct {
 	// an estimator is flagged drifted (zero =
 	// telemetry.DefaultDriftThreshold).
 	DriftThreshold float64
-	// PrefillMode annotates trace decisions with how this deployment warms
-	// switch candidates: "inline" (on the query path) or "async" (a
-	// background worker). Informational only; empty means "inline".
-	PrefillMode string
 	// Resilience parameterizes the per-estimator guard and circuit breaker
 	// (fault window, quarantine threshold, cooldown, probe count, latency
 	// deadline). The zero value takes the resilience package defaults —
@@ -160,9 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OpportunityMargin == 0 {
 		c.OpportunityMargin = 0.15
-	}
-	if c.PrefillMode == "" {
-		c.PrefillMode = "inline"
 	}
 	if c.Hoeffding == (hoeffding.Config{}) {
 		// The paper's model reference [44] is the Extremely Fast Decision

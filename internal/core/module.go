@@ -184,8 +184,9 @@ func (m *Module) Switches() []SwitchEvent {
 // monitors.
 func (m *Module) AccuracyAverage() float64 { return m.accWindow.Mean() }
 
-// Estimators returns the fleet's names in order.
-func (m *Module) Estimators() []string { return append([]string(nil), m.names...) }
+// Config returns the configuration the module was built with, defaults
+// resolved (Estimators is the fleet in order). The engines fingerprint it.
+func (m *Module) Config() Config { return m.cfg }
 
 // TrainingRecords returns how many records the Hoeffding tree has absorbed.
 func (m *Module) TrainingRecords() int { return m.brain.tree.Instances() }
@@ -641,7 +642,7 @@ func (m *Module) traceDecision(ev SwitchEvent, q *stream.Query, reason string) {
 		AccuracyAvg: m.accWindow.Mean(),
 		QueryType:   q.Type().String(),
 		Prefilled:   ev.Prefilled,
-		PrefillMode: m.cfg.PrefillMode,
+		PrefillMode: "inline",
 		QError:      m.qerrSamples(),
 	}
 	if x, best, bestP, second, secondP := m.brain.consult(q, m.active); best >= 0 {

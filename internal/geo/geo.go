@@ -1,11 +1,10 @@
 // Package geo provides the planar geometry primitives used throughout the
-// LATEST reproduction: points, axis-aligned rectangles, uniform grid cell
-// arithmetic and Z-order (Morton) encoding.
+// LATEST reproduction: points, axis-aligned rectangles and uniform grid
+// cell arithmetic.
 //
 // Coordinates follow the paper's convention of longitude/latitude pairs, but
-// nothing in this package assumes geographic semantics except the optional
-// haversine helper; all estimators treat space as a flat 2-D plane bounded
-// by a world rectangle.
+// nothing in this package assumes geographic semantics; all estimators treat
+// space as a flat 2-D plane bounded by a world rectangle.
 package geo
 
 import (
@@ -45,22 +44,6 @@ func (p Point) DistanceTo(q Point) float64 {
 func (p Point) SquaredDistanceTo(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return dx*dx + dy*dy
-}
-
-// EarthRadiusKM is the mean Earth radius used by HaversineKM.
-const EarthRadiusKM = 6371.0088
-
-// HaversineKM returns the great-circle distance in kilometres between two
-// lon/lat points. Only used by examples that want human-readable distances;
-// the estimators themselves are planar.
-func HaversineKM(a, b Point) float64 {
-	lat1 := a.Y * math.Pi / 180
-	lat2 := b.Y * math.Pi / 180
-	dLat := (b.Y - a.Y) * math.Pi / 180
-	dLon := (b.X - a.X) * math.Pi / 180
-	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * EarthRadiusKM * math.Asin(math.Min(1, math.Sqrt(s)))
 }
 
 // Rect is an axis-aligned rectangle, closed on the min edges and open on the

@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -37,24 +36,6 @@ func TestDistance(t *testing.T) {
 		if got := tc.a.SquaredDistanceTo(tc.b); math.Abs(got-tc.want*tc.want) > 1e-9 {
 			t.Errorf("SquaredDistanceTo(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want*tc.want)
 		}
-	}
-}
-
-func TestHaversineKnownDistances(t *testing.T) {
-	// Riverside, CA to Thousand Oaks, CA is roughly 130 km.
-	riverside := Pt(-117.3962, 33.9534)
-	thousandOaks := Pt(-118.8376, 34.1706)
-	d := HaversineKM(riverside, thousandOaks)
-	if d < 120 || d > 145 {
-		t.Errorf("Riverside->Thousand Oaks = %.1f km, want ~130", d)
-	}
-	if got := HaversineKM(riverside, riverside); got != 0 {
-		t.Errorf("zero distance = %v", got)
-	}
-	// Antipodal points are half the circumference apart.
-	half := math.Pi * EarthRadiusKM
-	if got := HaversineKM(Pt(0, 0), Pt(180, 0)); math.Abs(got-half) > 1 {
-		t.Errorf("antipodal = %v, want %v", got, half)
 	}
 }
 
@@ -275,25 +256,4 @@ func pos(v float64) float64 {
 		return 1e-9
 	}
 	return v
-}
-
-func TestMortonRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		col, row := rng.Uint32()&0xFFFF, rng.Uint32()&0xFFFF
-		c2, r2 := MortonDecode(Morton(col, row))
-		if c2 != col || r2 != row {
-			t.Fatalf("Morton round trip (%d,%d) -> (%d,%d)", col, row, c2, r2)
-		}
-	}
-}
-
-func TestMortonOrdering(t *testing.T) {
-	// Z-order of the 2x2 grid is SW(0,0) SE(1,0) NW(0,1) NE(1,1).
-	codes := []uint64{Morton(0, 0), Morton(1, 0), Morton(0, 1), Morton(1, 1)}
-	for i := 1; i < len(codes); i++ {
-		if codes[i] <= codes[i-1] {
-			t.Errorf("Z-order not increasing at %d: %v", i, codes)
-		}
-	}
 }

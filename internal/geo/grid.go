@@ -151,35 +151,3 @@ func (g *Grid) ForEachCell(cr CellRange, fn func(idx int, cell Rect) bool) {
 		}
 	}
 }
-
-// Morton interleaves the low 16 bits of col and row into a Z-order code.
-// Used to lay quadtree traversals and grid scans out in a cache-friendlier
-// order; 16 bits per axis comfortably covers any grid this package builds.
-func Morton(col, row uint32) uint64 {
-	return spread(col) | spread(row)<<1
-}
-
-// MortonDecode is the inverse of Morton.
-func MortonDecode(code uint64) (col, row uint32) {
-	return compact(code), compact(code >> 1)
-}
-
-func spread(v uint32) uint64 {
-	x := uint64(v) & 0xFFFF
-	x = (x | x<<16) & 0x0000FFFF0000FFFF
-	x = (x | x<<8) & 0x00FF00FF00FF00FF
-	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x
-}
-
-func compact(x uint64) uint32 {
-	x &= 0x5555555555555555
-	x = (x | x>>1) & 0x3333333333333333
-	x = (x | x>>2) & 0x0F0F0F0F0F0F0F0F
-	x = (x | x>>4) & 0x00FF00FF00FF00FF
-	x = (x | x>>8) & 0x0000FFFF0000FFFF
-	x = (x | x>>16) & 0x00000000FFFFFFFF
-	return uint32(x)
-}

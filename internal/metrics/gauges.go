@@ -26,12 +26,10 @@ type ShardGauges struct {
 	reordered     atomic.Uint64
 	occupancy     atomic.Int64
 	windowBytes   atomic.Int64
-	prefillAsync  atomic.Uint64
 	prefillInline atomic.Uint64
 
 	validationRejected atomic.Uint64
 	validationClamped  atomic.Uint64
-	prefillQueueFull   atomic.Uint64
 
 	// ingestRate is the rolling per-second feed rate, merged from its ring
 	// only at read time; ingestBacklog is the shard's queued-but-unapplied
@@ -74,17 +72,9 @@ func (g *ShardGauges) RecordBatch(n int, d time.Duration) {
 // RecordQuery counts one estimate/execute cycle and its duration.
 func (g *ShardGauges) RecordQuery(d time.Duration) { g.queryHist.Record(d) }
 
-// RecordPrefill counts one estimator pre-fill replay by execution mode:
-// async (the shard's background worker ran it) or inline (on the query
-// path — either by configuration or as the fallback when the worker's
-// queue was full).
-func (g *ShardGauges) RecordPrefill(async bool) {
-	if async {
-		g.prefillAsync.Add(1)
-	} else {
-		g.prefillInline.Add(1)
-	}
-}
+// RecordPrefill counts one estimator pre-fill replay; every replay runs
+// inline, on the query that asked for it.
+func (g *ShardGauges) RecordPrefill() { g.prefillInline.Add(1) }
 
 // RecordReordered counts an object whose timestamp had to be clamped to
 // the shard's high-water mark (out-of-order arrival across producers).
@@ -99,11 +89,6 @@ func (g *ShardGauges) RecordValidationRejected() { g.validationRejected.Add(1) }
 // repaired in place (coordinates pulled into the world, inverted rectangle
 // corners swapped, regressed timestamp clamped forward).
 func (g *ShardGauges) RecordValidationClamped() { g.validationClamped.Add(1) }
-
-// RecordPrefillQueueFull counts one deferred pre-fill that found the
-// shard's queue full and fell back to an inline replay — the backpressure
-// signal that the queue depth is undersized for the switch rate.
-func (g *ShardGauges) RecordPrefillQueueFull() { g.prefillQueueFull.Add(1) }
 
 // RecordIngestBackpressure counts one feed hand-off that found the shard's
 // ingest queue full and blocked until the feed worker caught up — the
@@ -133,17 +118,13 @@ type GaugeSnapshot struct {
 	Queries uint64
 	// Reordered counts objects whose timestamps were clamped forward.
 	Reordered uint64
-	// PrefillsAsync and PrefillsInline count estimator pre-fill replays by
-	// where they ran.
-	PrefillsAsync  uint64
+	// PrefillsInline counts estimator pre-fill replays, all of which run
+	// on the query path.
 	PrefillsInline uint64
 	// ValidationRejected counts inputs refused by the validation policy and
 	// ValidationClamped inputs it repaired in place.
 	ValidationRejected uint64
 	ValidationClamped  uint64
-	// PrefillQueueFull counts deferred pre-fills that hit a full queue and
-	// fell back to an inline replay (backpressure events).
-	PrefillQueueFull uint64
 	// IngestRatePerSec is the trailing mean feed rate (objects/second over
 	// the last RollingWindowSeconds completed seconds).
 	IngestRatePerSec float64
@@ -177,11 +158,9 @@ func (g *ShardGauges) Snapshot() GaugeSnapshot {
 	s := GaugeSnapshot{
 		Feeds:              g.feeds.Load(),
 		Reordered:          g.reordered.Load(),
-		PrefillsAsync:      g.prefillAsync.Load(),
 		PrefillsInline:     g.prefillInline.Load(),
 		ValidationRejected: g.validationRejected.Load(),
 		ValidationClamped:  g.validationClamped.Load(),
-		PrefillQueueFull:   g.prefillQueueFull.Load(),
 		IngestRatePerSec:   g.ingestRate.RateAt(time.Now()),
 		IngestBacklog:      int(g.ingestBacklog.Load()),
 		IngestBackpressure: g.ingestBackpressure.Load(),

@@ -90,12 +90,10 @@ func TestShardGaugesHistograms(t *testing.T) {
 
 func TestShardGaugesPrefills(t *testing.T) {
 	var g ShardGauges
-	g.RecordPrefill(true)
-	g.RecordPrefill(true)
-	g.RecordPrefill(false)
-	s := g.Snapshot()
-	if s.PrefillsAsync != 2 || s.PrefillsInline != 1 {
-		t.Errorf("prefills = async %d inline %d", s.PrefillsAsync, s.PrefillsInline)
+	g.RecordPrefill()
+	g.RecordPrefill()
+	if s := g.Snapshot(); s.PrefillsInline != 2 {
+		t.Errorf("prefills = %d, want 2", s.PrefillsInline)
 	}
 }
 

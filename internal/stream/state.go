@@ -43,8 +43,8 @@ func (w *Window) SaveState(e *persist.Enc) {
 // LoadState restores a window saved with the same world, span and grid.
 // The receiver must be empty and never inserted into; the saved base is
 // installed *before* re-inserting so restored objects keep their original
-// sequence numbers — shard prefill bookkeeping (NextSeq/EachBefore)
-// continues exactly where the original left off.
+// sequence numbers — NextSeq continues exactly where the original left
+// off.
 func (w *Window) LoadState(d *persist.Dec) error {
 	const op = "window"
 	if w.inserted != 0 || w.Size() != 0 {

@@ -488,14 +488,9 @@ func (w *Window) countHybrid(r geo.Rect, ids []uint32) int {
 // window fills for each call of fn and is valid for the duration of that
 // call only: fn must copy what it keeps, o.Keywords' array included.
 func (w *Window) Each(fn func(o *Object) bool) {
-	w.eachOldest(w.n, fn)
-}
-
-// eachOldest iterates over the count oldest live objects in arrival order.
-func (w *Window) eachOldest(count int, fn func(o *Object) bool) {
 	var o Object
 	off := int(w.base - w.origin)
-	for end := off + count; off < end; off++ {
+	for end := off + w.n; off < end; off++ {
 		c, slot := &w.chunks[off>>chunkShift], off&chunkMask
 		r := &c.recs[slot]
 		o.ID, o.Loc, o.Timestamp = r.id, r.loc, r.ts
@@ -510,25 +505,8 @@ func (w *Window) eachOldest(count int, fn func(o *Object) bool) {
 }
 
 // NextSeq returns the sequence number the next inserted object will
-// receive. Together with EachBefore it lets a caller snapshot "everything
-// in the window as of now" by value: record NextSeq at decision time,
-// replay EachBefore(seq) later, and objects inserted in between are
-// excluded no matter how long the replay is deferred. Deferred estimator
-// pre-filling uses exactly this to move the window replay off the query
-// path without double-inserting objects the estimator already saw live.
+// receive.
 func (w *Window) NextSeq() uint64 { return w.base + uint64(w.n) }
-
-// EachBefore iterates, in arrival order, over the live objects whose
-// sequence number is below maxSeq (i.e. those already present when
-// NextSeq returned maxSeq). Objects evicted since then are skipped
-// naturally — they are no longer live. fn returning false stops early, and
-// its argument is Each's scratch copy.
-func (w *Window) EachBefore(maxSeq uint64, fn func(o *Object) bool) {
-	if maxSeq <= w.base {
-		return
-	}
-	w.eachOldest(int(min(maxSeq-w.base, uint64(w.n))), fn)
-}
 
 // containsID reports whether id is among ids. Keyword lists are tiny (1-5
 // entries), so the scan beats a set.

@@ -85,19 +85,6 @@ func TestWindowAcrossRefBoundary(t *testing.T) {
 		if got := liveObjects(w); !reflect.DeepEqual(got, live) {
 			t.Fatalf("insert %d: Each yields %d objects that differ from the %d live ones", i, len(got), len(live))
 		}
-		// EachBefore a sequence number in the middle of the live range.
-		mid := w.NextSeq() - uint64(len(live)/2)
-		n := 0
-		w.EachBefore(mid, func(o *stream.Object) bool {
-			if o.ID != live[n].ID {
-				t.Fatalf("insert %d: EachBefore object %d is %d, want %d", i, n, o.ID, live[n].ID)
-			}
-			n++
-			return true
-		})
-		if want := len(live) - len(live)/2; n != want {
-			t.Fatalf("insert %d: EachBefore(%d) visits %d objects, want %d", i, mid, n, want)
-		}
 		r := geo.CenteredRect(geo.Pt(rng.Float64(), rng.Float64()), 0.05+rng.Float64()*0.5, 0.05+rng.Float64()*0.5)
 		kws := []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))], "absent"}
 		for _, q := range []stream.Query{

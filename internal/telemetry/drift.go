@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // drift.go is the accuracy-drift watchdog: per-estimator windowed q-error
 // drift detection. The VFDT adaptor reacts to *relative* estimator ranking;
@@ -186,54 +183,6 @@ func MergeDriftSamples(groups ...[]DriftSample) []DriftSample {
 			s.Drifted = s.Ratio >= s.Threshold
 		}
 		out = append(out, s)
-	}
-	return out
-}
-
-// DriftSet is a concurrency-safe bundle of per-estimator trackers for
-// embedders whose observation path is not already serialized. The core
-// module does not need it (its access is lock-serialized); it exists for
-// external consumers of the telemetry package.
-type DriftSet struct {
-	mu       sync.Mutex
-	window   int
-	thresh   float64
-	trackers map[string]*DriftTracker
-	order    []string
-}
-
-// NewDriftSet creates an empty set; trackers are created on first Observe
-// per estimator with the given window/threshold (<= 0 take defaults).
-func NewDriftSet(window int, threshold float64) *DriftSet {
-	return &DriftSet{window: window, thresh: threshold, trackers: map[string]*DriftTracker{}}
-}
-
-// Observe records one q-error for the named estimator.
-func (s *DriftSet) Observe(estimator string, q float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	t := s.trackers[estimator]
-	if t == nil {
-		t = NewDriftTracker(s.window, s.thresh)
-		s.trackers[estimator] = t
-		s.order = append(s.order, estimator)
-	}
-	t.Observe(q)
-	s.mu.Unlock()
-}
-
-// Samples reads every tracker in first-observed order.
-func (s *DriftSet) Samples() []DriftSample {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]DriftSample, 0, len(s.order))
-	for _, name := range s.order {
-		out = append(out, s.trackers[name].Sample(name))
 	}
 	return out
 }

@@ -113,20 +113,3 @@ func TestMergeDriftSamples(t *testing.T) {
 		t.Fatalf("merging nothing = %+v", out)
 	}
 }
-
-func TestDriftSet(t *testing.T) {
-	set := NewDriftSet(0, 0)
-	for i := 0; i < 2*DefaultDriftWindow; i++ {
-		set.Observe("a", 1.0)
-		set.Observe("b", 4.0)
-	}
-	samples := set.Samples()
-	if len(samples) != 2 {
-		t.Fatalf("%d samples", len(samples))
-	}
-	for _, s := range samples {
-		if s.Samples == 0 {
-			t.Fatalf("empty sample %+v", s)
-		}
-	}
-}

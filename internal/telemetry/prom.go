@@ -197,7 +197,6 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 		{"latest_prefills_total", counter, "Estimator pre-fill replays per shard by execution mode.",
 			func(s *Snapshot, e *emitter) {
 				for _, sh := range s.Shards {
-					e.sample(float64(sh.PrefillsAsync), "shard", strconv.Itoa(sh.Index), "mode", "async")
 					e.sample(float64(sh.PrefillsInline), "shard", strconv.Itoa(sh.Index), "mode", "inline")
 				}
 			}},
@@ -240,7 +239,6 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 					e.sample(float64(sh.ValidationClamped), "shard", strconv.Itoa(sh.Index), "outcome", "clamped")
 				}
 			}},
-		{"latest_prefill_queue_full_total", counter, "Deferred pre-fills that found the queue full and replayed inline, per shard.", perShard(func(sh *ShardSample) float64 { return float64(sh.PrefillQueueFull) })},
 		{"latest_ingest_rate", gauge, "Trailing mean feed rate per shard (objects/second over the last ten completed seconds).", perShard(func(sh *ShardSample) float64 { return sh.IngestRatePerSec })},
 		{"latest_ingest_backlog", gauge, "Routed chunks queued to the shard's feed worker but not yet applied.", perShard(func(sh *ShardSample) float64 { return float64(sh.IngestBacklog) })},
 		{"latest_ingest_backpressure_total", counter, "Feed hand-offs that found the shard's ingest queue full and blocked, per shard.", perShard(func(sh *ShardSample) float64 { return float64(sh.IngestBackpressure) })},

@@ -25,18 +25,15 @@ type ShardSample struct {
 	Batches        uint64 `json:"batches"`
 	Queries        uint64 `json:"queries"`
 	Reordered      uint64 `json:"reordered"`
-	PrefillsAsync  uint64 `json:"prefills_async"`
 	PrefillsInline uint64 `json:"prefills_inline"`
 	Occupancy      int    `json:"occupancy"`
 	WindowBytes    int    `json:"window_bytes"`
 	Switches       int    `json:"switches"`
 
-	// ValidationRejected counts inputs the validation policy refused,
-	// ValidationClamped inputs it repaired in place, and PrefillQueueFull
-	// deferred pre-fills that hit a full queue (backpressure events).
+	// ValidationRejected counts inputs the validation policy refused and
+	// ValidationClamped inputs it repaired in place.
 	ValidationRejected uint64 `json:"validation_rejected,omitempty"`
 	ValidationClamped  uint64 `json:"validation_clamped,omitempty"`
-	PrefillQueueFull   uint64 `json:"prefill_queue_full,omitempty"`
 
 	// IngestRatePerSec is the shard's trailing mean feed rate (objects per
 	// second over the last ten completed seconds); IngestBacklog the routed

@@ -21,7 +21,7 @@ func testSnapshot() Snapshot {
 		Shards: []ShardSample{
 			{Index: 0, Active: "RSH", Phase: "incremental", Feeds: 100, Batches: 4,
 				Queries: 50, Occupancy: 70, WindowBytes: 7168, Switches: 2, AccuracyAvg: 0.9,
-				PrefillsAsync: 2, Feed: hs, Batch: hs, Query: hs, Estimate: hs},
+				Feed: hs, Batch: hs, Query: hs, Estimate: hs},
 			{Index: 1, Active: "H4096", Phase: "incremental", Feeds: 60,
 				Queries: 30, Occupancy: 40, WindowBytes: 4096, Switches: 1, AccuracyAvg: 0.92,
 				PrefillsInline: 1, Query: hs},
@@ -65,7 +65,7 @@ func TestServerEndpoints(t *testing.T) {
 		`le="+Inf"`,
 		`latest_active_estimator{shard="0",estimator="RSH"} 1`,
 		`latest_qerror{estimator="RSH"} 1.4`,
-		`latest_prefills_total{shard="0",mode="async"} 2`,
+		`latest_prefills_total{shard="1",mode="inline"} 1`,
 		"# TYPE latest_window_occupancy gauge",
 		`latest_window_bytes{shard="0"} 7168`,
 	} {

@@ -54,8 +54,10 @@ type Decision struct {
 	// Prefilled reports whether the adopted estimator had been warming
 	// (vs a cold emergency switch).
 	Prefilled bool `json:"prefilled"`
-	// PrefillMode is how this deployment warms candidates: "async"
-	// (background shard worker) or "inline" (on the query path).
+	// PrefillMode is always "inline": candidates are warmed on the query
+	// path. The field stays because decisions are stored as JSON inside
+	// snapshot images, whose bytes must not move; an image written before
+	// the background pre-fill worker was removed may say "async".
 	PrefillMode string `json:"prefill_mode"`
 	// Features is the feature vector fed to the Hoeffding tree for the
 	// consultation on the trigger query (nil when the tree had nothing

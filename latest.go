@@ -207,10 +207,6 @@ type config struct {
 	// runtime.GOMAXPROCS(0)). New rejects it; NewConcurrent rejects it and
 	// sets 1.
 	Shards int
-	// SyncPrefill makes ShardedSystem warm switch candidates on the query
-	// path instead of the shard's background goroutine. New always prefills
-	// synchronously and NewConcurrent sets it itself; both reject it.
-	SyncPrefill bool
 	// TelemetryAddr, when non-empty, starts the stdlib exposition server
 	// ("host:port"; port 0 picks a free one) publishing /metrics, /statusz,
 	// expvar and pprof. Supported by NewConcurrent and NewSharded; New
@@ -218,7 +214,7 @@ type config struct {
 	// concurrently with traffic.
 	TelemetryAddr string
 	// LogOutput, when non-nil, receives structured logfmt lines from the
-	// switch path and the shard prefill workers at LogLevel or above.
+	// switch and pre-fill path and input validation at LogLevel or above.
 	LogOutput io.Writer
 	// LogLevel is the minimum severity emitted to LogOutput.
 	LogLevel LogLevel
@@ -234,17 +230,13 @@ type config struct {
 	// FaultInjector, when non-nil, deterministically injects estimator
 	// faults for chaos testing. Nil (the default) injects nothing.
 	FaultInjector *FaultInjector
-	// PrefillQueueDepth bounds each shard's deferred pre-fill queue
-	// (zero = 4). A full queue falls back to an inline replay, counted in
-	// the PrefillQueueFull gauge. New and NewConcurrent reject it.
-	PrefillQueueDepth int
 	// IngestQueueDepth bounds each shard's ingest pipeline queue in routed
 	// chunks (zero = 8). A full queue blocks the producer, counted in the
 	// IngestBackpressure gauge. New and NewConcurrent reject it.
 	IngestQueueDepth int
 	// SyncIngest makes ShardedSystem apply feeds under the shard lock on
-	// the calling goroutine instead of the shard's feed worker. New always
-	// ingests synchronously and NewConcurrent sets it itself; both reject it.
+	// the calling goroutine instead of the shard's feed worker. No option
+	// sets it: it is what NewConcurrent's preset is, beside Shards = 1.
 	SyncIngest bool
 	// LatencyModel, when non-nil, replaces wall-clock estimator latency
 	// measurement in the switching model's training signal. Correctness
@@ -312,10 +304,13 @@ type System struct {
 // window duration of stream data. Tuning knobs are functional options
 // (WithAlpha, WithTau, ...); zero options take the paper's defaults.
 // Options that require a concurrency-safe or sharded engine (WithTelemetry,
-// WithShards, WithSynchronousPrefill, WithPrefillQueueDepth) are rejected
-// with a descriptive error.
+// WithShards, WithIngestQueueDepth) are rejected with a descriptive error.
 func New(world Rect, window time.Duration, opts ...Option) (*System, error) {
-	return newSystem(buildConfig(world, window, opts), nil, "inline", "system", kindSingle)
+	cfg := buildConfig(world, window, opts)
+	if err := validateOptions(&cfg, kindSingle); err != nil {
+		return nil, err
+	}
+	return newSystem(cfg, "system")
 }
 
 // MustNew is New but panics on error — for tests, examples and programs
@@ -328,35 +323,30 @@ func MustNew(world Rect, window time.Duration, opts ...Option) *System {
 	return s
 }
 
-// refillFunc seeds a freshly wiped estimator from the window store.
-// nil means the default synchronous full-window replay.
-type refillFunc func(e estimator.Estimator)
-
-// syncRefill replays every live window object into e on the calling
-// goroutine — the query path — and counts the inline pre-fill. The gauge
-// set is read at call time: a shard repoints its System's gauges after
-// construction.
+// syncRefill seeds a freshly wiped estimator from the window store: it
+// replays every live object into e on the calling goroutine — the query
+// path, under the shard lock when there is one — and counts the pre-fill.
+// The gauge set is read at call time: a shard repoints its System's gauges
+// after construction.
 func (s *System) syncRefill(e estimator.Estimator) {
 	s.window.Each(func(o *stream.Object) bool {
 		e.Insert(o)
 		return true
 	})
-	s.gauges.RecordPrefill(false)
+	s.gauges.RecordPrefill()
 }
 
-// newSystem is the shared constructor. refill overrides how switch
-// candidates are pre-filled from the window store (ShardedSystem hands the
-// replay to a background goroutine); nil keeps the synchronous replay.
-// prefillMode annotates switch-decision traces ("inline" or "async"),
-// component names the logger ("system", "concurrent", "shard-3", ...), and
-// kind names the constructor for option-compatibility errors.
-func newSystem(cfg config, refill refillFunc, prefillMode, component string, kind engineKind) (*System, error) {
-	if err := validateOptions(&cfg, kind); err != nil {
-		return nil, err
-	}
+// defaultOracleGridCells sizes the exact store's grid when
+// WithOracleGridCells is not given.
+const defaultOracleGridCells = 4096
+
+// newSystem is the shared constructor, over options its caller has
+// validated. component names the logger ("system", "concurrent",
+// "shard-3", ...).
+func newSystem(cfg config, component string) (*System, error) {
 	cells := cfg.OracleGridCells
 	if cells == 0 {
-		cells = 4096
+		cells = defaultOracleGridCells
 	}
 	log := telemetry.NewLogger(cfg.LogOutput, cfg.LogLevel).Named(component)
 	w := stream.NewWindow(cfg.World, cfg.Window.Milliseconds(), cells)
@@ -366,9 +356,6 @@ func newSystem(cfg config, refill refillFunc, prefillMode, component string, kin
 		policy: cfg.Validation,
 		gauges: new(metrics.ShardGauges),
 		log:    log,
-	}
-	if refill == nil {
-		refill = s.syncRefill
 	}
 	m, err := core.New(core.Config{
 		World:             cfg.World,
@@ -390,7 +377,6 @@ func newSystem(cfg config, refill refillFunc, prefillMode, component string, kin
 		LatencyOf:         cfg.LatencyModel,
 		Logger:            log,
 		TraceDepth:        cfg.TraceDepth,
-		PrefillMode:       prefillMode,
 		Resilience:        cfg.Breaker,
 		Injector:          cfg.FaultInjector,
 		// The exact window store doubles as the last-resort fallback when
@@ -399,13 +385,13 @@ func newSystem(cfg config, refill refillFunc, prefillMode, component string, kin
 		Oracle: func(q *stream.Query) float64 {
 			return float64(w.Answer(q))
 		},
-		Refill: refill,
+		Refill: s.syncRefill,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.module = m
-	s.fingerprint = configFingerprint(&cfg, m.Estimators())
+	s.fingerprint = configFingerprint(&cfg, m.Config())
 	return s, nil
 }
 
@@ -452,17 +438,8 @@ func validateOptions(cfg *config, kind engineKind) error {
 		if cfg.Shards != 0 {
 			return optionErr("WithShards", kind, "only a ShardedSystem partitions the world")
 		}
-		if cfg.SyncPrefill {
-			return optionErr("WithSynchronousPrefill", kind, "this engine always prefills synchronously")
-		}
-		if cfg.PrefillQueueDepth != 0 {
-			return optionErr("WithPrefillQueueDepth", kind, "only a ShardedSystem defers prefills to a queue")
-		}
 		if cfg.IngestQueueDepth != 0 {
 			return optionErr("WithIngestQueueDepth", kind, "only a ShardedSystem pipelines ingest through per-shard queues")
-		}
-		if cfg.SyncIngest {
-			return optionErr("WithSynchronousIngest", kind, "this engine always ingests synchronously")
 		}
 	}
 	if kind == kindSingle && cfg.TelemetryAddr != "" {
@@ -497,7 +474,6 @@ func validateOptions(cfg *config, kind engineKind) error {
 		{"PretrainQueries", cfg.PretrainQueries},
 		{"CooldownQueries", cfg.CooldownQueries},
 		{"TraceDepth", cfg.TraceDepth},
-		{"PrefillQueueDepth", cfg.PrefillQueueDepth},
 		{"IngestQueueDepth", cfg.IngestQueueDepth},
 	} {
 		if f.v < 0 {
@@ -530,7 +506,8 @@ func validateOptions(cfg *config, kind engineKind) error {
 // clamped (ValidationClamp) or rejected — and a ValidationClamp repair
 // mutates the pointee. Otherwise the pointee, keyword array included, is
 // only read during the call; the window store and the estimators copy what
-// they keep.
+// they keep. lastTS advances only on acceptance, so a rejected arrival
+// carrying a garbage timestamp cannot poison the stream clock.
 func (s *System) feedPtr(o *Object) {
 	if !checkObject(o, s.lastTS, s.policy, s.gauges, s.log) {
 		return

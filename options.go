@@ -10,9 +10,9 @@ import (
 // WithAlpha(0) unambiguously means "accuracy only", no companion boolean
 // required. There are two engine types: System, and ShardedSystem, of which
 // NewConcurrent builds the one-shard inline preset. Options that only make
-// sense for one constructor (WithTelemetry, WithShards and the other
-// sharding knobs, which NewConcurrent sets itself) are rejected by the
-// constructors that cannot honour them.
+// sense for one constructor (WithTelemetry, WithShards,
+// WithIngestQueueDepth) are rejected by the constructors that cannot
+// honour them.
 
 // Option customizes a System or a ShardedSystem at construction time.
 // Options apply in order; later options win.
@@ -110,16 +110,6 @@ func WithShards(n int) Option {
 	return func(c *config) { c.Shards = n }
 }
 
-// WithSynchronousPrefill makes a ShardedSystem warm switch candidates on
-// the query path (the single-threaded System behaviour) instead of handing
-// the window replay to the shard's background goroutine. Costs switch-time
-// latency, buys determinism: a 1-shard ShardedSystem with synchronous
-// prefill reproduces System bit-for-bit. New always prefills synchronously
-// and NewConcurrent sets this itself; both reject it.
-func WithSynchronousPrefill() Option {
-	return func(c *config) { c.SyncPrefill = true }
-}
-
 // WithTelemetry starts a stdlib-only HTTP exposition server on addr
 // ("host:port"; port 0 lets the kernel pick — read the bound address back
 // with TelemetryAddr). It publishes Prometheus text at /metrics, a JSON
@@ -187,14 +177,6 @@ func WithLatencyModel(fn func(estimator string, q *Query, measured time.Duration
 	return func(c *config) { c.LatencyModel = fn }
 }
 
-// WithPrefillQueueDepth bounds each shard's deferred pre-fill queue
-// (default 4). When a switch storm fills the queue, the replay runs inline
-// on the query path instead — counted in the PrefillQueueFull gauge. New
-// and NewConcurrent reject it.
-func WithPrefillQueueDepth(n int) Option {
-	return func(c *config) { c.PrefillQueueDepth = n }
-}
-
 // WithIngestQueueDepth bounds each shard's ingest pipeline queue, in
 // routed chunks — one chunk per Feed call or per FeedBatch sub-batch
 // (default 8). A producer that finds the queue full blocks until the
@@ -202,18 +184,6 @@ func WithPrefillQueueDepth(n int) Option {
 // IngestBackpressure gauge. New and NewConcurrent reject it.
 func WithIngestQueueDepth(n int) Option {
 	return func(c *config) { c.IngestQueueDepth = n }
-}
-
-// WithSynchronousIngest disables a ShardedSystem's per-shard ingest
-// pipelines: Feed and FeedBatch apply objects under the shard lock on the
-// calling goroutine instead of handing them to the shard's feed worker.
-// Routing is still single-pass; what is lost is the producer/apply overlap
-// and the single-writer gauge path. Mainly for benchmark baselines and for
-// callers that need the apply completed when the call returns without
-// paying a drain. New is always synchronous and NewConcurrent sets this
-// itself; both reject it.
-func WithSynchronousIngest() Option {
-	return func(c *config) { c.SyncIngest = true }
 }
 
 // buildConfig folds options into a Config carrying the world and window.

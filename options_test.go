@@ -37,8 +37,7 @@ func TestNewRejectsConcurrencyOptions(t *testing.T) {
 	}{
 		{"WithTelemetry", WithTelemetry("127.0.0.1:0")},
 		{"WithShards", WithShards(4)},
-		{"WithSynchronousPrefill", WithSynchronousPrefill()},
-		{"WithPrefillQueueDepth", WithPrefillQueueDepth(8)},
+		{"WithIngestQueueDepth", WithIngestQueueDepth(8)},
 	}
 	for _, c := range cases {
 		_, err := New(world, win, c.opt)
@@ -53,8 +52,7 @@ func TestNewConcurrentRejectsShardOptions(t *testing.T) {
 		opt    Option
 	}{
 		{"WithShards", WithShards(4)},
-		{"WithSynchronousPrefill", WithSynchronousPrefill()},
-		{"WithPrefillQueueDepth", WithPrefillQueueDepth(8)},
+		{"WithIngestQueueDepth", WithIngestQueueDepth(8)},
 	}
 	for _, c := range cases {
 		_, err := NewConcurrent(world, win, c.opt)
@@ -83,7 +81,7 @@ func TestConcurrentAcceptsTelemetry(t *testing.T) {
 func TestShardedAcceptsShardOptions(t *testing.T) {
 	world, win := validWorld()
 	sh, err := NewSharded(world, win,
-		WithShards(4), WithSynchronousPrefill(), WithPrefillQueueDepth(8))
+		WithShards(4), WithIngestQueueDepth(8))
 	if err != nil {
 		t.Fatalf("NewSharded rejected its own options: %v", err)
 	}

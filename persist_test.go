@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -202,7 +204,7 @@ func testSharded(t *testing.T) *ShardedSystem {
 	t.Helper()
 	s, err := NewSharded(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second,
 		WithPretrainQueries(150), WithAccWindow(60), WithSeed(1),
-		WithShards(4), WithSynchronousPrefill())
+		WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +220,46 @@ func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
 	dst := testSharded(t)
 	defer dst.Close()
 	restoredBehavesIdentically(t, src, dst, w)
+}
+
+// TestRestoreImagesWrittenBeforePR24: the config fingerprint is bytes on
+// disk, compared byte for byte on restore. The two images were written by
+// commit 670c8af, when the root package resolved the module's defaults a
+// second time beside core.Config: one by New with every such knob left to
+// its default (memory scale 0.01 only keeps the file small), one by
+// NewSharded with every knob set. Each holds 40 fed objects.
+func TestRestoreImagesWrittenBeforePR24(t *testing.T) {
+	world, window := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second
+	explicit := MustNewSharded(world, window,
+		WithShards(2),
+		WithEstimators(EstimatorH4096, EstimatorRSL, EstimatorRSH),
+		WithDefaultEstimator(EstimatorRSL),
+		WithAlpha(0), WithTau(0.6), WithBeta(0.7),
+		WithAccWindow(50), WithPretrainQueries(80), WithCooldown(10),
+		WithOpportunityMargin(-1), WithMemoryScale(0.01), WithSeed(42),
+		WithOracleGridCells(64), WithTraceDepth(8), WithValidation(ValidationStrict))
+	defer explicit.Close()
+	for file, eng := range map[string]Engine{
+		"pr21_default_options.lsnp":  MustNew(world, window, WithMemoryScale(0.01)),
+		"pr21_explicit_options.lsnp": explicit,
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", "persist", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewMemStore()
+		if err := st.Save(persist.SnapshotName, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Restore(context.Background(), st); err != nil {
+			t.Errorf("%s: %v", file, err)
+			continue
+		}
+		q := SpatialQuery(world, 40)
+		if _, actual := eng.EstimateAndExecute(&q); actual != 40 {
+			t.Errorf("%s: restored window counts %d objects, want 40", file, actual)
+		}
+	}
 }
 
 func TestRestoreFailurePaths(t *testing.T) {

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"github.com/spatiotext/latest/internal/core"
-	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/metrics"
-	"github.com/spatiotext/latest/internal/stream"
 	"github.com/spatiotext/latest/internal/telemetry"
 )
 
@@ -31,18 +29,17 @@ import (
 // active estimator, its own switching decisions. Shards covering different
 // data densities may legitimately settle on different estimators.
 //
-// Estimator pre-filling is off the query path by default: when a shard's
-// adaptor wants a candidate warmed from the window store, the replay runs
-// on that shard's background goroutine (the query that triggered the
-// switch returns immediately). WithSynchronousPrefill restores the inline
-// replay, which a 1-shard system needs to reproduce System bit-for-bit.
+// Estimator pre-filling is inline: when a shard's adaptor wants a
+// candidate warmed from the window store, the query that asked for it
+// replays the window under the shard lock it already holds, so a seeded
+// 1-shard system reproduces System bit-for-bit.
 //
 // Estimate and the feedback call must pair up per query, which under
 // concurrency is only maintainable atomically — so the combined
 // EstimateAndExecute operations are exposed instead of the split halves.
 // Timestamps should be non-decreasing per producer; arrivals that would run
 // a shard's clock backwards are clamped to the shard's high-water mark
-// (counted in the shard's Reordered gauge).
+// (counted in the shard's Reordered and ValidationClamped gauges).
 type ShardedSystem struct {
 	// engine is the /statusz engine name and snapKind the snapshot meta
 	// kind: "sharded" and "sharded:RxC", or what NewConcurrent's one-shard
@@ -57,9 +54,8 @@ type ShardedSystem struct {
 	ys     []float64 // row edges, len rows+1
 	shards []*shard
 
-	syncPrefill bool
-	syncIngest  bool
-	policy      ValidationPolicy
+	syncIngest bool
+	policy     ValidationPolicy
 
 	telem *telemetry.Server
 
@@ -80,8 +76,7 @@ type ShardedSystem struct {
 }
 
 // shard is one spatial partition: a full System (module + window store)
-// behind a mutex, plus operational gauges and the deferred-prefill worker
-// state.
+// behind a mutex, plus operational gauges and the ingest pipeline state.
 type shard struct {
 	mu   sync.Mutex
 	rect Rect
@@ -101,8 +96,8 @@ type shard struct {
 	// worker — the channel's only receiver — applies them in FIFO order,
 	// so feeds within a shard stay strictly ordered and all hot-path gauge
 	// recording has a single writer. A full queue blocks the producer
-	// (backpressure, counted in the IngestBackpressure gauge). Nil under
-	// WithSynchronousIngest.
+	// (backpressure, counted in the IngestBackpressure gauge). Nil in
+	// NewConcurrent's engine, which ingests inline.
 	feedCh chan ingestChunk
 
 	// feedQueued counts enqueued-but-unapplied chunks (guarded by feedMu;
@@ -115,30 +110,6 @@ type shard struct {
 	feedIdle   *sync.Cond
 	feedQueued int
 	feedClosed bool
-
-	// refillCh carries deferred pre-fill work to the shard's background
-	// goroutine. Senders hold mu; the worker acquires mu per task, so the
-	// channel must never be sent to while blocking — enqueue falls back to
-	// an inline replay when the buffer is full.
-	refillCh chan refillTask
-
-	// prefillPending counts enqueued-but-unapplied deferred pre-fills
-	// (guarded by mu; incremented by the enqueuing query, decremented by
-	// the worker after the replay lands). Snapshot waits on prefillIdle
-	// until it reaches zero: capturing an estimator while its replay is
-	// queued would save a summary the original process was still about to
-	// fill, and the restored run would diverge.
-	prefillPending int
-	prefillIdle    *sync.Cond
-}
-
-// awaitPrefillsLocked blocks until every deferred pre-fill handed to the
-// shard's worker has been applied. Caller holds sh.mu; Wait releases it
-// while blocked, so the worker can take the lock and drain.
-func (sh *shard) awaitPrefillsLocked() {
-	for sh.prefillPending > 0 {
-		sh.prefillIdle.Wait()
-	}
 }
 
 // ingestChunk is one unit of pipeline work: either a single object
@@ -274,19 +245,10 @@ func (s *ShardedSystem) putBuckets(b [][]Object) {
 	s.bucketPool.Put(&b)
 }
 
-// refillTask is one deferred pre-fill: replay the window objects that
-// existed at enqueue time (seq < boundary) into est. Objects inserted
-// after the boundary reach est live through the module, so the split is
-// exact — no object is double-inserted or missed.
-type refillTask struct {
-	est      estimator.Estimator
-	boundary uint64
-}
-
 // NewSharded builds a sharded LATEST system over the given world,
 // partitioned into WithShards(n) spatial shards (default
-// runtime.GOMAXPROCS(0)). Call Close when done to stop the background
-// prefill workers.
+// runtime.GOMAXPROCS(0)). Call Close when done to stop the per-shard feed
+// workers.
 func NewSharded(world Rect, window time.Duration, opts ...Option) (*ShardedSystem, error) {
 	return newSharded(buildConfig(world, window, opts), kindSharded)
 }
@@ -314,29 +276,26 @@ func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("latest: Shards must be positive, got %d", n)
 	}
-	if cfg.World.Empty() || !cfg.World.Valid() {
-		return nil, fmt.Errorf("latest: World must be a valid non-empty rectangle, got %v", cfg.World)
+	// Before anything is built from them: the world is partitioned and
+	// IngestQueueDepth sizes a channel below.
+	if err := validateOptions(&cfg, kindSharded); err != nil {
+		return nil, err
 	}
 	rows, cols := shardGridDims(n)
 	s := &ShardedSystem{
-		engine:      "sharded",
-		snapKind:    fmt.Sprintf("sharded:%dx%d", rows, cols),
-		world:       cfg.World,
-		rows:        rows,
-		cols:        cols,
-		xs:          partitionEdges(cfg.World.MinX, cfg.World.MaxX, cols),
-		ys:          partitionEdges(cfg.World.MinY, cfg.World.MaxY, rows),
-		shards:      make([]*shard, n),
-		syncPrefill: cfg.SyncPrefill,
-		syncIngest:  cfg.SyncIngest,
-		policy:      cfg.Validation,
+		engine:     "sharded",
+		snapKind:   fmt.Sprintf("sharded:%dx%d", rows, cols),
+		world:      cfg.World,
+		rows:       rows,
+		cols:       cols,
+		xs:         partitionEdges(cfg.World.MinX, cfg.World.MaxX, cols),
+		ys:         partitionEdges(cfg.World.MinY, cfg.World.MaxY, rows),
+		shards:     make([]*shard, n),
+		syncIngest: cfg.SyncIngest,
+		policy:     cfg.Validation,
 	}
 	if kind == kindConcurrent {
 		s.engine, s.snapKind = "concurrent", snapKindSingle
-	}
-	queueDepth := cfg.PrefillQueueDepth
-	if queueDepth == 0 {
-		queueDepth = 4
 	}
 	ingestDepth := cfg.IngestQueueDepth
 	if ingestDepth == 0 {
@@ -354,7 +313,6 @@ func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 			component, sh.prefix = "concurrent", ""
 		}
 		sh.log = baseLog.Named(component)
-		sh.prefillIdle = sync.NewCond(&sh.mu)
 		sh.feedIdle = sync.NewCond(&sh.feedMu)
 		if !s.syncIngest {
 			sh.feedCh = make(chan ingestChunk, ingestDepth)
@@ -364,31 +322,7 @@ func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 		// Shard 0 keeps the configured seed so a 1-shard system matches
 		// System exactly; the rest decorrelate their estimator randomness.
 		shardCfg.Seed = cfg.Seed + int64(i)*1_000_003
-		// nil keeps newSystem's inline replay.
-		prefillMode := "inline"
-		var refill refillFunc
-		if !s.syncPrefill {
-			prefillMode = "async"
-			sh.refillCh = make(chan refillTask, queueDepth)
-			refill = func(e estimator.Estimator) {
-				w := sh.sys.window
-				select {
-				case sh.refillCh <- refillTask{est: e, boundary: w.NextSeq()}:
-					// Enqueuer holds sh.mu (refills happen inside module
-					// calls under the shard lock), so the count is
-					// consistent with the send.
-					sh.prefillPending++
-				default:
-					// Worker backlog (switch storm): pay the replay inline
-					// rather than block while holding the shard lock.
-					sh.gauges.RecordPrefillQueueFull()
-					sh.log.Warn("prefill queue full, replaying inline",
-						"estimator", e.Name(), "window", w.Size())
-					sh.sys.syncRefill(e)
-				}
-			}
-		}
-		sys, err := newSystem(shardCfg, refill, prefillMode, component, kindSharded)
+		sys, err := newSystem(shardCfg, component)
 		if err != nil {
 			return nil, err
 		}
@@ -398,22 +332,15 @@ func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 		sys.gauges = &sh.gauges
 		sh.sys = sys
 		s.shards[i] = sh
-		if sh.refillCh != nil {
-			s.workers.Add(1)
-			// Hand the worker the channel value: Close nils sh.refillCh
-			// under the lock, and the worker must keep draining the real
-			// channel until it is closed.
-			go s.refillWorker(sh, sh.refillCh)
-		}
 		if sh.feedCh != nil {
 			s.workers.Add(1)
 			go s.feedWorker(sh, sh.feedCh)
 		}
 	}
-	// The sharded fingerprint derives from the top-level options (shard
-	// systems see derived worlds and seeds); the fleet is identical across
-	// shards, so shard 0's resolved names stand for all.
-	s.fingerprint = configFingerprint(&cfg, s.shards[0].sys.module.Estimators())
+	// The sharded fingerprint takes world and seed from the top-level
+	// options (shard systems see derived ones); every other module knob is
+	// identical across shards, so shard 0's resolved config stands for all.
+	s.fingerprint = configFingerprint(&cfg, s.shards[0].sys.module.Config())
 	if cfg.TelemetryAddr != "" {
 		srv, err := telemetry.Serve(cfg.TelemetryAddr, s.TelemetrySnapshot, baseLog)
 		if err != nil {
@@ -423,26 +350,6 @@ func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 		s.telem = srv
 	}
 	return s, nil
-}
-
-// refillWorker drains a shard's deferred pre-fill queue, replaying the
-// snapshotted window prefix into the candidate under the shard lock.
-func (s *ShardedSystem) refillWorker(sh *shard, ch <-chan refillTask) {
-	defer s.workers.Done()
-	for task := range ch {
-		start := time.Now()
-		sh.mu.Lock()
-		sh.sys.window.EachBefore(task.boundary, func(o *stream.Object) bool {
-			task.est.Insert(o)
-			return true
-		})
-		sh.prefillPending--
-		sh.prefillIdle.Broadcast()
-		sh.mu.Unlock()
-		sh.gauges.RecordPrefill(true)
-		sh.log.Debug("async prefill replayed",
-			"estimator", task.est.Name(), "took", time.Since(start))
-	}
 }
 
 // closeFeedPipelines marks every shard's ingest pipeline closed (later
@@ -466,26 +373,16 @@ func (s *ShardedSystem) closeFeedPipelines() {
 	}
 }
 
-// Close stops the telemetry server (if one was started), drains and stops
-// the per-shard feed pipelines, and stops the background prefill workers,
-// waiting for them all to drain. Queued feeds and pending pre-fills
-// complete; using the system after Close feeds inline and may leave switch
-// candidates cold but is otherwise safe. Close is idempotent.
+// Close stops the telemetry server (if one was started) and drains and
+// stops the per-shard feed pipelines, waiting for the feed workers to exit.
+// Queued feeds complete; using the system after Close feeds inline and is
+// otherwise unchanged. Close is idempotent.
 func (s *ShardedSystem) Close() {
 	s.closeOnce.Do(func() {
 		if s.telem != nil {
 			s.telem.Close()
 		}
 		s.closeFeedPipelines()
-		for _, sh := range s.shards {
-			if sh.refillCh != nil {
-				sh.mu.Lock()
-				ch := sh.refillCh
-				sh.refillCh = nil // future refills fall back to inline replay
-				sh.mu.Unlock()
-				close(ch)
-			}
-		}
 		s.workers.Wait()
 	})
 }
@@ -493,10 +390,10 @@ func (s *ShardedSystem) Close() {
 // Shutdown is the graceful form of Close: the telemetry exposition server
 // (if one was started) finishes in-flight scrapes before stopping, the
 // per-shard feed queues are drained before the pipelines stop, and the
-// wait for queued feeds and background workers is bounded by ctx. Shares
+// wait for queued feeds and the feed workers is bounded by ctx. Shares
 // Close's once — whichever runs first wins, the other is a no-op. On ctx
 // expiry the drain keeps completing in the background; the system is still
-// safe to use (feeds apply inline, refills fall back to inline replay).
+// safe to use (feeds apply inline).
 func (s *ShardedSystem) Shutdown(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -505,15 +402,6 @@ func (s *ShardedSystem) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		if s.telem != nil {
 			err = s.telem.Shutdown(ctx)
-		}
-		for _, sh := range s.shards {
-			if sh.refillCh != nil {
-				sh.mu.Lock()
-				ch := sh.refillCh
-				sh.refillCh = nil
-				sh.mu.Unlock()
-				close(ch)
-			}
 		}
 		done := make(chan struct{})
 		go func() {
@@ -596,19 +484,14 @@ func edgeIndex(edges []float64, v float64) int {
 	return i
 }
 
-// feedLocked ingests one object into sh, clamping regressed timestamps
-// under the default ValidationClamp policy (counted in the Reordered
-// gauge; under stricter policies the System-level validation rejects the
-// arrival instead). The high-water mark is the shard System's lastTS,
-// which advances only when validation accepts an object, so a rejected
-// arrival (e.g. NaN coordinates) carrying a garbage timestamp cannot
-// poison the shard's stream clock. Caller holds sh.mu.
+// feedLocked ingests one object into sh. Validation repairs a regressed
+// timestamp in the pointee, so such an arrival is staged in the shard
+// first: behind a shard the caller's slice is never modified, pipelined or
+// applied in place. Caller holds sh.mu.
 func (sh *shard) feedLocked(o *Object) {
-	if o.Timestamp < sh.sys.lastTS && sh.sys.policy == ValidationClamp {
+	if o.Timestamp < sh.sys.lastTS {
 		sh.scratch = *o
-		sh.scratch.Timestamp = sh.sys.lastTS
 		o = &sh.scratch
-		sh.gauges.RecordReordered()
 	}
 	sh.sys.feedPtr(o)
 }
@@ -616,7 +499,7 @@ func (sh *shard) feedLocked(o *Object) {
 // Feed ingests one stream object by handing it to the owning shard's feed
 // pipeline; the shard's worker applies it (and records the shard's ingest
 // gauges, timing one in metrics.FeedSampleInterval) without the producer
-// ever holding the shard lock. Under WithSynchronousIngest — or after
+// ever holding the shard lock. In NewConcurrent's engine — or after
 // Close — the apply runs inline on the caller instead.
 func (s *ShardedSystem) Feed(o Object) {
 	sh := s.shards[s.shardOf(o.Loc)]
@@ -638,8 +521,7 @@ func (s *ShardedSystem) Feed(o Object) {
 // returns. The keyword arrays its objects point to are read when a shard
 // applies its chunk, and by nothing afterwards — window and estimators keep
 // their own copies — so they may be reused once the batch has been applied:
-// on return under WithSynchronousIngest (and from NewConcurrent), after
-// Drain otherwise.
+// on return from NewConcurrent's engine, after Drain otherwise.
 func (s *ShardedSystem) FeedBatch(objs []Object) {
 	if len(objs) == 0 {
 		return

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 
-	"github.com/spatiotext/latest/internal/estimator"
+	"github.com/spatiotext/latest/internal/core"
 	"github.com/spatiotext/latest/internal/persist"
 	"github.com/spatiotext/latest/internal/telemetry"
 )
@@ -38,44 +38,15 @@ const metaSectionName = "meta"
 // serialized state. Restore compares fingerprints byte-for-byte: a
 // snapshot taken under different parameters (different window span, fleet,
 // seed, memory scale, ...) is refused with CodeMismatch instead of being
-// silently reinterpreted. Defaults are resolved before encoding so an
-// explicit WithTau(0.75) and an implied default fingerprint identically.
-func configFingerprint(cfg *config, fleet []string) []byte {
-	alpha := cfg.Alpha
-	if !cfg.AlphaSet && alpha == 0 {
-		alpha = 0.5
-	}
-	tau := cfg.Tau
-	if tau == 0 {
-		tau = 0.75
-	}
-	beta := cfg.Beta
-	if beta == 0 {
-		beta = 0.8
-	}
-	accWindow := cfg.AccWindow
-	if accWindow == 0 {
-		accWindow = 200
-	}
-	pretrain := cfg.PretrainQueries
-	if pretrain == 0 {
-		pretrain = 2000
-	}
-	cooldown := cfg.CooldownQueries
-	if cooldown == 0 {
-		cooldown = accWindow / 2
-	}
-	oppMargin := cfg.OpportunityMargin
-	if oppMargin == 0 {
-		oppMargin = 0.15
-	}
-	def := cfg.Default
-	if def == "" {
-		def = estimator.NameRSH
-	}
+// silently reinterpreted. The module's knobs are read from mc, the
+// configuration its module was built with, where core has already resolved
+// the defaults — so an explicit WithTau(0.75) and an implied default
+// fingerprint identically, from one table. World and seed come from cfg: a
+// shard's module sees a derived rectangle and seed.
+func configFingerprint(cfg *config, mc core.Config) []byte {
 	cells := cfg.OracleGridCells
 	if cells == 0 {
-		cells = 4096
+		cells = defaultOracleGridCells
 	}
 	traceDepth := cfg.TraceDepth
 	if traceDepth == 0 {
@@ -86,17 +57,17 @@ func configFingerprint(cfg *config, fleet []string) []byte {
 	e.F64(cfg.World.MinY)
 	e.F64(cfg.World.MaxX)
 	e.F64(cfg.World.MaxY)
-	e.I64(cfg.Window.Milliseconds())
-	e.Strs(fleet)
-	e.Str(def)
-	e.F64(alpha)
-	e.F64(tau)
-	e.F64(beta)
-	e.Int(accWindow)
-	e.Int(pretrain)
-	e.Int(cooldown)
-	e.F64(oppMargin)
-	e.F64(cfg.MemoryScale)
+	e.I64(mc.Span)
+	e.Strs(mc.Estimators)
+	e.Str(mc.Default)
+	e.F64(mc.Alpha)
+	e.F64(mc.Tau)
+	e.F64(mc.Beta)
+	e.Int(mc.AccWindow)
+	e.Int(mc.PretrainQueries)
+	e.Int(mc.CooldownQueries)
+	e.F64(mc.OpportunityMargin)
+	e.F64(mc.Scale)
 	e.I64(cfg.Seed)
 	e.Int(cells)
 	e.Int(traceDepth)
@@ -267,10 +238,7 @@ func (s *System) Restore(ctx context.Context, st Store) error {
 // per-shard feed queues are drained before any lock is taken — a feed
 // already handed to a shard's pipeline is part of the state this snapshot
 // must carry (under DurableEngine it is already in the WAL generation this
-// snapshot supersedes) — and any deferred pre-fill already handed to a
-// shard's background worker is waited for before that shard is captured,
-// so no estimator is ever saved missing a replay the original process
-// would still apply.
+// snapshot supersedes).
 func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -278,7 +246,6 @@ func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
 	s.Drain()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.awaitPrefillsLocked()
 	}
 	defer func() {
 		for _, sh := range s.shards {

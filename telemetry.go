@@ -21,14 +21,12 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 		Batches:            g.Batches,
 		Queries:            g.Queries,
 		Reordered:          g.Reordered,
-		PrefillsAsync:      g.PrefillsAsync,
 		PrefillsInline:     g.PrefillsInline,
 		Occupancy:          g.Occupancy,
 		WindowBytes:        g.WindowBytes,
 		Switches:           st.Switches,
 		ValidationRejected: g.ValidationRejected,
 		ValidationClamped:  g.ValidationClamped,
-		PrefillQueueFull:   g.PrefillQueueFull,
 		IngestRatePerSec:   g.IngestRatePerSec,
 		IngestBacklog:      g.IngestBacklog,
 		IngestBackpressure: g.IngestBackpressure,

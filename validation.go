@@ -65,9 +65,11 @@ func finite(vs ...float64) bool {
 }
 
 // checkObject applies the validation policy to one inbound stream object.
-// It may repair o in place (timestamp clamped to lastTS under
-// ValidationClamp). Returns false when the object must not be ingested;
-// the reject is counted in g and, outside ValidationDrop, logged.
+// It may repair o in place: under ValidationClamp a timestamp below lastTS
+// is clamped to it, counted as both a clamp and a reordered arrival — the
+// one place any engine decides that. Returns false when the object must
+// not be ingested; the reject is counted in g and, outside ValidationDrop,
+// logged.
 func checkObject(o *Object, lastTS int64, policy ValidationPolicy, g *metrics.ShardGauges, log *telemetry.Logger) bool {
 	if !finite(o.Loc.X, o.Loc.Y) {
 		g.RecordValidationRejected()
@@ -82,6 +84,7 @@ func checkObject(o *Object, lastTS int64, policy ValidationPolicy, g *metrics.Sh
 		case ValidationClamp:
 			o.Timestamp = lastTS
 			g.RecordValidationClamped()
+			g.RecordReordered()
 		case ValidationStrict:
 			g.RecordValidationRejected()
 			log.Warn("object rejected: timestamp regression",

@@ -195,8 +195,7 @@ func TestValidationQueryPolicies(t *testing.T) {
 
 func TestValidationShardedRouting(t *testing.T) {
 	sys, err := NewSharded(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second,
-		WithShards(4), WithSeed(3), WithPretrainQueries(30), WithAccWindow(20),
-		WithSynchronousPrefill())
+		WithShards(4), WithSeed(3), WithPretrainQueries(30), WithAccWindow(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +310,7 @@ func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 	})
 
 	t.Run("sharded", func(t *testing.T) {
-		sys, err := NewSharded(world, 10*time.Second, WithShards(1), WithSeed(1),
-			WithSynchronousPrefill())
+		sys, err := NewSharded(world, 10*time.Second, WithShards(1), WithSeed(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,6 +325,47 @@ func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 		}
 		check(t, "sharded", g, sys.WindowSize())
 	})
+}
+
+// TestValidationClampCountedOneWay: one regressed arrival reads the same on
+// every constructor — one ValidationClamped, one Reordered, the object kept
+// — and behind a shard, pipelined or applied in place, the repair never
+// reaches the caller's slice.
+func TestValidationClampCountedOneWay(t *testing.T) {
+	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	batch := func() []Object {
+		return []Object{
+			{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 100},
+			{ID: 2, Loc: Pt(0.4, 0.4), Keywords: []string{"a"}, Timestamp: 50},
+		}
+	}
+	check := func(t *testing.T, g GaugeSnapshot, size int) {
+		t.Helper()
+		if g.ValidationClamped != 1 || g.Reordered != 1 || size != 2 {
+			t.Errorf("ValidationClamped %d, Reordered %d, window %d; want 1, 1, 2",
+				g.ValidationClamped, g.Reordered, size)
+		}
+	}
+	t.Run("New", func(t *testing.T) {
+		sys := validationSystem(t, ValidationClamp)
+		sys.FeedBatch(batch())
+		check(t, sys.Gauges(), sys.WindowSize())
+	})
+	for name, eng := range map[string]*ShardedSystem{
+		"NewConcurrent": MustNewConcurrent(world, 10*time.Second, WithSeed(1)).ShardedSystem,
+		"NewSharded":    MustNewSharded(world, 10*time.Second, WithSeed(1), WithShards(1)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer eng.Close()
+			objs := batch()
+			eng.FeedBatch(objs)
+			eng.Drain()
+			check(t, eng.PerShardStats().Shards[0].Gauges, eng.WindowSize())
+			if objs[1].Timestamp != 50 {
+				t.Errorf("caller's slice modified: timestamp %d, want 50", objs[1].Timestamp)
+			}
+		})
+	}
 }
 
 func TestValidationStrictLogsRejects(t *testing.T) {
@@ -355,7 +394,7 @@ func TestOptionValidationErrors(t *testing.T) {
 		{"negative oracle grid", []Option{WithOracleGridCells(-4)}, time.Second, "non-negative"},
 		{"negative trace depth", []Option{WithTraceDepth(-1)}, time.Second, "TraceDepth"},
 		{"negative acc window", []Option{WithAccWindow(-5)}, time.Second, "AccWindow"},
-		{"negative prefill queue", []Option{WithPrefillQueueDepth(-1)}, time.Second, "PrefillQueueDepth"},
+		{"negative ingest queue", []Option{WithIngestQueueDepth(-1)}, time.Second, "IngestQueueDepth"},
 		{"NaN tau", []Option{WithTau(math.NaN())}, time.Second, "Tau"},
 		{"Inf alpha", []Option{WithAlpha(math.Inf(1))}, time.Second, "Alpha"},
 		{"negative memory scale", []Option{WithMemoryScale(-2)}, time.Second, "MemoryScale"},
@@ -376,6 +415,10 @@ func TestOptionValidationErrors(t *testing.T) {
 	}
 	if _, err := NewSharded(world, 500*time.Microsecond, WithShards(2)); err == nil {
 		t.Error("sharded accepted sub-millisecond window")
+	}
+	// New refuses the option itself; only NewSharded reaches the sign check.
+	if _, err := NewSharded(world, time.Second, WithIngestQueueDepth(-1)); err == nil || !strings.Contains(err.Error(), "non-negative") {
+		t.Errorf("sharded with a negative ingest queue depth: %v", err)
 	}
 }
 
