@@ -293,7 +293,6 @@ func runIngestMatrix(stdout, stderr io.Writer, cfg ingestMatrixConfig, asJSON bo
 					return 1
 				}
 				dur := driveProducers(objs, producers, cfg.BatchLen, ss.FeedBatch)
-				ss.Drain()
 				st := ss.PerShardStats()
 				gauges := make([]latest.GaugeSnapshot, len(st.Shards))
 				for i, sh := range st.Shards {

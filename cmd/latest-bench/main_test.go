@@ -96,7 +96,7 @@ func TestIngestMatrixSmoke(t *testing.T) {
 	}
 	for _, c := range res.Cells {
 		if c.WindowSize != 4000 {
-			t.Errorf("cell shards=%d producers=%d: window %d, want 4000 (objects lost in pipeline)",
+			t.Errorf("cell shards=%d producers=%d: window %d, want 4000 (objects lost in ingest)",
 				c.Shards, c.Producers, c.WindowSize)
 		}
 		if c.ObjectsSec <= 0 {

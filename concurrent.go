@@ -3,9 +3,8 @@ package latest
 import "time"
 
 // ConcurrentSystem is NewConcurrent's engine: the ShardedSystem with one
-// shard, inline ingest and inline pre-fill — one module and one window
-// store behind the shard's mutex, no background goroutine, no batch copy.
-// It is the shape for applications that fan queries out across request
+// shard — one module and one window store behind the shard's mutex. It is
+// the shape for applications that fan queries out across request
 // handlers; for parallel ingest across CPU cores, see NewSharded, which
 // partitions the lock spatially. Everything the embedded ShardedSystem
 // documents holds (the atomic estimate/observe pairing, timestamp clamping
@@ -17,14 +16,14 @@ type ConcurrentSystem struct {
 }
 
 // NewConcurrent builds a thread-safe LATEST system over the given world
-// and sliding-window span. Sharding options (WithShards,
-// WithIngestQueueDepth) are rejected with a descriptive error.
+// and sliding-window span. WithShards is rejected with a descriptive
+// error.
 func NewConcurrent(world Rect, window time.Duration, opts ...Option) (*ConcurrentSystem, error) {
 	cfg := buildConfig(world, window, opts)
 	if err := validateOptions(&cfg, kindConcurrent); err != nil {
 		return nil, err
 	}
-	cfg.Shards, cfg.SyncIngest = 1, true
+	cfg.Shards = 1
 	s, err := newSharded(cfg, kindConcurrent)
 	if err != nil {
 		return nil, err

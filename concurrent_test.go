@@ -1,6 +1,7 @@
 package latest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -62,18 +63,14 @@ func TestConcurrentSystemBasics(t *testing.T) {
 	}
 }
 
-// TestConcurrentIsInline checks what "one shard, inline ingest, inline
-// pre-fill" promises: NewConcurrent starts no goroutine, and Feed and
-// FeedBatch apply on the caller under the shard's mutex without copying the
-// batch — they allocate exactly what a bare System does for the same
+// TestConcurrentIsInline checks that every ShardedSystem ingests inline:
+// NewConcurrent and NewSharded start no goroutine, and with one shard Feed
+// and FeedBatch apply on the caller under the shard's mutex without copying
+// the batch — they allocate exactly what a bare System does for the same
 // objects, so the engine layer itself allocates nothing.
 func TestConcurrentIsInline(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	before := runtime.NumGoroutine()
-	cs := MustNewConcurrent(world, 50*time.Millisecond, WithSeed(1))
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("NewConcurrent raised the goroutine count from %d to %d", before, after)
-	}
+	const window = 50 * time.Millisecond
 	allocs := func(eng Engine) (feed, feedBatch float64) {
 		objs := make([]Object, 64)
 		for i := range objs {
@@ -98,11 +95,31 @@ func TestConcurrentIsInline(t *testing.T) {
 		})
 		return feed, feedBatch
 	}
-	sysFeed, sysBatch := allocs(MustNew(world, 50*time.Millisecond, WithSeed(1)))
-	feed, batch := allocs(cs)
-	if feed != sysFeed || batch != sysBatch {
-		t.Errorf("allocations per call: Feed %v, FeedBatch %v; a bare System's %v and %v",
-			feed, batch, sysFeed, sysBatch)
+	sysFeed, sysBatch := allocs(MustNew(world, window, WithSeed(1)))
+	for _, tc := range []struct {
+		name  string
+		build func() Engine
+	}{
+		{"NewConcurrent", func() Engine { return MustNewConcurrent(world, window, WithSeed(1)) }},
+		{"NewSharded1", func() Engine { return MustNewSharded(world, window, WithSeed(1), WithShards(1)) }},
+		{"NewSharded4", func() Engine { return MustNewSharded(world, window, WithSeed(1), WithShards(4)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			eng := tc.build()
+			defer eng.Shutdown(context.Background())
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("construction raised the goroutine count from %d to %d", before, after)
+			}
+			if eng.(interface{ NumShards() int }).NumShards() != 1 {
+				return
+			}
+			feed, batch := allocs(eng)
+			if feed != sysFeed || batch != sysBatch {
+				t.Errorf("allocations per call: Feed %v, FeedBatch %v; a bare System's %v and %v",
+					feed, batch, sysFeed, sysBatch)
+			}
+		})
 	}
 }
 

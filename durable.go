@@ -594,11 +594,9 @@ func (d *DurableEngine) snapshotCommit(ctx context.Context) error {
 	}
 	target := persist.SnapshotNameFor(d.gen + 1)
 	cs := &commitStore{Store: d.store, target: target}
-	// For a pipelined ShardedSystem, eng.Snapshot drains the per-shard feed
-	// queues before capturing. That ordering is load-bearing: Feed appends
-	// to the WAL before enqueueing (both under d.mu, which we hold), so
-	// every logged feed is enqueued by now, and the drain guarantees the
-	// snapshot that supersedes this WAL generation has applied them all.
+	// Feed appends to the WAL and applies to the engine under d.mu, which
+	// we hold, so every logged feed has been applied by now: the snapshot
+	// that supersedes this WAL generation carries them all.
 	if err := d.eng.Snapshot(ctx, cs); err != nil {
 		return err
 	}

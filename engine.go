@@ -29,11 +29,10 @@ type TelemetryReport = telemetry.Snapshot
 type Engine interface {
 	// Feed ingests one stream object.
 	Feed(o Object)
-	// FeedBatch ingests a batch of stream objects in order. The engine
-	// copies what it keeps: objs itself may be reused on return, and so
-	// may the keyword arrays its objects point to once the batch has been
-	// applied — on return, except from a ShardedSystem with pipelined
-	// ingest, whose FeedBatch says when. Keyword strings are immutable.
+	// FeedBatch ingests a batch of stream objects in order. The batch has
+	// been applied when FeedBatch returns, and the engine copies what it
+	// keeps: the caller may reuse objs and its keyword arrays on return.
+	// Keyword strings are immutable.
 	FeedBatch(objs []Object)
 	// EstimateAndExecute answers the query approximately, then exactly,
 	// and feeds the truth back to the switching model.

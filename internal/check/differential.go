@@ -160,9 +160,9 @@ type engine struct {
 }
 
 // RunDifferential feeds one deterministic workload into System,
-// NewConcurrent (ShardedSystem with one shard and inline ingest) and
-// NewSharded(1) (the same shard behind the ingest pipeline, as latestd
-// builds it) plus the brute-force oracle, comparing counts, estimates,
+// NewConcurrent (ShardedSystem with one shard) and NewSharded(1) (the same
+// shard under latestd's names and snapshot layout) plus the brute-force
+// oracle, comparing counts, estimates,
 // switching state and stats snapshots at every step. The last two share
 // the shard code, so each is checked against System, not against itself.
 // The returned report is non-nil whenever err is nil, even when it records

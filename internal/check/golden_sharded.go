@@ -11,12 +11,10 @@ import (
 )
 
 // golden_sharded.go replays the golden trace through the ShardedSystem as
-// latestd builds it — ingest pipeline on, switch candidates pre-filled by
-// the query that asks — and with one shard the observable output must be
-// byte-identical to the monolithic goldens. That is the determinism proof
-// for the pipeline: hand-off order is apply order within a shard, and the
-// query path's drain barrier gives single-threaded callers
-// read-your-writes semantics.
+// latestd builds it — feeds applied on the caller, switch candidates
+// pre-filled by the query that asks — and with one shard the observable
+// output must be byte-identical to the monolithic goldens: the shard layer
+// adds routing and a lock around one System, and nothing else.
 
 // engineView abstracts the observables a golden report line reads, so one
 // formatter serves both the monolithic System and the sharded engine.
@@ -49,9 +47,9 @@ func (v shardedView) Decisions() []latest.Decision {
 	return out
 }
 
-// RunGoldenSharded replays the trace from r through a pipelined
-// ShardedSystem of the given shard count and returns the same count report
-// and decision trace as RunGolden — golden-comparable when shards is 1.
+// RunGoldenSharded replays the trace from r through a ShardedSystem of the
+// given shard count and returns the same count report and decision trace
+// as RunGolden — golden-comparable when shards is 1.
 // Beyond the shard count the engine takes no option RunGolden's does not.
 func RunGoldenSharded(r io.Reader, cfg GoldenConfig, shards int) (counts, decisions string, err error) {
 	world := goldenWorld()

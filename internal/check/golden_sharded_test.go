@@ -7,13 +7,14 @@ import (
 	"testing"
 )
 
-// TestGoldenReplayShardedPipeline is the pipeline determinism regression:
-// the golden trace replayed through NewSharded(WithShards(1)), every other
+// TestGoldenReplaySharded pins the sharded engine to the goldens: the
+// golden trace replayed through NewSharded(WithShards(1)), every other
 // option RunGolden's, must match the monolithic System's golden files
 // byte-for-byte — counts AND switch decisions. Never refresh the goldens
-// from this runner; if it diverges, the pipeline broke per-shard feed
-// order (or the drain barrier stopped giving read-your-writes).
-func TestGoldenReplayShardedPipeline(t *testing.T) {
+// from this runner; if it diverges, the shard layer (routing, its lock,
+// its inline feed and query paths) stopped being a transparent wrapper
+// around one System.
+func TestGoldenReplaySharded(t *testing.T) {
 	counts, decisions, err := RunGoldenShardedFile(
 		filepath.Join(goldenDir, traceFile), DefaultGoldenConfig(), 1)
 	if err != nil {
@@ -27,7 +28,7 @@ func TestGoldenReplayShardedPipeline(t *testing.T) {
 }
 
 // TestShardedSeededRunRepeats: a seed names one run of the engine latestd
-// builds. The golden trace through a pipelined ShardedSystem, one caller,
+// builds. The golden trace through a ShardedSystem, one caller,
 // yields the same count report and decision trace every time — with one
 // shard and with four, whose fan-outs run in parallel but whose shards each
 // see one fixed order of feeds and queries. A pre-fill that ran anywhere
@@ -55,21 +56,20 @@ func TestShardedSeededRunRepeats(t *testing.T) {
 	}
 }
 
-// TestGoldenRecoveryPipelinedDrain is the crash-during-drain oracle: a
-// pipelined 1-shard engine under the durable layer takes a snapshot at
-// object 2000 (which must first drain the feed queue), feeds a 400-object
-// WAL tail that may still be sitting in the queue when the SIGKILL-style
-// crash lands, and recovers from snapshot + WAL replay. Byte-identity with
-// the uninterrupted pipelined control run proves both drain orderings: the
-// snapshot carried everything handed to the pipeline before it, and the
-// WAL carried everything the crash left queued.
-func TestGoldenRecoveryPipelinedDrain(t *testing.T) {
+// TestGoldenRecoverySharded is the recovery oracle over the sharded
+// engine latestd builds: a 1-shard NewSharded under the durable layer
+// takes a snapshot at object 2000, feeds a 400-object WAL tail, is
+// abandoned SIGKILL-style and recovers from snapshot + WAL replay.
+// Byte-identity with the uninterrupted sharded control run proves the
+// shard's snapshot carried every feed logged before it and the WAL carried
+// every one after.
+func TestGoldenRecoverySharded(t *testing.T) {
 	objs := loadGoldenTrace(t)
 	control, recovered, err := RunGoldenRecovery(objs, RecoveryConfig{
 		Golden:         DefaultGoldenConfig(),
 		SnapshotAt:     2000,
 		WALTailObjects: 400,
-		Pipelined:      true,
+		Sharded:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -112,15 +112,12 @@ type RecoveryConfig struct {
 	// the fallback chain is losing state. Requires SecondSnapshotAt:
 	// corrupting the only snapshot is the refusal case, not fallback.
 	CorruptLatest bool
-	// Pipelined runs both incarnations as 1-shard ShardedSystems with the
-	// ingest pipeline on: every feed is write-ahead logged, then handed to
-	// the shard's bounded feed queue. The crash at the end of the WAL tail
-	// lands while tail objects may still be queued but unapplied — the
-	// crash-during-drain case — and any snapshot taken must first drain
-	// the queue or it would persist a state the WAL generation before it
-	// already superseded. Recovery replays the WAL into a fresh pipelined
-	// engine and must come out byte-identical to the control run.
-	Pipelined bool
+	// Sharded runs both incarnations as 1-shard NewSharded engines, the
+	// engine latestd builds, instead of System: the durable layer's WAL
+	// append, snapshot and replay then go through the shard's lock and its
+	// snapshot layout ("shard-0/" sections), and recovery must come out
+	// byte-identical to the control run.
+	Sharded bool
 }
 
 // RunGoldenRecovery replays the golden trace through an engine that is
@@ -181,7 +178,7 @@ func runGoldenSegmented(objs []stream.Object, rc RecoveryConfig, gapStart, gapEn
 	cfg := rc.Golden
 	world := goldenWorld()
 	build := func() (latest.Engine, engineView, error) {
-		if rc.Pipelined {
+		if rc.Sharded {
 			s, err := latest.NewSharded(world, cfg.Window, append(goldenOptions(cfg), latest.WithShards(1))...)
 			if err != nil {
 				return nil, nil, err
@@ -252,10 +249,9 @@ func runGoldenSegmented(objs []stream.Object, rc RecoveryConfig, gapStart, gapEn
 				}
 			}
 			// Crash: abandon the incarnation without Shutdown and recover a
-			// fresh one from the store — under Pipelined, with whatever the
-			// abandoned incarnation still had queued left unapplied, exactly
-			// as a SIGKILL mid-drain would. Everything since the restored
-			// snapshot must come back out of the WAL chain.
+			// fresh one from the store, exactly as a SIGKILL would.
+			// Everything since the restored snapshot must come back out of
+			// the WAL chain.
 			base, view, err = build()
 			if err != nil {
 				return Replay{}, err

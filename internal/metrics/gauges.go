@@ -32,12 +32,8 @@ type ShardGauges struct {
 	validationClamped  atomic.Uint64
 
 	// ingestRate is the rolling per-second feed rate, merged from its ring
-	// only at read time; ingestBacklog is the shard's queued-but-unapplied
-	// pipeline chunk count and ingestBackpressure counts hand-offs that
-	// found the queue full and had to block.
-	ingestRate         RollingCounter
-	ingestBacklog      atomic.Int64
-	ingestBackpressure atomic.Uint64
+	// only at read time.
+	ingestRate RollingCounter
 
 	feedHist  telemetry.Histogram // sampled single-object ingests
 	batchHist telemetry.Histogram // whole FeedBatch calls
@@ -90,16 +86,6 @@ func (g *ShardGauges) RecordValidationRejected() { g.validationRejected.Add(1) }
 // corners swapped, regressed timestamp clamped forward).
 func (g *ShardGauges) RecordValidationClamped() { g.validationClamped.Add(1) }
 
-// RecordIngestBackpressure counts one feed hand-off that found the shard's
-// ingest queue full and blocked until the feed worker caught up — the
-// signal that the queue depth (or the shard count) is undersized for the
-// producer rate.
-func (g *ShardGauges) RecordIngestBackpressure() { g.ingestBackpressure.Add(1) }
-
-// SetIngestBacklog publishes the shard's queued-but-unapplied ingest
-// pipeline chunk count.
-func (g *ShardGauges) SetIngestBacklog(n int) { g.ingestBacklog.Store(int64(n)) }
-
 // SetWindow publishes the shard's live window size and the window store's
 // footprint in bytes.
 func (g *ShardGauges) SetWindow(objs, bytes int) {
@@ -128,10 +114,10 @@ type GaugeSnapshot struct {
 	// IngestRatePerSec is the trailing mean feed rate (objects/second over
 	// the last RollingWindowSeconds completed seconds).
 	IngestRatePerSec float64
-	// IngestBacklog is the number of routed chunks queued to the shard's
-	// feed worker but not yet applied; IngestBackpressure counts hand-offs
-	// that found the queue full and blocked.
-	IngestBacklog      int
+	// IngestBackpressure is always zero: feeds apply on the caller, so no
+	// hand-off ever finds a queue full.
+	//
+	// Deprecated: nothing sets it; stop reading it.
 	IngestBackpressure uint64
 	// AvgBatchLatency is the mean wall-clock duration per ingested batch,
 	// kept for dashboards that want a single number (derived from the
@@ -162,8 +148,6 @@ func (g *ShardGauges) Snapshot() GaugeSnapshot {
 		ValidationRejected: g.validationRejected.Load(),
 		ValidationClamped:  g.validationClamped.Load(),
 		IngestRatePerSec:   g.ingestRate.RateAt(time.Now()),
-		IngestBacklog:      int(g.ingestBacklog.Load()),
-		IngestBackpressure: g.ingestBackpressure.Load(),
 		Occupancy:          int(g.occupancy.Load()),
 		WindowBytes:        int(g.windowBytes.Load()),
 		FeedLatency:        g.feedHist.Snapshot(),

@@ -24,9 +24,10 @@ const (
 //
 // The stamp check-then-reset is not atomic across racing writers on the
 // same fresh second — a handful of events can be dropped at a bucket
-// boundary under multi-writer use. The sharded engine gives each shard's
-// counter a single writer (the shard's feed worker), where the race cannot
-// occur; either way this is monitoring, not accounting.
+// boundary under multi-writer use. The sharded engine records into each
+// shard's counter under the shard lock, which serializes its writers, so
+// the race cannot occur there; either way this is monitoring, not
+// accounting.
 type RollingCounter struct {
 	slots [rollingBuckets]rollingSlot
 }

@@ -240,8 +240,6 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 				}
 			}},
 		{"latest_ingest_rate", gauge, "Trailing mean feed rate per shard (objects/second over the last ten completed seconds).", perShard(func(sh *ShardSample) float64 { return sh.IngestRatePerSec })},
-		{"latest_ingest_backlog", gauge, "Routed chunks queued to the shard's feed worker but not yet applied.", perShard(func(sh *ShardSample) float64 { return float64(sh.IngestBacklog) })},
-		{"latest_ingest_backpressure_total", counter, "Feed hand-offs that found the shard's ingest queue full and blocked, per shard.", perShard(func(sh *ShardSample) float64 { return float64(sh.IngestBackpressure) })},
 		{"latest_faults_total", counter, "Estimator faults contained by the guard, per shard, estimator and kind.",
 			func(s *Snapshot, e *emitter) {
 				for _, sh := range s.Shards {

@@ -36,13 +36,8 @@ type ShardSample struct {
 	ValidationClamped  uint64 `json:"validation_clamped,omitempty"`
 
 	// IngestRatePerSec is the shard's trailing mean feed rate (objects per
-	// second over the last ten completed seconds); IngestBacklog the routed
-	// chunks queued to the shard's feed worker but not yet applied; and
-	// IngestBackpressure the feed hand-offs that found the queue full and
-	// blocked.
-	IngestRatePerSec   float64 `json:"ingest_rate_per_sec"`
-	IngestBacklog      int     `json:"ingest_backlog,omitempty"`
-	IngestBackpressure uint64  `json:"ingest_backpressure,omitempty"`
+	// second over the last ten completed seconds).
+	IngestRatePerSec float64 `json:"ingest_rate_per_sec"`
 
 	// Resilience is the shard's fault-isolation health: per-estimator
 	// breaker states and fault counters plus fallback-answer counts.

@@ -223,11 +223,9 @@ var keywordTables = sync.Pool{New: func() any { return new(intern.Table) }}
 
 // DecodeFeedBatch decodes a TFeedBatch payload, reusing dst's backing
 // array when it is large enough. The objects' keyword slices are carved
-// out of one array allocated per call: no engine retains them once the
-// batch is applied, but a pipelined engine reads a queued batch after its
-// FeedBatch has returned, so the array is never recycled. Equal keywords
-// share one string. A zero-length batch is valid (an empty ingest is
-// acknowledged like any other).
+// out of one array allocated per call, which no engine retains once its
+// FeedBatch has returned. Equal keywords share one string. A zero-length
+// batch is valid (an empty ingest is acknowledged like any other).
 func DecodeFeedBatch(payload []byte, dst []stream.Object) ([]stream.Object, error) {
 	tab := keywordTables.Get().(*intern.Table)
 	defer keywordTables.Put(tab)

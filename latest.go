@@ -230,14 +230,6 @@ type config struct {
 	// FaultInjector, when non-nil, deterministically injects estimator
 	// faults for chaos testing. Nil (the default) injects nothing.
 	FaultInjector *FaultInjector
-	// IngestQueueDepth bounds each shard's ingest pipeline queue in routed
-	// chunks (zero = 8). A full queue blocks the producer, counted in the
-	// IngestBackpressure gauge. New and NewConcurrent reject it.
-	IngestQueueDepth int
-	// SyncIngest makes ShardedSystem apply feeds under the shard lock on
-	// the calling goroutine instead of the shard's feed worker. No option
-	// sets it: it is what NewConcurrent's preset is, beside Shards = 1.
-	SyncIngest bool
 	// LatencyModel, when non-nil, replaces wall-clock estimator latency
 	// measurement in the switching model's training signal. Correctness
 	// harnesses use it to make latency-sensitive switching decisions
@@ -304,7 +296,7 @@ type System struct {
 // window duration of stream data. Tuning knobs are functional options
 // (WithAlpha, WithTau, ...); zero options take the paper's defaults.
 // Options that require a concurrency-safe or sharded engine (WithTelemetry,
-// WithShards, WithIngestQueueDepth) are rejected with a descriptive error.
+// WithShards) are rejected with a descriptive error.
 func New(world Rect, window time.Duration, opts ...Option) (*System, error) {
 	cfg := buildConfig(world, window, opts)
 	if err := validateOptions(&cfg, kindSingle); err != nil {
@@ -434,13 +426,8 @@ func optionErr(option string, kind engineKind, reason string) error {
 // already enforces with errors (Tau, Beta, Alpha ranges, fleet membership)
 // are left to it.
 func validateOptions(cfg *config, kind engineKind) error {
-	if kind != kindSharded {
-		if cfg.Shards != 0 {
-			return optionErr("WithShards", kind, "only a ShardedSystem partitions the world")
-		}
-		if cfg.IngestQueueDepth != 0 {
-			return optionErr("WithIngestQueueDepth", kind, "only a ShardedSystem pipelines ingest through per-shard queues")
-		}
+	if kind != kindSharded && cfg.Shards != 0 {
+		return optionErr("WithShards", kind, "only a ShardedSystem partitions the world")
 	}
 	if kind == kindSingle && cfg.TelemetryAddr != "" {
 		return optionErr("WithTelemetry", kind, "a single-goroutine System cannot be scraped concurrently with traffic; use NewConcurrent or NewSharded")
@@ -474,7 +461,6 @@ func validateOptions(cfg *config, kind engineKind) error {
 		{"PretrainQueries", cfg.PretrainQueries},
 		{"CooldownQueries", cfg.CooldownQueries},
 		{"TraceDepth", cfg.TraceDepth},
-		{"IngestQueueDepth", cfg.IngestQueueDepth},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("latest: %s must be non-negative, got %d", f.name, f.v)
@@ -678,7 +664,7 @@ func (s *System) Decisions() []Decision { return s.module.Decisions() }
 func (s *System) QuarantinedEstimators() []string { return s.module.QuarantinedNames() }
 
 // Shutdown satisfies the unified Engine interface. A System owns no
-// background resources — no telemetry server, no shard workers — so there
-// is nothing to stop; it exists so code written against Engine can shut any
-// shape down uniformly.
+// background resources — no telemetry server — so there is nothing to
+// stop; it exists so code written against Engine can shut any shape down
+// uniformly.
 func (s *System) Shutdown(context.Context) error { return nil }

@@ -138,7 +138,7 @@ func TestOptionsMatchConfig(t *testing.T) {
 		WithPretrainQueries(123), WithCooldown(17),
 		WithOpportunityMargin(-1), WithMemoryScale(2),
 		WithSeed(99), WithOnSwitch(onSwitch), WithOracleGridCells(256),
-		WithShards(3), WithIngestQueueDepth(5),
+		WithShards(3),
 		nil, // nil options are tolerated
 	})
 	if !got.AlphaSet || got.Alpha != 0 {
@@ -151,7 +151,7 @@ func TestOptionsMatchConfig(t *testing.T) {
 		got.PretrainQueries != 123 || got.CooldownQueries != 17 ||
 		got.OpportunityMargin != -1 || got.MemoryScale != 2 ||
 		got.Seed != 99 || got.OracleGridCells != 256 ||
-		got.Shards != 3 || got.IngestQueueDepth != 5 || got.OnSwitch == nil {
+		got.Shards != 3 || got.OnSwitch == nil {
 		t.Errorf("options lost fields: %+v", got)
 	}
 	// A later option overrides an earlier one.

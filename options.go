@@ -9,10 +9,9 @@ import (
 // New, NewConcurrent and NewSharded — the only way to configure an engine.
 // WithAlpha(0) unambiguously means "accuracy only", no companion boolean
 // required. There are two engine types: System, and ShardedSystem, of which
-// NewConcurrent builds the one-shard inline preset. Options that only make
-// sense for one constructor (WithTelemetry, WithShards,
-// WithIngestQueueDepth) are rejected by the constructors that cannot
-// honour them.
+// NewConcurrent builds the one-shard preset. Options that only make sense
+// for one constructor (WithTelemetry, WithShards) are rejected by the
+// constructors that cannot honour them.
 
 // Option customizes a System or a ShardedSystem at construction time.
 // Options apply in order; later options win.
@@ -175,15 +174,6 @@ func WithFaultInjector(inj *FaultInjector) Option {
 // Production deployments leave it unset.
 func WithLatencyModel(fn func(estimator string, q *Query, measured time.Duration) time.Duration) Option {
 	return func(c *config) { c.LatencyModel = fn }
-}
-
-// WithIngestQueueDepth bounds each shard's ingest pipeline queue, in
-// routed chunks — one chunk per Feed call or per FeedBatch sub-batch
-// (default 8). A producer that finds the queue full blocks until the
-// shard's feed worker catches up; those stalls are counted in the
-// IngestBackpressure gauge. New and NewConcurrent reject it.
-func WithIngestQueueDepth(n int) Option {
-	return func(c *config) { c.IngestQueueDepth = n }
 }
 
 // buildConfig folds options into a Config carrying the world and window.

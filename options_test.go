@@ -37,7 +37,6 @@ func TestNewRejectsConcurrencyOptions(t *testing.T) {
 	}{
 		{"WithTelemetry", WithTelemetry("127.0.0.1:0")},
 		{"WithShards", WithShards(4)},
-		{"WithIngestQueueDepth", WithIngestQueueDepth(8)},
 	}
 	for _, c := range cases {
 		_, err := New(world, win, c.opt)
@@ -47,17 +46,8 @@ func TestNewRejectsConcurrencyOptions(t *testing.T) {
 
 func TestNewConcurrentRejectsShardOptions(t *testing.T) {
 	world, win := validWorld()
-	cases := []struct {
-		option string
-		opt    Option
-	}{
-		{"WithShards", WithShards(4)},
-		{"WithIngestQueueDepth", WithIngestQueueDepth(8)},
-	}
-	for _, c := range cases {
-		_, err := NewConcurrent(world, win, c.opt)
-		assertOptionRejected(t, err, c.option, "NewConcurrent")
-	}
+	_, err := NewConcurrent(world, win, WithShards(4))
+	assertOptionRejected(t, err, "WithShards", "NewConcurrent")
 }
 
 // TestConcurrentAcceptsTelemetry: the concurrency-safe shapes may serve
@@ -80,8 +70,7 @@ func TestConcurrentAcceptsTelemetry(t *testing.T) {
 // sharded constructor.
 func TestShardedAcceptsShardOptions(t *testing.T) {
 	world, win := validWorld()
-	sh, err := NewSharded(world, win,
-		WithShards(4), WithIngestQueueDepth(8))
+	sh, err := NewSharded(world, win, WithShards(4))
 	if err != nil {
 		t.Fatalf("NewSharded rejected its own options: %v", err)
 	}

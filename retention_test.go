@@ -11,9 +11,8 @@ import (
 
 // TestFeedDoesNotRetainCallerSlices: an engine copies what it keeps. A
 // producer that builds every batch in the same Object and keyword arrays,
-// and overwrites them as soon as the batch has been applied — on return
-// from FeedBatch, after Drain on the pipelined engine — leaves the engine
-// in the state of a twin fed fresh slices: the same exact counts on keyword
+// and overwrites them as soon as FeedBatch returns, leaves the engine in
+// the state of a twin fed fresh slices: the same exact counts on keyword
 // and hybrid queries, which are also a brute-force scan's, and the same
 // snapshot, byte for byte. The stream outlasts the window, so evictions
 // read the engine's own copy too, and it stays inside pre-training, where
@@ -70,9 +69,6 @@ func TestFeedDoesNotRetainCallerSlices(t *testing.T) {
 				all = append(all, fresh...)
 				twin.FeedBatch(fresh)
 				reusing.FeedBatch(batch)
-				if d, ok := reusing.(interface{ Drain() }); ok {
-					d.Drain()
-				}
 				for i := range kwbuf {
 					kwbuf[i] = "scribbled"
 				}

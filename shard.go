@@ -14,16 +14,16 @@ import (
 
 // ShardedSystem partitions the world rectangle into a grid of spatial
 // shards, each owning its own exact window store and estimator fleet
-// behind its own lock. Ingest is pipelined: a producer routes a batch once
-// into per-shard sub-batches and hands each to the owning shard's bounded
-// feed queue, where the shard's dedicated worker applies it — producers
-// never hold shard locks, and feeds within a shard keep their hand-off
-// order. Queries fan out to the shards whose rectangles intersect the
-// query range (keyword-only queries to all shards), first waiting for each
-// target shard's queued feeds to land so callers always read their own
-// writes, and merge the partial counts. The RC-DVQ count over a rectangle
-// decomposes exactly over a spatial partition — every object lives in
-// exactly one shard — so merged exact counts equal a monolithic System's.
+// behind its own lock. Ingest is inline: a producer routes a batch once
+// into per-shard sub-batches and applies each on its own goroutine under
+// the owning shard's lock, so a feed has been applied when it returns and
+// feeds within a shard keep their call order. Ingest runs in parallel
+// across producers that lock different shards. Queries fan out to the
+// shards whose rectangles intersect the query range (keyword-only queries
+// to all shards) and merge the partial counts. The RC-DVQ count over a
+// rectangle decomposes exactly over a spatial partition — every object
+// lives in exactly one shard — so merged exact counts equal a monolithic
+// System's.
 //
 // Each shard runs its own LATEST module: its own learning model, its own
 // active estimator, its own switching decisions. Shards covering different
@@ -54,19 +54,16 @@ type ShardedSystem struct {
 	ys     []float64 // row edges, len rows+1
 	shards []*shard
 
-	syncIngest bool
-	policy     ValidationPolicy
+	policy ValidationPolicy
 
 	telem *telemetry.Server
 
-	// bufPool recycles the pipeline's routed sub-batch buffers (ownership
-	// transfers to the shard worker, which returns them after applying);
-	// bucketPool recycles the per-FeedBatch bucket arrays indexed by shard.
-	bufPool    sync.Pool
+	// bucketPool recycles FeedBatch's routing buckets: a *[][]Object with
+	// one sub-batch per shard, each emptied and cleared after its apply so
+	// pooled memory pins no keyword arrays.
 	bucketPool sync.Pool
 
 	closeOnce sync.Once
-	workers   sync.WaitGroup
 
 	// gen counts snapshots taken of this engine; fingerprint encodes the
 	// construction options. Both serve the Snapshot/Restore contract — see
@@ -76,7 +73,7 @@ type ShardedSystem struct {
 }
 
 // shard is one spatial partition: a full System (module + window store)
-// behind a mutex, plus operational gauges and the ingest pipeline state.
+// behind a mutex, plus operational gauges.
 type shard struct {
 	mu   sync.Mutex
 	rect Rect
@@ -90,165 +87,12 @@ type shard struct {
 
 	gauges metrics.ShardGauges
 	log    *telemetry.Logger
-
-	// feedCh is the shard's bounded ingest pipeline: producers enqueue
-	// routed chunks (never holding mu) and the shard's dedicated feed
-	// worker — the channel's only receiver — applies them in FIFO order,
-	// so feeds within a shard stay strictly ordered and all hot-path gauge
-	// recording has a single writer. A full queue blocks the producer
-	// (backpressure, counted in the IngestBackpressure gauge). Nil in
-	// NewConcurrent's engine, which ingests inline.
-	feedCh chan ingestChunk
-
-	// feedQueued counts enqueued-but-unapplied chunks (guarded by feedMu;
-	// incremented by the producer before the channel send, decremented by
-	// the worker after the apply). drainFeeds waits on feedIdle until it
-	// reaches zero — the barrier the query, stats and snapshot paths use
-	// to keep read-your-writes semantics. feedClosed marks the pipeline
-	// shut: later feeds apply inline under the shard lock instead.
-	feedMu     sync.Mutex
-	feedIdle   *sync.Cond
-	feedQueued int
-	feedClosed bool
-}
-
-// ingestChunk is one unit of pipeline work: either a single object
-// (inline, allocation-free) or a routed sub-batch. owned marks buffers
-// drawn from the system's pool, returned there after the apply; a
-// caller-owned slice (synchronous ingest) is never pooled.
-type ingestChunk struct {
-	obj    Object
-	objs   []Object
-	single bool
-	owned  bool
-}
-
-// enqueue hands one routed chunk to the shard's feed worker, blocking
-// while the bounded queue is full. It returns false when the pipeline is
-// closed (or was never started); the caller applies the chunk inline.
-func (sh *shard) enqueue(c ingestChunk) bool {
-	if sh.feedCh == nil {
-		return false
-	}
-	sh.feedMu.Lock()
-	if sh.feedClosed {
-		sh.feedMu.Unlock()
-		return false
-	}
-	sh.feedQueued++
-	sh.feedMu.Unlock()
-	if len(sh.feedCh) == cap(sh.feedCh) {
-		sh.gauges.RecordIngestBackpressure()
-	}
-	sh.feedCh <- c
-	return true
-}
-
-// drainFeeds blocks until every chunk handed to the shard's feed worker
-// before the call has been applied. Chunks enqueued concurrently with the
-// wait may or may not be covered; callers needing a cut that is stable
-// across all shards must quiesce producers first (DurableEngine's write
-// lock does).
-func (sh *shard) drainFeeds() {
-	if sh.feedCh == nil {
-		return
-	}
-	sh.feedMu.Lock()
-	for sh.feedQueued > 0 {
-		sh.feedIdle.Wait()
-	}
-	sh.feedMu.Unlock()
-}
-
-// feedWorker is a shard's dedicated ingest goroutine: the only receiver of
-// feedCh and — with producers off the apply path — the only writer of the
-// shard's feed/batch/occupancy gauges, so hot-path recording never
-// contends across cores.
-func (s *ShardedSystem) feedWorker(sh *shard, ch <-chan ingestChunk) {
-	defer s.workers.Done()
-	for c := range ch {
-		s.applyChunk(sh, c)
-		sh.feedMu.Lock()
-		sh.feedQueued--
-		sh.gauges.SetIngestBacklog(sh.feedQueued)
-		if sh.feedQueued == 0 {
-			sh.feedIdle.Broadcast()
-		}
-		sh.feedMu.Unlock()
-	}
-}
-
-// applyChunk ingests one chunk under the shard lock, records the shard's
-// ingest gauges, and returns pooled buffers. Runs on the shard's feed
-// worker, or inline on the producer in synchronous mode and after Close.
-func (s *ShardedSystem) applyChunk(sh *shard, c ingestChunk) {
-	if c.single {
-		sampled := sh.gauges.RecordFeed()
-		var start time.Time
-		if sampled {
-			start = time.Now()
-		}
-		sh.mu.Lock()
-		// Staged in the shard so the pointer handed down does not force the
-		// chunk to the heap: a single Feed stays allocation-free.
-		sh.scratch = c.obj
-		sh.feedLocked(&sh.scratch)
-		occ, bytes := sh.sys.window.Size(), sh.sys.window.MemoryBytes()
-		sh.mu.Unlock()
-		if sampled {
-			sh.gauges.RecordFeedLatency(time.Since(start))
-		}
-		sh.gauges.SetWindow(occ, bytes)
-		return
-	}
-	start := time.Now()
-	sh.mu.Lock()
-	for i := range c.objs {
-		sh.feedLocked(&c.objs[i])
-	}
-	occ, bytes := sh.sys.window.Size(), sh.sys.window.MemoryBytes()
-	sh.mu.Unlock()
-	sh.gauges.RecordBatch(len(c.objs), time.Since(start))
-	sh.gauges.SetWindow(occ, bytes)
-	if c.owned {
-		s.putBuf(c.objs)
-	}
-}
-
-// getBuf returns an empty pooled sub-batch buffer.
-func (s *ShardedSystem) getBuf() []Object {
-	if v := s.bufPool.Get(); v != nil {
-		return (*(v.(*[]Object)))[:0]
-	}
-	return make([]Object, 0, 512)
-}
-
-// putBuf recycles a sub-batch buffer, clearing it first so pooled memory
-// pins no object keyword slices.
-func (s *ShardedSystem) putBuf(b []Object) {
-	b = b[:cap(b)]
-	clear(b)
-	b = b[:0]
-	s.bufPool.Put(&b)
-}
-
-// getBuckets returns a per-shard bucket array for one FeedBatch routing
-// pass; entries are nil until a shard receives its first object.
-func (s *ShardedSystem) getBuckets() [][]Object {
-	if v := s.bucketPool.Get(); v != nil {
-		return *(v.(*[][]Object))
-	}
-	return make([][]Object, len(s.shards))
-}
-
-func (s *ShardedSystem) putBuckets(b [][]Object) {
-	s.bucketPool.Put(&b)
 }
 
 // NewSharded builds a sharded LATEST system over the given world,
 // partitioned into WithShards(n) spatial shards (default
-// runtime.GOMAXPROCS(0)). Call Close when done to stop the per-shard feed
-// workers.
+// runtime.GOMAXPROCS(0)). It starts no goroutine; call Close when done to
+// stop the telemetry server WithTelemetry starts.
 func NewSharded(world Rect, window time.Duration, opts ...Option) (*ShardedSystem, error) {
 	return newSharded(buildConfig(world, window, opts), kindSharded)
 }
@@ -276,30 +120,28 @@ func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("latest: Shards must be positive, got %d", n)
 	}
-	// Before anything is built from them: the world is partitioned and
-	// IngestQueueDepth sizes a channel below.
+	// Before anything is built from them: the world is partitioned below.
 	if err := validateOptions(&cfg, kindSharded); err != nil {
 		return nil, err
 	}
 	rows, cols := shardGridDims(n)
 	s := &ShardedSystem{
-		engine:     "sharded",
-		snapKind:   fmt.Sprintf("sharded:%dx%d", rows, cols),
-		world:      cfg.World,
-		rows:       rows,
-		cols:       cols,
-		xs:         partitionEdges(cfg.World.MinX, cfg.World.MaxX, cols),
-		ys:         partitionEdges(cfg.World.MinY, cfg.World.MaxY, rows),
-		shards:     make([]*shard, n),
-		syncIngest: cfg.SyncIngest,
-		policy:     cfg.Validation,
+		engine:   "sharded",
+		snapKind: fmt.Sprintf("sharded:%dx%d", rows, cols),
+		world:    cfg.World,
+		rows:     rows,
+		cols:     cols,
+		xs:       partitionEdges(cfg.World.MinX, cfg.World.MaxX, cols),
+		ys:       partitionEdges(cfg.World.MinY, cfg.World.MaxY, rows),
+		shards:   make([]*shard, n),
+		policy:   cfg.Validation,
+	}
+	s.bucketPool.New = func() any {
+		b := make([][]Object, n)
+		return &b
 	}
 	if kind == kindConcurrent {
 		s.engine, s.snapKind = "concurrent", snapKindSingle
-	}
-	ingestDepth := cfg.IngestQueueDepth
-	if ingestDepth == 0 {
-		ingestDepth = 8
 	}
 	baseLog := telemetry.NewLogger(cfg.LogOutput, cfg.LogLevel)
 	for i := range s.shards {
@@ -313,10 +155,6 @@ func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 			component, sh.prefix = "concurrent", ""
 		}
 		sh.log = baseLog.Named(component)
-		sh.feedIdle = sync.NewCond(&sh.feedMu)
-		if !s.syncIngest {
-			sh.feedCh = make(chan ingestChunk, ingestDepth)
-		}
 		shardCfg := cfg
 		shardCfg.World = sh.rect
 		// Shard 0 keeps the configured seed so a 1-shard system matches
@@ -332,10 +170,6 @@ func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 		sys.gauges = &sh.gauges
 		sh.sys = sys
 		s.shards[i] = sh
-		if sh.feedCh != nil {
-			s.workers.Add(1)
-			go s.feedWorker(sh, sh.feedCh)
-		}
 	}
 	// The sharded fingerprint takes world and seed from the top-level
 	// options (shard systems see derived ones); every other module knob is
@@ -352,48 +186,21 @@ func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 	return s, nil
 }
 
-// closeFeedPipelines marks every shard's ingest pipeline closed (later
-// feeds apply inline under the shard lock), waits for queued chunks to
-// land, and closes the channels so the feed workers exit. Safe against
-// producers mid-hand-off: a producer that passed the closed check has
-// already incremented feedQueued, so the wait covers its chunk, and one
-// that has not yet passed it sees feedClosed and falls back inline.
-func (s *ShardedSystem) closeFeedPipelines() {
-	for _, sh := range s.shards {
-		if sh.feedCh == nil {
-			continue
-		}
-		sh.feedMu.Lock()
-		sh.feedClosed = true
-		for sh.feedQueued > 0 {
-			sh.feedIdle.Wait()
-		}
-		sh.feedMu.Unlock()
-		close(sh.feedCh)
-	}
-}
-
-// Close stops the telemetry server (if one was started) and drains and
-// stops the per-shard feed pipelines, waiting for the feed workers to exit.
-// Queued feeds complete; using the system after Close feeds inline and is
-// otherwise unchanged. Close is idempotent.
+// Close stops the telemetry server, if one was started — the only
+// background resource the engine owns — and leaves the system usable.
+// Close is idempotent.
 func (s *ShardedSystem) Close() {
 	s.closeOnce.Do(func() {
 		if s.telem != nil {
 			s.telem.Close()
 		}
-		s.closeFeedPipelines()
-		s.workers.Wait()
 	})
 }
 
 // Shutdown is the graceful form of Close: the telemetry exposition server
-// (if one was started) finishes in-flight scrapes before stopping, the
-// per-shard feed queues are drained before the pipelines stop, and the
-// wait for queued feeds and the feed workers is bounded by ctx. Shares
-// Close's once — whichever runs first wins, the other is a no-op. On ctx
-// expiry the drain keeps completing in the background; the system is still
-// safe to use (feeds apply inline).
+// (if one was started) finishes in-flight scrapes, bounded by ctx, before
+// stopping. Shares Close's once — whichever runs first wins, the other is
+// a no-op.
 func (s *ShardedSystem) Shutdown(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -402,21 +209,6 @@ func (s *ShardedSystem) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		if s.telem != nil {
 			err = s.telem.Shutdown(ctx)
-		}
-		done := make(chan struct{})
-		go func() {
-			// The feed drain can block behind a deep queue, so it lives
-			// inside the bounded wait with the worker join.
-			s.closeFeedPipelines()
-			s.workers.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			if err == nil {
-				err = ctx.Err()
-			}
 		}
 	})
 	return err
@@ -486,8 +278,8 @@ func edgeIndex(edges []float64, v float64) int {
 
 // feedLocked ingests one object into sh. Validation repairs a regressed
 // timestamp in the pointee, so such an arrival is staged in the shard
-// first: behind a shard the caller's slice is never modified, pipelined or
-// applied in place. Caller holds sh.mu.
+// first: behind a shard the caller's slice is never modified. Caller holds
+// sh.mu.
 func (sh *shard) feedLocked(o *Object) {
 	if o.Timestamp < sh.sys.lastTS {
 		sh.scratch = *o
@@ -496,75 +288,75 @@ func (sh *shard) feedLocked(o *Object) {
 	sh.sys.feedPtr(o)
 }
 
-// Feed ingests one stream object by handing it to the owning shard's feed
-// pipeline; the shard's worker applies it (and records the shard's ingest
-// gauges, timing one in metrics.FeedSampleInterval) without the producer
-// ever holding the shard lock. In NewConcurrent's engine — or after
-// Close — the apply runs inline on the caller instead.
+// Feed ingests one stream object on the caller, under the owning shard's
+// lock, timing one call in metrics.FeedSampleInterval. The shard's ingest
+// gauges are recorded under the lock too: it serializes their writers,
+// which the rolling ingest-rate counter relies on.
 func (s *ShardedSystem) Feed(o Object) {
 	sh := s.shards[s.shardOf(o.Loc)]
-	c := ingestChunk{obj: o, single: true}
-	if s.syncIngest || !sh.enqueue(c) {
-		s.applyChunk(sh, c)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sampled := sh.gauges.RecordFeed()
+	var start time.Time
+	if sampled {
+		start = time.Now()
 	}
+	// Staged in the shard so the pointer handed down does not force o to
+	// the heap: a single Feed stays allocation-free.
+	sh.scratch = o
+	sh.feedLocked(&sh.scratch)
+	if sampled {
+		sh.gauges.RecordFeedLatency(time.Since(start))
+	}
+	sh.gauges.SetWindow(sh.sys.window.Size(), sh.sys.window.MemoryBytes())
 }
 
 // FeedBatch ingests a batch of stream objects with a single routing pass:
 // each object is appended to its shard's pooled sub-batch bucket (one
 // shardOf call per object, no per-shard rescans), and each non-empty
-// bucket is handed to its shard's feed pipeline in one chunk. Object order
-// is preserved within a shard; cross-shard ordering is irrelevant (shards
-// hold disjoint objects).
+// bucket is applied on the caller under its shard's lock. A one-shard
+// engine applies objs in place, with no copy. Object order is preserved
+// within a shard; cross-shard ordering is irrelevant (shards hold disjoint
+// objects).
 //
-// The engine copies what it keeps; the caller may reuse its buffers. objs
-// is copied during routing and is the caller's again as soon as FeedBatch
-// returns. The keyword arrays its objects point to are read when a shard
-// applies its chunk, and by nothing afterwards — window and estimators keep
-// their own copies — so they may be reused once the batch has been applied:
-// on return from NewConcurrent's engine, after Drain otherwise.
+// The engine copies what it keeps: a batch has been applied when FeedBatch
+// returns, so the caller may reuse objs and its keyword arrays on return.
 func (s *ShardedSystem) FeedBatch(objs []Object) {
 	if len(objs) == 0 {
 		return
 	}
 	if len(s.shards) == 1 {
-		s.feedShard(s.shards[0], objs)
+		s.shards[0].apply(objs)
 		return
 	}
-	buckets := s.getBuckets()
+	bp := s.bucketPool.Get().(*[][]Object)
+	buckets := *bp
 	for i := range objs {
 		si := s.shardOf(objs[i].Loc)
-		if buckets[si] == nil {
-			buckets[si] = s.getBuf()
-		}
 		buckets[si] = append(buckets[si], objs[i])
 	}
 	for si, sub := range buckets {
-		if sub == nil {
+		if len(sub) == 0 {
 			continue
 		}
-		buckets[si] = nil
-		sh := s.shards[si]
-		c := ingestChunk{objs: sub, owned: true}
-		if s.syncIngest || !sh.enqueue(c) {
-			s.applyChunk(sh, c)
-		}
+		s.shards[si].apply(sub)
+		clear(sub)
+		buckets[si] = sub[:0]
 	}
-	s.putBuckets(buckets)
+	s.bucketPool.Put(bp)
 }
 
-// feedShard ingests a caller-owned batch into one shard. The pipeline owns
-// every buffer it applies, so the batch is copied into a pooled buffer
-// before the hand-off; synchronous mode applies the caller's slice in
-// place with no copy.
-func (s *ShardedSystem) feedShard(sh *shard, objs []Object) {
-	if s.syncIngest {
-		s.applyChunk(sh, ingestChunk{objs: objs})
-		return
+// apply ingests a routed sub-batch under the shard lock and records the
+// shard's ingest gauges there, as Feed does.
+func (sh *shard) apply(objs []Object) {
+	start := time.Now()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for i := range objs {
+		sh.feedLocked(&objs[i])
 	}
-	c := ingestChunk{objs: append(s.getBuf(), objs...), owned: true}
-	if !sh.enqueue(c) {
-		s.applyChunk(sh, c)
-	}
+	sh.gauges.RecordBatch(len(objs), time.Since(start))
+	sh.gauges.SetWindow(sh.sys.window.Size(), sh.sys.window.MemoryBytes())
 }
 
 // targets returns the shards a query must consult: every shard whose
@@ -594,13 +386,11 @@ func (s *ShardedSystem) route(q *Query) []*shard {
 	return s.targets(q)
 }
 
-// query is the one place a shard's System is locked for a query: wait for
-// the shard's queued feeds to land (read-your-writes), then run one atomic
-// estimate/observe cycle with tr installed on the module for exactly the
-// span of the lock, so the module never observes a stale trace. A nil tr
-// records nothing; truth is estimateAndExecute's.
+// query is the one place a shard's System is locked for a query: one
+// atomic estimate/observe cycle with tr installed on the module for exactly
+// the span of the lock, so the module never observes a stale trace. A nil
+// tr records nothing; truth is estimateAndExecute's.
 func (sh *shard) query(q *Query, tr *telemetry.ActiveTrace, truth func(windowExact int) float64) (estimate float64, actual int) {
-	sh.drainFeeds()
 	start := time.Now()
 	sh.mu.Lock()
 	sh.sys.module.SetTrace(tr)
@@ -684,21 +474,16 @@ func (s *ShardedSystem) ShardRects() []Rect {
 	return out
 }
 
-// Drain blocks until every feed handed to the per-shard ingest pipelines
-// before the call has been applied to its shard's window store and
-// estimators. The query, stats and snapshot paths drain implicitly;
-// benchmarks and tests call it to settle the system before measuring.
-func (s *ShardedSystem) Drain() {
-	for _, sh := range s.shards {
-		sh.drainFeeds()
-	}
-}
+// Drain does nothing: a feed has been applied by the time Feed or
+// FeedBatch returns.
+//
+// Deprecated: there is nothing to wait for; delete the call.
+func (s *ShardedSystem) Drain() {}
 
 // WindowSize returns the number of live objects across all shards.
 func (s *ShardedSystem) WindowSize() int {
 	total := 0
 	for _, sh := range s.shards {
-		sh.drainFeeds()
 		sh.mu.Lock()
 		total += sh.sys.WindowSize()
 		sh.mu.Unlock()
@@ -711,7 +496,6 @@ func (s *ShardedSystem) WindowSize() int {
 func (s *ShardedSystem) Phase() Phase {
 	phase := PhaseIncremental
 	for _, sh := range s.shards {
-		sh.drainFeeds()
 		sh.mu.Lock()
 		p := sh.sys.Phase()
 		sh.mu.Unlock()
@@ -727,7 +511,6 @@ func (s *ShardedSystem) Phase() Phase {
 func (s *ShardedSystem) ActiveEstimators() []string {
 	out := make([]string, len(s.shards))
 	for i, sh := range s.shards {
-		sh.drainFeeds()
 		sh.mu.Lock()
 		out[i] = sh.sys.ActiveEstimator()
 		sh.mu.Unlock()
@@ -741,7 +524,6 @@ func (s *ShardedSystem) ActiveEstimators() []string {
 func (s *ShardedSystem) Switches() []SwitchEvent {
 	var out []SwitchEvent
 	for _, sh := range s.shards {
-		sh.drainFeeds()
 		sh.mu.Lock()
 		out = append(out, sh.sys.Switches()...)
 		sh.mu.Unlock()
@@ -785,7 +567,6 @@ func (s *ShardedSystem) PerShardStats() ShardedStats {
 	out := ShardedStats{Shards: make([]ShardStats, len(s.shards))}
 	parts := make([]Stats, len(s.shards))
 	for i, sh := range s.shards {
-		sh.drainFeeds()
 		sh.mu.Lock()
 		parts[i] = sh.sys.Stats()
 		ws := sh.sys.WindowSize()

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// shard_stress_test.go hammers the per-shard ingest pipelines with
-// concurrent producers and verifies the one invariant that matters for a
+// shard_stress_test.go hammers the shards' inline ingest with concurrent
+// producers and verifies the one invariant that matters for a
 // partitioned exact store: every object fed is applied to exactly one
 // shard — none lost, none duplicated — no matter how feeds, batches,
 // queries and shutdowns interleave. The suite runs under -race in the CI
@@ -39,11 +39,11 @@ func stressFeed(s *ShardedSystem, objs []Object, rng *rand.Rand) {
 }
 
 // stressCheckIntegrity asserts the zero-lost/zero-duplicated invariant
-// after a drain: window occupancy (global and per-shard), the per-shard
-// feed gauges, and a full-world exact count must all equal total.
+// once every producer has returned: window occupancy (global and
+// per-shard), the per-shard feed gauges, and a full-world exact count must
+// all equal total.
 func stressCheckIntegrity(t *testing.T, s *ShardedSystem, total int, maxTS int64) {
 	t.Helper()
-	s.Drain()
 	if got := s.WindowSize(); got != total {
 		t.Errorf("WindowSize = %d, want %d", got, total)
 	}
@@ -66,7 +66,7 @@ func stressCheckIntegrity(t *testing.T, s *ShardedSystem, total int, maxTS int64
 }
 
 // TestShardStressIngestIntegrity: N producers × M shards, randomized batch
-// sizes, no object lost or duplicated after drain.
+// sizes, no object lost or duplicated.
 func TestShardStressIngestIntegrity(t *testing.T) {
 	perProducer := 4000
 	if testing.Short() {
@@ -77,7 +77,7 @@ func TestShardStressIngestIntegrity(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s := MustNewSharded(testWorld(), time.Hour,
-				WithSeed(7), WithShards(shards), WithIngestQueueDepth(4))
+				WithSeed(7), WithShards(shards))
 			defer s.Close()
 			objs := shardWorkload(int64(100+shards), producers*perProducer)
 			var wg sync.WaitGroup
@@ -105,7 +105,7 @@ func TestShardStressFeedQueryRace(t *testing.T) {
 	}
 	const producers = 3
 	s := MustNewSharded(testWorld(), time.Hour,
-		WithSeed(8), WithShards(4), WithIngestQueueDepth(2))
+		WithSeed(8), WithShards(4))
 	defer s.Close()
 	objs := shardWorkload(42, producers*perProducer)
 
@@ -151,7 +151,7 @@ func TestShardStressFeedQueryRace(t *testing.T) {
 	}()
 
 	// Wait for producers by polling window size up to a deadline, then
-	// stop the readers; integrity is checked after a full drain.
+	// stop the readers and check integrity.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	deadline := time.After(2 * time.Minute)
@@ -170,37 +170,14 @@ func TestShardStressFeedQueryRace(t *testing.T) {
 	stressCheckIntegrity(t, s, len(objs), int64(len(objs)+1))
 }
 
-// TestShardStressBackpressure forces the queue-full path: a depth-1
-// pipeline with many producers must block hand-offs (visible in the
-// IngestBackpressure gauge on most runs) and still lose nothing.
-func TestShardStressBackpressure(t *testing.T) {
-	const producers, perProducer = 6, 1200
-	s := MustNewSharded(testWorld(), time.Hour,
-		WithSeed(9), WithShards(2), WithIngestQueueDepth(1))
-	defer s.Close()
-	objs := shardWorkload(43, producers*perProducer)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(8800 + p)))
-			stressFeed(s, objs[p*perProducer:(p+1)*perProducer], rng)
-		}(p)
-	}
-	wg.Wait()
-	stressCheckIntegrity(t, s, producers*perProducer, int64(len(objs)+1))
-}
-
 // TestShardStressShutdownDuringFeeds shuts the engine down while producers
-// are mid-flight: Shutdown must drain what was queued, late feeds must
-// fall back to the inline path without panicking, and the surviving state
-// must stay internally consistent (per-shard occupancy sums to the global
-// window, nothing duplicated).
+// are mid-flight: feeds before and after Shutdown must apply without
+// panicking, and the surviving state must stay internally consistent
+// (per-shard occupancy sums to the global window, nothing duplicated).
 func TestShardStressShutdownDuringFeeds(t *testing.T) {
 	const producers, perProducer = 4, 2000
 	s := MustNewSharded(testWorld(), time.Hour,
-		WithSeed(10), WithShards(3), WithIngestQueueDepth(2))
+		WithSeed(10), WithShards(3))
 	objs := shardWorkload(44, producers*perProducer)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -215,7 +192,7 @@ func TestShardStressShutdownDuringFeeds(t *testing.T) {
 		t.Errorf("Shutdown: %v", err)
 	}
 	wg.Wait()
-	// Every feed call returned, via pipeline or inline fallback, so the
-	// full workload must be present exactly once.
+	// Every feed call returned, so the full workload must be present
+	// exactly once.
 	stressCheckIntegrity(t, s, producers*perProducer, int64(len(objs)+1))
 }

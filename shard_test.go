@@ -186,8 +186,8 @@ func TestShardedExactCounts(t *testing.T) {
 
 // TestShardedParallel hammers a ShardedSystem with concurrent batch
 // producers and queriers; run with -race. Covers inline pre-fills racing
-// the feed workers (switches happen under the query load) and the
-// timestamp clamp.
+// the producers' inline feeds (switches happen under the query load) and
+// the timestamp clamp.
 func TestShardedParallel(t *testing.T) {
 	s, err := NewSharded(testWorld(), time.Minute,
 		WithShards(4), WithPretrainQueries(50), WithAccWindow(30), WithSeed(3))
@@ -267,9 +267,8 @@ func TestShardedParallel(t *testing.T) {
 
 // TestShardedCloseUnderSwitches drives a hostile workload that provokes
 // estimator switches (eleven on an uninstrumented build; the switch weighs
-// wall-clock latency, so a count is not asserted) and verifies Close stops
-// the feed pipelines without deadlock or leak, twice, and leaves a usable
-// engine.
+// wall-clock latency, so a count is not asserted) and verifies Close runs
+// without deadlock, twice, and leaves a usable engine.
 func TestShardedCloseUnderSwitches(t *testing.T) {
 	s, err := NewSharded(testWorld(), 5*time.Second,
 		WithShards(2), WithPretrainQueries(40), WithAccWindow(20), WithSeed(4))
@@ -302,7 +301,7 @@ func TestShardedCloseUnderSwitches(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // idempotent
-	// Post-Close operation stays safe (feeds apply inline).
+	// Post-Close operation stays safe.
 	q := KeywordQuery([]string{"kw1"}, ts)
 	if est, _ := s.EstimateAndExecute(&q); est < 0 {
 		t.Fatalf("post-close estimate %v", est)
@@ -327,8 +326,8 @@ func TestFeedBatchEmpty(t *testing.T) {
 }
 
 // TestFeedBatchAllOneShard routes a whole batch into a single shard: the
-// single-pass router must produce exactly one chunk (one batch gauge tick
-// on the owning shard, none elsewhere).
+// single-pass router must produce exactly one sub-batch (one batch gauge
+// tick on the owning shard, none elsewhere).
 func TestFeedBatchAllOneShard(t *testing.T) {
 	s := MustNewSharded(testWorld(), time.Hour, WithSeed(4), WithShards(4))
 	defer s.Close()
@@ -340,7 +339,6 @@ func TestFeedBatchAllOneShard(t *testing.T) {
 		objs[i] = Object{ID: uint64(i + 1), Loc: c, Timestamp: int64(i + 1)}
 	}
 	s.FeedBatch(objs)
-	s.Drain()
 	for _, sh := range s.PerShardStats().Shards {
 		wantFeeds, wantBatches := uint64(0), uint64(0)
 		if sh.Index == target {
@@ -374,7 +372,6 @@ func TestFeedBatchPartitionEdges(t *testing.T) {
 		}
 	}
 	s.FeedBatch(objs)
-	s.Drain()
 	if got := s.WindowSize(); got != len(objs) {
 		t.Fatalf("WindowSize = %d, want %d", got, len(objs))
 	}
@@ -390,27 +387,5 @@ func TestFeedBatchPartitionEdges(t *testing.T) {
 	}
 	if occ != len(objs) {
 		t.Errorf("per-shard occupancy sums to %d, want %d", occ, len(objs))
-	}
-}
-
-// TestFeedBatchBackpressureDepth pushes more batches than the pipeline
-// depth holds from a single producer: hand-offs must block (never drop),
-// so after a drain every batch is applied exactly once.
-func TestFeedBatchBackpressureDepth(t *testing.T) {
-	s := MustNewSharded(testWorld(), time.Hour,
-		WithSeed(6), WithShards(2), WithIngestQueueDepth(1))
-	defer s.Close()
-	const batches, per = 64, 50
-	objs := shardWorkload(51, batches*per)
-	for b := 0; b < batches; b++ {
-		s.FeedBatch(objs[b*per : (b+1)*per])
-	}
-	s.Drain()
-	if got := s.WindowSize(); got != len(objs) {
-		t.Errorf("WindowSize = %d, want %d", got, len(objs))
-	}
-	q := SpatialQuery(testWorld(), int64(len(objs)+1))
-	if _, actual := s.EstimateAndExecute(&q); actual != len(objs) {
-		t.Errorf("exact count = %d, want %d", actual, len(objs))
 	}
 }

@@ -234,16 +234,11 @@ func (s *System) Restore(ctx context.Context, st Store) error {
 // shard locks are held for the duration (acquired in shard order), so the
 // capture is a consistent cut with respect to feeds and single-shard
 // queries; for a cut that is also consistent with multi-shard query
-// fan-outs, quiesce queries first (DurableEngine's write lock does). The
-// per-shard feed queues are drained before any lock is taken — a feed
-// already handed to a shard's pipeline is part of the state this snapshot
-// must carry (under DurableEngine it is already in the WAL generation this
-// snapshot supersedes).
+// fan-outs, quiesce queries first (DurableEngine's write lock does).
 func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.Drain()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
@@ -292,10 +287,6 @@ func (s *ShardedSystem) Restore(ctx context.Context, st Store) error {
 	if err != nil {
 		return err
 	}
-	// An untouched engine has no queued feeds; drain anyway so a misuse
-	// (feeding before Restore) fails the untouched check instead of
-	// applying queued objects on top of the restored state.
-	s.Drain()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}

@@ -28,8 +28,6 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 		ValidationRejected: g.ValidationRejected,
 		ValidationClamped:  g.ValidationClamped,
 		IngestRatePerSec:   g.IngestRatePerSec,
-		IngestBacklog:      g.IngestBacklog,
-		IngestBackpressure: g.IngestBackpressure,
 		Resilience:         st.Resilience,
 		AccuracyAvg:        st.AccuracyAvg,
 		MemoryBytes:        st.MemoryBytes,

@@ -127,18 +127,15 @@ func TestDurableTraced(t *testing.T) {
 	estimatorSpanOf(t, tr, dur.Stats().Active)
 }
 
-// TestTracedQueryReadsOwnWrites: a traced query waits for the target
-// shard's queued feeds exactly as an untraced one does. On the pipelined
-// engine FeedBatch returns once the batch is queued, so a query issued
-// straight after it lands while the feed worker is still applying — the
-// exact count it observes is what the switch trains on, and it must already
-// include the batch.
+// TestTracedQueryReadsOwnWrites: a traced query, like an untraced one,
+// sees every batch whose FeedBatch returned before it — the exact count it
+// observes is what the switch trains on, and it must already include the
+// batch.
 func TestTracedQueryReadsOwnWrites(t *testing.T) {
 	const rounds = 50
 	batch := 20_000
 	if testing.Short() {
-		// A tenth the inserts for the race detector's repeated runs; the
-		// smaller batch loses the race on the undrained path as often.
+		// A tenth the inserts for the race detector's repeated runs.
 		batch = 2_000
 	}
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}

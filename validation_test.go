@@ -329,8 +329,7 @@ func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 
 // TestValidationClampCountedOneWay: one regressed arrival reads the same on
 // every constructor — one ValidationClamped, one Reordered, the object kept
-// — and behind a shard, pipelined or applied in place, the repair never
-// reaches the caller's slice.
+// — and behind a shard the repair never reaches the caller's slice.
 func TestValidationClampCountedOneWay(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	batch := func() []Object {
@@ -359,7 +358,6 @@ func TestValidationClampCountedOneWay(t *testing.T) {
 			defer eng.Close()
 			objs := batch()
 			eng.FeedBatch(objs)
-			eng.Drain()
 			check(t, eng.PerShardStats().Shards[0].Gauges, eng.WindowSize())
 			if objs[1].Timestamp != 50 {
 				t.Errorf("caller's slice modified: timestamp %d, want 50", objs[1].Timestamp)
@@ -394,7 +392,6 @@ func TestOptionValidationErrors(t *testing.T) {
 		{"negative oracle grid", []Option{WithOracleGridCells(-4)}, time.Second, "non-negative"},
 		{"negative trace depth", []Option{WithTraceDepth(-1)}, time.Second, "TraceDepth"},
 		{"negative acc window", []Option{WithAccWindow(-5)}, time.Second, "AccWindow"},
-		{"negative ingest queue", []Option{WithIngestQueueDepth(-1)}, time.Second, "IngestQueueDepth"},
 		{"NaN tau", []Option{WithTau(math.NaN())}, time.Second, "Tau"},
 		{"Inf alpha", []Option{WithAlpha(math.Inf(1))}, time.Second, "Alpha"},
 		{"negative memory scale", []Option{WithMemoryScale(-2)}, time.Second, "MemoryScale"},
@@ -415,10 +412,6 @@ func TestOptionValidationErrors(t *testing.T) {
 	}
 	if _, err := NewSharded(world, 500*time.Microsecond, WithShards(2)); err == nil {
 		t.Error("sharded accepted sub-millisecond window")
-	}
-	// New refuses the option itself; only NewSharded reaches the sign check.
-	if _, err := NewSharded(world, time.Second, WithIngestQueueDepth(-1)); err == nil || !strings.Contains(err.Error(), "non-negative") {
-		t.Errorf("sharded with a negative ingest queue depth: %v", err)
 	}
 }
 
