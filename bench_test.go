@@ -384,8 +384,8 @@ func benchFill(n int, seed int64) []Object {
 }
 
 // BenchmarkParallelFeed compares multi-producer ingest throughput of the
-// single-lock ConcurrentSystem against the spatially-partitioned
-// ShardedSystem. Run with -cpu to vary producer counts, e.g.
+// single-lock NewConcurrent engine against a spatially-partitioned
+// NewSharded one. Run with -cpu to vary producer counts, e.g.
 //
 //	go test -bench ParallelFeed -cpu 1,2,4,8
 //

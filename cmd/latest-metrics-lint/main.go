@@ -25,13 +25,26 @@ import (
 )
 
 func main() {
-	url := flag.String("url", "", "scrape this /metrics URL instead of reading files or stdin")
-	timeout := flag.Duration("timeout", 10*time.Second, "scrape timeout with -url")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the testable entrypoint: arguments and streams in, exit code out.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("latest-metrics-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	url := fs.String("url", "", "scrape this /metrics URL instead of reading files or stdin")
+	timeout := fs.Duration("timeout", 10*time.Second, "scrape timeout with -url")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "latest-metrics-lint: "+format+"\n", a...)
+		return 1
+	}
 
 	type source struct {
 		name string
-		r    io.ReadCloser
+		r    io.Reader
 	}
 	var sources []source
 	switch {
@@ -39,44 +52,40 @@ func main() {
 		cl := &http.Client{Timeout: *timeout}
 		resp, err := cl.Get(*url)
 		if err != nil {
-			fatal("scrape %s: %v", *url, err)
+			return fatal("scrape %s: %v", *url, err)
 		}
+		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			fatal("scrape %s: status %s", *url, resp.Status)
+			return fatal("scrape %s: status %s", *url, resp.Status)
 		}
 		sources = append(sources, source{*url, resp.Body})
-	case flag.NArg() > 0:
-		for _, path := range flag.Args() {
+	case fs.NArg() > 0:
+		for _, path := range fs.Args() {
 			f, err := os.Open(path)
 			if err != nil {
-				fatal("%v", err)
+				return fatal("%v", err)
 			}
+			defer f.Close()
 			sources = append(sources, source{path, f})
 		}
 	default:
-		sources = append(sources, source{"<stdin>", os.Stdin})
+		sources = append(sources, source{"<stdin>", stdin})
 	}
 
 	failed := false
 	for _, src := range sources {
 		errs := telemetry.LintProm(src.r)
-		src.r.Close()
 		for _, e := range errs {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", src.name, e)
+			fmt.Fprintf(stderr, "%s: %v\n", src.name, e)
 		}
 		if len(errs) > 0 {
 			failed = true
 		} else {
-			fmt.Printf("%s: exposition clean\n", src.name)
+			fmt.Fprintf(stdout, "%s: exposition clean\n", src.name)
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "latest-metrics-lint: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

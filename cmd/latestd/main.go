@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7707", "wire-protocol listen address (port 0 = kernel-assigned)")
 	fs.StringVar(&o.adminAddr, "admin", "127.0.0.1:0", "admin/metrics listen address; empty disables the admin plane")
 	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound addresses here (line 1 wire, line 2 admin) once listening")
-	fs.StringVar(&o.engine, "engine", "sharded", "engine: sharded, or concurrent (the sharded engine with one shard, named concurrent in logs, /statusz and snapshots; ignores -shards)")
+	fs.StringVar(&o.engine, "engine", "sharded", "engine: sharded, or concurrent (the sharded engine with one shard; ignores -shards)")
 	fs.IntVar(&o.shards, "shards", 0, "shard count for -engine sharded (0 = one per CPU core)")
 	fs.DurationVar(&o.window, "window", time.Minute, "sliding-window span")
 	fs.StringVar(&o.worldStr, "world", "-125,24,-66,50", "world rect: minx,miny,maxx,maxy")
@@ -189,8 +189,7 @@ func buildEngine(o daemonOptions, world geo.Rect, logW io.Writer, level telemetr
 		}
 		eng, err = latest.NewSharded(world, o.window, opts...)
 	case "concurrent":
-		// The sharded engine with one shard; it keeps its own
-		// name in logs, /statusz and the data directory's snapshot kind.
+		// The sharded engine with one shard.
 		eng, err = latest.NewConcurrent(world, o.window, opts...)
 	default:
 		return nil, fmt.Errorf("unknown engine %q (want sharded or concurrent)", o.engine)

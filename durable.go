@@ -381,18 +381,8 @@ func snapshotGeneration(st Store) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	payload, ok := snap.Section(metaSectionName)
-	if !ok {
-		return 0, persist.Errf(persist.CodeMalformed, "snapshot meta", "section missing")
-	}
-	dec := persist.NewDec(payload)
-	dec.Str()  // kind
-	dec.Blob() // fingerprint
-	gen := dec.U64()
-	if dec.Err() != nil {
-		return 0, dec.Err()
-	}
-	return gen, nil
+	_, _, gen, err := readMeta(snap)
+	return gen, err
 }
 
 // pruneGenerations enforces the retention policy: the newest cfg.Retain

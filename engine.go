@@ -14,7 +14,7 @@ type TelemetryReport = telemetry.Snapshot
 
 // Engine is the unified surface every LATEST engine serves: System
 // (single-goroutine) and ShardedSystem (spatial partitions, each behind its
-// own mutex; NewConcurrent's is the one-shard case) implement it, as does
+// own mutex; NewConcurrent builds it with one shard) implement it, as does
 // the DurableEngine wrapper that adds snapshot + WAL persistence. Embedding
 // applications, the network serving layer (internal/server) and the
 // correctness harness (internal/check) program against this interface and
@@ -60,12 +60,10 @@ type Engine interface {
 	Restore(ctx context.Context, st Store) error
 }
 
-// Compile-time interface checks: losing a method on any engine — or on
-// ConcurrentSystem, which gets them all from the ShardedSystem it embeds —
-// is a build error.
+// Compile-time interface checks: losing a method on any engine is a build
+// error.
 var (
 	_ Engine = (*System)(nil)
-	_ Engine = (*ConcurrentSystem)(nil)
 	_ Engine = (*ShardedSystem)(nil)
 	_ Engine = (*DurableEngine)(nil)
 )

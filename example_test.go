@@ -81,9 +81,10 @@ func feedDemoStream(eng latest.Engine) {
 	}
 }
 
-// ExampleNewConcurrent builds the mutex-wrapped engine — the same
-// estimator behaviour as New, safe for concurrent producers — and runs
-// one query through the combined estimate-then-execute feedback call.
+// ExampleNewConcurrent builds the one-shard ShardedSystem — one module
+// behind one mutex, the same estimator behaviour as New, safe for
+// concurrent producers — and runs one query through the combined
+// estimate-then-execute feedback call.
 func ExampleNewConcurrent() {
 	eng, err := latest.NewConcurrent(
 		latest.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10},

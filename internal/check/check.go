@@ -9,10 +9,10 @@
 // Three pillars (DESIGN.md §9):
 //
 //   - Differential testing (differential.go): one deterministic workload is
-//     fed into System, NewConcurrent and a 1-shard NewSharded configured
-//     for bit-reproducibility plus a brute-force oracle; exact counts,
-//     estimates, switch decisions and stats snapshots must agree at every
-//     step.
+//     fed into System and a 1-shard NewSharded (the engine NewConcurrent
+//     builds) configured for bit-reproducibility plus a brute-force oracle;
+//     exact counts, estimates, switch decisions and stats snapshots must
+//     agree at every step.
 //   - Metamorphic properties (metamorphic.go): RC-DVQ identities that must
 //     hold whatever the data — growing R/W/T never shrinks the exact count,
 //     quadrants partition a count exactly, keyword order is irrelevant —

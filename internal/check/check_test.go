@@ -77,8 +77,8 @@ func TestOracleInvalidQueries(t *testing.T) {
 	}
 }
 
-// TestDifferentialShort is the short-mode differential gate: all three
-// engines and the brute-force oracle must agree on every count, estimate
+// TestDifferentialShort is the short-mode differential gate: both engine
+// types and the brute-force oracle must agree on every count, estimate
 // and switching decision of a phase-changing workload.
 func TestDifferentialShort(t *testing.T) {
 	report, err := RunDifferential(DefaultDiffConfig())

@@ -16,7 +16,7 @@ import (
 // loosely following the paper's relative costs (histogram lookups are
 // cheap, sample scans and learned-model inference are not). With measured
 // wall time out of the training signal, the α-weighted switching decisions
-// of two runs — or of three engines fed the same stream — are
+// of two runs — or of two engines fed the same stream — are
 // bit-identical.
 func DeterministicLatencyModel(name string, _ *latest.Query, _ time.Duration) time.Duration {
 	switch name {
@@ -144,8 +144,7 @@ func (r *DiffReport) note(kind *int, format string, args ...any) {
 	}
 }
 
-// engine adapts the three public constructors' engines to one comparable
-// surface.
+// engine adapts the two engine types to one comparable surface.
 type engine struct {
 	name string
 	// eng carries the whole serving surface — feeds, queries, stats — so
@@ -159,14 +158,11 @@ type engine struct {
 	winSize func() int
 }
 
-// RunDifferential feeds one deterministic workload into System,
-// NewConcurrent (ShardedSystem with one shard) and NewSharded(1) (the same
-// shard under latestd's names and snapshot layout) plus the brute-force
-// oracle, comparing counts, estimates,
-// switching state and stats snapshots at every step. The last two share
-// the shard code, so each is checked against System, not against itself.
-// The returned report is non-nil whenever err is nil, even when it records
-// mismatches.
+// RunDifferential feeds one deterministic workload into System and
+// NewSharded(1) — the engine NewConcurrent builds too — plus the
+// brute-force oracle, comparing counts, estimates, switching state and
+// stats snapshots at every step. The returned report is non-nil whenever
+// err is nil, even when it records mismatches.
 func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 	if cfg.Queries <= 0 || cfg.ObjectsPerQuery <= 0 {
 		return nil, fmt.Errorf("check: Queries and ObjectsPerQuery must be positive, got %d/%d", cfg.Queries, cfg.ObjectsPerQuery)
@@ -202,10 +198,6 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check: build System: %w", err)
 	}
-	conc, err := latest.NewConcurrent(world, cfg.Window, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("check: build NewConcurrent engine: %w", err)
-	}
 	shard, err := latest.NewSharded(world, cfg.Window,
 		append(append([]latest.Option(nil), opts...),
 			latest.WithShards(1))...)
@@ -220,12 +212,6 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 			active:  sys.ActiveEstimator,
 			phase:   sys.Phase,
 			winSize: sys.WindowSize,
-		},
-		{
-			name: "concurrent", eng: conc,
-			active:  conc.ActiveEstimator,
-			phase:   conc.Phase,
-			winSize: conc.WindowSize,
 		},
 		{
 			name: "sharded1", eng: shard,
@@ -252,8 +238,8 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 		want := oracle.Count(&q)
 		report.QuerySteps++
 
-		var ests [3]float64
-		var acts [3]int
+		var ests [2]float64
+		var acts [2]int
 		for i, e := range engines {
 			// Each engine gets its own copy: ValidationClamp repairs in
 			// place, and a shared struct would let one engine's repair leak

@@ -9,7 +9,7 @@ import (
 
 // slow_test.go is the long-mode correctness gate, unlocked with
 // -tags slowcheck (CI runs it under -race). The differential run below
-// makes >10k deterministic feed/query steps across all three engines plus
+// makes >10k deterministic feed/query steps across both engine types plus
 // the brute-force oracle and requires zero divergences of any kind.
 
 func TestDifferentialSlow(t *testing.T) {

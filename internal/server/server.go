@@ -20,8 +20,8 @@ import (
 
 // Engine is the estimator surface the serving layer fronts: the unified
 // latest.Engine contract. Every concurrency-safe engine — ShardedSystem,
-// as NewSharded or NewConcurrent builds it, and the persistence-wrapping
-// DurableEngine — satisfies it
+// whichever of NewSharded and NewConcurrent built it, and the
+// persistence-wrapping DurableEngine — satisfies it
 // (Object and Query are aliases of the internal stream types).
 type Engine = latest.Engine
 

@@ -59,8 +59,8 @@ type ShardSample struct {
 // per-shard samples, the merged view, the recent switch-decision trace and
 // the per-estimator rolling q-error.
 type Snapshot struct {
-	// Engine names the deployment shape ("system", "concurrent",
-	// "sharded").
+	// Engine names the engine type: "system" for a System, "sharded" for
+	// a ShardedSystem of any shard count.
 	Engine string `json:"engine"`
 	// Phase and Active describe the merged module view.
 	Phase       string  `json:"phase"`

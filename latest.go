@@ -37,8 +37,8 @@
 //   - ShardedSystem — the world spatially partitioned into N shards, each
 //     its own window + estimator fleet behind its own lock; ingest routes
 //     to one shard, queries fan out to intersecting shards. NewConcurrent
-//     is its one-shard inline preset (ConcurrentSystem): one module behind
-//     one mutex, no background goroutine, for request handlers.
+//     builds it with one shard: one module behind one mutex, no
+//     background goroutine, for request handlers.
 package latest
 
 import (
@@ -299,7 +299,13 @@ type System struct {
 // WithShards) are rejected with a descriptive error.
 func New(world Rect, window time.Duration, opts ...Option) (*System, error) {
 	cfg := buildConfig(world, window, opts)
-	if err := validateOptions(&cfg, kindSingle); err != nil {
+	if cfg.Shards != 0 {
+		return nil, optionErr("WithShards", "New", "only a ShardedSystem partitions the world")
+	}
+	if cfg.TelemetryAddr != "" {
+		return nil, optionErr("WithTelemetry", "New", "a single-goroutine System cannot be scraped concurrently with traffic; use NewConcurrent or NewSharded")
+	}
+	if err := validateOptions(&cfg); err != nil {
 		return nil, err
 	}
 	return newSystem(cfg, "system")
@@ -333,8 +339,7 @@ func (s *System) syncRefill(e estimator.Estimator) {
 const defaultOracleGridCells = 4096
 
 // newSystem is the shared constructor, over options its caller has
-// validated. component names the logger ("system", "concurrent",
-// "shard-3", ...).
+// validated. component names the logger ("system", "shard-3", ...).
 func newSystem(cfg config, component string) (*System, error) {
 	cells := cfg.OracleGridCells
 	if cells == 0 {
@@ -387,51 +392,20 @@ func newSystem(cfg config, component string) (*System, error) {
 	return s, nil
 }
 
-// engineKind names the constructor being validated, so option-surface
-// errors can say which constructor rejected which option and why.
-// kindConcurrent is only that name: NewConcurrent validates under it, then
-// builds through newSharded like NewSharded does.
-type engineKind int
-
-const (
-	kindSingle engineKind = iota
-	kindConcurrent
-	kindSharded
-)
-
-// String returns the constructor name.
-func (k engineKind) String() string {
-	switch k {
-	case kindSingle:
-		return "New"
-	case kindConcurrent:
-		return "NewConcurrent"
-	default:
-		return "NewSharded"
-	}
-}
-
 // optionErr is the one error shape every option-surface rejection uses:
-// which option, which constructor, why.
-func optionErr(option string, kind engineKind, reason string) error {
-	return fmt.Errorf("latest: %s is not supported by %s (%s)", option, kind, reason)
+// which option, which constructor, why. A constructor rejects the options
+// its engine cannot honour — silently ignoring them would let a caller
+// believe telemetry is being served or shards exist when they do not.
+func optionErr(option, constructor, reason string) error {
+	return fmt.Errorf("latest: %s is not supported by %s (%s)", option, constructor, reason)
 }
 
 // validateOptions rejects option values that would previously surface as a
 // panic inside an internal constructor (grid sizing, slicer spans, EWMA
 // alphas, trace rings), turning each into a descriptive error at the API
-// boundary, and rejects options the constructor's engine shape cannot
-// honour — silently ignoring them would let a caller believe telemetry is
-// being served or shards exist when they do not. Bounds the core layer
-// already enforces with errors (Tau, Beta, Alpha ranges, fleet membership)
-// are left to it.
-func validateOptions(cfg *config, kind engineKind) error {
-	if kind != kindSharded && cfg.Shards != 0 {
-		return optionErr("WithShards", kind, "only a ShardedSystem partitions the world")
-	}
-	if kind == kindSingle && cfg.TelemetryAddr != "" {
-		return optionErr("WithTelemetry", kind, "a single-goroutine System cannot be scraped concurrently with traffic; use NewConcurrent or NewSharded")
-	}
+// boundary. Bounds the core layer already enforces with errors (Tau, Beta,
+// Alpha ranges, fleet membership) are left to it.
+func validateOptions(cfg *config) error {
 	if cfg.Window <= 0 {
 		return fmt.Errorf("latest: Window must be positive, got %v", cfg.Window)
 	}
@@ -589,17 +563,10 @@ func (s *System) ObserveActual(actual float64) {
 }
 
 // estimateAndExecute is the untimed estimate+execute cycle; a shard times
-// it once, into its own gauges. truth, when non-nil, maps the exact window
-// count to the value the model is trained on (EstimateWith); nil feeds the
-// count back as is.
-func (s *System) estimateAndExecute(q *Query, truth func(windowExact int) float64) (estimate float64, actual int) {
+// it once, into its own gauges.
+func (s *System) estimateAndExecute(q *Query) (estimate float64, actual int) {
 	estimate = s.Estimate(q)
-	if truth == nil {
-		return estimate, s.Execute(q)
-	}
-	actual = s.window.Answer(q)
-	s.ObserveActual(truth(actual))
-	return estimate, actual
+	return estimate, s.Execute(q)
 }
 
 // EstimateAndExecute is the common two-step as one call: approximate
@@ -607,7 +574,7 @@ func (s *System) estimateAndExecute(q *Query, truth func(windowExact int) float6
 // latency histogram.
 func (s *System) EstimateAndExecute(q *Query) (estimate float64, actual int) {
 	start := time.Now()
-	estimate, actual = s.estimateAndExecute(q, nil)
+	estimate, actual = s.estimateAndExecute(q)
 	s.gauges.RecordQuery(time.Since(start))
 	return estimate, actual
 }

@@ -8,10 +8,10 @@ import (
 // options.go defines the functional-option configuration surface shared by
 // New, NewConcurrent and NewSharded — the only way to configure an engine.
 // WithAlpha(0) unambiguously means "accuracy only", no companion boolean
-// required. There are two engine types: System, and ShardedSystem, of which
-// NewConcurrent builds the one-shard preset. Options that only make sense
-// for one constructor (WithTelemetry, WithShards) are rejected by the
-// constructors that cannot honour them.
+// required. There are two engine types: System, built by New, and
+// ShardedSystem, built by NewSharded and, with one shard, by NewConcurrent.
+// Options a constructor cannot honour (WithTelemetry, WithShards) are
+// rejected by that constructor.
 
 // Option customizes a System or a ShardedSystem at construction time.
 // Options apply in order; later options win.
@@ -104,7 +104,7 @@ func WithOracleGridCells(n int) Option {
 
 // WithShards sets the number of spatial shards a ShardedSystem partitions
 // the world into (default runtime.GOMAXPROCS(0)). New rejects it, and so
-// does NewConcurrent, which is the one-shard engine by definition.
+// does NewConcurrent, which always builds one shard.
 func WithShards(n int) Option {
 	return func(c *config) { c.Shards = n }
 }

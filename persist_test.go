@@ -164,7 +164,7 @@ func TestConcurrentCrossRestore(t *testing.T) {
 		}
 		return 100 * time.Microsecond
 	})
-	newConc := func() *ConcurrentSystem {
+	newConc := func() *ShardedSystem {
 		conc, err := NewConcurrent(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second,
 			WithPretrainQueries(150), WithAccWindow(60), WithSeed(1), latency)
 		if err != nil {
@@ -190,7 +190,7 @@ func TestConcurrentCrossRestore(t *testing.T) {
 	// the query path; both engines count that replay where it ran.
 	ws.drive(sys, 80)
 	wc.drive(conc, 80)
-	for name, g := range map[string]GaugeSnapshot{"System": sys.Gauges(), "NewConcurrent": conc.Gauges()} {
+	for name, g := range map[string]GaugeSnapshot{"System": sys.Gauges(), "NewConcurrent": conc.PerShardStats().Shards[0].Gauges} {
 		if sw := sys.Stats().Switches; sw == 0 || sw != conc.Stats().Switches || g.PrefillsInline == 0 {
 			t.Errorf("%s: %d switches (NewConcurrent %d), PrefillsInline = %d, want equal switches and both >= 1",
 				name, sw, conc.Stats().Switches, g.PrefillsInline)
@@ -198,6 +198,36 @@ func TestConcurrentCrossRestore(t *testing.T) {
 	}
 	restoredBehavesIdentically(t, sys, newConc(), ws)
 	restoredBehavesIdentically(t, conc, testSystem(t, latency), wc)
+}
+
+// TestOneModuleImagesIdentical: the snapshot layout follows the module
+// count, not the constructor. The same schedule through New, NewConcurrent
+// and NewSharded(WithShards(1)) yields the same image byte for byte (a
+// constant latency model keeps the wall clock out of the training records).
+func TestOneModuleImagesIdentical(t *testing.T) {
+	world, window := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second
+	latency := WithLatencyModel(func(string, *Query, time.Duration) time.Duration { return time.Microsecond })
+	opts := []Option{WithPretrainQueries(40), WithAccWindow(20), WithSeed(1), WithMemoryScale(0.1), latency}
+	conc := MustNewConcurrent(world, window, opts...)
+	defer conc.Close()
+	sharded1 := MustNewSharded(world, window, append(opts, WithShards(1))...)
+	defer sharded1.Close()
+	var want []byte
+	for name, eng := range map[string]Engine{
+		"New":                       MustNew(world, window, opts...),
+		"NewConcurrent":             conc,
+		"NewSharded(WithShards(1))": sharded1,
+	} {
+		w := newWorkload(3)
+		w.feed(eng, 500)
+		w.drive(eng, 20)
+		image := snapshotImage(t, eng)
+		if want == nil {
+			want = image
+		} else if !bytes.Equal(image, want) {
+			t.Errorf("%s: image differs from the other constructors' (%d vs %d bytes)", name, len(image), len(want))
+		}
+	}
 }
 
 func testSharded(t *testing.T) *ShardedSystem {
@@ -259,6 +289,39 @@ func TestRestoreImagesWrittenBeforePR24(t *testing.T) {
 		if _, actual := eng.EstimateAndExecute(&q); actual != 40 {
 			t.Errorf("%s: restored window counts %d objects, want 40", file, actual)
 		}
+	}
+}
+
+// TestRestoreOneShardImageSharded1x1: before every one-module engine wrote
+// the "single" layout, NewSharded(WithShards(1)) wrote kind "sharded:1x1"
+// with its sections under "shard-0/" — also what latestd -engine sharded
+// wrote on a one-CPU host. The image was written that way by commit 3fca5c9
+// (40 fed objects, memory scale 0.01) and restores into every one-module
+// constructor.
+func TestRestoreOneShardImageSharded1x1(t *testing.T) {
+	world, window := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second
+	data, err := os.ReadFile(filepath.Join("testdata", "persist", "pr25_sharded1.lsnp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, eng := range map[string]Engine{
+		"New":                       MustNew(world, window, WithMemoryScale(0.01)),
+		"NewConcurrent":             MustNewConcurrent(world, window, WithMemoryScale(0.01)),
+		"NewSharded(WithShards(1))": MustNewSharded(world, window, WithShards(1), WithMemoryScale(0.01)),
+	} {
+		st := NewMemStore()
+		if err := st.Save(persist.SnapshotName, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Restore(context.Background(), st); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		q := SpatialQuery(world, 40)
+		if _, actual := eng.EstimateAndExecute(&q); actual != 40 {
+			t.Errorf("%s: restored window counts %d objects, want 40", name, actual)
+		}
+		eng.Shutdown(context.Background())
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // to all shards) and merge the partial counts. The RC-DVQ count over a
 // rectangle decomposes exactly over a spatial partition — every object
 // lives in exactly one shard — so merged exact counts equal a monolithic
-// System's.
+// System's. NewConcurrent builds the one-shard case.
 //
 // Each shard runs its own LATEST module: its own learning model, its own
 // active estimator, its own switching decisions. Shards covering different
@@ -41,12 +41,6 @@ import (
 // a shard's clock backwards are clamped to the shard's high-water mark
 // (counted in the shard's Reordered and ValidationClamped gauges).
 type ShardedSystem struct {
-	// engine is the /statusz engine name and snapKind the snapshot meta
-	// kind: "sharded" and "sharded:RxC", or what NewConcurrent's one-shard
-	// engine has always been called, "concurrent" and "single".
-	engine   string
-	snapKind string
-
 	world  Rect
 	rows   int
 	cols   int
@@ -79,10 +73,6 @@ type shard struct {
 	rect Rect
 	sys  *System
 
-	// prefix names the shard's snapshot section group ("shard-N/"; "" for
-	// NewConcurrent's one shard, the layout a System writes).
-	prefix string
-
 	scratch Object
 
 	gauges metrics.ShardGauges
@@ -94,7 +84,7 @@ type shard struct {
 // runtime.GOMAXPROCS(0)). It starts no goroutine; call Close when done to
 // stop the telemetry server WithTelemetry starts.
 func NewSharded(world Rect, window time.Duration, opts ...Option) (*ShardedSystem, error) {
-	return newSharded(buildConfig(world, window, opts), kindSharded)
+	return newSharded(buildConfig(world, window, opts))
 }
 
 // MustNewSharded is NewSharded but panics on error — for tests, examples
@@ -107,12 +97,8 @@ func MustNewSharded(world Rect, window time.Duration, opts ...Option) *ShardedSy
 	return s
 }
 
-// newSharded builds a ShardedSystem from the resolved option set. kind
-// picks the names an operator and a data directory see — nothing else:
-// kindConcurrent keeps the "concurrent" log scope and /statusz engine and
-// the "single" snapshot kind with unprefixed sections, so NewConcurrent and
-// System snapshots stay interchangeable byte for byte.
-func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
+// newSharded builds a ShardedSystem from the resolved option set.
+func newSharded(cfg config) (*ShardedSystem, error) {
 	n := cfg.Shards
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -121,40 +107,31 @@ func newSharded(cfg config, kind engineKind) (*ShardedSystem, error) {
 		return nil, fmt.Errorf("latest: Shards must be positive, got %d", n)
 	}
 	// Before anything is built from them: the world is partitioned below.
-	if err := validateOptions(&cfg, kindSharded); err != nil {
+	if err := validateOptions(&cfg); err != nil {
 		return nil, err
 	}
 	rows, cols := shardGridDims(n)
 	s := &ShardedSystem{
-		engine:   "sharded",
-		snapKind: fmt.Sprintf("sharded:%dx%d", rows, cols),
-		world:    cfg.World,
-		rows:     rows,
-		cols:     cols,
-		xs:       partitionEdges(cfg.World.MinX, cfg.World.MaxX, cols),
-		ys:       partitionEdges(cfg.World.MinY, cfg.World.MaxY, rows),
-		shards:   make([]*shard, n),
-		policy:   cfg.Validation,
+		world:  cfg.World,
+		rows:   rows,
+		cols:   cols,
+		xs:     partitionEdges(cfg.World.MinX, cfg.World.MaxX, cols),
+		ys:     partitionEdges(cfg.World.MinY, cfg.World.MaxY, rows),
+		shards: make([]*shard, n),
+		policy: cfg.Validation,
 	}
 	s.bucketPool.New = func() any {
 		b := make([][]Object, n)
 		return &b
-	}
-	if kind == kindConcurrent {
-		s.engine, s.snapKind = "concurrent", snapKindSingle
 	}
 	baseLog := telemetry.NewLogger(cfg.LogOutput, cfg.LogLevel)
 	for i := range s.shards {
 		r, c := i/cols, i%cols
 		component := fmt.Sprintf("shard-%d", i)
 		sh := &shard{
-			rect:   Rect{MinX: s.xs[c], MinY: s.ys[r], MaxX: s.xs[c+1], MaxY: s.ys[r+1]},
-			prefix: component + "/",
+			rect: Rect{MinX: s.xs[c], MinY: s.ys[r], MaxX: s.xs[c+1], MaxY: s.ys[r+1]},
+			log:  baseLog.Named(component),
 		}
-		if kind == kindConcurrent {
-			component, sh.prefix = "concurrent", ""
-		}
-		sh.log = baseLog.Named(component)
 		shardCfg := cfg
 		shardCfg.World = sh.rect
 		// Shard 0 keeps the configured seed so a 1-shard system matches
@@ -389,12 +366,12 @@ func (s *ShardedSystem) route(q *Query) []*shard {
 // query is the one place a shard's System is locked for a query: one
 // atomic estimate/observe cycle with tr installed on the module for exactly
 // the span of the lock, so the module never observes a stale trace. A nil
-// tr records nothing; truth is estimateAndExecute's.
-func (sh *shard) query(q *Query, tr *telemetry.ActiveTrace, truth func(windowExact int) float64) (estimate float64, actual int) {
+// tr records nothing.
+func (sh *shard) query(q *Query, tr *telemetry.ActiveTrace) (estimate float64, actual int) {
 	start := time.Now()
 	sh.mu.Lock()
 	sh.sys.module.SetTrace(tr)
-	estimate, actual = sh.sys.estimateAndExecute(q, truth)
+	estimate, actual = sh.sys.estimateAndExecute(q)
 	sh.sys.module.SetTrace(nil)
 	sh.mu.Unlock()
 	sh.gauges.RecordQuery(time.Since(start))
@@ -427,7 +404,7 @@ func (s *ShardedSystem) fanOut(q *Query, targets []*shard) (estimate float64, ac
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			e, a := sh.query(q, nil, nil)
+			e, a := sh.query(q, nil)
 			parts[i] = partial{est: e, act: a}
 		}(i, sh)
 	}

@@ -3,6 +3,7 @@ package latest
 import (
 	"bytes"
 	"context"
+	"fmt"
 
 	"github.com/spatiotext/latest/internal/core"
 	"github.com/spatiotext/latest/internal/persist"
@@ -10,26 +11,36 @@ import (
 )
 
 // snapshot.go implements Engine.Snapshot / Engine.Restore for the two
-// engine types. A snapshot is one LSNP container (internal/persist) whose
-// sections are:
+// engine types through one save and one load function. A snapshot is one
+// LSNP container (internal/persist) whose sections are:
 //
 //	meta               engine kind, config fingerprint, generation
 //	[shard-N/]window   the exact window store, objects in arrival order
 //	[shard-N/]module   lifecycle counters, brain, estimator summaries
 //	[shard-N/]engine   the stream clock high-water mark
 //
-// System and NewConcurrent's one-shard engine write unprefixed sections;
-// NewSharded's writes one section group per shard. Every section and the
-// whole file are CRC guarded; the container checksum is verified before the
-// version field, so bit rot surfaces as CodeCorrupt rather than
-// masquerading as skew.
+// The layout follows the module count, not the constructor (see
+// snapshotLayout). Every section and the whole file are CRC guarded; the
+// container checksum is verified before the version field, so bit rot
+// surfaces as CodeCorrupt rather than masquerading as skew.
 
-// snapKindSingle is the engine kind System and NewConcurrent record in
-// snapshot meta: one module, one window, the same sections, so their
-// snapshots are interchangeable. NewSharded records "sharded:RxC" — the
-// grid shape is part of the on-disk contract because its section groups
-// are keyed by shard index.
-const snapKindSingle = "single"
+// snapshotLayout maps a rows×cols module grid to the snapshot meta kind and
+// each module's section prefix, in row-major order. One module — New,
+// NewConcurrent, NewSharded(WithShards(1)) — is kind "single" with
+// unprefixed sections, so those engines write the same bytes and restore
+// each other's images. A grid is "sharded:RxC" with one "shard-N/" group
+// per shard: the grid shape is part of the on-disk contract because its
+// section groups are keyed by shard index.
+func snapshotLayout(rows, cols int) (kind string, prefixes []string) {
+	if rows*cols == 1 {
+		return "single", []string{""}
+	}
+	prefixes = make([]string, rows*cols)
+	for i := range prefixes {
+		prefixes[i] = fmt.Sprintf("shard-%d/", i)
+	}
+	return fmt.Sprintf("sharded:%dx%d", rows, cols), prefixes
+}
 
 // metaSectionName is the section every snapshot must carry.
 const metaSectionName = "meta"
@@ -84,37 +95,26 @@ func encodeMeta(kind string, fingerprint []byte, gen uint64) []byte {
 	return e.Data()
 }
 
-// decodeMeta validates the meta section against the restoring engine's
-// kind and fingerprint and returns the snapshot generation.
-func decodeMeta(snap *persist.Snapshot, wantKind string, wantFP []byte) (gen uint64, err error) {
-	const op = "snapshot meta"
+// readMeta decodes the meta section: engine kind, config fingerprint and
+// generation. It validates nothing against an engine; loadSnapshot does.
+func readMeta(snap *persist.Snapshot) (kind string, fp []byte, gen uint64, err error) {
 	payload, ok := snap.Section(metaSectionName)
 	if !ok {
-		return 0, persist.Errf(persist.CodeMalformed, op, "section missing")
+		return "", nil, 0, persist.Errf(persist.CodeMalformed, "snapshot meta", "section missing")
 	}
 	d := persist.NewDec(payload)
-	kind := d.Str()
-	fp := d.Blob()
-	gen = d.U64()
+	kind, fp, gen = d.Str(), d.Blob(), d.U64()
 	if d.Err() != nil {
-		return 0, d.Err()
+		return "", nil, 0, d.Err()
 	}
 	if err := d.Done(); err != nil {
-		return 0, err
+		return "", nil, 0, err
 	}
-	if kind != wantKind {
-		return 0, persist.Errf(persist.CodeMismatch, op,
-			"snapshot is from a %q engine, this engine is %q", kind, wantKind)
-	}
-	if !bytes.Equal(fp, wantFP) {
-		return 0, persist.Errf(persist.CodeMismatch, op,
-			"snapshot was taken under a different configuration (fingerprint differs); rebuild the engine with the original options")
-	}
-	return gen, nil
+	return kind, fp, gen, nil
 }
 
 // writeSections serializes one System's state group into sw under prefix
-// ("" or "shard-N/"; see shard.prefix).
+// (see snapshotLayout).
 func (s *System) writeSections(sw *persist.SnapshotWriter, prefix string) error {
 	_ = sw.EncodeSection(prefix+"window", func(e *persist.Enc) error {
 		s.window.SaveState(e)
@@ -172,6 +172,74 @@ func (s *System) readSections(snap *persist.Snapshot, prefix string) error {
 	return nil
 }
 
+// saveSnapshot writes generation gen of a rows×cols module grid — mods in
+// row-major order, a System being the one-module case — into st as one
+// artifact named persist.SnapshotName. The caller makes mods a consistent
+// cut.
+func saveSnapshot(ctx context.Context, st Store, rows, cols int, mods []*System, fp []byte, gen uint64) error {
+	kind, prefixes := snapshotLayout(rows, cols)
+	windowBytes := 0
+	for _, m := range mods {
+		windowBytes += m.window.MemoryBytes()
+	}
+	sw := persist.NewSnapshotWriter(windowBytes)
+	sw.Section(metaSectionName, encodeMeta(kind, fp, gen))
+	for i, m := range mods {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := m.writeSections(sw, prefixes[i]); err != nil {
+			return err
+		}
+	}
+	return st.Save(persist.SnapshotName, sw.Bytes())
+}
+
+// loadSnapshot restores st's artifact into the freshly built rows×cols
+// module grid mods and returns the artifact's generation. The meta kind must
+// be the grid's and the fingerprint fp (CodeMismatch otherwise).
+func loadSnapshot(ctx context.Context, st Store, rows, cols int, mods []*System, fp []byte) (uint64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	data, err := st.Load(persist.SnapshotName)
+	if err != nil {
+		return 0, err
+	}
+	snap, err := persist.DecodeSnapshot(data)
+	if err != nil {
+		return 0, err
+	}
+	kind, gotFP, gen, err := readMeta(snap)
+	if err != nil {
+		return 0, err
+	}
+	wantKind, prefixes := snapshotLayout(rows, cols)
+	// Images NewSharded(WithShards(1)) wrote before every one-module engine
+	// shared the "single" layout hold the same sections under "shard-0/".
+	if kind == "sharded:1x1" && len(mods) == 1 {
+		kind, prefixes = wantKind, []string{"shard-0/"}
+	}
+	const op = "snapshot meta"
+	if kind != wantKind {
+		return 0, persist.Errf(persist.CodeMismatch, op,
+			"snapshot is from a %q engine, this engine is %q", kind, wantKind)
+	}
+	if !bytes.Equal(gotFP, fp) {
+		return 0, persist.Errf(persist.CodeMismatch, op,
+			"snapshot was taken under a different configuration (fingerprint differs); rebuild the engine with the original options")
+	}
+	for i, m := range mods {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		if err := m.readSections(snap, prefixes[i]); err != nil {
+			return 0, err
+		}
+	}
+	return gen, nil
+}
+
 // Snapshot serializes the engine into st as one atomic artifact named
 // persist.SnapshotName. Each successful snapshot increments the engine's
 // generation by exactly one; the generation is embedded in the artifact,
@@ -181,18 +249,7 @@ func (s *System) readSections(snap *persist.Snapshot, prefix string) error {
 // System is single-goroutine: do not call Snapshot concurrently with
 // traffic (use NewConcurrent, NewSharded or DurableEngine for that).
 func (s *System) Snapshot(ctx context.Context, st Store) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sw := persist.NewSnapshotWriter(s.window.MemoryBytes())
-	sw.Section(metaSectionName, encodeMeta(snapKindSingle, s.fingerprint, s.gen+1))
-	if err := s.writeSections(sw, ""); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := st.Save(persist.SnapshotName, sw.Bytes()); err != nil {
+	if err := saveSnapshot(ctx, st, 1, 1, []*System{s}, s.fingerprint, s.gen+1); err != nil {
 		return err
 	}
 	s.gen++
@@ -205,29 +262,27 @@ func (s *System) Snapshot(ctx context.Context, st Store) error {
 // be discarded: a failed restore never leaves partial state behind a
 // usable-looking engine.
 func (s *System) Restore(ctx context.Context, st Store) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	data, err := st.Load(persist.SnapshotName)
+	gen, err := loadSnapshot(ctx, st, 1, 1, []*System{s}, s.fingerprint)
 	if err != nil {
-		return err
-	}
-	snap, err := persist.DecodeSnapshot(data)
-	if err != nil {
-		return err
-	}
-	gen, err := decodeMeta(snap, snapKindSingle, s.fingerprint)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := s.readSections(snap, ""); err != nil {
 		return err
 	}
 	s.gen = gen
 	return nil
+}
+
+// lockAll takes every shard lock in shard order and returns the shards'
+// Systems with the function that releases the locks.
+func (s *ShardedSystem) lockAll() (mods []*System, unlock func()) {
+	mods = make([]*System, len(s.shards))
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		mods[i] = sh.sys
+	}
+	return mods, func() {
+		for _, sh := range s.shards {
+			sh.mu.Unlock()
+		}
+	}
 }
 
 // Snapshot serializes every shard into st as one atomic artifact. All
@@ -236,32 +291,9 @@ func (s *System) Restore(ctx context.Context, st Store) error {
 // queries; for a cut that is also consistent with multi-shard query
 // fan-outs, quiesce queries first (DurableEngine's write lock does).
 func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	windowBytes := 0
-	for _, sh := range s.shards {
-		windowBytes += sh.sys.window.MemoryBytes()
-	}
-	sw := persist.NewSnapshotWriter(windowBytes)
-	sw.Section(metaSectionName, encodeMeta(s.snapKind, s.fingerprint, s.gen+1))
-	for _, sh := range s.shards {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := sh.sys.writeSections(sw, sh.prefix); err != nil {
-			return err
-		}
-	}
-	if err := st.Save(persist.SnapshotName, sw.Bytes()); err != nil {
+	mods, unlock := s.lockAll()
+	defer unlock()
+	if err := saveSnapshot(ctx, st, s.rows, s.cols, mods, s.fingerprint, s.gen+1); err != nil {
 		return err
 	}
 	s.gen++
@@ -272,36 +304,11 @@ func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
 // The shard grid must match (the kind string carries it) and every shard
 // must be untouched; see System.Restore for the error contract.
 func (s *ShardedSystem) Restore(ctx context.Context, st Store) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	data, err := st.Load(persist.SnapshotName)
+	mods, unlock := s.lockAll()
+	defer unlock()
+	gen, err := loadSnapshot(ctx, st, s.rows, s.cols, mods, s.fingerprint)
 	if err != nil {
 		return err
-	}
-	snap, err := persist.DecodeSnapshot(data)
-	if err != nil {
-		return err
-	}
-	gen, err := decodeMeta(snap, s.snapKind, s.fingerprint)
-	if err != nil {
-		return err
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	for _, sh := range s.shards {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := sh.sys.readSections(snap, sh.prefix); err != nil {
-			return err
-		}
 	}
 	s.gen = gen
 	return nil

@@ -38,6 +38,30 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 	}
 }
 
+// telemetryReport builds the /statusz view of an engine from its merged
+// module view and its per-shard slices.
+func telemetryReport(engine string, merged Stats, shards []ShardStats) telemetry.Snapshot {
+	snap := telemetry.Snapshot{
+		Engine:      engine,
+		Phase:       merged.Phase.String(),
+		Active:      merged.Active,
+		Switches:    merged.Switches,
+		AccuracyAvg: merged.AccuracyAvg,
+		MemoryBytes: merged.MemoryBytes,
+		Shards:      make([]telemetry.ShardSample, len(shards)),
+		Decisions:   merged.Decisions,
+		QError:      merged.QError,
+		Drift:       merged.Drift,
+		Resilience:  merged.Resilience,
+	}
+	for i, sh := range shards {
+		snap.Shards[i] = shardSample(sh.Index, sh.Core, sh.Gauges)
+		snap.WindowSize += sh.WindowSize
+		snap.WindowBytes += sh.Gauges.WindowBytes
+	}
+	return snap
+}
+
 // TelemetrySnapshot returns the /statusz view of a single-goroutine
 // System, reporting itself as shard 0 of a one-shard engine. Unlike the
 // concurrent shapes it must not be called while another goroutine drives
@@ -48,22 +72,9 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 // it, or wrap the engine with NewConcurrent / NewSharded.
 func (s *System) TelemetrySnapshot() telemetry.Snapshot {
 	st := s.Stats()
-	g := s.gauges.Snapshot()
-	return telemetry.Snapshot{
-		Engine:      "system",
-		Phase:       st.Phase.String(),
-		Active:      st.Active,
-		Switches:    st.Switches,
-		AccuracyAvg: st.AccuracyAvg,
-		MemoryBytes: st.MemoryBytes,
-		WindowSize:  s.WindowSize(),
-		WindowBytes: g.WindowBytes,
-		Shards:      []telemetry.ShardSample{shardSample(0, st, g)},
-		Decisions:   st.Decisions,
-		QError:      st.QError,
-		Drift:       st.Drift,
-		Resilience:  st.Resilience,
-	}
+	return telemetryReport("system", st, []ShardStats{
+		{Core: st, WindowSize: s.WindowSize(), Gauges: s.gauges.Snapshot()},
+	})
 }
 
 // TelemetrySnapshot returns the same point-in-time view the /statusz
@@ -73,23 +84,5 @@ func (s *System) TelemetrySnapshot() telemetry.Snapshot {
 // exposition server — can publish an engine built without WithTelemetry.
 func (s *ShardedSystem) TelemetrySnapshot() telemetry.Snapshot {
 	st := s.PerShardStats()
-	snap := telemetry.Snapshot{
-		Engine:      s.engine,
-		Phase:       st.Merged.Phase.String(),
-		Active:      st.Merged.Active,
-		Switches:    st.Merged.Switches,
-		AccuracyAvg: st.Merged.AccuracyAvg,
-		MemoryBytes: st.Merged.MemoryBytes,
-		Shards:      make([]telemetry.ShardSample, len(st.Shards)),
-		Decisions:   st.Merged.Decisions,
-		QError:      st.Merged.QError,
-		Drift:       st.Merged.Drift,
-		Resilience:  st.Merged.Resilience,
-	}
-	for i, sh := range st.Shards {
-		snap.Shards[i] = shardSample(sh.Index, sh.Core, sh.Gauges)
-		snap.WindowSize += sh.WindowSize
-		snap.WindowBytes += sh.Gauges.WindowBytes
-	}
-	return snap
+	return telemetryReport("sharded", st.Merged, st.Shards)
 }

@@ -184,7 +184,7 @@ func TestConcurrentTelemetry(t *testing.T) {
 	if err := json.Unmarshal([]byte(telemetryGet(t, addr, "/statusz")), &snap); err != nil {
 		t.Fatalf("statusz decode: %v", err)
 	}
-	if snap.Engine != "concurrent" || len(snap.Shards) != 1 {
+	if snap.Engine != "sharded" || len(snap.Shards) != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	if snap.Shards[0].Feeds != 1500 || snap.Shards[0].Queries != 60 {

@@ -18,9 +18,9 @@ import (
 // TracedEngine is the optional tracing extension of Engine: engines that
 // can attribute per-stage spans (notably the active estimator's inference
 // latency) to an in-flight request trace. Every engine — System,
-// ShardedSystem (NewConcurrent's included), DurableEngine — implements it.
-// Callers holding only an Engine should type-assert and fall back to
-// EstimateAndExecute.
+// ShardedSystem (whichever of NewSharded and NewConcurrent built it),
+// DurableEngine — implements it. Callers holding only an Engine should
+// type-assert and fall back to EstimateAndExecute.
 type TracedEngine interface {
 	Engine
 	// EstimateAndExecuteTraced is EstimateAndExecute recording per-stage
@@ -31,7 +31,6 @@ type TracedEngine interface {
 // The tracing extension is part of each shape's contract.
 var (
 	_ TracedEngine = (*System)(nil)
-	_ TracedEngine = (*ConcurrentSystem)(nil)
 	_ TracedEngine = (*ShardedSystem)(nil)
 	_ TracedEngine = (*DurableEngine)(nil)
 )
@@ -57,7 +56,7 @@ func (s *ShardedSystem) EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveT
 	case 0:
 		return 0, 0
 	case 1:
-		return targets[0].query(q, tr, nil)
+		return targets[0].query(q, tr)
 	}
 	start := time.Now()
 	estimate, actual = s.fanOut(q, targets)

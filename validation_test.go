@@ -238,7 +238,7 @@ func TestValidationOutOfWorldRange(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	for name, build := range map[string]func(...Option) *ShardedSystem{
 		"NewConcurrent": func(opts ...Option) *ShardedSystem {
-			return MustNewConcurrent(world, 10*time.Second, opts...).ShardedSystem
+			return MustNewConcurrent(world, 10*time.Second, opts...)
 		},
 		"NewSharded(1)": func(opts ...Option) *ShardedSystem {
 			return MustNewSharded(world, 10*time.Second, append(opts, WithShards(1))...)
@@ -306,7 +306,7 @@ func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 		defer sys.Close()
 		sys.Feed(poison)
 		sys.Feed(valid)
-		check(t, "concurrent", sys.Gauges(), sys.WindowSize())
+		check(t, "concurrent", sys.PerShardStats().Shards[0].Gauges, sys.WindowSize())
 	})
 
 	t.Run("sharded", func(t *testing.T) {
@@ -351,7 +351,7 @@ func TestValidationClampCountedOneWay(t *testing.T) {
 		check(t, sys.Gauges(), sys.WindowSize())
 	})
 	for name, eng := range map[string]*ShardedSystem{
-		"NewConcurrent": MustNewConcurrent(world, 10*time.Second, WithSeed(1)).ShardedSystem,
+		"NewConcurrent": MustNewConcurrent(world, 10*time.Second, WithSeed(1)),
 		"NewSharded":    MustNewSharded(world, 10*time.Second, WithSeed(1), WithShards(1)),
 	} {
 		t.Run(name, func(t *testing.T) {
