@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -36,25 +37,46 @@ type cell struct {
 }
 
 func main() {
-	var (
-		dataset  = flag.String("dataset", "Twitter", "dataset: Twitter, eBird or CheckIn")
-		wlName   = flag.String("workload", "TwQW1", "workload preset")
-		queries  = flag.Int("queries", 1500, "incremental queries per grid cell")
-		pretrain = flag.Int("pretrain", 400, "pre-training queries per cell")
-		alpha    = flag.Float64("alpha", 0.5, "α used inside the module")
-		taus     = flag.String("taus", "0.6,0.7,0.75,0.85", "τ values to sweep")
-		betas    = flag.String("betas", "0.5,0.8,0.95", "β values to sweep")
-		graces   = flag.String("graces", "100,200,400", "Hoeffding grace periods to sweep")
-		seed     = flag.Int64("seed", 1, "random seed (same for every cell)")
-		churnW   = flag.Float64("churn-weight", 0.005, "accuracy penalty per switch in the ranking")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	tauVals := parseFloats(*taus)
-	betaVals := parseFloats(*betas)
-	graceVals := parseInts(*graces)
+// run is the testable entrypoint: arguments and streams in, exit code out.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("latest-tune", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dataset  = fs.String("dataset", "Twitter", "dataset: Twitter, eBird or CheckIn")
+		wlName   = fs.String("workload", "TwQW1", "workload preset")
+		queries  = fs.Int("queries", 1500, "incremental queries per grid cell")
+		pretrain = fs.Int("pretrain", 400, "pre-training queries per cell")
+		alpha    = fs.Float64("alpha", 0.5, "α used inside the module")
+		taus     = fs.String("taus", "0.6,0.7,0.75,0.85", "τ values to sweep")
+		betas    = fs.String("betas", "0.5,0.8,0.95", "β values to sweep")
+		graces   = fs.String("graces", "100,200,400", "Hoeffding grace periods to sweep")
+		seed     = fs.Int64("seed", 1, "random seed (same for every cell)")
+		churnW   = fs.Float64("churn-weight", 0.005, "accuracy penalty per switch in the ranking")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	bad := func(err error) int {
+		fmt.Fprintf(stderr, "latest-tune: %v\n", err)
+		return 2
+	}
+	tauVals, err := parseFloats(*taus)
+	if err != nil {
+		return bad(err)
+	}
+	betaVals, err := parseFloats(*betas)
+	if err != nil {
+		return bad(err)
+	}
+	graceVals, err := parseInts(*graces)
+	if err != nil {
+		return bad(err)
+	}
 	total := len(tauVals) * len(betaVals) * len(graceVals)
-	fmt.Printf("sweeping %d configurations on %s/%s (%d+%d queries each)\n\n",
+	fmt.Fprintf(stdout, "sweeping %d configurations on %s/%s (%d+%d queries each)\n\n",
 		total, *dataset, *wlName, *pretrain, *queries)
 
 	var cells []cell
@@ -82,49 +104,48 @@ func main() {
 				}
 				c.score = c.accuracy - *churnW*float64(c.switches)
 				cells = append(cells, c)
-				fmt.Printf("[%2d/%d] τ=%.2f β=%.2f grace=%-4d -> accuracy %.3f, %d switches\n",
+				fmt.Fprintf(stdout, "[%2d/%d] τ=%.2f β=%.2f grace=%-4d -> accuracy %.3f, %d switches\n",
 					i, total, tau, beta, grace, c.accuracy, c.switches)
 			}
 		}
 	}
 
 	sort.Slice(cells, func(a, b int) bool { return cells[a].score > cells[b].score })
-	fmt.Printf("\nranked (score = accuracy − %.3f × switches):\n", *churnW)
-	fmt.Printf("%-4s %-6s %-6s %-6s %9s %9s %8s\n", "rank", "tau", "beta", "grace", "accuracy", "switches", "score")
+	fmt.Fprintf(stdout, "\nranked (score = accuracy − %.3f × switches):\n", *churnW)
+	fmt.Fprintf(stdout, "%-4s %-6s %-6s %-6s %9s %9s %8s\n", "rank", "tau", "beta", "grace", "accuracy", "switches", "score")
 	for r, c := range cells {
 		if r >= 10 {
 			break
 		}
-		fmt.Printf("%-4d %-6.2f %-6.2f %-6d %9.3f %9d %8.3f\n",
+		fmt.Fprintf(stdout, "%-4d %-6.2f %-6.2f %-6d %9.3f %9d %8.3f\n",
 			r+1, c.tau, c.beta, c.grace, c.accuracy, c.switches, c.score)
 	}
 	best := cells[0]
-	fmt.Printf("\nrecommended: -tau %.2f -beta %.2f (grace %d) for %s/%s at α=%.2f\n",
+	fmt.Fprintf(stdout, "\nrecommended: -tau %.2f -beta %.2f (grace %d) for %s/%s at α=%.2f\n",
 		best.tau, best.beta, best.grace, *dataset, *wlName, *alpha)
+	return 0
 }
 
-func parseFloats(s string) []float64 {
+func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil || math.IsNaN(v) {
-			fmt.Fprintf(os.Stderr, "latest-tune: bad float %q\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad float %q", part)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
-func parseInts(s string) []int {
+func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "latest-tune: bad int %q\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad int %q", part)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }

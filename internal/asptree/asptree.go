@@ -67,33 +67,54 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// node is a quadtree cell with windowed count summaries. children[i] follows
-// geo.Rect.Quadrants order; a node either has all four children or none.
-type node struct {
-	bounds   geo.Rect
-	depth    int
-	children *[4]node
-
-	// slices[s] counts points absorbed by this node (not descendants)
-	// during time slice s; live caches the ring sum.
-	slices []uint32
-	live   uint32
-
-	// kw[b*S+s] counts keyword occurrences hashed to bucket b in slice s.
-	// kwLive[b] caches each bucket's ring sum.
-	kw     []uint32
-	kwLive []uint32
-}
-
 // Tree is a windowed AASP tree. Not safe for concurrent use.
 type Tree struct {
-	cfg   Config
-	root  *node
+	cfg Config
+	columns
 	nodes int
 	cur   int // current slice index
 
 	totalLive uint32
 	synopsis  *kmv.Sliced // windowed distinct-keyword synopsis
+}
+
+// columns hold the quadtree's nodes as flat arrays indexed by node id. The
+// root is id 0. A split gives the four children consecutive ids in
+// geo.Rect.Quadrants order; a node either has all four children or none. A
+// walk that reads one slice or one keyword bucket of many nodes finds it in
+// one row of a slice-major or bucket-major array whose rows are stride ids
+// long.
+type columns struct {
+	bounds []geo.Rect
+	depth  []int32
+	node   []node
+
+	// slices[s*stride+id] counts points node id absorbed (not its
+	// descendants) during time slice s; node[id].live caches the ring sum.
+	slices []uint32
+
+	// kw[id][b*S+s] counts keyword occurrences hashed to bucket b in slice
+	// s, one exact allocation per node so that a grown column holds no
+	// slack rings; kwLive[b*stride+id] caches each bucket's ring sum.
+	kw     [][]uint32
+	kwLive []uint32
+
+	stride int     // ids every column holds
+	top    int     // ids below top have been handed out
+	free   []int32 // first ids of collapsed quartets, reused before top grows
+
+	// degenerate records that a split produced an empty cell (subdivision
+	// below floating-point resolution). An empty cell intersects nothing,
+	// so EstimateKeywords must then take the walk that reads bounds.
+	degenerate bool
+}
+
+// node is what every walk reads of a node, kept together so one visit
+// touches one cache line: child is the first of its children's ids, or -1
+// for a leaf, and live is the sum of its slice ring.
+type node struct {
+	child int32
+	live  uint32
 }
 
 // synopsisK is the size of the windowed distinct-keyword synopsis.
@@ -106,18 +127,57 @@ func New(world geo.Rect, cfg Config) *Tree {
 	}
 	c := cfg.withDefaults()
 	t := &Tree{cfg: c, synopsis: kmv.NewSliced(synopsisK, c.Slices)}
-	t.root = t.newNode(world, 0)
-	t.nodes = 1
+	t.plant(world)
 	return t
 }
 
-func (t *Tree) newNode(bounds geo.Rect, depth int) *node {
-	return &node{
-		bounds: bounds,
-		depth:  depth,
-		slices: make([]uint32, t.cfg.Slices),
-		kw:     make([]uint32, t.cfg.KeywordBuckets*t.cfg.Slices),
-		kwLive: make([]uint32, t.cfg.KeywordBuckets),
+// plant replaces the columns with a lone root over world.
+func (t *Tree) plant(world geo.Rect) {
+	t.columns = columns{}
+	t.grow(1)
+	t.top = 1
+	t.initNode(0, world, 0)
+	t.nodes = 1
+}
+
+// grow widens every column to at least need ids: by a quarter, so that a
+// growing tree copies each count a bounded number of times, but never past
+// MaxNodes, which no id reaches.
+func (t *Tree) grow(need int) {
+	n := max(need, min(t.stride+t.stride/4, t.cfg.MaxNodes))
+	t.bounds = resized(t.bounds, n)
+	t.depth = resized(t.depth, n)
+	t.node = resized(t.node, n)
+	t.kw = resized(t.kw, n)
+	t.slices = restrided(t.slices, t.stride, n, t.cfg.Slices)
+	t.kwLive = restrided(t.kwLive, t.stride, n, t.cfg.KeywordBuckets)
+	t.stride = n
+}
+
+func resized[T any](s []T, n int) []T {
+	out := make([]T, n)
+	copy(out, s)
+	return out
+}
+
+// restrided copies a rows × old row-major array into a rows × n one.
+func restrided(m []uint32, old, n, rows int) []uint32 {
+	out := make([]uint32, rows*n)
+	for r := 0; r < rows; r++ {
+		copy(out[r*n:], m[r*old:(r+1)*old])
+	}
+	return out
+}
+
+// initNode makes id an empty leaf. Its counters are zero already: a fresh
+// id was never counted, and a quartet collapses only once it is empty.
+func (t *Tree) initNode(id int32, bounds geo.Rect, depth int32) {
+	t.bounds[id] = bounds
+	t.depth[id] = depth
+	t.node[id].child = -1
+	t.kw[id] = make([]uint32, t.cfg.KeywordBuckets*t.cfg.Slices)
+	if bounds.Empty() {
+		t.degenerate = true
 	}
 }
 
@@ -134,35 +194,45 @@ func (t *Tree) DistinctKeywords() float64 { return t.synopsis.Distinct() }
 // Insert counts a point with its keywords into the deepest covering node,
 // splitting that node when it crosses the threshold.
 func (t *Tree) Insert(p geo.Point, kws []string) {
-	n := t.root
-	for n.children != nil {
-		n = &n.children[n.bounds.QuadrantOf(p)]
+	id := int32(0)
+	for t.node[id].child >= 0 {
+		id = t.node[id].child + int32(t.bounds[id].QuadrantOf(p))
 	}
-	n.slices[t.cur]++
-	n.live++
+	t.slices[t.cur*t.stride+int(id)]++
+	t.node[id].live++
 	t.totalLive++
+	ring := t.kw[id]
 	for _, kw := range kws {
 		h := kmv.Hash64(kw)
 		b := int(h % uint64(t.cfg.KeywordBuckets))
-		n.kw[b*t.cfg.Slices+t.cur]++
-		n.kwLive[b]++
+		ring[b*t.cfg.Slices+t.cur]++
+		t.kwLive[b*t.stride+int(id)]++
 		t.synopsis.AddHash(h)
 	}
-	if int(n.live) > t.cfg.SplitThreshold &&
-		n.depth < t.cfg.MaxDepth &&
+	if int(t.node[id].live) > t.cfg.SplitThreshold &&
+		int(t.depth[id]) < t.cfg.MaxDepth &&
 		t.nodes+4 <= t.cfg.MaxNodes {
-		t.split(n)
+		t.split(id)
 	}
 }
 
 // split attaches four empty children; the node keeps its absorbed counts.
-func (t *Tree) split(n *node) {
-	quads := n.bounds.Quadrants()
-	var ch [4]node
-	for i := range ch {
-		ch[i] = *t.newNode(quads[i], n.depth+1)
+func (t *Tree) split(id int32) {
+	var c int32
+	if k := len(t.free); k > 0 {
+		c, t.free = t.free[k-1], t.free[:k-1]
+	} else {
+		if t.top+4 > t.stride {
+			t.grow(t.top + 4)
+		}
+		c = int32(t.top)
+		t.top += 4
 	}
-	n.children = &ch
+	quads := t.bounds[id].Quadrants()
+	for i := range quads {
+		t.initNode(c+int32(i), quads[i], t.depth[id]+1)
+	}
+	t.node[id].child = c
 	t.nodes += 4
 }
 
@@ -171,64 +241,73 @@ func (t *Tree) split(n *node) {
 // reclaimed for the stream's current hot spots.
 func (t *Tree) AdvanceSlice() {
 	t.cur = (t.cur + 1) % t.cfg.Slices
-	t.retire(t.root)
-	t.collapse(t.root)
+	t.retire()
+	t.collapse(0)
 	t.synopsis.Advance()
 }
 
-// retire zeroes the (new) current slice throughout the subtree, updating
-// live caches.
-func (t *Tree) retire(n *node) {
-	old := n.slices[t.cur]
-	n.slices[t.cur] = 0
-	n.live -= old
-	t.totalLive -= old
+// retire zeroes the (new) current slice in every node, updating live
+// caches. A node that absorbed no point in the slice holds no keyword count
+// in it either, so only the slice's row is read for every id.
+func (t *Tree) retire() {
 	S := t.cfg.Slices
-	for b := 0; b < t.cfg.KeywordBuckets; b++ {
-		k := n.kw[b*S+t.cur]
-		n.kw[b*S+t.cur] = 0
-		n.kwLive[b] -= k
-	}
-	if n.children != nil {
-		for i := range n.children {
-			t.retire(&n.children[i])
+	row := t.slices[t.cur*t.stride : t.cur*t.stride+t.top]
+	for id, old := range row {
+		if old == 0 {
+			continue
+		}
+		row[id] = 0
+		t.node[id].live -= old
+		t.totalLive -= old
+		ring := t.kw[id]
+		for b := 0; b < t.cfg.KeywordBuckets; b++ {
+			k := ring[b*S+t.cur]
+			ring[b*S+t.cur] = 0
+			t.kwLive[b*t.stride+id] -= k
 		}
 	}
 }
 
-// collapse removes child quartets whose subtrees hold no live counts.
+// collapse removes child quartets whose subtrees hold no live counts,
+// dropping their keyword rings and keeping their ids for the next split.
 // It returns the subtree's live total.
-func (t *Tree) collapse(n *node) uint32 {
-	if n.children == nil {
-		return n.live
+func (t *Tree) collapse(id int32) uint32 {
+	c := t.node[id].child
+	if c < 0 {
+		return t.node[id].live
 	}
 	sub := uint32(0)
-	for i := range n.children {
-		sub += t.collapse(&n.children[i])
+	for i := c; i < c+4; i++ {
+		sub += t.collapse(i)
 	}
 	if sub == 0 {
-		n.children = nil
+		for i := c; i < c+4; i++ {
+			t.kw[i] = nil
+		}
+		t.node[id].child = -1
+		t.free = append(t.free, c)
 		t.nodes -= 4
 	}
-	return n.live + sub
+	return t.node[id].live + sub
 }
 
 // EstimateRange estimates how many windowed points fall inside r, assuming
 // points are uniform within each node's cell (the quadtree's adaptivity is
 // what keeps that assumption tolerable).
 func (t *Tree) EstimateRange(r geo.Rect) float64 {
-	return t.estimate(t.root, r, nil)
+	return t.estimate(0, r, nil)
 }
 
-// keywordBuckets maps query keywords to their summary buckets once per
-// query, so the tree walk hashes nothing. The result is non-nil exactly
-// when kws is, which is how estimate tells "no keyword predicate" apart.
-func (t *Tree) keywordBuckets(kws []string, buf []int) []int {
+// keywordRows maps query keywords to the offsets of their buckets' rows in
+// kwLive once per query, so the tree walk hashes nothing. The result is
+// non-nil exactly when kws is, which is how estimate tells "no keyword
+// predicate" apart.
+func (t *Tree) keywordRows(kws []string, buf []int) []int {
 	if kws == nil {
 		return nil
 	}
 	for _, kw := range kws {
-		buf = append(buf, int(kmv.Hash64(kw)%uint64(t.cfg.KeywordBuckets)))
+		buf = append(buf, int(kmv.Hash64(kw)%uint64(t.cfg.KeywordBuckets))*t.stride)
 	}
 	return buf
 }
@@ -240,33 +319,56 @@ func (t *Tree) EstimateRangeKeywords(r geo.Rect, kws []string) float64 {
 		return t.EstimateRange(r)
 	}
 	var buf [8]int
-	return t.estimate(t.root, r, t.keywordBuckets(kws, buf[:0]))
+	return t.estimate(0, r, t.keywordRows(kws, buf[:0]))
 }
 
 // EstimateKeywords estimates windowed points carrying at least one of kws,
-// regardless of location.
+// regardless of location. It is estimate over a range that covers the
+// world: every cell lies wholly inside it, so each node counts in full and
+// no bounds need be read — unless an empty cell exists, which estimate
+// would skip.
 func (t *Tree) EstimateKeywords(kws []string) float64 {
 	var buf [8]int
-	return t.estimate(t.root, t.root.bounds.Expand(1), t.keywordBuckets(kws, buf[:0]))
+	rows := t.keywordRows(kws, buf[:0])
+	if t.degenerate {
+		return t.estimate(0, t.bounds[0].Expand(1), rows)
+	}
+	return t.estimateAll(0, rows)
 }
 
-// estimate sums the subtree's contribution to range r; kwb is the query's
-// keyword buckets, nil for no keyword predicate.
-func (t *Tree) estimate(n *node, r geo.Rect, kwb []int) float64 {
-	if !n.bounds.Intersects(r) {
+// estimateAll is estimate for a range containing the subtree; it adds the
+// same terms in the same order, so the sum is bit-identical.
+func (t *Tree) estimateAll(id int32, rows []int) float64 {
+	est := float64(t.node[id].live)
+	if rows != nil {
+		est *= t.keywordFraction(id, rows)
+	}
+	if c := t.node[id].child; c >= 0 {
+		for i := c; i < c+4; i++ {
+			est += t.estimateAll(i, rows)
+		}
+	}
+	return est
+}
+
+// estimate sums the subtree's contribution to range r; rows is the query's
+// keyword rows, nil for no keyword predicate.
+func (t *Tree) estimate(id int32, r geo.Rect, rows []int) float64 {
+	b := &t.bounds[id]
+	if !b.Intersects(r) {
 		return 0
 	}
 	frac := 1.0
-	if !r.ContainsRect(n.bounds) {
-		frac = r.Intersect(n.bounds).Area() / n.bounds.Area()
+	if !r.ContainsRect(*b) {
+		frac = r.Intersect(*b).Area() / b.Area()
 	}
-	est := float64(n.live) * frac
-	if kwb != nil {
-		est *= keywordFraction(n, kwb)
+	est := float64(t.node[id].live) * frac
+	if rows != nil {
+		est *= t.keywordFraction(id, rows)
 	}
-	if n.children != nil {
-		for i := range n.children {
-			est += t.estimate(&n.children[i], r, kwb)
+	if c := t.node[id].child; c >= 0 {
+		for i := c; i < c+4; i++ {
+			est += t.estimate(i, r, rows)
 		}
 	}
 	return est
@@ -276,15 +378,16 @@ func (t *Tree) estimate(n *node, r geo.Rect, kwb []int) float64 {
 // any query keyword, as the capped sum of per-bucket frequencies. Bucket
 // collisions and multi-keyword objects both bias this upward; the cap keeps
 // it a probability.
-func keywordFraction(n *node, kwb []int) float64 {
-	if n.live == 0 {
+func (t *Tree) keywordFraction(id int32, rows []int) float64 {
+	live := t.node[id].live
+	if live == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, b := range kwb {
-		sum += float64(n.kwLive[b])
+	for _, row := range rows {
+		sum += float64(t.kwLive[row+int(id)])
 	}
-	frac := sum / float64(n.live)
+	frac := sum / float64(live)
 	if frac > 1 {
 		frac = 1
 	}
@@ -308,8 +411,7 @@ func (t *Tree) KeywordFloor() float64 {
 // Reset drops all counts and structure, returning the tree to its freshly
 // constructed state (used when an estimator is wiped after pre-training).
 func (t *Tree) Reset() {
-	t.root = t.newNode(t.root.bounds, 0)
-	t.nodes = 1
+	t.plant(t.bounds[0])
 	t.cur = 0
 	t.totalLive = 0
 	t.synopsis = kmv.NewSliced(synopsisK, t.cfg.Slices)
@@ -327,18 +429,14 @@ func (t *Tree) MemoryBytes() int {
 
 // Depth returns the maximum depth of any node, a diagnostics hook used by
 // tests and the workload explorer.
-func (t *Tree) Depth() int {
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		d := n.depth
-		if n.children != nil {
-			for i := range n.children {
-				if cd := walk(&n.children[i]); cd > d {
-					d = cd
-				}
-			}
+func (t *Tree) Depth() int { return t.depthBelow(0) }
+
+func (t *Tree) depthBelow(id int32) int {
+	d := int(t.depth[id])
+	if c := t.node[id].child; c >= 0 {
+		for i := c; i < c+4; i++ {
+			d = max(d, t.depthBelow(i))
 		}
-		return d
 	}
-	return walk(t.root)
+	return d
 }

@@ -1,12 +1,16 @@
 package asptree
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/kmv"
+	"github.com/spatiotext/latest/internal/persist"
 )
 
 func newTestTree(cfg Config) *Tree { return New(geo.UnitSquare, cfg) }
@@ -263,6 +267,207 @@ func TestInvalidWorldPanics(t *testing.T) {
 		}
 	}()
 	New(geo.Rect{}, Config{})
+}
+
+// TestTreeDifferential drives Tree beside refTree, the pointer tree it
+// replaced, through inserts at a moving hot spot, slice advances that
+// collapse quartets, splits that reuse their ids, round trips through the
+// image and resets, and requires the two to agree to the bit at every step.
+// The second case subdivides below floating-point resolution, where empty
+// cells make EstimateKeywords skip subtrees.
+func TestTreeDifferential(t *testing.T) {
+	cases := []struct {
+		name   string
+		cfg    Config
+		hot    geo.Point
+		spread float64
+	}{
+		{"capped", Config{SplitThreshold: 6, MaxNodes: 301, Slices: 4, KeywordBuckets: 16}, geo.Pt(0.3, 0.7), 0.08},
+		// A point on the world's max corner lands, once cells are narrower
+		// than a float's resolution at 1, in the empty upper halves.
+		{"below-resolution", Config{SplitThreshold: 1, MaxDepth: 64, MaxNodes: 1 << 12, Slices: 3, KeywordBuckets: 8}, geo.Pt(1, 1), 0},
+	}
+	vocab := []string{"fire", "flood", "kw0", "kw1", "kw2", "kw3", "kw4", "kw5"}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			tr, ref := newTestTree(tc.cfg), newRefTree(geo.UnitSquare, tc.cfg)
+			hot := tc.hot
+			reused, collapsed, degenerate := 0, 0, false
+			for step := 0; step < 400; step++ {
+				switch op := rng.Intn(20); {
+				case op < 12:
+					freeBefore, nodesBefore := len(tr.free), tr.NodeCount()
+					for i := rng.Intn(40); i >= 0; i-- {
+						p := hot
+						if tc.spread > 0 {
+							p = geo.UnitSquare.Clamp(geo.Pt(hot.X+rng.NormFloat64()*tc.spread, hot.Y+rng.NormFloat64()*tc.spread))
+						}
+						k := rng.Intn(len(vocab) - 2)
+						kws := vocab[k : k+rng.Intn(3)]
+						tr.Insert(p, kws)
+						ref.Insert(p, kws)
+					}
+					if len(tr.free) < freeBefore && tr.NodeCount() > nodesBefore {
+						reused++
+					}
+				case op < 16:
+					nodesBefore := tr.NodeCount()
+					tr.AdvanceSlice()
+					ref.AdvanceSlice()
+					if tr.NodeCount() < nodesBefore {
+						collapsed++
+					}
+					if tc.spread > 0 && rng.Intn(3) == 0 {
+						hot = geo.Pt(rng.Float64(), rng.Float64())
+					}
+				case op < 19:
+					var e persist.Enc
+					tr.SaveState(&e)
+					loaded := newTestTree(tc.cfg)
+					if err := loaded.LoadState(persist.NewDec(e.Data())); err != nil {
+						t.Fatalf("step %d: LoadState: %v", step, err)
+					}
+					tr = loaded
+				default:
+					tr.Reset()
+					ref.Reset()
+				}
+				degenerate = degenerate || tr.degenerate
+				assertTreesAgree(t, step, tr, ref, vocab)
+			}
+			if tc.spread > 0 && (collapsed == 0 || reused == 0) {
+				t.Errorf("collapses %d, splits reusing ids %d: both paths must run", collapsed, reused)
+			}
+			if tc.spread == 0 && !degenerate {
+				t.Error("no cell fell below floating-point resolution")
+			}
+		})
+	}
+}
+
+func assertTreesAgree(t *testing.T, step int, tr *Tree, ref *refTree, vocab []string) {
+	t.Helper()
+	if tr.NodeCount() != ref.NodeCount() || tr.Live() != ref.Live() || tr.Depth() != ref.Depth() {
+		t.Fatalf("step %d: nodes/live/depth %d/%d/%d, reference %d/%d/%d", step,
+			tr.NodeCount(), tr.Live(), tr.Depth(), ref.NodeCount(), ref.Live(), ref.Depth())
+	}
+	same := func(what string, got, want float64) {
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: %s = %v, reference %v", step, what, got, want)
+		}
+	}
+	ranges := []geo.Rect{
+		geo.UnitSquare,
+		{MinX: 0.2, MinY: 0.55, MaxX: 0.45, MaxY: 0.9},
+		geo.CenteredRect(geo.Pt(0.3, 0.7), 0.01, 0.02),
+		{MinX: 0.5, MinY: 0, MaxX: 1, MaxY: 0.5},
+	}
+	kwSets := [][]string{nil, {}, {"fire"}, {"kw3", "flood"}, {"absent"}}
+	for _, kws := range kwSets {
+		same(fmt.Sprintf("EstimateKeywords(%q)", kws), tr.EstimateKeywords(kws), ref.EstimateKeywords(kws))
+		for _, r := range ranges {
+			same(fmt.Sprintf("EstimateRangeKeywords(%v, %q)", r, kws),
+				tr.EstimateRangeKeywords(r, kws), ref.EstimateRangeKeywords(r, kws))
+		}
+	}
+	for _, r := range ranges {
+		same(fmt.Sprintf("EstimateRange(%v)", r), tr.EstimateRange(r), ref.EstimateRange(r))
+	}
+	var got, want persist.Enc
+	tr.SaveState(&got)
+	ref.SaveState(&want)
+	if !bytes.Equal(got.Data(), want.Data()) {
+		t.Fatalf("step %d: image differs from the reference's (%d vs %d bytes)", step, got.Len(), want.Len())
+	}
+}
+
+// TestLoadStateRejectsInconsistentCaches: an image whose live count or
+// bucket sum disagrees with the ring it caches is malformed, and so is one
+// with keyword counts in a slice that holds no point, though its sums
+// agree. Retiring a slice skips a node that absorbed nothing in it, which
+// is sound only when neither happens, and a collapsed quartet has no
+// keyword ring left to retire from.
+func TestLoadStateRejectsInconsistentCaches(t *testing.T) {
+	cfg := Config{Slices: 2, KeywordBuckets: 2}
+	image := func(slices []uint32, live uint32, kw, kwLive []uint32) []byte {
+		var e persist.Enc
+		e.Int(1)
+		e.Int(0)
+		e.U32(live)
+		e.Bool(false)
+		e.U32s(slices)
+		e.U32(live)
+		e.U32s(kw)
+		e.U32s(kwLive)
+		kmv.NewSliced(synopsisK, cfg.Slices).SaveState(&e)
+		return e.Data()
+	}
+	tr := newTestTree(cfg)
+	if err := tr.LoadState(persist.NewDec(image([]uint32{2, 1}, 3, []uint32{1, 0, 2, 1}, []uint32{1, 3}))); err != nil {
+		t.Fatalf("consistent image: %v", err)
+	}
+	for name, bad := range map[string][]byte{
+		"live":        image([]uint32{2, 1}, 4, []uint32{1, 0, 2, 1}, []uint32{1, 3}),
+		"bucket":      image([]uint32{2, 1}, 3, []uint32{1, 0, 2, 1}, []uint32{1, 2}),
+		"empty slice": image([]uint32{0, 3}, 3, []uint32{1, 0, 0, 2}, []uint32{1, 2}),
+	} {
+		if err := tr.LoadState(persist.NewDec(bad)); persist.CodeOf(err) != persist.CodeMalformed {
+			t.Errorf("%s: %v, want malformed", name, err)
+		}
+		if tr.Live() != 3 {
+			t.Errorf("%s: a rejected image changed the tree (Live %d)", name, tr.Live())
+		}
+	}
+}
+
+// TestTreeHeapMatchesPointerTree holds the columns' live heap, after a
+// fill, a Reset and a refill, to within 10 % of the pointer tree's: a
+// column grown past what the nodes need, or keyword rings kept in one, would
+// show here.
+func TestTreeHeapMatchesPointerTree(t *testing.T) {
+	cfg := Config{SplitThreshold: 16, MaxNodes: 4096}
+	fill := func(insert func(geo.Point, []string)) {
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 40000; i++ {
+			p := geo.UnitSquare.Clamp(geo.Pt(0.6+rng.NormFloat64()*0.15, 0.4+rng.NormFloat64()*0.15))
+			insert(p, []string{fmt.Sprintf("kw%d", rng.Intn(200))})
+		}
+	}
+	retained := func(build func() any) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		x := build()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(x)
+		return after.HeapAlloc - before.HeapAlloc
+	}
+	var refNodes, nodes int
+	want := retained(func() any {
+		ref := newRefTree(geo.UnitSquare, cfg)
+		fill(ref.Insert)
+		ref.Reset()
+		fill(ref.Insert)
+		refNodes = ref.NodeCount()
+		return ref
+	})
+	got := retained(func() any {
+		tr := newTestTree(cfg)
+		fill(tr.Insert)
+		tr.Reset()
+		fill(tr.Insert)
+		nodes = tr.NodeCount()
+		return tr
+	})
+	if nodes != refNodes {
+		t.Fatalf("NodeCount %d, reference %d", nodes, refNodes)
+	}
+	t.Logf("%d nodes: %d bytes live, pointer tree %d", nodes, got, want)
+	if float64(got) > 1.1*float64(want) {
+		t.Errorf("live heap %d bytes, more than 10 %% over the pointer tree's %d", got, want)
+	}
 }
 
 func BenchmarkTreeInsert(b *testing.B) {

@@ -13,21 +13,34 @@ func (t *Tree) SaveState(e *persist.Enc) {
 	e.Int(t.nodes)
 	e.Int(t.cur)
 	e.U32(t.totalLive)
-	saveNode(e, t.root)
+	t.saveNode(e, 0, make([]uint32, max(t.cfg.Slices, t.cfg.KeywordBuckets)))
 	t.synopsis.SaveState(e)
 }
 
-func saveNode(e *persist.Enc, n *node) {
-	e.Bool(n.children != nil)
-	e.U32s(n.slices)
-	e.U32(n.live)
-	e.U32s(n.kw)
-	e.U32s(n.kwLive)
-	if n.children != nil {
-		for i := range n.children {
-			saveNode(e, &n.children[i])
+// saveNode writes the subtree at id in preorder, each node's rings in the
+// order of a node that owns its arrays; buf is scratch for gathering a
+// column.
+func (t *Tree) saveNode(e *persist.Enc, id int32, buf []uint32) {
+	c := t.node[id].child
+	e.Bool(c >= 0)
+	e.U32s(t.gather(t.slices, t.cfg.Slices, id, buf))
+	e.U32(t.node[id].live)
+	e.U32s(t.kw[id])
+	e.U32s(t.gather(t.kwLive, t.cfg.KeywordBuckets, id, buf))
+	if c >= 0 {
+		for i := c; i < c+4; i++ {
+			t.saveNode(e, i, buf)
 		}
 	}
+}
+
+// gather copies node id's entries of a rows × stride array into buf.
+func (t *Tree) gather(m []uint32, rows int, id int32, buf []uint32) []uint32 {
+	buf = buf[:rows]
+	for r := range buf {
+		buf[r] = m[r*t.stride+int(id)]
+	}
+	return buf
 }
 
 // LoadState restores a tree saved under the same Config and world
@@ -46,13 +59,14 @@ func (t *Tree) LoadState(d *persist.Dec) error {
 	if nodes < 1 || nodes > t.cfg.MaxNodes {
 		return persist.Errf(persist.CodeMalformed, op, "node count %d (cap %d)", nodes, t.cfg.MaxNodes)
 	}
-	root := t.newNode(t.root.bounds, 0)
-	read, liveSum := 1, uint32(0)
-	if err := t.loadNode(d, root, &read, nodes, &liveSum); err != nil {
+	nt := &Tree{cfg: t.cfg}
+	nt.plant(t.bounds[0])
+	liveSum := uint32(0)
+	if err := nt.loadNode(d, 0, nodes, &liveSum); err != nil {
 		return err
 	}
-	if read != nodes {
-		return persist.Errf(persist.CodeMalformed, op, "%d nodes decoded, header says %d", read, nodes)
+	if nt.nodes != nodes {
+		return persist.Errf(persist.CodeMalformed, op, "%d nodes decoded, header says %d", nt.nodes, nodes)
 	}
 	if liveSum != totalLive {
 		return persist.Errf(persist.CodeMalformed, op, "live sum %d, header says %d", liveSum, totalLive)
@@ -61,11 +75,14 @@ func (t *Tree) LoadState(d *persist.Dec) error {
 	if err := syn.LoadState(d); err != nil {
 		return err
 	}
-	t.root, t.nodes, t.cur, t.totalLive, t.synopsis = root, nodes, cur, totalLive, syn
+	t.columns, t.nodes, t.cur, t.totalLive, t.synopsis = nt.columns, nodes, cur, totalLive, syn
 	return nil
 }
 
-func (t *Tree) loadNode(d *persist.Dec, n *node, read *int, limit int, liveSum *uint32) error {
+// loadNode decodes the subtree at id, splitting as the image says. Every
+// cache must equal the sum it caches, and a slice with no points must hold
+// no keyword counts: retire skips such a slice, and would leave them behind.
+func (t *Tree) loadNode(d *persist.Dec, id int32, limit int, liveSum *uint32) error {
 	const op = "asp node"
 	hasChildren := d.Bool()
 	slices := d.U32s()
@@ -81,31 +98,53 @@ func (t *Tree) loadNode(d *persist.Dec, n *node, read *int, limit int, liveSum *
 			"ring shapes %d/%d/%d, config wants %d/%d/%d",
 			len(slices), len(kw), len(kwLive), S, B*S, B)
 	}
-	copy(n.slices, slices)
-	n.live = live
+	if sum := sum64(slices); sum != uint64(live) {
+		return persist.Errf(persist.CodeMalformed, op, "slices sum to %d, live says %d", sum, live)
+	}
+	for b, want := range kwLive {
+		if sum := sum64(kw[b*S : (b+1)*S]); sum != uint64(want) {
+			return persist.Errf(persist.CodeMalformed, op, "bucket %d sums to %d, cache says %d", b, sum, want)
+		}
+	}
+	for s, v := range slices {
+		for b := 0; v == 0 && b < B; b++ {
+			if k := kw[b*S+s]; k != 0 {
+				return persist.Errf(persist.CodeMalformed, op, "bucket %d counts %d in slice %d, which holds no point", b, k, s)
+			}
+		}
+	}
+	for s, v := range slices {
+		t.slices[s*t.stride+int(id)] = v
+	}
+	t.node[id].live = live
 	*liveSum += live
-	copy(n.kw, kw)
-	copy(n.kwLive, kwLive)
+	copy(t.kw[id], kw)
+	for b, v := range kwLive {
+		t.kwLive[b*t.stride+int(id)] = v
+	}
 	if !hasChildren {
 		return nil
 	}
-	if n.depth >= t.cfg.MaxDepth {
+	if int(t.depth[id]) >= t.cfg.MaxDepth {
 		return persist.Errf(persist.CodeMalformed, op, "children below max depth %d", t.cfg.MaxDepth)
 	}
-	*read += 4
-	if *read > limit {
+	if t.nodes+4 > limit {
 		return persist.Errf(persist.CodeMalformed, op, "more nodes than the header's %d", limit)
 	}
-	quads := n.bounds.Quadrants()
-	var ch [4]node
-	for i := range ch {
-		ch[i] = *t.newNode(quads[i], n.depth+1)
-	}
-	n.children = &ch
-	for i := range n.children {
-		if err := t.loadNode(d, &n.children[i], read, limit, liveSum); err != nil {
+	t.split(id)
+	c := t.node[id].child
+	for i := c; i < c+4; i++ {
+		if err := t.loadNode(d, i, limit, liveSum); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func sum64(vs []uint32) uint64 {
+	s := uint64(0)
+	for _, v := range vs {
+		s += uint64(v)
+	}
+	return s
 }

@@ -1,12 +1,15 @@
 package estimator
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/metrics"
+	"github.com/spatiotext/latest/internal/persist"
 	"github.com/spatiotext/latest/internal/stream"
 )
 
@@ -193,5 +196,100 @@ func TestSPNEstimatorReset(t *testing.T) {
 	q := stream.SpatialQ(geo.UnitSquare, ts)
 	if got := s.Estimate(&q); got != 0 {
 		t.Errorf("post-Reset estimate = %v", got)
+	}
+}
+
+// TestSPNSkipsUnreadRetrains: retrains that come due with no estimate in
+// between build their training sets but fit no model; the first estimate
+// fits the last set.
+func TestSPNSkipsUnreadRetrains(t *testing.T) {
+	s := NewSPN(testParams())
+	rng := rand.New(rand.NewSource(5))
+	ts := int64(0)
+	for i := 0; i < 10*defaultSPNRetrain; i++ {
+		ts++
+		o := genObject(rng, uint64(i), ts)
+		s.Insert(&o)
+	}
+	if s.Retrains() != 10 {
+		t.Fatalf("Retrains = %d, want 10", s.Retrains())
+	}
+	if s.net.Trained() {
+		t.Fatal("a model no estimate read was trained")
+	}
+	q := stream.SpatialQ(geo.UnitSquare, ts)
+	if got := s.Estimate(&q); got == 0 || !s.net.Trained() {
+		t.Fatalf("estimate %v, trained %v: the estimate must fit the pending set", got, s.net.Trained())
+	}
+}
+
+// TestSPNDifferential drives the SPN beside a twin that fits every retrain
+// as it comes due, through random interleavings of Insert, Estimate, Reset,
+// SaveState and LoadState (of an image saved earlier), in stretches with
+// and without estimates so that saves and loads meet pending sets: equal
+// estimates to the bit, equal retrain counts and equal images.
+func TestSPNDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := Params{World: geo.UnitSquare, Span: 2000, Scale: 0.05, Seed: seed}
+		lazy, eager := NewSPN(p), NewSPN(p)
+		lazy.retrainEvery, eager.retrainEvery = 97, 97
+		var saved []byte
+		ts := int64(0)
+		var savedPending, loadedPending int
+		for step := 0; step < 6000; step++ {
+			stage := fmt.Sprintf("seed %d step %d", seed, step)
+			op := rng.Intn(200)
+			if quiet := step/400%2 == 1; quiet && op >= 170 && op < 194 {
+				op = 0 // no estimates in a quiet stretch
+			}
+			switch {
+			case op < 170:
+				ts += int64(rng.Intn(2))
+				o := genObject(rng, uint64(step), ts)
+				lazy.Insert(&o)
+				eager.Insert(&o)
+				eager.fit()
+			case op < 194:
+				rect := geo.CenteredRect(geo.Pt(rng.Float64(), rng.Float64()), rng.Float64(), rng.Float64())
+				kws := []string{fmt.Sprintf("kw%d", rng.Intn(8))}
+				q := [...]stream.Query{stream.SpatialQ(rect, ts), stream.KeywordQ(kws, ts), stream.HybridQ(rect, kws, ts)}[rng.Intn(3)]
+				if got, want := lazy.Estimate(&q), eager.Estimate(&q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %v: estimate %v, twin %v", stage, q, got, want)
+				}
+			case op < 195:
+				lazy.Reset()
+				eager.Reset()
+			case op < 198:
+				if lazy.stale {
+					savedPending++
+				}
+				var got, want persist.Enc
+				lazy.SaveState(&got)
+				eager.SaveState(&want)
+				if !bytes.Equal(got.Data(), want.Data()) {
+					t.Fatalf("%s: image differs from the twin's", stage)
+				}
+				saved = got.Data()
+			default:
+				if saved == nil {
+					continue
+				}
+				if lazy.stale {
+					loadedPending++
+				}
+				for _, s := range []*SPNEstimator{lazy, eager} {
+					if err := s.LoadState(persist.NewDec(saved)); err != nil {
+						t.Fatalf("%s: LoadState: %v", stage, err)
+					}
+				}
+			}
+			if lazy.Retrains() != eager.Retrains() {
+				t.Fatalf("%s: %d retrains, twin %d", stage, lazy.Retrains(), eager.Retrains())
+			}
+		}
+		if savedPending == 0 || loadedPending == 0 {
+			t.Errorf("seed %d: %d saves and %d loads met a pending set; both paths must run", seed, savedPending, loadedPending)
+		}
 	}
 }

@@ -10,12 +10,13 @@ import (
 	"github.com/spatiotext/latest/internal/workload"
 )
 
-// The Twitter-preset cases below run a reservoir at its default capacity
-// in the steady state of the repository's benchmark (benchmark/inputs.go):
-// two objects per virtual millisecond against a 60 s window, so 120 000
-// live objects behind 16 384 samples, every admission a replacement. Their
-// numbers line up with the estimator.RSL|RSH.* lines of the ledger, which
-// the small synthetic cases above them in the output do not.
+// The Twitter-preset cases below run an estimator at its default size in
+// the steady state of the repository's benchmark (benchmark/inputs.go): two
+// objects per virtual millisecond against a 60 s window, so 120 000 live
+// objects — behind 16 384 samples for a reservoir, every admission a
+// replacement, or in about 6 200 AASP tree nodes. Their numbers line up with
+// the estimator.RSL|RSH|AASP.* lines of the ledger, which the small
+// synthetic cases above them in the output do not.
 const (
 	twitterRatePerMS = 2
 	twitterSpanMS    = 60_000
@@ -125,9 +126,14 @@ func BenchmarkRSHEstimate(b *testing.B) {
 	benchEstimate(b, func(p Params) Estimator { return NewReservoirHashmap(p) })
 }
 
-// benchInsertSteady times Insert on a full default-capacity reservoir over
-// a full window: about one arrival in seven replaces a sample, and that
-// one pays for the keyword index.
+func BenchmarkAASPEstimate(b *testing.B) {
+	benchEstimate(b, func(p Params) Estimator { return NewAASP(p) })
+}
+
+// benchInsertSteady times Insert on a default-size estimator over a full
+// window. In a reservoir about one arrival in seven replaces a sample, and
+// that one pays for the keyword index; AASP counts every arrival into its
+// tree and retires a slice every 15 000.
 func benchInsertSteady(b *testing.B, build func(Params) Estimator) {
 	tw := newTwitterStream()
 	e := build(tw.params())
@@ -143,4 +149,8 @@ func BenchmarkRSLInsertSteady(b *testing.B) {
 
 func BenchmarkRSHInsertSteady(b *testing.B) {
 	benchInsertSteady(b, func(p Params) Estimator { return NewReservoirHashmap(p) })
+}
+
+func BenchmarkAASPInsertSteady(b *testing.B) {
+	benchInsertSteady(b, func(p Params) Estimator { return NewAASP(p) })
 }

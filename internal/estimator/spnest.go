@@ -25,6 +25,16 @@ const (
 // periodic full retrain is the paper's core criticism of data-driven models
 // on streams ("very high computational intensity to update the model with
 // high-velocity data") and dominates this estimator's maintenance cost.
+//
+// A due retrain purges the reservoir and builds its training set, but fits
+// the model at once only if an estimate has run since the previous retrain.
+// Otherwise the set waits in pending for the next Estimate or SaveState,
+// and a newer retrain replaces it unread, so a stretch with no queries (the
+// fill before pre-training, a pre-fill's replay) fits one model, not one
+// per retrain. Training is a pure function of the set, so answers and
+// images are unchanged; the read check keeps the fit out of the estimate
+// latency of an estimator that is being queried, which the switch learns
+// from unless a latency model replaces the wall clock.
 type SPNEstimator struct {
 	world   geo.Rect
 	span    int64
@@ -38,6 +48,10 @@ type SPNEstimator struct {
 	sinceRetrain int
 	retrainEvery int
 	retrains     int
+
+	pending []spn.Sample // training set of the last retrain; valid when stale
+	stale   bool         // the model has not been fitted to pending yet
+	read    bool         // an estimate has run since the last retrain
 }
 
 // NewSPN builds the estimator; p.Scale multiplies the component count and
@@ -65,7 +79,7 @@ func NewSPN(p Params) *SPNEstimator {
 // Name implements Estimator.
 func (s *SPNEstimator) Name() string { return NameSPN }
 
-// Retrains returns how many full model rebuilds have run, a cost the
+// Retrains returns how many full model rebuilds have come due, a cost the
 // ablation benchmarks report.
 func (s *SPNEstimator) Retrains() int { return s.retrains }
 
@@ -87,6 +101,10 @@ func (s *SPNEstimator) Insert(o *stream.Object) {
 	s.sinceRetrain++
 	if s.sinceRetrain >= s.retrainEvery {
 		s.retrain(o.Timestamp)
+		if s.read {
+			s.fit()
+		}
+		s.read = false
 	}
 }
 
@@ -96,7 +114,8 @@ func admitted(o *stream.Object) sample {
 	return sample{loc: o.Loc, kws: append([]string(nil), o.Keywords...), ts: o.Timestamp}
 }
 
-// retrain purges expired samples and rebuilds the SPN from the survivors.
+// retrain purges expired samples and makes the survivors the training set
+// the model is next fitted to.
 func (s *SPNEstimator) retrain(now int64) {
 	cutoff := now - s.span
 	for i := 0; i < len(s.samples); {
@@ -115,9 +134,17 @@ func (s *SPNEstimator) retrain(now int64) {
 			KwB: s.kwBuckets(s.samples[i].kws),
 		}
 	}
-	s.net.Train(train)
+	s.pending, s.stale = train, true
 	s.sinceRetrain = 0
 	s.retrains++
+}
+
+// fit trains the model on the pending set, if one is waiting.
+func (s *SPNEstimator) fit() {
+	if s.stale {
+		s.net.Train(s.pending)
+		s.pending, s.stale = nil, false
+	}
 }
 
 func (s *SPNEstimator) kwBuckets(kws []string) []int {
@@ -133,15 +160,17 @@ func (s *SPNEstimator) kwBuckets(kws []string) []int {
 
 // Estimate implements Estimator.
 func (s *SPNEstimator) Estimate(q *stream.Query) float64 {
+	s.read = true
+	s.fit()
 	if !s.net.Trained() {
 		// Before the first retrain the model is a uniform prior; force an
 		// early train if we already have samples so pre-training queries
 		// get real answers.
-		if len(s.samples) > 0 {
-			s.retrain(q.Timestamp)
-		} else {
+		if len(s.samples) == 0 {
 			return 0
 		}
+		s.retrain(q.Timestamp)
+		s.fit()
 	}
 	rq := spn.RangeQuery{KwB: s.kwBuckets(q.Keywords)}
 	if q.HasRange {
@@ -165,6 +194,7 @@ func (s *SPNEstimator) Reset() {
 	s.counter.Reset()
 	s.net.Train(nil)
 	s.sinceRetrain = 0
+	s.pending, s.stale, s.read = nil, false, false
 }
 
 // MemoryBytes implements Estimator.

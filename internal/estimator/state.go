@@ -351,8 +351,10 @@ func (f *FFN) LoadState(d *persist.Dec) error {
 
 // --- SPN ---
 
-// SaveState implements Stateful.
+// SaveState implements Stateful. A pending training set is fitted first, so
+// the image holds the model an estimate would read.
 func (s *SPNEstimator) SaveState(e *persist.Enc) {
+	s.fit()
 	seed, n := s.src.state()
 	e.I64(seed)
 	e.U64(n)
@@ -392,6 +394,7 @@ func (s *SPNEstimator) LoadState(d *persist.Dec) error {
 	s.src.restore(seed, rngN)
 	s.samples = samples
 	s.sinceRetrain, s.retrains = sinceRetrain, retrains
+	s.pending, s.stale, s.read = nil, false, false
 	return nil
 }
 

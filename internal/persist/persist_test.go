@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -454,6 +455,38 @@ func TestMemStoreCorruptHook(t *testing.T) {
 	}
 	if err := st.Corrupt("missing", 0); !IsNotExist(err) {
 		t.Errorf("corrupt missing = %v", err)
+	}
+}
+
+// TestMemStoreAppendIsLinear: n appends of k bytes to a MemStore file copy
+// O(n·k) bytes in all, not the whole file again on every append, and a
+// reader sees exactly what was appended after the truncated prefix.
+func TestMemStoreAppendIsLinear(t *testing.T) {
+	const n, k = 1000, 64
+	st := NewMemStore()
+	st.Save("feed.wal", []byte("headtail"))
+	f, err := st.OpenAppend("feed.wal", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := bytes.Repeat([]byte{0xab}, k)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if err := f.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if copied := after.TotalAlloc - before.TotalAlloc; copied > 8*n*k {
+		t.Errorf("%d appends of %d bytes allocated %d bytes, want O(n·k) = %d", n, k, copied, n*k)
+	}
+	data, err := st.Load("feed.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("head"), bytes.Repeat(rec, n)...); !bytes.Equal(data, want) {
+		t.Errorf("file holds %d bytes, want %d: head, then the appends", len(data), len(want))
 	}
 }
 

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -73,9 +72,7 @@ func (m *MemStore) OpenAppend(name string, truncateTo int64) (AppendFile, error)
 	// FileStore's O_CREATE open does — a freshly rotated WAL must List()
 	// even before its first append.
 	m.files[name] = append([]byte(nil), cur...)
-	buf := &bytes.Buffer{}
-	buf.Write(cur)
-	return &memAppend{store: m, name: name, buf: buf}, nil
+	return &memAppend{store: m, name: name}, nil
 }
 
 // Corrupt flips one bit of a stored file — a test hook for exercising the
@@ -94,18 +91,17 @@ func (m *MemStore) Corrupt(name string, byteOffset int) error {
 	return nil
 }
 
-// memAppend keeps the whole file in its buffer and publishes it to the
-// store on every Append, mimicking an OS page cache; Sync is a no-op.
+// memAppend appends to the stored file in place, under the store's lock,
+// mimicking an OS page cache; Sync is a no-op. Load hands out copies, so
+// growing the stored slice is invisible to readers.
 type memAppend struct {
 	store *MemStore
 	name  string
-	buf   *bytes.Buffer
 }
 
 func (a *memAppend) Append(p []byte) error {
-	a.buf.Write(p)
 	a.store.mu.Lock()
-	a.store.files[a.name] = append([]byte(nil), a.buf.Bytes()...)
+	a.store.files[a.name] = append(a.store.files[a.name], p...)
 	a.store.mu.Unlock()
 	return nil
 }
