@@ -306,9 +306,10 @@ func BenchmarkAblationCooldown(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGracePeriod sweeps the Hoeffding tree's grace period
-// (DESIGN.md §4.4): smaller periods attempt splits more often (slower
-// learning steps, earlier structure); larger ones delay adaptation.
+// BenchmarkAblationGracePeriod sweeps the grace period of the EFDT tree the
+// engine ships (DESIGN.md §4, decision 4): smaller periods attempt and
+// re-test splits more often (slower learning steps, earlier structure);
+// larger ones delay adaptation.
 func BenchmarkAblationGracePeriod(b *testing.B) {
 	for _, grace := range []int{50, 200, 800} {
 		b.Run(fmt.Sprintf("grace=%d", grace), func(b *testing.B) {

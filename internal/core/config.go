@@ -78,8 +78,9 @@ type Config struct {
 	Scale float64
 	// Seed drives estimator-internal randomness.
 	Seed int64
-	// Hoeffding overrides the learning model's hyper-parameters; the zero
-	// value uses the WEKA defaults the paper quotes.
+	// Hoeffding overrides the hyper-parameters of the learning model, the
+	// EFDT tree of the paper's reference [44]; zero fields take the WEKA
+	// defaults the paper quotes.
 	Hoeffding hoeffding.Config
 	// Refill, when non-nil, is called with every freshly wiped estimator
 	// that is about to start serving (a pre-fill candidate or a cold
@@ -156,13 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OpportunityMargin == 0 {
 		c.OpportunityMargin = 0.15
-	}
-	if c.Hoeffding == (hoeffding.Config{}) {
-		// The paper's model reference [44] is the Extremely Fast Decision
-		// Tree (Hoeffding Anytime Tree); split re-evaluation is its
-		// defining feature, so it is the default. Supplying any explicit
-		// Hoeffding config takes full control.
-		c.Hoeffding.ReevaluateSplits = true
 	}
 	return c
 }

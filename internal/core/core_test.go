@@ -8,6 +8,7 @@ import (
 
 	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/hoeffding"
 	"github.com/spatiotext/latest/internal/stream"
 )
 
@@ -132,6 +133,41 @@ func TestConfigDefaults(t *testing.T) {
 	c2 := Config{World: geo.UnitSquare, Span: 1000, Alpha: 0, AlphaSet: true}.withDefaults()
 	if c2.Alpha != 0 {
 		t.Errorf("explicit alpha 0 overridden to %v", c2.Alpha)
+	}
+}
+
+// TestTunedGraceTrainsShippedLearner: a module whose Hoeffding config sets
+// only the grace period, as every latest-tune cell builds, trains the tree
+// the engine ships, so it revises its root split when the signal moves
+// from the query type to the estimator attribute.
+func TestTunedGraceTrainsShippedLearner(t *testing.T) {
+	cfg := testConfig()
+	cfg.Hoeffding = hoeffding.Config{GracePeriod: 100}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := m.brain.tree
+	rng := rand.New(rand.NewSource(1))
+	x := make([]float64, 7) // qtype, estimator, then five numeric features
+	feed := func(n int, byEstimator bool) {
+		for i := 0; i < n; i++ {
+			qt, est := rng.Intn(numQueryTypes), rng.Intn(len(m.brain.names))
+			x[0], x[1] = float64(qt), float64(est)
+			label := qt
+			if byEstimator {
+				label = est
+			}
+			tree.Learn(x, label)
+		}
+	}
+	feed(5000, false)
+	if tree.Splits() == 0 {
+		t.Fatal("no initial split")
+	}
+	feed(20000, true)
+	if tree.Resplits() == 0 {
+		t.Errorf("the tree never revised its split under drift (%d splits)", tree.Splits())
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // the same ~2% sampling ratio against this repository's synthetic streams.
 const defaultReservoirCapacity = 16384
 
-// sample is a retained stream object as SPN and ED keep it, and the unit
+// sample is a retained stream object as SPN keeps it, and the unit
 // every reservoir serializes. Its keyword slice is the sample's own.
 type sample struct {
 	loc geo.Point

@@ -577,8 +577,7 @@ func TestReservoirMemoryBytesIsTheHeap(t *testing.T) {
 func TestReservoirResetReleasesMemory(t *testing.T) {
 	p := testParams()
 	reg := DefaultRegistry()
-	RegisterExtras(reg)
-	for _, name := range []string{NameRSL, NameRSH, NameSPN, NameED} {
+	for _, name := range []string{NameRSL, NameRSH, NameSPN} {
 		build := func() Estimator {
 			e, err := reg.Build(name, p)
 			if err != nil {

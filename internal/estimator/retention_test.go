@@ -17,7 +17,6 @@ import (
 // twin fed a fresh object each time.
 func TestEstimatorsDoNotRetainInput(t *testing.T) {
 	reg := DefaultRegistry()
-	RegisterExtras(reg)
 	for _, name := range reg.Names() {
 		build := func() Estimator {
 			e, err := reg.Build(name, testParams())

@@ -397,79 +397,3 @@ func (s *SPNEstimator) LoadState(d *persist.Dec) error {
 	s.pending, s.stale, s.read = nil, false, false
 	return nil
 }
-
-// --- ED ---
-
-// SaveState implements Stateful.
-func (e *EquiDepth) SaveState(enc *persist.Enc) {
-	seed, n := e.src.state()
-	enc.I64(seed)
-	enc.U64(n)
-	e.counter.SaveState(enc)
-	enc.U32(uint32(len(e.samples)))
-	for i := range e.samples {
-		saveSample(enc, e.samples[i])
-	}
-	enc.Int(e.sinceRebuild)
-	enc.Int(e.rebuilds)
-	enc.F64s(e.xCuts)
-	enc.Int(len(e.yCuts))
-	for _, row := range e.yCuts {
-		enc.F64s(row)
-	}
-	enc.Bool(e.built)
-}
-
-// LoadState implements Stateful.
-func (e *EquiDepth) LoadState(d *persist.Dec) error {
-	const op = "equidepth"
-	seed := d.I64()
-	rngN := d.U64()
-	if err := e.counter.LoadState(d); err != nil {
-		return err
-	}
-	count, err := sampleCount(d, e.capacity, op)
-	if err != nil {
-		return err
-	}
-	samples := make([]sample, 0, count)
-	for i := 0; i < count; i++ {
-		samples = append(samples, loadSample(d))
-	}
-	sinceRebuild := d.Int()
-	rebuilds := d.Int()
-	xCuts := d.F64s()
-	yRows := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if len(xCuts) != 0 && len(xCuts) != e.k {
-		return persist.Errf(persist.CodeMismatch, op, "%d column cuts, receiver k=%d", len(xCuts), e.k)
-	}
-	if yRows != 0 && yRows != e.k {
-		return persist.Errf(persist.CodeMismatch, op, "%d cut rows, receiver k=%d", yRows, e.k)
-	}
-	var yCuts [][]float64
-	for i := 0; i < yRows; i++ {
-		row := d.F64s()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if len(row) != e.k {
-			return persist.Errf(persist.CodeMismatch, op, "cut row %d has %d cuts, receiver k=%d", i, len(row), e.k)
-		}
-		yCuts = append(yCuts, row)
-	}
-	built := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if built && (len(xCuts) != e.k || yRows != e.k) {
-		return persist.Errf(persist.CodeMalformed, op, "built histogram without complete cuts")
-	}
-	e.src.restore(seed, rngN)
-	e.samples = samples
-	e.sinceRebuild, e.rebuilds = sinceRebuild, rebuilds
-	e.xCuts, e.yCuts, e.built = xCuts, yCuts, built
-	return nil
-}

@@ -52,7 +52,7 @@ type RunConfig struct {
 	AlphaSet bool
 	// Tau and Beta are the switching thresholds. Defaults 0.75 / 0.8.
 	Tau, Beta float64
-	// Grace overrides the Hoeffding tree's grace period (0 = WEKA default).
+	// Grace overrides the EFDT tree's grace period (0 = WEKA default).
 	Grace int
 	// Scale is the estimator memory multiplier. Default 1.
 	Scale float64

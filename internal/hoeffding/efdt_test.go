@@ -45,7 +45,7 @@ func regimeAccuracy(tr *Tree, rng *rand.Rand, signalAttr int) float64 {
 }
 
 func TestEFDTRevisesSplitUnderDrift(t *testing.T) {
-	cfg := Config{GracePeriod: 100, ReevaluateSplits: true}
+	cfg := Config{GracePeriod: 100}
 	tr := New(driftAttrs, []string{"c0", "c1"}, cfg)
 	rng := rand.New(rand.NewSource(1))
 
@@ -67,25 +67,8 @@ func TestEFDTRevisesSplitUnderDrift(t *testing.T) {
 	}
 }
 
-func TestPlainVFDTDoesNotRevise(t *testing.T) {
-	tr := New(driftAttrs, []string{"c0", "c1"}, Config{GracePeriod: 100})
-	rng := rand.New(rand.NewSource(2))
-	feedRegime(tr, rng, 5000, 0)
-	feedRegime(tr, rng, 20000, 1)
-	if tr.Resplits() != 0 {
-		t.Errorf("plain VFDT revised splits: %d", tr.Resplits())
-	}
-	// Its root still tests attribute 0; regime-B accuracy is only what the
-	// (re-filled) leaves can recover, not a clean re-split. This documents
-	// the gap EFDT closes — the leaves below the stale root *can* adapt,
-	// so we only assert EFDT's structural advantage, not a fixed number.
-	if tr.root.isLeaf() || tr.root.splitAttr != 0 {
-		t.Errorf("expected the stale root split to persist")
-	}
-}
-
 func TestEFDTNodeAccountingStaysConsistent(t *testing.T) {
-	cfg := Config{GracePeriod: 50, ReevaluateSplits: true, TieThreshold: 0.1}
+	cfg := Config{GracePeriod: 50, TieThreshold: 0.1}
 	tr := New(
 		[]Attribute{
 			{Name: "a", Kind: Nominal, NumValues: 3},
@@ -122,24 +105,23 @@ func TestEFDTNodeAccountingStaysConsistent(t *testing.T) {
 }
 
 func TestEFDTAccuracyNotWorseOnStationary(t *testing.T) {
-	// On a stationary problem EFDT should match VFDT closely (no
-	// gratuitous churn).
-	mk := func(anytime bool) float64 {
-		tr := New(driftAttrs, []string{"c0", "c1"},
-			Config{GracePeriod: 100, ReevaluateSplits: anytime})
-		rng := rand.New(rand.NewSource(4))
+	// On a stationary problem re-evaluation must cause no gratuitous
+	// churn: the tree learns the regime and never revises its split.
+	for seed := int64(1); seed <= 6; seed++ {
+		tr := New(driftAttrs, []string{"c0", "c1"}, Config{GracePeriod: 100})
+		rng := rand.New(rand.NewSource(seed))
 		feedRegime(tr, rng, 10000, 0)
-		return regimeAccuracy(tr, rng, 0)
-	}
-	vfdt, efdt := mk(false), mk(true)
-	if efdt < vfdt-0.02 {
-		t.Errorf("EFDT %.3f materially below VFDT %.3f on stationary data", efdt, vfdt)
+		if acc := regimeAccuracy(tr, rng, 0); acc < 0.95 {
+			t.Errorf("seed %d: stationary accuracy %.3f", seed, acc)
+		}
+		if tr.Resplits() != 0 {
+			t.Errorf("seed %d: %d resplits on stationary data", seed, tr.Resplits())
+		}
 	}
 }
 
 func BenchmarkLearnEFDT(b *testing.B) {
-	tr := New(driftAttrs, []string{"c0", "c1"},
-		Config{GracePeriod: 200, ReevaluateSplits: true})
+	tr := New(driftAttrs, []string{"c0", "c1"}, Config{GracePeriod: 200})
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

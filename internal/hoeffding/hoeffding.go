@@ -1,16 +1,21 @@
-// Package hoeffding implements the Very Fast Decision Tree (VFDT) of
-// Domingos & Hulten ("Mining High-Speed Data Streams"), the incremental
-// classifier at the heart of LATEST (§V-B). The configuration mirrors the
-// WEKA HoeffdingTree options the paper uses: information-gain splits,
-// Majority Class leaf prediction, and WEKA's default grace period, delta
-// and tie threshold.
+// Package hoeffding implements the incremental classifier at the heart of
+// LATEST (§V-B): the Extremely Fast Decision Tree (EFDT, also called the
+// Hoeffding Anytime Tree) of Manapragada et al., the paper's model
+// reference [44], which extends the Very Fast Decision Tree of Domingos &
+// Hulten ("Mining High-Speed Data Streams"). It is the only tree the
+// package builds: information-gain splits, Majority Class leaf prediction,
+// and WEKA's default grace period, delta and tie threshold.
 //
 // The tree learns from a stream of labelled instances in constant time per
-// instance. Each leaf accumulates sufficient statistics — per-value class
-// counts for nominal attributes, per-class Gaussians for numeric ones — and
-// attempts a split every GracePeriod instances: the best attribute splits
-// when its information gain beats the runner-up by the Hoeffding bound
-// ε = sqrt(R²·ln(1/δ) / 2n), or when the two are tied within TieThreshold.
+// instance. Every node an instance passes through accumulates sufficient
+// statistics — per-value class counts for nominal attributes, per-class
+// Gaussians for numeric ones — and is re-examined every GracePeriod
+// instances. A leaf splits on the best attribute when its information gain
+// beats the runner-up by the Hoeffding bound ε = sqrt(R²·ln(1/δ) / 2n), or
+// when the two are tied within TieThreshold. An internal node keeps its
+// statistics and replaces its subtree when another attribute's gain beats
+// the installed split's by ε, so the tree revises early decisions under
+// drift instead of waiting for a full rebuild.
 package hoeffding
 
 import (
@@ -38,68 +43,36 @@ type Attribute struct {
 	NumValues int
 }
 
-// LeafStrategy selects how leaves turn their statistics into predictions,
-// mirroring WEKA's leaf prediction strategy option. The paper configures
-// Majority Class (§VI-A); the Naive Bayes variants exploit the per-leaf
-// attribute observers for finer-grained predictions.
-type LeafStrategy int
-
-const (
-	// MajorityClass predicts the most frequent class at the leaf.
-	MajorityClass LeafStrategy = iota
-	// NaiveBayes predicts argmax P(class)·∏P(attrᵢ|class) from the leaf's
-	// observers.
-	NaiveBayes
-	// NaiveBayesAdaptive tracks both predictors' prequential accuracy per
-	// leaf and uses whichever has been better there (WEKA's default).
-	NaiveBayesAdaptive
-)
-
-// Config holds the VFDT hyper-parameters. Zero values take the WEKA
+// Config holds the tree's hyper-parameters. Zero values take the WEKA
 // defaults quoted in the comments.
 type Config struct {
-	// GracePeriod is the number of instances a leaf absorbs between split
+	// GracePeriod is the number of instances a node absorbs between split
 	// attempts. WEKA default: 200.
 	GracePeriod int
-	// Delta is the Hoeffding bound's confidence parameter (probability of
-	// choosing the wrong attribute). WEKA default: 1e-7.
-	Delta float64
 	// TieThreshold breaks near-ties: if ε falls below it, the best
 	// attribute splits even without dominating the runner-up. WEKA
 	// default: 0.05.
 	TieThreshold float64
-	// NumCandidates is how many thresholds a numeric attribute evaluates
-	// between its observed min and max. Default: 10.
-	NumCandidates int
 	// MaxDepth caps tree depth (0 = 32).
 	MaxDepth int
-	// Leaf selects the leaf prediction strategy. Default: MajorityClass,
-	// the paper's configuration.
-	Leaf LeafStrategy
-	// ReevaluateSplits enables EFDT/HATT mode (Manapragada et al.,
-	// "Extremely Fast Decision Tree" — the paper's reference [44]):
-	// internal nodes keep their sufficient statistics and periodically
-	// re-test their split choice; when another attribute's gain beats the
-	// installed split by the Hoeffding bound, the subtree is replaced.
-	// This lets the tree *revise* early decisions under drift instead of
-	// waiting for a full rebuild. Off by default (plain VFDT, the WEKA
-	// behaviour the paper configures).
-	ReevaluateSplits bool
 }
+
+const (
+	// delta is the Hoeffding bound's confidence parameter (probability of
+	// choosing the wrong attribute), WEKA's default.
+	delta = 1e-7
+	// numCandidates is how many thresholds a numeric attribute evaluates
+	// between its observed min and max.
+	numCandidates = 10
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.GracePeriod <= 0 {
 		out.GracePeriod = 200
 	}
-	if out.Delta <= 0 {
-		out.Delta = 1e-7
-	}
 	if out.TieThreshold <= 0 {
 		out.TieThreshold = 0.05
-	}
-	if out.NumCandidates <= 0 {
-		out.NumCandidates = 10
 	}
 	if out.MaxDepth <= 0 {
 		out.MaxDepth = 32
@@ -191,24 +164,20 @@ func (o *numericObserver) observe(v float64, class int) {
 	}
 }
 
-// node is a tree node: either a leaf with observers or an internal split.
+// node is a tree node: a leaf or an internal split. Both kinds keep their
+// counts and observers, so an internal node can re-test its split.
 type node struct {
 	// Split fields (internal nodes).
 	splitAttr int
 	threshold float64 // numeric splits: left if v <= threshold
 	children  []*node // nominal: one per value; numeric: [left, right]
 
-	// Leaf fields.
+	// Statistics.
 	classCounts []float64
 	nominal     map[int]*nominalObserver
 	numeric     map[int]*numericObserver
 	seenAtSplit float64 // instances seen at the last split attempt
 	depth       int
-
-	// Adaptive leaf-strategy bookkeeping: prequential correct counts of
-	// the two predictors at this leaf.
-	mcCorrect float64
-	nbCorrect float64
 }
 
 func (n *node) isLeaf() bool { return n.children == nil }
@@ -233,7 +202,7 @@ func (n *node) majority() int {
 	return best
 }
 
-// Tree is the VFDT classifier. Not safe for concurrent use.
+// Tree is the EFDT classifier. Not safe for concurrent use.
 type Tree struct {
 	cfg     Config
 	attrs   []Attribute
@@ -273,17 +242,13 @@ func (t *Tree) newLeaf(depth int) *node {
 	}
 }
 
-// Classes returns the class names.
-func (t *Tree) Classes() []string { return t.classes }
-
 // NodeCount returns the number of tree nodes.
 func (t *Tree) NodeCount() int { return t.nodes }
 
 // Splits returns how many leaf splits have occurred.
 func (t *Tree) Splits() int { return t.splits }
 
-// Resplits returns how many internal-node split revisions have occurred
-// (EFDT mode only).
+// Resplits returns how many internal-node split revisions have occurred.
 func (t *Tree) Resplits() int { return t.resplits }
 
 // Instances returns how many training instances the tree has absorbed.
@@ -293,30 +258,15 @@ func (t *Tree) Instances() int { return t.instances }
 func (t *Tree) sortToLeaf(x []float64) *node {
 	n := t.root
 	for !n.isLeaf() {
-		attr := t.attrs[n.splitAttr]
-		var idx int
-		if attr.Kind == Nominal {
-			idx = int(x[n.splitAttr])
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(n.children) {
-				idx = len(n.children) - 1
-			}
-		} else {
-			if x[n.splitAttr] <= n.threshold {
-				idx = 0
-			} else {
-				idx = 1
-			}
-		}
-		n = n.children[idx]
+		n = n.children[t.routeIndex(n, x)]
 	}
 	return n
 }
 
 // Learn absorbs one labelled instance. x must have one entry per attribute
-// (nominal entries are value indices); class is the label index.
+// (nominal entries are value indices); class is the label index. The
+// instance updates the statistics of every node it passes through; a due
+// leaf attempts a split and a due internal node re-tests its split.
 func (t *Tree) Learn(x []float64, class int) {
 	if len(x) != len(t.attrs) {
 		panic(fmt.Sprintf("hoeffding: instance has %d attributes, tree expects %d", len(x), len(t.attrs)))
@@ -325,29 +275,20 @@ func (t *Tree) Learn(x []float64, class int) {
 		panic(fmt.Sprintf("hoeffding: class %d out of range [0,%d)", class, len(t.classes)))
 	}
 	t.instances++
-	if t.cfg.ReevaluateSplits {
-		t.learnAnytime(x, class)
-		return
-	}
-	leaf := t.sortToLeaf(x)
-	t.scoreLeafPredictors(leaf, x, class)
-	t.observeAt(leaf, x, class)
-	if leaf.total()-leaf.seenAtSplit >= float64(t.cfg.GracePeriod) && leaf.depth < t.cfg.MaxDepth {
-		t.attemptSplit(leaf)
-	}
-}
-
-// scoreLeafPredictors updates the adaptive strategy's prequential tallies
-// before the instance is absorbed.
-func (t *Tree) scoreLeafPredictors(leaf *node, x []float64, class int) {
-	if t.cfg.Leaf != NaiveBayesAdaptive {
-		return
-	}
-	if leaf.majority() == class {
-		leaf.mcCorrect++
-	}
-	if t.naiveBayes(leaf, x) == class {
-		leaf.nbCorrect++
+	n := t.root
+	for {
+		t.observeAt(n, x, class)
+		due := n.total()-n.seenAtSplit >= float64(t.cfg.GracePeriod)
+		if n.isLeaf() {
+			if due && n.depth < t.cfg.MaxDepth {
+				t.attemptSplit(n)
+			}
+			return
+		}
+		if due {
+			t.reevaluate(n)
+		}
+		n = n.children[t.routeIndex(n, x)]
 	}
 }
 
@@ -373,35 +314,6 @@ func (t *Tree) observeAt(n *node, x []float64, class int) {
 	}
 }
 
-// learnAnytime is the EFDT training path: the instance updates statistics
-// at *every* node it passes through, leaves split as in VFDT, and internal
-// nodes periodically re-test whether their installed split is still the
-// Hoeffding-best choice — replacing the subtree when it is not.
-func (t *Tree) learnAnytime(x []float64, class int) {
-	n := t.root
-	for {
-		if n.isLeaf() {
-			t.scoreLeafPredictors(n, x, class)
-		}
-		t.observeAt(n, x, class)
-		due := n.total()-n.seenAtSplit >= float64(t.cfg.GracePeriod)
-		if n.isLeaf() {
-			if due && n.depth < t.cfg.MaxDepth {
-				t.attemptSplit(n)
-			}
-			return
-		}
-		if due {
-			t.reevaluate(n)
-			if n.isLeaf() {
-				// The split was retracted; continue as a leaf next time.
-				return
-			}
-		}
-		n = n.children[t.routeIndex(n, x)]
-	}
-}
-
 // routeIndex picks the child index an instance follows at an internal node.
 func (t *Tree) routeIndex(n *node, x []float64) int {
 	if t.attrs[n.splitAttr].Kind == Nominal {
@@ -420,7 +332,7 @@ func (t *Tree) routeIndex(n *node, x []float64) int {
 	return 1
 }
 
-// reevaluate re-tests an internal node's split (EFDT): when a different
+// reevaluate re-tests an internal node's split: when a different
 // attribute's gain now dominates the installed one by the Hoeffding bound,
 // the stale subtree is discarded and the node re-splits on the winner.
 func (t *Tree) reevaluate(n *node) {
@@ -457,7 +369,7 @@ func (t *Tree) reevaluate(n *node) {
 	}
 	total := n.total()
 	r := math.Log2(float64(len(t.classes)))
-	eps := math.Sqrt(r * r * math.Log(1/t.cfg.Delta) / (2 * total))
+	eps := math.Sqrt(r * r * math.Log(1/delta) / (2 * total))
 	if best.gain-currentGain <= eps {
 		return
 	}
@@ -480,88 +392,13 @@ func (t *Tree) subtreeSize(n *node) int {
 	return total
 }
 
-// Predict classifies an instance via the configured leaf strategy, or 0
-// when the tree has seen nothing.
+// Predict classifies an instance as the majority class of its leaf, or 0
+// when the leaf has seen nothing.
 func (t *Tree) Predict(x []float64) int {
-	leaf := t.sortToLeaf(x)
-	if p := t.leafPredict(leaf, x); p >= 0 {
+	if p := t.sortToLeaf(x).majority(); p >= 0 {
 		return p
 	}
 	return 0
-}
-
-// leafPredict applies the leaf strategy; -1 for an empty leaf.
-func (t *Tree) leafPredict(leaf *node, x []float64) int {
-	switch t.cfg.Leaf {
-	case NaiveBayes:
-		return t.naiveBayes(leaf, x)
-	case NaiveBayesAdaptive:
-		if leaf.nbCorrect > leaf.mcCorrect {
-			return t.naiveBayes(leaf, x)
-		}
-		return leaf.majority()
-	default:
-		return leaf.majority()
-	}
-}
-
-// naiveBayes scores argmax log P(c) + Σ log P(xᵢ|c) from the leaf's
-// observers, with Laplace smoothing on nominal counts and the per-class
-// Gaussians on numeric attributes. Falls back to majority when the leaf
-// has no observers (e.g. plain-VFDT internal statistics were discarded).
-func (t *Tree) naiveBayes(leaf *node, x []float64) int {
-	total := leaf.total()
-	if total == 0 {
-		return -1
-	}
-	if leaf.nominal == nil && leaf.numeric == nil {
-		return leaf.majority()
-	}
-	best, bestLL := -1, math.Inf(-1)
-	for cls, cc := range leaf.classCounts {
-		if cc == 0 {
-			continue
-		}
-		ll := math.Log(cc / total)
-		for ai, attr := range t.attrs {
-			if attr.Kind == Nominal {
-				obs := leaf.nominal[ai]
-				if obs == nil {
-					continue
-				}
-				v := int(x[ai])
-				if v < 0 {
-					v = 0
-				}
-				if v >= len(obs.counts) {
-					v = len(obs.counts) - 1
-				}
-				ll += math.Log((obs.counts[v][cls] + 1) / (cc + float64(attr.NumValues)))
-			} else {
-				obs := leaf.numeric[ai]
-				if obs == nil {
-					continue
-				}
-				g := &obs.perClass[cls]
-				if g.n < 2 {
-					continue
-				}
-				sd := math.Sqrt(g.variance())
-				if sd < 1e-9 {
-					sd = 1e-9
-				}
-				d := (x[ai] - g.mean) / sd
-				ll += -0.5*d*d - math.Log(sd)
-			}
-		}
-		if ll > bestLL {
-			best, bestLL = cls, ll
-		}
-	}
-	if best < 0 {
-		return leaf.majority()
-	}
-	return best
 }
 
 // PredictProba returns the normalized class distribution at the instance's
@@ -620,7 +457,7 @@ func (t *Tree) attemptSplit(leaf *node) {
 	}
 	n := leaf.total()
 	r := math.Log2(float64(len(t.classes)))
-	eps := math.Sqrt(r * r * math.Log(1/t.cfg.Delta) / (2 * n))
+	eps := math.Sqrt(r * r * math.Log(1/delta) / (2 * n))
 	secondGain := 0.0
 	if second.valid {
 		secondGain = second.gain
@@ -666,11 +503,10 @@ func (t *Tree) numericCandidate(leaf *node, ai int, baseEntropy float64) candida
 	}
 	total := leaf.total()
 	bestGain, bestThresh := -1.0, 0.0
-	k := t.cfg.NumCandidates
 	left := make([]float64, len(t.classes))
 	right := make([]float64, len(t.classes))
-	for i := 1; i <= k; i++ {
-		thresh := obs.min + (obs.max-obs.min)*float64(i)/float64(k+1)
+	for i := 1; i <= numCandidates; i++ {
+		thresh := obs.min + (obs.max-obs.min)*float64(i)/(numCandidates+1)
 		lTot, rTot := 0.0, 0.0
 		for cls := range t.classes {
 			g := &obs.perClass[cls]
@@ -724,12 +560,6 @@ func (t *Tree) split(leaf *node, c candidate) {
 	leaf.children = children
 	leaf.splitAttr = c.attr
 	leaf.threshold = c.threshold
-	if !t.cfg.ReevaluateSplits {
-		// Plain VFDT discards the observers once split; EFDT keeps them so
-		// the split can be re-tested later.
-		leaf.nominal = nil
-		leaf.numeric = nil
-	}
 	t.nodes += len(children)
 	t.splits++
 }

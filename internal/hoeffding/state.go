@@ -5,7 +5,9 @@ import "github.com/spatiotext/latest/internal/persist"
 // SaveState serializes the tree: shape fingerprint, counters, then a
 // preorder node walk. Observer maps are written in ascending attribute
 // index order so the encoding is deterministic regardless of map iteration
-// order. Node depths re-derive from the walk.
+// order. Node depths re-derive from the walk. Each node still carries two
+// retired per-leaf tallies, written as zeros, and a presence flag before
+// each observer map, written true, so images keep their layout.
 func (t *Tree) SaveState(e *persist.Enc) {
 	e.Int(len(t.attrs))
 	e.Int(len(t.classes))
@@ -25,55 +27,39 @@ func (t *Tree) saveNode(e *persist.Enc, n *node) {
 	}
 	e.F64s(n.classCounts)
 	e.F64(n.seenAtSplit)
-	e.F64(n.mcCorrect)
-	e.F64(n.nbCorrect)
+	e.F64(0) // retired per-leaf tallies
+	e.F64(0)
 
-	e.Bool(n.nominal != nil)
-	if n.nominal != nil {
-		saved := 0
-		for ai := range t.attrs {
-			if n.nominal[ai] != nil {
-				saved++
-			}
+	e.Bool(true) // nominal observers present
+	e.Int(len(n.nominal))
+	for ai := range t.attrs {
+		obs := n.nominal[ai]
+		if obs == nil {
+			continue
 		}
-		e.Int(saved)
-		for ai := range t.attrs {
-			obs := n.nominal[ai]
-			if obs == nil {
-				continue
-			}
-			e.Int(ai)
-			e.Int(len(obs.counts))
-			for _, row := range obs.counts {
-				e.F64s(row)
-			}
+		e.Int(ai)
+		e.Int(len(obs.counts))
+		for _, row := range obs.counts {
+			e.F64s(row)
 		}
 	}
-	e.Bool(n.numeric != nil)
-	if n.numeric != nil {
-		saved := 0
-		for ai := range t.attrs {
-			if n.numeric[ai] != nil {
-				saved++
-			}
+	e.Bool(true) // numeric observers present
+	e.Int(len(n.numeric))
+	for ai := range t.attrs {
+		obs := n.numeric[ai]
+		if obs == nil {
+			continue
 		}
-		e.Int(saved)
-		for ai := range t.attrs {
-			obs := n.numeric[ai]
-			if obs == nil {
-				continue
-			}
-			e.Int(ai)
-			for ci := range obs.perClass {
-				g := &obs.perClass[ci]
-				e.F64(g.n)
-				e.F64(g.mean)
-				e.F64(g.m2)
-			}
-			e.F64(obs.min)
-			e.F64(obs.max)
-			e.Bool(obs.seen)
+		e.Int(ai)
+		for ci := range obs.perClass {
+			g := &obs.perClass[ci]
+			e.F64(g.n)
+			e.F64(g.mean)
+			e.F64(g.m2)
 		}
+		e.F64(obs.min)
+		e.F64(obs.max)
+		e.Bool(obs.seen)
 	}
 	if !n.isLeaf() {
 		for _, c := range n.children {
@@ -130,23 +116,24 @@ func (t *Tree) loadNode(d *persist.Dec, depth int, read *int, limit int) (*node,
 	}
 	classCounts := d.F64s()
 	seenAtSplit := d.F64()
-	mcCorrect := d.F64()
-	nbCorrect := d.F64()
+	d.F64() // retired per-leaf tallies
+	d.F64()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
 	if len(classCounts) != len(t.classes) {
 		return nil, persist.Errf(persist.CodeMismatch, op, "%d class counts, tree has %d classes", len(classCounts), len(t.classes))
 	}
+	// Every node gets both maps, so Learn can observe at it; a presence
+	// flag only says whether entries follow.
 	n := &node{
 		classCounts: classCounts,
+		nominal:     make(map[int]*nominalObserver),
+		numeric:     make(map[int]*numericObserver),
 		seenAtSplit: seenAtSplit,
-		mcCorrect:   mcCorrect,
-		nbCorrect:   nbCorrect,
 		depth:       depth,
 	}
 	if d.Bool() { // nominal observers present
-		n.nominal = make(map[int]*nominalObserver)
 		count := d.Int()
 		if d.Err() != nil {
 			return nil, d.Err()
@@ -181,7 +168,6 @@ func (t *Tree) loadNode(d *persist.Dec, depth int, read *int, limit int) (*node,
 		}
 	}
 	if d.Bool() { // numeric observers present
-		n.numeric = make(map[int]*numericObserver)
 		count := d.Int()
 		if d.Err() != nil {
 			return nil, d.Err()
