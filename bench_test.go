@@ -21,12 +21,14 @@ import (
 
 	"github.com/spatiotext/latest/internal/asptree"
 	"github.com/spatiotext/latest/internal/core"
+	"github.com/spatiotext/latest/internal/datagen"
 	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/experiments"
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/hoeffding"
 	"github.com/spatiotext/latest/internal/metrics"
 	"github.com/spatiotext/latest/internal/stream"
+	queryload "github.com/spatiotext/latest/internal/workload"
 )
 
 // benchCfg scales the experiments down so a full -bench=. pass stays in
@@ -502,5 +504,84 @@ func BenchmarkSystemEstimate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys.Estimate(&q)
 		sys.ObserveActual(120)
+	}
+}
+
+// BenchmarkShardSetup sets up the repository benchmark's embed deployment
+// at 1, 2, 4 and 8 shards: Twitter at 2 objects per virtual millisecond
+// against a 60 s window, TwQW1 queries, WithPretrainQueries(1000) and a
+// constant latency per estimator. It fills the window, then issues queries
+// with 16 objects between them until every shard has left pre-training,
+// and reports that set-up time. It then reports the mean accuracy of the
+// next 600 queries and the estimator MemoryBytes summed over the shards.
+// One set-up per shard count:
+//
+//	go test -run '^$' -bench ShardSetup -benchtime 1x
+func BenchmarkShardSetup(b *testing.B) {
+	const (
+		rate, spanMS = 2, 60_000
+		window       = rate * spanMS
+		pretrain     = 1000
+		measured     = 600
+	)
+	src := datagen.ByName("Twitter", 1, rate)
+	pool := make([]Object, 2*window)
+	for i := range pool {
+		pool[i] = src.Next()
+	}
+	gen := queryload.NewGenerator(queryload.ByName("TwQW1"), src, 1<<14)
+	qs := make([]Query, 1<<14)
+	for i := range qs {
+		qs[i] = gen.Next(0)
+	}
+	latency := WithLatencyModel(func(name string, _ *Query, _ time.Duration) time.Duration {
+		us := map[string]int{EstimatorH4096: 50, EstimatorAASP: 80, EstimatorRSH: 120,
+			EstimatorFFN: 200, EstimatorSPN: 300, EstimatorRSL: 400}[name]
+		return time.Duration(us) * time.Microsecond
+	})
+	for _, n := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			var setup, acc float64
+			var mem int
+			for it := 0; it < b.N; it++ {
+				next := 0
+				feed := func(s *ShardedSystem, k int) {
+					batch := make([]Object, k)
+					for j := range batch {
+						batch[j] = pool[next%len(pool)]
+						batch[j].ID, batch[j].Timestamp = uint64(next), int64(next/rate)
+						next++
+					}
+					s.FeedBatch(batch)
+				}
+				start := time.Now()
+				s := MustNewSharded(src.World(), spanMS*time.Millisecond, WithShards(n),
+					WithPretrainQueries(pretrain), WithSeed(1), latency)
+				for next < window {
+					feed(s, 256)
+				}
+				qi := 0
+				for ; s.Phase() != PhaseIncremental; qi++ {
+					q := qs[qi%len(qs)]
+					q.Timestamp = int64((next - 1) / rate)
+					s.EstimateAndExecute(&q)
+					feed(s, 16)
+				}
+				setup = time.Since(start).Seconds()
+				acc = 0
+				for k := 0; k < measured; k, qi = k+1, qi+1 {
+					q := qs[qi%len(qs)]
+					q.Timestamp = int64((next - 1) / rate)
+					est, actual := s.EstimateAndExecute(&q)
+					acc += metrics.Accuracy(est, float64(actual)) / measured
+					feed(s, 16)
+				}
+				mem = s.Stats().MemoryBytes
+				s.Close()
+			}
+			b.ReportMetric(setup, "setup-s")
+			b.ReportMetric(acc, "accuracy-mean")
+			b.ReportMetric(float64(mem)/(1<<20), "estimator-MB")
+		})
 	}
 }

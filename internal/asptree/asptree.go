@@ -14,14 +14,17 @@
 // O(nodes) sweep.
 //
 // Keyword information is summarised per node by hashing keywords into a
-// fixed number of buckets of per-slice counts. Bucket collisions make the
-// per-keyword fractions approximate, which is faithful to AASP's observed
-// behaviour in the paper: strong on spatially-clustered keyword
-// correlations, weak on high-cardinality keyword workloads.
+// fixed number of buckets of windowed counts. Each time slice logs the
+// (node, bucket) cells it counted, so retiring the slice takes exactly those
+// counts back out and no node holds a per-slice keyword ring. Bucket
+// collisions make the per-keyword fractions approximate, which is faithful
+// to AASP's observed behaviour in the paper: strong on spatially-clustered
+// keyword correlations, weak on high-cardinality keyword workloads.
 package asptree
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/kmv"
@@ -93,10 +96,11 @@ type columns struct {
 	// descendants) during time slice s; node[id].live caches the ring sum.
 	slices []uint32
 
-	// kw[id][b*S+s] counts keyword occurrences hashed to bucket b in slice
-	// s, one exact allocation per node so that a grown column holds no
-	// slack rings; kwLive[b*stride+id] caches each bucket's ring sum.
-	kw     [][]uint32
+	// kwLog[s] logs the keyword occurrences counted during time slice s as
+	// (cell, count) entries, cell = id*KeywordBuckets + b, so a node holds
+	// no keyword memory of its own; kwLive[b*stride+id] sums the logs'
+	// counts for node id and bucket b.
+	kwLog  [][]uint32
 	kwLive []uint32
 
 	stride int     // ids every column holds
@@ -117,6 +121,55 @@ type node struct {
 	live  uint32
 }
 
+// A keyword log entry is one word, the cell, when it counts one
+// occurrence, and two, kwRun|count then the cell, when it counts more.
+// Cells stay below kwRun (New checks), so a word says which kind it is, and
+// a log's last word is always a cell.
+const kwRun = 1 << 31
+
+// logCell counts one occurrence of cell into log: it bumps the last entry
+// when that names cell, and appends an entry otherwise.
+func logCell(log []uint32, cell uint32) []uint32 {
+	k := len(log) - 1
+	switch {
+	case k < 0 || log[k] != cell:
+		return append(log, cell)
+	case k > 0 && log[k-1]&kwRun != 0:
+		if log[k-1] == math.MaxUint32 {
+			return append(log, cell)
+		}
+		log[k-1]++
+		return log
+	default:
+		log[k] = kwRun | 2
+		return append(log, cell)
+	}
+}
+
+// logRun appends an entry counting n > 0 occurrences of cell.
+func logRun(log []uint32, cell, n uint32) []uint32 {
+	for ; n > kwRun-1; n -= kwRun - 1 {
+		log = append(log, math.MaxUint32, cell)
+	}
+	if n > 1 {
+		log = append(log, kwRun|n)
+	}
+	return append(log, cell)
+}
+
+// eachEntry calls fn with every entry of log.
+func eachEntry(log []uint32, fn func(cell, n uint32)) {
+	n := uint32(1)
+	for _, w := range log {
+		if w&kwRun != 0 {
+			n = w &^ kwRun
+			continue
+		}
+		fn(w, n)
+		n = 1
+	}
+}
+
 // synopsisK is the size of the windowed distinct-keyword synopsis.
 const synopsisK = 256
 
@@ -126,6 +179,9 @@ func New(world geo.Rect, cfg Config) *Tree {
 		panic(fmt.Sprintf("asptree: invalid world %v", world))
 	}
 	c := cfg.withDefaults()
+	if uint64(c.MaxNodes)*uint64(c.KeywordBuckets) > kwRun {
+		panic(fmt.Sprintf("asptree: %d nodes × %d keyword buckets overflow a log cell", c.MaxNodes, c.KeywordBuckets))
+	}
 	t := &Tree{cfg: c, synopsis: kmv.NewSliced(synopsisK, c.Slices)}
 	t.plant(world)
 	return t
@@ -133,7 +189,7 @@ func New(world geo.Rect, cfg Config) *Tree {
 
 // plant replaces the columns with a lone root over world.
 func (t *Tree) plant(world geo.Rect) {
-	t.columns = columns{}
+	t.columns = columns{kwLog: make([][]uint32, t.cfg.Slices)}
 	t.grow(1)
 	t.top = 1
 	t.initNode(0, world, 0)
@@ -148,7 +204,6 @@ func (t *Tree) grow(need int) {
 	t.bounds = resized(t.bounds, n)
 	t.depth = resized(t.depth, n)
 	t.node = resized(t.node, n)
-	t.kw = resized(t.kw, n)
 	t.slices = restrided(t.slices, t.stride, n, t.cfg.Slices)
 	t.kwLive = restrided(t.kwLive, t.stride, n, t.cfg.KeywordBuckets)
 	t.stride = n
@@ -175,7 +230,6 @@ func (t *Tree) initNode(id int32, bounds geo.Rect, depth int32) {
 	t.bounds[id] = bounds
 	t.depth[id] = depth
 	t.node[id].child = -1
-	t.kw[id] = make([]uint32, t.cfg.KeywordBuckets*t.cfg.Slices)
 	if bounds.Empty() {
 		t.degenerate = true
 	}
@@ -201,14 +255,15 @@ func (t *Tree) Insert(p geo.Point, kws []string) {
 	t.slices[t.cur*t.stride+int(id)]++
 	t.node[id].live++
 	t.totalLive++
-	ring := t.kw[id]
+	log := t.kwLog[t.cur]
 	for _, kw := range kws {
 		h := kmv.Hash64(kw)
 		b := int(h % uint64(t.cfg.KeywordBuckets))
-		ring[b*t.cfg.Slices+t.cur]++
+		log = logCell(log, uint32(int(id)*t.cfg.KeywordBuckets+b))
 		t.kwLive[b*t.stride+int(id)]++
 		t.synopsis.AddHash(h)
 	}
+	t.kwLog[t.cur] = log
 	if int(t.node[id].live) > t.cfg.SplitThreshold &&
 		int(t.depth[id]) < t.cfg.MaxDepth &&
 		t.nodes+4 <= t.cfg.MaxNodes {
@@ -247,10 +302,9 @@ func (t *Tree) AdvanceSlice() {
 }
 
 // retire zeroes the (new) current slice in every node, updating live
-// caches. A node that absorbed no point in the slice holds no keyword count
-// in it either, so only the slice's row is read for every id.
+// caches, and takes the slice's keyword log back out of the bucket sums.
+// The log keeps its array for the slice's next turn.
 func (t *Tree) retire() {
-	S := t.cfg.Slices
 	row := t.slices[t.cur*t.stride : t.cur*t.stride+t.top]
 	for id, old := range row {
 		if old == 0 {
@@ -259,18 +313,18 @@ func (t *Tree) retire() {
 		row[id] = 0
 		t.node[id].live -= old
 		t.totalLive -= old
-		ring := t.kw[id]
-		for b := 0; b < t.cfg.KeywordBuckets; b++ {
-			k := ring[b*S+t.cur]
-			ring[b*S+t.cur] = 0
-			t.kwLive[b*t.stride+id] -= k
-		}
 	}
+	B := uint32(t.cfg.KeywordBuckets)
+	eachEntry(t.kwLog[t.cur], func(cell, n uint32) {
+		t.kwLive[int(cell%B)*t.stride+int(cell/B)] -= n
+	})
+	t.kwLog[t.cur] = t.kwLog[t.cur][:0]
 }
 
 // collapse removes child quartets whose subtrees hold no live counts,
-// dropping their keyword rings and keeping their ids for the next split.
-// It returns the subtree's live total.
+// keeping their ids for the next split. A node with no live count was
+// counted in no slice still in the ring, so no log names it. It returns the
+// subtree's live total.
 func (t *Tree) collapse(id int32) uint32 {
 	c := t.node[id].child
 	if c < 0 {
@@ -281,9 +335,6 @@ func (t *Tree) collapse(id int32) uint32 {
 		sub += t.collapse(i)
 	}
 	if sub == 0 {
-		for i := c; i < c+4; i++ {
-			t.kw[i] = nil
-		}
 		t.node[id].child = -1
 		t.free = append(t.free, c)
 		t.nodes -= 4
@@ -417,14 +468,18 @@ func (t *Tree) Reset() {
 	t.synopsis = kmv.NewSliced(synopsisK, t.cfg.Slices)
 }
 
-// MemoryBytes approximates the tree's footprint for the memory-budget
-// experiment.
+// MemoryBytes is the tree's footprint for the memory-budget experiment:
+// every column at the ids it holds, the free list, the keyword logs at
+// their capacity and the synopsis.
 func (t *Tree) MemoryBytes() int {
-	perNode := 64 + // struct overhead
-		4*t.cfg.Slices + // slices ring
-		4*t.cfg.KeywordBuckets*t.cfg.Slices + // kw ring
-		4*t.cfg.KeywordBuckets // kwLive cache
-	return t.nodes*perNode + t.synopsis.MemoryBytes()
+	perID := 32 + 4 + 8 + // bounds, depth, node
+		4*t.cfg.Slices + // slice counts
+		4*t.cfg.KeywordBuckets // kwLive
+	b := 128 + t.stride*perID + 4*cap(t.free)
+	for _, log := range t.kwLog {
+		b += 24 + 4*cap(log)
+	}
+	return b + t.synopsis.MemoryBytes()
 }
 
 // Depth returns the maximum depth of any node, a diagnostics hook used by

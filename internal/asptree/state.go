@@ -13,23 +13,65 @@ func (t *Tree) SaveState(e *persist.Enc) {
 	e.Int(t.nodes)
 	e.Int(t.cur)
 	e.U32(t.totalLive)
-	t.saveNode(e, 0, make([]uint32, max(t.cfg.Slices, t.cfg.KeywordBuckets)))
+	w := nodeWriter{
+		buf:  make([]uint32, max(t.cfg.Slices, t.cfg.KeywordBuckets)),
+		ring: make([]uint32, t.cfg.KeywordBuckets*t.cfg.Slices),
+	}
+	w.off, w.at = t.logsByNode()
+	t.saveNode(e, 0, &w)
 	t.synopsis.SaveState(e)
 }
 
+// nodeWriter is saveNode's scratch: buf gathers a column, ring a node's
+// keyword ring, and the logs' entries for node id are at[off[id]:off[id+1]].
+type nodeWriter struct {
+	buf, ring []uint32
+	off       []int32
+	at        []ringCount
+}
+
+// ringCount is n occurrences counted at index i of a node's keyword ring.
+type ringCount struct{ i, n uint32 }
+
+// logsByNode groups the keyword logs' entries by node with a counting
+// sort, each as the ring index b*Slices + s it counts at.
+func (t *Tree) logsByNode() (off []int32, at []ringCount) {
+	B, S := uint32(t.cfg.KeywordBuckets), uint32(t.cfg.Slices)
+	off = make([]int32, t.top+1)
+	for _, log := range t.kwLog {
+		eachEntry(log, func(cell, _ uint32) { off[cell/B+1]++ })
+	}
+	for id := 1; id <= t.top; id++ {
+		off[id] += off[id-1]
+	}
+	at = make([]ringCount, off[t.top])
+	next := append([]int32(nil), off[:t.top]...)
+	for s, log := range t.kwLog {
+		eachEntry(log, func(cell, n uint32) {
+			id := cell / B
+			at[next[id]] = ringCount{i: cell%B*S + uint32(s), n: n}
+			next[id]++
+		})
+	}
+	return off, at
+}
+
 // saveNode writes the subtree at id in preorder, each node's rings in the
-// order of a node that owns its arrays; buf is scratch for gathering a
-// column.
-func (t *Tree) saveNode(e *persist.Enc, id int32, buf []uint32) {
+// order of a node that owns its arrays.
+func (t *Tree) saveNode(e *persist.Enc, id int32, w *nodeWriter) {
 	c := t.node[id].child
 	e.Bool(c >= 0)
-	e.U32s(t.gather(t.slices, t.cfg.Slices, id, buf))
+	e.U32s(t.gather(t.slices, t.cfg.Slices, id, w.buf))
 	e.U32(t.node[id].live)
-	e.U32s(t.kw[id])
-	e.U32s(t.gather(t.kwLive, t.cfg.KeywordBuckets, id, buf))
+	clear(w.ring)
+	for _, x := range w.at[w.off[id]:w.off[id+1]] {
+		w.ring[x.i] += x.n
+	}
+	e.U32s(w.ring)
+	e.U32s(t.gather(t.kwLive, t.cfg.KeywordBuckets, id, w.buf))
 	if c >= 0 {
 		for i := c; i < c+4; i++ {
-			t.saveNode(e, i, buf)
+			t.saveNode(e, i, w)
 		}
 	}
 }
@@ -79,9 +121,11 @@ func (t *Tree) LoadState(d *persist.Dec) error {
 	return nil
 }
 
-// loadNode decodes the subtree at id, splitting as the image says. Every
-// cache must equal the sum it caches, and a slice with no points must hold
-// no keyword counts: retire skips such a slice, and would leave them behind.
+// loadNode decodes the subtree at id, splitting as the image says, and logs
+// one entry per non-zero keyword cell. Every cache must equal the sum it
+// caches, and a slice with no points must hold no keyword counts: a node
+// with no live count can collapse and hand its id to a new node, which a
+// log entry left behind would then be retired from.
 func (t *Tree) loadNode(d *persist.Dec, id int32, limit int, liveSum *uint32) error {
 	const op = "asp node"
 	hasChildren := d.Bool()
@@ -118,7 +162,13 @@ func (t *Tree) loadNode(d *persist.Dec, id int32, limit int, liveSum *uint32) er
 	}
 	t.node[id].live = live
 	*liveSum += live
-	copy(t.kw[id], kw)
+	for b := 0; b < B; b++ {
+		for s, k := range kw[b*S : (b+1)*S] {
+			if k != 0 {
+				t.kwLog[s] = logRun(t.kwLog[s], uint32(int(id)*B+b), k)
+			}
+		}
+	}
 	for b, v := range kwLive {
 		t.kwLive[b*t.stride+int(id)] = v
 	}

@@ -60,7 +60,7 @@ type Config struct {
 	// Default 200.
 	AccWindow int
 	// PretrainQueries is the length of the pre-training phase in queries.
-	// Default 2000.
+	// Default DefaultPretrainQueries.
 	PretrainQueries int
 	// CooldownQueries is the minimum number of queries between switches,
 	// letting the fresh estimator populate the accuracy window. Default
@@ -127,6 +127,10 @@ type Config struct {
 	Oracle func(q *stream.Query) float64
 }
 
+// DefaultPretrainQueries is the pre-training length when Config leaves it
+// zero.
+const DefaultPretrainQueries = 2000
+
 func (c Config) withDefaults() Config {
 	if c.Registry == nil {
 		c.Registry = estimator.DefaultRegistry()
@@ -150,7 +154,7 @@ func (c Config) withDefaults() Config {
 		c.AccWindow = 200
 	}
 	if c.PretrainQueries == 0 {
-		c.PretrainQueries = 2000
+		c.PretrainQueries = DefaultPretrainQueries
 	}
 	if c.CooldownQueries == 0 {
 		c.CooldownQueries = c.AccWindow / 2

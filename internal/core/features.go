@@ -46,6 +46,11 @@ type brain struct {
 	profAcc [][]*metrics.EWMA
 	profLat [][]*metrics.EWMA
 
+	// Scratch for scores, one entry per estimator.
+	scoreBuf  []float64
+	okBuf     []bool
+	logLatBuf []float64
+
 	// Model self-monitoring (§V-D's manual retraining trigger): the tree's
 	// prequential accuracy against the labels it is about to learn, and the
 	// recent labels themselves. The tree is rebuilt only when it scores
@@ -92,6 +97,9 @@ func newBrain(names []string, cfg Config) *brain {
 		selfAcc:    metrics.NewSlidingAverage(maxInt(cfg.AccWindow, 8)),
 		labels:     make([]int8, maxInt(cfg.AccWindow, 8)),
 		minRecords: cfg.AccWindow * len(names),
+		scoreBuf:   make([]float64, len(names)),
+		okBuf:      make([]bool, len(names)),
+		logLatBuf:  make([]float64, len(names)),
 	}
 	for range names {
 		accRow := make([]*metrics.EWMA, numQueryTypes)
@@ -141,14 +149,15 @@ const (
 // Both features are normalized across the fleet for this query type —
 // accuracy linearly, latency on a log scale — against spreads floored by
 // the constants above. ok[i] reports whether estimator i has been measured
-// for qt at all.
+// for qt at all. Both slices are the brain's scratch, overwritten by the
+// next call: a caller that keeps a result across one must copy it.
 func (b *brain) scores(qt stream.QueryType) (score []float64, ok []bool) {
 	n := len(b.names)
-	score = make([]float64, n)
-	ok = make([]bool, n)
+	score, ok, logLat := b.scoreBuf, b.okBuf, b.logLatBuf
+	clear(score)
+	clear(ok)
 	accLo, accHi := math.Inf(1), math.Inf(-1)
 	latLo, latHi := math.Inf(1), math.Inf(-1)
-	logLat := make([]float64, n)
 	any := false
 	for est := 0; est < n; est++ {
 		if !b.profAcc[est][qt].Seen() {

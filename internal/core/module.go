@@ -84,10 +84,11 @@ type Module struct {
 	// alternative was best. Averaging over the window weighs the gap by
 	// the live workload mix, so a 95%-spatial phase accumulates evidence
 	// even with keyword queries interleaved.
-	oppGap  *metrics.SlidingAverage
-	oppBest []int
-	oppQt   []stream.QueryType
-	oppN    int
+	oppGap   *metrics.SlidingAverage
+	oppBest  []int
+	oppQt    []stream.QueryType
+	oppN     int
+	oppCount []int // scratch: wins per estimator over oppBest
 }
 
 // pendingQuery carries the measurements taken at Estimate time until the
@@ -126,6 +127,7 @@ func New(cfg Config) (*Module, error) {
 	}
 	m.qerrN = make([]uint64, len(cfg.Estimators))
 	m.drifted = make([]bool, len(cfg.Estimators))
+	m.oppCount = make([]int, len(cfg.Estimators))
 	// The paper's text places pre-filling at β·τ and switching at τ, but
 	// with 0<β<1 a falling average crosses τ first; the mechanism is only
 	// coherent with the pre-fill threshold above the switch threshold. We
@@ -442,11 +444,11 @@ func (m *Module) opportunity(q *stream.Query) bool {
 		return false
 	}
 	qt := q.Type()
+	best := m.brain.bestOpportunity(qt, m.active)
 	scores, ok := m.brain.scores(qt)
 	if !ok[m.active] {
 		return false
 	}
-	best := m.brain.bestOpportunity(qt, m.active)
 	gap := 0.0
 	if best >= 0 {
 		gap = scores[best] - scores[m.active]
@@ -462,15 +464,16 @@ func (m *Module) opportunity(q *stream.Query) bool {
 	if mean <= m.cfg.OpportunityMargin/2 {
 		return false
 	}
-	// Target: the alternative that won most of the recent window.
-	counts := make(map[int]int, len(m.names))
+	// Target: the alternative that won most of the recent window, the
+	// first in fleet order on a tie, so a seeded run repeats.
+	clear(m.oppCount)
 	for _, b := range m.oppBest {
 		if b >= 0 {
-			counts[b]++
+			m.oppCount[b]++
 		}
 	}
 	target, targetN := -1, 0
-	for est, n := range counts {
+	for est, n := range m.oppCount {
 		if n > targetN {
 			target, targetN = est, n
 		}

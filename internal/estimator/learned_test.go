@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/spatiotext/latest/internal/geo"
@@ -48,6 +49,32 @@ func TestAASPWindowExpiry(t *testing.T) {
 	if got := a.Estimate(&q); got != 0 {
 		t.Errorf("stale estimate = %v", got)
 	}
+}
+
+// TestAASPMemoryBytesIsTheHeap: what a default-size AASP reports is what
+// it holds, within 15 % of the heap it adds on the Twitter preset — after
+// one window of 120 000 objects, which must stay under 3.5 MB (a tree that
+// gave every node a ring of 64 keyword buckets by 8 slices held 10.5 MiB),
+// and again in the steady state of a second window, whose retires and
+// collapses leave logs and columns at their high-water marks.
+func TestAASPMemoryBytesIsTheHeap(t *testing.T) {
+	tw := newTwitterStream() // allocated before the baseline
+	before := heapAlloc()
+	a := NewAASP(tw.params())
+	for window := 1; window <= 2; window++ {
+		tw.feed(a, twitterWindow)
+		held := float64(heapAlloc() - before)
+		reported := a.MemoryBytes()
+		t.Logf("window %d: %d nodes, reports %d KB, holds %.0f KB", window, a.NodeCount(), reported>>10, held/1024)
+		if ratio := float64(reported) / held; ratio < 0.85 || ratio > 1.15 {
+			t.Errorf("window %d: MemoryBytes %d, heap grew by %.0f (ratio %.2f)", window, reported, held, ratio)
+		}
+		if window == 1 && held > 3.5e6 {
+			t.Errorf("a 120 000-object tree holds %.0f bytes, over 3.5 MB", held)
+		}
+	}
+	runtime.KeepAlive(a)
+	runtime.KeepAlive(tw)
 }
 
 func TestFFNUntrainedReturnsZero(t *testing.T) {

@@ -106,7 +106,10 @@ func (s *Synopsis) AddHash(h uint64) bool {
 	}
 	if len(s.heap) < s.k {
 		s.set[h] = struct{}{}
-		heap.Push(&s.heap, h)
+		// heap.Push, without boxing h into an interface: append, then sift
+		// up.
+		s.heap = append(s.heap, h)
+		heap.Fix(&s.heap, len(s.heap)-1)
 		return true
 	}
 	delete(s.set, s.heap[0])

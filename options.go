@@ -59,7 +59,9 @@ func WithAccWindow(n int) Option {
 	return func(c *config) { c.AccWindow = n }
 }
 
-// WithPretrainQueries sets the pre-training phase length (default 2000).
+// WithPretrainQueries sets the engine's pre-training phase length (default
+// 2000). A ShardedSystem splits it across its shards: each of n shards
+// pre-trains on ceil(length/n) queries.
 func WithPretrainQueries(n int) Option {
 	return func(c *config) { c.PretrainQueries = n }
 }
@@ -103,8 +105,9 @@ func WithOracleGridCells(n int) Option {
 }
 
 // WithShards sets the number of spatial shards a ShardedSystem partitions
-// the world into (default runtime.GOMAXPROCS(0)). New rejects it, and so
-// does NewConcurrent, which always builds one shard.
+// the world into (default runtime.GOMAXPROCS(0)). The pre-training length
+// (WithPretrainQueries) stays the engine's and is split across the shards.
+// New rejects it, and so does NewConcurrent, which always builds one shard.
 func WithShards(n int) Option {
 	return func(c *config) { c.Shards = n }
 }

@@ -325,6 +325,41 @@ func TestRestoreOneShardImageSharded1x1(t *testing.T) {
 	}
 }
 
+// TestRestoredShardPastItsShareLeavesPretraining: the sharded fingerprint
+// keeps the engine's pre-training length, not a shard's share of it, so an
+// image written when every shard pre-trained on the whole length still
+// restores. The image was written that way by commit 2497947: two shards,
+// WithPretrainQueries(80), and 60 keyword queries, so each shard had seen 60
+// of its 80. Each shard's share is now 40, which both have passed, so the
+// next query takes each of them out of pre-training.
+func TestRestoredShardPastItsShareLeavesPretraining(t *testing.T) {
+	world, window := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second
+	data, err := os.ReadFile(filepath.Join("testdata", "persist", "sharded2_pretrain60.lsnp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := MustNewSharded(world, window, WithShards(2), WithEstimators(EstimatorH4096, EstimatorRSH),
+		WithPretrainQueries(80), WithMemoryScale(0.01), WithSeed(5))
+	defer eng.Close()
+	st := NewMemStore()
+	if err := st.Save(persist.SnapshotName, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Restore(context.Background(), st); err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range eng.PerShardStats().Shards {
+		if sh.Core.Phase != PhasePretrain || sh.Core.PretrainSeen != 60 {
+			t.Fatalf("shard %d restored in %v with %d pre-training queries seen, want pre-training with 60", i, sh.Core.Phase, sh.Core.PretrainSeen)
+		}
+	}
+	q := KeywordQuery([]string{"kw1"}, 40)
+	eng.EstimateAndExecute(&q)
+	if p := eng.Phase(); p != PhaseIncremental {
+		t.Errorf("engine in %v after one more query, want every shard incremental", p)
+	}
+}
+
 func TestRestoreFailurePaths(t *testing.T) {
 	src := testSystem(t)
 	w := newWorkload(10)

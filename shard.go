@@ -81,7 +81,9 @@ type shard struct {
 
 // NewSharded builds a sharded LATEST system over the given world,
 // partitioned into WithShards(n) spatial shards (default
-// runtime.GOMAXPROCS(0)). It starts no goroutine; call Close when done to
+// runtime.GOMAXPROCS(0)). WithPretrainQueries sets the engine's
+// pre-training length, split across the shards: each pre-trains on
+// ceil(length/n) queries. It starts no goroutine; call Close when done to
 // stop the telemetry server WithTelemetry starts.
 func NewSharded(world Rect, window time.Duration, opts ...Option) (*ShardedSystem, error) {
 	return newSharded(buildConfig(world, window, opts))
@@ -124,6 +126,12 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 		b := make([][]Object, n)
 		return &b
 	}
+	// Each shard pre-trains on its share of the engine's length, so set-up
+	// pays for one pre-training, not one per shard.
+	pretrain := cfg.PretrainQueries
+	if pretrain == 0 {
+		pretrain = core.DefaultPretrainQueries
+	}
 	baseLog := telemetry.NewLogger(cfg.LogOutput, cfg.LogLevel)
 	for i := range s.shards {
 		r, c := i/cols, i%cols
@@ -137,6 +145,7 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 		// Shard 0 keeps the configured seed so a 1-shard system matches
 		// System exactly; the rest decorrelate their estimator randomness.
 		shardCfg.Seed = cfg.Seed + int64(i)*1_000_003
+		shardCfg.PretrainQueries = (pretrain + n - 1) / n
 		sys, err := newSystem(shardCfg, component)
 		if err != nil {
 			return nil, err
@@ -148,10 +157,14 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 		sh.sys = sys
 		s.shards[i] = sh
 	}
-	// The sharded fingerprint takes world and seed from the top-level
-	// options (shard systems see derived ones); every other module knob is
-	// identical across shards, so shard 0's resolved config stands for all.
-	s.fingerprint = configFingerprint(&cfg, s.shards[0].sys.module.Config())
+	// The sharded fingerprint takes world, seed and pre-training length from
+	// the top-level options (shard systems see derived ones), so an image
+	// written before shards split the length still restores; every other
+	// module knob is identical across shards, so shard 0's resolved config
+	// stands for all.
+	mc := s.shards[0].sys.module.Config()
+	mc.PretrainQueries = pretrain
+	s.fingerprint = configFingerprint(&cfg, mc)
 	if cfg.TelemetryAddr != "" {
 		srv, err := telemetry.Serve(cfg.TelemetryAddr, s.TelemetrySnapshot, baseLog)
 		if err != nil {

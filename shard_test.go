@@ -389,3 +389,67 @@ func TestFeedBatchPartitionEdges(t *testing.T) {
 		t.Errorf("per-shard occupancy sums to %d, want %d", occ, len(objs))
 	}
 }
+
+// TestShardsSplitPretraining: the pre-training length belongs to the
+// engine. Each of N shards pre-trains on ceil(P/N) queries — for an
+// explicit P and for the default — and one shard keeps P itself.
+func TestShardsSplitPretraining(t *testing.T) {
+	for _, tc := range []struct {
+		opts   []Option
+		shards int
+		want   int
+	}{
+		{[]Option{WithPretrainQueries(150)}, 1, 150},
+		{[]Option{WithPretrainQueries(150)}, 4, 38},
+		{[]Option{WithPretrainQueries(150)}, 7, 22},
+		{nil, 1, 2000},
+		{nil, 3, 667},
+		{nil, 8, 250},
+	} {
+		s := MustNewSharded(testWorld(), time.Minute, append(tc.opts, WithShards(tc.shards))...)
+		for i, sh := range s.shards {
+			if got := sh.sys.module.Config().PretrainQueries; got != tc.want {
+				t.Errorf("%d shards, options %d: shard %d pre-trains on %d queries, want %d",
+					tc.shards, len(tc.opts), i, got, tc.want)
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestShardLeavesPretrainingOnItsShare: a keyword query starts every
+// shard's pre-training, and range queries inside one shard's rectangle then
+// train that shard alone. It leaves pre-training on its ceil(P/4)-th query,
+// not one sooner, while the engine — whose other shards have seen one query
+// each — still reports pre-training.
+func TestShardLeavesPretrainingOnItsShare(t *testing.T) {
+	const pretrain = 150
+	s := MustNewSharded(testWorld(), time.Minute, WithShards(4), WithPretrainQueries(pretrain), WithSeed(3))
+	defer s.Close()
+	objs := shardWorkload(5, 4000)
+	s.FeedBatch(objs)
+	ts := objs[len(objs)-1].Timestamp
+	kq := KeywordQuery([]string{"kw1"}, ts)
+	s.EstimateAndExecute(&kq)
+	inner := s.shards[0].rect
+	area := CenteredRect(inner.Center(), inner.MaxX-inner.MinX-0.1, inner.MaxY-inner.MinY-0.1)
+	share := (pretrain + 3) / 4
+	for i := 1; i < share; i++ {
+		if p := s.shards[0].sys.Phase(); p != PhasePretrain {
+			t.Fatalf("shard 0 is in %v after %d queries, want pre-training until %d", p, i, share)
+		}
+		q := SpatialQuery(area, ts)
+		s.EstimateAndExecute(&q)
+	}
+	if p := s.shards[0].sys.Phase(); p != PhaseIncremental {
+		t.Errorf("shard 0 is in %v after its share of %d queries", p, share)
+	}
+	for i, sh := range s.shards[1:] {
+		if p := sh.sys.Phase(); p != PhasePretrain {
+			t.Errorf("shard %d, which one query reached, is in %v", i+1, p)
+		}
+	}
+	if p := s.Phase(); p != PhasePretrain {
+		t.Errorf("engine phase %v, want pre-training until every shard is done", p)
+	}
+}

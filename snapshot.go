@@ -53,7 +53,8 @@ const metaSectionName = "meta"
 // configuration its module was built with, where core has already resolved
 // the defaults — so an explicit WithTau(0.75) and an implied default
 // fingerprint identically, from one table. World and seed come from cfg: a
-// shard's module sees a derived rectangle and seed.
+// shard's module sees a derived rectangle and seed. A sharded engine passes
+// mc with the engine's pre-training length, not a shard's share of it.
 func configFingerprint(cfg *config, mc core.Config) []byte {
 	cells := cfg.OracleGridCells
 	if cells == 0 {
