@@ -316,7 +316,7 @@ func findHealth(t *testing.T, r ResilienceStats, name string) EstimatorHealth {
 }
 
 // TestChaosValueAndLatencyInjection exercises the non-panic fault kinds on
-// the monolithic System: NaN and garbage estimates must be sanitized (never
+// New's one-shard engine: NaN and garbage estimates must be sanitized (never
 // served), and the per-call deadline must convert injected latency into a
 // contained fault.
 func TestChaosValueAndLatencyInjection(t *testing.T) {

@@ -1,4 +1,4 @@
-// latest-run drives a LATEST module over a stream — synthetic or replayed
+// latest-run drives a LATEST engine over a stream — synthetic or replayed
 // from a JSONL file — and narrates what the adaptor does: phase
 // transitions, pre-fills, switches, and a rolling accuracy/latency report;
 // the closest thing to watching Figure 2 live.
@@ -27,10 +27,9 @@ import (
 	"strings"
 	"time"
 
+	latest "github.com/spatiotext/latest"
 	"github.com/spatiotext/latest/client"
-	"github.com/spatiotext/latest/internal/core"
 	"github.com/spatiotext/latest/internal/datagen"
-	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/metrics"
 	"github.com/spatiotext/latest/internal/replay"
@@ -159,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.every, "report", 200, "progress report interval (queries)")
 	fs.StringVar(&o.input, "input", "", "replay a JSONL object stream instead of generating one")
 	fs.StringVar(&o.worldStr, "world", "-125,24,-66,50", "world rect for -input mode: minx,miny,maxx,maxy")
-	fs.StringVar(&o.serveAddr, "serve-addr", "", "replay against a running latestd at this wire address instead of an in-process module (start latestd with a matching -window)")
+	fs.StringVar(&o.serveAddr, "serve-addr", "", "replay against a running latestd at this wire address instead of an in-process engine (start latestd with a matching -window)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -235,7 +234,6 @@ func drive(o runOptions, out io.Writer) error {
 	nextObject, world, src := osrc.next, osrc.world, osrc.src
 	spec := workload.ByName(o.wlName)
 	gen := workload.NewGenerator(spec, src, o.pretrain+o.queries)
-	oracle := stream.NewWindow(world, o.windowMS, 4096)
 
 	// Scale the monitored accuracy window to 5% of the run, matching the
 	// experiments harness.
@@ -243,29 +241,20 @@ func drive(o runOptions, out io.Writer) error {
 	if accWindow < 60 {
 		accWindow = 60
 	}
-	module, err := core.New(core.Config{
-		World:           world,
-		Span:            o.windowMS,
-		Alpha:           o.alpha,
-		AlphaSet:        true,
-		Tau:             o.tau,
-		Beta:            o.beta,
-		AccWindow:       accWindow,
-		PretrainQueries: o.pretrain,
-		Seed:            o.seed,
-		Refill: func(e estimator.Estimator) {
-			oracle.Each(func(obj *stream.Object) bool {
-				e.Insert(obj)
-				return true
-			})
-		},
-		OnSwitch: func(ev core.SwitchEvent) {
+	sys, err := latest.New(world, time.Duration(o.windowMS)*time.Millisecond,
+		latest.WithAlpha(o.alpha),
+		latest.WithTau(o.tau),
+		latest.WithBeta(o.beta),
+		latest.WithAccWindow(accWindow),
+		latest.WithPretrainQueries(o.pretrain),
+		latest.WithSeed(o.seed),
+		latest.WithOnSwitch(func(ev latest.SwitchEvent) {
 			fmt.Fprintf(out, "  >> %s\n", ev)
-		},
-	})
+		}))
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 
 	var exhausted bool
 	var lastTS int64
@@ -280,8 +269,7 @@ func drive(o runOptions, out io.Writer) error {
 				return nil
 			}
 			lastTS = obj.Timestamp
-			oracle.Insert(obj)
-			module.Insert(&obj)
+			sys.Feed(obj)
 		}
 		return nil
 	}
@@ -300,8 +288,7 @@ func drive(o runOptions, out io.Writer) error {
 		}
 		start := obj.Timestamp
 		lastTS = obj.Timestamp
-		oracle.Insert(obj)
-		module.Insert(&obj)
+		sys.Feed(obj)
 		for lastTS-start < o.windowMS && !exhausted {
 			if err := feed(1024); err != nil {
 				return err
@@ -313,40 +300,39 @@ func drive(o runOptions, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "window holds %d objects; starting %s (%d pre-training + %d queries)\n",
-		oracle.Size(), o.wlName, o.pretrain, o.queries)
+		sys.WindowSize(), o.wlName, o.pretrain, o.queries)
 
 	var lat metrics.LatencyTracker
 	accSum, n := 0.0, 0
-	lastPhase := module.Phase()
+	lastPhase := sys.Phase()
 	for gen.Remaining() > 0 && !exhausted {
 		if err := feed(40); err != nil {
 			return err
 		}
 		q := gen.Next(lastTS)
 		start := time.Now()
-		est := module.Estimate(&q)
+		est := sys.Estimate(&q)
 		lat.Add(time.Since(start))
-		actual := oracle.Answer(&q)
-		module.Observe(float64(actual))
+		actual := sys.Execute(&q)
 		accSum += metrics.Accuracy(est, float64(actual))
 		n++
-		if module.Phase() != lastPhase {
-			fmt.Fprintf(out, "  -- phase: %s -> %s (after %d queries)\n", lastPhase, module.Phase(), n)
-			lastPhase = module.Phase()
+		if phase := sys.Phase(); phase != lastPhase {
+			fmt.Fprintf(out, "  -- phase: %s -> %s (after %d queries)\n", lastPhase, phase, n)
+			lastPhase = phase
 		}
 		if n%o.every == 0 {
-			s := module.Snapshot()
+			s := sys.Stats()
 			fmt.Fprintf(out, "q=%-6d phase=%-11s active=%-5s prefill=%-5s acc(avg)=%.3f lat(p50)=%s tree{rec=%d nodes=%d}\n",
 				n, s.Phase, s.Active, orDash(s.Prefilling), accSum/float64(n),
 				lat.Percentile(0.5).Round(time.Microsecond), s.TrainingRecords, s.TreeNodes)
 		}
 	}
 
-	s := module.Snapshot()
+	s := sys.Stats()
 	fmt.Fprintf(out, "\nfinished: %d queries, overall accuracy %.3f, mean latency %s\n",
 		n, accSum/float64(n), lat.Mean().Round(time.Microsecond))
 	fmt.Fprintf(out, "switches (%d):\n", s.Switches)
-	for _, ev := range module.Switches() {
+	for _, ev := range sys.Switches() {
 		fmt.Fprintf(out, "  %s\n", ev)
 	}
 	if s.Switches == 0 {

@@ -2,19 +2,13 @@ package latest
 
 import "time"
 
-// NewConcurrent builds a thread-safe LATEST system over the given world
-// and sliding-window span: the ShardedSystem with one shard, one module
-// and one window store behind the shard's mutex. It is the shape for
-// applications that fan queries out across request handlers; for parallel
+// NewConcurrent builds the engine New builds — the ShardedSystem with one
+// shard, one module and one window store behind the shard's mutex — without
+// the System wrapper and its split Estimate/Execute calls. For parallel
 // ingest across CPU cores, see NewSharded, which partitions the lock
 // spatially. WithShards is rejected with a descriptive error.
 func NewConcurrent(world Rect, window time.Duration, opts ...Option) (*ShardedSystem, error) {
-	cfg := buildConfig(world, window, opts)
-	if cfg.Shards != 0 {
-		return nil, optionErr("WithShards", "NewConcurrent", "only a ShardedSystem partitions the world")
-	}
-	cfg.Shards = 1
-	return newSharded(cfg)
+	return newOneShard("NewConcurrent", buildConfig(world, window, opts))
 }
 
 // MustNewConcurrent is NewConcurrent but panics on error — for tests,

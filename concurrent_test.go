@@ -45,11 +45,11 @@ func TestConcurrentBasics(t *testing.T) {
 	}
 }
 
-// TestConcurrentIsInline checks that every ShardedSystem ingests inline:
+// TestConcurrentIsInline checks that every engine ingests inline:
 // NewConcurrent and NewSharded start no goroutine, and with one shard Feed
 // and FeedBatch apply on the caller under the shard's mutex without copying
-// the batch — they allocate exactly what a bare System does for the same
-// objects, so the engine layer itself allocates nothing.
+// the batch — they allocate exactly what New's engine does for the same
+// objects.
 func TestConcurrentIsInline(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	const window = 50 * time.Millisecond
@@ -98,10 +98,60 @@ func TestConcurrentIsInline(t *testing.T) {
 			}
 			feed, batch := allocs(eng)
 			if feed != sysFeed || batch != sysBatch {
-				t.Errorf("allocations per call: Feed %v, FeedBatch %v; a bare System's %v and %v",
+				t.Errorf("allocations per call: Feed %v, FeedBatch %v; New's %v and %v",
 					feed, batch, sysFeed, sysBatch)
 			}
 		})
+	}
+}
+
+// TestConcurrentSystemScrape: a System built WithTelemetry is scraped while
+// traffic flows. One goroutine feeds and queries it — through the split
+// calls and the fused one — while the test goroutine reads
+// TelemetrySnapshot and /statusz; run with -race.
+func TestConcurrentSystemScrape(t *testing.T) {
+	sys, err := New(testWorld(), time.Minute, WithSeed(4),
+		WithPretrainQueries(40), WithAccWindow(20), WithTelemetry("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	objs := shardWorkload(9, 6000)
+	qs := shardQueries(10, len(objs)/25, objs[len(objs)-1].Timestamp)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range objs {
+			sys.Feed(objs[i])
+			if i%25 != 0 {
+				continue
+			}
+			q := qs[i/25]
+			if i%50 == 0 {
+				sys.Estimate(&q)
+				sys.Execute(&q)
+			} else {
+				sys.EstimateAndExecute(&q)
+			}
+		}
+	}()
+	scrapes := 0
+	for running := true; running; scrapes++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		_ = sys.TelemetrySnapshot()
+		telemetryGet(t, sys.TelemetryAddr(), "/statusz")
+	}
+	snap := sys.TelemetrySnapshot()
+	if snap.WindowSize != len(objs) || snap.Shards[0].Feeds != uint64(len(objs)) {
+		t.Errorf("after %d scrapes: window %d, feeds %d; want %d each",
+			scrapes, snap.WindowSize, snap.Shards[0].Feeds, len(objs))
+	}
+	if st := sys.Stats(); st.PretrainSeen+st.IncrementalSeen != len(qs) {
+		t.Errorf("module saw %d queries, want %d", st.PretrainSeen+st.IncrementalSeen, len(qs))
 	}
 }
 

@@ -97,8 +97,7 @@ func (h DurableHealth) Healthy() bool { return h.State == DurableHealthy }
 
 // HealthReporter is the optional health extension of Engine: engines that
 // own a durability layer report its state machine. The serving layer
-// (internal/server) type-asserts it to drive /healthz and /readyz, the
-// same pattern TracedEngine uses for span attribution.
+// (internal/server) type-asserts it to drive /healthz and /readyz.
 type HealthReporter interface {
 	Health() DurableHealth
 }

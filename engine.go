@@ -12,20 +12,18 @@ import (
 // operational samples.
 type TelemetryReport = telemetry.Snapshot
 
-// Engine is the unified surface every LATEST engine serves: System
-// (single-goroutine) and ShardedSystem (spatial partitions, each behind its
-// own mutex; NewConcurrent builds it with one shard) implement it, as does
-// the DurableEngine wrapper that adds snapshot + WAL persistence. Embedding
-// applications, the network serving layer (internal/server) and the
-// correctness harness (internal/check) program against this interface and
-// work with any of them.
+// Engine is the unified surface every LATEST engine serves: the
+// ShardedSystem (spatial partitions, each behind its own mutex; New and
+// NewConcurrent build it with one shard, New wrapped as a System)
+// implements it, as does the DurableEngine decorator that adds snapshot +
+// WAL persistence. Embedding applications, the network serving layer
+// (internal/server) and the correctness harness (internal/check) program
+// against this interface and work with any of them.
 //
-// Concurrency follows the concrete type: System is single-goroutine, the
-// others are safe for concurrent use. Snapshot and Restore are safe to call
-// on a concurrency-safe engine while traffic flows — they take the engine's
-// own locks — but Restore additionally requires a freshly constructed
-// engine (it returns a CodeState error otherwise), so in practice it runs
-// before traffic starts.
+// Every engine is safe for concurrent use. Snapshot and Restore take the
+// engine's own locks, so they may run while traffic flows, but Restore
+// additionally requires a freshly constructed engine (it returns a
+// CodeState error otherwise), so in practice it runs before traffic starts.
 type Engine interface {
 	// Feed ingests one stream object.
 	Feed(o Object)
@@ -37,6 +35,10 @@ type Engine interface {
 	// EstimateAndExecute answers the query approximately, then exactly,
 	// and feeds the truth back to the switching model.
 	EstimateAndExecute(q *Query) (estimate float64, actual int)
+	// EstimateAndExecuteTraced is EstimateAndExecute recording per-stage
+	// spans — notably the active estimator's inference — into tr (nil tr:
+	// identical to EstimateAndExecute).
+	EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveTrace) (estimate float64, actual int)
 	// EstimateAndExecuteBatch runs EstimateAndExecute over a batch.
 	EstimateAndExecuteBatch(qs []Query) (estimates []float64, actuals []int)
 	// Stats returns a snapshot of the module internals (merged across

@@ -144,13 +144,18 @@ func (r *DiffReport) note(kind *int, format string, args ...any) {
 	}
 }
 
-// engine adapts the two engine types to one comparable surface.
+// engine adapts one differential leg to a comparable surface.
 type engine struct {
 	name string
 	// eng carries the whole serving surface — feeds, queries, stats — so
 	// the harness exercises exactly the unified public contract every
 	// deployment shape implements.
 	eng latest.Engine
+	// query answers one query approximately, then exactly: through the
+	// split Estimate and Execute on one leg and the fused
+	// EstimateAndExecute on the other, so the two paths are checked bit
+	// for bit against each other.
+	query func(q *latest.Query) (estimate float64, actual int)
 	// The remaining accessors are shape-specific diagnostics the Engine
 	// interface deliberately does not carry.
 	active  func() string
@@ -158,10 +163,11 @@ type engine struct {
 	winSize func() int
 }
 
-// RunDifferential feeds one deterministic workload into System and
-// NewSharded(1) — the engine NewConcurrent builds too — plus the
-// brute-force oracle, comparing counts, estimates, switching state and
-// stats snapshots at every step. The returned report is non-nil whenever
+// RunDifferential feeds one deterministic workload into New's engine,
+// queried through the split Estimate and Execute, and NewSharded(1),
+// queried through EstimateAndExecute, plus the brute-force oracle,
+// comparing counts, estimates, switching state and stats snapshots at
+// every step. The returned report is non-nil whenever
 // err is nil, even when it records mismatches.
 func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 	if cfg.Queries <= 0 || cfg.ObjectsPerQuery <= 0 {
@@ -209,12 +215,17 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 	engines := []engine{
 		{
 			name: "system", eng: sys,
+			query: func(q *latest.Query) (float64, int) {
+				est := sys.Estimate(q)
+				return est, sys.Execute(q)
+			},
 			active:  sys.ActiveEstimator,
 			phase:   sys.Phase,
 			winSize: sys.WindowSize,
 		},
 		{
 			name: "sharded1", eng: shard,
+			query:   shard.EstimateAndExecute,
 			active:  func() string { return shard.ActiveEstimators()[0] },
 			phase:   shard.Phase,
 			winSize: shard.WindowSize,
@@ -245,7 +256,7 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 			// place, and a shared struct would let one engine's repair leak
 			// into the next engine's input.
 			qc := q
-			ests[i], acts[i] = e.eng.EstimateAndExecute(&qc)
+			ests[i], acts[i] = e.query(&qc)
 		}
 		for i, e := range engines {
 			if acts[i] != want {

@@ -15,7 +15,7 @@ import (
 )
 
 // golden.go replays a checked-in object trace through a fully deterministic
-// System and renders two textual artifacts — the per-query count report and
+// engine and renders two textual artifacts — the per-query count report and
 // the switch-decision trace — that are diffed against golden files in
 // testdata/check/. Any PR that silently changes window semantics, estimator
 // arithmetic or switching behaviour turns into a readable line-level diff
@@ -81,28 +81,21 @@ func DefaultGoldenConfig() GoldenConfig {
 	}
 }
 
-// RunGolden replays the trace from r through a deterministic System,
+// RunGolden replays the trace from r through a deterministic New engine,
 // issuing one synthetic query per ObjectsPerQuery objects, and returns the
 // count report and the decision trace as golden-comparable text.
 func RunGolden(r io.Reader, cfg GoldenConfig) (counts, decisions string, err error) {
-	world := datagen.ByName(TraceSpec.Dataset, TraceSpec.Seed, TraceSpec.Rate).World()
-	opts := []latest.Option{
-		latest.WithSeed(cfg.Seed),
-		latest.WithPretrainQueries(cfg.Pretrain),
-		latest.WithAccWindow(cfg.AccWindow),
-		latest.WithAlpha(cfg.Alpha),
-		latest.WithLatencyModel(DeterministicLatencyModel),
-		latest.WithBreaker(latest.BreakerConfig{Deadline: 10 * time.Minute}),
-	}
-	if cfg.MemoryScale > 0 {
-		opts = append(opts, latest.WithMemoryScale(cfg.MemoryScale))
-	}
-	sys, err := latest.New(world, cfg.Window, opts...)
+	sys, err := latest.New(goldenWorld(), cfg.Window, goldenOptions(cfg)...)
 	if err != nil {
 		return "", "", fmt.Errorf("check: build golden System: %w", err)
 	}
+	return replayGolden(r, cfg, shardedView{sys.ShardedSystem})
+}
 
-	qm := newQueryMaker(cfg.Seed, world)
+// replayGolden is the one golden replay loop: it feeds the trace from r
+// into the engine behind view and queries it every ObjectsPerQuery objects.
+func replayGolden(r io.Reader, cfg GoldenConfig, view shardedView) (counts, decisions string, err error) {
+	qm := newQueryMaker(cfg.Seed, goldenWorld())
 	var report strings.Builder
 	reader := replay.NewReader(r)
 	fed, qi := 0, 0
@@ -115,7 +108,7 @@ func RunGolden(r io.Reader, cfg GoldenConfig) (counts, decisions string, err err
 		if rerr != nil {
 			return "", "", rerr
 		}
-		sys.Feed(o)
+		view.Feed(o)
 		qm.observe(&o)
 		lastTS = o.Timestamp
 		fed++
@@ -123,18 +116,11 @@ func RunGolden(r io.Reader, cfg GoldenConfig) (counts, decisions string, err err
 			continue
 		}
 		q := qm.next(lastTS)
-		est, actual := sys.EstimateAndExecute(&q)
-		fmt.Fprintf(&report, "q=%04d type=%-7s est=%.6f actual=%d active=%s phase=%s window=%d\n",
-			qi, q.Type(), est, actual, sys.ActiveEstimator(), phaseName(sys.Phase()), sys.WindowSize())
+		est, actual := view.EstimateAndExecute(&q)
+		reportLine(&report, qi, &q, est, actual, view)
 		qi++
 	}
-
-	var trace strings.Builder
-	for i, d := range sys.Decisions() {
-		fmt.Fprintf(&trace, "switch=%02d q=%d ts=%d from=%s to=%s reason=%s prefilled=%t qtype=%s recommended=%s\n",
-			i, d.QueryIndex, d.Timestamp, d.From, d.To, d.Reason, d.Prefilled, d.QueryType, d.Recommended)
-	}
-	return report.String(), trace.String(), nil
+	return report.String(), renderDecisions(view.Decisions()), nil
 }
 
 // RunGoldenFile is RunGolden over a trace file path.

@@ -9,11 +9,10 @@ import (
 
 // TestGoldenReplaySharded pins the sharded engine to the goldens: the
 // golden trace replayed through NewSharded(WithShards(1)), every other
-// option RunGolden's, must match the monolithic System's golden files
+// option RunGolden's, must match the golden files New's engine writes
 // byte-for-byte — counts AND switch decisions. Never refresh the goldens
-// from this runner; if it diverges, the shard layer (routing, its lock,
-// its inline feed and query paths) stopped being a transparent wrapper
-// around one System.
+// from this runner; if it diverges, NewSharded(WithShards(1)) stopped
+// building the engine New builds.
 func TestGoldenReplaySharded(t *testing.T) {
 	counts, decisions, err := RunGoldenShardedFile(
 		filepath.Join(goldenDir, traceFile), DefaultGoldenConfig(), 1)

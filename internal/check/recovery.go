@@ -29,9 +29,9 @@ func goldenWorld() latest.Rect {
 	return datagen.ByName(TraceSpec.Dataset, TraceSpec.Seed, TraceSpec.Rate).World()
 }
 
-// goldenOptions builds the exact option set RunGolden uses; recovery runs
-// must construct every engine incarnation with it, both because the replay
-// must be deterministic and because Restore fingerprints the options.
+// goldenOptions builds the exact option set of the golden replay; recovery
+// runs must construct every engine incarnation with it, both because the
+// replay must be deterministic and because Restore fingerprints the options.
 func goldenOptions(cfg GoldenConfig) []latest.Option {
 	opts := []latest.Option{
 		latest.WithSeed(cfg.Seed),
@@ -65,9 +65,8 @@ func LoadTrace(r io.Reader) ([]stream.Object, error) {
 }
 
 // reportLine appends one golden count-report line; every runner goes
-// through here so the formats can never drift apart. The engineView
-// indirection lets monolithic and sharded incarnations share it.
-func reportLine(b *strings.Builder, qi int, q *latest.Query, est float64, actual int, v engineView) {
+// through here so the formats can never drift apart.
+func reportLine(b *strings.Builder, qi int, q *latest.Query, est float64, actual int, v shardedView) {
 	fmt.Fprintf(b, "q=%04d type=%-7s est=%.6f actual=%d active=%s phase=%s window=%d\n",
 		qi, q.Type(), est, actual, v.ActiveName(), phaseName(v.Phase()), v.WindowSize())
 }
@@ -177,19 +176,19 @@ type Replay struct {
 func runGoldenSegmented(objs []stream.Object, rc RecoveryConfig, gapStart, gapEnd, crashAt int) (Replay, error) {
 	cfg := rc.Golden
 	world := goldenWorld()
-	build := func() (latest.Engine, engineView, error) {
+	build := func() (latest.Engine, shardedView, error) {
 		if rc.Sharded {
 			s, err := latest.NewSharded(world, cfg.Window, append(goldenOptions(cfg), latest.WithShards(1))...)
 			if err != nil {
-				return nil, nil, err
+				return nil, shardedView{}, err
 			}
 			return s, shardedView{s}, nil
 		}
-		s, err := latest.New(world, cfg.Window, goldenOptions(cfg)...)
+		sys, err := latest.New(world, cfg.Window, goldenOptions(cfg)...)
 		if err != nil {
-			return nil, nil, err
+			return nil, shardedView{}, err
 		}
-		return s, sysView{s}, nil
+		return sys, shardedView{sys.ShardedSystem}, nil
 	}
 	base, view, err := build()
 	if err != nil {

@@ -75,6 +75,9 @@ func (e fakeEngine) EstimateAndExecute(*stream.Query) (float64, int) {
 	est, _ := e.read(context.Background())
 	return est, int(est)
 }
+func (e fakeEngine) EstimateAndExecuteTraced(q *stream.Query, _ *telemetry.ActiveTrace) (float64, int) {
+	return e.EstimateAndExecute(q)
+}
 func (e fakeEngine) EstimateAndExecuteBatch(qs []stream.Query) ([]float64, []int) {
 	ests, acts, _ := e.readBatch(context.Background(), len(qs))
 	return ests, acts

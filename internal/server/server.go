@@ -19,10 +19,9 @@ import (
 )
 
 // Engine is the estimator surface the serving layer fronts: the unified
-// latest.Engine contract. Every concurrency-safe engine — ShardedSystem,
-// whichever of NewSharded and NewConcurrent built it, and the
-// persistence-wrapping DurableEngine — satisfies it
-// (Object and Query are aliases of the internal stream types).
+// latest.Engine contract. Every engine — ShardedSystem, whichever
+// constructor built it, and the persistence-wrapping DurableEngine —
+// satisfies it (Object and Query are aliases of the internal stream types).
 type Engine = latest.Engine
 
 // Config tunes a Server. Zero values mean defaults. Everything but
@@ -99,16 +98,9 @@ func (h *engineHandler) Feed(_ context.Context, objs []stream.Object) error {
 	return nil
 }
 
-// Estimate threads the request trace into the engine when the engine
-// supports span attribution (all shipped shapes do).
+// Estimate threads the request trace (nil when unsampled) into the engine.
 func (h *engineHandler) Estimate(_ context.Context, q *stream.Query, tr *telemetry.ActiveTrace) (float64, error) {
-	if tr != nil {
-		if te, ok := h.eng.(latest.TracedEngine); ok {
-			est, _ := te.EstimateAndExecuteTraced(q, tr)
-			return est, nil
-		}
-	}
-	est, _ := h.eng.EstimateAndExecute(q)
+	est, _ := h.eng.EstimateAndExecuteTraced(q, tr)
 	return est, nil
 }
 
@@ -144,9 +136,9 @@ func (h *engineHandler) Map() (uint64, []byte) {
 
 func (h *engineHandler) Snapshot() telemetry.Snapshot { return h.eng.TelemetrySnapshot() }
 
-// Health reports the durability layer's degraded-mode machine (via
-// latest.HealthReporter, the same type-assert extension pattern
-// TracedEngine uses) and the accuracy-drift watchdog.
+// Health reports the durability layer's degraded-mode machine (via the
+// latest.HealthReporter type-assert extension) and the accuracy-drift
+// watchdog.
 func (h *engineHandler) Health() (reasons []string) {
 	if hr, ok := h.eng.(latest.HealthReporter); ok {
 		if hs := hr.Health(); !hs.Healthy() {

@@ -53,6 +53,10 @@ func (f *fakeEngine) EstimateAndExecute(q *stream.Query) (float64, int) {
 	return f.estimate, int(f.estimate)
 }
 
+func (f *fakeEngine) EstimateAndExecuteTraced(q *stream.Query, _ *telemetry.ActiveTrace) (float64, int) {
+	return f.EstimateAndExecute(q)
+}
+
 func (f *fakeEngine) EstimateAndExecuteBatch(qs []stream.Query) ([]float64, []int) {
 	ests := make([]float64, len(qs))
 	acts := make([]int, len(qs))

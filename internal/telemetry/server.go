@@ -15,7 +15,7 @@ import (
 
 // ShardSample is one shard's slice of a telemetry Snapshot — the
 // operational counters plus the latency histograms for each instrumented
-// path. A monolithic System reports itself as a single shard 0.
+// path. A one-shard engine reports a single shard 0.
 type ShardSample struct {
 	Index  int    `json:"index"`
 	Active string `json:"active"`
@@ -59,8 +59,8 @@ type ShardSample struct {
 // per-shard samples, the merged view, the recent switch-decision trace and
 // the per-estimator rolling q-error.
 type Snapshot struct {
-	// Engine names the engine type: "system" for a System, "sharded" for
-	// a ShardedSystem of any shard count.
+	// Engine names the engine type: "sharded" for every engine of the
+	// root package, whatever its shard count.
 	Engine string `json:"engine"`
 	// Phase and Active describe the merged module view.
 	Phase       string  `json:"phase"`

@@ -28,8 +28,8 @@ type QErrorSample struct {
 // saw, what the model said, and what it did. It is the answer to the
 // operator's "why did the serving estimator change at 14:32?".
 type Decision struct {
-	// Shard is the spatial shard whose module switched (0 for the
-	// monolithic engines).
+	// Shard is the spatial shard whose module switched (0 for one-shard
+	// engines).
 	Shard int `json:"shard"`
 	// QueryIndex is the 0-based incremental-phase index of the trigger
 	// query within its module.

@@ -30,19 +30,17 @@
 // switching model. Applications that execute queries through their own
 // engine can call Estimate followed by ObserveActual instead.
 //
-// Two engine types share one surface (Feed/FeedBatch,
-// EstimateAndExecute/EstimateAndExecuteBatch):
-//
-//   - System — single-goroutine, lowest overhead.
-//   - ShardedSystem — the world spatially partitioned into N shards, each
-//     its own window + estimator fleet behind its own lock; ingest routes
-//     to one shard, queries fan out to intersecting shards. NewConcurrent
-//     builds it with one shard: one module behind one mutex, no
-//     background goroutine, for request handlers.
+// There is one engine, the ShardedSystem: the world spatially partitioned
+// into N shards, each its own window + estimator fleet behind its own lock;
+// ingest routes to one shard, queries fan out to intersecting shards, and
+// no background goroutine runs. NewSharded builds N shards; New and
+// NewConcurrent build one. New returns it as a System, which adds the split
+// Estimate/Execute/ObserveActual calls and the one-module accessors. Every
+// engine is safe for concurrent use; the split calls pair per caller, so
+// callers sharing a System use EstimateAndExecute or serialize their pairs.
 package latest
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -204,14 +202,11 @@ type config struct {
 	// negative disables opportunity switches).
 	OpportunityMargin float64
 	// Shards is the spatial shard count used by NewSharded (zero =
-	// runtime.GOMAXPROCS(0)). New rejects it; NewConcurrent rejects it and
-	// sets 1.
+	// runtime.GOMAXPROCS(0)). New and NewConcurrent reject it and set 1.
 	Shards int
 	// TelemetryAddr, when non-empty, starts the stdlib exposition server
 	// ("host:port"; port 0 picks a free one) publishing /metrics, /statusz,
-	// expvar and pprof. Supported by NewConcurrent and NewSharded; New
-	// rejects it because a single-goroutine System cannot be scraped
-	// concurrently with traffic.
+	// expvar and pprof.
 	TelemetryAddr string
 	// LogOutput, when non-nil, receives structured logfmt lines from the
 	// switch and pre-fill path and input validation at LogLevel or above.
@@ -238,77 +233,32 @@ type config struct {
 	LatencyModel func(estimator string, q *Query, measured time.Duration) time.Duration
 }
 
-// System bundles a LATEST module with the exact window store that plays
-// the database: Feed maintains both, Execute answers exactly and feeds the
-// result back as training signal. Not safe for concurrent use; wrap with
-// your own synchronization if needed (the hot path is single-writer in
-// streaming systems).
+// System is the engine New builds: the one-shard ShardedSystem — one
+// LATEST module and the exact window store that plays its database, behind
+// one lock — plus the calls only a one-module engine can offer. The paper's
+// optimizer asks for an estimate and its query processor later reports the
+// truth (§V-D); Estimate, Execute and ObserveActual are those two halves,
+// and the one-module accessors read the module directly. Every other method
+// is the embedded ShardedSystem's.
+//
+// Every method is safe for concurrent use. An Estimate pairs with the next
+// Execute or ObserveActual on the engine, so callers that share a System
+// must not interleave their split pairs; EstimateAndExecute runs both
+// halves as one atomic cycle.
 type System struct {
-	module *core.Module
-	window *stream.Window
-	world  Rect
-	policy ValidationPolicy
-
-	// lastTS is the stream's timestamp high-water mark; under
-	// ValidationClamp a regressed arrival is clamped to it instead of
-	// violating the window store's ordering invariant.
-	lastTS int64
-
-	// gen counts snapshots taken of this engine; each Snapshot embeds
-	// gen+1 and the paired feed WAL is named after it, so a restore knows
-	// which WAL tail extends which snapshot.
-	gen uint64
-
-	// fingerprint is the byte encoding of every configuration knob that
-	// shapes serialized state; Restore refuses a snapshot whose fingerprint
-	// differs (CodeMismatch) rather than silently reinterpreting state
-	// under different parameters.
-	fingerprint []byte
-
-	// pendingRejected marks that the last Estimate refused its query, so
-	// the paired Execute/ObserveActual must not feed the module a truth
-	// value it never produced an estimate for.
-	pendingRejected bool
-
-	// scratch keeps single-object Feed allocation-free: the object is
-	// staged here so the pointer handed to the module points into the
-	// (already heap-resident) System rather than forcing the argument to
-	// escape. Estimators copy what they keep, so the buffer is reusable.
-	scratch Object
-
-	// gauges are the engine's operational counters and latency histograms:
-	// atomic, allocation-free, safe to snapshot while traffic flows.
-	// Single-object feeds are timed one in metrics.FeedSampleInterval.
-	// A pointer so a ShardedSystem can point every shard's System at the
-	// shard's own gauge set — validation events detected inside feedPtr
-	// then land in the gauges the sharded Stats actually reads.
-	gauges *metrics.ShardGauges
-	log    *telemetry.Logger
-
-	// guard enforces the single-goroutine contract in -race builds (a
-	// zero-size no-op otherwise): concurrent method calls — including a
-	// TelemetrySnapshot scrape racing traffic — panic with the fix spelled
-	// out instead of corrupting state silently.
-	guard raceGuard
+	*ShardedSystem
 }
 
 // New builds a System over the given world rectangle, keeping the last
 // window duration of stream data. Tuning knobs are functional options
 // (WithAlpha, WithTau, ...); zero options take the paper's defaults.
-// Options that require a concurrency-safe or sharded engine (WithTelemetry,
-// WithShards) are rejected with a descriptive error.
+// WithShards is rejected with a descriptive error.
 func New(world Rect, window time.Duration, opts ...Option) (*System, error) {
-	cfg := buildConfig(world, window, opts)
-	if cfg.Shards != 0 {
-		return nil, optionErr("WithShards", "New", "only a ShardedSystem partitions the world")
-	}
-	if cfg.TelemetryAddr != "" {
-		return nil, optionErr("WithTelemetry", "New", "a single-goroutine System cannot be scraped concurrently with traffic; use NewConcurrent or NewSharded")
-	}
-	if err := validateOptions(&cfg); err != nil {
+	s, err := newOneShard("New", buildConfig(world, window, opts))
+	if err != nil {
 		return nil, err
 	}
-	return newSystem(cfg, "system")
+	return &System{s}, nil
 }
 
 // MustNew is New but panics on error — for tests, examples and programs
@@ -321,75 +271,13 @@ func MustNew(world Rect, window time.Duration, opts ...Option) *System {
 	return s
 }
 
-// syncRefill seeds a freshly wiped estimator from the window store: it
-// replays every live object into e on the calling goroutine — the query
-// path, under the shard lock when there is one — and counts the pre-fill.
-// The gauge set is read at call time: a shard repoints its System's gauges
-// after construction.
-func (s *System) syncRefill(e estimator.Estimator) {
-	s.window.Each(func(o *stream.Object) bool {
-		e.Insert(o)
-		return true
-	})
-	s.gauges.RecordPrefill()
-}
-
-// defaultOracleGridCells sizes the exact store's grid when
-// WithOracleGridCells is not given.
-const defaultOracleGridCells = 4096
-
-// newSystem is the shared constructor, over options its caller has
-// validated. component names the logger ("system", "shard-3", ...).
-func newSystem(cfg config, component string) (*System, error) {
-	cells := cfg.OracleGridCells
-	if cells == 0 {
-		cells = defaultOracleGridCells
+// newOneShard builds the one-shard engine New and NewConcurrent share.
+func newOneShard(constructor string, cfg config) (*ShardedSystem, error) {
+	if cfg.Shards != 0 {
+		return nil, optionErr("WithShards", constructor, "only NewSharded partitions the world")
 	}
-	log := telemetry.NewLogger(cfg.LogOutput, cfg.LogLevel).Named(component)
-	w := stream.NewWindow(cfg.World, cfg.Window.Milliseconds(), cells)
-	s := &System{
-		window: w,
-		world:  cfg.World,
-		policy: cfg.Validation,
-		gauges: new(metrics.ShardGauges),
-		log:    log,
-	}
-	m, err := core.New(core.Config{
-		World:             cfg.World,
-		Span:              cfg.Window.Milliseconds(),
-		Registry:          cfg.Registry,
-		Estimators:        cfg.Estimators,
-		Default:           cfg.Default,
-		Alpha:             cfg.Alpha,
-		AlphaSet:          cfg.AlphaSet,
-		Tau:               cfg.Tau,
-		Beta:              cfg.Beta,
-		AccWindow:         cfg.AccWindow,
-		PretrainQueries:   cfg.PretrainQueries,
-		CooldownQueries:   cfg.CooldownQueries,
-		OpportunityMargin: cfg.OpportunityMargin,
-		Scale:             cfg.MemoryScale,
-		Seed:              cfg.Seed,
-		OnSwitch:          cfg.OnSwitch,
-		LatencyOf:         cfg.LatencyModel,
-		Logger:            log,
-		TraceDepth:        cfg.TraceDepth,
-		Resilience:        cfg.Breaker,
-		Injector:          cfg.FaultInjector,
-		// The exact window store doubles as the last-resort fallback when
-		// every estimator is quarantined: slower than any summary, but
-		// always correct and always available.
-		Oracle: func(q *stream.Query) float64 {
-			return float64(w.Answer(q))
-		},
-		Refill: s.syncRefill,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.module = m
-	s.fingerprint = configFingerprint(&cfg, m.Config())
-	return s, nil
+	cfg.Shards = 1
+	return newSharded(cfg)
 }
 
 // optionErr is the one error shape every option-surface rejection uses:
@@ -460,58 +348,11 @@ func validateOptions(cfg *config) error {
 	return nil
 }
 
-// feedPtr is the allocation-free ingest path shared by Feed, FeedBatch and
-// the shards. The object is validated under the configured
-// policy first — non-finite coordinates are rejected, regressed timestamps
-// clamped (ValidationClamp) or rejected — and a ValidationClamp repair
-// mutates the pointee. Otherwise the pointee, keyword array included, is
-// only read during the call; the window store and the estimators copy what
-// they keep. lastTS advances only on acceptance, so a rejected arrival
-// carrying a garbage timestamp cannot poison the stream clock.
-func (s *System) feedPtr(o *Object) {
-	if !checkObject(o, s.lastTS, s.policy, s.gauges, s.log) {
-		return
-	}
-	s.lastTS = o.Timestamp
-	s.window.Insert(*o)
-	s.module.Insert(o)
-}
-
-// Feed ingests one stream object. Timestamps should be non-decreasing; a
-// regressed arrival is clamped to the high-water mark under the default
-// ValidationClamp policy (see WithValidation for the alternatives).
-// One in metrics.FeedSampleInterval calls is timed into the ingest latency
-// histogram; the rest pay a single atomic increment.
-func (s *System) Feed(o Object) {
-	s.guard.enter("Feed")
-	defer s.guard.exit()
-	if s.gauges.RecordFeed() {
-		start := time.Now()
-		s.scratch = o
-		s.feedPtr(&s.scratch)
-		s.gauges.RecordFeedLatency(time.Since(start))
-		s.gauges.SetWindow(s.window.Size(), s.window.MemoryBytes())
-		return
-	}
-	s.scratch = o
-	s.feedPtr(&s.scratch)
-}
-
-// FeedBatch ingests a batch of stream objects in order. Timestamps must be
-// non-decreasing within the batch and across calls. Batching skips the
-// per-object staging copy of Feed.
-func (s *System) FeedBatch(objs []Object) {
-	if len(objs) == 0 {
-		return
-	}
-	s.guard.enter("FeedBatch")
-	defer s.guard.exit()
-	start := time.Now()
-	for i := range objs {
-		s.feedPtr(&objs[i])
-	}
-	s.gauges.RecordBatch(len(objs), time.Since(start))
-	s.gauges.SetWindow(s.window.Size(), s.window.MemoryBytes())
+// lock takes the one shard's lock and returns the shard.
+func (s *System) lock() *shard {
+	sh := s.shards[0]
+	sh.mu.Lock()
+	return sh
 }
 
 // Estimate answers the query approximately through the active estimator.
@@ -519,119 +360,88 @@ func (s *System) FeedBatch(objs []Object) {
 //
 // The query is validated first: under the default ValidationClamp policy an
 // inverted rectangle is repaired in place (so the paired Execute sees the
-// repaired query); a query the policy rejects returns 0 and the paired
-// Execute/ObserveActual becomes a no-op rather than feeding the model a
-// truth value it never estimated.
+// repaired query). A query the policy rejects, or whose range lies wholly
+// outside the world, returns 0 and the paired Execute/ObserveActual becomes
+// a no-op rather than feeding the model a truth value it never estimated.
 func (s *System) Estimate(q *Query) float64 {
-	s.guard.enter("Estimate")
-	defer s.guard.exit()
-	if !checkQuery(q, s.policy, s.world, s.gauges, s.log) {
-		s.pendingRejected = true
+	targets := s.route(q)
+	sh := s.lock()
+	defer sh.mu.Unlock()
+	sh.pendingRejected = len(targets) == 0
+	if sh.pendingRejected {
 		return 0
 	}
-	s.pendingRejected = false
-	return s.module.Estimate(q)
+	return sh.module.Estimate(q)
 }
 
 // Execute runs the query exactly against the window store, feeds the true
 // selectivity back to the learning model, and returns the exact count. Call
-// it after Estimate for the same query. When that Estimate rejected the
-// query, Execute returns 0 without touching the store or the model.
+// it after Estimate for the same query. When that Estimate answered 0
+// without the model, Execute returns 0 without touching the store or the
+// model.
 func (s *System) Execute(q *Query) int {
-	s.guard.enter("Execute")
-	defer s.guard.exit()
-	if s.pendingRejected {
-		s.pendingRejected = false
+	sh := s.lock()
+	defer sh.mu.Unlock()
+	if sh.pendingRejected {
+		sh.pendingRejected = false
 		return 0
 	}
-	actual := s.window.Answer(q)
-	s.module.Observe(float64(actual))
+	actual := sh.window.Answer(q)
+	sh.module.Observe(float64(actual))
 	return actual
 }
 
 // ObserveActual closes the feedback loop with a truth value obtained from
-// an external execution engine. A no-op when the paired Estimate rejected
-// its query.
+// an external execution engine. A no-op when the paired Estimate answered
+// without the model.
 func (s *System) ObserveActual(actual float64) {
-	s.guard.enter("ObserveActual")
-	defer s.guard.exit()
-	if s.pendingRejected {
-		s.pendingRejected = false
+	sh := s.lock()
+	defer sh.mu.Unlock()
+	if sh.pendingRejected {
+		sh.pendingRejected = false
 		return
 	}
-	s.module.Observe(actual)
-}
-
-// estimateAndExecute is the untimed estimate+execute cycle; a shard times
-// it once, into its own gauges.
-func (s *System) estimateAndExecute(q *Query) (estimate float64, actual int) {
-	estimate = s.Estimate(q)
-	return estimate, s.Execute(q)
-}
-
-// EstimateAndExecute is the common two-step as one call: approximate
-// answer, exact answer, feedback. The full cycle is timed into the query
-// latency histogram.
-func (s *System) EstimateAndExecute(q *Query) (estimate float64, actual int) {
-	start := time.Now()
-	estimate, actual = s.estimateAndExecute(q)
-	s.gauges.RecordQuery(time.Since(start))
-	return estimate, actual
-}
-
-// EstimateAndExecuteBatch runs EstimateAndExecute over a batch of queries,
-// returning the parallel estimate and exact-count slices. Queries are
-// answered in order, each closing its own feedback loop.
-func (s *System) EstimateAndExecuteBatch(qs []Query) (estimates []float64, actuals []int) {
-	estimates = make([]float64, len(qs))
-	actuals = make([]int, len(qs))
-	for i := range qs {
-		estimates[i], actuals[i] = s.EstimateAndExecute(&qs[i])
-	}
-	return estimates, actuals
+	sh.module.Observe(actual)
 }
 
 // ActiveEstimator returns the currently employed estimator's name.
-func (s *System) ActiveEstimator() string { return s.module.ActiveName() }
-
-// Phase returns the lifecycle phase.
-func (s *System) Phase() Phase { return s.module.Phase() }
-
-// Switches returns the switch history.
-func (s *System) Switches() []SwitchEvent { return s.module.Switches() }
+func (s *System) ActiveEstimator() string {
+	sh := s.lock()
+	defer sh.mu.Unlock()
+	return sh.module.ActiveName()
+}
 
 // AccuracyAverage returns the monitored sliding accuracy average.
-func (s *System) AccuracyAverage() float64 { return s.module.AccuracyAverage() }
-
-// WindowSize returns the number of live objects in the exact store.
-func (s *System) WindowSize() int { return s.window.Size() }
-
-// Stats returns a snapshot of the module internals.
-func (s *System) Stats() Stats {
-	s.guard.enter("Stats")
-	defer s.guard.exit()
-	return s.module.Snapshot()
+func (s *System) AccuracyAverage() float64 {
+	sh := s.lock()
+	defer sh.mu.Unlock()
+	return sh.module.AccuracyAverage()
 }
 
 // RecommendFor returns the model's current estimator recommendation for a
 // query, without changing any state.
-func (s *System) RecommendFor(q *Query) string { return s.module.RecommendFor(q) }
+func (s *System) RecommendFor(q *Query) string {
+	sh := s.lock()
+	defer sh.mu.Unlock()
+	return sh.module.RecommendFor(q)
+}
 
 // Gauges returns a point-in-time copy of the engine's operational counters
-// and latency histograms. The counters are atomic, so this is safe even
-// while another goroutine drives traffic.
-func (s *System) Gauges() GaugeSnapshot { return s.gauges.Snapshot() }
+// and latency histograms.
+func (s *System) Gauges() GaugeSnapshot { return s.shards[0].gauges.Snapshot() }
 
 // Decisions returns the recent switch-decision audit records, oldest first.
-func (s *System) Decisions() []Decision { return s.module.Decisions() }
+func (s *System) Decisions() []Decision {
+	sh := s.lock()
+	defer sh.mu.Unlock()
+	return sh.module.Decisions()
+}
 
 // QuarantinedEstimators returns the names of estimators currently held in
 // quarantine by their circuit breakers, in fleet order (empty when the
 // whole fleet is healthy).
-func (s *System) QuarantinedEstimators() []string { return s.module.QuarantinedNames() }
-
-// Shutdown satisfies the unified Engine interface. A System owns no
-// background resources — no telemetry server — so there is nothing to
-// stop; it exists so code written against Engine can shut any shape down
-// uniformly.
-func (s *System) Shutdown(context.Context) error { return nil }
+func (s *System) QuarantinedEstimators() []string {
+	sh := s.lock()
+	defer sh.mu.Unlock()
+	return sh.module.QuarantinedNames()
+}

@@ -8,13 +8,13 @@ import (
 // options.go defines the functional-option configuration surface shared by
 // New, NewConcurrent and NewSharded — the only way to configure an engine.
 // WithAlpha(0) unambiguously means "accuracy only", no companion boolean
-// required. There are two engine types: System, built by New, and
-// ShardedSystem, built by NewSharded and, with one shard, by NewConcurrent.
-// Options a constructor cannot honour (WithTelemetry, WithShards) are
-// rejected by that constructor.
+// required. All three build the one engine type, ShardedSystem: NewSharded
+// with N shards, New and NewConcurrent with one (New wraps it as a System).
+// WithShards is the one option a constructor can reject: New and
+// NewConcurrent always build one shard.
 
-// Option customizes a System or a ShardedSystem at construction time.
-// Options apply in order; later options win.
+// Option customizes an engine at construction time. Options apply in
+// order; later options win.
 type Option func(*config)
 
 // WithRegistry supplies the estimator registry (nil keeps the paper's six).
@@ -94,6 +94,8 @@ func WithSeed(seed int64) Option {
 }
 
 // WithOnSwitch installs a callback invoked after every estimator switch.
+// It runs on the query that made the switch, under the engine lock, so it
+// must return promptly and must not call back into the engine.
 func WithOnSwitch(fn func(SwitchEvent)) Option {
 	return func(c *config) { c.OnSwitch = fn }
 }
@@ -104,10 +106,10 @@ func WithOracleGridCells(n int) Option {
 	return func(c *config) { c.OracleGridCells = n }
 }
 
-// WithShards sets the number of spatial shards a ShardedSystem partitions
-// the world into (default runtime.GOMAXPROCS(0)). The pre-training length
+// WithShards sets the number of spatial shards NewSharded partitions the
+// world into (default runtime.GOMAXPROCS(0)). The pre-training length
 // (WithPretrainQueries) stays the engine's and is split across the shards.
-// New rejects it, and so does NewConcurrent, which always builds one shard.
+// New and NewConcurrent, which always build one shard, reject it.
 func WithShards(n int) Option {
 	return func(c *config) { c.Shards = n }
 }
@@ -117,9 +119,8 @@ func WithShards(n int) Option {
 // with TelemetryAddr). It publishes Prometheus text at /metrics, a JSON
 // status snapshot (switch-decision trace, per-estimator q-error, latency
 // percentiles) at /statusz, expvar at /debug/vars and pprof under
-// /debug/pprof/. Supported by NewConcurrent and NewSharded, whose engines
-// are safe to scrape while traffic flows; New returns an error because a
-// single-goroutine System is not. Stop the server with Close, or with
+// /debug/pprof/. Every constructor accepts it: every engine is safe to
+// scrape while traffic flows. Stop the server with Close, or with
 // Shutdown(ctx) to let in-flight scrapes finish first.
 //
 // When the engine sits behind the network serving layer (cmd/latestd),

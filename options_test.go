@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// options_test.go pins the constructor-aware option surface: each engine
-// shape accepts exactly the options it can honour, and every rejection
-// shares one error shape naming the option, the constructor and the
-// reason — silently ignoring WithTelemetry or WithShards would let a
-// caller believe telemetry is served or shards exist when they do not.
+// options_test.go pins the constructor-aware option surface: each
+// constructor accepts exactly the options it can honour, and every
+// rejection shares one error shape naming the option, the constructor and
+// the reason — silently ignoring WithShards would let a caller believe
+// shards exist when they do not.
 
 func validWorld() (Rect, time.Duration) {
 	return Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10 * time.Second
@@ -31,17 +31,8 @@ func assertOptionRejected(t *testing.T, err error, option, constructor string) {
 
 func TestNewRejectsConcurrencyOptions(t *testing.T) {
 	world, win := validWorld()
-	cases := []struct {
-		option string
-		opt    Option
-	}{
-		{"WithTelemetry", WithTelemetry("127.0.0.1:0")},
-		{"WithShards", WithShards(4)},
-	}
-	for _, c := range cases {
-		_, err := New(world, win, c.opt)
-		assertOptionRejected(t, err, c.option, "New")
-	}
+	_, err := New(world, win, WithShards(4))
+	assertOptionRejected(t, err, "WithShards", "New")
 }
 
 func TestNewConcurrentRejectsShardOptions(t *testing.T) {
@@ -50,10 +41,15 @@ func TestNewConcurrentRejectsShardOptions(t *testing.T) {
 	assertOptionRejected(t, err, "WithShards", "NewConcurrent")
 }
 
-// TestConcurrentAcceptsTelemetry: the concurrency-safe shapes may serve
-// /statusz while traffic flows; only the single-goroutine System refuses.
+// TestConcurrentAcceptsTelemetry: every engine may serve /statusz while
+// traffic flows, so every constructor accepts WithTelemetry.
 func TestConcurrentAcceptsTelemetry(t *testing.T) {
 	world, win := validWorld()
+	sys, err := New(world, win, WithTelemetry("127.0.0.1:0"))
+	if err != nil {
+		t.Fatalf("New rejected WithTelemetry: %v", err)
+	}
+	sys.Close()
 	conc, err := NewConcurrent(world, win, WithTelemetry("127.0.0.1:0"))
 	if err != nil {
 		t.Fatalf("NewConcurrent rejected WithTelemetry: %v", err)

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"github.com/spatiotext/latest/internal/core"
+	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/metrics"
+	"github.com/spatiotext/latest/internal/stream"
 	"github.com/spatiotext/latest/internal/telemetry"
 )
 
@@ -22,8 +24,8 @@ import (
 // shards whose rectangles intersect the query range (keyword-only queries
 // to all shards) and merge the partial counts. The RC-DVQ count over a
 // rectangle decomposes exactly over a spatial partition — every object
-// lives in exactly one shard — so merged exact counts equal a monolithic
-// System's. NewConcurrent builds the one-shard case.
+// lives in exactly one shard — so merged exact counts equal a one-shard
+// engine's. New and NewConcurrent build the one-shard case.
 //
 // Each shard runs its own LATEST module: its own learning model, its own
 // active estimator, its own switching decisions. Shards covering different
@@ -32,11 +34,10 @@ import (
 // Estimator pre-filling is inline: when a shard's adaptor wants a
 // candidate warmed from the window store, the query that asked for it
 // replays the window under the shard lock it already holds, so a seeded
-// 1-shard system reproduces System bit-for-bit.
+// run is reproducible bit for bit.
 //
-// Estimate and the feedback call must pair up per query, which under
-// concurrency is only maintainable atomically — so the combined
-// EstimateAndExecute operations are exposed instead of the split halves.
+// A query's estimate and its feedback run as one atomic cycle per shard
+// (EstimateAndExecute); System adds the split calls for its one shard.
 // Timestamps should be non-decreasing per producer; arrivals that would run
 // a shard's clock backwards are clamped to the shard's high-water mark
 // (counted in the shard's Reordered and ValidationClamped gauges).
@@ -47,8 +48,6 @@ type ShardedSystem struct {
 	xs     []float64 // col edges, len cols+1
 	ys     []float64 // row edges, len rows+1
 	shards []*shard
-
-	policy ValidationPolicy
 
 	telem *telemetry.Server
 
@@ -66,17 +65,97 @@ type ShardedSystem struct {
 	fingerprint []byte
 }
 
-// shard is one spatial partition: a full System (module + window store)
-// behind a mutex, plus operational gauges.
+// shard is one spatial partition behind its own lock: a LATEST module, the
+// exact window store that plays its database, its stream clock and its
+// operational gauges.
 type shard struct {
-	mu   sync.Mutex
-	rect Rect
-	sys  *System
+	mu     sync.Mutex
+	rect   Rect
+	policy ValidationPolicy
+	module *core.Module
+	window *stream.Window
 
+	// lastTS is the shard's timestamp high-water mark; under
+	// ValidationClamp a regressed arrival is clamped to it instead of
+	// violating the window store's ordering invariant.
+	lastTS int64
+
+	// pendingRejected marks that the last split Estimate (System) refused
+	// its query, so the paired Execute/ObserveActual must not feed the
+	// module a truth value it never produced an estimate for.
+	pendingRejected bool
+
+	// scratch stages an object in the heap-resident shard, so a single
+	// Feed hands down a pointer without forcing its argument to escape, and
+	// a regressed arrival is repaired here rather than in the caller's
+	// slice. Estimators copy what they keep, so the buffer is reusable.
 	scratch Object
 
+	// gauges are the shard's operational counters and latency histograms:
+	// atomic, allocation-free, safe to snapshot while traffic flows.
 	gauges metrics.ShardGauges
 	log    *telemetry.Logger
+}
+
+// defaultOracleGridCells sizes the exact store's grid when
+// WithOracleGridCells is not given.
+const defaultOracleGridCells = 4096
+
+// newShard builds one shard over cfg.World from options its caller has
+// validated.
+func newShard(cfg config, log *telemetry.Logger) (*shard, error) {
+	cells := cfg.OracleGridCells
+	if cells == 0 {
+		cells = defaultOracleGridCells
+	}
+	w := stream.NewWindow(cfg.World, cfg.Window.Milliseconds(), cells)
+	sh := &shard{rect: cfg.World, policy: cfg.Validation, window: w, log: log}
+	m, err := core.New(core.Config{
+		World:             cfg.World,
+		Span:              cfg.Window.Milliseconds(),
+		Registry:          cfg.Registry,
+		Estimators:        cfg.Estimators,
+		Default:           cfg.Default,
+		Alpha:             cfg.Alpha,
+		AlphaSet:          cfg.AlphaSet,
+		Tau:               cfg.Tau,
+		Beta:              cfg.Beta,
+		AccWindow:         cfg.AccWindow,
+		PretrainQueries:   cfg.PretrainQueries,
+		CooldownQueries:   cfg.CooldownQueries,
+		OpportunityMargin: cfg.OpportunityMargin,
+		Scale:             cfg.MemoryScale,
+		Seed:              cfg.Seed,
+		OnSwitch:          cfg.OnSwitch,
+		LatencyOf:         cfg.LatencyModel,
+		Logger:            log,
+		TraceDepth:        cfg.TraceDepth,
+		Resilience:        cfg.Breaker,
+		Injector:          cfg.FaultInjector,
+		// The exact window store doubles as the last-resort fallback when
+		// every estimator is quarantined: slower than any summary, but
+		// always correct and always available.
+		Oracle: func(q *stream.Query) float64 {
+			return float64(w.Answer(q))
+		},
+		Refill: sh.refill,
+	})
+	if err != nil {
+		return nil, err
+	}
+	sh.module = m
+	return sh, nil
+}
+
+// refill seeds a freshly wiped estimator from the window store: the query
+// that asked for it replays every live object into e under the shard lock
+// it already holds, and the pre-fill is counted.
+func (sh *shard) refill(e estimator.Estimator) {
+	sh.window.Each(func(o *stream.Object) bool {
+		e.Insert(o)
+		return true
+	})
+	sh.gauges.RecordPrefill()
 }
 
 // NewSharded builds a sharded LATEST system over the given world,
@@ -120,7 +199,6 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 		xs:     partitionEdges(cfg.World.MinX, cfg.World.MaxX, cols),
 		ys:     partitionEdges(cfg.World.MinY, cfg.World.MaxY, rows),
 		shards: make([]*shard, n),
-		policy: cfg.Validation,
 	}
 	s.bucketPool.New = func() any {
 		b := make([][]Object, n)
@@ -135,34 +213,24 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 	baseLog := telemetry.NewLogger(cfg.LogOutput, cfg.LogLevel)
 	for i := range s.shards {
 		r, c := i/cols, i%cols
-		component := fmt.Sprintf("shard-%d", i)
-		sh := &shard{
-			rect: Rect{MinX: s.xs[c], MinY: s.ys[r], MaxX: s.xs[c+1], MaxY: s.ys[r+1]},
-			log:  baseLog.Named(component),
-		}
 		shardCfg := cfg
-		shardCfg.World = sh.rect
-		// Shard 0 keeps the configured seed so a 1-shard system matches
-		// System exactly; the rest decorrelate their estimator randomness.
+		shardCfg.World = Rect{MinX: s.xs[c], MinY: s.ys[r], MaxX: s.xs[c+1], MaxY: s.ys[r+1]}
+		// Shard 0 keeps the configured seed, so one-shard engines reproduce
+		// each other's runs; the rest decorrelate their estimator randomness.
 		shardCfg.Seed = cfg.Seed + int64(i)*1_000_003
 		shardCfg.PretrainQueries = (pretrain + n - 1) / n
-		sys, err := newSystem(shardCfg, component)
+		sh, err := newShard(shardCfg, baseLog.Named(fmt.Sprintf("shard-%d", i)))
 		if err != nil {
 			return nil, err
 		}
-		// Point the shard's System at the shard's gauge set, so validation
-		// events detected inside the shared ingest/query paths land in the
-		// gauges the sharded Stats reads.
-		sys.gauges = &sh.gauges
-		sh.sys = sys
 		s.shards[i] = sh
 	}
-	// The sharded fingerprint takes world, seed and pre-training length from
-	// the top-level options (shard systems see derived ones), so an image
-	// written before shards split the length still restores; every other
-	// module knob is identical across shards, so shard 0's resolved config
-	// stands for all.
-	mc := s.shards[0].sys.module.Config()
+	// The fingerprint takes world, seed and pre-training length from the
+	// top-level options (shards see derived ones), so an image written
+	// before shards split the length still restores; every other module
+	// knob is identical across shards, so shard 0's resolved config stands
+	// for all.
+	mc := s.shards[0].module.Config()
 	mc.PretrainQueries = pretrain
 	s.fingerprint = configFingerprint(&cfg, mc)
 	if cfg.TelemetryAddr != "" {
@@ -266,16 +334,25 @@ func edgeIndex(edges []float64, v float64) int {
 	return i
 }
 
-// feedLocked ingests one object into sh. Validation repairs a regressed
-// timestamp in the pointee, so such an arrival is staged in the shard
-// first: behind a shard the caller's slice is never modified. Caller holds
-// sh.mu.
+// feedLocked validates and ingests one object; caller holds sh.mu. The
+// object is validated under the shard's policy first — non-finite
+// coordinates are rejected, regressed timestamps clamped (ValidationClamp)
+// or rejected. A clamp repairs a copy staged in the shard, so the caller's
+// slice is never modified; otherwise the pointee is only read, and the
+// window store and the estimators copy what they keep. lastTS advances only
+// on acceptance, so a rejected arrival carrying a garbage timestamp cannot
+// poison the stream clock.
 func (sh *shard) feedLocked(o *Object) {
-	if o.Timestamp < sh.sys.lastTS {
+	if o.Timestamp < sh.lastTS {
 		sh.scratch = *o
 		o = &sh.scratch
 	}
-	sh.sys.feedPtr(o)
+	if !checkObject(o, sh.lastTS, sh.policy, &sh.gauges, sh.log) {
+		return
+	}
+	sh.lastTS = o.Timestamp
+	sh.window.Insert(*o)
+	sh.module.Insert(o)
 }
 
 // Feed ingests one stream object on the caller, under the owning shard's
@@ -298,7 +375,7 @@ func (s *ShardedSystem) Feed(o Object) {
 	if sampled {
 		sh.gauges.RecordFeedLatency(time.Since(start))
 	}
-	sh.gauges.SetWindow(sh.sys.window.Size(), sh.sys.window.MemoryBytes())
+	sh.gauges.SetWindow(sh.window.Size(), sh.window.MemoryBytes())
 }
 
 // FeedBatch ingests a batch of stream objects with a single routing pass:
@@ -346,17 +423,31 @@ func (sh *shard) apply(objs []Object) {
 		sh.feedLocked(&objs[i])
 	}
 	sh.gauges.RecordBatch(len(objs), time.Since(start))
-	sh.gauges.SetWindow(sh.sys.window.Size(), sh.sys.window.MemoryBytes())
+	sh.gauges.SetWindow(sh.window.Size(), sh.window.MemoryBytes())
 }
 
 // targets returns the shards a query must consult: every shard whose
 // rectangle intersects the range, or all shards for keyword-only queries.
+// A range that hits one shard gets a sub-slice of s.shards, so the common
+// point or small-range query routes without allocating.
 func (s *ShardedSystem) targets(q *Query) []*shard {
 	if !q.HasRange {
 		return s.shards
 	}
-	out := make([]*shard, 0, len(s.shards))
-	for _, sh := range s.shards {
+	first, hits := 0, 0
+	for i, sh := range s.shards {
+		if sh.rect.Intersects(q.Range) {
+			if hits == 0 {
+				first = i
+			}
+			hits++
+		}
+	}
+	if hits <= 1 {
+		return s.shards[first : first+hits]
+	}
+	out := make([]*shard, 0, hits)
+	for _, sh := range s.shards[first:] {
 		if sh.rect.Intersects(q.Range) {
 			out = append(out, sh)
 		}
@@ -364,28 +455,30 @@ func (s *ShardedSystem) targets(q *Query) []*shard {
 	return out
 }
 
-// route validates (and under ValidationClamp, repairs) the query, then
-// returns the shards it must consult — validation first, because a NaN or
-// inverted rectangle would otherwise silently match no shard. Empty when
-// the query was rejected (counted in shard 0's gauges) or its range lies
-// wholly outside the world.
+// route validates (and under ValidationClamp, repairs) the query — the one
+// place a query is validated — then returns the shards it must consult:
+// validation first, because a NaN or inverted rectangle would otherwise
+// silently match no shard. Empty when the query was rejected (counted in
+// shard 0's gauges) or its range lies wholly outside the world.
 func (s *ShardedSystem) route(q *Query) []*shard {
-	if !checkQuery(q, s.policy, s.world, &s.shards[0].gauges, s.shards[0].log) {
+	sh := s.shards[0]
+	if !checkQuery(q, sh.policy, s.world, &sh.gauges, sh.log) {
 		return nil
 	}
 	return s.targets(q)
 }
 
-// query is the one place a shard's System is locked for a query: one
-// atomic estimate/observe cycle with tr installed on the module for exactly
-// the span of the lock, so the module never observes a stale trace. A nil
-// tr records nothing.
+// query runs one atomic estimate/observe cycle on the shard, with tr
+// installed on the module for exactly the span of the lock, so the module
+// never observes a stale trace. A nil tr records nothing.
 func (sh *shard) query(q *Query, tr *telemetry.ActiveTrace) (estimate float64, actual int) {
 	start := time.Now()
 	sh.mu.Lock()
-	sh.sys.module.SetTrace(tr)
-	estimate, actual = sh.sys.estimateAndExecute(q)
-	sh.sys.module.SetTrace(nil)
+	sh.module.SetTrace(tr)
+	estimate = sh.module.Estimate(q)
+	actual = sh.window.Answer(q)
+	sh.module.Observe(float64(actual))
+	sh.module.SetTrace(nil)
 	sh.mu.Unlock()
 	sh.gauges.RecordQuery(time.Since(start))
 	return estimate, actual
@@ -475,7 +568,7 @@ func (s *ShardedSystem) WindowSize() int {
 	total := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		total += sh.sys.WindowSize()
+		total += sh.window.Size()
 		sh.mu.Unlock()
 	}
 	return total
@@ -487,7 +580,7 @@ func (s *ShardedSystem) Phase() Phase {
 	phase := PhaseIncremental
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		p := sh.sys.Phase()
+		p := sh.module.Phase()
 		sh.mu.Unlock()
 		if p < phase {
 			phase = p
@@ -502,7 +595,7 @@ func (s *ShardedSystem) ActiveEstimators() []string {
 	out := make([]string, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		out[i] = sh.sys.ActiveEstimator()
+		out[i] = sh.module.ActiveName()
 		sh.mu.Unlock()
 	}
 	return out
@@ -515,7 +608,7 @@ func (s *ShardedSystem) Switches() []SwitchEvent {
 	var out []SwitchEvent
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		out = append(out, sh.sys.Switches()...)
+		out = append(out, sh.module.Switches()...)
 		sh.mu.Unlock()
 	}
 	return out
@@ -558,8 +651,8 @@ func (s *ShardedSystem) PerShardStats() ShardedStats {
 	parts := make([]Stats, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		parts[i] = sh.sys.Stats()
-		ws := sh.sys.WindowSize()
+		parts[i] = sh.module.Snapshot()
+		ws := sh.window.Size()
 		sh.mu.Unlock()
 		// Core snapshots don't know their shard index; stamp it so merged
 		// decision traces say where each switch happened.

@@ -99,9 +99,9 @@ func TestShardedPartition(t *testing.T) {
 	}
 }
 
-// TestShardedOneShardDeterminism is the sharded engine's ground truth: a
-// 1-shard ShardedSystem is the same machine as a plain System, so a
-// seeded workload must produce bit-identical estimates and exact counts.
+// TestShardedOneShardDeterminism: New and NewSharded(WithShards(1)) build
+// the same machine, so a seeded workload must produce bit-identical
+// estimates and exact counts.
 // Opportunity switches weigh measured wall-clock latency, so they are
 // disabled on both sides.
 func TestShardedOneShardDeterminism(t *testing.T) {
@@ -142,9 +142,50 @@ func TestShardedOneShardDeterminism(t *testing.T) {
 	}
 }
 
+// TestRangedQueryAllocs: a ranged query that hits one shard routes through
+// a sub-slice of the shard list, so the fused call allocates no more than
+// the shard's own estimate/observe cycle — on a one-shard and on a
+// four-shard engine. A freshly allocated target list cost one allocation
+// more (3 against 2 with RSH active). Switching weighs accuracy only, so
+// the two measurements see the same estimator.
+func TestRangedQueryAllocs(t *testing.T) {
+	opts := []Option{WithSeed(1), WithPretrainQueries(40), WithAccWindow(30),
+		WithAlpha(0), WithOpportunityMargin(-1)}
+	for name, eng := range map[string]*ShardedSystem{
+		"New":         MustNew(testWorld(), time.Minute, opts...).ShardedSystem,
+		"NewSharded4": MustNewSharded(testWorld(), time.Minute, append(opts, WithShards(4))...),
+	} {
+		objs := shardWorkload(21, 4000)
+		eng.FeedBatch(objs)
+		ts := objs[len(objs)-1].Timestamp
+		for i, q := range shardQueries(22, 400, ts) {
+			if eng.Phase() == PhaseIncremental && i > 100 {
+				break
+			}
+			eng.EstimateAndExecute(&q)
+		}
+		q := SpatialQuery(CenteredRect(Pt(0.25, 0.25), 0.1, 0.1), ts)
+		targets := eng.targets(&q)
+		if len(targets) != 1 {
+			t.Fatalf("%s: query routes to %d shards, want 1", name, len(targets))
+		}
+		cycle := testing.AllocsPerRun(200, func() {
+			qq := q
+			targets[0].query(&qq, nil)
+		})
+		fused := testing.AllocsPerRun(200, func() {
+			qq := q
+			eng.EstimateAndExecute(&qq)
+		})
+		if fused > cycle {
+			t.Errorf("%s: a one-target ranged query allocates %v times, its shard's cycle %v", name, fused, cycle)
+		}
+	}
+}
+
 // TestShardedExactCounts pins the count decomposition: objects are routed
 // disjointly, queries fan out unclipped, so merged exact counts equal a
-// monolithic System's for every query shape — on any shard count.
+// one-shard engine's for every query shape — on any shard count.
 func TestShardedExactCounts(t *testing.T) {
 	objs := shardWorkload(11, 8000)
 	ts := objs[len(objs)-1].Timestamp
@@ -408,7 +449,7 @@ func TestShardsSplitPretraining(t *testing.T) {
 	} {
 		s := MustNewSharded(testWorld(), time.Minute, append(tc.opts, WithShards(tc.shards))...)
 		for i, sh := range s.shards {
-			if got := sh.sys.module.Config().PretrainQueries; got != tc.want {
+			if got := sh.module.Config().PretrainQueries; got != tc.want {
 				t.Errorf("%d shards, options %d: shard %d pre-trains on %d queries, want %d",
 					tc.shards, len(tc.opts), i, got, tc.want)
 			}
@@ -435,17 +476,17 @@ func TestShardLeavesPretrainingOnItsShare(t *testing.T) {
 	area := CenteredRect(inner.Center(), inner.MaxX-inner.MinX-0.1, inner.MaxY-inner.MinY-0.1)
 	share := (pretrain + 3) / 4
 	for i := 1; i < share; i++ {
-		if p := s.shards[0].sys.Phase(); p != PhasePretrain {
+		if p := s.shards[0].module.Phase(); p != PhasePretrain {
 			t.Fatalf("shard 0 is in %v after %d queries, want pre-training until %d", p, i, share)
 		}
 		q := SpatialQuery(area, ts)
 		s.EstimateAndExecute(&q)
 	}
-	if p := s.shards[0].sys.Phase(); p != PhaseIncremental {
+	if p := s.shards[0].module.Phase(); p != PhaseIncremental {
 		t.Errorf("shard 0 is in %v after its share of %d queries", p, share)
 	}
 	for i, sh := range s.shards[1:] {
-		if p := sh.sys.Phase(); p != PhasePretrain {
+		if p := sh.module.Phase(); p != PhasePretrain {
 			t.Errorf("shard %d, which one query reached, is in %v", i+1, p)
 		}
 	}

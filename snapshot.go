@@ -10,8 +10,7 @@ import (
 	"github.com/spatiotext/latest/internal/telemetry"
 )
 
-// snapshot.go implements Engine.Snapshot / Engine.Restore for the two
-// engine types through one save and one load function. A snapshot is one
+// snapshot.go implements Engine.Snapshot / Engine.Restore for the engine. A snapshot is one
 // LSNP container (internal/persist) whose sections are:
 //
 //	meta               engine kind, config fingerprint, generation
@@ -97,7 +96,7 @@ func encodeMeta(kind string, fingerprint []byte, gen uint64) []byte {
 }
 
 // readMeta decodes the meta section: engine kind, config fingerprint and
-// generation. It validates nothing against an engine; loadSnapshot does.
+// generation. It validates nothing against an engine; Restore does.
 func readMeta(snap *persist.Snapshot) (kind string, fp []byte, gen uint64, err error) {
 	payload, ok := snap.Section(metaSectionName)
 	if !ok {
@@ -114,33 +113,33 @@ func readMeta(snap *persist.Snapshot) (kind string, fp []byte, gen uint64, err e
 	return kind, fp, gen, nil
 }
 
-// writeSections serializes one System's state group into sw under prefix
+// writeSections serializes one shard's state group into sw under prefix
 // (see snapshotLayout).
-func (s *System) writeSections(sw *persist.SnapshotWriter, prefix string) error {
+func (sh *shard) writeSections(sw *persist.SnapshotWriter, prefix string) error {
 	_ = sw.EncodeSection(prefix+"window", func(e *persist.Enc) error {
-		s.window.SaveState(e)
+		sh.window.SaveState(e)
 		return nil
 	})
-	if err := sw.EncodeSection(prefix+"module", s.module.SaveState); err != nil {
+	if err := sw.EncodeSection(prefix+"module", sh.module.SaveState); err != nil {
 		return err
 	}
 	var ee persist.Enc
-	ee.I64(s.lastTS)
+	ee.I64(sh.lastTS)
 	sw.Section(prefix+"engine", ee.Data())
 	return nil
 }
 
-// readSections restores one System's state group. The window loads first:
+// readSections restores one shard's state group. The window loads first:
 // estimators without a serialized summary are rebuilt by replaying the
 // restored window through the refill path, which must see the full store.
-func (s *System) readSections(snap *persist.Snapshot, prefix string) error {
+func (sh *shard) readSections(snap *persist.Snapshot, prefix string) error {
 	const op = "snapshot"
 	win, ok := snap.Section(prefix + "window")
 	if !ok {
 		return persist.Errf(persist.CodeMalformed, op, "section %q missing", prefix+"window")
 	}
 	wd := persist.NewDec(win)
-	if err := s.window.LoadState(wd); err != nil {
+	if err := sh.window.LoadState(wd); err != nil {
 		return err
 	}
 	if err := wd.Done(); err != nil {
@@ -151,7 +150,7 @@ func (s *System) readSections(snap *persist.Snapshot, prefix string) error {
 		return persist.Errf(persist.CodeMalformed, op, "section %q missing", prefix+"module")
 	}
 	md := persist.NewDec(mod)
-	if err := s.module.LoadState(md); err != nil {
+	if err := sh.module.LoadState(md); err != nil {
 		return err
 	}
 	if err := md.Done(); err != nil {
@@ -169,147 +168,103 @@ func (s *System) readSections(snap *persist.Snapshot, prefix string) error {
 	if err := ed.Done(); err != nil {
 		return err
 	}
-	s.lastTS = lastTS
+	sh.lastTS = lastTS
 	return nil
 }
 
-// saveSnapshot writes generation gen of a rows×cols module grid — mods in
-// row-major order, a System being the one-module case — into st as one
-// artifact named persist.SnapshotName. The caller makes mods a consistent
-// cut.
-func saveSnapshot(ctx context.Context, st Store, rows, cols int, mods []*System, fp []byte, gen uint64) error {
-	kind, prefixes := snapshotLayout(rows, cols)
-	windowBytes := 0
-	for _, m := range mods {
-		windowBytes += m.window.MemoryBytes()
-	}
-	sw := persist.NewSnapshotWriter(windowBytes)
-	sw.Section(metaSectionName, encodeMeta(kind, fp, gen))
-	for i, m := range mods {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := m.writeSections(sw, prefixes[i]); err != nil {
-			return err
-		}
-	}
-	return st.Save(persist.SnapshotName, sw.Bytes())
-}
-
-// loadSnapshot restores st's artifact into the freshly built rows×cols
-// module grid mods and returns the artifact's generation. The meta kind must
-// be the grid's and the fingerprint fp (CodeMismatch otherwise).
-func loadSnapshot(ctx context.Context, st Store, rows, cols int, mods []*System, fp []byte) (uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	data, err := st.Load(persist.SnapshotName)
-	if err != nil {
-		return 0, err
-	}
-	snap, err := persist.DecodeSnapshot(data)
-	if err != nil {
-		return 0, err
-	}
-	kind, gotFP, gen, err := readMeta(snap)
-	if err != nil {
-		return 0, err
-	}
-	wantKind, prefixes := snapshotLayout(rows, cols)
-	// Images NewSharded(WithShards(1)) wrote before every one-module engine
-	// shared the "single" layout hold the same sections under "shard-0/".
-	if kind == "sharded:1x1" && len(mods) == 1 {
-		kind, prefixes = wantKind, []string{"shard-0/"}
-	}
-	const op = "snapshot meta"
-	if kind != wantKind {
-		return 0, persist.Errf(persist.CodeMismatch, op,
-			"snapshot is from a %q engine, this engine is %q", kind, wantKind)
-	}
-	if !bytes.Equal(gotFP, fp) {
-		return 0, persist.Errf(persist.CodeMismatch, op,
-			"snapshot was taken under a different configuration (fingerprint differs); rebuild the engine with the original options")
-	}
-	for i, m := range mods {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if err := m.readSections(snap, prefixes[i]); err != nil {
-			return 0, err
-		}
-	}
-	return gen, nil
-}
-
-// Snapshot serializes the engine into st as one atomic artifact named
-// persist.SnapshotName. Each successful snapshot increments the engine's
-// generation by exactly one; the generation is embedded in the artifact,
-// which is what lets the durable layer pair a snapshot with its feed WAL
-// atomically (the pairing commits with the snapshot's rename).
-//
-// System is single-goroutine: do not call Snapshot concurrently with
-// traffic (use NewConcurrent, NewSharded or DurableEngine for that).
-func (s *System) Snapshot(ctx context.Context, st Store) error {
-	if err := saveSnapshot(ctx, st, 1, 1, []*System{s}, s.fingerprint, s.gen+1); err != nil {
-		return err
-	}
-	s.gen++
-	return nil
-}
-
-// Restore loads a snapshot into this freshly constructed System. The
-// engine must have been built with the same options (CodeMismatch
-// otherwise) and never fed (CodeState otherwise). On error the engine must
-// be discarded: a failed restore never leaves partial state behind a
-// usable-looking engine.
-func (s *System) Restore(ctx context.Context, st Store) error {
-	gen, err := loadSnapshot(ctx, st, 1, 1, []*System{s}, s.fingerprint)
-	if err != nil {
-		return err
-	}
-	s.gen = gen
-	return nil
-}
-
-// lockAll takes every shard lock in shard order and returns the shards'
-// Systems with the function that releases the locks.
-func (s *ShardedSystem) lockAll() (mods []*System, unlock func()) {
-	mods = make([]*System, len(s.shards))
-	for i, sh := range s.shards {
+// lockAll takes every shard lock in shard order and returns the function
+// that releases them.
+func (s *ShardedSystem) lockAll() (unlock func()) {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
-		mods[i] = sh.sys
 	}
-	return mods, func() {
+	return func() {
 		for _, sh := range s.shards {
 			sh.mu.Unlock()
 		}
 	}
 }
 
-// Snapshot serializes every shard into st as one atomic artifact. All
-// shard locks are held for the duration (acquired in shard order), so the
-// capture is a consistent cut with respect to feeds and single-shard
+// Snapshot serializes every shard into st as one atomic artifact named
+// persist.SnapshotName. Each successful snapshot increments the engine's
+// generation by exactly one; the generation is embedded in the artifact,
+// which is what lets the durable layer pair a snapshot with its feed WAL
+// atomically (the pairing commits with the snapshot's rename).
+//
+// All shard locks are held for the duration (acquired in shard order), so
+// the capture is a consistent cut with respect to feeds and single-shard
 // queries; for a cut that is also consistent with multi-shard query
 // fan-outs, quiesce queries first (DurableEngine's write lock does).
 func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
-	mods, unlock := s.lockAll()
+	unlock := s.lockAll()
 	defer unlock()
-	if err := saveSnapshot(ctx, st, s.rows, s.cols, mods, s.fingerprint, s.gen+1); err != nil {
+	kind, prefixes := snapshotLayout(s.rows, s.cols)
+	windowBytes := 0
+	for _, sh := range s.shards {
+		windowBytes += sh.window.MemoryBytes()
+	}
+	sw := persist.NewSnapshotWriter(windowBytes)
+	sw.Section(metaSectionName, encodeMeta(kind, s.fingerprint, s.gen+1))
+	for i, sh := range s.shards {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := sh.writeSections(sw, prefixes[i]); err != nil {
+			return err
+		}
+	}
+	if err := st.Save(persist.SnapshotName, sw.Bytes()); err != nil {
 		return err
 	}
 	s.gen++
 	return nil
 }
 
-// Restore loads a snapshot into this freshly constructed ShardedSystem.
-// The shard grid must match (the kind string carries it) and every shard
-// must be untouched; see System.Restore for the error contract.
+// Restore loads a snapshot into this freshly constructed engine. The meta
+// kind must match the shard grid and the fingerprint the construction
+// options (CodeMismatch otherwise), and every shard must be untouched
+// (CodeState otherwise). On error the engine must be discarded: a failed
+// restore never leaves partial state behind a usable-looking engine.
 func (s *ShardedSystem) Restore(ctx context.Context, st Store) error {
-	mods, unlock := s.lockAll()
+	unlock := s.lockAll()
 	defer unlock()
-	gen, err := loadSnapshot(ctx, st, s.rows, s.cols, mods, s.fingerprint)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	data, err := st.Load(persist.SnapshotName)
 	if err != nil {
 		return err
+	}
+	snap, err := persist.DecodeSnapshot(data)
+	if err != nil {
+		return err
+	}
+	kind, gotFP, gen, err := readMeta(snap)
+	if err != nil {
+		return err
+	}
+	wantKind, prefixes := snapshotLayout(s.rows, s.cols)
+	// Images NewSharded(WithShards(1)) wrote before every one-module engine
+	// shared the "single" layout hold the same sections under "shard-0/".
+	if kind == "sharded:1x1" && len(s.shards) == 1 {
+		kind, prefixes = wantKind, []string{"shard-0/"}
+	}
+	const op = "snapshot meta"
+	if kind != wantKind {
+		return persist.Errf(persist.CodeMismatch, op,
+			"snapshot is from a %q engine, this engine is %q", kind, wantKind)
+	}
+	if !bytes.Equal(gotFP, s.fingerprint) {
+		return persist.Errf(persist.CodeMismatch, op,
+			"snapshot was taken under a different configuration (fingerprint differs); rebuild the engine with the original options")
+	}
+	for i, sh := range s.shards {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := sh.readSections(snap, prefixes[i]); err != nil {
+			return err
+		}
 	}
 	s.gen = gen
 	return nil

@@ -11,7 +11,7 @@ import (
 // source.
 
 // shardSample flattens one module's stats plus its operational gauges into
-// a telemetry.ShardSample. A monolithic engine reports itself as shard 0.
+// a telemetry.ShardSample.
 func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSample {
 	return telemetry.ShardSample{
 		Index:              index,
@@ -60,21 +60,6 @@ func telemetryReport(engine string, merged Stats, shards []ShardStats) telemetry
 		snap.WindowBytes += sh.Gauges.WindowBytes
 	}
 	return snap
-}
-
-// TelemetrySnapshot returns the /statusz view of a single-goroutine
-// System, reporting itself as shard 0 of a one-shard engine. Unlike the
-// concurrent shapes it must not be called while another goroutine drives
-// traffic — System's general concurrency contract. In -race builds that
-// contract is enforced: a scrape overlapping any other System method
-// panics immediately, naming the violation, instead of leaving it to the
-// race detector's sampling. Scrape a System from the goroutine that owns
-// it, or wrap the engine with NewConcurrent / NewSharded.
-func (s *System) TelemetrySnapshot() telemetry.Snapshot {
-	st := s.Stats()
-	return telemetryReport("system", st, []ShardStats{
-		{Core: st, WindowSize: s.WindowSize(), Gauges: s.gauges.Snapshot()},
-	})
 }
 
 // TelemetrySnapshot returns the same point-in-time view the /statusz

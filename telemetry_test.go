@@ -27,15 +27,6 @@ func telemetryGet(t *testing.T, addr, path string) string {
 	return string(body)
 }
 
-// TestSystemRejectsTelemetry pins the construction contract: a
-// single-goroutine System cannot be scraped while traffic flows, so
-// WithTelemetry on New must fail loudly instead of racing silently.
-func TestSystemRejectsTelemetry(t *testing.T) {
-	if _, err := New(testWorld(), time.Minute, WithTelemetry("127.0.0.1:0")); err == nil {
-		t.Fatal("New accepted WithTelemetry; want construction error")
-	}
-}
-
 // TestShardedTelemetryEndpoints drives a sharded engine with telemetry
 // enabled and scrapes every endpoint over real HTTP.
 func TestShardedTelemetryEndpoints(t *testing.T) {

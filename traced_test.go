@@ -10,7 +10,7 @@ import (
 
 // traceOne issues one traced query against a warmed engine and returns the
 // recorded trace.
-func traceOne(t *testing.T, eng TracedEngine, q Query) telemetry.Trace {
+func traceOne(t *testing.T, eng Engine, q Query) telemetry.Trace {
 	t.Helper()
 	tb := telemetry.NewTraceBuffer(4, 1)
 	tr := tb.Start("estimate", telemetry.NewTraceID())
@@ -146,7 +146,7 @@ func TestTracedQueryReadsOwnWrites(t *testing.T) {
 		t.Cleanup(s.Close)
 		return s
 	}
-	for name, eng := range map[string]TracedEngine{
+	for name, eng := range map[string]Engine{
 		"sharded1": sharded(1),
 		"sharded4": sharded(4),
 		"durable":  quietDurable(t, sharded(1), &countStore{Store: NewMemStore()}, 0),

@@ -95,7 +95,7 @@ func TestValidationQueryPolicies(t *testing.T) {
 		}
 		actual := sys.Execute(&inverted)
 		canonical := SpatialQuery(Rect{MinX: 0.2, MinY: 0.1, MaxX: 0.8, MaxY: 0.7}, ts)
-		if want := sys.window.Answer(&canonical); actual != want {
+		if want := sys.shards[0].window.Answer(&canonical); actual != want {
 			t.Errorf("repaired exact count %d != canonical %d", actual, want)
 		}
 		if g := sys.Gauges(); g.ValidationClamped != 1 {
@@ -161,7 +161,7 @@ func TestValidationQueryPolicies(t *testing.T) {
 				if est, actual := sys.EstimateAndExecute(&q); est != 0 || actual != 0 {
 					t.Errorf("%v: degenerate rect %v answered (%v, %d)", policy, r, est, actual)
 				}
-				if want := sys.window.Answer(&q); want != 0 {
+				if want := sys.shards[0].window.Answer(&q); want != 0 {
 					t.Fatalf("degenerate rect %v matches %d objects; reject is no longer exact", r, want)
 				}
 			}
@@ -231,27 +231,42 @@ func TestValidationShardedRouting(t *testing.T) {
 }
 
 // TestValidationOutOfWorldRange: a range wholly outside the world matches
-// no shard, so every concurrent-safe constructor answers (0, 0) without
-// spending a training record on it; only ValidationStrict counts it as a
-// reject.
+// no shard, so every constructor answers (0, 0) without spending a training
+// record on it — New through the split Estimate and Execute too; only
+// ValidationStrict counts it as a reject.
 func TestValidationOutOfWorldRange(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	for name, build := range map[string]func(...Option) *ShardedSystem{
-		"NewConcurrent": func(opts ...Option) *ShardedSystem {
-			return MustNewConcurrent(world, 10*time.Second, opts...)
+	type answer func(*Query) (float64, int)
+	for name, build := range map[string]func(...Option) (*ShardedSystem, answer){
+		"New": func(opts ...Option) (*ShardedSystem, answer) {
+			s := MustNew(world, 10*time.Second, opts...)
+			return s.ShardedSystem, s.EstimateAndExecute
 		},
-		"NewSharded(1)": func(opts ...Option) *ShardedSystem {
-			return MustNewSharded(world, 10*time.Second, append(opts, WithShards(1))...)
+		"New split": func(opts ...Option) (*ShardedSystem, answer) {
+			s := MustNew(world, 10*time.Second, opts...)
+			return s.ShardedSystem, func(q *Query) (float64, int) {
+				est := s.Estimate(q)
+				return est, s.Execute(q)
+			}
 		},
-		"NewSharded(4)": func(opts ...Option) *ShardedSystem {
-			return MustNewSharded(world, 10*time.Second, append(opts, WithShards(4))...)
+		"NewConcurrent": func(opts ...Option) (*ShardedSystem, answer) {
+			s := MustNewConcurrent(world, 10*time.Second, opts...)
+			return s, s.EstimateAndExecute
+		},
+		"NewSharded(1)": func(opts ...Option) (*ShardedSystem, answer) {
+			s := MustNewSharded(world, 10*time.Second, append(opts, WithShards(1))...)
+			return s, s.EstimateAndExecute
+		},
+		"NewSharded(4)": func(opts ...Option) (*ShardedSystem, answer) {
+			s := MustNewSharded(world, 10*time.Second, append(opts, WithShards(4))...)
+			return s, s.EstimateAndExecute
 		},
 	} {
 		for _, policy := range []ValidationPolicy{ValidationClamp, ValidationStrict, ValidationDrop} {
-			eng := build(WithSeed(1), WithValidation(policy))
+			eng, answer := build(WithSeed(1), WithValidation(policy))
 			eng.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 1})
 			outside := SpatialQuery(Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 1)
-			est, actual := eng.EstimateAndExecute(&outside)
+			est, actual := answer(&outside)
 			var rejected, want uint64
 			for _, sh := range eng.PerShardStats().Shards {
 				rejected += sh.Gauges.ValidationRejected
@@ -329,7 +344,7 @@ func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 
 // TestValidationClampCountedOneWay: one regressed arrival reads the same on
 // every constructor — one ValidationClamped, one Reordered, the object kept
-// — and behind a shard the repair never reaches the caller's slice.
+// — and the repair never reaches the caller's slice.
 func TestValidationClampCountedOneWay(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	batch := func() []Object {
@@ -338,19 +353,8 @@ func TestValidationClampCountedOneWay(t *testing.T) {
 			{ID: 2, Loc: Pt(0.4, 0.4), Keywords: []string{"a"}, Timestamp: 50},
 		}
 	}
-	check := func(t *testing.T, g GaugeSnapshot, size int) {
-		t.Helper()
-		if g.ValidationClamped != 1 || g.Reordered != 1 || size != 2 {
-			t.Errorf("ValidationClamped %d, Reordered %d, window %d; want 1, 1, 2",
-				g.ValidationClamped, g.Reordered, size)
-		}
-	}
-	t.Run("New", func(t *testing.T) {
-		sys := validationSystem(t, ValidationClamp)
-		sys.FeedBatch(batch())
-		check(t, sys.Gauges(), sys.WindowSize())
-	})
 	for name, eng := range map[string]*ShardedSystem{
+		"New":           validationSystem(t, ValidationClamp).ShardedSystem,
 		"NewConcurrent": MustNewConcurrent(world, 10*time.Second, WithSeed(1)),
 		"NewSharded":    MustNewSharded(world, 10*time.Second, WithSeed(1), WithShards(1)),
 	} {
@@ -358,7 +362,11 @@ func TestValidationClampCountedOneWay(t *testing.T) {
 			defer eng.Close()
 			objs := batch()
 			eng.FeedBatch(objs)
-			check(t, eng.PerShardStats().Shards[0].Gauges, eng.WindowSize())
+			g, size := eng.PerShardStats().Shards[0].Gauges, eng.WindowSize()
+			if g.ValidationClamped != 1 || g.Reordered != 1 || size != 2 {
+				t.Errorf("ValidationClamped %d, Reordered %d, window %d; want 1, 1, 2",
+					g.ValidationClamped, g.Reordered, size)
+			}
 			if objs[1].Timestamp != 50 {
 				t.Errorf("caller's slice modified: timestamp %d, want 50", objs[1].Timestamp)
 			}
