@@ -68,8 +68,9 @@ type DurableHealth struct {
 	Since time.Time    `json:"since"`
 
 	// WALErrors counts failed WAL operations (append, sync, close,
-	// recovery-time truncation); StoreErrors failed housekeeping
-	// (cleanup, listing); SnapshotErrors failed snapshot commits.
+	// recovery-time truncation); StoreErrors failed housekeeping (cleanup)
+	// and snapshot generations recovery could not read, each skipped for
+	// an older one; SnapshotErrors failed snapshot commits.
 	WALErrors      uint64 `json:"wal_errors"`
 	StoreErrors    uint64 `json:"store_errors"`
 	SnapshotErrors uint64 `json:"snapshot_errors"`
@@ -135,7 +136,7 @@ func (d *DurableEngine) noteErr(op string, err error) {
 	switch op {
 	case "wal-append", "wal-sync", "wal-close", "wal-recover":
 		d.stats.walErrors.Add(1)
-	case "cleanup", "recover-scan":
+	case "cleanup", "recover-snapshot":
 		d.stats.storeErrors.Add(1)
 	}
 	d.healthMu.Lock()

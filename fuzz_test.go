@@ -7,9 +7,9 @@ import (
 )
 
 // fuzz_test.go drives the public ingest and query paths with arbitrary
-// float64 coordinates, rectangle corners and timestamps. The contract under
-// every validation policy is the same: no input may panic the engine, and
-// every estimate the engine does emit is finite and non-negative.
+// float64 coordinates, rectangle corners and timestamps. The contract: no
+// input may panic the engine, and every estimate the engine does emit is
+// finite and non-negative.
 
 // fuzzEngine is one engine under fuzz, named for failure messages.
 type fuzzEngine struct {
@@ -17,38 +17,31 @@ type fuzzEngine struct {
 	Engine
 }
 
-// fuzzWorlds builds, per validation policy, a small System, a NewConcurrent
-// engine and a 4-shard NewSharded engine — the last two share the shard
-// code, so hostile floats reach shardOf, edgeIndex and targets as well as
-// the module. Engines are deliberately shared across iterations of a fuzz
-// target: accumulated state (clamped clocks, evicted windows, phase
-// transitions) is part of the surface being fuzzed.
+// fuzzWorlds builds a small System, a NewConcurrent engine and a 4-shard
+// NewSharded engine — the last two share the shard code, so hostile floats
+// reach shardOf, edgeIndex and targets as well as the module. Engines are
+// deliberately shared across iterations of a fuzz target: accumulated state
+// (clamped clocks, evicted windows, phase transitions) is part of the
+// surface being fuzzed.
 func fuzzWorlds(f *testing.F) []fuzzEngine {
 	f.Helper()
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	var engines []fuzzEngine
-	for _, p := range []ValidationPolicy{ValidationClamp, ValidationStrict, ValidationDrop} {
-		opts := []Option{WithSeed(7), WithPretrainQueries(20), WithAccWindow(10), WithValidation(p)}
-		sys, err := New(world, 10*time.Second, opts...)
-		if err != nil {
-			f.Fatal(err)
-		}
-		conc, err := NewConcurrent(world, 10*time.Second, opts...)
-		if err != nil {
-			f.Fatal(err)
-		}
-		sharded, err := NewSharded(world, 10*time.Second, append(opts, WithShards(4))...)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Cleanup(conc.Close)
-		f.Cleanup(sharded.Close)
-		engines = append(engines,
-			fuzzEngine{"System/" + p.String(), sys},
-			fuzzEngine{"NewConcurrent/" + p.String(), conc},
-			fuzzEngine{"NewSharded(4)/" + p.String(), sharded})
+	opts := []Option{WithSeed(7), WithPretrainQueries(20), WithAccWindow(10)}
+	sys, err := New(world, 10*time.Second, opts...)
+	if err != nil {
+		f.Fatal(err)
 	}
-	return engines
+	conc, err := NewConcurrent(world, 10*time.Second, opts...)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sharded, err := NewSharded(world, 10*time.Second, append(opts, WithShards(4))...)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(conc.Close)
+	f.Cleanup(sharded.Close)
+	return []fuzzEngine{{"System", sys}, {"NewConcurrent", conc}, {"NewSharded(4)", sharded}}
 }
 
 func FuzzFeed(f *testing.F) {

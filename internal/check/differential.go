@@ -252,9 +252,9 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 		var ests [2]float64
 		var acts [2]int
 		for i, e := range engines {
-			// Each engine gets its own copy: ValidationClamp repairs in
-			// place, and a shared struct would let one engine's repair leak
-			// into the next engine's input.
+			// Each engine gets its own copy: validation repairs in place,
+			// and a shared struct would let one engine's repair leak into
+			// the next engine's input.
 			qc := q
 			ests[i], acts[i] = e.query(&qc)
 		}

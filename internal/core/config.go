@@ -102,16 +102,6 @@ type Config struct {
 	// Logger receives switch-path and pre-fill lifecycle lines; nil is
 	// silent (logging never touches the per-object or per-query hot path).
 	Logger *telemetry.Logger
-	// TraceDepth sizes the switch-decision audit ring (zero =
-	// telemetry.DefaultTraceDepth).
-	TraceDepth int
-	// DriftWindow sizes the accuracy-drift watchdog's reference and current
-	// q-error windows (zero = telemetry.DefaultDriftWindow).
-	DriftWindow int
-	// DriftThreshold is the current/reference mean q-error ratio at which
-	// an estimator is flagged drifted (zero =
-	// telemetry.DefaultDriftThreshold).
-	DriftThreshold float64
 	// Resilience parameterizes the per-estimator guard and circuit breaker
 	// (fault window, quarantine threshold, cooldown, probe count, latency
 	// deadline). The zero value takes the resilience package defaults —

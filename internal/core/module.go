@@ -118,12 +118,12 @@ func New(cfg Config) (*Module, error) {
 		oppQt:     make([]stream.QueryType, maxInt(cfg.AccWindow/2, 8)),
 		prefill:   -1,
 		phase:     PhaseWarmup,
-		trace:     telemetry.NewDecisionTrace(cfg.TraceDepth),
+		trace:     telemetry.NewDecisionTrace(telemetry.DefaultTraceDepth),
 		log:       cfg.Logger,
 	}
 	for range cfg.Estimators {
 		m.qerr = append(m.qerr, metrics.NewEWMA(profileAlpha))
-		m.drift = append(m.drift, telemetry.NewDriftTracker(cfg.DriftWindow, cfg.DriftThreshold))
+		m.drift = append(m.drift, telemetry.NewDriftTracker(telemetry.DefaultDriftWindow, telemetry.DefaultDriftThreshold))
 	}
 	m.qerrN = make([]uint64, len(cfg.Estimators))
 	m.drifted = make([]bool, len(cfg.Estimators))

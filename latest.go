@@ -153,13 +153,11 @@ func NewRegistry() *Registry { return estimator.NewRegistry() }
 // DefaultRegistry returns a registry holding the paper's six estimators.
 func DefaultRegistry() *Registry { return estimator.DefaultRegistry() }
 
-// config is the resolved option set shared by the three constructors. It
-// is deliberately unexported: the only way to configure an engine is the
-// functional options, so every knob is validated at the API boundary and a
-// literal zero never needs a companion "was it set" flag in user code.
-// (The former exported Config struct and the NewFromConfig constructors
-// were removed in the durability redesign; see CHANGES.md for the
-// migration table.)
+// config is the resolved option set shared by the three constructors, one
+// field per option. It is deliberately unexported: the only way to
+// configure an engine is the functional options, so every knob is validated
+// at the API boundary and a literal zero never needs a companion "was it
+// set" flag in user code.
 type config struct {
 	// World is the spatial domain all objects and ranges live in.
 	World Rect
@@ -192,15 +190,6 @@ type config struct {
 	Seed int64
 	// OnSwitch, when non-nil, is called after every estimator switch.
 	OnSwitch func(SwitchEvent)
-	// OracleGridCells sizes the exact store's internal grid (speed only;
-	// zero = 4096).
-	OracleGridCells int
-	// CooldownQueries is the minimum number of queries between switches
-	// (zero = AccWindow/2).
-	CooldownQueries int
-	// OpportunityMargin is the proactive-switch margin (zero = 0.15,
-	// negative disables opportunity switches).
-	OpportunityMargin float64
 	// Shards is the spatial shard count used by NewSharded (zero =
 	// runtime.GOMAXPROCS(0)). New and NewConcurrent reject it and set 1.
 	Shards int
@@ -213,12 +202,6 @@ type config struct {
 	LogOutput io.Writer
 	// LogLevel is the minimum severity emitted to LogOutput.
 	LogLevel LogLevel
-	// TraceDepth sizes the per-module switch-decision audit ring (zero
-	// keeps the default of 64).
-	TraceDepth int
-	// Validation selects the input-hardening policy applied to inbound
-	// objects and queries (default ValidationClamp).
-	Validation ValidationPolicy
 	// Breaker tunes the per-estimator quarantine circuit breaker; zero
 	// fields keep the package defaults.
 	Breaker BreakerConfig
@@ -288,11 +271,11 @@ func optionErr(option, constructor, reason string) error {
 	return fmt.Errorf("latest: %s is not supported by %s (%s)", option, constructor, reason)
 }
 
-// validateOptions rejects option values that would previously surface as a
-// panic inside an internal constructor (grid sizing, slicer spans, EWMA
-// alphas, trace rings), turning each into a descriptive error at the API
-// boundary. Bounds the core layer already enforces with errors (Tau, Beta,
-// Alpha ranges, fleet membership) are left to it.
+// validateOptions rejects option values that would otherwise surface as a
+// panic inside an internal constructor (window spans, world partitioning,
+// negative counts, non-finite weights), turning each into a descriptive
+// error at the API boundary. Bounds the core layer already enforces with
+// errors (Tau, Beta, Alpha ranges, fleet membership) are left to it.
 func validateOptions(cfg *config) error {
 	if cfg.Window <= 0 {
 		return fmt.Errorf("latest: Window must be positive, got %v", cfg.Window)
@@ -303,26 +286,12 @@ func validateOptions(cfg *config) error {
 	if cfg.World.Empty() || !cfg.World.Valid() {
 		return fmt.Errorf("latest: World must be a valid non-empty rectangle, got %v", cfg.World)
 	}
-	if !cfg.Validation.valid() {
-		return fmt.Errorf("latest: unknown validation policy %d (use ValidationClamp, ValidationStrict or ValidationDrop)", int(cfg.Validation))
-	}
-	if cfg.OracleGridCells < 0 {
-		return fmt.Errorf("latest: OracleGridCells must be non-negative, got %d", cfg.OracleGridCells)
-	}
-	if cfg.OracleGridCells > 0 {
-		side := int(math.Sqrt(float64(cfg.OracleGridCells)))
-		if side*side != cfg.OracleGridCells {
-			return fmt.Errorf("latest: OracleGridCells must be a perfect square (the exact store uses a square grid), got %d", cfg.OracleGridCells)
-		}
-	}
 	for _, f := range []struct {
 		name string
 		v    int
 	}{
 		{"AccWindow", cfg.AccWindow},
 		{"PretrainQueries", cfg.PretrainQueries},
-		{"CooldownQueries", cfg.CooldownQueries},
-		{"TraceDepth", cfg.TraceDepth},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("latest: %s must be non-negative, got %d", f.name, f.v)
@@ -336,7 +305,6 @@ func validateOptions(cfg *config) error {
 		{"Tau", cfg.Tau},
 		{"Beta", cfg.Beta},
 		{"MemoryScale", cfg.MemoryScale},
-		{"OpportunityMargin", cfg.OpportunityMargin},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("latest: %s must be finite, got %v", f.name, f.v)
@@ -358,11 +326,11 @@ func (s *System) lock() *shard {
 // Estimate answers the query approximately through the active estimator.
 // Follow it with Execute or ObserveActual to close the feedback loop.
 //
-// The query is validated first: under the default ValidationClamp policy an
-// inverted rectangle is repaired in place (so the paired Execute sees the
-// repaired query). A query the policy rejects, or whose range lies wholly
-// outside the world, returns 0 and the paired Execute/ObserveActual becomes
-// a no-op rather than feeding the model a truth value it never estimated.
+// The query is validated first: an inverted rectangle is repaired in place
+// (so the paired Execute sees the repaired query). A query validation
+// rejects, or whose range lies wholly outside the world, returns 0 and the
+// paired Execute/ObserveActual becomes a no-op rather than feeding the
+// model a truth value it never estimated.
 func (s *System) Estimate(q *Query) float64 {
 	targets := s.route(q)
 	sh := s.lock()

@@ -135,10 +135,8 @@ func TestOptionsMatchConfig(t *testing.T) {
 	got := buildConfig(world, time.Minute, []Option{
 		WithAlpha(0), // the literal zero the old API could not express
 		WithTau(0.6), WithBeta(0.7), WithAccWindow(90),
-		WithPretrainQueries(123), WithCooldown(17),
-		WithOpportunityMargin(-1), WithMemoryScale(2),
-		WithSeed(99), WithOnSwitch(onSwitch), WithOracleGridCells(256),
-		WithShards(3),
+		WithPretrainQueries(123), WithMemoryScale(2),
+		WithSeed(99), WithOnSwitch(onSwitch), WithShards(3),
 		nil, // nil options are tolerated
 	})
 	if !got.AlphaSet || got.Alpha != 0 {
@@ -148,10 +146,8 @@ func TestOptionsMatchConfig(t *testing.T) {
 		t.Errorf("world/window = %v/%v", got.World, got.Window)
 	}
 	if got.Tau != 0.6 || got.Beta != 0.7 || got.AccWindow != 90 ||
-		got.PretrainQueries != 123 || got.CooldownQueries != 17 ||
-		got.OpportunityMargin != -1 || got.MemoryScale != 2 ||
-		got.Seed != 99 || got.OracleGridCells != 256 ||
-		got.Shards != 3 || got.OnSwitch == nil {
+		got.PretrainQueries != 123 || got.MemoryScale != 2 ||
+		got.Seed != 99 || got.Shards != 3 || got.OnSwitch == nil {
 		t.Errorf("options lost fields: %+v", got)
 	}
 	// A later option overrides an earlier one.

@@ -7,11 +7,18 @@ import (
 
 // options.go defines the functional-option configuration surface shared by
 // New, NewConcurrent and NewSharded — the only way to configure an engine.
-// WithAlpha(0) unambiguously means "accuracy only", no companion boolean
-// required. All three build the one engine type, ShardedSystem: NewSharded
-// with N shards, New and NewConcurrent with one (New wraps it as a System).
-// WithShards is the one option a constructor can reject: New and
-// NewConcurrent always build one shard.
+// An option exists for each knob the paper tunes (fleet, α, τ, β, accuracy
+// window, pre-training length, memory scale), for seeding, sharding and
+// observability, and for the integration seams (registry, breaker, fault
+// injector, latency model). Everything else is a constant: the switch
+// cooldown and opportunity margin take core's defaults, the exact store a
+// 4096-cell grid, the decision trace 64 records, and input validation its
+// one clamp policy (validation.go). WithAlpha(0) unambiguously means
+// "accuracy only", no companion boolean required. All three build the one
+// engine type, ShardedSystem: NewSharded with N shards, New and
+// NewConcurrent with one (New wraps it as a System). WithShards is the one
+// option a constructor can reject: New and NewConcurrent always build one
+// shard.
 
 // Option customizes an engine at construction time. Options apply in
 // order; later options win.
@@ -66,22 +73,6 @@ func WithPretrainQueries(n int) Option {
 	return func(c *config) { c.PretrainQueries = n }
 }
 
-// WithCooldown sets the minimum number of queries between switches
-// (default AccWindow/2).
-func WithCooldown(n int) Option {
-	return func(c *config) { c.CooldownQueries = n }
-}
-
-// WithOpportunityMargin sets the proactive-switch margin: the adaptor moves
-// to a strictly better estimator once its α-weighted score exceeds the
-// active one's by this margin for half an accuracy window (default 0.15).
-// Negative disables opportunity switches entirely, leaving only the τ
-// threshold — useful for bit-exact reproducible runs, since opportunity
-// decisions weigh measured wall-clock latency.
-func WithOpportunityMargin(m float64) Option {
-	return func(c *config) { c.OpportunityMargin = m }
-}
-
 // WithMemoryScale multiplies every estimator's capacity defaults
 // (default 1).
 func WithMemoryScale(s float64) Option {
@@ -98,12 +89,6 @@ func WithSeed(seed int64) Option {
 // must return promptly and must not call back into the engine.
 func WithOnSwitch(fn func(SwitchEvent)) Option {
 	return func(c *config) { c.OnSwitch = fn }
-}
-
-// WithOracleGridCells sizes the exact window store's internal grid (speed
-// only, never correctness; default 4096).
-func WithOracleGridCells(n int) Option {
-	return func(c *config) { c.OracleGridCells = n }
 }
 
 // WithShards sets the number of spatial shards NewSharded partitions the
@@ -138,23 +123,6 @@ func WithLogger(w io.Writer, min LogLevel) Option {
 	return func(c *config) { c.LogOutput, c.LogLevel = w, min }
 }
 
-// WithTraceDepth sizes the switch-decision audit ring each module retains
-// (default 64). Deeper rings remember more history at a few hundred bytes
-// per record.
-func WithTraceDepth(n int) Option {
-	return func(c *config) { c.TraceDepth = n }
-}
-
-// WithValidation selects the input-hardening policy applied to inbound
-// objects (Feed/FeedBatch) and queries (the estimate entry points):
-// ValidationClamp (the default) repairs what is repairable and rejects the
-// rest, ValidationStrict rejects every non-conforming input, ValidationDrop
-// rejects silently. Rejections and repairs are counted in the
-// ValidationRejected / ValidationClamped gauges.
-func WithValidation(p ValidationPolicy) Option {
-	return func(c *config) { c.Validation = p }
-}
-
 // WithBreaker tunes the per-estimator quarantine circuit breaker (fault
 // window, trip threshold, cooldown, probe count, per-call deadline,
 // estimate sanity ceiling). Zero fields keep the package defaults.
@@ -174,8 +142,9 @@ func WithFaultInjector(inj *FaultInjector) Option {
 // name, the query, and the measured latency, and returns the latency to
 // record. Combined with WithSeed this makes latency-sensitive switching
 // decisions (α > 0, opportunity switches) bit-reproducible across engines
-// and runs — the correctness harness in internal/check depends on it.
-// Production deployments leave it unset.
+// and runs — it is the one way to keep the wall clock out of switching, and
+// the correctness harness in internal/check depends on it. Production
+// deployments leave it unset.
 func WithLatencyModel(fn func(estimator string, q *Query, measured time.Duration) time.Duration) Option {
 	return func(c *config) { c.LatencyModel = fn }
 }

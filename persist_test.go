@@ -253,26 +253,31 @@ func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestRestoreImagesWrittenBeforePR24: the config fingerprint is bytes on
-// disk, compared byte for byte on restore. The two images were written by
+// disk, compared byte for byte on restore. The pr21 images were written by
 // commit 670c8af, when the root package resolved the module's defaults a
 // second time beside core.Config: one by New with every such knob left to
 // its default (memory scale 0.01 only keeps the file small), one by
-// NewSharded with every knob set. Each holds 40 fed objects.
+// NewSharded with every knob set — including a switch cooldown of 10, a
+// negative opportunity margin, a 64-cell exact-store grid, a trace depth of
+// 8 and the strict validation policy, options since removed. No engine can
+// match that image any more, so an engine built with its remaining knobs
+// refuses it with CodeMismatch. The pr33 image was written by commit 91ab6b6, the last with
+// those options, by a 2-shard NewSharded with every remaining fingerprinted
+// knob set away from its default: estimators H4096/RSL/RSH, default RSL,
+// α 0.3, τ 0.6, β 0.7, accuracy window 50, pre-training 80, memory scale
+// 0.01 and seed 42. Each image holds 40 fed objects.
 func TestRestoreImagesWrittenBeforePR24(t *testing.T) {
 	world, window := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second
-	explicit := MustNewSharded(world, window,
-		WithShards(2),
-		WithEstimators(EstimatorH4096, EstimatorRSL, EstimatorRSH),
-		WithDefaultEstimator(EstimatorRSL),
-		WithAlpha(0), WithTau(0.6), WithBeta(0.7),
-		WithAccWindow(50), WithPretrainQueries(80), WithCooldown(10),
-		WithOpportunityMargin(-1), WithMemoryScale(0.01), WithSeed(42),
-		WithOracleGridCells(64), WithTraceDepth(8), WithValidation(ValidationStrict))
-	defer explicit.Close()
-	for file, eng := range map[string]Engine{
-		"pr21_default_options.lsnp":  MustNew(world, window, WithMemoryScale(0.01)),
-		"pr21_explicit_options.lsnp": explicit,
-	} {
+	explicit := func(alpha float64) *ShardedSystem {
+		return MustNewSharded(world, window,
+			WithShards(2),
+			WithEstimators(EstimatorH4096, EstimatorRSL, EstimatorRSH),
+			WithDefaultEstimator(EstimatorRSL),
+			WithAlpha(alpha), WithTau(0.6), WithBeta(0.7),
+			WithAccWindow(50), WithPretrainQueries(80),
+			WithMemoryScale(0.01), WithSeed(42))
+	}
+	load := func(file string) Store {
 		data, err := os.ReadFile(filepath.Join("testdata", "persist", file))
 		if err != nil {
 			t.Fatal(err)
@@ -281,7 +286,22 @@ func TestRestoreImagesWrittenBeforePR24(t *testing.T) {
 		if err := st.Save(persist.SnapshotName, data); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Restore(context.Background(), st); err != nil {
+		return st
+	}
+
+	pr21 := explicit(0)
+	defer pr21.Close()
+	if err := pr21.Restore(context.Background(), load("pr21_explicit_options.lsnp")); PersistCode(err) != CodeMismatch {
+		t.Errorf("pr21_explicit_options.lsnp: restore = %v, want CodeMismatch", err)
+	}
+
+	pr33 := explicit(0.3)
+	defer pr33.Close()
+	for file, eng := range map[string]Engine{
+		"pr21_default_options.lsnp":  MustNew(world, window, WithMemoryScale(0.01)),
+		"pr33_explicit_options.lsnp": pr33,
+	} {
+		if err := eng.Restore(context.Background(), load(file)); err != nil {
 			t.Errorf("%s: %v", file, err)
 			continue
 		}
@@ -588,6 +608,9 @@ func TestDurableFallbackRecovery(t *testing.T) {
 	if h.ErrorsTotal == 0 {
 		t.Fatal("fallback recovery recorded no error for the corrupt generation")
 	}
+	if h.StoreErrors != 1 {
+		t.Fatalf("StoreErrors = %d, want 1 for the skipped snapshot generation", h.StoreErrors)
+	}
 	if !recovered.stats.recoveredFallback {
 		t.Fatal("recoveredFallback not set")
 	}
@@ -731,5 +754,55 @@ func TestDurableSideSnapshot(t *testing.T) {
 	}
 	if a, b := dur.Stats(), dst.Stats(); a.IncrementalSeen != b.IncrementalSeen {
 		t.Fatalf("side snapshot diverges: %d vs %d", a.IncrementalSeen, b.IncrementalSeen)
+	}
+}
+
+// TestDurableSeedsFromSideSnapshot: a side snapshot is the un-numbered
+// snapshot.snap, and NewDurable over a store holding only that seeds from
+// it, reading its generation from the meta section. A seeded engine that
+// feeds on and then crashes recovers the seed plus its WAL tail, matching
+// an uninterrupted control.
+func TestDurableSeedsFromSideSnapshot(t *testing.T) {
+	dur := newDurable(t, NewMemStore())
+	defer dur.Shutdown(context.Background())
+	w := newWorkload(31)
+	warmEngine(t, dur, w)
+	side := NewMemStore()
+	if err := dur.Snapshot(context.Background(), side); err != nil {
+		t.Fatal(err)
+	}
+
+	seeded := newDurable(t, side)
+	if got := seeded.Generation(); got != 1 {
+		t.Fatalf("seeded generation = %d, want the side snapshot's 1", got)
+	}
+	w.feed(seeded, 200) // WAL'd onto the seed, then abandoned without Shutdown
+	crashTS := w.ts
+
+	control := testSystem(t)
+	cw := newWorkload(31)
+	cw.feed(control, 3000)
+	cw.drive(control, 160)
+	cw.feed(control, 200)
+	if cw.ts != crashTS {
+		t.Fatalf("control timestamp %d != durable timestamp %d", cw.ts, crashTS)
+	}
+
+	inner := testSystem(t)
+	reopened, err := NewDurable(inner, side, DurableConfig{WALSyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Shutdown(context.Background())
+	if h := reopened.Health(); !h.Healthy() || h.ErrorsTotal != 0 {
+		t.Fatalf("reopen health = %s with %d errors (%v), want clean healthy", h.State, h.ErrorsTotal, h.Errors)
+	}
+	if a, b := control.WindowSize(), inner.WindowSize(); a != b {
+		t.Fatalf("window size %d after reopen, control %d", b, a)
+	}
+	wa, wb := newWorkload(32), newWorkload(32)
+	wa.ts, wb.ts = crashTS, crashTS
+	if ta, tb := wa.drive(control, 60), wb.drive(reopened, 60); ta != tb {
+		t.Fatal("engine seeded from a side snapshot diverges from uninterrupted control")
 	}
 }

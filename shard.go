@@ -42,7 +42,6 @@ import (
 // a shard's clock backwards are clamped to the shard's high-water mark
 // (counted in the shard's Reordered and ValidationClamped gauges).
 type ShardedSystem struct {
-	world  Rect
 	rows   int
 	cols   int
 	xs     []float64 // col edges, len cols+1
@@ -71,13 +70,12 @@ type ShardedSystem struct {
 type shard struct {
 	mu     sync.Mutex
 	rect   Rect
-	policy ValidationPolicy
 	module *core.Module
 	window *stream.Window
 
-	// lastTS is the shard's timestamp high-water mark; under
-	// ValidationClamp a regressed arrival is clamped to it instead of
-	// violating the window store's ordering invariant.
+	// lastTS is the shard's timestamp high-water mark; a regressed arrival
+	// is clamped to it instead of violating the window store's ordering
+	// invariant.
 	lastTS int64
 
 	// pendingRejected marks that the last split Estimate (System) refused
@@ -97,41 +95,35 @@ type shard struct {
 	log    *telemetry.Logger
 }
 
-// defaultOracleGridCells sizes the exact store's grid when
-// WithOracleGridCells is not given.
-const defaultOracleGridCells = 4096
+// oracleGridCells sizes the exact store's internal grid (speed only, never
+// correctness).
+const oracleGridCells = 4096
 
 // newShard builds one shard over cfg.World from options its caller has
-// validated.
+// validated. Switch cooldown, opportunity margin and trace depth take
+// core's defaults.
 func newShard(cfg config, log *telemetry.Logger) (*shard, error) {
-	cells := cfg.OracleGridCells
-	if cells == 0 {
-		cells = defaultOracleGridCells
-	}
-	w := stream.NewWindow(cfg.World, cfg.Window.Milliseconds(), cells)
-	sh := &shard{rect: cfg.World, policy: cfg.Validation, window: w, log: log}
+	w := stream.NewWindow(cfg.World, cfg.Window.Milliseconds(), oracleGridCells)
+	sh := &shard{rect: cfg.World, window: w, log: log}
 	m, err := core.New(core.Config{
-		World:             cfg.World,
-		Span:              cfg.Window.Milliseconds(),
-		Registry:          cfg.Registry,
-		Estimators:        cfg.Estimators,
-		Default:           cfg.Default,
-		Alpha:             cfg.Alpha,
-		AlphaSet:          cfg.AlphaSet,
-		Tau:               cfg.Tau,
-		Beta:              cfg.Beta,
-		AccWindow:         cfg.AccWindow,
-		PretrainQueries:   cfg.PretrainQueries,
-		CooldownQueries:   cfg.CooldownQueries,
-		OpportunityMargin: cfg.OpportunityMargin,
-		Scale:             cfg.MemoryScale,
-		Seed:              cfg.Seed,
-		OnSwitch:          cfg.OnSwitch,
-		LatencyOf:         cfg.LatencyModel,
-		Logger:            log,
-		TraceDepth:        cfg.TraceDepth,
-		Resilience:        cfg.Breaker,
-		Injector:          cfg.FaultInjector,
+		World:           cfg.World,
+		Span:            cfg.Window.Milliseconds(),
+		Registry:        cfg.Registry,
+		Estimators:      cfg.Estimators,
+		Default:         cfg.Default,
+		Alpha:           cfg.Alpha,
+		AlphaSet:        cfg.AlphaSet,
+		Tau:             cfg.Tau,
+		Beta:            cfg.Beta,
+		AccWindow:       cfg.AccWindow,
+		PretrainQueries: cfg.PretrainQueries,
+		Scale:           cfg.MemoryScale,
+		Seed:            cfg.Seed,
+		OnSwitch:        cfg.OnSwitch,
+		LatencyOf:       cfg.LatencyModel,
+		Logger:          log,
+		Resilience:      cfg.Breaker,
+		Injector:        cfg.FaultInjector,
 		// The exact window store doubles as the last-resort fallback when
 		// every estimator is quarantined: slower than any summary, but
 		// always correct and always available.
@@ -193,7 +185,6 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 	}
 	rows, cols := shardGridDims(n)
 	s := &ShardedSystem{
-		world:  cfg.World,
 		rows:   rows,
 		cols:   cols,
 		xs:     partitionEdges(cfg.World.MinX, cfg.World.MaxX, cols),
@@ -335,19 +326,18 @@ func edgeIndex(edges []float64, v float64) int {
 }
 
 // feedLocked validates and ingests one object; caller holds sh.mu. The
-// object is validated under the shard's policy first — non-finite
-// coordinates are rejected, regressed timestamps clamped (ValidationClamp)
-// or rejected. A clamp repairs a copy staged in the shard, so the caller's
-// slice is never modified; otherwise the pointee is only read, and the
-// window store and the estimators copy what they keep. lastTS advances only
-// on acceptance, so a rejected arrival carrying a garbage timestamp cannot
-// poison the stream clock.
+// object is validated first — non-finite coordinates are rejected,
+// regressed timestamps clamped. A clamp repairs a copy staged in the shard,
+// so the caller's slice is never modified; otherwise the pointee is only
+// read, and the window store and the estimators copy what they keep. lastTS
+// advances only on acceptance, so a rejected arrival carrying a garbage
+// timestamp cannot poison the stream clock.
 func (sh *shard) feedLocked(o *Object) {
 	if o.Timestamp < sh.lastTS {
 		sh.scratch = *o
 		o = &sh.scratch
 	}
-	if !checkObject(o, sh.lastTS, sh.policy, &sh.gauges, sh.log) {
+	if !checkObject(o, sh.lastTS, &sh.gauges, sh.log) {
 		return
 	}
 	sh.lastTS = o.Timestamp
@@ -455,14 +445,14 @@ func (s *ShardedSystem) targets(q *Query) []*shard {
 	return out
 }
 
-// route validates (and under ValidationClamp, repairs) the query — the one
-// place a query is validated — then returns the shards it must consult:
+// route validates (and where it can, repairs) the query — the one place a
+// query is validated — then returns the shards it must consult:
 // validation first, because a NaN or inverted rectangle would otherwise
 // silently match no shard. Empty when the query was rejected (counted in
 // shard 0's gauges) or its range lies wholly outside the world.
 func (s *ShardedSystem) route(q *Query) []*shard {
 	sh := s.shards[0]
-	if !checkQuery(q, sh.policy, s.world, &sh.gauges, sh.log) {
+	if !checkQuery(q, &sh.gauges, sh.log) {
 		return nil
 	}
 	return s.targets(q)

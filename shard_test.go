@@ -101,13 +101,12 @@ func TestShardedPartition(t *testing.T) {
 
 // TestShardedOneShardDeterminism: New and NewSharded(WithShards(1)) build
 // the same machine, so a seeded workload must produce bit-identical
-// estimates and exact counts.
-// Opportunity switches weigh measured wall-clock latency, so they are
-// disabled on both sides.
+// estimates and exact counts. A constant latency model keeps the wall
+// clock out of switching, so opportunity switches stay exercised.
 func TestShardedOneShardDeterminism(t *testing.T) {
 	opts := []Option{
 		WithPretrainQueries(120), WithAccWindow(60), WithSeed(1),
-		WithOpportunityMargin(-1),
+		WithLatencyModel(func(string, *Query, time.Duration) time.Duration { return time.Microsecond }),
 	}
 	mono, err := New(testWorld(), time.Minute, opts...)
 	if err != nil {
@@ -146,11 +145,12 @@ func TestShardedOneShardDeterminism(t *testing.T) {
 // a sub-slice of the shard list, so the fused call allocates no more than
 // the shard's own estimate/observe cycle — on a one-shard and on a
 // four-shard engine. A freshly allocated target list cost one allocation
-// more (3 against 2 with RSH active). Switching weighs accuracy only, so
-// the two measurements see the same estimator.
+// more (3 against 2 with RSH active). Switching weighs accuracy only and a
+// constant latency model keeps the wall clock out of it, so the two
+// measurements see the same estimator.
 func TestRangedQueryAllocs(t *testing.T) {
-	opts := []Option{WithSeed(1), WithPretrainQueries(40), WithAccWindow(30),
-		WithAlpha(0), WithOpportunityMargin(-1)}
+	opts := []Option{WithSeed(1), WithPretrainQueries(40), WithAccWindow(30), WithAlpha(0),
+		WithLatencyModel(func(string, *Query, time.Duration) time.Duration { return time.Microsecond })}
 	for name, eng := range map[string]*ShardedSystem{
 		"New":         MustNew(testWorld(), time.Minute, opts...).ShardedSystem,
 		"NewSharded4": MustNewSharded(testWorld(), time.Minute, append(opts, WithShards(4))...),

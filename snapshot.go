@@ -55,14 +55,6 @@ const metaSectionName = "meta"
 // shard's module sees a derived rectangle and seed. A sharded engine passes
 // mc with the engine's pre-training length, not a shard's share of it.
 func configFingerprint(cfg *config, mc core.Config) []byte {
-	cells := cfg.OracleGridCells
-	if cells == 0 {
-		cells = defaultOracleGridCells
-	}
-	traceDepth := cfg.TraceDepth
-	if traceDepth == 0 {
-		traceDepth = telemetry.DefaultTraceDepth
-	}
 	var e persist.Enc
 	e.F64(cfg.World.MinX)
 	e.F64(cfg.World.MinY)
@@ -80,9 +72,13 @@ func configFingerprint(cfg *config, mc core.Config) []byte {
 	e.F64(mc.OpportunityMargin)
 	e.F64(mc.Scale)
 	e.I64(cfg.Seed)
-	e.Int(cells)
-	e.Int(traceDepth)
-	e.U8(uint8(cfg.Validation))
+	// The exact-store grid, the decision-trace depth and the validation
+	// policy (0 = clamp) were once options; they keep their slots, written
+	// as the constants they now are, so every image taken at their defaults
+	// still restores and one taken with any of them changed is refused.
+	e.Int(oracleGridCells)
+	e.Int(telemetry.DefaultTraceDepth)
+	e.U8(0)
 	return e.Data()
 }
 

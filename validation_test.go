@@ -10,14 +10,13 @@ import (
 
 // validation_test.go pins the input-hardening layer: NaN/Inf coordinates,
 // inverted and out-of-world rectangles, and timestamp regressions must
-// never panic an engine, and each policy's repair/reject split must be
-// visible in the validation gauges.
+// never panic an engine, and the repair/reject split must be visible in
+// the validation gauges.
 
-func validationSystem(t *testing.T, policy ValidationPolicy) *System {
+func validationSystem(t *testing.T) *System {
 	t.Helper()
 	sys, err := New(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second,
-		WithSeed(1), WithPretrainQueries(50), WithAccWindow(40),
-		WithValidation(policy))
+		WithSeed(1), WithPretrainQueries(50), WithAccWindow(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,48 +24,37 @@ func validationSystem(t *testing.T, policy ValidationPolicy) *System {
 }
 
 func TestValidationRejectsNonFiniteObjects(t *testing.T) {
-	for _, policy := range []ValidationPolicy{ValidationClamp, ValidationStrict, ValidationDrop} {
-		t.Run(policy.String(), func(t *testing.T) {
-			sys := validationSystem(t, policy)
-			for _, loc := range []Point{
-				Pt(math.NaN(), 0.5),
-				Pt(0.5, math.NaN()),
-				Pt(math.Inf(1), 0.5),
-				Pt(0.5, math.Inf(-1)),
-			} {
-				sys.Feed(Object{ID: 1, Loc: loc, Keywords: []string{"a"}, Timestamp: 10})
-			}
-			if n := sys.WindowSize(); n != 0 {
-				t.Errorf("%d non-finite objects ingested", n)
-			}
-			if got := sys.Gauges().ValidationRejected; got != 4 {
-				t.Errorf("ValidationRejected = %d, want 4", got)
-			}
-		})
-	}
+	// Clamping repairs what it can, but a non-finite location has no
+	// in-world repair, so it is rejected.
+	t.Run("clamp", func(t *testing.T) {
+		sys := validationSystem(t)
+		for _, loc := range []Point{
+			Pt(math.NaN(), 0.5),
+			Pt(0.5, math.NaN()),
+			Pt(math.Inf(1), 0.5),
+			Pt(0.5, math.Inf(-1)),
+		} {
+			sys.Feed(Object{ID: 1, Loc: loc, Keywords: []string{"a"}, Timestamp: 10})
+		}
+		if n := sys.WindowSize(); n != 0 {
+			t.Errorf("%d non-finite objects ingested", n)
+		}
+		if got := sys.Gauges().ValidationRejected; got != 4 {
+			t.Errorf("ValidationRejected = %d, want 4", got)
+		}
+	})
 }
 
 func TestValidationTimestampRegression(t *testing.T) {
-	// Clamp: the regressed arrival is pulled forward and kept.
-	sys := validationSystem(t, ValidationClamp)
+	// The regressed arrival is pulled forward and kept.
+	sys := validationSystem(t)
 	sys.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 100})
 	sys.Feed(Object{ID: 2, Loc: Pt(0.4, 0.4), Keywords: []string{"a"}, Timestamp: 50})
 	if n := sys.WindowSize(); n != 2 {
 		t.Errorf("clamp kept %d objects, want 2", n)
 	}
-	if g := sys.Gauges(); g.ValidationClamped != 1 {
-		t.Errorf("ValidationClamped = %d, want 1", g.ValidationClamped)
-	}
-
-	// Strict: the regressed arrival is refused.
-	strict := validationSystem(t, ValidationStrict)
-	strict.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 100})
-	strict.Feed(Object{ID: 2, Loc: Pt(0.4, 0.4), Keywords: []string{"a"}, Timestamp: 50})
-	if n := strict.WindowSize(); n != 1 {
-		t.Errorf("strict kept %d objects, want 1", n)
-	}
-	if g := strict.Gauges(); g.ValidationRejected != 1 {
-		t.Errorf("ValidationRejected = %d, want 1", g.ValidationRejected)
+	if g := sys.Gauges(); g.ValidationClamped != 1 || g.ValidationRejected != 0 {
+		t.Errorf("ValidationClamped = %d, ValidationRejected = %d; want 1, 0", g.ValidationClamped, g.ValidationRejected)
 	}
 }
 
@@ -83,7 +71,7 @@ func TestValidationQueryPolicies(t *testing.T) {
 	}
 
 	t.Run("clamp repairs inverted rect in place", func(t *testing.T) {
-		sys := validationSystem(t, ValidationClamp)
+		sys := validationSystem(t)
 		ts := feedSome(sys)
 		inverted := Query{Range: Rect{MinX: 0.8, MinY: 0.7, MaxX: 0.2, MaxY: 0.1}, HasRange: true, Timestamp: ts}
 		est := sys.Estimate(&inverted)
@@ -103,44 +91,22 @@ func TestValidationQueryPolicies(t *testing.T) {
 		}
 	})
 
-	t.Run("strict rejects inverted and out-of-world rects", func(t *testing.T) {
-		sys := validationSystem(t, ValidationStrict)
+	t.Run("rejects NaN rects and no-predicate queries", func(t *testing.T) {
+		sys := validationSystem(t)
 		ts := feedSome(sys)
-		before := sys.Stats().PretrainSeen
-		inverted := Query{Range: Rect{MinX: 0.8, MinY: 0.7, MaxX: 0.2, MaxY: 0.1}, HasRange: true, Timestamp: ts}
-		if est, actual := sys.EstimateAndExecute(&inverted); est != 0 || actual != 0 {
-			t.Errorf("rejected query answered (%v, %d)", est, actual)
+		bad := []Query{
+			{Range: Rect{MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1}, HasRange: true, Timestamp: ts},
+			{Range: Rect{MinX: 0, MinY: 0, MaxX: math.Inf(1), MaxY: 1}, HasRange: true, Timestamp: ts},
+			{Timestamp: ts}, // no range, no keywords
+			{Range: Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.5, MaxY: 0.5}, HasRange: true, Timestamp: ts}, // empty
 		}
-		outside := SpatialQuery(Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, ts)
-		if est, actual := sys.EstimateAndExecute(&outside); est != 0 || actual != 0 {
-			t.Errorf("out-of-world query answered (%v, %d)", est, actual)
-		}
-		if after := sys.Stats().PretrainSeen; after != before {
-			t.Errorf("rejected queries reached the module (%d -> %d)", before, after)
-		}
-		if g := sys.Gauges(); g.ValidationRejected != 2 {
-			t.Errorf("ValidationRejected = %d, want 2", g.ValidationRejected)
-		}
-	})
-
-	t.Run("all policies reject NaN rects and predicate-less queries", func(t *testing.T) {
-		for _, policy := range []ValidationPolicy{ValidationClamp, ValidationStrict, ValidationDrop} {
-			sys := validationSystem(t, policy)
-			ts := feedSome(sys)
-			bad := []Query{
-				{Range: Rect{MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1}, HasRange: true, Timestamp: ts},
-				{Range: Rect{MinX: 0, MinY: 0, MaxX: math.Inf(1), MaxY: 1}, HasRange: true, Timestamp: ts},
-				{Timestamp: ts}, // no range, no keywords
-				{Range: Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.5, MaxY: 0.5}, HasRange: true, Timestamp: ts}, // empty
+		for i := range bad {
+			if est, actual := sys.EstimateAndExecute(&bad[i]); est != 0 || actual != 0 {
+				t.Errorf("bad query %d answered (%v, %d)", i, est, actual)
 			}
-			for i := range bad {
-				if est, actual := sys.EstimateAndExecute(&bad[i]); est != 0 || actual != 0 {
-					t.Errorf("%v: bad query %d answered (%v, %d)", policy, i, est, actual)
-				}
-			}
-			if g := sys.Gauges(); g.ValidationRejected != uint64(len(bad)) {
-				t.Errorf("%v: ValidationRejected = %d, want %d", policy, g.ValidationRejected, len(bad))
-			}
+		}
+		if g := sys.Gauges(); g.ValidationRejected != uint64(len(bad)) {
+			t.Errorf("ValidationRejected = %d, want %d", g.ValidationRejected, len(bad))
 		}
 	})
 
@@ -148,31 +114,29 @@ func TestValidationQueryPolicies(t *testing.T) {
 		// A zero-area (point or line) rectangle cannot match any object
 		// under the open-interval intersection semantics, and
 		// core.Module.Estimate panics on queries Query.Valid deems invalid.
-		// Every policy therefore rejects them — the reject's 0 is also the
+		// Validation therefore rejects them — the reject's 0 is also the
 		// exact answer — and the engine must not panic.
-		for _, policy := range []ValidationPolicy{ValidationClamp, ValidationStrict, ValidationDrop} {
-			sys := validationSystem(t, policy)
-			ts := feedSome(sys)
-			for _, r := range []Rect{
-				{MinX: 0.5, MinY: 0.5, MaxX: 0.5, MaxY: 0.5}, // point
-				{MinX: 0.2, MinY: 0.5, MaxX: 0.8, MaxY: 0.5}, // horizontal line
-			} {
-				q := Query{Range: r, HasRange: true, Timestamp: ts}
-				if est, actual := sys.EstimateAndExecute(&q); est != 0 || actual != 0 {
-					t.Errorf("%v: degenerate rect %v answered (%v, %d)", policy, r, est, actual)
-				}
-				if want := sys.shards[0].window.Answer(&q); want != 0 {
-					t.Fatalf("degenerate rect %v matches %d objects; reject is no longer exact", r, want)
-				}
+		sys := validationSystem(t)
+		ts := feedSome(sys)
+		for _, r := range []Rect{
+			{MinX: 0.5, MinY: 0.5, MaxX: 0.5, MaxY: 0.5}, // point
+			{MinX: 0.2, MinY: 0.5, MaxX: 0.8, MaxY: 0.5}, // horizontal line
+		} {
+			q := Query{Range: r, HasRange: true, Timestamp: ts}
+			if est, actual := sys.EstimateAndExecute(&q); est != 0 || actual != 0 {
+				t.Errorf("degenerate rect %v answered (%v, %d)", r, est, actual)
 			}
-			if g := sys.Gauges(); g.ValidationRejected != 2 {
-				t.Errorf("%v: ValidationRejected = %d, want 2", policy, g.ValidationRejected)
+			if want := sys.shards[0].window.Answer(&q); want != 0 {
+				t.Fatalf("degenerate rect %v matches %d objects; reject is no longer exact", r, want)
 			}
+		}
+		if g := sys.Gauges(); g.ValidationRejected != 2 {
+			t.Errorf("ValidationRejected = %d, want 2", g.ValidationRejected)
 		}
 	})
 
 	t.Run("rejected estimate skips the feedback loop", func(t *testing.T) {
-		sys := validationSystem(t, ValidationDrop)
+		sys := validationSystem(t)
 		ts := feedSome(sys)
 		before := sys.Stats().PretrainSeen
 		nan := Query{Range: Rect{MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1}, HasRange: true, Timestamp: ts}
@@ -232,8 +196,8 @@ func TestValidationShardedRouting(t *testing.T) {
 
 // TestValidationOutOfWorldRange: a range wholly outside the world matches
 // no shard, so every constructor answers (0, 0) without spending a training
-// record on it — New through the split Estimate and Execute too; only
-// ValidationStrict counts it as a reject.
+// record on it — New through the split Estimate and Execute too — and
+// without counting it as a reject: its answer of 0 is exact.
 func TestValidationOutOfWorldRange(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	type answer func(*Query) (float64, int)
@@ -262,24 +226,19 @@ func TestValidationOutOfWorldRange(t *testing.T) {
 			return s, s.EstimateAndExecute
 		},
 	} {
-		for _, policy := range []ValidationPolicy{ValidationClamp, ValidationStrict, ValidationDrop} {
-			eng, answer := build(WithSeed(1), WithValidation(policy))
-			eng.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 1})
-			outside := SpatialQuery(Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 1)
-			est, actual := answer(&outside)
-			var rejected, want uint64
-			for _, sh := range eng.PerShardStats().Shards {
-				rejected += sh.Gauges.ValidationRejected
-			}
-			if policy == ValidationStrict {
-				want = 1
-			}
-			if seen := eng.Stats().PretrainSeen; est != 0 || actual != 0 || seen != 0 || rejected != want {
-				t.Errorf("%s/%v: answered (%v, %d), PretrainSeen %d, ValidationRejected %d; want (0, 0), 0, %d",
-					name, policy, est, actual, seen, rejected, want)
-			}
-			eng.Close()
+		eng, answer := build(WithSeed(1))
+		eng.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 1})
+		outside := SpatialQuery(Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 1)
+		est, actual := answer(&outside)
+		var rejected uint64
+		for _, sh := range eng.PerShardStats().Shards {
+			rejected += sh.Gauges.ValidationRejected
 		}
+		if seen := eng.Stats().PretrainSeen; est != 0 || actual != 0 || seen != 0 || rejected != 0 {
+			t.Errorf("%s: answered (%v, %d), PretrainSeen %d, ValidationRejected %d; want (0, 0), 0, 0",
+				name, est, actual, seen, rejected)
+		}
+		eng.Close()
 	}
 }
 
@@ -307,7 +266,7 @@ func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 	}
 
 	t.Run("inline", func(t *testing.T) {
-		sys := validationSystem(t, ValidationClamp)
+		sys := validationSystem(t)
 		sys.Feed(poison)
 		sys.Feed(valid)
 		check(t, "inline", sys.Gauges(), sys.WindowSize())
@@ -354,7 +313,7 @@ func TestValidationClampCountedOneWay(t *testing.T) {
 		}
 	}
 	for name, eng := range map[string]*ShardedSystem{
-		"New":           validationSystem(t, ValidationClamp).ShardedSystem,
+		"New":           validationSystem(t).ShardedSystem,
 		"NewConcurrent": MustNewConcurrent(world, 10*time.Second, WithSeed(1)),
 		"NewSharded":    MustNewSharded(world, 10*time.Second, WithSeed(1), WithShards(1)),
 	} {
@@ -374,16 +333,27 @@ func TestValidationClampCountedOneWay(t *testing.T) {
 	}
 }
 
-func TestValidationStrictLogsRejects(t *testing.T) {
+// TestValidationLogsRejects: every reject — object or query — is logged
+// at warn level; a repair is counted, not logged.
+func TestValidationLogsRejects(t *testing.T) {
 	var buf strings.Builder
 	sys, err := New(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second,
-		WithSeed(1), WithValidation(ValidationStrict), WithLogger(&buf, LogWarn))
+		WithSeed(1), WithLogger(&buf, LogWarn))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Feed(Object{ID: 1, Loc: Pt(math.NaN(), 0.5), Keywords: []string{"a"}, Timestamp: 1})
-	if !strings.Contains(buf.String(), "non-finite coordinates") {
-		t.Errorf("strict reject not logged: %q", buf.String())
+	sys.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 5})
+	sys.Feed(Object{ID: 2, Loc: Pt(0.4, 0.4), Keywords: []string{"a"}, Timestamp: 1})
+	if buf.Len() != 0 {
+		t.Errorf("clamped arrival logged: %q", buf.String())
+	}
+	sys.Feed(Object{ID: 3, Loc: Pt(math.NaN(), 0.5), Keywords: []string{"a"}, Timestamp: 6})
+	q := Query{Timestamp: 6}
+	sys.EstimateAndExecute(&q)
+	for _, want := range []string{"object rejected: non-finite coordinates", "query rejected: no predicates"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("reject %q not logged: %q", want, buf.String())
+		}
 	}
 }
 
@@ -396,14 +366,10 @@ func TestOptionValidationErrors(t *testing.T) {
 		want string
 	}{
 		{"sub-millisecond window", nil, 500 * time.Microsecond, "at least 1ms"},
-		{"non-square oracle grid", []Option{WithOracleGridCells(1000)}, time.Second, "perfect square"},
-		{"negative oracle grid", []Option{WithOracleGridCells(-4)}, time.Second, "non-negative"},
-		{"negative trace depth", []Option{WithTraceDepth(-1)}, time.Second, "TraceDepth"},
 		{"negative acc window", []Option{WithAccWindow(-5)}, time.Second, "AccWindow"},
 		{"NaN tau", []Option{WithTau(math.NaN())}, time.Second, "Tau"},
 		{"Inf alpha", []Option{WithAlpha(math.Inf(1))}, time.Second, "Alpha"},
 		{"negative memory scale", []Option{WithMemoryScale(-2)}, time.Second, "MemoryScale"},
-		{"unknown validation policy", []Option{WithValidation(ValidationPolicy(9))}, time.Second, "validation policy"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
