@@ -6,7 +6,7 @@
 // Usage:
 //
 //	latestd -addr 127.0.0.1:7707 -admin 127.0.0.1:7708
-//	latestd -engine concurrent -window 2m -addr-file /tmp/latestd.addr
+//	latestd -shards 1 -window 2m -addr-file /tmp/latestd.addr
 //	latestd -data-dir /var/lib/latestd -snapshot-interval 30s
 //	latestd -cluster-map /etc/latest/cluster.map -node-id 0
 //
@@ -35,6 +35,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -58,7 +59,6 @@ type daemonOptions struct {
 	addr         string
 	adminAddr    string
 	addrFile     string
-	engine       string
 	shards       int
 	window       time.Duration
 	worldStr     string
@@ -86,8 +86,7 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7707", "wire-protocol listen address (port 0 = kernel-assigned)")
 	fs.StringVar(&o.adminAddr, "admin", "127.0.0.1:0", "admin/metrics listen address; empty disables the admin plane")
 	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound addresses here (line 1 wire, line 2 admin) once listening")
-	fs.StringVar(&o.engine, "engine", "sharded", "engine: sharded, or concurrent (the sharded engine with one shard; ignores -shards)")
-	fs.IntVar(&o.shards, "shards", 0, "shard count for -engine sharded (0 = one per CPU core)")
+	fs.IntVar(&o.shards, "shards", 0, "spatial shard count (0 = one per CPU core)")
 	fs.DurationVar(&o.window, "window", time.Minute, "sliding-window span")
 	fs.StringVar(&o.worldStr, "world", "-125,24,-66,50", "world rect: minx,miny,maxx,maxy")
 	fs.IntVar(&o.maxConns, "max-conns", 256, "maximum concurrent wire connections")
@@ -105,6 +104,9 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	fs.IntVar(&o.traceSample, "trace-sample", 0, "sample one trace-flagged request in N (1 = all, 0 = library default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if o.shards == 0 {
+		o.shards = runtime.GOMAXPROCS(0)
 	}
 
 	if err := serve(o, stdout, stderr, shutdown); err != nil {
@@ -179,23 +181,13 @@ func buildEngine(o daemonOptions, world geo.Rect, logW io.Writer, level telemetr
 	// The daemon owns the exposition listener through internal/server, so
 	// the engine is built WITHOUT WithTelemetry — its snapshot is scraped
 	// through the admin plane instead.
-	opts := []latest.Option{latest.WithLogger(logW, level)}
-	var eng latest.Engine
-	var err error
-	switch o.engine {
-	case "sharded":
-		if o.shards > 0 {
-			opts = append(opts, latest.WithShards(o.shards))
-		}
-		eng, err = latest.NewSharded(world, o.window, opts...)
-	case "concurrent":
-		// The sharded engine with one shard.
-		eng, err = latest.NewConcurrent(world, o.window, opts...)
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want sharded or concurrent)", o.engine)
+	eng, err := latest.NewSharded(world, o.window,
+		latest.WithLogger(logW, level), latest.WithShards(o.shards))
+	if err != nil {
+		return nil, err
 	}
-	if err != nil || o.dataDir == "" {
-		return eng, err
+	if o.dataDir == "" {
+		return eng, nil
 	}
 	st, err := latest.NewFileStore(o.dataDir)
 	if err != nil {
@@ -284,8 +276,8 @@ func serve(o daemonOptions, stdout, stderr io.Writer, shutdown <-chan os.Signal)
 	if cm != nil {
 		clusterInfo = fmt.Sprintf("node=%d/%d epoch=%d", o.nodeID, len(cm.Nodes), cm.Epoch)
 	}
-	fmt.Fprintf(stdout, "latestd listening addr=%s admin=%s engine=%s window=%s durability=%s cluster=%s\n",
-		srv.Addr(), srv.AdminAddr(), o.engine, o.window, durability, clusterInfo)
+	fmt.Fprintf(stdout, "latestd listening addr=%s admin=%s shards=%d window=%s durability=%s cluster=%s\n",
+		srv.Addr(), srv.AdminAddr(), o.shards, o.window, durability, clusterInfo)
 
 	select {
 	case sig := <-shutdown:

@@ -32,7 +32,7 @@ func startDaemon(t *testing.T, extraArgs ...string) (addr, admin string, shutdow
 		"-addr", "127.0.0.1:0",
 		"-admin", "127.0.0.1:0",
 		"-addr-file", addrFile,
-		"-engine", "concurrent",
+		"-shards", "1",
 		"-window", "30s",
 		"-drain-timeout", "5s",
 	}, extraArgs...)
@@ -141,9 +141,9 @@ func TestAdminDrainTrigger(t *testing.T) {
 	}
 }
 
-// TestShardedEngineOption: the default sharded engine also serves.
+// TestShardedEngineOption: a multi-shard engine also serves.
 func TestShardedEngineOption(t *testing.T) {
-	addr, _, shutdown, wait := startDaemon(t, "-engine", "sharded", "-shards", "2")
+	addr, _, shutdown, wait := startDaemon(t, "-shards", "2")
 	c := client.Dial(addr, client.Options{})
 	defer c.Close()
 	if _, err := c.FeedBatch(context.Background(), testObjects(10)); err != nil {
@@ -250,7 +250,7 @@ func TestClusterFlagValidation(t *testing.T) {
 func TestBadFlags(t *testing.T) {
 	var out, errOut bytes.Buffer
 	cases := [][]string{
-		{"-engine", "bogus"},
+		{"-shards", "-1"},
 		{"-world", "1,2,3"},
 		{"-log-level", "loud"},
 		{"-not-a-flag"},

@@ -7,16 +7,9 @@ import "time"
 // the System wrapper and its split Estimate/Execute calls. For parallel
 // ingest across CPU cores, see NewSharded, which partitions the lock
 // spatially. WithShards is rejected with a descriptive error.
+//
+// Deprecated: use NewSharded with WithShards(1). NewConcurrent stays until
+// the benchmark drops its probe leg that calls it (ROADMAP item 1(a)).
 func NewConcurrent(world Rect, window time.Duration, opts ...Option) (*ShardedSystem, error) {
 	return newOneShard("NewConcurrent", buildConfig(world, window, opts))
-}
-
-// MustNewConcurrent is NewConcurrent but panics on error — for tests,
-// examples and programs whose configuration is static.
-func MustNewConcurrent(world Rect, window time.Duration, opts ...Option) *ShardedSystem {
-	s, err := NewConcurrent(world, window, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }

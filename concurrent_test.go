@@ -45,6 +45,16 @@ func TestConcurrentBasics(t *testing.T) {
 	}
 }
 
+// newConcurrent builds NewConcurrent's engine or fails the test.
+func newConcurrent(t testing.TB, world Rect, window time.Duration, opts ...Option) *ShardedSystem {
+	t.Helper()
+	s, err := NewConcurrent(world, window, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestConcurrentIsInline checks that every engine ingests inline:
 // NewConcurrent and NewSharded start no goroutine, and with one shard Feed
 // and FeedBatch apply on the caller under the shard's mutex without copying
@@ -82,7 +92,7 @@ func TestConcurrentIsInline(t *testing.T) {
 		name  string
 		build func() Engine
 	}{
-		{"NewConcurrent", func() Engine { return MustNewConcurrent(world, window, WithSeed(1)) }},
+		{"NewConcurrent", func() Engine { return newConcurrent(t, world, window, WithSeed(1)) }},
 		{"NewSharded1", func() Engine { return MustNewSharded(world, window, WithSeed(1), WithShards(1)) }},
 		{"NewSharded4", func() Engine { return MustNewSharded(world, window, WithSeed(1), WithShards(4)) }},
 	} {

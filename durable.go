@@ -67,12 +67,14 @@ type DurableConfig struct {
 // store, and a background repair loop retries a fresh snapshot commit
 // with backoff until durability is restored.
 //
-// Locking: feeds take the write lock — the WAL append and the engine
-// apply must commit in the same order, or a replay could present two
-// concurrent producers' objects in an order the original engine never saw.
-// Queries take the read lock (the inner engine provides its own mutual
-// exclusion); snapshots take the write lock, so a capture is atomic with
-// respect to both feeds and query fan-outs.
+// Locking: mu orders the WAL and nothing else. A feed holds it through
+// the WAL append and the engine apply, so log order is apply order, and a
+// snapshot holds it, so it waits for any in-flight feed. Queries, Stats and
+// telemetry reads call the wrapped engine directly and never wait on a
+// feed's fsync; the engine's shard locks keep each shard's query atomic.
+// So a snapshot is not atomic with respect to a multi-shard query fan-out:
+// each shard's sections hold a state that shard was in, and since queries
+// are not logged, recovery is unaffected.
 //
 // The snapshot/WAL pairing is atomic: each committed snapshot generation
 // gets its own file (snapshot-<g>.snap, via atomic rename) and the paired
@@ -80,14 +82,14 @@ type DurableConfig struct {
 // the store holds at least one committed snapshot and the WAL chain that
 // extends it.
 type DurableEngine struct {
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	eng   Engine
 	store Store
 	cfg   DurableConfig
 	log   *telemetry.Logger
 
 	wal *persist.WAL
-	gen uint64
+	gen atomic.Uint64 // written under mu, read without it
 	// snaps indexes the retained snapshot files by generation (values are
 	// file names; the legacy un-numbered snapshot.snap can appear here
 	// after recovering a store written by an older build).
@@ -329,7 +331,7 @@ func (d *DurableEngine) recover() error {
 		return err
 	}
 	d.wal = wal
-	d.gen = top
+	d.gen.Store(top)
 	d.pruneGenerations()
 	return nil
 }
@@ -396,7 +398,8 @@ func (d *DurableEngine) pruneGenerations() {
 		gens = append(gens, g)
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	oldestKept := d.gen
+	cur := d.gen.Load()
+	oldestKept := cur
 	for i, g := range gens {
 		if i < d.cfg.Retain {
 			if g < oldestKept {
@@ -417,7 +420,7 @@ func (d *DurableEngine) pruneGenerations() {
 	}
 	for _, name := range names {
 		g, ok := persist.ParseWALName(name)
-		if !ok || g == d.gen || g >= oldestKept {
+		if !ok || g == cur || g >= oldestKept {
 			continue
 		}
 		if err := d.store.Remove(name); err != nil && !persist.IsNotExist(err) {
@@ -443,18 +446,14 @@ func (d *DurableEngine) snapshotLoop() {
 
 // Generation returns the current snapshot generation (zero until the first
 // snapshot commits).
-func (d *DurableEngine) Generation() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.gen
-}
+func (d *DurableEngine) Generation() uint64 { return d.gen.Load() }
 
 // WALAppends returns how many records the current-generation WAL holds
 // (replayed + appended) — the recovery-test observable for "the tail was
 // actually logged".
 func (d *DurableEngine) WALAppends() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.wal == nil {
 		return 0
 	}
@@ -462,7 +461,7 @@ func (d *DurableEngine) WALAppends() uint64 {
 }
 
 // appendWAL logs objs as one group commit: every object framed into the
-// log's buffer, one write, at most one fsync. Caller holds the write lock.
+// log's buffer, one write, at most one fsync. Caller holds mu.
 // While degraded the append is not attempted — the store already failed;
 // hammering it from the feed path would add latency for nothing — but the
 // objects are counted, and the repair snapshot will capture them from
@@ -509,45 +508,42 @@ func (d *DurableEngine) FeedBatch(objs []Object) {
 	d.mu.Unlock()
 }
 
-// EstimateAndExecute delegates to the engine under the read lock. Queries
-// are not write-ahead logged; see the type comment for what that means on
+// EstimateAndExecute delegates to the engine without taking mu, so a
+// query never waits on a feed's WAL write or fsync. Queries are not
+// write-ahead logged; see the type comment for what that means on
 // recovery.
 func (d *DurableEngine) EstimateAndExecute(q *Query) (float64, int) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	return d.eng.EstimateAndExecute(q)
 }
 
-// EstimateAndExecuteBatch delegates to the engine under the read lock.
+// EstimateAndExecuteBatch delegates to the engine.
 func (d *DurableEngine) EstimateAndExecuteBatch(qs []Query) ([]float64, []int) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	return d.eng.EstimateAndExecuteBatch(qs)
 }
 
-// Stats delegates to the engine.
-func (d *DurableEngine) Stats() Stats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.Stats()
+// EstimateAndExecuteTraced delegates to the engine.
+func (d *DurableEngine) EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveTrace) (float64, int) {
+	return d.eng.EstimateAndExecuteTraced(q, tr)
 }
+
+// Stats delegates to the engine.
+func (d *DurableEngine) Stats() Stats { return d.eng.Stats() }
 
 // TelemetrySnapshot delegates to the engine and attaches the durability
 // layer's sample (generation, WAL and snapshot counters/latencies,
 // recovery cost, health state) so /metrics and /statusz describe the
-// whole stack.
+// whole stack. It takes no lock but healthMu: the counters are atomic and
+// the recovery facts are fixed at construction.
 func (d *DurableEngine) TelemetrySnapshot() TelemetryReport {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	snap := d.eng.TelemetrySnapshot()
-	snap.Durable = d.stats.sample(d.gen, d.Health())
+	snap.Durable = d.stats.sample(d.gen.Load(), d.Health())
 	return snap
 }
 
 // SnapshotNow takes a snapshot into the backing store and rotates the feed
-// WAL, all atomically with respect to feeds and queries: the engine
-// serializes generation g+1 into snapshot-<g+1>.snap via rename, appends
-// switch to feed-<g+1>.wal, and generations past the retention horizon are
+// WAL, atomically with respect to feeds: the engine serializes
+// generation g+1 into snapshot-<g+1>.snap via rename, appends switch to
+// feed-<g+1>.wal, and generations past the retention horizon are
 // removed. A crash at any point leaves a recoverable snapshot generation
 // and the WAL chain extending it — never a torn pairing. A successful
 // commit also repairs a degraded engine: everything in memory (dropped
@@ -571,7 +567,7 @@ func (d *DurableEngine) snapshotLocked(ctx context.Context) error {
 }
 
 // snapshotCommit is the uninstrumented snapshot + rotation sequence.
-// Caller holds the write lock.
+// Caller holds mu.
 func (d *DurableEngine) snapshotCommit(ctx context.Context) error {
 	if d.wal != nil && DurableState(d.state.Load()) == DurableHealthy {
 		// Flush pending appends first: if the snapshot fails the WAL must
@@ -582,7 +578,8 @@ func (d *DurableEngine) snapshotCommit(ctx context.Context) error {
 			d.degrade("wal-sync", err)
 		}
 	}
-	target := persist.SnapshotNameFor(d.gen + 1)
+	gen := d.gen.Load()
+	target := persist.SnapshotNameFor(gen + 1)
 	cs := &commitStore{Store: d.store, target: target}
 	// Feed appends to the WAL and applies to the engine under d.mu, which
 	// we hold, so every logged feed has been applied by now: the snapshot
@@ -591,7 +588,7 @@ func (d *DurableEngine) snapshotCommit(ctx context.Context) error {
 		return err
 	}
 	d.stats.lastSnapBytes.Store(cs.bytes)
-	wal, _, _, err := persist.OpenWAL(d.store, persist.WALName(d.gen+1), d.cfg.WALSyncEvery)
+	wal, _, _, err := persist.OpenWAL(d.store, persist.WALName(gen+1), d.cfg.WALSyncEvery)
 	if err != nil {
 		// The snapshot committed but the new WAL did not open: recovery
 		// from the new snapshot with an empty tail is still correct, but
@@ -607,8 +604,8 @@ func (d *DurableEngine) snapshotCommit(ctx context.Context) error {
 		d.stats.rotations.Add(1)
 	}
 	d.wal = wal
-	d.gen++
-	d.snaps[d.gen] = target
+	d.gen.Store(gen + 1)
+	d.snaps[gen+1] = target
 	d.pruneGenerations()
 	// The commit captured every acknowledged feed — including any dropped
 	// from the WAL while degraded — so durability is whole again.

@@ -179,7 +179,7 @@ func (d *DurableEngine) rearm() {
 	d.healthMu.Lock()
 	d.since = time.Now()
 	d.healthMu.Unlock()
-	d.log.Info("durability repaired", "generation", d.gen,
+	d.log.Info("durability repaired", "generation", d.gen.Load(),
 		"dropped_appends", d.stats.droppedAppends.Load())
 }
 

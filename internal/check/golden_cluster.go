@@ -89,7 +89,7 @@ func RunClusterReplay(r io.Reader, cfg ClusterConfig) (string, telemetry.Cluster
 		return "", sample, err
 	}
 	for i, ln := range lns {
-		eng, err := latest.NewConcurrent(world, cfg.Window)
+		eng, err := latest.NewSharded(world, cfg.Window, latest.WithShards(1))
 		if err != nil {
 			return "", sample, err
 		}

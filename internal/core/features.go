@@ -317,34 +317,20 @@ func (b *brain) Retrains() int { return b.retrains }
 // fallback.
 func (b *brain) recommend(q *stream.Query, active int) int {
 	qt := q.Type()
-	acc := b.profAcc[active][qt]
-	lat := b.profLat[active][qt]
-	if !acc.Seen() {
-		return b.bestByProfileExcluding(qt, active)
+	_, best, bestP, second, secondP := b.consult(q, active)
+	usable := func(est int, p float64) bool {
+		return est >= 0 && est != active && !b.excluded(est) && p > 0 && b.passesGate(est, qt)
 	}
-	x := b.features(q, active, acc.Value(),
-		time.Duration(lat.Value())*time.Microsecond,
-		1-acc.Value())
-	proba := b.tree.PredictProba(x)
-	best, second := -1, -1
-	for i, p := range proba {
-		if best < 0 || p > proba[best] {
-			second = best
-			best = i
-		} else if second < 0 || p > proba[second] {
-			second = i
-		}
-	}
-	if best >= 0 && best != active && !b.excluded(best) && proba[best] > 0 && b.passesGate(best, qt) {
+	if usable(best, bestP) {
 		return best
 	}
-	if second >= 0 && second != active && !b.excluded(second) && proba[second] > 0 && b.passesGate(second, qt) {
+	if usable(second, secondP) {
 		return second
 	}
 	return b.bestByProfileExcluding(qt, active)
 }
 
-// consult is the read-only version of recommend for the decision audit
+// consult is the tree's half of recommend, also read by the decision audit
 // trail: it returns the consultation feature vector and the tree's top two
 // classes with their probabilities (the margin between them is the tie
 // info an operator reads to judge how close the call was). best is -1 when

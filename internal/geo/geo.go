@@ -24,15 +24,6 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.6f, %.6f)", p.X, p.Y) }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p translated by -q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p with both coordinates multiplied by f.
-func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
-
 // DistanceTo returns the Euclidean distance between p and q.
 func (p Point) DistanceTo(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
@@ -219,10 +210,6 @@ func (r Rect) QuadrantOf(p Point) int {
 	}
 	return q
 }
-
-// WorldWGS84 is a convenient world rectangle in degrees, with the max edges
-// nudged outward so (180, 90) itself is representable.
-var WorldWGS84 = Rect{MinX: -180, MinY: -90, MaxX: 180.000001, MaxY: 90.000001}
 
 // UnitSquare is the [0,1) × [0,1) world used by most tests.
 var UnitSquare = Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}

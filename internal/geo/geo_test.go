@@ -6,19 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestPointArithmetic(t *testing.T) {
-	p, q := Pt(1, 2), Pt(3, -4)
-	if got := p.Add(q); got != Pt(4, -2) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Sub(q); got != Pt(-2, 6) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := p.Scale(2); got != Pt(2, 4) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
 func TestDistance(t *testing.T) {
 	tests := []struct {
 		a, b Point

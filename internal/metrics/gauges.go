@@ -40,12 +40,6 @@ type ShardGauges struct {
 	queryHist telemetry.Histogram // estimate/execute cycles
 }
 
-// RecordFeeds counts n single-object ingests without sampling.
-func (g *ShardGauges) RecordFeeds(n int) {
-	g.feeds.Add(uint64(n))
-	g.ingestRate.Add(time.Now(), n)
-}
-
 // RecordFeed counts one single-object ingest and reports whether the
 // caller should time this one (1 in FeedSampleInterval) and hand the
 // duration to RecordFeedLatency. The sampling decision rides on the feed

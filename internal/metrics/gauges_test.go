@@ -8,7 +8,9 @@ import (
 
 func TestShardGauges(t *testing.T) {
 	var g ShardGauges
-	g.RecordFeeds(3)
+	for range 3 {
+		g.RecordFeed()
+	}
 	g.RecordBatch(7, 70*time.Millisecond)
 	g.RecordBatch(3, 30*time.Millisecond)
 	g.RecordQuery(10 * time.Millisecond)
@@ -58,11 +60,6 @@ func TestShardGaugesFeedSampling(t *testing.T) {
 	if s.FeedLatency.Count != uint64(sampled) {
 		t.Errorf("feed histogram count = %d, want %d", s.FeedLatency.Count, sampled)
 	}
-	// Mixing RecordFeeds batch-style counting keeps the total coherent.
-	g.RecordFeeds(5)
-	if got := g.Snapshot().Feeds; got != n+5 {
-		t.Errorf("feeds after RecordFeeds = %d, want %d", got, n+5)
-	}
 }
 
 // TestShardGaugesHistograms verifies the latency histograms behind the
@@ -108,7 +105,7 @@ func TestShardGaugesConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				g.RecordFeeds(1)
+				g.RecordFeed()
 				g.RecordQuery(time.Microsecond)
 				g.SetWindow(i, 100*i)
 			}

@@ -76,14 +76,6 @@ func (e *Enc) F64s(vs []float64) {
 	}
 }
 
-// I64s appends a length-prefixed []int64.
-func (e *Enc) I64s(vs []int64) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.I64(v)
-	}
-}
-
 // U32s appends a length-prefixed []uint32.
 func (e *Enc) U32s(vs []uint32) {
 	e.U32(uint32(len(vs)))
@@ -250,19 +242,6 @@ func (d *Dec) F64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = d.F64()
-	}
-	return out
-}
-
-// I64s reads a length-prefixed []int64.
-func (d *Dec) I64s() []int64 {
-	n := d.length(8, "[]int64")
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.I64()
 	}
 	return out
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // Object is a geo-textual stream element, mirroring the paper's
-// (oid, loc, kw, timestamp) tuple. Timestamps are virtual-clock milliseconds
-// (see Clock); they must be non-decreasing in arrival order.
+// (oid, loc, kw, timestamp) tuple. Timestamps are virtual milliseconds from
+// an arbitrary epoch; they must be non-decreasing in arrival order.
 type Object struct {
 	ID        uint64
 	Loc       geo.Point

@@ -106,31 +106,3 @@ func TestQueryString(t *testing.T) {
 		}
 	}
 }
-
-func TestClock(t *testing.T) {
-	c := NewClock(100)
-	if c.Now() != 100 {
-		t.Fatalf("Now = %d", c.Now())
-	}
-	if got := c.Advance(50); got != 150 || c.Now() != 150 {
-		t.Fatalf("Advance = %d, Now = %d", got, c.Now())
-	}
-	c.AdvanceTo(150) // no-op advance to same time is fine
-	c.AdvanceTo(200)
-	if c.Now() != 200 {
-		t.Fatalf("AdvanceTo: Now = %d", c.Now())
-	}
-	for _, fn := range []func(){
-		func() { c.Advance(-1) },
-		func() { c.AdvanceTo(10) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic on clock rewind")
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -208,7 +208,7 @@ func TestOneModuleImagesIdentical(t *testing.T) {
 	world, window := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second
 	latency := WithLatencyModel(func(string, *Query, time.Duration) time.Duration { return time.Microsecond })
 	opts := []Option{WithPretrainQueries(40), WithAccWindow(20), WithSeed(1), WithMemoryScale(0.1), latency}
-	conc := MustNewConcurrent(world, window, opts...)
+	conc := newConcurrent(t, world, window, opts...)
 	defer conc.Close()
 	sharded1 := MustNewSharded(world, window, append(opts, WithShards(1))...)
 	defer sharded1.Close()
@@ -314,8 +314,8 @@ func TestRestoreImagesWrittenBeforePR24(t *testing.T) {
 
 // TestRestoreOneShardImageSharded1x1: before every one-module engine wrote
 // the "single" layout, NewSharded(WithShards(1)) wrote kind "sharded:1x1"
-// with its sections under "shard-0/" — also what latestd -engine sharded
-// wrote on a one-CPU host. The image was written that way by commit 3fca5c9
+// with its sections under "shard-0/" — also what latestd wrote on a
+// one-CPU host. The image was written that way by commit 3fca5c9
 // (40 fed objects, memory scale 0.01) and restores into every one-module
 // constructor.
 func TestRestoreOneShardImageSharded1x1(t *testing.T) {
@@ -326,7 +326,7 @@ func TestRestoreOneShardImageSharded1x1(t *testing.T) {
 	}
 	for name, eng := range map[string]Engine{
 		"New":                       MustNew(world, window, WithMemoryScale(0.01)),
-		"NewConcurrent":             MustNewConcurrent(world, window, WithMemoryScale(0.01)),
+		"NewConcurrent":             newConcurrent(t, world, window, WithMemoryScale(0.01)),
 		"NewSharded(WithShards(1))": MustNewSharded(world, window, WithShards(1), WithMemoryScale(0.01)),
 	} {
 		st := NewMemStore()

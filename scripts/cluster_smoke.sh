@@ -52,7 +52,7 @@ NODE_PIDS=()
 i=0
 for addr in "$N1" "$N2" "$N3"; do
     "$LATESTD" -addr "$addr" -admin 127.0.0.1:0 \
-        -addr-file "$WORK/node$i.addr" -engine concurrent -window 10m \
+        -addr-file "$WORK/node$i.addr" -shards 1 -window 10m \
         -world "$WORLD" -cluster-map "$WORK/cluster.map" -node-id "$i" \
         >"$WORK/node$i.out" 2>"$WORK/node$i.err" &
     NODE_PIDS+=($!)

@@ -50,7 +50,7 @@ start_daemon() { # addr-file out err [latestd flags...]
     local addrf="$1" out="$2" err="$3"
     shift 3
     "$LATESTD" -addr 127.0.0.1:0 -admin 127.0.0.1:0 -addr-file "$addrf" \
-        -engine concurrent -window 10m -data-dir "$DATA" -wal-sync-every 1 "$@" \
+        -shards 1 -window 10m -data-dir "$DATA" -wal-sync-every 1 "$@" \
         >"$out" 2>"$err" &
     echo $!
 }

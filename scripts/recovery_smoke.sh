@@ -84,7 +84,7 @@ for snap in "$DATA"/snapshot*.snap; do
     printf 'XXXX' | dd of="$snap" bs=1 count=4 conv=notrunc status=none
 done
 if "$LATESTD" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
-    -engine concurrent -window 10m -data-dir "$DATA" \
+    -shards 1 -window 10m -data-dir "$DATA" \
     >"$WORK/run3.out" 2>"$WORK/run3.err"; then
     echo "FAIL: daemon served from a corrupt data directory"; exit 1
 fi

@@ -189,8 +189,7 @@ func (s *ShardedSystem) lockAll() (unlock func()) {
 //
 // All shard locks are held for the duration (acquired in shard order), so
 // the capture is a consistent cut with respect to feeds and single-shard
-// queries; for a cut that is also consistent with multi-shard query
-// fan-outs, quiesce queries first (DurableEngine's write lock does).
+// queries.
 func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
 	unlock := s.lockAll()
 	defer unlock()

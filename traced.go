@@ -33,11 +33,3 @@ func (s *ShardedSystem) EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveT
 	tr.AddSpan("fanout", start)
 	return estimate, actual
 }
-
-// EstimateAndExecuteTraced implements Engine, delegating to the wrapped
-// engine under the read lock.
-func (d *DurableEngine) EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveTrace) (float64, int) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.EstimateAndExecuteTraced(q, tr)
-}

@@ -214,7 +214,7 @@ func TestValidationOutOfWorldRange(t *testing.T) {
 			}
 		},
 		"NewConcurrent": func(opts ...Option) (*ShardedSystem, answer) {
-			s := MustNewConcurrent(world, 10*time.Second, opts...)
+			s := newConcurrent(t, world, 10*time.Second, opts...)
 			return s, s.EstimateAndExecute
 		},
 		"NewSharded(1)": func(opts ...Option) (*ShardedSystem, answer) {
@@ -314,7 +314,7 @@ func TestValidationClampCountedOneWay(t *testing.T) {
 	}
 	for name, eng := range map[string]*ShardedSystem{
 		"New":           validationSystem(t).ShardedSystem,
-		"NewConcurrent": MustNewConcurrent(world, 10*time.Second, WithSeed(1)),
+		"NewConcurrent": newConcurrent(t, world, 10*time.Second, WithSeed(1)),
 		"NewSharded":    MustNewSharded(world, 10*time.Second, WithSeed(1), WithShards(1)),
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -392,11 +392,9 @@ func TestOptionValidationErrors(t *testing.T) {
 func TestMustConstructors(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	MustNew(world, time.Second)
-	MustNewConcurrent(world, time.Second).Close()
 	MustNewSharded(world, time.Second, WithShards(2)).Close()
 	for _, build := range []func(){
 		func() { MustNew(world, 0) },
-		func() { MustNewConcurrent(world, 0) },
 		func() { MustNewSharded(world, 0) },
 	} {
 		func() {
