@@ -16,6 +16,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -207,9 +209,7 @@ func BenchmarkAblationOpportunity(b *testing.B) {
 			AccWindow:         60,
 			OpportunityMargin: margin,
 			Seed:              1,
-			Refill: func(e estimator.Estimator) {
-				oracle.Each(func(o *stream.Object) bool { e.Insert(o); return true })
-			},
+			Refill:            func(e estimator.Estimator) { estimator.Fill(e, oracle) },
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -268,9 +268,7 @@ func BenchmarkAblationCooldown(b *testing.B) {
 					AccWindow:       60,
 					CooldownQueries: cd,
 					Seed:            1,
-					Refill: func(e estimator.Estimator) {
-						oracle.Each(func(o *stream.Object) bool { e.Insert(o); return true })
-					},
+					Refill:          func(e estimator.Estimator) { estimator.Fill(e, oracle) },
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -534,11 +532,7 @@ func BenchmarkShardSetup(b *testing.B) {
 	for i := range qs {
 		qs[i] = gen.Next(0)
 	}
-	latency := WithLatencyModel(func(name string, _ *Query, _ time.Duration) time.Duration {
-		us := map[string]int{EstimatorH4096: 50, EstimatorAASP: 80, EstimatorRSH: 120,
-			EstimatorFFN: 200, EstimatorSPN: 300, EstimatorRSL: 400}[name]
-		return time.Duration(us) * time.Microsecond
-	})
+	latency := WithLatencyModel(setupLatency)
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			var setup, acc float64
@@ -583,5 +577,128 @@ func BenchmarkShardSetup(b *testing.B) {
 			b.ReportMetric(acc, "accuracy-mean")
 			b.ReportMetric(float64(mem)/(1<<20), "estimator-MB")
 		})
+	}
+}
+
+// setupLatency is the embed benchmarks' constant latency per estimator,
+// which keeps the wall clock out of switching decisions.
+func setupLatency(name string, _ *Query, _ time.Duration) time.Duration {
+	us := map[string]int{EstimatorH4096: 50, EstimatorAASP: 80, EstimatorRSH: 120,
+		EstimatorFFN: 200, EstimatorSPN: 300, EstimatorRSL: 400}[name]
+	return time.Duration(us) * time.Microsecond
+}
+
+// BenchmarkSwitchStall measures what switching costs the queries that pay
+// for it: one shard over Twitter at 2 objects per virtual millisecond and a
+// 60 s window (120 000 live objects), WithPretrainQueries(500) and
+// BenchmarkShardSetup's constant latency model, under TwQW1, TwQW3 and
+// TwQW6. After pre-training it issues 3 000 queries with 16 objects between
+// them. Per workload it reports the slowest query cycles (observe-max-ms,
+// observe-p99.9-ms), the switches and how many adopted a warmed candidate
+// (prefills-adopted), and the window fills run on the query path, pre-fills
+// and cold-switch targets, by how they ran (prefills-drawn,
+// prefills-replayed). On the final window it then times one fill of each
+// fleet member as the shard runs it (<estimator>-fill-ms: a draw for RSL,
+// RSH and SPN, a replay for the rest) and, for each sampler, a replay of
+// the same window (<estimator>-replay-ms), each the median of five:
+//
+//	go test -run '^$' -bench SwitchStall -benchtime 1x
+func BenchmarkSwitchStall(b *testing.B) {
+	const (
+		rate, spanMS = 2, 60_000
+		window       = rate * spanMS
+		pretrain     = 500
+		measured     = 3000
+		perQuery     = 16
+	)
+	for _, wl := range []string{"TwQW1", "TwQW3", "TwQW6"} {
+		b.Run(wl, func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				src := datagen.ByName("Twitter", 1, rate)
+				gen := queryload.NewGenerator(queryload.ByName(wl), src, pretrain+measured)
+				s := MustNewSharded(src.World(), spanMS*time.Millisecond, WithShards(1),
+					WithPretrainQueries(pretrain), WithSeed(1), WithLatencyModel(setupLatency))
+				next := 0
+				feed := func(k int) {
+					batch := make([]Object, k)
+					for j := range batch {
+						batch[j] = src.Next()
+						batch[j].ID, batch[j].Timestamp = uint64(next), int64(next/rate)
+						next++
+					}
+					s.FeedBatch(batch)
+				}
+				query := func() time.Duration {
+					q := gen.Next(int64((next - 1) / rate))
+					start := time.Now()
+					s.EstimateAndExecute(&q)
+					d := time.Since(start)
+					feed(perQuery)
+					return d
+				}
+				for next < window {
+					feed(256)
+				}
+				for s.Phase() != PhaseIncremental {
+					query()
+				}
+				stalls := make([]time.Duration, measured)
+				for i := range stalls {
+					stalls[i] = query()
+				}
+				sort.Slice(stalls, func(i, j int) bool { return stalls[i] < stalls[j] })
+				ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+				b.ReportMetric(ms(stalls[len(stalls)-1]), "observe-max-ms")
+				b.ReportMetric(ms(stalls[(len(stalls)*999+999)/1000-1]), "observe-p99.9-ms")
+				adopted := 0
+				for _, ev := range s.Switches() {
+					if ev.Prefilled {
+						adopted++
+					}
+				}
+				g := s.shards[0].gauges.Snapshot()
+				b.ReportMetric(float64(len(s.Switches())), "switches")
+				b.ReportMetric(float64(adopted), "prefills-adopted")
+				b.ReportMetric(float64(g.PrefillsDrawn), "prefills-drawn")
+				b.ReportMetric(float64(g.PrefillsReplayed), "prefills-replayed")
+				reportFillTimes(b, s.shards[0])
+				s.Close()
+			}
+		})
+	}
+}
+
+// reportFillTimes times, on the shard's window, one fill of each fleet
+// member from fresh as the shard's refill runs it, and one replay for each
+// member that drew; each figure is the median of five, each fill timed from
+// a fresh collection.
+func reportFillTimes(b *testing.B, sh *shard) {
+	cfg := sh.module.Config()
+	p := estimator.Params{World: cfg.World, Span: cfg.Span, Scale: cfg.Scale, Seed: cfg.Seed}
+	median := func(name string, fill func(e estimator.Estimator)) float64 {
+		var ds [5]time.Duration
+		for i := range ds {
+			e, err := cfg.Registry.Build(name, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC() // no fill pays for the garbage of the one before
+			start := time.Now()
+			fill(e)
+			ds[i] = time.Since(start)
+		}
+		sort.Slice(ds[:], func(i, j int) bool { return ds[i] < ds[j] })
+		return float64(ds[2]) / float64(time.Millisecond)
+	}
+	replay := func(e estimator.Estimator) {
+		sh.window.Each(func(o *stream.Object) bool { e.Insert(o); return true })
+	}
+	for _, name := range cfg.Estimators {
+		drawn := false
+		fill := func(e estimator.Estimator) { drawn = estimator.Fill(e, sh.window) }
+		b.ReportMetric(median(name, fill), name+"-fill-ms")
+		if drawn {
+			b.ReportMetric(median(name, replay), name+"-replay-ms")
+		}
 	}
 }

@@ -70,13 +70,15 @@ type DiffConfig struct {
 	MaxDetails int
 }
 
-// DefaultDiffConfig is the short-mode differential run: a phase-changing
-// workload that actually exercises estimator switches, small enough for
-// seconds-scale test time.
+// DefaultDiffConfig is the short-mode differential run, small enough for
+// seconds-scale test time. Its workload, TwSwitch, switches by
+// construction: after the mixed third that pre-training consumes, a
+// spatial third moves the fleet to the histogram and a keyword third moves
+// it off again (at least two switches on each of seeds 1 to 20).
 func DefaultDiffConfig() DiffConfig {
 	return DiffConfig{
 		Dataset:         "Twitter",
-		Workload:        "TwQW1",
+		Workload:        "TwSwitch",
 		Seed:            1,
 		Queries:         400,
 		ObjectsPerQuery: 20,

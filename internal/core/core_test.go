@@ -54,12 +54,7 @@ type driver struct {
 func newDriver(t *testing.T, cfg Config) *driver {
 	t.Helper()
 	w := stream.NewWindow(cfg.World, cfg.Span, 1024)
-	cfg.Refill = func(e estimator.Estimator) {
-		w.Each(func(o *stream.Object) bool {
-			e.Insert(o)
-			return true
-		})
-	}
+	cfg.Refill = func(e estimator.Estimator) { estimator.Fill(e, w) }
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -38,6 +38,11 @@ type Module struct {
 	fallbackOracle   uint64
 	fallbackZero     uint64
 
+	// sampled[i] marks a sampler (estimator.Sampler) that warm-up does not
+	// stream into: Refill fills it once when warm-up ends. Set only when
+	// the module has a Refill.
+	sampled []bool
+
 	active     int
 	prefill    int // -1 when no candidate is warming
 	prefillAge int // adapt() calls since the candidate began warming
@@ -151,6 +156,11 @@ func New(cfg Config) (*Module, error) {
 		m.index[name] = i
 	}
 	m.masked = make([]bool, len(m.ests))
+	m.sampled = make([]bool, len(m.ests))
+	for i, e := range m.ests {
+		_, isSampler := e.(estimator.Sampler)
+		m.sampled[i] = isSampler && cfg.Refill != nil
+	}
 	m.pendBuf = pendingQuery{
 		estimates: make([]float64, len(m.ests)),
 		latencies: make([]time.Duration, len(m.ests)),
@@ -194,14 +204,15 @@ func (m *Module) Config() Config { return m.cfg }
 func (m *Module) TrainingRecords() int { return m.brain.tree.Instances() }
 
 // Insert feeds a stream object. During warm-up and pre-training every
-// estimator is filled; afterwards only the active estimator (plus any
+// estimator is filled, except that warm-up skips the samplers Refill will
+// draw when it ends; afterwards only the active estimator (plus any
 // pre-filling candidate) is maintained — the paper's single-active-summary
 // invariant.
 func (m *Module) Insert(o *stream.Object) {
 	switch m.phase {
 	case PhaseWarmup, PhasePretrain:
 		for i := range m.guards {
-			if m.masked[i] {
+			if m.masked[i] || m.phase == PhaseWarmup && m.sampled[i] {
 				continue
 			}
 			m.noteCall(i, m.guards[i].Insert(o))
@@ -228,7 +239,7 @@ func (m *Module) Estimate(q *stream.Query) float64 {
 		panic(fmt.Sprintf("core: invalid query %v", q))
 	}
 	if m.phase == PhaseWarmup {
-		m.phase = PhasePretrain
+		m.endWarmup()
 	}
 	m.tickBreakers()
 	if m.masked[m.active] {
@@ -348,6 +359,18 @@ func (m *Module) Observe(actual float64) {
 		m.incrementalSeen++
 		m.adapt(&p.q)
 	}
+}
+
+// endWarmup enters pre-training. The samplers warm-up did not stream into
+// are filled from the window first, while the phase still reads warm-up,
+// so Refill can tell this fill from a pre-fill.
+func (m *Module) endWarmup() {
+	for i, s := range m.sampled {
+		if s && !m.masked[i] {
+			m.freshen(i)
+		}
+	}
+	m.phase = PhasePretrain
 }
 
 // concludePretraining wipes every estimator except the default and enters

@@ -1,0 +1,168 @@
+package estimator
+
+import (
+	"math/bits"
+	"math/rand"
+	"sync"
+
+	"github.com/spatiotext/latest/internal/stream"
+)
+
+// Sampler is an estimator whose summary is a uniform sample of the live
+// window: RSL, RSH and SPN. Streaming N objects through Algorithm R only
+// approximates that state, at the price of about k·(1+ln(N/k)) admissions;
+// the window's arena holds the exact population, so a sampler can instead
+// draw its sample from it outright.
+type Sampler interface {
+	Estimator
+	// Draw wipes the sampler and refills it from w: the arrival counter
+	// from the live timestamps, the sample from k distinct live objects
+	// chosen with the sampler's own RNG (every one of them when the window
+	// holds no more than k).
+	Draw(w *stream.Window)
+}
+
+// Fill seeds a freshly wiped estimator from the window store and reports
+// whether it drew: a Sampler draws its sample, anything else has every live
+// object replayed into it in arrival order.
+func Fill(e Estimator, w *stream.Window) (drawn bool) {
+	if s, ok := e.(Sampler); ok {
+		s.Draw(w)
+		return true
+	}
+	w.Each(func(o *stream.Object) bool {
+		e.Insert(o)
+		return true
+	})
+	return false
+}
+
+// drawTarget is what draw needs of a sampler: its capacity, RNG and
+// arrival counter, room for the m samples it is about to keep, a way to
+// keep one, and a hook that runs once the sample is complete.
+type drawTarget interface {
+	Reset()
+	drawState() (k int, rng *rand.Rand, counter *WindowCounter)
+	reserve(m int)
+	keep(o *stream.Object)
+	kept(now int64)
+}
+
+// bitmapPool recycles draw's index bitmaps across samplers and shards.
+var bitmapPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// draw is the one Draw the samplers share. The k indices are Floyd's
+// algorithm: for j from N−k to N−1, pick t uniformly in [0, j] and take it,
+// or j itself if t is taken already. That is exactly k bounded draws and a
+// uniform k-subset; the bitmap then hands the chosen objects over in
+// arrival order, which reads the arena front to back.
+func draw(s drawTarget, w *stream.Window) {
+	s.Reset()
+	k, rng, counter := s.drawState()
+	n := w.Size()
+	counter.addSorted(n, w.TimestampAt)
+	if n == 0 {
+		return
+	}
+	s.reserve(min(k, n))
+	var o stream.Object
+	if n <= k {
+		for i := 0; i < n; i++ {
+			w.At(i, &o)
+			s.keep(&o)
+		}
+		s.kept(w.TimestampAt(n - 1))
+		return
+	}
+	bp := bitmapPool.Get().(*[]uint64)
+	words := (n + 63) / 64
+	if cap(*bp) < words {
+		*bp = make([]uint64, words)
+	}
+	chosen := (*bp)[:words]
+	clear(chosen)
+	for j := n - k; j < n; j++ {
+		t := rng.Intn(j + 1)
+		if chosen[t>>6]&(1<<(t&63)) != 0 {
+			t = j
+		}
+		chosen[t>>6] |= 1 << (t & 63)
+	}
+	for wi, word := range chosen {
+		for ; word != 0; word &= word - 1 {
+			w.At(wi<<6|bits.TrailingZeros64(word), &o)
+			s.keep(&o)
+		}
+	}
+	bitmapPool.Put(bp)
+	s.kept(w.TimestampAt(n - 1))
+}
+
+// Draw implements Sampler.
+func (r *ReservoirList) Draw(w *stream.Window) { draw(r, w) }
+
+// Draw implements Sampler.
+func (r *ReservoirHashmap) Draw(w *stream.Window) { draw(r, w) }
+
+// Draw implements Sampler. The drawn sample becomes the training set of
+// one retrain, which the next Estimate fits.
+func (s *SPNEstimator) Draw(w *stream.Window) { draw(s, w) }
+
+func (r *reservoir) drawState() (int, *rand.Rand, *WindowCounter) {
+	return r.capacity, r.rng, r.counter
+}
+
+func (r *reservoir) reserve(m int) {
+	r.ts, r.loc, r.kw = regrow(r.ts, m), regrow(r.loc, m), regrow(r.kw, m)
+}
+
+func (r *ReservoirList) keep(o *stream.Object) {
+	r.put(int32(len(r.ts)), o.Timestamp, o.Loc, o.Keywords, r.capacity)
+}
+
+func (r *ReservoirList) kept(int64) {}
+
+func (r *ReservoirHashmap) reserve(m int) {
+	r.reservoir.reserve(m)
+	r.links = make([]bucketLink, 0, m)
+}
+
+// keep stores a drawn sample and notes its cell; kept buckets them all.
+func (r *ReservoirHashmap) keep(o *stream.Object) {
+	r.put(int32(len(r.ts)), o.Timestamp, o.Loc, o.Keywords, r.capacity)
+	r.links = append(r.links, bucketLink{cell: int32(r.grid.CellOf(o.Loc))})
+}
+
+// kept builds the bucket index of a drawn sample in two passes, numbering
+// each slot within its cell and then cutting every bucket to its exact
+// size from one array, instead of growing thousands of buckets by append.
+// A bucket that later outgrows its cut moves to an array of its own, as
+// any full slice does.
+func (r *ReservoirHashmap) kept(int64) {
+	sizes := make([]int32, r.grid.NumCells())
+	for j := range r.links {
+		l := &r.links[j]
+		l.pos = sizes[l.cell]
+		sizes[l.cell]++
+	}
+	r.buckets = make([][]int32, len(sizes))
+	all := make([]int32, len(r.links))
+	off := int32(0)
+	for c, n := range sizes {
+		r.buckets[c] = all[off : off+n : off+n]
+		off += n
+	}
+	for j, l := range r.links {
+		r.buckets[l.cell][l.pos] = int32(j)
+	}
+}
+
+func (s *SPNEstimator) drawState() (int, *rand.Rand, *WindowCounter) {
+	return s.capacity, s.rng, s.counter
+}
+
+func (s *SPNEstimator) reserve(m int) { s.samples = make([]sample, 0, m) }
+
+func (s *SPNEstimator) keep(o *stream.Object) { s.samples = append(s.samples, admitted(o)) }
+
+func (s *SPNEstimator) kept(now int64) { s.retrain(now) }

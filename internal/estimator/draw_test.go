@@ -1,0 +1,263 @@
+package estimator
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/persist"
+	"github.com/spatiotext/latest/internal/stream"
+)
+
+// samplerBuilds are the package's three samplers.
+var samplerBuilds = []struct {
+	name  string
+	build func(Params) Sampler
+}{
+	{NameRSL, func(p Params) Sampler { return NewReservoirList(p) }},
+	{NameRSH, func(p Params) Sampler { return NewReservoirHashmap(p) }},
+	{NameSPN, func(p Params) Sampler { return NewSPN(p) }},
+}
+
+// sampleTimestamps returns the timestamps a sampler holds and its capacity.
+func sampleTimestamps(s Sampler) (ts []int64, k int) {
+	switch e := s.(type) {
+	case *ReservoirList:
+		return e.ts, e.capacity
+	case *ReservoirHashmap:
+		return e.ts, e.capacity
+	case *SPNEstimator:
+		for _, x := range e.samples {
+			ts = append(ts, x.ts)
+		}
+		return ts, e.capacity
+	}
+	panic("not a sampler of this package")
+}
+
+// drawWindow is a window of n objects at timestamps 1..n, so an object's
+// arrival rank is its timestamp minus one.
+func drawWindow(n int, seed int64) *stream.Window {
+	w := stream.NewWindow(geo.UnitSquare, 1<<40, 256)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 1; i <= n; i++ {
+		w.Insert(genObject(rng, uint64(i), int64(i)))
+	}
+	return w
+}
+
+// TestDrawUniformArrivalRanks: a drawn sample is a uniform subset of the
+// live window. Over 200 seeds, the arrival-rank deciles of the drawn
+// objects pass a χ² test at p = 0.001, for k ≪ N, k ≈ N/2 and N ≤ k; each
+// draw holds min(k, N) distinct live objects, costs O(k) RNG draws (none
+// when it takes the whole window), and counts all N arrivals.
+func TestDrawUniformArrivalRanks(t *testing.T) {
+	const (
+		seeds = 200
+		chi9  = 27.877 // χ² critical value, 9 degrees of freedom, p = 0.001
+	)
+	params := func(seed int64) Params {
+		return Params{World: geo.UnitSquare, Span: 1 << 40, Scale: 0.004, Seed: seed} // k = 65 or 64
+	}
+	for _, sb := range samplerBuilds {
+		_, k := sampleTimestamps(sb.build(params(0)))
+		for _, c := range []struct {
+			name string
+			n    int
+		}{{"k<<N", 20 * k}, {"k~N/2", 2 * k}, {"N<=k", k - 7}} {
+			w := drawWindow(c.n, 3)
+			var counts [10]float64
+			total := 0
+			for seed := int64(1); seed <= seeds; seed++ {
+				s := sb.build(params(seed))
+				_, _, counter := s.(drawTarget).drawState()
+				before := rngDraws(s)
+				s.Draw(w)
+				ts, _ := sampleTimestamps(s)
+				if want := min(k, c.n); len(ts) != want {
+					t.Fatalf("%s %s seed %d: drew %d samples, want %d", sb.name, c.name, seed, len(ts), want)
+				}
+				seen := make(map[int64]bool, len(ts))
+				for _, x := range ts {
+					if x < 1 || x > int64(c.n) || seen[x] {
+						t.Fatalf("%s %s seed %d: sample at ts %d repeated or not live", sb.name, c.name, seed, x)
+					}
+					seen[x] = true
+					counts[(x-1)*10/int64(c.n)]++
+				}
+				total += len(ts)
+				draws := rngDraws(s) - before
+				if c.n <= k && draws != 0 || draws > uint64(2*k) {
+					t.Fatalf("%s %s seed %d: %d RNG draws for k=%d, N=%d", sb.name, c.name, seed, draws, k, c.n)
+				}
+				if live := counter.Live(int64(c.n)); live != float64(c.n) {
+					t.Fatalf("%s %s seed %d: counter reads %v live, want %d", sb.name, c.name, seed, live, c.n)
+				}
+			}
+			chi := 0.0
+			for d := range counts {
+				size := 0 // ranks r in decile d: r*10/N == d
+				for r := 0; r < c.n; r++ {
+					if r*10/c.n == d {
+						size++
+					}
+				}
+				exp := float64(total) * float64(size) / float64(c.n)
+				chi += (counts[d] - exp) * (counts[d] - exp) / exp
+			}
+			if chi > chi9 {
+				t.Errorf("%s %s (k=%d, N=%d): χ² = %.2f over deciles %v, critical %.3f", sb.name, c.name, k, c.n, chi, counts, chi9)
+			}
+		}
+	}
+}
+
+// rngDraws is how far a sampler's RNG has advanced.
+func rngDraws(s Sampler) uint64 {
+	switch e := s.(type) {
+	case *ReservoirList:
+		return e.src.n
+	case *ReservoirHashmap:
+		return e.src.n
+	case *SPNEstimator:
+		return e.src.n
+	}
+	panic("not a sampler of this package")
+}
+
+// TestDrawThenStreamKeepsRSHInvariants: a drawn RSH is a well-formed slot
+// map, and stays one as streaming replaces, purges and queries it.
+func TestDrawThenStreamKeepsRSHInvariants(t *testing.T) {
+	p := testParams()
+	p.Scale = 0.01 // 163 samples
+	r := NewReservoirHashmap(p)
+	w := stream.NewWindow(p.World, p.Span, 1024)
+	ts := feedBoth(t, NewHistogram(p), w, 5000, 4)
+	r.Draw(w)
+	checkRSHInvariants(t, "drawn", r)
+	if r.Len() != r.Capacity() {
+		t.Fatalf("drew %d samples from 5000, want %d", r.Len(), r.Capacity())
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 6000; i++ {
+		ts += 1 + int64(i/2000) // later objects arrive sparser, so samples expire
+		o := genObject(rng, uint64(10_000+i), ts)
+		w.Insert(o)
+		r.Insert(&o)
+		if i%100 == 99 {
+			for _, q := range queryMix(ts) {
+				q := q
+				r.Estimate(&q)
+			}
+		}
+		if i%500 == 499 {
+			checkRSHInvariants(t, "streaming after draw", r)
+		}
+	}
+	// Everything expires: the store empties and releases its index.
+	q := stream.SpatialQ(p.World, ts+2*p.Span)
+	r.Estimate(&q)
+	checkRSHInvariants(t, "expired", r)
+	// A draw from an empty window leaves an empty, consistent sampler.
+	r.Draw(stream.NewWindow(p.World, p.Span, 1024))
+	checkRSHInvariants(t, "drawn from empty", r)
+}
+
+// TestDrawImageRestoresTwin: an image taken right after a draw restores to
+// a twin whose next 100 estimates (between inserts) and next draw are
+// bit-identical to the original's.
+func TestDrawImageRestoresTwin(t *testing.T) {
+	for _, sb := range samplerBuilds {
+		p := testParams()
+		p.Scale = 0.05
+		orig, twin := sb.build(p), sb.build(p)
+		w := stream.NewWindow(p.World, p.Span, 1024)
+		ts := feedBoth(t, NewHistogram(p), w, 6000, 6)
+		orig.Draw(w)
+		var img persist.Enc
+		orig.(Stateful).SaveState(&img)
+		if err := twin.(Stateful).LoadState(persist.NewDec(img.Data())); err != nil {
+			t.Fatalf("%s: %v", sb.name, err)
+		}
+		rng := rand.New(rand.NewSource(12))
+		for i := 0; i < 100; i++ {
+			for j := 0; j < 10; j++ {
+				ts++
+				o := genObject(rng, uint64(ts), ts)
+				w.Insert(o)
+				orig.Insert(&o)
+				twin.Insert(&o)
+			}
+			q := queryMix(ts)[i%4]
+			a, b := orig.Estimate(&q), twin.Estimate(&q)
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: estimate %d after restore: original %v, twin %v", sb.name, i, a, b)
+			}
+		}
+		orig.Draw(w)
+		twin.Draw(w)
+		var a, b persist.Enc
+		orig.(Stateful).SaveState(&a)
+		twin.(Stateful).SaveState(&b)
+		if !bytes.Equal(a.Data(), b.Data()) {
+			t.Errorf("%s: the next draw differs between original and twin", sb.name)
+		}
+	}
+}
+
+// TestFillDrawsSamplersAndReplaysTheRest: Fill draws a Sampler and replays
+// the window into anything else, which then matches an estimator that
+// streamed the same objects.
+func TestFillDrawsSamplersAndReplaysTheRest(t *testing.T) {
+	p := testParams()
+	streamed := NewHistogram(p)
+	w := stream.NewWindow(p.World, p.Span, 1024)
+	ts := feedBoth(t, streamed, w, 3000, 2)
+	filled := NewHistogram(p)
+	if Fill(filled, w) {
+		t.Error("Fill drew into a histogram")
+	}
+	for _, q := range queryMix(ts) {
+		q := q
+		if a, b := streamed.Estimate(&q), filled.Estimate(&q); a != b {
+			t.Errorf("%v: streamed %v, filled %v", q, a, b)
+		}
+	}
+	rsl := NewReservoirList(p)
+	if !Fill(rsl, w) || rsl.Len() != 3000 {
+		t.Errorf("Fill into RSL: %d samples, want the 3000 live objects drawn", rsl.Len())
+	}
+}
+
+// TestCounterAddSortedMatchesAdd: counting a sorted run slice by slice
+// leaves the counter exactly as one Add per arrival does, gaps of many
+// slices included.
+func TestCounterAddSortedMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		ts := make([]int64, rng.Intn(3000))
+		now := rng.Int63n(1000)
+		for i := range ts {
+			switch rng.Intn(20) {
+			case 0:
+				now += rng.Int63n(30_000) // past several slices, or the whole span
+			case 1, 2, 3:
+				now += rng.Int63n(50)
+			}
+			ts[i] = now
+		}
+		one, run := NewWindowCounter(10_000, defaultHistSlices), NewWindowCounter(10_000, defaultHistSlices)
+		for _, x := range ts {
+			one.Add(x)
+		}
+		run.addSorted(len(ts), func(i int) int64 { return ts[i] })
+		var a, b persist.Enc
+		one.SaveState(&a)
+		run.SaveState(&b)
+		if !bytes.Equal(a.Data(), b.Data()) {
+			t.Fatalf("trial %d (%d arrivals): counters differ", trial, len(ts))
+		}
+	}
+}

@@ -154,3 +154,25 @@ func BenchmarkRSHInsertSteady(b *testing.B) {
 func BenchmarkAASPInsertSteady(b *testing.B) {
 	benchInsertSteady(b, func(p Params) Estimator { return NewAASP(p) })
 }
+
+// BenchmarkDraw times one Draw of each sampler at its default size from a
+// full Twitter window of 120 000 live objects: the pre-fill a switch to it
+// costs.
+func BenchmarkDraw(b *testing.B) {
+	tw := newTwitterStream()
+	w := stream.NewWindow(tw.gen.World(), twitterSpanMS, 4096)
+	for i := 0; i < twitterWindow; i++ {
+		o := tw.pool[i]
+		o.ID, o.Timestamp = uint64(i), int64(i/twitterRatePerMS)
+		w.Insert(o)
+	}
+	for _, sb := range samplerBuilds {
+		b.Run(sb.name, func(b *testing.B) {
+			s := sb.build(tw.params())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Draw(w)
+			}
+		})
+	}
+}

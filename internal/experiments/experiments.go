@@ -143,12 +143,7 @@ func newEnvSpec(cfg RunConfig, spec workload.Spec) *env {
 		Scale:           cfg.Scale,
 		Seed:            cfg.Seed,
 		LatencyOf:       cfg.LatencyOf,
-		Refill: func(e estimator.Estimator) {
-			oracle.Each(func(o *stream.Object) bool {
-				e.Insert(o)
-				return true
-			})
-		},
+		Refill:          func(e estimator.Estimator) { estimator.Fill(e, oracle) },
 	})
 	if err != nil {
 		panic(err) // RunConfig is code-authored; this is a harness bug

@@ -26,7 +26,8 @@ type ShardGauges struct {
 	reordered     atomic.Uint64
 	occupancy     atomic.Int64
 	windowBytes   atomic.Int64
-	prefillInline atomic.Uint64
+	prefillDraw   atomic.Uint64
+	prefillReplay atomic.Uint64
 
 	validationRejected atomic.Uint64
 	validationClamped  atomic.Uint64
@@ -62,9 +63,16 @@ func (g *ShardGauges) RecordBatch(n int, d time.Duration) {
 // RecordQuery counts one estimate/execute cycle and its duration.
 func (g *ShardGauges) RecordQuery(d time.Duration) { g.queryHist.Record(d) }
 
-// RecordPrefill counts one estimator pre-fill replay; every replay runs
-// inline, on the query that asked for it.
-func (g *ShardGauges) RecordPrefill() { g.prefillInline.Add(1) }
+// RecordPrefill counts one estimator pre-fill, run on the query that asked
+// for it: drawn when a sampler drew its sample from the window, else
+// replayed.
+func (g *ShardGauges) RecordPrefill(drawn bool) {
+	if drawn {
+		g.prefillDraw.Add(1)
+	} else {
+		g.prefillReplay.Add(1)
+	}
+}
 
 // RecordReordered counts an object whose timestamp had to be clamped to
 // the shard's high-water mark (out-of-order arrival across producers).
@@ -98,9 +106,11 @@ type GaugeSnapshot struct {
 	Queries uint64
 	// Reordered counts objects whose timestamps were clamped forward.
 	Reordered uint64
-	// PrefillsInline counts estimator pre-fill replays, all of which run
-	// on the query path.
-	PrefillsInline uint64
+	// PrefillsDrawn counts estimator pre-fills a sampler drew from the
+	// window and PrefillsReplayed those that replayed it; both run on the
+	// query path.
+	PrefillsDrawn    uint64
+	PrefillsReplayed uint64
 	// ValidationRejected counts inputs refused by the validation policy and
 	// ValidationClamped inputs it repaired in place.
 	ValidationRejected uint64
@@ -138,7 +148,8 @@ func (g *ShardGauges) Snapshot() GaugeSnapshot {
 	s := GaugeSnapshot{
 		Feeds:              g.feeds.Load(),
 		Reordered:          g.reordered.Load(),
-		PrefillsInline:     g.prefillInline.Load(),
+		PrefillsDrawn:      g.prefillDraw.Load(),
+		PrefillsReplayed:   g.prefillReplay.Load(),
 		ValidationRejected: g.validationRejected.Load(),
 		ValidationClamped:  g.validationClamped.Load(),
 		IngestRatePerSec:   g.ingestRate.RateAt(time.Now()),

@@ -87,10 +87,11 @@ func TestShardGaugesHistograms(t *testing.T) {
 
 func TestShardGaugesPrefills(t *testing.T) {
 	var g ShardGauges
-	g.RecordPrefill()
-	g.RecordPrefill()
-	if s := g.Snapshot(); s.PrefillsInline != 2 {
-		t.Errorf("prefills = %d, want 2", s.PrefillsInline)
+	g.RecordPrefill(true)
+	g.RecordPrefill(false)
+	g.RecordPrefill(false)
+	if s := g.Snapshot(); s.PrefillsDrawn != 1 || s.PrefillsReplayed != 2 {
+		t.Errorf("prefills drawn %d, replayed %d, want 1 and 2", s.PrefillsDrawn, s.PrefillsReplayed)
 	}
 }
 

@@ -489,19 +489,42 @@ func (w *Window) countHybrid(r geo.Rect, ids []uint32) int {
 // call only: fn must copy what it keeps, o.Keywords' array included.
 func (w *Window) Each(fn func(o *Object) bool) {
 	var o Object
-	off := int(w.base - w.origin)
-	for end := off + w.n; off < end; off++ {
-		c, slot := &w.chunks[off>>chunkShift], off&chunkMask
-		r := &c.recs[slot]
-		o.ID, o.Loc, o.Timestamp = r.id, r.loc, r.ts
-		o.Keywords = o.Keywords[:0]
-		for _, id := range c.ids(slot) {
-			o.Keywords = append(o.Keywords, w.words[id])
-		}
+	for i := 0; i < w.n; i++ {
+		w.At(i, &o)
 		if !fn(&o) {
 			return
 		}
 	}
+}
+
+// At fills o with the i-th live object in arrival order (0 is the oldest),
+// in O(1): the arena is indexed, not walked. o.Keywords' array is reused,
+// so o is the caller's scratch and must be copied to be kept. At panics
+// unless 0 <= i < Size().
+func (w *Window) At(i int, o *Object) {
+	c, slot := w.slot(i)
+	r := &c.recs[slot]
+	o.ID, o.Loc, o.Timestamp = r.id, r.loc, r.ts
+	o.Keywords = o.Keywords[:0]
+	for _, id := range c.ids(slot) {
+		o.Keywords = append(o.Keywords, w.words[id])
+	}
+}
+
+// TimestampAt returns the timestamp of the i-th live object in arrival
+// order, as At would read it, without touching its keywords.
+func (w *Window) TimestampAt(i int) int64 {
+	c, slot := w.slot(i)
+	return c.recs[slot].ts
+}
+
+// slot locates the i-th live object in the arena.
+func (w *Window) slot(i int) (*chunk, int) {
+	if uint(i) >= uint(w.n) {
+		panic("stream: live index out of range")
+	}
+	off := int(w.base-w.origin) + i
+	return &w.chunks[off>>chunkShift], off & chunkMask
 }
 
 // NextSeq returns the sequence number the next inserted object will

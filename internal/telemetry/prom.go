@@ -194,10 +194,12 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 		{"latest_batches_total", counter, "Lifetime ingested batches per shard.", perShard(func(sh *ShardSample) float64 { return float64(sh.Batches) })},
 		{"latest_queries_total", counter, "Lifetime estimate/execute cycles per shard.", perShard(func(sh *ShardSample) float64 { return float64(sh.Queries) })},
 		{"latest_reordered_total", counter, "Objects whose timestamps were clamped forward per shard.", perShard(func(sh *ShardSample) float64 { return float64(sh.Reordered) })},
-		{"latest_prefills_total", counter, "Estimator pre-fill replays per shard by execution mode.",
+		{"latest_prefills_total", counter, "Estimator pre-fills per shard by mode: draw when a sampler drew its sample from the window, replay when the window was replayed into the estimator.",
 			func(s *Snapshot, e *emitter) {
 				for _, sh := range s.Shards {
-					e.sample(float64(sh.PrefillsInline), "shard", strconv.Itoa(sh.Index), "mode", "inline")
+					shard := strconv.Itoa(sh.Index)
+					e.sample(float64(sh.PrefillsDrawn), "shard", shard, "mode", "draw")
+					e.sample(float64(sh.PrefillsReplayed), "shard", shard, "mode", "replay")
 				}
 			}},
 		{"latest_switches_total", counter, "Estimator switches per shard.", perShard(func(sh *ShardSample) float64 { return float64(sh.Switches) })},

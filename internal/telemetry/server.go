@@ -21,14 +21,15 @@ type ShardSample struct {
 	Active string `json:"active"`
 	Phase  string `json:"phase"`
 
-	Feeds          uint64 `json:"feeds"`
-	Batches        uint64 `json:"batches"`
-	Queries        uint64 `json:"queries"`
-	Reordered      uint64 `json:"reordered"`
-	PrefillsInline uint64 `json:"prefills_inline"`
-	Occupancy      int    `json:"occupancy"`
-	WindowBytes    int    `json:"window_bytes"`
-	Switches       int    `json:"switches"`
+	Feeds            uint64 `json:"feeds"`
+	Batches          uint64 `json:"batches"`
+	Queries          uint64 `json:"queries"`
+	Reordered        uint64 `json:"reordered"`
+	PrefillsDrawn    uint64 `json:"prefills_drawn"`
+	PrefillsReplayed uint64 `json:"prefills_replayed"`
+	Occupancy        int    `json:"occupancy"`
+	WindowBytes      int    `json:"window_bytes"`
+	Switches         int    `json:"switches"`
 
 	// ValidationRejected counts inputs the validation policy refused and
 	// ValidationClamped inputs it repaired in place.

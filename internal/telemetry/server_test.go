@@ -24,7 +24,7 @@ func testSnapshot() Snapshot {
 				Feed: hs, Batch: hs, Query: hs, Estimate: hs},
 			{Index: 1, Active: "H4096", Phase: "incremental", Feeds: 60,
 				Queries: 30, Occupancy: 40, WindowBytes: 4096, Switches: 1, AccuracyAvg: 0.92,
-				PrefillsInline: 1, Query: hs},
+				PrefillsDrawn: 2, PrefillsReplayed: 1, Query: hs},
 		},
 		Decisions: []Decision{
 			{Shard: 0, From: "RSH", To: "H4096", Reason: "tau-breach",
@@ -65,7 +65,8 @@ func TestServerEndpoints(t *testing.T) {
 		`le="+Inf"`,
 		`latest_active_estimator{shard="0",estimator="RSH"} 1`,
 		`latest_qerror{estimator="RSH"} 1.4`,
-		`latest_prefills_total{shard="1",mode="inline"} 1`,
+		`latest_prefills_total{shard="1",mode="draw"} 2`,
+		`latest_prefills_total{shard="1",mode="replay"} 1`,
 		"# TYPE latest_window_occupancy gauge",
 		`latest_window_bytes{shard="0"} 7168`,
 	} {

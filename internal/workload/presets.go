@@ -59,6 +59,21 @@ var presets = map[string]Spec{
 		RangeSide: 0.04, RangeJitter: 0.4, KwMin: 1, KwMax: 3,
 	},
 
+	// TwSwitch: not from the paper; the differential harness's workload.
+	// Phases that force switches: a mix of every type for pre-training's
+	// share, then spatial only over ranges wide enough for the histogram
+	// to match a sampler's accuracy at less than half its latency, then
+	// keyword only, which the histogram cannot answer.
+	"TwSwitch": {
+		Name: "TwSwitch", Dataset: "Twitter",
+		Phases: []Phase{
+			{Until: 0.30, Mix: Mix{Spatial: 1.0 / 3, Keyword: 1.0 / 3, Hybrid: 1.0 / 3}},
+			{Until: 0.65, Mix: Mix{Spatial: 1}},
+			{Until: 1.00, Mix: Mix{Keyword: 1}},
+		},
+		RangeSide: 0.2, RangeJitter: 0.4, KwMin: 1, KwMax: 2,
+	},
+
 	// EbRQW1: the real UCR-Star request log — 100% spatial with
 	// heavy-tailed range sizes (dataset-search requests span counties to
 	// multi-state extents) and session locality (Figs. 5, 8).

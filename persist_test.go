@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -152,6 +153,68 @@ func TestSystemSnapshotRestoreRoundTrip(t *testing.T) {
 	restoredBehavesIdentically(t, src, testSystem(t), w)
 }
 
+// TestSamplerDrawImagesRestoreTwins: an image taken during warm-up, when the
+// samplers are still empty, and one taken right after the first query drew
+// them each restore to a twin that behaves bit for bit like the original:
+// the warm-up twin draws the same samples (its image after that query is
+// the original's), and both twins give the original's next 100 estimates.
+func TestSamplerDrawImagesRestoreTwins(t *testing.T) {
+	latency := WithLatencyModel(func(string, *Query, time.Duration) time.Duration { return time.Microsecond })
+	build := func() *System { return testSystem(t, WithMemoryScale(0.05), latency) }
+	// rounds drives an engine through n rounds of 10 feeds and a query from
+	// a fresh copy of the post-image workload, and returns the estimates.
+	rounds := func(eng Engine, from *workload, seed int64, n int) []float64 {
+		w := newWorkload(seed)
+		w.ts = from.ts
+		out := make([]float64, n)
+		for i := range out {
+			w.feed(eng, 10)
+			out[i], _ = w.query(eng)
+		}
+		from.ts = w.ts
+		return out
+	}
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: estimate %d is %v on the original, %v on the twin", what, i, a[i], b[i])
+			}
+		}
+	}
+	restore := func(image []byte) *System {
+		st := NewMemStore()
+		if err := st.Save(persist.SnapshotName, image); err != nil {
+			t.Fatal(err)
+		}
+		twin := build()
+		if err := twin.Restore(context.Background(), st); err != nil {
+			t.Fatal(err)
+		}
+		return twin
+	}
+
+	src, w := build(), newWorkload(7)
+	w.feed(src, 3000)
+	if p := src.Phase(); p != PhaseWarmup {
+		t.Fatalf("phase %v before the first query, want warm-up", p)
+	}
+	warm := snapshotImage(t, src)
+	atWarm := *w
+	first := rounds(src, w, 1, 1) // the first query draws the samplers
+	drawn := snapshotImage(t, src)
+	atDrawn := *w
+	next := rounds(src, w, 2, 100)
+
+	twinW := restore(warm)
+	same("warm-up twin, first query", first, rounds(twinW, &atWarm, 1, 1))
+	if !bytes.Equal(drawn, snapshotImage(t, twinW)) {
+		t.Fatal("warm-up twin: image after the first query differs from the original's: the draws differ")
+	}
+	same("warm-up twin", next, rounds(twinW, &atWarm, 2, 100))
+	same("drawn twin", next, rounds(restore(drawn), &atDrawn, 2, 100))
+}
+
 // TestConcurrentCrossRestore: System and NewConcurrent share the "single"
 // snapshot kind. The same schedule through both yields the same artifact
 // byte for byte (the latency model is a constant per estimator, so no
@@ -187,13 +250,13 @@ func TestConcurrentCrossRestore(t *testing.T) {
 		t.Fatalf("System and NewConcurrent snapshots differ (%d vs %d bytes)", len(a), len(b))
 	}
 	// The next 80 rounds switch once, after pre-filling the candidate on
-	// the query path; both engines count that replay where it ran.
+	// the query path; both engines count that pre-fill where it ran.
 	ws.drive(sys, 80)
 	wc.drive(conc, 80)
 	for name, g := range map[string]GaugeSnapshot{"System": sys.Gauges(), "NewConcurrent": conc.PerShardStats().Shards[0].Gauges} {
-		if sw := sys.Stats().Switches; sw == 0 || sw != conc.Stats().Switches || g.PrefillsInline == 0 {
-			t.Errorf("%s: %d switches (NewConcurrent %d), PrefillsInline = %d, want equal switches and both >= 1",
-				name, sw, conc.Stats().Switches, g.PrefillsInline)
+		if sw, pf := sys.Stats().Switches, g.PrefillsDrawn+g.PrefillsReplayed; sw == 0 || sw != conc.Stats().Switches || pf == 0 {
+			t.Errorf("%s: %d switches (NewConcurrent %d), %d pre-fills, want equal switches and both >= 1",
+				name, sw, conc.Stats().Switches, pf)
 		}
 	}
 	restoredBehavesIdentically(t, sys, newConc(), ws)

@@ -139,15 +139,15 @@ func newShard(cfg config, log *telemetry.Logger) (*shard, error) {
 	return sh, nil
 }
 
-// refill seeds a freshly wiped estimator from the window store: the query
-// that asked for it replays every live object into e under the shard lock
-// it already holds, and the pre-fill is counted.
+// refill seeds a freshly wiped estimator from the window store, under the
+// shard lock the query that asked for it already holds: a sampler draws
+// its sample, anything else has the window replayed into it. A pre-fill is
+// counted by how it ran; the fill that ends warm-up is not a pre-fill.
 func (sh *shard) refill(e estimator.Estimator) {
-	sh.window.Each(func(o *stream.Object) bool {
-		e.Insert(o)
-		return true
-	})
-	sh.gauges.RecordPrefill()
+	drawn := estimator.Fill(e, sh.window)
+	if sh.module.Phase() != core.PhaseWarmup {
+		sh.gauges.RecordPrefill(drawn)
+	}
 }
 
 // NewSharded builds a sharded LATEST system over the given world,

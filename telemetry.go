@@ -21,7 +21,8 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 		Batches:            g.Batches,
 		Queries:            g.Queries,
 		Reordered:          g.Reordered,
-		PrefillsInline:     g.PrefillsInline,
+		PrefillsDrawn:      g.PrefillsDrawn,
+		PrefillsReplayed:   g.PrefillsReplayed,
 		Occupancy:          g.Occupancy,
 		WindowBytes:        g.WindowBytes,
 		Switches:           st.Switches,
