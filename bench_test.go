@@ -594,8 +594,9 @@ func setupLatency(name string, _ *Query, _ time.Duration) time.Duration {
 // BenchmarkShardSetup's constant latency model, under TwQW1, TwQW3 and
 // TwQW6. After pre-training it issues 3 000 queries with 16 objects between
 // them. Per workload it reports the slowest query cycles (observe-max-ms,
-// observe-p99.9-ms), the switches and how many adopted a warmed candidate
-// (prefills-adopted), and the window fills run on the query path, pre-fills
+// observe-p99.9-ms), the switches, the candidates a pre-fill began warming
+// (prefills-started) and the switches that adopted one (prefills-adopted),
+// and the window fills run on the query path, pre-fills
 // and cold-switch targets, by how they ran (prefills-drawn,
 // prefills-replayed). On the final window it then times one fill of each
 // fleet member as the shard runs it (<estimator>-fill-ms: a draw for RSL,
@@ -650,15 +651,10 @@ func BenchmarkSwitchStall(b *testing.B) {
 				ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 				b.ReportMetric(ms(stalls[len(stalls)-1]), "observe-max-ms")
 				b.ReportMetric(ms(stalls[(len(stalls)*999+999)/1000-1]), "observe-p99.9-ms")
-				adopted := 0
-				for _, ev := range s.Switches() {
-					if ev.Prefilled {
-						adopted++
-					}
-				}
-				g := s.shards[0].gauges.Snapshot()
-				b.ReportMetric(float64(len(s.Switches())), "switches")
-				b.ReportMetric(float64(adopted), "prefills-adopted")
+				st, g := s.Stats(), s.shards[0].gauges.Snapshot()
+				b.ReportMetric(float64(st.Switches), "switches")
+				b.ReportMetric(float64(st.PrefillsStarted), "prefills-started")
+				b.ReportMetric(float64(st.PrefillsAdopted), "prefills-adopted")
 				b.ReportMetric(float64(g.PrefillsDrawn), "prefills-drawn")
 				b.ReportMetric(float64(g.PrefillsReplayed), "prefills-replayed")
 				reportFillTimes(b, s.shards[0])

@@ -197,12 +197,6 @@ func clampUnit(v float64) float64 {
 	return v
 }
 
-// score returns one estimator's α-weighted profile score for qt.
-func (b *brain) score(est int, qt stream.QueryType) (float64, bool) {
-	s, ok := b.scores(qt)
-	return s[est], ok[est]
-}
-
 // bestByProfile returns the profile-argmax estimator for a query type,
 // or -1 when nothing has been measured yet.
 func (b *brain) bestByProfile(qt stream.QueryType) int {

@@ -47,6 +47,11 @@ type Module struct {
 	prefill    int // -1 when no candidate is warming
 	prefillAge int // adapt() calls since the candidate began warming
 
+	// Pre-fills started and switches that adopted one, since the module
+	// was built: images do not carry them, and a restore leaves them be.
+	prefillsStarted int
+	prefillsAdopted int
+
 	brain     *brain // Hoeffding tree + features + profile (features.go)
 	accWindow *metrics.SlidingAverage
 
@@ -439,12 +444,10 @@ func (m *Module) adapt(q *stream.Query) {
 		return
 	}
 	if m.prefill < 0 && mean < m.prefillThreshold {
-		if rec := m.brain.recommend(q, m.active); rec >= 0 && rec != m.active {
-			m.log.Debug("prefill start", "candidate", m.names[rec],
-				"active", m.names[m.active], "accuracy", mean)
-			m.freshen(rec)
-			m.prefill = rec
-			m.prefillAge = 0
+		// Warm only a candidate the switch would take: one it would refuse
+		// is a second summary fed, measured and discarded for nothing.
+		if rec := m.brain.recommend(q, m.active); rec >= 0 && rec != m.active && m.admits(rec, q) {
+			m.startPrefill(rec, "beta")
 		}
 		return
 	}
@@ -525,11 +528,20 @@ func (m *Module) opportunity(q *stream.Query) bool {
 		return true
 	}
 	if m.prefill < 0 {
-		m.freshen(target)
-		m.prefill = target
-		m.prefillAge = 0
+		m.startPrefill(target, "opportunity")
 	}
 	return m.prefill == target
+}
+
+// startPrefill begins warming a switch candidate; trigger names the path
+// that asked ("beta" or "opportunity").
+func (m *Module) startPrefill(est int, trigger string) {
+	m.log.Debug("prefill start", "candidate", m.names[est], "active", m.names[m.active],
+		"trigger", trigger, "accuracy", m.accWindow.Mean())
+	m.freshen(est)
+	m.prefill = est
+	m.prefillAge = 0
+	m.prefillsStarted++
 }
 
 // passesPrevalentGates reports whether an estimator clears the accuracy
@@ -591,36 +603,53 @@ func (m *Module) performSwitch(q *stream.Query) {
 			return
 		}
 	}
-	qt := q.Type()
-	// Score-gate the switch — except when the active estimator violates
-	// the accuracy gate for this query type while the target clears it.
-	// In that case the τ breach is an SLA violation and the recommendation
-	// wins regardless of score ties: at α=0.5 a useless-but-instant
-	// estimator scores the same 0.5 as an accurate-but-slow one
-	// (all-latency vs all-accuracy), and without the bypass the module
-	// could sit on zero accuracy forever. When the target is just as
-	// gate-failing as the active (near-tied samplers during a hard
-	// stretch), the tie-gate still holds position — swapping equals is
-	// pure churn.
-	if m.brain.passesGate(m.active, qt) || !m.brain.passesGate(target, qt) {
-		targetScore, ok1 := m.brain.score(target, qt)
-		activeScore, ok2 := m.brain.score(m.active, qt)
-		if ok1 && ok2 && targetScore <= activeScore {
-			// The alternative is no better under the configured α; discard
-			// any warming candidate and hold position until the profile
-			// changes.
-			if m.prefill >= 0 {
-				m.noteCall(m.prefill, m.guards[m.prefill].Reset())
-				m.prefill = -1
-			}
-			m.cooldown = m.cfg.CooldownQueries / 2
-			return
+	if !m.admits(target, q) {
+		// The alternative is no better under the configured α; discard any
+		// warming candidate and hold position until the profile changes.
+		if m.prefill >= 0 {
+			m.noteCall(m.prefill, m.guards[m.prefill].Reset())
+			m.prefill = -1
 		}
+		m.cooldown = m.cfg.CooldownQueries / 2
+		return
 	}
 	if !prefilled {
 		m.freshen(target)
 	}
 	m.switchTo(target, q, prefilled, "tau-breach")
+}
+
+// admits is the switch's admission rule, which adapt also applies before
+// it warms a candidate. The target must clear the accuracy gate for every
+// prevalent query type ("gate") and must score above the active estimator
+// for q's type ("score") — except when the active estimator violates the
+// gate for that type while the target clears it. In that case the τ
+// breach is an SLA violation and the target wins regardless of score ties:
+// at α=0.5 a useless-but-instant estimator scores the same 0.5 as an
+// accurate-but-slow one (all-latency vs all-accuracy), and without the
+// bypass the module could sit on zero accuracy forever. When the target is
+// just as gate-failing as the active (near-tied samplers during a hard
+// stretch), the score gate still holds position — swapping equals is pure
+// churn.
+func (m *Module) admits(target int, q *stream.Query) bool {
+	qt := q.Type()
+	check := ""
+	if !m.passesPrevalentGates(target) {
+		check = "gate"
+	} else if m.brain.passesGate(m.active, qt) || !m.brain.passesGate(target, qt) {
+		s, ok := m.brain.scores(qt)
+		if ok[target] && ok[m.active] && s[target] <= s[m.active] {
+			check = "score"
+		}
+	}
+	if check == "" {
+		return true
+	}
+	if m.log.Enabled(telemetry.LevelDebug) {
+		m.log.Debug("candidate refused", "candidate", m.names[target],
+			"active", m.names[m.active], "check", check)
+	}
+	return false
 }
 
 // switchTo performs the actual estimator swap and bookkeeping. The target
@@ -640,6 +669,9 @@ func (m *Module) switchTo(target int, q *stream.Query, prefilled bool, reason st
 	m.noteCall(m.active, m.guards[m.active].Reset())
 	m.active = target
 	m.prefill = -1
+	if prefilled {
+		m.prefillsAdopted++
+	}
 	m.oppGap.Reset()
 	m.oppN = 0
 	for i := range m.oppBest {
@@ -736,6 +768,11 @@ type Stats struct {
 	PretrainSeen    int
 	IncrementalSeen int
 	Switches        int
+	// PrefillsStarted counts candidates a pre-fill began warming, on either
+	// trigger; PrefillsAdopted the switches that took a warmed candidate.
+	// Both count since the module was built; a restore leaves them be.
+	PrefillsStarted int
+	PrefillsAdopted int
 	TrainingRecords int
 	TreeNodes       int
 	TreeSplits      int
@@ -774,6 +811,8 @@ func (m *Module) Snapshot() Stats {
 		PretrainSeen:    m.pretrainSeen,
 		IncrementalSeen: m.incrementalSeen,
 		Switches:        len(m.switches),
+		PrefillsStarted: m.prefillsStarted,
+		PrefillsAdopted: m.prefillsAdopted,
 		TrainingRecords: m.brain.tree.Instances(),
 		TreeNodes:       m.brain.tree.NodeCount(),
 		TreeSplits:      m.brain.tree.Splits(),

@@ -42,6 +42,8 @@ func MergeStats(parts []Stats) Stats {
 		out.PretrainSeen += p.PretrainSeen
 		out.IncrementalSeen += p.IncrementalSeen
 		out.Switches += p.Switches
+		out.PrefillsStarted += p.PrefillsStarted
+		out.PrefillsAdopted += p.PrefillsAdopted
 		out.TrainingRecords += p.TrainingRecords
 		out.TreeNodes += p.TreeNodes
 		out.TreeSplits += p.TreeSplits

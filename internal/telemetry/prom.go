@@ -203,6 +203,14 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 				}
 			}},
 		{"latest_switches_total", counter, "Estimator switches per shard.", perShard(func(sh *ShardSample) float64 { return float64(sh.Switches) })},
+		{"latest_prefill_candidates_total", counter, "Switch candidates per shard by outcome: started when a pre-fill began warming one, adopted when a switch took a warmed one.",
+			func(s *Snapshot, e *emitter) {
+				for _, sh := range s.Shards {
+					shard := strconv.Itoa(sh.Index)
+					e.sample(float64(sh.PrefillsStarted), "shard", shard, "outcome", "started")
+					e.sample(float64(sh.PrefillsAdopted), "shard", shard, "outcome", "adopted")
+				}
+			}},
 		{"latest_window_occupancy", gauge, "Live objects in the shard's exact window store.", perShard(func(sh *ShardSample) float64 { return float64(sh.Occupancy) })},
 		{"latest_window_bytes", gauge, "Footprint of the shard's exact window store, all of it its own: object arena with keyword IDs, index rings, and the keyword dictionary with its words.", perShard(func(sh *ShardSample) float64 { return float64(sh.WindowBytes) })},
 		{"latest_accuracy_avg", gauge, "Sliding accuracy average the adaptor monitors, per shard.", perShard(func(sh *ShardSample) float64 { return sh.AccuracyAvg })},

@@ -30,6 +30,10 @@ type ShardSample struct {
 	Occupancy        int    `json:"occupancy"`
 	WindowBytes      int    `json:"window_bytes"`
 	Switches         int    `json:"switches"`
+	// PrefillsStarted counts switch candidates the shard began warming and
+	// PrefillsAdopted the switches that took one.
+	PrefillsStarted int `json:"prefills_started"`
+	PrefillsAdopted int `json:"prefills_adopted"`
 
 	// ValidationRejected counts inputs the validation policy refused and
 	// ValidationClamped inputs it repaired in place.

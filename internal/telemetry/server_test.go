@@ -24,7 +24,7 @@ func testSnapshot() Snapshot {
 				Feed: hs, Batch: hs, Query: hs, Estimate: hs},
 			{Index: 1, Active: "H4096", Phase: "incremental", Feeds: 60,
 				Queries: 30, Occupancy: 40, WindowBytes: 4096, Switches: 1, AccuracyAvg: 0.92,
-				PrefillsDrawn: 2, PrefillsReplayed: 1, Query: hs},
+				PrefillsDrawn: 2, PrefillsReplayed: 1, PrefillsStarted: 3, PrefillsAdopted: 1, Query: hs},
 		},
 		Decisions: []Decision{
 			{Shard: 0, From: "RSH", To: "H4096", Reason: "tau-breach",
@@ -67,6 +67,8 @@ func TestServerEndpoints(t *testing.T) {
 		`latest_qerror{estimator="RSH"} 1.4`,
 		`latest_prefills_total{shard="1",mode="draw"} 2`,
 		`latest_prefills_total{shard="1",mode="replay"} 1`,
+		`latest_prefill_candidates_total{shard="1",outcome="started"} 3`,
+		`latest_prefill_candidates_total{shard="1",outcome="adopted"} 1`,
 		"# TYPE latest_window_occupancy gauge",
 		`latest_window_bytes{shard="0"} 7168`,
 	} {
@@ -94,6 +96,9 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if got.Decisions[0].Reason != "tau-breach" {
 		t.Errorf("decision reason = %q", got.Decisions[0].Reason)
+	}
+	if !strings.Contains(body, `"prefills_started": 3,`) || !strings.Contains(body, `"prefills_adopted": 1,`) {
+		t.Errorf("statusz lacks shard 1's prefills_started and prefills_adopted")
 	}
 	if got.ShardsView[0].QueryP.Count != 100 || got.ShardsView[0].QueryP.P95 == "" {
 		t.Errorf("statusz percentiles = %+v", got.ShardsView[0].QueryP)

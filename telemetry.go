@@ -26,6 +26,8 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 		Occupancy:          g.Occupancy,
 		WindowBytes:        g.WindowBytes,
 		Switches:           st.Switches,
+		PrefillsStarted:    st.PrefillsStarted,
+		PrefillsAdopted:    st.PrefillsAdopted,
 		ValidationRejected: g.ValidationRejected,
 		ValidationClamped:  g.ValidationClamped,
 		IngestRatePerSec:   g.IngestRatePerSec,
