@@ -10,7 +10,7 @@ package latest
 //	go test -bench=. -benchmem
 //
 // Each figure benchmark executes a scaled-down run per iteration; use
-// cmd/latest-bench for the full-size artifacts.
+// `latest-lab fig` for the full-size artifacts.
 
 import (
 	"context"

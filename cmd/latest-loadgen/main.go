@@ -28,6 +28,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,13 +147,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "latest-loadgen: open loop (-qps) requires -duration")
 		return 2
 	}
-	switch o.dataset {
-	case "Twitter", "eBird", "CheckIn":
-	default:
-		fmt.Fprintf(stderr, "latest-loadgen: unknown -dataset %q (want Twitter, eBird, or CheckIn)\n", o.dataset)
+	if !slices.Contains(datagen.Names(), o.dataset) {
+		fmt.Fprintf(stderr, "latest-loadgen: unknown -dataset %q (one of %v)\n", o.dataset, datagen.Names())
 		return 2
 	}
-	if !knownWorkload(o.wlName) {
+	if !slices.Contains(workload.Names(), o.wlName) {
 		fmt.Fprintf(stderr, "latest-loadgen: unknown -workload %q (one of %v)\n", o.wlName, workload.Names())
 		return 2
 	}
@@ -180,15 +179,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-func knownWorkload(name string) bool {
-	for _, n := range workload.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // worker is one connection's request loop state.

@@ -111,27 +111,6 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	return 0
 }
 
-// parseWorld parses "minx,miny,maxx,maxy".
-func parseWorld(spec string) (geo.Rect, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 4 {
-		return geo.Rect{}, fmt.Errorf("want minx,miny,maxx,maxy, got %q", spec)
-	}
-	vals := make([]float64, 4)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return geo.Rect{}, err
-		}
-		vals[i] = v
-	}
-	r := geo.Rect{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}
-	if !r.Valid() || r.Empty() {
-		return geo.Rect{}, fmt.Errorf("invalid world %v", r)
-	}
-	return r, nil
-}
-
 // parseGrid parses "COLSxROWS".
 func parseGrid(spec string) (cols, rows int, err error) {
 	parts := strings.SplitN(strings.ToLower(spec), "x", 2)
@@ -157,24 +136,10 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseLevel(s string) (telemetry.Level, error) {
-	switch strings.ToLower(s) {
-	case "debug":
-		return telemetry.LevelDebug, nil
-	case "info":
-		return telemetry.LevelInfo, nil
-	case "warn":
-		return telemetry.LevelWarn, nil
-	case "error":
-		return telemetry.LevelError, nil
-	}
-	return 0, fmt.Errorf("unknown log level %q", s)
-}
-
 // writeMap authors a partition map file: uniform grid, column stripes
 // assigned to the listed nodes in order.
 func writeMap(o routerOptions, stdout io.Writer) error {
-	world, err := parseWorld(o.worldStr)
+	world, err := geo.ParseRect(o.worldStr)
 	if err != nil {
 		return fmt.Errorf("-world: %w", err)
 	}
@@ -237,7 +202,7 @@ func buildCluster(o routerOptions, copts client.Options) (*client.Cluster, error
 }
 
 func serve(o routerOptions, stdout, stderr io.Writer, shutdown <-chan os.Signal) error {
-	level, err := parseLevel(o.logLevel)
+	level, err := telemetry.ParseLevel(o.logLevel)
 	if err != nil {
 		return err
 	}

@@ -36,8 +36,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -116,20 +114,6 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	return 0
 }
 
-func parseLevel(s string) (telemetry.Level, error) {
-	switch strings.ToLower(s) {
-	case "debug":
-		return telemetry.LevelDebug, nil
-	case "info":
-		return telemetry.LevelInfo, nil
-	case "warn":
-		return telemetry.LevelWarn, nil
-	case "error":
-		return telemetry.LevelError, nil
-	}
-	return 0, fmt.Errorf("unknown log level %q", s)
-}
-
 // loadClusterMap reads and validates the -cluster-map file. The daemon
 // refuses to start as a node the map does not know: serving with a wrong
 // -node-id would silently accept objects another node owns.
@@ -149,27 +133,6 @@ func loadClusterMap(o daemonOptions) (*cluster.Map, error) {
 		return nil, fmt.Errorf("-node-id %d out of range: map %s names %d nodes", o.nodeID, o.clusterMap, len(m.Nodes))
 	}
 	return m, nil
-}
-
-// parseWorld parses "minx,miny,maxx,maxy".
-func parseWorld(spec string) (geo.Rect, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 4 {
-		return geo.Rect{}, fmt.Errorf("want minx,miny,maxx,maxy, got %q", spec)
-	}
-	vals := make([]float64, 4)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return geo.Rect{}, err
-		}
-		vals[i] = v
-	}
-	r := geo.Rect{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}
-	if !r.Valid() || r.Empty() {
-		return geo.Rect{}, fmt.Errorf("invalid world %v", r)
-	}
-	return r, nil
 }
 
 // buildEngine constructs the serving engine: the unified latest.Engine is
@@ -225,11 +188,11 @@ func buildEngine(o daemonOptions, world geo.Rect, logW io.Writer, level telemetr
 }
 
 func serve(o daemonOptions, stdout, stderr io.Writer, shutdown <-chan os.Signal) error {
-	level, err := parseLevel(o.logLevel)
+	level, err := telemetry.ParseLevel(o.logLevel)
 	if err != nil {
 		return err
 	}
-	world, err := parseWorld(o.worldStr)
+	world, err := geo.ParseRect(o.worldStr)
 	if err != nil {
 		return fmt.Errorf("-world: %w", err)
 	}

@@ -18,7 +18,6 @@ import (
 	"github.com/spatiotext/latest/internal/cluster"
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/stream"
-	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 // startDaemon runs the daemon in a goroutine and waits for the addr file.
@@ -260,20 +259,5 @@ func TestBadFlags(t *testing.T) {
 		if code := run(args, &out, &errOut, ch); code == 0 {
 			t.Fatalf("args %v accepted", args)
 		}
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]telemetry.Level{
-		"debug": telemetry.LevelDebug, "Info": telemetry.LevelInfo,
-		"WARN": telemetry.LevelWarn, "error": telemetry.LevelError,
-	} {
-		got, err := parseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("parseLevel(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseLevel("loud"); err == nil {
-		t.Error("parseLevel accepted garbage")
 	}
 }

@@ -132,7 +132,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestTunedGraceTrainsShippedLearner: a module whose Hoeffding config sets
-// only the grace period, as every latest-tune cell builds, trains the tree
+// only the grace period, as every `latest-lab tune` cell builds, trains the tree
 // the engine ships, so it revises its root split when the signal moves
 // from the query type to the estimator attribute.
 func TestTunedGraceTrainsShippedLearner(t *testing.T) {

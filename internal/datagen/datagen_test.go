@@ -180,7 +180,10 @@ func TestQuerySamplers(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"Twitter", "eBird", "CheckIn"} {
+	if len(Names()) != 3 {
+		t.Errorf("Names() = %v, want the three presets", Names())
+	}
+	for _, name := range Names() {
 		if g := ByName(name, 1, 1); g.Name() != name {
 			t.Errorf("ByName(%q).Name() = %q", name, g.Name())
 		}

@@ -94,6 +94,9 @@ func CheckIn(seed int64, rate float64) *Generator {
 	})
 }
 
+// Names lists the labels ByName accepts.
+func Names() []string { return []string{"Twitter", "eBird", "CheckIn"} }
+
 // ByName builds one of the three preset datasets by figure label. It
 // panics on unknown names, which indicates a harness typo.
 func ByName(name string, seed int64, rate float64) *Generator {

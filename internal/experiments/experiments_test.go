@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+	"time"
 
 	"github.com/spatiotext/latest/internal/check"
+	"github.com/spatiotext/latest/internal/stream"
 	"github.com/spatiotext/latest/internal/workload"
 )
 
@@ -318,5 +320,23 @@ func TestRegistry(t *testing.T) {
 	}
 	if tl.Workload != "TwQW3" {
 		t.Errorf("fig6 workload = %q", tl.Workload)
+	}
+}
+
+// TestRunPassesLatencyOf: a latency model handed to Run reaches the
+// module's switch, so registry-dispatched figures can be made
+// deterministic the same way the direct runners are.
+func TestRunPassesLatencyOf(t *testing.T) {
+	calls := 0
+	cfg := RunConfig{Queries: 100, PretrainQueries: 50, WindowMS: 2000, Rate: 0.5,
+		LatencyOf: func(name string, q *stream.Query, d time.Duration) time.Duration {
+			calls++
+			return check.DeterministicLatencyModel(name, q, d)
+		}}
+	if _, err := Run("fig3", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 {
+		t.Error("Run dropped cfg.LatencyOf: the module never called it")
 	}
 }

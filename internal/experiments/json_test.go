@@ -8,7 +8,7 @@ import (
 )
 
 // TestResultsMarshalJSON guards the machine-readable output of
-// `latest-bench -json` for every result type: valid JSON, stable key
+// `latest-lab fig -json` for every result type: valid JSON, stable key
 // fields, and lossless round trips of the numeric payloads.
 func TestResultsMarshalJSON(t *testing.T) {
 	overhead := &OverheadResult{Rows: []OverheadRow{{

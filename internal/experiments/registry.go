@@ -12,15 +12,12 @@ type Result interface {
 	WriteTo(w io.Writer) (int64, error)
 }
 
-// Runner executes one experiment with caller-supplied scaling.
-type Runner func(cfg RunConfig) Result
-
 // experimentDef binds an id to its paper defaults and runner.
 type experimentDef struct {
 	id       string
 	describe string
 	defaults RunConfig
-	run      Runner
+	run      func(cfg RunConfig) Result
 }
 
 // defs is the per-experiment index (DESIGN.md §2): one entry per table and
@@ -112,35 +109,25 @@ func Describe(id string) string {
 	return ""
 }
 
-// Run executes the experiment by id. Zero fields of cfg inherit the
-// experiment's paper defaults (dataset, workload, α), then the global
-// scaling defaults.
+// Run executes the experiment by id. The dataset, workload and α of cfg
+// fall back to the experiment's paper defaults when unset; every other
+// field, LatencyOf included, passes through as given, and zero values then
+// take the global scaling defaults.
 func Run(id string, cfg RunConfig) (Result, error) {
 	for _, d := range defs {
 		if d.id != id {
 			continue
 		}
-		merged := d.defaults
-		if cfg.Dataset != "" {
-			merged.Dataset = cfg.Dataset
+		if cfg.Dataset == "" {
+			cfg.Dataset = d.defaults.Dataset
 		}
-		if cfg.Workload != "" {
-			merged.Workload = cfg.Workload
+		if cfg.Workload == "" {
+			cfg.Workload = d.defaults.Workload
 		}
-		if cfg.AlphaSet {
-			merged.Alpha, merged.AlphaSet = cfg.Alpha, true
+		if !cfg.AlphaSet {
+			cfg.Alpha, cfg.AlphaSet = d.defaults.Alpha, d.defaults.AlphaSet
 		}
-		merged.Queries = cfg.Queries
-		merged.PretrainQueries = cfg.PretrainQueries
-		merged.WindowMS = cfg.WindowMS
-		merged.Rate = cfg.Rate
-		merged.ObjectsPerQuery = cfg.ObjectsPerQuery
-		merged.Tau = cfg.Tau
-		merged.Beta = cfg.Beta
-		merged.Grace = cfg.Grace
-		merged.Scale = cfg.Scale
-		merged.Seed = cfg.Seed
-		return d.run(merged), nil
+		return d.run(cfg), nil
 	}
 	known := IDs()
 	sort.Strings(known)

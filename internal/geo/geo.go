@@ -10,6 +10,8 @@ package geo
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Point is a location in 2-D space. X is longitude-like, Y is latitude-like.
@@ -70,6 +72,28 @@ func CenteredRect(c Point, w, h float64) Rect {
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.6f,%.6f]x[%.6f,%.6f]", r.MinX, r.MaxX, r.MinY, r.MaxY)
+}
+
+// ParseRect parses "minx,miny,maxx,maxy", the form every command's -world
+// flag takes. The rectangle must be finite, ordered and non-empty.
+func ParseRect(spec string) (Rect, error) {
+	parts := strings.Split(spec, ",")
+	if len(parts) != 4 {
+		return Rect{}, fmt.Errorf("want minx,miny,maxx,maxy, got %q", spec)
+	}
+	var v [4]float64
+	for i, p := range parts {
+		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return Rect{}, err
+		}
+		v[i] = f
+	}
+	r := Rect{MinX: v[0], MinY: v[1], MaxX: v[2], MaxY: v[3]}
+	if !r.Valid() || r.Empty() {
+		return Rect{}, fmt.Errorf("invalid rect %v", r)
+	}
+	return r, nil
 }
 
 // Width returns MaxX-MinX.

@@ -196,6 +196,29 @@ func TestRectValid(t *testing.T) {
 	}
 }
 
+func TestParseRect(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Rect
+		err  bool
+	}{
+		{in: "-125,24,-66,50", want: Rect{-125, 24, -66, 50}},
+		{in: " 0, 0 ,1,2 ", want: Rect{0, 0, 1, 2}},
+		{in: "1,2,3", err: true},
+		{in: "1,2,3,4,5", err: true},
+		{in: "0,0,x,1", err: true},
+		{in: "0,0,0,1", err: true},   // empty
+		{in: "1,0,0,1", err: true},   // inverted
+		{in: "0,0,Inf,1", err: true}, // not finite
+		{in: "", err: true},
+	} {
+		got, err := ParseRect(tc.in)
+		if (err != nil) != tc.err || got != tc.want {
+			t.Errorf("ParseRect(%q) = %v, %v; want %v, error %t", tc.in, got, err, tc.want, tc.err)
+		}
+	}
+}
+
 // Property: intersection is commutative and contained in both operands.
 func TestIntersectProperties(t *testing.T) {
 	f := func(ax, ay, aw, ah, bx, by, bw, bh float64) bool {

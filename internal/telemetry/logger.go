@@ -35,6 +35,16 @@ func (l Level) String() string {
 	}
 }
 
+// ParseLevel parses a level name, ignoring case: the inverse of String.
+func ParseLevel(s string) (Level, error) {
+	for l := LevelDebug; l <= LevelError; l++ {
+		if strings.EqualFold(s, l.String()) {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown log level %q", s)
+}
+
 // Logger is a minimal leveled structured logger emitting logfmt-style
 // lines: `ts=<RFC3339> level=info component=shard-3 msg="switch" from=RSH
 // to=H4096`. It exists so the shard prefill workers and the switch path

@@ -74,3 +74,23 @@ func TestLoggerOddKV(t *testing.T) {
 		t.Errorf("odd kv not flagged: %q", buf.String())
 	}
 }
+
+func TestParseLevel(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Level
+		err  bool
+	}{
+		{in: "debug", want: LevelDebug},
+		{in: "Info", want: LevelInfo},
+		{in: "WARN", want: LevelWarn},
+		{in: "error", want: LevelError},
+		{in: "loud", err: true},
+		{in: "", err: true},
+	} {
+		got, err := ParseLevel(tc.in)
+		if (err != nil) != tc.err || got != tc.want {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v, error %t", tc.in, got, err, tc.want, tc.err)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Preset workloads, named as in the paper (§VI-A). The phase schedules of
 // the "changing" workloads (TwQW1, TwQW6) are engineered to reproduce the
@@ -143,11 +146,12 @@ func ByName(name string) Spec {
 	return s
 }
 
-// Names returns every preset workload name (unordered).
+// Names returns every preset workload name, sorted.
 func Names() []string {
 	out := make([]string, 0, len(presets))
 	for n := range presets {
 		out = append(out, n)
 	}
+	sort.Strings(out)
 	return out
 }
