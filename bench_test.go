@@ -657,6 +657,8 @@ func BenchmarkSwitchStall(b *testing.B) {
 				b.ReportMetric(float64(st.PrefillsAdopted), "prefills-adopted")
 				b.ReportMetric(float64(g.PrefillsDrawn), "prefills-drawn")
 				b.ReportMetric(float64(g.PrefillsReplayed), "prefills-replayed")
+				b.ReportMetric(float64(g.PrefillObjectsDrawn), "prefill-objects-drawn")
+				b.ReportMetric(float64(g.PrefillObjectsReplayed), "prefill-objects-replayed")
 				reportFillTimes(b, s.shards[0])
 				s.Close()
 			}
@@ -691,7 +693,7 @@ func reportFillTimes(b *testing.B, sh *shard) {
 	}
 	for _, name := range cfg.Estimators {
 		drawn := false
-		fill := func(e estimator.Estimator) { drawn = estimator.Fill(e, sh.window) }
+		fill := func(e estimator.Estimator) { drawn, _ = estimator.Fill(e, sh.window) }
 		b.ReportMetric(median(name, fill), name+"-fill-ms")
 		if drawn {
 			b.ReportMetric(median(name, replay), name+"-replay-ms")

@@ -15,7 +15,7 @@ type spySampler struct {
 
 func (s *spySampler) Insert(o *stream.Object) { s.inserts++; s.ReservoirList.Insert(o) }
 
-func (s *spySampler) Draw(w *stream.Window) { s.draws++; s.ReservoirList.Draw(w) }
+func (s *spySampler) Draw(w *stream.Window) int { s.draws++; return s.ReservoirList.Draw(w) }
 
 // spyHistogram is H4096 with its inserts counted: a summary that is not a
 // sampler.

@@ -18,23 +18,23 @@ type Sampler interface {
 	// Draw wipes the sampler and refills it from w: the arrival counter
 	// from the live timestamps, the sample from k distinct live objects
 	// chosen with the sampler's own RNG (every one of them when the window
-	// holds no more than k).
-	Draw(w *stream.Window)
+	// holds no more than k). It returns how many objects it drew.
+	Draw(w *stream.Window) int
 }
 
 // Fill seeds a freshly wiped estimator from the window store and reports
-// whether it drew: a Sampler draws its sample, anything else has every live
-// object replayed into it in arrival order.
-func Fill(e Estimator, w *stream.Window) (drawn bool) {
+// whether it drew and how many objects it read: a Sampler draws its
+// sample, anything else has every live object replayed into it in arrival
+// order.
+func Fill(e Estimator, w *stream.Window) (drawn bool, objects int) {
 	if s, ok := e.(Sampler); ok {
-		s.Draw(w)
-		return true
+		return true, s.Draw(w)
 	}
 	w.Each(func(o *stream.Object) bool {
 		e.Insert(o)
 		return true
 	})
-	return false
+	return false, w.Size()
 }
 
 // drawTarget is what draw needs of a sampler: its capacity, RNG and
@@ -56,13 +56,13 @@ var bitmapPool = sync.Pool{New: func() any { return new([]uint64) }}
 // or j itself if t is taken already. That is exactly k bounded draws and a
 // uniform k-subset; the bitmap then hands the chosen objects over in
 // arrival order, which reads the arena front to back.
-func draw(s drawTarget, w *stream.Window) {
+func draw(s drawTarget, w *stream.Window) int {
 	s.Reset()
 	k, rng, counter := s.drawState()
 	n := w.Size()
 	counter.addSorted(n, w.TimestampAt)
 	if n == 0 {
-		return
+		return 0
 	}
 	s.reserve(min(k, n))
 	var o stream.Object
@@ -72,7 +72,7 @@ func draw(s drawTarget, w *stream.Window) {
 			s.keep(&o)
 		}
 		s.kept(w.TimestampAt(n - 1))
-		return
+		return n
 	}
 	bp := bitmapPool.Get().(*[]uint64)
 	words := (n + 63) / 64
@@ -96,17 +96,18 @@ func draw(s drawTarget, w *stream.Window) {
 	}
 	bitmapPool.Put(bp)
 	s.kept(w.TimestampAt(n - 1))
+	return k
 }
 
 // Draw implements Sampler.
-func (r *ReservoirList) Draw(w *stream.Window) { draw(r, w) }
+func (r *ReservoirList) Draw(w *stream.Window) int { return draw(r, w) }
 
 // Draw implements Sampler.
-func (r *ReservoirHashmap) Draw(w *stream.Window) { draw(r, w) }
+func (r *ReservoirHashmap) Draw(w *stream.Window) int { return draw(r, w) }
 
 // Draw implements Sampler. The drawn sample becomes the training set of
 // one retrain, which the next Estimate fits.
-func (s *SPNEstimator) Draw(w *stream.Window) { draw(s, w) }
+func (s *SPNEstimator) Draw(w *stream.Window) int { return draw(s, w) }
 
 func (r *reservoir) drawState() (int, *rand.Rand, *WindowCounter) {
 	return r.capacity, r.rng, r.counter
@@ -124,13 +125,13 @@ func (r *ReservoirList) kept(int64) {}
 
 func (r *ReservoirHashmap) reserve(m int) {
 	r.reservoir.reserve(m)
-	r.links = make([]bucketLink, 0, m)
+	r.links = make([]int32, 0, m)
 }
 
-// keep stores a drawn sample and notes its cell; kept buckets them all.
+// keep stores a drawn sample; kept buckets them all.
 func (r *ReservoirHashmap) keep(o *stream.Object) {
 	r.put(int32(len(r.ts)), o.Timestamp, o.Loc, o.Keywords, r.capacity)
-	r.links = append(r.links, bucketLink{cell: int32(r.grid.CellOf(o.Loc))})
+	r.links = append(r.links, 0)
 }
 
 // kept builds the bucket index of a drawn sample in two passes, numbering
@@ -141,9 +142,9 @@ func (r *ReservoirHashmap) keep(o *stream.Object) {
 func (r *ReservoirHashmap) kept(int64) {
 	sizes := make([]int32, r.grid.NumCells())
 	for j := range r.links {
-		l := &r.links[j]
-		l.pos = sizes[l.cell]
-		sizes[l.cell]++
+		cell := r.cellOf(int32(j))
+		r.links[j] = sizes[cell]
+		sizes[cell]++
 	}
 	r.buckets = make([][]int32, len(sizes))
 	all := make([]int32, len(r.links))
@@ -152,8 +153,8 @@ func (r *ReservoirHashmap) kept(int64) {
 		r.buckets[c] = all[off : off+n : off+n]
 		off += n
 	}
-	for j, l := range r.links {
-		r.buckets[l.cell][l.pos] = int32(j)
+	for j, pos := range r.links {
+		r.buckets[r.cellOf(int32(j))][pos] = int32(j)
 	}
 }
 

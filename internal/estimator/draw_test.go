@@ -209,15 +209,15 @@ func TestDrawImageRestoresTwin(t *testing.T) {
 
 // TestFillDrawsSamplersAndReplaysTheRest: Fill draws a Sampler and replays
 // the window into anything else, which then matches an estimator that
-// streamed the same objects.
+// streamed the same objects, and reports the objects each read.
 func TestFillDrawsSamplersAndReplaysTheRest(t *testing.T) {
 	p := testParams()
 	streamed := NewHistogram(p)
 	w := stream.NewWindow(p.World, p.Span, 1024)
 	ts := feedBoth(t, streamed, w, 3000, 2)
 	filled := NewHistogram(p)
-	if Fill(filled, w) {
-		t.Error("Fill drew into a histogram")
+	if drawn, n := Fill(filled, w); drawn || n != w.Size() {
+		t.Errorf("Fill into a histogram: drawn %v, %d objects, want the %d live ones replayed", drawn, n, w.Size())
 	}
 	for _, q := range queryMix(ts) {
 		q := q
@@ -226,8 +226,12 @@ func TestFillDrawsSamplersAndReplaysTheRest(t *testing.T) {
 		}
 	}
 	rsl := NewReservoirList(p)
-	if !Fill(rsl, w) || rsl.Len() != 3000 {
-		t.Errorf("Fill into RSL: %d samples, want the 3000 live objects drawn", rsl.Len())
+	if drawn, n := Fill(rsl, w); !drawn || n != 3000 || rsl.Len() != 3000 {
+		t.Errorf("Fill into RSL: drawn %v, %d objects, %d samples, want the 3000 live objects drawn", drawn, n, rsl.Len())
+	}
+	small := NewReservoirHashmap(Params{World: p.World, Span: p.Span, Scale: 0.004, Seed: 1})
+	if drawn, n := Fill(small, w); !drawn || n != small.Len() || n >= 3000 {
+		t.Errorf("Fill into a small RSH: drawn %v, %d objects, %d samples", drawn, n, small.Len())
 	}
 }
 

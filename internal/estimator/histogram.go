@@ -29,9 +29,11 @@ type Histogram struct {
 	// ring[s*cells+c] is slice s's count for cell c; live[c] caches sums.
 	// Both are nil while the histogram counts nothing — from construction
 	// or Reset until the first Insert — so a wiped H4096 costs its struct.
-	// A nil array reads as all zeros wherever the state is observed.
-	ring []float64
-	live []float64
+	// A nil array reads as all zeros wherever the state is observed. The
+	// counts are whole, and a cell's stays below 2³² as a window's live
+	// count does; images write them as float64s.
+	ring []uint32
+	live []uint32
 	cur  int
 
 	totalLive float64
@@ -76,7 +78,7 @@ func (h *Histogram) rotate(n int) {
 		for c, v := range row {
 			if v != 0 {
 				h.live[c] -= v
-				h.totalLive -= v
+				h.totalLive -= float64(v)
 				row[c] = 0
 			}
 		}
@@ -88,7 +90,7 @@ func (h *Histogram) Insert(o *stream.Object) {
 	h.rotate(h.slicer.AdvanceTo(o.Timestamp))
 	if h.ring == nil {
 		cells := h.grid.NumCells()
-		h.ring, h.live = make([]float64, h.slicer.Slices()*cells), make([]float64, cells)
+		h.ring, h.live = make([]uint32, h.slicer.Slices()*cells), make([]uint32, cells)
 	}
 	c := h.grid.CellOf(o.Loc)
 	h.ring[h.cur*h.grid.NumCells()+c]++
@@ -110,7 +112,7 @@ func (h *Histogram) Estimate(q *stream.Query) float64 {
 	cr := h.grid.CellsOverlapping(q.Range)
 	est := 0.0
 	h.grid.ForEachCell(cr, func(idx int, cell geo.Rect) bool {
-		v := h.live[idx]
+		v := float64(h.live[idx])
 		if v == 0 {
 			return true
 		}
@@ -138,7 +140,7 @@ func (h *Histogram) Reset() {
 
 // MemoryBytes implements Estimator.
 func (h *Histogram) MemoryBytes() int {
-	return 64 + 8*(len(h.ring)+len(h.live))
+	return 64 + 4*(len(h.ring)+len(h.live))
 }
 
 // String summarizes the configuration.

@@ -1,11 +1,16 @@
 package estimator
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/persist"
 	"github.com/spatiotext/latest/internal/stream"
 )
 
@@ -149,5 +154,90 @@ func TestHistogramResetAndString(t *testing.T) {
 	}
 	if h.String() == "" || h.MemoryBytes() <= 0 {
 		t.Error("String/MemoryBytes broken")
+	}
+}
+
+// h4096Stream is the stream testdata/h4096_float64_counters.img was taken
+// on, by a histogram that kept its counters as float64s: 3 000 objects
+// 5 ms apart, so that the ring has turned over.
+func h4096Stream(h *Histogram) {
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 3000; i++ {
+		o := genObject(rng, uint64(i), int64(i*5))
+		h.Insert(&o)
+	}
+}
+
+func h4096Params() Params {
+	return Params{World: geo.UnitSquare, Span: 10_000, Scale: 0.004, Seed: 1} // 16 cells
+}
+
+// TestHistogramRestoresFloat64Image: an image written when the counters
+// were float64s is the image the uint32 counters write for the same
+// stream, it restores, and the restored histogram answers and goes on
+// exactly as one fed the stream.
+func TestHistogramRestoresFloat64Image(t *testing.T) {
+	img, err := os.ReadFile(filepath.Join("testdata", "h4096_float64_counters.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := NewHistogram(h4096Params())
+	h4096Stream(fed)
+	var e persist.Enc
+	fed.SaveState(&e)
+	if !bytes.Equal(e.Data(), img) {
+		t.Fatal("the same stream writes a different image")
+	}
+	back := NewHistogram(h4096Params())
+	if err := back.LoadState(persist.NewDec(img)); err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []int64{15_000, 18_000, 30_000} {
+		for _, q := range queryMix(ts) {
+			q := q
+			if a, b := fed.Estimate(&q), back.Estimate(&q); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%v: fed %v, restored %v", q, a, b)
+			}
+		}
+	}
+	var a, b persist.Enc
+	fed.SaveState(&a)
+	back.SaveState(&b)
+	if !bytes.Equal(a.Data(), b.Data()) {
+		t.Error("restored and fed histograms write different images after the same queries")
+	}
+}
+
+// TestHistogramRefusesBadCounts: a count the uint32 counters cannot hold
+// — negative, fractional, too large, NaN — or a cache that disagrees with
+// the slices is a malformed image, and nothing is installed.
+func TestHistogramRefusesBadCounts(t *testing.T) {
+	img, err := os.ReadFile(filepath.Join("testdata", "h4096_float64_counters.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ring0 = 1 + 8 + 4 // slicer, then the ring's length prefix
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    func(old float64) float64
+	}{
+		{"negative", ring0, func(float64) float64 { return -1 }},
+		{"fractional", ring0, func(float64) float64 { return 0.5 }},
+		{"2^32", ring0, func(float64) float64 { return 1 << 32 }},
+		{"NaN", ring0, func(float64) float64 { return math.NaN() }},
+		{"slices and cache disagree", ring0, func(old float64) float64 { return old + 1 }},
+		{"live total", len(img) - 8, func(old float64) float64 { return old + 1 }},
+	} {
+		bad := bytes.Clone(img)
+		old := math.Float64frombits(binary.LittleEndian.Uint64(bad[tc.at:]))
+		binary.LittleEndian.PutUint64(bad[tc.at:], math.Float64bits(tc.v(old)))
+		h := NewHistogram(h4096Params())
+		if err := h.LoadState(persist.NewDec(bad)); persist.CodeOf(err) != persist.CodeMalformed {
+			t.Errorf("%s: LoadState = %v, want a malformed-image error", tc.name, err)
+		}
+		if h.ring != nil || h.live != nil || h.totalLive != 0 {
+			t.Errorf("%s: a refused image was installed", tc.name)
+		}
 	}
 }

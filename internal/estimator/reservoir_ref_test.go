@@ -113,8 +113,13 @@ func (r *refRSL) SaveState(e *persist.Enc) {
 type refRSH struct {
 	refReservoir
 	grid    *geo.Grid
-	links   []bucketLink
+	links   []refLink
 	buckets [][]int32
+}
+
+type refLink struct {
+	cell int32
+	pos  int32 // index of this slot within buckets[cell]
 }
 
 func newRefRSH(p Params) *refRSH {
@@ -135,7 +140,7 @@ func (r *refRSH) detach(j int32) {
 func (r *refRSH) attach(j int32) {
 	cell := int32(r.grid.CellOf(r.samples[j].loc))
 	r.buckets[cell] = append(r.buckets[cell], j)
-	r.links[j] = bucketLink{cell, int32(len(r.buckets[cell]) - 1)}
+	r.links[j] = refLink{cell, int32(len(r.buckets[cell]) - 1)}
 }
 
 func (r *refRSH) removeSlot(j int32) {
@@ -157,7 +162,7 @@ func (r *refRSH) Insert(o *stream.Object) {
 		}
 	}
 	if len(r.samples) < r.capacity {
-		r.samples, r.links = append(r.samples, sampleOf(o)), append(r.links, bucketLink{})
+		r.samples, r.links = append(r.samples, sampleOf(o)), append(r.links, refLink{})
 		r.attach(int32(len(r.samples) - 1))
 		return
 	}

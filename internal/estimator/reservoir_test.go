@@ -287,9 +287,8 @@ func checkRSHInvariants(t testing.TB, stage string, r *ReservoirHashmap) {
 	seen := 0
 	for cell, b := range r.buckets {
 		for pos, j := range b {
-			l := r.links[j]
-			if int(l.cell) != cell || int(l.pos) != pos || r.grid.CellOf(r.loc[j]) != cell {
-				t.Fatalf("%s: slot %d backlink broken: cell %d/%d pos %d/%d", stage, j, l.cell, cell, l.pos, pos)
+			if int(r.links[j]) != pos || r.cellOf(j) != cell {
+				t.Fatalf("%s: slot %d backlink broken: cell %d/%d pos %d/%d", stage, j, r.cellOf(j), cell, r.links[j], pos)
 			}
 			seen++
 		}

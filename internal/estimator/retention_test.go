@@ -110,8 +110,8 @@ func TestWipedSummaryHoldsNothing(t *testing.T) {
 // allocates nothing.
 func TestHistogramReleasedArraysReadAsZeros(t *testing.T) {
 	lazy, eager := NewHistogram(testParams()), NewHistogram(testParams())
-	eager.ring = make([]float64, eager.slicer.Slices()*eager.Cells())
-	eager.live = make([]float64, eager.Cells())
+	eager.ring = make([]uint32, eager.slicer.Slices()*eager.Cells())
+	eager.live = make([]uint32, eager.Cells())
 	same := func(stage string) []byte {
 		t.Helper()
 		var a, b persist.Enc

@@ -21,17 +21,13 @@ const defaultRSHGridCells = 4096
 //
 // The reservoir is a slot-map: each bucket lists slot numbers and each slot
 // knows its position in its bucket, so replacement and purge are O(1) per
-// sample on the spatial side as they are O(keywords) on the textual.
+// sample on the spatial side as they are O(keywords) on the textual. A
+// slot's bucket is its sample's cell, which is recomputed rather than kept.
 type ReservoirHashmap struct {
 	reservoir
 	grid    *geo.Grid
-	links   []bucketLink // parallel to the store's slots
-	buckets [][]int32    // by cell; nil while the store is empty
-}
-
-type bucketLink struct {
-	cell int32
-	pos  int32 // index of this slot within buckets[cell]
+	links   []int32   // by slot, its index within its bucket
+	buckets [][]int32 // by cell; nil while the store is empty
 }
 
 // NewReservoirHashmap builds the RSH estimator.
@@ -44,20 +40,23 @@ func NewReservoirHashmap(p Params) *ReservoirHashmap {
 // Name implements Estimator.
 func (r *ReservoirHashmap) Name() string { return NameRSH }
 
+// cellOf returns the bucket of slot j, the cell of its sample.
+func (r *ReservoirHashmap) cellOf(j int32) int { return r.grid.CellOf(r.loc[j]) }
+
 // detach unlinks slot j from its bucket.
 func (r *ReservoirHashmap) detach(j int32) {
-	l := r.links[j]
-	b := r.buckets[l.cell]
+	cell, pos := r.cellOf(j), r.links[j]
+	b := r.buckets[cell]
 	moved := b[len(b)-1]
-	b[l.pos] = moved
-	r.links[moved].pos = l.pos
-	r.buckets[l.cell] = b[:len(b)-1]
+	b[pos] = moved
+	r.links[moved] = pos
+	r.buckets[cell] = b[:len(b)-1]
 }
 
 // attach links slot j (whose location is already set) into its cell bucket.
 func (r *ReservoirHashmap) attach(j int32) {
-	cell := int32(r.grid.CellOf(r.loc[j]))
-	r.links[j] = bucketLink{cell, int32(len(r.buckets[cell]))}
+	cell := r.cellOf(j)
+	r.links[j] = int32(len(r.buckets[cell]))
 	r.buckets[cell] = append(r.buckets[cell], j)
 }
 
@@ -66,8 +65,8 @@ func (r *ReservoirHashmap) removeSlot(j int32) {
 	r.detach(j)
 	if r.remove(j) {
 		// The final slot moved into j: fix its bucket backlink.
-		l := r.links[len(r.ts)]
-		r.links[j], r.buckets[l.cell][l.pos] = l, j
+		pos := r.links[len(r.ts)]
+		r.links[j], r.buckets[r.cellOf(j)][pos] = pos, j
 	}
 	r.links = r.links[:len(r.ts)]
 	if len(r.ts) == 0 {
@@ -100,7 +99,7 @@ func (r *ReservoirHashmap) Insert(o *stream.Object) {
 		if r.buckets == nil {
 			r.buckets = make([][]int32, r.grid.NumCells())
 		}
-		r.links = append(r.links, bucketLink{})
+		r.links = append(r.links, 0)
 	}
 	r.put(j, o.Timestamp, o.Loc, o.Keywords, r.capacity)
 	r.attach(j)
@@ -191,10 +190,10 @@ func (r *ReservoirHashmap) Reset() {
 	r.counter.Reset()
 }
 
-// MemoryBytes implements Estimator: the store, eight bytes of bucket link
+// MemoryBytes implements Estimator: the store, four bytes of bucket link
 // per slot, the bucket index and the arrival counter.
 func (r *ReservoirHashmap) MemoryBytes() int {
-	b := 64 + r.memoryBytes() + 8*cap(r.links) + 24*len(r.buckets) + r.counter.MemoryBytes()
+	b := 64 + r.memoryBytes() + 4*cap(r.links) + 24*len(r.buckets) + r.counter.MemoryBytes()
 	for i := range r.buckets {
 		b += 4 * cap(r.buckets[i])
 	}

@@ -1,6 +1,8 @@
 package estimator
 
 import (
+	"math"
+
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/persist"
 )
@@ -111,20 +113,38 @@ func (h *Histogram) SaveState(e *persist.Enc) {
 	e.F64(h.totalLive)
 }
 
-// saveCounts writes vs as Enc.F64s does, or n zeros when vs is nil.
-func saveCounts(e *persist.Enc, vs []float64, n int) {
-	if vs != nil {
-		e.F64s(vs)
-		return
-	}
+// saveCounts writes the n counts vs, or n zeros when vs is nil, as
+// Enc.F64s writes them as float64s.
+func saveCounts(e *persist.Enc, vs []uint32, n int) {
 	e.U32(uint32(n))
 	for i := 0; i < n; i++ {
-		e.F64(0)
+		v := 0.0
+		if vs != nil {
+			v = float64(vs[i])
+		}
+		e.F64(v)
 	}
 }
 
+// loadCounts reads what saveCounts writes. A count that is negative, not
+// whole or not below 2³² is malformed.
+func loadCounts(d *persist.Dec, op string) ([]uint32, error) {
+	vs := d.F64s()
+	if d.Err() != nil {
+		return nil, d.Err()
+	}
+	counts := make([]uint32, len(vs))
+	for i, v := range vs {
+		if !(v >= 0 && v < 1<<32 && v == math.Trunc(v)) {
+			return nil, persist.Errf(persist.CodeMalformed, op, "count %d is %v", i, v)
+		}
+		counts[i] = uint32(v)
+	}
+	return counts, nil
+}
+
 // allZero reports whether vs holds nothing but zeros.
-func allZero(vs []float64) bool {
+func allZero(vs []uint32) bool {
 	for _, v := range vs {
 		if v != 0 {
 			return false
@@ -140,8 +160,14 @@ func (h *Histogram) LoadState(d *persist.Dec) error {
 	if err := loadSlicer(d, &sl); err != nil {
 		return err
 	}
-	ring := d.F64s()
-	live := d.F64s()
+	ring, err := loadCounts(d, op)
+	if err != nil {
+		return err
+	}
+	live, err := loadCounts(d, op)
+	if err != nil {
+		return err
+	}
 	cur := d.Int()
 	totalLive := d.F64()
 	if d.Err() != nil {
@@ -153,6 +179,22 @@ func (h *Histogram) LoadState(d *persist.Dec) error {
 	}
 	if cur < 0 || cur >= h.slicer.Slices() {
 		return persist.Errf(persist.CodeMalformed, op, "current slice %d of %d", cur, h.slicer.Slices())
+	}
+	// live caches each cell's sum over the slices and totalLive theirs: a
+	// count that disagrees would wrap below zero when its slice expires.
+	cells, total := len(live), 0.0
+	for c, v := range live {
+		sum := uint64(0)
+		for s := c; s < len(ring); s += cells {
+			sum += uint64(ring[s])
+		}
+		if sum != uint64(v) {
+			return persist.Errf(persist.CodeMalformed, op, "cell %d: live %d, slices sum to %d", c, v, sum)
+		}
+		total += float64(v)
+	}
+	if total != totalLive {
+		return persist.Errf(persist.CodeMalformed, op, "live total %v, cells sum to %v", totalLive, total)
 	}
 	if allZero(ring) && allZero(live) { // a wiped histogram restores released
 		ring, live = nil, nil
@@ -236,19 +278,18 @@ func (r *ReservoirHashmap) SaveState(e *persist.Enc) {
 	r.saveHeader(e)
 	for i := range r.ts {
 		r.save(e, int32(i))
-		e.U32(uint32(r.links[i].pos))
+		e.U32(uint32(r.links[i]))
 	}
 }
 
 // LoadState implements Stateful.
 func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
 	const op = "rsh"
-	var links []bucketLink
-	perCell := make(map[int32]int32)
+	var links []int32
+	perCell := make(map[int]int32)
 	im, err := r.loadSamples(d, op, func(st *sampleStore, j int32) {
-		l := bucketLink{cell: int32(r.grid.CellOf(st.loc[j])), pos: int32(d.U32())}
-		links = append(links, l)
-		perCell[l.cell]++
+		links = append(links, int32(d.U32()))
+		perCell[r.grid.CellOf(st.loc[j])]++
 	})
 	if err != nil {
 		return err
@@ -266,12 +307,12 @@ func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
 		}
 		buckets[cell] = b
 	}
-	for j, l := range links {
-		b := buckets[l.cell]
-		if l.pos < 0 || int(l.pos) >= len(b) || b[l.pos] != -1 {
-			return persist.Errf(persist.CodeMalformed, op, "slot %d bucket position %d invalid", j, l.pos)
+	for j, pos := range links {
+		b := buckets[r.grid.CellOf(im.store.loc[j])]
+		if pos < 0 || int(pos) >= len(b) || b[pos] != -1 {
+			return persist.Errf(persist.CodeMalformed, op, "slot %d bucket position %d invalid", j, pos)
 		}
-		b[l.pos] = int32(j)
+		b[pos] = int32(j)
 	}
 	r.install(im)
 	r.links, r.buckets = links, buckets

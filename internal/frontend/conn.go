@@ -41,9 +41,11 @@ type conn struct {
 	workers sync.WaitGroup
 
 	// decode scratch, reused across frames on this connection. Only the
-	// read loop touches it.
+	// read loop touches it. kws backs the keywords of the feed being
+	// applied, and is reused once the handler's Feed has returned.
 	objs     []stream.Object
 	coalesce []stream.Object
+	kws      []string
 	acks     []feedAck
 }
 
@@ -318,7 +320,7 @@ func errCode(err error) wire.Code {
 func (c *conn) handleFeed(h wire.Header, payload []byte, start time.Time, tr *telemetry.ActiveTrace) {
 	st := &c.srv.st
 	const notOwned = "batch contains objects this node does not own"
-	objs, err := wire.DecodeFeedBatch(payload, c.objs)
+	objs, kws, err := wire.DecodeFeedBatchInto(payload, c.objs, c.kws[:0])
 	if err != nil {
 		c.decodeErr(tr, h.ID, err)
 		return
@@ -344,7 +346,7 @@ func (c *conn) handleFeed(h wire.Header, payload []byte, start time.Time, tr *te
 			c.decodeErr(nil, nh.ID, err)
 			break
 		}
-		more, err := wire.DecodeFeedBatch(pl, c.coalesce)
+		more, moreKws, err := wire.DecodeFeedBatchInto(pl, c.coalesce, kws)
 		if err != nil {
 			// This frame alone is bad; answer it and feed what we have.
 			c.decodeErr(nil, nh.ID, err)
@@ -357,7 +359,7 @@ func (c *conn) handleFeed(h wire.Header, payload []byte, start time.Time, tr *te
 			c.sendNotOwner(nil, nh.ID, notOwned)
 			break
 		}
-		objs = append(objs, more...)
+		objs, kws = append(objs, more...), moreKws
 		acks = append(acks, feedAck{nh.ID, uint32(len(more))})
 		st.coalescedFeeds.Add(1)
 	}
@@ -365,6 +367,7 @@ func (c *conn) handleFeed(h wire.Header, payload []byte, start time.Time, tr *te
 	c.acks = acks[:0]
 	engStart := time.Now()
 	err = c.guard(func() error { return c.srv.h.Feed(context.Background(), objs) })
+	c.kws = kws[:0] // the handler has copied what it keeps
 	if err != nil {
 		// The followers were consumed from the reader with the head, so
 		// each is answered here or never: the batch failed as one.

@@ -28,6 +28,8 @@ type ShardGauges struct {
 	windowBytes   atomic.Int64
 	prefillDraw   atomic.Uint64
 	prefillReplay atomic.Uint64
+	drawnObjs     atomic.Uint64
+	replayedObjs  atomic.Uint64
 
 	validationRejected atomic.Uint64
 	validationClamped  atomic.Uint64
@@ -64,13 +66,15 @@ func (g *ShardGauges) RecordBatch(n int, d time.Duration) {
 func (g *ShardGauges) RecordQuery(d time.Duration) { g.queryHist.Record(d) }
 
 // RecordPrefill counts one estimator pre-fill, run on the query that asked
-// for it: drawn when a sampler drew its sample from the window, else
-// replayed.
-func (g *ShardGauges) RecordPrefill(drawn bool) {
+// for it, and the objects it read from the window: drawn when a sampler
+// drew its sample, else replayed.
+func (g *ShardGauges) RecordPrefill(drawn bool, objects int) {
 	if drawn {
 		g.prefillDraw.Add(1)
+		g.drawnObjs.Add(uint64(objects))
 	} else {
 		g.prefillReplay.Add(1)
+		g.replayedObjs.Add(uint64(objects))
 	}
 }
 
@@ -108,9 +112,12 @@ type GaugeSnapshot struct {
 	Reordered uint64
 	// PrefillsDrawn counts estimator pre-fills a sampler drew from the
 	// window and PrefillsReplayed those that replayed it; both run on the
-	// query path.
-	PrefillsDrawn    uint64
-	PrefillsReplayed uint64
+	// query path. PrefillObjectsDrawn and PrefillObjectsReplayed count the
+	// objects those pre-fills read.
+	PrefillsDrawn          uint64
+	PrefillsReplayed       uint64
+	PrefillObjectsDrawn    uint64
+	PrefillObjectsReplayed uint64
 	// ValidationRejected counts inputs refused by the validation policy and
 	// ValidationClamped inputs it repaired in place.
 	ValidationRejected uint64
@@ -146,18 +153,20 @@ type GaugeSnapshot struct {
 // monitoring.
 func (g *ShardGauges) Snapshot() GaugeSnapshot {
 	s := GaugeSnapshot{
-		Feeds:              g.feeds.Load(),
-		Reordered:          g.reordered.Load(),
-		PrefillsDrawn:      g.prefillDraw.Load(),
-		PrefillsReplayed:   g.prefillReplay.Load(),
-		ValidationRejected: g.validationRejected.Load(),
-		ValidationClamped:  g.validationClamped.Load(),
-		IngestRatePerSec:   g.ingestRate.RateAt(time.Now()),
-		Occupancy:          int(g.occupancy.Load()),
-		WindowBytes:        int(g.windowBytes.Load()),
-		FeedLatency:        g.feedHist.Snapshot(),
-		BatchLatency:       g.batchHist.Snapshot(),
-		QueryLatency:       g.queryHist.Snapshot(),
+		Feeds:                  g.feeds.Load(),
+		Reordered:              g.reordered.Load(),
+		PrefillsDrawn:          g.prefillDraw.Load(),
+		PrefillsReplayed:       g.prefillReplay.Load(),
+		PrefillObjectsDrawn:    g.drawnObjs.Load(),
+		PrefillObjectsReplayed: g.replayedObjs.Load(),
+		ValidationRejected:     g.validationRejected.Load(),
+		ValidationClamped:      g.validationClamped.Load(),
+		IngestRatePerSec:       g.ingestRate.RateAt(time.Now()),
+		Occupancy:              int(g.occupancy.Load()),
+		WindowBytes:            int(g.windowBytes.Load()),
+		FeedLatency:            g.feedHist.Snapshot(),
+		BatchLatency:           g.batchHist.Snapshot(),
+		QueryLatency:           g.queryHist.Snapshot(),
 	}
 	s.Batches = s.BatchLatency.Count
 	s.Queries = s.QueryLatency.Count

@@ -87,11 +87,12 @@ func TestShardGaugesHistograms(t *testing.T) {
 
 func TestShardGaugesPrefills(t *testing.T) {
 	var g ShardGauges
-	g.RecordPrefill(true)
-	g.RecordPrefill(false)
-	g.RecordPrefill(false)
-	if s := g.Snapshot(); s.PrefillsDrawn != 1 || s.PrefillsReplayed != 2 {
-		t.Errorf("prefills drawn %d, replayed %d, want 1 and 2", s.PrefillsDrawn, s.PrefillsReplayed)
+	g.RecordPrefill(true, 500)
+	g.RecordPrefill(false, 1200)
+	g.RecordPrefill(false, 1300)
+	if s := g.Snapshot(); s.PrefillsDrawn != 1 || s.PrefillsReplayed != 2 || s.PrefillObjectsDrawn != 500 || s.PrefillObjectsReplayed != 2500 {
+		t.Errorf("prefills drawn %d of %d objects, replayed %d of %d, want 1 of 500 and 2 of 2500",
+			s.PrefillsDrawn, s.PrefillObjectsDrawn, s.PrefillsReplayed, s.PrefillObjectsReplayed)
 	}
 }
 

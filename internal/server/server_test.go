@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +29,8 @@ type fakeEngine struct {
 	mu      sync.Mutex
 	batches int
 	objects int
+	fed     []stream.Object // deep copies of what FeedBatch saw, when keep is set
+	keep    bool
 
 	estimate float64
 	delay    time.Duration
@@ -37,6 +41,12 @@ func (f *fakeEngine) FeedBatch(objs []stream.Object) {
 	f.mu.Lock()
 	f.batches++
 	f.objects += len(objs)
+	for _, o := range objs {
+		if f.keep {
+			o.Keywords = append([]string(nil), o.Keywords...)
+			f.fed = append(f.fed, o)
+		}
+	}
 	f.mu.Unlock()
 }
 
@@ -228,6 +238,42 @@ func TestFeedAckAndCoalescing(t *testing.T) {
 	}
 	if srv.sample().CoalescedFeeds == 0 {
 		t.Fatal("coalesced counter did not move")
+	}
+}
+
+// TestCoalescedFeedsKeepTheirKeywords: the connection decodes every feed
+// into one reused keyword array. Burst after burst of coalesced frames,
+// each object with keywords of its own, reaches the engine exactly as
+// sent: no frame's keywords overwrite another's, nor a later burst's an
+// earlier one's before its Feed returned.
+func TestCoalescedFeedsKeepTheirKeywords(t *testing.T) {
+	eng := &fakeEngine{keep: true}
+	srv := startServer(t, eng, Config{})
+	rc := dialRaw(t, srv.Addr())
+	var sent []stream.Object
+	for burst := 0; burst < 4; burst++ {
+		var frames [][]byte
+		for f := 0; f < 5; f++ {
+			objs := make([]stream.Object, 1+f)
+			for i := range objs {
+				id := uint64(len(sent))
+				objs[i] = testObj(id)
+				objs[i].Keywords = []string{fmt.Sprintf("w%d", id), fmt.Sprintf("v%d", id)}[:1+i%2]
+				sent = append(sent, objs[i])
+			}
+			frames = append(frames, wire.AppendFeedBatch(nil, uint64(len(sent)), objs))
+		}
+		rc.write(frames...)
+		for range frames {
+			if h, _ := rc.read(); h.Type != wire.TAck {
+				t.Fatalf("burst %d: expected ack, got %v", burst, h.Type)
+			}
+		}
+	}
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	if !reflect.DeepEqual(eng.fed, sent) {
+		t.Fatalf("the engine saw %d objects that differ from the %d sent", len(eng.fed), len(sent))
 	}
 }
 

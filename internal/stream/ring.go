@@ -3,19 +3,24 @@ package stream
 import "unsafe"
 
 // ring is a FIFO of sequence numbers truncated to 32 bits, held in a
-// power-of-two circular buffer. Objects arrive in timestamp order and
-// expire in the same order, so every per-cell and per-keyword list in the
-// window is a queue, never a general set. The buffer doubles when full and
-// halves when a quarter full, so its capacity stays within 4× its length
-// and a queue of steady length never reallocates.
+// circular buffer. Objects arrive in timestamp order and expire in the same
+// order, so every per-cell and per-keyword list in the window is a queue,
+// never a general set. A buffer takes its allocation's whole size class.
+// While its window fills, a full buffer doubles, so a fill or a restore
+// reallocates each ring O(log n) times. The window's first eviction trims
+// every buffer to its length, and from then on a full buffer grows by an
+// eighth (at least four slots) and, once its length has fallen to a
+// quarter of it, shrinks to half again the length. Its capacity stays
+// within four times its length, and a queue whose length wanders by a
+// slot reallocates at most once.
 //
 // A ref is uint32(seq); Window resolves it against its arena origin and
 // ranks it by its distance from base, both of which are exact while the
 // live sequence numbers span less than 2³² (guarded in Insert).
 type ring struct {
-	buf  []uint32 // len is zero or a power of two
-	head uint32   // index of the oldest ref
-	n    uint32   // live refs
+	buf  []uint32
+	head uint32 // index of the oldest ref
+	n    uint32 // live refs
 }
 
 // ringMin is the smallest buffer a ring allocates, and the one it keeps
@@ -29,22 +34,34 @@ func (q *ring) len() int { return int(q.n) }
 
 func (q *ring) front() uint32 { return q.buf[q.head] }
 
-// pushBack appends ref. slots is the owner's running total of buffer
-// capacity over all its rings, adjusted when this one resizes.
-func (q *ring) pushBack(ref uint32, slots *int) {
-	if int(q.n) == len(q.buf) {
-		q.resize(max(ringMin, 2*len(q.buf)), slots)
+// pushBack appends ref, doubling a full buffer if double is set and
+// growing it by an eighth otherwise. slots is the owner's running total of
+// buffer capacity over all its rings, adjusted when this one resizes.
+func (q *ring) pushBack(ref uint32, slots *int, double bool) {
+	if c := len(q.buf); int(q.n) == c {
+		grow := c / 8
+		if double {
+			grow = c
+		}
+		q.resize(c+max(ringMin, grow), slots)
 	}
-	q.buf[(q.head+q.n)&uint32(len(q.buf)-1)] = ref
+	i := q.head + q.n
+	if c := uint32(len(q.buf)); i >= c {
+		i -= c
+	}
+	q.buf[i] = ref
 	q.n++
 }
 
 // popFront drops the oldest ref.
 func (q *ring) popFront(slots *int) {
-	q.head = (q.head + 1) & uint32(len(q.buf)-1)
+	q.head++
+	if int(q.head) == len(q.buf) {
+		q.head = 0
+	}
 	q.n--
-	if c := len(q.buf); c > ringMin && int(q.n) <= c/4 {
-		q.resize(c/2, slots)
+	if c, n := len(q.buf), int(q.n); c > ringMin && n <= c/4 {
+		q.resize(max(ringMin, n+n/2), slots)
 	}
 }
 
@@ -58,10 +75,21 @@ func (q *ring) segments() (a, b []uint32) {
 	return q.buf[q.head:end], nil
 }
 
+// trim shrinks the buffer to the length.
+func (q *ring) trim(slots *int) {
+	if c, n := len(q.buf), int(q.n); c > ringMin && n < c {
+		q.resize(max(ringMin, n), slots)
+	}
+}
+
+// resize moves the live refs to a buffer of at least c slots. Appending
+// to nil rounds the capacity up to the size class the allocation takes,
+// and the ring uses all of it.
 func (q *ring) resize(c int, slots *int) {
-	buf := make([]uint32, c)
+	buf := append([]uint32(nil), make([]uint32, c)...)
+	buf = buf[:cap(buf)]
 	a, b := q.segments()
 	copy(buf[copy(buf, a):], b)
-	*slots += c - len(q.buf)
+	*slots += len(buf) - len(q.buf)
 	q.buf, q.head = buf, 0
 }

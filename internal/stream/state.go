@@ -44,7 +44,8 @@ func (w *Window) SaveState(e *persist.Enc) {
 // The receiver must be empty and never inserted into; the saved base is
 // installed *before* re-inserting so restored objects keep their original
 // sequence numbers — NextSeq continues exactly where the original left
-// off.
+// off. An image is malformed if re-inserting its objects would evict one
+// of them: Insert never leaves a window holding such a pair.
 func (w *Window) LoadState(d *persist.Dec) error {
 	const op = "window"
 	if w.inserted != 0 || w.Size() != 0 {
@@ -62,7 +63,7 @@ func (w *Window) LoadState(d *persist.Dec) error {
 			"%d live objects vs inserted %d - evicted %d", count, inserted, evicted)
 	}
 	w.base, w.origin = base, base
-	last := int64(0)
+	first, last := int64(0), int64(0)
 	for i := 0; i < count; i++ {
 		o := DecodeObject(d)
 		if d.Err() != nil {
@@ -70,6 +71,12 @@ func (w *Window) LoadState(d *persist.Dec) error {
 		}
 		if i > 0 && o.Timestamp < last {
 			return persist.Errf(persist.CodeMalformed, op, "objects out of order (%d after %d)", o.Timestamp, last)
+		}
+		if i == 0 {
+			first = o.Timestamp
+		}
+		if first < o.Timestamp-w.span {
+			return persist.Errf(persist.CodeMalformed, op, "object at %d and object at %d in a %d ms window", first, o.Timestamp, w.span)
 		}
 		last = o.Timestamp
 		w.append(&o)

@@ -1,0 +1,78 @@
+package stream_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/spatiotext/latest/internal/datagen"
+	"github.com/spatiotext/latest/internal/persist"
+	"github.com/spatiotext/latest/internal/stream"
+)
+
+// TestTwitterWindowFootprint: a shard's window over the Twitter stream at
+// two objects per millisecond and a 60 s span, turned over twice, costs at
+// most 60 bytes per live object, everything it owns included. The
+// generator numbers objects densely; with arbitrary 64-bit IDs, as a
+// replayed dataset may carry, every chunk keeps an ID high column, which
+// costs about 4 bytes per object more.
+func TestTwitterWindowFootprint(t *testing.T) {
+	footprint := func(name string, id func(o *stream.Object) uint64) float64 {
+		const live = 120_000
+		g := datagen.Twitter(1, 2)
+		w := stream.NewWindow(g.World(), live/2, 4096)
+		for i := 0; i < 3*live; i++ {
+			o := g.Next()
+			o.ID = id(&o)
+			w.Insert(o)
+		}
+		per := float64(w.MemoryBytes()) / float64(w.Size())
+		t.Logf("%s: %d objects, %d words, %d high columns: %d bytes, %.1f per object",
+			name, w.Size(), w.DistinctKeywords(), w.HighColumns(), w.MemoryBytes(), per)
+		return per
+	}
+	dense := footprint("dense IDs", func(o *stream.Object) uint64 { return o.ID })
+	if dense > 60 {
+		t.Errorf("the window costs %.1f bytes per live object, want at most 60", dense)
+	}
+	rng := rand.New(rand.NewSource(3))
+	random := footprint("64-bit random IDs", func(*stream.Object) uint64 { return rng.Uint64() })
+	if random > dense+4.5 {
+		t.Errorf("with 64-bit random IDs the window costs %.1f bytes per live object, want at most %.1f", random, dense+4.5)
+	}
+}
+
+// BenchmarkTwitterWindowFill builds a 120 000-object Twitter window from
+// empty, by Insert (fill) and by LoadState from its image (restore): the
+// two paths on which every ring grows from nothing.
+func BenchmarkTwitterWindowFill(b *testing.B) {
+	const live = 120_000
+	g := datagen.Twitter(1, 2)
+	objs := make([]stream.Object, live)
+	for i := range objs {
+		objs[i] = g.Next()
+	}
+	full := stream.NewWindow(g.World(), live/2, 4096)
+	for _, o := range objs {
+		full.Insert(o)
+	}
+	var img persist.Enc
+	full.SaveState(&img)
+	b.Run("fill", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w := stream.NewWindow(g.World(), live/2, 4096)
+			for _, o := range objs {
+				w.Insert(o)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w := stream.NewWindow(g.World(), live/2, 4096)
+			if err := w.LoadState(persist.NewDec(img.Data())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -8,7 +8,7 @@ import (
 	"github.com/spatiotext/latest/internal/geo"
 )
 
-// The object arena is a FIFO of fixed-size chunks. 512 objects (18 KB) keep
+// The object arena is a FIFO of fixed-size chunks. 512 objects (14 KB) keep
 // the partly used head and tail chunks plus the spare under 2 % of a
 // 60 000-object shard while a small window still costs one chunk.
 const (
@@ -16,34 +16,50 @@ const (
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
 	blockBytes = int(unsafe.Sizeof(block{}))
-	chunkBytes = int(unsafe.Sizeof(chunk{})) // block pointer and ID store header
+	highBytes  = int(unsafe.Sizeof(highColumn{}))
+	chunkBytes = int(unsafe.Sizeof(chunk{})) // block and high column pointers, ID store, bases
 )
 
 // rec is the fixed part of a live object. It holds no pointer: the window
 // keeps an object's keywords as dictionary IDs beside it, so nothing the
-// producer allocated stays reachable through the arena.
+// producer allocated stays reachable through the arena. Timestamp and ID
+// are 32-bit offsets from the bases of the object's chunk.
 type rec struct {
-	id  uint64
 	loc geo.Point
-	ts  int64
+	dt  uint32 // Timestamp - chunk.t0
+	did uint32 // ID - chunk.id0, modulo 2⁶⁴
 }
 
 // block is the storage of chunkSize consecutive arena slots: the records,
 // and for each slot where its keyword IDs end in the chunk's ID store (they
 // start where the previous slot's end). It is pointer-free, so the
-// collector never scans it, and exactly fills an 18 KB size class.
+// collector never scans it, and exactly fills a 14 KB size class.
 type block struct {
 	recs [chunkSize]rec
 	end  [chunkSize]uint32
 }
 
+// highColumn holds bits 32 to 63 of one offset field of every slot of a
+// chunk, for a chunk in which some object's offset does not fit its
+// record: a timestamp 2³² ms or more after slot 0's, or an ID that is not
+// within 2³² above slot 0's. Timestamps and IDs each get their own, so a
+// chunk of arbitrary 64-bit IDs costs 4 bytes per object more, and its
+// records plus the column (28 bytes) stay under a full-width record (32).
+type highColumn [chunkSize]uint32
+
 // chunk is a block and the keyword IDs of its objects, in arrival order
 // and with repeats, so that an object reads back with the keyword list it
-// was inserted with. The ID store grows by append and keeps its capacity
-// when the chunk is recycled.
+// was inserted with. The ID store grows toward the size the chunk's
+// keyword rate projects, and keeps its capacity when the chunk is
+// recycled. Slot 0 sets the bases t0 and id0 its records are offsets
+// from; a chunk whose offsets overflow keeps their high halves in a high
+// column, which it drops when it is recycled.
 type chunk struct {
 	*block
-	kws []uint32
+	tsHigh, idHigh *highColumn // nil while every offset fits its record
+	kws            []uint32
+	t0             int64
+	id0            uint64
 }
 
 // ids returns the keyword IDs of the object in slot i.
@@ -53,6 +69,54 @@ func (c *chunk) ids(i int) []uint32 {
 		start = c.end[i-1]
 	}
 	return c.kws[start:c.end[i]]
+}
+
+// ts returns the timestamp of the object in slot i.
+func (c *chunk) ts(i int) int64 {
+	return c.t0 + int64(widen(c.recs[i].dt, c.tsHigh, i))
+}
+
+// id returns the ID of the object in slot i.
+func (c *chunk) id(i int) uint64 {
+	return c.id0 + widen(c.recs[i].did, c.idHigh, i)
+}
+
+// widen joins the low half of slot i's offset with its high half, which
+// is zero when the chunk has no high column.
+func widen(low uint32, high *highColumn, i int) uint64 {
+	if high == nil {
+		return uint64(low)
+	}
+	return uint64(high[i])<<32 | uint64(low)
+}
+
+// put stores the fixed part of o in slot i, after slots 0 to i-1, and
+// returns how many high columns the chunk had to allocate for it.
+// o.Timestamp is at least slot 0's.
+func (c *chunk) put(i int, o *Object) (added int) {
+	if i == 0 {
+		c.t0, c.id0 = o.Timestamp, o.ID
+	}
+	dt, did := uint64(o.Timestamp)-uint64(c.t0), o.ID-c.id0
+	added += setHigh(&c.tsHigh, i, dt)
+	added += setHigh(&c.idHigh, i, did)
+	c.recs[i] = rec{o.Loc, uint32(dt), uint32(did)}
+	return added
+}
+
+// setHigh stores the high half of slot i's offset in *high, allocating the
+// column if the offset is the chunk's first that does not fit 32 bits (the
+// slots before it read zero, as they should), and returns the number of
+// columns allocated.
+func setHigh(high **highColumn, i int, off uint64) (added int) {
+	if *high == nil {
+		if off < 1<<32 {
+			return 0
+		}
+		*high, added = new(highColumn), 1
+	}
+	(*high)[i] = uint32(off >> 32)
+	return added
 }
 
 // dictWordBytes estimates what the dictionary holds per word beyond the
@@ -97,6 +161,7 @@ type Window struct {
 	// becomes the spare, which the tail takes before allocating.
 	chunks []chunk
 	spare  chunk
+	highs  int // high columns held
 	origin uint64
 	base   uint64 // sequence number of the oldest live object
 	n      int    // live objects
@@ -110,6 +175,11 @@ type Window struct {
 	free     []uint32
 
 	cells []ring
+
+	// evicting is set by the first eviction since the window was built or
+	// restored. Until then every ring doubles when full; from then on
+	// rings are trimmed and grow by an eighth.
+	evicting bool
 
 	slots     int // total buffer capacity of all rings
 	kwSlots   int // total capacity of the chunks' ID stores, the spare's included
@@ -155,15 +225,15 @@ func (w *Window) Inserted() uint64 { return w.inserted }
 func (w *Window) DistinctKeywords() int { return len(w.ids) }
 
 // MemoryBytes returns the window's footprint, which is all its own: arena
-// chunks and their keyword ID stores, ring buffers and headers, and the
-// dictionary with the bytes of its words. O(1).
+// chunks with their high columns and keyword ID stores, ring buffers and
+// headers, and the dictionary with the bytes of its words. O(1).
 func (w *Window) MemoryBytes() int {
 	blocks := len(w.chunks)
 	if w.spare.block != nil {
 		blocks++
 	}
-	return blocks*blockBytes + chunkBytes*cap(w.chunks) + 4*w.kwSlots +
-		ringHeaderBytes*len(w.cells) + 4*w.slots +
+	return blocks*blockBytes + highBytes*w.highs + chunkBytes*cap(w.chunks) +
+		4*w.kwSlots + ringHeaderBytes*len(w.cells) + 4*w.slots +
 		dictWordBytes*cap(w.words) + w.wordBytes + 4*cap(w.free) +
 		4*cap(w.qids) + 8*cap(w.seen)
 }
@@ -201,7 +271,7 @@ func (w *Window) Insert(o Object) {
 		panic(fmt.Sprintf("stream: %d live objects overflow 32-bit sequence refs", w.n))
 	}
 	if w.n > 0 {
-		if last := w.view().rec(uint32(w.NextSeq() - 1)).ts; o.Timestamp < last {
+		if last := w.TimestampAt(w.n - 1); o.Timestamp < last {
 			panic(fmt.Sprintf("stream: out-of-order insert (%d after %d)", o.Timestamp, last))
 		}
 	}
@@ -223,17 +293,30 @@ func (w *Window) append(o *Object) {
 		w.chunks = append(w.chunks, c)
 	}
 	c, slot := &w.chunks[off>>chunkShift], off&chunkMask
-	c.recs[slot] = rec{o.ID, o.Loc, o.Timestamp}
+	w.highs += c.put(slot, o)
 	ref := uint32(w.base) + uint32(w.n)
 	w.n++
 
-	w.cells[w.grid.CellOf(o.Loc)].pushBack(ref, &w.slots)
+	w.cells[w.grid.CellOf(o.Loc)].pushBack(ref, &w.slots, !w.evicting)
 	start, had := len(c.kws), cap(c.kws)
+	if need := start + len(o.Keywords); need > had {
+		// Double, and once an eighth of the chunk is in, grow to where its
+		// keyword rate so far projects the store to end, a sixteenth over.
+		grown := 2 * had
+		if slot >= chunkSize/8 {
+			proj := start * chunkSize / slot
+			grown = proj + proj/16
+		}
+		// Appending to nil rounds the capacity up to the size class the
+		// allocation takes, so kwSlots counts what the heap holds.
+		buf := append([]uint32(nil), make([]uint32, max(need, grown))...)
+		c.kws = buf[:copy(buf, c.kws)]
+	}
 	for _, kw := range o.Keywords {
 		id := w.intern(kw)
 		// A word the object repeats is stored again and posted once.
 		if !containsID(c.kws[start:], id) {
-			w.postings[id].pushBack(ref, &w.slots)
+			w.postings[id].pushBack(ref, &w.slots, !w.evicting)
 		}
 		c.kws = append(c.kws, id)
 	}
@@ -268,13 +351,16 @@ func (w *Window) EvictBefore(cutoff int64) {
 	for w.n > 0 {
 		off := int(w.base - w.origin)
 		c := &w.chunks[0]
-		o := &c.recs[off]
-		if o.ts >= cutoff {
+		if c.ts(off) >= cutoff {
 			return
+		}
+		if !w.evicting {
+			w.evicting = true
+			w.trimRings()
 		}
 		ref := uint32(w.base)
 
-		cq := &w.cells[w.grid.CellOf(o.loc)]
+		cq := &w.cells[w.grid.CellOf(c.recs[off].loc)]
 		if cq.len() == 0 || cq.front() != ref {
 			panic("stream: cell queue invariant violated")
 		}
@@ -304,6 +390,17 @@ func (w *Window) EvictBefore(cutoff int64) {
 	}
 }
 
+// trimRings trims every ring buffer to its length, once, when the window
+// first evicts: a filling window's rings double.
+func (w *Window) trimRings() {
+	for i := range w.cells {
+		w.cells[i].trim(&w.slots)
+	}
+	for id := range w.postings {
+		w.postings[id].trim(&w.slots)
+	}
+}
+
 // release retires the word of id, whose last carrier has been evicted: the
 // dictionary forgets the word and its ring's buffer, and the ID is free.
 func (w *Window) release(id uint32) {
@@ -316,10 +413,17 @@ func (w *Window) release(id uint32) {
 	w.free = append(w.free, id)
 }
 
-// releaseHead retires the fully evicted chunks[0], keeping it, emptied, as
-// the spare if there is none.
+// releaseHead retires the fully evicted chunks[0], keeping it, emptied and
+// without high columns, as the spare if there is none.
 func (w *Window) releaseHead() {
 	head := w.chunks[0]
+	if head.tsHigh != nil {
+		w.highs--
+	}
+	if head.idHigh != nil {
+		w.highs--
+	}
+	head.tsHigh, head.idHigh = nil, nil
 	if w.spare.block == nil {
 		head.kws = head.kws[:0]
 		w.spare = head
@@ -503,8 +607,7 @@ func (w *Window) Each(fn func(o *Object) bool) {
 // unless 0 <= i < Size().
 func (w *Window) At(i int, o *Object) {
 	c, slot := w.slot(i)
-	r := &c.recs[slot]
-	o.ID, o.Loc, o.Timestamp = r.id, r.loc, r.ts
+	o.ID, o.Loc, o.Timestamp = c.id(slot), c.recs[slot].loc, c.ts(slot)
 	o.Keywords = o.Keywords[:0]
 	for _, id := range c.ids(slot) {
 		o.Keywords = append(o.Keywords, w.words[id])
@@ -515,7 +618,7 @@ func (w *Window) At(i int, o *Object) {
 // order, as At would read it, without touching its keywords.
 func (w *Window) TimestampAt(i int) int64 {
 	c, slot := w.slot(i)
-	return c.recs[slot].ts
+	return c.ts(slot)
 }
 
 // slot locates the i-th live object in the arena.

@@ -1,0 +1,274 @@
+package stream_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"github.com/spatiotext/latest/internal/check"
+	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/persist"
+	"github.com/spatiotext/latest/internal/stream"
+)
+
+const day = int64(24 * 60 * 60 * 1000) // in virtual ms
+
+// highCase is a stream whose timestamps or IDs do not fit a chunk's 32-bit
+// offsets somewhere. image is the SHA-256 of the window's SaveState at the
+// end, as written by the arena whose records held the full 64-bit fields:
+// the 24-byte records and their high columns must not move a byte of it.
+type highCase struct {
+	name  string
+	span  int64
+	n     int
+	next  func(rng *rand.Rand, i int) (id uint64, ts int64)
+	highs map[int]int // after insert i, how many high columns the window holds
+	image string
+}
+
+var highCases = []highCase{
+	{
+		// Chunk 0 holds 300 objects and then 212 from 50 days later, chunk 1
+		// the rest of those and then 124 from 120 days in, which evict
+		// everything before them: chunk 0 is recycled without its column.
+		name: "50-day gap",
+		span: 60 * day,
+		n:    2000,
+		next: func(_ *rand.Rand, i int) (uint64, int64) {
+			switch {
+			case i < 300:
+				return uint64(i), int64(i)
+			case i < 900:
+				return uint64(i), 50*day + int64(i)
+			}
+			return uint64(i), 120*day + int64(i)
+		},
+		highs: map[int]int{299: 0, 300: 1, 899: 1, 900: 1, 1023: 1, 1999: 1},
+		image: "00e8381544d02b52f5a5a13f39d263bf64c8bb6b33cbcdd5d26b1a03e4312f19",
+	},
+	{
+		// The same timestamps with 64-bit random IDs: from slot 1 every
+		// chunk has an ID column, and the chunks across a gap a timestamp
+		// column as well.
+		name: "50-day gap, 64-bit random IDs",
+		span: 60 * day,
+		n:    2000,
+		next: func(rng *rand.Rand, i int) (uint64, int64) {
+			switch {
+			case i < 300:
+				return rng.Uint64(), int64(i)
+			case i < 900:
+				return rng.Uint64(), 50*day + int64(i)
+			}
+			return rng.Uint64(), 120*day + int64(i)
+		},
+		highs: map[int]int{0: 0, 1: 1, 299: 1, 300: 2, 512: 2, 513: 3, 900: 2, 1999: 4},
+		image: "e24ddc38f38c401ec139e34b4246fa0d0cc6ab6ee676981d8f27ff0587b301a5",
+	},
+	{
+		name:  "decreasing IDs",
+		span:  500,
+		n:     3000,
+		next:  func(_ *rand.Rand, i int) (uint64, int64) { return 1<<40 - uint64(i), int64(i / 2) },
+		highs: map[int]int{0: 0, 1: 1, 511: 1, 512: 1, 513: 2},
+		image: "01574847e7a6d5135c6277b931e6e2e260500ea2ed7dcccb340a7f66a6be3cfd",
+	},
+	{
+		name:  "64-bit random IDs",
+		span:  500,
+		n:     3000,
+		next:  func(rng *rand.Rand, i int) (uint64, int64) { return rng.Uint64(), int64(i / 2) },
+		image: "535a28d1f7e03cf14ead82354ba6256a5ba2d09e3dc602c4570539e3a0da2ade",
+	},
+	{
+		// Chunk 0 has an ID high column; every chunk after it, the recycled one
+		// included, has none.
+		name: "chunk with a high column recycled",
+		span: 500,
+		n:    3000,
+		next: func(rng *rand.Rand, i int) (uint64, int64) {
+			if i < 512 {
+				return rng.Uint64(), int64(i / 2)
+			}
+			return uint64(i), int64(i / 2)
+		},
+		highs: map[int]int{511: 1, 512: 1, 1510: 1, 1514: 0, 2999: 0},
+		image: "7c0c919272ba3921a18f8bc1e0b58f44d5537ffb3aa7add4a00f8c3e445c55f1",
+	},
+}
+
+// objects returns the case's stream: random locations and up to two of
+// ten keywords, with the case's IDs and timestamps.
+func (tc highCase) objects() []stream.Object {
+	rng := rand.New(rand.NewSource(17))
+	vocab := []string{"aw", "bw", "cw", "dw", "ew", "fw", "gw", "hw", "iw", "jw"}
+	objs := make([]stream.Object, tc.n)
+	for i := range objs {
+		o := &objs[i]
+		o.Loc = geo.Pt(rng.Float64(), rng.Float64())
+		o.Keywords = []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]}[:rng.Intn(3)]
+		o.ID, o.Timestamp = tc.next(rng, i)
+	}
+	return objs
+}
+
+// TestWindowHighColumns runs each high case against the brute-force
+// oracle: every live object reads back with its own ID and timestamp, every
+// count matches, the image is the one the 64-bit arena wrote, and it
+// restores to a window that writes it again.
+func TestWindowHighColumns(t *testing.T) {
+	for _, tc := range highCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(18))
+			w := stream.NewWindow(geo.UnitSquare, tc.span, 64)
+			oracle := check.NewOracle(tc.span)
+			var live []stream.Object
+			for i, o := range tc.objects() {
+				w.Insert(o)
+				oracle.Insert(&o)
+				live = append(live, o)
+				live = live[len(live)-oracle.Size():]
+
+				if want, ok := tc.highs[i]; ok && w.HighColumns() != want {
+					t.Fatalf("after insert %d the window holds %d high columns, want %d", i, w.HighColumns(), want)
+				}
+				if i%97 != 0 && i != tc.n-1 {
+					continue
+				}
+				if got := liveObjects(w); !reflect.DeepEqual(got, live) {
+					t.Fatalf("insert %d: Each yields %d objects that differ from the %d live ones", i, len(got), len(live))
+				}
+				for j := range live {
+					if ts := w.TimestampAt(j); ts != live[j].Timestamp {
+						t.Fatalf("insert %d: TimestampAt(%d) = %d, want %d", i, j, ts, live[j].Timestamp)
+					}
+				}
+				r := geo.CenteredRect(geo.Pt(rng.Float64(), rng.Float64()), 0.1+rng.Float64()*0.5, 0.1+rng.Float64()*0.5)
+				kws := []string{"aw", "dw", "absent"}[rng.Intn(2):]
+				for _, q := range []stream.Query{
+					stream.SpatialQ(r, o.Timestamp),
+					stream.KeywordQ(kws, o.Timestamp),
+					stream.HybridQ(r, kws, o.Timestamp),
+				} {
+					if got, want := w.Count(&q), oracle.CountLive(&q); got != want {
+						t.Fatalf("insert %d, %v: window %d, oracle %d", i, q, got, want)
+					}
+				}
+			}
+
+			var saved persist.Enc
+			w.SaveState(&saved)
+			sum := sha256.Sum256(saved.Data())
+			if got := hex.EncodeToString(sum[:]); got != tc.image {
+				t.Errorf("image SHA-256 %s, want %s", got, tc.image)
+			}
+			back := stream.NewWindow(geo.UnitSquare, tc.span, 64)
+			if err := back.LoadState(persist.NewDec(saved.Data())); err != nil {
+				t.Fatal(err)
+			}
+			var again persist.Enc
+			back.SaveState(&again)
+			if !reflect.DeepEqual(saved.Data(), again.Data()) || !reflect.DeepEqual(liveObjects(back), live) {
+				t.Error("window does not round-trip through SaveState/LoadState")
+			}
+		})
+	}
+}
+
+// FuzzWindowLoadState: LoadState reads bytes it has no reason to trust.
+// Whatever they are, it either restores the window that re-inserting the
+// image's objects after its base builds — same contents, same answers, same
+// image, and the same window after one more insert — or fails with a typed
+// persist error; it does not panic. The seeds are windows of 24 objects
+// from each high case, taken where its IDs or timestamps stop fitting:
+// small, so that the fuzzer minimizes fast.
+func FuzzWindowLoadState(f *testing.F) {
+	for _, tc := range highCases {
+		objs := tc.objects()
+		for _, from := range []int{0, 290, 500, 890} {
+			w := stream.NewWindow(geo.UnitSquare, tc.span, 64)
+			for _, o := range objs[from : from+24] {
+				w.Insert(o)
+			}
+			var e persist.Enc
+			w.SaveState(&e)
+			f.Add(e.Data(), tc.span > 500)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, long bool) {
+		span := int64(500)
+		if long {
+			span = 60 * day
+		}
+		w := stream.NewWindow(geo.UnitSquare, span, 64)
+		if err := w.LoadState(persist.NewDec(data)); err != nil {
+			if persist.CodeOf(err) == 0 {
+				t.Fatalf("LoadState error is not a typed persist error: %v", err)
+			}
+			return
+		}
+		d := persist.NewDec(data)
+		base, inserted, evicted, count := d.U64(), d.U64(), d.U64(), int(d.U32())
+		ref := emptyWindowAt(t, span, base)
+		for i := 0; i < count; i++ {
+			ref.Insert(stream.DecodeObject(d))
+		}
+		same := func(stage string) {
+			t.Helper()
+			var a, b persist.Enc
+			w.SaveState(&a)
+			ref.SaveState(&b)
+			if !bytes.Equal(a.Data()[24:], b.Data()[24:]) || w.NextSeq() != ref.NextSeq() ||
+				w.DistinctKeywords() != ref.DistinctKeywords() || w.MemoryBytes() != ref.MemoryBytes() {
+				t.Fatalf("%s: restored window differs from re-inserting its %d objects", stage, count)
+			}
+			for _, q := range []stream.Query{
+				stream.SpatialQ(geo.Rect{MinX: 0.1, MinY: 0.2, MaxX: 0.7, MaxY: 0.9}, 0),
+				stream.KeywordQ([]string{"aw", "dw", ""}, 0),
+				stream.HybridQ(geo.Rect{MinX: 0.3, MinY: 0, MaxX: 1, MaxY: 0.5}, []string{"bw"}, 0),
+			} {
+				if got, want := w.Count(&q), ref.Count(&q); got != want {
+					t.Fatalf("%s, %v: restored %d, re-inserted %d", stage, q, got, want)
+				}
+			}
+		}
+		same("restored")
+		var img persist.Enc
+		w.SaveState(&img)
+		if got := persist.NewDec(img.Data()); got.U64() != base || got.U64() != inserted || got.U64() != evicted {
+			t.Fatal("restored window does not keep the image's counters")
+		}
+		if count > 0 {
+			o := stream.Object{ID: 7, Loc: geo.Pt(0.5, 0.5), Keywords: []string{"aw"}, Timestamp: w.TimestampAt(w.Size() - 1)}
+			w.Insert(o)
+			ref.Insert(o)
+			same("inserted")
+		}
+	})
+}
+
+// TestWindowLoadStateRefusesEvictedPair: Insert never leaves two objects
+// more than the span apart in a window, so an image that holds them is
+// malformed; at exactly the span apart both stay.
+func TestWindowLoadStateRefusesEvictedPair(t *testing.T) {
+	for _, tc := range []struct {
+		last int64
+		code persist.ErrorCode
+	}{{500, 0}, {501, persist.CodeMalformed}} {
+		var e persist.Enc
+		e.U64(0) // base
+		e.U64(2) // inserted
+		e.U64(0) // evicted
+		e.U32(2) // live objects
+		for _, ts := range []int64{0, tc.last} {
+			stream.EncodeObject(&e, &stream.Object{Loc: geo.Pt(0.5, 0.5), Timestamp: ts})
+		}
+		w := stream.NewWindow(geo.UnitSquare, 500, 64)
+		if err := w.LoadState(persist.NewDec(e.Data())); persist.CodeOf(err) != tc.code {
+			t.Errorf("objects at 0 and %d in a 500 ms window: LoadState = %v, want code %v", tc.last, err, tc.code)
+		}
+	}
+}

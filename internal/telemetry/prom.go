@@ -202,6 +202,14 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 					e.sample(float64(sh.PrefillsReplayed), "shard", shard, "mode", "replay")
 				}
 			}},
+		{"latest_prefill_objects_total", counter, "Window objects read by estimator pre-fills per shard by mode: draw counts the objects samplers drew, replay those replayed into an estimator.",
+			func(s *Snapshot, e *emitter) {
+				for _, sh := range s.Shards {
+					shard := strconv.Itoa(sh.Index)
+					e.sample(float64(sh.PrefillObjectsDrawn), "shard", shard, "mode", "draw")
+					e.sample(float64(sh.PrefillObjectsReplayed), "shard", shard, "mode", "replay")
+				}
+			}},
 		{"latest_switches_total", counter, "Estimator switches per shard.", perShard(func(sh *ShardSample) float64 { return float64(sh.Switches) })},
 		{"latest_prefill_candidates_total", counter, "Switch candidates per shard by outcome: started when a pre-fill began warming one, adopted when a switch took a warmed one.",
 			func(s *Snapshot, e *emitter) {

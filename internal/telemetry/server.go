@@ -27,9 +27,13 @@ type ShardSample struct {
 	Reordered        uint64 `json:"reordered"`
 	PrefillsDrawn    uint64 `json:"prefills_drawn"`
 	PrefillsReplayed uint64 `json:"prefills_replayed"`
-	Occupancy        int    `json:"occupancy"`
-	WindowBytes      int    `json:"window_bytes"`
-	Switches         int    `json:"switches"`
+	// PrefillObjectsDrawn and PrefillObjectsReplayed count the window
+	// objects those pre-fills read.
+	PrefillObjectsDrawn    uint64 `json:"prefill_objects_drawn"`
+	PrefillObjectsReplayed uint64 `json:"prefill_objects_replayed"`
+	Occupancy              int    `json:"occupancy"`
+	WindowBytes            int    `json:"window_bytes"`
+	Switches               int    `json:"switches"`
 	// PrefillsStarted counts switch candidates the shard began warming and
 	// PrefillsAdopted the switches that took one.
 	PrefillsStarted int `json:"prefills_started"`

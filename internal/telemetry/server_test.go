@@ -24,7 +24,7 @@ func testSnapshot() Snapshot {
 				Feed: hs, Batch: hs, Query: hs, Estimate: hs},
 			{Index: 1, Active: "H4096", Phase: "incremental", Feeds: 60,
 				Queries: 30, Occupancy: 40, WindowBytes: 4096, Switches: 1, AccuracyAvg: 0.92,
-				PrefillsDrawn: 2, PrefillsReplayed: 1, PrefillsStarted: 3, PrefillsAdopted: 1, Query: hs},
+				PrefillsDrawn: 2, PrefillsReplayed: 1, PrefillObjectsDrawn: 3000, PrefillObjectsReplayed: 60000, PrefillsStarted: 3, PrefillsAdopted: 1, Query: hs},
 		},
 		Decisions: []Decision{
 			{Shard: 0, From: "RSH", To: "H4096", Reason: "tau-breach",

@@ -227,28 +227,44 @@ var keywordTables = sync.Pool{New: func() any { return new(intern.Table) }}
 // FeedBatch has returned. Equal keywords share one string. A zero-length
 // batch is valid (an empty ingest is acknowledged like any other).
 func DecodeFeedBatch(payload []byte, dst []stream.Object) ([]stream.Object, error) {
+	objs, _, err := DecodeFeedBatchInto(payload, dst, nil)
+	return objs, err
+}
+
+// DecodeFeedBatchInto is DecodeFeedBatch with the keyword array supplied:
+// the objects' keyword slices are carved from kws after its length, and
+// the kws returned extends over them, in a new array when they do not fit
+// its capacity. A reader that decodes batch after batch hands the array
+// back as kws[:0] once no object carved from it is in use — after the
+// FeedBatch it was decoded for has returned, since an engine copies what
+// it keeps — and then allocates none.
+func DecodeFeedBatchInto(payload []byte, dst []stream.Object, kws []string) ([]stream.Object, []string, error) {
 	tab := keywordTables.Get().(*intern.Table)
 	defer keywordTables.Put(tab)
 	c := &cursor{b: payload, intern: tab}
 	n, err := c.u32()
 	if err != nil {
-		return nil, err
+		return nil, kws, err
 	}
 	if int64(n)*objectWireMin > int64(c.remain()) {
-		return nil, errMalformed("batch declares %d objects, only %d bytes remain", n, c.remain())
+		return nil, kws, errMalformed("batch declares %d objects, only %d bytes remain", n, c.remain())
 	}
 	if cap(dst) >= int(n) {
 		dst = dst[:n]
 	} else {
 		dst = make([]stream.Object, n)
 	}
-	c.kws = make([]string, keywordCount(*c, n))
+	need := keywordCount(*c, n)
+	if cap(kws)-len(kws) < need {
+		kws = make([]string, 0, max(need, 2*cap(kws)))
+	}
+	c.kws = kws[len(kws) : len(kws)+need]
 	for i := range dst {
 		if err := decodeObject(c, &dst[i]); err != nil {
-			return nil, err
+			return nil, kws, err
 		}
 	}
-	return dst, c.done()
+	return dst, kws[:len(kws)+need], c.done()
 }
 
 // ---- queries ----

@@ -515,3 +515,40 @@ func TestDecodeFeedBatchSharesKeywords(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeFeedBatchIntoReusesKeywords: a batch's keywords are carved
+// after what the array already holds, so the objects of batches decoded
+// into one array, as a coalesced feed is, never share a slot; an array
+// too small is replaced by a larger one; and an array handed back empty
+// is filled again without allocating it anew.
+func TestDecodeFeedBatchIntoReusesKeywords(t *testing.T) {
+	batch := func(id uint64, kws ...string) ([]stream.Object, []byte) {
+		objs := []stream.Object{{ID: id, Keywords: kws}, {ID: id + 1}, {ID: id + 2, Keywords: kws[:1]}}
+		return objs, AppendFeedBatch(nil, id, objs)[HeaderSize:]
+	}
+	headObjs, head := batch(1, "fire", "smoke")
+	nextObjs, next := batch(4, "flood", "mud", "surge")
+
+	kws := make([]string, 0, 5)
+	got, kws, err := DecodeFeedBatchInto(head, nil, kws)
+	if err != nil || !reflect.DeepEqual(got, headObjs) || len(kws) != 3 || cap(kws) != 5 {
+		t.Fatalf("head: %v, %d of %d keyword slots", err, len(kws), cap(kws))
+	}
+	more, kws, err := DecodeFeedBatchInto(next, nil, kws)
+	if err != nil || !reflect.DeepEqual(more, nextObjs) || !reflect.DeepEqual(got, headObjs) {
+		t.Fatalf("follower: %v, or it overwrote the head's keywords", err)
+	}
+	if len(kws) != 4 || cap(kws) < 4 || &kws[0] != &more[0].Keywords[0] {
+		t.Fatalf("a follower that does not fit takes a new array: %d of %d slots", len(kws), cap(kws))
+	}
+	array := &kws[0]
+	allocs := testing.AllocsPerRun(20, func() {
+		more, kws, err = DecodeFeedBatchInto(next, more[:0], kws[:0])
+	})
+	if err != nil || &kws[0] != array || !reflect.DeepEqual(more, nextObjs) {
+		t.Fatalf("reused array: %v, moved %v", err, &kws[0] != array)
+	}
+	if plain := testing.AllocsPerRun(20, func() { more, _ = DecodeFeedBatch(next, more[:0]) }); allocs >= plain {
+		t.Errorf("decoding into a reused array allocates %v times, DecodeFeedBatch %v", allocs, plain)
+	}
+}

@@ -258,6 +258,10 @@ func TestConcurrentCrossRestore(t *testing.T) {
 			t.Errorf("%s: %d switches (NewConcurrent %d), %d pre-fills, want equal switches and both >= 1",
 				name, sw, conc.Stats().Switches, pf)
 		}
+		if g.PrefillObjectsDrawn < g.PrefillsDrawn || g.PrefillObjectsReplayed < g.PrefillsReplayed {
+			t.Errorf("%s: %d draws read %d objects and %d replays %d, want at least one each",
+				name, g.PrefillsDrawn, g.PrefillObjectsDrawn, g.PrefillsReplayed, g.PrefillObjectsReplayed)
+		}
 	}
 	restoredBehavesIdentically(t, sys, newConc(), ws)
 	restoredBehavesIdentically(t, conc, testSystem(t, latency), wc)

@@ -142,11 +142,12 @@ func newShard(cfg config, log *telemetry.Logger) (*shard, error) {
 // refill seeds a freshly wiped estimator from the window store, under the
 // shard lock the query that asked for it already holds: a sampler draws
 // its sample, anything else has the window replayed into it. A pre-fill is
-// counted by how it ran; the fill that ends warm-up is not a pre-fill.
+// counted, with the objects it read, by how it ran; the fill that ends
+// warm-up is not a pre-fill.
 func (sh *shard) refill(e estimator.Estimator) {
-	drawn := estimator.Fill(e, sh.window)
+	drawn, objects := estimator.Fill(e, sh.window)
 	if sh.module.Phase() != core.PhaseWarmup {
-		sh.gauges.RecordPrefill(drawn)
+		sh.gauges.RecordPrefill(drawn, objects)
 	}
 }
 

@@ -14,30 +14,32 @@ import (
 // a telemetry.ShardSample.
 func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSample {
 	return telemetry.ShardSample{
-		Index:              index,
-		Active:             st.Active,
-		Phase:              st.Phase.String(),
-		Feeds:              g.Feeds,
-		Batches:            g.Batches,
-		Queries:            g.Queries,
-		Reordered:          g.Reordered,
-		PrefillsDrawn:      g.PrefillsDrawn,
-		PrefillsReplayed:   g.PrefillsReplayed,
-		Occupancy:          g.Occupancy,
-		WindowBytes:        g.WindowBytes,
-		Switches:           st.Switches,
-		PrefillsStarted:    st.PrefillsStarted,
-		PrefillsAdopted:    st.PrefillsAdopted,
-		ValidationRejected: g.ValidationRejected,
-		ValidationClamped:  g.ValidationClamped,
-		IngestRatePerSec:   g.IngestRatePerSec,
-		Resilience:         st.Resilience,
-		AccuracyAvg:        st.AccuracyAvg,
-		MemoryBytes:        st.MemoryBytes,
-		Feed:               g.FeedLatency,
-		Batch:              g.BatchLatency,
-		Query:              g.QueryLatency,
-		Estimate:           st.EstimateLatency,
+		Index:                  index,
+		Active:                 st.Active,
+		Phase:                  st.Phase.String(),
+		Feeds:                  g.Feeds,
+		Batches:                g.Batches,
+		Queries:                g.Queries,
+		Reordered:              g.Reordered,
+		PrefillsDrawn:          g.PrefillsDrawn,
+		PrefillsReplayed:       g.PrefillsReplayed,
+		PrefillObjectsDrawn:    g.PrefillObjectsDrawn,
+		PrefillObjectsReplayed: g.PrefillObjectsReplayed,
+		Occupancy:              g.Occupancy,
+		WindowBytes:            g.WindowBytes,
+		Switches:               st.Switches,
+		PrefillsStarted:        st.PrefillsStarted,
+		PrefillsAdopted:        st.PrefillsAdopted,
+		ValidationRejected:     g.ValidationRejected,
+		ValidationClamped:      g.ValidationClamped,
+		IngestRatePerSec:       g.IngestRatePerSec,
+		Resilience:             st.Resilience,
+		AccuracyAvg:            st.AccuracyAvg,
+		MemoryBytes:            st.MemoryBytes,
+		Feed:                   g.FeedLatency,
+		Batch:                  g.BatchLatency,
+		Query:                  g.QueryLatency,
+		Estimate:               st.EstimateLatency,
 	}
 }
 
