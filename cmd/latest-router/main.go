@@ -167,7 +167,7 @@ func writeMap(o routerOptions, stdout io.Writer) error {
 				cells++
 			}
 		}
-		fmt.Fprintf(stdout, "  node %d %s owns %d/%d cells\n", i, addr, cells, len(m.Owners))
+		fmt.Fprintf(stdout, "  node %d %s owns %d/%d cells territory=%v\n", i, addr, cells, len(m.Owners), m.Territory(i))
 	}
 	return nil
 }

@@ -127,7 +127,7 @@ func spreadObjects(n int) []latest.Object {
 }
 
 // TestWriteMapMode: -write-map authors a decodable map and prints the
-// stripe assignment.
+// stripe assignment with each node's territory.
 func TestWriteMapMode(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "authored.map")
 	var stdout, stderr bytes.Buffer
@@ -149,7 +149,7 @@ func TestWriteMapMode(t *testing.T) {
 	if m.Epoch != 5 || m.Cols != 6 || m.Rows != 2 || len(m.Nodes) != 3 {
 		t.Fatalf("authored map %+v", m)
 	}
-	if !strings.Contains(stdout.String(), "node 1 b:2 owns") {
+	if !strings.Contains(stdout.String(), "node 1 b:2 owns 4/12 cells territory="+m.Territory(1).String()) {
 		t.Fatalf("stdout missing assignment:\n%s", stdout.String())
 	}
 }

@@ -11,9 +11,10 @@
 //	latestd -cluster-map /etc/latest/cluster.map -node-id 0
 //
 // With -cluster-map the daemon serves one partition of a multi-node
-// cluster: it refuses feeds and spatial queries outside its territory
-// with a typed not-owner frame carrying the map epoch, answers TMapFetch
-// with the map so routers can bootstrap, and stamps the epoch into pongs.
+// cluster over its territory, the cells the map gives it (-world is
+// refused): it refuses feeds and spatial queries outside its cells with a
+// typed not-owner frame carrying the map epoch, answers TMapFetch with the
+// map so routers can bootstrap, and stamps the epoch into pongs.
 //
 // With -data-dir the engine is wrapped in a latest.DurableEngine: every
 // feed is write-ahead logged, snapshots are taken periodically and on
@@ -86,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound addresses here (line 1 wire, line 2 admin) once listening")
 	fs.IntVar(&o.shards, "shards", 0, "spatial shard count (0 = one per CPU core)")
 	fs.DurationVar(&o.window, "window", time.Minute, "sliding-window span")
-	fs.StringVar(&o.worldStr, "world", "-125,24,-66,50", "world rect: minx,miny,maxx,maxy")
+	fs.StringVar(&o.worldStr, "world", "-125,24,-66,50", "world rect: minx,miny,maxx,maxy (standalone only; a cluster node covers its territory in the map)")
 	fs.IntVar(&o.maxConns, "max-conns", 256, "maximum concurrent wire connections")
 	fs.IntVar(&o.maxInFlight, "max-inflight", 64, "per-connection in-flight request window")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "bound on graceful drain before force-closing connections")
@@ -103,6 +104,12 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	worldSet := false
+	fs.Visit(func(f *flag.Flag) { worldSet = worldSet || f.Name == "world" })
+	if worldSet && o.clusterMap != "" {
+		fmt.Fprintln(stderr, "latestd: -world cannot be combined with -cluster-map: the map carries the world")
+		return 2
+	}
 	if o.shards == 0 {
 		o.shards = runtime.GOMAXPROCS(0)
 	}
@@ -115,8 +122,9 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 }
 
 // loadClusterMap reads and validates the -cluster-map file. The daemon
-// refuses to start as a node the map does not know: serving with a wrong
-// -node-id would silently accept objects another node owns.
+// refuses to start as a node the map does not know, or one it gives no
+// cell: serving with a wrong -node-id would silently accept objects
+// another node owns.
 func loadClusterMap(o daemonOptions) (*cluster.Map, error) {
 	if o.clusterMap == "" {
 		return nil, nil
@@ -131,6 +139,9 @@ func loadClusterMap(o daemonOptions) (*cluster.Map, error) {
 	}
 	if o.nodeID < 0 || o.nodeID >= len(m.Nodes) {
 		return nil, fmt.Errorf("-node-id %d out of range: map %s names %d nodes", o.nodeID, o.clusterMap, len(m.Nodes))
+	}
+	if m.Territory(o.nodeID).Empty() {
+		return nil, fmt.Errorf("-node-id %d owns no cell of map %s", o.nodeID, o.clusterMap)
 	}
 	return m, nil
 }
@@ -192,13 +203,15 @@ func serve(o daemonOptions, stdout, stderr io.Writer, shutdown <-chan os.Signal)
 	if err != nil {
 		return err
 	}
-	world, err := geo.ParseRect(o.worldStr)
-	if err != nil {
-		return fmt.Errorf("-world: %w", err)
-	}
 	cm, err := loadClusterMap(o)
 	if err != nil {
 		return err
+	}
+	var world geo.Rect
+	if cm != nil {
+		world = cm.Territory(o.nodeID)
+	} else if world, err = geo.ParseRect(o.worldStr); err != nil {
+		return fmt.Errorf("-world: %w", err)
 	}
 	log := telemetry.NewLogger(stderr, level)
 	eng, err := buildEngine(o, world, stderr, level, log)
@@ -237,7 +250,7 @@ func serve(o daemonOptions, stdout, stderr io.Writer, shutdown <-chan os.Signal)
 	}
 	clusterInfo := "standalone"
 	if cm != nil {
-		clusterInfo = fmt.Sprintf("node=%d/%d epoch=%d", o.nodeID, len(cm.Nodes), cm.Epoch)
+		clusterInfo = fmt.Sprintf("node=%d/%d epoch=%d territory=%v", o.nodeID, len(cm.Nodes), cm.Epoch, world)
 	}
 	fmt.Fprintf(stdout, "latestd listening addr=%s admin=%s shards=%d window=%s durability=%s cluster=%s\n",
 		srv.Addr(), srv.AdminAddr(), o.shards, o.window, durability, clusterInfo)

@@ -156,8 +156,9 @@ func TestShardedEngineOption(t *testing.T) {
 }
 
 // TestClusteredDaemon: with -cluster-map the daemon serves one partition —
-// pongs carry the map epoch, TMapFetch serves the map, and objects outside
-// the node's territory are refused with a typed not-owner error.
+// pongs carry the map epoch, TMapFetch serves the map, objects outside
+// the node's territory are refused with a typed not-owner error, and the
+// startup line names the territory its engine covers.
 func TestClusteredDaemon(t *testing.T) {
 	world := geo.Rect{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}
 	m, err := cluster.Uniform(world, 4, 1, []string{"127.0.0.1:1", "127.0.0.1:2"}, 9)
@@ -169,8 +170,7 @@ func TestClusteredDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr, _, shutdown, wait := startDaemon(t,
-		"-world", "-180,-90,180,90", "-cluster-map", mapFile, "-node-id", "0")
+	addr, _, shutdown, wait := startDaemon(t, "-cluster-map", mapFile, "-node-id", "0")
 	c := client.Dial(addr, client.Options{})
 	defer c.Close()
 	ctx := context.Background()
@@ -208,7 +208,7 @@ func TestClusteredDaemon(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	if !strings.Contains(out, "cluster=node=0/2 epoch=9") {
+	if !strings.Contains(out, "cluster=node=0/2 epoch=9 territory="+m.Territory(0).String()) {
 		t.Fatalf("stdout missing cluster info:\n%s", out)
 	}
 }
@@ -231,12 +231,23 @@ func TestClusterFlagValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Three nodes over two columns: node 2 owns no cell.
+	spare, err := cluster.Uniform(world, 2, 1, []string{"a:1", "b:2", "c:3"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spareFile := filepath.Join(dir, "spare.map")
+	if err := os.WriteFile(spareFile, spare.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	var out, errOut bytes.Buffer
 	cases := [][]string{
 		{"-cluster-map", filepath.Join(dir, "missing.map")},
 		{"-cluster-map", corrupt},
 		{"-cluster-map", mapFile, "-node-id", "2"},
 		{"-cluster-map", mapFile, "-node-id", "-1"},
+		{"-cluster-map", spareFile, "-node-id", "2"},
 	}
 	for _, args := range cases {
 		ch := make(chan os.Signal)
@@ -260,4 +271,59 @@ func TestBadFlags(t *testing.T) {
 			t.Fatalf("args %v accepted", args)
 		}
 	}
+}
+
+// TestClusterMapCarriesTheWorld: -world beside -cluster-map is refused as a
+// usage error naming the flag, since the map's territory sets the world.
+func TestClusterMapCarriesTheWorld(t *testing.T) {
+	m, err := cluster.Uniform(geo.UnitSquare, 2, 1, []string{"a:1", "b:2"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapFile := filepath.Join(t.TempDir(), "ok.map")
+	if err := os.WriteFile(mapFile, m.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	code := run([]string{"-cluster-map", mapFile, "-world", "0,0,1,1"}, &out, &errOut, stopAtOnce())
+	if code != 2 || !strings.Contains(errOut.String(), "-world") {
+		t.Fatalf("exit %d, stderr %q; want 2 naming -world", code, errOut.String())
+	}
+}
+
+// TestClusterNodeRefusesWholeWorldDataDir: a data directory written by a
+// standalone daemon holds a whole-world engine; the engine fingerprint
+// holds the world, so a clustered daemon, whose engine covers only its
+// territory, refuses it with CodeMismatch instead of serving from it.
+func TestClusterNodeRefusesWholeWorldDataDir(t *testing.T) {
+	dataDir := t.TempDir()
+	_, _, shutdown, wait := startDaemon(t, "-world", "0,0,1,1", "-data-dir", dataDir)
+	shutdown <- syscall.SIGTERM
+	if code, out := wait(); code != 0 {
+		t.Fatalf("standalone run exit %d:\n%s", code, out)
+	}
+
+	m, err := cluster.Uniform(geo.UnitSquare, 2, 1, []string{"a:1", "b:2"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapFile := filepath.Join(t.TempDir(), "cluster.map")
+	if err := os.WriteFile(mapFile, m.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	code := run([]string{"-addr", "127.0.0.1:0", "-admin", "", "-shards", "1", "-window", "30s",
+		"-cluster-map", mapFile, "-node-id", "0", "-data-dir", dataDir}, &out, &errOut, stopAtOnce())
+	if code == 0 || !strings.Contains(errOut.String(), "code "+latest.CodeMismatch.String()) {
+		t.Fatalf("exit %d, stderr %q; want a refusal with code %v", code, errOut.String(), latest.CodeMismatch)
+	}
+}
+
+// stopAtOnce returns a shutdown channel already holding SIGTERM, so a
+// daemon that wrongly starts serving drains and exits instead of hanging
+// the test.
+func stopAtOnce() chan os.Signal {
+	ch := make(chan os.Signal, 1)
+	ch <- syscall.SIGTERM
+	return ch
 }

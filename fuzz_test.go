@@ -19,7 +19,7 @@ type fuzzEngine struct {
 
 // fuzzWorlds builds a small System, a NewConcurrent engine and a 4-shard
 // NewSharded engine — the last two share the shard code, so hostile floats
-// reach shardOf, edgeIndex and targets as well as the module. Engines are
+// reach shardOf and targets as well as the module. Engines are
 // deliberately shared across iterations of a fuzz target: accumulated state
 // (clamped clocks, evicted windows, phase transitions) is part of the
 // surface being fuzzed.

@@ -89,7 +89,9 @@ func RunClusterReplay(r io.Reader, cfg ClusterConfig) (string, telemetry.Cluster
 		return "", sample, err
 	}
 	for i, ln := range lns {
-		eng, err := latest.NewSharded(world, cfg.Window, latest.WithShards(1))
+		// Each node's engine covers its territory, as latestd builds it;
+		// the 1-node control's territory is the world.
+		eng, err := latest.NewSharded(m.Territory(i), cfg.Window, latest.WithShards(1))
 		if err != nil {
 			return "", sample, err
 		}

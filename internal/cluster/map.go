@@ -6,23 +6,22 @@
 // they talk to one latestd.
 //
 // Exactness rests on two invariants. First, every object lives on exactly
-// one node: the map routes a point by locating it against the precomputed
-// cell boundary arrays, clamping out-of-world points onto the boundary
-// cells. Second, a multi-owner query is clipped at interior partition
-// boundaries only — the clip rectangles use the same boundary values, with
-// the same half-open comparisons, as point routing, and extend to the
-// query's own edges at the world border — so the per-node sub-rectangles
-// are disjoint, cover the query exactly, and agree bit-for-bit with object
-// placement. Window counts depend only on the query timestamp (execution
-// evicts to q.Timestamp - span before counting), so summing per-node
-// counts over disjoint object sets equals the single-node answer exactly.
+// one node: the map routes a point to the geo.Grid cell it locates in,
+// clamping out-of-world points onto the boundary cells. Second, a
+// multi-owner query is clipped at interior partition boundaries only — the
+// clip rectangles use the grid's cell edges, which are derived from that
+// locate, and extend to the query's own edges at the world border — so the
+// per-node sub-rectangles are disjoint, cover the query exactly, and agree
+// bit-for-bit with object placement. Window counts depend only on the
+// query timestamp (execution evicts to q.Timestamp - span before
+// counting), so summing per-node counts over disjoint object sets equals
+// the single-node answer exactly.
 package cluster
 
 import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/persist"
@@ -57,9 +56,8 @@ type Map struct {
 	// Nodes holds the wire-protocol addresses, indexed by owner.
 	Nodes []string
 
-	// xs and ys are the cell boundary coordinates (len Cols+1 / Rows+1),
-	// precomputed once so routing and clipping share identical values.
-	xs, ys []float64
+	// grid locates points and plans ranges over the Cols×Rows cells.
+	grid *geo.Grid
 }
 
 // Uniform builds a map assigning contiguous column stripes to nodes:
@@ -82,7 +80,7 @@ func Uniform(world geo.Rect, cols, rows int, nodes []string, epoch uint64) (*Map
 	return m, nil
 }
 
-// Validate checks structural invariants and builds the boundary arrays.
+// Validate checks structural invariants and builds the cell grid.
 // Constructors call it; hand-assembled maps (tests) must call it before
 // use.
 func (m *Map) Validate() error {
@@ -106,46 +104,30 @@ func (m *Map) Validate() error {
 			return fmt.Errorf("cluster: cell %d owned by node %d, have %d nodes", i, o, len(m.Nodes))
 		}
 	}
-	m.xs = boundaries(m.World.MinX, m.World.Width(), m.Cols)
-	m.ys = boundaries(m.World.MinY, m.World.Height(), m.Rows)
+	m.grid = geo.NewGrid(m.World, m.Cols, m.Rows)
 	return nil
-}
-
-// boundaries returns the n+1 cell edge coordinates of one axis. Index i is
-// min + i*step — the exact expression both routing and clipping evaluate,
-// computed once so they cannot disagree.
-func boundaries(min, span float64, n int) []float64 {
-	step := span / float64(n)
-	bs := make([]float64, n+1)
-	for i := range bs {
-		bs[i] = min + float64(i)*step
-	}
-	return bs
-}
-
-// locate returns the index of the half-open interval [bs[i], bs[i+1])
-// containing v, clamped onto [0, len(bs)-2] for out-of-range values.
-func locate(bs []float64, v float64) int {
-	// Smallest i with bs[i] > v; the containing interval starts one left.
-	i := sort.Search(len(bs), func(i int) bool { return bs[i] > v }) - 1
-	if i < 0 {
-		return 0
-	}
-	if i > len(bs)-2 {
-		return len(bs) - 2
-	}
-	return i
 }
 
 // OwnerOf returns the node index owning point p, clamping out-of-world
 // points onto the boundary cells.
-func (m *Map) OwnerOf(p geo.Point) int {
-	col, row := locate(m.xs, p.X), locate(m.ys, p.Y)
-	return int(m.Owners[row*m.Cols+col])
-}
+func (m *Map) OwnerOf(p geo.Point) int { return int(m.Owners[m.grid.CellOf(p)]) }
 
 // OwnsPoint reports whether node owns point p.
 func (m *Map) OwnsPoint(node int, p geo.Point) bool { return m.OwnerOf(p) == node }
+
+// Territory returns the bounding rectangle of the cells node owns — one
+// stripe for a Uniform map — or an empty Rect when it owns none. A node's
+// engine covers it, so the node's summaries spend nothing on space the
+// node never stores.
+func (m *Map) Territory(node int) geo.Rect {
+	var t geo.Rect
+	for i, o := range m.Owners {
+		if int(o) == node {
+			t = t.Union(m.grid.CellRect(i))
+		}
+	}
+	return t
+}
 
 // NodeClips is one node's share of a scattered query: disjoint clip
 // rectangles covering the cells the node owns within the query rect.
@@ -165,8 +147,8 @@ type NodeClips struct {
 // points — clamped onto boundary cells for placement — stay in the clip of
 // the node that stores them.
 func (m *Map) PlanQuery(r geo.Rect) (owner int, parts []NodeClips) {
-	colMin, colMax := spanOf(m.xs, r.MinX, r.MaxX)
-	rowMin, rowMax := spanOf(m.ys, r.MinY, r.MaxY)
+	cr := m.grid.Span(r)
+	colMin, colMax, rowMin, rowMax := cr.ColMin, cr.ColMax, cr.RowMin, cr.RowMax
 
 	first := m.Owners[rowMin*m.Cols+colMin]
 	single := true
@@ -220,17 +202,17 @@ func (m *Map) PlanQuery(r geo.Rect) (owner int, parts []NodeClips) {
 	for _, s := range strips {
 		xlo, xhi := math.Inf(-1), math.Inf(1)
 		if s.c0 > 0 {
-			xlo = m.xs[s.c0]
+			xlo = m.grid.ColEdge(s.c0)
 		}
 		if s.c1 < m.Cols-1 {
-			xhi = m.xs[s.c1+1]
+			xhi = m.grid.ColEdge(s.c1 + 1)
 		}
 		ylo, yhi := math.Inf(-1), math.Inf(1)
 		if s.row0 > 0 {
-			ylo = m.ys[s.row0]
+			ylo = m.grid.RowEdge(s.row0)
 		}
 		if s.row1 < m.Rows-1 {
-			yhi = m.ys[s.row1+1]
+			yhi = m.grid.RowEdge(s.row1 + 1)
 		}
 		clip := r.Intersect(geo.Rect{MinX: xlo, MinY: ylo, MaxX: xhi, MaxY: yhi})
 		if clip.Empty() {
@@ -253,24 +235,6 @@ func (m *Map) PlanQuery(r geo.Rect) (owner int, parts []NodeClips) {
 		return parts[0].Node, nil
 	}
 	return -1, parts
-}
-
-// spanOf returns the inclusive range of cell indices a half-open interval
-// [lo, hi) overlaps, clamped onto the boundary cells exactly as locate
-// clamps points: an interval entirely outside the world overlaps the cell
-// its points clamp into. For any v in [lo, hi), locate(bs, v) falls inside
-// the returned range — the property query planning rests on.
-func spanOf(bs []float64, lo, hi float64) (int, int) {
-	first := locate(bs, lo)
-	// Last overlapped cell: the one whose start is strictly below hi.
-	last := sort.Search(len(bs), func(i int) bool { return bs[i] >= hi }) - 1
-	if last < first {
-		last = first
-	}
-	if last > len(bs)-2 {
-		last = len(bs) - 2
-	}
-	return first, last
 }
 
 // OwnsQuery reports whether node may answer query footprint r under this

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -65,8 +68,31 @@ func TestMapEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Owners, m.Owners) || !reflect.DeepEqual(got.Nodes, m.Nodes) {
 		t.Fatalf("decoded body mismatch")
 	}
-	if !reflect.DeepEqual(got.xs, m.xs) || !reflect.DeepEqual(got.ys, m.ys) {
-		t.Fatalf("decoded map boundaries differ from original: routing would diverge")
+	if !reflect.DeepEqual(got.grid, m.grid) {
+		t.Fatalf("decoded map grid differs from original: routing would diverge")
+	}
+}
+
+// TestMapDecodesEarlierBytes: testdata/conus_9x3.lmap is a 9×3 stripe map
+// over the dataset world (the shape the cluster oracle and smoke use), as
+// an earlier build encoded it. Deployed map files must keep decoding and
+// re-encode to the same bytes.
+func TestMapDecodesEarlierBytes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "conus_9x3.lmap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DecodeMap(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.Encode(), raw) {
+		t.Fatal("re-encoded map differs from the stored bytes")
+	}
+	want := mustUniform(t, geo.Rect{MinX: -125, MinY: 24, MaxX: -66, MaxY: 50}, 9, 3,
+		[]string{"127.0.0.1:17707", "127.0.0.1:17717", "127.0.0.1:17727"}, 1)
+	if !bytes.Equal(want.Encode(), raw) {
+		t.Fatal("Uniform no longer encodes the stored bytes")
 	}
 }
 
@@ -89,23 +115,25 @@ func TestMapDecodeRejectsCorruption(t *testing.T) {
 
 func TestLocateHalfOpenBoundaries(t *testing.T) {
 	m := mustUniform(t, geo.UnitSquare, 4, 4, testNodes, 1)
+	col := func(x float64) int { return m.grid.CellOf(geo.Pt(x, 0.5)) % m.Cols }
 	// A point exactly on an interior boundary belongs to the cell on its
 	// right (min-closed), matching geo.Rect semantics.
-	if got := locate(m.xs, m.xs[2]); got != 2 {
+	x2 := m.grid.ColEdge(2)
+	if got := col(x2); got != 2 {
 		t.Errorf("locate(boundary x2) = %d, want 2", got)
 	}
-	if got := locate(m.xs, math.Nextafter(m.xs[2], 0)); got != 1 {
+	if got := col(math.Nextafter(x2, 0)); got != 1 {
 		t.Errorf("locate(just below x2) = %d, want 1", got)
 	}
 	// Out-of-range values clamp onto the boundary cells.
-	if got := locate(m.xs, -5); got != 0 {
+	if got := col(-5); got != 0 {
 		t.Errorf("locate(-5) = %d, want 0", got)
 	}
-	if got := locate(m.xs, 5); got != 3 {
+	if got := col(5); got != 3 {
 		t.Errorf("locate(5) = %d, want 3", got)
 	}
 	// The world max edge itself clamps into the last cell.
-	if got := locate(m.xs, 1); got != 3 {
+	if got := col(1); got != 3 {
 		t.Errorf("locate(max edge) = %d, want 3", got)
 	}
 }
@@ -160,7 +188,7 @@ func TestPlanQuerySliverOnBoundary(t *testing.T) {
 	m := mustUniform(t, geo.UnitSquare, 3, 1, testNodes, 1)
 	// MaxX exactly on the node-0/node-1 boundary: the node-1 share is a
 	// zero-area sliver, so the whole rect forwards to node 0.
-	r := geo.Rect{MinX: 0.1, MinY: 0.2, MaxX: m.xs[1], MaxY: 0.8}
+	r := geo.Rect{MinX: 0.1, MinY: 0.2, MaxX: m.grid.ColEdge(1), MaxY: 0.8}
 	owner, parts := m.PlanQuery(r)
 	if parts != nil || owner != 0 {
 		t.Fatalf("PlanQuery = (%d, %v), want forward to 0", owner, parts)
@@ -234,9 +262,21 @@ func checkDisjointExact(t *testing.T, m *Map, r geo.Rect, parts []NodeClips) {
 	}
 }
 
+// gridEdges returns a map's column and row edges.
+func gridEdges(m *Map) (xs, ys []float64) {
+	for i := 0; i <= m.Cols; i++ {
+		xs = append(xs, m.grid.ColEdge(i))
+	}
+	for i := 0; i <= m.Rows; i++ {
+		ys = append(ys, m.grid.RowEdge(i))
+	}
+	return xs, ys
+}
+
 // boundaryBiasedPoints samples points around r, snapping coordinates onto
 // partition boundaries often — the 1-ulp disagreements live there.
 func boundaryBiasedPoints(rng *rand.Rand, m *Map, r geo.Rect, n int) []geo.Point {
+	xs, ys := gridEdges(m)
 	coord := func(bs []float64, lo, hi float64) float64 {
 		switch rng.Intn(4) {
 		case 0:
@@ -252,8 +292,8 @@ func boundaryBiasedPoints(rng *rand.Rand, m *Map, r geo.Rect, n int) []geo.Point
 	pad := 0.1 * (r.MaxX - r.MinX)
 	for i := 0; i < n; i++ {
 		pts = append(pts, geo.Pt(
-			coord(m.xs, r.MinX-pad, r.MaxX+pad),
-			coord(m.ys, r.MinY-pad, r.MaxY+pad),
+			coord(xs, r.MinX-pad, r.MaxX+pad),
+			coord(ys, r.MinY-pad, r.MaxY+pad),
 		))
 	}
 	return pts
@@ -263,6 +303,7 @@ func TestPlanQueryPropertyRandom(t *testing.T) {
 	world := geo.Rect{MinX: -10, MinY: -5, MaxX: 10, MaxY: 5}
 	m := mustUniform(t, world, 9, 3, testNodes, 1)
 	rng := rand.New(rand.NewSource(7))
+	xs, ys := gridEdges(m)
 	for trial := 0; trial < 300; trial++ {
 		// Random rect, sometimes snapped to boundaries, sometimes poking
 		// past the world edges.
@@ -272,8 +313,8 @@ func TestPlanQueryPropertyRandom(t *testing.T) {
 			}
 			return lo + rng.Float64()*(hi-lo)
 		}
-		x1, x2 := rc(m.xs, -14, 14), rc(m.xs, -14, 14)
-		y1, y2 := rc(m.ys, -8, 8), rc(m.ys, -8, 8)
+		x1, x2 := rc(xs, -14, 14), rc(xs, -14, 14)
+		y1, y2 := rc(ys, -8, 8), rc(ys, -8, 8)
 		r := geo.NewRect(geo.Pt(x1, y1), geo.Pt(x2, y2))
 		if r.Empty() {
 			continue
@@ -290,5 +331,33 @@ func TestPlanQueryPropertyRandom(t *testing.T) {
 			continue
 		}
 		checkDisjointExact(t, m, r, parts)
+	}
+}
+
+// TestTerritory: a node's territory is the bounding rectangle of its cells
+// — its stripe on a Uniform map, whose interior edges are the grid's — and
+// empty for a node without cells.
+func TestTerritory(t *testing.T) {
+	world := geo.Rect{MinX: -125, MinY: 24, MaxX: -66, MaxY: 50}
+	m := mustUniform(t, world, 9, 3, testNodes, 1)
+	for node := range testNodes {
+		want := geo.Rect{MinX: m.grid.ColEdge(3 * node), MinY: world.MinY, MaxX: m.grid.ColEdge(3*node + 3), MaxY: world.MaxY}
+		if got := m.Territory(node); got != want {
+			t.Errorf("Territory(%d) = %v, want %v", node, got, want)
+		}
+	}
+	if got := m.Territory(0).MinX; got != world.MinX {
+		t.Errorf("first stripe starts at %v, want the world's %v", got, world.MinX)
+	}
+	// Every point a node owns lies in its territory.
+	rng := rand.New(rand.NewSource(3))
+	for _, p := range boundaryBiasedPoints(rng, m, world, 2000) {
+		if world.Contains(p) && !m.Territory(m.OwnerOf(p)).Contains(p) {
+			t.Fatalf("%v owned by node %d lies outside its territory %v", p, m.OwnerOf(p), m.Territory(m.OwnerOf(p)))
+		}
+	}
+	four := mustUniform(t, world, 2, 1, []string{"a", "b", "c", "d"}, 1)
+	if got := four.Territory(1); !got.Empty() {
+		t.Errorf("a node without cells has territory %v, want empty", got)
 	}
 }

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,9 +36,8 @@ func TestSquareGrid4096(t *testing.T) {
 	if g.NumCells() != 4096 {
 		t.Fatalf("NumCells = %d", g.NumCells())
 	}
-	w, h := g.CellSize()
-	if w != 1.0/64 || h != 1.0/64 {
-		t.Fatalf("CellSize = %v,%v", w, h)
+	if c := g.CellRect(0); c.Width() != 1.0/64 || c.Height() != 1.0/64 {
+		t.Fatalf("cell 0 is %v", c)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestGridPointCellConsistency(t *testing.T) {
 		qw := rng.Float64()*20 + 1e-6
 		qh := rng.Float64()*20 + 1e-6
 		cr := g.CellsOverlapping(CenteredRect(p, qw, qh))
-		col, row := g.ColRowOf(p)
+		col, row := colRow(g, p)
 		return col >= cr.ColMin && col <= cr.ColMax && row >= cr.RowMin && row <= cr.RowMax
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
@@ -199,12 +199,217 @@ func TestCellsOverlappingCoversQuery(t *testing.T) {
 			cover = cover.Union(cell)
 			return true
 		})
-		// Cell rects are derived via MinX+col*cellW, so their union may be a
-		// few ulps narrower than the clipped query; grow by an epsilon.
-		return cover.Expand(1e-9).ContainsRect(clipped)
+		// Cell edges are derived from the locate, so the union covers the
+		// clipped query exactly, with no epsilon.
+		return cover.ContainsRect(clipped)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// exactnessWorlds are the worlds the exactness property runs over: the
+// dataset worlds and a few whose edges are not dyadic.
+var exactnessWorlds = []Rect{
+	{MinX: -125, MinY: 24, MaxX: -66, MaxY: 50},
+	UnitSquare,
+	{MinX: -10, MinY: -5, MaxX: 10, MaxY: 5},
+	{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90},
+	{MinX: -74.3, MinY: 40.4, MaxX: -73.7, MaxY: 41.0},
+}
+
+// colRow returns the column and row of the cell p locates in.
+func colRow(g *Grid, p Point) (col, row int) {
+	idx := g.CellOf(p)
+	return idx % g.Cols, idx / g.Cols
+}
+
+// refIndex is the locate written as a plain truncated division, clamped;
+// CellOf must agree with it.
+func refIndex(v, min, step float64, n int) int {
+	q := (v - min) / step
+	switch {
+	case q < 0:
+		return 0
+	case q >= float64(n):
+		return n - 1
+	}
+	return int(q)
+}
+
+// ulps moves v by k ulps (k < 0 moves down).
+func ulps(v float64, k int) float64 {
+	for ; k > 0; k-- {
+		v = math.Nextafter(v, math.Inf(1))
+	}
+	for ; k < 0; k++ {
+		v = math.Nextafter(v, math.Inf(-1))
+	}
+	return v
+}
+
+// nearEdges returns the coordinates within ±3 ulps of every cell edge of
+// one axis: the grid's own edges and the arithmetic edges min + i·step.
+func nearEdges(edge func(int) float64, min, step float64, n int) []float64 {
+	var vs []float64
+	for i := 0; i <= n; i++ {
+		for _, e := range []float64{edge(i), min + float64(i)*step} {
+			for k := -3; k <= 3; k++ {
+				vs = append(vs, ulps(e, k))
+			}
+		}
+	}
+	return vs
+}
+
+// TestGridLocateIsExact: points within a few ulps of every cell edge
+// locate as the plain division does, land inside their own cell's
+// rectangle, and fall in the cell span of every range containing them.
+// Arithmetic edges min + i·step can sit an ulp off what the division
+// locates (64×64 on [-180,180]×[-90,90] and on [-10,10]×[-5,5], among
+// others); the derived edges cannot.
+func TestGridLocateIsExact(t *testing.T) {
+	type dims struct{ cols, rows int }
+	var grids []dims
+	for n := 1; n <= 16; n++ {
+		grids = append(grids, dims{n, n}, dims{n, 17 - n})
+	}
+	grids = append(grids, dims{64, 64})
+	for _, w := range exactnessWorlds {
+		for _, d := range grids {
+			g := NewGrid(w, d.cols, d.rows)
+			cw, ch := w.Width()/float64(d.cols), w.Height()/float64(d.rows)
+			xs := nearEdges(g.ColEdge, w.MinX, cw, d.cols)
+			ys := nearEdges(g.RowEdge, w.MinY, ch, d.rows)
+			// Every near-edge x meets some near-edge y and vice versa.
+			pts := make([]Point, 0, len(xs)+len(ys))
+			for i, x := range xs {
+				pts = append(pts, Pt(x, ys[i%len(ys)]))
+			}
+			for i, y := range ys {
+				pts = append(pts, Pt(xs[(7*i+3)%len(xs)], y))
+			}
+			for _, p := range pts {
+				x, y := p.X, p.Y
+				col, row := colRow(g, p)
+				if col != refIndex(x, w.MinX, cw, d.cols) || row != refIndex(y, w.MinY, ch, d.rows) {
+					t.Fatalf("%v %dx%d: %v at (%d,%d), division says (%d,%d)", w, d.cols, d.rows, p,
+						col, row, refIndex(x, w.MinX, cw, d.cols), refIndex(y, w.MinY, ch, d.rows))
+				}
+				if !w.Contains(p) {
+					continue
+				}
+				idx := g.CellOf(p)
+				if cell := g.CellRect(idx); !cell.Contains(p) {
+					t.Fatalf("%v %dx%d: %v outside its cell %d %v", w, d.cols, d.rows, p, idx, cell)
+				}
+				// The tightest range holding p, and ranges reaching
+				// from p to each world corner.
+				for _, r := range []Rect{
+					{MinX: x, MinY: y, MaxX: ulps(x, 1), MaxY: ulps(y, 1)},
+					{MinX: w.MinX, MinY: w.MinY, MaxX: ulps(x, 1), MaxY: ulps(y, 1)},
+					{MinX: x, MinY: y, MaxX: w.MaxX, MaxY: w.MaxY},
+				} {
+					for _, cr := range []CellRange{g.Span(r), g.CellsOverlapping(r)} {
+						if col < cr.ColMin || col > cr.ColMax || row < cr.RowMin || row > cr.RowMax {
+							t.Fatalf("%v %dx%d: %v in cell (%d,%d) outside the span %+v of %v",
+								w, d.cols, d.rows, p, col, row, cr, r)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGridLocateNonFinite: NaN, infinities and far-away coordinates clamp
+// onto the boundary cells, NaN onto cell 0 by an explicit test rather than
+// by the platform's float-to-int conversion.
+func TestGridLocateNonFinite(t *testing.T) {
+	for _, w := range exactnessWorlds {
+		g := NewGrid(w, 7, 5)
+		for _, tc := range []struct {
+			v        float64
+			col, row int
+		}{
+			{math.NaN(), 0, 0},
+			{math.Inf(-1), 0, 0},
+			{math.Inf(1), 6, 4},
+			{-1e300, 0, 0},
+			{1e300, 6, 4},
+			{-1e6, 0, 0},
+			{1e6, 6, 4},
+		} {
+			col, _ := colRow(g, Pt(tc.v, w.MinY))
+			_, row := colRow(g, Pt(w.MinX, tc.v))
+			if col != tc.col || row != tc.row {
+				t.Errorf("%v: %v locates to col %d row %d, want %d, %d", w, tc.v, col, row, tc.col, tc.row)
+			}
+		}
+		// A range wholly outside the world overlaps nothing, but spans the
+		// boundary cells its points clamp into.
+		out := Rect{MinX: w.MaxX + 1, MinY: w.MinY - 3, MaxX: w.MaxX + 2, MaxY: w.MinY - 2}
+		if cr := g.CellsOverlapping(out); !cr.Empty() {
+			t.Errorf("%v: CellsOverlapping(%v) = %+v, want empty", w, out, cr)
+		}
+		if cr := g.Span(out); cr != (CellRange{ColMin: 6, ColMax: 6, RowMin: 0, RowMax: 0}) {
+			t.Errorf("%v: Span(%v) = %+v, want cell (6,0)", w, out, cr)
+		}
+	}
+}
+
+// TestGridEdgesTileTheWorld: the derived edges start and end on the world,
+// increase strictly, and sit within an ulp or two of min + i·step.
+func TestGridEdgesTileTheWorld(t *testing.T) {
+	for _, w := range exactnessWorlds {
+		g := NewSquareGrid(w, 4096)
+		cw := w.Width() / 64
+		if g.ColEdge(0) != w.MinX || g.ColEdge(64) != w.MaxX || g.RowEdge(0) != w.MinY || g.RowEdge(64) != w.MaxY {
+			t.Fatalf("%v: outer edges are not the world's", w)
+		}
+		for i := 1; i <= 64; i++ {
+			e := g.ColEdge(i)
+			if e <= g.ColEdge(i-1) {
+				t.Fatalf("%v: edge %d = %v not above edge %d = %v", w, i, e, i-1, g.ColEdge(i-1))
+			}
+			if approx := w.MinX + float64(i)*cw; math.Abs(e-approx) > 1e-12*w.Width() {
+				t.Fatalf("%v: edge %d = %v, arithmetic %v", w, i, e, approx)
+			}
+		}
+	}
+}
+
+// TestGridExtremeWorlds: worlds whose cell size underflows to zero or
+// whose width overflows to +Inf (a decoded partition map may carry
+// either) still build a grid whose edges never decrease, and every
+// in-world point still lands inside its own cell.
+func TestGridExtremeWorlds(t *testing.T) {
+	for _, w := range []Rect{
+		{MinX: 0, MinY: 0, MaxX: 5e-324, MaxY: 1e-320},
+		{MinX: 1e-300, MinY: -1e-300, MaxX: 2e-300, MaxY: 1e-300},
+		{MinX: -1e308, MinY: -1e308, MaxX: 1e308, MaxY: 1e308},
+		{MinX: 1e15, MinY: -1, MaxX: 1e15 + 3, MaxY: 1},
+	} {
+		for _, n := range []int{1, 3, 64} {
+			g := NewGrid(w, n, n)
+			for i := 1; i <= n; i++ {
+				if g.ColEdge(i) < g.ColEdge(i-1) || g.RowEdge(i) < g.RowEdge(i-1) {
+					t.Fatalf("%v %dx%d: edges decrease at %d", w, n, n, i)
+				}
+			}
+			for _, p := range []Point{
+				{X: w.MinX, Y: w.MinY},
+				{X: ulps(w.MaxX, -1), Y: ulps(w.MaxY, -1)},
+				{X: w.MinX/2 + w.MaxX/2, Y: w.MinY/2 + w.MaxY/2},
+			} {
+				if !w.Contains(p) {
+					continue
+				}
+				if idx := g.CellOf(p); !g.CellRect(idx).Contains(p) {
+					t.Fatalf("%v %dx%d: %v outside its cell %d %v", w, n, n, p, idx, g.CellRect(idx))
+				}
+			}
+		}
 	}
 }
 
@@ -216,6 +421,10 @@ func pos01(v float64) float64 {
 	return v
 }
 
+// sink keeps benchmark results live so the compiler cannot discard the
+// work being timed.
+var sink int
+
 func BenchmarkCellOf(b *testing.B) {
 	g := NewSquareGrid(UnitSquare, 4096)
 	rng := rand.New(rand.NewSource(1))
@@ -224,16 +433,31 @@ func BenchmarkCellOf(b *testing.B) {
 		pts[i] = Pt(rng.Float64(), rng.Float64())
 	}
 	b.ResetTimer()
+	s := 0
 	for i := 0; i < b.N; i++ {
-		_ = g.CellOf(pts[i&1023])
+		s += g.CellOf(pts[i&1023])
 	}
+	sink = s
 }
 
 func BenchmarkCellsOverlapping(b *testing.B) {
 	g := NewSquareGrid(UnitSquare, 4096)
-	q := Rect{0.2, 0.3, 0.6, 0.8}
+	rng := rand.New(rand.NewSource(1))
+	qs := make([]Rect, 1024)
+	for i := range qs {
+		qs[i] = CenteredRect(Pt(rng.Float64(), rng.Float64()), 0.1, 0.1)
+	}
 	b.ResetTimer()
+	s := 0
 	for i := 0; i < b.N; i++ {
-		_ = g.CellsOverlapping(q)
+		s += g.CellsOverlapping(qs[i&1023]).Count()
+	}
+	sink = s
+}
+
+func BenchmarkNewGrid4096(b *testing.B) {
+	conus := Rect{MinX: -125, MinY: 24, MaxX: -66, MaxY: 50}
+	for i := 0; i < b.N; i++ {
+		sink += NewSquareGrid(conus, 4096).Cols
 	}
 }

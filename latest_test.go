@@ -2,6 +2,7 @@ package latest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -239,5 +240,22 @@ func TestQueryConstructors(t *testing.T) {
 	hq := HybridQuery(r, []string{"a"}, 5)
 	if sq.Type() != SpatialQueryType || kq.Type() != KeywordQueryType || hq.Type() != HybridQueryType {
 		t.Error("query constructors produced wrong types")
+	}
+}
+
+// TestExactAnswerAtCellEdge: the exact answer counts an object sitting on
+// a cell edge of the window's grid for a range ending one ulp past it. On
+// [-10,10]×[-5,5], x = -1.5625 starts column 27 of 64, and a range whose
+// MaxX is the next float above it must count it; a span computed from
+// the arithmetic edge min + 27·step stops at column 26.
+func TestExactAnswerAtCellEdge(t *testing.T) {
+	sys, err := New(Rect{MinX: -10, MinY: -5, MaxX: 10, MaxY: 5}, time.Minute, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Feed(Object{ID: 1, Loc: Pt(-1.5625, 0), Keywords: []string{"edge"}, Timestamp: 1})
+	q := SpatialQuery(Rect{MinX: -3, MinY: -1, MaxX: math.Nextafter(-1.5625, math.Inf(1)), MaxY: 1}, 1)
+	if _, actual := sys.EstimateAndExecute(&q); actual != 1 {
+		t.Fatalf("actual = %d, want 1", actual)
 	}
 }

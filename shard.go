@@ -9,6 +9,7 @@ import (
 
 	"github.com/spatiotext/latest/internal/core"
 	"github.com/spatiotext/latest/internal/estimator"
+	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/metrics"
 	"github.com/spatiotext/latest/internal/stream"
 	"github.com/spatiotext/latest/internal/telemetry"
@@ -42,10 +43,8 @@ import (
 // a shard's clock backwards are clamped to the shard's high-water mark
 // (counted in the shard's Reordered and ValidationClamped gauges).
 type ShardedSystem struct {
-	rows   int
-	cols   int
-	xs     []float64 // col edges, len cols+1
-	ys     []float64 // row edges, len rows+1
+	// grid partitions the world; shard i is cell i, row-major.
+	grid   *geo.Grid
 	shards []*shard
 
 	telem *telemetry.Server
@@ -186,10 +185,7 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 	}
 	rows, cols := shardGridDims(n)
 	s := &ShardedSystem{
-		rows:   rows,
-		cols:   cols,
-		xs:     partitionEdges(cfg.World.MinX, cfg.World.MaxX, cols),
-		ys:     partitionEdges(cfg.World.MinY, cfg.World.MaxY, rows),
+		grid:   geo.NewGrid(cfg.World, cols, rows),
 		shards: make([]*shard, n),
 	}
 	s.bucketPool.New = func() any {
@@ -204,9 +200,8 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 	}
 	baseLog := telemetry.NewLogger(cfg.LogOutput, cfg.LogLevel)
 	for i := range s.shards {
-		r, c := i/cols, i%cols
 		shardCfg := cfg
-		shardCfg.World = Rect{MinX: s.xs[c], MinY: s.ys[r], MaxX: s.xs[c+1], MaxY: s.ys[r+1]}
+		shardCfg.World = s.grid.CellRect(i)
 		// Shard 0 keeps the configured seed, so one-shard engines reproduce
 		// each other's runs; the rest decorrelate their estimator randomness.
 		shardCfg.Seed = cfg.Seed + int64(i)*1_000_003
@@ -277,54 +272,10 @@ func shardGridDims(n int) (rows, cols int) {
 	return best, n / best
 }
 
-// partitionEdges splits [lo, hi] into n spans, pinning the outer edges to
-// the exact world coordinates so the shards tile the world with no gaps.
-func partitionEdges(lo, hi float64, n int) []float64 {
-	edges := make([]float64, n+1)
-	for i := 1; i < n; i++ {
-		edges[i] = lo + (hi-lo)*float64(i)/float64(n)
-	}
-	edges[0], edges[n] = lo, hi
-	return edges
-}
-
-// shardOf routes a point to its shard index. The arithmetic guess is
-// corrected against the actual edge array so routing always agrees with
-// the shard rectangles — an object is counted by a range query iff the
-// query rectangle intersects its shard's rectangle, which holds only if
-// the object actually lies inside that rectangle. Points outside the
+// shardOf routes a point to its shard index: the grid cell it lies in,
+// which is the shard whose rectangle contains it. Points outside the
 // world clamp to the nearest shard.
-func (s *ShardedSystem) shardOf(p Point) int {
-	col := edgeIndex(s.xs, p.X)
-	row := edgeIndex(s.ys, p.Y)
-	return row*s.cols + col
-}
-
-// edgeIndex returns i such that edges[i] <= v < edges[i+1], clamped to the
-// valid span range.
-func edgeIndex(edges []float64, v float64) int {
-	n := len(edges) - 1
-	lo, hi := edges[0], edges[n]
-	i := 0
-	if hi > lo {
-		i = int(float64(n) * (v - lo) / (hi - lo))
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i > n-1 {
-		i = n - 1
-	}
-	// Float arithmetic can land the guess one span off the edge array;
-	// nudge until consistent.
-	for i > 0 && v < edges[i] {
-		i--
-	}
-	for i < n-1 && v >= edges[i+1] {
-		i++
-	}
-	return i
-}
+func (s *ShardedSystem) shardOf(p Point) int { return s.grid.CellOf(p) }
 
 // feedLocked validates and ingests one object; caller holds sh.mu. The
 // object is validated first — non-finite coordinates are rejected,
@@ -419,29 +370,24 @@ func (sh *shard) apply(objs []Object) {
 
 // targets returns the shards a query must consult: every shard whose
 // rectangle intersects the range, or all shards for keyword-only queries.
-// A range that hits one shard gets a sub-slice of s.shards, so the common
-// point or small-range query routes without allocating.
+// When the hit shards are consecutive — one row of the grid, or whole
+// rows — the range gets a sub-slice of s.shards, so the common point or
+// small-range query routes without allocating.
 func (s *ShardedSystem) targets(q *Query) []*shard {
 	if !q.HasRange {
 		return s.shards
 	}
-	first, hits := 0, 0
-	for i, sh := range s.shards {
-		if sh.rect.Intersects(q.Range) {
-			if hits == 0 {
-				first = i
-			}
-			hits++
-		}
+	cr := s.grid.CellsOverlapping(q.Range)
+	if cr.Empty() {
+		return nil
 	}
-	if hits <= 1 {
-		return s.shards[first : first+hits]
+	cols := s.grid.Cols
+	if cr.RowMin == cr.RowMax || cr.ColMin == 0 && cr.ColMax == cols-1 {
+		return s.shards[cr.RowMin*cols+cr.ColMin : cr.RowMax*cols+cr.ColMax+1]
 	}
-	out := make([]*shard, 0, hits)
-	for _, sh := range s.shards[first:] {
-		if sh.rect.Intersects(q.Range) {
-			out = append(out, sh)
-		}
+	out := make([]*shard, 0, cr.Count())
+	for row := cr.RowMin; row <= cr.RowMax; row++ {
+		out = append(out, s.shards[row*cols+cr.ColMin:row*cols+cr.ColMax+1]...)
 	}
 	return out
 }

@@ -99,6 +99,37 @@ func TestShardedPartition(t *testing.T) {
 	}
 }
 
+// TestShardRectsKeepTheirBits: the shard rectangles of the embedded
+// layouts — 1, 2 and 4 shards on the dataset and unit worlds — are
+// lo + (hi-lo)·i/n bit for bit, the rectangles the stored snapshot images
+// and the seeded benchmark runs were made with.
+func TestShardRectsKeepTheirBits(t *testing.T) {
+	edge := func(lo, hi float64, i, n int) float64 {
+		if i == n {
+			return hi
+		}
+		return lo + (hi-lo)*float64(i)/float64(n)
+	}
+	conus := Rect{MinX: -125, MinY: 24, MaxX: -66, MaxY: 50}
+	for _, w := range []Rect{conus, {MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}} {
+		for _, n := range []int{1, 2, 4} {
+			s := MustNewSharded(w, time.Minute, WithShards(n))
+			rows, cols := shardGridDims(n)
+			for i, got := range s.ShardRects() {
+				r, c := i/cols, i%cols
+				want := Rect{
+					MinX: edge(w.MinX, w.MaxX, c, cols), MinY: edge(w.MinY, w.MaxY, r, rows),
+					MaxX: edge(w.MinX, w.MaxX, c+1, cols), MaxY: edge(w.MinY, w.MaxY, r+1, rows),
+				}
+				if got != want {
+					t.Errorf("%v, %d shards: shard %d rect %v, want %v", w, n, i, got, want)
+				}
+			}
+			s.Close()
+		}
+	}
+}
+
 // TestShardedOneShardDeterminism: New and NewSharded(WithShards(1)) build
 // the same machine, so a seeded workload must produce bit-identical
 // estimates and exact counts. A constant latency model keeps the wall

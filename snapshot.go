@@ -193,7 +193,7 @@ func (s *ShardedSystem) lockAll() (unlock func()) {
 func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
 	unlock := s.lockAll()
 	defer unlock()
-	kind, prefixes := snapshotLayout(s.rows, s.cols)
+	kind, prefixes := snapshotLayout(s.grid.Rows, s.grid.Cols)
 	windowBytes := 0
 	for _, sh := range s.shards {
 		windowBytes += sh.window.MemoryBytes()
@@ -238,7 +238,7 @@ func (s *ShardedSystem) Restore(ctx context.Context, st Store) error {
 	if err != nil {
 		return err
 	}
-	wantKind, prefixes := snapshotLayout(s.rows, s.cols)
+	wantKind, prefixes := snapshotLayout(s.grid.Rows, s.grid.Cols)
 	// Images NewSharded(WithShards(1)) wrote before every one-module engine
 	// shared the "single" layout hold the same sections under "shard-0/".
 	if kind == "sharded:1x1" && len(s.shards) == 1 {
