@@ -24,11 +24,14 @@ type Sampler interface {
 
 // Fill seeds a freshly wiped estimator from the window store and reports
 // whether it drew and how many objects it read: a Sampler draws its
-// sample, anything else has every live object replayed into it in arrival
-// order.
+// sample, FFN, whose Insert does nothing, reads nothing, and anything else
+// has every live object replayed into it in arrival order.
 func Fill(e Estimator, w *stream.Window) (drawn bool, objects int) {
-	if s, ok := e.(Sampler); ok {
-		return true, s.Draw(w)
+	switch e := e.(type) {
+	case Sampler:
+		return true, e.Draw(w)
+	case *FFN:
+		return false, 0
 	}
 	w.Each(func(o *stream.Object) bool {
 		e.Insert(o)
@@ -113,48 +116,36 @@ func (r *reservoir) drawState() (int, *rand.Rand, *WindowCounter) {
 	return r.capacity, r.rng, r.counter
 }
 
-func (r *reservoir) reserve(m int) {
-	r.ts, r.loc, r.kw = regrow(r.ts, m), regrow(r.loc, m), regrow(r.kw, m)
-}
+func (r *reservoir) keep(o *stream.Object) { r.add(o.Timestamp, o.Loc, o.Keywords) }
 
-func (r *ReservoirList) keep(o *stream.Object) {
-	r.put(int32(len(r.ts)), o.Timestamp, o.Loc, o.Keywords, r.capacity)
-}
-
-func (r *ReservoirList) kept(int64) {}
+// kept posts the drawn sample: a full reservoir is tight.
+func (r *reservoir) kept(int64) { r.postAll(len(r.ts) == r.capacity) }
 
 func (r *ReservoirHashmap) reserve(m int) {
-	r.reservoir.reserve(m)
+	r.sampleStore.reserve(m)
 	r.links = make([]int32, 0, m)
 }
 
-// keep stores a drawn sample; kept buckets them all.
+// keep stores a drawn sample; kept posts and buckets them all.
 func (r *ReservoirHashmap) keep(o *stream.Object) {
-	r.put(int32(len(r.ts)), o.Timestamp, o.Loc, o.Keywords, r.capacity)
+	r.reservoir.keep(o)
 	r.links = append(r.links, 0)
 }
 
 // kept builds the bucket index of a drawn sample in two passes, numbering
-// each slot within its cell and then cutting every bucket to its exact
-// size from one array, instead of growing thousands of buckets by append.
-// A bucket that later outgrows its cut moves to an array of its own, as
-// any full slice does.
-func (r *ReservoirHashmap) kept(int64) {
-	sizes := make([]int32, r.grid.NumCells())
+// each slot within its cell and then cutting every bucket to its size at
+// once, instead of growing thousands of buckets one slot at a time.
+func (r *ReservoirHashmap) kept(now int64) {
+	r.reservoir.kept(now)
+	sizes := make([]uint32, r.grid.NumCells())
 	for j := range r.links {
 		cell := r.cellOf(int32(j))
-		r.links[j] = sizes[cell]
+		r.links[j] = int32(sizes[cell])
 		sizes[cell]++
 	}
-	r.buckets = make([][]int32, len(sizes))
-	all := make([]int32, len(r.links))
-	off := int32(0)
-	for c, n := range sizes {
-		r.buckets[c] = all[off : off+n : off+n]
-		off += n
-	}
+	r.buckets.reset(sizes)
 	for j, pos := range r.links {
-		r.buckets[r.cellOf(int32(j))][pos] = int32(j)
+		r.buckets.get(r.cellOf(int32(j)))[pos] = uint32(j)
 	}
 }
 

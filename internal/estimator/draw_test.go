@@ -207,9 +207,10 @@ func TestDrawImageRestoresTwin(t *testing.T) {
 	}
 }
 
-// TestFillDrawsSamplersAndReplaysTheRest: Fill draws a Sampler and replays
-// the window into anything else, which then matches an estimator that
-// streamed the same objects, and reports the objects each read.
+// TestFillDrawsSamplersAndReplaysTheRest: Fill draws a Sampler, builds FFN
+// without reading an object, and replays the window into anything else,
+// which then matches an estimator that streamed the same objects, and
+// reports the objects each read.
 func TestFillDrawsSamplersAndReplaysTheRest(t *testing.T) {
 	p := testParams()
 	streamed := NewHistogram(p)
@@ -232,6 +233,9 @@ func TestFillDrawsSamplersAndReplaysTheRest(t *testing.T) {
 	small := NewReservoirHashmap(Params{World: p.World, Span: p.Span, Scale: 0.004, Seed: 1})
 	if drawn, n := Fill(small, w); !drawn || n != small.Len() || n >= 3000 {
 		t.Errorf("Fill into a small RSH: drawn %v, %d objects, %d samples", drawn, n, small.Len())
+	}
+	if drawn, n := Fill(NewFFN(p), w); drawn || n != 0 {
+		t.Errorf("Fill into FFN: drawn %v, %d objects, want a replay of none", drawn, n)
 	}
 }
 

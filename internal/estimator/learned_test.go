@@ -77,6 +77,26 @@ func TestAASPMemoryBytesIsTheHeap(t *testing.T) {
 	runtime.KeepAlive(tw)
 }
 
+// TestAASPResetHoldsLittle: a wiped AASP, which a shard keeps for the whole
+// incremental phase while another estimator is active, holds at most 4 KB
+// of heap. Its windowed keyword synopsis allocates a slice's map when the
+// slice is first added to, not when the synopsis is built, and Reset builds
+// a fresh one.
+func TestAASPResetHoldsLittle(t *testing.T) {
+	tw := newTwitterStream() // allocated before the baseline
+	before := heapAlloc()
+	a := NewAASP(tw.params())
+	tw.feed(a, twitterWindow/4)
+	a.Reset()
+	held := int64(heapAlloc()) - int64(before)
+	t.Logf("a wiped AASP holds %d bytes and reports %d", held, a.MemoryBytes())
+	if held > 4<<10 {
+		t.Errorf("a wiped AASP holds %d bytes of heap, want at most 4 KB", held)
+	}
+	runtime.KeepAlive(a)
+	runtime.KeepAlive(tw)
+}
+
 func TestFFNUntrainedReturnsZero(t *testing.T) {
 	f := NewFFN(testParams())
 	q := stream.SpatialQ(geo.UnitSquare, 0)

@@ -23,17 +23,19 @@ const (
 	twitterWindow    = twitterRatePerMS * twitterSpanMS
 )
 
-// twitterStream is a replayable Twitter-preset stream: a pool of three
-// windows of objects, each stamped with the timestamp of the stream
-// position it is replayed at.
-type twitterStream struct {
+// presetStream is a replayable stream of one dataset preset at the Twitter
+// case's rate: a pool of three windows of objects, each stamped with the
+// timestamp of the stream position it is replayed at.
+type presetStream struct {
 	gen  *datagen.Generator
 	pool []stream.Object
 	next int
 }
 
-func newTwitterStream() *twitterStream {
-	s := &twitterStream{gen: datagen.Twitter(1, twitterRatePerMS)}
+func newTwitterStream() *presetStream { return newPresetStream("Twitter") }
+
+func newPresetStream(preset string) *presetStream {
+	s := &presetStream{gen: datagen.ByName(preset, 1, twitterRatePerMS)}
 	s.pool = make([]stream.Object, 3*twitterWindow)
 	for i := range s.pool {
 		s.pool[i] = s.gen.Next()
@@ -41,27 +43,44 @@ func newTwitterStream() *twitterStream {
 	return s
 }
 
-func (s *twitterStream) params() Params {
+func (s *presetStream) params() Params {
 	return Params{World: s.gen.World(), Span: twitterSpanMS, Seed: 1}
 }
 
 // now is the timestamp of the newest object fed.
-func (s *twitterStream) now() int64 { return int64((s.next - 1) / twitterRatePerMS) }
+func (s *presetStream) now() int64 { return int64((s.next - 1) / twitterRatePerMS) }
+
+// window returns an exact window holding the stream's next full window of
+// objects, which it consumes.
+func (s *presetStream) window() *stream.Window {
+	w := stream.NewWindow(s.gen.World(), twitterSpanMS, 4096)
+	o := new(stream.Object)
+	for n := twitterWindow; n > 0; n-- {
+		s.stamp(o)
+		w.Insert(*o)
+	}
+	return w
+}
+
+// stamp sets o to the next stream object.
+func (s *presetStream) stamp(o *stream.Object) {
+	*o = s.pool[s.next%len(s.pool)]
+	o.ID, o.Timestamp = uint64(s.next), int64(s.next/twitterRatePerMS)
+	s.next++
+}
 
 // feed inserts the next n stream objects, through one object that escapes
 // once rather than once per insert.
-func (s *twitterStream) feed(e Estimator, n int) {
+func (s *presetStream) feed(e Estimator, n int) {
 	o := new(stream.Object)
 	for ; n > 0; n-- {
-		*o = s.pool[s.next%len(s.pool)]
-		o.ID, o.Timestamp = uint64(s.next), int64(s.next/twitterRatePerMS)
-		s.next++
+		s.stamp(o)
 		e.Insert(o)
 	}
 }
 
 // queries draws n TwQW1 queries of one type, issued at ts.
-func (s *twitterStream) queries(typ stream.QueryType, n int, ts int64) []stream.Query {
+func (s *presetStream) queries(typ stream.QueryType, n int, ts int64) []stream.Query {
 	g := workload.NewGenerator(workload.ByName("TwQW1"), s.gen, 1<<30)
 	var out []stream.Query
 	for len(out) < n {
@@ -160,12 +179,7 @@ func BenchmarkAASPInsertSteady(b *testing.B) {
 // costs.
 func BenchmarkDraw(b *testing.B) {
 	tw := newTwitterStream()
-	w := stream.NewWindow(tw.gen.World(), twitterSpanMS, 4096)
-	for i := 0; i < twitterWindow; i++ {
-		o := tw.pool[i]
-		o.ID, o.Timestamp = uint64(i), int64(i/twitterRatePerMS)
-		w.Insert(o)
-	}
+	w := tw.window()
 	for _, sb := range samplerBuilds {
 		b.Run(sb.name, func(b *testing.B) {
 			s := sb.build(tw.params())

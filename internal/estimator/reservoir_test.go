@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"github.com/spatiotext/latest/internal/datagen"
 	"math"
 	"math/rand"
 	"runtime"
@@ -204,10 +205,8 @@ func TestRSHReset(t *testing.T) {
 	if r.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", r.Len())
 	}
-	for _, b := range r.buckets {
-		if b != nil {
-			t.Fatal("bucket not cleared by Reset")
-		}
+	if r.buckets.at != nil || r.buckets.slab != nil {
+		t.Fatal("buckets not released by Reset")
 	}
 	// Usable after reset.
 	o := genObject(rng, 1, ts+1)
@@ -232,16 +231,21 @@ func checkStoreInvariants(t testing.TB, stage string, s *sampleStore) {
 	long := 0
 	for j := 0; j < n; j++ {
 		refs := s.refsOf(int32(j))
-		if len(refs) != int(s.kw[j].n) {
-			t.Fatalf("%s: slot %d has %d keywords in a list of %d", stage, j, s.kw[j].n, len(refs))
-		}
-		if len(refs) > len(s.kw[j].inline) {
+		if k := s.kw[j]; k[0] == longList {
 			long++
+			if len(refs) <= len(k) || k[1] != unused || k[2] != unused {
+				t.Fatalf("%s: slot %d has a long list of %d keywords beside %v", stage, j, len(refs), k)
+			}
+		} else if len(refs) < len(k) && k[len(refs)] != unused {
+			t.Fatalf("%s: slot %d ends its %d keywords with %v", stage, j, len(refs), k[len(refs)])
 		}
 		first := make(map[uint32]bool)
 		for _, r := range refs {
-			if int(r.id) >= len(s.words) || s.ids[s.words[r.id].word] != r.id || len(s.words[r.id].postings) == 0 {
+			if int(r.id) >= s.dict.IDs() || s.postings.size(int(r.id)) == 0 {
 				t.Fatalf("%s: slot %d refers to ID %d, which is not live", stage, j, r.id)
+			}
+			if id, ok := s.dict.ID(s.dict.Word(r.id)); !ok || id != r.id {
+				t.Fatalf("%s: slot %d refers to ID %d, whose word resolves to %d (%v)", stage, j, r.id, id, ok)
 			}
 			if r.pos == notPosted != first[r.id] {
 				t.Fatalf("%s: slot %d: occurrence of ID %d posted=%v, seen before=%v", stage, j, r.id, r.pos != notPosted, first[r.id])
@@ -249,32 +253,47 @@ func checkStoreInvariants(t testing.TB, stage string, s *sampleStore) {
 			if !first[r.id] {
 				first[r.id] = true
 				posted[r.id]++
-				if p := s.words[r.id].postings; int(r.pos) >= len(p) || p[r.pos] != uint32(j) {
+				if p := s.postings.get(int(r.id)); int(r.pos) >= len(p) || p[r.pos] != uint32(j) {
 					t.Fatalf("%s: slot %d's back-position %d under ID %d does not round-trip", stage, j, r.pos, r.id)
 				}
 			}
 		}
 	}
-	if len(posted) != len(s.ids) {
-		t.Fatalf("%s: %d live IDs, retained samples carry %d distinct words", stage, len(s.ids), len(posted))
+	if len(posted) != s.dict.Len() {
+		t.Fatalf("%s: %d live IDs, retained samples carry %d distinct words", stage, s.dict.Len(), len(posted))
 	}
-	if len(s.ids)+len(s.freeIDs) != len(s.words) {
-		t.Fatalf("%s: %d live + %d free IDs, %d entries", stage, len(s.ids), len(s.freeIDs), len(s.words))
+	if len(s.postings.at) != s.dict.IDs() {
+		t.Fatalf("%s: %d posting lists for %d IDs", stage, len(s.postings.at), s.dict.IDs())
 	}
-	for w, id := range s.ids {
+	checkLists(t, stage+", postings", &s.postings)
+	for id := range s.postings.at {
 		// Equal lengths plus the round trip above: the list holds exactly the
-		// slots that refer to it, each once.
-		if e := s.words[id]; e.word != w || len(e.postings) != posted[id] {
-			t.Fatalf("%s: ID %d (%q): entry %+v, %d samples carry it", stage, id, w, e, posted[id])
-		}
-	}
-	for _, id := range s.freeIDs {
-		if e := s.words[id]; e.word != "" || e.postings != nil {
-			t.Fatalf("%s: free ID %d still holds %+v", stage, id, e)
+		// slots that refer to it, each once. A free ID has no word.
+		n := s.postings.size(id)
+		if n != posted[uint32(id)] || (n == 0 && s.dict.Word(uint32(id)) != "") {
+			t.Fatalf("%s: ID %d (%q): %d postings, %d samples carry it", stage, id, s.dict.Word(uint32(id)), n, posted[uint32(id)])
 		}
 	}
 	if long != len(s.long) {
 		t.Fatalf("%s: %d samples with long keyword lists, %d lists kept", stage, long, len(s.long))
+	}
+}
+
+// checkLists checks that every list lies inside the array, fits its run,
+// and overlaps no other.
+func checkLists(t testing.TB, stage string, l *lists) {
+	t.Helper()
+	owner := make([]int, len(l.slab))
+	for i, r := range l.at {
+		if r.n > r.c || int(r.off+r.c) > len(l.slab) {
+			t.Fatalf("%s: list %d holds %d in a run of %d at %d, array of %d", stage, i, r.n, r.c, r.off, len(l.slab))
+		}
+		for k := r.off; k < r.off+r.c; k++ {
+			if owner[k] != 0 {
+				t.Fatalf("%s: lists %d and %d share slot %d", stage, owner[k]-1, i, k)
+			}
+			owner[k] = i + 1
+		}
 	}
 }
 
@@ -284,9 +303,11 @@ func checkStoreInvariants(t testing.TB, stage string, s *sampleStore) {
 func checkRSHInvariants(t testing.TB, stage string, r *ReservoirHashmap) {
 	t.Helper()
 	checkStoreInvariants(t, stage, &r.sampleStore)
+	checkLists(t, stage+", buckets", &r.buckets)
 	seen := 0
-	for cell, b := range r.buckets {
-		for pos, j := range b {
+	for cell := range r.buckets.at {
+		for pos, slot := range r.buckets.get(cell) {
+			j := int32(slot)
 			if int(r.links[j]) != pos || r.cellOf(j) != cell {
 				t.Fatalf("%s: slot %d backlink broken: cell %d/%d pos %d/%d", stage, j, r.cellOf(j), cell, r.links[j], pos)
 			}
@@ -296,8 +317,8 @@ func checkRSHInvariants(t testing.TB, stage string, r *ReservoirHashmap) {
 	if seen != len(r.links) || len(r.ts) != len(r.links) {
 		t.Fatalf("%s: buckets hold %d refs, %d links, %d samples", stage, seen, len(r.links), len(r.ts))
 	}
-	if (len(r.ts) == 0) != (r.buckets == nil) {
-		t.Fatalf("%s: %d samples, bucket index of %d cells", stage, len(r.ts), len(r.buckets))
+	if (len(r.ts) == 0) != (r.buckets.at == nil) {
+		t.Fatalf("%s: %d samples, bucket index of %d cells", stage, len(r.ts), len(r.buckets.at))
 	}
 }
 
@@ -521,9 +542,12 @@ func TestReservoirEstimateAllocs(t *testing.T) {
 	}
 }
 
-// heapAlloc is the live heap after a collection.
+// heapAlloc is the live heap after two collections: the second frees what
+// a sync.Pool kept through the first — draw's bitmaps, a cut's staging
+// buffer — which no estimator holds.
 func heapAlloc() uint64 {
 	var m runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&m)
 	return m.HeapAlloc
@@ -568,6 +592,59 @@ func TestReservoirMemoryBytesIsTheHeap(t *testing.T) {
 			t.Errorf("%s: MemoryBytes after every sample expired = %d, fresh = %d", e.Name(), got, fresh)
 		}
 		runtime.KeepAlive(e)
+	}
+	// Drawn from a full window and then churned, on every preset: the
+	// draw's lists are cut to their sizes at once, and the churn moves some
+	// of them and cuts them all again.
+	for _, preset := range datagen.Names() {
+		ps := newPresetStream(preset)
+		w := ps.window()
+		for _, sb := range samplerBuilds[:2] {
+			before := heapAlloc()
+			s := drawnAndChurned(ps, w, sb.build)
+			held := float64(heapAlloc() - before)
+			reported := s.MemoryBytes()
+			t.Logf("%s %s, drawn and churned: reports %d KB, holds %.0f KB", preset, s.Name(), reported>>10, held/1024)
+			if ratio := float64(reported) / held; ratio < 0.85 || ratio > 1.15 {
+				t.Errorf("%s %s: MemoryBytes %d, heap grew by %.0f (ratio %.2f)", preset, s.Name(), reported, held, ratio)
+			}
+			runtime.KeepAlive(s)
+		}
+		runtime.KeepAlive(w)
+	}
+}
+
+// drawnAndChurned builds a default-size sampler, draws it from w, a full
+// window of ps, and streams the next 30 000 objects of ps into it: a
+// reservoir a quarter of a window after a switch made it active.
+func drawnAndChurned(ps *presetStream, w *stream.Window, build func(Params) Sampler) Sampler {
+	s := build(ps.params())
+	s.Draw(w)
+	ps.feed(s, 30_000)
+	return s
+}
+
+// TestReservoirFootprint: a default-size RSL or RSH, drawn and churned,
+// costs at most these bytes per retained sample, everything it owns
+// included: slot arrays, bucket links, list runs, dictionary.
+func TestReservoirFootprint(t *testing.T) {
+	bounds := map[string][2]float64{ // RSL, RSH
+		"Twitter": {72, 85},
+		"eBird":   {58, 70},
+		"CheckIn": {64, 75},
+	}
+	for _, preset := range datagen.Names() {
+		ps := newPresetStream(preset)
+		w := ps.window()
+		for i, sb := range samplerBuilds[:2] {
+			s := drawnAndChurned(ps, w, sb.build)
+			n := s.(interface{ Len() int }).Len()
+			per := float64(s.MemoryBytes()) / float64(n)
+			t.Logf("%s %s: %d samples, %d bytes, %.1f per sample", preset, s.Name(), n, s.MemoryBytes(), per)
+			if bound := bounds[preset][i]; per > bound {
+				t.Errorf("%s %s costs %.1f bytes per sample, want at most %.0f", preset, s.Name(), per, bound)
+			}
+		}
 	}
 }
 

@@ -26,8 +26,8 @@ const defaultRSHGridCells = 4096
 type ReservoirHashmap struct {
 	reservoir
 	grid    *geo.Grid
-	links   []int32   // by slot, its index within its bucket
-	buckets [][]int32 // by cell; nil while the store is empty
+	links   []int32 // by slot, its index within its bucket
+	buckets lists   // slots by cell; none while the store is empty
 }
 
 // NewReservoirHashmap builds the RSH estimator.
@@ -46,18 +46,19 @@ func (r *ReservoirHashmap) cellOf(j int32) int { return r.grid.CellOf(r.loc[j]) 
 // detach unlinks slot j from its bucket.
 func (r *ReservoirHashmap) detach(j int32) {
 	cell, pos := r.cellOf(j), r.links[j]
-	b := r.buckets[cell]
+	b := r.buckets.get(cell)
 	moved := b[len(b)-1]
 	b[pos] = moved
 	r.links[moved] = pos
-	r.buckets[cell] = b[:len(b)-1]
+	r.buckets.pop(cell)
 }
 
-// attach links slot j (whose location is already set) into its cell bucket.
+// attach links slot j (whose location is already set) at the end of its
+// cell's bucket, which grows as the store's posting lists do.
 func (r *ReservoirHashmap) attach(j int32) {
 	cell := r.cellOf(j)
-	r.links[j] = int32(len(r.buckets[cell]))
-	r.buckets[cell] = append(r.buckets[cell], j)
+	r.links[j] = int32(r.buckets.size(cell))
+	r.buckets.push(cell, uint32(j), r.tight)
 }
 
 // removeSlot purges slot j entirely, swapping the last slot into its place.
@@ -66,7 +67,7 @@ func (r *ReservoirHashmap) removeSlot(j int32) {
 	if r.remove(j) {
 		// The final slot moved into j: fix its bucket backlink.
 		pos := r.links[len(r.ts)]
-		r.links[j], r.buckets[r.cellOf(j)][pos] = pos, j
+		r.links[j], r.buckets.get(r.cellOf(j))[pos] = pos, uint32(j)
 	}
 	r.links = r.links[:len(r.ts)]
 	if len(r.ts) == 0 {
@@ -80,7 +81,7 @@ func (r *ReservoirHashmap) removeSlot(j int32) {
 // Whoever calls removeSlot calls this when it has finished with the buckets.
 func (r *ReservoirHashmap) releaseEmptied() {
 	if len(r.ts) == 0 {
-		r.buckets = nil
+		r.buckets = lists{}
 	}
 }
 
@@ -96,13 +97,16 @@ func (r *ReservoirHashmap) Insert(o *stream.Object) {
 	if int(j) < len(r.ts) {
 		r.detach(j)
 	} else {
-		if r.buckets == nil {
-			r.buckets = make([][]int32, r.grid.NumCells())
+		if r.buckets.at == nil {
+			r.buckets.reset(make([]uint32, r.grid.NumCells()))
 		}
 		r.links = append(r.links, 0)
 	}
-	r.put(j, o.Timestamp, o.Loc, o.Keywords, r.capacity)
+	tightened := r.put(j, o.Timestamp, o.Loc, o.Keywords, r.capacity)
 	r.attach(j)
+	if tightened {
+		r.buckets.cut(-1, 0)
+	}
 }
 
 // purgeSome checks up to n random slots and removes expired ones, keeping
@@ -135,7 +139,7 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 		}
 		return r.estimate(matches, q.Timestamp)
 	}
-	if r.buckets == nil { // no sample, no bucket to walk
+	if r.buckets.at == nil { // no sample, no bucket to walk
 		return 0
 	}
 	cr := r.grid.CellsOverlapping(q.Range)
@@ -148,8 +152,8 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 	if !spatial {
 		bucketed := 0
 		for row := cr.RowMin; row <= cr.RowMax; row++ {
-			for _, b := range r.buckets[row*r.grid.Cols+cr.ColMin : row*r.grid.Cols+cr.ColMax+1] {
-				bucketed += len(b)
+			for _, b := range r.buckets.at[row*r.grid.Cols+cr.ColMin : row*r.grid.Cols+cr.ColMax+1] {
+				bucketed += int(b.n)
 			}
 		}
 		viaPostings = r.resolve(q.Keywords) <= bucketed
@@ -157,12 +161,12 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 	matches := 0
 	for row := cr.RowMin; row <= cr.RowMax; row++ {
 		for idx := row*r.grid.Cols + cr.ColMin; idx <= row*r.grid.Cols+cr.ColMax; idx++ {
-			b := r.buckets[idx]
+			b := r.buckets.get(idx)
 			for bi := 0; bi < len(b); {
-				j := b[bi]
+				j := int32(b[bi])
 				if r.ts[j] < cutoff {
 					r.removeSlot(j) // swaps within this bucket or shrinks it
-					b = r.buckets[idx]
+					b = r.buckets.get(idx)
 					continue
 				}
 				bi++
@@ -186,18 +190,14 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 // Reset implements Estimator. Store, links and the bucket index are
 // released, not truncated, for the reason ReservoirList.Reset gives.
 func (r *ReservoirHashmap) Reset() {
-	r.sampleStore, r.links, r.buckets = sampleStore{}, nil, nil
+	r.sampleStore, r.links, r.buckets = sampleStore{}, nil, lists{}
 	r.counter.Reset()
 }
 
 // MemoryBytes implements Estimator: the store, four bytes of bucket link
 // per slot, the bucket index and the arrival counter.
 func (r *ReservoirHashmap) MemoryBytes() int {
-	b := 64 + r.memoryBytes() + 4*cap(r.links) + 24*len(r.buckets) + r.counter.MemoryBytes()
-	for i := range r.buckets {
-		b += 4 * cap(r.buckets[i])
-	}
-	return b
+	return 64 + r.memoryBytes() + 4*cap(r.links) + r.buckets.memoryBytes() + r.counter.MemoryBytes()
 }
 
 // String summarizes state for diagnostics.

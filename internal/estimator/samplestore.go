@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/intern"
 	"github.com/spatiotext/latest/internal/persist"
 	"github.com/spatiotext/latest/internal/stream"
 )
@@ -21,8 +22,8 @@ import (
 // and the purge's swap O(keywords of the samples involved). A keyword
 // predicate is answered from the posting lists; no scan compares strings.
 //
-// Dictionary and postings are derived data: rebuilt sample by sample on
-// LoadState, never serialized, dropped with the last sample. An ID lives
+// Dictionary and postings are derived data: rebuilt on LoadState, never
+// serialized, dropped with the last sample. An ID lives
 // while some retained sample carries its word and is reused afterwards;
 // neither IDs nor posting order reach an estimate (counts are of sets) or
 // an image (which spells the words out), so a restored store need not
@@ -33,9 +34,13 @@ type sampleStore struct {
 	kw   []kwList
 	long map[int32][]kwRef // by slot: the keyword lists too long to sit in kw
 
-	ids     map[string]uint32
-	words   []kwEntry // by ID
-	freeIDs []uint32
+	dict     intern.Dict
+	postings lists // by ID
+
+	// tight is set the first time the store holds as many samples as the
+	// caller will ever put. Until then full lists double; then the lists are
+	// cut again, and from then on a full one grows by an eighth.
+	tight bool
 
 	// Scratch of one Estimate: the query's keywords as IDs, and the slots
 	// already counted when several posting lists are merged.
@@ -53,76 +58,149 @@ const notPosted = ^uint32(0)
 // kwList is a sample's keywords. Up to three references sit in the list
 // itself, so that reaching the keywords of a sample that has few — nearly
 // every sample — costs one cache line, not two, and a full reservoir stays
-// inside its byte budget; a longer list is s.long's for the slot.
-type kwList struct {
-	n      uint32
-	inline [3]kwRef
-}
+// inside its byte budget. The list holds the references before its first
+// unused one, whose ID is noID; a list that starts with longList is
+// s.long's for the slot.
+type kwList [3]kwRef
 
-// kwEntry is a live dictionary word and its posting list, whose length is
-// the word's reference count. The list is unordered: it grows at its end
-// and shrinks by moving its last slot into the hole.
-type kwEntry struct {
-	word     string
-	postings []uint32
-}
+const noID = ^uint32(0)
+
+var (
+	unused    = kwRef{noID, 0}
+	longList  = kwRef{noID, 1}
+	emptyList = kwList{unused, unused, unused}
+)
+
+// kwListBytes is what a slot's keyword list costs in the slot array.
+const kwListBytes = 24
 
 func (s *sampleStore) refsOf(i int32) []kwRef {
 	k := &s.kw[i]
-	if int(k.n) <= len(k.inline) {
-		return k.inline[:k.n]
+	n := len(k) - b2i(k[0].id == noID) - b2i(k[1].id == noID) - b2i(k[2].id == noID)
+	if n == 0 && k[0] == longList {
+		return s.long[i]
 	}
-	return s.long[i]
+	return k[:n]
 }
 
 // put stores a sample in slot j: the slot after the last (the store grows
 // by one) or an occupied one, whose sample it replaces. The slot arrays
 // double until they hold limit, the most the caller will ever put, and no
-// further: a full reservoir's arrays are full.
-func (s *sampleStore) put(j int32, ts int64, loc geo.Point, kws []string, limit int) {
+// further: a full reservoir's arrays are full. It reports whether this put
+// made the store tight, which it does the first time the store holds limit
+// samples.
+func (s *sampleStore) put(j int32, ts int64, loc geo.Point, kws []string, limit int) (tightened bool) {
 	if int(j) == len(s.ts) {
 		if n := min(max(2*int(j), 64), limit); int(j) == cap(s.ts) && n > int(j) {
-			s.ts, s.loc, s.kw = regrow(s.ts, n), regrow(s.loc, n), regrow(s.kw, n)
+			s.reserve(n)
 		}
-		s.ts, s.loc, s.kw = append(s.ts, ts), append(s.loc, loc), append(s.kw, kwList{})
+		s.ts, s.loc, s.kw = append(s.ts, ts), append(s.loc, loc), append(s.kw, emptyList)
 	} else {
 		s.dropKeywords(j)
 		s.ts[j], s.loc[j] = ts, loc
 	}
-	k := &s.kw[j]
-	k.n = uint32(len(kws))
-	refs := k.inline[:min(len(kws), len(k.inline))]
-	if len(kws) > len(k.inline) {
-		if s.long == nil {
-			s.long = make(map[int32][]kwRef)
-		}
-		refs = make([]kwRef, len(kws))
-		s.long[j] = refs
-	}
-	if s.ids == nil {
-		s.ids = make(map[string]uint32)
-	}
+	refs := s.refsFor(j, len(kws))
 	for i, w := range kws {
-		id, ok := s.ids[w]
-		if !ok {
-			if f := s.freeIDs; len(f) > 0 {
-				id, s.freeIDs = f[len(f)-1], f[:len(f)-1]
-			} else {
-				id = uint32(len(s.words))
-				s.words = append(s.words, kwEntry{})
-			}
-			s.ids[w], s.words[id].word = id, w
-		}
+		id := s.wordID(w)
 		// Slot j is posted last or not at all: the slot's previous sample
 		// was taken off every list before this one came.
-		e := &s.words[id]
-		if n := len(e.postings); n > 0 && e.postings[n-1] == uint32(j) {
+		p := s.postings.get(int(id))
+		if n := len(p); n > 0 && p[n-1] == uint32(j) {
 			refs[i] = kwRef{id, notPosted}
 			continue
 		}
-		refs[i] = kwRef{id, uint32(len(e.postings))}
-		e.postings = append(e.postings, uint32(j))
+		refs[i] = kwRef{id, uint32(len(p))}
+		s.postings.push(int(id), uint32(j), s.tight)
 	}
+	if s.tight || len(s.ts) < limit {
+		return false
+	}
+	s.tight = true
+	s.postings.cut(-1, 0)
+	return true
+}
+
+// refsFor gives slot j, whose keyword list is empty, a list of n
+// references and returns it for the caller to fill.
+func (s *sampleStore) refsFor(j int32, n int) []kwRef {
+	k := &s.kw[j]
+	if n <= len(k) {
+		return k[:n]
+	}
+	if s.long == nil {
+		s.long = make(map[int32][]kwRef)
+	}
+	refs := make([]kwRef, n)
+	s.long[j], k[0] = refs, longList
+	return refs
+}
+
+// wordID returns the ID of w, entering it in the dictionary, with an empty
+// posting list, if no sample carries it.
+func (s *sampleStore) wordID(w string) uint32 {
+	id, ok := s.dict.ID(w)
+	if !ok {
+		if id = s.dict.Add(w); int(id) == len(s.postings.at) {
+			s.postings.add()
+		}
+	}
+	return id
+}
+
+// reserve gives the slot arrays capacity n exactly.
+func (s *sampleStore) reserve(n int) {
+	s.ts, s.loc, s.kw = regrow(s.ts, n), regrow(s.loc, n), regrow(s.kw, n)
+}
+
+// add appends a sample to a store being built in bulk, by a draw or a
+// restore: its keywords are entered in the dictionary but posted by
+// postAll, which must run before the store is otherwise used.
+func (s *sampleStore) add(ts int64, loc geo.Point, kws []string) {
+	j := int32(len(s.ts))
+	s.ts, s.loc, s.kw = append(s.ts, ts), append(s.loc, loc), append(s.kw, emptyList)
+	refs := s.refsFor(j, len(kws))
+	for i, w := range kws {
+		refs[i] = kwRef{s.wordID(w), notPosted}
+	}
+}
+
+// postAll posts every sample add stored, in slot order, as put would have:
+// it counts the samples of each word, cuts every posting list to its count
+// at once, and fills them. tight says whether the store is to count as
+// tight from here on.
+func (s *sampleStore) postAll(tight bool) {
+	n := make([]uint32, s.dict.IDs())
+	for j := range s.kw {
+		refs := s.refsOf(int32(j))
+		for i, r := range refs {
+			if firstOf(refs, i) {
+				n[r.id]++
+			}
+		}
+	}
+	s.postings.reset(n)
+	clear(n)
+	for j := range s.kw {
+		refs := s.refsOf(int32(j))
+		for i := range refs {
+			if id := refs[i].id; firstOf(refs, i) {
+				refs[i].pos = n[id]
+				s.postings.get(int(id))[n[id]] = uint32(j)
+				n[id]++
+			}
+		}
+	}
+	s.tight = tight
+}
+
+// firstOf reports whether refs[i] is the first reference to its word.
+func firstOf(refs []kwRef, i int) bool {
+	for _, r := range refs[:i] {
+		if r.id == refs[i].id {
+			return false
+		}
+	}
+	return true
 }
 
 // regrow returns s with capacity n exactly: the slot arrays grow by rule,
@@ -136,13 +214,13 @@ func (s *sampleStore) dropKeywords(j int32) {
 		if r.pos == notPosted {
 			continue
 		}
-		e := &s.words[r.id]
-		last := uint32(len(e.postings) - 1)
+		p := s.postings.get(int(r.id))
+		last := uint32(len(p) - 1)
 		if r.pos != last {
 			// The list's last slot takes the vacated place; its sample's
 			// reference to this word learns the new position.
-			m := e.postings[last]
-			e.postings[r.pos] = m
+			m := p[last]
+			p[r.pos] = m
 			mrefs := s.refsOf(int32(m))
 			for mi := range mrefs {
 				if mrefs[mi] == (kwRef{r.id, last}) {
@@ -151,16 +229,14 @@ func (s *sampleStore) dropKeywords(j int32) {
 				}
 			}
 		}
-		if e.postings = e.postings[:last]; last == 0 {
-			delete(s.ids, e.word)
-			*e = kwEntry{}
-			s.freeIDs = append(s.freeIDs, r.id)
+		if s.postings.pop(int(r.id)); last == 0 {
+			s.dict.Release(r.id)
 		}
 	}
-	if k := &s.kw[j]; int(k.n) > len(k.inline) {
+	if k := &s.kw[j]; k[0] == longList {
 		delete(s.long, j)
 	}
-	s.kw[j].n = 0
+	s.kw[j] = emptyList
 }
 
 // remove deletes slot j's sample and moves the last slot's into its place,
@@ -175,13 +251,13 @@ func (s *sampleStore) remove(j int32) (moved bool) {
 	}
 	if moved = j != last; moved {
 		s.ts[j], s.loc[j], s.kw[j] = s.ts[last], s.loc[last], s.kw[last]
-		if int(s.kw[j].n) > len(s.kw[j].inline) {
+		if s.kw[j][0] == longList {
 			s.long[j] = s.long[last]
 			delete(s.long, last)
 		}
 		for _, r := range s.refsOf(j) {
 			if r.pos != notPosted {
-				s.words[r.id].postings[r.pos] = uint32(j)
+				s.postings.get(int(r.id))[r.pos] = uint32(j)
 			}
 		}
 	}
@@ -207,9 +283,9 @@ func (s *sampleStore) nextExpired(from int32, cutoff int64) int32 {
 func (s *sampleStore) resolve(kws []string) (postings int) {
 	s.qids = s.qids[:0]
 	for _, w := range kws {
-		if id, ok := s.ids[w]; ok {
+		if id, ok := s.dict.ID(w); ok {
 			s.qids = append(s.qids, id)
-			postings += len(s.words[id].postings)
+			postings += s.postings.size(int(id))
 		}
 	}
 	return postings
@@ -229,16 +305,17 @@ func (s *sampleStore) countPostings(q *stream.Query) int {
 		s.seen = s.seen[:words]
 		clear(s.seen)
 	} else if !q.HasRange && len(s.qids) == 1 {
-		return len(s.words[s.qids[0]].postings)
+		return s.postings.size(int(s.qids[0]))
 	}
-	n := 0
+	// Locals, so that the bitmap stores do not make the loop reload them.
+	n, seen, loc, hasRange, r := 0, s.seen, s.loc, q.HasRange, q.Range
 	for _, id := range s.qids {
-		for _, j := range s.words[id].postings {
-			if q.HasRange && !q.Range.Contains(s.loc[j]) {
+		for _, j := range s.postings.get(int(id)) {
+			if hasRange && !r.Contains(loc[j]) {
 				continue
 			}
 			if merge {
-				w, bit := &s.seen[j>>6], uint64(1)<<(j&63)
+				w, bit := &seen[j>>6], uint64(1)<<(j&63)
 				if *w&bit != 0 {
 					continue
 				}
@@ -251,9 +328,14 @@ func (s *sampleStore) countPostings(q *stream.Query) int {
 }
 
 // carriesAny is the keyword predicate on IDs: slot j's sample has one of
-// the resolved query keywords.
+// the resolved query keywords. An inline list is tested whole: its unused
+// references carry noID, which no query keyword resolves to.
 func (s *sampleStore) carriesAny(j int32) bool {
-	for _, r := range s.refsOf(j) {
+	refs := s.kw[j][:]
+	if refs[0] == longList {
+		refs = s.long[j]
+	}
+	for _, r := range refs {
 		for _, id := range s.qids {
 			if r.id == id {
 				return true
@@ -272,23 +354,17 @@ func (s *sampleStore) save(e *persist.Enc, i int32) {
 	refs := s.refsOf(i)
 	e.U32(uint32(len(refs)))
 	for _, r := range refs {
-		e.Str(s.words[r.id].word)
+		e.Str(s.dict.Word(r.id))
 	}
 }
 
 // memoryBytes is what the store holds: the slot arrays and long keyword
-// lists, the posting lists and the dictionary — a 40-byte entry and a
-// free-list slot per ID, and about 48 bytes of map per word it ever held at
-// once (a Go map of a few thousand short strings measures 32 to 60 an
-// entry, and never shrinks).
+// lists, the posting lists and their headers, and the dictionary.
 func (s *sampleStore) memoryBytes() int {
-	b := 8*cap(s.ts) + 16*cap(s.loc) + 28*cap(s.kw) +
-		48*len(s.words) + 40*cap(s.words) + 4*cap(s.freeIDs) + 4*cap(s.qids) + 8*cap(s.seen)
+	b := 8*cap(s.ts) + 16*cap(s.loc) + kwListBytes*cap(s.kw) + s.dict.MemoryBytes() +
+		s.postings.memoryBytes() + 4*cap(s.qids) + 8*cap(s.seen)
 	for _, l := range s.long {
 		b += 48 + 8*cap(l)
-	}
-	for i := range s.words {
-		b += 4 * cap(s.words[i].postings)
 	}
 	return b
 }

@@ -224,10 +224,11 @@ type reservoirImage struct {
 	store sampleStore
 }
 
-// loadSamples reads a reservoir image into a new store, whose dictionary
-// and posting lists build up as the samples go in. each, if not nil, runs
-// after every sample for what a reservoir stores beside it. Only the
-// arrival counter has changed when it returns; install does the rest.
+// loadSamples reads a reservoir image into a new store, built in bulk as a
+// draw builds one: the samples go in, then the posting lists are cut once.
+// each, if not nil, runs after every sample for what a reservoir stores
+// beside it. Only the arrival counter has changed when it returns; install
+// does the rest.
 func (r *reservoir) loadSamples(d *persist.Dec, op string, each func(st *sampleStore, j int32)) (im reservoirImage, err error) {
 	im.seed = d.I64()
 	im.rngN = d.U64()
@@ -238,14 +239,23 @@ func (r *reservoir) loadSamples(d *persist.Dec, op string, each func(st *sampleS
 	if err != nil {
 		return im, err
 	}
+	if count > 0 {
+		im.store.reserve(count)
+	}
 	for j := int32(0); int(j) < count && d.Err() == nil; j++ {
 		s := loadSample(d)
-		im.store.put(j, s.ts, s.loc, s.kws, count)
+		im.store.add(s.ts, s.loc, s.kws)
 		if each != nil {
 			each(&im.store, j)
 		}
 	}
-	return im, d.Err()
+	if d.Err() != nil {
+		return im, d.Err()
+	}
+	if count > 0 {
+		im.store.postAll(true)
+	}
+	return im, nil
 }
 
 func (r *reservoir) install(im reservoirImage) {
@@ -286,33 +296,33 @@ func (r *ReservoirHashmap) SaveState(e *persist.Enc) {
 func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
 	const op = "rsh"
 	var links []int32
-	perCell := make(map[int]int32)
+	var sizes []uint32
 	im, err := r.loadSamples(d, op, func(st *sampleStore, j int32) {
+		if sizes == nil {
+			sizes = make([]uint32, r.grid.NumCells())
+		}
 		links = append(links, int32(d.U32()))
-		perCell[r.grid.CellOf(st.loc[j])]++
+		sizes[r.grid.CellOf(st.loc[j])]++
 	})
 	if err != nil {
 		return err
 	}
 	// Rebuild buckets by placing each slot at its recorded position; any
 	// duplicate or out-of-range position means the image is inconsistent.
-	var buckets [][]int32
+	const unset = ^uint32(0)
+	var buckets lists
 	if len(links) > 0 {
-		buckets = make([][]int32, r.grid.NumCells())
-	}
-	for cell, n := range perCell {
-		b := make([]int32, n)
-		for i := range b {
-			b[i] = -1
+		buckets.reset(sizes)
+		for i := range buckets.slab {
+			buckets.slab[i] = unset
 		}
-		buckets[cell] = b
 	}
 	for j, pos := range links {
-		b := buckets[r.grid.CellOf(im.store.loc[j])]
-		if pos < 0 || int(pos) >= len(b) || b[pos] != -1 {
+		b := buckets.get(r.grid.CellOf(im.store.loc[j]))
+		if pos < 0 || int(pos) >= len(b) || b[pos] != unset {
 			return persist.Errf(persist.CodeMalformed, op, "slot %d bucket position %d invalid", j, pos)
 		}
-		b[pos] = int32(j)
+		b[pos] = uint32(j)
 	}
 	r.install(im)
 	r.links, r.buckets = links, buckets

@@ -14,35 +14,20 @@ package kmv
 import (
 	"container/heap"
 	"fmt"
+
+	"github.com/spatiotext/latest/internal/intern"
 )
 
 // Hash64 hashes a string with FNV-1a followed by a murmur3-style finalizer.
 // The finalizer matters: raw FNV-1a has weak avalanche in its upper bits for
 // short keys, which would bias the k-th minimum and hence every estimate.
 // All synopses in a process must use the same hash so merges are coherent.
-func Hash64(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return Mix64(h)
-}
+// It is intern.Hash64, which keyword dictionaries carry per word.
+func Hash64(s string) uint64 { return intern.Hash64(s) }
 
 // Mix64 is the murmur3 fmix64 finalizer: a bijective scramble giving
 // near-ideal avalanche. Exposed for callers that pre-hash integers.
-func Mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
+func Mix64(h uint64) uint64 { return intern.Mix64(h) }
 
 // Unit maps a 64-bit hash onto [0, 1).
 func Unit(h uint64) float64 {
@@ -70,16 +55,26 @@ func (h *maxHeap) Pop() interface{} {
 type Synopsis struct {
 	k    int
 	heap maxHeap
-	set  map[uint64]struct{}
+	set  map[uint64]struct{} // nil until the first value is retained
 }
 
 // New creates a synopsis of size k. Larger k costs more memory and gives a
-// relative standard error of roughly 1/√(k-2).
+// relative standard error of roughly 1/√(k-2). It allocates its membership
+// set, sized for k, when it first retains a value: a windowed synopsis that
+// is never added to holds no map.
 func New(k int) *Synopsis {
 	if k < 2 {
 		panic(fmt.Sprintf("kmv: k must be at least 2, got %d", k))
 	}
-	return &Synopsis{k: k, set: make(map[uint64]struct{}, k)}
+	return &Synopsis{k: k}
+}
+
+// retain enters h into the membership set.
+func (s *Synopsis) retain(h uint64) {
+	if s.set == nil {
+		s.set = make(map[uint64]struct{}, s.k)
+	}
+	s.set[h] = struct{}{}
 }
 
 // K returns the synopsis size.
@@ -105,7 +100,7 @@ func (s *Synopsis) AddHash(h uint64) bool {
 		return false
 	}
 	if len(s.heap) < s.k {
-		s.set[h] = struct{}{}
+		s.retain(h)
 		// heap.Push, without boxing h into an interface: append, then sift
 		// up.
 		s.heap = append(s.heap, h)
@@ -113,7 +108,7 @@ func (s *Synopsis) AddHash(h uint64) bool {
 		return true
 	}
 	delete(s.set, s.heap[0])
-	s.set[h] = struct{}{}
+	s.retain(h)
 	s.heap[0] = h
 	heap.Fix(&s.heap, 0)
 	return true
@@ -157,7 +152,7 @@ func (s *Synopsis) Clone() *Synopsis {
 	c := New(s.k)
 	c.heap = append(c.heap[:0], s.heap...)
 	for h := range s.set {
-		c.set[h] = struct{}{}
+		c.retain(h)
 	}
 	return c
 }

@@ -36,7 +36,7 @@ func (s *Synopsis) LoadState(d *persist.Dec) error {
 			return persist.Errf(persist.CodeMalformed, op, "duplicate hash %016x in heap", h)
 		}
 		s.heap = append(s.heap, h)
-		s.set[h] = struct{}{}
+		s.retain(h)
 	}
 	return d.Err()
 }

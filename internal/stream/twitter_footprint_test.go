@@ -11,7 +11,8 @@ import (
 
 // TestTwitterWindowFootprint: a shard's window over the Twitter stream at
 // two objects per millisecond and a 60 s span, turned over twice, costs at
-// most 60 bytes per live object, everything it owns included. The
+// most 59.5 bytes per live object, everything it owns included (57.4 with
+// the keyword dictionary a flat table of IDs). The
 // generator numbers objects densely; with arbitrary 64-bit IDs, as a
 // replayed dataset may carry, every chunk keeps an ID high column, which
 // costs about 4 bytes per object more.
@@ -31,8 +32,8 @@ func TestTwitterWindowFootprint(t *testing.T) {
 		return per
 	}
 	dense := footprint("dense IDs", func(o *stream.Object) uint64 { return o.ID })
-	if dense > 60 {
-		t.Errorf("the window costs %.1f bytes per live object, want at most 60", dense)
+	if dense > 59.5 {
+		t.Errorf("the window costs %.1f bytes per live object, want at most 59.5", dense)
 	}
 	rng := rand.New(rand.NewSource(3))
 	random := footprint("64-bit random IDs", func(*stream.Object) uint64 { return rng.Uint64() })

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/intern"
 )
 
 // The object arena is a FIFO of fixed-size chunks. 512 objects (14 KB) keep
@@ -119,14 +120,6 @@ func setHigh(high **highColumn, i int, off uint64) (added int) {
 	return added
 }
 
-// dictWordBytes estimates what the dictionary holds per word beyond the
-// word's bytes and its ring's buffer: a map entry (16-byte key, 4-byte ID
-// and a control byte, 36 bytes at the map's typical two-thirds load), a
-// string header and a ring header. All three are sized by the most words
-// that were ever live together: a Go map does not shrink, and neither do
-// the arrays IDs index.
-const dictWordBytes = 36 + int(unsafe.Sizeof("")) + ringHeaderBytes
-
 // Window is the exact store of S_T: every live object of the last T time
 // units, indexed by a uniform grid and an inverted keyword index. It is the
 // repository's stand-in for the paper's "actual data" path — the query
@@ -166,13 +159,10 @@ type Window struct {
 	base   uint64 // sequence number of the oldest live object
 	n      int    // live objects
 
-	// Keyword dictionary: word → ID, and by ID the word and its posting
-	// ring. A free ID has the empty ring and is listed in free; whether an
-	// ID is live is the map's to say, since "" is a word like any other.
-	ids      map[string]uint32
-	words    []string
+	// Keyword dictionary, and by ID the word's posting ring. A free ID has
+	// the empty ring.
+	dict     intern.Dict
 	postings []ring
-	free     []uint32
 
 	cells []ring
 
@@ -205,7 +195,6 @@ func NewWindow(world geo.Rect, span int64, gridCells int) *Window {
 		span:  span,
 		grid:  g,
 		cells: make([]ring, g.NumCells()),
-		ids:   make(map[string]uint32),
 	}
 }
 
@@ -222,7 +211,7 @@ func (w *Window) Size() int { return w.n }
 func (w *Window) Inserted() uint64 { return w.inserted }
 
 // DistinctKeywords returns the number of distinct keywords currently live.
-func (w *Window) DistinctKeywords() int { return len(w.ids) }
+func (w *Window) DistinctKeywords() int { return w.dict.Len() }
 
 // MemoryBytes returns the window's footprint, which is all its own: arena
 // chunks with their high columns and keyword ID stores, ring buffers and
@@ -234,7 +223,7 @@ func (w *Window) MemoryBytes() int {
 	}
 	return blocks*blockBytes + highBytes*w.highs + chunkBytes*cap(w.chunks) +
 		4*w.kwSlots + ringHeaderBytes*len(w.cells) + 4*w.slots +
-		dictWordBytes*cap(w.words) + w.wordBytes + 4*cap(w.free) +
+		w.dict.MemoryBytes() + ringHeaderBytes*cap(w.postings) + w.wordBytes +
 		4*cap(w.qids) + 8*cap(w.seen)
 }
 
@@ -328,18 +317,13 @@ func (w *Window) append(o *Object) {
 // if no live object carries it. The caller must post the ID at once: an ID
 // with an empty ring is free.
 func (w *Window) intern(word string) uint32 {
-	if id, ok := w.ids[word]; ok {
+	if id, ok := w.dict.ID(word); ok {
 		return id
 	}
-	var id uint32
-	if f := w.free; len(f) > 0 {
-		id, w.free = f[len(f)-1], f[:len(f)-1]
-	} else {
-		id = uint32(len(w.words))
-		w.words, w.postings = append(w.words, ""), append(w.postings, ring{})
+	id := w.dict.Add(strings.Clone(word))
+	if int(id) == len(w.postings) {
+		w.postings = append(w.postings, ring{})
 	}
-	word = strings.Clone(word)
-	w.ids[word], w.words[id] = id, word
 	w.wordBytes += len(word)
 	return id
 }
@@ -404,13 +388,10 @@ func (w *Window) trimRings() {
 // release retires the word of id, whose last carrier has been evicted: the
 // dictionary forgets the word and its ring's buffer, and the ID is free.
 func (w *Window) release(id uint32) {
-	word := w.words[id]
-	delete(w.ids, word)
-	w.wordBytes -= len(word)
-	w.words[id] = ""
+	w.wordBytes -= len(w.dict.Word(id))
+	w.dict.Release(id)
 	w.slots -= len(w.postings[id].buf)
 	w.postings[id] = ring{}
-	w.free = append(w.free, id)
 }
 
 // releaseHead retires the fully evicted chunks[0], keeping it, emptied and
@@ -472,7 +453,7 @@ func (w *Window) Count(q *Query) int {
 func (w *Window) resolve(kws []string) []uint32 {
 	ids := w.qids[:0]
 	for _, kw := range kws {
-		if id, ok := w.ids[kw]; ok && !containsID(ids, id) {
+		if id, ok := w.dict.ID(kw); ok && !containsID(ids, id) {
 			ids = append(ids, id)
 		}
 	}
@@ -610,7 +591,7 @@ func (w *Window) At(i int, o *Object) {
 	o.ID, o.Loc, o.Timestamp = c.id(slot), c.recs[slot].loc, c.ts(slot)
 	o.Keywords = o.Keywords[:0]
 	for _, id := range c.ids(slot) {
-		o.Keywords = append(o.Keywords, w.words[id])
+		o.Keywords = append(o.Keywords, w.dict.Word(id))
 	}
 }
 

@@ -84,24 +84,25 @@ func recount(t *testing.T, w *Window) (occurrences, refs int) {
 		pq := &w.postings[id]
 		slots += len(pq.buf)
 		refs += pq.len()
+		word := w.dict.Word(uint32(id))
 		if pq.len() == 0 {
-			if pq.buf != nil || w.words[id] != "" {
-				t.Fatalf("free ID %d keeps a %d-slot ring and the word %q", id, len(pq.buf), w.words[id])
+			if pq.buf != nil || word != "" {
+				t.Fatalf("free ID %d keeps a %d-slot ring and the word %q", id, len(pq.buf), word)
 			}
 			continue
 		}
 		words++
-		wordBytes += len(w.words[id])
-		if got, ok := w.ids[w.words[id]]; !ok || got != uint32(id) {
-			t.Fatalf("word %q of ID %d resolves to %d (%v)", w.words[id], id, got, ok)
+		wordBytes += len(word)
+		if got, ok := w.dict.ID(word); !ok || got != uint32(id) {
+			t.Fatalf("word %q of ID %d resolves to %d (%v)", word, id, got, ok)
 		}
 	}
 	if slots != w.slots {
 		t.Errorf("accounted %d ring slots, rings hold %d", w.slots, slots)
 	}
-	if words != len(w.ids) || words+len(w.free) != len(w.words) || wordBytes != w.wordBytes {
-		t.Errorf("dictionary: %d posted words of %d bytes, %d free and %d assigned IDs, map holds %d, accounted %d bytes",
-			words, wordBytes, len(w.free), len(w.words), len(w.ids), w.wordBytes)
+	if words != w.dict.Len() || len(w.postings) != w.dict.IDs() || wordBytes != w.wordBytes {
+		t.Errorf("dictionary: %d posted words of %d bytes, %d rings, %d assigned IDs, %d held, accounted %d bytes",
+			words, wordBytes, len(w.postings), w.dict.IDs(), w.dict.Len(), w.wordBytes)
 	}
 	kwSlots := cap(w.spare.kws)
 	for i := range w.chunks {
