@@ -490,9 +490,9 @@ func (d *DurableEngine) appendWAL(objs []Object) {
 // Feed logs the object to the WAL, then feeds the engine.
 func (d *DurableEngine) Feed(o Object) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.appendWAL([]Object{o})
 	d.eng.Feed(o)
-	d.mu.Unlock()
 }
 
 // FeedBatch logs the batch to the WAL in one write, then feeds the engine.
@@ -503,9 +503,9 @@ func (d *DurableEngine) FeedBatch(objs []Object) {
 		return
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.appendWAL(objs)
 	d.eng.FeedBatch(objs)
-	d.mu.Unlock()
 }
 
 // EstimateAndExecute delegates to the engine without taking mu, so a

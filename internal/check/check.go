@@ -1,8 +1,8 @@
 // Package check is the repository's correctness-verification subsystem.
 // It proves, rather than assumes, that the engines of the public API —
 // System, and ShardedSystem with one shard and with several —
-// still serve the paper's RC-DVQ semantics after every layer of sharding, telemetry and
-// resilience added on top, and that the exact window store itself agrees
+// still serve the paper's RC-DVQ semantics after every layer of sharding,
+// telemetry and persistence added on top, and that the exact window store itself agrees
 // with a second, independently written implementation of the query
 // definition.
 //

@@ -190,10 +190,6 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 		latest.WithAccWindow(cfg.AccWindow),
 		latest.WithAlpha(cfg.Alpha),
 		latest.WithLatencyModel(DeterministicLatencyModel),
-		// A CI scheduler stall must not turn into a deadline fault on one
-		// engine but not another; estimator faults are chaos_test.go's
-		// subject, not this harness's.
-		latest.WithBreaker(latest.BreakerConfig{Deadline: 10 * time.Minute}),
 	}
 	if cfg.Tau > 0 {
 		opts = append(opts, latest.WithTau(cfg.Tau))

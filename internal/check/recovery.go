@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	latest "github.com/spatiotext/latest"
 	"github.com/spatiotext/latest/internal/datagen"
@@ -39,7 +38,6 @@ func goldenOptions(cfg GoldenConfig) []latest.Option {
 		latest.WithAccWindow(cfg.AccWindow),
 		latest.WithAlpha(cfg.Alpha),
 		latest.WithLatencyModel(DeterministicLatencyModel),
-		latest.WithBreaker(latest.BreakerConfig{Deadline: 10 * time.Minute}),
 	}
 	if cfg.MemoryScale > 0 {
 		opts = append(opts, latest.WithMemoryScale(cfg.MemoryScale))

@@ -24,7 +24,6 @@ import (
 	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/hoeffding"
-	"github.com/spatiotext/latest/internal/resilience"
 	"github.com/spatiotext/latest/internal/stream"
 	"github.com/spatiotext/latest/internal/telemetry"
 )
@@ -105,18 +104,9 @@ type Config struct {
 	// Logger receives switch-path and pre-fill lifecycle lines; nil is
 	// silent (logging never touches the per-object or per-query hot path).
 	Logger *telemetry.Logger
-	// Resilience parameterizes the per-estimator guard and circuit breaker
-	// (fault window, quarantine threshold, cooldown, probe count, latency
-	// deadline). The zero value takes the resilience package defaults —
-	// fault isolation is always on.
-	Resilience resilience.Config
-	// Injector, when non-nil, deterministically injects faults into guarded
-	// estimator calls. Chaos testing only; nil in production.
-	Injector *resilience.Injector
-	// Oracle, when non-nil, answers a query exactly from the live window
-	// store. The module uses it as the terminal fallback when the active
-	// estimator faults and no runner-up is warm — the answer is then exact
-	// rather than approximate, trading latency for availability.
+	// Oracle is unread. It once answered a query exactly when every
+	// estimator had failed; it stays only because benchmark/probes.go
+	// still sets it, and goes when that probe stops.
 	Oracle func(q *stream.Query) float64
 }
 
@@ -186,9 +176,6 @@ func (c Config) validate() error {
 	}
 	if !found {
 		return fmt.Errorf("core: default estimator %q not in fleet %v", c.Default, c.Estimators)
-	}
-	if err := c.Resilience.Validate(); err != nil {
-		return err
 	}
 	return nil
 }

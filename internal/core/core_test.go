@@ -51,7 +51,7 @@ type driver struct {
 	id  uint64
 }
 
-func newDriver(t *testing.T, cfg Config) *driver {
+func newDriver(t testing.TB, cfg Config) *driver {
 	t.Helper()
 	w := stream.NewWindow(cfg.World, cfg.Span, 1024)
 	cfg.Refill = func(e estimator.Estimator) { estimator.Fill(e, w) }

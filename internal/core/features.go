@@ -33,12 +33,6 @@ type brain struct {
 	// gate goes to zero there: gate = τ·min(1, 2(1−α)).
 	accGate float64
 
-	// masked is shared with the owning module's quarantine bookkeeping:
-	// masked[i] means estimator i is quarantined by its circuit breaker and
-	// must appear in no switch recommendation and no training label until
-	// it is re-admitted.
-	masked []bool
-
 	accNorm metrics.MinMax
 	latNorm metrics.MinMax
 
@@ -112,11 +106,6 @@ func newBrain(names []string, cfg Config) *brain {
 		b.profLat = append(b.profLat, latRow)
 	}
 	return b
-}
-
-// excluded reports whether an estimator is quarantine-masked.
-func (b *brain) excluded(est int) bool {
-	return b.masked != nil && est >= 0 && est < len(b.masked) && b.masked[est]
 }
 
 // observe folds one measurement into the normalizers and profile.
@@ -224,7 +213,7 @@ func (b *brain) bestOpportunity(qt stream.QueryType, active int) int {
 	floor := b.profAcc[active][qt].Value() - tol
 	best := -1
 	for est := range b.names {
-		if est == active || b.excluded(est) || !ok[est] || !b.passesGate(est, qt) {
+		if est == active || !ok[est] || !b.passesGate(est, qt) {
 			continue
 		}
 		if b.profAcc[est][qt].Value() < floor {
@@ -313,7 +302,7 @@ func (b *brain) recommend(q *stream.Query, active int) int {
 	qt := q.Type()
 	_, best, bestP, second, secondP := b.consult(q, active)
 	usable := func(est int, p float64) bool {
-		return est >= 0 && est != active && !b.excluded(est) && p > 0 && b.passesGate(est, qt)
+		return est >= 0 && est != active && p > 0 && b.passesGate(est, qt)
 	}
 	if usable(best, bestP) {
 		return best
@@ -378,7 +367,7 @@ func (b *brain) recommendAny(q *stream.Query) int {
 			treeBest, bestP = i, p
 		}
 	}
-	if treeBest >= 0 && bestP > 0 && !b.excluded(treeBest) {
+	if treeBest >= 0 && bestP > 0 {
 		return treeBest
 	}
 	return best
@@ -390,7 +379,7 @@ func (b *brain) bestByProfileExcluding(qt stream.QueryType, skip int) int {
 	s, ok := b.scores(qt)
 	best, bestUngated := -1, -1
 	for est := range b.names {
-		if est == skip || b.excluded(est) || !ok[est] {
+		if est == skip || !ok[est] {
 			continue
 		}
 		if bestUngated < 0 || s[est] > s[bestUngated] {

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/metrics"
-	"github.com/spatiotext/latest/internal/resilience"
 	"github.com/spatiotext/latest/internal/stream"
 	"github.com/spatiotext/latest/internal/telemetry"
 )
@@ -24,19 +24,9 @@ type Module struct {
 	index map[string]int
 	ests  []estimator.Estimator
 
-	// Fault isolation (the resilience layer): every estimator call goes
-	// through its guard; every outcome feeds its breaker; masked[i] mirrors
-	// breaker quarantine and is shared with the brain so quarantined
-	// estimators drop out of switch candidates and training labels. The
-	// fallback counters record how faulted active-estimator queries were
-	// served instead.
-	guards   []*resilience.Guard
-	breakers []*resilience.Breaker
-	masked   []bool
-
-	fallbackRunnerUp uint64
-	fallbackOracle   uint64
-	fallbackZero     uint64
+	// sanitized[i] counts estimator i's answers that were NaN, ±Inf or
+	// negative and were replaced by 0 before anything read them.
+	sanitized []uint64
 
 	// sampled[i] marks a sampler (estimator.Sampler) that warm-up does not
 	// stream into: Refill fills it once when warm-up ends. Set only when
@@ -156,11 +146,9 @@ func New(cfg Config) (*Module, error) {
 			return nil, err
 		}
 		m.ests = append(m.ests, e)
-		m.guards = append(m.guards, resilience.NewGuard(e, cfg.Resilience, cfg.Injector))
-		m.breakers = append(m.breakers, resilience.NewBreaker(cfg.Resilience))
 		m.index[name] = i
 	}
-	m.masked = make([]bool, len(m.ests))
+	m.sanitized = make([]uint64, len(m.ests))
 	m.sampled = make([]bool, len(m.ests))
 	for i, e := range m.ests {
 		_, isSampler := e.(estimator.Sampler)
@@ -173,7 +161,6 @@ func New(cfg Config) (*Module, error) {
 	}
 	m.active = m.index[cfg.Default]
 	m.brain = newBrain(m.names, cfg)
-	m.brain.masked = m.masked
 	return m, nil
 }
 
@@ -216,18 +203,16 @@ func (m *Module) TrainingRecords() int { return m.brain.tree.Instances() }
 func (m *Module) Insert(o *stream.Object) {
 	switch m.phase {
 	case PhaseWarmup, PhasePretrain:
-		for i := range m.guards {
-			if m.masked[i] || m.phase == PhaseWarmup && m.sampled[i] {
+		for i, e := range m.ests {
+			if m.phase == PhaseWarmup && m.sampled[i] {
 				continue
 			}
-			m.noteCall(i, m.guards[i].Insert(o))
+			e.Insert(o)
 		}
 	default:
-		if !m.masked[m.active] {
-			m.noteCall(m.active, m.guards[m.active].Insert(o))
-		}
+		m.ests[m.active].Insert(o)
 		if m.prefill >= 0 {
-			m.noteCall(m.prefill, m.guards[m.prefill].Insert(o))
+			m.ests[m.prefill].Insert(o)
 		}
 	}
 }
@@ -235,7 +220,10 @@ func (m *Module) Insert(o *stream.Object) {
 // Estimate answers an RC-DVQ from the active estimator. During
 // pre-training it additionally runs the query on every other estimator to
 // harvest training measurements. Each Estimate must be followed by Observe
-// before the next Estimate.
+// before the next Estimate. An answer that is NaN, ±Inf or negative is
+// replaced by 0 and counted. An estimator that panics leaves no pending
+// query behind: the panic propagates to the caller, and the next Estimate
+// starts afresh.
 func (m *Module) Estimate(q *stream.Query) float64 {
 	if m.pending != nil {
 		panic("core: Estimate called before Observe of previous query")
@@ -246,22 +234,18 @@ func (m *Module) Estimate(q *stream.Query) float64 {
 	if m.phase == PhaseWarmup {
 		m.endWarmup()
 	}
-	m.tickBreakers()
-	if m.masked[m.active] {
-		// The active estimator tripped during Insert/Observe (or the module
-		// is running degraded): install a replacement before serving.
-		m.rescueActive(q)
-	}
 	p := &m.pendBuf
 	p.q, p.answer = *q, 0
 	clear(p.estimates)
 	clear(p.latencies)
 	clear(p.measured)
 	measure := func(i int) {
-		est, lat, k := m.guards[i].Estimate(q)
-		m.noteCall(i, k)
-		if k != resilience.FaultNone {
-			return // faulted measurement: never trains, never answers
+		start := time.Now()
+		est := m.ests[i].Estimate(q)
+		lat := time.Since(start)
+		if !(est >= 0) || math.IsInf(est, 1) { // !(est >= 0) is true for NaN
+			est = 0
+			m.sanitized[i]++
 		}
 		if m.cfg.LatencyOf != nil {
 			lat = m.cfg.LatencyOf(m.names[i], q, lat)
@@ -276,15 +260,10 @@ func (m *Module) Estimate(q *stream.Query) float64 {
 	}
 	if m.phase == PhasePretrain {
 		for i := range m.ests {
-			if m.masked[i] {
-				continue
-			}
 			measure(i)
 		}
 	} else {
-		if !m.masked[m.active] {
-			measure(m.active)
-		}
+		measure(m.active)
 		if m.prefill >= 0 {
 			// The warming candidate is measured too: its feedback seeds the
 			// profile so a recovery-discard or the eventual switch is an
@@ -292,19 +271,7 @@ func (m *Module) Estimate(q *stream.Query) float64 {
 			measure(m.prefill)
 		}
 	}
-	if p.measured[m.active] {
-		p.answer = p.estimates[m.active]
-	} else {
-		// The active estimator faulted on this query (or is quarantined with
-		// no replacement installed): serve the fallback chain.
-		p.answer = m.fallbackAnswer(p, q)
-	}
-	if m.masked[m.active] {
-		// The fault above tripped the breaker: re-route future queries now
-		// rather than waiting for the next Estimate.
-		m.rescueActive(q)
-	}
-	m.probeQuarantined(q)
+	p.answer = p.estimates[m.active]
 	m.pending = p
 	return p.answer
 }
@@ -346,12 +313,9 @@ func (m *Module) Observe(actual float64) {
 		m.brain.observe(i, qt, acc, p.latencies[i])
 		m.brain.learn(&p.q, i, acc, p.latencies[i], relErr)
 		// Workload-driven estimators get the raw feedback as well.
-		m.noteCall(i, m.guards[i].Observe(&p.q, actual))
+		m.ests[i].Observe(&p.q, actual)
 	}
-	// The monitored accuracy is that of the *served* answer — identical to
-	// the active estimate on the healthy path, the fallback's accuracy when
-	// the active estimator faulted (a faulted raw estimate must not poison
-	// the switching statistics).
+	// The monitored accuracy is that of the served answer.
 	m.accWindow.Add(metrics.Accuracy(p.answer, actual))
 
 	switch m.phase {
@@ -371,7 +335,7 @@ func (m *Module) Observe(actual float64) {
 // so Refill can tell this fill from a pre-fill.
 func (m *Module) endWarmup() {
 	for i, s := range m.sampled {
-		if s && !m.masked[i] {
+		if s {
 			m.freshen(i)
 		}
 	}
@@ -382,23 +346,9 @@ func (m *Module) endWarmup() {
 // the incremental phase (§V-C's overhead reduction).
 func (m *Module) concludePretraining() {
 	m.active = m.index[m.cfg.Default]
-	if m.masked[m.active] {
-		// The configured default is quarantined: start the incremental phase
-		// on the best live candidate instead (first unmasked as last resort).
-		if rec := m.brain.bestByProfileExcluding(stream.SpatialQuery, m.active); rec >= 0 {
-			m.active = rec
-		} else {
-			for i := range m.masked {
-				if !m.masked[i] {
-					m.active = i
-					break
-				}
-			}
-		}
-	}
-	for i := range m.ests {
+	for i, e := range m.ests {
 		if i != m.active {
-			m.noteCall(i, m.guards[i].Reset())
+			e.Reset()
 		}
 	}
 	m.phase = PhaseIncremental
@@ -421,7 +371,7 @@ func (m *Module) adapt(q *stream.Query) {
 			// motivated it has stalled. Stop paying double maintenance.
 			m.log.Debug("prefill discarded", "candidate", m.names[m.prefill],
 				"reason", "stalled", "age", m.prefillAge)
-			m.noteCall(m.prefill, m.guards[m.prefill].Reset())
+			m.ests[m.prefill].Reset()
 			m.prefill = -1
 		}
 	}
@@ -455,7 +405,7 @@ func (m *Module) adapt(q *stream.Query) {
 		// Accuracy recovered: discard the warming candidate (§V-D).
 		m.log.Debug("prefill discarded", "candidate", m.names[m.prefill],
 			"reason", "recovered", "accuracy", mean)
-		m.noteCall(m.prefill, m.guards[m.prefill].Reset())
+		m.ests[m.prefill].Reset()
 		m.prefill = -1
 	}
 }
@@ -504,7 +454,7 @@ func (m *Module) opportunity(q *stream.Query) bool {
 			target, targetN = est, n
 		}
 	}
-	if target < 0 || target == m.active || m.masked[target] {
+	if target < 0 || target == m.active {
 		return false
 	}
 	// The target will serve the *whole* mix, not just the type it wins on:
@@ -519,7 +469,7 @@ func (m *Module) opportunity(q *stream.Query) bool {
 		prefilled := m.prefill == target
 		if !prefilled {
 			if m.prefill >= 0 {
-				m.noteCall(m.prefill, m.guards[m.prefill].Reset())
+				m.ests[m.prefill].Reset()
 				m.prefill = -1
 			}
 			m.freshen(target)
@@ -565,7 +515,7 @@ func (m *Module) passesPrevalentGates(est int) bool {
 
 // freshen wipes an estimator and seeds it from the live window store.
 func (m *Module) freshen(i int) {
-	m.noteCall(i, m.guards[i].Reset())
+	m.ests[i].Reset()
 	if m.cfg.Refill != nil {
 		m.cfg.Refill(m.ests[i])
 	}
@@ -595,7 +545,7 @@ func (m *Module) performSwitch(q *stream.Query) {
 			target = alt
 			prefilled = false
 			if m.prefill >= 0 {
-				m.noteCall(m.prefill, m.guards[m.prefill].Reset())
+				m.ests[m.prefill].Reset()
 				m.prefill = -1
 			}
 		} else {
@@ -607,7 +557,7 @@ func (m *Module) performSwitch(q *stream.Query) {
 		// The alternative is no better under the configured α; discard any
 		// warming candidate and hold position until the profile changes.
 		if m.prefill >= 0 {
-			m.noteCall(m.prefill, m.guards[m.prefill].Reset())
+			m.ests[m.prefill].Reset()
 			m.prefill = -1
 		}
 		m.cooldown = m.cfg.CooldownQueries / 2
@@ -666,7 +616,7 @@ func (m *Module) switchTo(target int, q *stream.Query, prefilled bool, reason st
 	m.traceDecision(ev, q, reason)
 	// The displaced estimator is wiped: only one summary (plus at most one
 	// warming candidate) is ever maintained.
-	m.noteCall(m.active, m.guards[m.active].Reset())
+	m.ests[m.active].Reset()
 	m.active = target
 	m.prefill = -1
 	if prefilled {
@@ -790,10 +740,9 @@ type Stats struct {
 	Drift []telemetry.DriftSample
 	// Decisions is the retained switch-decision audit trail, oldest-first.
 	Decisions []telemetry.Decision
-	// Resilience is the fault-isolation layer's health: per-estimator
-	// breaker states and fault counters, plus how faulted queries were
-	// answered.
-	Resilience telemetry.ResilienceStats
+	// Sanitized counts, per estimator name, the answers that were NaN,
+	// ±Inf or negative and were served and scored as 0 instead.
+	Sanitized map[string]uint64
 }
 
 // Snapshot returns current Stats.
@@ -801,8 +750,12 @@ func (m *Module) Snapshot() Stats {
 	mem := 0
 	for i := range m.ests {
 		if m.phase != PhaseIncremental || i == m.active || i == m.prefill {
-			mem += m.guards[i].MemoryBytes()
+			mem += m.ests[i].MemoryBytes()
 		}
+	}
+	sanitized := make(map[string]uint64, len(m.names))
+	for i, name := range m.names {
+		sanitized[name] = m.sanitized[i]
 	}
 	return Stats{
 		Phase:           m.phase,
@@ -823,7 +776,7 @@ func (m *Module) Snapshot() Stats {
 		QError:          m.qerrSamples(),
 		Drift:           m.driftSamples(),
 		Decisions:       m.trace.Snapshot(),
-		Resilience:      m.resilienceStats(),
+		Sanitized:       sanitized,
 	}
 }
 

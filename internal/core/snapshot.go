@@ -82,13 +82,14 @@ func MergeStats(parts []Stats) Stats {
 	if n := len(out.Decisions); n > telemetry.DefaultTraceDepth {
 		out.Decisions = out.Decisions[n-telemetry.DefaultTraceDepth:]
 	}
-	res := make([]telemetry.ResilienceStats, len(parts))
+	out.Sanitized = make(map[string]uint64, len(parts[0].Sanitized))
 	drifts := make([][]telemetry.DriftSample, len(parts))
 	for i, p := range parts {
-		res[i] = p.Resilience
+		for name, n := range p.Sanitized {
+			out.Sanitized[name] += n
+		}
 		drifts[i] = p.Drift
 	}
-	out.Resilience = telemetry.MergeResilience(res)
 	out.Drift = telemetry.MergeDriftSamples(drifts...)
 	return out
 }

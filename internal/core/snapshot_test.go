@@ -14,12 +14,14 @@ func TestMergeStats(t *testing.T) {
 		PretrainSeen: 100, IncrementalSeen: 300, Switches: 2,
 		TrainingRecords: 400, TreeNodes: 5, TreeSplits: 2, ModelRetrains: 1,
 		AccuracyAvg: 0.9, MemoryBytes: 1000,
+		Sanitized: map[string]uint64{"RSH": 2, "H4096": 0},
 	}
 	b := Stats{
 		Phase: PhasePretrain, Active: "RSH",
 		PretrainSeen: 100, IncrementalSeen: 0,
 		TrainingRecords: 100, TreeNodes: 1,
 		AccuracyAvg: 0.5, MemoryBytes: 500,
+		Sanitized: map[string]uint64{"RSH": 1, "H4096": 4},
 	}
 	c := Stats{
 		Phase: PhaseIncremental, Active: "H4096",
@@ -43,6 +45,9 @@ func TestMergeStats(t *testing.T) {
 	}
 	if m.TrainingRecords != 700 || m.TreeNodes != 9 || m.TreeSplits != 3 || m.ModelRetrains != 1 {
 		t.Errorf("model counters = %+v", m)
+	}
+	if want := map[string]uint64{"RSH": 3, "H4096": 4}; !reflect.DeepEqual(m.Sanitized, want) {
+		t.Errorf("sanitized = %v, want %v", m.Sanitized, want)
 	}
 	if m.MemoryBytes != 2200 {
 		t.Errorf("memory = %d", m.MemoryBytes)

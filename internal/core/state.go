@@ -15,14 +15,15 @@ import (
 // everything the switching machinery needs to continue bit-exactly.
 //
 // Deliberately NOT serialized — documented behaviour, not an oversight:
+// estLat, the estimate-latency histogram, and the per-estimator sanitised
+// counts. Wall-clock latencies of the dead process are meaningless to the
+// new one, and the counts describe the process, not the data. Both start
+// from zero on restore.
 //
-//   - Resilience state (guards, breakers, masked flags, fault counters):
-//     quarantine is a judgement about the *process* that crashed, not about
-//     the data; a restored process starts with healthy breakers.
-//   - estLat, the estimate-latency histogram: wall-clock latencies of the
-//     dead process are meaningless to the new one.
-//
-// Both reset to their fresh state on restore.
+// Three words after the lifecycle counters once held fallback-answer
+// counters. They keep their slots, written as 0 and discarded on load, so
+// every image taken before the counters went still restores and new
+// images keep the same layout.
 
 // SaveState serializes the module. It must be called between queries — a
 // pending Estimate whose Observe has not arrived cannot be captured because
@@ -41,9 +42,9 @@ func (m *Module) SaveState(e *persist.Enc) error {
 	e.Int(m.pretrainSeen)
 	e.Int(m.incrementalSeen)
 	e.Int(m.cooldown)
-	e.U64(m.fallbackRunnerUp)
-	e.U64(m.fallbackOracle)
-	e.U64(m.fallbackZero)
+	for range 3 { // the retired fallback counters
+		e.U64(0)
+	}
 	m.accWindow.SaveState(e)
 	m.oppGap.SaveState(e)
 	e.Int(len(m.oppBest))
@@ -92,16 +93,12 @@ const (
 // a different sample than the uninterrupted process: recovery must
 // reproduce the original's future, not merely its present. Stateless
 // (third-party) estimators can't serialize; live ones are marked for a
-// window replay on load, idle ones stay empty, and quarantined ones are
-// skipped outright — a fault mid-operation may have left the summary
-// inconsistent, and their breakers reset on restore anyway.
+// window replay on load and idle ones stay empty.
 func (m *Module) saveEstimators(e *persist.Enc) {
 	for i, est := range m.ests {
 		live := m.phase != PhaseIncremental || i == m.active || i == m.prefill
 		s, stateful := est.(estimator.Stateful)
 		switch {
-		case m.masked[i]:
-			e.U8(estSkip)
 		case stateful:
 			e.U8(estBlob)
 			var sub persist.Enc
@@ -144,9 +141,9 @@ func (m *Module) LoadState(d *persist.Dec) error {
 	pretrainSeen := d.Int()
 	incrementalSeen := d.Int()
 	cooldown := d.Int()
-	fbRunnerUp := d.U64()
-	fbOracle := d.U64()
-	fbZero := d.U64()
+	for range 3 { // the retired fallback counters
+		d.U64()
+	}
 	if d.Err() != nil {
 		return d.Err()
 	}
@@ -158,6 +155,10 @@ func (m *Module) LoadState(d *persist.Dec) error {
 	}
 	if prefill < -1 || prefill >= len(m.names) {
 		return persist.Errf(persist.CodeMalformed, op, "prefill estimator %d of %d", prefill, len(m.names))
+	}
+	if prefillAge < 0 || pretrainSeen < 0 || incrementalSeen < 0 || cooldown < 0 {
+		return persist.Errf(persist.CodeMalformed, op, "negative counter (%d, %d, %d, %d)",
+			prefillAge, pretrainSeen, incrementalSeen, cooldown)
 	}
 	if err := m.accWindow.LoadState(d); err != nil {
 		return err
@@ -193,6 +194,12 @@ func (m *Module) LoadState(d *persist.Dec) error {
 		m.oppQt[i] = stream.QueryType(t)
 	}
 	oppN := d.Int()
+	if oppN < 0 {
+		if d.Err() != nil {
+			return d.Err()
+		}
+		return persist.Errf(persist.CodeMalformed, op, "opportunity count %d", oppN)
+	}
 	for i := range m.names {
 		if err := m.qerr[i].LoadState(d); err != nil {
 			return err
@@ -223,9 +230,6 @@ func (m *Module) LoadState(d *persist.Dec) error {
 	m.pretrainSeen = pretrainSeen
 	m.incrementalSeen = incrementalSeen
 	m.cooldown = cooldown
-	m.fallbackRunnerUp = fbRunnerUp
-	m.fallbackOracle = fbOracle
-	m.fallbackZero = fbZero
 	m.oppN = oppN
 	m.switches = switches
 	m.trace.Restore(decisions, traceTotal)
@@ -322,6 +326,9 @@ func (b *brain) loadState(d *persist.Dec) error {
 	retrains := d.Int()
 	if d.Err() != nil {
 		return d.Err()
+	}
+	if labelN < 0 || retrains < 0 {
+		return persist.Errf(persist.CodeMalformed, op, "label count %d, retrains %d", labelN, retrains)
 	}
 	if len(labels) != len(b.labels) {
 		return persist.Errf(persist.CodeMismatch, op, "label window %d, receiver has %d", len(labels), len(b.labels))

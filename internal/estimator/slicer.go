@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -37,22 +38,32 @@ func (s *Slicer) Slices() int { return s.slices }
 // AdvanceTo moves the slicer to timestamp ts and returns how many ring
 // rotations the caller must perform, capped at the ring length (rotating a
 // ring its full length clears it; further rotations are pointless). The
-// first timestamp anchors the slice grid.
+// first timestamp anchors the slice grid. Any int64 timestamps are
+// accepted: the gap is taken unsigned, so it cannot overflow, and a
+// boundary that would pass math.MaxInt64 stops there.
 func (s *Slicer) AdvanceTo(ts int64) int {
 	if !s.started {
 		s.started = true
 		s.boundary = ts + s.dur
+		if s.boundary < ts {
+			s.boundary = math.MaxInt64
+		}
 		return 0
 	}
 	if ts < s.boundary {
 		return 0
 	}
-	steps := int((ts-s.boundary)/s.dur) + 1
-	s.boundary += int64(steps) * s.dur
-	if steps > s.slices {
-		steps = s.slices
+	// Both differences are exact in uint64: ts ≥ boundary, MaxInt64 ≥ boundary.
+	steps := (uint64(ts)-uint64(s.boundary))/uint64(s.dur) + 1
+	if room := uint64(math.MaxInt64) - uint64(s.boundary); steps > room/uint64(s.dur) {
+		s.boundary = math.MaxInt64
+	} else {
+		s.boundary = int64(uint64(s.boundary) + steps*uint64(s.dur))
 	}
-	return steps
+	if steps > uint64(s.slices) {
+		return s.slices
+	}
+	return int(steps)
 }
 
 // Reset forgets the anchor so the next timestamp re-anchors the grid.

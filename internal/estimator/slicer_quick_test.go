@@ -1,9 +1,13 @@
 package estimator
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/spatiotext/latest/internal/geo"
+	"github.com/spatiotext/latest/internal/stream"
 )
 
 // Property: however the clock advances, the total rotations the slicer
@@ -65,5 +69,34 @@ func TestWindowCounterNeverNegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSlicerExtremeTimestamps: a clock that leaps across the int64 range
+// rotates between 0 and the ring length, never negative, and every
+// estimator built on a slicer takes such a stream without panicking.
+func TestSlicerExtremeTimestamps(t *testing.T) {
+	clocks := [][]int64{
+		{math.MinInt64, -1, 0, math.MaxInt64 - 5, math.MaxInt64},
+		{math.MinInt64, math.MaxInt64},
+		{math.MaxInt64, math.MaxInt64},
+		{-1 << 62, 1 << 62, math.MaxInt64},
+		{math.MinInt64 + 1, -1 << 62, math.MaxInt64},
+	}
+	for _, clock := range clocks {
+		s := NewSlicer(1000, 16)
+		for _, ts := range clock {
+			if steps := s.AdvanceTo(ts); steps < 0 || steps > 16 {
+				t.Fatalf("clock %v: AdvanceTo(%d) = %d", clock, ts, steps)
+			}
+		}
+		for _, e := range DefaultRegistry().BuildAll(Params{World: geo.UnitSquare, Span: 1000, Scale: 0.01, Seed: 1}) {
+			for _, ts := range clock {
+				o := stream.Object{Loc: geo.Pt(0.5, 0.5), Keywords: []string{"kw"}, Timestamp: ts}
+				e.Insert(&o)
+				q := stream.HybridQ(geo.CenteredRect(geo.Pt(0.5, 0.5), 0.5, 0.5), []string{"kw"}, ts)
+				e.Estimate(&q)
+			}
+		}
 	}
 }

@@ -291,9 +291,11 @@ func (c *conn) dispatch(h wire.Header, payload []byte, readStart time.Time) {
 	}
 }
 
-// guard runs a handler call, converting a panic into an error. Engines and
-// routers carry their own resilience; this is the serving layer's last
-// line — a request must always be answered.
+// guard runs a handler call, converting a panic into an error the request
+// is answered with (CodeInternal). Engines do not contain an estimator's
+// panic: they release their locks and re-raise it on the handler's
+// goroutine, so this is the one place it stops — a request must always be
+// answered.
 func (c *conn) guard(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -1,11 +1,27 @@
 package metrics
 
-import "github.com/spatiotext/latest/internal/persist"
+import (
+	"math"
+
+	"github.com/spatiotext/latest/internal/persist"
+)
 
 // State codecs for the incremental statistics that survive a snapshot.
 // Alpha (EWMA) and capacity (SlidingAverage) come from the constructor, so
 // only the accumulated values are written; the restore side validates shape
-// against the receiver.
+// against the receiver. Every value a statistic accumulates from finite
+// observations is finite, so a NaN or an infinity in an image is refused:
+// restored, it would reach every score and record computed from it.
+
+// finite reports whether no value is NaN or ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
 
 // SaveState serializes the normalizer.
 func (m *MinMax) SaveState(e *persist.Enc) {
@@ -21,6 +37,9 @@ func (m *MinMax) LoadState(d *persist.Dec) error {
 	seen := d.Bool()
 	if d.Err() != nil {
 		return d.Err()
+	}
+	if !finite(min, max) {
+		return persist.Errf(persist.CodeMalformed, "minmax", "range [%v, %v]", min, max)
 	}
 	m.min, m.max, m.seen = min, max, seen
 	return nil
@@ -39,6 +58,9 @@ func (e *EWMA) LoadState(d *persist.Dec) error {
 	seen := d.Bool()
 	if d.Err() != nil {
 		return d.Err()
+	}
+	if !finite(value) {
+		return persist.Errf(persist.CodeMalformed, "ewma", "value %v", value)
 	}
 	e.value, e.seen = value, seen
 	return nil
@@ -69,6 +91,9 @@ func (s *SlidingAverage) LoadState(d *persist.Dec) error {
 	}
 	if n < 0 || n > len(s.buf) || next < 0 || next >= len(s.buf) {
 		return persist.Errf(persist.CodeMalformed, op, "n=%d next=%d cap=%d", n, next, len(s.buf))
+	}
+	if !finite(sum) || !finite(buf...) {
+		return persist.Errf(persist.CodeMalformed, op, "non-finite value")
 	}
 	copy(s.buf, buf)
 	s.next, s.n, s.sum = next, n, sum

@@ -11,10 +11,9 @@ import (
 // fails chosen operations on chosen calls, so the durability stack's
 // degraded-mode machinery can be driven through ENOSPC-style append
 // failures, fsync errors, torn writes and unreadable artifacts without a
-// real failing disk. It mirrors the internal/resilience injector design —
-// a rule list evaluated per call, first firing rule wins, SetEnabled for
-// runtime arming — but draws no randomness at all: rules trigger on exact
-// call counts, so a chaos run replays bit-identically under -race and
+// real failing disk. A rule list is evaluated per call, the first firing
+// rule wins and SetEnabled arms it at runtime. It draws no randomness at
+// all: rules trigger on exact call counts, so a chaos run replays bit-identically under -race and
 // across platforms.
 
 // FaultOp names a Store (or AppendFile) operation for rule matching.

@@ -123,8 +123,7 @@ func (d *DriftTracker) Sample(estimator string) DriftSample {
 
 // Reset re-anchors the tracker: both windows clear and the next Window
 // observations become the new reference. Called when the embedder knows the
-// regime legitimately changed (estimator re-admission after quarantine,
-// explicit recalibration).
+// regime legitimately changed (explicit recalibration).
 func (d *DriftTracker) Reset() {
 	if d == nil {
 		return

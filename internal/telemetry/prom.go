@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -154,19 +155,6 @@ func perShardHist(h func(sh *ShardSample) HistSnapshot) func(*Snapshot, *emitter
 	}
 }
 
-// perBreaker is the collector of a family with one series per shard and
-// fleet member.
-func perBreaker(v func(h *EstimatorHealth) float64) func(*Snapshot, *emitter) {
-	return func(s *Snapshot, e *emitter) {
-		for _, sh := range s.Shards {
-			for i := range sh.Resilience.Estimators {
-				h := &sh.Resilience.Estimators[i]
-				e.sample(v(h), "shard", strconv.Itoa(sh.Index), "estimator", h.Estimator)
-			}
-		}
-	}
-}
-
 // perDrift is the collector of a family with one series per estimator the
 // drift watchdog reports.
 func perDrift(v func(d *DriftSample) float64) func(*Snapshot, *emitter) {
@@ -258,28 +246,17 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 				}
 			}},
 		{"latest_ingest_rate", gauge, "Trailing mean feed rate per shard (objects/second over the last ten completed seconds).", perShard(func(sh *ShardSample) float64 { return sh.IngestRatePerSec })},
-		{"latest_faults_total", counter, "Estimator faults contained by the guard, per shard, estimator and kind.",
+		{"latest_sanitized_total", counter, "Estimates that were NaN, infinite or negative and were served as 0, per shard and estimator.",
 			func(s *Snapshot, e *emitter) {
 				for _, sh := range s.Shards {
-					shard := strconv.Itoa(sh.Index)
-					for _, h := range sh.Resilience.Estimators {
-						e.sample(float64(h.Panics), "shard", shard, "estimator", h.Estimator, "kind", "panic")
-						e.sample(float64(h.ValueFaults), "shard", shard, "estimator", h.Estimator, "kind", "value")
-						e.sample(float64(h.Deadlines), "shard", shard, "estimator", h.Estimator, "kind", "deadline")
+					names := make([]string, 0, len(sh.Sanitized))
+					for name := range sh.Sanitized {
+						names = append(names, name)
 					}
-				}
-			}},
-		{"latest_quarantine_state", gauge, "Circuit-breaker state per shard and estimator: 0 closed, 1 half-open, 2 open.", perBreaker(func(h *EstimatorHealth) float64 { return float64(stateRank(h.State)) })},
-		{"latest_quarantines_total", counter, "Breaker trips per shard and estimator.", perBreaker(func(h *EstimatorHealth) float64 { return float64(h.Quarantines) })},
-		{"latest_readmissions_total", counter, "Probation re-admissions per shard and estimator.", perBreaker(func(h *EstimatorHealth) float64 { return float64(h.Readmissions) })},
-		{"latest_sanitized_total", counter, "Estimates repaired in place by the guard (small negatives clamped), per shard and estimator.", perBreaker(func(h *EstimatorHealth) float64 { return float64(h.Sanitized) })},
-		{"latest_fallbacks_total", counter, "Queries served by a fallback because the active estimate faulted, per shard and mode.",
-			func(s *Snapshot, e *emitter) {
-				for _, sh := range s.Shards {
-					shard := strconv.Itoa(sh.Index)
-					e.sample(float64(sh.Resilience.FallbackRunnerUp), "shard", shard, "mode", "runner_up")
-					e.sample(float64(sh.Resilience.FallbackOracle), "shard", shard, "mode", "oracle")
-					e.sample(float64(sh.Resilience.FallbackZero), "shard", shard, "mode", "zero")
+					sort.Strings(names)
+					for _, name := range names {
+						e.sample(float64(sh.Sanitized[name]), "shard", strconv.Itoa(sh.Index), "estimator", name)
+					}
 				}
 			}},
 		{"latest_feed_latency_seconds", histogram, "Sampled single-object ingest latency.", perShardHist(func(sh *ShardSample) HistSnapshot { return sh.Feed })},

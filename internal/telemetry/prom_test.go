@@ -15,7 +15,7 @@ func TestPromLabelValuesEscaped(t *testing.T) {
 	const nasty = "a\"b\\c\n"
 	snap := fullSnapshot()
 	snap.Shards[0].Active = nasty
-	snap.Shards[0].Resilience.Estimators = []EstimatorHealth{{Estimator: nasty, State: "open", Panics: 1}}
+	snap.Shards[0].Sanitized = map[string]uint64{nasty: 1}
 	snap.QError[0].Estimator = nasty
 	snap.Drift[0].Estimator = nasty
 	snap.Cluster.PerNode[0].Addr = nasty
@@ -26,7 +26,7 @@ func TestPromLabelValuesEscaped(t *testing.T) {
 	}
 
 	want := map[string]bool{
-		"latest_active_estimator": false, "latest_faults_total": false, "latest_quarantine_state": false,
+		"latest_active_estimator": false, "latest_sanitized_total": false,
 		"latest_qerror": false, "latest_qerror_drift": false, "latest_qerror_window": false,
 		"latest_cluster_node_requests_total": false, "latest_cluster_node_latency_seconds_count": false,
 	}

@@ -16,6 +16,7 @@ func fullSnapshot() Snapshot {
 	hs := h.Snapshot()
 
 	snap := testSnapshot()
+	snap.Shards[0].Sanitized = map[string]uint64{"RSH": 2, "H4096": 0}
 	snap.Drift = []DriftSample{
 		{Estimator: "RSH", Reference: 1.2, Current: 1.5, Ratio: 1.25, Threshold: 2, Samples: 256},
 		{Estimator: "H4096", Reference: 1.1, Current: 2.9, Ratio: 2.64, Threshold: 2, Samples: 256, Drifted: true},

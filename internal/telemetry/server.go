@@ -48,9 +48,9 @@ type ShardSample struct {
 	// second over the last ten completed seconds).
 	IngestRatePerSec float64 `json:"ingest_rate_per_sec"`
 
-	// Resilience is the shard's fault-isolation health: per-estimator
-	// breaker states and fault counters plus fallback-answer counts.
-	Resilience ResilienceStats `json:"resilience,omitempty"`
+	// Sanitized counts, per estimator, the answers that were NaN, ±Inf
+	// or negative and were served as 0 instead.
+	Sanitized map[string]uint64 `json:"sanitized,omitempty"`
 
 	AccuracyAvg float64 `json:"accuracy_avg"`
 	MemoryBytes int     `json:"memory_bytes"`
@@ -90,10 +90,6 @@ type Snapshot struct {
 	// (current-window vs reference-window mean q-error), merged across
 	// shards.
 	Drift []DriftSample `json:"drift,omitempty"`
-
-	// Resilience is the engine-level fault-isolation view: per-shard stats
-	// merged (counters summed, estimator state = worst across shards).
-	Resilience ResilienceStats `json:"resilience,omitempty"`
 
 	// Server is the serving layer's slice of the snapshot when this
 	// process fronts the engine with latestd's wire protocol; nil for

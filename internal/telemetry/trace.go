@@ -42,10 +42,9 @@ type Decision struct {
 	// From and To name the displaced and adopted estimators.
 	From string `json:"from"`
 	To   string `json:"to"`
-	// Reason is the trigger: "tau-breach" (sliding accuracy fell below τ),
-	// "opportunity" (a strictly better estimator emerged while accuracy
-	// was still fine) or "quarantine" (the active estimator's circuit
-	// breaker tripped and a replacement was installed).
+	// Reason is the trigger: "tau-breach" (sliding accuracy fell below τ)
+	// or "opportunity" (a strictly better estimator emerged while accuracy
+	// was still fine).
 	Reason string `json:"reason"`
 	// AccuracyAvg is the sliding accuracy average at decision time.
 	AccuracyAvg float64 `json:"accuracy_avg"`

@@ -202,12 +202,6 @@ type config struct {
 	LogOutput io.Writer
 	// LogLevel is the minimum severity emitted to LogOutput.
 	LogLevel LogLevel
-	// Breaker tunes the per-estimator quarantine circuit breaker; zero
-	// fields keep the package defaults.
-	Breaker BreakerConfig
-	// FaultInjector, when non-nil, deterministically injects estimator
-	// faults for chaos testing. Nil (the default) injects nothing.
-	FaultInjector *FaultInjector
 	// LatencyModel, when non-nil, replaces wall-clock estimator latency
 	// measurement in the switching model's training signal. Correctness
 	// harnesses use it to make latency-sensitive switching decisions
@@ -403,13 +397,4 @@ func (s *System) Decisions() []Decision {
 	sh := s.lock()
 	defer sh.mu.Unlock()
 	return sh.module.Decisions()
-}
-
-// QuarantinedEstimators returns the names of estimators currently held in
-// quarantine by their circuit breakers, in fleet order (empty when the
-// whole fleet is healthy).
-func (s *System) QuarantinedEstimators() []string {
-	sh := s.lock()
-	defer sh.mu.Unlock()
-	return sh.module.QuarantinedNames()
 }

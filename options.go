@@ -9,8 +9,8 @@ import (
 // New, NewConcurrent and NewSharded — the only way to configure an engine.
 // An option exists for each knob the paper tunes (fleet, α, τ, β, accuracy
 // window, pre-training length, memory scale), for seeding, sharding and
-// observability, and for the integration seams (registry, breaker, fault
-// injector, latency model). Everything else is a constant: the switch
+// observability, and for the integration seams (registry, latency
+// model). Everything else is a constant: the switch
 // cooldown and opportunity margin take core's defaults, the exact store a
 // 4096-cell grid, the decision trace 64 records, and input validation its
 // one clamp policy (validation.go). WithAlpha(0) unambiguously means
@@ -121,20 +121,6 @@ func WithTelemetry(addr string) Option {
 // stays off the per-object and per-query hot paths.
 func WithLogger(w io.Writer, min LogLevel) Option {
 	return func(c *config) { c.LogOutput, c.LogLevel = w, min }
-}
-
-// WithBreaker tunes the per-estimator quarantine circuit breaker (fault
-// window, trip threshold, cooldown, probe count, per-call deadline,
-// estimate sanity ceiling). Zero fields keep the package defaults.
-func WithBreaker(b BreakerConfig) Option {
-	return func(c *config) { c.Breaker = b }
-}
-
-// WithFaultInjector installs a deterministic fault injector on every
-// estimator guard — the chaos-testing hook. Injected faults flow through
-// the same recovery, sanitization and quarantine machinery as real ones.
-func WithFaultInjector(inj *FaultInjector) Option {
-	return func(c *config) { c.FaultInjector = inj }
 }
 
 // WithLatencyModel replaces wall-clock estimator latency measurement with

@@ -121,15 +121,7 @@ func newShard(cfg config, log *telemetry.Logger) (*shard, error) {
 		OnSwitch:        cfg.OnSwitch,
 		LatencyOf:       cfg.LatencyModel,
 		Logger:          log,
-		Resilience:      cfg.Breaker,
-		Injector:        cfg.FaultInjector,
-		// The exact window store doubles as the last-resort fallback when
-		// every estimator is quarantined: slower than any summary, but
-		// always correct and always available.
-		Oracle: func(q *stream.Query) float64 {
-			return float64(w.Answer(q))
-		},
-		Refill: sh.refill,
+		Refill:          sh.refill,
 	})
 	if err != nil {
 		return nil, err
@@ -407,16 +399,18 @@ func (s *ShardedSystem) route(q *Query) []*shard {
 
 // query runs one atomic estimate/observe cycle on the shard, with tr
 // installed on the module for exactly the span of the lock, so the module
-// never observes a stale trace. A nil tr records nothing.
+// never observes a stale trace. A nil tr records nothing. A panic inside
+// an estimator propagates to the caller with the lock released and the
+// trace cleared, so the shard keeps serving.
 func (sh *shard) query(q *Query, tr *telemetry.ActiveTrace) (estimate float64, actual int) {
 	start := time.Now()
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	sh.module.SetTrace(tr)
+	defer sh.module.SetTrace(nil)
 	estimate = sh.module.Estimate(q)
 	actual = sh.window.Answer(q)
 	sh.module.Observe(float64(actual))
-	sh.module.SetTrace(nil)
-	sh.mu.Unlock()
 	sh.gauges.RecordQuery(time.Since(start))
 	return estimate, actual
 }
@@ -435,23 +429,31 @@ func (s *ShardedSystem) EstimateAndExecute(q *Query) (estimate float64, actual i
 // fanOut runs the scatter-gather path over the already-routed target
 // shards: one atomic estimate/observe cycle per shard in parallel, partial
 // answers merged by summation (exact for the count because shards hold
-// disjoint objects).
+// disjoint objects). A panic on a shard's goroutine is recovered there and
+// re-raised on the caller once every shard has answered, so it reaches
+// the caller's recover rather than killing the process.
 func (s *ShardedSystem) fanOut(q *Query, targets []*shard) (estimate float64, actual int) {
 	type partial struct {
-		est float64
-		act int
+		est      float64
+		act      int
+		panicked any
 	}
 	parts := make([]partial, len(targets))
 	var wg sync.WaitGroup
 	for i, sh := range targets {
 		wg.Add(1)
-		go func(i int, sh *shard) {
+		go func(p *partial, sh *shard) {
 			defer wg.Done()
-			e, a := sh.query(q, nil)
-			parts[i] = partial{est: e, act: a}
-		}(i, sh)
+			defer func() { p.panicked = recover() }()
+			p.est, p.act = sh.query(q, nil)
+		}(&parts[i], sh)
 	}
 	wg.Wait()
+	for _, p := range parts {
+		if p.panicked != nil {
+			panic(p.panicked)
+		}
+	}
 	// Sum in shard order so the merged estimate is deterministic for a
 	// deterministic per-shard run.
 	for _, p := range parts {

@@ -33,7 +33,7 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 		ValidationRejected:     g.ValidationRejected,
 		ValidationClamped:      g.ValidationClamped,
 		IngestRatePerSec:       g.IngestRatePerSec,
-		Resilience:             st.Resilience,
+		Sanitized:              st.Sanitized,
 		AccuracyAvg:            st.AccuracyAvg,
 		MemoryBytes:            st.MemoryBytes,
 		Feed:                   g.FeedLatency,
@@ -57,7 +57,6 @@ func telemetryReport(engine string, merged Stats, shards []ShardStats) telemetry
 		Decisions:   merged.Decisions,
 		QError:      merged.QError,
 		Drift:       merged.Drift,
-		Resilience:  merged.Resilience,
 	}
 	for i, sh := range shards {
 		snap.Shards[i] = shardSample(sh.Index, sh.Core, sh.Gauges)
