@@ -1,94 +1,172 @@
 package stream
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// ringModel is what a ring must hold: its refs in a plain slice, and the
+// slots their gaps take. The ring is held against it after every
+// operation.
+type ringModel struct {
+	q     ring
+	refs  []uint32
+	used  int // one slot per gap after the front, three for one of 0xFFFF or more
+	slots int // the owner's running total, for this one ring
+	// every is how often check reads the whole ring: every op if it is 0
+	// or 1, and only every every-th op otherwise.
+	every, ops int
+	// wrapped is set once a check finds the slots in use running past the
+	// buffer's end, and straddled counts the escapes whose three slots did.
+	wrapped   bool
+	straddled int
+}
+
+// gapSlots is how many slots the gap from ref a to ref b takes.
+func gapSlots(a, b uint32) int {
+	if b-a >= escape {
+		return 3
+	}
+	return 1
+}
+
+// check holds the ring against the model: length, front, back, the slots
+// in use, and a buffer accounted in slots, large enough and, past ringMin,
+// within four times the use; and, as often as the model asks, every ref
+// in order as a scan reads them. A pop compares the front its cursor
+// decoded, so every ref is also read one at a time. push, pop and trim check
+// that a buffer they resize is a whole size class.
+func (m *ringModel) check(t *testing.T, op string) {
+	t.Helper()
+	q := &m.q
+	if q.len() != len(m.refs) {
+		t.Fatalf("%s: len %d, model %d", op, q.len(), len(m.refs))
+	}
+	if n := len(m.refs); n > 0 && (q.front != m.refs[0] || q.back != m.refs[n-1]) {
+		t.Fatalf("%s: front %d back %d, model %d and %d", op, q.front, q.back, m.refs[0], m.refs[n-1])
+	}
+	if m.ops++; m.every <= 1 || m.ops%m.every == 0 {
+		var batch [refBatch]uint32
+		read := 0
+		for sc := q.scan(); sc.left > 0; {
+			refs := sc.batch(&batch)
+			if !slices.Equal(refs, m.refs[read:min(len(m.refs), read+len(refs))]) {
+				t.Fatalf("%s: ring reads %v from ref %d, model %v", op, refs, read, m.refs[read:])
+			}
+			read += len(refs)
+		}
+		if read != len(m.refs) {
+			t.Fatalf("%s: ring reads %d refs, model %d", op, read, len(m.refs))
+		}
+	}
+	used, c := m.used, int(q.c)
+	if int(q.used) != used {
+		t.Fatalf("%s: %d slots in use, model %d", op, q.used, used)
+	}
+	if c < used || m.slots != c || (c > 0 && c < ringMin) {
+		t.Fatalf("%s: capacity %d (accounted %d) for %d slots", op, c, m.slots, used)
+	}
+	if c > ringMin && 4*used < c {
+		t.Fatalf("%s: capacity %d kept for %d slots", op, c, used)
+	}
+	m.wrapped = m.wrapped || q.head+q.used > q.c
+}
+
+// push appends ref to ring and model and checks that the buffer grew only
+// if it had to, and then as the policy asks.
+func (m *ringModel) push(t *testing.T, ref uint32, double bool) {
+	t.Helper()
+	before := int(m.q.c)
+	m.q.pushBack(ref, &m.slots, double)
+	if n := len(m.refs); n > 0 {
+		g := gapSlots(m.refs[n-1], ref)
+		m.used += g
+		if at := (m.q.head + m.q.used - uint32(g)) % m.q.c; g == 3 && at+3 > m.q.c {
+			m.straddled++
+		}
+	}
+	m.refs = append(m.refs, ref)
+	m.check(t, "push")
+	grow := before / 8
+	if double {
+		grow = before
+	}
+	if c, used := int(m.q.c), m.used; c != before && (used <= before || c != sizeClass(before+max(ringMin, grow))) {
+		t.Fatalf("push: buffer went from %d to %d slots at %d slots in use", before, c, used)
+	}
+}
+
+// pop drops the front of ring and model and checks that the buffer shrank
+// only once its use fell to a quarter, and then to half again the use.
+func (m *ringModel) pop(t *testing.T) {
+	t.Helper()
+	before := int(m.q.c)
+	m.q.popFront(&m.slots)
+	if len(m.refs) > 1 {
+		m.used -= gapSlots(m.refs[0], m.refs[1])
+	}
+	m.refs = m.refs[1:]
+	m.check(t, "pop")
+	if c, used := int(m.q.c), m.used; c != before &&
+		(before <= ringMin || used > before/4 || c != sizeClass(max(ringMin, used+used/2))) {
+		t.Fatalf("pop: buffer went from %d to %d slots at %d slots in use", before, c, used)
+	}
+}
+
+// trim trims ring and model and checks the buffer fits the use.
+func (m *ringModel) trim(t *testing.T) {
+	t.Helper()
+	before := int(m.q.c)
+	m.q.trim(&m.slots)
+	m.check(t, "trim")
+	if c, used := int(m.q.c), m.used; c != before && c != sizeClass(max(ringMin, used)) {
+		t.Fatalf("trim: buffer went from %d to %d slots at %d slots in use", before, c, used)
+	}
+}
 
 // TestRingMatchesSliceModel fills a ring from empty, trims it, and then
 // drives it and a plain slice through the same random runs of pushes and
 // pops — long enough to wrap, grow and shrink many times, with refs that
-// cross the 32-bit boundary — comparing them after every operation. Every
-// buffer is a whole size class. While filling, the buffer doubles only
-// when full; the trim leaves the length; afterwards it
-// grows by an eighth (at least four slots) only when full, shrinks to half
-// again the length only once the length has fallen to a quarter of it,
-// and a length that wanders by one reallocates at most once.
+// cross the 32-bit boundary and now and then a gap that escapes — comparing
+// them after every operation, the whole ring every 16th. A short ring then hovers in a small buffer
+// with every third gap escaping, so that escapes fall across the buffer's
+// end. While filling, the buffer doubles only when full; the trim leaves
+// the use; afterwards it grows by an eighth (at least ringMin slots) only
+// when full, shrinks to half again the use only once the use has fallen to
+// a quarter of it, and a length that wanders by one reallocates at most
+// once.
 func TestRingMatchesSliceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var (
-		q       ring
-		model   []uint32
-		slots   int
+		m       = ringModel{every: 16}
 		next    = uint32(1<<32 - 5000)
 		grew    bool
 		shrank  bool
-		wrapped bool
+		escaped int
 	)
-	check := func(op string) {
-		t.Helper()
-		if q.len() != len(model) {
-			t.Fatalf("%s: len %d, model %d", op, q.len(), len(model))
+	gap := func() uint32 {
+		if rng.Intn(200) == 0 {
+			escaped++
+			return escape + uint32(rng.Intn(1<<20))
 		}
-		a, b := q.segments()
-		wrapped = wrapped || len(b) > 0
-		if len(a)+len(b) != len(model) {
-			t.Fatalf("%s: segments hold %d+%d refs, model %d", op, len(a), len(b), len(model))
-		}
-		for i, want := range model {
-			got := a[min(i, len(a)-1)]
-			if i >= len(a) {
-				got = b[i-len(a)]
-			}
-			if got != want {
-				t.Fatalf("%s: ref %d is %d, model %d", op, i, got, want)
-			}
-		}
-		if len(model) > 0 && q.front() != model[0] {
-			t.Fatalf("%s: front %d, model %d", op, q.front(), model[0])
-		}
-		c := len(q.buf)
-		if c < max(ringMin, len(model)) || slots != c {
-			t.Fatalf("%s: capacity %d (accounted %d) for %d refs", op, c, slots, len(model))
-		}
-		if c > ringMin && 4*len(model) < c {
-			t.Fatalf("%s: capacity %d kept for %d refs", op, c, len(model))
-		}
-	}
-	// resized checks a resize from before slots to what the policy asks.
-	resized := func(op string, before int) {
-		t.Helper()
-		c, n := len(q.buf), len(model)
-		switch {
-		case c == before:
-		case op == "fill" && before == n-1 && c == sizeClass(before+max(ringMin, before)):
-		case op == "trim" && n < before && c == sizeClass(max(ringMin, n)):
-		case op == "push" && before == n-1 && c == sizeClass(before+max(ringMin, before/8)):
-		case op == "pop" && n <= before/4 && c == sizeClass(max(ringMin, n+n/2)):
-		default:
-			t.Fatalf("%s: buffer went from %d to %d slots at %d refs", op, before, c, n)
-		}
+		return 1 + uint32(rng.Intn(3))
 	}
 	fills := 0
 	for i := 0; i < 3000; i++ {
-		before := len(q.buf)
-		q.pushBack(next, &slots, true)
-		model = append(model, next)
-		next++
-		if len(q.buf) != before {
+		before := m.q.c
+		m.push(t, next, true)
+		next += gap()
+		if m.q.c != before {
 			fills++
 		}
-		check("fill")
-		resized("fill", before)
 	}
 	if fills > 1+bits.Len(3000/ringMin) {
-		t.Fatalf("filling to %d refs reallocated %d times", len(model), fills)
+		t.Fatalf("filling to %d refs reallocated %d times", len(m.refs), fills)
 	}
-	before := len(q.buf)
-	q.trim(&slots)
-	check("trim")
-	resized("trim", before)
+	m.trim(t)
 	for run := 0; run < 4000; run++ {
 		n := 1 + rng.Intn(40)
 		if rng.Intn(50) == 0 {
@@ -96,44 +174,105 @@ func TestRingMatchesSliceModel(t *testing.T) {
 		}
 		if push := rng.Intn(2) == 0; push {
 			for i := 0; i < n; i++ {
-				before := len(q.buf)
-				q.pushBack(next, &slots, false)
-				model = append(model, next)
-				next++
-				grew = grew || (before >= ringMin && len(q.buf) > before)
-				check("push")
-				resized("push", before)
+				before := m.q.c
+				m.push(t, next, false)
+				next += gap()
+				grew = grew || (before >= ringMin && m.q.c > before)
 			}
 		} else {
-			for i := 0; i < n && len(model) > 0; i++ {
-				before := len(q.buf)
-				q.popFront(&slots)
-				model = model[1:]
-				shrank = shrank || len(q.buf) < before
-				check("pop")
-				resized("pop", before)
+			for i := 0; i < n && len(m.refs) > 0; i++ {
+				before := m.q.c
+				m.pop(t)
+				shrank = shrank || m.q.c < before
 			}
 		}
 		resizes := 0
 		for i := 0; i < 4; i++ {
-			before := len(q.buf)
-			q.pushBack(next, &slots, false)
-			q.popFront(&slots)
-			model = append(model, next)[1:]
-			next++
-			if len(q.buf) != before {
+			before := m.q.c
+			m.push(t, next, false)
+			next += 1 + uint32(rng.Intn(3))
+			m.pop(t)
+			if m.q.c != before {
 				resizes++
 			}
-			check("hover")
 		}
 		if resizes > 1 {
-			t.Fatalf("a length hovering at %d reallocated %d times", len(model), resizes)
+			t.Fatalf("a length hovering at %d reallocated %d times", len(m.refs), resizes)
 		}
 	}
-	if !grew || !shrank || !wrapped || next > 1<<31 {
-		t.Fatalf("run too tame: grew %v, shrank %v, wrapped %v, next ref %d", grew, shrank, wrapped, next)
+	// Hover a short ring through a small buffer, with every third gap
+	// escaping, so that escapes fall across the buffer's end.
+	for len(m.refs) > 3 {
+		m.pop(t)
 	}
+	for i := 0; i < 2000; i++ {
+		m.push(t, next, false)
+		if next++; i%3 == 0 {
+			next += escape + uint32(rng.Intn(1<<20))
+			escaped++
+		}
+		m.pop(t)
+	}
+	if !grew || !shrank || !m.wrapped || escaped < 100 || m.straddled == 0 || next > 1<<31 {
+		t.Fatalf("run too tame: grew %v, shrank %v, wrapped %v, %d escapes (%d across the buffer's end), next ref %d",
+			grew, shrank, m.wrapped, escaped, m.straddled, next)
+	}
+	t.Logf("%d escapes, %d across the buffer's end", escaped, m.straddled)
+}
+
+// FuzzRingOps drives a ring and a []uint32 FIFO through the same
+// operations, decoded from the input two bytes at a time, and compares
+// them after every one. The first byte of a pair picks the operation. A
+// push is followed by a gap to the next ref: the second byte, a gap just
+// under or at the escape threshold, or the four bytes after the pair as an
+// arbitrary 32-bit gap (across the 2³² wrap included). A push while
+// filling doubles a full buffer; the first trim switches the ring to
+// evicting, as a window's first eviction does.
+func FuzzRingOps(f *testing.F) {
+	const push, pop, trim, far, wide = 0, 1, 2, 3, 4
+	ops := func(pairs ...byte) []byte { return pairs }
+	// An escape at the head: the second gap escapes, and the first pop
+	// leaves it at the buffer's head.
+	f.Add(uint32(100), ops(push, 1, far, 7, push, 1, pop, 0, pop, 0, push, 1))
+	// An escape at the wrap: seven refs fill an 8-slot buffer to six
+	// slots, five pops leave one in use at slot 5, and the escaped ref,
+	// past 2³², takes slots 7, 0 and 1.
+	f.Add(uint32(1<<32-10), ops(push, 1, push, 1, push, 1, push, 1, push, 1, push, 1, push, 1,
+		pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, far, 7, push, 1, pop, 0, pop, 0))
+	// A drained ring, popped once more and filled again.
+	f.Add(uint32(7), ops(push, 1, push, 2, pop, 0, pop, 0, pop, 0, push, 3, push, 1))
+	// Gaps just under, at and over the threshold, after the switch to evicting.
+	f.Add(uint32(0), ops(trim, 0, far, 2, far, 3, far, 4, push, 9, pop, 0, pop, 0))
+	// Arbitrary gaps, one of them wrapping the refs past 2³².
+	f.Add(uint32(5), ops(wide, 0, 0xF0, 0xFF, 0xFF, 0xFF, wide, 0, 1, 0, 1, 0, push, 1, pop, 0, pop, 0))
+	f.Fuzz(func(t *testing.T, first uint32, prog []byte) {
+		var m ringModel
+		next, evicting := first, false
+		for i := 0; i+1 < len(prog); i += 2 {
+			kind, arg := prog[i]%8, prog[i+1]
+			switch {
+			case kind == pop || kind == 5:
+				if len(m.refs) > 0 {
+					m.pop(t)
+				}
+			case kind == trim:
+				m.trim(t)
+				evicting = true
+			default:
+				m.push(t, next, !evicting)
+				switch {
+				case kind == far: // near or at the escape threshold
+					next += escape - 4 + uint32(arg%8)
+				case kind == wide && i+5 < len(prog): // any 32 bits: the 2³² wrap included
+					next += binary.LittleEndian.Uint32(prog[i+2:])
+					i += 4
+				default:
+					next += uint32(arg)
+				}
+			}
+		}
+	})
 }
 
 // sizeClass is the capacity a buffer of n slots gets from the allocator.
-func sizeClass(n int) int { return cap(append([]uint32(nil), make([]uint32, n)...)) }
+func sizeClass(n int) int { return cap(append([]uint16(nil), make([]uint16, n)...)) }

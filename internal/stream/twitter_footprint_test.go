@@ -9,36 +9,47 @@ import (
 	"github.com/spatiotext/latest/internal/stream"
 )
 
-// TestTwitterWindowFootprint: a shard's window over the Twitter stream at
-// two objects per millisecond and a 60 s span, turned over twice, costs at
-// most 59.5 bytes per live object, everything it owns included (57.4 with
-// the keyword dictionary a flat table of IDs). The
-// generator numbers objects densely; with arbitrary 64-bit IDs, as a
-// replayed dataset may carry, every chunk keeps an ID high column, which
-// costs about 4 bytes per object more.
+// TestTwitterWindowFootprint: a shard's window over each preset's stream
+// at two objects per millisecond and a 60 s span, turned over twice, costs
+// at most its bound in bytes per live object, everything it owns
+// included. The generators number objects densely; with arbitrary 64-bit
+// IDs, as a replayed dataset may carry, every chunk keeps an ID high
+// column, which costs about 4 bytes per object more.
 func TestTwitterWindowFootprint(t *testing.T) {
-	footprint := func(name string, id func(o *stream.Object) uint64) float64 {
-		const live = 120_000
-		g := datagen.Twitter(1, 2)
-		w := stream.NewWindow(g.World(), live/2, 4096)
-		for i := 0; i < 3*live; i++ {
-			o := g.Next()
-			o.ID = id(&o)
-			w.Insert(o)
-		}
-		per := float64(w.MemoryBytes()) / float64(w.Size())
-		t.Logf("%s: %d objects, %d words, %d high columns: %d bytes, %.1f per object",
-			name, w.Size(), w.DistinctKeywords(), w.HighColumns(), w.MemoryBytes(), per)
-		return per
-	}
-	dense := footprint("dense IDs", func(o *stream.Object) uint64 { return o.ID })
-	if dense > 59.5 {
-		t.Errorf("the window costs %.1f bytes per live object, want at most 59.5", dense)
-	}
-	rng := rand.New(rand.NewSource(3))
-	random := footprint("64-bit random IDs", func(*stream.Object) uint64 { return rng.Uint64() })
-	if random > dense+4.5 {
-		t.Errorf("with 64-bit random IDs the window costs %.1f bytes per live object, want at most %.1f", random, dense+4.5)
+	for _, preset := range []struct {
+		name  string
+		gen   func(seed int64, rate float64) *datagen.Generator
+		bound float64 // bytes per live object with dense IDs
+	}{
+		{"Twitter", datagen.Twitter, 47.0}, // reads 43.8
+		{"eBird", datagen.EBird, 40.0},     // reads 37.1
+		{"CheckIn", datagen.CheckIn, 43.0}, // reads 40.0
+	} {
+		t.Run(preset.name, func(t *testing.T) {
+			footprint := func(name string, id func(o *stream.Object) uint64) float64 {
+				const live = 120_000
+				g := preset.gen(1, 2)
+				w := stream.NewWindow(g.World(), live/2, 4096)
+				for i := 0; i < 3*live; i++ {
+					o := g.Next()
+					o.ID = id(&o)
+					w.Insert(o)
+				}
+				per := float64(w.MemoryBytes()) / float64(w.Size())
+				t.Logf("%s: %d objects, %d words, %d high columns: %d bytes, %.1f per object",
+					name, w.Size(), w.DistinctKeywords(), w.HighColumns(), w.MemoryBytes(), per)
+				return per
+			}
+			dense := footprint("dense IDs", func(o *stream.Object) uint64 { return o.ID })
+			if dense > preset.bound {
+				t.Errorf("the window costs %.1f bytes per live object, want at most %.1f", dense, preset.bound)
+			}
+			rng := rand.New(rand.NewSource(3))
+			random := footprint("64-bit random IDs", func(*stream.Object) uint64 { return rng.Uint64() })
+			if random > dense+4.5 {
+				t.Errorf("with 64-bit random IDs the window costs %.1f bytes per live object, want at most %.1f", random, dense+4.5)
+			}
+		})
 	}
 }
 

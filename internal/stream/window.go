@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 	"unsafe"
 
@@ -32,9 +34,9 @@ type rec struct {
 }
 
 // block is the storage of chunkSize consecutive arena slots: the records,
-// and for each slot where its keyword IDs end in the chunk's ID store (they
-// start where the previous slot's end). It is pointer-free, so the
-// collector never scans it, and exactly fills a 14 KB size class.
+// and for each slot the byte where its keyword IDs end in the chunk's ID
+// store (they start where the previous slot's end). It is pointer-free, so
+// the collector never scans it, and exactly fills a 14 KB size class.
 type block struct {
 	recs [chunkSize]rec
 	end  [chunkSize]uint32
@@ -50,26 +52,43 @@ type highColumn [chunkSize]uint32
 
 // chunk is a block and the keyword IDs of its objects, in arrival order
 // and with repeats, so that an object reads back with the keyword list it
-// was inserted with. The ID store grows toward the size the chunk's
-// keyword rate projects, and keeps its capacity when the chunk is
-// recycled. Slot 0 sets the bases t0 and id0 its records are offsets
-// from; a chunk whose offsets overflow keeps their high halves in a high
-// column, which it drops when it is recycled.
+// was inserted with. An ID is stored as a uvarint: the dictionary hands
+// out dense IDs, reusing freed ones, so most take one or two bytes. The ID
+// store grows toward the size the chunk's keyword rate projects, and keeps
+// its capacity when the chunk is recycled. Slot 0 sets the bases t0 and
+// id0 its records are offsets from; a chunk whose offsets overflow keeps
+// their high halves in a high column, which it drops when it is recycled.
 type chunk struct {
 	*block
 	tsHigh, idHigh *highColumn // nil while every offset fits its record
-	kws            []uint32
+	kws            []byte
 	t0             int64
 	id0            uint64
 }
 
-// ids returns the keyword IDs of the object in slot i.
-func (c *chunk) ids(i int) []uint32 {
+// ids returns the encoded keyword IDs of the object in slot i.
+func (c *chunk) ids(i int) []byte {
 	start := uint32(0)
 	if i > 0 {
 		start = c.end[i-1]
 	}
 	return c.kws[start:c.end[i]]
+}
+
+// grow reallocates the ID store to hold need bytes, for the object in
+// slot i whose IDs start at byte start. It doubles, and once an eighth of
+// the chunk is in, grows to where the chunk's keyword rate so far projects
+// the store to end, a sixteenth over. Appending to nil rounds the capacity
+// up to the size class the allocation takes, so kwBytes counts what the
+// heap holds.
+func (c *chunk) grow(need, start, i int) {
+	grown := 2 * cap(c.kws)
+	if i >= chunkSize/8 {
+		proj := start * chunkSize / i
+		grown = proj + proj/16
+	}
+	buf := append([]byte(nil), make([]byte, max(need, grown))...)
+	c.kws = buf[:copy(buf, c.kws)]
 }
 
 // ts returns the timestamp of the object in slot i.
@@ -138,8 +157,8 @@ func setHigh(high **highColumn, i int, off uint64) (added int) {
 // Everything in it is a FIFO, so nothing is ever copied to reclaim space:
 // objects sit in fixed-size chunks that are handed from the evicting head
 // to the inserting tail through one spare, and each cell and keyword lists
-// its objects in a ring of 32-bit truncated sequence numbers. The footprint
-// follows the live size, and at a steady rate Insert allocates only when a
+// its objects in a ring of 16-bit gaps between sequence numbers. The
+// footprint follows the live size, and at a steady rate Insert allocates only when a
 // ring or a chunk's ID store grows or a keyword enters the window.
 //
 // Window is not safe for concurrent use; the simulation driver owns it.
@@ -171,12 +190,17 @@ type Window struct {
 	// rings are trimmed and grow by an eighth.
 	evicting bool
 
-	slots     int // total buffer capacity of all rings
-	kwSlots   int // total capacity of the chunks' ID stores, the spare's included
+	slots     int // total buffer slots of all rings
+	kwBytes   int // total capacity of the chunks' ID stores, the spare's included
 	wordBytes int // total length of the live words
 
-	qids []uint32 // Count's scratch: the query's keywords as IDs
-	seen []uint64 // countKeyword's scratch bitmap, all zero between calls
+	// outside is how many live objects lie beyond the world (see
+	// beyond).
+	outside int
+
+	qids  []uint32         // scratch of Count and append: keywords as IDs
+	seen  []uint64         // countKeyword's scratch bitmap, all zero between calls
+	batch [refBatch]uint32 // a scan's decoded refs; a local would be zeroed on every call
 
 	inserted uint64 // lifetime insert count
 	evicted  uint64 // lifetime evict count
@@ -222,7 +246,7 @@ func (w *Window) MemoryBytes() int {
 		blocks++
 	}
 	return blocks*blockBytes + highBytes*w.highs + chunkBytes*cap(w.chunks) +
-		4*w.kwSlots + ringHeaderBytes*len(w.cells) + 4*w.slots +
+		w.kwBytes + ringHeaderBytes*len(w.cells) + 2*w.slots +
 		w.dict.MemoryBytes() + ringHeaderBytes*cap(w.postings) + w.wordBytes +
 		4*cap(w.qids) + 8*cap(w.seen)
 }
@@ -243,8 +267,8 @@ func (a arenaView) rec(ref uint32) *rec {
 	return &a.chunks[off>>chunkShift].recs[off&chunkMask]
 }
 
-// ids returns that object's keyword IDs.
-func (a arenaView) ids(ref uint32) []uint32 {
+// ids returns that object's encoded keyword IDs.
+func (a arenaView) ids(ref uint32) []byte {
 	off := ref - a.origin
 	return a.chunks[off>>chunkShift].ids(int(off & chunkMask))
 }
@@ -287,35 +311,30 @@ func (w *Window) append(o *Object) {
 	w.n++
 
 	w.cells[w.grid.CellOf(o.Loc)].pushBack(ref, &w.slots, !w.evicting)
-	start, had := len(c.kws), cap(c.kws)
-	if need := start + len(o.Keywords); need > had {
-		// Double, and once an eighth of the chunk is in, grow to where its
-		// keyword rate so far projects the store to end, a sixteenth over.
-		grown := 2 * had
-		if slot >= chunkSize/8 {
-			proj := start * chunkSize / slot
-			grown = proj + proj/16
-		}
-		// Appending to nil rounds the capacity up to the size class the
-		// allocation takes, so kwSlots counts what the heap holds.
-		buf := append([]uint32(nil), make([]uint32, max(need, grown))...)
-		c.kws = buf[:copy(buf, c.kws)]
+	if w.beyond(o.Loc) {
+		w.outside++
 	}
+	ids, start, had := w.qids[:0], len(c.kws), cap(c.kws)
 	for _, kw := range o.Keywords {
 		id := w.intern(kw)
 		// A word the object repeats is stored again and posted once.
-		if !containsID(c.kws[start:], id) {
+		if !containsID(ids, id) {
 			w.postings[id].pushBack(ref, &w.slots, !w.evicting)
 		}
-		c.kws = append(c.kws, id)
+		ids = append(ids, id)
+		if need := len(c.kws) + uvarintLen(id); need > cap(c.kws) {
+			c.grow(need, start, slot)
+		}
+		c.kws = binary.AppendUvarint(c.kws, uint64(id))
 	}
+	w.qids = ids
 	c.end[slot] = uint32(len(c.kws))
-	w.kwSlots += cap(c.kws) - had
+	w.kwBytes += cap(c.kws) - had
 }
 
 // intern returns the ID of word, entering a copy of it into the dictionary
-// if no live object carries it. The caller must post the ID at once: an ID
-// with an empty ring is free.
+// if no live object carries it. The caller must post the ID before it
+// evicts: an ID with an empty ring is free.
 func (w *Window) intern(word string) uint32 {
 	if id, ok := w.dict.ID(word); ok {
 		return id
@@ -344,19 +363,24 @@ func (w *Window) EvictBefore(cutoff int64) {
 		}
 		ref := uint32(w.base)
 
-		cq := &w.cells[w.grid.CellOf(c.recs[off].loc)]
-		if cq.len() == 0 || cq.front() != ref {
+		loc := c.recs[off].loc
+		cq := &w.cells[w.grid.CellOf(loc)]
+		if cq.len() == 0 || cq.front != ref {
 			panic("stream: cell queue invariant violated")
 		}
 		cq.popFront(&w.slots)
+		if w.beyond(loc) {
+			w.outside--
+		}
 
-		ids := c.ids(off)
+		var scratch [16]uint32
+		ids := appendIDs(scratch[:0], c.ids(off))
 		for i, id := range ids {
 			if containsID(ids[:i], id) {
 				continue
 			}
 			pq := &w.postings[id]
-			if pq.len() == 0 || pq.front() != ref {
+			if pq.len() == 0 || pq.front != ref {
 				panic("stream: posting queue invariant violated")
 			}
 			pq.popFront(&w.slots)
@@ -390,7 +414,7 @@ func (w *Window) trimRings() {
 func (w *Window) release(id uint32) {
 	w.wordBytes -= len(w.dict.Word(id))
 	w.dict.Release(id)
-	w.slots -= len(w.postings[id].buf)
+	w.slots -= int(w.postings[id].c)
 	w.postings[id] = ring{}
 }
 
@@ -409,7 +433,7 @@ func (w *Window) releaseHead() {
 		head.kws = head.kws[:0]
 		w.spare = head
 	} else {
-		w.kwSlots -= cap(head.kws)
+		w.kwBytes -= cap(head.kws)
 	}
 	last := copy(w.chunks, w.chunks[1:])
 	w.chunks[last] = chunk{}
@@ -463,7 +487,10 @@ func (w *Window) resolve(kws []string) []uint32 {
 
 // countSpatial counts window objects inside r that also carry one of the
 // words ids (nil ids means no keyword predicate). Interior cells are
-// counted without touching objects when there is no keyword predicate.
+// counted without touching objects when there is no keyword predicate. A
+// boundary cell counts whole only while no live object lies beyond the
+// world: CellOf clamps such an object into the cell, whose rectangle does
+// not hold it.
 func (w *Window) countSpatial(r geo.Rect, ids []uint32) int {
 	cr := w.grid.CellsOverlapping(r)
 	total := 0
@@ -472,29 +499,62 @@ func (w *Window) countSpatial(r geo.Rect, ids []uint32) int {
 		if cq.len() == 0 {
 			return true
 		}
-		if ids == nil && r.ContainsRect(cell) {
+		if ids == nil && r.ContainsRect(cell) && (w.outside == 0 || !w.onBoundary(idx)) {
 			total += cq.len()
 			return true
 		}
-		a, b := cq.segments()
-		total += w.countRefs(a, r, ids) + w.countRefs(b, r, ids)
+		total += w.countRefs(cq, r, ids)
 		return true
 	})
 	return total
 }
 
-// countRefs counts the referenced objects inside r that carry one of the
-// words ids (nil ids means no keyword predicate).
-func (w *Window) countRefs(refs []uint32, r geo.Rect, ids []uint32) int {
-	arena := w.view()
-	n := 0
-	for _, ref := range refs {
-		if r.Contains(arena.rec(ref).loc) && (ids == nil || carriesAny(arena.ids(ref), ids)) {
-			n++
+// beyond reports whether p lies outside the world's closed rectangle. A
+// point on the world's max edge is outside the half-open world too, but
+// it counts with its cell, as it always has (the full-world count of an
+// engine includes it).
+func (w *Window) beyond(p geo.Point) bool {
+	r := w.world
+	return !(p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY)
+}
+
+// onBoundary reports whether cell idx lies on the edge of the grid.
+func (w *Window) onBoundary(idx int) bool {
+	col, row := idx%w.grid.Cols, idx/w.grid.Cols
+	return col == 0 || row == 0 || col == w.grid.Cols-1 || row == w.grid.Rows-1
+}
+
+// countRefs counts the objects of q inside r that carry one of the words
+// ids (nil ids means no keyword predicate). A ring of more than shortRing
+// refs is read in batches (see scan). A shorter one, as a cell's ring
+// mostly is, is read by a cursor in the loop that tests its refs: for a
+// few dozen refs the batch's setup costs more than it saves.
+func (w *Window) countRefs(q *ring, r geo.Rect, ids []uint32) int {
+	a, n := w.view(), 0
+	switch {
+	case q.n > shortRing:
+		for s := q.scan(); s.left > 0; {
+			for _, ref := range s.batch(&w.batch) {
+				if r.Contains(a.rec(ref).loc) && (ids == nil || carriesAny(a.ids(ref), ids)) {
+					n++
+				}
+			}
+		}
+	case q.n > 0:
+		for c, left := q.cursor(), q.n; ; c = c.next() {
+			if r.Contains(a.rec(c.ref).loc) && (ids == nil || carriesAny(a.ids(c.ref), ids)) {
+				n++
+			}
+			if left--; left == 0 {
+				break
+			}
 		}
 	}
 	return n
 }
+
+// shortRing is the longest ring countRefs reads without batches.
+const shortRing = 64
 
 // countKeyword counts distinct window objects carrying any of the words
 // ids, which are distinct and live, further filtered by r when non-nil. An
@@ -502,50 +562,53 @@ func (w *Window) countRefs(refs []uint32, r geo.Rect, ids []uint32) int {
 // must count once: each ref marks the bit of its distance from base in a
 // scratch bitmap, and only the ref that finds its bit clear is range-tested
 // and counted. The walk is linear in the postings with no data-dependent
-// branch but that one, and it then clears the words it touched. Nothing is
-// allocated for up to eight keywords once the bitmap covers the window.
+// branch but that one. It then clears the bitmap's words that cover the
+// window, which costs less than decoding the postings again to clear
+// only the words they touched unless they are fewer than one ref per 64
+// live objects. Nothing is allocated once the bitmap covers the window.
 func (w *Window) countKeyword(ids []uint32, r *geo.Rect) int {
-	var buf [16][]uint32
-	segs := buf[:0] // both segments of each keyword's ring
-	for _, id := range ids {
-		a, b := w.postings[id].segments()
-		segs = append(segs, a, b)
-	}
-	if len(segs) <= 2 { // one queue holds no duplicates
-		total := 0
-		for _, seg := range segs {
-			if r == nil {
-				total += len(seg)
-			} else {
-				total += w.countRefs(seg, *r, nil)
-			}
+	if len(ids) == 1 { // one queue holds no duplicates
+		q := &w.postings[ids[0]]
+		if r == nil {
+			return q.len()
 		}
-		return total
+		return w.countRefs(q, *r, nil)
 	}
-	if words := (w.n + 63) / 64; len(w.seen) < words {
+	words := (w.n + 63) / 64
+	if len(w.seen) < words {
 		w.seen = make([]uint64, words+words/4)
 	}
 	seen, arena, base := w.seen, w.view(), uint32(w.base)
 	total := 0
-	for _, seg := range segs {
-		for _, ref := range seg {
+	for _, id := range ids {
+		total += arena.mark(&w.postings[id], seen, base, r, &w.batch)
+	}
+	clear(seen[:words])
+	return total
+}
+
+// mark sets the bit of each of q's refs' distance from base in seen, and
+// counts the refs that find it clear and, when r is non-nil, lie inside
+// r, reading q in batches whatever its length: a query walks each of its
+// words' rings once, so a batch's setup is paid per word, not per cell.
+// It is countKeyword's inner loop, a function of its own so that its
+// variables stay in registers.
+func (a arenaView) mark(q *ring, seen []uint64, base uint32, r *geo.Rect, refs *[refBatch]uint32) int {
+	n := 0
+	for s := q.scan(); s.left > 0; {
+		for _, ref := range s.batch(refs) {
 			d := ref - base
 			word, bit := &seen[d>>6], uint64(1)<<(d&63)
 			if *word&bit != 0 {
 				continue
 			}
 			*word |= bit
-			if r == nil || r.Contains(arena.rec(ref).loc) {
-				total++
+			if r == nil || r.Contains(a.rec(ref).loc) {
+				n++
 			}
 		}
 	}
-	for _, seg := range segs {
-		for _, ref := range seg {
-			seen[(ref-base)>>6] = 0
-		}
-	}
-	return total
+	return n
 }
 
 // countHybrid picks the cheaper side to drive the scan: keyword postings
@@ -590,7 +653,8 @@ func (w *Window) At(i int, o *Object) {
 	c, slot := w.slot(i)
 	o.ID, o.Loc, o.Timestamp = c.id(slot), c.recs[slot].loc, c.ts(slot)
 	o.Keywords = o.Keywords[:0]
-	for _, id := range c.ids(slot) {
+	var scratch [16]uint32
+	for _, id := range appendIDs(scratch[:0], c.ids(slot)) {
 		o.Keywords = append(o.Keywords, w.dict.Word(id))
 	}
 }
@@ -626,13 +690,43 @@ func containsID(ids []uint32, id uint32) bool {
 	return false
 }
 
-// carriesAny reports whether an object with keyword IDs have carries one
-// of want (the RC-DVQ keyword predicate: o.kw ∩ q.W ≠ ∅).
-func carriesAny(have, want []uint32) bool {
-	for _, id := range have {
-		if containsID(want, id) {
+// carriesAny reports whether an object with the encoded keyword IDs have
+// carries one of want (the RC-DVQ keyword predicate: o.kw ∩ q.W ≠ ∅). It
+// decodes as it goes, and stops at the first match.
+func carriesAny(have []byte, want []uint32) bool {
+	for i := 0; i < len(have); {
+		var id uint32
+		if id, i = nextID(have, i); containsID(want, id) {
 			return true
 		}
 	}
 	return false
+}
+
+// appendIDs appends the IDs encoded in enc to ids and returns the result.
+func appendIDs(ids []uint32, enc []byte) []uint32 {
+	for i := 0; i < len(enc); {
+		var id uint32
+		id, i = nextID(enc, i)
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// nextID decodes the uvarint ID that starts at enc[i], which append wrote
+// with binary.AppendUvarint, and returns it with the index after it.
+func nextID(enc []byte, i int) (uint32, int) {
+	id := uint32(0)
+	for shift := 0; ; shift += 7 {
+		b := enc[i]
+		i++
+		if id |= uint32(b&0x7F) << shift; b < 0x80 {
+			return id, i
+		}
+	}
+}
+
+// uvarintLen is the length of id as a uvarint.
+func uvarintLen(id uint32) int {
+	return (bits.Len32(id|1) + 6) / 7
 }

@@ -70,24 +70,33 @@ func TestArenaRecordHasNoPointers(t *testing.T) {
 	}
 }
 
+// liveContents is what a window's structures hold for its live objects.
+type liveContents struct {
+	occurrences int // keyword IDs stored, repeats included
+	idBytes     int // their uvarint encoding
+	refs        int // posting refs
+	gapSlots    int // ring slots in use, cell and posting rings alike
+}
+
 // recount checks the window's incremental accounting against what its
-// structures hold, and returns the keyword occurrences and the posting
-// refs of the live objects.
-func recount(t *testing.T, w *Window) (occurrences, refs int) {
+// structures hold, and returns what they hold for the live objects.
+func recount(t *testing.T, w *Window) (live liveContents) {
 	t.Helper()
 	slots := 0
 	for i := range w.cells {
-		slots += len(w.cells[i].buf)
+		slots += int(w.cells[i].c)
+		live.gapSlots += int(w.cells[i].used)
 	}
 	words, wordBytes := 0, 0
 	for id := range w.postings {
 		pq := &w.postings[id]
-		slots += len(pq.buf)
-		refs += pq.len()
+		slots += int(pq.c)
+		live.gapSlots += int(pq.used)
+		live.refs += pq.len()
 		word := w.dict.Word(uint32(id))
 		if pq.len() == 0 {
 			if pq.buf != nil || word != "" {
-				t.Fatalf("free ID %d keeps a %d-slot ring and the word %q", id, len(pq.buf), word)
+				t.Fatalf("free ID %d keeps a %d-slot ring and the word %q", id, pq.c, word)
 			}
 			continue
 		}
@@ -104,26 +113,29 @@ func recount(t *testing.T, w *Window) (occurrences, refs int) {
 		t.Errorf("dictionary: %d posted words of %d bytes, %d rings, %d assigned IDs, %d held, accounted %d bytes",
 			words, wordBytes, len(w.postings), w.dict.IDs(), w.dict.Len(), w.wordBytes)
 	}
-	kwSlots := cap(w.spare.kws)
+	kwBytes := cap(w.spare.kws)
 	for i := range w.chunks {
-		kwSlots += cap(w.chunks[i].kws)
+		kwBytes += cap(w.chunks[i].kws)
 	}
-	if kwSlots != w.kwSlots {
-		t.Errorf("accounted %d keyword ID slots, chunks hold %d", w.kwSlots, kwSlots)
+	if kwBytes != w.kwBytes {
+		t.Errorf("accounted %d keyword ID bytes, chunks hold %d", w.kwBytes, kwBytes)
 	}
 	arena := w.view()
 	for seq := w.base; seq < w.NextSeq(); seq++ {
-		occurrences += len(arena.ids(uint32(seq)))
+		enc := arena.ids(uint32(seq))
+		live.idBytes += len(enc)
+		live.occurrences += len(appendIDs(nil, enc))
 	}
-	return occurrences, refs
+	return live
 }
 
 // TestWindowFootprintTracksLiveSize: after twenty turnovers at a steady
-// 60 000 live objects the window costs at most 1.3 times the
-// bytes its live contents need — a record, its end offset and a cell ref,
-// an ID per keyword occurrence and a ref per distinct keyword for each
-// object — plus the fixed cell headers, dictionary included, and a
-// steady-state Insert allocates nothing.
+// 60 000 live objects the window costs at most 1.3 times the encoded
+// bytes its live contents need — a record and its end offset per object,
+// the uvarint of every keyword occurrence's ID, and 2 bytes for every ring
+// slot in use, cell and posting rings alike — plus the fixed cell
+// headers, dictionary included, and a steady-state Insert allocates
+// nothing.
 func TestWindowFootprintTracksLiveSize(t *testing.T) {
 	const live, cells = 60_000, 4096
 	w := NewWindow(geo.UnitSquare, live/2, cells)
@@ -135,16 +147,18 @@ func TestWindowFootprintTracksLiveSize(t *testing.T) {
 	if w.Size() < live || w.Size() > live+2 {
 		t.Fatalf("window holds %d objects, want %d", w.Size(), live)
 	}
-	occurrences, refs := recount(t, w)
-	need := w.Size()*(blockBytes/chunkSize+4) + 4*occurrences + 4*refs
+	held := recount(t, w)
+	need := w.Size()*blockBytes/chunkSize + held.idBytes + 2*held.gapSlots
 	fixed := ringHeaderBytes * cells
 	if got, limit := w.MemoryBytes(), need*13/10+fixed; got > limit {
-		t.Errorf("MemoryBytes = %d for %d objects, %d keyword occurrences and %d refs: over 1.3 × %d + %d = %d",
-			got, w.Size(), occurrences, refs, need, fixed, limit)
+		t.Errorf("MemoryBytes = %d for %d objects, %d ID bytes and %d ring slots in use: over 1.3 × %d + %d = %d",
+			got, w.Size(), held.idBytes, held.gapSlots, need, fixed, limit)
 	}
-	t.Logf("%d objects, %.2f keywords each, %d words: %d bytes, %.1f per object (floor %.1f)",
-		w.Size(), float64(occurrences)/float64(w.Size()), w.DistinctKeywords(), w.MemoryBytes(),
-		float64(w.MemoryBytes()-fixed)/float64(w.Size()), float64(need)/float64(w.Size()))
+	t.Logf("%d objects, %.2f keywords each in %.2f bytes, %d words, %.2f ring slots each: %d bytes, %.1f per object (floor %.1f, %.3f ×)",
+		w.Size(), float64(held.occurrences)/float64(w.Size()), float64(held.idBytes)/float64(w.Size()),
+		w.DistinctKeywords(), float64(held.gapSlots)/float64(w.Size()), w.MemoryBytes(),
+		float64(w.MemoryBytes()-fixed)/float64(w.Size()), float64(need)/float64(w.Size()),
+		float64(w.MemoryBytes()-fixed)/float64(need))
 
 	// Ring resizes and keywords entering the window do allocate, about
 	// thirty times per thousand inserts; AllocsPerRun reports the
@@ -200,19 +214,19 @@ func TestWindowEmptiedHoldsNothing(t *testing.T) {
 	}
 	recount(t, w)
 	w.EvictBefore(1 << 40)
-	occurrences, refs := recount(t, w)
-	if w.Size() != 0 || occurrences != 0 || refs != 0 || w.DistinctKeywords() != 0 || w.wordBytes != 0 {
-		t.Errorf("emptied window keeps %d objects, %d keyword occurrences, %d refs, %d words of %d bytes",
-			w.Size(), occurrences, refs, w.DistinctKeywords(), w.wordBytes)
+	held := recount(t, w)
+	if w.Size() != 0 || held != (liveContents{}) || w.DistinctKeywords() != 0 || w.wordBytes != 0 {
+		t.Errorf("emptied window keeps %d objects, %+v, %d words of %d bytes",
+			w.Size(), held, w.DistinctKeywords(), w.wordBytes)
 	}
-	rings := 0 // the cell rings that have ever held a ref keep their smallest buffer
+	rings := 0 // the cell rings that have ever held two refs keep their smallest buffer
 	for i := range w.cells {
 		if w.cells[i].buf != nil {
 			rings++
 		}
 	}
 	if len(w.chunks) > 1 || w.spare.block == nil || len(w.spare.kws) != 0 || w.slots != ringMin*rings {
-		t.Errorf("emptied window keeps %d chunks (spare %v holding %d IDs) and %d ring slots for %d cell rings",
+		t.Errorf("emptied window keeps %d chunks (spare %v holding %d ID bytes) and %d ring slots for %d cell rings",
 			len(w.chunks), w.spare.block != nil, len(w.spare.kws), w.slots, rings)
 	}
 	// And it fills again from there.
@@ -263,7 +277,8 @@ func BenchmarkWindowInsertSteady(b *testing.B) {
 // BenchmarkWindowCount is the exact answer per query type on that window.
 // The rectangle cuts through cells, so the spatial and hybrid counts walk
 // cell rings in their two segments; the keywords are frequent ones, so the
-// keyword count unites long posting rings.
+// keyword count unites long posting rings, and the one-word hybrid count
+// range-tests one long posting ring.
 func BenchmarkWindowCount(b *testing.B) {
 	w, s := benchWindow()
 	r := geo.Rect{MinX: 0.203, MinY: 0.107, MaxX: 0.611, MaxY: 0.489}
@@ -276,6 +291,7 @@ func BenchmarkWindowCount(b *testing.B) {
 		{"spatial", SpatialQ(r, ts)},
 		{"keyword", KeywordQ(kws, ts)},
 		{"hybrid", HybridQ(r, kws, ts)},
+		{"hybrid-one-word", HybridQ(r, kws[:1], ts)},
 	} {
 		q := bc.q
 		b.Run(bc.name, func(b *testing.B) {

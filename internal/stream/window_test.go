@@ -93,6 +93,73 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestWindowOutOfWorldMatchesBruteForce: objects beyond the world, which
+// CellOf clamps into boundary cells, count where they lie. A fifth of the
+// stream lies outside the unit-square world — on its max edges, beyond
+// them, beyond the corners — and the spatial ranges overlap the world and
+// reach past its edges, so that they cover boundary cells whole. Every count is compared with a
+// scan, through eviction, including the stretches in which no
+// out-of-world object is live.
+func TestWindowOutOfWorldMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	vocab := vocabN(6)
+	const span = 400
+	w := NewWindow(geo.UnitSquare, span, 64)
+	coord := func() float64 {
+		switch rng.Intn(10) {
+		case 0:
+			return -rng.Float64() * 2
+		case 1:
+			return 1 + rng.Float64()*2
+		case 2:
+			return 1 // on the world's max edge
+		}
+		return rng.Float64()
+	}
+	var all []Object
+	ts := int64(0)
+	for i := 0; i < 6000; i++ {
+		ts += int64(rng.Intn(2))
+		o := randomObject(rng, uint64(i), ts, vocab)
+		if (i/1000)%2 == 0 && rng.Intn(5) == 0 { // every other stretch stays inside
+			o.Loc = geo.Pt(coord(), coord())
+		}
+		all = append(all, o)
+		w.Insert(o)
+		if i%7 != 0 {
+			continue
+		}
+		// A range that misses the world misses what lies outside it too;
+		// that rule is not this test's.
+		var r geo.Rect
+		for r.MinX >= 1 || r.MaxX <= 0 || r.MinY >= 1 || r.MaxY <= 0 {
+			r = geo.Rect{MinX: coord() - 0.5, MinY: coord() - 0.5}
+			r.MaxX, r.MaxY = r.MinX+0.2+rng.Float64()*3, r.MinY+0.2+rng.Float64()*3
+		}
+		kws := []string{vocab[rng.Intn(len(vocab))]}
+		for _, q := range []Query{SpatialQ(r, ts), HybridQ(r, kws, ts), SpatialQ(geo.Rect{MinX: -5, MinY: -5, MaxX: 5, MaxY: 5}, ts)} {
+			if got, want := w.Answer(&q), bruteCount(all, &q, ts-span); got != want {
+				t.Fatalf("at insert %d, %v: got %d, want %d (%d live objects outside the world)", i, q, got, want, w.outside)
+			}
+		}
+	}
+}
+
+// TestWindowCountsClampedObjectWhereItLies: an object at (5, 0.5) sits in
+// the cell of (0.95, 0.5), and a range that holds that cell whole does not
+// hold the object.
+func TestWindowCountsClampedObjectWhereItLies(t *testing.T) {
+	w := NewWindow(geo.UnitSquare, 100, 256) // the last column is [0.9375, 1)
+	w.Insert(Object{ID: 1, Loc: geo.Pt(5, 0.5), Keywords: []string{"a"}})
+	w.Insert(Object{ID: 2, Loc: geo.Pt(0.95, 0.5), Keywords: []string{"a"}})
+	r := geo.Rect{MinX: 0.9, MinY: 0, MaxX: 2, MaxY: 1}
+	for _, q := range []Query{SpatialQ(r, 0), HybridQ(r, []string{"a"}, 0)} {
+		if got := w.Count(&q); got != 1 {
+			t.Errorf("%v: counts %d, want 1", q, got)
+		}
+	}
+}
+
 func TestWindowEviction(t *testing.T) {
 	w := NewWindow(geo.UnitSquare, 100, 16)
 	for i := 0; i < 10; i++ {

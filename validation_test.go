@@ -242,6 +242,26 @@ func TestValidationOutOfWorldRange(t *testing.T) {
 	}
 }
 
+// TestOutOfWorldObjectCountedWhereItLies: an object beyond the world is
+// kept, in the boundary cell its location clamps to, and the exact answer
+// counts it where it lies. A range holding that cell whole holds (0.95,
+// 0.5) but not (5, 0.5), on the spatial path and the hybrid one alike.
+func TestOutOfWorldObjectCountedWhereItLies(t *testing.T) {
+	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	for _, shards := range []int{1, 4} {
+		s := MustNewSharded(world, 10*time.Second, WithSeed(1), WithShards(shards))
+		s.Feed(Object{ID: 1, Loc: Pt(5, 0.5), Keywords: []string{"a"}, Timestamp: 1})
+		s.Feed(Object{ID: 2, Loc: Pt(0.95, 0.5), Keywords: []string{"a"}, Timestamp: 1})
+		r := Rect{MinX: 0.9, MinY: 0, MaxX: 2, MaxY: 1}
+		for _, q := range []Query{SpatialQuery(r, 1), HybridQuery(r, []string{"a"}, 1)} {
+			if _, actual := s.EstimateAndExecute(&q); actual != 1 {
+				t.Errorf("%d shards, %v: actual %d, want 1", shards, q.Type(), actual)
+			}
+		}
+		s.Close()
+	}
+}
+
 func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 	// Regression: the concurrent and sharded wrappers used to advance their
 	// timestamp high-water mark before validation ran, so a rejected object
