@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strconv"
@@ -40,7 +41,6 @@ import (
 	"github.com/spatiotext/latest/client"
 	"github.com/spatiotext/latest/internal/cluster"
 	"github.com/spatiotext/latest/internal/geo"
-	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 func main() {
@@ -60,7 +60,7 @@ type routerOptions struct {
 	drainTimeout time.Duration
 	reqTimeout   time.Duration
 	mapRetries   int
-	logLevel     string
+	logLevel     slog.Level
 
 	writeMap bool
 	worldStr string
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "bound on graceful drain before force-closing connections")
 	fs.DurationVar(&o.reqTimeout, "request-timeout", 10*time.Second, "per-node request deadline budget")
 	fs.IntVar(&o.mapRetries, "map-retries", 0, "refetch-and-retry budget on stale-map refusals (0 = library default)")
-	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log severity: debug, info, warn, error")
+	fs.TextVar(&o.logLevel, "log-level", slog.LevelInfo, "minimum log `severity`: debug, info, warn or error, in any case")
 
 	fs.BoolVar(&o.writeMap, "write-map", false, "author a partition map file and exit")
 	fs.StringVar(&o.worldStr, "world", "-125,24,-66,50", "(-write-map) world rect: minx,miny,maxx,maxy")
@@ -202,11 +202,7 @@ func buildCluster(o routerOptions, copts client.Options) (*client.Cluster, error
 }
 
 func serve(o routerOptions, stdout, stderr io.Writer, shutdown <-chan os.Signal) error {
-	level, err := telemetry.ParseLevel(o.logLevel)
-	if err != nil {
-		return err
-	}
-	log := telemetry.NewLogger(stderr, level)
+	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: o.logLevel}))
 	cl, err := buildCluster(o, client.Options{RequestTimeout: o.reqTimeout})
 	if err != nil {
 		return err

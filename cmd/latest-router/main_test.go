@@ -254,6 +254,36 @@ func TestRouterBadFlags(t *testing.T) {
 	}
 }
 
+// TestRouterLevelFlag: -log-level folds case, so WARN silences the
+// info-level serving line that info and Debug let through, and an unknown
+// level is a usage error naming the flag.
+func TestRouterLevelFlag(t *testing.T) {
+	m, err := cluster.Uniform(testWorld, 2, 1, []string{"127.0.0.1:1", "127.0.0.1:2"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapFile := writeMapFile(t, m)
+	for _, tc := range []struct {
+		level   string
+		serving bool
+	}{{"info", true}, {"WARN", false}, {"Debug", true}} {
+		var out, errOut bytes.Buffer
+		args := []string{"-map", mapFile, "-addr", "127.0.0.1:0", "-admin", "", "-log-level", tc.level}
+		ch := make(chan os.Signal, 1)
+		ch <- syscall.SIGTERM
+		if code := run(args, &out, &errOut, ch); code != 0 {
+			t.Fatalf("-log-level %s: exit %d, stderr %q", tc.level, code, errOut.String())
+		}
+		if got := strings.Contains(errOut.String(), "level=INFO msg=serving component=router"); got != tc.serving {
+			t.Errorf("-log-level %s: serving line logged %t, want %t; stderr %q", tc.level, got, tc.serving, errOut.String())
+		}
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-log-level", "loud"}, &out, &errOut, make(chan os.Signal)); code != 2 || !strings.Contains(errOut.String(), "-log-level") {
+		t.Fatalf("-log-level loud: exit %d, stderr %q; want 2 naming the flag", code, errOut.String())
+	}
+}
+
 func TestParseGrid(t *testing.T) {
 	cols, rows, err := parseGrid("8X4")
 	if err != nil || cols != 8 || rows != 4 {

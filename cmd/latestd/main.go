@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"runtime"
@@ -45,7 +46,6 @@ import (
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/persist"
 	"github.com/spatiotext/latest/internal/server"
-	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 func main() {
@@ -64,7 +64,7 @@ type daemonOptions struct {
 	maxConns     int
 	maxInFlight  int
 	drainTimeout time.Duration
-	logLevel     string
+	logLevel     slog.Level
 	clusterMap   string
 	nodeID       int
 	dataDir      string
@@ -91,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	fs.IntVar(&o.maxConns, "max-conns", 256, "maximum concurrent wire connections")
 	fs.IntVar(&o.maxInFlight, "max-inflight", 64, "per-connection in-flight request window")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "bound on graceful drain before force-closing connections")
-	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log severity: debug, info, warn, error")
+	fs.TextVar(&o.logLevel, "log-level", slog.LevelInfo, "minimum log `severity`: debug, info, warn or error, in any case")
 	fs.StringVar(&o.clusterMap, "cluster-map", "", "partition map file for multi-node serving (author one with latest-router -write-map); empty runs standalone")
 	fs.IntVar(&o.nodeID, "node-id", 0, "this daemon's index in the cluster map's node list (used with -cluster-map)")
 	fs.StringVar(&o.dataDir, "data-dir", "", "directory for durable state (snapshots + feed WAL); empty serves from memory only")
@@ -151,12 +151,12 @@ func loadClusterMap(o daemonOptions) (*cluster.Map, error) {
 // graceful teardown. With -data-dir the core engine is wrapped in a
 // DurableEngine, which restores the newest snapshot plus the WAL tail (or
 // refuses with the typed reason) before the listener opens.
-func buildEngine(o daemonOptions, world geo.Rect, logW io.Writer, level telemetry.Level, log *telemetry.Logger) (latest.Engine, error) {
+func buildEngine(o daemonOptions, world geo.Rect, log *slog.Logger) (latest.Engine, error) {
 	// The daemon owns the exposition listener through internal/server, so
 	// the engine is built WITHOUT WithTelemetry — its snapshot is scraped
 	// through the admin plane instead.
 	eng, err := latest.NewSharded(world, o.window,
-		latest.WithLogger(logW, level), latest.WithShards(o.shards))
+		latest.WithLogger(log), latest.WithShards(o.shards))
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +185,7 @@ func buildEngine(o daemonOptions, world geo.Rect, logW io.Writer, level telemetr
 		SnapshotInterval: o.snapInterval,
 		WALSyncEvery:     o.walSyncEvery,
 		Retain:           o.snapRetain,
-		Log:              log.Named("durable"),
+		Log:              log,
 	})
 	if err != nil {
 		eng.Shutdown(context.Background())
@@ -199,10 +199,6 @@ func buildEngine(o daemonOptions, world geo.Rect, logW io.Writer, level telemetr
 }
 
 func serve(o daemonOptions, stdout, stderr io.Writer, shutdown <-chan os.Signal) error {
-	level, err := telemetry.ParseLevel(o.logLevel)
-	if err != nil {
-		return err
-	}
 	cm, err := loadClusterMap(o)
 	if err != nil {
 		return err
@@ -213,8 +209,8 @@ func serve(o daemonOptions, stdout, stderr io.Writer, shutdown <-chan os.Signal)
 	} else if world, err = geo.ParseRect(o.worldStr); err != nil {
 		return fmt.Errorf("-world: %w", err)
 	}
-	log := telemetry.NewLogger(stderr, level)
-	eng, err := buildEngine(o, world, stderr, level, log)
+	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: o.logLevel}))
+	eng, err := buildEngine(o, world, log)
 	if err != nil {
 		return err
 	}

@@ -273,6 +273,29 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestLevelFlag: -log-level folds case, so WARN silences the info-level
+// serving line that info and Debug let through, and an unknown level is a
+// usage error naming the flag.
+func TestLevelFlag(t *testing.T) {
+	for _, tc := range []struct {
+		level   string
+		serving bool
+	}{{"info", true}, {"WARN", false}, {"Debug", true}} {
+		var out, errOut bytes.Buffer
+		args := []string{"-addr", "127.0.0.1:0", "-admin", "", "-shards", "1", "-log-level", tc.level}
+		if code := run(args, &out, &errOut, stopAtOnce()); code != 0 {
+			t.Fatalf("-log-level %s: exit %d, stderr %q", tc.level, code, errOut.String())
+		}
+		if got := strings.Contains(errOut.String(), "level=INFO msg=serving component=server"); got != tc.serving {
+			t.Errorf("-log-level %s: serving line logged %t, want %t; stderr %q", tc.level, got, tc.serving, errOut.String())
+		}
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-log-level", "loud"}, &out, &errOut, stopAtOnce()); code != 2 || !strings.Contains(errOut.String(), "-log-level") {
+		t.Fatalf("-log-level loud: exit %d, stderr %q; want 2 naming the flag", code, errOut.String())
+	}
+}
+
 // TestClusterMapCarriesTheWorld: -world beside -cluster-map is refused as a
 // usage error naming the flag, since the map's territory sets the world.
 func TestClusterMapCarriesTheWorld(t *testing.T) {

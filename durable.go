@@ -1,8 +1,10 @@
 package latest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,8 +45,9 @@ type DurableConfig struct {
 	RepairBackoff    time.Duration
 	RepairBackoffMax time.Duration
 	// Log, when non-nil, receives state-machine transitions (degraded,
-	// repaired, fallback recovery). A nil logger drops everything.
-	Log *telemetry.Logger
+	// repaired, fallback recovery), each line carrying component=durable.
+	// A nil logger drops everything.
+	Log *slog.Logger
 }
 
 // DurableEngine wraps any Engine with crash-durable state: every fed
@@ -86,7 +89,7 @@ type DurableEngine struct {
 	eng   Engine
 	store Store
 	cfg   DurableConfig
-	log   *telemetry.Logger
+	log   *slog.Logger
 
 	wal *persist.WAL
 	gen atomic.Uint64 // written under mu, read without it
@@ -141,7 +144,8 @@ func NewDurable(eng Engine, st Store, cfg DurableConfig) (*DurableEngine, error)
 		cfg.RepairBackoffMax = 5 * time.Second
 	}
 	d := &DurableEngine{
-		eng: eng, store: st, cfg: cfg, log: cfg.Log,
+		eng: eng, store: st, cfg: cfg,
+		log:      cmp.Or(cfg.Log, telemetry.Discard).With("component", "durable"),
 		snaps:    make(map[uint64]string),
 		repairCh: make(chan struct{}, 1),
 		done:     make(chan struct{}),

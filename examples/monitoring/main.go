@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"os"
@@ -47,7 +48,7 @@ type params struct {
 	queriesPerH  int
 	pretrain     int
 	scrapeEvery  time.Duration
-	logterminals io.Writer // switch/prefill logfmt destination
+	logterminals io.Writer // switch/prefill log destination
 }
 
 func defaultParams() params {
@@ -90,8 +91,9 @@ func run(out io.Writer, p params) error {
 		latest.WithSeed(21),
 		// Port 0: let the kernel pick, read it back with TelemetryAddr.
 		latest.WithTelemetry("127.0.0.1:0"),
-		// Switch decisions and prefill activity as logfmt lines.
-		latest.WithLogger(p.logterminals, latest.LogInfo),
+		// Switch decisions and prefill activity as slog text lines
+		// (time=… level=INFO msg=… component=shard-N key=value…).
+		latest.WithLogger(slog.New(slog.NewTextHandler(p.logterminals, nil))),
 	)
 	if err != nil {
 		return err

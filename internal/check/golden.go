@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -207,7 +208,7 @@ func (m *queryMaker) makeKeywords() []string {
 	kws := make([]string, 0, n)
 	for len(kws) < n && len(kws) < len(m.pool) {
 		kw := m.pool[m.rng.Intn(len(m.pool))]
-		if !contains(kws, kw) {
+		if !slices.Contains(kws, kw) {
 			kws = append(kws, kw)
 		}
 	}

@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/spatiotext/latest/internal/datagen"
@@ -154,12 +155,12 @@ func RunMetamorphic(cfg MetaConfig) (*MetaReport, error) {
 		kws := make([]string, 0, 3)
 		for len(kws) < 1+rng.Intn(3) {
 			kw := gen.SampleQueryKeyword()
-			if !contains(kws, kw) {
+			if !slices.Contains(kws, kw) {
 				kws = append(kws, kw)
 			}
 		}
 		extra := gen.SampleQueryKeyword()
-		for contains(kws, extra) {
+		for slices.Contains(kws, extra) {
 			extra = gen.SampleQueryKeyword()
 		}
 
@@ -256,13 +257,4 @@ func checkWindowGrowth(short, long *metaFixture, rect geo.Rect, kws []string) {
 	short.report.check(short.count(qs) <= long.count(qs),
 		"T-monotonicity: span %d count > span %d count for %v",
 		short.window.Span(), long.window.Span(), qs)
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,8 +56,9 @@ type Options struct {
 	// MaxMapRetries bounds transparent refetch-and-retry rounds per
 	// operation when nodes refuse with not-owner. Default 3.
 	MaxMapRetries int
-	// Log receives routing lifecycle lines (map swaps). nil is silent.
-	Log *telemetry.Logger
+	// Log receives routing lifecycle lines (map swaps), each carrying
+	// component=cluster. nil is silent.
+	Log *slog.Logger
 }
 
 // nodeStat is one backend's per-node counters.
@@ -88,7 +91,7 @@ type routerStats struct {
 type Router struct {
 	dial Dialer
 	opts Options
-	log  *telemetry.Logger
+	log  *slog.Logger
 
 	mu      sync.RWMutex
 	m       *Map
@@ -109,7 +112,7 @@ func NewRouter(m *Map, dial Dialer, opts Options) *Router {
 	return &Router{
 		dial:    dial,
 		opts:    opts,
-		log:     opts.Log.Named("cluster"),
+		log:     cmp.Or(opts.Log, telemetry.Discard).With("component", "cluster"),
 		m:       m,
 		encoded: m.Encode(),
 		nodes:   make(map[string]Node),

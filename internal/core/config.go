@@ -19,13 +19,13 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"time"
 
 	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/hoeffding"
 	"github.com/spatiotext/latest/internal/stream"
-	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 // Config parameterizes a LATEST module. Zero values take the paper's
@@ -103,7 +103,7 @@ type Config struct {
 	OnSwitch func(ev SwitchEvent)
 	// Logger receives switch-path and pre-fill lifecycle lines; nil is
 	// silent (logging never touches the per-object or per-query hot path).
-	Logger *telemetry.Logger
+	Logger *slog.Logger
 	// Oracle is unread. It once answered a query exactly when every
 	// estimator had failed; it stays only because benchmark/probes.go
 	// still sets it, and goes when that probe stops.

@@ -88,8 +88,8 @@ func newBrain(names []string, cfg Config) *brain {
 		names:      names,
 		alpha:      cfg.Alpha,
 		accGate:    cfg.Tau * clampUnit(2*(1-cfg.Alpha)),
-		selfAcc:    metrics.NewSlidingAverage(maxInt(cfg.AccWindow, 8)),
-		labels:     make([]int8, maxInt(cfg.AccWindow, 8)),
+		selfAcc:    metrics.NewSlidingAverage(max(cfg.AccWindow, 8)),
+		labels:     make([]int8, max(cfg.AccWindow, 8)),
 		minRecords: cfg.AccWindow * len(names),
 		scoreBuf:   make([]float64, len(names)),
 		okBuf:      make([]bool, len(names)),

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"time"
 
@@ -65,7 +68,7 @@ type Module struct {
 	estLat telemetry.Histogram
 	qerr   []*metrics.EWMA
 	qerrN  []uint64
-	log    *telemetry.Logger
+	log    *slog.Logger
 
 	// Accuracy-drift watchdog: per-estimator windowed q-error drift
 	// trackers (frozen reference window vs rolling current window) plus the
@@ -113,13 +116,13 @@ func New(cfg Config) (*Module, error) {
 		names:     append([]string(nil), cfg.Estimators...),
 		index:     make(map[string]int, len(cfg.Estimators)),
 		accWindow: metrics.NewSlidingAverage(cfg.AccWindow),
-		oppGap:    metrics.NewSlidingAverage(maxInt(cfg.AccWindow/2, 8)),
-		oppBest:   make([]int, maxInt(cfg.AccWindow/2, 8)),
-		oppQt:     make([]stream.QueryType, maxInt(cfg.AccWindow/2, 8)),
+		oppGap:    metrics.NewSlidingAverage(max(cfg.AccWindow/2, 8)),
+		oppBest:   make([]int, max(cfg.AccWindow/2, 8)),
+		oppQt:     make([]stream.QueryType, max(cfg.AccWindow/2, 8)),
 		prefill:   -1,
 		phase:     PhaseWarmup,
 		trace:     telemetry.NewDecisionTrace(telemetry.DefaultTraceDepth),
-		log:       cfg.Logger,
+		log:       cmp.Or(cfg.Logger, telemetry.Discard),
 	}
 	for range cfg.Estimators {
 		m.qerr = append(m.qerr, metrics.NewEWMA(profileAlpha))
@@ -595,7 +598,7 @@ func (m *Module) admits(target int, q *stream.Query) bool {
 	if check == "" {
 		return true
 	}
-	if m.log.Enabled(telemetry.LevelDebug) {
+	if m.log.Enabled(context.Background(), slog.LevelDebug) {
 		m.log.Debug("candidate refused", "candidate", m.names[target],
 			"active", m.names[m.active], "check", check)
 	}
@@ -701,14 +704,6 @@ func (m *Module) qerrSamples() []telemetry.QErrorSample {
 // Decisions returns the retained switch-decision audit records,
 // oldest-first.
 func (m *Module) Decisions() []telemetry.Decision { return m.trace.Snapshot() }
-
-// maxInt returns the larger of two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // Stats is a snapshot of the module's internals for logging and tests.
 type Stats struct {

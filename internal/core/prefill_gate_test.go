@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/stream"
-	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 // The pre-fill gate tests run a two-estimator fleet: H4096 is the
@@ -41,7 +41,7 @@ type gateCase struct {
 func gateModule(t *testing.T, c gateCase, log io.Writer) (*Module, *int) {
 	t.Helper()
 	m, err := New(Config{
-		Logger:            telemetry.NewLogger(log, telemetry.LevelDebug),
+		Logger:            slog.New(slog.NewTextHandler(log, &slog.HandlerOptions{Level: slog.LevelDebug})),
 		World:             geo.UnitSquare,
 		Span:              10_000,
 		Estimators:        []string{estimator.NameH4096, estimator.NameRSH},
@@ -143,11 +143,11 @@ func TestPrefillGateStartsOnlyWhatTheSwitchTakes(t *testing.T) {
 func TestPrefillGateMatchesSwitch(t *testing.T) {
 	for _, c := range gateCases {
 		t.Run(c.name, func(t *testing.T) {
-			m, _ := gateModule(t, c, nil)
+			m, _ := gateModule(t, c, io.Discard)
 			m.adapt(&gateQuery)
 			started := m.prefill == gateCand
 
-			s, _ := gateModule(t, c, nil)
+			s, _ := gateModule(t, c, io.Discard)
 			s.prefill = gateCand
 			s.performSwitch(&gateQuery)
 			adopted := s.ActiveName() == estimator.NameH4096
@@ -177,7 +177,7 @@ func TestOpportunityPrefillIsCounted(t *testing.T) {
 		AccWindow:       16,
 		PretrainQueries: 10,
 		Seed:            1,
-		Logger:          telemetry.NewLogger(&log, telemetry.LevelDebug),
+		Logger:          slog.New(slog.NewTextHandler(&log, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,9 +36,11 @@ func MergeStats(parts []Stats) Stats {
 		if p.Phase < out.Phase {
 			out.Phase = p.Phase
 		}
-		actives = appendUnique(actives, p.Active)
-		if p.Prefilling != "" {
-			prefills = appendUnique(prefills, p.Prefilling)
+		if !slices.Contains(actives, p.Active) {
+			actives = append(actives, p.Active)
+		}
+		if p.Prefilling != "" && !slices.Contains(prefills, p.Prefilling) {
+			prefills = append(prefills, p.Prefilling)
 		}
 		out.PretrainSeen += p.PretrainSeen
 		out.IncrementalSeen += p.IncrementalSeen
@@ -92,14 +95,4 @@ func MergeStats(parts []Stats) Stats {
 	}
 	out.Drift = telemetry.MergeDriftSamples(drifts...)
 	return out
-}
-
-// appendUnique appends s to list unless already present, preserving order.
-func appendUnique(list []string, s string) []string {
-	for _, have := range list {
-		if have == s {
-			return list
-		}
-	}
-	return append(list, s)
 }

@@ -23,9 +23,11 @@
 package frontend
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"sync"
@@ -92,8 +94,9 @@ type Config struct {
 	// this many is retained with its full span timeline (1 retains all).
 	// Default telemetry.DefaultTraceSampleEvery.
 	TraceEvery int
-	// Log receives serving-layer lifecycle lines. nil is silent.
-	Log *telemetry.Logger
+	// Log receives serving-layer lifecycle lines, each carrying
+	// component=<name>. nil is silent.
+	Log *slog.Logger
 }
 
 const (
@@ -157,7 +160,7 @@ type Server struct {
 	h      Handler
 	ln     net.Listener
 	admin  *telemetry.Server
-	log    *telemetry.Logger
+	log    *slog.Logger
 	traces *telemetry.TraceBuffer
 
 	st       stats
@@ -198,7 +201,7 @@ func New(name string, h Handler, cfg Config) (*Server, error) {
 		cfg:     cfg,
 		h:       h,
 		ln:      ln,
-		log:     cfg.Log.Named(name),
+		log:     cmp.Or(cfg.Log, telemetry.Discard).With("component", name),
 		traces:  telemetry.NewTraceBuffer(cfg.TraceDepth, cfg.TraceEvery),
 		drainCh: make(chan struct{}),
 		conns:   make(map[*conn]struct{}),

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 
 	latest "github.com/spatiotext/latest"
@@ -36,7 +37,7 @@ type Config struct {
 	MaxInFlight int
 	TraceDepth  int
 	TraceEvery  int
-	Log         *telemetry.Logger
+	Log         *slog.Logger
 
 	// ClusterMap, when set, makes this server one node of a cluster: it
 	// refuses feeds of objects and queries of footprints it does not own

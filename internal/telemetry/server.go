@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -117,7 +119,7 @@ type Server struct {
 	ln        net.Listener
 	srv       *http.Server
 	src       func() Snapshot
-	log       *Logger
+	log       *slog.Logger
 	closeOnce sync.Once
 	done      chan struct{}
 }
@@ -154,8 +156,9 @@ type Route struct {
 // Serve starts a telemetry server on addr (e.g. "127.0.0.1:9090"; use port
 // 0 to let the kernel pick) reading state through src on every scrape. The
 // server runs until Close (immediate) or Shutdown (graceful). Extra routes
-// are mounted alongside the built-in endpoints.
-func Serve(addr string, src func() Snapshot, log *Logger, extra ...Route) (*Server, error) {
+// are mounted alongside the built-in endpoints. Lifecycle lines go to log
+// (nil is silent) with component=telemetry.
+func Serve(addr string, src func() Snapshot, log *slog.Logger, extra ...Route) (*Server, error) {
 	if src == nil {
 		return nil, fmt.Errorf("telemetry: nil snapshot source")
 	}
@@ -164,7 +167,7 @@ func Serve(addr string, src func() Snapshot, log *Logger, extra ...Route) (*Serv
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, src: src, log: log.Named("telemetry"), done: make(chan struct{})}
+	s := &Server{ln: ln, src: src, log: cmp.Or(log, Discard).With("component", "telemetry"), done: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/statusz", s.handleStatusz)

@@ -50,11 +50,11 @@ func (e *NotOwnerError) Error() string {
 // interface) so each layer can wrap the error in its own public type.
 func (e *NotOwnerError) NotOwnerEpoch() uint64 { return e.Epoch }
 
-// AppendMapFetch appends a TMapFetch frame.
-func AppendMapFetch(buf []byte, id uint64) []byte { return appendFrame(buf, TMapFetch, id, nil) }
+// AppendMapFetch appends an untraced TMapFetch frame.
+func AppendMapFetch(buf []byte, id uint64) []byte { return AppendMapFetchTraced(buf, id, 0) }
 
-// AppendMapFetchTraced is AppendMapFetch carrying a trace ID (0 encodes an
-// untraced frame, byte-identical to AppendMapFetch).
+// AppendMapFetchTraced appends a TMapFetch frame carrying traceID (0
+// encodes an untraced frame).
 func AppendMapFetchTraced(buf []byte, id, traceID uint64) []byte {
 	return appendFrameF(buf, TMapFetch, id, traceID, nil)
 }
@@ -62,7 +62,7 @@ func AppendMapFetchTraced(buf []byte, id, traceID uint64) []byte {
 // AppendMapResult appends a TMapResult frame whose payload is the encoded
 // partition map verbatim.
 func AppendMapResult(buf []byte, id uint64, encoded []byte) []byte {
-	return appendFrame(buf, TMapResult, id, func(b []byte) []byte { return append(b, encoded...) })
+	return appendFrameF(buf, TMapResult, id, 0, func(b []byte) []byte { return append(b, encoded...) })
 }
 
 // DecodeMapResult returns the encoded partition map from a TMapResult
@@ -78,7 +78,7 @@ func DecodeMapResult(payload []byte) ([]byte, error) {
 
 // AppendNotOwner appends a TErrNotOwner frame.
 func AppendNotOwner(buf []byte, id uint64, epoch uint64, msg string) []byte {
-	return appendFrame(buf, TErrNotOwner, id, func(b []byte) []byte {
+	return appendFrameF(buf, TErrNotOwner, id, 0, func(b []byte) []byte {
 		b = appendU64(b, epoch)
 		if len(msg) > 0xFFFF {
 			msg = msg[:0xFFFF]
@@ -109,7 +109,7 @@ func DecodeNotOwner(payload []byte) (*NotOwnerError, error) {
 // epoch. Non-clustered nodes answer the bare AppendPong instead; clients
 // accept both (DecodePong).
 func AppendPongEpoch(buf []byte, id uint64, epoch uint64) []byte {
-	return appendFrame(buf, TPong, id, func(b []byte) []byte { return appendU64(b, epoch) })
+	return appendFrameF(buf, TPong, id, 0, func(b []byte) []byte { return appendU64(b, epoch) })
 }
 
 // DecodePong decodes a TPong payload: hasEpoch is false for the empty

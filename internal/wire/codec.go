@@ -30,16 +30,23 @@ import (
 // budgets, not absolute wall-clock times, so the two sides need no clock
 // agreement.
 
-// appendFrame reserves a header, lets fill append the payload, then patches
-// the header (length + CRC) in place.
-func appendFrame(buf []byte, t Type, id uint64, fill func([]byte) []byte) []byte {
+// appendFrameF reserves a header, writes the trace-ID payload prefix when
+// traceID is non-zero (setting FlagTrace), lets fill append the payload,
+// then patches the header (length + CRC) in place.
+func appendFrameF(buf []byte, t Type, id, traceID uint64, fill func([]byte) []byte) []byte {
 	start := len(buf)
 	var hdr [HeaderSize]byte
 	buf = append(buf, hdr[:]...)
+	var flags uint16
+	if traceID != 0 {
+		flags |= FlagTrace
+		buf = appendU64(buf, traceID)
+	}
 	if fill != nil {
 		buf = fill(buf)
 	}
-	PutHeader(buf[start:], Header{Type: t, ID: id, Length: uint32(len(buf) - start - HeaderSize)})
+	PutHeader(buf[start:], Header{Type: t, Flags: flags, ID: id,
+		Length: uint32(len(buf) - start - HeaderSize)})
 	return buf
 }
 
@@ -201,15 +208,9 @@ func keywordCount(c cursor, n uint32) int {
 	return total
 }
 
-// AppendFeedBatch appends a complete TFeedBatch frame to buf.
+// AppendFeedBatch appends a complete untraced TFeedBatch frame to buf.
 func AppendFeedBatch(buf []byte, id uint64, objs []stream.Object) []byte {
-	return appendFrame(buf, TFeedBatch, id, func(b []byte) []byte {
-		b = appendU32(b, uint32(len(objs)))
-		for i := range objs {
-			b = appendObject(b, &objs[i])
-		}
-		return b
-	})
+	return AppendFeedBatchTraced(buf, id, 0, objs)
 }
 
 // keywordTables holds the intern tables feed decoding borrows. The engine
@@ -241,6 +242,11 @@ func DecodeFeedBatch(payload []byte, dst []stream.Object) ([]stream.Object, erro
 func DecodeFeedBatchInto(payload []byte, dst []stream.Object, kws []string) ([]stream.Object, []string, error) {
 	tab := keywordTables.Get().(*intern.Table)
 	defer keywordTables.Put(tab)
+	return decodeFeedBatch(payload, dst, kws, tab)
+}
+
+// decodeFeedBatch is DecodeFeedBatchInto sharing keywords through tab.
+func decodeFeedBatch(payload []byte, dst []stream.Object, kws []string, tab *intern.Table) ([]stream.Object, []string, error) {
 	c := &cursor{b: payload, intern: tab}
 	n, err := c.u32()
 	if err != nil {
@@ -347,13 +353,10 @@ func decodeQuery(c *cursor, q *stream.Query) error {
 	return nil
 }
 
-// AppendEstimate appends a complete TEstimate frame. deadline is the
-// request's relative latency budget (0 = none).
+// AppendEstimate appends a complete untraced TEstimate frame. deadline is
+// the request's relative latency budget (0 = none).
 func AppendEstimate(buf []byte, id uint64, deadlineMS uint32, q *stream.Query) []byte {
-	return appendFrame(buf, TEstimate, id, func(b []byte) []byte {
-		b = appendU32(b, deadlineMS)
-		return appendQuery(b, q)
-	})
+	return AppendEstimateTraced(buf, id, 0, deadlineMS, q)
 }
 
 // DecodeEstimate decodes a TEstimate payload.
@@ -368,16 +371,9 @@ func DecodeEstimate(payload []byte) (deadlineMS uint32, q stream.Query, err erro
 	return deadlineMS, q, c.done()
 }
 
-// AppendQueryBatch appends a complete TQueryBatch frame.
+// AppendQueryBatch appends a complete untraced TQueryBatch frame.
 func AppendQueryBatch(buf []byte, id uint64, deadlineMS uint32, qs []stream.Query) []byte {
-	return appendFrame(buf, TQueryBatch, id, func(b []byte) []byte {
-		b = appendU32(b, deadlineMS)
-		b = appendU32(b, uint32(len(qs)))
-		for i := range qs {
-			b = appendQuery(b, &qs[i])
-		}
-		return b
-	})
+	return AppendQueryBatchTraced(buf, id, 0, deadlineMS, qs)
 }
 
 // DecodeQueryBatch decodes a TQueryBatch payload into dst.
@@ -408,15 +404,15 @@ func DecodeQueryBatch(payload []byte, dst []stream.Query) (deadlineMS uint32, qs
 
 // ---- simple frames ----
 
-// AppendPing appends a TPing frame.
-func AppendPing(buf []byte, id uint64) []byte { return appendFrame(buf, TPing, id, nil) }
+// AppendPing appends an untraced TPing frame.
+func AppendPing(buf []byte, id uint64) []byte { return AppendPingTraced(buf, id, 0) }
 
 // AppendPong appends a TPong frame.
-func AppendPong(buf []byte, id uint64) []byte { return appendFrame(buf, TPong, id, nil) }
+func AppendPong(buf []byte, id uint64) []byte { return appendFrameF(buf, TPong, id, 0, nil) }
 
 // AppendAck appends a TAck frame acknowledging accepted objects.
 func AppendAck(buf []byte, id uint64, accepted uint32) []byte {
-	return appendFrame(buf, TAck, id, func(b []byte) []byte { return appendU32(b, accepted) })
+	return appendFrameF(buf, TAck, id, 0, func(b []byte) []byte { return appendU32(b, accepted) })
 }
 
 // DecodeAck decodes a TAck payload.
@@ -431,7 +427,7 @@ func DecodeAck(payload []byte) (uint32, error) {
 
 // AppendEstimateResult appends a TEstimateResult frame.
 func AppendEstimateResult(buf []byte, id uint64, estimate float64) []byte {
-	return appendFrame(buf, TEstimateResult, id, func(b []byte) []byte { return appendF64(b, estimate) })
+	return appendFrameF(buf, TEstimateResult, id, 0, func(b []byte) []byte { return appendF64(b, estimate) })
 }
 
 // DecodeEstimateResult decodes a TEstimateResult payload.
@@ -447,7 +443,7 @@ func DecodeEstimateResult(payload []byte) (float64, error) {
 // AppendQueryBatchResult appends a TQueryBatchResult frame. estimates and
 // actuals must be the same length.
 func AppendQueryBatchResult(buf []byte, id uint64, estimates []float64, actuals []int) []byte {
-	return appendFrame(buf, TQueryBatchResult, id, func(b []byte) []byte {
+	return appendFrameF(buf, TQueryBatchResult, id, 0, func(b []byte) []byte {
 		b = appendU32(b, uint32(len(estimates)))
 		for i := range estimates {
 			b = appendF64(b, estimates[i])
@@ -493,7 +489,7 @@ func DecodeQueryBatchResult(payload []byte, dstE []float64, dstA []int) ([]float
 
 // AppendError appends a TError frame.
 func AppendError(buf []byte, id uint64, code Code, retryAfterMS uint32, msg string) []byte {
-	return appendFrame(buf, TError, id, func(b []byte) []byte {
+	return appendFrameF(buf, TError, id, 0, func(b []byte) []byte {
 		b = appendU16(b, uint16(code))
 		b = appendU32(b, retryAfterMS)
 		if len(msg) > math.MaxUint16 {

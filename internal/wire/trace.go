@@ -49,27 +49,8 @@ func SplitTrace(h Header, payload []byte) (traceID uint64, rest []byte, err erro
 	return binary.LittleEndian.Uint64(payload), payload[traceWireSize:], nil
 }
 
-// appendFrameF is appendFrame with explicit header flags; a non-zero
-// traceID implies FlagTrace and writes the payload prefix.
-func appendFrameF(buf []byte, t Type, id, traceID uint64, fill func([]byte) []byte) []byte {
-	start := len(buf)
-	var hdr [HeaderSize]byte
-	buf = append(buf, hdr[:]...)
-	var flags uint16
-	if traceID != 0 {
-		flags |= FlagTrace
-		buf = appendU64(buf, traceID)
-	}
-	if fill != nil {
-		buf = fill(buf)
-	}
-	PutHeader(buf[start:], Header{Type: t, Flags: flags, ID: id,
-		Length: uint32(len(buf) - start - HeaderSize)})
-	return buf
-}
-
-// AppendFeedBatchTraced is AppendFeedBatch carrying a trace ID (0 encodes
-// an untraced frame, byte-identical to AppendFeedBatch).
+// AppendFeedBatchTraced appends a complete TFeedBatch frame carrying
+// traceID (0 encodes an untraced frame).
 func AppendFeedBatchTraced(buf []byte, id, traceID uint64, objs []stream.Object) []byte {
 	return appendFrameF(buf, TFeedBatch, id, traceID, func(b []byte) []byte {
 		b = appendU32(b, uint32(len(objs)))
@@ -80,7 +61,7 @@ func AppendFeedBatchTraced(buf []byte, id, traceID uint64, objs []stream.Object)
 	})
 }
 
-// AppendEstimateTraced is AppendEstimate carrying a trace ID.
+// AppendEstimateTraced appends a complete TEstimate frame carrying traceID.
 func AppendEstimateTraced(buf []byte, id, traceID uint64, deadlineMS uint32, q *stream.Query) []byte {
 	return appendFrameF(buf, TEstimate, id, traceID, func(b []byte) []byte {
 		b = appendU32(b, deadlineMS)
@@ -88,7 +69,8 @@ func AppendEstimateTraced(buf []byte, id, traceID uint64, deadlineMS uint32, q *
 	})
 }
 
-// AppendQueryBatchTraced is AppendQueryBatch carrying a trace ID.
+// AppendQueryBatchTraced appends a complete TQueryBatch frame carrying
+// traceID.
 func AppendQueryBatchTraced(buf []byte, id, traceID uint64, deadlineMS uint32, qs []stream.Query) []byte {
 	return appendFrameF(buf, TQueryBatch, id, traceID, func(b []byte) []byte {
 		b = appendU32(b, deadlineMS)
@@ -100,7 +82,7 @@ func AppendQueryBatchTraced(buf []byte, id, traceID uint64, deadlineMS uint32, q
 	})
 }
 
-// AppendPingTraced is AppendPing carrying a trace ID.
+// AppendPingTraced appends a TPing frame carrying traceID.
 func AppendPingTraced(buf []byte, id, traceID uint64) []byte {
 	return appendFrameF(buf, TPing, id, traceID, nil)
 }

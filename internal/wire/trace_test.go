@@ -88,6 +88,7 @@ func TestTracedZeroIDIsUntraced(t *testing.T) {
 		{"feed", AppendFeedBatchTraced(nil, 9, 0, objs), AppendFeedBatch(nil, 9, objs)},
 		{"estimate", AppendEstimateTraced(nil, 9, 0, 100, &q), AppendEstimate(nil, 9, 100, &q)},
 		{"query", AppendQueryBatchTraced(nil, 9, 0, 100, qs), AppendQueryBatch(nil, 9, 100, qs)},
+		{"map-fetch", AppendMapFetchTraced(nil, 9, 0), AppendMapFetch(nil, 9)},
 	}
 	for _, p := range pairs {
 		if !bytes.Equal(p.traced, p.plain) {

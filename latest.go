@@ -42,7 +42,7 @@ package latest
 
 import (
 	"fmt"
-	"io"
+	"log/slog"
 	"math"
 	"time"
 
@@ -92,17 +92,6 @@ type (
 	Decision = telemetry.Decision
 	// QErrorSample is one estimator's rolling q-error.
 	QErrorSample = telemetry.QErrorSample
-	// LogLevel is a severity for the structured logger enabled by
-	// WithLogger.
-	LogLevel = telemetry.Level
-)
-
-// Log severities for WithLogger.
-const (
-	LogDebug = telemetry.LevelDebug
-	LogInfo  = telemetry.LevelInfo
-	LogWarn  = telemetry.LevelWarn
-	LogError = telemetry.LevelError
 )
 
 // Query type constants.
@@ -197,11 +186,9 @@ type config struct {
 	// ("host:port"; port 0 picks a free one) publishing /metrics, /statusz,
 	// expvar and pprof.
 	TelemetryAddr string
-	// LogOutput, when non-nil, receives structured logfmt lines from the
-	// switch and pre-fill path and input validation at LogLevel or above.
-	LogOutput io.Writer
-	// LogLevel is the minimum severity emitted to LogOutput.
-	LogLevel LogLevel
+	// Log, when non-nil, receives structured lines from the switch and
+	// pre-fill path and input validation.
+	Log *slog.Logger
 	// LatencyModel, when non-nil, replaces wall-clock estimator latency
 	// measurement in the switching model's training signal. Correctness
 	// harnesses use it to make latency-sensitive switching decisions

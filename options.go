@@ -1,7 +1,7 @@
 package latest
 
 import (
-	"io"
+	"log/slog"
 	"time"
 )
 
@@ -116,11 +116,12 @@ func WithTelemetry(addr string) Option {
 	return func(c *config) { c.TelemetryAddr = addr }
 }
 
-// WithLogger directs structured logfmt lines (estimator switches, prefill
-// lifecycle, telemetry-server lifecycle) at or above min to w. Logging
-// stays off the per-object and per-query hot paths.
-func WithLogger(w io.Writer, min LogLevel) Option {
-	return func(c *config) { c.LogOutput, c.LogLevel = w, min }
+// WithLogger directs structured lines (estimator switches, prefill
+// lifecycle, rejected input, telemetry-server lifecycle) to l; each shard's
+// lines carry component=shard-N. A nil l is silent. Logging stays off the
+// per-object and per-query hot paths.
+func WithLogger(l *slog.Logger) Option {
+	return func(c *config) { c.Log = l }
 }
 
 // WithLatencyModel replaces wall-clock estimator latency measurement with

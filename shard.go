@@ -1,8 +1,10 @@
 package latest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sync"
 	"time"
@@ -91,7 +93,7 @@ type shard struct {
 	// gauges are the shard's operational counters and latency histograms:
 	// atomic, allocation-free, safe to snapshot while traffic flows.
 	gauges metrics.ShardGauges
-	log    *telemetry.Logger
+	log    *slog.Logger
 }
 
 // oracleGridCells sizes the exact store's internal grid (speed only, never
@@ -99,11 +101,11 @@ type shard struct {
 const oracleGridCells = 4096
 
 // newShard builds one shard over cfg.World from options its caller has
-// validated. Switch cooldown, opportunity margin and trace depth take
-// core's defaults.
-func newShard(cfg config, log *telemetry.Logger) (*shard, error) {
+// validated, logging to cfg.Log, which the caller sets. Switch cooldown,
+// opportunity margin and trace depth take core's defaults.
+func newShard(cfg config) (*shard, error) {
 	w := stream.NewWindow(cfg.World, cfg.Window.Milliseconds(), oracleGridCells)
-	sh := &shard{rect: cfg.World, window: w, log: log}
+	sh := &shard{rect: cfg.World, window: w, log: cfg.Log}
 	m, err := core.New(core.Config{
 		World:           cfg.World,
 		Span:            cfg.Window.Milliseconds(),
@@ -120,7 +122,7 @@ func newShard(cfg config, log *telemetry.Logger) (*shard, error) {
 		Seed:            cfg.Seed,
 		OnSwitch:        cfg.OnSwitch,
 		LatencyOf:       cfg.LatencyModel,
-		Logger:          log,
+		Logger:          cfg.Log,
 		Refill:          sh.refill,
 	})
 	if err != nil {
@@ -190,7 +192,7 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 	if pretrain == 0 {
 		pretrain = core.DefaultPretrainQueries
 	}
-	baseLog := telemetry.NewLogger(cfg.LogOutput, cfg.LogLevel)
+	baseLog := cmp.Or(cfg.Log, telemetry.Discard)
 	for i := range s.shards {
 		shardCfg := cfg
 		shardCfg.World = s.grid.CellRect(i)
@@ -198,7 +200,8 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 		// each other's runs; the rest decorrelate their estimator randomness.
 		shardCfg.Seed = cfg.Seed + int64(i)*1_000_003
 		shardCfg.PretrainQueries = (pretrain + n - 1) / n
-		sh, err := newShard(shardCfg, baseLog.Named(fmt.Sprintf("shard-%d", i)))
+		shardCfg.Log = baseLog.With("component", fmt.Sprintf("shard-%d", i))
+		sh, err := newShard(shardCfg)
 		if err != nil {
 			return nil, err
 		}

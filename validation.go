@@ -1,10 +1,10 @@
 package latest
 
 import (
+	"log/slog"
 	"math"
 
 	"github.com/spatiotext/latest/internal/metrics"
-	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 // validation.go is the engine's one input-hardening policy. Streams
@@ -37,7 +37,7 @@ func finite(vs ...float64) bool {
 // and a reordered arrival — the one place any engine decides that. Returns
 // false when the object must not be ingested; the reject is counted in g
 // and logged.
-func checkObject(o *Object, lastTS int64, g *metrics.ShardGauges, log *telemetry.Logger) bool {
+func checkObject(o *Object, lastTS int64, g *metrics.ShardGauges, log *slog.Logger) bool {
 	if !finite(o.Loc.X, o.Loc.Y) {
 		g.RecordValidationRejected()
 		log.Warn("object rejected: non-finite coordinates",
@@ -56,7 +56,7 @@ func checkObject(o *Object, lastTS int64, g *metrics.ShardGauges, log *telemetry
 // repaired in place (corners swapped) so the caller's subsequent Execute
 // sees the same query the estimate answered. Returns false when the query
 // must be rejected; the reject is counted in g and logged.
-func checkQuery(q *Query, g *metrics.ShardGauges, log *telemetry.Logger) bool {
+func checkQuery(q *Query, g *metrics.ShardGauges, log *slog.Logger) bool {
 	reject := func(reason string) bool {
 		g.RecordValidationRejected()
 		log.Warn("query rejected: "+reason, "query", q.String())

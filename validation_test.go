@@ -1,11 +1,17 @@
 package latest
 
 import (
+	"bytes"
+	"context"
+	"log"
+	"log/slog"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/spatiotext/latest/internal/persist"
 )
 
 // validation_test.go pins the input-hardening layer: NaN/Inf coordinates,
@@ -358,7 +364,7 @@ func TestValidationClampCountedOneWay(t *testing.T) {
 func TestValidationLogsRejects(t *testing.T) {
 	var buf strings.Builder
 	sys, err := New(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second,
-		WithSeed(1), WithLogger(&buf, LogWarn))
+		WithSeed(1), WithLogger(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,6 +380,80 @@ func TestValidationLogsRejects(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("reject %q not logged: %q", want, buf.String())
 		}
+	}
+}
+
+// TestLogLinesNameTheirComponent: on a 2-shard durable engine whose WAL
+// appends all fail, a rejected object is logged by the shard that owns it
+// and the degrade by the durable layer. An engine given a nil logger, or
+// none, takes the same input without panicking and writes nothing, not
+// even to the process's default logger.
+func TestLogLinesNameTheirComponent(t *testing.T) {
+	// Two shards split the unit square at x = 0.5; a non-finite y still
+	// routes by x.
+	bad := []Object{
+		{ID: 1, Loc: Pt(0.25, math.NaN()), Keywords: []string{"a"}, Timestamp: 1},
+		{ID: 2, Loc: Pt(0.75, math.Inf(1)), Keywords: []string{"a"}, Timestamp: 2},
+	}
+	feed := func(t *testing.T, l *slog.Logger, opts ...Option) {
+		t.Helper()
+		eng, err := NewSharded(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second,
+			append(opts, WithShards(2), WithSeed(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := persist.NewFaultStore(NewMemStore(), persist.FaultRule{Op: persist.FaultAppend})
+		dur, err := NewDurable(eng, store, DurableConfig{Log: l, RepairBackoff: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range bad {
+			dur.Feed(o)
+		}
+		if st := dur.Health().State; st != DurableDegraded {
+			t.Errorf("durability %v after failed appends, want degraded", st)
+		}
+		for i, sh := range eng.TelemetrySnapshot().Shards {
+			if sh.ValidationRejected != 1 {
+				t.Errorf("shard %d rejected %d objects, want 1", i, sh.ValidationRejected)
+			}
+		}
+		dur.Shutdown(context.Background())
+	}
+
+	var buf bytes.Buffer
+	l := slog.New(slog.NewTextHandler(&buf, nil))
+	feed(t, l, WithLogger(l))
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	for _, want := range []string{
+		`level=WARN msg="object rejected: non-finite coordinates" component=shard-0 id=1 `,
+		`level=WARN msg="object rejected: non-finite coordinates" component=shard-1 id=2 `,
+		`level=WARN msg="durability degraded; serving continues from memory" component=durable op=`,
+	} {
+		found := false
+		for _, line := range lines {
+			found = found || (strings.HasPrefix(line, "time=") && strings.Contains(line, want))
+		}
+		if !found {
+			t.Errorf("no line holds %q:\n%s", want, buf.String())
+		}
+	}
+
+	// A component that fell back on the default logger would write here.
+	var stray bytes.Buffer
+	func() {
+		prev, prevOut, prevFlags := slog.Default(), log.Writer(), log.Flags()
+		slog.SetDefault(slog.New(slog.NewTextHandler(&stray, nil)))
+		defer func() {
+			slog.SetDefault(prev)
+			log.SetOutput(prevOut)
+			log.SetFlags(prevFlags)
+		}()
+		feed(t, nil, WithLogger(nil))
+		feed(t, nil)
+	}()
+	if strings.Contains(stray.String(), "rejected") || strings.Contains(stray.String(), "durability") {
+		t.Errorf("an engine without a logger wrote:\n%s", stray.String())
 	}
 }
 
