@@ -147,10 +147,10 @@ func loadClusterMap(o daemonOptions) (*cluster.Map, error) {
 }
 
 // buildEngine constructs the serving engine: the unified latest.Engine is
-// the daemon's whole view of it — serving surface, persistence hooks and
-// graceful teardown. With -data-dir the core engine is wrapped in a
-// DurableEngine, which restores the newest snapshot plus the WAL tail (or
-// refuses with the typed reason) before the listener opens.
+// the daemon's whole view of it — serving surface and graceful teardown.
+// With -data-dir the core engine is wrapped in a DurableEngine, which
+// restores the newest snapshot plus the WAL tail (or refuses with the
+// typed reason) before the listener opens.
 func buildEngine(o daemonOptions, world geo.Rect, log *slog.Logger) (latest.Engine, error) {
 	// The daemon owns the exposition listener through internal/server, so
 	// the engine is built WITHOUT WithTelemetry — its snapshot is scraped

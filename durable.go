@@ -50,12 +50,14 @@ type DurableConfig struct {
 	Log *slog.Logger
 }
 
-// DurableEngine wraps any Engine with crash-durable state: every fed
+// DurableEngine wraps a ShardedSystem with crash-durable state: every fed
 // object is appended to a checksummed write-ahead log before it reaches
 // the engine, and periodic snapshots capture the engine's full state —
 // window, module counters, learning model, estimator summaries. After a
 // crash, NewDurable rebuilds the engine from the newest decodable
-// snapshot plus every WAL generation written since it.
+// snapshot plus every WAL generation written since it. It is the only
+// writer and reader of snapshot files and owns the only generation
+// counter.
 //
 // What recovery restores exactly: every object the WAL had fsynced, and
 // all engine state as of the snapshot. What it does not: queries answered
@@ -67,7 +69,7 @@ type DurableConfig struct {
 // snapshot commit flips the engine into the degraded state (see
 // DurableHealth): queries and feeds continue from memory, further WAL
 // appends are dropped and counted rather than attempted against a broken
-// store, and a background repair loop retries a fresh snapshot commit
+// store, and the background goroutine retries a fresh snapshot commit
 // with backoff until durability is restored.
 //
 // Locking: mu orders the WAL and nothing else. A feed holds it through
@@ -80,13 +82,13 @@ type DurableConfig struct {
 // are not logged, recovery is unaffected.
 //
 // The snapshot/WAL pairing is atomic: each committed snapshot generation
-// gets its own file (snapshot-<g>.snap, via atomic rename) and the paired
-// WAL is named after it (feed-<g>.wal). Whatever instant a crash hits,
-// the store holds at least one committed snapshot and the WAL chain that
-// extends it.
+// gets its own file (snapshot-<g>.snap, via atomic rename, with g in its
+// meta section too) and the paired WAL is named after it (feed-<g>.wal).
+// Whatever instant a crash hits, the store holds at least one committed
+// snapshot and the WAL chain that extends it.
 type DurableEngine struct {
 	mu    sync.Mutex
-	eng   Engine
+	eng   imageEngine
 	store Store
 	cfg   DurableConfig
 	log   *slog.Logger
@@ -115,12 +117,22 @@ type DurableEngine struct {
 	repairCh  chan struct{}
 
 	done      chan struct{}
-	ticker    *time.Ticker
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 }
 
-// NewDurable wraps eng with snapshot + WAL persistence backed by st.
+// imageEngine is what the durable layer needs of the engine it wraps: the
+// Engine surface plus its image (snapshot.go). *ShardedSystem is the one
+// implementation; tests substitute recorders that isolate the durable
+// layer.
+type imageEngine interface {
+	Engine
+	encodeImage(ctx context.Context, gen uint64) ([]byte, error)
+	restoreImage(snap *persist.Snapshot) error
+}
+
+// NewDurable wraps eng with snapshot + WAL persistence backed by st. A
+// System's engine is sys.ShardedSystem.
 //
 // eng must be freshly constructed with the same options as the engine that
 // wrote the store's state. If st holds snapshots, the newest decodable
@@ -129,8 +141,15 @@ type DurableEngine struct {
 // when no generation can be decoded — or the surviving one fails the
 // engine's own kind/fingerprint validation — does startup refuse with the
 // typed error; never a partial restore. An empty store starts fresh at
-// generation zero.
-func NewDurable(eng Engine, st Store, cfg DurableConfig) (*DurableEngine, error) {
+// generation zero. A snapshot-<g>.snap copied into an empty store seeds it
+// at generation g; an older build's un-numbered snapshot.snap seeds it at
+// the generation in its meta section.
+func NewDurable(eng *ShardedSystem, st Store, cfg DurableConfig) (*DurableEngine, error) {
+	return openDurable(eng, st, cfg)
+}
+
+// openDurable is NewDurable over any imageEngine.
+func openDurable(eng imageEngine, st Store, cfg DurableConfig) (*DurableEngine, error) {
 	if cfg.WALSyncEvery == 0 {
 		cfg.WALSyncEvery = persist.DefaultWALSyncEvery
 	}
@@ -157,19 +176,25 @@ func NewDurable(eng Engine, st Store, cfg DurableConfig) (*DurableEngine, error)
 	}
 	d.stats.recoverySeconds = time.Since(recoverStart).Seconds()
 	d.wg.Add(1)
-	go d.repairLoop()
-	if cfg.SnapshotInterval > 0 {
-		d.ticker = time.NewTicker(cfg.SnapshotInterval)
-		d.wg.Add(1)
-		go d.snapshotLoop()
-	}
+	go d.run()
 	return d, nil
 }
 
-// snapCandidate is one restorable snapshot file found during recovery.
+// snapCandidate is one restorable snapshot file found during recovery;
+// snap holds it decoded once it has been read.
 type snapCandidate struct {
 	gen  uint64
 	name string
+	snap *persist.Snapshot
+}
+
+// loadSnapshot reads one snapshot file and checks every CRC.
+func (d *DurableEngine) loadSnapshot(name string) (*persist.Snapshot, error) {
+	data, err := d.store.Load(name)
+	if err != nil {
+		return nil, err
+	}
+	return persist.DecodeSnapshot(data)
 }
 
 // recover restores the newest decodable snapshot generation (falling back
@@ -185,25 +210,26 @@ func (d *DurableEngine) recover() error {
 	var cands []snapCandidate
 	var lastErr error
 	var badNames []string
-	legacy := false
 	for _, name := range names {
 		if gen, ok := persist.ParseSnapshotName(name); ok {
 			cands = append(cands, snapCandidate{gen: gen, name: name})
 		} else if gen, ok := persist.ParseWALName(name); ok {
 			wals[gen] = true
 		} else if name == persist.SnapshotName {
-			legacy = true
-		}
-	}
-	if legacy {
-		// A store written by an older build: the generation lives inside
-		// the snapshot's meta section, not its name.
-		if gen, lerr := snapshotGeneration(d.store); lerr == nil {
-			cands = append(cands, snapCandidate{gen: gen, name: persist.SnapshotName})
-		} else {
-			lastErr = lerr
-			badNames = append(badNames, persist.SnapshotName)
-			d.noteErr("recover-snapshot", lerr)
+			// An older build's file: the generation lives inside the meta
+			// section, not the name.
+			snap, lerr := d.loadSnapshot(name)
+			var gen uint64
+			if lerr == nil {
+				_, _, gen, lerr = readMeta(snap)
+			}
+			if lerr != nil {
+				lastErr = lerr
+				badNames = append(badNames, name)
+				d.noteErr("recover-snapshot", lerr)
+				continue
+			}
+			cands = append(cands, snapCandidate{gen: gen, name: name, snap: snap})
 		}
 	}
 	// Newest generation first; a numbered file wins a same-generation tie
@@ -223,25 +249,25 @@ func (d *DurableEngine) recover() error {
 	restored := false
 	var restoredGen uint64
 	for _, c := range cands {
-		// Pre-validate before the engine sees anything: DecodeSnapshot
-		// checks every CRC, so a fallback here never leaves the engine
-		// partially mutated.
-		data, lerr := d.store.Load(c.name)
-		if lerr == nil {
-			_, lerr = persist.DecodeSnapshot(data)
+		// Validate before the engine sees anything: DecodeSnapshot checks
+		// every CRC, so a fallback here never leaves the engine partially
+		// mutated.
+		snap := c.snap
+		if snap == nil {
+			var lerr error
+			if snap, lerr = d.loadSnapshot(c.name); lerr != nil {
+				lastErr = lerr
+				badNames = append(badNames, c.name)
+				d.noteErr("recover-snapshot",
+					fmt.Errorf("snapshot generation %d (%s): %w", c.gen, c.name, lerr))
+				continue
+			}
 		}
-		if lerr != nil {
-			lastErr = lerr
-			badNames = append(badNames, c.name)
-			d.noteErr("recover-snapshot",
-				fmt.Errorf("snapshot generation %d (%s): %w", c.gen, c.name, lerr))
-			continue
-		}
-		// The engine's Restore validates kind and fingerprint. A refusal
-		// there is semantic (wrong engine shape, config mismatch), not
-		// corruption — falling back to an older generation would restore
-		// state this process equally cannot speak, so refuse outright.
-		if rerr := d.eng.Restore(context.Background(), readRedirect{Store: d.store, name: c.name}); rerr != nil {
+		// The engine validates kind and fingerprint. A refusal there is
+		// semantic (wrong engine shape, config mismatch), not corruption —
+		// falling back to an older generation would restore state this
+		// process equally cannot speak, so refuse outright.
+		if rerr := d.eng.restoreImage(snap); rerr != nil {
 			return rerr
 		}
 		restored = true
@@ -360,37 +386,6 @@ func (d *DurableEngine) replayRecords(records [][]byte) error {
 	return nil
 }
 
-// readRedirect lets the engine's Restore — which reads the conventional
-// persist.SnapshotName — load a specific retained generation file instead.
-type readRedirect struct {
-	Store
-	name string
-}
-
-// Load implements Store.
-func (r readRedirect) Load(name string) ([]byte, error) {
-	if name == persist.SnapshotName {
-		name = r.name
-	}
-	return r.Store.Load(name)
-}
-
-// snapshotGeneration reads the generation embedded in the store's legacy
-// snapshot.snap without validating kind or fingerprint — the engine's
-// Restore does that; this only answers "which WAL extends this snapshot".
-func snapshotGeneration(st Store) (uint64, error) {
-	data, err := st.Load(persist.SnapshotName)
-	if err != nil {
-		return 0, err
-	}
-	snap, err := persist.DecodeSnapshot(data)
-	if err != nil {
-		return 0, err
-	}
-	_, _, gen, err := readMeta(snap)
-	return gen, err
-}
-
 // pruneGenerations enforces the retention policy: the newest cfg.Retain
 // snapshot generations stay (with every WAL from the oldest keeper
 // through the current generation — the fallback replay chain), everything
@@ -433,17 +428,42 @@ func (d *DurableEngine) pruneGenerations() {
 	}
 }
 
-// snapshotLoop drives the periodic snapshot ticker.
-func (d *DurableEngine) snapshotLoop() {
+// run is the engine's one background goroutine. It waits for the
+// snapshot ticker (when SnapshotInterval is set), a degradation or
+// shutdown; after a degradation it retries RepairNow with doubling backoff
+// until the machine is healthy again.
+func (d *DurableEngine) run() {
 	defer d.wg.Done()
+	var tick <-chan time.Time
+	if d.cfg.SnapshotInterval > 0 {
+		ticker := time.NewTicker(d.cfg.SnapshotInterval)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	for {
 		select {
 		case <-d.done:
 			return
-		case <-d.ticker.C:
-			// A failure degrades and is recorded inside snapshotLocked;
-			// the repair loop takes over from there.
+		case <-tick:
+			// A failure degrades inside snapshotLocked, which wakes repairCh
+			// for the next turn of this loop.
 			_ = d.SnapshotNow(context.Background())
+			continue
+		case <-d.repairCh:
+		}
+		backoff := d.cfg.RepairBackoff
+		for DurableState(d.state.Load()) == DurableDegraded {
+			timer := time.NewTimer(backoff)
+			select {
+			case <-d.done:
+				timer.Stop()
+				return
+			case <-timer.C:
+			}
+			backoff = min(2*backoff, d.cfg.RepairBackoffMax)
+			// Errors are recorded by the attempt itself; the loop only
+			// paces retries.
+			_ = d.RepairNow(context.Background())
 		}
 	}
 }
@@ -545,8 +565,8 @@ func (d *DurableEngine) TelemetrySnapshot() TelemetryReport {
 }
 
 // SnapshotNow takes a snapshot into the backing store and rotates the feed
-// WAL, atomically with respect to feeds: the engine serializes
-// generation g+1 into snapshot-<g+1>.snap via rename, appends switch to
+// WAL, atomically with respect to feeds: the engine's image at generation
+// g+1 is saved as snapshot-<g+1>.snap via rename, appends switch to
 // feed-<g+1>.wal, and generations past the retention horizon are
 // removed. A crash at any point leaves a recoverable snapshot generation
 // and the WAL chain extending it — never a torn pairing. A successful
@@ -584,14 +604,17 @@ func (d *DurableEngine) snapshotCommit(ctx context.Context) error {
 	}
 	gen := d.gen.Load()
 	target := persist.SnapshotNameFor(gen + 1)
-	cs := &commitStore{Store: d.store, target: target}
 	// Feed appends to the WAL and applies to the engine under d.mu, which
 	// we hold, so every logged feed has been applied by now: the snapshot
 	// that supersedes this WAL generation carries them all.
-	if err := d.eng.Snapshot(ctx, cs); err != nil {
+	data, err := d.eng.encodeImage(ctx, gen+1)
+	if err != nil {
 		return err
 	}
-	d.stats.lastSnapBytes.Store(cs.bytes)
+	if err := d.store.Save(target, data); err != nil {
+		return err
+	}
+	d.stats.lastSnapBytes.Store(uint64(len(data)))
 	wal, _, _, err := persist.OpenWAL(d.store, persist.WALName(gen+1), d.cfg.WALSyncEvery)
 	if err != nil {
 		// The snapshot committed but the new WAL did not open: recovery
@@ -617,32 +640,10 @@ func (d *DurableEngine) snapshotCommit(ctx context.Context) error {
 	return nil
 }
 
-// Snapshot satisfies the unified Engine interface. Snapshotting into the
-// backing store is SnapshotNow — full WAL rotation semantics. Snapshotting
-// into any other store writes a standalone full-state artifact (for
-// backups or seeding a replica) without touching this engine's WAL
-// pairing or generation naming.
-func (d *DurableEngine) Snapshot(ctx context.Context, st Store) error {
-	if st == Store(d.store) || st == nil {
-		return d.SnapshotNow(ctx)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.eng.Snapshot(ctx, st)
-}
-
-// Restore refuses: a DurableEngine restores exactly once, at construction
-// (NewDurable), where the WAL replay and generation bookkeeping happen.
-// Restoring mid-flight would desynchronize the WAL from the engine.
-func (d *DurableEngine) Restore(context.Context, Store) error {
-	return persist.Errf(persist.CodeState, "durable engine",
-		"restore happens at construction (NewDurable); build a fresh engine instead")
-}
-
-// Shutdown drains gracefully: the background loops stop, a final snapshot
-// captures everything — so a clean shutdown/restart cycle loses nothing —
-// the WAL closes, and the inner engine shuts down, bounded by ctx. The
-// first error is returned but every step still runs.
+// Shutdown drains gracefully: the background goroutine stops, a final
+// snapshot captures everything — so a clean shutdown/restart cycle loses
+// nothing — the WAL closes, and the inner engine shuts down, bounded by
+// ctx. The first error is returned but every step still runs.
 func (d *DurableEngine) Shutdown(ctx context.Context) error {
 	var first error
 	note := func(err error) {
@@ -652,9 +653,6 @@ func (d *DurableEngine) Shutdown(ctx context.Context) error {
 	}
 	d.closeOnce.Do(func() {
 		close(d.done)
-		if d.ticker != nil {
-			d.ticker.Stop()
-		}
 		d.wg.Wait()
 		d.mu.Lock()
 		note(d.snapshotLocked(ctx))

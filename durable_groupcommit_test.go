@@ -17,12 +17,12 @@ import (
 // record-at-a-time writer produced, what a batch torn by the device looks
 // like on recovery, and that the durable layer allocates nothing per feed.
 
-// recEngine is an Engine that only remembers the IDs it was fed, so a test
+// recEngine is an engine that only remembers the IDs it was fed, so a test
 // or benchmark over a DurableEngine sees the durable layer alone and a
-// recovery test can name exactly which objects came back. Its Snapshot
-// commits an empty container: rotation and repair work, restoring does not.
+// recovery test can name exactly which objects came back. Its image is an
+// empty container: rotation and repair work, restoring does not.
 type recEngine struct {
-	Engine
+	imageEngine
 	ids []uint64
 }
 
@@ -34,8 +34,8 @@ func (e *recEngine) FeedBatch(objs []Object) {
 	}
 }
 
-func (*recEngine) Snapshot(_ context.Context, st Store) error {
-	return st.Save(persist.SnapshotName, persist.NewSnapshotWriter(0).Bytes())
+func (*recEngine) encodeImage(context.Context, uint64) ([]byte, error) {
+	return persist.NewSnapshotWriter(0).Bytes(), nil
 }
 
 func (*recEngine) Shutdown(context.Context) error { return nil }
@@ -98,9 +98,9 @@ func refRecord(buf []byte, o *Object) []byte {
 
 // quietDurable opens a DurableEngine whose repair loop stays out of the
 // test's way.
-func quietDurable(t testing.TB, eng Engine, st Store, syncEvery int) *DurableEngine {
+func quietDurable(t testing.TB, eng imageEngine, st Store, syncEvery int) *DurableEngine {
 	t.Helper()
-	d, err := NewDurable(eng, st, DurableConfig{
+	d, err := openDurable(eng, st, DurableConfig{
 		WALSyncEvery: syncEvery, RepairBackoff: time.Hour, RepairBackoffMax: time.Hour,
 	})
 	if err != nil {

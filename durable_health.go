@@ -7,8 +7,8 @@ import (
 
 // durable_health.go is the durability layer's failure surface: a two-state
 // machine (healthy/degraded), a bounded ring of recent persistence errors
-// replacing the old single latched Err(), and the background repair loop
-// that re-arms a degraded engine.
+// replacing the old single latched Err(), and RepairNow, which the
+// engine's background goroutine (DurableEngine.run) retries to re-arm it.
 //
 // The contract: serving never stops. A WAL or snapshot failure flips the
 // engine to degraded — queries and feeds keep running from memory, doomed
@@ -96,15 +96,6 @@ type DurableHealth struct {
 // Healthy reports whether the machine is in the healthy state.
 func (h DurableHealth) Healthy() bool { return h.State == DurableHealthy }
 
-// HealthReporter is the optional health extension of Engine: engines that
-// own a durability layer report its state machine. The serving layer
-// (internal/server) type-asserts it to drive /healthz and /readyz.
-type HealthReporter interface {
-	Health() DurableHealth
-}
-
-var _ HealthReporter = (*DurableEngine)(nil)
-
 // Health returns the durability layer's failure surface. Cheap enough for
 // per-request probes: counters are atomics, the ring copy is bounded.
 func (d *DurableEngine) Health() DurableHealth {
@@ -187,7 +178,7 @@ func (d *DurableEngine) rearm() {
 // onto a new generation. A success re-arms the state machine (the commit
 // captures every feed dropped while degraded); a failure records the
 // error and leaves the engine degraded. A no-op when healthy. The
-// background repair loop calls this with backoff; tests and operators can
+// background goroutine calls this with backoff; tests and operators can
 // call it directly for a deterministic repair point.
 func (d *DurableEngine) RepairNow(ctx context.Context) error {
 	d.mu.Lock()
@@ -197,33 +188,4 @@ func (d *DurableEngine) RepairNow(ctx context.Context) error {
 	}
 	d.stats.repairAttempts.Add(1)
 	return d.snapshotLocked(ctx)
-}
-
-// repairLoop waits for degradations and retries RepairNow with doubling
-// backoff until the machine re-arms or the engine shuts down.
-func (d *DurableEngine) repairLoop() {
-	defer d.wg.Done()
-	for {
-		select {
-		case <-d.done:
-			return
-		case <-d.repairCh:
-		}
-		backoff := d.cfg.RepairBackoff
-		for DurableState(d.state.Load()) == DurableDegraded {
-			timer := time.NewTimer(backoff)
-			select {
-			case <-d.done:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-			if backoff *= 2; backoff > d.cfg.RepairBackoffMax {
-				backoff = d.cfg.RepairBackoffMax
-			}
-			// Errors are recorded by the attempt itself; the loop only
-			// paces retries.
-			_ = d.RepairNow(context.Background())
-		}
-	}
 }

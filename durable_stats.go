@@ -109,26 +109,3 @@ func (s *durableStats) sample(gen uint64, h DurableHealth) *telemetry.DurableSam
 // RecoverySeconds reports the startup cost of snapshot restore plus WAL
 // replay, for operator log lines and dashboards.
 func (d *DurableEngine) RecoverySeconds() float64 { return d.stats.recoverySeconds }
-
-// commitStore wraps the backing Store for one snapshot commit: it
-// redirects the engine's conventional persist.SnapshotName write to the
-// retained generation file (snapshot-<g>.snap) and measures the bytes
-// written. It is used only inside snapshotCommit — the wrapper is handed
-// to the inner engine's Snapshot and discarded, so the DurableEngine's
-// own store identity (which Snapshot's routing depends on) never changes.
-type commitStore struct {
-	Store
-	target string
-	bytes  uint64
-}
-
-func (c *commitStore) Save(name string, data []byte) error {
-	if name == persist.SnapshotName {
-		name = c.target
-	}
-	err := c.Store.Save(name, data)
-	if err == nil {
-		c.bytes += uint64(len(data))
-	}
-	return err
-}

@@ -128,3 +128,31 @@ func TestConcurrentDurableReadsDuringFsync(t *testing.T) {
 		t.Fatalf("after the snapshot: generation %d, %d WAL appends, want 1 and 0", g, n)
 	}
 }
+
+// TestDurableIntervalSnapshotRepairs: the engine's one background goroutine
+// takes the interval snapshots and, when one fails, repairs with backoff
+// until the engine is healthy; Shutdown waits for it to exit.
+func TestDurableIntervalSnapshotRepairs(t *testing.T) {
+	fst := persist.NewFaultStore(NewMemStore(), persist.FaultRule{Op: persist.FaultSave, Count: 1})
+	dur, err := NewDurable(testSystem(t).ShardedSystem, fst, DurableConfig{
+		SnapshotInterval: 5 * time.Millisecond,
+		RepairBackoff:    time.Millisecond,
+		RepairBackoffMax: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newWorkload(35).feed(dur, 100)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		h := dur.Health()
+		if h.Healthy() && h.SnapshotErrors == 1 && h.Repairs == 1 && dur.Generation() >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10 s: %+v at generation %d, want healthy again after one failed interval snapshot", h, dur.Generation())
+		}
+	}
+	if err := dur.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -16,14 +16,10 @@ type TelemetryReport = telemetry.Snapshot
 // ShardedSystem (spatial partitions, each behind its own mutex; New and
 // NewConcurrent build it with one shard, New wrapped as a System)
 // implements it, as does the DurableEngine decorator that adds snapshot +
-// WAL persistence. Embedding applications, the network serving layer
-// (internal/server) and the correctness harness (internal/check) program
-// against this interface and work with any of them.
-//
-// Every engine is safe for concurrent use. Snapshot and Restore take the
-// engine's own locks, so they may run while traffic flows, but Restore
-// additionally requires a freshly constructed engine (it returns a
-// CodeState error otherwise), so in practice it runs before traffic starts.
+// WAL persistence (NewDurable is the one way to persist an engine).
+// Embedding applications, the network serving layer (internal/server) and
+// the correctness harness (internal/check) program against this interface
+// and work with any of them. Every engine is safe for concurrent use.
 type Engine interface {
 	// Feed ingests one stream object.
 	Feed(o Object)
@@ -51,15 +47,6 @@ type Engine interface {
 	// On a DurableEngine it also takes a final snapshot, so a clean
 	// shutdown loses nothing.
 	Shutdown(ctx context.Context) error
-	// Snapshot serializes the engine's full state — window store, module
-	// counters, learning model, active estimator summaries — into st as
-	// one atomic, checksummed artifact.
-	Snapshot(ctx context.Context, st Store) error
-	// Restore loads a Snapshot artifact into this freshly constructed
-	// engine. The engine must have been built with the same options
-	// (CodeMismatch otherwise) and never fed (CodeState otherwise); on
-	// error the engine must be discarded — never partially restored.
-	Restore(ctx context.Context, st Store) error
 }
 
 // Compile-time interface checks: losing a method on any engine is a build

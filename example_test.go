@@ -141,7 +141,7 @@ func ExampleNewDurable() {
 	if err != nil {
 		panic(err)
 	}
-	eng, err := latest.NewDurable(sys, store, latest.DurableConfig{})
+	eng, err := latest.NewDurable(sys.ShardedSystem, store, latest.DurableConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -155,7 +155,7 @@ func ExampleNewDurable() {
 	if err != nil {
 		panic(err)
 	}
-	eng2, err := latest.NewDurable(sys2, store, latest.DurableConfig{})
+	eng2, err := latest.NewDurable(sys2.ShardedSystem, store, latest.DurableConfig{})
 	if err != nil {
 		panic(err)
 	}

@@ -1,15 +1,23 @@
 package latest
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 	"time"
+
+	"github.com/spatiotext/latest/internal/persist"
 )
 
 // fuzz_test.go drives the public ingest and query paths with arbitrary
 // float64 coordinates, rectangle corners and timestamps. The contract: no
 // input may panic the engine, and every estimate the engine does emit is
-// finite and non-negative.
+// finite and non-negative. FuzzRestoreImage feeds the image decoder
+// arbitrary bytes.
 
 // fuzzEngine is one engine under fuzz, named for failure messages.
 type fuzzEngine struct {
@@ -115,4 +123,110 @@ func FuzzEstimate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRestoreImage: recovery reads images it has no reason to trust.
+// Decoding one and restoring it into a fresh engine — built with the
+// options whose fingerprint its meta section carries, when one of the
+// testdata/persist writers matches — fails with a typed persist error or
+// succeeds. A restored engine's image, encoded at the generation in the
+// meta section, restores into a second fresh engine that encodes the same
+// bytes. A mutated image almost never keeps its CRCs, so every input is
+// also tried with the file's and the meta section's resealed; that is what
+// lets mutation reach the meta section and the section wiring behind the
+// checksums. The shard sections keep their own CRCs: their payloads have
+// fuzz targets of their own (FuzzWindowLoadState, FuzzModuleLoadState),
+// and a reservoir restores its RNG position by replaying as many draws as
+// the payload says, which only those CRCs bound.
+func FuzzRestoreImage(f *testing.F) {
+	files := make([]string, 0, len(imageEngines))
+	for file := range imageEngines {
+		files = append(files, file)
+	}
+	slices.Sort(files)
+	builders := make([]func() *ShardedSystem, len(files))
+	fingerprints := make([][]byte, len(files))
+	for i, file := range files {
+		builders[i] = imageEngines[file]
+		fingerprints[i] = builders[i]().fingerprint
+		f.Add(loadImage(f, file))
+	}
+	f.Add(loadImage(f, "pr21_explicit_options.lsnp"))
+	// Fresh 1-shard and 2-shard images, past pre-training.
+	for _, file := range []string{"pr21_default_options.lsnp", "sharded2_pretrain60.lsnp"} {
+		eng := imageEngines[file]()
+		w := newWorkload(36)
+		w.feed(eng, 400)
+		w.drive(eng, 100)
+		f.Add(snapshotImage(f, eng))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, img := range [][]byte{data, resealImage(data)} {
+			snap, err := persist.DecodeSnapshot(img)
+			if err != nil {
+				if PersistCode(err) == 0 {
+					t.Fatalf("decode: untyped error %v", err)
+				}
+				continue
+			}
+			_, fp, gen, _ := readMeta(snap)
+			build := builders[max(0, slices.IndexFunc(fingerprints, func(b []byte) bool { return bytes.Equal(b, fp) }))]
+			eng := build()
+			if err := eng.restoreImage(snap); err != nil {
+				if PersistCode(err) == 0 {
+					t.Fatalf("restore: untyped error %v", err)
+				}
+				continue
+			}
+			first, err := eng.encodeImage(context.Background(), gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin := build()
+			if err := restoreBytes(twin, first); err != nil {
+				t.Fatalf("re-encoded image refused: %v", err)
+			}
+			second, err := twin.encodeImage(context.Background(), gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first, second) {
+				t.Fatalf("re-encoded image restores to an engine that encodes %d different bytes (was %d)", len(second), len(first))
+			}
+		}
+	})
+}
+
+// resealImage recomputes the meta section's CRC and then the file's in an
+// LSNP container, and returns data unchanged where the framing does not
+// parse.
+func resealImage(data []byte) []byte {
+	if len(data) < 14 {
+		return data
+	}
+	out := bytes.Clone(data)
+	body := out[:len(out)-4]
+	off := 10 // magic, version, section count
+	for n := binary.LittleEndian.Uint32(body[6:]); n > 0; n-- {
+		if off+2 > len(body) {
+			return data
+		}
+		name := off + 2
+		off = name + int(binary.LittleEndian.Uint16(body[off:]))
+		if off+4 > len(body) {
+			return data
+		}
+		size := int(binary.LittleEndian.Uint32(body[off:]))
+		off += 4
+		if size > len(body)-off-4 {
+			return data
+		}
+		if string(body[name:off-4]) == metaSectionName {
+			binary.LittleEndian.PutUint32(body[off+size:], crc32.ChecksumIEEE(body[off:off+size]))
+		}
+		off += size + 4
+	}
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(body))
+	return out
 }

@@ -30,7 +30,8 @@ func goldenWorld() latest.Rect {
 
 // goldenOptions builds the exact option set of the golden replay; recovery
 // runs must construct every engine incarnation with it, both because the
-// replay must be deterministic and because Restore fingerprints the options.
+// replay must be deterministic and because a restore fingerprints the
+// options.
 func goldenOptions(cfg GoldenConfig) []latest.Option {
 	opts := []latest.Option{
 		latest.WithSeed(cfg.Seed),
@@ -169,34 +170,32 @@ type Replay struct {
 // + recovery at that object index. The crash engine persists into a
 // latest.MemStore via a DurableEngine with per-record WAL fsync, so the
 // post-crash incarnation recovers through exactly the production path:
-// NewDurable -> Restore -> WAL tail replay (falling back across snapshot
-// generations when rc.CorruptLatest damages the newest one).
+// NewDurable restores the newest decodable snapshot generation (falling
+// back across generations when rc.CorruptLatest damages the newest one),
+// then replays the WAL tail.
 func runGoldenSegmented(objs []stream.Object, rc RecoveryConfig, gapStart, gapEnd, crashAt int) (Replay, error) {
 	cfg := rc.Golden
 	world := goldenWorld()
-	build := func() (latest.Engine, shardedView, error) {
+	build := func() (shardedView, error) {
 		if rc.Sharded {
 			s, err := latest.NewSharded(world, cfg.Window, append(goldenOptions(cfg), latest.WithShards(1))...)
-			if err != nil {
-				return nil, shardedView{}, err
-			}
-			return s, shardedView{s}, nil
+			return shardedView{s}, err
 		}
 		sys, err := latest.New(world, cfg.Window, goldenOptions(cfg)...)
 		if err != nil {
-			return nil, shardedView{}, err
+			return shardedView{}, err
 		}
-		return sys, shardedView{sys.ShardedSystem}, nil
+		return shardedView{sys.ShardedSystem}, nil
 	}
-	base, view, err := build()
+	view, err := build()
 	if err != nil {
 		return Replay{}, err
 	}
 
-	eng := base
+	var eng latest.Engine = view.ShardedSystem
 	store := latest.NewMemStore()
 	if crashAt >= 0 {
-		dur, derr := latest.NewDurable(base, store, latest.DurableConfig{WALSyncEvery: 1})
+		dur, derr := latest.NewDurable(view.ShardedSystem, store, latest.DurableConfig{WALSyncEvery: 1})
 		if derr != nil {
 			return Replay{}, derr
 		}
@@ -249,11 +248,10 @@ func runGoldenSegmented(objs []stream.Object, rc RecoveryConfig, gapStart, gapEn
 			// fresh one from the store, exactly as a SIGKILL would.
 			// Everything since the restored snapshot must come back out of
 			// the WAL chain.
-			base, view, err = build()
-			if err != nil {
+			if view, err = build(); err != nil {
 				return Replay{}, err
 			}
-			dur, derr := latest.NewDurable(base, store, latest.DurableConfig{WALSyncEvery: 1})
+			dur, derr := latest.NewDurable(view.ShardedSystem, store, latest.DurableConfig{WALSyncEvery: 1})
 			if derr != nil {
 				return Replay{}, fmt.Errorf("recover at object %d: %w", fed, derr)
 			}

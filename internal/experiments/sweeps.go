@@ -167,24 +167,6 @@ func namesOf(p SweepPoint) []string {
 	return names
 }
 
-// AccuracySeries returns one estimator's accuracy by x, used by tests.
-func (r *SweepResult) AccuracySeries(name string) []float64 {
-	out := make([]float64, 0, len(r.Points))
-	for _, p := range r.Points {
-		out = append(out, p.Accuracy[name])
-	}
-	return out
-}
-
-// LatencySeries returns one estimator's latency (µs) by x.
-func (r *SweepResult) LatencySeries(name string) []float64 {
-	out := make([]float64, 0, len(r.Points))
-	for _, p := range r.Points {
-		out = append(out, p.LatencyUS[name])
-	}
-	return out
-}
-
 // WriteTo renders the sweep as aligned rows.
 func (r *SweepResult) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder

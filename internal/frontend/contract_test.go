@@ -82,12 +82,10 @@ func (e fakeEngine) EstimateAndExecuteBatch(qs []stream.Query) ([]float64, []int
 	ests, acts, _ := e.readBatch(context.Background(), len(qs))
 	return ests, acts
 }
-func (e fakeEngine) TelemetrySnapshot() telemetry.Snapshot        { return telemetry.Snapshot{Engine: "fake"} }
-func (e fakeEngine) Feed(o stream.Object)                         { e.FeedBatch([]stream.Object{o}) }
-func (e fakeEngine) Stats() latest.Stats                          { return latest.Stats{} }
-func (e fakeEngine) Shutdown(context.Context) error               { return nil }
-func (e fakeEngine) Snapshot(context.Context, latest.Store) error { return nil }
-func (e fakeEngine) Restore(context.Context, latest.Store) error  { return nil }
+func (e fakeEngine) TelemetrySnapshot() telemetry.Snapshot { return telemetry.Snapshot{Engine: "fake"} }
+func (e fakeEngine) Feed(o stream.Object)                  { e.FeedBatch([]stream.Object{o}) }
+func (e fakeEngine) Stats() latest.Stats                   { return latest.Stats{} }
+func (e fakeEngine) Shutdown(context.Context) error        { return nil }
 
 // fakeBackend is fake as a cluster.Backend.
 type fakeBackend struct{ *fake }

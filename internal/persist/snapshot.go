@@ -33,7 +33,8 @@ const SnapshotVersion = 1
 
 var snapshotMagic = [4]byte{'L', 'S', 'N', 'P'}
 
-// SnapshotName is the conventional file name engines snapshot into.
+// SnapshotName is the un-numbered file name older builds snapshotted into;
+// recovery still reads it, at the generation in its meta section.
 const SnapshotName = "snapshot.snap"
 
 // SnapshotNameFor returns the retained-generation snapshot file name the

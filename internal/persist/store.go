@@ -141,9 +141,6 @@ func OpenFileStore(dir string) (*FileStore, error) {
 	return &FileStore{dir: dir}, nil
 }
 
-// Dir returns the backing directory.
-func (f *FileStore) Dir() string { return f.dir }
-
 // path maps a store name onto the directory, rejecting traversal.
 func (f *FileStore) path(name string) (string, error) {
 	if name == "" || strings.ContainsAny(name, "/\\") || name == "." || name == ".." {

@@ -137,16 +137,14 @@ func (h *engineHandler) Map() (uint64, []byte) {
 
 func (h *engineHandler) Snapshot() telemetry.Snapshot { return h.eng.TelemetrySnapshot() }
 
-// Health reports the durability layer's degraded-mode machine (via the
-// latest.HealthReporter type-assert extension) and the accuracy-drift
-// watchdog.
+// Health reports the durability layer's degraded-mode machine and the
+// accuracy-drift watchdog, both from one telemetry snapshot.
 func (h *engineHandler) Health() (reasons []string) {
-	if hr, ok := h.eng.(latest.HealthReporter); ok {
-		if hs := hr.Health(); !hs.Healthy() {
-			reasons = append(reasons, "persistence:"+hs.State.String())
-		}
+	snap := h.eng.TelemetrySnapshot()
+	if d := snap.Durable; d != nil && d.State != latest.DurableHealthy.String() {
+		reasons = append(reasons, "persistence:"+d.State)
 	}
-	for _, d := range h.eng.TelemetrySnapshot().Drift {
+	for _, d := range snap.Drift {
 		if d.Drifted {
 			reasons = append(reasons, "drift:"+d.Estimator)
 		}

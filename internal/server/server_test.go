@@ -82,11 +82,9 @@ func (f *fakeEngine) TelemetrySnapshot() telemetry.Snapshot {
 
 // The remaining latest.Engine methods are inert: the serving layer never
 // calls them, but the unified interface requires every shape to carry them.
-func (f *fakeEngine) Feed(o stream.Object)                         { f.FeedBatch([]stream.Object{o}) }
-func (f *fakeEngine) Stats() latest.Stats                          { return latest.Stats{} }
-func (f *fakeEngine) Shutdown(context.Context) error               { return nil }
-func (f *fakeEngine) Snapshot(context.Context, latest.Store) error { return nil }
-func (f *fakeEngine) Restore(context.Context, latest.Store) error  { return nil }
+func (f *fakeEngine) Feed(o stream.Object)           { f.FeedBatch([]stream.Object{o}) }
+func (f *fakeEngine) Stats() latest.Stats            { return latest.Stats{} }
+func (f *fakeEngine) Shutdown(context.Context) error { return nil }
 
 // rawConn drives the wire protocol directly, with no client-side help.
 type rawConn struct {

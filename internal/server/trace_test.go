@@ -45,7 +45,7 @@ func warmDurable(t *testing.T) *latest.DurableEngine {
 	if p := sys.Stats().Phase; p != latest.PhaseIncremental {
 		t.Fatalf("engine never left %v", p)
 	}
-	dur, err := latest.NewDurable(sys, latest.NewMemStore(), latest.DurableConfig{WALSyncEvery: 1})
+	dur, err := latest.NewDurable(sys.ShardedSystem, latest.NewMemStore(), latest.DurableConfig{WALSyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

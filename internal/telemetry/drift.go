@@ -11,7 +11,7 @@ import "math"
 // against a rolling window of the most recent W errors. The ratio
 // current/reference is exported as latest_qerror_drift; a ratio ≥ the
 // threshold marks the estimator drifted. This is also the input signal the
-// planned online-correction layer (ROADMAP item 2) consumes.
+// planned online-correction layer (ROADMAP item 7(c)) consumes.
 
 // DefaultDriftWindow is the reference/current window length in q-error
 // observations when the embedder does not size it.

@@ -9,16 +9,17 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/spatiotext/latest/internal/persist"
 )
 
-// persist_test.go exercises the public persistence surface end to end:
-// Snapshot/Restore on every engine shape, the typed failure paths, and the
-// DurableEngine crash/recovery lifecycle — all over MemStore so the suite
-// stays hermetic and fast.
+// persist_test.go exercises persistence end to end: the engine image on
+// every engine shape, the typed failure paths, and the DurableEngine
+// crash/recovery lifecycle — all over MemStore so the suite stays hermetic
+// and fast.
 
 // workload deterministically interleaves feeds and queries so two engines
 // given the same seed and starting timestamp see byte-identical traffic.
@@ -99,13 +100,9 @@ func warmEngine(t *testing.T, eng Engine, w *workload) {
 // restoredBehavesIdentically snapshots src, restores into dst, and then
 // drives both with identical traffic: the restored engine must not merely
 // look like the original, it must *behave* like it query for query.
-func restoredBehavesIdentically(t *testing.T, src, dst Engine, w *workload) {
+func restoredBehavesIdentically(t *testing.T, src, dst imageEngine, w *workload) {
 	t.Helper()
-	st := NewMemStore()
-	if err := src.Snapshot(context.Background(), st); err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	if err := dst.Restore(context.Background(), st); err != nil {
+	if err := restoreBytes(dst, snapshotImage(t, src)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	a, b := src.Stats(), dst.Stats()
@@ -132,18 +129,25 @@ func restoredBehavesIdentically(t *testing.T, src, dst Engine, w *workload) {
 	}
 }
 
-// snapshotImage is the artifact eng.Snapshot writes, as bytes.
-func snapshotImage(t *testing.T, eng Engine) []byte {
+// snapshotImage is eng's image at generation 1, the bytes NewDurable's
+// first commit saves.
+func snapshotImage(t testing.TB, eng imageEngine) []byte {
 	t.Helper()
-	st := NewMemStore()
-	if err := eng.Snapshot(context.Background(), st); err != nil {
+	data, err := eng.encodeImage(context.Background(), 1)
+	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	data, err := st.Load(persist.SnapshotName)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return data
+}
+
+// restoreBytes decodes an image and restores it into eng, as NewDurable's
+// recovery does.
+func restoreBytes(eng imageEngine, data []byte) error {
+	snap, err := persist.DecodeSnapshot(data)
+	if err != nil {
+		return err
+	}
+	return eng.restoreImage(snap)
 }
 
 func TestSystemSnapshotRestoreRoundTrip(t *testing.T) {
@@ -183,12 +187,8 @@ func TestSamplerDrawImagesRestoreTwins(t *testing.T) {
 		}
 	}
 	restore := func(image []byte) *System {
-		st := NewMemStore()
-		if err := st.Save(persist.SnapshotName, image); err != nil {
-			t.Fatal(err)
-		}
 		twin := build()
-		if err := twin.Restore(context.Background(), st); err != nil {
+		if err := restoreBytes(twin, image); err != nil {
 			t.Fatal(err)
 		}
 		return twin
@@ -236,7 +236,7 @@ func TestConcurrentCrossRestore(t *testing.T) {
 		t.Cleanup(conc.Close)
 		return conc
 	}
-	image := func(eng Engine) []byte { return snapshotImage(t, eng) }
+	image := func(eng imageEngine) []byte { return snapshotImage(t, eng) }
 	sys, conc := testSystem(t, latency), newConc()
 	ws, wc := newWorkload(7), newWorkload(7)
 	warmEngine(t, sys, ws)
@@ -280,7 +280,7 @@ func TestOneModuleImagesIdentical(t *testing.T) {
 	sharded1 := MustNewSharded(world, window, append(opts, WithShards(1))...)
 	defer sharded1.Close()
 	var want []byte
-	for name, eng := range map[string]Engine{
+	for name, eng := range map[string]imageEngine{
 		"New":                       MustNew(world, window, opts...),
 		"NewConcurrent":             conc,
 		"NewSharded(WithShards(1))": sharded1,
@@ -319,6 +319,48 @@ func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
 	restoredBehavesIdentically(t, src, dst, w)
 }
 
+// imageWorld and imageWindow are the world and window every image under
+// testdata/persist was written with.
+var imageWorld, imageWindow = Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10 * time.Second
+
+// explicitEngine is the 2-shard engine with every fingerprinted knob set
+// away from its default, α aside (see TestRestoreImagesWrittenBeforePR24).
+func explicitEngine(alpha float64) *ShardedSystem {
+	return MustNewSharded(imageWorld, imageWindow,
+		WithShards(2),
+		WithEstimators(EstimatorH4096, EstimatorRSL, EstimatorRSH),
+		WithDefaultEstimator(EstimatorRSL),
+		WithAlpha(alpha), WithTau(0.6), WithBeta(0.7),
+		WithAccWindow(50), WithPretrainQueries(80),
+		WithMemoryScale(0.01), WithSeed(42))
+}
+
+// imageEngines builds, for each image under testdata/persist that still
+// restores, a fresh engine with the options that wrote it.
+var imageEngines = map[string]func() *ShardedSystem{
+	"pr21_default_options.lsnp": func() *ShardedSystem {
+		return MustNew(imageWorld, imageWindow, WithMemoryScale(0.01)).ShardedSystem
+	},
+	"pr25_sharded1.lsnp": func() *ShardedSystem {
+		return MustNew(imageWorld, imageWindow, WithMemoryScale(0.01)).ShardedSystem
+	},
+	"pr33_explicit_options.lsnp": func() *ShardedSystem { return explicitEngine(0.3) },
+	"sharded2_pretrain60.lsnp": func() *ShardedSystem {
+		return MustNewSharded(imageWorld, imageWindow, WithShards(2), WithEstimators(EstimatorH4096, EstimatorRSH),
+			WithPretrainQueries(80), WithMemoryScale(0.01), WithSeed(5))
+	},
+}
+
+// loadImage reads one image under testdata/persist.
+func loadImage(t testing.TB, file string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "persist", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestRestoreImagesWrittenBeforePR24: the config fingerprint is bytes on
 // disk, compared byte for byte on restore. The pr21 images were written by
 // commit 670c8af, when the root package resolved the module's defaults a
@@ -334,45 +376,20 @@ func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
 // α 0.3, τ 0.6, β 0.7, accuracy window 50, pre-training 80, memory scale
 // 0.01 and seed 42. Each image holds 40 fed objects.
 func TestRestoreImagesWrittenBeforePR24(t *testing.T) {
-	world, window := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second
-	explicit := func(alpha float64) *ShardedSystem {
-		return MustNewSharded(world, window,
-			WithShards(2),
-			WithEstimators(EstimatorH4096, EstimatorRSL, EstimatorRSH),
-			WithDefaultEstimator(EstimatorRSL),
-			WithAlpha(alpha), WithTau(0.6), WithBeta(0.7),
-			WithAccWindow(50), WithPretrainQueries(80),
-			WithMemoryScale(0.01), WithSeed(42))
-	}
-	load := func(file string) Store {
-		data, err := os.ReadFile(filepath.Join("testdata", "persist", file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := NewMemStore()
-		if err := st.Save(persist.SnapshotName, data); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-
-	pr21 := explicit(0)
+	pr21 := explicitEngine(0)
 	defer pr21.Close()
-	if err := pr21.Restore(context.Background(), load("pr21_explicit_options.lsnp")); PersistCode(err) != CodeMismatch {
+	if err := restoreBytes(pr21, loadImage(t, "pr21_explicit_options.lsnp")); PersistCode(err) != CodeMismatch {
 		t.Errorf("pr21_explicit_options.lsnp: restore = %v, want CodeMismatch", err)
 	}
 
-	pr33 := explicit(0.3)
-	defer pr33.Close()
-	for file, eng := range map[string]Engine{
-		"pr21_default_options.lsnp":  MustNew(world, window, WithMemoryScale(0.01)),
-		"pr33_explicit_options.lsnp": pr33,
-	} {
-		if err := eng.Restore(context.Background(), load(file)); err != nil {
+	for _, file := range []string{"pr21_default_options.lsnp", "pr33_explicit_options.lsnp"} {
+		eng := imageEngines[file]()
+		defer eng.Close()
+		if err := restoreBytes(eng, loadImage(t, file)); err != nil {
 			t.Errorf("%s: %v", file, err)
 			continue
 		}
-		q := SpatialQuery(world, 40)
+		q := SpatialQuery(imageWorld, 40)
 		if _, actual := eng.EstimateAndExecute(&q); actual != 40 {
 			t.Errorf("%s: restored window counts %d objects, want 40", file, actual)
 		}
@@ -386,21 +403,14 @@ func TestRestoreImagesWrittenBeforePR24(t *testing.T) {
 // (40 fed objects, memory scale 0.01) and restores into every one-module
 // constructor.
 func TestRestoreOneShardImageSharded1x1(t *testing.T) {
-	world, window := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second
-	data, err := os.ReadFile(filepath.Join("testdata", "persist", "pr25_sharded1.lsnp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, eng := range map[string]Engine{
+	world, window := imageWorld, imageWindow
+	data := loadImage(t, "pr25_sharded1.lsnp")
+	for name, eng := range map[string]imageEngine{
 		"New":                       MustNew(world, window, WithMemoryScale(0.01)),
 		"NewConcurrent":             newConcurrent(t, world, window, WithMemoryScale(0.01)),
 		"NewSharded(WithShards(1))": MustNewSharded(world, window, WithShards(1), WithMemoryScale(0.01)),
 	} {
-		st := NewMemStore()
-		if err := st.Save(persist.SnapshotName, data); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Restore(context.Background(), st); err != nil {
+		if err := restoreBytes(eng, data); err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
@@ -420,19 +430,9 @@ func TestRestoreOneShardImageSharded1x1(t *testing.T) {
 // of its 80. Each shard's share is now 40, which both have passed, so the
 // next query takes each of them out of pre-training.
 func TestRestoredShardPastItsShareLeavesPretraining(t *testing.T) {
-	world, window := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 10*time.Second
-	data, err := os.ReadFile(filepath.Join("testdata", "persist", "sharded2_pretrain60.lsnp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := MustNewSharded(world, window, WithShards(2), WithEstimators(EstimatorH4096, EstimatorRSH),
-		WithPretrainQueries(80), WithMemoryScale(0.01), WithSeed(5))
+	eng := imageEngines["sharded2_pretrain60.lsnp"]()
 	defer eng.Close()
-	st := NewMemStore()
-	if err := st.Save(persist.SnapshotName, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Restore(context.Background(), st); err != nil {
+	if err := restoreBytes(eng, loadImage(t, "sharded2_pretrain60.lsnp")); err != nil {
 		t.Fatal(err)
 	}
 	for i, sh := range eng.PerShardStats().Shards {
@@ -447,30 +447,63 @@ func TestRestoredShardPastItsShareLeavesPretraining(t *testing.T) {
 	}
 }
 
+// TestImagesReencodeToThemselves: an image restored and encoded again at
+// the generation in its meta section is the same bytes, so restoring reads
+// back everything the encoder writes. The "sharded:1x1" image re-encodes in
+// the "single" layout, by design.
+func TestImagesReencodeToThemselves(t *testing.T) {
+	for file, build := range imageEngines {
+		data := loadImage(t, file)
+		snap, err := persist.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		_, _, gen, err := readMeta(snap)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		eng := build()
+		defer eng.Close()
+		if err := eng.restoreImage(snap); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		again, err := eng.encodeImage(context.Background(), gen)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if file == "pr25_sharded1.lsnp" {
+			resnap, err := persist.DecodeSnapshot(again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind, _, regen, _ := readMeta(resnap); kind != "single" || regen != gen {
+				t.Errorf("%s re-encodes as kind %q at generation %d, want \"single\" at %d", file, kind, regen, gen)
+			}
+			continue
+		}
+		if !bytes.Equal(again, data) {
+			t.Errorf("%s: re-encoded at generation %d to %d bytes that differ from its own %d", file, gen, len(again), len(data))
+		}
+	}
+}
+
 func TestRestoreFailurePaths(t *testing.T) {
 	src := testSystem(t)
 	w := newWorkload(10)
 	warmEngine(t, src, w)
-	st := NewMemStore()
-	if err := src.Snapshot(context.Background(), st); err != nil {
-		t.Fatal(err)
-	}
+	image := snapshotImage(t, src)
 
-	t.Run("missing artifact", func(t *testing.T) {
-		err := testSystem(t).Restore(context.Background(), NewMemStore())
-		if !IsNotExist(err) {
-			t.Fatalf("restore from empty store = %v, want not-exist", err)
+	t.Run("empty image", func(t *testing.T) {
+		err := restoreBytes(testSystem(t), nil)
+		if PersistCode(err) != CodeTruncated {
+			t.Fatalf("restore of an empty image = %v, want CodeTruncated", err)
 		}
 	})
 
 	t.Run("corruption", func(t *testing.T) {
-		bad := NewMemStore()
-		data, _ := st.Load(persist.SnapshotName)
-		bad.Save(persist.SnapshotName, data)
-		if err := bad.Corrupt(persist.SnapshotName, len(data)/2); err != nil {
-			t.Fatal(err)
-		}
-		err := testSystem(t).Restore(context.Background(), bad)
+		bad := bytes.Clone(image)
+		bad[len(bad)/2] ^= 0x40
+		err := restoreBytes(testSystem(t), bad)
 		if PersistCode(err) != CodeCorrupt {
 			t.Fatalf("restore corrupt = %v, want CodeCorrupt", err)
 		}
@@ -479,7 +512,7 @@ func TestRestoreFailurePaths(t *testing.T) {
 	t.Run("kind mismatch", func(t *testing.T) {
 		sh := testSharded(t)
 		defer sh.Close()
-		err := sh.Restore(context.Background(), st)
+		err := restoreBytes(sh, image)
 		if PersistCode(err) != CodeMismatch {
 			t.Fatalf("sharded restore of single snapshot = %v, want CodeMismatch", err)
 		}
@@ -487,7 +520,7 @@ func TestRestoreFailurePaths(t *testing.T) {
 
 	t.Run("fingerprint mismatch", func(t *testing.T) {
 		other := testSystem(t, WithSeed(42))
-		err := other.Restore(context.Background(), st)
+		err := restoreBytes(other, image)
 		if PersistCode(err) != CodeMismatch {
 			t.Fatalf("restore under different options = %v, want CodeMismatch", err)
 		}
@@ -498,7 +531,7 @@ func TestRestoreFailurePaths(t *testing.T) {
 		uw := newWorkload(11)
 		uw.feed(used, 50)
 		uw.query(used) // a served query makes the receiver non-fresh
-		err := used.Restore(context.Background(), st)
+		err := restoreBytes(used, image)
 		if PersistCode(err) != CodeState {
 			t.Fatalf("restore into used engine = %v, want CodeState", err)
 		}
@@ -507,7 +540,7 @@ func TestRestoreFailurePaths(t *testing.T) {
 
 func newDurable(t *testing.T, st Store) *DurableEngine {
 	t.Helper()
-	dur, err := NewDurable(testSystem(t), st, DurableConfig{WALSyncEvery: 1})
+	dur, err := NewDurable(testSystem(t).ShardedSystem, st, DurableConfig{WALSyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,16 +625,6 @@ func TestDurableWALRotation(t *testing.T) {
 	}
 	if err := dur.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDurableRestoreRefused: a DurableEngine restores at construction
-// only; a later Restore is a typed state error, not a silent reset.
-func TestDurableRestoreRefused(t *testing.T) {
-	dur := newDurable(t, NewMemStore())
-	defer dur.Shutdown(context.Background())
-	if err := dur.Restore(context.Background(), NewMemStore()); PersistCode(err) != CodeState {
-		t.Fatalf("Restore on live durable engine = %v, want CodeState", err)
 	}
 }
 
@@ -700,6 +723,88 @@ func TestDurableFallbackRecovery(t *testing.T) {
 	}
 }
 
+// TestDurableFallbackCommitsItsGeneration: the durable layer's generation is
+// the only one. After recovery falls back past a corrupt newest generation,
+// the next commit writes Generation() into both the file name and the meta
+// section.
+func TestDurableFallbackCommitsItsGeneration(t *testing.T) {
+	st := NewMemStore()
+	dur := newDurable(t, st)
+	w := newWorkload(33)
+	for range 2 {
+		w.feed(dur, 100)
+		if err := dur.SnapshotNow(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := st.Load(persist.SnapshotNameFor(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Corrupt(persist.SnapshotNameFor(2), len(data)/2); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := newDurable(t, st)
+	defer recovered.Shutdown(context.Background())
+	if !recovered.stats.recoveredFallback {
+		t.Fatal("recovery did not fall back")
+	}
+	if err := recovered.SnapshotNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gen := recovered.Generation()
+	if data, err = st.Load(persist.SnapshotNameFor(gen)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := persist.DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, metaGen, err := readMeta(snap); err != nil || metaGen != gen {
+		t.Fatalf("%s carries generation %d in its meta section (err %v), want %d",
+			persist.SnapshotNameFor(gen), metaGen, err, gen)
+	}
+}
+
+// loadCounter is a Store that counts Loads per file name.
+type loadCounter struct {
+	Store
+	mu    sync.Mutex
+	loads map[string]int
+}
+
+func (c *loadCounter) Load(name string) ([]byte, error) {
+	c.mu.Lock()
+	c.loads[name]++
+	c.mu.Unlock()
+	return c.Store.Load(name)
+}
+
+// TestDurableRecoveryReadsSnapshotOnce: NewDurable reads the snapshot it
+// restores once, a numbered generation or an un-numbered snapshot.snap
+// seed alike, and hands the decoded image to the engine.
+func TestDurableRecoveryReadsSnapshotOnce(t *testing.T) {
+	src := testSystem(t)
+	newWorkload(34).feed(src, 300)
+	image := snapshotImage(t, src)
+	for _, file := range []string{persist.SnapshotNameFor(1), persist.SnapshotName} {
+		st := &loadCounter{Store: NewMemStore(), loads: make(map[string]int)}
+		if err := st.Save(file, image); err != nil {
+			t.Fatal(err)
+		}
+		dur := newDurable(t, st)
+		if got := dur.Generation(); got != 1 || !dur.stats.recoveredSnapshot {
+			t.Errorf("%s: recovered at generation %d (restored %t), want 1 from the snapshot",
+				file, got, dur.stats.recoveredSnapshot)
+		}
+		if n := st.loads[file]; n != 1 {
+			t.Errorf("%s: loaded %d times during recovery, want 1", file, n)
+		}
+		dur.Shutdown(context.Background())
+	}
+}
+
 // TestDurableAllGenerationsCorruptRefused: when every retained snapshot
 // fails its checksums, startup refuses with the typed corruption error —
 // silently starting fresh would be data loss.
@@ -724,7 +829,7 @@ func TestDurableAllGenerationsCorruptRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := NewDurable(testSystem(t), st, DurableConfig{WALSyncEvery: 1})
+	_, err := NewDurable(testSystem(t).ShardedSystem, st, DurableConfig{WALSyncEvery: 1})
 	if PersistCode(err) != CodeCorrupt {
 		t.Fatalf("recover with all generations corrupt = %v, want CodeCorrupt", err)
 	}
@@ -739,7 +844,7 @@ func TestDurableDegradedRepair(t *testing.T) {
 	inner := NewMemStore()
 	fst := persist.NewFaultStore(inner, persist.FaultRule{Op: persist.FaultAppend, Count: 1})
 	fst.SetEnabled(false)
-	dur, err := NewDurable(testSystem(t), fst, DurableConfig{WALSyncEvery: 1})
+	dur, err := NewDurable(testSystem(t).ShardedSystem, fst, DurableConfig{WALSyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -791,7 +896,7 @@ func TestDurableDegradedRepair(t *testing.T) {
 	// repair snapshot, the post-repair feeds by the fresh WAL — nothing
 	// acknowledged after the repair is lost.
 	fst.SetEnabled(false)
-	reopened, err := NewDurable(testSystem(t), fst, DurableConfig{WALSyncEvery: 1})
+	reopened, err := NewDurable(testSystem(t).ShardedSystem, fst, DurableConfig{WALSyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -803,45 +908,23 @@ func TestDurableDegradedRepair(t *testing.T) {
 	}
 }
 
-// TestDurableSideSnapshot: Snapshot(ctx, otherStore) writes a portable
-// copy without disturbing the engine's own store pairing.
-func TestDurableSideSnapshot(t *testing.T) {
-	home := NewMemStore()
-	dur := newDurable(t, home)
-	defer dur.Shutdown(context.Background())
-	w := newWorkload(24)
-	warmEngine(t, dur, w)
-	side := NewMemStore()
-	if err := dur.Snapshot(context.Background(), side); err != nil {
-		t.Fatal(err)
-	}
-	dst := testSystem(t)
-	if err := dst.Restore(context.Background(), side); err != nil {
-		t.Fatalf("restore from side snapshot: %v", err)
-	}
-	if a, b := dur.Stats(), dst.Stats(); a.IncrementalSeen != b.IncrementalSeen {
-		t.Fatalf("side snapshot diverges: %d vs %d", a.IncrementalSeen, b.IncrementalSeen)
-	}
-}
-
-// TestDurableSeedsFromSideSnapshot: a side snapshot is the un-numbered
-// snapshot.snap, and NewDurable over a store holding only that seeds from
-// it, reading its generation from the meta section. A seeded engine that
-// feeds on and then crashes recovers the seed plus its WAL tail, matching
-// an uninterrupted control.
+// TestDurableSeedsFromSideSnapshot: NewDurable over a store holding only
+// an older build's un-numbered snapshot.snap seeds from it, reading its
+// generation from the meta section. A seeded engine that feeds on and then
+// crashes recovers the seed plus its WAL tail, matching an uninterrupted
+// control.
 func TestDurableSeedsFromSideSnapshot(t *testing.T) {
-	dur := newDurable(t, NewMemStore())
-	defer dur.Shutdown(context.Background())
+	src := testSystem(t)
 	w := newWorkload(31)
-	warmEngine(t, dur, w)
+	warmEngine(t, src, w)
 	side := NewMemStore()
-	if err := dur.Snapshot(context.Background(), side); err != nil {
+	if err := side.Save(persist.SnapshotName, snapshotImage(t, src)); err != nil {
 		t.Fatal(err)
 	}
 
 	seeded := newDurable(t, side)
 	if got := seeded.Generation(); got != 1 {
-		t.Fatalf("seeded generation = %d, want the side snapshot's 1", got)
+		t.Fatalf("seeded generation = %d, want the seed's 1", got)
 	}
 	w.feed(seeded, 200) // WAL'd onto the seed, then abandoned without Shutdown
 	crashTS := w.ts
@@ -856,7 +939,7 @@ func TestDurableSeedsFromSideSnapshot(t *testing.T) {
 	}
 
 	inner := testSystem(t)
-	reopened, err := NewDurable(inner, side, DurableConfig{WALSyncEvery: 1})
+	reopened, err := NewDurable(inner.ShardedSystem, side, DurableConfig{WALSyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -870,6 +953,6 @@ func TestDurableSeedsFromSideSnapshot(t *testing.T) {
 	wa, wb := newWorkload(32), newWorkload(32)
 	wa.ts, wb.ts = crashTS, crashTS
 	if ta, tb := wa.drive(control, 60), wb.drive(reopened, 60); ta != tb {
-		t.Fatal("engine seeded from a side snapshot diverges from uninterrupted control")
+		t.Fatal("engine seeded from snapshot.snap diverges from uninterrupted control")
 	}
 }

@@ -22,16 +22,16 @@ func TestFeedDoesNotRetainCallerSlices(t *testing.T) {
 	const window = 10 * time.Second
 	opts := []Option{WithPretrainQueries(400), WithAccWindow(60), WithSeed(1),
 		WithLatencyModel(func(string, *Query, time.Duration) time.Duration { return 50 * time.Microsecond })}
-	builders := map[string]func() (Engine, error){
-		"New":           func() (Engine, error) { return New(world, window, opts...) },
-		"NewConcurrent": func() (Engine, error) { return NewConcurrent(world, window, opts...) },
-		"NewSharded4": func() (Engine, error) {
+	builders := map[string]func() (imageEngine, error){
+		"New":           func() (imageEngine, error) { return New(world, window, opts...) },
+		"NewConcurrent": func() (imageEngine, error) { return NewConcurrent(world, window, opts...) },
+		"NewSharded4": func() (imageEngine, error) {
 			return NewSharded(world, window, append(opts[:len(opts):len(opts)], WithShards(4))...)
 		},
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
-			engine := func() Engine {
+			engine := func() imageEngine {
 				eng, err := build()
 				if err != nil {
 					t.Fatal(err)

@@ -58,10 +58,8 @@ type ShardedSystem struct {
 
 	closeOnce sync.Once
 
-	// gen counts snapshots taken of this engine; fingerprint encodes the
-	// construction options. Both serve the Snapshot/Restore contract — see
-	// snapshot.go.
-	gen         uint64
+	// fingerprint encodes the construction options an image must match
+	// (snapshot.go).
 	fingerprint []byte
 }
 

@@ -10,8 +10,9 @@ import (
 	"github.com/spatiotext/latest/internal/telemetry"
 )
 
-// snapshot.go implements Engine.Snapshot / Engine.Restore for the engine. A snapshot is one
-// LSNP container (internal/persist) whose sections are:
+// snapshot.go encodes and restores the engine's image, which the durable
+// layer (durable.go) names, stores and recovers. An image is one LSNP
+// container (internal/persist) whose sections are:
 //
 //	meta               engine kind, config fingerprint, generation
 //	[shard-N/]window   the exact window store, objects in arrival order
@@ -45,7 +46,7 @@ func snapshotLayout(rows, cols int) (kind string, prefixes []string) {
 const metaSectionName = "meta"
 
 // configFingerprint encodes every configuration knob that shapes
-// serialized state. Restore compares fingerprints byte-for-byte: a
+// serialized state. restoreImage compares fingerprints byte-for-byte: a
 // snapshot taken under different parameters (different window span, fleet,
 // seed, memory scale, ...) is refused with CodeMismatch instead of being
 // silently reinterpreted. The module's knobs are read from mc, the
@@ -92,7 +93,7 @@ func encodeMeta(kind string, fingerprint []byte, gen uint64) []byte {
 }
 
 // readMeta decodes the meta section: engine kind, config fingerprint and
-// generation. It validates nothing against an engine; Restore does.
+// generation. It validates nothing against an engine; restoreImage does.
 func readMeta(snap *persist.Snapshot) (kind string, fp []byte, gen uint64, err error) {
 	payload, ok := snap.Section(metaSectionName)
 	if !ok {
@@ -181,16 +182,13 @@ func (s *ShardedSystem) lockAll() (unlock func()) {
 	}
 }
 
-// Snapshot serializes every shard into st as one atomic artifact named
-// persist.SnapshotName. Each successful snapshot increments the engine's
-// generation by exactly one; the generation is embedded in the artifact,
-// which is what lets the durable layer pair a snapshot with its feed WAL
-// atomically (the pairing commits with the snapshot's rename).
+// encodeImage serializes every shard as one LSNP container whose meta
+// section carries generation gen; the caller names and stores the file.
 //
 // All shard locks are held for the duration (acquired in shard order), so
 // the capture is a consistent cut with respect to feeds and single-shard
 // queries.
-func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
+func (s *ShardedSystem) encodeImage(ctx context.Context, gen uint64) ([]byte, error) {
 	unlock := s.lockAll()
 	defer unlock()
 	kind, prefixes := snapshotLayout(s.grid.Rows, s.grid.Cols)
@@ -199,42 +197,28 @@ func (s *ShardedSystem) Snapshot(ctx context.Context, st Store) error {
 		windowBytes += sh.window.MemoryBytes()
 	}
 	sw := persist.NewSnapshotWriter(windowBytes)
-	sw.Section(metaSectionName, encodeMeta(kind, s.fingerprint, s.gen+1))
+	sw.Section(metaSectionName, encodeMeta(kind, s.fingerprint, gen))
 	for i, sh := range s.shards {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		if err := sh.writeSections(sw, prefixes[i]); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if err := st.Save(persist.SnapshotName, sw.Bytes()); err != nil {
-		return err
-	}
-	s.gen++
-	return nil
+	return sw.Bytes(), nil
 }
 
-// Restore loads a snapshot into this freshly constructed engine. The meta
-// kind must match the shard grid and the fingerprint the construction
-// options (CodeMismatch otherwise), and every shard must be untouched
-// (CodeState otherwise). On error the engine must be discarded: a failed
-// restore never leaves partial state behind a usable-looking engine.
-func (s *ShardedSystem) Restore(ctx context.Context, st Store) error {
+// restoreImage loads a decoded snapshot into this freshly constructed
+// engine. The meta kind must match the shard grid and the fingerprint the
+// construction options (CodeMismatch otherwise), and every shard must be
+// untouched (CodeState otherwise). On error the engine must be discarded:
+// a failed restore never leaves partial state behind a usable-looking
+// engine.
+func (s *ShardedSystem) restoreImage(snap *persist.Snapshot) error {
 	unlock := s.lockAll()
 	defer unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	data, err := st.Load(persist.SnapshotName)
-	if err != nil {
-		return err
-	}
-	snap, err := persist.DecodeSnapshot(data)
-	if err != nil {
-		return err
-	}
-	kind, gotFP, gen, err := readMeta(snap)
+	kind, gotFP, _, err := readMeta(snap)
 	if err != nil {
 		return err
 	}
@@ -254,13 +238,9 @@ func (s *ShardedSystem) Restore(ctx context.Context, st Store) error {
 			"snapshot was taken under a different configuration (fingerprint differs); rebuild the engine with the original options")
 	}
 	for i, sh := range s.shards {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		if err := sh.readSections(snap, prefixes[i]); err != nil {
 			return err
 		}
 	}
-	s.gen = gen
 	return nil
 }
