@@ -112,6 +112,12 @@ func (m *Map) Validate() error {
 // points onto the boundary cells.
 func (m *Map) OwnerOf(p geo.Point) int { return int(m.Owners[m.grid.CellOf(p)]) }
 
+// Align rounds range r outward onto the lattice of the map's world (see
+// geo.Lattice.Align). A node's engine over its territory snaps on a
+// lattice that refines the map's, so a range aligned here counts the same
+// objects on every node, and in sum, as on one engine over the world.
+func (m *Map) Align(r geo.Rect) geo.Rect { return m.grid.Lattice().Align(r) }
+
 // OwnsPoint reports whether node owns point p.
 func (m *Map) OwnsPoint(node int, p geo.Point) bool { return m.OwnerOf(p) == node }
 

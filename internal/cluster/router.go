@@ -410,12 +410,18 @@ func (r *Router) runQuery(ctx context.Context, q *stream.Query) (float64, int, e
 	}
 }
 
-// runQueryOnce scatters one query under m. A not-owner refusal reports
+// runQueryOnce scatters one query under m, its range aligned onto the
+// map's lattice first (see Map.Align). A not-owner refusal reports
 // (staleIdx, staleEpoch) so the caller refetches and reruns the whole
 // query — re-asking nodes that already answered is harmless (counts are a
 // pure function of the query) — while any hard failure surfaces as one
 // *NodeError.
 func (r *Router) runQueryOnce(ctx context.Context, m *Map, q *stream.Query) (est float64, act int, staleIdx int, staleEpoch uint64, err error) {
+	if q.HasRange {
+		aligned := *q
+		aligned.Range = m.Align(q.Range)
+		q = &aligned
+	}
 	owner, targets, qs, mode := planSubQueries(m, q)
 	switch mode {
 	case "forward":

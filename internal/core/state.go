@@ -80,9 +80,10 @@ func (m *Module) SaveState(e *persist.Enc) error {
 
 // Per-estimator restore directives written by saveEstimators.
 const (
-	estSkip    = 0 // stays freshly constructed
-	estBlob    = 1 // exact state follows as a length-prefixed blob
-	estFreshen = 2 // rebuild by replaying the restored window
+	estSkip      = 0 // stays freshly constructed
+	estFloatBlob = 1 // exact state follows as a blob whose points are float64s (images before lattice points)
+	estFreshen   = 2 // rebuild by replaying the restored window
+	estBlob      = 3 // exact state follows as a length-prefixed blob
 )
 
 // saveEstimators writes each fleet member's summary. Every Stateful
@@ -238,9 +239,11 @@ func (m *Module) LoadState(d *persist.Dec) error {
 
 // loadEstimators restores each fleet member's summary per the directives
 // saveEstimators wrote: an estBlob entry round-trips through its own
-// codec; an estFreshen entry is rebuilt by replaying the already-restored
-// window (the same refill path a cold switch target takes); an estSkip
-// entry stays at its freshly-constructed empty state.
+// codec, and an estFloatBlob entry, written before samples were lattice
+// points, through the estimator's FloatStateful codec if it has one; an
+// estFreshen entry is rebuilt by replaying the already-restored window
+// (the same refill path a cold switch target takes); an estSkip entry
+// stays at its freshly-constructed empty state.
 func (m *Module) loadEstimators(d *persist.Dec) error {
 	const op = "module estimators"
 	for i, est := range m.ests {
@@ -252,7 +255,7 @@ func (m *Module) loadEstimators(d *persist.Dec) error {
 		case estSkip:
 		case estFreshen:
 			m.freshen(i)
-		case estBlob:
+		case estBlob, estFloatBlob:
 			s, ok := est.(estimator.Stateful)
 			if !ok {
 				return persist.Errf(persist.CodeMismatch, op,
@@ -263,7 +266,11 @@ func (m *Module) loadEstimators(d *persist.Dec) error {
 				return d.Err()
 			}
 			sub := persist.NewDec(blob)
-			if err := s.LoadState(sub); err != nil {
+			load := s.LoadState
+			if f, ok := est.(estimator.FloatStateful); ok && mode == estFloatBlob {
+				load = f.LoadFloatState
+			}
+			if err := load(sub); err != nil {
 				return err
 			}
 			if err := sub.Done(); err != nil {

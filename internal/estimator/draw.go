@@ -116,7 +116,7 @@ func (r *reservoir) drawState() (int, *rand.Rand, *WindowCounter) {
 	return r.capacity, r.rng, r.counter
 }
 
-func (r *reservoir) keep(o *stream.Object) { r.add(o.Timestamp, o.Loc, o.Keywords) }
+func (r *reservoir) keep(o *stream.Object) { r.add(o.Timestamp, r.lat.Snap(o.Loc), o.Keywords) }
 
 // kept posts the drawn sample: a full reservoir is tight.
 func (r *reservoir) kept(int64) { r.postAll(len(r.ts) == r.capacity) }

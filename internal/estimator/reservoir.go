@@ -13,8 +13,9 @@ import (
 // the same ~2% sampling ratio against this repository's synthetic streams.
 const defaultReservoirCapacity = 16384
 
-// sample is a retained stream object as SPN keeps it, and the unit
-// every reservoir serializes. Its keyword slice is the sample's own.
+// sample is a retained stream object as SPN keeps it and serializes it,
+// and as a reservoir serialized it before its samples were lattice points.
+// Its keyword slice is the sample's own.
 type sample struct {
 	loc geo.Point
 	kws []string
@@ -28,6 +29,7 @@ type sample struct {
 // lazily, at query time. Estimates are the matching sample fraction scaled
 // by the windowed arrival count.
 type reservoir struct {
+	lat      geo.Lattice // samples are snapped onto it as they are kept
 	capacity int
 	src      *countedSource
 	rng      *rand.Rand
@@ -39,6 +41,7 @@ type reservoir struct {
 func newReservoir(p Params, seed int64) reservoir {
 	src, rng := newCountedRand(p.Seed + seed)
 	return reservoir{
+		lat:      geo.NewLattice(p.World),
 		capacity: p.scaledInt(defaultReservoirCapacity, 64),
 		src:      src,
 		rng:      rng,
@@ -101,7 +104,7 @@ func (r *ReservoirList) Name() string { return NameRSL }
 // Insert implements Estimator.
 func (r *ReservoirList) Insert(o *stream.Object) {
 	if j := r.admit(o.Timestamp); j >= 0 {
-		r.put(j, o.Timestamp, o.Loc, o.Keywords, r.capacity)
+		r.put(j, o.Timestamp, r.lat.Snap(o.Loc), o.Keywords, r.capacity)
 	}
 }
 
@@ -113,32 +116,31 @@ func (r *ReservoirList) Estimate(q *stream.Query) float64 {
 		r.remove(i)
 	}
 	matches := len(r.ts)
+	rng := r.lat.SnapRect(q.Range)
 	switch {
 	case len(q.Keywords) > 0:
 		r.resolve(q.Keywords)
-		matches = r.countPostings(q)
+		matches = r.countPostings(q, rng)
 	case q.HasRange:
-		matches = countInRange(q.Range, r.loc)
+		matches = countInRange(rng, r.loc)
 	}
 	return r.estimate(matches, q.Timestamp)
 }
 
-// countInRange counts the points r contains. It sums inRange, with no
-// data-dependent branch: the range test comes out close to even on real
-// queries, where a mispredicted branch costs more than the test.
-func countInRange(r geo.Rect, ps []geo.Point) int {
-	n := 0
+// countInRange counts the lattice points r contains, as inRange tests
+// them, with no data-dependent branch: the range test comes out close to
+// even on real queries, where a mispredicted branch costs more than the
+// test.
+func countInRange(r geo.LRect, ps []geo.LPoint) int {
+	n, x0, y0, w, h := 0, r.MinX, r.MinY, r.MaxX-r.MinX, r.MaxY-r.MinY
 	for _, p := range ps {
-		n += inRange(r, p)
+		n += b2i(uint64(p.X)-x0 < w) & b2i(uint64(p.Y)-y0 < h)
 	}
 	return n
 }
 
-// inRange is 1 if r contains p (geo.Rect.Contains, comparison by
-// comparison), else 0.
-func inRange(r geo.Rect, p geo.Point) int {
-	return b2i(p.X >= r.MinX) & b2i(p.X < r.MaxX) & b2i(p.Y >= r.MinY) & b2i(p.Y < r.MaxY)
-}
+// inRange is 1 if r contains p (geo.LRect.Contains), else 0.
+func inRange(r geo.LRect, p geo.LPoint) int { return b2i(r.Contains(p)) }
 
 // b2i compiles to a flag materialization, not a branch.
 func b2i(b bool) int {

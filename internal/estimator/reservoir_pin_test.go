@@ -21,12 +21,12 @@ import (
 // and its indexes are laid out in memory. Any change to them is a change
 // of behaviour, not of layout.
 var pinnedReservoirDigests = map[string]string{
-	"Twitter/RSL": "011b92e822da66471eaa52653360d9e325d25b8d23e1adf725848e6581836c41",
-	"Twitter/RSH": "28fa823dfd91d231b6d9b4e01232ab39cd8ea09bc80971b94fc1b972a67b168f",
-	"eBird/RSL":   "9b3bed74a96207a454494425d214f54700a300095333245a7040aad8193b396a",
-	"eBird/RSH":   "1881fe170f0dcbeb55413edb4daa296dec8d81ffaa0418b6ef2edb128a8a6bad",
-	"CheckIn/RSL": "86d8275280c963f625c564884ef72ef785207c77b2207c0bbb08b877c94f569b",
-	"CheckIn/RSH": "fc421ef909528b30c93a768fb303415bc4efb9cd24e202851ade0a8b288ebd13",
+	"Twitter/RSL": "419b2291d518fad71da3eeb0de1c4039f7868781873d357649eac692e4cff48a",
+	"Twitter/RSH": "1a689f488f91c1835040bb31c45abebeefb1d42aa4464240cce4913210e2a8b7",
+	"eBird/RSL":   "dc8b5c7456459075a9c2261120517cc59cbbdac3eb774f2457394cafae1bcdb3",
+	"eBird/RSH":   "6ddc8a1e267e5a241f07124fbb26becb50d3746b577744e17eceedea66d80b60",
+	"CheckIn/RSL": "e5d8760e615a27257d974eb51130fda1e8601aaac82b8afe1b01b1c0582c7aeb",
+	"CheckIn/RSH": "c354e5db950b6d60292c1c8864317fc0fc1d9b553fca8bf981156636eec06c78",
 }
 
 // reservoirScript drives one reservoir through a fixed script on a preset

@@ -14,9 +14,12 @@ import (
 // differential test drives them beside the real ones, which must agree to
 // the bit — estimate, Len, image — because they claim to change only how
 // the count is reached. They draw from the same RNG stream in the same
-// order, so slot layouts coincide.
+// order, so slot layouts coincide. A sample keeps its location as the
+// float of its lattice point, and the predicate snaps the range as the
+// real ones do.
 
 type refReservoir struct {
+	lat      geo.Lattice
 	capacity int
 	src      *countedSource
 	rng      *rand.Rand
@@ -28,6 +31,7 @@ type refReservoir struct {
 func newRefReservoir(p Params, seed int64) refReservoir {
 	src, rng := newCountedRand(p.Seed + seed)
 	return refReservoir{
+		lat:      geo.NewLattice(p.World),
 		capacity: p.scaledInt(defaultReservoirCapacity, 64),
 		src:      src,
 		rng:      rng,
@@ -38,12 +42,24 @@ func newRefReservoir(p Params, seed int64) refReservoir {
 
 func (r *refReservoir) Len() int { return len(r.samples) }
 
-func sampleOf(o *stream.Object) sample {
-	return sample{loc: o.Loc, kws: append([]string(nil), o.Keywords...), ts: o.Timestamp}
+func (r *refReservoir) sampleOf(o *stream.Object) sample {
+	return sample{loc: r.lat.Unsnap(r.lat.Snap(o.Loc)), kws: append([]string(nil), o.Keywords...), ts: o.Timestamp}
 }
 
-func (s *sample) matches(q *stream.Query) bool {
-	return q.Matches(&stream.Object{Loc: s.loc, Keywords: s.kws})
+func (r *refReservoir) matches(s *sample, q *stream.Query) bool {
+	if q.HasRange && !r.lat.SnapRect(q.Range).Contains(r.lat.Snap(s.loc)) {
+		return false
+	}
+	return len(q.Keywords) == 0 || (&stream.Object{Keywords: s.kws}).MatchesAny(q.Keywords)
+}
+
+// save writes s as the real reservoirs write a sample.
+func (r *refReservoir) save(e *persist.Enc, s sample) {
+	p := r.lat.Snap(s.loc)
+	e.U32(p.X)
+	e.U32(p.Y)
+	e.I64(s.ts)
+	e.Strs(s.kws)
 }
 
 func (r *refReservoir) estimate(matches int, now int64) float64 {
@@ -68,7 +84,7 @@ func newRefRSL(p Params) *refRSL { return &refRSL{newRefReservoir(p, 0x5271)} }
 func (r *refRSL) Insert(o *stream.Object) {
 	r.counter.Add(o.Timestamp)
 	if len(r.samples) < r.capacity {
-		r.samples = append(r.samples, sampleOf(o))
+		r.samples = append(r.samples, r.sampleOf(o))
 		return
 	}
 	n := int(r.counter.Live(o.Timestamp))
@@ -76,7 +92,7 @@ func (r *refRSL) Insert(o *stream.Object) {
 		n = r.capacity
 	}
 	if j := r.rng.Intn(n); j < r.capacity {
-		r.samples[j] = sampleOf(o)
+		r.samples[j] = r.sampleOf(o)
 	}
 }
 
@@ -90,7 +106,7 @@ func (r *refRSL) Estimate(q *stream.Query) float64 {
 			r.samples = r.samples[:last]
 			continue
 		}
-		if r.samples[i].matches(q) {
+		if r.matches(&r.samples[i], q) {
 			matches++
 		}
 		i++
@@ -106,7 +122,7 @@ func (r *refRSL) Reset() {
 func (r *refRSL) SaveState(e *persist.Enc) {
 	r.saveHeader(e)
 	for _, s := range r.samples {
-		saveSample(e, s)
+		r.save(e, s)
 	}
 }
 
@@ -162,7 +178,7 @@ func (r *refRSH) Insert(o *stream.Object) {
 		}
 	}
 	if len(r.samples) < r.capacity {
-		r.samples, r.links = append(r.samples, sampleOf(o)), append(r.links, refLink{})
+		r.samples, r.links = append(r.samples, r.sampleOf(o)), append(r.links, refLink{})
 		r.attach(int32(len(r.samples) - 1))
 		return
 	}
@@ -172,7 +188,7 @@ func (r *refRSH) Insert(o *stream.Object) {
 	}
 	if j := r.rng.Intn(n); j < r.capacity {
 		r.detach(int32(j))
-		r.samples[j] = sampleOf(o)
+		r.samples[j] = r.sampleOf(o)
 		r.attach(int32(j))
 	}
 }
@@ -181,7 +197,7 @@ func (r *refRSH) Estimate(q *stream.Query) float64 {
 	cutoff := q.Timestamp - r.span
 	matches := 0
 	if q.HasRange {
-		r.grid.ForEachCell(r.grid.CellsOverlapping(q.Range), func(idx int, _ geo.Rect) bool {
+		r.grid.ForEachCell(r.grid.Span(q.Range), func(idx int, _ geo.Rect) bool {
 			b := r.buckets[idx]
 			for bi := 0; bi < len(b); {
 				j := b[bi]
@@ -190,7 +206,7 @@ func (r *refRSH) Estimate(q *stream.Query) float64 {
 					b = r.buckets[idx]
 					continue
 				}
-				if r.samples[j].matches(q) {
+				if r.matches(&r.samples[j], q) {
 					matches++
 				}
 				bi++
@@ -203,7 +219,7 @@ func (r *refRSH) Estimate(q *stream.Query) float64 {
 				r.removeSlot(int32(j))
 				continue
 			}
-			if r.samples[j].matches(q) {
+			if r.matches(&r.samples[j], q) {
 				matches++
 			}
 			j++
@@ -221,7 +237,7 @@ func (r *refRSH) Reset() {
 func (r *refRSH) SaveState(e *persist.Enc) {
 	r.saveHeader(e)
 	for i, s := range r.samples {
-		saveSample(e, s)
+		r.save(e, s)
 		e.U32(uint32(r.links[i].pos))
 	}
 }

@@ -629,9 +629,9 @@ func drawnAndChurned(ps *presetStream, w *stream.Window, build func(Params) Samp
 // included: slot arrays, bucket links, list runs, dictionary.
 func TestReservoirFootprint(t *testing.T) {
 	bounds := map[string][2]float64{ // RSL, RSH
-		"Twitter": {72, 85},
-		"eBird":   {58, 70},
-		"CheckIn": {64, 75},
+		"Twitter": {64, 77},
+		"eBird":   {50, 62},
+		"CheckIn": {56, 67},
 	}
 	for _, preset := range datagen.Names() {
 		ps := newPresetStream(preset)
@@ -731,7 +731,9 @@ func TestReservoirStateRoundTripRebuildsIndex(t *testing.T) {
 // sample with thousands of keywords, duplicates, empty strings, bucket
 // positions that collide — it returns a typed persist error or leaves a
 // reservoir whose index is consistent and which inserts, answers and
-// re-serializes; it does not panic.
+// re-serializes; it does not panic. float reads the bytes as an image of
+// the format whose samples were float64 pairs (LoadFloatState); the seeds
+// are images of the current format, whose samples are lattice points.
 func FuzzReservoirLoadState(f *testing.F) {
 	p := Params{World: geo.UnitSquare, Span: 1000, Scale: 0.004, Seed: 3} // 65 samples
 	for _, pair := range reservoirPairs(p) {
@@ -744,11 +746,13 @@ func FuzzReservoirLoadState(f *testing.F) {
 			pair.real.Insert(&o)
 			pair.ref.Insert(&o)
 			if i == 30 || i == 399 {
-				f.Add(pair.image(f, "seed corpus"), pair.name == NameRSH)
+				img := pair.image(f, "seed corpus")
+				f.Add(img, pair.name == NameRSH, false)
+				f.Add(img, pair.name == NameRSH, true)
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, rsh bool) {
+	f.Fuzz(func(t *testing.T, data []byte, rsh, float bool) {
 		// An image opens with the RNG seed and position, and restoring a
 		// position replays that many draws: by design linear in a number the
 		// image chooses, which is the snapshot CRC's business, not the
@@ -760,7 +764,11 @@ func FuzzReservoirLoadState(f *testing.F) {
 		if rsh {
 			e = NewReservoirHashmap(p)
 		}
-		if err := e.(Stateful).LoadState(persist.NewDec(data)); err != nil {
+		load := e.(Stateful).LoadState
+		if float {
+			load = e.(FloatStateful).LoadFloatState
+		}
+		if err := load(persist.NewDec(data)); err != nil {
 			if persist.CodeOf(err) == 0 {
 				t.Fatalf("LoadState error is not a typed persist error: %v", err)
 			}

@@ -41,7 +41,7 @@ func NewReservoirHashmap(p Params) *ReservoirHashmap {
 func (r *ReservoirHashmap) Name() string { return NameRSH }
 
 // cellOf returns the bucket of slot j, the cell of its sample.
-func (r *ReservoirHashmap) cellOf(j int32) int { return r.grid.CellOf(r.loc[j]) }
+func (r *ReservoirHashmap) cellOf(j int32) int { return r.grid.CellOfL(r.loc[j]) }
 
 // detach unlinks slot j from its bucket.
 func (r *ReservoirHashmap) detach(j int32) {
@@ -102,7 +102,7 @@ func (r *ReservoirHashmap) Insert(o *stream.Object) {
 		}
 		r.links = append(r.links, 0)
 	}
-	tightened := r.put(j, o.Timestamp, o.Loc, o.Keywords, r.capacity)
+	tightened := r.put(j, o.Timestamp, r.lat.Snap(o.Loc), o.Keywords, r.capacity)
 	r.attach(j)
 	if tightened {
 		r.buckets.cut(-1, 0)
@@ -135,14 +135,15 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 		matches := len(r.ts)
 		if len(q.Keywords) > 0 {
 			r.resolve(q.Keywords)
-			matches = r.countPostings(q)
+			matches = r.countPostings(q, geo.LRect{})
 		}
 		return r.estimate(matches, q.Timestamp)
 	}
 	if r.buckets.at == nil { // no sample, no bucket to walk
 		return 0
 	}
-	cr := r.grid.CellsOverlapping(q.Range)
+	rng := r.lat.SnapRect(q.Range)
+	cr := r.grid.SpanL(rng)
 	// A hybrid query is counted through the posting lists when they are
 	// shorter than the buckets, which are then walked for the purge alone.
 	// The keywords are resolved before that purge, which is safe: a purge
@@ -173,8 +174,8 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 				switch {
 				case viaPostings:
 				case spatial:
-					matches += inRange(q.Range, r.loc[j])
-				case q.Range.Contains(r.loc[j]) && r.carriesAny(j):
+					matches += inRange(rng, r.loc[j])
+				case rng.Contains(r.loc[j]) && r.carriesAny(j):
 					matches++
 				}
 			}
@@ -182,7 +183,7 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 	}
 	r.releaseEmptied()
 	if viaPostings {
-		matches = r.countPostings(q)
+		matches = r.countPostings(q, rng)
 	}
 	return r.estimate(matches, q.Timestamp)
 }

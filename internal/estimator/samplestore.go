@@ -29,8 +29,8 @@ import (
 // an image (which spells the words out), so a restored store need not
 // reproduce them.
 type sampleStore struct {
-	ts   []int64     // what the purge walks
-	loc  []geo.Point // what a range count walks
+	ts   []int64      // what the purge walks
+	loc  []geo.LPoint // what a range count walks: points on the world's lattice
 	kw   []kwList
 	long map[int32][]kwRef // by slot: the keyword lists too long to sit in kw
 
@@ -89,7 +89,7 @@ func (s *sampleStore) refsOf(i int32) []kwRef {
 // further: a full reservoir's arrays are full. It reports whether this put
 // made the store tight, which it does the first time the store holds limit
 // samples.
-func (s *sampleStore) put(j int32, ts int64, loc geo.Point, kws []string, limit int) (tightened bool) {
+func (s *sampleStore) put(j int32, ts int64, loc geo.LPoint, kws []string, limit int) (tightened bool) {
 	if int(j) == len(s.ts) {
 		if n := min(max(2*int(j), 64), limit); int(j) == cap(s.ts) && n > int(j) {
 			s.reserve(n)
@@ -155,7 +155,7 @@ func (s *sampleStore) reserve(n int) {
 // add appends a sample to a store being built in bulk, by a draw or a
 // restore: its keywords are entered in the dictionary but posted by
 // postAll, which must run before the store is otherwise used.
-func (s *sampleStore) add(ts int64, loc geo.Point, kws []string) {
+func (s *sampleStore) add(ts int64, loc geo.LPoint, kws []string) {
 	j := int32(len(s.ts))
 	s.ts, s.loc, s.kw = append(s.ts, ts), append(s.loc, loc), append(s.kw, emptyList)
 	refs := s.refsFor(j, len(kws))
@@ -292,10 +292,10 @@ func (s *sampleStore) resolve(kws []string) (postings int) {
 }
 
 // countPostings counts the samples that carry a resolved query keyword
-// and, if q has a range, lie in it: the union of the posting lists, each
-// slot once. A single list needs no bookkeeping; several mark the slots
-// they count in a bitmap.
-func (s *sampleStore) countPostings(q *stream.Query) int {
+// and, if q has a range, lie in r, its range snapped: the union of the
+// posting lists, each slot once. A single list needs no bookkeeping;
+// several mark the slots they count in a bitmap.
+func (s *sampleStore) countPostings(q *stream.Query, r geo.LRect) int {
 	merge := len(s.qids) > 1
 	if merge {
 		words := (len(s.ts) + 63) / 64
@@ -308,7 +308,7 @@ func (s *sampleStore) countPostings(q *stream.Query) int {
 		return s.postings.size(int(s.qids[0]))
 	}
 	// Locals, so that the bitmap stores do not make the loop reload them.
-	n, seen, loc, hasRange, r := 0, s.seen, s.loc, q.HasRange, q.Range
+	n, seen, loc, hasRange := 0, s.seen, s.loc, q.HasRange
 	for _, id := range s.qids {
 		for _, j := range s.postings.get(int(id)) {
 			if hasRange && !r.Contains(loc[j]) {
@@ -345,11 +345,11 @@ func (s *sampleStore) carriesAny(j int32) bool {
 	return false
 }
 
-// save writes slot i's sample as saveSample writes one, the keywords
-// through the dictionary.
+// save writes slot i's sample: its lattice point, timestamp and keywords,
+// these through the dictionary.
 func (s *sampleStore) save(e *persist.Enc, i int32) {
-	e.F64(s.loc[i].X)
-	e.F64(s.loc[i].Y)
+	e.U32(s.loc[i].X)
+	e.U32(s.loc[i].Y)
 	e.I64(s.ts[i])
 	refs := s.refsOf(i)
 	e.U32(uint32(len(refs)))
@@ -361,7 +361,7 @@ func (s *sampleStore) save(e *persist.Enc, i int32) {
 // memoryBytes is what the store holds: the slot arrays and long keyword
 // lists, the posting lists and their headers, and the dictionary.
 func (s *sampleStore) memoryBytes() int {
-	b := 8*cap(s.ts) + 16*cap(s.loc) + kwListBytes*cap(s.kw) + s.dict.MemoryBytes() +
+	b := 8*cap(s.ts) + 8*cap(s.loc) + kwListBytes*cap(s.kw) + s.dict.MemoryBytes() +
 		s.postings.memoryBytes() + 4*cap(s.qids) + 8*cap(s.seen)
 	for _, l := range s.long {
 		b += 48 + 8*cap(l)

@@ -21,6 +21,14 @@ type Stateful interface {
 	LoadState(d *persist.Dec) error
 }
 
+// FloatStateful is implemented by the Stateful estimators whose image
+// format changed when their samples became lattice points: LoadFloatState
+// reads an image of the earlier format, whose points are float64 pairs,
+// and snaps each point as Insert snaps it. It is called as LoadState is.
+type FloatStateful interface {
+	LoadFloatState(d *persist.Dec) error
+}
+
 // --- shared component codecs ---
 
 func saveSlicer(e *persist.Enc, s *Slicer) {
@@ -226,10 +234,12 @@ type reservoirImage struct {
 
 // loadSamples reads a reservoir image into a new store, built in bulk as a
 // draw builds one: the samples go in, then the posting lists are cut once.
-// each, if not nil, runs after every sample for what a reservoir stores
-// beside it. Only the arrival counter has changed when it returns; install
-// does the rest.
-func (r *reservoir) loadSamples(d *persist.Dec, op string, each func(st *sampleStore, j int32)) (im reservoirImage, err error) {
+// float says the image is of the format whose points are float64 pairs,
+// which are snapped; the current format's are lattice points, which must
+// lie on the lattice. each, if not nil, runs after every sample for what a
+// reservoir stores beside it. Only the arrival counter has changed when it
+// returns; install does the rest.
+func (r *reservoir) loadSamples(d *persist.Dec, op string, float bool, each func(st *sampleStore, j int32)) (im reservoirImage, err error) {
 	im.seed = d.I64()
 	im.rngN = d.U64()
 	if err := r.counter.LoadState(d); err != nil {
@@ -243,8 +253,19 @@ func (r *reservoir) loadSamples(d *persist.Dec, op string, each func(st *sampleS
 		im.store.reserve(count)
 	}
 	for j := int32(0); int(j) < count && d.Err() == nil; j++ {
-		s := loadSample(d)
-		im.store.add(s.ts, s.loc, s.kws)
+		var s sample
+		var loc geo.LPoint
+		if float {
+			s = loadSample(d)
+			loc = r.lat.Snap(s.loc)
+		} else {
+			loc = geo.LPoint{X: d.U32(), Y: d.U32()}
+			s.ts, s.kws = d.I64(), d.Strs()
+			if d.Err() == nil && !r.lat.Holds(loc) {
+				return im, persist.Errf(persist.CodeMalformed, op, "sample %d at %v is off the lattice", j, loc)
+			}
+		}
+		im.store.add(s.ts, loc, s.kws)
 		if each != nil {
 			each(&im.store, j)
 		}
@@ -272,8 +293,13 @@ func (r *ReservoirList) SaveState(e *persist.Enc) {
 }
 
 // LoadState implements Stateful.
-func (r *ReservoirList) LoadState(d *persist.Dec) error {
-	im, err := r.loadSamples(d, "rsl", nil)
+func (r *ReservoirList) LoadState(d *persist.Dec) error { return r.load(d, false) }
+
+// LoadFloatState implements FloatStateful.
+func (r *ReservoirList) LoadFloatState(d *persist.Dec) error { return r.load(d, true) }
+
+func (r *ReservoirList) load(d *persist.Dec, float bool) error {
+	im, err := r.loadSamples(d, "rsl", float, nil)
 	if err == nil {
 		r.install(im)
 	}
@@ -293,16 +319,21 @@ func (r *ReservoirHashmap) SaveState(e *persist.Enc) {
 }
 
 // LoadState implements Stateful.
-func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
+func (r *ReservoirHashmap) LoadState(d *persist.Dec) error { return r.load(d, false) }
+
+// LoadFloatState implements FloatStateful.
+func (r *ReservoirHashmap) LoadFloatState(d *persist.Dec) error { return r.load(d, true) }
+
+func (r *ReservoirHashmap) load(d *persist.Dec, float bool) error {
 	const op = "rsh"
 	var links []int32
 	var sizes []uint32
-	im, err := r.loadSamples(d, op, func(st *sampleStore, j int32) {
+	im, err := r.loadSamples(d, op, float, func(st *sampleStore, j int32) {
 		if sizes == nil {
 			sizes = make([]uint32, r.grid.NumCells())
 		}
 		links = append(links, int32(d.U32()))
-		sizes[r.grid.CellOf(st.loc[j])]++
+		sizes[r.grid.CellOfL(st.loc[j])]++
 	})
 	if err != nil {
 		return err
@@ -318,7 +349,7 @@ func (r *ReservoirHashmap) LoadState(d *persist.Dec) error {
 		}
 	}
 	for j, pos := range links {
-		b := buckets.get(r.grid.CellOf(im.store.loc[j]))
+		b := buckets.get(r.grid.CellOfL(im.store.loc[j]))
 		if pos < 0 || int(pos) >= len(b) || b[pos] != unset {
 			return persist.Errf(persist.CodeMalformed, op, "slot %d bucket position %d invalid", j, pos)
 		}

@@ -3,6 +3,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Grid maps points in a world rectangle onto a Cols×Rows uniform cell grid.
@@ -10,26 +11,31 @@ import (
 // window, the engine's shards and the cluster's partition map all locate
 // through it, so they agree exactly on which cell a point belongs to.
 //
-// A point is located by one truncated division per axis, and the cell edges
-// are derived from that locate, so a cell rectangle holds exactly the
-// in-world points located into it, down to the last ulp.
+// Cells are cut from the world's lattice: a point is snapped, and its
+// lattice point located by an integer multiply-shift per axis. Cell edges
+// are lattice lines, so a cell rectangle holds exactly the in-world points
+// located into it, and a grid over a territory cut from another grid's
+// cells agrees with it at every shared edge.
 type Grid struct {
 	World Rect
 	Cols  int
 	Rows  int
 
+	lat  Lattice
 	x, y axis
 }
 
-// axis is one dimension of a grid: its locate parameters and the cell
-// edges derived from them.
+// axis is one dimension of a grid over a lattice of n columns, split into
+// c cells: column l is in cell ⌊l·c/n⌋.
 type axis struct {
-	min, step float64
-	// cells (n as a float) and last (n-1) let index clamp without a
-	// conversion.
-	cells float64
-	last  int
-	edges []float64 // len n+1
+	// Column l's cell is the high word of (l·2^shift)·frac, frac being
+	// ⌈2⁶⁴·c/n'⌉ for n' = n·2^shift, the least such multiple of n above
+	// c: shift is 0 unless the lattice has no more columns than the grid
+	// has cells. For l·2^shift < n' ≤ 2³² the rounding of frac never
+	// reaches the next integer, so this is exact.
+	shift uint8
+	frac  uint64
+	edges []uint64 // len c+1: the first column of each cell, then n
 }
 
 // NewGrid creates a grid over world with the given column and row counts.
@@ -42,12 +48,14 @@ func NewGrid(world Rect, cols, rows int) *Grid {
 	if world.Empty() || !world.Valid() {
 		panic(fmt.Sprintf("geo: grid world must be a valid non-empty rect, got %v", world))
 	}
+	lat := NewLattice(world)
 	return &Grid{
 		World: world,
 		Cols:  cols,
 		Rows:  rows,
-		x:     newAxis(world.MinX, world.MaxX, cols),
-		y:     newAxis(world.MinY, world.MaxY, rows),
+		lat:   lat,
+		x:     newAxis(lat.x.cols, cols),
+		y:     newAxis(lat.y.cols, rows),
 	}
 }
 
@@ -61,80 +69,32 @@ func NewSquareGrid(world Rect, n int) *Grid {
 	return NewGrid(world, side, side)
 }
 
-// index locates v: the truncated division (v-min)/step, clamped onto
-// [0, n-1] before it is converted, so NaN (which fails f >= 0) lands in
-// cell 0 and +Inf in cell n-1 by test, not by whatever the platform's
-// float-to-int conversion makes of them.
-func (a *axis) index(v float64) int {
-	f := (v - a.min) / a.step
-	if f >= 0 {
-		if f < a.cells {
-			return int(f)
-		}
-		return a.last
+func newAxis(n uint64, cells int) axis {
+	c := uint64(cells)
+	a := axis{edges: make([]uint64, cells+1)}
+	for n<<a.shift <= c {
+		a.shift++
 	}
-	return 0
-}
-
-// newAxis splits [lo, hi] into n cells and derives their edges from
-// index: the outer edges are lo and hi, and edge i the least float index
-// puts in cell i or beyond.
-func newAxis(lo, hi float64, n int) axis {
-	a := axis{min: lo, step: (hi - lo) / float64(n), cells: float64(n), last: n - 1, edges: make([]float64, n+1)}
-	a.edges[0], a.edges[n] = lo, hi
-	for i := 1; i < n; i++ {
-		a.edges[i] = a.least(i, a.edges[i-1], hi)
+	var rem uint64
+	if a.frac, rem = bits.Div64(c, 0, n<<a.shift); rem != 0 {
+		a.frac++
+	}
+	for i := range a.edges {
+		// The least column in cell i or beyond: ⌈i·n/c⌉.
+		hi, lo := bits.Mul64(uint64(i), n)
+		q, rem := bits.Div64(hi, lo, c)
+		if rem != 0 {
+			q++
+		}
+		a.edges[i] = q
 	}
 	return a
 }
 
-// least returns the least float in [from, to] that index puts in cell i
-// or beyond, or to when none is. It bisects over the floats'
-// order-preserving bit keys, narrowed first to the few ulps around the
-// arithmetic edge min + i·step when they bracket it; index is monotone,
-// so this is exact.
-func (a *axis) least(i int, from, to float64) float64 {
-	in := func(k uint64) bool { return a.index(keyFloat(k)) >= i }
-	l, h := floatKey(from), floatKey(to)
-	if in(l) {
-		return from
-	}
-	if g := floatKey(a.min + float64(i)*a.step); l+32 < g && g+32 < h {
-		if !in(g - 32) {
-			l = g - 32
-		}
-		if in(g + 32) {
-			h = g + 32
-		}
-	}
-	for h-l > 1 { // !in(l), and in(h) unless h is still to's key
-		if m := l + (h-l)/2; in(m) {
-			h = m
-		} else {
-			l = m
-		}
-	}
-	if e := keyFloat(h); e != 0 {
-		return e
-	}
-	return 0 // +0, not -0: the two locate alike
-}
-
-// floatKey maps a non-NaN float onto a uint64 whose order is the float
-// order; keyFloat inverts it.
-func floatKey(f float64) uint64 {
-	b := math.Float64bits(f)
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
-}
-
-func keyFloat(k uint64) float64 {
-	if k>>63 != 0 {
-		return math.Float64frombits(k &^ (1 << 63))
-	}
-	return math.Float64frombits(^k)
+// index returns the cell of column l.
+func (a *axis) index(l uint32) int {
+	hi, _ := bits.Mul64(uint64(l)<<(a.shift&63), a.frac)
+	return int(hi)
 }
 
 // NumCells returns the total number of cells.
@@ -144,18 +104,26 @@ func (g *Grid) NumCells() int { return g.Cols * g.Rows }
 // points onto the boundary cells so a slightly-out-of-range coordinate never
 // corrupts downstream counters.
 func (g *Grid) CellOf(p Point) int {
+	return g.y.index(g.lat.y.snap(p.Y))*g.Cols + g.x.index(g.lat.x.snap(p.X))
+}
+
+// CellOfL returns the flat cell index of lattice point p.
+func (g *Grid) CellOfL(p LPoint) int {
 	return g.y.index(p.Y)*g.Cols + g.x.index(p.X)
 }
 
+// Lattice returns the lattice of the grid's world, which its cells are cut
+// from.
+func (g *Grid) Lattice() *Lattice { return &g.lat }
+
 // CellRect returns the rectangle of the cell with flat index idx: the
-// half-open span between its derived edges. It panics when idx is out of
-// range.
+// half-open span between its edges. It panics when idx is out of range.
 func (g *Grid) CellRect(idx int) Rect {
 	if idx < 0 || idx >= g.NumCells() {
 		panic(fmt.Sprintf("geo: cell index %d out of range [0,%d)", idx, g.NumCells()))
 	}
 	col, row := idx%g.Cols, idx/g.Cols
-	return Rect{MinX: g.x.edges[col], MinY: g.y.edges[row], MaxX: g.x.edges[col+1], MaxY: g.y.edges[row+1]}
+	return Rect{MinX: g.ColEdge(col), MinY: g.RowEdge(row), MaxX: g.ColEdge(col + 1), MaxY: g.RowEdge(row + 1)}
 }
 
 // CellRange describes the rectangle of cells [ColMin,ColMax]×[RowMin,RowMax]
@@ -191,25 +159,60 @@ func (g *Grid) CellsOverlapping(r Rect) CellRange {
 // clamps points: a rect wholly outside the world spans the cells its
 // points land in. It is never empty; an empty r spans its min corner's
 // cell.
-func (g *Grid) Span(r Rect) CellRange {
-	cr := CellRange{
-		ColMin: g.x.index(r.MinX),
-		ColMax: g.x.index(math.Nextafter(r.MaxX, math.Inf(-1))), // the last x r holds
-		RowMin: g.y.index(r.MinY),
-		RowMax: g.y.index(math.Nextafter(r.MaxY, math.Inf(-1))),
+func (g *Grid) Span(r Rect) CellRange { return g.SpanL(g.lat.SnapRect(r)) }
+
+// SpanL returns the cells holding the points of lattice range r. It is
+// never empty; an empty r spans its min corner's cell.
+func (g *Grid) SpanL(r LRect) CellRange {
+	return CellRange{
+		ColMin: g.x.index(uint32(r.MinX)),
+		ColMax: g.x.index(uint32(max(r.MaxX, r.MinX+1) - 1)),
+		RowMin: g.y.index(uint32(r.MinY)),
+		RowMax: g.y.index(uint32(max(r.MaxY, r.MinY+1) - 1)),
 	}
-	cr.ColMax = max(cr.ColMax, cr.ColMin)
-	cr.RowMax = max(cr.RowMax, cr.RowMin)
-	return cr
 }
 
-// ColEdge returns the x coordinate where column i begins (i == Cols gives
-// the world's max edge).
-func (g *Grid) ColEdge(i int) float64 { return g.x.edges[i] }
+// WithinL returns the cells lattice range r holds whole; it is Empty when
+// there are none.
+func (g *Grid) WithinL(r LRect) CellRange {
+	colMin, colMax := g.x.within(r.MinX, r.MaxX)
+	rowMin, rowMax := g.y.within(r.MinY, r.MaxY)
+	return CellRange{ColMin: colMin, ColMax: colMax, RowMin: rowMin, RowMax: rowMax}
+}
 
-// RowEdge returns the y coordinate where row i begins (i == Rows gives the
-// world's max edge).
-func (g *Grid) RowEdge(i int) float64 { return g.y.edges[i] }
+// within returns the first and last cell that columns [lo, hi) hold
+// whole, last < first when none.
+func (a *axis) within(lo, hi uint64) (first, last int) {
+	if hi <= lo {
+		return 0, -1
+	}
+	first, last = a.index(uint32(lo)), a.index(uint32(hi-1))
+	if a.edges[first] < lo {
+		first++
+	}
+	if a.edges[last+1] > hi {
+		last--
+	}
+	return first, last
+}
+
+// ColEdge returns the x coordinate where column i begins: a lattice line,
+// but the world's own edges for i == 0 and i == Cols.
+func (g *Grid) ColEdge(i int) float64 { return edge(&g.x, &g.lat.x, i, g.World.MinX, g.World.MaxX) }
+
+// RowEdge returns the y coordinate where row i begins: a lattice line,
+// but the world's own edges for i == 0 and i == Rows.
+func (g *Grid) RowEdge(i int) float64 { return edge(&g.y, &g.lat.y, i, g.World.MinY, g.World.MaxY) }
+
+func edge(a *axis, l *latAxis, i int, lo, hi float64) float64 {
+	if i == 0 {
+		return lo
+	}
+	if i == len(a.edges)-1 {
+		return hi
+	}
+	return min(max(l.unsnap(a.edges[i]), lo), hi)
+}
 
 // ForEachCell calls fn with the flat index and rectangle of every cell in
 // cr. fn returning false stops the iteration early.

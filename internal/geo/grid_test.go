@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -224,17 +225,35 @@ func colRow(g *Grid, p Point) (col, row int) {
 	return idx % g.Cols, idx / g.Cols
 }
 
-// refIndex is the locate written as a plain truncated division, clamped;
-// CellOf must agree with it.
-func refIndex(v, min, step float64, n int) int {
-	q := (v - min) / step
+// refIndex locates v on axis a of a grid of cells by exact big-number
+// arithmetic: its lattice column ⌊v·scale⌋ − lo, clamped onto the
+// lattice, then ⌊column·cells/n⌋. CellOf must agree with it.
+func refIndex(v float64, a *latAxis, cells int) int {
+	n := big.NewInt(int64(a.n))
+	var col *big.Int
 	switch {
-	case q < 0:
-		return 0
-	case q >= float64(n):
-		return n - 1
+	case math.IsNaN(v) || math.IsInf(v, -1):
+		col = big.NewInt(0)
+	case math.IsInf(v, 1):
+		col = new(big.Int).Sub(n, big.NewInt(1))
+	default:
+		f := new(big.Float).SetPrec(4096).SetFloat64(v)
+		f.Mul(f, new(big.Float).SetFloat64(a.scale))
+		col, _ = f.Int(nil)
+		if f.Sign() < 0 && !f.IsInt() {
+			col.Sub(col, big.NewInt(1))
+		}
+		lo, _ := new(big.Float).SetFloat64(a.lo).Int(nil)
+		col.Sub(col, lo)
+		if col.Sign() < 0 {
+			col.SetInt64(0)
+		}
+		if col.Cmp(n) >= 0 {
+			col.Sub(n, big.NewInt(1))
+		}
 	}
-	return int(q)
+	col.Mul(col, big.NewInt(int64(cells)))
+	return int(col.Div(col, n).Int64())
 }
 
 // ulps moves v by k ulps (k < 0 moves down).
@@ -263,11 +282,9 @@ func nearEdges(edge func(int) float64, min, step float64, n int) []float64 {
 }
 
 // TestGridLocateIsExact: points within a few ulps of every cell edge
-// locate as the plain division does, land inside their own cell's
-// rectangle, and fall in the cell span of every range containing them.
-// Arithmetic edges min + i·step can sit an ulp off what the division
-// locates (64×64 on [-180,180]×[-90,90] and on [-10,10]×[-5,5], among
-// others); the derived edges cannot.
+// locate as exact arithmetic on their lattice columns does, land inside
+// their own cell's rectangle, and fall in the cell span of every range
+// containing them.
 func TestGridLocateIsExact(t *testing.T) {
 	type dims struct{ cols, rows int }
 	var grids []dims
@@ -292,9 +309,8 @@ func TestGridLocateIsExact(t *testing.T) {
 			for _, p := range pts {
 				x, y := p.X, p.Y
 				col, row := colRow(g, p)
-				if col != refIndex(x, w.MinX, cw, d.cols) || row != refIndex(y, w.MinY, ch, d.rows) {
-					t.Fatalf("%v %dx%d: %v at (%d,%d), division says (%d,%d)", w, d.cols, d.rows, p,
-						col, row, refIndex(x, w.MinX, cw, d.cols), refIndex(y, w.MinY, ch, d.rows))
+				if rc, rr := refIndex(x, &g.lat.x, d.cols), refIndex(y, &g.lat.y, d.rows); col != rc || row != rr {
+					t.Fatalf("%v %dx%d: %v at (%d,%d), the lattice says (%d,%d)", w, d.cols, d.rows, p, col, row, rc, rr)
 				}
 				if !w.Contains(p) {
 					continue
@@ -358,8 +374,8 @@ func TestGridLocateNonFinite(t *testing.T) {
 	}
 }
 
-// TestGridEdgesTileTheWorld: the derived edges start and end on the world,
-// increase strictly, and sit within an ulp or two of min + i·step.
+// TestGridEdgesTileTheWorld: the edges start and end on the world,
+// increase strictly, and sit within one lattice step of min + i·step.
 func TestGridEdgesTileTheWorld(t *testing.T) {
 	for _, w := range exactnessWorlds {
 		g := NewSquareGrid(w, 4096)
@@ -372,7 +388,7 @@ func TestGridEdgesTileTheWorld(t *testing.T) {
 			if e <= g.ColEdge(i-1) {
 				t.Fatalf("%v: edge %d = %v not above edge %d = %v", w, i, e, i-1, g.ColEdge(i-1))
 			}
-			if approx := w.MinX + float64(i)*cw; math.Abs(e-approx) > 1e-12*w.Width() {
+			if approx := w.MinX + float64(i)*cw; math.Abs(e-approx) > g.lat.step()+1e-12*w.Width() {
 				t.Fatalf("%v: edge %d = %v, arithmetic %v", w, i, e, approx)
 			}
 		}
@@ -436,6 +452,23 @@ func BenchmarkCellOf(b *testing.B) {
 	s := 0
 	for i := 0; i < b.N; i++ {
 		s += g.CellOf(pts[i&1023])
+	}
+	sink = s
+}
+
+// BenchmarkCellOfL locates lattice points, as the window and RSH locate
+// what they store: integer arithmetic only.
+func BenchmarkCellOfL(b *testing.B) {
+	g := NewSquareGrid(UnitSquare, 4096)
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]LPoint, 1024)
+	for i := range pts {
+		pts[i] = g.Lattice().Snap(Pt(rng.Float64(), rng.Float64()))
+	}
+	b.ResetTimer()
+	s := 0
+	for i := 0; i < b.N; i++ {
+		s += g.CellOfL(pts[i&1023])
 	}
 	sink = s
 }

@@ -21,9 +21,9 @@ func TestTwitterWindowFootprint(t *testing.T) {
 		gen   func(seed int64, rate float64) *datagen.Generator
 		bound float64 // bytes per live object with dense IDs
 	}{
-		{"Twitter", datagen.Twitter, 47.0}, // reads 43.8
-		{"eBird", datagen.EBird, 40.0},     // reads 37.1
-		{"CheckIn", datagen.CheckIn, 43.0}, // reads 40.0
+		{"Twitter", datagen.Twitter, 37.0}, // reads 35.8; 43.8 before lattice points
+		{"eBird", datagen.EBird, 32.0},     // reads 29.1; 37.1 before
+		{"CheckIn", datagen.CheckIn, 35.0}, // reads 31.9; 40.0 before
 	} {
 		t.Run(preset.name, func(t *testing.T) {
 			footprint := func(name string, id func(o *stream.Object) uint64) float64 {

@@ -11,7 +11,7 @@ import (
 	"github.com/spatiotext/latest/internal/intern"
 )
 
-// The object arena is a FIFO of fixed-size chunks. 512 objects (14 KB) keep
+// The object arena is a FIFO of fixed-size chunks. 512 objects (10 KB) keep
 // the partly used head and tail chunks plus the spare under 2 % of a
 // 60 000-object shard while a small window still costs one chunk.
 const (
@@ -25,10 +25,11 @@ const (
 
 // rec is the fixed part of a live object. It holds no pointer: the window
 // keeps an object's keywords as dictionary IDs beside it, so nothing the
-// producer allocated stays reachable through the arena. Timestamp and ID
-// are 32-bit offsets from the bases of the object's chunk.
+// producer allocated stays reachable through the arena. The location is
+// the object's point on the world's lattice; timestamp and ID are 32-bit
+// offsets from the bases of the object's chunk.
 type rec struct {
-	loc geo.Point
+	loc geo.LPoint
 	dt  uint32 // Timestamp - chunk.t0
 	did uint32 // ID - chunk.id0, modulo 2⁶⁴
 }
@@ -36,7 +37,7 @@ type rec struct {
 // block is the storage of chunkSize consecutive arena slots: the records,
 // and for each slot the byte where its keyword IDs end in the chunk's ID
 // store (they start where the previous slot's end). It is pointer-free, so
-// the collector never scans it, and exactly fills a 14 KB size class.
+// the collector never scans it, and exactly fills a 10 KB size class.
 type block struct {
 	recs [chunkSize]rec
 	end  [chunkSize]uint32
@@ -47,7 +48,7 @@ type block struct {
 // record: a timestamp 2³² ms or more after slot 0's, or an ID that is not
 // within 2³² above slot 0's. Timestamps and IDs each get their own, so a
 // chunk of arbitrary 64-bit IDs costs 4 bytes per object more, and its
-// records plus the column (28 bytes) stay under a full-width record (32).
+// records plus the column (20 bytes) stay under a full-width record (24).
 type highColumn [chunkSize]uint32
 
 // chunk is a block and the keyword IDs of its objects, in arrival order
@@ -110,17 +111,17 @@ func widen(low uint32, high *highColumn, i int) uint64 {
 	return uint64(high[i])<<32 | uint64(low)
 }
 
-// put stores the fixed part of o in slot i, after slots 0 to i-1, and
-// returns how many high columns the chunk had to allocate for it.
-// o.Timestamp is at least slot 0's.
-func (c *chunk) put(i int, o *Object) (added int) {
+// put stores the fixed part of o, located at lattice point loc, in slot
+// i, after slots 0 to i-1, and returns how many high columns the chunk had
+// to allocate for it. o.Timestamp is at least slot 0's.
+func (c *chunk) put(i int, o *Object, loc geo.LPoint) (added int) {
 	if i == 0 {
 		c.t0, c.id0 = o.Timestamp, o.ID
 	}
 	dt, did := uint64(o.Timestamp)-uint64(c.t0), o.ID-c.id0
 	added += setHigh(&c.tsHigh, i, dt)
 	added += setHigh(&c.idHigh, i, did)
-	c.recs[i] = rec{o.Loc, uint32(dt), uint32(did)}
+	c.recs[i] = rec{loc, uint32(dt), uint32(did)}
 	return added
 }
 
@@ -145,8 +146,9 @@ func setHigh(high **highColumn, i int, off uint64) (added int) {
 // processor whose system logs reveal true selectivity. Count answers RC-DVQ
 // exactly and is used to score every estimator.
 //
-// The window owns every byte it keeps. An object is a pointer-free record
-// plus its keywords as IDs from the window's own dictionary, which holds
+// The window owns every byte it keeps. An object is a pointer-free record,
+// its location snapped onto the world's lattice (geo.Lattice), plus its
+// keywords as IDs from the window's own dictionary, which holds
 // each live word once; Insert copies what it needs and retains neither the
 // Object nor its keyword slice, and Each hands out a scratch copy. A word
 // lives while some live object carries it — its posting ring's length is
@@ -166,6 +168,7 @@ type Window struct {
 	world geo.Rect
 	span  int64 // T, in virtual ms
 	grid  *geo.Grid
+	lat   *geo.Lattice // the grid's
 
 	// Object arena. chunks[0] holds the oldest live object and origin is
 	// the sequence number of its slot 0, so sequence number seq lives at
@@ -194,10 +197,6 @@ type Window struct {
 	kwBytes   int // total capacity of the chunks' ID stores, the spare's included
 	wordBytes int // total length of the live words
 
-	// outside is how many live objects lie beyond the world (see
-	// beyond).
-	outside int
-
 	qids  []uint32         // scratch of Count and append: keywords as IDs
 	seen  []uint64         // countKeyword's scratch bitmap, all zero between calls
 	batch [refBatch]uint32 // a scan's decoded refs; a local would be zeroed on every call
@@ -218,6 +217,7 @@ func NewWindow(world geo.Rect, span int64, gridCells int) *Window {
 		world: world,
 		span:  span,
 		grid:  g,
+		lat:   g.Lattice(),
 		cells: make([]ring, g.NumCells()),
 	}
 }
@@ -288,14 +288,14 @@ func (w *Window) Insert(o Object) {
 			panic(fmt.Sprintf("stream: out-of-order insert (%d after %d)", o.Timestamp, last))
 		}
 	}
-	w.append(&o)
+	w.append(&o, w.lat.Snap(o.Loc))
 	w.inserted++
 	w.EvictBefore(o.Timestamp - w.span)
 }
 
-// append stores o at the arena tail under the next sequence number and
-// indexes it by cell and keyword.
-func (w *Window) append(o *Object) {
+// append stores o, located at lattice point loc, at the arena tail under
+// the next sequence number and indexes it by cell and keyword.
+func (w *Window) append(o *Object, loc geo.LPoint) {
 	off := int(w.base-w.origin) + w.n
 	if off == len(w.chunks)<<chunkShift {
 		c := w.spare
@@ -306,14 +306,11 @@ func (w *Window) append(o *Object) {
 		w.chunks = append(w.chunks, c)
 	}
 	c, slot := &w.chunks[off>>chunkShift], off&chunkMask
-	w.highs += c.put(slot, o)
+	w.highs += c.put(slot, o, loc)
 	ref := uint32(w.base) + uint32(w.n)
 	w.n++
 
-	w.cells[w.grid.CellOf(o.Loc)].pushBack(ref, &w.slots, !w.evicting)
-	if w.beyond(o.Loc) {
-		w.outside++
-	}
+	w.cells[w.grid.CellOfL(loc)].pushBack(ref, &w.slots, !w.evicting)
 	ids, start, had := w.qids[:0], len(c.kws), cap(c.kws)
 	for _, kw := range o.Keywords {
 		id := w.intern(kw)
@@ -363,15 +360,11 @@ func (w *Window) EvictBefore(cutoff int64) {
 		}
 		ref := uint32(w.base)
 
-		loc := c.recs[off].loc
-		cq := &w.cells[w.grid.CellOf(loc)]
+		cq := &w.cells[w.grid.CellOfL(c.recs[off].loc)]
 		if cq.len() == 0 || cq.front != ref {
 			panic("stream: cell queue invariant violated")
 		}
 		cq.popFront(&w.slots)
-		if w.beyond(loc) {
-			w.outside--
-		}
 
 		var scratch [16]uint32
 		ids := appendIDs(scratch[:0], c.ids(off))
@@ -451,14 +444,18 @@ func (w *Window) Answer(q *Query) int {
 
 // Count answers the RC-DVQ exactly over the current window contents. The
 // caller is responsible for having evicted up to q.Timestamp - T first
-// (Answer does both steps). A keyword predicate is resolved to dictionary
-// IDs once; from there on the count compares integers.
+// (Answer does both steps). The range is snapped onto the world's lattice
+// as the objects were, so an object counts where it is stored: clamped
+// onto the world's edge if it lies beyond it. A keyword predicate is
+// resolved to dictionary IDs once; from there on the count compares
+// integers.
 func (w *Window) Count(q *Query) int {
 	if !q.Valid() {
 		return 0
 	}
+	r := w.lat.SnapRect(q.Range)
 	if len(q.Keywords) == 0 {
-		return w.countSpatial(q.Range, nil)
+		return w.countSpatial(r, nil)
 	}
 	ids := w.resolve(q.Keywords)
 	switch {
@@ -467,7 +464,7 @@ func (w *Window) Count(q *Query) int {
 	case !q.HasRange:
 		return w.countKeyword(ids, nil)
 	default:
-		return w.countHybrid(q.Range, ids)
+		return w.countHybrid(r, ids)
 	}
 }
 
@@ -486,42 +483,25 @@ func (w *Window) resolve(kws []string) []uint32 {
 }
 
 // countSpatial counts window objects inside r that also carry one of the
-// words ids (nil ids means no keyword predicate). Interior cells are
-// counted without touching objects when there is no keyword predicate. A
-// boundary cell counts whole only while no live object lies beyond the
-// world: CellOf clamps such an object into the cell, whose rectangle does
-// not hold it.
-func (w *Window) countSpatial(r geo.Rect, ids []uint32) int {
-	cr := w.grid.CellsOverlapping(r)
+// words ids (nil ids means no keyword predicate). Cells r holds whole are
+// counted without touching objects when there is no keyword predicate.
+func (w *Window) countSpatial(r geo.LRect, ids []uint32) int {
+	cr, in, cols := w.grid.SpanL(r), w.grid.WithinL(r), w.grid.Cols
 	total := 0
-	w.grid.ForEachCell(cr, func(idx int, cell geo.Rect) bool {
-		cq := &w.cells[idx]
-		if cq.len() == 0 {
-			return true
+	for row := cr.RowMin; row <= cr.RowMax; row++ {
+		rowIn := ids == nil && row >= in.RowMin && row <= in.RowMax
+		for col := cr.ColMin; col <= cr.ColMax; col++ {
+			cq := &w.cells[row*cols+col]
+			switch {
+			case cq.len() == 0:
+			case rowIn && col >= in.ColMin && col <= in.ColMax:
+				total += cq.len()
+			default:
+				total += w.countRefs(cq, r, ids)
+			}
 		}
-		if ids == nil && r.ContainsRect(cell) && (w.outside == 0 || !w.onBoundary(idx)) {
-			total += cq.len()
-			return true
-		}
-		total += w.countRefs(cq, r, ids)
-		return true
-	})
+	}
 	return total
-}
-
-// beyond reports whether p lies outside the world's closed rectangle. A
-// point on the world's max edge is outside the half-open world too, but
-// it counts with its cell, as it always has (the full-world count of an
-// engine includes it).
-func (w *Window) beyond(p geo.Point) bool {
-	r := w.world
-	return !(p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY)
-}
-
-// onBoundary reports whether cell idx lies on the edge of the grid.
-func (w *Window) onBoundary(idx int) bool {
-	col, row := idx%w.grid.Cols, idx/w.grid.Cols
-	return col == 0 || row == 0 || col == w.grid.Cols-1 || row == w.grid.Rows-1
 }
 
 // countRefs counts the objects of q inside r that carry one of the words
@@ -529,7 +509,7 @@ func (w *Window) onBoundary(idx int) bool {
 // refs is read in batches (see scan). A shorter one, as a cell's ring
 // mostly is, is read by a cursor in the loop that tests its refs: for a
 // few dozen refs the batch's setup costs more than it saves.
-func (w *Window) countRefs(q *ring, r geo.Rect, ids []uint32) int {
+func (w *Window) countRefs(q *ring, r geo.LRect, ids []uint32) int {
 	a, n := w.view(), 0
 	switch {
 	case q.n > shortRing:
@@ -566,7 +546,7 @@ const shortRing = 64
 // window, which costs less than decoding the postings again to clear
 // only the words they touched unless they are fewer than one ref per 64
 // live objects. Nothing is allocated once the bitmap covers the window.
-func (w *Window) countKeyword(ids []uint32, r *geo.Rect) int {
+func (w *Window) countKeyword(ids []uint32, r *geo.LRect) int {
 	if len(ids) == 1 { // one queue holds no duplicates
 		q := &w.postings[ids[0]]
 		if r == nil {
@@ -593,7 +573,7 @@ func (w *Window) countKeyword(ids []uint32, r *geo.Rect) int {
 // words' rings once, so a batch's setup is paid per word, not per cell.
 // It is countKeyword's inner loop, a function of its own so that its
 // variables stay in registers.
-func (a arenaView) mark(q *ring, seen []uint64, base uint32, r *geo.Rect, refs *[refBatch]uint32) int {
+func (a arenaView) mark(q *ring, seen []uint64, base uint32, r *geo.LRect, refs *[refBatch]uint32) int {
 	n := 0
 	for s := q.scan(); s.left > 0; {
 		for _, ref := range s.batch(refs) {
@@ -613,17 +593,18 @@ func (a arenaView) mark(q *ring, seen []uint64, base uint32, r *geo.Rect, refs *
 
 // countHybrid picks the cheaper side to drive the scan: keyword postings
 // when they are collectively shorter than the spatial candidate set.
-func (w *Window) countHybrid(r geo.Rect, ids []uint32) int {
+func (w *Window) countHybrid(r geo.LRect, ids []uint32) int {
 	postingsLen := 0
 	for _, id := range ids {
 		postingsLen += w.postings[id].len()
 	}
-	cr := w.grid.CellsOverlapping(r)
+	cr, cols := w.grid.SpanL(r), w.grid.Cols
 	spatialLen := 0
-	w.grid.ForEachCell(cr, func(idx int, _ geo.Rect) bool {
-		spatialLen += w.cells[idx].len()
-		return true
-	})
+	for row := cr.RowMin; row <= cr.RowMax; row++ {
+		for _, cq := range w.cells[row*cols+cr.ColMin : row*cols+cr.ColMax+1] {
+			spatialLen += cq.len()
+		}
+	}
 	if postingsLen <= spatialLen {
 		return w.countKeyword(ids, &r)
 	}
@@ -646,12 +627,14 @@ func (w *Window) Each(fn func(o *Object) bool) {
 }
 
 // At fills o with the i-th live object in arrival order (0 is the oldest),
-// in O(1): the arena is indexed, not walked. o.Keywords' array is reused,
+// in O(1): the arena is indexed, not walked. Its location is its lattice
+// point (geo.Lattice.Unsnap), not the float it was inserted at, which the
+// window does not keep. o.Keywords' array is reused,
 // so o is the caller's scratch and must be copied to be kept. At panics
 // unless 0 <= i < Size().
 func (w *Window) At(i int, o *Object) {
 	c, slot := w.slot(i)
-	o.ID, o.Loc, o.Timestamp = c.id(slot), c.recs[slot].loc, c.ts(slot)
+	o.ID, o.Loc, o.Timestamp = c.id(slot), w.lat.Unsnap(c.recs[slot].loc), c.ts(slot)
 	o.Keywords = o.Keywords[:0]
 	var scratch [16]uint32
 	for _, id := range appendIDs(scratch[:0], c.ids(slot)) {

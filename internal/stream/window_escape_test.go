@@ -93,7 +93,7 @@ func TestWindowEscapesMatchBruteForce(t *testing.T) {
 				HybridQ(inner, []string{"rare"}, ts),
 				HybridQ(geo.Rect{MaxX: 0.5, MaxY: 0.5}, []string{"rare", vocab[0]}, ts),
 			} {
-				if got, want := w.Count(&q), bruteCount(live, &q, ts-span); got != want {
+				if got, want := w.Count(&q), bruteCount(w.lat, live, &q, ts-span); got != want {
 					t.Fatalf("insert %d, %s, %v: window %d, brute force %d", i, when, q, got, want)
 				}
 			}

@@ -47,7 +47,7 @@ var highCases = []highCase{
 			return uint64(i), 120*day + int64(i)
 		},
 		highs: map[int]int{299: 0, 300: 1, 899: 1, 900: 1, 1023: 1, 1999: 1},
-		image: "00e8381544d02b52f5a5a13f39d263bf64c8bb6b33cbcdd5d26b1a03e4312f19",
+		image: "6482c2065de05a2087766ad9f4cb8515e0634a022556750076b879a5ce827f1c",
 	},
 	{
 		// The same timestamps with 64-bit random IDs: from slot 1 every
@@ -66,7 +66,7 @@ var highCases = []highCase{
 			return rng.Uint64(), 120*day + int64(i)
 		},
 		highs: map[int]int{0: 0, 1: 1, 299: 1, 300: 2, 512: 2, 513: 3, 900: 2, 1999: 4},
-		image: "e24ddc38f38c401ec139e34b4246fa0d0cc6ab6ee676981d8f27ff0587b301a5",
+		image: "17a659615af4b90d2cc7179e99599742d57b91397771d17079f099ec55ebab51",
 	},
 	{
 		name:  "decreasing IDs",
@@ -74,14 +74,14 @@ var highCases = []highCase{
 		n:     3000,
 		next:  func(_ *rand.Rand, i int) (uint64, int64) { return 1<<40 - uint64(i), int64(i / 2) },
 		highs: map[int]int{0: 0, 1: 1, 511: 1, 512: 1, 513: 2},
-		image: "01574847e7a6d5135c6277b931e6e2e260500ea2ed7dcccb340a7f66a6be3cfd",
+		image: "46c9ee067b365c22d8b74a300dc315f39ce21451c61d2c4f8802122ac6c0c5e1",
 	},
 	{
 		name:  "64-bit random IDs",
 		span:  500,
 		n:     3000,
 		next:  func(rng *rand.Rand, i int) (uint64, int64) { return rng.Uint64(), int64(i / 2) },
-		image: "535a28d1f7e03cf14ead82354ba6256a5ba2d09e3dc602c4570539e3a0da2ade",
+		image: "a5a9ed4042e4ac1f29312b2230a763321d99a9c8859e87ca2dd012dbd99024c3",
 	},
 	{
 		// Chunk 0 has an ID high column; every chunk after it, the recycled one
@@ -96,7 +96,7 @@ var highCases = []highCase{
 			return uint64(i), int64(i / 2)
 		},
 		highs: map[int]int{511: 1, 512: 1, 1510: 1, 1514: 0, 2999: 0},
-		image: "7c0c919272ba3921a18f8bc1e0b58f44d5537ffb3aa7add4a00f8c3e445c55f1",
+		image: "3213994cba8d0a617f18920d30a4b4432889f5266721a023cbb477b148971c68",
 	},
 }
 
@@ -129,7 +129,7 @@ func TestWindowHighColumns(t *testing.T) {
 			for i, o := range tc.objects() {
 				w.Insert(o)
 				oracle.Insert(&o)
-				live = append(live, o)
+				live = append(live, onLattice(geo.UnitSquare, o))
 				live = live[len(live)-oracle.Size():]
 
 				if want, ok := tc.highs[i]; ok && w.HighColumns() != want {
@@ -182,29 +182,42 @@ func TestWindowHighColumns(t *testing.T) {
 // Whatever they are, it either restores the window that re-inserting the
 // image's objects after its base builds — same contents, same answers, same
 // image, and the same window after one more insert — or fails with a typed
-// persist error; it does not panic. The seeds are windows of 24 objects
-// from each high case, taken where its IDs or timestamps stop fitting:
-// small, so that the fuzzer minimizes fast.
+// persist error; it does not panic. float reads the bytes as an image of
+// the format whose locations were float64s (LoadFloatState). The seeds
+// are windows of 24 objects from each high case, taken where its IDs or
+// timestamps stop fitting, in both formats: small, so that the fuzzer
+// minimizes fast.
 func FuzzWindowLoadState(f *testing.F) {
 	for _, tc := range highCases {
 		objs := tc.objects()
 		for _, from := range []int{0, 290, 500, 890} {
 			w := stream.NewWindow(geo.UnitSquare, tc.span, 64)
+			var legacy persist.Enc
+			legacy.U64(0)
+			legacy.U64(24)
+			legacy.U64(0)
+			legacy.U32(24)
 			for _, o := range objs[from : from+24] {
 				w.Insert(o)
+				stream.EncodeObject(&legacy, &o)
 			}
 			var e persist.Enc
 			w.SaveState(&e)
-			f.Add(e.Data(), tc.span > 500)
+			f.Add(e.Data(), tc.span > 500, false)
+			f.Add(legacy.Data(), tc.span > 500, true)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, long bool) {
+	f.Fuzz(func(t *testing.T, data []byte, long, float bool) {
 		span := int64(500)
 		if long {
 			span = 60 * day
 		}
 		w := stream.NewWindow(geo.UnitSquare, span, 64)
-		if err := w.LoadState(persist.NewDec(data)); err != nil {
+		load := w.LoadState
+		if float {
+			load = w.LoadFloatState
+		}
+		if err := load(persist.NewDec(data)); err != nil {
 			if persist.CodeOf(err) == 0 {
 				t.Fatalf("LoadState error is not a typed persist error: %v", err)
 			}
@@ -213,8 +226,16 @@ func FuzzWindowLoadState(f *testing.F) {
 		d := persist.NewDec(data)
 		base, inserted, evicted, count := d.U64(), d.U64(), d.U64(), int(d.U32())
 		ref := emptyWindowAt(t, span, base)
+		lat := geo.NewLattice(geo.UnitSquare)
 		for i := 0; i < count; i++ {
-			ref.Insert(stream.DecodeObject(d))
+			if float {
+				ref.Insert(stream.DecodeObject(d))
+				continue
+			}
+			o := stream.Object{ID: d.U64()}
+			o.Loc = lat.Unsnap(geo.LPoint{X: d.U32(), Y: d.U32()})
+			o.Timestamp, o.Keywords = d.I64(), d.Strs()
+			ref.Insert(o)
 		}
 		same := func(stage string) {
 			t.Helper()
@@ -252,23 +273,37 @@ func FuzzWindowLoadState(f *testing.F) {
 
 // TestWindowLoadStateRefusesEvictedPair: Insert never leaves two objects
 // more than the span apart in a window, so an image that holds them is
-// malformed; at exactly the span apart both stay.
+// malformed, in either format; at exactly the span apart both stay.
 func TestWindowLoadStateRefusesEvictedPair(t *testing.T) {
 	for _, tc := range []struct {
 		last int64
 		code persist.ErrorCode
 	}{{500, 0}, {501, persist.CodeMalformed}} {
-		var e persist.Enc
-		e.U64(0) // base
-		e.U64(2) // inserted
-		e.U64(0) // evicted
-		e.U32(2) // live objects
-		for _, ts := range []int64{0, tc.last} {
-			stream.EncodeObject(&e, &stream.Object{Loc: geo.Pt(0.5, 0.5), Timestamp: ts})
-		}
-		w := stream.NewWindow(geo.UnitSquare, 500, 64)
-		if err := w.LoadState(persist.NewDec(e.Data())); persist.CodeOf(err) != tc.code {
-			t.Errorf("objects at 0 and %d in a 500 ms window: LoadState = %v, want code %v", tc.last, err, tc.code)
+		for _, float := range []bool{false, true} {
+			var e persist.Enc
+			e.U64(0) // base
+			e.U64(2) // inserted
+			e.U64(0) // evicted
+			e.U32(2) // live objects
+			for _, ts := range []int64{0, tc.last} {
+				if float {
+					stream.EncodeObject(&e, &stream.Object{Loc: geo.Pt(0.5, 0.5), Timestamp: ts})
+					continue
+				}
+				e.U64(0)
+				e.U32(1 << 31)
+				e.U32(1 << 31)
+				e.I64(ts)
+				e.Strs(nil)
+			}
+			w := stream.NewWindow(geo.UnitSquare, 500, 64)
+			load := w.LoadState
+			if float {
+				load = w.LoadFloatState
+			}
+			if err := load(persist.NewDec(e.Data())); persist.CodeOf(err) != tc.code {
+				t.Errorf("objects at 0 and %d in a 500 ms window (float image %v): load = %v, want code %v", tc.last, float, err, tc.code)
+			}
 		}
 	}
 }

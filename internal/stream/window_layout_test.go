@@ -62,11 +62,11 @@ func TestArenaRecordHasNoPointers(t *testing.T) {
 	walk("rec", reflect.TypeOf(rec{}))
 	walk("block", reflect.TypeOf(block{}))
 	walk("highColumn", reflect.TypeOf(highColumn{}))
-	if size := unsafe.Sizeof(rec{}); size > 24 {
-		t.Errorf("an arena record takes %d bytes, want at most 24", size)
+	if size := unsafe.Sizeof(rec{}); size > 16 {
+		t.Errorf("an arena record takes %d bytes, want at most 16", size)
 	}
-	if blockBytes != 14<<10 {
-		t.Errorf("a block takes %d bytes, want the 14 KB size class", blockBytes)
+	if blockBytes != 10<<10 {
+		t.Errorf("a block takes %d bytes, want the 10 KB size class", blockBytes)
 	}
 }
 
@@ -130,12 +130,13 @@ func recount(t *testing.T, w *Window) (live liveContents) {
 }
 
 // TestWindowFootprintTracksLiveSize: after twenty turnovers at a steady
-// 60 000 live objects the window costs at most 1.3 times the encoded
-// bytes its live contents need — a record and its end offset per object,
-// the uvarint of every keyword occurrence's ID, and 2 bytes for every ring
-// slot in use, cell and posting rings alike — plus the fixed cell
-// headers, dictionary included, and a steady-state Insert allocates
-// nothing.
+// 60 000 live objects the window costs at most 1.2 times the encoded
+// bytes its live contents need — a record and its end offset per object
+// (20 bytes), the uvarint of every keyword occurrence's ID, and 2 bytes
+// for every ring slot in use, cell and posting rings alike — plus the
+// fixed cell headers and the dictionary (its words, its index and a ring
+// header per ID), which cost per word, not per object; and a steady-state
+// Insert allocates nothing.
 func TestWindowFootprintTracksLiveSize(t *testing.T) {
 	const live, cells = 60_000, 4096
 	w := NewWindow(geo.UnitSquare, live/2, cells)
@@ -149,9 +150,12 @@ func TestWindowFootprintTracksLiveSize(t *testing.T) {
 	}
 	held := recount(t, w)
 	need := w.Size()*blockBytes/chunkSize + held.idBytes + 2*held.gapSlots
-	fixed := ringHeaderBytes * cells
-	if got, limit := w.MemoryBytes(), need*13/10+fixed; got > limit {
-		t.Errorf("MemoryBytes = %d for %d objects, %d ID bytes and %d ring slots in use: over 1.3 × %d + %d = %d",
+	if perObject := blockBytes / chunkSize; perObject != 20 {
+		t.Errorf("a record and its end offset take %d bytes, want 20", perObject)
+	}
+	fixed := ringHeaderBytes*cells + w.dict.MemoryBytes() + w.wordBytes + ringHeaderBytes*cap(w.postings)
+	if got, limit := w.MemoryBytes(), need*12/10+fixed; got > limit {
+		t.Errorf("MemoryBytes = %d for %d objects, %d ID bytes and %d ring slots in use: over 1.2 × %d + %d = %d",
 			got, w.Size(), held.idBytes, held.gapSlots, need, fixed, limit)
 	}
 	t.Logf("%d objects, %.2f keywords each in %.2f bytes, %d words, %.2f ring slots each: %d bytes, %.1f per object (floor %.1f, %.3f ×)",

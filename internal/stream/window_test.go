@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,14 +11,17 @@ import (
 
 // bruteCount is the trivially correct reference implementation of RC-DVQ
 // against a plain object slice.
-func bruteCount(objs []Object, q *Query, cutoff int64) int {
-	n := 0
+// bruteCount counts the objects of objs at or after cutoff that q matches
+// on lat: each location and the range are snapped as the window snaps
+// them.
+func bruteCount(lat *geo.Lattice, objs []Object, q *Query, cutoff int64) int {
+	n, r := 0, lat.SnapRect(q.Range)
 	for i := range objs {
 		o := &objs[i]
 		if o.Timestamp < cutoff {
 			continue
 		}
-		if q.Matches(o) {
+		if (!q.HasRange || r.Contains(lat.Snap(o.Loc))) && (len(q.Keywords) == 0 || o.MatchesAny(q.Keywords)) {
 			n++
 		}
 	}
@@ -85,7 +89,7 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 		if i%50 == 0 {
 			q := randomQuery(rng, ts, vocab)
 			got := w.Answer(&q)
-			want := bruteCount(all, &q, ts-span)
+			want := bruteCount(w.lat, all, &q, ts-span)
 			if got != want {
 				t.Fatalf("at insert %d, %v: got %d, want %d", i, q, got, want)
 			}
@@ -93,13 +97,14 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestWindowOutOfWorldMatchesBruteForce: objects beyond the world, which
-// CellOf clamps into boundary cells, count where they lie. A fifth of the
-// stream lies outside the unit-square world — on its max edges, beyond
-// them, beyond the corners — and the spatial ranges overlap the world and
-// reach past its edges, so that they cover boundary cells whole. Every count is compared with a
-// scan, through eviction, including the stretches in which no
-// out-of-world object is live.
+// TestWindowOutOfWorldMatchesBruteForce: objects beyond the world are
+// stored where they clamp, on its edge columns, and ranges are clamped by
+// the same rule. A fifth of the stream lies outside the unit-square world
+// — on its max edges, beyond them, beyond the corners — and the spatial
+// ranges reach past its edges or miss it altogether. Every count is
+// compared with a brute force over the snapped locations and ranges,
+// through eviction, including the stretches in which no out-of-world
+// object is live.
 func TestWindowOutOfWorldMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	vocab := vocabN(6)
@@ -129,33 +134,99 @@ func TestWindowOutOfWorldMatchesBruteForce(t *testing.T) {
 		if i%7 != 0 {
 			continue
 		}
-		// A range that misses the world misses what lies outside it too;
-		// that rule is not this test's.
-		var r geo.Rect
-		for r.MinX >= 1 || r.MaxX <= 0 || r.MinY >= 1 || r.MaxY <= 0 {
-			r = geo.Rect{MinX: coord() - 0.5, MinY: coord() - 0.5}
-			r.MaxX, r.MaxY = r.MinX+0.2+rng.Float64()*3, r.MinY+0.2+rng.Float64()*3
-		}
+		r := geo.Rect{MinX: coord() - 0.5, MinY: coord() - 0.5}
+		r.MaxX, r.MaxY = r.MinX+0.2+rng.Float64()*3, r.MinY+0.2+rng.Float64()*3
 		kws := []string{vocab[rng.Intn(len(vocab))]}
 		for _, q := range []Query{SpatialQ(r, ts), HybridQ(r, kws, ts), SpatialQ(geo.Rect{MinX: -5, MinY: -5, MaxX: 5, MaxY: 5}, ts)} {
-			if got, want := w.Answer(&q), bruteCount(all, &q, ts-span); got != want {
-				t.Fatalf("at insert %d, %v: got %d, want %d (%d live objects outside the world)", i, q, got, want, w.outside)
+			if got, want := w.Answer(&q), bruteCount(w.lat, all, &q, ts-span); got != want {
+				t.Fatalf("at insert %d, %v: got %d, want %d", i, q, got, want)
 			}
 		}
 	}
 }
 
-// TestWindowCountsClampedObjectWhereItLies: an object at (5, 0.5) sits in
-// the cell of (0.95, 0.5), and a range that holds that cell whole does not
-// hold the object.
+// TestWindowCountsClampedObjectWhereItLies: an object at (5, 0.5) is
+// stored where it clamps, on the world's last lattice column at y = 0.5,
+// in the cell of (0.95, 0.5). A range that reaches past the world's max x
+// edge holds it there; one that stops short of the last column does not.
 func TestWindowCountsClampedObjectWhereItLies(t *testing.T) {
 	w := NewWindow(geo.UnitSquare, 100, 256) // the last column is [0.9375, 1)
 	w.Insert(Object{ID: 1, Loc: geo.Pt(5, 0.5), Keywords: []string{"a"}})
 	w.Insert(Object{ID: 2, Loc: geo.Pt(0.95, 0.5), Keywords: []string{"a"}})
-	r := geo.Rect{MinX: 0.9, MinY: 0, MaxX: 2, MaxY: 1}
-	for _, q := range []Query{SpatialQ(r, 0), HybridQ(r, []string{"a"}, 0)} {
-		if got := w.Count(&q); got != 1 {
-			t.Errorf("%v: counts %d, want 1", q, got)
+	for _, tc := range []struct {
+		r    geo.Rect
+		want int
+	}{
+		{geo.Rect{MinX: 0.9, MinY: 0, MaxX: 2, MaxY: 1}, 2},
+		{geo.Rect{MinX: 0.9, MinY: 0, MaxX: 0.99, MaxY: 1}, 1},
+		{geo.Rect{MinX: 3, MinY: 0.4, MaxX: 4, MaxY: 0.6}, 1}, // wholly outside, over the clamped object
+	} {
+		for _, q := range []Query{SpatialQ(tc.r, 0), HybridQ(tc.r, []string{"a"}, 0)} {
+			if got := w.Count(&q); got != tc.want {
+				t.Errorf("%v: counts %d, want %d", q, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestWindowCountsMatchLatticeAndFloat: on worlds whose edges are and are
+// not lattice lines, exact counts equal a brute force over the snapped
+// locations and range, always; and an object in the world more than one
+// lattice step from every range edge is counted exactly when the float
+// range holds it.
+// A third of the objects sit within a few steps, or a few ulps, of some
+// range edge.
+func TestWindowCountsMatchLatticeAndFloat(t *testing.T) {
+	for _, world := range []geo.Rect{
+		geo.UnitSquare,
+		{MinX: -125, MinY: 24, MaxX: -66, MaxY: 50},
+		{MinX: -74.3, MinY: 40.4, MaxX: -73.7, MaxY: 41.0},
+		{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1},
+	} {
+		rng := rand.New(rand.NewSource(46))
+		w := NewWindow(world, 1<<40, 256)
+		step := w.lat.Unsnap(geo.LPoint{X: 1}).X - w.lat.Unsnap(geo.LPoint{}).X
+		ranges := make([]geo.Rect, 8)
+		for i := range ranges {
+			c := geo.Pt(world.MinX+rng.Float64()*world.Width(), world.MinY+rng.Float64()*world.Height())
+			ranges[i] = geo.CenteredRect(c, rng.Float64()*world.Width()/2, rng.Float64()*world.Height()/2)
+		}
+		near := func(v float64) float64 {
+			switch rng.Intn(3) {
+			case 0:
+				return v + float64(rng.Intn(5)-2)*step
+			case 1:
+				return math.Nextafter(v, math.Inf(rng.Intn(2)*2-1))
+			}
+			return v + (rng.Float64()-0.5)*4*step
+		}
+		var all []Object
+		for i := 0; i < 3000; i++ {
+			p := geo.Pt(world.MinX+rng.Float64()*world.Width(), world.MinY+rng.Float64()*world.Height())
+			if i%3 == 0 {
+				r := ranges[rng.Intn(len(ranges))]
+				p.X = near([]float64{r.MinX, r.MaxX}[rng.Intn(2)])
+				p.Y = near([]float64{r.MinY, r.MaxY}[rng.Intn(2)])
+			}
+			o := Object{ID: uint64(i), Loc: p}
+			all = append(all, o)
+			w.Insert(o)
+		}
+		for _, r := range ranges {
+			q := SpatialQ(r, 0)
+			if got, want := w.Count(&q), bruteCount(w.lat, all, &q, 0); got != want {
+				t.Fatalf("%v, %v: counts %d, lattice brute force %d", world, r, got, want)
+			}
+			lr := w.lat.SnapRect(r)
+			for _, o := range all {
+				x, y := o.Loc.X, o.Loc.Y
+				if !world.Contains(o.Loc) || math.Abs(x-r.MinX) <= step || math.Abs(x-r.MaxX) <= step || math.Abs(y-r.MinY) <= step || math.Abs(y-r.MaxY) <= step {
+					continue
+				}
+				if lr.Contains(w.lat.Snap(o.Loc)) != r.Contains(o.Loc) {
+					t.Fatalf("%v, %v: %v is more than a step (%g) from every edge, yet the lattice and the float range disagree", world, r, o.Loc, step)
+				}
+			}
 		}
 	}
 }
@@ -243,11 +314,11 @@ func TestWindowHybridBothDirections(t *testing.T) {
 		w.Insert(o)
 	}
 	rare := HybridQ(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, []string{"rare"}, 5000)
-	if got, want := w.Answer(&rare), bruteCount(all, &rare, 0); got != want {
+	if got, want := w.Answer(&rare), bruteCount(w.lat, all, &rare, 0); got != want {
 		t.Errorf("rare hybrid: got %d want %d", got, want)
 	}
 	tiny := HybridQ(geo.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.45, MaxY: 0.45}, []string{"common"}, 5000)
-	if got, want := w.Answer(&tiny), bruteCount(all, &tiny, 0); got != want {
+	if got, want := w.Answer(&tiny), bruteCount(w.lat, all, &tiny, 0); got != want {
 		t.Errorf("tiny-range hybrid: got %d want %d", got, want)
 	}
 }
@@ -294,7 +365,7 @@ func TestWindowTurnoverKeepsAnswers(t *testing.T) {
 		if i%997 == 0 {
 			q := randomQuery(rng, ts, vocab)
 			got := w.Answer(&q)
-			want := bruteCount(all, &q, ts-span)
+			want := bruteCount(w.lat, all, &q, ts-span)
 			if got != want {
 				t.Fatalf("at %d: got %d, want %d for %v", i, got, want, q)
 			}
@@ -368,12 +439,12 @@ func TestCountKeywordUnionEqualsBruteForce(t *testing.T) {
 		}
 		live := all[len(all)-w.Size():]
 		kq := KeywordQ(kws, ts)
-		if got, want := w.Count(&kq), bruteCount(live, &kq, ts-span); got != want {
+		if got, want := w.Count(&kq), bruteCount(w.lat, live, &kq, ts-span); got != want {
 			t.Fatalf("at %d, %v: union %d, brute force %d", i, kq, got, want)
 		}
 		hq := HybridQ(randRect(rng), kws, ts)
-		want := bruteCount(live, &hq, ts-span)
-		if got := w.countKeyword(w.resolve(kws), &hq.Range); got != want {
+		want := bruteCount(w.lat, live, &hq, ts-span)
+		if got := w.countKeyword(w.resolve(kws), ptr(w.lat.SnapRect(hq.Range))); got != want {
 			t.Fatalf("at %d, %v: ranged union %d, brute force %d", i, hq, got, want)
 		}
 		if got := w.Count(&hq); got != want {
@@ -416,3 +487,5 @@ func BenchmarkWindowCountKeywordMulti(b *testing.B) {
 		_ = w.Count(&q)
 	}
 }
+
+func ptr[T any](v T) *T { return &v }

@@ -34,6 +34,14 @@ func emptyWindowAt(t *testing.T, span int64, base uint64) *stream.Window {
 // liveObjects copies the window's contents out of Each, whose argument,
 // keyword array included, is the window's scratch and valid only inside
 // the callback.
+// onLattice returns o as a window over world reads it back: its location
+// snapped onto the world's lattice.
+func onLattice(world geo.Rect, o stream.Object) stream.Object {
+	lat := geo.NewLattice(world)
+	o.Loc = lat.Unsnap(lat.Snap(o.Loc))
+	return o
+}
+
 func liveObjects(w *stream.Window) []stream.Object {
 	var out []stream.Object
 	w.Each(func(o *stream.Object) bool {
@@ -73,7 +81,7 @@ func TestWindowAcrossRefBoundary(t *testing.T) {
 		}
 		w.Insert(o)
 		oracle.Insert(&o)
-		live = append(live, o)
+		live = append(live, onLattice(geo.UnitSquare, o))
 		live = live[len(live)-oracle.Size():]
 
 		if w.Size() != len(live) || w.NextSeq() != base+uint64(i)+1 {
@@ -160,7 +168,7 @@ func TestWindowDictionaryRecycles(t *testing.T) {
 		}
 		w.Insert(o)
 		oracle.Insert(&o)
-		live = append(live, o)
+		live = append(live, onLattice(geo.UnitSquare, o))
 		live = live[len(live)-oracle.Size():]
 
 		// Recount the live words; one that was not live a step ago is a birth.

@@ -309,9 +309,8 @@ func (s *System) lock() *shard {
 //
 // The query is validated first: an inverted rectangle is repaired in place
 // (so the paired Execute sees the repaired query). A query validation
-// rejects, or whose range lies wholly outside the world, returns 0 and the
-// paired Execute/ObserveActual becomes a no-op rather than feeding the
-// model a truth value it never estimated.
+// rejects returns 0 and the paired Execute/ObserveActual becomes a no-op
+// rather than feeding the model a truth value it never estimated.
 func (s *System) Estimate(q *Query) float64 {
 	targets := s.route(q)
 	sh := s.lock()

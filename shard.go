@@ -72,6 +72,12 @@ type shard struct {
 	module *core.Module
 	window *stream.Window
 
+	// align is the engine's lattice when the shard's rectangle is only part
+	// of the engine's world: the shard's window snaps on its rectangle's
+	// lattice, which refines the engine's, so a range is aligned onto the
+	// engine's first (see answer). nil for a one-shard engine.
+	align *geo.Lattice
+
 	// lastTS is the shard's timestamp high-water mark; a regressed arrival
 	// is clamped to it instead of violating the window store's ordering
 	// invariant.
@@ -202,6 +208,9 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 		sh, err := newShard(shardCfg)
 		if err != nil {
 			return nil, err
+		}
+		if n > 1 {
+			sh.align = s.grid.Lattice()
 		}
 		s.shards[i] = sh
 	}
@@ -361,8 +370,10 @@ func (sh *shard) apply(objs []Object) {
 	sh.gauges.SetWindow(sh.window.Size(), sh.window.MemoryBytes())
 }
 
-// targets returns the shards a query must consult: every shard whose
-// rectangle intersects the range, or all shards for keyword-only queries.
+// targets returns the shards a query must consult: every shard holding a
+// point the range snaps to, or all shards for keyword-only queries. A
+// range beyond the world is clamped onto it, as objects are, so it
+// consults the boundary shards that store what lies beyond.
 // When the hit shards are consecutive — one row of the grid, or whole
 // rows — the range gets a sub-slice of s.shards, so the common point or
 // small-range query routes without allocating.
@@ -370,10 +381,7 @@ func (s *ShardedSystem) targets(q *Query) []*shard {
 	if !q.HasRange {
 		return s.shards
 	}
-	cr := s.grid.CellsOverlapping(q.Range)
-	if cr.Empty() {
-		return nil
-	}
+	cr := s.grid.Span(q.Range)
 	cols := s.grid.Cols
 	if cr.RowMin == cr.RowMax || cr.ColMin == 0 && cr.ColMax == cols-1 {
 		return s.shards[cr.RowMin*cols+cr.ColMin : cr.RowMax*cols+cr.ColMax+1]
@@ -389,7 +397,7 @@ func (s *ShardedSystem) targets(q *Query) []*shard {
 // query is validated — then returns the shards it must consult:
 // validation first, because a NaN or inverted rectangle would otherwise
 // silently match no shard. Empty when the query was rejected (counted in
-// shard 0's gauges) or its range lies wholly outside the world.
+// shard 0's gauges).
 func (s *ShardedSystem) route(q *Query) []*shard {
 	sh := s.shards[0]
 	if !checkQuery(q, &sh.gauges, sh.log) {
@@ -410,19 +418,31 @@ func (sh *shard) query(q *Query, tr *telemetry.ActiveTrace) (estimate float64, a
 	sh.module.SetTrace(tr)
 	defer sh.module.SetTrace(nil)
 	estimate = sh.module.Estimate(q)
-	actual = sh.window.Answer(q)
+	actual = sh.answer(q)
 	sh.module.Observe(float64(actual))
 	sh.gauges.RecordQuery(time.Since(start))
 	return estimate, actual
 }
 
+// answer evicts up to q's window boundary and counts q exactly, its range
+// aligned onto the engine's lattice when the shard holds part of the
+// world: every shard then counts the objects a one-shard engine would,
+// whatever lattice its own rectangle has.
+func (sh *shard) answer(q *Query) int {
+	if sh.align == nil || !q.HasRange {
+		return sh.window.Answer(q)
+	}
+	aq := *q
+	aq.Range = sh.align.Align(q.Range)
+	return sh.window.Answer(&aq)
+}
+
 // EstimateAndExecute answers the query approximately, then exactly, and
 // feeds each shard its own partial truth — one atomic estimate/observe
-// cycle per intersecting shard, fanned out in parallel. Estimates and
+// cycle per shard the range reaches, fanned out in parallel. Estimates and
 // exact counts are merged by summation, which is exact for the count
-// because shards hold disjoint objects. A range query that intersects no
-// shard (range outside the world) returns (0, 0) without consulting any
-// module.
+// because shards hold disjoint objects. A range beyond the world is
+// clamped onto it, as objects are.
 func (s *ShardedSystem) EstimateAndExecute(q *Query) (estimate float64, actual int) {
 	return s.EstimateAndExecuteTraced(q, nil)
 }

@@ -15,9 +15,14 @@ import (
 // container (internal/persist) whose sections are:
 //
 //	meta               engine kind, config fingerprint, generation
-//	[shard-N/]window   the exact window store, objects in arrival order
+//	[shard-N/]window2  the exact window store, objects in arrival order
 //	[shard-N/]module   lifecycle counters, brain, estimator summaries
 //	[shard-N/]engine   the stream clock high-water mark
+//
+// window2 stores each object's location as its lattice point. Images
+// written before the window stored lattice points carry a "window"
+// section instead, whose locations are float64s; it is still read, and
+// its locations are snapped at load.
 //
 // The layout follows the module count, not the constructor (see
 // snapshotLayout). Every section and the whole file are CRC guarded; the
@@ -44,6 +49,13 @@ func snapshotLayout(rows, cols int) (kind string, prefixes []string) {
 
 // metaSectionName is the section every snapshot must carry.
 const metaSectionName = "meta"
+
+// The window's section names: the current one, and the one images written
+// before lattice points carry.
+const (
+	windowSection      = "window2"
+	floatWindowSection = "window"
+)
 
 // configFingerprint encodes every configuration knob that shapes
 // serialized state. restoreImage compares fingerprints byte-for-byte: a
@@ -113,7 +125,7 @@ func readMeta(snap *persist.Snapshot) (kind string, fp []byte, gen uint64, err e
 // writeSections serializes one shard's state group into sw under prefix
 // (see snapshotLayout).
 func (sh *shard) writeSections(sw *persist.SnapshotWriter, prefix string) error {
-	_ = sw.EncodeSection(prefix+"window", func(e *persist.Enc) error {
+	_ = sw.EncodeSection(prefix+windowSection, func(e *persist.Enc) error {
 		sh.window.SaveState(e)
 		return nil
 	})
@@ -131,12 +143,16 @@ func (sh *shard) writeSections(sw *persist.SnapshotWriter, prefix string) error 
 // restored window through the refill path, which must see the full store.
 func (sh *shard) readSections(snap *persist.Snapshot, prefix string) error {
 	const op = "snapshot"
-	win, ok := snap.Section(prefix + "window")
+	load := sh.window.LoadState
+	win, ok := snap.Section(prefix + windowSection)
 	if !ok {
-		return persist.Errf(persist.CodeMalformed, op, "section %q missing", prefix+"window")
+		load = sh.window.LoadFloatState
+		if win, ok = snap.Section(prefix + floatWindowSection); !ok {
+			return persist.Errf(persist.CodeMalformed, op, "section %q missing", prefix+windowSection)
+		}
 	}
 	wd := persist.NewDec(win)
-	if err := sh.window.LoadState(wd); err != nil {
+	if err := load(wd); err != nil {
 		return err
 	}
 	if err := wd.Done(); err != nil {

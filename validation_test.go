@@ -200,10 +200,11 @@ func TestValidationShardedRouting(t *testing.T) {
 	}
 }
 
-// TestValidationOutOfWorldRange: a range wholly outside the world matches
-// no shard, so every constructor answers (0, 0) without spending a training
-// record on it — New through the split Estimate and Execute too — and
-// without counting it as a reject: its answer of 0 is exact.
+// TestValidationOutOfWorldRange: a range wholly outside the world is not
+// rejected: it is clamped onto the world as objects are, so every
+// constructor — New through the split Estimate and Execute too — counts
+// the object clamped into the world's corner under it, spends one training
+// record on the query and counts no reject.
 func TestValidationOutOfWorldRange(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	type answer func(*Query) (float64, int)
@@ -234,34 +235,43 @@ func TestValidationOutOfWorldRange(t *testing.T) {
 	} {
 		eng, answer := build(WithSeed(1))
 		eng.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 1})
+		eng.Feed(Object{ID: 2, Loc: Pt(9, 9), Keywords: []string{"a"}, Timestamp: 1})
 		outside := SpatialQuery(Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 1)
-		est, actual := answer(&outside)
+		_, actual := answer(&outside)
 		var rejected uint64
 		for _, sh := range eng.PerShardStats().Shards {
 			rejected += sh.Gauges.ValidationRejected
 		}
-		if seen := eng.Stats().PretrainSeen; est != 0 || actual != 0 || seen != 0 || rejected != 0 {
-			t.Errorf("%s: answered (%v, %d), PretrainSeen %d, ValidationRejected %d; want (0, 0), 0, 0",
-				name, est, actual, seen, rejected)
+		if seen := eng.Stats().PretrainSeen; actual != 1 || seen != 1 || rejected != 0 {
+			t.Errorf("%s: answered %d, PretrainSeen %d, ValidationRejected %d; want 1, 1, 0",
+				name, actual, seen, rejected)
 		}
 		eng.Close()
 	}
 }
 
 // TestOutOfWorldObjectCountedWhereItLies: an object beyond the world is
-// kept, in the boundary cell its location clamps to, and the exact answer
-// counts it where it lies. A range holding that cell whole holds (0.95,
-// 0.5) but not (5, 0.5), on the spatial path and the hybrid one alike.
+// kept where its location clamps, on the world's edge, and the exact
+// answer counts it there. A range reaching past that edge holds (0.95,
+// 0.5) and (5, 0.5); one that stops short of the edge's lattice column
+// holds only (0.95, 0.5); on the spatial path and the hybrid one alike.
 func TestOutOfWorldObjectCountedWhereItLies(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	for _, shards := range []int{1, 4} {
 		s := MustNewSharded(world, 10*time.Second, WithSeed(1), WithShards(shards))
 		s.Feed(Object{ID: 1, Loc: Pt(5, 0.5), Keywords: []string{"a"}, Timestamp: 1})
 		s.Feed(Object{ID: 2, Loc: Pt(0.95, 0.5), Keywords: []string{"a"}, Timestamp: 1})
-		r := Rect{MinX: 0.9, MinY: 0, MaxX: 2, MaxY: 1}
-		for _, q := range []Query{SpatialQuery(r, 1), HybridQuery(r, []string{"a"}, 1)} {
-			if _, actual := s.EstimateAndExecute(&q); actual != 1 {
-				t.Errorf("%d shards, %v: actual %d, want 1", shards, q.Type(), actual)
+		for _, tc := range []struct {
+			r    Rect
+			want int
+		}{
+			{Rect{MinX: 0.9, MinY: 0, MaxX: 2, MaxY: 1}, 2},
+			{Rect{MinX: 0.9, MinY: 0, MaxX: 0.99, MaxY: 1}, 1},
+		} {
+			for _, q := range []Query{SpatialQuery(tc.r, 1), HybridQuery(tc.r, []string{"a"}, 1)} {
+				if _, actual := s.EstimateAndExecute(&q); actual != tc.want {
+					t.Errorf("%d shards, %v over %v: actual %d, want %d", shards, q.Type(), tc.r, actual, tc.want)
+				}
 			}
 		}
 		s.Close()
