@@ -359,12 +359,12 @@ func BenchmarkSystemFeed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Feed(Object{
+		sys.FeedBatch([]Object{{
 			ID:        uint64(i),
 			Loc:       Pt(rng.Float64(), rng.Float64()),
 			Keywords:  kws[:1+i%3],
 			Timestamp: int64(i / 2),
-		})
+		}})
 	}
 }
 
@@ -417,7 +417,7 @@ func BenchmarkParallelFeed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer ss.Close()
+		defer ss.Shutdown(context.Background())
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			off := 0
@@ -490,8 +490,8 @@ func BenchmarkSystemEstimate(b *testing.B) {
 	ts := int64(0)
 	for i := 0; i < 60_000; i++ {
 		ts++
-		sys.Feed(Object{ID: uint64(i), Loc: Pt(rng.Float64(), rng.Float64()),
-			Keywords: []string{fmt.Sprintf("kw%d", i%20)}, Timestamp: ts})
+		sys.FeedBatch([]Object{{ID: uint64(i), Loc: Pt(rng.Float64(), rng.Float64()),
+			Keywords: []string{fmt.Sprintf("kw%d", i%20)}, Timestamp: ts}})
 	}
 	for i := 0; i < 60; i++ {
 		q := HybridQuery(CenteredRect(Pt(0.5, 0.5), 0.2, 0.2), []string{"kw3"}, ts)
@@ -571,7 +571,7 @@ func BenchmarkShardSetup(b *testing.B) {
 					feed(s, 16)
 				}
 				mem = s.Stats().MemoryBytes
-				s.Close()
+				s.Shutdown(context.Background())
 			}
 			b.ReportMetric(setup, "setup-s")
 			b.ReportMetric(acc, "accuracy-mean")
@@ -660,7 +660,7 @@ func BenchmarkSwitchStall(b *testing.B) {
 				b.ReportMetric(float64(g.PrefillObjectsDrawn), "prefill-objects-drawn")
 				b.ReportMetric(float64(g.PrefillObjectsReplayed), "prefill-objects-replayed")
 				reportFillTimes(b, s.shards[0])
-				s.Close()
+				s.Shutdown(context.Background())
 			}
 		})
 	}

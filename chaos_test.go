@@ -82,7 +82,7 @@ func TestChaosDurableDegradedServing(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	var ts int64
 	warmToIncremental(t,
-		func(o Object) { dur.Feed(o) },
+		func(o Object) { dur.FeedBatch([]Object{o}) },
 		func(q *Query) { dur.EstimateAndExecute(q) },
 		eng.Phase, rng, &ts)
 
@@ -96,12 +96,12 @@ func TestChaosDurableDegradedServing(t *testing.T) {
 		frng := rand.New(rand.NewSource(67))
 		for !stop.Load() {
 			feedTS++
-			dur.Feed(Object{
+			dur.FeedBatch([]Object{{
 				ID:        uint64(feedTS),
 				Loc:       Pt(frng.Float64(), frng.Float64()),
 				Keywords:  []string{fmt.Sprintf("kw%d", frng.Intn(20))},
 				Timestamp: feedTS,
-			})
+			}})
 		}
 	}()
 
@@ -153,7 +153,7 @@ func TestChaosDurableDegradedServing(t *testing.T) {
 	// Appends must flow again on the post-repair generation.
 	before := dur.WALAppends()
 	ts++
-	dur.Feed(Object{ID: uint64(ts), Loc: Pt(0.5, 0.5), Keywords: []string{"kw1"}, Timestamp: ts})
+	dur.FeedBatch([]Object{{ID: uint64(ts), Loc: Pt(0.5, 0.5), Keywords: []string{"kw1"}, Timestamp: ts}})
 	if dur.WALAppends() != before+1 {
 		t.Fatalf("WAL appends did not resume after repair: %d -> %d", before, dur.WALAppends())
 	}

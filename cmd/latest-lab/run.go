@@ -158,7 +158,7 @@ func newTarget(o options, world geo.Rect, out io.Writer) (*target, error) {
 		estimate: func(q *stream.Query) (float64, error) { return sys.Estimate(q), nil },
 		actual:   func(q *stream.Query) float64 { return float64(sys.Execute(q)) },
 		size:     sys.WindowSize,
-		close:    func() error { sys.Close(); return nil },
+		close:    func() error { return sys.Shutdown(context.Background()) },
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -98,7 +99,7 @@ func TestRemoteReplay(t *testing.T) {
 	}
 	defer func() {
 		srv.Close()
-		eng.Close()
+		eng.Shutdown(context.Background())
 	}()
 
 	code, stdout, stderr := runLab(t, "run", "-addr", srv.Addr(),

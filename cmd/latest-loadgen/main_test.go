@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -24,7 +25,7 @@ func startTestServer(t *testing.T) string {
 	}
 	t.Cleanup(func() {
 		srv.Close()
-		eng.Close()
+		eng.Shutdown(context.Background())
 	})
 	return srv.Addr()
 }

@@ -23,8 +23,8 @@ func TestConcurrentBasics(t *testing.T) {
 	ts := int64(0)
 	for i := 0; i < 2000; i++ {
 		ts++
-		cs.Feed(Object{ID: uint64(i), Loc: Pt(rng.Float64(), rng.Float64()),
-			Keywords: []string{"a"}, Timestamp: ts})
+		cs.FeedBatch([]Object{{ID: uint64(i), Loc: Pt(rng.Float64(), rng.Float64()),
+			Keywords: []string{"a"}, Timestamp: ts}})
 	}
 	q := HybridQuery(CenteredRect(Pt(0.5, 0.5), 0.4, 0.4), []string{"a"}, ts)
 	est, actual := cs.EstimateAndExecute(&q)
@@ -56,9 +56,9 @@ func newConcurrent(t testing.TB, world Rect, window time.Duration, opts ...Optio
 }
 
 // TestConcurrentIsInline checks that every engine ingests inline:
-// NewConcurrent and NewSharded start no goroutine, and with one shard Feed
-// and FeedBatch apply on the caller under the shard's mutex without copying
-// the batch — they allocate exactly what New's engine does for the same
+// NewConcurrent and NewSharded start no goroutine, and with one shard a
+// FeedBatch of one object or of 64 applies on the caller under the shard's
+// mutex without copying the batch — it allocates exactly what New's engine does for the same
 // objects.
 func TestConcurrentIsInline(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
@@ -83,7 +83,7 @@ func TestConcurrentIsInline(t *testing.T) {
 		feed = testing.AllocsPerRun(200, func() {
 			ts++
 			objs[0].Timestamp = ts
-			eng.Feed(objs[0])
+			eng.FeedBatch(objs[:1])
 		})
 		return feed, feedBatch
 	}
@@ -108,7 +108,7 @@ func TestConcurrentIsInline(t *testing.T) {
 			}
 			feed, batch := allocs(eng)
 			if feed != sysFeed || batch != sysBatch {
-				t.Errorf("allocations per call: Feed %v, FeedBatch %v; New's %v and %v",
+				t.Errorf("allocations per call: FeedBatch of 1 %v, of 64 %v; New's %v and %v",
 					feed, batch, sysFeed, sysBatch)
 			}
 		})
@@ -125,14 +125,14 @@ func TestConcurrentSystemScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
+	defer sys.Shutdown(context.Background())
 	objs := shardWorkload(9, 6000)
 	qs := shardQueries(10, len(objs)/25, objs[len(objs)-1].Timestamp)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := range objs {
-			sys.Feed(objs[i])
+			sys.FeedBatch(objs[i : i+1])
 			if i%25 != 0 {
 				continue
 			}
@@ -180,8 +180,8 @@ func TestConcurrentParallel(t *testing.T) {
 	var clock int64
 	for i := 0; i < 5000; i++ {
 		clock++
-		cs.Feed(Object{ID: uint64(i), Loc: Pt(rng.Float64(), rng.Float64()),
-			Keywords: []string{fmt.Sprintf("kw%d", i%10)}, Timestamp: clock})
+		cs.FeedBatch([]Object{{ID: uint64(i), Loc: Pt(rng.Float64(), rng.Float64()),
+			Keywords: []string{fmt.Sprintf("kw%d", i%10)}, Timestamp: clock}})
 	}
 
 	stop := make(chan struct{})
@@ -198,8 +198,8 @@ func TestConcurrentParallel(t *testing.T) {
 			default:
 			}
 			localClock++
-			cs.Feed(Object{ID: uint64(10000 + i), Loc: Pt(prng.Float64(), prng.Float64()),
-				Keywords: []string{fmt.Sprintf("kw%d", i%10)}, Timestamp: localClock})
+			cs.FeedBatch([]Object{{ID: uint64(10000 + i), Loc: Pt(prng.Float64(), prng.Float64()),
+				Keywords: []string{fmt.Sprintf("kw%d", i%10)}, Timestamp: localClock}})
 		}
 	}()
 
@@ -265,10 +265,11 @@ func TestConcurrentMultiProducer(t *testing.T) {
 					batch[i] = Object{ID: uint64(ts), Loc: Pt(prng.Float64(), prng.Float64()),
 						Keywords: []string{"kw"}, Timestamp: ts}
 				}
-				// Sleep-free jitter: interleave Feed and FeedBatch paths.
+				// Sleep-free jitter: interleave batches of one with whole
+				// batches.
 				if b%5 == 0 {
 					for i := range batch {
-						cs.Feed(batch[i])
+						cs.FeedBatch(batch[i : i+1])
 					}
 				} else {
 					cs.FeedBatch(batch)
@@ -286,8 +287,9 @@ func TestConcurrentMultiProducer(t *testing.T) {
 		KeywordQuery([]string{"kw"}, clock),
 		SpatialQuery(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, clock),
 	}
-	_, acts := cs.EstimateAndExecuteBatch(qs)
-	if acts[0] != want || acts[1] != want {
-		t.Errorf("exact counts %v, want %d", acts, want)
+	for i := range qs {
+		if _, act := cs.EstimateAndExecute(&qs[i]); act != want {
+			t.Errorf("query %d: exact count %d, want %d", i, act, want)
+		}
 	}
 }

@@ -29,10 +29,10 @@ type DurableConfig struct {
 	SnapshotInterval time.Duration
 	// WALSyncEvery batches fsyncs: a feed call fsyncs the WAL once N
 	// records have been written since the last fsync (default
-	// persist.DefaultWALSyncEvery), so when Feed or FeedBatch returns at
-	// most N-1 acknowledged objects are un-fsynced. Lower is more durable,
-	// higher is faster; a crash loses at most that tail, which the
-	// checksummed record framing detects and drops on recovery.
+	// persist.DefaultWALSyncEvery), so when FeedBatch returns at most N-1
+	// acknowledged objects are un-fsynced. Lower is more durable, higher
+	// is faster; a crash loses at most that tail, which the checksummed
+	// record framing detects and drops on recovery.
 	WALSyncEvery int
 	// Retain is how many snapshot generations to keep (default
 	// DefaultSnapshotRetain, minimum 1). Each retained generation keeps
@@ -74,7 +74,7 @@ type DurableConfig struct {
 //
 // Locking: mu orders the WAL and nothing else. A feed holds it through
 // the WAL append and the engine apply, so log order is apply order, and a
-// snapshot holds it, so it waits for any in-flight feed. Queries, Stats and
+// snapshot holds it, so it waits for any in-flight feed. Queries and
 // telemetry reads call the wrapped engine directly and never wait on a
 // feed's fsync; the engine's shard locks keep each shard's query atomic.
 // So a snapshot is not atomic with respect to a multi-shard query fan-out:
@@ -511,14 +511,6 @@ func (d *DurableEngine) appendWAL(objs []Object) {
 	d.stats.appends.Add(n)
 }
 
-// Feed logs the object to the WAL, then feeds the engine.
-func (d *DurableEngine) Feed(o Object) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.appendWAL([]Object{o})
-	d.eng.Feed(o)
-}
-
 // FeedBatch logs the batch to the WAL in one write, then feeds the engine.
 // When it returns, every object is in the log file and fewer than
 // WALSyncEvery acknowledged objects are un-fsynced.
@@ -540,18 +532,10 @@ func (d *DurableEngine) EstimateAndExecute(q *Query) (float64, int) {
 	return d.eng.EstimateAndExecute(q)
 }
 
-// EstimateAndExecuteBatch delegates to the engine.
-func (d *DurableEngine) EstimateAndExecuteBatch(qs []Query) ([]float64, []int) {
-	return d.eng.EstimateAndExecuteBatch(qs)
-}
-
 // EstimateAndExecuteTraced delegates to the engine.
 func (d *DurableEngine) EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveTrace) (float64, int) {
 	return d.eng.EstimateAndExecuteTraced(q, tr)
 }
-
-// Stats delegates to the engine.
-func (d *DurableEngine) Stats() Stats { return d.eng.Stats() }
 
 // TelemetrySnapshot delegates to the engine and attaches the durability
 // layer's sample (generation, WAL and snapshot counters/latencies,
@@ -604,9 +588,9 @@ func (d *DurableEngine) snapshotCommit(ctx context.Context) error {
 	}
 	gen := d.gen.Load()
 	target := persist.SnapshotNameFor(gen + 1)
-	// Feed appends to the WAL and applies to the engine under d.mu, which
-	// we hold, so every logged feed has been applied by now: the snapshot
-	// that supersedes this WAL generation carries them all.
+	// FeedBatch appends to the WAL and applies to the engine under d.mu,
+	// which we hold, so every logged feed has been applied by now: the
+	// snapshot that supersedes this WAL generation carries them all.
 	data, err := d.eng.encodeImage(ctx, gen+1)
 	if err != nil {
 		return err

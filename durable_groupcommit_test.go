@@ -26,8 +26,6 @@ type recEngine struct {
 	ids []uint64
 }
 
-func (e *recEngine) Feed(o Object) { e.ids = append(e.ids, o.ID) }
-
 func (e *recEngine) FeedBatch(objs []Object) {
 	for i := range objs {
 		e.ids = append(e.ids, objs[i].ID)
@@ -43,7 +41,6 @@ func (*recEngine) Shutdown(context.Context) error { return nil }
 // discardEngine drops its feeds: the zero-allocation baseline.
 type discardEngine struct{ recEngine }
 
-func (*discardEngine) Feed(Object)        {}
 func (*discardEngine) FeedBatch([]Object) {}
 
 // countStore counts what the durable layer asks of the disk. Its append
@@ -143,7 +140,7 @@ func TestGroupCommitWritesAndSyncs(t *testing.T) {
 		cs := &countStore{Store: NewMemStore()}
 		d := quietDurable(t, &discardEngine{}, cs, 0)
 		for _, o := range testObjects(0, 130) {
-			d.Feed(o)
+			d.FeedBatch([]Object{o})
 		}
 		if cs.appends != 130 || cs.syncs != 2 {
 			t.Fatalf("writes = %d, fsyncs = %d, want 130 and 2", cs.appends, cs.syncs)
@@ -178,9 +175,9 @@ func TestGroupCommitBytesUnchanged(t *testing.T) {
 	quietDurable(t, &discardEngine{}, batched, 0).FeedBatch(objs)
 	ds := quietDurable(t, &discardEngine{}, single, 0)
 	for _, o := range objs {
-		ds.Feed(o)
+		ds.FeedBatch([]Object{o})
 	}
-	for name, st := range map[string]*MemStore{"FeedBatch": batched, "Feed": single} {
+	for name, st := range map[string]*MemStore{"one batch": batched, "batches of one": single} {
 		got, err := st.Load(persist.WALName(0))
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +282,8 @@ func TestGroupCommitTornBatch(t *testing.T) {
 }
 
 // TestDurableFeedBatchAllocs: the durable layer adds no allocation to a
-// steady FeedBatch or Feed — no per-object encoder, no per-call buffer.
+// steady FeedBatch, of many objects or of one — no per-object encoder, no
+// per-call buffer.
 func TestDurableFeedBatchAllocs(t *testing.T) {
 	d := quietDurable(t, &discardEngine{}, &countStore{Store: NewMemStore()}, 0)
 	objs := testObjects(0, 256)
@@ -293,7 +291,7 @@ func TestDurableFeedBatchAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { d.FeedBatch(objs) }); n != 0 {
 		t.Errorf("FeedBatch of 256: %v allocations per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { d.Feed(objs[0]) }); n != 0 {
-		t.Errorf("Feed: %v allocations per call, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { d.FeedBatch(objs[:1]) }); n != 0 {
+		t.Errorf("FeedBatch of 1: %v allocations per call, want 0", n)
 	}
 }

@@ -51,8 +51,7 @@ func (f parkFile) Sync() error {
 
 // TestConcurrentDurableReadsDuringFsync: the durable engine's lock orders
 // the WAL and nothing else. While one feed is parked inside its fsync,
-// queries, Stats and telemetry reads return, and a snapshot waits for the
-// feed.
+// queries and telemetry reads return, and a snapshot waits for the feed.
 func TestConcurrentDurableReadsDuringFsync(t *testing.T) {
 	st := newParkStore()
 	eng := MustNewSharded(testWorld(), 10*time.Second, WithShards(2), WithSeed(1),
@@ -107,8 +106,6 @@ func TestConcurrentDurableReadsDuringFsync(t *testing.T) {
 	within("EstimateAndExecuteTraced", func() {
 		dur.EstimateAndExecuteTraced(&one, telemetry.NewTraceBuffer(4, 1).Start("estimate", telemetry.NewTraceID()))
 	})
-	within("EstimateAndExecuteBatch", func() { dur.EstimateAndExecuteBatch([]Query{wide, one}) })
-	within("Stats", func() { dur.Stats() })
 	within("TelemetrySnapshot", func() { dur.TelemetrySnapshot() })
 	within("Generation", func() { dur.Generation() })
 	within("Health", func() { dur.Health() })

@@ -12,7 +12,8 @@ import (
 // operational samples.
 type TelemetryReport = telemetry.Snapshot
 
-// Engine is the unified surface every LATEST engine serves: the
+// Engine is the unified surface every LATEST engine serves: one feed call,
+// one query path (plain or traced), a telemetry view and a shutdown. The
 // ShardedSystem (spatial partitions, each behind its own mutex; New and
 // NewConcurrent build it with one shard, New wrapped as a System)
 // implements it, as does the DurableEngine decorator that adds snapshot +
@@ -21,27 +22,21 @@ type TelemetryReport = telemetry.Snapshot
 // the correctness harness (internal/check) program against this interface
 // and work with any of them. Every engine is safe for concurrent use.
 type Engine interface {
-	// Feed ingests one stream object.
-	Feed(o Object)
-	// FeedBatch ingests a batch of stream objects in order. The batch has
-	// been applied when FeedBatch returns, and the engine copies what it
-	// keeps: the caller may reuse objs and its keyword arrays on return.
-	// Keyword strings are immutable.
+	// FeedBatch ingests a batch of stream objects in order; one object is
+	// a batch of one. The batch has been applied when FeedBatch returns,
+	// and the engine copies what it keeps: the caller may reuse objs and
+	// its keyword arrays on return. Keyword strings are immutable.
 	FeedBatch(objs []Object)
 	// EstimateAndExecute answers the query approximately, then exactly,
-	// and feeds the truth back to the switching model.
+	// and feeds the truth back to the switching model. It is
+	// EstimateAndExecuteTraced with a nil trace.
 	EstimateAndExecute(q *Query) (estimate float64, actual int)
 	// EstimateAndExecuteTraced is EstimateAndExecute recording per-stage
 	// spans — notably the active estimator's inference — into tr (nil tr:
 	// identical to EstimateAndExecute).
 	EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveTrace) (estimate float64, actual int)
-	// EstimateAndExecuteBatch runs EstimateAndExecute over a batch.
-	EstimateAndExecuteBatch(qs []Query) (estimates []float64, actuals []int)
-	// Stats returns a snapshot of the module internals (merged across
-	// shards for a ShardedSystem).
-	Stats() Stats
-	// TelemetrySnapshot returns the /statusz view: merged stats plus
-	// per-shard operational gauges.
+	// TelemetrySnapshot returns the /statusz view: merged module stats
+	// plus per-shard operational gauges.
 	TelemetrySnapshot() TelemetryReport
 	// Shutdown releases background resources gracefully, bounded by ctx.
 	// On a DurableEngine it also takes a final snapshot, so a clean

@@ -22,18 +22,7 @@ func ExampleNew() {
 
 	// Ten objects: five tagged "fire" clustered in the south-west, five
 	// tagged "food" in the north-east.
-	for i := 0; i < 5; i++ {
-		sys.Feed(latest.Object{
-			ID: uint64(i), Loc: latest.Pt(2+float64(i)*0.1, 2),
-			Keywords: []string{"fire"}, Timestamp: int64(i),
-		})
-	}
-	for i := 5; i < 10; i++ {
-		sys.Feed(latest.Object{
-			ID: uint64(i), Loc: latest.Pt(8, 8+float64(i-5)*0.1),
-			Keywords: []string{"food"}, Timestamp: int64(i),
-		})
-	}
+	feedDemoStream(sys)
 
 	// How many "fire" objects in the south-west quadrant?
 	q := latest.HybridQuery(latest.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}, []string{"fire"}, 10)
@@ -67,18 +56,20 @@ func ExampleKeywordQuery() {
 // feedDemoStream feeds the ten-object demo stream the examples share:
 // five "fire" objects clustered south-west, five "food" north-east.
 func feedDemoStream(eng latest.Engine) {
+	objs := make([]latest.Object, 10)
 	for i := 0; i < 5; i++ {
-		eng.Feed(latest.Object{
+		objs[i] = latest.Object{
 			ID: uint64(i), Loc: latest.Pt(2+float64(i)*0.1, 2),
 			Keywords: []string{"fire"}, Timestamp: int64(i),
-		})
+		}
 	}
 	for i := 5; i < 10; i++ {
-		eng.Feed(latest.Object{
+		objs[i] = latest.Object{
 			ID: uint64(i), Loc: latest.Pt(8, 8+float64(i-5)*0.1),
 			Keywords: []string{"food"}, Timestamp: int64(i),
-		})
+		}
 	}
+	eng.FeedBatch(objs)
 }
 
 // ExampleNewConcurrent builds the one-shard ShardedSystem — one module
@@ -94,7 +85,7 @@ func ExampleNewConcurrent() {
 	if err != nil {
 		panic(err)
 	}
-	defer eng.Close()
+	defer eng.Shutdown(context.Background())
 
 	feedDemoStream(eng)
 	q := latest.HybridQuery(latest.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}, []string{"fire"}, 10)
@@ -118,7 +109,7 @@ func ExampleNewSharded() {
 	if err != nil {
 		panic(err)
 	}
-	defer eng.Close()
+	defer eng.Shutdown(context.Background())
 
 	feedDemoStream(eng)
 	q := latest.HybridQuery(latest.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}, []string{"fire"}, 10)

@@ -89,19 +89,21 @@ func run(out io.Writer, p params) error {
 	now := int64(0)
 	id := uint64(0)
 	feed := func(n int) {
-		for i := 0; i < n; i++ {
+		batch := make([]latest.Object, n)
+		for i := range batch {
 			now += 1
 			id++
 			m := metros[rng.Intn(len(metros))]
 			// Each metro skews toward two product topics.
 			kw := products[(int(id)+rng.Intn(2))%len(products)]
-			sys.Feed(latest.Object{
+			batch[i] = latest.Object{
 				ID:        id,
 				Loc:       world.Clamp(latest.Pt(m.loc.X+rng.NormFloat64()*0.6, m.loc.Y+rng.NormFloat64()*0.5)),
 				Keywords:  []string{kw, "shopping"},
 				Timestamp: now,
-			})
+			}
 		}
+		sys.FeedBatch(batch)
 	}
 
 	fmt.Fprintf(out, "warming up with %.0fs of purchase-intent chatter...\n", p.window.Seconds())

@@ -165,15 +165,17 @@ func run(out io.Writer, p params) error {
 	rng := rand.New(rand.NewSource(3))
 	now := int64(0)
 	feed := func(n int) {
-		for i := 0; i < n; i++ {
+		batch := make([]latest.Object, n)
+		for i := range batch {
 			now += 2
-			sys.Feed(latest.Object{
+			batch[i] = latest.Object{
 				ID:        uint64(now),
 				Loc:       latest.Pt(rng.Float64()*10, rng.Float64()*10),
 				Keywords:  []string{fmt.Sprintf("tag%d", rng.Intn(40))},
 				Timestamp: now,
-			})
+			}
 		}
+		sys.FeedBatch(batch)
 	}
 	fmt.Fprintln(out, "warming up...")
 	feed(p.warmObjects)

@@ -45,10 +45,12 @@ type simulation struct {
 }
 
 func (s *simulation) feed(n int) {
-	for i := 0; i < n; i++ {
+	batch := make([]latest.Object, n)
+	for i := range batch {
 		s.now += 2
 		s.nextID++
-		o := latest.Object{ID: s.nextID, Timestamp: s.now}
+		o := &batch[i]
+		*o = latest.Object{ID: s.nextID, Timestamp: s.now}
 		if s.rng.Float64() < s.intensity {
 			// Fire-related chatter clustered near the zone.
 			c := fireZone.Center()
@@ -58,8 +60,8 @@ func (s *simulation) feed(n int) {
 			o.Loc = latest.Pt(world.MinX+s.rng.Float64()*world.Width(), world.MinY+s.rng.Float64()*world.Height())
 			o.Keywords = []string{[]string{"traffic", "food", "school", "weather", "sports"}[s.rng.Intn(5)]}
 		}
-		s.sys.Feed(o)
 	}
+	s.sys.FeedBatch(batch)
 }
 
 // normalQuery is everyday mixed traffic.

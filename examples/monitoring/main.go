@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -98,7 +99,7 @@ func run(out io.Writer, p params) error {
 	if err != nil {
 		return err
 	}
-	defer sys.Close()
+	defer sys.Shutdown(context.Background())
 	addr := sys.TelemetryAddr()
 	fmt.Fprintf(out, "telemetry: http://%s/metrics and http://%s/statusz\n", addr, addr)
 

@@ -71,15 +71,17 @@ func run(out io.Writer, p params) error {
 	topics := []string{"traffic", "concert", "food", "fire", "news"}
 
 	feed := func(n int) {
-		for i := 0; i < n; i++ {
+		batch := make([]latest.Object, n)
+		for i := range batch {
 			now += 2 // one object every 2 virtual ms
-			sys.Feed(latest.Object{
+			batch[i] = latest.Object{
 				ID:        uint64(now),
 				Loc:       latest.Pt(world.MinX+rng.Float64()*world.Width(), world.MinY+rng.Float64()*world.Height()),
 				Keywords:  []string{topics[rng.Intn(len(topics))]},
 				Timestamp: now,
-			})
+			}
 		}
+		sys.FeedBatch(batch)
 	}
 
 	// Warm up: one full window of data before the first query (Figure 2's

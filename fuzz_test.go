@@ -47,8 +47,8 @@ func fuzzWorlds(f *testing.F) []fuzzEngine {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(conc.Close)
-	f.Cleanup(sharded.Close)
+	f.Cleanup(func() { conc.Shutdown(context.Background()) })
+	f.Cleanup(func() { sharded.Shutdown(context.Background()) })
 	return []fuzzEngine{{"System", sys}, {"NewConcurrent", conc}, {"NewSharded(4)", sharded}}
 }
 
@@ -67,7 +67,7 @@ func FuzzFeed(f *testing.F) {
 	f.Fuzz(func(t *testing.T, x, y float64, ts int64) {
 		id++
 		for _, sys := range systems {
-			sys.Feed(Object{ID: id, Loc: Pt(x, y), Keywords: fuzzKeywords(ts), Timestamp: ts})
+			sys.FeedBatch([]Object{{ID: id, Loc: Pt(x, y), Keywords: fuzzKeywords(ts), Timestamp: ts}})
 			// Benign probe queries after every ingest: whatever the feed
 			// did to internal state, the query path must stay finite.
 			r := Rect{MinX: 0.25, MinY: 0.25, MaxX: 0.75, MaxY: 0.75}
@@ -105,8 +105,8 @@ func FuzzEstimate(f *testing.F) {
 	systems := fuzzWorlds(f)
 	for _, sys := range systems {
 		for i := int64(1); i <= 64; i++ {
-			sys.Feed(Object{ID: uint64(i), Loc: Pt(float64(i%8)/8, float64(i%5)/5),
-				Keywords: []string{"fz"}, Timestamp: i})
+			sys.FeedBatch([]Object{{ID: uint64(i), Loc: Pt(float64(i%8)/8, float64(i%5)/5),
+				Keywords: []string{"fz"}, Timestamp: i}})
 		}
 	}
 	f.Fuzz(func(t *testing.T, minX, minY, maxX, maxY float64, ts int64) {

@@ -40,7 +40,7 @@ func TestSoakAdaptation(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				kws = append(kws, fmt.Sprintf("kw%d", rng.Intn(40)))
 			}
-			sys.Feed(Object{ID: uint64(ts), Loc: p, Keywords: kws, Timestamp: ts})
+			sys.FeedBatch([]Object{{ID: uint64(ts), Loc: p, Keywords: kws, Timestamp: ts}})
 		}
 	}
 	spatialQ := func() Query {
@@ -134,14 +134,14 @@ func TestManyRegimesNoPanic(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 40; i++ {
 			ts++
-			sys.Feed(Object{
+			sys.FeedBatch([]Object{{
 				ID:  uint64(ts),
 				Loc: Pt(rng.Float64()*20-10, rng.Float64()*20-10),
 				Keywords: []string{
 					fmt.Sprintf("r%d", round%5), // vocabulary churns every round
 				},
 				Timestamp: ts,
-			})
+			}})
 		}
 		var q Query
 		switch round % 4 {

@@ -149,21 +149,17 @@ func (r *DiffReport) note(kind *int, format string, args ...any) {
 // engine adapts one differential leg to a comparable surface.
 type engine struct {
 	name string
-	// eng carries the whole serving surface — feeds, queries, stats — so
-	// the harness exercises exactly the unified public contract every
-	// deployment shape implements.
-	eng latest.Engine
+	// eng is the leg's engine: feeds, stats and accessors go to it.
+	eng *latest.ShardedSystem
 	// query answers one query approximately, then exactly: through the
 	// split Estimate and Execute on one leg and the fused
 	// EstimateAndExecute on the other, so the two paths are checked bit
 	// for bit against each other.
 	query func(q *latest.Query) (estimate float64, actual int)
-	// The remaining accessors are shape-specific diagnostics the Engine
-	// interface deliberately does not carry.
-	active  func() string
-	phase   func() latest.Phase
-	winSize func() int
 }
+
+// active is the leg's one module's active estimator.
+func (e engine) active() string { return e.eng.ActiveEstimators()[0] }
 
 // RunDifferential feeds one deterministic workload into New's engine,
 // queried through the split Estimate and Execute, and NewSharded(1),
@@ -208,25 +204,18 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check: build ShardedSystem: %w", err)
 	}
-	defer shard.Close()
 
 	engines := []engine{
 		{
-			name: "system", eng: sys,
+			name: "system", eng: sys.ShardedSystem,
 			query: func(q *latest.Query) (float64, int) {
 				est := sys.Estimate(q)
 				return est, sys.Execute(q)
 			},
-			active:  sys.ActiveEstimator,
-			phase:   sys.Phase,
-			winSize: sys.WindowSize,
 		},
 		{
 			name: "sharded1", eng: shard,
-			query:   shard.EstimateAndExecute,
-			active:  func() string { return shard.ActiveEstimators()[0] },
-			phase:   shard.Phase,
-			winSize: shard.WindowSize,
+			query: shard.EstimateAndExecute,
 		},
 	}
 
@@ -235,11 +224,11 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 
 	for qi := 0; qi < cfg.Queries; qi++ {
 		for j := 0; j < cfg.ObjectsPerQuery; j++ {
-			o := gen.Next()
+			one := []latest.Object{gen.Next()}
 			for _, e := range engines {
-				e.eng.Feed(o)
+				e.eng.FeedBatch(one)
 			}
-			oracle.Insert(&o)
+			oracle.Insert(&one[0])
 			report.FeedSteps++
 		}
 
@@ -269,9 +258,9 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 					engines[i].name, ests[i], engines[0].name, ests[0])
 			}
 		}
-		a0, p0 := engines[0].active(), engines[0].phase()
+		a0, p0 := engines[0].active(), engines[0].eng.Phase()
 		for i := 1; i < len(engines); i++ {
-			if a, p := engines[i].active(), engines[i].phase(); a != a0 || p != p0 {
+			if a, p := engines[i].active(), engines[i].eng.Phase(); a != a0 || p != p0 {
 				report.note(&report.StateMismatches,
 					"q%d: %s active=%s phase=%v, %s active=%s phase=%v", qi,
 					engines[i].name, a, p, engines[0].name, a0, p0)
@@ -294,7 +283,7 @@ func RunDifferential(cfg DiffConfig) (*DiffReport, error) {
 // decision traces across engines.
 func compareDeep(report *DiffReport, qi int, engines []engine, oracle *Oracle) {
 	for _, e := range engines {
-		if ws := e.winSize(); ws != oracle.Size() {
+		if ws := e.eng.WindowSize(); ws != oracle.Size() {
 			report.note(&report.StatsDivergences,
 				"q%d: %s window size %d, oracle %d", qi, e.name, ws, oracle.Size())
 		}

@@ -109,7 +109,7 @@ func replayGolden(r io.Reader, cfg GoldenConfig, view shardedView) (counts, deci
 		if rerr != nil {
 			return "", "", rerr
 		}
-		view.Feed(o)
+		view.FeedBatch([]latest.Object{o})
 		qm.observe(&o)
 		lastTS = o.Timestamp
 		fed++

@@ -40,7 +40,6 @@ func RunGoldenSharded(r io.Reader, cfg GoldenConfig, shards int) (counts, decisi
 	if err != nil {
 		return "", "", fmt.Errorf("check: build golden ShardedSystem: %w", err)
 	}
-	defer s.Close()
 	return replayGolden(r, cfg, shardedView{s})
 }
 

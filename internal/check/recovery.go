@@ -208,7 +208,7 @@ func runGoldenSegmented(objs []stream.Object, rc RecoveryConfig, gapStart, gapEn
 	fed, qi := 0, 0
 	var lastTS int64
 	for i := range objs {
-		eng.Feed(objs[i])
+		eng.FeedBatch(objs[i : i+1])
 		qm.observe(&objs[i])
 		lastTS = objs[i].Timestamp
 		fed++

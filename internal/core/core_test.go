@@ -289,7 +289,7 @@ func TestSwitchOnWorkloadChange(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatalf("no switch after keyword flood (accAvg=%v active=%s)",
-			d.m.AccuracyAverage(), d.m.ActiveName())
+			d.m.Snapshot().AccuracyAvg, d.m.ActiveName())
 	}
 	ev := events[0]
 	if ev.From != estimator.NameH4096 {
@@ -309,7 +309,7 @@ func TestSwitchOnWorkloadChange(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		d.runQuery(d.keywordQ())
 	}
-	if acc := d.m.AccuracyAverage(); acc < 0.7 {
+	if acc := d.m.Snapshot().AccuracyAvg; acc < 0.7 {
 		t.Errorf("post-switch accuracy %v", acc)
 	}
 	if got := d.m.Switches(); len(got) != len(events) {
@@ -317,7 +317,7 @@ func TestSwitchOnWorkloadChange(t *testing.T) {
 	}
 	// Every switch leaves an audit record carrying the model consultation
 	// and the q-error ledger.
-	decs := d.m.Decisions()
+	decs := d.m.Snapshot().Decisions
 	if len(decs) != len(events) {
 		t.Fatalf("Decisions() = %d, want %d", len(decs), len(events))
 	}
@@ -505,7 +505,7 @@ func TestEstimatesTrackOracleOnStableWorkload(t *testing.T) {
 	if len(d.m.Switches()) != 0 {
 		t.Errorf("switches on a stable workload: %v", d.m.Switches())
 	}
-	if acc := d.m.AccuracyAverage(); acc < 0.7 {
+	if acc := d.m.Snapshot().AccuracyAvg; acc < 0.7 {
 		t.Errorf("stable accuracy = %v", acc)
 	}
 }

@@ -187,10 +187,6 @@ func (m *Module) Switches() []SwitchEvent {
 	return append([]SwitchEvent(nil), m.switches...)
 }
 
-// AccuracyAverage returns the sliding accuracy average the adaptor
-// monitors.
-func (m *Module) AccuracyAverage() float64 { return m.accWindow.Mean() }
-
 // Config returns the configuration the module was built with, defaults
 // resolved (Estimators is the fleet in order). The engines fingerprint it.
 func (m *Module) Config() Config { return m.cfg }
@@ -278,6 +274,14 @@ func (m *Module) Estimate(q *stream.Query) float64 {
 	m.pending = p
 	return p.answer
 }
+
+// Pending reports whether an Estimate is waiting for its Observe.
+func (m *Module) Pending() bool { return m.pending != nil }
+
+// Abandon drops a pending Estimate untrained: no truth will arrive for it.
+// The next Estimate, or SaveState, then finds the module idle. A no-op when
+// nothing is pending.
+func (m *Module) Abandon() { m.pending = nil }
 
 // Observe supplies the executed query's true selectivity (the system-log
 // entry for the query Estimate just answered), closing the feedback loop:
@@ -700,10 +704,6 @@ func (m *Module) qerrSamples() []telemetry.QErrorSample {
 	}
 	return out
 }
-
-// Decisions returns the retained switch-decision audit records,
-// oldest-first.
-func (m *Module) Decisions() []telemetry.Decision { return m.trace.Snapshot() }
 
 // Stats is a snapshot of the module's internals for logging and tests.
 type Stats struct {

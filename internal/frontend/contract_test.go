@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	latest "github.com/spatiotext/latest"
 	"github.com/spatiotext/latest/internal/cluster"
 	"github.com/spatiotext/latest/internal/frontend"
 	"github.com/spatiotext/latest/internal/geo"
@@ -78,13 +77,7 @@ func (e fakeEngine) EstimateAndExecute(*stream.Query) (float64, int) {
 func (e fakeEngine) EstimateAndExecuteTraced(q *stream.Query, _ *telemetry.ActiveTrace) (float64, int) {
 	return e.EstimateAndExecute(q)
 }
-func (e fakeEngine) EstimateAndExecuteBatch(qs []stream.Query) ([]float64, []int) {
-	ests, acts, _ := e.readBatch(context.Background(), len(qs))
-	return ests, acts
-}
 func (e fakeEngine) TelemetrySnapshot() telemetry.Snapshot { return telemetry.Snapshot{Engine: "fake"} }
-func (e fakeEngine) Feed(o stream.Object)                  { e.FeedBatch([]stream.Object{o}) }
-func (e fakeEngine) Stats() latest.Stats                   { return latest.Stats{} }
 func (e fakeEngine) Shutdown(context.Context) error        { return nil }
 
 // fakeBackend is fake as a cluster.Backend.

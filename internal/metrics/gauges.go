@@ -7,12 +7,6 @@ import (
 	"github.com/spatiotext/latest/internal/telemetry"
 )
 
-// FeedSampleInterval is the single-object ingest sampling rate: one Feed
-// in every FeedSampleInterval is wrapped in clock reads and recorded into
-// the feed-latency histogram. Power of two so the sampling test is a mask,
-// not a division, on the hot path.
-const FeedSampleInterval = 64
-
 // ShardGauges is a set of lock-free per-shard operational counters and
 // latency histograms. A sharded deployment keeps one per shard; the ingest
 // and query paths update them with atomic adds (never taking the shard
@@ -38,22 +32,9 @@ type ShardGauges struct {
 	// only at read time.
 	ingestRate RollingCounter
 
-	feedHist  telemetry.Histogram // sampled single-object ingests
 	batchHist telemetry.Histogram // whole FeedBatch calls
 	queryHist telemetry.Histogram // estimate/execute cycles
 }
-
-// RecordFeed counts one single-object ingest and reports whether the
-// caller should time this one (1 in FeedSampleInterval) and hand the
-// duration to RecordFeedLatency. The sampling decision rides on the feed
-// counter itself, so the unsampled hot path pays exactly one atomic add.
-func (g *ShardGauges) RecordFeed() (sample bool) {
-	g.ingestRate.Add(time.Now(), 1)
-	return g.feeds.Add(1)&(FeedSampleInterval-1) == 0
-}
-
-// RecordFeedLatency records one sampled single-object ingest duration.
-func (g *ShardGauges) RecordFeedLatency(d time.Duration) { g.feedHist.Record(d) }
 
 // RecordBatch counts one ingested batch of n objects and its duration.
 func (g *ShardGauges) RecordBatch(n int, d time.Duration) {
@@ -102,7 +83,7 @@ func (g *ShardGauges) SetWindow(objs, bytes int) {
 // GaugeSnapshot is a point-in-time copy of a shard's gauges. It is a plain
 // comparable value (the histograms use fixed-size bucket arrays).
 type GaugeSnapshot struct {
-	// Feeds is the lifetime ingested-object count (singles and batches).
+	// Feeds is the lifetime ingested-object count.
 	Feeds uint64
 	// Batches is the lifetime ingested-batch count.
 	Batches uint64
@@ -140,10 +121,8 @@ type GaugeSnapshot struct {
 	Occupancy int
 	// WindowBytes is the last published footprint of the window store.
 	WindowBytes int
-	// FeedLatency holds sampled single-object ingest latencies (one in
-	// FeedSampleInterval), BatchLatency per-batch ingest latencies, and
-	// QueryLatency full estimate/execute cycles.
-	FeedLatency  telemetry.HistSnapshot
+	// BatchLatency holds per-batch ingest latencies and QueryLatency full
+	// estimate/execute cycles.
 	BatchLatency telemetry.HistSnapshot
 	QueryLatency telemetry.HistSnapshot
 }
@@ -164,7 +143,6 @@ func (g *ShardGauges) Snapshot() GaugeSnapshot {
 		IngestRatePerSec:       g.ingestRate.RateAt(time.Now()),
 		Occupancy:              int(g.occupancy.Load()),
 		WindowBytes:            int(g.windowBytes.Load()),
-		FeedLatency:            g.feedHist.Snapshot(),
 		BatchLatency:           g.batchHist.Snapshot(),
 		QueryLatency:           g.queryHist.Snapshot(),
 	}

@@ -8,9 +8,6 @@ import (
 
 func TestShardGauges(t *testing.T) {
 	var g ShardGauges
-	for range 3 {
-		g.RecordFeed()
-	}
 	g.RecordBatch(7, 70*time.Millisecond)
 	g.RecordBatch(3, 30*time.Millisecond)
 	g.RecordQuery(10 * time.Millisecond)
@@ -19,7 +16,7 @@ func TestShardGauges(t *testing.T) {
 	g.SetWindow(42, 4200)
 
 	s := g.Snapshot()
-	if s.Feeds != 13 || s.Batches != 2 || s.Queries != 2 || s.Reordered != 1 || s.Occupancy != 42 || s.WindowBytes != 4200 {
+	if s.Feeds != 10 || s.Batches != 2 || s.Queries != 2 || s.Reordered != 1 || s.Occupancy != 42 || s.WindowBytes != 4200 {
 		t.Errorf("snapshot counts = %+v", s)
 	}
 	if s.AvgBatchLatency != 50*time.Millisecond {
@@ -35,30 +32,6 @@ func TestShardGaugesZero(t *testing.T) {
 	s := g.Snapshot()
 	if s != (GaugeSnapshot{}) {
 		t.Errorf("zero gauges snapshot = %+v", s)
-	}
-}
-
-// TestShardGaugesFeedSampling verifies the 1-in-N single-feed sampling
-// cadence rides the feed counter exactly.
-func TestShardGaugesFeedSampling(t *testing.T) {
-	var g ShardGauges
-	sampled := 0
-	const n = 4 * FeedSampleInterval
-	for i := 0; i < n; i++ {
-		if g.RecordFeed() {
-			sampled++
-			g.RecordFeedLatency(time.Microsecond)
-		}
-	}
-	if sampled != n/FeedSampleInterval {
-		t.Errorf("sampled %d of %d feeds, want %d", sampled, n, n/FeedSampleInterval)
-	}
-	s := g.Snapshot()
-	if s.Feeds != n {
-		t.Errorf("feeds = %d, want %d", s.Feeds, n)
-	}
-	if s.FeedLatency.Count != uint64(sampled) {
-		t.Errorf("feed histogram count = %d, want %d", s.FeedLatency.Count, sampled)
 	}
 }
 
@@ -107,7 +80,7 @@ func TestShardGaugesConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				g.RecordFeed()
+				g.RecordBatch(1, time.Microsecond)
 				g.RecordQuery(time.Microsecond)
 				g.SetWindow(i, 100*i)
 			}

@@ -33,8 +33,8 @@ const (
 	// FaultOpenAppend matches Store.OpenAppend (WAL open/rotation).
 	FaultOpenAppend
 	// FaultAppend matches AppendFile.Append: one WAL write, which is a whole
-	// feed batch however many records it frames (one record only for a
-	// single Feed) — a rule counts what the disk sees, not objects.
+	// feed batch however many records it frames — a rule counts what the
+	// disk sees, not objects.
 	FaultAppend
 	// FaultSync matches AppendFile.Sync (WAL fsync batches; Close syncs
 	// too, so a sync rule can also fail Close).

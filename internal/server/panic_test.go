@@ -155,7 +155,7 @@ func TestEstimatorPanicFailsOneRequest(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		dur.Feed(obj(0.5, 0.5, "calm"))
+		dur.FeedBatch([]latest.Object{obj(0.5, 0.5, "calm")})
 		close(done)
 	}()
 	select {

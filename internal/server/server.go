@@ -106,7 +106,10 @@ func (h *engineHandler) Estimate(_ context.Context, q *stream.Query, tr *telemet
 }
 
 func (h *engineHandler) QueryBatch(_ context.Context, qs []stream.Query) ([]float64, []int, error) {
-	ests, acts := h.eng.EstimateAndExecuteBatch(qs)
+	ests, acts := make([]float64, len(qs)), make([]int, len(qs))
+	for i := range qs {
+		ests[i], acts[i] = h.eng.EstimateAndExecute(&qs[i])
+	}
 	return ests, acts, nil
 }
 

@@ -67,23 +67,10 @@ func (f *fakeEngine) EstimateAndExecuteTraced(q *stream.Query, _ *telemetry.Acti
 	return f.EstimateAndExecute(q)
 }
 
-func (f *fakeEngine) EstimateAndExecuteBatch(qs []stream.Query) ([]float64, []int) {
-	ests := make([]float64, len(qs))
-	acts := make([]int, len(qs))
-	for i := range qs {
-		ests[i], acts[i] = f.EstimateAndExecute(&qs[i])
-	}
-	return ests, acts
-}
-
 func (f *fakeEngine) TelemetrySnapshot() telemetry.Snapshot {
 	return telemetry.Snapshot{Engine: "fake", Drift: f.drift}
 }
 
-// The remaining latest.Engine methods are inert: the serving layer never
-// calls them, but the unified interface requires every shape to carry them.
-func (f *fakeEngine) Feed(o stream.Object)           { f.FeedBatch([]stream.Object{o}) }
-func (f *fakeEngine) Stats() latest.Stats            { return latest.Stats{} }
 func (f *fakeEngine) Shutdown(context.Context) error { return nil }
 
 // rawConn drives the wire protocol directly, with no client-side help.
@@ -445,7 +432,7 @@ func TestHealthEndpointsReflectDurability(t *testing.T) {
 	}
 
 	fst.SetEnabled(true)
-	dur.Feed(testObj(1)) // the WAL append fires the fault and degrades
+	dur.FeedBatch([]latest.Object{testObj(1)}) // the WAL append fires the fault and degrades
 
 	if code, body := get("/healthz"); code != http.StatusOK ||
 		!strings.Contains(body, `"status":"degraded"`) ||

@@ -28,12 +28,12 @@ func warmDurable(t *testing.T) *latest.DurableEngine {
 	var ts int64
 	for i := 0; i < 3000; i++ {
 		ts++
-		sys.Feed(latest.Object{
+		sys.FeedBatch([]latest.Object{{
 			ID:        uint64(ts),
 			Loc:       latest.Pt(rng.Float64(), rng.Float64()),
 			Keywords:  []string{fmt.Sprintf("kw%d", rng.Intn(20))},
 			Timestamp: ts,
-		})
+		}})
 	}
 	for i := 0; i < 2000 && sys.Stats().Phase != latest.PhaseIncremental; i++ {
 		ts++

@@ -259,7 +259,6 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 					}
 				}
 			}},
-		{"latest_feed_latency_seconds", histogram, "Sampled single-object ingest latency.", perShardHist(func(sh *ShardSample) HistSnapshot { return sh.Feed })},
 		{"latest_batch_latency_seconds", histogram, "Per-batch ingest latency.", perShardHist(func(sh *ShardSample) HistSnapshot { return sh.Batch })},
 		{"latest_query_latency_seconds", histogram, "Full estimate+execute+observe cycle latency.", perShardHist(func(sh *ShardSample) HistSnapshot { return sh.Query })},
 		{"latest_estimate_latency_seconds", histogram, "Active estimator's approximate-answer latency.", perShardHist(func(sh *ShardSample) HistSnapshot { return sh.Estimate })},

@@ -57,10 +57,9 @@ type ShardSample struct {
 	AccuracyAvg float64 `json:"accuracy_avg"`
 	MemoryBytes int     `json:"memory_bytes"`
 
-	// Feed holds sampled single-object ingest latencies, Batch per-batch
-	// ingest latencies, Query full estimate+execute+observe cycles, and
-	// Estimate the active estimator's approximate-answer latencies alone.
-	Feed     HistSnapshot `json:"feed_latency"`
+	// Batch holds per-batch ingest latencies, Query full
+	// estimate+execute+observe cycles, and Estimate the active estimator's
+	// approximate-answer latencies alone.
 	Batch    HistSnapshot `json:"batch_latency"`
 	Query    HistSnapshot `json:"query_latency"`
 	Estimate HistSnapshot `json:"estimate_latency"`
@@ -249,7 +248,6 @@ type statuszPercentiles struct {
 
 type statuszShard struct {
 	ShardSample
-	FeedP     statuszPercentiles `json:"feed_percentiles"`
 	BatchP    statuszPercentiles `json:"batch_percentiles"`
 	QueryP    statuszPercentiles `json:"query_percentiles"`
 	EstimateP statuszPercentiles `json:"estimate_percentiles"`
@@ -276,7 +274,6 @@ func statuszView(snap Snapshot) statuszBody {
 	for i, sh := range snap.Shards {
 		body.ShardsView[i] = statuszShard{
 			ShardSample: sh,
-			FeedP:       percentilesOf(sh.Feed),
 			BatchP:      percentilesOf(sh.Batch),
 			QueryP:      percentilesOf(sh.Query),
 			EstimateP:   percentilesOf(sh.Estimate),

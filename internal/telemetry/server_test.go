@@ -21,7 +21,7 @@ func testSnapshot() Snapshot {
 		Shards: []ShardSample{
 			{Index: 0, Active: "RSH", Phase: "incremental", Feeds: 100, Batches: 4,
 				Queries: 50, Occupancy: 70, WindowBytes: 7168, Switches: 2, AccuracyAvg: 0.9,
-				Feed: hs, Batch: hs, Query: hs, Estimate: hs},
+				Batch: hs, Query: hs, Estimate: hs},
 			{Index: 1, Active: "H4096", Phase: "incremental", Feeds: 60,
 				Queries: 30, Occupancy: 40, WindowBytes: 4096, Switches: 1, AccuracyAvg: 0.92,
 				PrefillsDrawn: 2, PrefillsReplayed: 1, PrefillObjectsDrawn: 3000, PrefillObjectsReplayed: 60000, PrefillsStarted: 3, PrefillsAdopted: 1, Query: hs},

@@ -16,8 +16,8 @@
 //	world := latest.Rect{MinX: -125, MinY: 24, MaxX: -66, MaxY: 50}
 //	sys, err := latest.New(world, 10*time.Minute)
 //	...
-//	sys.Feed(latest.Object{ID: 1, Loc: latest.Pt(-118.24, 34.05),
-//		Keywords: []string{"fire"}, Timestamp: now})
+//	sys.FeedBatch([]latest.Object{{ID: 1, Loc: latest.Pt(-118.24, 34.05),
+//		Keywords: []string{"fire"}, Timestamp: now}})
 //	q := latest.HybridQuery(area, []string{"fire"}, now)
 //	estimate := sys.Estimate(&q)   // fast approximate count
 //	actual := sys.Execute(&q)      // exact count + feedback to the model
@@ -33,11 +33,15 @@
 // There is one engine, the ShardedSystem: the world spatially partitioned
 // into N shards, each its own window + estimator fleet behind its own lock;
 // ingest routes to one shard, queries fan out to intersecting shards, and
-// no background goroutine runs. NewSharded builds N shards; New and
+// no background goroutine runs. It feeds through FeedBatch (one object is
+// a batch of one) and answers through EstimateAndExecute, which runs both
+// halves as one atomic cycle. NewSharded builds N shards; New and
 // NewConcurrent build one. New returns it as a System, which adds the split
 // Estimate/Execute/ObserveActual calls and the one-module accessors. Every
 // engine is safe for concurrent use; the split calls pair per caller, so
 // callers sharing a System use EstimateAndExecute or serialize their pairs.
+// An Estimate left unpaired is dropped untrained by the next query or
+// snapshot on its shard.
 package latest
 
 import (
@@ -310,23 +314,27 @@ func (s *System) lock() *shard {
 // The query is validated first: an inverted rectangle is repaired in place
 // (so the paired Execute sees the repaired query). A query validation
 // rejects returns 0 and the paired Execute/ObserveActual becomes a no-op
-// rather than feeding the model a truth value it never estimated.
+// rather than feeding the model a truth value it never estimated. An
+// earlier Estimate still waiting for its truth is dropped untrained, as it
+// is by EstimateAndExecute and by a snapshot.
 func (s *System) Estimate(q *Query) float64 {
-	targets := s.route(q)
+	routed := len(s.route(q)) > 0
 	sh := s.lock()
 	defer sh.mu.Unlock()
-	sh.pendingRejected = len(targets) == 0
-	if sh.pendingRejected {
+	if !routed {
+		sh.dropSplit()
+		sh.pendingRejected = true
 		return 0
 	}
-	return sh.module.Estimate(q)
+	return sh.estimate(q)
 }
 
 // Execute runs the query exactly against the window store, feeds the true
 // selectivity back to the learning model, and returns the exact count. Call
 // it after Estimate for the same query. When that Estimate answered 0
 // without the model, Execute returns 0 without touching the store or the
-// model.
+// model; when no Estimate is pending, it returns the exact count and
+// trains nothing.
 func (s *System) Execute(q *Query) int {
 	sh := s.lock()
 	defer sh.mu.Unlock()
@@ -334,14 +342,16 @@ func (s *System) Execute(q *Query) int {
 		sh.pendingRejected = false
 		return 0
 	}
-	actual := sh.window.Answer(q)
-	sh.module.Observe(float64(actual))
+	actual := sh.answer(q)
+	if sh.module.Pending() {
+		sh.module.Observe(float64(actual))
+	}
 	return actual
 }
 
 // ObserveActual closes the feedback loop with a truth value obtained from
-// an external execution engine. A no-op when the paired Estimate answered
-// without the model.
+// an external execution engine. A no-op when no Estimate is pending or the
+// paired Estimate answered without the model.
 func (s *System) ObserveActual(actual float64) {
 	sh := s.lock()
 	defer sh.mu.Unlock()
@@ -349,7 +359,9 @@ func (s *System) ObserveActual(actual float64) {
 		sh.pendingRejected = false
 		return
 	}
-	sh.module.Observe(actual)
+	if sh.module.Pending() {
+		sh.module.Observe(actual)
+	}
 }
 
 // ActiveEstimator returns the currently employed estimator's name.
@@ -359,28 +371,10 @@ func (s *System) ActiveEstimator() string {
 	return sh.module.ActiveName()
 }
 
-// AccuracyAverage returns the monitored sliding accuracy average.
-func (s *System) AccuracyAverage() float64 {
-	sh := s.lock()
-	defer sh.mu.Unlock()
-	return sh.module.AccuracyAverage()
-}
-
 // RecommendFor returns the model's current estimator recommendation for a
 // query, without changing any state.
 func (s *System) RecommendFor(q *Query) string {
 	sh := s.lock()
 	defer sh.mu.Unlock()
 	return sh.module.RecommendFor(q)
-}
-
-// Gauges returns a point-in-time copy of the engine's operational counters
-// and latency histograms.
-func (s *System) Gauges() GaugeSnapshot { return s.shards[0].gauges.Snapshot() }
-
-// Decisions returns the recent switch-decision audit records, oldest first.
-func (s *System) Decisions() []Decision {
-	sh := s.lock()
-	defer sh.mu.Unlock()
-	return sh.module.Decisions()
 }

@@ -1,9 +1,12 @@
 package latest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,12 +27,12 @@ func testSystem(t *testing.T, opts ...Option) *System {
 func feedSystem(sys *System, rng *rand.Rand, ts *int64, n int) {
 	for i := 0; i < n; i++ {
 		*ts++
-		sys.Feed(Object{
+		sys.FeedBatch([]Object{{
 			ID:        uint64(*ts),
 			Loc:       Pt(rng.Float64(), rng.Float64()),
 			Keywords:  []string{fmt.Sprintf("kw%d", rng.Intn(20))},
 			Timestamp: *ts,
-		})
+		}})
 	}
 }
 
@@ -158,8 +161,8 @@ func TestOptionsMatchConfig(t *testing.T) {
 	}
 }
 
-// TestFeedBatch pins the batch ingest and batch query paths to their
-// single-object equivalents on a deterministic system.
+// TestFeedBatch pins batch ingest to the same objects fed as batches of
+// one on a deterministic system.
 func TestFeedBatch(t *testing.T) {
 	single := testSystem(t)
 	batched := testSystem(t)
@@ -174,7 +177,7 @@ func TestFeedBatch(t *testing.T) {
 		}
 	}
 	for i := range objs {
-		single.Feed(objs[i])
+		single.FeedBatch(objs[i : i+1])
 	}
 	batched.FeedBatch(append([]Object(nil), objs...))
 	if single.WindowSize() != batched.WindowSize() {
@@ -185,15 +188,13 @@ func TestFeedBatch(t *testing.T) {
 		KeywordQuery([]string{"kw1"}, 500),
 		HybridQuery(CenteredRect(Pt(0.25, 0.25), 0.3, 0.3), []string{"kw2"}, 500),
 	}
-	ests, acts := batched.EstimateAndExecuteBatch(qs)
-	if len(ests) != len(qs) || len(acts) != len(qs) {
-		t.Fatalf("batch result lengths %d/%d", len(ests), len(acts))
-	}
 	for i := range qs {
+		q := qs[i]
+		est, act := batched.EstimateAndExecute(&q)
 		wantEst, wantAct := single.EstimateAndExecute(&qs[i])
-		if ests[i] != wantEst || acts[i] != wantAct {
+		if est != wantEst || act != wantAct {
 			t.Errorf("query %d: batch (%v, %d) vs single (%v, %d)",
-				i, ests[i], acts[i], wantEst, wantAct)
+				i, est, act, wantEst, wantAct)
 		}
 	}
 }
@@ -253,9 +254,112 @@ func TestExactAnswerAtCellEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Feed(Object{ID: 1, Loc: Pt(-1.5625, 0), Keywords: []string{"edge"}, Timestamp: 1})
+	sys.FeedBatch([]Object{{ID: 1, Loc: Pt(-1.5625, 0), Keywords: []string{"edge"}, Timestamp: 1}})
 	q := SpatialQuery(Rect{MinX: -3, MinY: -1, MaxX: math.Nextafter(-1.5625, math.Inf(1)), MaxY: 1}, 1)
 	if _, actual := sys.EstimateAndExecute(&q); actual != 1 {
 		t.Fatalf("actual = %d, want 1", actual)
+	}
+}
+
+// TestEngineSurface pins Engine to its five calls: one feed call, the query
+// path plain and traced, the telemetry view and shutdown.
+func TestEngineSurface(t *testing.T) {
+	want := []string{"EstimateAndExecute", "EstimateAndExecuteTraced", "FeedBatch", "Shutdown", "TelemetrySnapshot"}
+	typ := reflect.TypeFor[Engine]()
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Engine declares %v, want %v", got, want)
+	}
+}
+
+// TestUnpairedEstimateIsDropped: a split Estimate whose Execute never comes
+// does not wedge its shard. The fused query, the next split Estimate and a
+// durable snapshot each drop it untrained; a late Execute still counts
+// exactly but trains nothing, and a late ObserveActual does nothing.
+func TestUnpairedEstimateIsDropped(t *testing.T) {
+	sys := testSystem(t)
+	rng := rand.New(rand.NewSource(12))
+	var ts int64
+	feedSystem(sys, rng, &ts, 500)
+	q := SpatialQuery(Rect{MinX: 0, MinY: 0, MaxX: 0.5, MaxY: 0.5}, ts)
+	trained := func() int {
+		st := sys.Stats()
+		return st.PretrainSeen + st.IncrementalSeen
+	}
+	// noPanic runs fn and reports a panic as a test error, so one wedge
+	// does not hide the next.
+	noPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s panicked: %v", what, r)
+			}
+		}()
+		fn()
+	}
+
+	var want int
+	n0 := trained()
+	qa := q
+	sys.Estimate(&qa)
+	noPanic("EstimateAndExecute after an unpaired Estimate", func() {
+		qb := q
+		_, want = sys.EstimateAndExecute(&qb)
+	})
+	if got := trained(); got != n0+1 {
+		t.Errorf("queries trained = %d, want %d: only the fused query trains", got, n0+1)
+	}
+
+	// Nothing is pending now: Execute counts exactly and trains nothing,
+	// and ObserveActual does nothing.
+	noPanic("Execute with nothing pending", func() {
+		qc := q
+		if got := sys.Execute(&qc); got != want {
+			t.Errorf("Execute with nothing pending = %d, want %d", got, want)
+		}
+	})
+	noPanic("ObserveActual with nothing pending", func() { sys.ObserveActual(float64(want)) })
+	if got := trained(); got != n0+1 {
+		t.Errorf("queries trained = %d after unpaired second halves, want %d", got, n0+1)
+	}
+
+	// A second split Estimate drops the first; its own pair then trains.
+	noPanic("Estimate after an unpaired Estimate", func() {
+		qd, qe := q, q
+		sys.Estimate(&qd)
+		sys.Estimate(&qe)
+		if got := sys.Execute(&qe); got != want {
+			t.Errorf("paired Execute = %d, want %d", got, want)
+		}
+	})
+	if got := trained(); got != n0+2 {
+		t.Errorf("queries trained = %d, want %d", got, n0+2)
+	}
+
+	// A snapshot, periodic or the final one Shutdown takes, drops it too.
+	// A fresh engine, so this half stands whatever the first half found.
+	fresh := testSystem(t)
+	feedSystem(fresh, rng, &ts, 500)
+	dur, err := NewDurable(fresh.ShardedSystem, NewMemStore(), DurableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qf := q
+	fresh.Estimate(&qf)
+	if err := dur.SnapshotNow(context.Background()); err != nil {
+		t.Errorf("SnapshotNow after an unpaired Estimate: %v", err)
+	}
+	noPanic("Estimate after a snapshot", func() {
+		qg := q
+		fresh.Estimate(&qg)
+	})
+	if err := dur.Shutdown(context.Background()); err != nil {
+		t.Errorf("Shutdown after an unpaired Estimate: %v", err)
+	}
+	if h := dur.Health(); !h.Healthy() {
+		t.Errorf("durability %s after an unpaired Estimate, want healthy", h.State)
 	}
 }

@@ -30,7 +30,10 @@ func (n engineNode) Estimate(_ context.Context, q Query) (float64, error) {
 }
 
 func (n engineNode) QueryBatch(_ context.Context, qs []Query) ([]float64, []int, error) {
-	ests, acts := n.eng.EstimateAndExecuteBatch(qs)
+	ests, acts := make([]float64, len(qs)), make([]int, len(qs))
+	for i := range qs {
+		ests[i], acts[i] = n.eng.EstimateAndExecute(&qs[i])
+	}
 	return ests, acts, nil
 }
 
@@ -45,7 +48,7 @@ func newTerritoryCluster(t *testing.T, m *cluster.Map) *cluster.Router {
 	nodes := map[string]engineNode{}
 	for i, addr := range m.Nodes {
 		eng := MustNewSharded(m.Territory(i), time.Hour, WithSeed(1), WithShards(1))
-		t.Cleanup(eng.Close)
+		t.Cleanup(func() { eng.Shutdown(context.Background()) })
 		nodes[addr] = engineNode{eng: eng, m: m}
 	}
 	r := cluster.NewRouter(m, func(addr string) cluster.Node { return nodes[addr] }, cluster.Options{})
@@ -94,9 +97,9 @@ func TestOutOfWorldRangeAgreesAcrossLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	control := MustNewSharded(world, time.Hour, WithSeed(1), WithShards(1))
-	defer control.Close()
+	defer control.Shutdown(context.Background())
 	four := MustNewSharded(world, time.Hour, WithSeed(1), WithShards(4))
-	defer four.Close()
+	defer four.Shutdown(context.Background())
 	objs := []Object{
 		{ID: 1, Loc: Pt(5, 0.5), Keywords: []string{"a"}, Timestamp: 1},
 		{ID: 2, Loc: Pt(-3, 2), Keywords: []string{"a"}, Timestamp: 1},
@@ -184,8 +187,8 @@ func TestClusterEdgeOracle(t *testing.T) {
 		control := MustNewSharded(world, time.Hour, WithSeed(1), WithShards(1))
 		four := MustNewSharded(world, time.Hour, WithSeed(1), WithShards(4))
 		countsAgree(t, control, map[string]*ShardedSystem{"4 shards": four}, newTerritoryCluster(t, m), objs, qs)
-		control.Close()
-		four.Close()
+		control.Shutdown(context.Background())
+		four.Shutdown(context.Background())
 	}
 }
 
@@ -199,7 +202,7 @@ func TestDurableRecoversEdgePointsFromWAL(t *testing.T) {
 	world := Rect{MinX: -125, MinY: 24, MaxX: -66, MaxY: 50}
 	build := func() *ShardedSystem {
 		eng := MustNewSharded(world, time.Hour, WithSeed(1), WithShards(4))
-		t.Cleanup(eng.Close)
+		t.Cleanup(func() { eng.Shutdown(context.Background()) })
 		return eng
 	}
 	rng := rand.New(rand.NewSource(46))

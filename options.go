@@ -105,8 +105,8 @@ func WithShards(n int) Option {
 // status snapshot (switch-decision trace, per-estimator q-error, latency
 // percentiles) at /statusz, expvar at /debug/vars and pprof under
 // /debug/pprof/. Every constructor accepts it: every engine is safe to
-// scrape while traffic flows. Stop the server with Close, or with
-// Shutdown(ctx) to let in-flight scrapes finish first.
+// scrape while traffic flows. Stop the server with Shutdown(ctx), which
+// lets in-flight scrapes finish first.
 //
 // When the engine sits behind the network serving layer (cmd/latestd),
 // leave this option off: the daemon runs its own exposition server via

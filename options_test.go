@@ -1,6 +1,7 @@
 package latest
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -49,17 +50,17 @@ func TestConcurrentAcceptsTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New rejected WithTelemetry: %v", err)
 	}
-	sys.Close()
+	sys.Shutdown(context.Background())
 	conc, err := NewConcurrent(world, win, WithTelemetry("127.0.0.1:0"))
 	if err != nil {
 		t.Fatalf("NewConcurrent rejected WithTelemetry: %v", err)
 	}
-	conc.Close()
+	conc.Shutdown(context.Background())
 	sh, err := NewSharded(world, win, WithShards(4), WithTelemetry("127.0.0.1:0"))
 	if err != nil {
 		t.Fatalf("NewSharded rejected WithTelemetry: %v", err)
 	}
-	sh.Close()
+	sh.Shutdown(context.Background())
 }
 
 // TestShardedAcceptsShardOptions: the full option surface is legal on the
@@ -70,5 +71,5 @@ func TestShardedAcceptsShardOptions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSharded rejected its own options: %v", err)
 	}
-	sh.Close()
+	sh.Shutdown(context.Background())
 }

@@ -34,7 +34,7 @@ func newWorkload(seed int64) *workload {
 
 func (w *workload) feed(eng Engine, n int) {
 	for i := 0; i < n; i++ {
-		eng.Feed(w.object())
+		eng.FeedBatch([]Object{w.object()})
 	}
 }
 
@@ -86,13 +86,22 @@ func (w *workload) drive(eng Engine, rounds int) string {
 	return b.String()
 }
 
+// statsOf reads an engine's merged module stats, through the durable
+// layer when there is one.
+func statsOf(e Engine) Stats {
+	if d, ok := e.(*DurableEngine); ok {
+		e = d.eng
+	}
+	return e.(interface{ Stats() Stats }).Stats()
+}
+
 // warmToIncremental pushes an engine through warmup and pretraining (150
 // pretrain queries under testSystem's options) into the incremental phase.
 func warmEngine(t *testing.T, eng Engine, w *workload) {
 	t.Helper()
 	w.feed(eng, 3000)
 	w.drive(eng, 160)
-	if p := eng.Stats().Phase; p != PhaseIncremental {
+	if p := statsOf(eng).Phase; p != PhaseIncremental {
 		t.Fatalf("phase after warm drive = %v, want incremental", p)
 	}
 }
@@ -105,7 +114,7 @@ func restoredBehavesIdentically(t *testing.T, src, dst imageEngine, w *workload)
 	if err := restoreBytes(dst, snapshotImage(t, src)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	a, b := src.Stats(), dst.Stats()
+	a, b := statsOf(src), statsOf(dst)
 	if a.Phase != b.Phase || a.Active != b.Active ||
 		a.PretrainSeen != b.PretrainSeen || a.IncrementalSeen != b.IncrementalSeen ||
 		a.Switches != b.Switches || a.TrainingRecords != b.TrainingRecords {
@@ -233,7 +242,7 @@ func TestConcurrentCrossRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(conc.Close)
+		t.Cleanup(func() { conc.Shutdown(context.Background()) })
 		return conc
 	}
 	image := func(eng imageEngine) []byte { return snapshotImage(t, eng) }
@@ -253,7 +262,7 @@ func TestConcurrentCrossRestore(t *testing.T) {
 	// the query path; both engines count that pre-fill where it ran.
 	ws.drive(sys, 80)
 	wc.drive(conc, 80)
-	for name, g := range map[string]GaugeSnapshot{"System": sys.Gauges(), "NewConcurrent": conc.PerShardStats().Shards[0].Gauges} {
+	for name, g := range map[string]GaugeSnapshot{"System": sys.PerShardStats().Shards[0].Gauges, "NewConcurrent": conc.PerShardStats().Shards[0].Gauges} {
 		if sw, pf := sys.Stats().Switches, g.PrefillsDrawn+g.PrefillsReplayed; sw == 0 || sw != conc.Stats().Switches || pf == 0 {
 			t.Errorf("%s: %d switches (NewConcurrent %d), %d pre-fills, want equal switches and both >= 1",
 				name, sw, conc.Stats().Switches, pf)
@@ -276,9 +285,9 @@ func TestOneModuleImagesIdentical(t *testing.T) {
 	latency := WithLatencyModel(func(string, *Query, time.Duration) time.Duration { return time.Microsecond })
 	opts := []Option{WithPretrainQueries(40), WithAccWindow(20), WithSeed(1), WithMemoryScale(0.1), latency}
 	conc := newConcurrent(t, world, window, opts...)
-	defer conc.Close()
+	defer conc.Shutdown(context.Background())
 	sharded1 := MustNewSharded(world, window, append(opts, WithShards(1))...)
-	defer sharded1.Close()
+	defer sharded1.Shutdown(context.Background())
 	var want []byte
 	for name, eng := range map[string]imageEngine{
 		"New":                       MustNew(world, window, opts...),
@@ -310,12 +319,12 @@ func testSharded(t *testing.T) *ShardedSystem {
 
 func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
 	src := testSharded(t)
-	defer src.Close()
+	defer src.Shutdown(context.Background())
 	w := newWorkload(9)
 	w.feed(src, 3000)
 	w.drive(src, 160)
 	dst := testSharded(t)
-	defer dst.Close()
+	defer dst.Shutdown(context.Background())
 	restoredBehavesIdentically(t, src, dst, w)
 }
 
@@ -377,14 +386,14 @@ func loadImage(t testing.TB, file string) []byte {
 // 0.01 and seed 42. Each image holds 40 fed objects.
 func TestRestoreImagesWrittenBeforePR24(t *testing.T) {
 	pr21 := explicitEngine(0)
-	defer pr21.Close()
+	defer pr21.Shutdown(context.Background())
 	if err := restoreBytes(pr21, loadImage(t, "pr21_explicit_options.lsnp")); PersistCode(err) != CodeMismatch {
 		t.Errorf("pr21_explicit_options.lsnp: restore = %v, want CodeMismatch", err)
 	}
 
 	for _, file := range []string{"pr21_default_options.lsnp", "pr33_explicit_options.lsnp"} {
 		eng := imageEngines[file]()
-		defer eng.Close()
+		defer eng.Shutdown(context.Background())
 		if err := restoreBytes(eng, loadImage(t, file)); err != nil {
 			t.Errorf("%s: %v", file, err)
 			continue
@@ -431,7 +440,7 @@ func TestRestoreOneShardImageSharded1x1(t *testing.T) {
 // next query takes each of them out of pre-training.
 func TestRestoredShardPastItsShareLeavesPretraining(t *testing.T) {
 	eng := imageEngines["sharded2_pretrain60.lsnp"]()
-	defer eng.Close()
+	defer eng.Shutdown(context.Background())
 	if err := restoreBytes(eng, loadImage(t, "sharded2_pretrain60.lsnp")); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +474,7 @@ func TestImagesReencodeToThemselves(t *testing.T) {
 			t.Fatalf("%s: %v", file, err)
 		}
 		eng := build()
-		defer eng.Close()
+		defer eng.Shutdown(context.Background())
 		if err := eng.restoreImage(snap); err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
@@ -493,7 +502,7 @@ func TestImagesReencodeToThemselves(t *testing.T) {
 			}
 		}
 		twin := build()
-		defer twin.Close()
+		defer twin.Shutdown(context.Background())
 		if err := restoreBytes(twin, again); err != nil {
 			t.Fatalf("%s: re-encoded image refused: %v", file, err)
 		}
@@ -531,7 +540,7 @@ func TestRestoreFailurePaths(t *testing.T) {
 
 	t.Run("kind mismatch", func(t *testing.T) {
 		sh := testSharded(t)
-		defer sh.Close()
+		defer sh.Shutdown(context.Background())
 		err := restoreBytes(sh, image)
 		if PersistCode(err) != CodeMismatch {
 			t.Fatalf("sharded restore of single snapshot = %v, want CodeMismatch", err)
@@ -598,7 +607,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	if got := recovered.Generation(); got != 1 {
 		t.Fatalf("generation after recovery = %d, want 1", got)
 	}
-	a, b := control.Stats(), recovered.Stats()
+	a, b := control.Stats(), statsOf(recovered)
 	if a.Phase != b.Phase || a.Active != b.Active || a.IncrementalSeen != b.IncrementalSeen {
 		t.Fatalf("recovered stats differ from control: %v/%s/%d vs %v/%s/%d",
 			a.Phase, a.Active, a.IncrementalSeen, b.Phase, b.Active, b.IncrementalSeen)
@@ -655,13 +664,13 @@ func TestDurableCleanShutdown(t *testing.T) {
 	dur := newDurable(t, st)
 	w := newWorkload(23)
 	warmEngine(t, dur, w)
-	before := dur.Stats()
+	before := statsOf(dur)
 	if err := dur.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	reopened := newDurable(t, st)
 	defer reopened.Shutdown(context.Background())
-	after := reopened.Stats()
+	after := statsOf(reopened)
 	if before.Phase != after.Phase || before.Active != after.Active ||
 		before.IncrementalSeen != after.IncrementalSeen || before.Switches != after.Switches {
 		t.Fatalf("state lost across clean shutdown: %+v vs %+v", before.Active, after.Active)

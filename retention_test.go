@@ -96,7 +96,7 @@ func TestFeedDoesNotRetainCallerSlices(t *testing.T) {
 					}
 				}
 			}
-			if p := reusing.Stats().Phase; p == PhaseIncremental {
+			if p := statsOf(reusing).Phase; p == PhaseIncremental {
 				t.Fatal("the run left pre-training: idle summaries were not fed")
 			}
 			if a, b := snapshotImage(t, reusing), snapshotImage(t, twin); !bytes.Equal(a, b) {

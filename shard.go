@@ -56,7 +56,7 @@ type ShardedSystem struct {
 	// pooled memory pins no keyword arrays.
 	bucketPool sync.Pool
 
-	closeOnce sync.Once
+	shutdownOnce sync.Once
 
 	// fingerprint encodes the construction options an image must match
 	// (snapshot.go).
@@ -88,10 +88,9 @@ type shard struct {
 	// module a truth value it never produced an estimate for.
 	pendingRejected bool
 
-	// scratch stages an object in the heap-resident shard, so a single
-	// Feed hands down a pointer without forcing its argument to escape, and
-	// a regressed arrival is repaired here rather than in the caller's
-	// slice. Estimators copy what they keep, so the buffer is reusable.
+	// scratch stages a regressed arrival, so it is repaired here rather
+	// than in the caller's slice. Estimators copy what they keep, so the
+	// buffer is reusable.
 	scratch Object
 
 	// gauges are the shard's operational counters and latency histograms:
@@ -152,8 +151,8 @@ func (sh *shard) refill(e estimator.Estimator) {
 // partitioned into WithShards(n) spatial shards (default
 // runtime.GOMAXPROCS(0)). WithPretrainQueries sets the engine's
 // pre-training length, split across the shards: each pre-trains on
-// ceil(length/n) queries. It starts no goroutine; call Close when done to
-// stop the telemetry server WithTelemetry starts.
+// ceil(length/n) queries. It starts no goroutine; call Shutdown when done
+// to stop the telemetry server WithTelemetry starts.
 func NewSharded(world Rect, window time.Duration, opts ...Option) (*ShardedSystem, error) {
 	return newSharded(buildConfig(world, window, opts))
 }
@@ -225,7 +224,6 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 	if cfg.TelemetryAddr != "" {
 		srv, err := telemetry.Serve(cfg.TelemetryAddr, s.TelemetrySnapshot, baseLog)
 		if err != nil {
-			s.Close()
 			return nil, err
 		}
 		s.telem = srv
@@ -233,27 +231,13 @@ func newSharded(cfg config) (*ShardedSystem, error) {
 	return s, nil
 }
 
-// Close stops the telemetry server, if one was started — the only
-// background resource the engine owns — and leaves the system usable.
-// Close is idempotent.
-func (s *ShardedSystem) Close() {
-	s.closeOnce.Do(func() {
-		if s.telem != nil {
-			s.telem.Close()
-		}
-	})
-}
-
-// Shutdown is the graceful form of Close: the telemetry exposition server
-// (if one was started) finishes in-flight scrapes, bounded by ctx, before
-// stopping. Shares Close's once — whichever runs first wins, the other is
-// a no-op.
+// Shutdown stops the telemetry server WithTelemetry started, if any — the
+// only background resource the engine owns — letting in-flight scrapes
+// finish, bounded by ctx, and leaves the system usable. Only the first call
+// does anything.
 func (s *ShardedSystem) Shutdown(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var err error
-	s.closeOnce.Do(func() {
+	s.shutdownOnce.Do(func() {
 		if s.telem != nil {
 			err = s.telem.Shutdown(ctx)
 		}
@@ -299,29 +283,6 @@ func (sh *shard) feedLocked(o *Object) {
 	sh.module.Insert(o)
 }
 
-// Feed ingests one stream object on the caller, under the owning shard's
-// lock, timing one call in metrics.FeedSampleInterval. The shard's ingest
-// gauges are recorded under the lock too: it serializes their writers,
-// which the rolling ingest-rate counter relies on.
-func (s *ShardedSystem) Feed(o Object) {
-	sh := s.shards[s.shardOf(o.Loc)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sampled := sh.gauges.RecordFeed()
-	var start time.Time
-	if sampled {
-		start = time.Now()
-	}
-	// Staged in the shard so the pointer handed down does not force o to
-	// the heap: a single Feed stays allocation-free.
-	sh.scratch = o
-	sh.feedLocked(&sh.scratch)
-	if sampled {
-		sh.gauges.RecordFeedLatency(time.Since(start))
-	}
-	sh.gauges.SetWindow(sh.window.Size(), sh.window.MemoryBytes())
-}
-
 // FeedBatch ingests a batch of stream objects with a single routing pass:
 // each object is appended to its shard's pooled sub-batch bucket (one
 // shardOf call per object, no per-shard rescans), and each non-empty
@@ -358,7 +319,8 @@ func (s *ShardedSystem) FeedBatch(objs []Object) {
 }
 
 // apply ingests a routed sub-batch under the shard lock and records the
-// shard's ingest gauges there, as Feed does.
+// shard's ingest gauges there: the lock serializes their writers, which
+// the rolling ingest-rate counter relies on.
 func (sh *shard) apply(objs []Object) {
 	start := time.Now()
 	sh.mu.Lock()
@@ -406,6 +368,24 @@ func (s *ShardedSystem) route(q *Query) []*shard {
 	return s.targets(q)
 }
 
+// dropSplit drops a split Estimate no Execute or ObserveActual paired,
+// untrained, so the module is idle again; the pair's late second half then
+// finds nothing pending. The fused query, a split Estimate and a snapshot
+// call it before they touch the module. Only a split Estimate can leave
+// the module pending while sh.mu is free: the fused query observes before
+// it unlocks. Caller holds sh.mu.
+func (sh *shard) dropSplit() {
+	sh.module.Abandon()
+	sh.pendingRejected = false
+}
+
+// estimate is a query's first half on the shard: any unpaired split
+// Estimate is dropped, then the module answers. Caller holds sh.mu.
+func (sh *shard) estimate(q *Query) float64 {
+	sh.dropSplit()
+	return sh.module.Estimate(q)
+}
+
 // query runs one atomic estimate/observe cycle on the shard, with tr
 // installed on the module for exactly the span of the lock, so the module
 // never observes a stale trace. A nil tr records nothing. A panic inside
@@ -417,7 +397,7 @@ func (sh *shard) query(q *Query, tr *telemetry.ActiveTrace) (estimate float64, a
 	defer sh.mu.Unlock()
 	sh.module.SetTrace(tr)
 	defer sh.module.SetTrace(nil)
-	estimate = sh.module.Estimate(q)
+	estimate = sh.estimate(q)
 	actual = sh.answer(q)
 	sh.module.Observe(float64(actual))
 	sh.gauges.RecordQuery(time.Since(start))
@@ -442,18 +422,31 @@ func (sh *shard) answer(q *Query) int {
 // cycle per shard the range reaches, fanned out in parallel. Estimates and
 // exact counts are merged by summation, which is exact for the count
 // because shards hold disjoint objects. A range beyond the world is
-// clamped onto it, as objects are.
+// clamped onto it, as objects are. It is EstimateAndExecuteTraced with a
+// nil trace.
 func (s *ShardedSystem) EstimateAndExecute(q *Query) (estimate float64, actual int) {
 	return s.EstimateAndExecuteTraced(q, nil)
 }
 
-// fanOut runs the scatter-gather path over the already-routed target
-// shards: one atomic estimate/observe cycle per shard in parallel, partial
-// answers merged by summation (exact for the count because shards hold
-// disjoint objects). A panic on a shard's goroutine is recovered there and
-// re-raised on the caller once every shard has answered, so it reaches
-// the caller's recover rather than killing the process.
-func (s *ShardedSystem) fanOut(q *Query, targets []*shard) (estimate float64, actual int) {
+// EstimateAndExecuteTraced is the engine's one query path. A single-shard
+// query threads tr into that shard's module (the common case — point and
+// small-range queries route to one shard), so the trace's span timeline
+// includes the estimator-inference stage. Otherwise the query scatters:
+// one atomic estimate/observe cycle per target shard in parallel, recorded
+// as one whole-fan-out span, because the trace recorder is single-owner.
+// A panic on a shard's goroutine is recovered there and re-raised on the
+// caller once every shard has answered, so it reaches the caller's recover
+// rather than killing the process. A nil tr records nothing
+// (telemetry.ActiveTrace is nil-safe).
+func (s *ShardedSystem) EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveTrace) (estimate float64, actual int) {
+	targets := s.route(q)
+	switch len(targets) {
+	case 0:
+		return 0, 0
+	case 1:
+		return targets[0].query(q, tr)
+	}
+	start := time.Now()
 	type partial struct {
 		est      float64
 		act      int
@@ -481,18 +474,8 @@ func (s *ShardedSystem) fanOut(q *Query, targets []*shard) (estimate float64, ac
 		estimate += p.est
 		actual += p.act
 	}
+	tr.AddSpan("fanout", start)
 	return estimate, actual
-}
-
-// EstimateAndExecuteBatch runs EstimateAndExecute over a batch of queries
-// in order, returning the parallel estimate and exact-count slices.
-func (s *ShardedSystem) EstimateAndExecuteBatch(qs []Query) (estimates []float64, actuals []int) {
-	estimates = make([]float64, len(qs))
-	actuals = make([]int, len(qs))
-	for i := range qs {
-		estimates[i], actuals[i] = s.EstimateAndExecute(&qs[i])
-	}
-	return estimates, actuals
 }
 
 // NumShards returns the shard count.
@@ -517,8 +500,8 @@ func (s *ShardedSystem) ShardRects() []Rect {
 	return out
 }
 
-// Drain does nothing: a feed has been applied by the time Feed or
-// FeedBatch returns.
+// Drain does nothing: a feed has been applied by the time FeedBatch
+// returns.
 //
 // Deprecated: there is nothing to wait for; delete the call.
 func (s *ShardedSystem) Drain() {}
@@ -601,8 +584,7 @@ type ShardedStats struct {
 
 // Stats snapshots every shard and returns the merged module view —
 // counters summed, phase = earliest, accuracy weighted by monitored
-// queries — satisfying the unified Engine interface. Per-shard detail
-// moved to PerShardStats.
+// queries. PerShardStats adds the per-shard detail.
 func (s *ShardedSystem) Stats() Stats { return s.PerShardStats().Merged }
 
 // PerShardStats snapshots every shard and merges the module views.

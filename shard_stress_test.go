@@ -17,23 +17,16 @@ import (
 // chaos job (test names carry the ShardStress marker the job greps for).
 
 // stressFeed drives one producer's share of the workload with randomized
-// batch sizes, mixing single Feed calls (batch size 1) with FeedBatch.
+// batch sizes, from one object to 97.
 func stressFeed(s *ShardedSystem, objs []Object, rng *rand.Rand) {
 	for len(objs) > 0 {
-		n := 1 + rng.Intn(97)
-		if n > len(objs) {
-			n = len(objs)
-		}
-		if n == 1 {
-			s.Feed(objs[0])
-		} else {
-			batch := make([]Object, n)
-			// Producers own their slices; copy so FeedBatch's caller-reuse
-			// contract is exercised with a buffer we immediately re-append
-			// to on the next iteration.
-			copy(batch, objs[:n])
-			s.FeedBatch(batch)
-		}
+		n := min(1+rng.Intn(97), len(objs))
+		batch := make([]Object, n)
+		// Producers own their slices; copy so FeedBatch's caller-reuse
+		// contract is exercised with a buffer we immediately re-append
+		// to on the next iteration.
+		copy(batch, objs[:n])
+		s.FeedBatch(batch)
 		objs = objs[n:]
 	}
 }
@@ -78,7 +71,7 @@ func TestShardStressIngestIntegrity(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s := MustNewSharded(testWorld(), time.Hour,
 				WithSeed(7), WithShards(shards))
-			defer s.Close()
+			defer s.Shutdown(context.Background())
 			objs := shardWorkload(int64(100+shards), producers*perProducer)
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {
@@ -106,7 +99,7 @@ func TestShardStressFeedQueryRace(t *testing.T) {
 	const producers = 3
 	s := MustNewSharded(testWorld(), time.Hour,
 		WithSeed(8), WithShards(4))
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	objs := shardWorkload(42, producers*perProducer)
 
 	var wg sync.WaitGroup

@@ -1,6 +1,7 @@
 package latest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -95,7 +96,7 @@ func TestShardedPartition(t *testing.T) {
 		}
 		probe(Pt(-5, -5))
 		probe(Pt(5, 5))
-		s.Close()
+		s.Shutdown(context.Background())
 	}
 }
 
@@ -125,7 +126,7 @@ func TestShardRectsKeepTheirBits(t *testing.T) {
 					t.Errorf("%v, %d shards: shard %d rect %v, want %v", w, n, i, got, want)
 				}
 			}
-			s.Close()
+			s.Shutdown(context.Background())
 		}
 	}
 }
@@ -148,12 +149,12 @@ func TestShardedOneShardDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sharded.Close()
+	defer sharded.Shutdown(context.Background())
 
 	objs := shardWorkload(7, 6000)
 	for i := range objs {
-		mono.Feed(objs[i])
-		sharded.Feed(objs[i])
+		mono.FeedBatch(objs[i : i+1])
+		sharded.FeedBatch(objs[i : i+1])
 	}
 	ts := objs[len(objs)-1].Timestamp
 	for i, q := range shardQueries(8, 400, ts) {
@@ -252,7 +253,7 @@ func TestShardedExactCounts(t *testing.T) {
 					n, i, qs[i].Type(), gotAct, wantAct)
 			}
 		}
-		sharded.Close()
+		sharded.Shutdown(context.Background())
 	}
 }
 
@@ -266,7 +267,7 @@ func TestShardedParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 
 	// Seed one window of data so queries observe live objects.
 	seedObjs := shardWorkload(13, 5000)
@@ -371,12 +372,12 @@ func TestShardedCloseUnderSwitches(t *testing.T) {
 			}
 		}
 	}
-	s.Close()
-	s.Close() // idempotent
-	// Post-Close operation stays safe.
+	s.Shutdown(context.Background())
+	s.Shutdown(context.Background()) // idempotent
+	// Operation after Shutdown stays safe.
 	q := KeywordQuery([]string{"kw1"}, ts)
 	if est, _ := s.EstimateAndExecute(&q); est < 0 {
-		t.Fatalf("post-close estimate %v", est)
+		t.Fatalf("post-shutdown estimate %v", est)
 	}
 }
 
@@ -384,7 +385,7 @@ func TestShardedCloseUnderSwitches(t *testing.T) {
 // must not touch any shard state or gauges.
 func TestFeedBatchEmpty(t *testing.T) {
 	s := MustNewSharded(testWorld(), time.Hour, WithSeed(3), WithShards(4))
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	s.FeedBatch(nil)
 	s.FeedBatch([]Object{})
 	if got := s.WindowSize(); got != 0 {
@@ -402,7 +403,7 @@ func TestFeedBatchEmpty(t *testing.T) {
 // tick on the owning shard, none elsewhere).
 func TestFeedBatchAllOneShard(t *testing.T) {
 	s := MustNewSharded(testWorld(), time.Hour, WithSeed(4), WithShards(4))
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	rects := s.ShardRects()
 	target := 2
 	c := rects[target].Center()
@@ -433,7 +434,7 @@ func TestFeedBatchAllOneShard(t *testing.T) {
 // rectangle query.
 func TestFeedBatchPartitionEdges(t *testing.T) {
 	s := MustNewSharded(testWorld(), time.Hour, WithSeed(5), WithShards(4)) // 2x2 grid
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	edges := []float64{0, 0.5, 1} // 2x2 over the unit square
 	var objs []Object
 	id := uint64(0)
@@ -485,7 +486,7 @@ func TestShardsSplitPretraining(t *testing.T) {
 					tc.shards, len(tc.opts), i, got, tc.want)
 			}
 		}
-		s.Close()
+		s.Shutdown(context.Background())
 	}
 }
 
@@ -497,7 +498,7 @@ func TestShardsSplitPretraining(t *testing.T) {
 func TestShardLeavesPretrainingOnItsShare(t *testing.T) {
 	const pretrain = 150
 	s := MustNewSharded(testWorld(), time.Minute, WithShards(4), WithPretrainQueries(pretrain), WithSeed(3))
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	objs := shardWorkload(5, 4000)
 	s.FeedBatch(objs)
 	ts := objs[len(objs)-1].Timestamp

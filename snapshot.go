@@ -123,8 +123,11 @@ func readMeta(snap *persist.Snapshot) (kind string, fp []byte, gen uint64, err e
 }
 
 // writeSections serializes one shard's state group into sw under prefix
-// (see snapshotLayout).
+// (see snapshotLayout). A split Estimate still waiting for its truth is
+// dropped first: the image holds no half-answered query. Caller holds
+// sh.mu.
 func (sh *shard) writeSections(sw *persist.SnapshotWriter, prefix string) error {
+	sh.dropSplit()
 	_ = sw.EncodeSection(prefix+windowSection, func(e *persist.Enc) error {
 		sh.window.SaveState(e)
 		return nil

@@ -36,7 +36,6 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 		Sanitized:              st.Sanitized,
 		AccuracyAvg:            st.AccuracyAvg,
 		MemoryBytes:            st.MemoryBytes,
-		Feed:                   g.FeedLatency,
 		Batch:                  g.BatchLatency,
 		Query:                  g.QueryLatency,
 		Estimate:               st.EstimateLatency,

@@ -1,6 +1,7 @@
 package latest
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -37,7 +38,7 @@ func TestShardedTelemetryEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
+	defer sys.Shutdown(context.Background())
 	addr := sys.TelemetryAddr()
 	if addr == "" {
 		t.Fatal("TelemetryAddr empty with WithTelemetry enabled")
@@ -45,11 +46,11 @@ func TestShardedTelemetryEndpoints(t *testing.T) {
 
 	objs := shardWorkload(1, 4000)
 	sys.FeedBatch(objs[:2000])
-	for _, o := range objs[2000:] {
-		sys.Feed(o)
-	}
+	sys.FeedBatch(objs[2000:])
 	qs := shardQueries(2, 200, 4000)
-	sys.EstimateAndExecuteBatch(qs)
+	for i := range qs {
+		sys.EstimateAndExecute(&qs[i])
+	}
 
 	prom := telemetryGet(t, addr, "/metrics")
 	for _, want := range []string{
@@ -63,7 +64,6 @@ func TestShardedTelemetryEndpoints(t *testing.T) {
 		`latest_query_latency_seconds_bucket{shard="0",le="+Inf"}`,
 		`latest_query_latency_seconds_count{shard="0"}`,
 		"# TYPE latest_batch_latency_seconds histogram",
-		"# TYPE latest_feed_latency_seconds histogram",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -137,7 +137,7 @@ func TestShardedTelemetryEndpoints(t *testing.T) {
 }
 
 // TestConcurrentTelemetry covers the single-shard exposition shape and the
-// idempotent Close.
+// idempotent Shutdown.
 func TestConcurrentTelemetry(t *testing.T) {
 	sys, err := NewConcurrent(testWorld(), time.Hour, WithSeed(3),
 		WithPretrainQueries(20), WithAccWindow(10),
@@ -145,7 +145,7 @@ func TestConcurrentTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
+	defer sys.Shutdown(context.Background())
 	addr := sys.TelemetryAddr()
 	if addr == "" {
 		t.Fatal("TelemetryAddr empty with WithTelemetry enabled")
@@ -153,9 +153,7 @@ func TestConcurrentTelemetry(t *testing.T) {
 
 	objs := shardWorkload(4, 1500)
 	sys.FeedBatch(objs[:500])
-	for _, o := range objs[500:] {
-		sys.Feed(o)
-	}
+	sys.FeedBatch(objs[500:])
 	for _, q := range shardQueries(5, 60, 1500) {
 		q := q
 		sys.EstimateAndExecute(&q)
@@ -182,10 +180,10 @@ func TestConcurrentTelemetry(t *testing.T) {
 		t.Errorf("gauges = %+v, want feeds=1500 queries=60", snap.Shards[0])
 	}
 
-	sys.Close()
-	sys.Close() // idempotent
+	sys.Shutdown(context.Background())
+	sys.Shutdown(context.Background()) // idempotent
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
-		t.Error("server still serving after Close")
+		t.Error("server still serving after Shutdown")
 	}
 }
 
@@ -199,19 +197,17 @@ func TestGaugesAccessors(t *testing.T) {
 	}
 	objs := shardWorkload(6, 1000)
 	sys.FeedBatch(objs[:360])
-	for _, o := range objs[360:] {
-		sys.Feed(o)
-	}
+	sys.FeedBatch(objs[360:])
 	for _, q := range shardQueries(7, 40, 1000) {
 		q := q
 		sys.EstimateAndExecute(&q)
 	}
-	g := sys.Gauges()
+	g := sys.PerShardStats().Shards[0].Gauges
 	if g.Feeds != 1000 {
 		t.Errorf("feeds = %d, want 1000", g.Feeds)
 	}
-	if g.Batches != 1 {
-		t.Errorf("batches = %d, want 1", g.Batches)
+	if g.Batches != 2 {
+		t.Errorf("batches = %d, want 2", g.Batches)
 	}
 	if g.Queries != 40 {
 		t.Errorf("queries = %d, want 40", g.Queries)
@@ -219,15 +215,12 @@ func TestGaugesAccessors(t *testing.T) {
 	if g.QueryLatency.Count != 40 || g.QueryLatency.Sum <= 0 {
 		t.Errorf("query latency histogram = %+v", g.QueryLatency)
 	}
-	// 640 single feeds at 1-in-64 sampling: the histogram must have
-	// sampled some, and far fewer than all.
-	if n := g.FeedLatency.Count; n == 0 || n > 640/8 {
-		t.Errorf("sampled feed latencies = %d, want ~%d", n, 640/64)
+	if g.BatchLatency.Count != 2 {
+		t.Errorf("batch latency histogram = %+v", g.BatchLatency)
 	}
-	// Occupancy is published on batches and sampled feeds, so it may lag
-	// the true size by up to one sampling interval.
-	if g.Occupancy < 1000-64 || g.Occupancy > 1000 {
-		t.Errorf("occupancy = %d, want within [936,1000]", g.Occupancy)
+	// Occupancy is published after every batch.
+	if g.Occupancy != 1000 {
+		t.Errorf("occupancy = %d, want 1000", g.Occupancy)
 	}
 	if g.WindowBytes < g.Occupancy*60 {
 		t.Errorf("window bytes = %d for %d objects", g.WindowBytes, g.Occupancy)

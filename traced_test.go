@@ -89,7 +89,7 @@ func TestConcurrentTraced(t *testing.T) {
 
 func TestShardedTraced(t *testing.T) {
 	sh := testSharded(t)
-	defer sh.Close()
+	defer sh.Shutdown(context.Background())
 	w := newWorkload(7)
 	w.feed(sh, 3000)
 	for i := 0; i < 5000 && sh.Stats().Phase != PhaseIncremental; i++ {
@@ -124,7 +124,7 @@ func TestDurableTraced(t *testing.T) {
 	w := newWorkload(8)
 	warmEngine(t, dur, w)
 	tr := traceOne(t, dur, tracedHybridQuery(w))
-	estimatorSpanOf(t, tr, dur.Stats().Active)
+	estimatorSpanOf(t, tr, statsOf(dur).Active)
 }
 
 // TestTracedQueryReadsOwnWrites: a traced query, like an untraced one,
@@ -143,7 +143,7 @@ func TestTracedQueryReadsOwnWrites(t *testing.T) {
 	spot := CenteredRect(Pt(0.25, 0.25), 0.1, 0.1)
 	sharded := func(n int) *ShardedSystem {
 		s := MustNewSharded(world, time.Second, WithShards(n), WithSeed(1))
-		t.Cleanup(s.Close)
+		t.Cleanup(func() { s.Shutdown(context.Background()) })
 		return s
 	}
 	for name, eng := range map[string]Engine{

@@ -40,12 +40,12 @@ func TestValidationRejectsNonFiniteObjects(t *testing.T) {
 			Pt(math.Inf(1), 0.5),
 			Pt(0.5, math.Inf(-1)),
 		} {
-			sys.Feed(Object{ID: 1, Loc: loc, Keywords: []string{"a"}, Timestamp: 10})
+			sys.FeedBatch([]Object{{ID: 1, Loc: loc, Keywords: []string{"a"}, Timestamp: 10}})
 		}
 		if n := sys.WindowSize(); n != 0 {
 			t.Errorf("%d non-finite objects ingested", n)
 		}
-		if got := sys.Gauges().ValidationRejected; got != 4 {
+		if got := sys.PerShardStats().Shards[0].Gauges.ValidationRejected; got != 4 {
 			t.Errorf("ValidationRejected = %d, want 4", got)
 		}
 	})
@@ -54,12 +54,12 @@ func TestValidationRejectsNonFiniteObjects(t *testing.T) {
 func TestValidationTimestampRegression(t *testing.T) {
 	// The regressed arrival is pulled forward and kept.
 	sys := validationSystem(t)
-	sys.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 100})
-	sys.Feed(Object{ID: 2, Loc: Pt(0.4, 0.4), Keywords: []string{"a"}, Timestamp: 50})
+	sys.FeedBatch([]Object{{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 100}})
+	sys.FeedBatch([]Object{{ID: 2, Loc: Pt(0.4, 0.4), Keywords: []string{"a"}, Timestamp: 50}})
 	if n := sys.WindowSize(); n != 2 {
 		t.Errorf("clamp kept %d objects, want 2", n)
 	}
-	if g := sys.Gauges(); g.ValidationClamped != 1 || g.ValidationRejected != 0 {
+	if g := sys.PerShardStats().Shards[0].Gauges; g.ValidationClamped != 1 || g.ValidationRejected != 0 {
 		t.Errorf("ValidationClamped = %d, ValidationRejected = %d; want 1, 0", g.ValidationClamped, g.ValidationRejected)
 	}
 }
@@ -70,8 +70,8 @@ func TestValidationQueryPolicies(t *testing.T) {
 		var ts int64
 		for i := 0; i < 500; i++ {
 			ts++
-			sys.Feed(Object{ID: uint64(ts), Loc: Pt(rng.Float64(), rng.Float64()),
-				Keywords: []string{"kw"}, Timestamp: ts})
+			sys.FeedBatch([]Object{{ID: uint64(ts), Loc: Pt(rng.Float64(), rng.Float64()),
+				Keywords: []string{"kw"}, Timestamp: ts}})
 		}
 		return ts
 	}
@@ -92,7 +92,7 @@ func TestValidationQueryPolicies(t *testing.T) {
 		if want := sys.shards[0].window.Answer(&canonical); actual != want {
 			t.Errorf("repaired exact count %d != canonical %d", actual, want)
 		}
-		if g := sys.Gauges(); g.ValidationClamped != 1 {
+		if g := sys.PerShardStats().Shards[0].Gauges; g.ValidationClamped != 1 {
 			t.Errorf("ValidationClamped = %d, want 1", g.ValidationClamped)
 		}
 	})
@@ -111,7 +111,7 @@ func TestValidationQueryPolicies(t *testing.T) {
 				t.Errorf("bad query %d answered (%v, %d)", i, est, actual)
 			}
 		}
-		if g := sys.Gauges(); g.ValidationRejected != uint64(len(bad)) {
+		if g := sys.PerShardStats().Shards[0].Gauges; g.ValidationRejected != uint64(len(bad)) {
 			t.Errorf("ValidationRejected = %d, want %d", g.ValidationRejected, len(bad))
 		}
 	})
@@ -136,7 +136,7 @@ func TestValidationQueryPolicies(t *testing.T) {
 				t.Fatalf("degenerate rect %v matches %d objects; reject is no longer exact", r, want)
 			}
 		}
-		if g := sys.Gauges(); g.ValidationRejected != 2 {
+		if g := sys.PerShardStats().Shards[0].Gauges; g.ValidationRejected != 2 {
 			t.Errorf("ValidationRejected = %d, want 2", g.ValidationRejected)
 		}
 	})
@@ -169,12 +169,12 @@ func TestValidationShardedRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
+	defer sys.Shutdown(context.Background())
 
 	// NaN locations must not break shard routing; they are rejected by the
 	// shard they route to and the reject shows up in the merged gauges.
-	sys.Feed(Object{ID: 1, Loc: Pt(math.NaN(), math.NaN()), Keywords: []string{"a"}, Timestamp: 1})
-	sys.Feed(Object{ID: 2, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 2})
+	sys.FeedBatch([]Object{{ID: 1, Loc: Pt(math.NaN(), math.NaN()), Keywords: []string{"a"}, Timestamp: 1}})
+	sys.FeedBatch([]Object{{ID: 2, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 2}})
 	if n := sys.WindowSize(); n != 1 {
 		t.Errorf("window holds %d objects, want 1", n)
 	}
@@ -234,8 +234,8 @@ func TestValidationOutOfWorldRange(t *testing.T) {
 		},
 	} {
 		eng, answer := build(WithSeed(1))
-		eng.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 1})
-		eng.Feed(Object{ID: 2, Loc: Pt(9, 9), Keywords: []string{"a"}, Timestamp: 1})
+		eng.FeedBatch([]Object{{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 1}})
+		eng.FeedBatch([]Object{{ID: 2, Loc: Pt(9, 9), Keywords: []string{"a"}, Timestamp: 1}})
 		outside := SpatialQuery(Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 1)
 		_, actual := answer(&outside)
 		var rejected uint64
@@ -246,7 +246,7 @@ func TestValidationOutOfWorldRange(t *testing.T) {
 			t.Errorf("%s: answered %d, PretrainSeen %d, ValidationRejected %d; want 1, 1, 0",
 				name, actual, seen, rejected)
 		}
-		eng.Close()
+		eng.Shutdown(context.Background())
 	}
 }
 
@@ -259,8 +259,8 @@ func TestOutOfWorldObjectCountedWhereItLies(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	for _, shards := range []int{1, 4} {
 		s := MustNewSharded(world, 10*time.Second, WithSeed(1), WithShards(shards))
-		s.Feed(Object{ID: 1, Loc: Pt(5, 0.5), Keywords: []string{"a"}, Timestamp: 1})
-		s.Feed(Object{ID: 2, Loc: Pt(0.95, 0.5), Keywords: []string{"a"}, Timestamp: 1})
+		s.FeedBatch([]Object{{ID: 1, Loc: Pt(5, 0.5), Keywords: []string{"a"}, Timestamp: 1}})
+		s.FeedBatch([]Object{{ID: 2, Loc: Pt(0.95, 0.5), Keywords: []string{"a"}, Timestamp: 1}})
 		for _, tc := range []struct {
 			r    Rect
 			want int
@@ -274,7 +274,7 @@ func TestOutOfWorldObjectCountedWhereItLies(t *testing.T) {
 				}
 			}
 		}
-		s.Close()
+		s.Shutdown(context.Background())
 	}
 }
 
@@ -303,9 +303,9 @@ func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 
 	t.Run("inline", func(t *testing.T) {
 		sys := validationSystem(t)
-		sys.Feed(poison)
-		sys.Feed(valid)
-		check(t, "inline", sys.Gauges(), sys.WindowSize())
+		sys.FeedBatch([]Object{poison})
+		sys.FeedBatch([]Object{valid})
+		check(t, "inline", sys.PerShardStats().Shards[0].Gauges, sys.WindowSize())
 	})
 
 	t.Run("concurrent", func(t *testing.T) {
@@ -313,9 +313,9 @@ func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sys.Close()
-		sys.Feed(poison)
-		sys.Feed(valid)
+		defer sys.Shutdown(context.Background())
+		sys.FeedBatch([]Object{poison})
+		sys.FeedBatch([]Object{valid})
 		check(t, "concurrent", sys.PerShardStats().Shards[0].Gauges, sys.WindowSize())
 	})
 
@@ -324,9 +324,9 @@ func TestValidationRejectedObjectDoesNotPoisonClock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sys.Close()
-		sys.Feed(poison)
-		sys.Feed(valid)
+		defer sys.Shutdown(context.Background())
+		sys.FeedBatch([]Object{poison})
+		sys.FeedBatch([]Object{valid})
 		var g GaugeSnapshot
 		for _, sh := range sys.PerShardStats().Shards {
 			g.ValidationRejected += sh.Gauges.ValidationRejected
@@ -354,7 +354,7 @@ func TestValidationClampCountedOneWay(t *testing.T) {
 		"NewSharded":    MustNewSharded(world, 10*time.Second, WithSeed(1), WithShards(1)),
 	} {
 		t.Run(name, func(t *testing.T) {
-			defer eng.Close()
+			defer eng.Shutdown(context.Background())
 			objs := batch()
 			eng.FeedBatch(objs)
 			g, size := eng.PerShardStats().Shards[0].Gauges, eng.WindowSize()
@@ -378,12 +378,12 @@ func TestValidationLogsRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Feed(Object{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 5})
-	sys.Feed(Object{ID: 2, Loc: Pt(0.4, 0.4), Keywords: []string{"a"}, Timestamp: 1})
+	sys.FeedBatch([]Object{{ID: 1, Loc: Pt(0.5, 0.5), Keywords: []string{"a"}, Timestamp: 5}})
+	sys.FeedBatch([]Object{{ID: 2, Loc: Pt(0.4, 0.4), Keywords: []string{"a"}, Timestamp: 1}})
 	if buf.Len() != 0 {
 		t.Errorf("clamped arrival logged: %q", buf.String())
 	}
-	sys.Feed(Object{ID: 3, Loc: Pt(math.NaN(), 0.5), Keywords: []string{"a"}, Timestamp: 6})
+	sys.FeedBatch([]Object{{ID: 3, Loc: Pt(math.NaN(), 0.5), Keywords: []string{"a"}, Timestamp: 6}})
 	q := Query{Timestamp: 6}
 	sys.EstimateAndExecute(&q)
 	for _, want := range []string{"object rejected: non-finite coordinates", "query rejected: no predicates"} {
@@ -418,7 +418,7 @@ func TestLogLinesNameTheirComponent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, o := range bad {
-			dur.Feed(o)
+			dur.FeedBatch([]Object{o})
 		}
 		if st := dur.Health().State; st != DurableDegraded {
 			t.Errorf("durability %v after failed appends, want degraded", st)
@@ -502,7 +502,7 @@ func TestOptionValidationErrors(t *testing.T) {
 func TestMustConstructors(t *testing.T) {
 	world := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	MustNew(world, time.Second)
-	MustNewSharded(world, time.Second, WithShards(2)).Close()
+	MustNewSharded(world, time.Second, WithShards(2)).Shutdown(context.Background())
 	for _, build := range []func(){
 		func() { MustNew(world, 0) },
 		func() { MustNewSharded(world, 0) },
