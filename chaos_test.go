@@ -52,8 +52,8 @@ func warmToIncremental(t *testing.T, feed func(Object), query func(*Query), phas
 // Serving must never notice — every answer finite, zero errors — while the durability state machine oscillates
 // healthy→degraded (append fails) →healthy (background repair snapshot)
 // and finally settles healthy once the faults stop. The transition must be
-// visible where operators look: Health(), and latest_durable_state in the
-// prom exposition.
+// visible where operators look: TelemetrySnapshot().Durable, and
+// latest_durable_state in the prom exposition.
 func TestChaosDurableDegradedServing(t *testing.T) {
 	fstore := persist.NewFaultStore(NewMemStore(),
 		persist.FaultRule{Op: persist.FaultAppend}) // Count 0: every WAL write (here one per Feed) fails while enabled
@@ -116,10 +116,10 @@ func TestChaosDurableDegradedServing(t *testing.T) {
 			t.Fatalf("query %d: non-finite or negative estimate %v under WAL faults", i, est)
 		}
 		// Catch the machine degraded and prove the prom exposition says so.
-		// The repair loop can re-arm between the Health probe and the
-		// render, so keep trying — with every append failing, degraded
-		// windows recur throughout the run.
-		if !sawDegradedProm && i%16 == 0 && dur.Health().State == DurableDegraded {
+		// The repair loop can re-arm between the probe and the render, so
+		// keep trying — with every append failing, degraded windows recur
+		// throughout the run.
+		if !sawDegradedProm && i%16 == 0 && durOf(dur).State == telemetry.DurableDegraded {
 			var b strings.Builder
 			telemetry.WriteProm(&b, dur.TelemetrySnapshot())
 			sawDegradedProm = strings.Contains(b.String(), "latest_durable_state 1")
@@ -133,17 +133,17 @@ func TestChaosDurableDegradedServing(t *testing.T) {
 	}
 
 	// Faults off: the background repair loop must settle the machine back
-	// to healthy on its own — no manual RepairNow.
+	// to healthy on its own — no manual SnapshotNow.
 	fstore.SetEnabled(false)
 	deadline := time.Now().Add(10 * time.Second)
-	for !dur.Health().Healthy() {
+	for durOf(dur).State != telemetry.DurableHealthy {
 		if time.Now().After(deadline) {
-			t.Fatalf("engine never re-armed after faults stopped: %+v", dur.Health())
+			t.Fatalf("engine never re-armed after faults stopped: %+v", durOf(dur))
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	h := dur.Health()
+	h := durOf(dur)
 	if h.Degradations == 0 || h.Repairs == 0 {
 		t.Fatalf("no full degrade→repair cycle observed: %+v", h)
 	}
@@ -151,11 +151,11 @@ func TestChaosDurableDegradedServing(t *testing.T) {
 		t.Fatalf("append faults left no trace: %+v", h)
 	}
 	// Appends must flow again on the post-repair generation.
-	before := dur.WALAppends()
+	before := h.WALAppends
 	ts++
 	dur.FeedBatch([]Object{{ID: uint64(ts), Loc: Pt(0.5, 0.5), Keywords: []string{"kw1"}, Timestamp: ts}})
-	if dur.WALAppends() != before+1 {
-		t.Fatalf("WAL appends did not resume after repair: %d -> %d", before, dur.WALAppends())
+	if after := durOf(dur).WALAppends; after != before+1 {
+		t.Fatalf("WAL appends did not resume after repair: %d -> %d", before, after)
 	}
 	var b strings.Builder
 	telemetry.WriteProm(&b, dur.TelemetrySnapshot())

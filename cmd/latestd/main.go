@@ -46,6 +46,7 @@ import (
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/persist"
 	"github.com/spatiotext/latest/internal/server"
+	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 func main() {
@@ -239,10 +240,9 @@ func serve(o daemonOptions, stdout, stderr io.Writer, shutdown <-chan os.Signal)
 		}
 	}
 	durability := "none"
-	if dur, ok := eng.(*latest.DurableEngine); ok {
-		h := dur.Health()
+	if d := eng.TelemetrySnapshot().Durable; d != nil {
 		durability = fmt.Sprintf("%s gen=%d wal=%d recovery=%.3fs state=%s",
-			o.dataDir, dur.Generation(), dur.WALAppends(), dur.RecoverySeconds(), h.State)
+			o.dataDir, d.Generation, d.RecoveryWALRecords, d.RecoverySeconds, d.State)
 	}
 	clusterInfo := "standalone"
 	if cm != nil {
@@ -265,12 +265,12 @@ func serve(o daemonOptions, stdout, stderr io.Writer, shutdown <-chan os.Signal)
 	// snapshot a DurableEngine takes here captures every acknowledged feed:
 	// a clean stop/start cycle loses nothing.
 	engErr := eng.Shutdown(ctx)
-	if dur, ok := eng.(*latest.DurableEngine); ok {
-		if h := dur.Health(); !h.Healthy() || h.ErrorsTotal > 0 {
+	if d := eng.TelemetrySnapshot().Durable; d != nil {
+		if d.State != telemetry.DurableHealthy || d.ErrorsTotal > 0 {
 			fmt.Fprintf(stderr, "latestd: durability %s errors=%d degradations=%d repairs=%d dropped_appends=%d\n",
-				h.State, h.ErrorsTotal, h.Degradations, h.Repairs, h.DroppedAppends)
+				d.State, d.ErrorsTotal, d.Degradations, d.Repairs, d.DroppedAppends)
 		}
-		fmt.Fprintf(stdout, "latestd final snapshot gen=%d\n", dur.Generation())
+		fmt.Fprintf(stdout, "latestd final snapshot gen=%d\n", d.Generation)
 	}
 	fmt.Fprintln(stdout, "latestd stopped")
 	return errors.Join(drainErr, engErr)

@@ -66,11 +66,11 @@ type DurableConfig struct {
 // are documented trade-offs of logging only the feed stream.
 //
 // Persistence failures never stop serving. A failed WAL append or
-// snapshot commit flips the engine into the degraded state (see
-// DurableHealth): queries and feeds continue from memory, further WAL
-// appends are dropped and counted rather than attempted against a broken
-// store, and the background goroutine retries a fresh snapshot commit
-// with backoff until durability is restored.
+// snapshot commit flips the engine into the degraded state (reported as
+// TelemetrySnapshot().Durable.State): queries and feeds continue from
+// memory, further WAL appends are dropped and counted rather than
+// attempted against a broken store, and the background goroutine retries
+// a fresh snapshot commit with backoff until durability is restored.
 //
 // Locking: mu orders the WAL and nothing else. A feed holds it through
 // the WAL append and the engine apply, so log order is apply order, and a
@@ -100,21 +100,12 @@ type DurableEngine struct {
 	// after recovering a store written by an older build).
 	snaps map[uint64]string
 
-	// stats instruments the layer: WAL append/fsync latency, snapshot
-	// outcomes, recovery cost. Exposed via TelemetrySnapshot as the
+	// stats instruments the layer and holds the degraded-mode state
+	// machine (durable_stats.go). Exposed via TelemetrySnapshot as the
 	// latest_wal_* / latest_snapshot_* / latest_recovery_* /
 	// latest_durable_* families.
-	stats durableStats
-
-	// The degraded-mode state machine (durable_health.go): state is read
-	// on the feed path without the engine lock; healthMu guards the
-	// bounded error ring and the transition timestamp.
-	state     atomic.Uint32
-	healthMu  sync.Mutex
-	since     time.Time
-	ring      []DurableErrorRecord
-	errsTotal uint64
-	repairCh  chan struct{}
+	stats    durableStats
+	repairCh chan struct{}
 
 	done      chan struct{}
 	wg        sync.WaitGroup
@@ -169,7 +160,7 @@ func openDurable(eng imageEngine, st Store, cfg DurableConfig) (*DurableEngine, 
 		repairCh: make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
-	d.since = time.Now()
+	d.stats.since = time.Now()
 	recoverStart := time.Now()
 	if err := d.recover(); err != nil {
 		return nil, err
@@ -226,7 +217,7 @@ func (d *DurableEngine) recover() error {
 			if lerr != nil {
 				lastErr = lerr
 				badNames = append(badNames, name)
-				d.noteErr("recover-snapshot", lerr)
+				d.stats.noteErr("recover-snapshot", lerr)
 				continue
 			}
 			cands = append(cands, snapCandidate{gen: gen, name: name, snap: snap})
@@ -258,7 +249,7 @@ func (d *DurableEngine) recover() error {
 			if snap, lerr = d.loadSnapshot(c.name); lerr != nil {
 				lastErr = lerr
 				badNames = append(badNames, c.name)
-				d.noteErr("recover-snapshot",
+				d.stats.noteErr("recover-snapshot",
 					fmt.Errorf("snapshot generation %d (%s): %w", c.gen, c.name, lerr))
 				continue
 			}
@@ -299,7 +290,7 @@ func (d *DurableEngine) recover() error {
 	// generation as a keeper.
 	for _, name := range badNames {
 		if err := d.store.Remove(name); err != nil && !persist.IsNotExist(err) {
-			d.noteErr("cleanup", err)
+			d.stats.noteErr("cleanup", err)
 		}
 	}
 	d.stats.recoveredSnapshot = restored
@@ -333,7 +324,7 @@ func (d *DurableEngine) recover() error {
 		if tail.DroppedBytes > 0 {
 			// Only the final chain link may legitimately tear; a torn
 			// middle generation means its rotation never flushed.
-			d.noteErr("wal-recover", fmt.Errorf(
+			d.stats.noteErr("wal-recover", fmt.Errorf(
 				"wal generation %d: dropped %d-byte torn tail after %d valid records",
 				g, tail.DroppedBytes, tail.Records))
 		}
@@ -353,7 +344,7 @@ func (d *DurableEngine) recover() error {
 	if tail.DroppedBytes > 0 {
 		// A torn tail is the expected shape of a crash mid-append; the
 		// checksummed framing identified the exact valid prefix.
-		d.noteErr("wal-recover", fmt.Errorf("wal: dropped %d-byte torn tail after %d valid records",
+		d.stats.noteErr("wal-recover", fmt.Errorf("wal: dropped %d-byte torn tail after %d valid records",
 			tail.DroppedBytes, tail.Records))
 	}
 	if err := d.replayRecords(records); err != nil {
@@ -407,14 +398,14 @@ func (d *DurableEngine) pruneGenerations() {
 			continue
 		}
 		if err := d.store.Remove(d.snaps[g]); err != nil && !persist.IsNotExist(err) {
-			d.noteErr("cleanup", err)
+			d.stats.noteErr("cleanup", err)
 			continue
 		}
 		delete(d.snaps, g)
 	}
 	names, err := d.store.List()
 	if err != nil {
-		d.noteErr("cleanup", err)
+		d.stats.noteErr("cleanup", err)
 		return
 	}
 	for _, name := range names {
@@ -423,14 +414,14 @@ func (d *DurableEngine) pruneGenerations() {
 			continue
 		}
 		if err := d.store.Remove(name); err != nil && !persist.IsNotExist(err) {
-			d.noteErr("cleanup", err)
+			d.stats.noteErr("cleanup", err)
 		}
 	}
 }
 
 // run is the engine's one background goroutine. It waits for the
 // snapshot ticker (when SnapshotInterval is set), a degradation or
-// shutdown; after a degradation it retries RepairNow with doubling backoff
+// shutdown; after a degradation it retries repair with doubling backoff
 // until the machine is healthy again.
 func (d *DurableEngine) run() {
 	defer d.wg.Done()
@@ -452,7 +443,7 @@ func (d *DurableEngine) run() {
 		case <-d.repairCh:
 		}
 		backoff := d.cfg.RepairBackoff
-		for DurableState(d.state.Load()) == DurableDegraded {
+		for d.stats.degraded.Load() {
 			timer := time.NewTimer(backoff)
 			select {
 			case <-d.done:
@@ -463,25 +454,23 @@ func (d *DurableEngine) run() {
 			backoff = min(2*backoff, d.cfg.RepairBackoffMax)
 			// Errors are recorded by the attempt itself; the loop only
 			// paces retries.
-			_ = d.RepairNow(context.Background())
+			_ = d.repair(context.Background())
 		}
 	}
 }
 
-// Generation returns the current snapshot generation (zero until the first
-// snapshot commits).
-func (d *DurableEngine) Generation() uint64 { return d.gen.Load() }
-
-// WALAppends returns how many records the current-generation WAL holds
-// (replayed + appended) — the recovery-test observable for "the tail was
-// actually logged".
-func (d *DurableEngine) WALAppends() uint64 {
+// repair is one step of the repair loop: while degraded, a fresh
+// snapshot commit onto a new generation, which re-arms the machine on
+// success (the commit captures every feed dropped while degraded). A
+// no-op when healthy.
+func (d *DurableEngine) repair(ctx context.Context) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.wal == nil {
-		return 0
+	if !d.stats.degraded.Load() {
+		return nil
 	}
-	return d.wal.Appends()
+	d.stats.repairAttempts.Add(1)
+	return d.snapshotLocked(ctx)
 }
 
 // appendWAL logs objs as one group commit: every object framed into the
@@ -496,7 +485,7 @@ func (d *DurableEngine) appendWAL(objs []Object) {
 		return // Shutdown already closed the log
 	}
 	n := uint64(len(objs))
-	if DurableState(d.state.Load()) == DurableDegraded {
+	if d.stats.degraded.Load() {
 		d.stats.droppedAppends.Add(n)
 		return
 	}
@@ -539,12 +528,12 @@ func (d *DurableEngine) EstimateAndExecuteTraced(q *Query, tr *telemetry.ActiveT
 
 // TelemetrySnapshot delegates to the engine and attaches the durability
 // layer's sample (generation, WAL and snapshot counters/latencies,
-// recovery cost, health state) so /metrics and /statusz describe the
-// whole stack. It takes no lock but healthMu: the counters are atomic and
-// the recovery facts are fixed at construction.
+// recovery cost, state machine and recent errors) so /metrics and
+// /statusz describe the whole stack. It is the layer's only read path and
+// never waits on mu, so a parked fsync cannot stall it.
 func (d *DurableEngine) TelemetrySnapshot() TelemetryReport {
 	snap := d.eng.TelemetrySnapshot()
-	snap.Durable = d.stats.sample(d.gen.Load(), d.Health())
+	snap.Durable = d.stats.sample(d.gen.Load())
 	return snap
 }
 
@@ -577,7 +566,7 @@ func (d *DurableEngine) snapshotLocked(ctx context.Context) error {
 // snapshotCommit is the uninstrumented snapshot + rotation sequence.
 // Caller holds mu.
 func (d *DurableEngine) snapshotCommit(ctx context.Context) error {
-	if d.wal != nil && DurableState(d.state.Load()) == DurableHealthy {
+	if d.wal != nil && !d.stats.degraded.Load() {
 		// Flush pending appends first: if the snapshot fails the WAL must
 		// still fully extend the previous one. A failed flush degrades but
 		// does not abort — the snapshot below supersedes the WAL, and
@@ -610,7 +599,7 @@ func (d *DurableEngine) snapshotCommit(ctx context.Context) error {
 	wal.SetObserver(&d.stats)
 	if d.wal != nil {
 		if cerr := d.wal.Close(); cerr != nil {
-			d.noteErr("wal-close", cerr)
+			d.stats.noteErr("wal-close", cerr)
 		}
 		d.stats.rotations.Add(1)
 	}

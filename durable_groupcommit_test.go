@@ -10,6 +10,7 @@ import (
 
 	"github.com/spatiotext/latest/internal/persist"
 	"github.com/spatiotext/latest/internal/stream"
+	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 // durable_groupcommit_test.go pins the feed WAL's group commit: what the
@@ -37,6 +38,8 @@ func (*recEngine) encodeImage(context.Context, uint64) ([]byte, error) {
 }
 
 func (*recEngine) Shutdown(context.Context) error { return nil }
+
+func (*recEngine) TelemetrySnapshot() TelemetryReport { return TelemetryReport{} }
 
 // discardEngine drops its feeds: the zero-allocation baseline.
 type discardEngine struct{ recEngine }
@@ -116,7 +119,7 @@ func TestGroupCommitWritesAndSyncs(t *testing.T) {
 		for done := 0; done < total; done += batch {
 			d.FeedBatch(objs[:min(batch, total-done)])
 		}
-		if got := d.WALAppends(); got != uint64(total) {
+		if got := durOf(d).WALAppends; got != uint64(total) {
 			t.Errorf("WALAppends = %d records, want %d", got, total)
 		}
 		return cs
@@ -239,8 +242,8 @@ func TestGroupCommitTornBatch(t *testing.T) {
 	}
 	keptBytes := ends[whole-1]
 
-	h := d.Health()
-	if h.State != DurableDegraded || h.Degradations != 1 {
+	h := durOf(d)
+	if h.State != telemetry.DurableDegraded || h.Degradations != 1 {
 		t.Fatalf("after the torn write: %+v, want degraded once", h)
 	}
 	if h.DroppedAppends != uint64(len(second)) {
@@ -254,7 +257,7 @@ func TestGroupCommitTornBatch(t *testing.T) {
 	}
 	// While degraded a batch is dropped and counted whole, without a write.
 	d.FeedBatch(testObjects(22, 7))
-	if got := d.Health().DroppedAppends; got != uint64(len(second)+7) {
+	if got := durOf(d).DroppedAppends; got != uint64(len(second)+7) {
 		t.Errorf("DroppedAppends after a degraded batch = %d, want %d", got, len(second)+7)
 	}
 

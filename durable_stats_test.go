@@ -65,9 +65,6 @@ func TestDurableTelemetryStats(t *testing.T) {
 	if rd.RecoverySeconds <= 0 {
 		t.Errorf("RecoverySeconds = %v, want > 0", rd.RecoverySeconds)
 	}
-	if got := re.RecoverySeconds(); got != rd.RecoverySeconds {
-		t.Errorf("accessor RecoverySeconds() = %v, sample = %v", got, rd.RecoverySeconds)
-	}
 	// Per-process counters restart; recovery replay is not WAL traffic.
 	if rd.WALAppends != 0 {
 		t.Errorf("recovered engine WALAppends = %d before any feed", rd.WALAppends)

@@ -107,8 +107,6 @@ func TestConcurrentDurableReadsDuringFsync(t *testing.T) {
 		dur.EstimateAndExecuteTraced(&one, telemetry.NewTraceBuffer(4, 1).Start("estimate", telemetry.NewTraceID()))
 	})
 	within("TelemetrySnapshot", func() { dur.TelemetrySnapshot() })
-	within("Generation", func() { dur.Generation() })
-	within("Health", func() { dur.Health() })
 
 	select {
 	case err := <-snapped:
@@ -121,8 +119,8 @@ func TestConcurrentDurableReadsDuringFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The snapshot came after the whole feed: the fresh WAL is empty.
-	if g, n := dur.Generation(), dur.WALAppends(); g != 1 || n != 0 {
-		t.Fatalf("after the snapshot: generation %d, %d WAL appends, want 1 and 0", g, n)
+	if g, n := durOf(dur).Generation, walRecords(t, st, 1); g != 1 || n != 0 {
+		t.Fatalf("after the snapshot: generation %d, %d WAL records, want 1 and 0", g, n)
 	}
 }
 
@@ -141,12 +139,12 @@ func TestDurableIntervalSnapshotRepairs(t *testing.T) {
 	}
 	newWorkload(35).feed(dur, 100)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		h := dur.Health()
-		if h.Healthy() && h.SnapshotErrors == 1 && h.Repairs == 1 && dur.Generation() >= 1 {
+		h := durOf(dur)
+		if h.State == telemetry.DurableHealthy && h.SnapshotErrors == 1 && h.Repairs == 1 && h.Generation >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after 10 s: %+v at generation %d, want healthy again after one failed interval snapshot", h, dur.Generation())
+			t.Fatalf("after 10 s: %+v, want healthy again after one failed interval snapshot", h)
 		}
 	}
 	if err := dur.Shutdown(context.Background()); err != nil {

@@ -151,7 +151,7 @@ func ExampleNewDurable() {
 		panic(err)
 	}
 	defer eng2.Shutdown(context.Background())
-	fmt.Printf("generation: %d\n", eng2.Generation())
+	fmt.Printf("generation: %d\n", eng2.TelemetrySnapshot().Durable.Generation)
 	fmt.Printf("recovered window size: %d\n", sys2.WindowSize())
 	// Output:
 	// generation: 1

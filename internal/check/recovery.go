@@ -235,7 +235,7 @@ func runGoldenSegmented(objs []stream.Object, rc RecoveryConfig, gapStart, gapEn
 				// Bit rot on the newest generation, right where a crash
 				// would find it. The whole-file CRC must catch this before
 				// any section reaches the engine.
-				name := persist.SnapshotNameFor(eng.(*latest.DurableEngine).Generation())
+				name := persist.SnapshotNameFor(eng.TelemetrySnapshot().Durable.Generation)
 				data, lerr := store.Load(name)
 				if lerr != nil {
 					return Replay{}, fmt.Errorf("corrupt %s: %w", name, lerr)

@@ -26,19 +26,6 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.6f, %.6f)", p.X, p.Y) }
 
-// DistanceTo returns the Euclidean distance between p and q.
-func (p Point) DistanceTo(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
-// SquaredDistanceTo returns the squared Euclidean distance between p and q.
-// It avoids the square root for comparison-only uses.
-func (p Point) SquaredDistanceTo(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Rect is an axis-aligned rectangle, closed on the min edges and open on the
 // max edges ([MinX, MaxX) × [MinY, MaxY)) so that adjacent grid cells tile
 // space without double-counting boundary points. The sole exception is the
@@ -57,11 +44,6 @@ func NewRect(a, b Point) Rect {
 		MaxX: math.Max(a.X, b.X),
 		MaxY: math.Max(a.Y, b.Y),
 	}
-}
-
-// RectWH builds a Rect from a min corner plus width and height.
-func RectWH(min Point, w, h float64) Rect {
-	return Rect{MinX: min.X, MinY: min.Y, MaxX: min.X + w, MaxY: min.Y + h}
 }
 
 // CenteredRect builds a Rect centred on c with the given width and height.

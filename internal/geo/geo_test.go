@@ -6,26 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestDistance(t *testing.T) {
-	tests := []struct {
-		a, b Point
-		want float64
-	}{
-		{Pt(0, 0), Pt(3, 4), 5},
-		{Pt(0, 0), Pt(0, 0), 0},
-		{Pt(-1, -1), Pt(2, 3), 5},
-		{Pt(1.5, 0), Pt(0, 2), 2.5},
-	}
-	for _, tc := range tests {
-		if got := tc.a.DistanceTo(tc.b); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("DistanceTo(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-		if got := tc.a.SquaredDistanceTo(tc.b); math.Abs(got-tc.want*tc.want) > 1e-9 {
-			t.Errorf("SquaredDistanceTo(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want*tc.want)
-		}
-	}
-}
-
 func TestNewRectOrdersCorners(t *testing.T) {
 	r := NewRect(Pt(5, 1), Pt(2, 7))
 	want := Rect{MinX: 2, MinY: 1, MaxX: 5, MaxY: 7}
@@ -35,7 +15,7 @@ func TestNewRectOrdersCorners(t *testing.T) {
 }
 
 func TestRectAccessors(t *testing.T) {
-	r := RectWH(Pt(1, 2), 3, 4)
+	r := Rect{MinX: 1, MinY: 2, MaxX: 4, MaxY: 6}
 	if r.Width() != 3 || r.Height() != 4 {
 		t.Errorf("WH = %v x %v", r.Width(), r.Height())
 	}
@@ -222,8 +202,8 @@ func TestParseRect(t *testing.T) {
 // Property: intersection is commutative and contained in both operands.
 func TestIntersectProperties(t *testing.T) {
 	f := func(ax, ay, aw, ah, bx, by, bw, bh float64) bool {
-		a := RectWH(Pt(norm(ax), norm(ay)), pos(aw), pos(ah))
-		b := RectWH(Pt(norm(bx), norm(by)), pos(bw), pos(bh))
+		a := rectWH(norm(ax), norm(ay), pos(aw), pos(ah))
+		b := rectWH(norm(bx), norm(by), pos(bw), pos(bh))
 		i1, i2 := a.Intersect(b), b.Intersect(a)
 		if i1 != i2 {
 			return false
@@ -241,8 +221,8 @@ func TestIntersectProperties(t *testing.T) {
 // Property: union contains both operands; intersect(a, union) == a.
 func TestUnionProperties(t *testing.T) {
 	f := func(ax, ay, aw, ah, bx, by, bw, bh float64) bool {
-		a := RectWH(Pt(norm(ax), norm(ay)), pos(aw), pos(ah))
-		b := RectWH(Pt(norm(bx), norm(by)), pos(bw), pos(bh))
+		a := rectWH(norm(ax), norm(ay), pos(aw), pos(ah))
+		b := rectWH(norm(bx), norm(by), pos(bw), pos(bh))
 		u := a.Union(b)
 		return u.ContainsRect(a) && u.ContainsRect(b) && u.Intersect(a) == a
 	}
@@ -250,6 +230,9 @@ func TestUnionProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// rectWH builds a Rect from its min corner, width and height.
+func rectWH(x, y, w, h float64) Rect { return Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h} }
 
 // norm squashes an arbitrary float into a sane coordinate.
 func norm(v float64) float64 {

@@ -189,7 +189,7 @@ func TestGridPointCellConsistency(t *testing.T) {
 func TestCellsOverlappingCoversQuery(t *testing.T) {
 	g := NewGrid(UnitSquare, 9, 6)
 	f := func(ax, ay, w, h float64) bool {
-		q := RectWH(Pt(pos01(ax), pos01(ay)), pos01(w)*0.5+1e-9, pos01(h)*0.5+1e-9)
+		q := rectWH(pos01(ax), pos01(ay), pos01(w)*0.5+1e-9, pos01(h)*0.5+1e-9)
 		cr := g.CellsOverlapping(q)
 		clipped := g.World.Intersect(q)
 		if clipped.Empty() {

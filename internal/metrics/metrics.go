@@ -1,8 +1,8 @@
 // Package metrics provides the measurement plumbing of the reproduction:
 // estimation accuracy and error definitions, sliding-window averages (the
 // τ-threshold monitor of §V-D), min-max feature normalizers (the α scaling
-// of §V-C), exponential moving averages, latency trackers and time-series
-// recorders for the figures.
+// of §V-C), exponential moving averages, running means and latency
+// trackers.
 package metrics
 
 import (
@@ -216,72 +216,16 @@ func (l *LatencyTracker) Reset() {
 	l.sorted = false
 }
 
-// Point is one time-series sample.
-type Point struct {
-	T float64 // x-axis position (e.g. the paper's t_0..t_100 timeline)
-	V float64
-}
-
-// Series is a named time series, the raw material of every figure.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a sample.
-func (s *Series) Add(t, v float64) { s.Points = append(s.Points, Point{T: t, V: v}) }
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Points) }
-
-// MeanV returns the mean of the values, or 0 when empty.
-func (s *Series) MeanV() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
-}
-
-// At returns the value at the point whose T is nearest to t, or 0 on an
-// empty series. Use AtOK when the caller needs to distinguish an empty
-// series from a genuine zero sample.
-func (s *Series) At(t float64) float64 {
-	v, _ := s.AtOK(t)
-	return v
-}
-
-// AtOK returns the value at the point whose T is nearest to t, and whether
-// the series holds any points at all.
-func (s *Series) AtOK(t float64) (float64, bool) {
-	if len(s.Points) == 0 {
-		return 0, false
-	}
-	best, bestD := 0, math.Inf(1)
-	for i, p := range s.Points {
-		if d := math.Abs(p.T - t); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return s.Points[best].V, true
-}
-
-// Welford tracks running mean and variance without storing samples.
+// Welford tracks a running mean without storing samples.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add folds in one observation.
 func (w *Welford) Add(v float64) {
 	w.n++
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
+	w.mean += (v - w.mean) / float64(w.n)
 }
 
 // Count returns the number of observations.
@@ -289,12 +233,3 @@ func (w *Welford) Count() int { return w.n }
 
 // Mean returns the running mean (0 when empty).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// StdDev returns the sample standard deviation (0 with fewer than two
-// observations).
-func (w *Welford) StdDev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}

@@ -144,7 +144,7 @@ func (h *engineHandler) Snapshot() telemetry.Snapshot { return h.eng.TelemetrySn
 // accuracy-drift watchdog, both from one telemetry snapshot.
 func (h *engineHandler) Health() (reasons []string) {
 	snap := h.eng.TelemetrySnapshot()
-	if d := snap.Durable; d != nil && d.State != latest.DurableHealthy.String() {
+	if d := snap.Durable; d != nil && d.State != telemetry.DurableHealthy {
 		reasons = append(reasons, "persistence:"+d.State)
 	}
 	for _, d := range snap.Drift {

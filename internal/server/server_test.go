@@ -402,7 +402,7 @@ func TestHealthEndpointsReflectDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An hour of repair backoff keeps the background loop out of the
-	// test's way; repairs here are explicit RepairNow calls.
+	// test's way; the repair here is an explicit SnapshotNow.
 	dur, err := latest.NewDurable(core, fst, latest.DurableConfig{
 		WALSyncEvery: 1, RepairBackoff: time.Hour, RepairBackoffMax: time.Hour,
 	})
@@ -451,7 +451,7 @@ func TestHealthEndpointsReflectDurability(t *testing.T) {
 	}
 
 	fst.SetEnabled(false)
-	if err := dur.RepairNow(context.Background()); err != nil {
+	if err := dur.SnapshotNow(context.Background()); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	if code, body := get("/readyz"); code != http.StatusOK || !strings.Contains(body, `"ready":true`) {

@@ -14,14 +14,23 @@ type DurableError struct {
 	Err       string `json:"err"`
 }
 
+// The degraded-mode machine's two positions, as DurableSample.State
+// spells them. Degraded: a persistence operation failed; serving
+// continues from memory, WAL appends are dropped (counted), and the
+// repair loop is retrying.
+const (
+	DurableHealthy  = "healthy"
+	DurableDegraded = "degraded"
+)
+
 // DurableSample is the durability layer's slice of a Snapshot.
 type DurableSample struct {
 	// Generation is the current snapshot generation (each snapshot commit
 	// increments it and rotates the WAL).
 	Generation uint64 `json:"generation"`
 
-	// State is the degraded-mode machine's position ("healthy" or
-	// "degraded"); StateSeconds how long it has been there.
+	// State is the degraded-mode machine's position (DurableHealthy or
+	// DurableDegraded); StateSeconds how long it has been there.
 	State        string  `json:"state"`
 	StateSeconds float64 `json:"state_seconds"`
 

@@ -323,7 +323,7 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 		{"latest_wal_rotations_total", counter, "WAL generation rollovers (one per committed snapshot).", func(s *Snapshot, e *emitter) { e.sample(float64(s.Durable.WALRotations)) }},
 		{"latest_wal_append_latency_seconds", histogram, "WAL write latency, one sample per write: a whole feed batch framed and written (fsync excluded).", func(s *Snapshot, e *emitter) { e.hist(s.Durable.AppendLatency) }},
 		{"latest_wal_fsync_latency_seconds", histogram, "WAL fsync-batch latency.", func(s *Snapshot, e *emitter) { e.hist(s.Durable.SyncLatency) }},
-		{"latest_durable_state", gauge, "Degraded-mode state machine position (0 healthy, 1 degraded).", func(s *Snapshot, e *emitter) { e.sample(boolValue(s.Durable.State == "degraded")) }},
+		{"latest_durable_state", gauge, "Degraded-mode state machine position (0 healthy, 1 degraded).", func(s *Snapshot, e *emitter) { e.sample(boolValue(s.Durable.State == DurableDegraded)) }},
 		{"latest_durable_state_seconds", gauge, "Seconds in the current durability state.", func(s *Snapshot, e *emitter) { e.sample(s.Durable.StateSeconds) }},
 		{"latest_durable_degradations_total", counter, "Healthy-to-degraded transitions.", func(s *Snapshot, e *emitter) { e.sample(float64(s.Durable.Degradations)) }},
 		{"latest_durable_repair_attempts_total", counter, "Snapshot-based repair attempts while degraded.", func(s *Snapshot, e *emitter) { e.sample(float64(s.Durable.RepairAttempts)) }},

@@ -179,7 +179,8 @@ func meanConsecutiveDist(g *Generator) float64 {
 	for g.Remaining() > 0 {
 		q := g.Next(0)
 		if has {
-			total += prev.Range.Center().DistanceTo(q.Range.Center())
+			a, b := prev.Range.Center(), q.Range.Center()
+			total += math.Hypot(a.X-b.X, a.Y-b.Y)
 			n++
 		}
 		prev, has = q, true

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/spatiotext/latest/internal/metrics"
+	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 func testSystem(t *testing.T, opts ...Option) *System {
@@ -262,16 +263,23 @@ func TestExactAnswerAtCellEdge(t *testing.T) {
 }
 
 // TestEngineSurface pins Engine to its five calls: one feed call, the query
-// path plain and traced, the telemetry view and shutdown.
+// path plain and traced, the telemetry view and shutdown. *DurableEngine
+// adds only SnapshotNow: TelemetrySnapshot is its one view of durability.
 func TestEngineSurface(t *testing.T) {
-	want := []string{"EstimateAndExecute", "EstimateAndExecuteTraced", "FeedBatch", "Shutdown", "TelemetrySnapshot"}
-	typ := reflect.TypeFor[Engine]()
-	got := make([]string, typ.NumMethod())
-	for i := range got {
-		got[i] = typ.Method(i).Name
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("Engine declares %v, want %v", got, want)
+	for _, tc := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeFor[Engine](), []string{"EstimateAndExecute", "EstimateAndExecuteTraced", "FeedBatch", "Shutdown", "TelemetrySnapshot"}},
+		{reflect.TypeFor[*DurableEngine](), []string{"EstimateAndExecute", "EstimateAndExecuteTraced", "FeedBatch", "Shutdown", "SnapshotNow", "TelemetrySnapshot"}},
+	} {
+		got := make([]string, tc.typ.NumMethod())
+		for i := range got {
+			got[i] = tc.typ.Method(i).Name
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v declares %v, want %v", tc.typ, got, tc.want)
+		}
 	}
 }
 
@@ -359,7 +367,7 @@ func TestUnpairedEstimateIsDropped(t *testing.T) {
 	if err := dur.Shutdown(context.Background()); err != nil {
 		t.Errorf("Shutdown after an unpaired Estimate: %v", err)
 	}
-	if h := dur.Health(); !h.Healthy() {
-		t.Errorf("durability %s after an unpaired Estimate, want healthy", h.State)
+	if st := durOf(dur).State; st != telemetry.DurableHealthy {
+		t.Errorf("durability %s after an unpaired Estimate, want healthy", st)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/spatiotext/latest/internal/persist"
+	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 // persist_test.go exercises persistence end to end: the engine image on
@@ -576,6 +577,21 @@ func newDurable(t *testing.T, st Store) *DurableEngine {
 	return dur
 }
 
+// durOf is the durable layer's one view of itself.
+func durOf(d *DurableEngine) *telemetry.DurableSample { return d.TelemetrySnapshot().Durable }
+
+// walRecords counts the records in st's feed-<gen>.wal that recovery would
+// replay.
+func walRecords(t *testing.T, st Store, gen uint64) int {
+	t.Helper()
+	data, err := st.Load(persist.WALName(gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, _ := persist.ParseWAL(data)
+	return len(records)
+}
+
 // TestDurableCrashRecovery: feed + query, snapshot, feed a WAL tail, crash
 // (abandon without Shutdown), recover — the second incarnation must match a
 // control engine that saw the whole stream uninterrupted.
@@ -601,10 +617,10 @@ func TestDurableCrashRecovery(t *testing.T) {
 	}
 
 	recovered := newDurable(t, st) // crash: first incarnation abandoned
-	if h := recovered.Health(); !h.Healthy() || h.ErrorsTotal != 0 {
-		t.Fatalf("recovery health = %s with %d errors (%v), want clean healthy", h.State, h.ErrorsTotal, h.Errors)
+	if h := durOf(recovered); h.State != telemetry.DurableHealthy || h.ErrorsTotal != 0 {
+		t.Fatalf("recovery health = %s with %d errors (%v), want clean healthy", h.State, h.ErrorsTotal, h.LastErrors)
 	}
-	if got := recovered.Generation(); got != 1 {
+	if got := durOf(recovered).Generation; got != 1 {
 		t.Fatalf("generation after recovery = %d, want 1", got)
 	}
 	a, b := control.Stats(), statsOf(recovered)
@@ -629,8 +645,8 @@ func TestDurableWALRotation(t *testing.T) {
 	dur := newDurable(t, st)
 	w := newWorkload(22)
 	w.feed(dur, 100)
-	if n := dur.WALAppends(); n != 100 {
-		t.Fatalf("WAL appends = %d, want 100", n)
+	if n := walRecords(t, st, 0); n != 100 {
+		t.Fatalf("WAL records = %d, want 100", n)
 	}
 	if err := dur.SnapshotNow(context.Background()); err != nil {
 		t.Fatal(err)
@@ -649,8 +665,8 @@ func TestDurableWALRotation(t *testing.T) {
 	if len(wals) != 1 || wals[0] != wantWAL {
 		t.Fatalf("WALs after rotation = %v, want [%s]", wals, wantWAL)
 	}
-	if n := dur.WALAppends(); n != 0 {
-		t.Fatalf("appends after rotation = %d, want 0 (fresh WAL)", n)
+	if n := walRecords(t, st, 1); n != 0 {
+		t.Fatalf("records after rotation = %d, want 0 (fresh WAL)", n)
 	}
 	if err := dur.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -675,7 +691,7 @@ func TestDurableCleanShutdown(t *testing.T) {
 		before.IncrementalSeen != after.IncrementalSeen || before.Switches != after.Switches {
 		t.Fatalf("state lost across clean shutdown: %+v vs %+v", before.Active, after.Active)
 	}
-	if reopened.Generation() == 0 {
+	if durOf(reopened).Generation == 0 {
 		t.Fatal("reopened engine did not load the shutdown snapshot")
 	}
 }
@@ -720,8 +736,8 @@ func TestDurableFallbackRecovery(t *testing.T) {
 
 	recovered := newDurable(t, st)
 	defer recovered.Shutdown(context.Background())
-	h := recovered.Health()
-	if !h.Healthy() {
+	h := durOf(recovered)
+	if h.State != telemetry.DurableHealthy {
 		t.Fatalf("fallback recovery left state %s", h.State)
 	}
 	if h.ErrorsTotal == 0 {
@@ -738,7 +754,7 @@ func TestDurableFallbackRecovery(t *testing.T) {
 	}
 	// d.gen must land past the corrupt generation so the next snapshot
 	// never reuses its number.
-	if got := recovered.Generation(); got != 2 {
+	if got := h.Generation; got != 2 {
 		t.Fatalf("generation after fallback = %d, want 2", got)
 	}
 	wa, wb := newWorkload(27), newWorkload(27)
@@ -754,8 +770,8 @@ func TestDurableFallbackRecovery(t *testing.T) {
 
 // TestDurableFallbackCommitsItsGeneration: the durable layer's generation is
 // the only one. After recovery falls back past a corrupt newest generation,
-// the next commit writes Generation() into both the file name and the meta
-// section.
+// the next commit writes its generation into both the file name and the
+// meta section.
 func TestDurableFallbackCommitsItsGeneration(t *testing.T) {
 	st := NewMemStore()
 	dur := newDurable(t, st)
@@ -782,7 +798,7 @@ func TestDurableFallbackCommitsItsGeneration(t *testing.T) {
 	if err := recovered.SnapshotNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	gen := recovered.Generation()
+	gen := durOf(recovered).Generation
 	if data, err = st.Load(persist.SnapshotNameFor(gen)); err != nil {
 		t.Fatal(err)
 	}
@@ -823,7 +839,7 @@ func TestDurableRecoveryReadsSnapshotOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		dur := newDurable(t, st)
-		if got := dur.Generation(); got != 1 || !dur.stats.recoveredSnapshot {
+		if got := durOf(dur).Generation; got != 1 || !dur.stats.recoveredSnapshot {
 			t.Errorf("%s: recovered at generation %d (restored %t), want 1 from the snapshot",
 				file, got, dur.stats.recoveredSnapshot)
 		}
@@ -866,7 +882,7 @@ func TestDurableAllGenerationsCorruptRefused(t *testing.T) {
 
 // TestDurableDegradedRepair drives the state machine directly: a batch
 // whose one WAL write fails degrades the engine (serving continues, the
-// whole batch counts as dropped), RepairNow commits a fresh generation and
+// whole batch counts as dropped), a repair commits a fresh generation and
 // re-arms it, and the dropped feeds are in that snapshot — a reopened
 // engine has them.
 func TestDurableDegradedRepair(t *testing.T) {
@@ -882,8 +898,8 @@ func TestDurableDegradedRepair(t *testing.T) {
 	fst.SetEnabled(true)
 
 	w.feedBatch(dur, 10) // one write: it fires the fault and degrades
-	h := dur.Health()
-	if h.State != DurableDegraded {
+	h := durOf(dur)
+	if h.State != telemetry.DurableDegraded {
 		t.Fatalf("state after append fault = %s, want degraded", h.State)
 	}
 	if h.Degradations != 1 || h.DroppedAppends != 10 || h.WALErrors == 0 {
@@ -894,16 +910,16 @@ func TestDurableDegradedRepair(t *testing.T) {
 		t.Fatalf("degraded query estimate = %v", est)
 	}
 
-	if err := dur.RepairNow(context.Background()); err != nil {
+	if err := dur.repair(context.Background()); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
-	h = dur.Health()
-	if !h.Healthy() || h.Repairs != 1 || h.RepairAttempts != 1 {
+	h = durOf(dur)
+	if h.State != telemetry.DurableHealthy || h.Repairs != 1 || h.RepairAttempts != 1 {
 		t.Fatalf("health after repair = %+v, want healthy with 1 repair", h)
 	}
 	w.feed(dur, 5) // healthy again: these hit the fresh WAL
-	if n := dur.WALAppends(); n != 5 {
-		t.Fatalf("appends after repair = %d, want 5", n)
+	if n := walRecords(t, inner, h.Generation); n != 5 {
+		t.Fatalf("records after repair = %d, want 5", n)
 	}
 	crashTS := w.ts
 
@@ -952,7 +968,7 @@ func TestDurableSeedsFromSideSnapshot(t *testing.T) {
 	}
 
 	seeded := newDurable(t, side)
-	if got := seeded.Generation(); got != 1 {
+	if got := durOf(seeded).Generation; got != 1 {
 		t.Fatalf("seeded generation = %d, want the seed's 1", got)
 	}
 	w.feed(seeded, 200) // WAL'd onto the seed, then abandoned without Shutdown
@@ -973,8 +989,8 @@ func TestDurableSeedsFromSideSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Shutdown(context.Background())
-	if h := reopened.Health(); !h.Healthy() || h.ErrorsTotal != 0 {
-		t.Fatalf("reopen health = %s with %d errors (%v), want clean healthy", h.State, h.ErrorsTotal, h.Errors)
+	if h := durOf(reopened); h.State != telemetry.DurableHealthy || h.ErrorsTotal != 0 {
+		t.Fatalf("reopen health = %s with %d errors (%v), want clean healthy", h.State, h.ErrorsTotal, h.LastErrors)
 	}
 	if a, b := control.WindowSize(), inner.WindowSize(); a != b {
 		t.Fatalf("window size %d after reopen, control %d", b, a)

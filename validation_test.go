@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/spatiotext/latest/internal/persist"
+	"github.com/spatiotext/latest/internal/telemetry"
 )
 
 // validation_test.go pins the input-hardening layer: NaN/Inf coordinates,
@@ -420,7 +421,7 @@ func TestLogLinesNameTheirComponent(t *testing.T) {
 		for _, o := range bad {
 			dur.FeedBatch([]Object{o})
 		}
-		if st := dur.Health().State; st != DurableDegraded {
+		if st := durOf(dur).State; st != telemetry.DurableDegraded {
 			t.Errorf("durability %v after failed appends, want degraded", st)
 		}
 		for i, sh := range eng.TelemetrySnapshot().Shards {
