@@ -136,7 +136,7 @@ type WALObserver interface {
 	// append call (one for Append, a whole feed batch for AppendBatch, a
 	// walFlushBytes piece of an oversized one), its framed byte count and
 	// the time spent framing and writing it (fsync excluded). It does not
-	// say how many records the write carried; Appends counts those.
+	// say how many records the write carried; the caller knows that.
 	WALAppend(bytes int, d time.Duration)
 	// WALSync reports one fsync and its duration.
 	WALSync(d time.Duration)
@@ -149,7 +149,6 @@ type WAL struct {
 	pending int // records written since the last fsync
 	every   int
 	buf     Enc // framing buffer, empty between calls, its capacity reused
-	appends uint64
 	obs     WALObserver
 }
 
@@ -225,7 +224,6 @@ func (w *WAL) AppendBatch(n int, encode func(i int, e *Enc)) error {
 		if err != nil {
 			return err
 		}
-		w.appends += uint64(framed)
 		w.pending += framed
 		framed = 0
 		if w.obs != nil {
@@ -253,14 +251,6 @@ func (w *WAL) syncLocked() error {
 		w.obs.WALSync(time.Since(start))
 	}
 	return err
-}
-
-// Appends returns the lifetime number of records appended through this
-// handle.
-func (w *WAL) Appends() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appends
 }
 
 // Sync forces any batched records to stable storage.

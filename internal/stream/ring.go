@@ -6,27 +6,35 @@ import "unsafe"
 // in timestamp order and expire in the same order, so every per-cell and
 // per-keyword list in the window is a queue, never a general set, and its
 // refs ascend (modulo 2³²) from front to back. The header holds the front
-// and back refs; a circular buffer of 16-bit slots holds, for every ref
-// after the front, its gap from the one before. A gap of 0xFFFF or more is
-// written as the escape slot 0xFFFF and the ref itself in two slots, low
-// half first. The live refs of one ring lie within the window's live
-// sequence span, so a window of fewer than 65 536 objects never escapes,
-// and a larger one only in a sparse ring. A ring of one ref uses no slot.
-// A ring is only ever read front to back.
+// and back refs; 16-bit slots hold, for every ref after the front, its gap
+// from the one before. A gap of 0xFFFF or more is written as the escape
+// slot 0xFFFF and the ref itself in two slots, low half first. The live
+// refs of one ring lie within the window's live sequence span, so a window
+// of fewer than 65 536 objects never escapes, and a larger one only in a
+// sparse ring. A ring of one ref uses no slot. A ring is only ever read
+// front to back.
 //
-// A buffer takes its allocation's whole size class. While its window
-// fills, a full buffer doubles, so a fill or a restore reallocates each
-// ring O(log n) times. The window's first eviction trims every buffer to
-// the slots in use, and from then on a full buffer grows by an eighth (at
-// least ringMin slots) and, once its use has fallen to a quarter of it,
-// shrinks to half again the use. Its capacity stays within four times its
-// use, and a queue whose length wanders by a ref reallocates at most once.
+// A ring whose gaps fit in inlineSlots slots may keep them in its header,
+// in the 12 bytes of c, head and used, with the gap after front in slot 0:
+// it is inline, and holds no buffer. Otherwise they sit in a circular
+// buffer, which takes its allocation's whole size class. An inline ring
+// that overflows takes a buffer of ringMin slots, or more for an escape.
+// While its window fills, a full buffer doubles, so a fill or a restore
+// reallocates each ring O(log n) times. The window's first eviction trims
+// every buffer to the slots in use, or into the header if they fit it,
+// and from then on a full buffer grows by an eighth (at least ringMin
+// slots) and, once its use has fallen to a quarter of it, shrinks to half
+// again the use, into the header if that fits it. Its capacity stays
+// within four times its use, a drained ring holds no buffer, and a queue
+// whose length wanders by a ref reallocates at most once: a ring leaves
+// the header only when its gaps overflow it, and returns only once its
+// buffer is a quarter used.
 //
 // A ref is uint32(seq); Window resolves it against its arena origin and
 // ranks it by its distance from base, both of which are exact while the
 // live sequence numbers span less than 2³² (guarded in Insert).
 type ring struct {
-	buf   *uint16 // slot 0 of the buffer, nil until the ring first holds two refs
+	buf   *uint16 // slot 0 of the buffer; nil while the ring is inline
 	c     uint32  // buffer slots
 	head  uint32  // slot of the gap after front
 	used  uint32  // slots in use
@@ -36,10 +44,12 @@ type ring struct {
 }
 
 const (
-	// ringMin is the smallest buffer a ring allocates, and the one it
-	// keeps when it drains: 16 bytes, the smallest allocation the
-	// runtime does not pack several of into one block.
+	// ringMin is the smallest buffer a ring allocates: 16 bytes, the
+	// smallest allocation the runtime does not pack several of into one
+	// block.
 	ringMin = 8
+	// inlineSlots is how many slots an inline ring keeps in its header.
+	inlineSlots = 6
 	// escape is the slot that announces a ref written out in full.
 	escape = 0xFFFF
 )
@@ -49,8 +59,46 @@ const ringHeaderBytes = int(unsafe.Sizeof(ring{}))
 
 func (q *ring) len() int { return int(q.n) }
 
-// slots returns the buffer.
-func (q *ring) slots() []uint16 { return unsafe.Slice(q.buf, q.c) }
+// inline returns the slots of an inline ring: the memory of c, head and
+// used, which are consecutive. Only those uint32 fields are ever read as
+// slots, so no slot lies where the collector expects a pointer.
+func (q *ring) inline() *[inlineSlots]uint16 {
+	return (*[inlineSlots]uint16)(unsafe.Pointer(&q.c))
+}
+
+// slots returns the ring's slots, the buffer or the inline ones, and the
+// slot of the gap after front.
+func (q *ring) slots() ([]uint16, uint32) {
+	if q.buf == nil {
+		return q.inline()[:], 0
+	}
+	return unsafe.Slice(q.buf, q.c), q.head
+}
+
+// inUse returns how many slots the gaps take. An inline ring does not
+// store it: it is one slot per gap and two more per escape, counted in at
+// most inlineSlots steps.
+func (q *ring) inUse() uint32 {
+	if q.buf != nil {
+		return q.used
+	}
+	s, used := q.inline(), uint32(0)
+	for k := uint32(1); k < q.n; k++ {
+		if s[used] == escape {
+			used += 2
+		}
+		used++
+	}
+	return used
+}
+
+// capacity returns the buffer's slots: none for an inline ring.
+func (q *ring) capacity() int {
+	if q.buf == nil {
+		return 0
+	}
+	return int(q.c)
+}
 
 // pushBack appends ref, doubling a full buffer if double is set and
 // growing it by an eighth otherwise. slots is the owner's running total of
@@ -64,28 +112,32 @@ func (q *ring) pushBack(ref uint32, slots *int, double bool) {
 	if gap >= escape {
 		need = 3
 	}
-	if c := int(q.c); q.used+need > q.c {
+	used := q.inUse()
+	if c := q.capacity(); used+need > uint32(max(c, inlineSlots)) {
 		grow := c / 8
 		if double {
 			grow = c
 		}
-		q.resize(c+max(ringMin, grow), slots)
+		q.resize(max(c+max(ringMin, grow), int(used+need)), slots)
 	}
-	buf, i := q.slots(), q.head+q.used
-	if i >= q.c {
-		i -= q.c
+	buf, head := q.slots()
+	i, size := head+used, uint32(len(buf))
+	if i >= size {
+		i -= size
 	}
 	if need == 1 {
 		buf[i] = uint16(gap)
 	} else {
 		for _, v := range [3]uint16{escape, uint16(ref), uint16(ref >> 16)} {
 			buf[i] = v
-			if i++; i == q.c {
+			if i++; i == size {
 				i = 0
 			}
 		}
 	}
-	q.used += need
+	if q.buf != nil {
+		q.used += need
+	}
 	q.back = ref
 	q.n++
 }
@@ -94,38 +146,63 @@ func (q *ring) pushBack(ref uint32, slots *int, double bool) {
 func (q *ring) popFront(slots *int) {
 	if q.n--; q.n > 0 {
 		c := q.cursor().next()
+		q.front = c.ref
+		if q.buf == nil {
+			s := q.inline()
+			copy(s[:], s[c.i:])
+			return
+		}
 		read := c.i - q.head // 1 or 3 slots, modulo the buffer
 		if c.i < q.head {
 			read += q.c
 		}
-		q.head, q.front, q.used = c.i, c.ref, q.used-read
+		q.head, q.used = c.i, q.used-read
 	}
-	if c, u := int(q.c), int(q.used); c > ringMin && u <= c/4 {
-		q.resize(max(ringMin, u+u/2), slots)
+	if q.buf != nil && q.used <= q.c/4 {
+		u := int(q.used)
+		q.resize(u+u/2, slots)
 	}
 }
 
-// trim shrinks the buffer to the slots in use.
+// trim shrinks the buffer to the slots in use, or into the header.
 func (q *ring) trim(slots *int) {
-	if c, u := int(q.c), int(q.used); c > ringMin && u < c {
-		q.resize(max(ringMin, u), slots)
+	if q.buf == nil {
+		return
+	}
+	if c, u := int(q.c), int(q.used); u <= inlineSlots || c > ringMin && u < c {
+		q.resize(u, slots)
 	}
 }
 
-// resize moves the slots in use to a buffer of at least c slots.
+// resize moves the slots in use into the header if c is at most
+// inlineSlots, and otherwise to a buffer of at least c and ringMin slots.
 // Appending to nil rounds the capacity up to the size class the
 // allocation takes, and the ring uses all of it.
 func (q *ring) resize(c int, slots *int) {
-	buf := append([]uint16(nil), make([]uint16, c)...)
-	buf = buf[:cap(buf)]
-	old, end := q.slots(), q.head+q.used
-	if end > q.c {
-		copy(buf[copy(buf, old[q.head:]):], old[:end-q.c])
-	} else {
-		copy(buf, old[q.head:end])
+	old, head := q.slots()
+	used := q.inUse()
+	if c <= inlineSlots {
+		var s [inlineSlots]uint16
+		unwrap(s[:], old, head, used)
+		*slots -= q.capacity()
+		q.buf, *q.inline() = nil, s
+		return
 	}
-	*slots += len(buf) - int(q.c)
-	q.buf, q.c, q.head = &buf[0], uint32(len(buf)), 0
+	buf := append([]uint16(nil), make([]uint16, max(c, ringMin))...)
+	buf = buf[:cap(buf)]
+	unwrap(buf, old, head, used)
+	*slots += len(buf) - q.capacity()
+	q.buf, q.c, q.head, q.used = &buf[0], uint32(len(buf)), 0, used
+}
+
+// unwrap copies the used slots of src from head, wrapping past its end, to
+// the start of dst.
+func unwrap(dst, src []uint16, head, used uint32) {
+	if end := head + used; end > uint32(len(src)) {
+		copy(dst[copy(dst, src[head:]):], src[:end-uint32(len(src))])
+	} else {
+		copy(dst, src[head:end])
+	}
 }
 
 // cursor reads a ring front to back, a ref at a time: ref is the ref it
@@ -138,8 +215,13 @@ type cursor struct {
 	ref uint32
 }
 
-// cursor returns a cursor on the front, if the ring is not empty.
-func (q *ring) cursor() cursor { return cursor{q.slots(), q.head, q.front} }
+// cursor returns a cursor on the front, if the ring is not empty. Inline
+// and buffered rings read alike: an inline ring's slots are a buffer that
+// starts at slot 0 and never wraps.
+func (q *ring) cursor() cursor {
+	buf, head := q.slots()
+	return cursor{buf, head, q.front}
+}
 
 // next returns the cursor on the following ref; the caller knows there is
 // one. The ref after an escape is written out in the two slots that

@@ -23,6 +23,10 @@ type ringModel struct {
 	// buffer's end, and straddled counts the escapes whose three slots did.
 	wrapped   bool
 	straddled int
+	// spilled counts the pushes that moved an inline ring's gaps to a
+	// buffer, inlined the pops and trims that moved them back, and
+	// inlineEscapes the escapes pushed into the header.
+	spilled, inlined, inlineEscapes int
 }
 
 // gapSlots is how many slots the gap from ref a to ref b takes.
@@ -35,8 +39,9 @@ func gapSlots(a, b uint32) int {
 
 // check holds the ring against the model: length, front, back, the slots
 // in use, and a buffer accounted in slots, large enough and, past ringMin,
-// within four times the use; and, as often as the model asks, every ref
-// in order as a scan reads them. A pop compares the front its cursor
+// within four times the use, or none while the header holds the slots and
+// always once at most one ref is left; and, as often as the model asks,
+// every ref in order as a scan reads them. A pop compares the front its cursor
 // decoded, so every ref is also read one at a time. push, pop and trim check
 // that a buffer they resize is a whole size class.
 func (m *ringModel) check(t *testing.T, op string) {
@@ -62,29 +67,41 @@ func (m *ringModel) check(t *testing.T, op string) {
 			t.Fatalf("%s: ring reads %d refs, model %d", op, read, len(m.refs))
 		}
 	}
-	used, c := m.used, int(q.c)
-	if int(q.used) != used {
-		t.Fatalf("%s: %d slots in use, model %d", op, q.used, used)
+	used, c := m.used, q.capacity()
+	if int(q.inUse()) != used {
+		t.Fatalf("%s: %d slots in use, model %d", op, q.inUse(), used)
 	}
-	if c < used || m.slots != c || (c > 0 && c < ringMin) {
-		t.Fatalf("%s: capacity %d (accounted %d) for %d slots", op, c, m.slots, used)
+	if max(c, inlineSlots) < used || m.slots != c || (c > 0 && c < ringMin) || (len(m.refs) <= 1 && c != 0) {
+		t.Fatalf("%s: capacity %d (accounted %d) for %d slots of %d refs", op, c, m.slots, used, len(m.refs))
 	}
 	if c > ringMin && 4*used < c {
 		t.Fatalf("%s: capacity %d kept for %d slots", op, c, used)
 	}
-	m.wrapped = m.wrapped || q.head+q.used > q.c
+	m.wrapped = m.wrapped || c > 0 && q.head+q.used > q.c
+}
+
+// shrunk is the capacity a ring's slots move to when they are resized to
+// n: none if n fits the header, a buffer of at least ringMin otherwise.
+func shrunk(n int) int {
+	if n <= inlineSlots {
+		return 0
+	}
+	return sizeClass(max(ringMin, n))
 }
 
 // push appends ref to ring and model and checks that the buffer grew only
 // if it had to, and then as the policy asks.
 func (m *ringModel) push(t *testing.T, ref uint32, double bool) {
 	t.Helper()
-	before := int(m.q.c)
+	before := m.q.capacity()
 	m.q.pushBack(ref, &m.slots, double)
 	if n := len(m.refs); n > 0 {
 		g := gapSlots(m.refs[n-1], ref)
 		m.used += g
-		if at := (m.q.head + m.q.used - uint32(g)) % m.q.c; g == 3 && at+3 > m.q.c {
+		switch c := m.q.capacity(); {
+		case c == 0 && g == 3:
+			m.inlineEscapes++
+		case c > 0 && g == 3 && (m.q.head+m.q.used-3)%m.q.c+3 > m.q.c:
 			m.straddled++
 		}
 	}
@@ -94,36 +111,49 @@ func (m *ringModel) push(t *testing.T, ref uint32, double bool) {
 	if double {
 		grow = before
 	}
-	if c, used := int(m.q.c), m.used; c != before && (used <= before || c != sizeClass(before+max(ringMin, grow))) {
+	c, used := m.q.capacity(), m.used
+	if c != before && (used <= max(before, inlineSlots) || c != sizeClass(max(before+max(ringMin, grow), used))) {
 		t.Fatalf("push: buffer went from %d to %d slots at %d slots in use", before, c, used)
+	}
+	if before == 0 && c > 0 {
+		m.spilled++
 	}
 }
 
 // pop drops the front of ring and model and checks that the buffer shrank
-// only once its use fell to a quarter, and then to half again the use.
+// only once its use fell to a quarter, and then to half again the use, or
+// into the header if that fits it.
 func (m *ringModel) pop(t *testing.T) {
 	t.Helper()
-	before := int(m.q.c)
+	before := m.q.capacity()
 	m.q.popFront(&m.slots)
 	if len(m.refs) > 1 {
 		m.used -= gapSlots(m.refs[0], m.refs[1])
 	}
 	m.refs = m.refs[1:]
 	m.check(t, "pop")
-	if c, used := int(m.q.c), m.used; c != before &&
-		(before <= ringMin || used > before/4 || c != sizeClass(max(ringMin, used+used/2))) {
+	c, used := m.q.capacity(), m.used
+	if c != before && (used > before/4 || c != shrunk(used+used/2)) {
 		t.Fatalf("pop: buffer went from %d to %d slots at %d slots in use", before, c, used)
+	}
+	if before > 0 && c == 0 {
+		m.inlined++
 	}
 }
 
-// trim trims ring and model and checks the buffer fits the use.
+// trim trims ring and model and checks the buffer fits the use, or the
+// header holds it.
 func (m *ringModel) trim(t *testing.T) {
 	t.Helper()
-	before := int(m.q.c)
+	before := m.q.capacity()
 	m.q.trim(&m.slots)
 	m.check(t, "trim")
-	if c, used := int(m.q.c), m.used; c != before && c != sizeClass(max(ringMin, used)) {
+	c, used := m.q.capacity(), m.used
+	if c != before && c != shrunk(used) {
 		t.Fatalf("trim: buffer went from %d to %d slots at %d slots in use", before, c, used)
+	}
+	if before > 0 && c == 0 {
+		m.inlined++
 	}
 }
 
@@ -131,13 +161,15 @@ func (m *ringModel) trim(t *testing.T) {
 // drives it and a plain slice through the same random runs of pushes and
 // pops — long enough to wrap, grow and shrink many times, with refs that
 // cross the 32-bit boundary and now and then a gap that escapes — comparing
-// them after every operation, the whole ring every 16th. A short ring then hovers in a small buffer
-// with every third gap escaping, so that escapes fall across the buffer's
-// end. While filling, the buffer doubles only when full; the trim leaves
-// the use; afterwards it grows by an eighth (at least ringMin slots) only
-// when full, shrinks to half again the use only once the use has fallen to
-// a quarter of it, and a length that wanders by one reallocates at most
-// once.
+// them after every operation, the whole ring every 16th. A short ring then
+// hovers in a small buffer with every third gap escaping, so that escapes
+// fall across the buffer's end; and last, drained, it runs between its
+// header and small buffers, escapes arriving while it is inline. While
+// filling, the buffer doubles only when full; the trim leaves the use;
+// afterwards it grows by an eighth (at least ringMin slots) only when
+// full, shrinks to half again the use, or into the header, only once the
+// use has fallen to a quarter of it, and a length that wanders by one
+// reallocates at most once.
 func TestRingMatchesSliceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var (
@@ -156,10 +188,10 @@ func TestRingMatchesSliceModel(t *testing.T) {
 	}
 	fills := 0
 	for i := 0; i < 3000; i++ {
-		before := m.q.c
+		before := m.q.capacity()
 		m.push(t, next, true)
 		next += gap()
-		if m.q.c != before {
+		if m.q.capacity() != before {
 			fills++
 		}
 	}
@@ -174,25 +206,25 @@ func TestRingMatchesSliceModel(t *testing.T) {
 		}
 		if push := rng.Intn(2) == 0; push {
 			for i := 0; i < n; i++ {
-				before := m.q.c
+				before := m.q.capacity()
 				m.push(t, next, false)
 				next += gap()
-				grew = grew || (before >= ringMin && m.q.c > before)
+				grew = grew || (before >= ringMin && m.q.capacity() > before)
 			}
 		} else {
 			for i := 0; i < n && len(m.refs) > 0; i++ {
-				before := m.q.c
+				before := m.q.capacity()
 				m.pop(t)
-				shrank = shrank || m.q.c < before
+				shrank = shrank || m.q.capacity() < before
 			}
 		}
 		resizes := 0
 		for i := 0; i < 4; i++ {
-			before := m.q.c
+			before := m.q.capacity()
 			m.push(t, next, false)
 			next += 1 + uint32(rng.Intn(3))
 			m.pop(t)
-			if m.q.c != before {
+			if m.q.capacity() != before {
 				resizes++
 			}
 		}
@@ -201,8 +233,9 @@ func TestRingMatchesSliceModel(t *testing.T) {
 		}
 	}
 	// Hover a short ring through a small buffer, with every third gap
-	// escaping, so that escapes fall across the buffer's end.
-	for len(m.refs) > 3 {
+	// escaping, so that escapes fall across the buffer's end: at six refs,
+	// too many slots for the header.
+	for len(m.refs) > 5 {
 		m.pop(t)
 	}
 	for i := 0; i < 2000; i++ {
@@ -213,11 +246,55 @@ func TestRingMatchesSliceModel(t *testing.T) {
 		}
 		m.pop(t)
 	}
-	if !grew || !shrank || !m.wrapped || escaped < 100 || m.straddled == 0 || next > 1<<31 {
-		t.Fatalf("run too tame: grew %v, shrank %v, wrapped %v, %d escapes (%d across the buffer's end), next ref %d",
-			grew, shrank, m.wrapped, escaped, m.straddled, next)
+	// Drain the ring and run it through its header and small buffers,
+	// between no refs and nine, with one gap in eight escaping, so that
+	// escapes arrive while it is inline and gaps overflow the header.
+	for len(m.refs) > 0 {
+		m.pop(t)
 	}
-	t.Logf("%d escapes, %d across the buffer's end", escaped, m.straddled)
+	for i := 0; i < 2000; i++ {
+		want := rng.Intn(10)
+		for len(m.refs) < want {
+			m.push(t, next, false)
+			if next++; rng.Intn(8) == 0 {
+				next += escape + uint32(rng.Intn(1<<10))
+				escaped++
+			}
+		}
+		for len(m.refs) > want {
+			m.pop(t)
+		}
+	}
+	if !grew || !shrank || !m.wrapped || escaped < 100 || m.straddled == 0 || next > 1<<31 ||
+		m.spilled < 100 || m.inlined < 100 || m.inlineEscapes < 100 {
+		t.Fatalf("run too tame: grew %v, shrank %v, wrapped %v, %d escapes (%d across the buffer's end, %d inline), "+
+			"%d spills and %d returns to the header, next ref %d",
+			grew, shrank, m.wrapped, escaped, m.straddled, m.inlineEscapes, m.spilled, m.inlined, next)
+	}
+	t.Logf("%d escapes, %d across the buffer's end and %d inline; %d spills and %d returns to the header",
+		escaped, m.straddled, m.inlineEscapes, m.spilled, m.inlined)
+}
+
+// TestSmallRingAllocatesNothing: a ring of up to seven refs keeps its
+// gaps in its header, so filling it and draining it allocates nothing,
+// while its window fills and after the first eviction alike.
+func TestSmallRingAllocatesNothing(t *testing.T) {
+	for _, double := range []bool{true, false} {
+		var q ring
+		slots, next := 0, uint32(1<<32-100)
+		allocs := testing.AllocsPerRun(100, func() {
+			for q.len() < 7 {
+				q.pushBack(next, &slots, double)
+				next += 1 + next%3
+			}
+			for q.len() > 0 {
+				q.popFront(&slots)
+			}
+		})
+		if allocs != 0 || slots != 0 || q.buf != nil {
+			t.Errorf("double %v: a ring of seven refs allocated %v times and holds %d buffer slots", double, allocs, slots)
+		}
+	}
 }
 
 // FuzzRingOps drives a ring and a []uint32 FIFO through the same
@@ -234,11 +311,24 @@ func FuzzRingOps(f *testing.F) {
 	// An escape at the head: the second gap escapes, and the first pop
 	// leaves it at the buffer's head.
 	f.Add(uint32(100), ops(push, 1, far, 7, push, 1, pop, 0, pop, 0, push, 1))
-	// An escape at the wrap: seven refs fill an 8-slot buffer to six
-	// slots, five pops leave one in use at slot 5, and the escaped ref,
-	// past 2³², takes slots 7, 0 and 1.
-	f.Add(uint32(1<<32-10), ops(push, 1, push, 1, push, 1, push, 1, push, 1, push, 1, push, 1,
-		pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, far, 7, push, 1, pop, 0, pop, 0))
+	// An escape at the wrap: eight refs overflow the header into an 8-slot
+	// buffer, four pops leave three slots in use from slot 4, and the
+	// escaped ref, past 2³², takes slots 7, 0 and 1.
+	f.Add(uint32(1<<32-10), ops(push, 1, push, 1, push, 1, push, 1, push, 1, push, 1, push, 1, far, 7,
+		pop, 0, pop, 0, pop, 0, pop, 0, push, 1, pop, 0, pop, 0))
+	// Header to buffer and back, evicting: eight refs overflow the header,
+	// five pops leave two slots of the 8-slot buffer in use and return them
+	// to the header, five pushes overflow it again, and the ring drains.
+	f.Add(uint32(9), ops(trim, 0, push, 1, push, 1, push, 1, push, 1, push, 1, push, 1, push, 1, push, 1,
+		pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, push, 1, push, 1, push, 1, push, 1, push, 1,
+		pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, pop, 0))
+	// Escapes while inline: the second gap escapes into the header beside
+	// a plain one, the third escapes past its six slots, and three pops
+	// drain the buffer back to the header.
+	f.Add(uint32(3), ops(push, 1, far, 7, far, 7, push, 1, pop, 0, pop, 0, pop, 0, push, 1, push, 1))
+	// A ring drained from a buffer, popped once more and filled again.
+	f.Add(uint32(1<<32-4), ops(push, 1, push, 1, push, 1, push, 1, push, 1, push, 1, push, 1, push, 1, push, 1,
+		pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, pop, 0, push, 1, push, 1))
 	// A drained ring, popped once more and filled again.
 	f.Add(uint32(7), ops(push, 1, push, 2, pop, 0, pop, 0, pop, 0, push, 3, push, 1))
 	// Gaps just under, at and over the threshold, after the switch to evicting.

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,45 +10,53 @@ import (
 	"github.com/spatiotext/latest/internal/stream"
 )
 
-// TestTwitterWindowFootprint: a shard's window over each preset's stream
-// at two objects per millisecond and a 60 s span, turned over twice, costs
-// at most its bound in bytes per live object, everything it owns
-// included. The generators number objects densely; with arbitrary 64-bit
-// IDs, as a replayed dataset may carry, every chunk keeps an ID high
-// column, which costs about 4 bytes per object more.
+// TestTwitterWindowFootprint: a window over each preset's stream at two
+// objects per millisecond, turned over twice, costs at most its bound in
+// bytes per live object, everything it owns included: one shard of the
+// benchmark's engine (60 000 live objects) and a window twice that. The
+// generators number objects densely; with arbitrary 64-bit IDs, as a
+// replayed dataset may carry, every chunk keeps an ID high column, which
+// costs about 4 bytes per object more.
 func TestTwitterWindowFootprint(t *testing.T) {
 	for _, preset := range []struct {
-		name  string
-		gen   func(seed int64, rate float64) *datagen.Generator
-		bound float64 // bytes per live object with dense IDs
+		name          string
+		gen           func(seed int64, rate float64) *datagen.Generator
+		shard, double float64 // bytes per live object with dense IDs, at 60 000 and 120 000
 	}{
-		{"Twitter", datagen.Twitter, 37.0}, // reads 35.8; 43.8 before lattice points
-		{"eBird", datagen.EBird, 32.0},     // reads 29.1; 37.1 before
-		{"CheckIn", datagen.CheckIn, 35.0}, // reads 31.9; 40.0 before
+		// Each bound is its reading plus at most 3 %.
+		{"Twitter", datagen.Twitter, 35.0, 31.5}, // reads 34.3 and 31.2
+		{"eBird", datagen.EBird, 26.9, 25.5},     // reads 26.1 and 24.8
+		{"CheckIn", datagen.CheckIn, 30.3, 28.2}, // reads 29.4 and 27.4
 	} {
 		t.Run(preset.name, func(t *testing.T) {
-			footprint := func(name string, id func(o *stream.Object) uint64) float64 {
-				const live = 120_000
-				g := preset.gen(1, 2)
-				w := stream.NewWindow(g.World(), live/2, 4096)
-				for i := 0; i < 3*live; i++ {
-					o := g.Next()
-					o.ID = id(&o)
-					w.Insert(o)
-				}
-				per := float64(w.MemoryBytes()) / float64(w.Size())
-				t.Logf("%s: %d objects, %d words, %d high columns: %d bytes, %.1f per object",
-					name, w.Size(), w.DistinctKeywords(), w.HighColumns(), w.MemoryBytes(), per)
-				return per
-			}
-			dense := footprint("dense IDs", func(o *stream.Object) uint64 { return o.ID })
-			if dense > preset.bound {
-				t.Errorf("the window costs %.1f bytes per live object, want at most %.1f", dense, preset.bound)
-			}
-			rng := rand.New(rand.NewSource(3))
-			random := footprint("64-bit random IDs", func(*stream.Object) uint64 { return rng.Uint64() })
-			if random > dense+4.5 {
-				t.Errorf("with 64-bit random IDs the window costs %.1f bytes per live object, want at most %.1f", random, dense+4.5)
+			for _, size := range []struct {
+				live  int
+				bound float64
+			}{{60_000, preset.shard}, {120_000, preset.double}} {
+				t.Run(fmt.Sprint(size.live), func(t *testing.T) {
+					footprint := func(name string, id func(o *stream.Object) uint64) float64 {
+						g := preset.gen(1, 2)
+						w := stream.NewWindow(g.World(), int64(size.live/2), 4096)
+						for i := 0; i < 3*size.live; i++ {
+							o := g.Next()
+							o.ID = id(&o)
+							w.Insert(o)
+						}
+						per := float64(w.MemoryBytes()) / float64(w.Size())
+						t.Logf("%s: %d objects, %d words, %d high columns: %d bytes, %.1f per object",
+							name, w.Size(), w.DistinctKeywords(), w.HighColumns(), w.MemoryBytes(), per)
+						return per
+					}
+					dense := footprint("dense IDs", func(o *stream.Object) uint64 { return o.ID })
+					if dense > size.bound {
+						t.Errorf("the window costs %.1f bytes per live object, want at most %.1f", dense, size.bound)
+					}
+					rng := rand.New(rand.NewSource(3))
+					random := footprint("64-bit random IDs", func(*stream.Object) uint64 { return rng.Uint64() })
+					if random > dense+4.5 {
+						t.Errorf("with 64-bit random IDs the window costs %.1f bytes per live object, want at most %.1f", random, dense+4.5)
+					}
+				})
 			}
 		})
 	}

@@ -11,7 +11,7 @@ import (
 	"github.com/spatiotext/latest/internal/intern"
 )
 
-// The object arena is a FIFO of fixed-size chunks. 512 objects (10 KB) keep
+// The object arena is a FIFO of fixed-size chunks. 512 objects (8 KB) keep
 // the partly used head and tail chunks plus the spare under 2 % of a
 // 60 000-object shard while a small window still costs one chunk.
 const (
@@ -19,37 +19,31 @@ const (
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
 	blockBytes = int(unsafe.Sizeof(block{}))
-	highBytes  = int(unsafe.Sizeof(highColumn{}))
 	chunkBytes = int(unsafe.Sizeof(chunk{})) // block and high column pointers, ID store, bases
 )
 
 // rec is the fixed part of a live object. It holds no pointer: the window
 // keeps an object's keywords as dictionary IDs beside it, so nothing the
 // producer allocated stays reachable through the arena. The location is
-// the object's point on the world's lattice; timestamp and ID are 32-bit
-// offsets from the bases of the object's chunk.
+// the object's point on the world's lattice; ID and timestamp are offsets
+// from the bases of the object's chunk, and end is the byte where the
+// object's keyword IDs end in the chunk's ID store (they start where the
+// previous slot's end). The ID keeps its low 32 bits here, and the
+// timestamp and end their low 16: a chunk of any preset's stream spans at
+// most 309 ms and 1 524 bytes of keyword IDs.
 type rec struct {
 	loc geo.LPoint
-	dt  uint32 // Timestamp - chunk.t0
 	did uint32 // ID - chunk.id0, modulo 2⁶⁴
+	dt  uint16 // Timestamp - chunk.t0
+	end uint16
 }
 
-// block is the storage of chunkSize consecutive arena slots: the records,
-// and for each slot the byte where its keyword IDs end in the chunk's ID
-// store (they start where the previous slot's end). It is pointer-free, so
-// the collector never scans it, and exactly fills a 10 KB size class.
+// block is the records of chunkSize consecutive arena slots. It is
+// pointer-free, so the collector never scans it, and exactly fills an 8 KB
+// size class.
 type block struct {
 	recs [chunkSize]rec
-	end  [chunkSize]uint32
 }
-
-// highColumn holds bits 32 to 63 of one offset field of every slot of a
-// chunk, for a chunk in which some object's offset does not fit its
-// record: a timestamp 2³² ms or more after slot 0's, or an ID that is not
-// within 2³² above slot 0's. Timestamps and IDs each get their own, so a
-// chunk of arbitrary 64-bit IDs costs 4 bytes per object more, and its
-// records plus the column (20 bytes) stay under a full-width record (24).
-type highColumn [chunkSize]uint32
 
 // chunk is a block and the keyword IDs of its objects, in arrival order
 // and with repeats, so that an object reads back with the keyword list it
@@ -57,23 +51,41 @@ type highColumn [chunkSize]uint32
 // out dense IDs, reusing freed ones, so most take one or two bytes. The ID
 // store grows toward the size the chunk's keyword rate projects, and keeps
 // its capacity when the chunk is recycled. Slot 0 sets the bases t0 and
-// id0 its records are offsets from; a chunk whose offsets overflow keeps
-// their high halves in a high column, which it drops when it is recycled.
+// id0 its records are offsets from.
+//
+// A chunk in which some slot's field does not fit its record keeps the
+// field's high bits for every slot in a pointer-free high column, from
+// that slot on (the slots before it read zero), and drops its columns
+// when it is recycled. A timestamp 2¹⁶ ms or more after slot 0's takes a
+// 2 KB column of bits 16–47, and one 2⁴⁸ ms or more a 1 KB column of bits
+// 48–63; an ID not within 2³² above slot 0's a 2 KB column of bits 32–63;
+// an ID store past 64 KiB a 1 KB column of bits 16–31. So a chunk of
+// arbitrary 64-bit IDs costs 4 bytes per object more, and a slow stream's
+// timestamps as much.
 type chunk struct {
 	*block
-	tsHigh, idHigh *highColumn // nil while every offset fits its record
+	tsMid, idHigh  *[chunkSize]uint32 // nil while every offset fits below them
+	tsTop, endHigh *[chunkSize]uint16
 	kws            []byte
 	t0             int64
 	id0            uint64
 }
 
-// ids returns the encoded keyword IDs of the object in slot i.
+// ids returns the encoded keyword IDs of the object in slot i. It calls
+// nothing, so that it inlines into a hybrid count's loop, which calls it
+// per ref.
 func (c *chunk) ids(i int) []byte {
-	start := uint32(0)
-	if i > 0 {
-		start = c.end[i-1]
+	start, end := 0, 0
+	if h := c.endHigh; h != nil {
+		end = int(h[i]) << 16
+		if i > 0 {
+			start = int(h[i-1]) << 16
+		}
 	}
-	return c.kws[start:c.end[i]]
+	if i > 0 {
+		start |= int(c.recs[i-1].end)
+	}
+	return c.kws[start : end|int(c.recs[i].end)]
 }
 
 // grow reallocates the ID store to hold need bytes, for the object in
@@ -94,50 +106,66 @@ func (c *chunk) grow(need, start, i int) {
 
 // ts returns the timestamp of the object in slot i.
 func (c *chunk) ts(i int) int64 {
-	return c.t0 + int64(widen(c.recs[i].dt, c.tsHigh, i))
+	dt := uint64(c.recs[i].dt) | high(c.tsMid, i)<<16 | high(c.tsTop, i)<<48
+	return c.t0 + int64(dt)
 }
 
 // id returns the ID of the object in slot i.
 func (c *chunk) id(i int) uint64 {
-	return c.id0 + widen(c.recs[i].did, c.idHigh, i)
+	return c.id0 + (uint64(c.recs[i].did) | high(c.idHigh, i)<<32)
 }
 
-// widen joins the low half of slot i's offset with its high half, which
-// is zero when the chunk has no high column.
-func widen(low uint32, high *highColumn, i int) uint64 {
-	if high == nil {
-		return uint64(low)
-	}
-	return uint64(high[i])<<32 | uint64(low)
-}
-
-// put stores the fixed part of o, located at lattice point loc, in slot
-// i, after slots 0 to i-1, and returns how many high columns the chunk had
-// to allocate for it. o.Timestamp is at least slot 0's.
-func (c *chunk) put(i int, o *Object, loc geo.LPoint) (added int) {
+// put stores the fixed part of o, located at lattice point loc, whose
+// keyword IDs end at byte end of the ID store, in slot i, after slots 0 to
+// i-1, and returns the bytes of the high columns the chunk had to allocate
+// for it. o.Timestamp is at least slot 0's.
+func (c *chunk) put(i int, o *Object, loc geo.LPoint, end int) (added int) {
 	if i == 0 {
 		c.t0, c.id0 = o.Timestamp, o.ID
 	}
 	dt, did := uint64(o.Timestamp)-uint64(c.t0), o.ID-c.id0
-	added += setHigh(&c.tsHigh, i, dt)
-	added += setHigh(&c.idHigh, i, did)
-	c.recs[i] = rec{loc, uint32(dt), uint32(did)}
+	added += setHigh(&c.tsMid, i, dt>>16)
+	added += setHigh(&c.tsTop, i, dt>>48)
+	added += setHigh(&c.idHigh, i, did>>32)
+	added += setHigh(&c.endHigh, i, uint64(end)>>16)
+	c.recs[i] = rec{loc, uint32(did), uint16(dt), uint16(end)}
 	return added
 }
 
-// setHigh stores the high half of slot i's offset in *high, allocating the
-// column if the offset is the chunk's first that does not fit 32 bits (the
-// slots before it read zero, as they should), and returns the number of
-// columns allocated.
-func setHigh(high **highColumn, i int, off uint64) (added int) {
-	if *high == nil {
-		if off < 1<<32 {
+// dropHigh drops the chunk's high columns and returns their bytes.
+func (c *chunk) dropHigh() (freed int) {
+	return drop(&c.tsMid) + drop(&c.tsTop) + drop(&c.idHigh) + drop(&c.endHigh)
+}
+
+// high returns the high bits of slot i's field that col holds: zero if
+// the chunk has no such column.
+func high[T uint16 | uint32](col *[chunkSize]T, i int) uint64 {
+	if col == nil {
+		return 0
+	}
+	return uint64(col[i])
+}
+
+// setHigh stores the bits of hi that a column of T holds in slot i of
+// *col, allocating the column if they are the chunk's first that are not
+// zero, and returns the bytes allocated.
+func setHigh[T uint16 | uint32](col **[chunkSize]T, i int, hi uint64) (added int) {
+	if *col == nil {
+		if T(hi) == 0 {
 			return 0
 		}
-		*high, added = new(highColumn), 1
+		*col, added = new([chunkSize]T), int(unsafe.Sizeof(**col))
 	}
-	(*high)[i] = uint32(off >> 32)
+	(*col)[i] = T(hi)
 	return added
+}
+
+// drop sets *col to nil and returns the bytes it held.
+func drop[T uint16 | uint32](col **[chunkSize]T) (freed int) {
+	if *col != nil {
+		*col, freed = nil, int(unsafe.Sizeof(**col))
+	}
+	return freed
 }
 
 // Window is the exact store of S_T: every live object of the last T time
@@ -174,12 +202,12 @@ type Window struct {
 	// the sequence number of its slot 0, so sequence number seq lives at
 	// offset seq-origin; base-origin < chunkSize. A chunk evicted whole
 	// becomes the spare, which the tail takes before allocating.
-	chunks []chunk
-	spare  chunk
-	highs  int // high columns held
-	origin uint64
-	base   uint64 // sequence number of the oldest live object
-	n      int    // live objects
+	chunks    []chunk
+	spare     chunk
+	highBytes int // bytes of the chunks' high columns
+	origin    uint64
+	base      uint64 // sequence number of the oldest live object
+	n         int    // live objects
 
 	// Keyword dictionary, and by ID the word's posting ring. A free ID has
 	// the empty ring.
@@ -245,7 +273,7 @@ func (w *Window) MemoryBytes() int {
 	if w.spare.block != nil {
 		blocks++
 	}
-	return blocks*blockBytes + highBytes*w.highs + chunkBytes*cap(w.chunks) +
+	return blocks*blockBytes + w.highBytes + chunkBytes*cap(w.chunks) +
 		w.kwBytes + ringHeaderBytes*len(w.cells) + 2*w.slots +
 		w.dict.MemoryBytes() + ringHeaderBytes*cap(w.postings) + w.wordBytes +
 		4*cap(w.qids) + 8*cap(w.seen)
@@ -306,7 +334,6 @@ func (w *Window) append(o *Object, loc geo.LPoint) {
 		w.chunks = append(w.chunks, c)
 	}
 	c, slot := &w.chunks[off>>chunkShift], off&chunkMask
-	w.highs += c.put(slot, o, loc)
 	ref := uint32(w.base) + uint32(w.n)
 	w.n++
 
@@ -325,8 +352,8 @@ func (w *Window) append(o *Object, loc geo.LPoint) {
 		c.kws = binary.AppendUvarint(c.kws, uint64(id))
 	}
 	w.qids = ids
-	c.end[slot] = uint32(len(c.kws))
 	w.kwBytes += cap(c.kws) - had
+	w.highBytes += c.put(slot, o, loc, len(c.kws))
 }
 
 // intern returns the ID of word, entering a copy of it into the dictionary
@@ -391,8 +418,9 @@ func (w *Window) EvictBefore(cutoff int64) {
 	}
 }
 
-// trimRings trims every ring buffer to its length, once, when the window
-// first evicts: a filling window's rings double.
+// trimRings trims every ring buffer to its length, and the posting
+// headers to the IDs assigned, once, when the window first evicts: a
+// filling window's rings and headers double.
 func (w *Window) trimRings() {
 	for i := range w.cells {
 		w.cells[i].trim(&w.slots)
@@ -400,6 +428,7 @@ func (w *Window) trimRings() {
 	for id := range w.postings {
 		w.postings[id].trim(&w.slots)
 	}
+	w.postings = append([]ring(nil), w.postings...)
 }
 
 // release retires the word of id, whose last carrier has been evicted: the
@@ -407,7 +436,7 @@ func (w *Window) trimRings() {
 func (w *Window) release(id uint32) {
 	w.wordBytes -= len(w.dict.Word(id))
 	w.dict.Release(id)
-	w.slots -= int(w.postings[id].c)
+	w.slots -= w.postings[id].capacity()
 	w.postings[id] = ring{}
 }
 
@@ -415,13 +444,7 @@ func (w *Window) release(id uint32) {
 // without high columns, as the spare if there is none.
 func (w *Window) releaseHead() {
 	head := w.chunks[0]
-	if head.tsHigh != nil {
-		w.highs--
-	}
-	if head.idHigh != nil {
-		w.highs--
-	}
-	head.tsHigh, head.idHigh = nil, nil
+	w.highBytes -= head.dropHigh()
 	if w.spare.block == nil {
 		head.kws = head.kws[:0]
 		w.spare = head
@@ -540,12 +563,13 @@ const shortRing = 64
 // ids, which are distinct and live, further filtered by r when non-nil. An
 // object carrying several of the words sits in several posting queues and
 // must count once: each ref marks the bit of its distance from base in a
-// scratch bitmap, and only the ref that finds its bit clear is range-tested
-// and counted. The walk is linear in the postings with no data-dependent
-// branch but that one. It then clears the bitmap's words that cover the
-// window, which costs less than decoding the postings again to clear
-// only the words they touched unless they are fewer than one ref per 64
-// live objects. Nothing is allocated once the bitmap covers the window.
+// scratch bitmap, and only the refs that find their bit clear are kept,
+// then range-tested and counted, a batch at a time. The walk is linear in
+// the postings with no data-dependent branch but that one and the range
+// test. It then clears the bitmap's words that cover the window, which
+// costs less than decoding the postings again to clear only the words
+// they touched unless they are fewer than one ref per 64 live objects.
+// Nothing is allocated once the bitmap covers the window.
 func (w *Window) countKeyword(ids []uint32, r *geo.LRect) int {
 	if len(ids) == 1 { // one queue holds no duplicates
 		q := &w.postings[ids[0]]
@@ -561,31 +585,46 @@ func (w *Window) countKeyword(ids []uint32, r *geo.LRect) int {
 	seen, arena, base := w.seen, w.view(), uint32(w.base)
 	total := 0
 	for _, id := range ids {
-		total += arena.mark(&w.postings[id], seen, base, r, &w.batch)
+		// Each ring is read in batches whatever its length: a query walks
+		// each of its words' rings once, so a batch's setup is paid per
+		// word, not per cell.
+		for s := w.postings[id].scan(); s.left > 0; {
+			fresh := mark(s.batch(&w.batch), seen, base)
+			if r == nil {
+				total += len(fresh)
+			} else {
+				total += arena.inRange(fresh, *r)
+			}
+		}
 	}
 	clear(seen[:words])
 	return total
 }
 
-// mark sets the bit of each of q's refs' distance from base in seen, and
-// counts the refs that find it clear and, when r is non-nil, lie inside
-// r, reading q in batches whatever its length: a query walks each of its
-// words' rings once, so a batch's setup is paid per word, not per cell.
-// It is countKeyword's inner loop, a function of its own so that its
-// variables stay in registers.
-func (a arenaView) mark(q *ring, seen []uint64, base uint32, r *geo.LRect, refs *[refBatch]uint32) int {
-	n := 0
-	for s := q.scan(); s.left > 0; {
-		for _, ref := range s.batch(refs) {
-			d := ref - base
-			word, bit := &seen[d>>6], uint64(1)<<(d&63)
-			if *word&bit != 0 {
-				continue
-			}
+// mark sets the bit of each ref's distance from base in seen and returns
+// the refs that found it clear, moved to the front of refs.
+func mark(refs []uint32, seen []uint64, base uint32) []uint32 {
+	k := 0
+	for _, ref := range refs {
+		d := ref - base
+		word, bit := &seen[d>>6], uint64(1)<<(d&63)
+		if *word&bit == 0 {
 			*word |= bit
-			if r == nil || r.Contains(a.rec(ref).loc) {
-				n++
-			}
+			refs[k] = ref
+			k++
+		}
+	}
+	return refs[:k]
+}
+
+// inRange counts the refs whose objects lie inside r. Its loop does
+// nothing but the record loads and their tests, so that the loads run
+// ahead of one another.
+func (a arenaView) inRange(refs []uint32, r geo.LRect) int {
+	n := 0
+	for _, ref := range refs {
+		if r.Contains(a.rec(ref).loc) {
+			n++
 		}
 	}
 	return n

@@ -14,7 +14,7 @@ import (
 func escapedRings(rings []ring) int {
 	n := 0
 	for i := range rings {
-		if q := &rings[i]; q.n > 0 && q.used > q.n-1 {
+		if q := &rings[i]; q.n > 0 && q.inUse() > q.n-1 {
 			n++
 		}
 	}

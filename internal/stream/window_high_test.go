@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,15 +17,17 @@ import (
 
 const day = int64(24 * 60 * 60 * 1000) // in virtual ms
 
-// highCase is a stream whose timestamps or IDs do not fit a chunk's 32-bit
-// offsets somewhere. image is the SHA-256 of the window's SaveState at the
-// end, as written by the arena whose records held the full 64-bit fields:
-// the 24-byte records and their high columns must not move a byte of it.
+// highCase is a stream whose timestamps, IDs or keyword bytes do not fit
+// a record's offset fields somewhere. image is the SHA-256 of the window's
+// SaveState at the end, as written by the arena whose records held the
+// full 64-bit fields: the 16-byte records and their high columns must not
+// move a byte of it.
 type highCase struct {
 	name  string
 	span  int64
 	n     int
 	next  func(rng *rand.Rand, i int) (id uint64, ts int64)
+	long  bool        // objects carry 150 to 199 keywords of 200
 	highs map[int]int // after insert i, how many high columns the window holds
 	image string
 }
@@ -98,18 +101,64 @@ var highCases = []highCase{
 		highs: map[int]int{511: 1, 512: 1, 1510: 1, 1514: 0, 2999: 0},
 		image: "3213994cba8d0a617f18920d30a4b4432889f5266721a023cbb477b148971c68",
 	},
+	{
+		// Objects 200 ms apart: slot 328 of every chunk is the first whose
+		// timestamp is 2¹⁶ ms or more after slot 0's, and no chunk spans
+		// 2³² ms. Chunk 0 is recycled, with its column, at insert 2012.
+		name:  "slow stream",
+		span:  300_000,
+		n:     3000,
+		next:  func(_ *rand.Rand, i int) (uint64, int64) { return uint64(i), 200 * int64(i) },
+		highs: map[int]int{327: 0, 328: 1, 839: 1, 840: 2, 1864: 4, 2011: 4, 2012: 3, 2999: 4},
+		image: "4c639fc3c6bdc329827006caebafa0c06e1eb45ed83aa5a8c3c21346bade5440",
+	},
+	{
+		// Objects 2⁵³ ms apart across zero: bits 48 to 63 of chunk 0's
+		// timestamp offsets take a column, bits 16 to 47 none.
+		name: "gap of 2⁵³ ms across zero",
+		span: 1 << 54,
+		n:    1200,
+		next: func(_ *rand.Rand, i int) (uint64, int64) {
+			if i < 300 {
+				return uint64(i), -1<<52 + int64(i)
+			}
+			return uint64(i), 1<<52 + int64(i)
+		},
+		highs: map[int]int{299: 0, 300: 1, 1199: 1},
+		image: "85b9959a65d969db1a1a09fa71933bc5f64d2f9054dd349ea597c463a0f4e99a",
+	},
+	{
+		// Every chunk's keyword IDs pass 64 KiB a few hundred slots in, and
+		// chunk 0 is recycled, with its column, at insert 1512.
+		name:  "keyword store past 64 KiB",
+		span:  500,
+		n:     2000,
+		next:  func(_ *rand.Rand, i int) (uint64, int64) { return uint64(i), int64(i / 2) },
+		long:  true,
+		highs: map[int]int{271: 0, 272: 1, 787: 2, 1298: 3, 1512: 2, 1999: 3},
+		image: "c8a16f344c5dcaf0df120ddc212076d60a41fed5475c7fcbfd0b0a9fa90cc68b",
+	},
 }
 
 // objects returns the case's stream: random locations and up to two of
-// ten keywords, with the case's IDs and timestamps.
+// ten keywords, or for a long case 150 to 199 of those ten and 190 more,
+// with the case's IDs and timestamps.
 func (tc highCase) objects() []stream.Object {
 	rng := rand.New(rand.NewSource(17))
 	vocab := []string{"aw", "bw", "cw", "dw", "ew", "fw", "gw", "hw", "iw", "jw"}
+	for i := len(vocab); tc.long && i < 200; i++ {
+		vocab = append(vocab, fmt.Sprintf("w%03d", i))
+	}
 	objs := make([]stream.Object, tc.n)
 	for i := range objs {
 		o := &objs[i]
 		o.Loc = geo.Pt(rng.Float64(), rng.Float64())
-		o.Keywords = []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]}[:rng.Intn(3)]
+		o.Keywords = []string{vocab[rng.Intn(10)], vocab[rng.Intn(10)]}[:rng.Intn(3)]
+		if tc.long {
+			for k := 150 + rng.Intn(50); k > 0; k-- {
+				o.Keywords = append(o.Keywords, vocab[rng.Intn(len(vocab))])
+			}
+		}
 		o.ID, o.Timestamp = tc.next(rng, i)
 	}
 	return objs

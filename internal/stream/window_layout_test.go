@@ -42,8 +42,8 @@ func (s *steadyStream) insert(w *Window) {
 }
 
 // TestArenaRecordHasNoPointers: the collector has nothing to follow in an
-// arena block or a high column, a record takes 24 bytes, and a block
-// exactly fills a size class.
+// arena block or a high column, a record takes 16 bytes, and a block
+// exactly fills the 8 KB size class.
 func TestArenaRecordHasNoPointers(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -61,12 +61,14 @@ func TestArenaRecordHasNoPointers(t *testing.T) {
 	}
 	walk("rec", reflect.TypeOf(rec{}))
 	walk("block", reflect.TypeOf(block{}))
-	walk("highColumn", reflect.TypeOf(highColumn{}))
-	if size := unsafe.Sizeof(rec{}); size > 16 {
-		t.Errorf("an arena record takes %d bytes, want at most 16", size)
+	var c chunk
+	walk("tsMid", reflect.TypeOf(c.tsMid).Elem())
+	walk("tsTop", reflect.TypeOf(c.tsTop).Elem())
+	if size := unsafe.Sizeof(rec{}); size != 16 {
+		t.Errorf("an arena record takes %d bytes, want 16", size)
 	}
-	if blockBytes != 10<<10 {
-		t.Errorf("a block takes %d bytes, want the 10 KB size class", blockBytes)
+	if blockBytes != 8<<10 {
+		t.Errorf("a block takes %d bytes, want the 8 KB size class", blockBytes)
 	}
 }
 
@@ -84,19 +86,19 @@ func recount(t *testing.T, w *Window) (live liveContents) {
 	t.Helper()
 	slots := 0
 	for i := range w.cells {
-		slots += int(w.cells[i].c)
-		live.gapSlots += int(w.cells[i].used)
+		slots += w.cells[i].capacity()
+		live.gapSlots += int(w.cells[i].inUse())
 	}
 	words, wordBytes := 0, 0
 	for id := range w.postings {
 		pq := &w.postings[id]
-		slots += int(pq.c)
-		live.gapSlots += int(pq.used)
+		slots += pq.capacity()
+		live.gapSlots += int(pq.inUse())
 		live.refs += pq.len()
 		word := w.dict.Word(uint32(id))
 		if pq.len() == 0 {
 			if pq.buf != nil || word != "" {
-				t.Fatalf("free ID %d keeps a %d-slot ring and the word %q", id, pq.c, word)
+				t.Fatalf("free ID %d keeps a %d-slot ring and the word %q", id, pq.capacity(), word)
 			}
 			continue
 		}
@@ -113,12 +115,14 @@ func recount(t *testing.T, w *Window) (live liveContents) {
 		t.Errorf("dictionary: %d posted words of %d bytes, %d rings, %d assigned IDs, %d held, accounted %d bytes",
 			words, wordBytes, len(w.postings), w.dict.IDs(), w.dict.Len(), w.wordBytes)
 	}
-	kwBytes := cap(w.spare.kws)
-	for i := range w.chunks {
-		kwBytes += cap(w.chunks[i].kws)
+	kwBytes, highBytes := cap(w.spare.kws), columnBytes(w.spare)
+	for _, c := range w.chunks {
+		kwBytes += cap(c.kws)
+		highBytes += columnBytes(c)
 	}
-	if kwBytes != w.kwBytes {
-		t.Errorf("accounted %d keyword ID bytes, chunks hold %d", w.kwBytes, kwBytes)
+	if kwBytes != w.kwBytes || highBytes != w.highBytes || columnBytes(w.spare) != 0 {
+		t.Errorf("accounted %d keyword ID bytes and %d high column bytes, chunks hold %d and %d",
+			w.kwBytes, w.highBytes, kwBytes, highBytes)
 	}
 	arena := w.view()
 	for seq := w.base; seq < w.NextSeq(); seq++ {
@@ -129,10 +133,14 @@ func recount(t *testing.T, w *Window) (live liveContents) {
 	return live
 }
 
+// columnBytes is the bytes of c's high columns; c is a copy, so dropping
+// them from it leaves the window's chunk as it was.
+func columnBytes(c chunk) int { return c.dropHigh() }
+
 // TestWindowFootprintTracksLiveSize: after twenty turnovers at a steady
-// 60 000 live objects the window costs at most 1.2 times the encoded
-// bytes its live contents need — a record and its end offset per object
-// (20 bytes), the uvarint of every keyword occurrence's ID, and 2 bytes
+// 60 000 live objects the window costs at most 1.16 times the encoded
+// bytes its live contents need — a record per object, its end offset
+// included (16 bytes), the uvarint of every keyword occurrence's ID, and 2 bytes
 // for every ring slot in use, cell and posting rings alike — plus the
 // fixed cell headers and the dictionary (its words, its index and a ring
 // header per ID), which cost per word, not per object; and a steady-state
@@ -150,12 +158,12 @@ func TestWindowFootprintTracksLiveSize(t *testing.T) {
 	}
 	held := recount(t, w)
 	need := w.Size()*blockBytes/chunkSize + held.idBytes + 2*held.gapSlots
-	if perObject := blockBytes / chunkSize; perObject != 20 {
-		t.Errorf("a record and its end offset take %d bytes, want 20", perObject)
+	if perObject := blockBytes / chunkSize; perObject != 16 {
+		t.Errorf("a record and its end offset take %d bytes, want 16", perObject)
 	}
 	fixed := ringHeaderBytes*cells + w.dict.MemoryBytes() + w.wordBytes + ringHeaderBytes*cap(w.postings)
-	if got, limit := w.MemoryBytes(), need*12/10+fixed; got > limit {
-		t.Errorf("MemoryBytes = %d for %d objects, %d ID bytes and %d ring slots in use: over 1.2 × %d + %d = %d",
+	if got, limit := w.MemoryBytes(), need*116/100+fixed; got > limit {
+		t.Errorf("MemoryBytes = %d for %d objects, %d ID bytes and %d ring slots in use: over 1.16 × %d + %d = %d",
 			got, w.Size(), held.idBytes, held.gapSlots, need, fixed, limit)
 	}
 	t.Logf("%d objects, %.2f keywords each in %.2f bytes, %d words, %.2f ring slots each: %d bytes, %.1f per object (floor %.1f, %.3f ×)",
@@ -207,7 +215,7 @@ func TestWindowMemoryBytesIsTheHeap(t *testing.T) {
 }
 
 // TestWindowEmptiedHoldsNothing: a window that has evicted everything has
-// no word in its dictionary, no posting buffer and no chunk but the spare,
+// no word in its dictionary, no ring buffer and no chunk but the spare,
 // whose ID store is empty.
 func TestWindowEmptiedHoldsNothing(t *testing.T) {
 	w := NewWindow(geo.UnitSquare, 100, 16)
@@ -223,15 +231,9 @@ func TestWindowEmptiedHoldsNothing(t *testing.T) {
 		t.Errorf("emptied window keeps %d objects, %+v, %d words of %d bytes",
 			w.Size(), held, w.DistinctKeywords(), w.wordBytes)
 	}
-	rings := 0 // the cell rings that have ever held two refs keep their smallest buffer
-	for i := range w.cells {
-		if w.cells[i].buf != nil {
-			rings++
-		}
-	}
-	if len(w.chunks) > 1 || w.spare.block == nil || len(w.spare.kws) != 0 || w.slots != ringMin*rings {
-		t.Errorf("emptied window keeps %d chunks (spare %v holding %d ID bytes) and %d ring slots for %d cell rings",
-			len(w.chunks), w.spare.block != nil, len(w.spare.kws), w.slots, rings)
+	if len(w.chunks) > 1 || w.spare.block == nil || len(w.spare.kws) != 0 || w.slots != 0 {
+		t.Errorf("emptied window keeps %d chunks (spare %v holding %d ID bytes) and %d ring slots",
+			len(w.chunks), w.spare.block != nil, len(w.spare.kws), w.slots)
 	}
 	// And it fills again from there.
 	for i := 0; i < 2*chunkSize; i++ {
