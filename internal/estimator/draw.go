@@ -123,13 +123,13 @@ func (r *reservoir) kept(int64) { r.postAll(len(r.ts) == r.capacity) }
 
 func (r *ReservoirHashmap) reserve(m int) {
 	r.sampleStore.reserve(m)
-	r.links = make([]int32, 0, m)
+	r.links = make([]uint16, 0, m)
 }
 
 // keep stores a drawn sample; kept posts and buckets them all.
 func (r *ReservoirHashmap) keep(o *stream.Object) {
 	r.reservoir.keep(o)
-	r.links = append(r.links, 0)
+	r.pushLink()
 }
 
 // kept builds the bucket index of a drawn sample in two passes, numbering
@@ -138,14 +138,14 @@ func (r *ReservoirHashmap) keep(o *stream.Object) {
 func (r *ReservoirHashmap) kept(now int64) {
 	r.reservoir.kept(now)
 	sizes := make([]uint32, r.grid.NumCells())
-	for j := range r.links {
-		cell := r.cellOf(int32(j))
-		r.links[j] = int32(sizes[cell])
+	for j := range int32(len(r.links)) {
+		cell := r.cellOf(j)
+		r.setLink(j, sizes[cell])
 		sizes[cell]++
 	}
 	r.buckets.reset(sizes)
-	for j, pos := range r.links {
-		r.buckets.get(r.cellOf(int32(j)))[pos] = uint32(j)
+	for j := range int32(len(r.links)) {
+		r.buckets.set(r.cellOf(j), int(r.link(j)), uint32(j))
 	}
 }
 

@@ -25,9 +25,9 @@ var samplerBuilds = []struct {
 func sampleTimestamps(s Sampler) (ts []int64, k int) {
 	switch e := s.(type) {
 	case *ReservoirList:
-		return e.ts, e.capacity
+		return e.timestamps(), e.capacity
 	case *ReservoirHashmap:
-		return e.ts, e.capacity
+		return e.timestamps(), e.capacity
 	case *SPNEstimator:
 		for _, x := range e.samples {
 			ts = append(ts, x.ts)

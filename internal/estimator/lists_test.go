@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// TestListsMatchSlices: a long random run of pushes, swap-removes and new
-// lists, first while filling and then tight, leaves every list equal to a
+// TestListsMatchSlices: a long random run of pushes of elements below 2²⁰
+// (so the array takes its high column), swap-removes and new lists, first
+// while filling and then tight, leaves every list equal to a
 // plain slice driven the same way, element for element and in order, with
 // no two runs overlapping; a reset from sizes lays out lists of those
 // lengths.
@@ -36,9 +37,8 @@ func TestListsMatchSlices(t *testing.T) {
 				continue
 			}
 			// The owner's removal: the last element fills the hole.
-			b, pos := l.get(i), rng.Intn(len(ref[i]))
-			b[pos] = b[len(b)-1]
-			l.pop(i)
+			pos := rng.Intn(len(ref[i]))
+			l.remove(i, uint32(pos))
 			last := len(ref[i]) - 1
 			ref[i][pos] = ref[i][last]
 			ref[i] = ref[i][:last]
@@ -49,7 +49,7 @@ func TestListsMatchSlices(t *testing.T) {
 	}
 	checkLists(t, "end", &l)
 	for i := range ref {
-		if got := l.get(i); !slices.Equal(got, ref[i]) {
+		if got := listOf(&l, i); !slices.Equal(got, ref[i]) {
 			t.Fatalf("list %d = %v, want %v", i, got, ref[i])
 		}
 	}
@@ -71,4 +71,14 @@ func TestListsMatchSlices(t *testing.T) {
 			t.Errorf("reset list %d has %d elements, want %d", i, l.size(i), n)
 		}
 	}
+}
+
+// listOf returns list i of l with its elements at full width.
+func listOf(l *lists, i int) []uint32 {
+	lo, hi := l.get(i)
+	out := make([]uint32, len(lo))
+	for k := range lo {
+		out[k] = join(lo, hi, k)
+	}
+	return out
 }

@@ -26,8 +26,9 @@ const defaultRSHGridCells = 4096
 type ReservoirHashmap struct {
 	reservoir
 	grid    *geo.Grid
-	links   []int32 // by slot, its index within its bucket
-	buckets lists   // slots by cell; none while the store is empty
+	links   []uint16 // by slot, its index within its bucket
+	linksHi []uint16 // bits 16–31 of the links once one needs them
+	buckets lists    // slots by cell; none while the store is empty
 }
 
 // NewReservoirHashmap builds the RSH estimator.
@@ -43,37 +44,53 @@ func (r *ReservoirHashmap) Name() string { return NameRSH }
 // cellOf returns the bucket of slot j, the cell of its sample.
 func (r *ReservoirHashmap) cellOf(j int32) int { return r.grid.CellOfL(r.loc[j]) }
 
+// link returns slot j's index within its bucket.
+func (r *ReservoirHashmap) link(j int32) uint32 {
+	return uint32(r.links[j]) | uint32(high(r.linksHi, int(j)))<<16
+}
+
+// setLink sets slot j's index within its bucket.
+func (r *ReservoirHashmap) setLink(j int32, pos uint32) {
+	r.links[j] = uint16(pos)
+	setHigh(&r.linksHi, len(r.links), cap(r.links), int(j), uint16(pos>>16))
+}
+
+// pushLink appends a link for a new last slot, to be set.
+func (r *ReservoirHashmap) pushLink() {
+	r.links, r.linksHi = append(r.links, 0), grow(r.linksHi)
+}
+
 // detach unlinks slot j from its bucket.
 func (r *ReservoirHashmap) detach(j int32) {
-	cell, pos := r.cellOf(j), r.links[j]
-	b := r.buckets.get(cell)
-	moved := b[len(b)-1]
-	b[pos] = moved
-	r.links[moved] = pos
-	r.buckets.pop(cell)
+	pos := r.link(j)
+	moved, _ := r.buckets.remove(r.cellOf(j), pos)
+	r.setLink(int32(moved), pos)
 }
 
 // attach links slot j (whose location is already set) at the end of its
 // cell's bucket, which grows as the store's posting lists do.
 func (r *ReservoirHashmap) attach(j int32) {
-	cell := r.cellOf(j)
-	r.links[j] = int32(r.buckets.size(cell))
-	r.buckets.push(cell, uint32(j), r.tight)
+	r.setLink(j, r.buckets.push(r.cellOf(j), uint32(j), r.tight))
 }
 
 // removeSlot purges slot j entirely, swapping the last slot into its place.
 func (r *ReservoirHashmap) removeSlot(j int32) {
 	r.detach(j)
+	last := int32(len(r.ts) - 1)
 	if r.remove(j) {
 		// The final slot moved into j: fix its bucket backlink.
-		pos := r.links[len(r.ts)]
-		r.links[j], r.buckets.get(r.cellOf(j))[pos] = pos, uint32(j)
+		pos := r.link(last)
+		r.setLink(j, pos)
+		r.buckets.set(r.cellOf(j), int(pos), uint32(j))
 	}
 	r.links = r.links[:len(r.ts)]
+	if r.linksHi != nil {
+		r.linksHi = r.linksHi[:len(r.ts)]
+	}
 	if len(r.ts) == 0 {
 		// As the store released itself. The bucket index stays until the
 		// caller's releaseEmptied: Estimate's bucket walk may be what got here.
-		r.links = nil
+		r.links, r.linksHi = nil, nil
 	}
 }
 
@@ -100,7 +117,7 @@ func (r *ReservoirHashmap) Insert(o *stream.Object) {
 		if r.buckets.at == nil {
 			r.buckets.reset(make([]uint32, r.grid.NumCells()))
 		}
-		r.links = append(r.links, 0)
+		r.pushLink()
 	}
 	tightened := r.put(j, o.Timestamp, r.lat.Snap(o.Loc), o.Keywords, r.capacity)
 	r.attach(j)
@@ -114,7 +131,7 @@ func (r *ReservoirHashmap) Insert(o *stream.Object) {
 func (r *ReservoirHashmap) purgeSome(cutoff int64, n int) {
 	for i := 0; i < n && len(r.ts) > 0; i++ {
 		j := int32(r.rng.Intn(len(r.ts)))
-		if r.ts[j] < cutoff {
+		if r.tsAt(j) < cutoff {
 			r.removeSlot(j)
 		}
 	}
@@ -153,8 +170,8 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 	if !spatial {
 		bucketed := 0
 		for row := cr.RowMin; row <= cr.RowMax; row++ {
-			for _, b := range r.buckets.at[row*r.grid.Cols+cr.ColMin : row*r.grid.Cols+cr.ColMax+1] {
-				bucketed += int(b.n)
+			for idx := row*r.grid.Cols + cr.ColMin; idx <= row*r.grid.Cols+cr.ColMax; idx++ {
+				bucketed += r.buckets.size(idx)
 			}
 		}
 		viaPostings = r.resolve(q.Keywords) <= bucketed
@@ -162,12 +179,12 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 	matches := 0
 	for row := cr.RowMin; row <= cr.RowMax; row++ {
 		for idx := row*r.grid.Cols + cr.ColMin; idx <= row*r.grid.Cols+cr.ColMax; idx++ {
-			b := r.buckets.get(idx)
+			b, hi := r.buckets.get(idx)
 			for bi := 0; bi < len(b); {
-				j := int32(b[bi])
-				if r.ts[j] < cutoff {
+				j := int32(join(b, hi, bi))
+				if r.tsAt(j) < cutoff {
 					r.removeSlot(j) // swaps within this bucket or shrinks it
-					b = r.buckets.get(idx)
+					b, hi = r.buckets.get(idx)
 					continue
 				}
 				bi++
@@ -191,14 +208,15 @@ func (r *ReservoirHashmap) Estimate(q *stream.Query) float64 {
 // Reset implements Estimator. Store, links and the bucket index are
 // released, not truncated, for the reason ReservoirList.Reset gives.
 func (r *ReservoirHashmap) Reset() {
-	r.sampleStore, r.links, r.buckets = sampleStore{}, nil, lists{}
+	r.sampleStore, r.links, r.linksHi, r.buckets = sampleStore{}, nil, nil, lists{}
 	r.counter.Reset()
 }
 
-// MemoryBytes implements Estimator: the store, four bytes of bucket link
-// per slot, the bucket index and the arrival counter.
+// MemoryBytes implements Estimator: the store, two bytes of bucket link
+// per slot (four once a link needs more), the bucket index and the
+// arrival counter.
 func (r *ReservoirHashmap) MemoryBytes() int {
-	return 64 + r.memoryBytes() + 4*cap(r.links) + r.buckets.memoryBytes() + r.counter.MemoryBytes()
+	return 64 + r.memoryBytes() + 2*(cap(r.links)+cap(r.linksHi)) + r.buckets.memoryBytes() + r.counter.MemoryBytes()
 }
 
 // String summarizes state for diagnostics.

@@ -312,9 +312,9 @@ func (r *ReservoirList) load(d *persist.Dec, float bool) error {
 // so both must survive exactly. Cells re-derive from the sample location.
 func (r *ReservoirHashmap) SaveState(e *persist.Enc) {
 	r.saveHeader(e)
-	for i := range r.ts {
-		r.save(e, int32(i))
-		e.U32(uint32(r.links[i]))
+	for i := range int32(len(r.ts)) {
+		r.save(e, i)
+		e.U32(r.link(i))
 	}
 }
 
@@ -326,13 +326,13 @@ func (r *ReservoirHashmap) LoadFloatState(d *persist.Dec) error { return r.load(
 
 func (r *ReservoirHashmap) load(d *persist.Dec, float bool) error {
 	const op = "rsh"
-	var links []int32
+	var links []uint32
 	var sizes []uint32
 	im, err := r.loadSamples(d, op, float, func(st *sampleStore, j int32) {
 		if sizes == nil {
 			sizes = make([]uint32, r.grid.NumCells())
 		}
-		links = append(links, int32(d.U32()))
+		links = append(links, d.U32())
 		sizes[r.grid.CellOfL(st.loc[j])]++
 	})
 	if err != nil {
@@ -340,23 +340,30 @@ func (r *ReservoirHashmap) load(d *persist.Dec, float bool) error {
 	}
 	// Rebuild buckets by placing each slot at its recorded position; any
 	// duplicate or out-of-range position means the image is inconsistent.
-	const unset = ^uint32(0)
 	var buckets lists
+	var placed []uint64 // by array index
 	if len(links) > 0 {
 		buckets.reset(sizes)
-		for i := range buckets.slab {
-			buckets.slab[i] = unset
-		}
+		placed = make([]uint64, (len(buckets.slab)+63)/64)
 	}
 	for j, pos := range links {
-		b := buckets.get(r.grid.CellOfL(im.store.loc[j]))
-		if pos < 0 || int(pos) >= len(b) || b[pos] != unset {
-			return persist.Errf(persist.CodeMalformed, op, "slot %d bucket position %d invalid", j, pos)
+		cell := r.grid.CellOfL(im.store.loc[j])
+		off, n, _ := buckets.span(cell)
+		k := off + pos
+		if pos >= n || placed[k/64]&(1<<(k%64)) != 0 {
+			return persist.Errf(persist.CodeMalformed, op, "slot %d bucket position %d invalid", j, int32(pos))
 		}
-		b[pos] = uint32(j)
+		placed[k/64] |= 1 << (k % 64)
+		buckets.set(cell, int(pos), uint32(j))
 	}
 	r.install(im)
-	r.links, r.buckets = links, buckets
+	r.links, r.linksHi, r.buckets = nil, nil, buckets
+	if len(links) > 0 {
+		r.links = make([]uint16, len(links))
+	}
+	for j, pos := range links {
+		r.setLink(int32(j), pos)
+	}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/spatiotext/latest/internal/datagen"
@@ -45,6 +46,7 @@ func TestTwitterWindowFootprint(t *testing.T) {
 						per := float64(w.MemoryBytes()) / float64(w.Size())
 						t.Logf("%s: %d objects, %d words, %d high columns: %d bytes, %.1f per object",
 							name, w.Size(), w.DistinctKeywords(), w.HighColumns(), w.MemoryBytes(), per)
+						logFootprint(t, w)
 						return per
 					}
 					dense := footprint("dense IDs", func(o *stream.Object) uint64 { return o.ID })
@@ -59,6 +61,22 @@ func TestTwitterWindowFootprint(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// logFootprint logs the bytes per live object of each part of w's
+// footprint, and fails if the parts do not sum to MemoryBytes.
+func logFootprint(t *testing.T, w *stream.Window) {
+	t.Helper()
+	var parts []string
+	sum := 0
+	for _, p := range w.Footprint() {
+		parts = append(parts, fmt.Sprintf("%s %.1f", p.Name, float64(p.Bytes)/float64(w.Size())))
+		sum += p.Bytes
+	}
+	t.Logf("  per object: %s", strings.Join(parts, ", "))
+	if sum != w.MemoryBytes() {
+		t.Errorf("the footprint's parts sum to %d bytes, MemoryBytes is %d", sum, w.MemoryBytes())
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 // ShardedSystem partitions the world rectangle into a grid of spatial
 // shards, each owning its own exact window store and estimator fleet
 // behind its own lock. Ingest is inline: a producer routes a batch once
-// into per-shard sub-batches and applies each on its own goroutine under
-// the owning shard's lock, so a feed has been applied when it returns and
-// feeds within a shard keep their call order. Ingest runs in parallel
-// across producers that lock different shards. Queries fan out to the
+// into per-shard sub-batches and applies them one after another on the
+// caller, each under its shard's lock, so a feed has been applied when it
+// returns and feeds within a shard keep their call order. Ingest runs in
+// parallel across producers that lock different shards. Queries fan out to the
 // shards whose rectangles intersect the query range (keyword-only queries
 // to all shards) and merge the partial counts. The RC-DVQ count over a
 // rectangle decomposes exactly over a spatial partition — every object
