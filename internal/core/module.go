@@ -70,13 +70,6 @@ type Module struct {
 	qerrN  []uint64
 	log    *slog.Logger
 
-	// Accuracy-drift watchdog: per-estimator windowed q-error drift
-	// trackers (frozen reference window vs rolling current window) plus the
-	// last drifted flag so the transition is logged exactly once per
-	// excursion. Updated on the Observe path, read by Snapshot.
-	drift   []*telemetry.DriftTracker
-	drifted []bool
-
 	// qtrace is the in-flight request trace the serving layer installed for
 	// the current Estimate/Observe cycle (nil when untraced). The module is
 	// single-goroutine, so a plain field under the owner's lock suffices.
@@ -126,10 +119,8 @@ func New(cfg Config) (*Module, error) {
 	}
 	for range cfg.Estimators {
 		m.qerr = append(m.qerr, metrics.NewEWMA(profileAlpha))
-		m.drift = append(m.drift, telemetry.NewDriftTracker(telemetry.DefaultDriftWindow, telemetry.DefaultDriftThreshold))
 	}
 	m.qerrN = make([]uint64, len(cfg.Estimators))
-	m.drifted = make([]bool, len(cfg.Estimators))
 	m.oppCount = make([]int, len(cfg.Estimators))
 	// The paper's text places pre-filling at β·τ and switching at τ, but
 	// with 0<β<1 a falling average crosses τ first; the mechanism is only
@@ -305,18 +296,6 @@ func (m *Module) Observe(actual float64) {
 		qe := metrics.QError(p.estimates[i], actual)
 		m.qerr[i].Update(qe)
 		m.qerrN[i]++
-		m.drift[i].Observe(qe)
-		if s := m.drift[i].Sample(m.names[i]); s.Drifted != m.drifted[i] {
-			m.drifted[i] = s.Drifted
-			if s.Drifted {
-				m.log.Warn("q-error drift", "estimator", s.Estimator,
-					"ratio", s.Ratio, "reference", s.Reference,
-					"current", s.Current, "threshold", s.Threshold)
-			} else {
-				m.log.Info("q-error drift recovered", "estimator", s.Estimator,
-					"ratio", s.Ratio)
-			}
-		}
 		m.brain.observe(i, qt, acc, p.latencies[i])
 		m.brain.learn(&p.q, i, acc, p.latencies[i], relErr)
 		// Workload-driven estimators get the raw feedback as well.
@@ -683,15 +662,6 @@ func (m *Module) traceDecision(ev SwitchEvent, q *stream.Query, reason string) {
 // same lock that serializes the query itself.
 func (m *Module) SetTrace(tr *telemetry.ActiveTrace) { m.qtrace = tr }
 
-// driftSamples snapshots every estimator's drift-watchdog state.
-func (m *Module) driftSamples() []telemetry.DriftSample {
-	out := make([]telemetry.DriftSample, len(m.names))
-	for i, name := range m.names {
-		out[i] = m.drift[i].Sample(name)
-	}
-	return out
-}
-
 // qerrSamples snapshots every estimator's rolling q-error.
 func (m *Module) qerrSamples() []telemetry.QErrorSample {
 	out := make([]telemetry.QErrorSample, len(m.names))
@@ -722,7 +692,12 @@ type Stats struct {
 	TreeNodes       int
 	TreeSplits      int
 	ModelRetrains   int
+	// AccuracyAvg is the mean of the adaptor's served-accuracy window and
+	// AccuracySamples its live length. The window empties when
+	// pre-training ends and on every switch; while it is empty there is
+	// no reading, and AccuracyAvg is 0.
 	AccuracyAvg     float64
+	AccuracySamples int
 	MemoryBytes     int
 	// EstimateLatency is the distribution of the active estimator's
 	// approximate-answer latencies (every query, not sampled).
@@ -730,9 +705,6 @@ type Stats struct {
 	// QError is each estimator's rolling q-error over ground-truth
 	// observations, in fleet order.
 	QError []telemetry.QErrorSample
-	// Drift is the accuracy-drift watchdog's reading per estimator, in
-	// fleet order.
-	Drift []telemetry.DriftSample
 	// Decisions is the retained switch-decision audit trail, oldest-first.
 	Decisions []telemetry.Decision
 	// Sanitized counts, per estimator name, the answers that were NaN,
@@ -766,10 +738,10 @@ func (m *Module) Snapshot() Stats {
 		TreeSplits:      m.brain.tree.Splits(),
 		ModelRetrains:   m.brain.Retrains(),
 		AccuracyAvg:     m.accWindow.Mean(),
+		AccuracySamples: m.accWindow.Len(),
 		MemoryBytes:     mem,
 		EstimateLatency: m.estLat.Snapshot(),
 		QError:          m.qerrSamples(),
-		Drift:           m.driftSamples(),
 		Decisions:       m.trace.Snapshot(),
 		Sanitized:       sanitized,
 	}

@@ -12,12 +12,13 @@ import (
 // A sharded deployment runs one Module per spatial shard; operators want a
 // single dashboard row, so counters sum, the lifecycle phase is the
 // earliest any shard is in (the system is not incremental until every
-// shard is), and the accuracy average weighs each shard by the number of
-// queries it has actually monitored. Estimation-latency histograms merge
-// bucket-wise (log bucketing commutes with summation, so the merged
-// percentiles describe the whole system's distribution), per-estimator
-// q-error merges weighted by observation count, and the decision traces
-// interleave by wall time keeping the most recent telemetry.DefaultTraceDepth.
+// shard is), and the accuracy average weighs each shard by its window's
+// live length, so a shard whose window was just emptied adds nothing.
+// Estimation-latency histograms merge bucket-wise (log bucketing commutes
+// with summation, so the merged percentiles describe the whole system's
+// distribution), per-estimator q-error merges weighted by observation
+// count, and the decision traces interleave by wall time keeping the most
+// recent telemetry.DefaultTraceDepth.
 func MergeStats(parts []Stats) Stats {
 	if len(parts) == 0 {
 		return Stats{}
@@ -25,9 +26,8 @@ func MergeStats(parts []Stats) Stats {
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	out := Stats{Phase: parts[0].Phase}
+	out := Stats{Phase: parts[0].Phase, Sanitized: make(map[string]uint64, len(parts[0].Sanitized))}
 	var accWeighted float64
-	var accWeight float64
 	actives := make([]string, 0, len(parts))
 	prefills := make([]string, 0, len(parts))
 	qerrIdx := make(map[string]int)
@@ -52,9 +52,8 @@ func MergeStats(parts []Stats) Stats {
 		out.TreeSplits += p.TreeSplits
 		out.ModelRetrains += p.ModelRetrains
 		out.MemoryBytes += p.MemoryBytes
-		w := float64(p.PretrainSeen + p.IncrementalSeen)
-		accWeighted += p.AccuracyAvg * w
-		accWeight += w
+		accWeighted += p.AccuracyAvg * float64(p.AccuracySamples)
+		out.AccuracySamples += p.AccuracySamples
 		out.EstimateLatency.Merge(p.EstimateLatency)
 		for _, qe := range p.QError {
 			i, ok := qerrIdx[qe.Estimator]
@@ -68,11 +67,14 @@ func MergeStats(parts []Stats) Stats {
 			qerrWeighted[i] += qe.QError * float64(qe.Samples)
 		}
 		out.Decisions = append(out.Decisions, p.Decisions...)
+		for name, n := range p.Sanitized {
+			out.Sanitized[name] += n
+		}
 	}
 	out.Active = strings.Join(actives, ",")
 	out.Prefilling = strings.Join(prefills, ",")
-	if accWeight > 0 {
-		out.AccuracyAvg = accWeighted / accWeight
+	if out.AccuracySamples > 0 {
+		out.AccuracyAvg = accWeighted / float64(out.AccuracySamples)
 	}
 	for i := range out.QError {
 		if out.QError[i].Samples > 0 {
@@ -85,14 +87,5 @@ func MergeStats(parts []Stats) Stats {
 	if n := len(out.Decisions); n > telemetry.DefaultTraceDepth {
 		out.Decisions = out.Decisions[n-telemetry.DefaultTraceDepth:]
 	}
-	out.Sanitized = make(map[string]uint64, len(parts[0].Sanitized))
-	drifts := make([][]telemetry.DriftSample, len(parts))
-	for i, p := range parts {
-		for name, n := range p.Sanitized {
-			out.Sanitized[name] += n
-		}
-		drifts[i] = p.Drift
-	}
-	out.Drift = telemetry.MergeDriftSamples(drifts...)
 	return out
 }

@@ -13,21 +13,21 @@ func TestMergeStats(t *testing.T) {
 		Phase: PhaseIncremental, Active: "RSH", Prefilling: "H4096",
 		PretrainSeen: 100, IncrementalSeen: 300, Switches: 2,
 		TrainingRecords: 400, TreeNodes: 5, TreeSplits: 2, ModelRetrains: 1,
-		AccuracyAvg: 0.9, MemoryBytes: 1000,
+		AccuracyAvg: 0.9, AccuracySamples: 100, MemoryBytes: 1000,
 		Sanitized: map[string]uint64{"RSH": 2, "H4096": 0},
 	}
 	b := Stats{
 		Phase: PhasePretrain, Active: "RSH",
 		PretrainSeen: 100, IncrementalSeen: 0,
 		TrainingRecords: 100, TreeNodes: 1,
-		AccuracyAvg: 0.5, MemoryBytes: 500,
+		AccuracyAvg: 0.5, AccuracySamples: 25, MemoryBytes: 500,
 		Sanitized: map[string]uint64{"RSH": 1, "H4096": 4},
 	}
 	c := Stats{
 		Phase: PhaseIncremental, Active: "H4096",
 		PretrainSeen: 100, IncrementalSeen: 100, Switches: 1,
 		TrainingRecords: 200, TreeNodes: 3, TreeSplits: 1,
-		AccuracyAvg: 0.7, MemoryBytes: 700,
+		AccuracyAvg: 0.7, AccuracySamples: 50, MemoryBytes: 700,
 	}
 	m := MergeStats([]Stats{a, b, c})
 
@@ -52,10 +52,27 @@ func TestMergeStats(t *testing.T) {
 	if m.MemoryBytes != 2200 {
 		t.Errorf("memory = %d", m.MemoryBytes)
 	}
-	// Weighted by monitored queries: (0.9*400 + 0.5*100 + 0.7*200) / 700.
-	want := (0.9*400 + 0.5*100 + 0.7*200) / 700
-	if diff := m.AccuracyAvg - want; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("accuracy = %v, want %v", m.AccuracyAvg, want)
+	// Weighted by each window's live length.
+	want := (0.9*100 + 0.5*25 + 0.7*50) / 175
+	if diff := m.AccuracyAvg - want; diff > 1e-12 || diff < -1e-12 || m.AccuracySamples != 175 {
+		t.Errorf("accuracy = %v over %d, want %v over 175", m.AccuracyAvg, m.AccuracySamples, want)
+	}
+}
+
+// TestMergeStatsSkipsEmptyWindow: a shard whose accuracy window a switch
+// just emptied has no reading, however many queries it has served, so it
+// must not pull the merged average toward its empty window's 0.
+func TestMergeStatsSkipsEmptyWindow(t *testing.T) {
+	full := Stats{Phase: PhaseIncremental, Active: "RSH",
+		PretrainSeen: 100, IncrementalSeen: 300, AccuracyAvg: 0.9, AccuracySamples: 100}
+	switched := Stats{Phase: PhaseIncremental, Active: "RSL",
+		PretrainSeen: 100, IncrementalSeen: 900, Switches: 1}
+	m := MergeStats([]Stats{full, switched})
+	if m.AccuracyAvg != 0.9 || m.AccuracySamples != 100 {
+		t.Errorf("merged accuracy = %v over %d samples, want 0.9 over 100", m.AccuracyAvg, m.AccuracySamples)
+	}
+	if m := MergeStats([]Stats{switched, switched}); m.AccuracyAvg != 0 || m.AccuracySamples != 0 {
+		t.Errorf("two empty windows merged to %v over %d samples, want no reading", m.AccuracyAvg, m.AccuracySamples)
 	}
 }
 

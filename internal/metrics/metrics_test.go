@@ -139,7 +139,7 @@ func TestSlidingAverage(t *testing.T) {
 	}
 	want := float64((99999%7 + 99998%7 + 99997%7)) / 3
 	if math.Abs(s.Mean()-want) > 1e-9 {
-		t.Errorf("drift: Mean = %v, want %v", s.Mean(), want)
+		t.Errorf("long stream: Mean = %v, want %v", s.Mean(), want)
 	}
 	defer func() {
 		if recover() == nil {

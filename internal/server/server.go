@@ -140,17 +140,13 @@ func (h *engineHandler) Map() (uint64, []byte) {
 
 func (h *engineHandler) Snapshot() telemetry.Snapshot { return h.eng.TelemetrySnapshot() }
 
-// Health reports the durability layer's degraded-mode machine and the
-// accuracy-drift watchdog, both from one telemetry snapshot.
-func (h *engineHandler) Health() (reasons []string) {
-	snap := h.eng.TelemetrySnapshot()
-	if d := snap.Durable; d != nil && d.State != telemetry.DurableHealthy {
-		reasons = append(reasons, "persistence:"+d.State)
+// Health reports the durability layer's degraded-mode machine. Estimator
+// accuracy is not a reason: a replacement node holds the same data and
+// would answer the same, so it is exported as latest_accuracy_avg and
+// acted on by the adaptor's switch instead.
+func (h *engineHandler) Health() []string {
+	if d := h.eng.TelemetrySnapshot().Durable; d != nil && d.State != telemetry.DurableHealthy {
+		return []string{"persistence:" + d.State}
 	}
-	for _, d := range snap.Drift {
-		if d.Drifted {
-			reasons = append(reasons, "drift:"+d.Estimator)
-		}
-	}
-	return reasons
+	return nil
 }

@@ -155,16 +155,6 @@ func perShardHist(h func(sh *ShardSample) HistSnapshot) func(*Snapshot, *emitter
 	}
 }
 
-// perDrift is the collector of a family with one series per estimator the
-// drift watchdog reports.
-func perDrift(v func(d *DriftSample) float64) func(*Snapshot, *emitter) {
-	return func(s *Snapshot, e *emitter) {
-		for i := range s.Drift {
-			e.sample(v(&s.Drift[i]), "estimator", s.Drift[i].Estimator)
-		}
-	}
-}
-
 // perNode is the collector of a family with one series per backend node.
 func perNode(v func(n *ClusterNode) float64) func(*Snapshot, *emitter) {
 	return func(s *Snapshot, e *emitter) {
@@ -209,7 +199,15 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 			}},
 		{"latest_window_occupancy", gauge, "Live objects in the shard's exact window store.", perShard(func(sh *ShardSample) float64 { return float64(sh.Occupancy) })},
 		{"latest_window_bytes", gauge, "Footprint of the shard's exact window store, all of it its own: object arena with keyword IDs, index rings, and the keyword dictionary with its words.", perShard(func(sh *ShardSample) float64 { return float64(sh.WindowBytes) })},
-		{"latest_accuracy_avg", gauge, "Sliding accuracy average the adaptor monitors, per shard.", perShard(func(sh *ShardSample) float64 { return sh.AccuracyAvg })},
+		// A shard whose window is empty has no reading, so no series.
+		{"latest_accuracy_avg", gauge, "Sliding accuracy average the adaptor monitors, per shard.",
+			func(s *Snapshot, e *emitter) {
+				for _, sh := range s.Shards {
+					if sh.AccuracySamples > 0 {
+						e.sample(sh.AccuracyAvg, "shard", strconv.Itoa(sh.Index))
+					}
+				}
+			}},
 		{"latest_memory_bytes", gauge, "Estimator memory footprint per shard.", perShard(func(sh *ShardSample) float64 { return float64(sh.MemoryBytes) })},
 		{"latest_active_estimator", gauge, "1 for the estimator currently serving each shard.",
 			func(s *Snapshot, e *emitter) {
@@ -225,17 +223,6 @@ var snapshotFamilies = []familyGroup[Snapshot]{
 					}
 				}
 			}},
-	}},
-	{present: func(s *Snapshot) bool { return len(s.Drift) > 0 }, families: []family[Snapshot]{
-		{"latest_qerror_drift", gauge, "Current-window over reference-window mean q-error ratio per estimator (0 until both windows fill; >= threshold means drifted).", perDrift(func(d *DriftSample) float64 { return d.Ratio })},
-		{"latest_qerror_window", gauge, "Windowed mean q-error per estimator and window (reference is frozen at calibration, current rolls).",
-			func(s *Snapshot, e *emitter) {
-				for _, d := range s.Drift {
-					e.sample(d.Reference, "estimator", d.Estimator, "window", "reference")
-					e.sample(d.Current, "estimator", d.Estimator, "window", "current")
-				}
-			}},
-		{"latest_qerror_drifted", gauge, "1 while the estimator's drift ratio is at or above its threshold.", perDrift(func(d *DriftSample) float64 { return boolValue(d.Drifted) })},
 	}},
 	{families: []family[Snapshot]{
 		{"latest_validation_total", counter, "Inputs handled by the validation policy per shard, by outcome.",

@@ -17,7 +17,6 @@ func TestPromLabelValuesEscaped(t *testing.T) {
 	snap.Shards[0].Active = nasty
 	snap.Shards[0].Sanitized = map[string]uint64{nasty: 1}
 	snap.QError[0].Estimator = nasty
-	snap.Drift[0].Estimator = nasty
 	snap.Cluster.PerNode[0].Addr = nasty
 
 	out := renderProm(snap)
@@ -27,7 +26,7 @@ func TestPromLabelValuesEscaped(t *testing.T) {
 
 	want := map[string]bool{
 		"latest_active_estimator": false, "latest_sanitized_total": false,
-		"latest_qerror": false, "latest_qerror_drift": false, "latest_qerror_window": false,
+		"latest_qerror":                      false,
 		"latest_cluster_node_requests_total": false, "latest_cluster_node_latency_seconds_count": false,
 	}
 	for _, line := range strings.Split(out, "\n") {

@@ -7,7 +7,7 @@ import (
 )
 
 // fullSnapshot extends the engine-only test fixture with the serving,
-// durability and drift slices so every WriteProm family is exercised.
+// durability and cluster slices so every WriteProm family is exercised.
 func fullSnapshot() Snapshot {
 	var h Histogram
 	for i := 0; i < 64; i++ {
@@ -17,10 +17,6 @@ func fullSnapshot() Snapshot {
 
 	snap := testSnapshot()
 	snap.Shards[0].Sanitized = map[string]uint64{"RSH": 2, "H4096": 0}
-	snap.Drift = []DriftSample{
-		{Estimator: "RSH", Reference: 1.2, Current: 1.5, Ratio: 1.25, Threshold: 2, Samples: 256},
-		{Estimator: "H4096", Reference: 1.1, Current: 2.9, Ratio: 2.64, Threshold: 2, Samples: 256, Drifted: true},
-	}
 	snap.Server = &ServerSample{
 		Addr:           "127.0.0.1:7070",
 		ConnsActive:    2,

@@ -54,8 +54,11 @@ type ShardSample struct {
 	// or negative and were served as 0 instead.
 	Sanitized map[string]uint64 `json:"sanitized,omitempty"`
 
-	AccuracyAvg float64 `json:"accuracy_avg"`
-	MemoryBytes int     `json:"memory_bytes"`
+	// AccuracyAvg is the mean of the adaptor's served-accuracy window and
+	// AccuracySamples its live length; 0 samples means no reading.
+	AccuracyAvg     float64 `json:"accuracy_avg"`
+	AccuracySamples int     `json:"accuracy_samples"`
+	MemoryBytes     int     `json:"memory_bytes"`
 
 	// Batch holds per-batch ingest latencies, Query full
 	// estimate+execute+observe cycles, and Estimate the active estimator's
@@ -86,11 +89,6 @@ type Snapshot struct {
 	Shards    []ShardSample  `json:"shards"`
 	Decisions []Decision     `json:"decisions"`
 	QError    []QErrorSample `json:"qerror"`
-
-	// Drift is the accuracy-drift watchdog's per-estimator reading
-	// (current-window vs reference-window mean q-error), merged across
-	// shards.
-	Drift []DriftSample `json:"drift,omitempty"`
 
 	// Server is the serving layer's slice of the snapshot when this
 	// process fronts the engine with latestd's wire protocol; nil for

@@ -20,10 +20,10 @@ func testSnapshot() Snapshot {
 		Switches: 3, AccuracyAvg: 0.91, MemoryBytes: 4096, WindowSize: 1234,
 		Shards: []ShardSample{
 			{Index: 0, Active: "RSH", Phase: "incremental", Feeds: 100, Batches: 4,
-				Queries: 50, Occupancy: 70, WindowBytes: 7168, Switches: 2, AccuracyAvg: 0.9,
+				Queries: 50, Occupancy: 70, WindowBytes: 7168, Switches: 2, AccuracyAvg: 0.9, AccuracySamples: 100,
 				Batch: hs, Query: hs, Estimate: hs},
 			{Index: 1, Active: "H4096", Phase: "incremental", Feeds: 60,
-				Queries: 30, Occupancy: 40, WindowBytes: 4096, Switches: 1, AccuracyAvg: 0.92,
+				Queries: 30, Occupancy: 40, WindowBytes: 4096, Switches: 1, AccuracyAvg: 0.92, AccuracySamples: 40,
 				PrefillsDrawn: 2, PrefillsReplayed: 1, PrefillObjectsDrawn: 3000, PrefillObjectsReplayed: 60000, PrefillsStarted: 3, PrefillsAdopted: 1, Query: hs},
 		},
 		Decisions: []Decision{

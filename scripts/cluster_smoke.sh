@@ -10,7 +10,8 @@
 #      on exactly one node — the sum of the three nodes' window sizes
 #      equals the loadgen's feed_objects count (the shell-level version of
 #      the whole-world-query == sum-of-per-node-queries invariant; the
-#      byte-exact form runs in Go as TestClusterExactness);
+#      byte-exact form runs in Go as TestClusterExactness), and that
+#      every node still answers /readyz with "ready":true;
 #   3. requires every routing mode to have fired (forward, scatter,
 #      broadcast) and zero node errors on the router's metrics plane;
 #   4. finds the latest_server_* families in the router's scrape and lints
@@ -78,13 +79,15 @@ grep -q '"errors": 0' "$WORK/cluster-report.json"
 FED=$(grep -o '"feed_objects": *[0-9]*' "$WORK/cluster-report.json" | grep -o '[0-9]*$')
 echo "loadgen fed $FED objects through the router"
 
-echo "== conservation: sum of per-node windows == objects fed =="
+echo "== conservation: sum of per-node windows == objects fed; every node ready =="
 TOTAL=0
 for i in 0 1 2; do
     ADMIN=$(sed -n 2p "$WORK/node$i.addr")
     W=$(statusz_field "$ADMIN" "window_size")
     echo "node $i window_size=$W"
     [ "$W" -gt 0 ] || { echo "FAIL: node $i holds no objects — routing never reached it" >&2; exit 1; }
+    READY=$(curl -sf "http://$ADMIN/readyz") || { echo "FAIL: node $i not ready after load" >&2; exit 1; }
+    grep -q '"ready":true' <<<"$READY" || { echo "FAIL: node $i readyz: $READY" >&2; exit 1; }
     TOTAL=$((TOTAL + W))
 done
 if [ "$TOTAL" -ne "$FED" ]; then

@@ -35,6 +35,7 @@ func shardSample(index int, st Stats, g metrics.GaugeSnapshot) telemetry.ShardSa
 		IngestRatePerSec:       g.IngestRatePerSec,
 		Sanitized:              st.Sanitized,
 		AccuracyAvg:            st.AccuracyAvg,
+		AccuracySamples:        st.AccuracySamples,
 		MemoryBytes:            st.MemoryBytes,
 		Batch:                  g.BatchLatency,
 		Query:                  g.QueryLatency,
@@ -55,7 +56,6 @@ func telemetryReport(engine string, merged Stats, shards []ShardStats) telemetry
 		Shards:      make([]telemetry.ShardSample, len(shards)),
 		Decisions:   merged.Decisions,
 		QError:      merged.QError,
-		Drift:       merged.Drift,
 	}
 	for i, sh := range shards {
 		snap.Shards[i] = shardSample(sh.Index, sh.Core, sh.Gauges)
