@@ -3,6 +3,7 @@ package latest
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -76,10 +77,11 @@ func TestShardedTelemetryEndpoints(t *testing.T) {
 		WindowSize  int    `json:"window_size"`
 		WindowBytes int    `json:"window_bytes"`
 		Shards      []struct {
-			Index   int    `json:"index"`
-			Active  string `json:"active"`
-			Feeds   uint64 `json:"feeds"`
-			Queries uint64 `json:"queries"`
+			Index           int    `json:"index"`
+			Active          string `json:"active"`
+			Feeds           uint64 `json:"feeds"`
+			Queries         uint64 `json:"queries"`
+			AccuracySamples int    `json:"accuracy_samples"`
 		} `json:"shards"`
 		QError []struct {
 			Estimator string  `json:"estimator"`
@@ -104,12 +106,23 @@ func TestShardedTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("shards = %d, want 2", len(snap.Shards))
 	}
 	var feeds, queries uint64
+	accSamples := 0
 	for _, sh := range snap.Shards {
 		feeds += sh.Feeds
 		queries += sh.Queries
+		accSamples += sh.AccuracySamples
 		if sh.Active == "" {
 			t.Errorf("shard %d active empty", sh.Index)
 		}
+		// A shard has an accuracy series exactly while its window holds
+		// samples.
+		series := fmt.Sprintf(`latest_accuracy_avg{shard="%d"}`, sh.Index)
+		if strings.Contains(prom, series) != (sh.AccuracySamples > 0) {
+			t.Errorf("shard %d: %d accuracy samples, but %s present = %v", sh.Index, sh.AccuracySamples, series, sh.AccuracySamples == 0)
+		}
+	}
+	if accSamples == 0 {
+		t.Error("no shard's accuracy window holds a sample after 200 queries")
 	}
 	if feeds != 4000 {
 		t.Errorf("total feeds = %d, want 4000", feeds)
