@@ -132,12 +132,9 @@ func FuzzEstimate(f *testing.F) {
 // succeeds. A restored engine's image, encoded at the generation in the
 // meta section, restores into a second fresh engine that encodes the same
 // bytes. A mutated image almost never keeps its CRCs, so every input is
-// also tried with the file's and the meta section's resealed; that is what
-// lets mutation reach the meta section and the section wiring behind the
-// checksums. The shard sections keep their own CRCs: their payloads have
-// fuzz targets of their own (FuzzWindowLoadState, FuzzModuleLoadState),
-// and a reservoir restores its RNG position by replaying as many draws as
-// the payload says, which only those CRCs bound.
+// also tried with every section's CRC and then the file's resealed; that
+// is what lets mutation reach the meta section, the section wiring and the
+// shard payloads behind the checksums.
 func FuzzRestoreImage(f *testing.F) {
 	files := make([]string, 0, len(imageEngines))
 	for file := range imageEngines {
@@ -198,7 +195,7 @@ func FuzzRestoreImage(f *testing.F) {
 	})
 }
 
-// resealImage recomputes the meta section's CRC and then the file's in an
+// resealImage recomputes every section's CRC and then the file's in an
 // LSNP container, and returns data unchanged where the framing does not
 // parse.
 func resealImage(data []byte) []byte {
@@ -222,9 +219,7 @@ func resealImage(data []byte) []byte {
 		if size > len(body)-off-4 {
 			return data
 		}
-		if string(body[name:off-4]) == metaSectionName {
-			binary.LittleEndian.PutUint32(body[off+size:], crc32.ChecksumIEEE(body[off:off+size]))
-		}
+		binary.LittleEndian.PutUint32(body[off+size:], crc32.ChecksumIEEE(body[off:off+size]))
 		off += size + 4
 	}
 	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(body))

@@ -2,7 +2,7 @@ package estimator
 
 import (
 	"math/bits"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 
 	"github.com/spatiotext/latest/internal/stream"
@@ -85,7 +85,7 @@ func draw(s drawTarget, w *stream.Window) int {
 	chosen := (*bp)[:words]
 	clear(chosen)
 	for j := n - k; j < n; j++ {
-		t := rng.Intn(j + 1)
+		t := rng.IntN(j + 1)
 		if chosen[t>>6]&(1<<(t&63)) != 0 {
 			t = j
 		}

@@ -2,8 +2,10 @@ package estimator
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"testing"
 
 	"github.com/spatiotext/latest/internal/geo"
@@ -73,7 +75,7 @@ func TestDrawUniformArrivalRanks(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				s := sb.build(params(seed))
 				_, _, counter := s.(drawTarget).drawState()
-				before := rngDraws(s)
+				before := *rngOf(s)
 				s.Draw(w)
 				ts, _ := sampleTimestamps(s)
 				if want := min(k, c.n); len(ts) != want {
@@ -88,7 +90,7 @@ func TestDrawUniformArrivalRanks(t *testing.T) {
 					counts[(x-1)*10/int64(c.n)]++
 				}
 				total += len(ts)
-				draws := rngDraws(s) - before
+				draws := rngDraws(before, s, k)
 				if c.n <= k && draws != 0 || draws > uint64(2*k) {
 					t.Fatalf("%s %s seed %d: %d RNG draws for k=%d, N=%d", sb.name, c.name, seed, draws, k, c.n)
 				}
@@ -114,17 +116,77 @@ func TestDrawUniformArrivalRanks(t *testing.T) {
 	}
 }
 
-// rngDraws is how far a sampler's RNG has advanced.
-func rngDraws(s Sampler) uint64 {
+// TestLongUptimeImageRestoresTwins: an image's generator words are state,
+// not a count of draws to replay. Images whose words read (seed, 2⁴³) —
+// what a count-and-replay image of that many draws held — restore at once,
+// and two samplers restored from the same bytes draw alike: through 2 000
+// inserts, the estimates between them, and a draw from the window.
+func TestLongUptimeImageRestoresTwins(t *testing.T) {
+	for _, sb := range samplerBuilds {
+		p := testParams()
+		p.Scale = 0.05
+		orig := sb.build(p)
+		w := stream.NewWindow(p.World, p.Span, 1024)
+		ts := feedBoth(t, orig, w, 6000, 6)
+		var fresh, img persist.Enc
+		sb.build(p).(Stateful).SaveState(&fresh)
+		orig.(Stateful).SaveState(&img)
+		data := img.Data()
+		copy(data, fresh.Data()[:8]) // the seed word
+		binary.LittleEndian.PutUint64(data[8:], 1<<43)
+		a, b := sb.build(p), sb.build(p)
+		for _, s := range []Sampler{a, b} {
+			if err := s.(Stateful).LoadState(persist.NewDec(data)); err != nil {
+				t.Fatalf("%s: %v", sb.name, err)
+			}
+		}
+		rng := rand.New(rand.NewSource(12))
+		for i := 0; i < 200; i++ {
+			for j := 0; j < 10; j++ {
+				ts++
+				o := genObject(rng, uint64(ts), ts)
+				w.Insert(o)
+				a.Insert(&o)
+				b.Insert(&o)
+			}
+			q := queryMix(ts)[i%4]
+			if x, y := a.Estimate(&q), b.Estimate(&q); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("%s: estimate %d after restore: %v and %v", sb.name, i, x, y)
+			}
+		}
+		a.Draw(w)
+		b.Draw(w)
+		var ia, ib persist.Enc
+		a.(Stateful).SaveState(&ia)
+		b.(Stateful).SaveState(&ib)
+		if !bytes.Equal(ia.Data(), ib.Data()) {
+			t.Errorf("%s: twins restored from one image draw differently", sb.name)
+		}
+	}
+}
+
+// rngOf is a sampler's generator.
+func rngOf(s Sampler) *randv2.PCG {
 	switch e := s.(type) {
 	case *ReservoirList:
-		return e.src.n
+		return e.src
 	case *ReservoirHashmap:
-		return e.src.n
+		return e.src
 	case *SPNEstimator:
-		return e.src.n
+		return e.src
 	}
 	panic("not a sampler of this package")
+}
+
+// rngDraws is how many steps s's generator has taken since it stood at
+// before: a copy of before is stepped until it stands where s's does, up to
+// 2k+1 steps, the count reported when it gets no further.
+func rngDraws(before randv2.PCG, s Sampler, k int) uint64 {
+	n := uint64(0)
+	for ; n < uint64(2*k+1) && before != *rngOf(s); n++ {
+		before.Uint64()
+	}
+	return n
 }
 
 // TestDrawThenStreamKeepsRSHInvariants: a drawn RSH is a well-formed slot

@@ -2,7 +2,7 @@ package estimator
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/stream"
@@ -31,7 +31,7 @@ type sample struct {
 type reservoir struct {
 	lat      geo.Lattice // samples are snapped onto it as they are kept
 	capacity int
-	src      *countedSource
+	src      *rand.PCG
 	rng      *rand.Rand
 	counter  *WindowCounter
 	span     int64
@@ -39,7 +39,7 @@ type reservoir struct {
 }
 
 func newReservoir(p Params, seed int64) reservoir {
-	src, rng := newCountedRand(p.Seed + seed)
+	src, rng := newRand(p.Seed + seed)
 	return reservoir{
 		lat:      geo.NewLattice(p.World),
 		capacity: p.scaledInt(defaultReservoirCapacity, 64),
@@ -69,7 +69,7 @@ func (r *reservoir) admit(ts int64) int32 {
 	if n < r.capacity {
 		n = r.capacity
 	}
-	if j := r.rng.Intn(n); j < r.capacity {
+	if j := r.rng.IntN(n); j < r.capacity {
 		return int32(j)
 	}
 	return -1

@@ -17,16 +17,16 @@ import (
 // pinnedReservoirDigests are SHA-256 digests of every image and every
 // estimate's float bits that reservoirScript produces, per preset and
 // estimator. They pin the reservoirs' observable state — slot order,
-// bucket order, RNG position, estimates — across changes to how the store
+// bucket order, RNG state, estimates — across changes to how the store
 // and its indexes are laid out in memory. Any change to them is a change
 // of behaviour, not of layout.
 var pinnedReservoirDigests = map[string]string{
-	"Twitter/RSL": "419b2291d518fad71da3eeb0de1c4039f7868781873d357649eac692e4cff48a",
-	"Twitter/RSH": "1a689f488f91c1835040bb31c45abebeefb1d42aa4464240cce4913210e2a8b7",
-	"eBird/RSL":   "dc8b5c7456459075a9c2261120517cc59cbbdac3eb774f2457394cafae1bcdb3",
-	"eBird/RSH":   "6ddc8a1e267e5a241f07124fbb26becb50d3746b577744e17eceedea66d80b60",
-	"CheckIn/RSL": "e5d8760e615a27257d974eb51130fda1e8601aaac82b8afe1b01b1c0582c7aeb",
-	"CheckIn/RSH": "c354e5db950b6d60292c1c8864317fc0fc1d9b553fca8bf981156636eec06c78",
+	"Twitter/RSL": "f9b5dbbb4eb4ce59b9ffdd0cfabc772036e284f4a26049f9319eef36a5593111",
+	"Twitter/RSH": "3320cca354000b36d70588f2ec3221ec5306301bd12ff690e0db4fd88b247b97",
+	"eBird/RSL":   "18cc313a0e5bb4f7030724b6922d9224137ecec9b9b9d28251df74e305f273f1",
+	"eBird/RSH":   "223d1453fbdd564187e278454724029dfe8351ef5a68375c16a1b5e5ec05134d",
+	"CheckIn/RSL": "3c231b4f83fb360952ebfce90938370706ec08e7432ddca2969a9034b4ebf4d9",
+	"CheckIn/RSH": "ae6192927b184115c2f4bdccda46d17b65dd900cf7890d8708df8f3816b68cb5",
 }
 
 // reservoirScript drives one reservoir through a fixed script on a preset

@@ -1,7 +1,7 @@
 package estimator
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/persist"
@@ -21,7 +21,7 @@ import (
 type refReservoir struct {
 	lat      geo.Lattice
 	capacity int
-	src      *countedSource
+	src      *rand.PCG
 	rng      *rand.Rand
 	counter  *WindowCounter
 	span     int64
@@ -29,7 +29,7 @@ type refReservoir struct {
 }
 
 func newRefReservoir(p Params, seed int64) refReservoir {
-	src, rng := newCountedRand(p.Seed + seed)
+	src, rng := newRand(p.Seed + seed)
 	return refReservoir{
 		lat:      geo.NewLattice(p.World),
 		capacity: p.scaledInt(defaultReservoirCapacity, 64),
@@ -70,9 +70,7 @@ func (r *refReservoir) estimate(matches int, now int64) float64 {
 }
 
 func (r *refReservoir) saveHeader(e *persist.Enc) {
-	seed, n := r.src.state()
-	e.I64(seed)
-	e.U64(n)
+	saveRNG(e, r.src)
 	r.counter.SaveState(e)
 	e.U32(uint32(len(r.samples)))
 }
@@ -91,7 +89,7 @@ func (r *refRSL) Insert(o *stream.Object) {
 	if n < r.capacity {
 		n = r.capacity
 	}
-	if j := r.rng.Intn(n); j < r.capacity {
+	if j := r.rng.IntN(n); j < r.capacity {
 		r.samples[j] = r.sampleOf(o)
 	}
 }
@@ -173,7 +171,7 @@ func (r *refRSH) Insert(o *stream.Object) {
 	r.counter.Add(o.Timestamp)
 	cutoff := o.Timestamp - r.span
 	for i := 0; i < 4 && len(r.samples) > 0; i++ {
-		if j := int32(r.rng.Intn(len(r.samples))); r.samples[j].ts < cutoff {
+		if j := int32(r.rng.IntN(len(r.samples))); r.samples[j].ts < cutoff {
 			r.removeSlot(j)
 		}
 	}
@@ -186,7 +184,7 @@ func (r *refRSH) Insert(o *stream.Object) {
 	if n < r.capacity {
 		n = r.capacity
 	}
-	if j := r.rng.Intn(n); j < r.capacity {
+	if j := r.rng.IntN(n); j < r.capacity {
 		r.detach(int32(j))
 		r.samples[j] = r.sampleOf(o)
 		r.attach(int32(j))

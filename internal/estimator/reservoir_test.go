@@ -2,7 +2,6 @@ package estimator
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"github.com/spatiotext/latest/internal/datagen"
 	"math"
@@ -800,17 +799,19 @@ func TestReservoirStateRoundTripRebuildsIndex(t *testing.T) {
 	}
 }
 
-// FuzzReservoirLoadState: LoadState builds the keyword index from bytes it
-// has no reason to trust. Whatever they are — a count above capacity, a
-// sample with thousands of keywords, duplicates, empty strings, bucket
-// positions that collide — it returns a typed persist error or leaves a
-// reservoir whose index is consistent and which inserts, answers and
-// re-serializes; it does not panic. float reads the bytes as an image of
-// the format whose samples were float64 pairs (LoadFloatState); the seeds
-// are images of the current format, whose samples are lattice points.
+// FuzzReservoirLoadState: LoadState builds a sampler from bytes it has no
+// reason to trust. Whatever they are — a count above capacity, a sample
+// with thousands of keywords, duplicates, empty strings, bucket positions
+// that collide, any generator state, a malformed SPN model — it returns a
+// typed persist error or leaves a sampler whose index is consistent and
+// which inserts, answers and re-serializes; it does not panic. est picks
+// the sampler: RSL, RSH or SPN (samplerBuilds' order, modulo 3). float
+// reads the bytes as an image of the format whose samples were float64
+// pairs (LoadFloatState, which SPN does not have); the seeds are images of
+// the current format, whose samples are lattice points.
 func FuzzReservoirLoadState(f *testing.F) {
 	p := Params{World: geo.UnitSquare, Span: 1000, Scale: 0.004, Seed: 3} // 65 samples
-	for _, pair := range reservoirPairs(p) {
+	for est, pair := range reservoirPairs(p) {
 		rng := rand.New(rand.NewSource(6))
 		for i := 0; i < 400; i++ {
 			o := genObject(rng, uint64(i), int64(i))
@@ -821,10 +822,25 @@ func FuzzReservoirLoadState(f *testing.F) {
 			pair.ref.Insert(&o)
 			if i == 30 || i == 399 {
 				img := pair.image(f, "seed corpus")
-				f.Add(img, pair.name == NameRSH, false)
-				f.Add(img, pair.name == NameRSH, true)
+				f.Add(img, uint8(est), false)
+				f.Add(img, uint8(est), true)
 			}
 		}
+	}
+	// SPN images: a full sample and, once a draw has retrained it, a
+	// fitted model.
+	spnEst, w := NewSPN(p), stream.NewWindow(p.World, p.Span, 256)
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 400; i++ {
+		o := genObject(rng, uint64(i), int64(i))
+		spnEst.Insert(&o)
+		w.Insert(o)
+	}
+	for range 2 {
+		var img persist.Enc
+		spnEst.SaveState(&img)
+		f.Add(img.Data(), uint8(2), false)
+		spnEst.Draw(w)
 	}
 	// Seeds that restore into each form a store of this capacity can take:
 	// the seeds above are narrow; these hold timestamps 2⁴⁰ ms apart (the
@@ -851,7 +867,7 @@ func FuzzReservoirLoadState(f *testing.F) {
 		},
 	}
 	for form, obj := range forms {
-		for _, pair := range reservoirPairs(p) {
+		for est, pair := range reservoirPairs(p) {
 			for i := 0; i < 80; i++ {
 				o := obj(i)
 				pair.real.Insert(&o)
@@ -862,33 +878,23 @@ func FuzzReservoirLoadState(f *testing.F) {
 			if got := highColumns(pair.real); got != form {
 				f.Fatalf("%s seed restores with high columns %q, want %q", pair.name, got, form)
 			}
-			f.Add(img, pair.name == NameRSH, false)
+			f.Add(img, uint8(est), false)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, rsh, float bool) {
-		// An image opens with the RNG seed and position, and restoring a
-		// position replays that many draws: by design linear in a number the
-		// image chooses, which is the snapshot CRC's business, not the
-		// index's. Keep the fuzzer off it.
-		if len(data) >= 16 && binary.LittleEndian.Uint64(data[8:]) > 1<<16 {
-			t.Skip()
-		}
-		var e Estimator = NewReservoirList(p)
-		if rsh {
-			e = NewReservoirHashmap(p)
-		}
+	f.Fuzz(func(t *testing.T, data []byte, est uint8, float bool) {
+		var e Estimator = samplerBuilds[est%3].build(p)
 		load := e.(Stateful).LoadState
-		if float {
-			load = e.(FloatStateful).LoadFloatState
+		if fs, ok := e.(FloatStateful); ok && float {
+			load = fs.LoadFloatState
 		}
 		if err := load(persist.NewDec(data)); err != nil {
 			if persist.CodeOf(err) == 0 {
 				t.Fatalf("LoadState error is not a typed persist error: %v", err)
 			}
-			// A refused image installs nothing: store, links and buckets are
-			// still the fresh reservoir's.
-			if e.(interface{ Len() int }).Len() != 0 {
-				t.Fatalf("refused image left %d samples behind", e.(interface{ Len() int }).Len())
+			// A refused image installs nothing: a reservoir's store, links
+			// and buckets are still the fresh reservoir's.
+			if r, ok := e.(interface{ Len() int }); ok && r.Len() != 0 {
+				t.Fatalf("refused image left %d samples behind", r.Len())
 			}
 			checkReservoirInvariants(t, "refused", e)
 			return

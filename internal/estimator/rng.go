@@ -1,53 +1,26 @@
 package estimator
 
-import "math/rand"
+import (
+	"encoding/binary"
+	"math/rand/v2"
 
-// countedSource wraps math/rand's generator with an advance counter so an
-// estimator's RNG position serializes as (seed, n) and restores by
-// replaying n draws. Go's rngSource advances exactly once per Int63 or
-// Uint64 call (Int63 delegates to Uint64), so the counter fully determines
-// the stream position; rand.Rand's extra buffered state only serves Read,
-// which no estimator calls.
-type countedSource struct {
-	seed int64
-	n    uint64
-	src  rand.Source64
+	"github.com/spatiotext/latest/internal/persist"
+)
+
+// newRand returns a sampler's generator: a PCG whose state is its 128 bits,
+// so an image holds the state itself and restores in O(1). The seed is the
+// high state word and the low word starts at zero. That is exactly what the
+// image of a sampler that had not drawn held when images held a seed and a
+// draw count, so such an image restores to the generator a fresh sampler
+// starts from.
+func newRand(seed int64) (*rand.PCG, *rand.Rand) {
+	src := rand.NewPCG(uint64(seed), 0)
+	return src, rand.New(src)
 }
 
-// newCountedRand builds a counted source and a rand.Rand drawing from it.
-func newCountedRand(seed int64) (*countedSource, *rand.Rand) {
-	cs := &countedSource{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
-	return cs, rand.New(cs)
-}
-
-// Int63 implements rand.Source.
-func (c *countedSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-// Uint64 implements rand.Source64.
-func (c *countedSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
-
-// Seed implements rand.Source.
-func (c *countedSource) Seed(seed int64) {
-	c.seed = seed
-	c.n = 0
-	c.src.Seed(seed)
-}
-
-// save appends the RNG position to an encoder-compatible pair.
-func (c *countedSource) state() (seed int64, n uint64) { return c.seed, c.n }
-
-// restore repositions the stream at (seed, n): reseed, then replay n draws.
-func (c *countedSource) restore(seed int64, n uint64) {
-	c.src.Seed(seed)
-	c.seed = seed
-	for i := uint64(0); i < n; i++ {
-		c.src.Uint64()
-	}
-	c.n = n
+// saveRNG appends the generator's two state words, high first.
+func saveRNG(e *persist.Enc, src *rand.PCG) {
+	b, _ := src.MarshalBinary() // "pcg:", then the high and low words big-endian
+	e.U64(binary.BigEndian.Uint64(b[4:]))
+	e.U64(binary.BigEndian.Uint64(b[12:]))
 }

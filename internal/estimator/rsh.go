@@ -130,7 +130,7 @@ func (r *ReservoirHashmap) Insert(o *stream.Object) {
 // the expired fraction of the reservoir small between query-time purges.
 func (r *ReservoirHashmap) purgeSome(cutoff int64, n int) {
 	for i := 0; i < n && len(r.ts) > 0; i++ {
-		j := int32(r.rng.Intn(len(r.ts)))
+		j := int32(r.rng.IntN(len(r.ts)))
 		if r.tsAt(j) < cutoff {
 			r.removeSlot(j)
 		}

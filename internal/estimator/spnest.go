@@ -2,7 +2,7 @@ package estimator
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/kmv"
@@ -40,7 +40,7 @@ type SPNEstimator struct {
 	span    int64
 	net     *spn.Network
 	counter *WindowCounter
-	src     *countedSource
+	src     *rand.PCG
 	rng     *rand.Rand
 
 	capacity     int
@@ -57,7 +57,7 @@ type SPNEstimator struct {
 // NewSPN builds the estimator; p.Scale multiplies the component count and
 // sample capacity.
 func NewSPN(p Params) *SPNEstimator {
-	src, rng := newCountedRand(p.Seed + 0x53504E)
+	src, rng := newRand(p.Seed + 0x53504E)
 	return &SPNEstimator{
 		world: p.World,
 		span:  p.Span,
@@ -94,7 +94,7 @@ func (s *SPNEstimator) Insert(o *stream.Object) {
 		if n < s.capacity {
 			n = s.capacity
 		}
-		if j := s.rng.Intn(n); j < s.capacity {
+		if j := s.rng.IntN(n); j < s.capacity {
 			s.samples[j] = admitted(o)
 		}
 	}

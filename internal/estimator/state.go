@@ -216,20 +216,17 @@ func (h *Histogram) LoadState(d *persist.Dec) error {
 // --- RSL and RSH ---
 
 // saveHeader writes what every reservoir image starts with: the RNG
-// position, the arrival counter and the sample count.
+// state, the arrival counter and the sample count.
 func (r *reservoir) saveHeader(e *persist.Enc) {
-	seed, n := r.src.state()
-	e.I64(seed)
-	e.U64(n)
+	saveRNG(e, r.src)
 	r.counter.SaveState(e)
 	e.U32(uint32(len(r.ts)))
 }
 
 // reservoirImage is a decoded reservoir image, not yet installed.
 type reservoirImage struct {
-	seed  int64
-	rngN  uint64
-	store sampleStore
+	rngHi, rngLo uint64
+	store        sampleStore
 }
 
 // loadSamples reads a reservoir image into a new store, built in bulk as a
@@ -240,8 +237,7 @@ type reservoirImage struct {
 // reservoir stores beside it. Only the arrival counter has changed when it
 // returns; install does the rest.
 func (r *reservoir) loadSamples(d *persist.Dec, op string, float bool, each func(st *sampleStore, j int32)) (im reservoirImage, err error) {
-	im.seed = d.I64()
-	im.rngN = d.U64()
+	im.rngHi, im.rngLo = d.U64(), d.U64()
 	if err := r.counter.LoadState(d); err != nil {
 		return im, err
 	}
@@ -280,7 +276,7 @@ func (r *reservoir) loadSamples(d *persist.Dec, op string, float bool, each func
 }
 
 func (r *reservoir) install(im reservoirImage) {
-	r.src.restore(im.seed, im.rngN)
+	r.src.Seed(im.rngHi, im.rngLo)
 	r.sampleStore = im.store
 }
 
@@ -444,9 +440,7 @@ func (f *FFN) LoadState(d *persist.Dec) error {
 // the image holds the model an estimate would read.
 func (s *SPNEstimator) SaveState(e *persist.Enc) {
 	s.fit()
-	seed, n := s.src.state()
-	e.I64(seed)
-	e.U64(n)
+	saveRNG(e, s.src)
 	s.counter.SaveState(e)
 	e.U32(uint32(len(s.samples)))
 	for i := range s.samples {
@@ -459,8 +453,7 @@ func (s *SPNEstimator) SaveState(e *persist.Enc) {
 
 // LoadState implements Stateful.
 func (s *SPNEstimator) LoadState(d *persist.Dec) error {
-	seed := d.I64()
-	rngN := d.U64()
+	rngHi, rngLo := d.U64(), d.U64()
 	if err := s.counter.LoadState(d); err != nil {
 		return err
 	}
@@ -480,7 +473,7 @@ func (s *SPNEstimator) LoadState(d *persist.Dec) error {
 	if err := s.net.LoadState(d); err != nil {
 		return err
 	}
-	s.src.restore(seed, rngN)
+	s.src.Seed(rngHi, rngLo)
 	s.samples = samples
 	s.sinceRetrain, s.retrains = sinceRetrain, retrains
 	s.pending, s.stale, s.read = nil, false, false

@@ -11,7 +11,7 @@ package mlp
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // Config describes the network shape and trainer.
@@ -71,7 +71,7 @@ func New(cfg Config) *Network {
 	if c.Inputs <= 0 || c.Outputs <= 0 {
 		panic(fmt.Sprintf("mlp: need positive inputs/outputs, got %d/%d", c.Inputs, c.Outputs))
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
+	rng := rand.New(rand.NewPCG(uint64(c.Seed), 0))
 	sizes := append([]int{c.Inputs}, c.Hidden...)
 	sizes = append(sizes, c.Outputs)
 	n := &Network{cfg: c}
@@ -193,7 +193,7 @@ func (n *Network) Fit(xs [][]float64, ys [][]float64, epochs int, tol float64) (
 	if len(xs) == 0 {
 		return 0, 0
 	}
-	rng := rand.New(rand.NewSource(n.cfg.Seed + 1))
+	rng := rand.New(rand.NewPCG(uint64(n.cfg.Seed+1), 0))
 	order := make([]int, len(xs))
 	for i := range order {
 		order[i] = i

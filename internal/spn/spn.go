@@ -22,7 +22,7 @@ package spn
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // Sample is one training observation: a location normalized to [0,1)² and
@@ -129,7 +129,7 @@ func (n *Network) Train(samples []Sample) {
 		n.trained = false
 		return
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
+	rng := rand.New(rand.NewPCG(uint64(c.Seed), 0))
 	// Init: spatial k-means++ assignment breaks symmetry robustly.
 	// (Likelihood-seeded init collapses: samples far from every seed tie on
 	// the uniform background and all fall into one component.)
@@ -186,7 +186,7 @@ func kmeansInit(samples []Sample, k int, rng *rand.Rand) []int {
 	type pt struct{ x, y float64 }
 	centers := make([]pt, 0, k)
 	// k-means++ seeding.
-	first := samples[rng.Intn(len(samples))]
+	first := samples[rng.IntN(len(samples))]
 	centers = append(centers, pt{first.X, first.Y})
 	d2 := make([]float64, len(samples))
 	for len(centers) < k {
