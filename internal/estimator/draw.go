@@ -2,7 +2,6 @@ package estimator
 
 import (
 	"math/bits"
-	"math/rand/v2"
 	"sync"
 
 	"github.com/spatiotext/latest/internal/stream"
@@ -40,12 +39,11 @@ func Fill(e Estimator, w *stream.Window) (drawn bool, objects int) {
 	return false, w.Size()
 }
 
-// drawTarget is what draw needs of a sampler: its capacity, RNG and
-// arrival counter, room for the m samples it is about to keep, a way to
-// keep one, and a hook that runs once the sample is complete.
+// drawTarget is what draw needs of a sampler beside its reservoir: room
+// for the m samples it is about to keep, a way to keep one, and a hook
+// that runs once the sample is complete.
 type drawTarget interface {
 	Reset()
-	drawState() (k int, rng *rand.Rand, counter *WindowCounter)
 	reserve(m int)
 	keep(o *stream.Object)
 	kept(now int64)
@@ -59,11 +57,11 @@ var bitmapPool = sync.Pool{New: func() any { return new([]uint64) }}
 // or j itself if t is taken already. That is exactly k bounded draws and a
 // uniform k-subset; the bitmap then hands the chosen objects over in
 // arrival order, which reads the arena front to back.
-func draw(s drawTarget, w *stream.Window) int {
+func draw(s drawTarget, r *reservoir, w *stream.Window) int {
 	s.Reset()
-	k, rng, counter := s.drawState()
+	k := r.capacity
 	n := w.Size()
-	counter.addSorted(n, w.TimestampAt)
+	r.counter.addSorted(n, w.TimestampAt)
 	if n == 0 {
 		return 0
 	}
@@ -85,7 +83,7 @@ func draw(s drawTarget, w *stream.Window) int {
 	chosen := (*bp)[:words]
 	clear(chosen)
 	for j := n - k; j < n; j++ {
-		t := rng.IntN(j + 1)
+		t := r.rng.IntN(j + 1)
 		if chosen[t>>6]&(1<<(t&63)) != 0 {
 			t = j
 		}
@@ -103,18 +101,14 @@ func draw(s drawTarget, w *stream.Window) int {
 }
 
 // Draw implements Sampler.
-func (r *ReservoirList) Draw(w *stream.Window) int { return draw(r, w) }
+func (r *ReservoirList) Draw(w *stream.Window) int { return draw(r, &r.reservoir, w) }
 
 // Draw implements Sampler.
-func (r *ReservoirHashmap) Draw(w *stream.Window) int { return draw(r, w) }
+func (r *ReservoirHashmap) Draw(w *stream.Window) int { return draw(r, &r.reservoir, w) }
 
 // Draw implements Sampler. The drawn sample becomes the training set of
 // one retrain, which the next Estimate fits.
-func (s *SPNEstimator) Draw(w *stream.Window) int { return draw(s, w) }
-
-func (r *reservoir) drawState() (int, *rand.Rand, *WindowCounter) {
-	return r.capacity, r.rng, r.counter
-}
+func (s *SPNEstimator) Draw(w *stream.Window) int { return draw(s, &s.reservoir, w) }
 
 func (r *reservoir) keep(o *stream.Object) { r.add(o.Timestamp, r.lat.Snap(o.Loc), o.Keywords) }
 
@@ -149,12 +143,8 @@ func (r *ReservoirHashmap) kept(now int64) {
 	}
 }
 
-func (s *SPNEstimator) drawState() (int, *rand.Rand, *WindowCounter) {
-	return s.capacity, s.rng, s.counter
+// kept posts the drawn sample and retrains on it.
+func (s *SPNEstimator) kept(now int64) {
+	s.reservoir.kept(now)
+	s.retrain(now)
 }
-
-func (s *SPNEstimator) reserve(m int) { s.samples = make([]sample, 0, m) }
-
-func (s *SPNEstimator) keep(o *stream.Object) { s.samples = append(s.samples, admitted(o)) }
-
-func (s *SPNEstimator) kept(now int64) { s.retrain(now) }

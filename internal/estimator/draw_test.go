@@ -23,20 +23,23 @@ var samplerBuilds = []struct {
 	{NameSPN, func(p Params) Sampler { return NewSPN(p) }},
 }
 
-// sampleTimestamps returns the timestamps a sampler holds and its capacity.
-func sampleTimestamps(s Sampler) (ts []int64, k int) {
+// reservoirOf is a sampler's reservoir.
+func reservoirOf(s Sampler) *reservoir {
 	switch e := s.(type) {
 	case *ReservoirList:
-		return e.timestamps(), e.capacity
+		return &e.reservoir
 	case *ReservoirHashmap:
-		return e.timestamps(), e.capacity
+		return &e.reservoir
 	case *SPNEstimator:
-		for _, x := range e.samples {
-			ts = append(ts, x.ts)
-		}
-		return ts, e.capacity
+		return &e.reservoir
 	}
 	panic("not a sampler of this package")
+}
+
+// sampleTimestamps returns the timestamps a sampler holds and its capacity.
+func sampleTimestamps(s Sampler) (ts []int64, k int) {
+	r := reservoirOf(s)
+	return r.timestamps(), r.capacity
 }
 
 // drawWindow is a window of n objects at timestamps 1..n, so an object's
@@ -74,8 +77,8 @@ func TestDrawUniformArrivalRanks(t *testing.T) {
 			total := 0
 			for seed := int64(1); seed <= seeds; seed++ {
 				s := sb.build(params(seed))
-				_, _, counter := s.(drawTarget).drawState()
-				before := *rngOf(s)
+				counter := reservoirOf(s).counter
+				before := *reservoirOf(s).src
 				s.Draw(w)
 				ts, _ := sampleTimestamps(s)
 				if want := min(k, c.n); len(ts) != want {
@@ -165,25 +168,12 @@ func TestLongUptimeImageRestoresTwins(t *testing.T) {
 	}
 }
 
-// rngOf is a sampler's generator.
-func rngOf(s Sampler) *randv2.PCG {
-	switch e := s.(type) {
-	case *ReservoirList:
-		return e.src
-	case *ReservoirHashmap:
-		return e.src
-	case *SPNEstimator:
-		return e.src
-	}
-	panic("not a sampler of this package")
-}
-
 // rngDraws is how many steps s's generator has taken since it stood at
 // before: a copy of before is stepped until it stands where s's does, up to
 // 2k+1 steps, the count reported when it gets no further.
 func rngDraws(before randv2.PCG, s Sampler, k int) uint64 {
 	n := uint64(0)
-	for ; n < uint64(2*k+1) && before != *rngOf(s); n++ {
+	for ; n < uint64(2*k+1) && before != *reservoirOf(s).src; n++ {
 		before.Uint64()
 	}
 	return n

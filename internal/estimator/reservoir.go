@@ -13,16 +13,7 @@ import (
 // the same ~2% sampling ratio against this repository's synthetic streams.
 const defaultReservoirCapacity = 16384
 
-// sample is a retained stream object as SPN keeps it and serializes it,
-// and as a reservoir serialized it before its samples were lattice points.
-// Its keyword slice is the sample's own.
-type sample struct {
-	loc geo.Point
-	kws []string
-	ts  int64
-}
-
-// reservoir is what RSL and RSH share: Vitter's Algorithm R over the
+// reservoir is what RSL, RSH and SPN share: Vitter's Algorithm R over the
 // sliding window, on a sampleStore. Each arrival replaces a random slot
 // with probability capacity/|window arrivals|, which keeps the samples
 // approximately uniform over the live window; expired samples are purged
@@ -38,11 +29,13 @@ type reservoir struct {
 	sampleStore
 }
 
-func newReservoir(p Params, seed int64) reservoir {
-	src, rng := newRand(p.Seed + seed)
+// newReservoir builds a reservoir of the given capacity whose generator is
+// seeded with p.Seed plus salt, which tells the samplers' streams apart.
+func newReservoir(p Params, salt int64, capacity int) reservoir {
+	src, rng := newRand(p.Seed + salt)
 	return reservoir{
 		lat:      geo.NewLattice(p.World),
-		capacity: p.scaledInt(defaultReservoirCapacity, 64),
+		capacity: capacity,
 		src:      src,
 		rng:      rng,
 		counter:  NewWindowCounter(p.Span, defaultHistSlices),
@@ -75,6 +68,14 @@ func (r *reservoir) admit(ts int64) int32 {
 	return -1
 }
 
+// purge removes every sample older than cutoff, in the plain list's
+// swap-from-last walk.
+func (r *reservoir) purge(cutoff int64) {
+	for i := r.nextExpired(0, cutoff); i >= 0; i = r.nextExpired(i, cutoff) {
+		r.remove(i)
+	}
+}
+
 // estimate scales a count of matching samples to the window.
 func (r *reservoir) estimate(matches int, now int64) float64 {
 	live := len(r.ts)
@@ -95,7 +96,7 @@ type ReservoirList struct{ reservoir }
 
 // NewReservoirList builds the RSL estimator.
 func NewReservoirList(p Params) *ReservoirList {
-	return &ReservoirList{newReservoir(p, 0x5271)}
+	return &ReservoirList{newReservoir(p, 0x5271, p.scaledInt(defaultReservoirCapacity, 64))}
 }
 
 // Name implements Estimator.
@@ -111,10 +112,7 @@ func (r *ReservoirList) Insert(o *stream.Object) {
 // Estimate implements Estimator. The walk purges expired samples in place,
 // so the sample set self-cleans at query time.
 func (r *ReservoirList) Estimate(q *stream.Query) float64 {
-	cutoff := q.Timestamp - r.span
-	for i := r.nextExpired(0, cutoff); i >= 0; i = r.nextExpired(i, cutoff) {
-		r.remove(i)
-	}
+	r.purge(q.Timestamp - r.span)
 	matches := len(r.ts)
 	rng := r.lat.SnapRect(q.Range)
 	switch {

@@ -242,3 +242,45 @@ func TestReservoirNarrowLimits(t *testing.T) {
 		}
 	}
 }
+
+// TestResidentReservoirStaysNarrow: a store whose samples span an hour at
+// a time keeps its timestamps in 32-bit offsets however long it runs. RSL
+// and RSH fed across 2³³ ms, one object in nine half a span late, move
+// their base rather than grow the tsHi column, answer as the reference
+// scans do, and after the first hours hold no more than they did.
+func TestResidentReservoirStaysNarrow(t *testing.T) {
+	const hour = 3_600_000
+	p := Params{World: geo.UnitSquare, Span: hour, Seed: 14, Scale: 0.01} // 163 samples
+	for _, pair := range reservoirPairs(p) {
+		rng := rand.New(rand.NewSource(14))
+		settled, most := 0, 0
+		for ts, i := int64(0), 0; ts < 1<<33; ts, i = ts+10_000, i+1 {
+			o := genObject(rng, uint64(i), ts)
+			if i%9 == 0 {
+				o.Timestamp -= hour / 2
+			}
+			pair.real.Insert(&o)
+			pair.ref.Insert(&o)
+			if i%500 != 0 {
+				continue
+			}
+			q := stream.HybridQ(geo.CenteredRect(geo.Pt(0.3, 0.3), 0.4, 0.4), []string{"kw1"}, ts)
+			if got, want := pair.real.Estimate(&q), pair.ref.Estimate(&q); got != want {
+				t.Fatalf("%s at %d ms: estimate %v, reference %v", pair.name, ts, got, want)
+			}
+			if m := pair.real.MemoryBytes(); ts < 1<<31 {
+				settled = max(settled, m)
+			} else {
+				most = max(most, m)
+			}
+		}
+		pair.check(t, "after 2³³ ms")
+		if got := highColumns(pair.real); got != "" {
+			t.Errorf("%s: high columns %q", pair.name, got)
+		}
+		t.Logf("%s MemoryBytes: %d at most before 2³¹ ms, %d at most after", pair.name, settled, most)
+		if most > settled {
+			t.Errorf("%s: MemoryBytes reached %d after 2³¹ ms, %d at most before", pair.name, most, settled)
+		}
+	}
+}

@@ -18,6 +18,14 @@ import (
 // float of its lattice point, and the predicate snaps the range as the
 // real ones do.
 
+// sample is a reference reservoir's retained object, with its own copy of
+// the keywords.
+type sample struct {
+	loc geo.Point
+	kws []string
+	ts  int64
+}
+
 type refReservoir struct {
 	lat      geo.Lattice
 	capacity int

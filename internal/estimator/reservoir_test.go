@@ -581,7 +581,8 @@ func heapAlloc() uint64 {
 // preset, and no more than 1.5 × what the reservoirs reported before they
 // had an index (944 KB and 1 322 KB, keyword slices not counted). Once every
 // sample has expired and been purged it reports a fresh reservoir's size,
-// with an empty dictionary.
+// with an empty dictionary. Drawn and churned on every preset, RSL, RSH and
+// SPN, its training set still waiting, report what they hold as closely.
 func TestReservoirMemoryBytesIsTheHeap(t *testing.T) {
 	tw := newTwitterStream() // allocated before the baseline: the vocabulary's strings are the stream's
 	for _, tc := range []struct {
@@ -621,7 +622,7 @@ func TestReservoirMemoryBytesIsTheHeap(t *testing.T) {
 	for _, preset := range datagen.Names() {
 		ps := newPresetStream(preset)
 		w := ps.window()
-		for _, sb := range samplerBuilds[:2] {
+		for _, sb := range samplerBuilds {
 			before := heapAlloc()
 			s := drawnAndChurned(ps, w, sb.build)
 			held := float64(heapAlloc() - before)
@@ -646,20 +647,21 @@ func drawnAndChurned(ps *presetStream, w *stream.Window, build func(Params) Samp
 	return s
 }
 
-// TestReservoirFootprint: a default-size RSL or RSH, drawn and churned,
-// costs at most these bytes per retained sample, everything it owns
-// included: slot arrays, bucket links, list runs, dictionary. Under -v it
-// logs what each part costs.
+// TestReservoirFootprint: a default-size RSL, RSH or SPN, drawn and
+// churned, costs at most these bytes per retained sample, everything it
+// owns included: slot arrays, bucket links, list runs, dictionary, and
+// SPN's network and the training set that waits for an estimate. Under -v
+// it logs what each part costs.
 func TestReservoirFootprint(t *testing.T) {
-	bounds := map[string][2]float64{ // RSL, RSH; each its reading plus at most 3 %
-		"Twitter": {40, 47}, // reads 39.0 and 46.0
-		"eBird":   {29, 36}, // reads 28.2 and 35.2
-		"CheckIn": {33, 40}, // reads 32.3 and 39.3
+	bounds := map[string][3]float64{ // RSL, RSH, SPN; each its reading plus at most 3 %
+		"Twitter": {40, 47, 109}, // reads 39.0, 46.0 and 106.5
+		"eBird":   {29, 36, 83},  // reads 28.2, 35.2 and 81.5
+		"CheckIn": {33, 40, 96},  // reads 32.1, 39.3 and 94.1
 	}
 	for _, preset := range datagen.Names() {
 		ps := newPresetStream(preset)
 		w := ps.window()
-		for i, sb := range samplerBuilds[:2] {
+		for i, sb := range samplerBuilds {
 			s := drawnAndChurned(ps, w, sb.build)
 			n := s.(interface{ Len() int }).Len()
 			per := float64(s.MemoryBytes()) / float64(n)
@@ -672,19 +674,20 @@ func TestReservoirFootprint(t *testing.T) {
 	}
 }
 
-// logReservoirFootprint logs the bytes per sample of each part of an RSL's
-// or RSH's MemoryBytes, and fails if the parts do not sum to it.
+// logReservoirFootprint logs the bytes per sample of each part of a
+// sampler's MemoryBytes, and fails if the parts do not sum to it.
 func logReservoirFootprint(t *testing.T, e Estimator, n int) {
 	t.Helper()
-	var s *sampleStore
 	var r *ReservoirHashmap
-	var fixed int
+	var spn *SPNEstimator
 	switch e := e.(type) {
-	case *ReservoirList:
-		s, fixed = &e.sampleStore, 64+e.counter.MemoryBytes()
 	case *ReservoirHashmap:
-		s, r, fixed = &e.sampleStore, e, 64+e.counter.MemoryBytes()
+		r = e
+	case *SPNEstimator:
+		spn = e
 	}
+	res := reservoirOf(e.(Sampler))
+	s, fixed := &res.sampleStore, 64+res.counter.MemoryBytes()
 	kw := kwListBytes * (cap(s.kw) + cap(s.kwHi))
 	for _, l := range s.long {
 		kw += 48 + 8*cap(l)
@@ -709,6 +712,11 @@ func logReservoirFootprint(t *testing.T, e Estimator, n int) {
 		part{"posting runs", runBytes*cap(s.postings.at) + 4*cap(s.postings.atHi)},
 		part{"dictionary", s.dict.MemoryBytes()},
 		part{"scratch, header and counter", 4*cap(s.qids) + 8*cap(s.seen) + fixed})
+	if spn != nil {
+		parts = append(parts,
+			part{"network", spn.net.MemoryBytes()},
+			part{"pending training set", spn.pendingBytes})
+	}
 	var out []string
 	sum := 0
 	for _, p := range parts {
@@ -807,8 +815,8 @@ func TestReservoirStateRoundTripRebuildsIndex(t *testing.T) {
 // which inserts, answers and re-serializes; it does not panic. est picks
 // the sampler: RSL, RSH or SPN (samplerBuilds' order, modulo 3). float
 // reads the bytes as an image of the format whose samples were float64
-// pairs (LoadFloatState, which SPN does not have); the seeds are images of
-// the current format, whose samples are lattice points.
+// pairs; SPN's images are always of that format. The other seeds are
+// images of the current format, whose samples are lattice points.
 func FuzzReservoirLoadState(f *testing.F) {
 	p := Params{World: geo.UnitSquare, Span: 1000, Scale: 0.004, Seed: 3} // 65 samples
 	for est, pair := range reservoirPairs(p) {
@@ -842,6 +850,10 @@ func FuzzReservoirLoadState(f *testing.F) {
 		f.Add(img.Data(), uint8(2), false)
 		spnEst.Draw(w)
 	}
+	// An SPN image whose points are off the lattice, as an image written
+	// when SPN kept its samples' float points is.
+	offLattice, _ := offLatticeSPNImage(p, 40)
+	f.Add(offLattice, uint8(2), false)
 	// Seeds that restore into each form a store of this capacity can take:
 	// the seeds above are narrow; these hold timestamps 2⁴⁰ ms apart (the
 	// ts high column), and a sample of 65 600 keywords ahead of samples
@@ -910,4 +922,50 @@ func FuzzReservoirLoadState(f *testing.F) {
 		var img persist.Enc
 		e.(Stateful).SaveState(&img)
 	})
+}
+
+// offLatticeSPNImage is the image of an SPN of p that has kept each of n
+// objects at its float point, as SPN did before its samples were lattice
+// points, and the SPN that took the same objects; its capacity must hold
+// them all. The points are off the lattice.
+func offLatticeSPNImage(p Params, n int) ([]byte, *SPNEstimator) {
+	s := NewSPN(p)
+	objs := make([]stream.Object, n)
+	for i := range objs {
+		objs[i] = stream.Object{Loc: geo.Pt(0.1+float64(i)/3/float64(n), 1/3.0), Keywords: []string{"a", "b", "a"}, Timestamp: int64(i)}
+		s.Insert(&objs[i])
+	}
+	var e persist.Enc
+	s.saveHeader(&e)
+	for _, o := range objs {
+		e.F64(o.Loc.X)
+		e.F64(o.Loc.Y)
+		e.I64(o.Timestamp)
+		e.Strs(o.Keywords)
+	}
+	e.Int(s.sinceRetrain)
+	e.Int(s.retrains)
+	s.net.SaveState(&e)
+	return e.Data(), s
+}
+
+// TestSPNRestoresFloatPoints: an image whose points are off the lattice
+// restores each onto the lattice point Insert would have kept, so the
+// restored SPN writes the image of the SPN that took the objects.
+func TestSPNRestoresFloatPoints(t *testing.T) {
+	p := Params{World: geo.UnitSquare, Span: 1000, Scale: 0.004, Seed: 3}
+	img, orig := offLatticeSPNImage(p, 40)
+	restored := NewSPN(p)
+	if err := restored.LoadState(persist.NewDec(img)); err != nil {
+		t.Fatal(err)
+	}
+	var got, want persist.Enc
+	restored.SaveState(&got)
+	orig.SaveState(&want)
+	if bytes.Equal(img, want.Data()) {
+		t.Fatal("the float image's points are on the lattice")
+	}
+	if !bytes.Equal(got.Data(), want.Data()) {
+		t.Error("the restored SPN's image is not that of the SPN that took the objects")
+	}
 }

@@ -35,7 +35,7 @@ type ReservoirHashmap struct {
 func NewReservoirHashmap(p Params) *ReservoirHashmap {
 	cells := nearestSquare(p.scaledInt(defaultRSHGridCells, 16))
 	g := geo.NewSquareGrid(p.World, cells)
-	return &ReservoirHashmap{reservoir: newReservoir(p, 0x5248), grid: g}
+	return &ReservoirHashmap{reservoir: newReservoir(p, 0x5248, p.scaledInt(defaultReservoirCapacity, 64)), grid: g}
 }
 
 // Name implements Estimator.

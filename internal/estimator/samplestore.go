@@ -33,7 +33,8 @@ import (
 type sampleStore struct {
 	// What the purge walks: each sample's timestamp as an offset from
 	// base, and bits 32–63 of the offsets once one needs them. The first
-	// sample into an empty store sets base 2³¹ ms before itself.
+	// sample into an empty store sets base 2³¹ ms before itself; a later
+	// one that lands out of reach moves it (setTS).
 	base int64
 	ts   []uint32
 	tsHi []uint32
@@ -167,11 +168,40 @@ func (s *sampleStore) tsAt(j int32) int64 {
 	return s.base + int64(uint64(s.ts[j])|uint64(high(s.tsHi, int(j)))<<32)
 }
 
-// setTS sets slot j's timestamp.
+// setTS sets slot j's timestamp. An offset that 32 bits do not hold moves
+// base first, if that lets every offset fit; only if it does not does the
+// store get its tsHi column.
 func (s *sampleStore) setTS(j int32, ts int64) {
 	off := uint64(ts - s.base)
+	if off>>32 != 0 && s.tsHi == nil && s.rebase(j, ts) {
+		off = uint64(ts - s.base)
+	}
 	s.ts[j] = uint32(off)
 	setHigh(&s.tsHi, len(s.ts), cap(s.ts), int(j), uint32(off>>32))
+}
+
+// rebase moves base onto the oldest of ts and every slot's timestamp but
+// slot j's, which ts replaces, and shifts the offsets to match, if the
+// newest of them is then within 32 bits of it. It reports whether it did.
+// A store that keeps less than 2³² ms (49 days) of samples at a time thus
+// stays narrow however long it runs.
+func (s *sampleStore) rebase(j int32, ts int64) bool {
+	lo, hi := ts, ts
+	for i, off := range s.ts {
+		if i != int(j) {
+			t := s.base + int64(off)
+			lo, hi = min(lo, t), max(hi, t)
+		}
+	}
+	if uint64(hi)-uint64(lo) > math.MaxUint32 {
+		return false
+	}
+	d := uint32(uint64(lo) - uint64(s.base))
+	for i := range s.ts {
+		s.ts[i] -= d
+	}
+	s.base = lo
+	return true
 }
 
 // push appends a slot for a sample at ts and loc, without keywords.
@@ -523,11 +553,18 @@ func (s *sampleStore) carriesAny(j int32) bool {
 	return false
 }
 
-// save writes slot i's sample: its lattice point, timestamp and keywords,
-// these through the dictionary.
-func (s *sampleStore) save(e *persist.Enc, i int32) {
-	e.U32(s.loc[i].X)
-	e.U32(s.loc[i].Y)
+// save writes slot i's sample: its lattice point or, given the lattice as
+// float, the point it stands for in float64s; its timestamp; and its
+// keywords, these through the dictionary.
+func (s *sampleStore) save(e *persist.Enc, i int32, float *geo.Lattice) {
+	if float != nil {
+		p := float.Unsnap(s.loc[i])
+		e.F64(p.X)
+		e.F64(p.Y)
+	} else {
+		e.U32(s.loc[i].X)
+		e.U32(s.loc[i].Y)
+	}
 	e.I64(s.tsAt(i))
 	var buf [3]ref
 	refs := s.refsOf(i, &buf)

@@ -2,7 +2,6 @@ package estimator
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/kmv"
@@ -25,6 +24,8 @@ const (
 // periodic full retrain is the paper's core criticism of data-driven models
 // on streams ("very high computational intensity to update the model with
 // high-velocity data") and dominates this estimator's maintenance cost.
+// The reservoir is the one RSL and RSH sample with, under SPN's own seed
+// and capacity.
 //
 // A due retrain purges the reservoir and builds its training set, but fits
 // the model at once only if an estimate has run since the previous retrain.
@@ -36,31 +37,26 @@ const (
 // latency of an estimator that is being queried, which the switch learns
 // from unless a latency model replaces the wall clock.
 type SPNEstimator struct {
-	world   geo.Rect
-	span    int64
-	net     *spn.Network
-	counter *WindowCounter
-	src     *rand.PCG
-	rng     *rand.Rand
+	reservoir
+	world geo.Rect
+	net   *spn.Network
 
-	capacity     int
-	samples      []sample
 	sinceRetrain int
 	retrainEvery int
 	retrains     int
 
-	pending []spn.Sample // training set of the last retrain; valid when stale
-	stale   bool         // the model has not been fitted to pending yet
-	read    bool         // an estimate has run since the last retrain
+	pending      []spn.Sample // training set of the last retrain; valid when stale
+	pendingBytes int          // what pending holds, its keyword buckets included
+	stale        bool         // the model has not been fitted to pending yet
+	read         bool         // an estimate has run since the last retrain
 }
 
 // NewSPN builds the estimator; p.Scale multiplies the component count and
 // sample capacity.
 func NewSPN(p Params) *SPNEstimator {
-	src, rng := newRand(p.Seed + 0x53504E)
 	return &SPNEstimator{
-		world: p.World,
-		span:  p.Span,
+		reservoir: newReservoir(p, 0x53504E, p.scaledInt(defaultSPNSampleCap, 64)),
+		world:     p.World,
 		net: spn.New(spn.Config{
 			Components: p.scaledInt(defaultSPNComponents, 2),
 			XBins:      p.scaledInt(defaultSPNBins, 8),
@@ -68,10 +64,6 @@ func NewSPN(p Params) *SPNEstimator {
 			KwBuckets:  defaultSPNKwBuckets,
 			Seed:       p.Seed + 0x53504E,
 		}),
-		counter:      NewWindowCounter(p.Span, defaultHistSlices),
-		src:          src,
-		rng:          rng,
-		capacity:     p.scaledInt(defaultSPNSampleCap, 64),
 		retrainEvery: defaultSPNRetrain,
 	}
 }
@@ -86,17 +78,8 @@ func (s *SPNEstimator) Retrains() int { return s.retrains }
 // Insert implements Estimator: windowed reservoir sampling plus periodic
 // retraining.
 func (s *SPNEstimator) Insert(o *stream.Object) {
-	s.counter.Add(o.Timestamp)
-	if len(s.samples) < s.capacity {
-		s.samples = append(s.samples, admitted(o))
-	} else {
-		n := int(s.counter.Live(o.Timestamp))
-		if n < s.capacity {
-			n = s.capacity
-		}
-		if j := s.rng.IntN(n); j < s.capacity {
-			s.samples[j] = admitted(o)
-		}
+	if j := s.admit(o.Timestamp); j >= 0 {
+		s.put(j, o.Timestamp, s.lat.Snap(o.Loc), o.Keywords, s.capacity)
 	}
 	s.sinceRetrain++
 	if s.sinceRetrain >= s.retrainEvery {
@@ -108,42 +91,48 @@ func (s *SPNEstimator) Insert(o *stream.Object) {
 	}
 }
 
-// admitted is o as a retained sample, with its own copy of the keywords:
-// the caller's slice is not kept. Only an admitted object pays for it.
-func admitted(o *stream.Object) sample {
-	return sample{loc: o.Loc, kws: append([]string(nil), o.Keywords...), ts: o.Timestamp}
-}
-
 // retrain purges expired samples and makes the survivors the training set
-// the model is next fitted to.
+// the model is next fitted to: each point where its lattice point stands,
+// normalised to the world, and each keyword's bucket, from the hash its
+// dictionary entry carries. The buckets share one array.
 func (s *SPNEstimator) retrain(now int64) {
-	cutoff := now - s.span
-	for i := 0; i < len(s.samples); {
-		if s.samples[i].ts < cutoff {
-			s.samples[i] = s.samples[len(s.samples)-1]
-			s.samples = s.samples[:len(s.samples)-1]
+	s.purge(now - s.span)
+	var buf [3]ref
+	words := 0
+	for j := range int32(len(s.ts)) {
+		words += len(s.refsOf(j, &buf))
+	}
+	train, kwb := make([]spn.Sample, len(s.ts)), make([]int, words)
+	for j := range train {
+		p := s.lat.Unsnap(s.loc[j])
+		train[j] = spn.Sample{
+			X: (p.X - s.world.MinX) / s.world.Width(),
+			Y: (p.Y - s.world.MinY) / s.world.Height(),
+		}
+		refs := s.refsOf(int32(j), &buf)
+		if len(refs) == 0 {
 			continue
 		}
-		i++
-	}
-	train := make([]spn.Sample, len(s.samples))
-	for i := range s.samples {
-		train[i] = spn.Sample{
-			X:   (s.samples[i].loc.X - s.world.MinX) / s.world.Width(),
-			Y:   (s.samples[i].loc.Y - s.world.MinY) / s.world.Height(),
-			KwB: s.kwBuckets(s.samples[i].kws),
+		b := kwb[:len(refs):len(refs)]
+		for i, r := range refs {
+			b[i] = int(s.dict.Hash(r.id) % defaultSPNKwBuckets)
 		}
+		train[j].KwB, kwb = b, kwb[len(refs):]
 	}
 	s.pending, s.stale = train, true
+	s.pendingBytes = spnSampleBytes*cap(train) + 8*words
 	s.sinceRetrain = 0
 	s.retrains++
 }
+
+// spnSampleBytes is what a training sample costs in its array.
+const spnSampleBytes = 40
 
 // fit trains the model on the pending set, if one is waiting.
 func (s *SPNEstimator) fit() {
 	if s.stale {
 		s.net.Train(s.pending)
-		s.pending, s.stale = nil, false
+		s.pending, s.pendingBytes, s.stale = nil, 0, false
 	}
 }
 
@@ -166,7 +155,7 @@ func (s *SPNEstimator) Estimate(q *stream.Query) float64 {
 		// Before the first retrain the model is a uniform prior; force an
 		// early train if we already have samples so pre-training queries
 		// get real answers.
-		if len(s.samples) == 0 {
+		if len(s.ts) == 0 {
 			return 0
 		}
 		s.retrain(q.Timestamp)
@@ -183,26 +172,23 @@ func (s *SPNEstimator) Estimate(q *stream.Query) float64 {
 	return s.net.Prob(rq) * s.counter.Live(q.Timestamp)
 }
 
-// Observe implements Estimator; the SPN is data-driven and ignores query
-// feedback.
-func (s *SPNEstimator) Observe(q *stream.Query, actual float64) {}
-
-// Reset implements Estimator. The sample array is released, not truncated,
-// so an idle estimator pins neither it nor the keywords of stale samples.
+// Reset implements Estimator. The store is released, not truncated, for
+// the reason ReservoirList.Reset gives.
 func (s *SPNEstimator) Reset() {
-	s.samples = nil
+	s.sampleStore = sampleStore{}
 	s.counter.Reset()
 	s.net.Train(nil)
 	s.sinceRetrain = 0
-	s.pending, s.stale, s.read = nil, false, false
+	s.pending, s.pendingBytes, s.stale, s.read = nil, 0, false, false
 }
 
-// MemoryBytes implements Estimator.
+// MemoryBytes implements Estimator: the store, the arrival counter, the
+// network and a training set that waits to be fitted.
 func (s *SPNEstimator) MemoryBytes() int {
-	return s.net.MemoryBytes() + 48*cap(s.samples) + s.counter.MemoryBytes()
+	return 64 + s.memoryBytes() + s.counter.MemoryBytes() + s.net.MemoryBytes() + s.pendingBytes
 }
 
 // String summarizes state for diagnostics.
 func (s *SPNEstimator) String() string {
-	return fmt.Sprintf("SPN{samples=%d retrains=%d %v}", len(s.samples), s.retrains, s.net)
+	return fmt.Sprintf("SPN{samples=%d retrains=%d %v}", s.Len(), s.retrains, s.net)
 }

@@ -79,21 +79,6 @@ func (w *WindowCounter) LoadState(d *persist.Dec) error {
 	return nil
 }
 
-func saveSample(e *persist.Enc, s sample) {
-	e.F64(s.loc.X)
-	e.F64(s.loc.Y)
-	e.I64(s.ts)
-	e.Strs(s.kws)
-}
-
-func loadSample(d *persist.Dec) sample {
-	x := d.F64()
-	y := d.F64()
-	ts := d.I64()
-	kws := d.Strs()
-	return sample{loc: geo.Point{X: x, Y: y}, ts: ts, kws: kws}
-}
-
 // sampleCount reads a sample-array length prefix, bounding it by the
 // reservoir capacity (same Params ⇒ same capacity, so more is malformed).
 func sampleCount(d *persist.Dec, capacity int, op string) (int, error) {
@@ -213,7 +198,7 @@ func (h *Histogram) LoadState(d *persist.Dec) error {
 	return nil
 }
 
-// --- RSL and RSH ---
+// --- RSL, RSH and SPN ---
 
 // saveHeader writes what every reservoir image starts with: the RNG
 // state, the arrival counter and the sample count.
@@ -249,19 +234,17 @@ func (r *reservoir) loadSamples(d *persist.Dec, op string, float bool, each func
 		im.store.reserve(count)
 	}
 	for j := int32(0); int(j) < count && d.Err() == nil; j++ {
-		var s sample
 		var loc geo.LPoint
 		if float {
-			s = loadSample(d)
-			loc = r.lat.Snap(s.loc)
+			loc = r.lat.Snap(geo.Point{X: d.F64(), Y: d.F64()})
 		} else {
 			loc = geo.LPoint{X: d.U32(), Y: d.U32()}
-			s.ts, s.kws = d.I64(), d.Strs()
-			if d.Err() == nil && !r.lat.Holds(loc) {
-				return im, persist.Errf(persist.CodeMalformed, op, "sample %d at %v is off the lattice", j, loc)
-			}
 		}
-		im.store.add(s.ts, loc, s.kws)
+		ts, kws := d.I64(), d.Strs()
+		if !float && d.Err() == nil && !r.lat.Holds(loc) {
+			return im, persist.Errf(persist.CodeMalformed, op, "sample %d at %v is off the lattice", j, loc)
+		}
+		im.store.add(ts, loc, kws)
 		if each != nil {
 			each(&im.store, j)
 		}
@@ -284,7 +267,7 @@ func (r *reservoir) install(im reservoirImage) {
 func (r *ReservoirList) SaveState(e *persist.Enc) {
 	r.saveHeader(e)
 	for i := range r.ts {
-		r.save(e, int32(i))
+		r.save(e, int32(i), nil)
 	}
 }
 
@@ -309,7 +292,7 @@ func (r *ReservoirList) load(d *persist.Dec, float bool) error {
 func (r *ReservoirHashmap) SaveState(e *persist.Enc) {
 	r.saveHeader(e)
 	for i := range int32(len(r.ts)) {
-		r.save(e, i)
+		r.save(e, i, nil)
 		e.U32(r.link(i))
 	}
 }
@@ -437,33 +420,25 @@ func (f *FFN) LoadState(d *persist.Dec) error {
 // --- SPN ---
 
 // SaveState implements Stateful. A pending training set is fitted first, so
-// the image holds the model an estimate would read.
+// the image holds the model an estimate would read. The samples are in the
+// float format, each lattice point written as the point it stands for.
 func (s *SPNEstimator) SaveState(e *persist.Enc) {
 	s.fit()
-	saveRNG(e, s.src)
-	s.counter.SaveState(e)
-	e.U32(uint32(len(s.samples)))
-	for i := range s.samples {
-		saveSample(e, s.samples[i])
+	s.saveHeader(e)
+	for i := range int32(len(s.ts)) {
+		s.save(e, i, &s.lat)
 	}
 	e.Int(s.sinceRetrain)
 	e.Int(s.retrains)
 	s.net.SaveState(e)
 }
 
-// LoadState implements Stateful.
+// LoadState implements Stateful. The samples are read as a reservoir of the
+// float format reads them.
 func (s *SPNEstimator) LoadState(d *persist.Dec) error {
-	rngHi, rngLo := d.U64(), d.U64()
-	if err := s.counter.LoadState(d); err != nil {
-		return err
-	}
-	count, err := sampleCount(d, s.capacity, "spn")
+	im, err := s.loadSamples(d, "spn", true, nil)
 	if err != nil {
 		return err
-	}
-	samples := make([]sample, 0, count)
-	for i := 0; i < count; i++ {
-		samples = append(samples, loadSample(d))
 	}
 	sinceRetrain := d.Int()
 	retrains := d.Int()
@@ -473,9 +448,8 @@ func (s *SPNEstimator) LoadState(d *persist.Dec) error {
 	if err := s.net.LoadState(d); err != nil {
 		return err
 	}
-	s.src.Seed(rngHi, rngLo)
-	s.samples = samples
+	s.install(im)
 	s.sinceRetrain, s.retrains = sinceRetrain, retrains
-	s.pending, s.stale, s.read = nil, false, false
+	s.pending, s.pendingBytes, s.stale, s.read = nil, 0, false, false
 	return nil
 }

@@ -137,6 +137,9 @@ func (d *Dict) Release(id uint32) {
 // Word returns the word of a held ID.
 func (d *Dict) Word(id uint32) string { return d.entries[id].word }
 
+// Hash returns the Hash64 of a held ID's word.
+func (d *Dict) Hash(id uint32) uint64 { return d.entries[id].hash }
+
 // Len returns the number of words held.
 func (d *Dict) Len() int { return d.live }
 
