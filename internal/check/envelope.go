@@ -8,6 +8,7 @@ import (
 	"github.com/spatiotext/latest/internal/datagen"
 	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/metrics"
+	"github.com/spatiotext/latest/internal/stream"
 	"github.com/spatiotext/latest/internal/workload"
 )
 
@@ -133,6 +134,9 @@ func runEnvelope(cfg EnvelopeConfig, name string, env Envelope) (*EnvelopeResult
 		return nil, err
 	}
 
+	// A model fitted from the window (estimator.Fitter) is fitted from
+	// this one when due, as an engine fits it from its own.
+	w := stream.NewWindow(gen.World(), span, 1024)
 	res := &EnvelopeResult{Name: name}
 	var accSum, qerrSum float64
 	for qi := 0; qi < cfg.Queries; qi++ {
@@ -140,8 +144,12 @@ func runEnvelope(cfg EnvelopeConfig, name string, env Envelope) (*EnvelopeResult
 			o := gen.Next()
 			est.Insert(&o)
 			oracle.Insert(&o)
+			w.Insert(o)
 		}
 		q := queries.Next(gen.Now())
+		if f, ok := est.(estimator.Fitter); ok && f.FitDue() {
+			estimator.Fill(est, w)
+		}
 		got := est.Estimate(&q)
 		actual := oracle.Count(&q)
 		est.Observe(&q, float64(actual))

@@ -83,16 +83,19 @@ type Config struct {
 	Hoeffding hoeffding.Config
 	// Refill, when non-nil, is called with every freshly wiped estimator
 	// that is about to start serving (a pre-fill candidate or a cold
-	// switch target). The caller should seed it from the current window —
-	// estimator.Fill draws a sampler and replays the rest — since the DBMS
-	// holds the actual window data, so a new summary structure is seeded
-	// from the store rather than starting blind (§V-D's pre-filling,
-	// extended to cover the data that arrived before the candidate
-	// existed). Without it, a fresh sampler would scale its estimates by
-	// an arrival count that missed most of the window. With it, warm-up
-	// streams nothing into the fleet's samplers (estimator.Sampler): the
-	// first Estimate hands each to Refill instead, while Phase still
-	// reads PhaseWarmup.
+	// switch target), and with an estimator.Fitter whose fit is due, just
+	// before the estimate that needs it and outside that estimate's
+	// latency. The caller should seed it from the current window —
+	// estimator.Fill draws a sampler, SPN's draw being its fit, and
+	// replays the rest — since the DBMS holds the actual window data, so
+	// a new summary structure is seeded from the store rather than
+	// starting blind (§V-D's pre-filling, extended to cover the data that
+	// arrived before the candidate existed). Without it, a fresh sampler
+	// would scale its estimates by an arrival count that missed most of
+	// the window, and SPN keeps its last model, answering 0 before its
+	// first fit. With it, warm-up streams nothing into the fleet's
+	// samplers (estimator.Sampler): the first Estimate hands each to
+	// Refill instead, while Phase still reads PhaseWarmup.
 	Refill func(e estimator.Estimator)
 	// LatencyOf, when non-nil, replaces wall-clock latency measurement.
 	// The simulation harness uses it to model the paper's millisecond-scale

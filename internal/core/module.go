@@ -230,6 +230,9 @@ func (m *Module) Estimate(q *stream.Query) float64 {
 	clear(p.latencies)
 	clear(p.measured)
 	measure := func(i int) {
+		if f, ok := m.ests[i].(estimator.Fitter); ok && m.cfg.Refill != nil && f.FitDue() {
+			m.cfg.Refill(m.ests[i]) // a due fit, outside the estimate's latency
+		}
 		start := time.Now()
 		est := m.ests[i].Estimate(q)
 		lat := time.Since(start)

@@ -2,29 +2,41 @@ package estimator
 
 import (
 	"math/bits"
+	"math/rand/v2"
 	"sync"
 
 	"github.com/spatiotext/latest/internal/stream"
 )
 
-// Sampler is an estimator whose summary is a uniform sample of the live
-// window: RSL, RSH and SPN. Streaming N objects through Algorithm R only
-// approximates that state, at the price of about k·(1+ln(N/k)) admissions;
-// the window's arena holds the exact population, so a sampler can instead
-// draw its sample from it outright.
+// Sampler is an estimator whose summary comes from a uniform sample of the
+// live window: RSL and RSH keep the sample, SPN fits its model to it and
+// drops it. Streaming N objects through Algorithm R only approximates that
+// sample, at the price of about k·(1+ln(N/k)) admissions; the window's
+// arena holds the exact population, so a sampler can instead draw its
+// sample from it outright.
 type Sampler interface {
 	Estimator
 	// Draw wipes the sampler and refills it from w: the arrival counter
-	// from the live timestamps, the sample from k distinct live objects
+	// from the live timestamps, the summary from k distinct live objects
 	// chosen with the sampler's own RNG (every one of them when the window
 	// holds no more than k). It returns how many objects it drew.
 	Draw(w *stream.Window) int
 }
 
-// Fill seeds a freshly wiped estimator from the window store and reports
-// whether it drew and how many objects it read: a Sampler draws its
-// sample, FFN, whose Insert does nothing, reads nothing, and anything else
-// has every live object replayed into it in arrival order.
+// Fitter is an estimator whose model is fitted from the window, not kept
+// up by its inserts: SPN, whose Draw is its fit. Whoever owns the window
+// hands a due Fitter to Fill before asking it for an estimate.
+type Fitter interface {
+	// FitDue reports whether the model must be fitted before its next
+	// estimate: it never was, or enough inserts have come since it was.
+	FitDue() bool
+}
+
+// Fill seeds a freshly wiped estimator, or fits a due Fitter, from the
+// window store and reports whether it drew and how many objects it read: a
+// Sampler draws its sample, FFN, whose Insert does nothing, reads nothing,
+// and anything else has every live object replayed into it in arrival
+// order.
 func Fill(e Estimator, w *stream.Window) (drawn bool, objects int) {
 	switch e := e.(type) {
 	case Sampler:
@@ -39,9 +51,9 @@ func Fill(e Estimator, w *stream.Window) (drawn bool, objects int) {
 	return false, w.Size()
 }
 
-// drawTarget is what draw needs of a sampler beside its reservoir: room
-// for the m samples it is about to keep, a way to keep one, and a hook
-// that runs once the sample is complete.
+// drawTarget is what draw needs of a sampler beside its sample size,
+// counter and generator: room for the m samples it is about to keep, a way
+// to keep one, and a hook that runs once the sample is complete.
 type drawTarget interface {
 	Reset()
 	reserve(m int)
@@ -57,11 +69,10 @@ var bitmapPool = sync.Pool{New: func() any { return new([]uint64) }}
 // or j itself if t is taken already. That is exactly k bounded draws and a
 // uniform k-subset; the bitmap then hands the chosen objects over in
 // arrival order, which reads the arena front to back.
-func draw(s drawTarget, r *reservoir, w *stream.Window) int {
+func draw(s drawTarget, k int, counter *WindowCounter, rng *rand.Rand, w *stream.Window) int {
 	s.Reset()
-	k := r.capacity
 	n := w.Size()
-	r.counter.addSorted(n, w.TimestampAt)
+	counter.addSorted(n, w.TimestampAt)
 	if n == 0 {
 		return 0
 	}
@@ -83,7 +94,7 @@ func draw(s drawTarget, r *reservoir, w *stream.Window) int {
 	chosen := (*bp)[:words]
 	clear(chosen)
 	for j := n - k; j < n; j++ {
-		t := r.rng.IntN(j + 1)
+		t := rng.IntN(j + 1)
 		if chosen[t>>6]&(1<<(t&63)) != 0 {
 			t = j
 		}
@@ -101,14 +112,12 @@ func draw(s drawTarget, r *reservoir, w *stream.Window) int {
 }
 
 // Draw implements Sampler.
-func (r *ReservoirList) Draw(w *stream.Window) int { return draw(r, &r.reservoir, w) }
+func (r *ReservoirList) Draw(w *stream.Window) int { return draw(r, r.capacity, r.counter, r.rng, w) }
 
 // Draw implements Sampler.
-func (r *ReservoirHashmap) Draw(w *stream.Window) int { return draw(r, &r.reservoir, w) }
-
-// Draw implements Sampler. The drawn sample becomes the training set of
-// one retrain, which the next Estimate fits.
-func (s *SPNEstimator) Draw(w *stream.Window) int { return draw(s, &s.reservoir, w) }
+func (r *ReservoirHashmap) Draw(w *stream.Window) int {
+	return draw(r, r.capacity, r.counter, r.rng, w)
+}
 
 func (r *reservoir) keep(o *stream.Object) { r.add(o.Timestamp, r.lat.Snap(o.Loc), o.Keywords) }
 
@@ -141,10 +150,4 @@ func (r *ReservoirHashmap) kept(now int64) {
 	for j := range int32(len(r.links)) {
 		r.buckets.set(r.cellOf(j), int(r.link(j)), uint32(j))
 	}
-}
-
-// kept posts the drawn sample and retrains on it.
-func (s *SPNEstimator) kept(now int64) {
-	s.reservoir.kept(now)
-	s.retrain(now)
 }

@@ -1,8 +1,6 @@
 package estimator
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -10,7 +8,6 @@ import (
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/metrics"
-	"github.com/spatiotext/latest/internal/persist"
 	"github.com/spatiotext/latest/internal/stream"
 )
 
@@ -178,20 +175,25 @@ func TestSPNEstimatorSpatial(t *testing.T) {
 	s := NewSPN(p)
 	w := stream.NewWindow(geo.UnitSquare, p.Span, 1024)
 	ts := feedBoth(t, s, w, 20000, 61)
+	if !s.FitDue() {
+		t.Fatal("an SPN never fitted is not due")
+	}
+	s.Draw(w)
 	q := stream.SpatialQ(geo.CenteredRect(geo.Pt(0.3, 0.3), 0.3, 0.3), ts)
 	actual := float64(w.Answer(&q))
 	est := s.Estimate(&q)
 	if acc := metrics.Accuracy(est, actual); acc < 0.5 {
 		t.Errorf("SPN spatial estimate %v vs %v (acc %.3f)", est, actual, acc)
 	}
-	if s.Retrains() == 0 {
-		t.Error("SPN never retrained over 20k inserts")
+	if s.Retrains() != 1 || s.FitDue() {
+		t.Errorf("%d fits, due %v after a draw", s.Retrains(), s.FitDue())
 	}
 }
 
 func TestSPNEstimatorKeyword(t *testing.T) {
 	p := testParams()
 	s := NewSPN(p)
+	w := stream.NewWindow(p.World, p.Span, 1024)
 	ts := int64(0)
 	for i := 0; i < 10000; i++ {
 		ts++
@@ -201,7 +203,9 @@ func TestSPNEstimatorKeyword(t *testing.T) {
 		}
 		o := stream.Object{Loc: geo.Pt(0.5, 0.5), Keywords: []string{kw}, Timestamp: ts}
 		s.Insert(&o)
+		w.Insert(o)
 	}
+	s.Draw(w)
 	q := stream.KeywordQ([]string{"rare"}, ts)
 	got := s.Estimate(&q)
 	want := 2000.0 // 20% of window
@@ -210,22 +214,42 @@ func TestSPNEstimatorKeyword(t *testing.T) {
 	}
 }
 
+// TestSPNEstimatorUntrainedWithSamplesTrainsLazily: an SPN that has counted
+// fewer inserts than its refit interval but was never fitted answers 0 and
+// is due, and the draw its owner then runs fits it; after that it is due
+// again only once the interval has passed.
 func TestSPNEstimatorUntrainedWithSamplesTrainsLazily(t *testing.T) {
 	p := testParams()
 	s := NewSPN(p)
+	w := stream.NewWindow(p.World, p.Span, 1024)
 	rng := rand.New(rand.NewSource(3))
 	ts := int64(0)
-	// Fewer inserts than the retrain interval: first Estimate triggers a
-	// lazy train.
 	for i := 0; i < 500; i++ {
 		ts++
 		o := genObject(rng, uint64(i), ts)
 		s.Insert(&o)
+		w.Insert(o)
 	}
 	q := stream.SpatialQ(geo.UnitSquare, ts)
-	got := s.Estimate(&q)
-	if got < 250 || got > 1000 {
-		t.Errorf("lazy-trained whole-world estimate = %v, want ~500", got)
+	if got := s.Estimate(&q); got != 0 || !s.FitDue() {
+		t.Fatalf("never fitted: estimate %v, due %v; want 0 and due", got, s.FitDue())
+	}
+	if n := s.Draw(w); n != 500 {
+		t.Fatalf("the fit drew %d objects, want all 500", n)
+	}
+	if got := s.Estimate(&q); got < 250 || got > 1000 {
+		t.Errorf("fitted whole-world estimate = %v, want ~500", got)
+	}
+	for i := 0; i < defaultSPNRetrain; i++ {
+		if s.FitDue() {
+			t.Fatalf("due after %d inserts, want %d", i, defaultSPNRetrain)
+		}
+		ts++
+		o := genObject(rng, uint64(500+i), ts)
+		s.Insert(&o)
+	}
+	if !s.FitDue() {
+		t.Errorf("not due after %d inserts", defaultSPNRetrain)
 	}
 }
 
@@ -243,100 +267,5 @@ func TestSPNEstimatorReset(t *testing.T) {
 	q := stream.SpatialQ(geo.UnitSquare, ts)
 	if got := s.Estimate(&q); got != 0 {
 		t.Errorf("post-Reset estimate = %v", got)
-	}
-}
-
-// TestSPNSkipsUnreadRetrains: retrains that come due with no estimate in
-// between build their training sets but fit no model; the first estimate
-// fits the last set.
-func TestSPNSkipsUnreadRetrains(t *testing.T) {
-	s := NewSPN(testParams())
-	rng := rand.New(rand.NewSource(5))
-	ts := int64(0)
-	for i := 0; i < 10*defaultSPNRetrain; i++ {
-		ts++
-		o := genObject(rng, uint64(i), ts)
-		s.Insert(&o)
-	}
-	if s.Retrains() != 10 {
-		t.Fatalf("Retrains = %d, want 10", s.Retrains())
-	}
-	if s.net.Trained() {
-		t.Fatal("a model no estimate read was trained")
-	}
-	q := stream.SpatialQ(geo.UnitSquare, ts)
-	if got := s.Estimate(&q); got == 0 || !s.net.Trained() {
-		t.Fatalf("estimate %v, trained %v: the estimate must fit the pending set", got, s.net.Trained())
-	}
-}
-
-// TestSPNDifferential drives the SPN beside a twin that fits every retrain
-// as it comes due, through random interleavings of Insert, Estimate, Reset,
-// SaveState and LoadState (of an image saved earlier), in stretches with
-// and without estimates so that saves and loads meet pending sets: equal
-// estimates to the bit, equal retrain counts and equal images.
-func TestSPNDifferential(t *testing.T) {
-	for seed := int64(1); seed <= 2; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := Params{World: geo.UnitSquare, Span: 2000, Scale: 0.05, Seed: seed}
-		lazy, eager := NewSPN(p), NewSPN(p)
-		lazy.retrainEvery, eager.retrainEvery = 97, 97
-		var saved []byte
-		ts := int64(0)
-		var savedPending, loadedPending int
-		for step := 0; step < 6000; step++ {
-			stage := fmt.Sprintf("seed %d step %d", seed, step)
-			op := rng.Intn(200)
-			if quiet := step/400%2 == 1; quiet && op >= 170 && op < 194 {
-				op = 0 // no estimates in a quiet stretch
-			}
-			switch {
-			case op < 170:
-				ts += int64(rng.Intn(2))
-				o := genObject(rng, uint64(step), ts)
-				lazy.Insert(&o)
-				eager.Insert(&o)
-				eager.fit()
-			case op < 194:
-				rect := geo.CenteredRect(geo.Pt(rng.Float64(), rng.Float64()), rng.Float64(), rng.Float64())
-				kws := []string{fmt.Sprintf("kw%d", rng.Intn(8))}
-				q := [...]stream.Query{stream.SpatialQ(rect, ts), stream.KeywordQ(kws, ts), stream.HybridQ(rect, kws, ts)}[rng.Intn(3)]
-				if got, want := lazy.Estimate(&q), eager.Estimate(&q); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %v: estimate %v, twin %v", stage, q, got, want)
-				}
-			case op < 195:
-				lazy.Reset()
-				eager.Reset()
-			case op < 198:
-				if lazy.stale {
-					savedPending++
-				}
-				var got, want persist.Enc
-				lazy.SaveState(&got)
-				eager.SaveState(&want)
-				if !bytes.Equal(got.Data(), want.Data()) {
-					t.Fatalf("%s: image differs from the twin's", stage)
-				}
-				saved = got.Data()
-			default:
-				if saved == nil {
-					continue
-				}
-				if lazy.stale {
-					loadedPending++
-				}
-				for _, s := range []*SPNEstimator{lazy, eager} {
-					if err := s.LoadState(persist.NewDec(saved)); err != nil {
-						t.Fatalf("%s: LoadState: %v", stage, err)
-					}
-				}
-			}
-			if lazy.Retrains() != eager.Retrains() {
-				t.Fatalf("%s: %d retrains, twin %d", stage, lazy.Retrains(), eager.Retrains())
-			}
-		}
-		if savedPending == 0 || loadedPending == 0 {
-			t.Errorf("seed %d: %d saves and %d loads met a pending set; both paths must run", seed, savedPending, loadedPending)
-		}
 	}
 }

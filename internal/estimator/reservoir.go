@@ -13,7 +13,7 @@ import (
 // the same ~2% sampling ratio against this repository's synthetic streams.
 const defaultReservoirCapacity = 16384
 
-// reservoir is what RSL, RSH and SPN share: Vitter's Algorithm R over the
+// reservoir is what RSL and RSH share: Vitter's Algorithm R over the
 // sliding window, on a sampleStore. Each arrival replaces a random slot
 // with probability capacity/|window arrivals|, which keeps the samples
 // approximately uniform over the live window; expired samples are purged

@@ -151,9 +151,8 @@ func BenchmarkAASPEstimate(b *testing.B) {
 
 // benchInsertSteady times Insert on a default-size estimator over a full
 // window. In a reservoir about one arrival in seven replaces a sample, and
-// that one pays for the keyword index (in SPN's smaller one, one in 29,
-// with a retrain every 4 096 arrivals); AASP counts every arrival into its
-// tree and retires a slice every 15 000.
+// that one pays for the keyword index; SPN only counts the arrival; AASP
+// counts every arrival into its tree and retires a slice every 15 000.
 func benchInsertSteady(b *testing.B, build func(Params) Estimator) {
 	tw := newTwitterStream()
 	e := build(tw.params())
@@ -181,7 +180,7 @@ func BenchmarkAASPInsertSteady(b *testing.B) {
 
 // BenchmarkDraw times one Draw of each sampler at its default size from a
 // full Twitter window of 120 000 live objects: the pre-fill a switch to it
-// costs.
+// costs, and for SPN also each later refit, as its Draw is its fit.
 func BenchmarkDraw(b *testing.B) {
 	tw := newTwitterStream()
 	w := tw.window()

@@ -94,56 +94,3 @@ func TestReservoirImagesArePinned(t *testing.T) {
 		}
 	}
 }
-
-// pinnedSPNSampleDigest is the SHA-256 digest spnSampleScript produces.
-// It pins the sample SPN trains on — which objects it keeps, in which
-// slots, and where — across changes to how the sample is stored.
-const pinnedSPNSampleDigest = "ae3c0430418a73fc25943ea9684e79f61828a6664b3bcd411118a6eb8f899e0f"
-
-// spnSampleScript draws a default-size SPN from a full Twitter window and
-// hashes its samples in slot order: timestamp, lattice point and keywords.
-// It hashes them again after 30 000 more objects have streamed in (seven
-// retrains), and after a Save→Load into a fresh SPN.
-func spnSampleScript(t *testing.T) string {
-	ps := newTwitterStream()
-	s := NewSPN(ps.params())
-	s.Draw(ps.window())
-	h := sha256.New()
-	hashSPNSamples(h, s)
-	ps.feed(s, 30_000)
-	if s.Retrains() != 8 {
-		t.Fatalf("SPN retrained %d times, want the draw's and seven more", s.Retrains())
-	}
-	hashSPNSamples(h, s)
-	var img persist.Enc
-	s.SaveState(&img)
-	restored := NewSPN(ps.params())
-	if err := restored.LoadState(persist.NewDec(img.Data())); err != nil {
-		t.Fatal(err)
-	}
-	hashSPNSamples(h, restored)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// hashSPNSamples folds s's samples into h in slot order.
-func hashSPNSamples(h hash.Hash, s *SPNEstimator) {
-	binary.Write(h, binary.LittleEndian, uint64(s.Len()))
-	var buf [3]ref
-	for j := range int32(s.Len()) {
-		loc, refs := s.loc[j], s.refsOf(j, &buf)
-		binary.Write(h, binary.LittleEndian, []uint64{uint64(s.tsAt(j)), uint64(loc.X), uint64(loc.Y), uint64(len(refs))})
-		for _, r := range refs {
-			w := s.dict.Word(r.id)
-			binary.Write(h, binary.LittleEndian, uint64(len(w)))
-			h.Write([]byte(w))
-		}
-	}
-}
-
-// TestSPNSampleIsPinned: SPN keeps, slot for slot, the sample it kept
-// when the digest was recorded, before and after a restore.
-func TestSPNSampleIsPinned(t *testing.T) {
-	if got := spnSampleScript(t); got != pinnedSPNSampleDigest {
-		t.Errorf("SPN sample digest %s, pinned %s", got, pinnedSPNSampleDigest)
-	}
-}

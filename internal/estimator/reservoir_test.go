@@ -582,7 +582,7 @@ func heapAlloc() uint64 {
 // had an index (944 KB and 1 322 KB, keyword slices not counted). Once every
 // sample has expired and been purged it reports a fresh reservoir's size,
 // with an empty dictionary. Drawn and churned on every preset, RSL, RSH and
-// SPN, its training set still waiting, report what they hold as closely.
+// SPN, which keeps only its model, report what they hold as closely.
 func TestReservoirMemoryBytesIsTheHeap(t *testing.T) {
 	tw := newTwitterStream() // allocated before the baseline: the vocabulary's strings are the stream's
 	for _, tc := range []struct {
@@ -647,21 +647,23 @@ func drawnAndChurned(ps *presetStream, w *stream.Window, build func(Params) Samp
 	return s
 }
 
-// TestReservoirFootprint: a default-size RSL, RSH or SPN, drawn and
-// churned, costs at most these bytes per retained sample, everything it
-// owns included: slot arrays, bucket links, list runs, dictionary, and
-// SPN's network and the training set that waits for an estimate. Under -v
-// it logs what each part costs.
+// TestReservoirFootprint: a default-size RSL or RSH, drawn and churned,
+// costs at most these bytes per retained sample, everything it owns
+// included: slot arrays, bucket links, list runs and dictionary. SPN, drawn
+// and churned alike, keeps its model and no sample: the network, the
+// arrival counter and the header, at most the bytes its bound allows.
+// Under -v it logs what each part costs.
 func TestReservoirFootprint(t *testing.T) {
-	bounds := map[string][3]float64{ // RSL, RSH, SPN; each its reading plus at most 3 %
-		"Twitter": {40, 47, 109}, // reads 39.0, 46.0 and 106.5
-		"eBird":   {29, 36, 83},  // reads 28.2, 35.2 and 81.5
-		"CheckIn": {33, 40, 96},  // reads 32.1, 39.3 and 94.1
+	bounds := map[string][2]float64{ // RSL, RSH; each its reading plus at most 3 %
+		"Twitter": {40, 47}, // reads 39.0 and 46.0
+		"eBird":   {29, 36}, // reads 28.2 and 35.2
+		"CheckIn": {33, 40}, // reads 32.1 and 39.3
 	}
+	const spnBound = 8800 // reads 8 576 on every preset (436 272 on Twitter while SPN kept a sample)
 	for _, preset := range datagen.Names() {
 		ps := newPresetStream(preset)
 		w := ps.window()
-		for i, sb := range samplerBuilds {
+		for i, sb := range samplerBuilds[:2] {
 			s := drawnAndChurned(ps, w, sb.build)
 			n := s.(interface{ Len() int }).Len()
 			per := float64(s.MemoryBytes()) / float64(n)
@@ -671,21 +673,21 @@ func TestReservoirFootprint(t *testing.T) {
 				t.Errorf("%s %s costs %.1f bytes per sample, want at most %.0f", preset, s.Name(), per, bound)
 			}
 		}
+		s := drawnAndChurned(ps, w, samplerBuilds[2].build).(*SPNEstimator)
+		net, counter := s.net.MemoryBytes(), s.counter.MemoryBytes()
+		t.Logf("%s SPN: %d bytes: network %d, counter %d, header 64", preset, s.MemoryBytes(), net, counter)
+		if s.MemoryBytes() != 64+net+counter || s.MemoryBytes() > spnBound {
+			t.Errorf("%s SPN: MemoryBytes %d, want network %d + counter %d + header 64, at most %d",
+				preset, s.MemoryBytes(), net, counter, spnBound)
+		}
 	}
 }
 
 // logReservoirFootprint logs the bytes per sample of each part of a
-// sampler's MemoryBytes, and fails if the parts do not sum to it.
+// reservoir sampler's MemoryBytes, and fails if the parts do not sum to it.
 func logReservoirFootprint(t *testing.T, e Estimator, n int) {
 	t.Helper()
-	var r *ReservoirHashmap
-	var spn *SPNEstimator
-	switch e := e.(type) {
-	case *ReservoirHashmap:
-		r = e
-	case *SPNEstimator:
-		spn = e
-	}
+	r, _ := e.(*ReservoirHashmap)
 	res := reservoirOf(e.(Sampler))
 	s, fixed := &res.sampleStore, 64+res.counter.MemoryBytes()
 	kw := kwListBytes * (cap(s.kw) + cap(s.kwHi))
@@ -712,11 +714,6 @@ func logReservoirFootprint(t *testing.T, e Estimator, n int) {
 		part{"posting runs", runBytes*cap(s.postings.at) + 4*cap(s.postings.atHi)},
 		part{"dictionary", s.dict.MemoryBytes()},
 		part{"scratch, header and counter", 4*cap(s.qids) + 8*cap(s.seen) + fixed})
-	if spn != nil {
-		parts = append(parts,
-			part{"network", spn.net.MemoryBytes()},
-			part{"pending training set", spn.pendingBytes})
-	}
 	var out []string
 	sum := 0
 	for _, p := range parts {
@@ -734,7 +731,7 @@ func logReservoirFootprint(t *testing.T, e Estimator, n int) {
 func TestReservoirResetReleasesMemory(t *testing.T) {
 	p := testParams()
 	reg := DefaultRegistry()
-	for _, name := range []string{NameRSL, NameRSH, NameSPN} {
+	for _, name := range []string{NameRSL, NameRSH} {
 		build := func() Estimator {
 			e, err := reg.Build(name, p)
 			if err != nil {
@@ -812,11 +809,12 @@ func TestReservoirStateRoundTripRebuildsIndex(t *testing.T) {
 // with thousands of keywords, duplicates, empty strings, bucket positions
 // that collide, any generator state, a malformed SPN model — it returns a
 // typed persist error or leaves a sampler whose index is consistent and
-// which inserts, answers and re-serializes; it does not panic. est picks
-// the sampler: RSL, RSH or SPN (samplerBuilds' order, modulo 3). float
-// reads the bytes as an image of the format whose samples were float64
-// pairs; SPN's images are always of that format. The other seeds are
-// images of the current format, whose samples are lattice points.
+// which inserts, answers and re-serializes; it does not panic. An SPN that
+// restores re-serializes with no sample. est picks the sampler: RSL, RSH
+// or SPN (samplerBuilds' order, modulo 3). float reads the bytes as an
+// image of the format whose samples were float64 pairs, the format of
+// every SPN image that holds samples. The other seeds are images of the
+// current format, whose samples are lattice points.
 func FuzzReservoirLoadState(f *testing.F) {
 	p := Params{World: geo.UnitSquare, Span: 1000, Scale: 0.004, Seed: 3} // 65 samples
 	for est, pair := range reservoirPairs(p) {
@@ -835,8 +833,8 @@ func FuzzReservoirLoadState(f *testing.F) {
 			}
 		}
 	}
-	// SPN images: a full sample and, once a draw has retrained it, a
-	// fitted model.
+	// SPN images: inserts counted and, once a draw has fitted it, a fitted
+	// model.
 	spnEst, w := NewSPN(p), stream.NewWindow(p.World, p.Span, 256)
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 400; i++ {
@@ -850,9 +848,9 @@ func FuzzReservoirLoadState(f *testing.F) {
 		f.Add(img.Data(), uint8(2), false)
 		spnEst.Draw(w)
 	}
-	// An SPN image whose points are off the lattice, as an image written
-	// when SPN kept its samples' float points is.
-	offLattice, _ := offLatticeSPNImage(p, 40)
+	// An SPN image that holds samples, as SPN wrote while it kept one: its
+	// points are floats, off the lattice.
+	offLattice, _ := oldSPNImage(p, 40)
 	f.Add(offLattice, uint8(2), false)
 	// Seeds that restore into each form a store of this capacity can take:
 	// the seeds above are narrow; these hold timestamps 2⁴⁰ ms apart (the
@@ -893,6 +891,10 @@ func FuzzReservoirLoadState(f *testing.F) {
 			f.Add(img, uint8(est), false)
 		}
 	}
+	// An SPN image of the old layout with a full sample, repeated and empty
+	// keywords among them.
+	full, _ := oldSPNImage(p, NewSPN(p).k)
+	f.Add(full, uint8(2), false)
 	f.Fuzz(func(t *testing.T, data []byte, est uint8, float bool) {
 		var e Estimator = samplerBuilds[est%3].build(p)
 		load := e.(Stateful).LoadState
@@ -912,6 +914,11 @@ func FuzzReservoirLoadState(f *testing.F) {
 			return
 		}
 		checkReservoirInvariants(t, "loaded", e)
+		if s, ok := e.(*SPNEstimator); ok {
+			if n := spnImageSamples(t, s); n != 0 {
+				t.Fatalf("a restored SPN re-encodes with %d samples", n)
+			}
+		}
 		o := stream.Object{Loc: geo.Pt(0.5, 0.5), Keywords: []string{"dup", "kw1", "dup"}, Timestamp: 100}
 		e.Insert(&o)
 		for _, q := range queryMix(200) {
@@ -924,37 +931,62 @@ func FuzzReservoirLoadState(f *testing.F) {
 	})
 }
 
-// offLatticeSPNImage is the image of an SPN of p that has kept each of n
-// objects at its float point, as SPN did before its samples were lattice
-// points, and the SPN that took the same objects; its capacity must hold
-// them all. The points are off the lattice.
-func offLatticeSPNImage(p Params, n int) ([]byte, *SPNEstimator) {
+// spnImageSamples is the sample count of s's image.
+func spnImageSamples(t *testing.T, s *SPNEstimator) uint32 {
+	var img persist.Enc
+	s.SaveState(&img)
+	d := persist.NewDec(img.Data())
+	d.U64()
+	d.U64()
+	if err := NewWindowCounter(1, len(s.counter.counts)).LoadState(d); err != nil {
+		t.Fatal(err)
+	}
+	return d.U32()
+}
+
+// oldSPNImage is an image of the layout SPN wrote while it kept a sample:
+// the image of an SPN of p fitted to n objects, with those n objects as
+// its sample at their float points, which are off the lattice. The SPN is
+// returned with it; n must not exceed its sample size.
+func oldSPNImage(p Params, n int) ([]byte, *SPNEstimator) {
 	s := NewSPN(p)
+	w := stream.NewWindow(p.World, p.Span, 256)
 	objs := make([]stream.Object, n)
 	for i := range objs {
-		objs[i] = stream.Object{Loc: geo.Pt(0.1+float64(i)/3/float64(n), 1/3.0), Keywords: []string{"a", "b", "a"}, Timestamp: int64(i)}
+		kws := []string{"a", "b", "a"}
+		if i%7 == 0 {
+			kws = []string{"", "dup", "dup"}
+		}
+		objs[i] = stream.Object{Loc: geo.Pt(0.1+float64(i)/3/float64(n), 1/3.0), Keywords: kws, Timestamp: int64(i)}
+		w.Insert(objs[i])
+	}
+	s.Draw(w)
+	for i := range objs[:n/2] {
 		s.Insert(&objs[i])
 	}
 	var e persist.Enc
-	s.saveHeader(&e)
+	saveRNG(&e, s.src)
+	s.counter.SaveState(&e)
+	e.U32(uint32(n))
 	for _, o := range objs {
 		e.F64(o.Loc.X)
 		e.F64(o.Loc.Y)
 		e.I64(o.Timestamp)
 		e.Strs(o.Keywords)
 	}
-	e.Int(s.sinceRetrain)
+	e.Int(s.inserts)
 	e.Int(s.retrains)
 	s.net.SaveState(&e)
 	return e.Data(), s
 }
 
-// TestSPNRestoresFloatPoints: an image whose points are off the lattice
-// restores each onto the lattice point Insert would have kept, so the
-// restored SPN writes the image of the SPN that took the objects.
+// TestSPNRestoresFloatPoints: an image of the layout SPN wrote while it
+// kept a sample, its points off the lattice, restores with its sample read
+// and dropped and everything else kept: the restored SPN writes the image
+// of the SPN that wrote it, and answers as it does.
 func TestSPNRestoresFloatPoints(t *testing.T) {
 	p := Params{World: geo.UnitSquare, Span: 1000, Scale: 0.004, Seed: 3}
-	img, orig := offLatticeSPNImage(p, 40)
+	img, orig := oldSPNImage(p, 40)
 	restored := NewSPN(p)
 	if err := restored.LoadState(persist.NewDec(img)); err != nil {
 		t.Fatal(err)
@@ -962,10 +994,16 @@ func TestSPNRestoresFloatPoints(t *testing.T) {
 	var got, want persist.Enc
 	restored.SaveState(&got)
 	orig.SaveState(&want)
-	if bytes.Equal(img, want.Data()) {
-		t.Fatal("the float image's points are on the lattice")
-	}
 	if !bytes.Equal(got.Data(), want.Data()) {
-		t.Error("the restored SPN's image is not that of the SPN that took the objects")
+		t.Error("the restored SPN's image is not that of the SPN that wrote the old one")
+	}
+	if !restored.net.Trained() || restored.FitDue() != orig.FitDue() {
+		t.Errorf("restored: trained %v, due %v; the original is due %v", restored.net.Trained(), restored.FitDue(), orig.FitDue())
+	}
+	for _, q := range queryMix(40) {
+		q := q
+		if a, b := orig.Estimate(&q), restored.Estimate(&q); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%v: original %v, restored %v", q, a, b)
+		}
 	}
 }

@@ -553,18 +553,11 @@ func (s *sampleStore) carriesAny(j int32) bool {
 	return false
 }
 
-// save writes slot i's sample: its lattice point or, given the lattice as
-// float, the point it stands for in float64s; its timestamp; and its
+// save writes slot i's sample: its lattice point, its timestamp and its
 // keywords, these through the dictionary.
-func (s *sampleStore) save(e *persist.Enc, i int32, float *geo.Lattice) {
-	if float != nil {
-		p := float.Unsnap(s.loc[i])
-		e.F64(p.X)
-		e.F64(p.Y)
-	} else {
-		e.U32(s.loc[i].X)
-		e.U32(s.loc[i].Y)
-	}
+func (s *sampleStore) save(e *persist.Enc, i int32) {
+	e.U32(s.loc[i].X)
+	e.U32(s.loc[i].Y)
 	e.I64(s.tsAt(i))
 	var buf [3]ref
 	refs := s.refsOf(i, &buf)

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/kmv"
@@ -14,49 +15,44 @@ const (
 	defaultSPNComponents = 8
 	defaultSPNBins       = 32
 	defaultSPNKwBuckets  = 64
-	defaultSPNSampleCap  = 4096
-	defaultSPNRetrain    = 4096 // inserts between full retrains
+	defaultSPNSampleCap  = 4096 // objects a fit draws
+	defaultSPNRetrain    = 4096 // inserts between fits
 )
 
-// SPNEstimator is the data-driven sum-product network baseline: it keeps a
-// windowed reservoir of raw objects and periodically retrains an SPN over
-// it, answering queries as model probability × windowed arrival count. The
-// periodic full retrain is the paper's core criticism of data-driven models
-// on streams ("very high computational intensity to update the model with
-// high-velocity data") and dominates this estimator's maintenance cost.
-// The reservoir is the one RSL and RSH sample with, under SPN's own seed
-// and capacity.
+// SPNEstimator is the data-driven sum-product network baseline: a model of
+// the window fitted to a uniform sample of it, answering queries as model
+// probability × windowed arrival count. The periodic full refit is the
+// paper's core criticism of data-driven models on streams ("very high
+// computational intensity to update the model with high-velocity data")
+// and dominates this estimator's maintenance cost.
 //
-// A due retrain purges the reservoir and builds its training set, but fits
-// the model at once only if an estimate has run since the previous retrain.
-// Otherwise the set waits in pending for the next Estimate or SaveState,
-// and a newer retrain replaces it unread, so a stretch with no queries (the
-// fill before pre-training, a pre-fill's replay) fits one model, not one
-// per retrain. Training is a pure function of the set, so answers and
-// images are unchanged; the read check keeps the fit out of the estimate
-// latency of an estimator that is being queried, which the switch learns
-// from unless a latency model replaces the wall clock.
+// SPN keeps a model, not a sample. Insert only counts. A fit is due once
+// retrainEvery inserts have come since the last one, or while the model
+// has never been fitted (FitDue); Draw is the fit: it draws the sample from
+// the window, fits the network to it and drops it. Whoever owns the window
+// draws a due SPN before asking it for an estimate (core.Config.Refill),
+// so only an estimate that needs a fit causes one, and the fit is not part
+// of the estimate's latency. An SPN nobody draws keeps its last model and
+// answers 0 before its first.
 type SPNEstimator struct {
-	reservoir
-	world geo.Rect
-	net   *spn.Network
+	world   geo.Rect
+	net     *spn.Network
+	counter *WindowCounter
+	k       int // objects a fit draws
+	src     *rand.PCG
+	rng     *rand.Rand
 
-	sinceRetrain int
+	inserts      int // since the last fit
 	retrainEvery int
 	retrains     int
-
-	pending      []spn.Sample // training set of the last retrain; valid when stale
-	pendingBytes int          // what pending holds, its keyword buckets included
-	stale        bool         // the model has not been fitted to pending yet
-	read         bool         // an estimate has run since the last retrain
 }
 
 // NewSPN builds the estimator; p.Scale multiplies the component count and
-// sample capacity.
+// the fit's sample size.
 func NewSPN(p Params) *SPNEstimator {
+	src, rng := newRand(p.Seed + 0x53504E)
 	return &SPNEstimator{
-		reservoir: newReservoir(p, 0x53504E, p.scaledInt(defaultSPNSampleCap, 64)),
-		world:     p.World,
+		world: p.World,
 		net: spn.New(spn.Config{
 			Components: p.scaledInt(defaultSPNComponents, 2),
 			XBins:      p.scaledInt(defaultSPNBins, 8),
@@ -64,6 +60,10 @@ func NewSPN(p Params) *SPNEstimator {
 			KwBuckets:  defaultSPNKwBuckets,
 			Seed:       p.Seed + 0x53504E,
 		}),
+		counter:      NewWindowCounter(p.Span, defaultHistSlices),
+		k:            p.scaledInt(defaultSPNSampleCap, 64),
+		src:          src,
+		rng:          rng,
 		retrainEvery: defaultSPNRetrain,
 	}
 }
@@ -71,69 +71,55 @@ func NewSPN(p Params) *SPNEstimator {
 // Name implements Estimator.
 func (s *SPNEstimator) Name() string { return NameSPN }
 
-// Retrains returns how many full model rebuilds have come due, a cost the
-// ablation benchmarks report.
+// Retrains returns how many fits have run, a cost the ablation benchmarks
+// report.
 func (s *SPNEstimator) Retrains() int { return s.retrains }
 
-// Insert implements Estimator: windowed reservoir sampling plus periodic
-// retraining.
+// Insert implements Estimator: it counts the arrival.
 func (s *SPNEstimator) Insert(o *stream.Object) {
-	if j := s.admit(o.Timestamp); j >= 0 {
-		s.put(j, o.Timestamp, s.lat.Snap(o.Loc), o.Keywords, s.capacity)
-	}
-	s.sinceRetrain++
-	if s.sinceRetrain >= s.retrainEvery {
-		s.retrain(o.Timestamp)
-		if s.read {
-			s.fit()
-		}
-		s.read = false
-	}
+	s.counter.Add(o.Timestamp)
+	s.inserts++
 }
 
-// retrain purges expired samples and makes the survivors the training set
-// the model is next fitted to: each point where its lattice point stands,
-// normalised to the world, and each keyword's bucket, from the hash its
-// dictionary entry carries. The buckets share one array.
-func (s *SPNEstimator) retrain(now int64) {
-	s.purge(now - s.span)
-	var buf [3]ref
-	words := 0
-	for j := range int32(len(s.ts)) {
-		words += len(s.refsOf(j, &buf))
-	}
-	train, kwb := make([]spn.Sample, len(s.ts)), make([]int, words)
-	for j := range train {
-		p := s.lat.Unsnap(s.loc[j])
-		train[j] = spn.Sample{
-			X: (p.X - s.world.MinX) / s.world.Width(),
-			Y: (p.Y - s.world.MinY) / s.world.Height(),
-		}
-		refs := s.refsOf(int32(j), &buf)
-		if len(refs) == 0 {
-			continue
-		}
-		b := kwb[:len(refs):len(refs)]
-		for i, r := range refs {
-			b[i] = int(s.dict.Hash(r.id) % defaultSPNKwBuckets)
-		}
-		train[j].KwB, kwb = b, kwb[len(refs):]
-	}
-	s.pending, s.stale = train, true
-	s.pendingBytes = spnSampleBytes*cap(train) + 8*words
-	s.sinceRetrain = 0
-	s.retrains++
+// FitDue implements Fitter.
+func (s *SPNEstimator) FitDue() bool { return !s.net.Trained() || s.inserts >= s.retrainEvery }
+
+// Draw implements Sampler, and is SPN's one fit: the counter recounted from
+// w, k objects drawn from it, the network fitted to them and the training
+// set dropped.
+func (s *SPNEstimator) Draw(w *stream.Window) int {
+	return draw(&spnFit{SPNEstimator: s}, s.k, s.counter, s.rng, w)
 }
 
-// spnSampleBytes is what a training sample costs in its array.
-const spnSampleBytes = 40
+// spnFit is the training set of one fit, which a draw builds.
+type spnFit struct {
+	*SPNEstimator
+	train []spn.Sample
+	kwb   []int // the samples' keyword buckets, in one array
+}
 
-// fit trains the model on the pending set, if one is waiting.
-func (s *SPNEstimator) fit() {
-	if s.stale {
-		s.net.Train(s.pending)
-		s.pending, s.pendingBytes, s.stale = nil, 0, false
+func (f *spnFit) reserve(m int) { f.train = make([]spn.Sample, 0, m) }
+
+// keep adds a drawn object to the training set: its point normalised to the
+// world, and each keyword's hash bucket.
+func (f *spnFit) keep(o *stream.Object) {
+	x := spn.Sample{
+		X: (o.Loc.X - f.world.MinX) / f.world.Width(),
+		Y: (o.Loc.Y - f.world.MinY) / f.world.Height(),
 	}
+	if n := len(f.kwb); len(o.Keywords) > 0 {
+		for _, kw := range o.Keywords {
+			f.kwb = append(f.kwb, int(kmv.Hash64(kw)%defaultSPNKwBuckets))
+		}
+		x.KwB = f.kwb[n:len(f.kwb):len(f.kwb)]
+	}
+	f.train = append(f.train, x)
+}
+
+// kept fits the network to the training set.
+func (f *spnFit) kept(int64) {
+	f.net.Train(f.train)
+	f.retrains++
 }
 
 func (s *SPNEstimator) kwBuckets(kws []string) []int {
@@ -149,17 +135,8 @@ func (s *SPNEstimator) kwBuckets(kws []string) []int {
 
 // Estimate implements Estimator.
 func (s *SPNEstimator) Estimate(q *stream.Query) float64 {
-	s.read = true
-	s.fit()
 	if !s.net.Trained() {
-		// Before the first retrain the model is a uniform prior; force an
-		// early train if we already have samples so pre-training queries
-		// get real answers.
-		if len(s.ts) == 0 {
-			return 0
-		}
-		s.retrain(q.Timestamp)
-		s.fit()
+		return 0
 	}
 	rq := spn.RangeQuery{KwB: s.kwBuckets(q.Keywords)}
 	if q.HasRange {
@@ -172,23 +149,24 @@ func (s *SPNEstimator) Estimate(q *stream.Query) float64 {
 	return s.net.Prob(rq) * s.counter.Live(q.Timestamp)
 }
 
-// Reset implements Estimator. The store is released, not truncated, for
-// the reason ReservoirList.Reset gives.
+// Observe implements Estimator; SPN learns from the data, not from
+// feedback.
+func (s *SPNEstimator) Observe(q *stream.Query, actual float64) {}
+
+// Reset implements Estimator. The generator is not reset.
 func (s *SPNEstimator) Reset() {
-	s.sampleStore = sampleStore{}
 	s.counter.Reset()
 	s.net.Train(nil)
-	s.sinceRetrain = 0
-	s.pending, s.pendingBytes, s.stale, s.read = nil, 0, false, false
+	s.inserts = 0
 }
 
-// MemoryBytes implements Estimator: the store, the arrival counter, the
-// network and a training set that waits to be fitted.
+// MemoryBytes implements Estimator: the network, the arrival counter and
+// the header.
 func (s *SPNEstimator) MemoryBytes() int {
-	return 64 + s.memoryBytes() + s.counter.MemoryBytes() + s.net.MemoryBytes() + s.pendingBytes
+	return 64 + s.counter.MemoryBytes() + s.net.MemoryBytes()
 }
 
 // String summarizes state for diagnostics.
 func (s *SPNEstimator) String() string {
-	return fmt.Sprintf("SPN{samples=%d retrains=%d %v}", s.Len(), s.retrains, s.net)
+	return fmt.Sprintf("SPN{retrains=%d %v}", s.retrains, s.net)
 }

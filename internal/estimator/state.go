@@ -198,7 +198,7 @@ func (h *Histogram) LoadState(d *persist.Dec) error {
 	return nil
 }
 
-// --- RSL, RSH and SPN ---
+// --- RSL and RSH ---
 
 // saveHeader writes what every reservoir image starts with: the RNG
 // state, the arrival counter and the sample count.
@@ -217,8 +217,9 @@ type reservoirImage struct {
 // loadSamples reads a reservoir image into a new store, built in bulk as a
 // draw builds one: the samples go in, then the posting lists are cut once.
 // float says the image is of the format whose points are float64 pairs,
-// which are snapped; the current format's are lattice points, which must
-// lie on the lattice. each, if not nil, runs after every sample for what a
+// which are snapped: RSL's and RSH's older images and every SPN image that
+// holds samples. The current format's are lattice points, which must lie
+// on the lattice. each, if not nil, runs after every sample for what a
 // reservoir stores beside it. Only the arrival counter has changed when it
 // returns; install does the rest.
 func (r *reservoir) loadSamples(d *persist.Dec, op string, float bool, each func(st *sampleStore, j int32)) (im reservoirImage, err error) {
@@ -267,7 +268,7 @@ func (r *reservoir) install(im reservoirImage) {
 func (r *ReservoirList) SaveState(e *persist.Enc) {
 	r.saveHeader(e)
 	for i := range r.ts {
-		r.save(e, int32(i), nil)
+		r.save(e, int32(i))
 	}
 }
 
@@ -292,7 +293,7 @@ func (r *ReservoirList) load(d *persist.Dec, float bool) error {
 func (r *ReservoirHashmap) SaveState(e *persist.Enc) {
 	r.saveHeader(e)
 	for i := range int32(len(r.ts)) {
-		r.save(e, i, nil)
+		r.save(e, i)
 		e.U32(r.link(i))
 	}
 }
@@ -419,28 +420,27 @@ func (f *FFN) LoadState(d *persist.Dec) error {
 
 // --- SPN ---
 
-// SaveState implements Stateful. A pending training set is fitted first, so
-// the image holds the model an estimate would read. The samples are in the
-// float format, each lattice point written as the point it stands for.
+// SaveState implements Stateful. The image keeps the layout of one written
+// while SPN kept its sample — generator, counter, sample count, insert and
+// fit counts, network — with a sample count of 0.
 func (s *SPNEstimator) SaveState(e *persist.Enc) {
-	s.fit()
-	s.saveHeader(e)
-	for i := range int32(len(s.ts)) {
-		s.save(e, i, &s.lat)
-	}
-	e.Int(s.sinceRetrain)
+	saveRNG(e, s.src)
+	s.counter.SaveState(e)
+	e.U32(0)
+	e.Int(s.inserts)
 	e.Int(s.retrains)
 	s.net.SaveState(e)
 }
 
-// LoadState implements Stateful. The samples are read as a reservoir of the
-// float format reads them.
+// LoadState implements Stateful. The samples of an older image are read
+// as a reservoir of the float format reads them, and dropped.
 func (s *SPNEstimator) LoadState(d *persist.Dec) error {
-	im, err := s.loadSamples(d, "spn", true, nil)
+	old := reservoir{lat: geo.NewLattice(s.world), capacity: s.k, counter: s.counter}
+	im, err := old.loadSamples(d, "spn", true, nil)
 	if err != nil {
 		return err
 	}
-	sinceRetrain := d.Int()
+	inserts := d.Int()
 	retrains := d.Int()
 	if d.Err() != nil {
 		return d.Err()
@@ -448,8 +448,7 @@ func (s *SPNEstimator) LoadState(d *persist.Dec) error {
 	if err := s.net.LoadState(d); err != nil {
 		return err
 	}
-	s.install(im)
-	s.sinceRetrain, s.retrains = sinceRetrain, retrains
-	s.pending, s.pendingBytes, s.stale, s.read = nil, 0, false, false
+	s.src.Seed(im.rngHi, im.rngLo)
+	s.inserts, s.retrains = inserts, retrains
 	return nil
 }

@@ -54,3 +54,14 @@ start_daemon() { # addr-file out err [latestd flags...]
         >"$out" 2>"$err" &
     echo $!
 }
+
+# export_rev exports the tree of the commit rev names into dir, which it
+# creates, and prints the commit's hash. git archive, not a worktree: it
+# leaves nothing in the repository's .git, even when the caller is killed.
+export_rev() { # repo rev dir
+    local rev
+    rev="$(git -C "$1" rev-parse --verify "$2^{commit}")" || return 1
+    mkdir -p "$3"
+    git -C "$1" archive "$rev" | tar -x -C "$3"
+    echo "$rev"
+}

@@ -135,14 +135,18 @@ func newShard(cfg config) (*shard, error) {
 	return sh, nil
 }
 
-// refill seeds a freshly wiped estimator from the window store, under the
-// shard lock the query that asked for it already holds: a sampler draws
-// its sample, anything else has the window replayed into it. A pre-fill is
-// counted, with the objects it read, by how it ran; the fill that ends
-// warm-up is not a pre-fill.
+// refill seeds an estimator from the window store, under the shard lock
+// the query that asked for it already holds: a sampler draws its sample,
+// anything else has the window replayed into it. A pre-fill is counted,
+// with the objects it read, by how it ran. Only an estimator that is not
+// yet serving is pre-filled: not the fill that ends warm-up, and not the
+// refit of a due model (estimator.Fitter), which serves already — every
+// estimator does in pre-training, afterwards the active one and the
+// warming candidate.
 func (sh *shard) refill(e estimator.Estimator) {
 	drawn, objects := estimator.Fill(e, sh.window)
-	if sh.module.Phase() != core.PhaseWarmup {
+	m := sh.module
+	if m.Phase() == core.PhaseIncremental && e.Name() != m.ActiveName() && e.Name() != m.PrefillingName() {
 		sh.gauges.RecordPrefill(drawn, objects)
 	}
 }
