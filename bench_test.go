@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"github.com/spatiotext/latest/internal/asptree"
-	"github.com/spatiotext/latest/internal/core"
 	"github.com/spatiotext/latest/internal/datagen"
 	"github.com/spatiotext/latest/internal/estimator"
 	"github.com/spatiotext/latest/internal/experiments"
@@ -189,119 +188,6 @@ func BenchmarkAblationBeta(b *testing.B) {
 				acc = res.(*experiments.TimelineResult).ModuleAccuracy
 			}
 			b.ReportMetric(acc, "module-accuracy")
-		})
-	}
-}
-
-// BenchmarkAblationOpportunity compares the adaptor with and without the
-// proactive opportunity trigger (DESIGN.md §4.5): without it, switches
-// happen only on τ violations, so a strictly faster equal-accuracy
-// estimator is never adopted (the paper's Fig. 5 scenario).
-func BenchmarkAblationOpportunity(b *testing.B) {
-	run := func(b *testing.B, margin float64) (switches int) {
-		world := geo.UnitSquare
-		oracle := stream.NewWindow(world, 10_000, 1024)
-		m, err := core.New(core.Config{
-			World: world, Span: 10_000,
-			Estimators:        []string{estimator.NameH4096, estimator.NameRSH},
-			Default:           estimator.NameRSH,
-			PretrainQueries:   150,
-			AccWindow:         60,
-			OpportunityMargin: margin,
-			Seed:              1,
-			Refill:            func(e estimator.Estimator) { estimator.Fill(e, oracle) },
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(9))
-		ts := int64(0)
-		feed := func(n int) {
-			for j := 0; j < n; j++ {
-				ts++
-				o := stream.Object{ID: uint64(ts), Loc: geo.Pt(rng.Float64(), rng.Float64()), Timestamp: ts}
-				oracle.Insert(o)
-				m.Insert(&o)
-			}
-		}
-		feed(10_000)
-		for q := 0; q < 900; q++ {
-			feed(15)
-			// Pure spatial workload: H4096 dominates RSH on latency at
-			// equal accuracy, the opportunity trigger's home turf.
-			qu := stream.SpatialQ(geo.CenteredRect(geo.Pt(rng.Float64(), rng.Float64()), 0.2, 0.2), ts)
-			m.Estimate(&qu)
-			m.Observe(float64(oracle.Answer(&qu)))
-		}
-		return len(m.Switches())
-	}
-	b.Run("enabled", func(b *testing.B) {
-		var s int
-		for i := 0; i < b.N; i++ {
-			s = run(b, 0) // 0 = default margin
-		}
-		b.ReportMetric(float64(s), "switches")
-	})
-	b.Run("disabled", func(b *testing.B) {
-		var s int
-		for i := 0; i < b.N; i++ {
-			s = run(b, -1)
-		}
-		b.ReportMetric(float64(s), "switches")
-	})
-}
-
-// BenchmarkAblationCooldown sweeps the anti-flapping cooldown
-// (DESIGN.md §4.5): shorter cooldowns react faster but can thrash.
-func BenchmarkAblationCooldown(b *testing.B) {
-	for _, cd := range []int{10, 50, 200} {
-		b.Run(fmt.Sprintf("cooldown=%d", cd), func(b *testing.B) {
-			var switches int
-			for i := 0; i < b.N; i++ {
-				world := geo.UnitSquare
-				oracle := stream.NewWindow(world, 10_000, 1024)
-				m, err := core.New(core.Config{
-					World: world, Span: 10_000,
-					Estimators:      []string{estimator.NameH4096, estimator.NameRSL, estimator.NameRSH},
-					Default:         estimator.NameRSH,
-					PretrainQueries: 150,
-					AccWindow:       60,
-					CooldownQueries: cd,
-					Seed:            1,
-					Refill:          func(e estimator.Estimator) { estimator.Fill(e, oracle) },
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(4))
-				ts := int64(0)
-				kw := func() []string { return []string{fmt.Sprintf("kw%d", rng.Intn(10))} }
-				feed := func(n int) {
-					for j := 0; j < n; j++ {
-						ts++
-						o := stream.Object{ID: uint64(ts), Loc: geo.Pt(rng.Float64(), rng.Float64()),
-							Keywords: kw(), Timestamp: ts}
-						oracle.Insert(o)
-						m.Insert(&o)
-					}
-				}
-				feed(10_000)
-				// Alternate spatial and keyword regimes every 120 queries
-				// to invite flapping.
-				for q := 0; q < 960; q++ {
-					feed(15)
-					var qu stream.Query
-					if (q/120)%2 == 0 {
-						qu = stream.SpatialQ(geo.CenteredRect(geo.Pt(rng.Float64(), rng.Float64()), 0.15, 0.15), ts)
-					} else {
-						qu = stream.KeywordQ(kw(), ts)
-					}
-					m.Estimate(&qu)
-					m.Observe(float64(oracle.Answer(&qu)))
-				}
-				switches = len(m.Switches())
-			}
-			b.ReportMetric(float64(switches), "switches")
 		})
 	}
 }

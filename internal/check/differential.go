@@ -369,7 +369,7 @@ func diffStats(report *DiffReport, qi int, name string, got *latest.Stats, refNa
 // an addressing detail, not a decision).
 func decisionsEqual(a, b *latest.Decision) bool {
 	if a.QueryIndex != b.QueryIndex || a.Timestamp != b.Timestamp ||
-		a.From != b.From || a.To != b.To || a.Reason != b.Reason ||
+		a.From != b.From || a.To != b.To || a.Reason != b.Reason || a.Picker != b.Picker ||
 		a.AccuracyAvg != b.AccuracyAvg || a.QueryType != b.QueryType ||
 		a.Prefilled != b.Prefilled ||
 		a.Recommended != b.Recommended || a.Confidence != b.Confidence ||

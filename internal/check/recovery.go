@@ -75,8 +75,8 @@ func reportLine(b *strings.Builder, qi int, q *latest.Query, est float64, actual
 func renderDecisions(ds []latest.Decision) string {
 	var trace strings.Builder
 	for i, d := range ds {
-		fmt.Fprintf(&trace, "switch=%02d q=%d ts=%d from=%s to=%s reason=%s prefilled=%t qtype=%s recommended=%s\n",
-			i, d.QueryIndex, d.Timestamp, d.From, d.To, d.Reason, d.Prefilled, d.QueryType, d.Recommended)
+		fmt.Fprintf(&trace, "switch=%02d q=%d ts=%d from=%s to=%s reason=%s picker=%s prefilled=%t qtype=%s recommended=%s\n",
+			i, d.QueryIndex, d.Timestamp, d.From, d.To, d.Reason, d.Picker, d.Prefilled, d.QueryType, d.Recommended)
 	}
 	return trace.String()
 }

@@ -61,18 +61,6 @@ type Config struct {
 	// PretrainQueries is the length of the pre-training phase in queries.
 	// Default DefaultPretrainQueries.
 	PretrainQueries int
-	// CooldownQueries is the minimum number of queries between switches,
-	// letting the fresh estimator populate the accuracy window. Default
-	// AccWindow/2.
-	CooldownQueries int
-	// OpportunityMargin enables proactive switches to a strictly better
-	// estimator even while the active one's accuracy is above τ (the
-	// paper's Fig. 5/8 switches: RSH accuracy was fine, but H4096 offered
-	// the same accuracy at a fraction of the latency). The switch fires
-	// after the α-weighted profile score of the best estimator has
-	// exceeded the active one's by this margin for half an accuracy
-	// window. Default 0.15; negative disables.
-	OpportunityMargin float64
 	// Scale is the estimator memory budget multiplier (Fig. 13).
 	Scale float64
 	// Seed drives estimator-internal randomness.
@@ -141,12 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PretrainQueries == 0 {
 		c.PretrainQueries = DefaultPretrainQueries
-	}
-	if c.CooldownQueries == 0 {
-		c.CooldownQueries = c.AccWindow / 2
-	}
-	if c.OpportunityMargin == 0 {
-		c.OpportunityMargin = 0.15
 	}
 	return c
 }

@@ -292,25 +292,19 @@ func (b *brain) majorityShare() float64 {
 func (b *brain) Retrains() int { return b.retrains }
 
 // recommend consults the tree for the estimator to use instead of the
-// active one for queries like q. The consultation instance carries the
-// active estimator's *current profile* performance — "this is what I am
-// running and how it is doing". When the tree's answer is the active
-// estimator itself (it usually is right after good periods), the
-// second-most-probable class wins; the profile argmax is the final
-// fallback.
-func (b *brain) recommend(q *stream.Query, active int) int {
+// active one for queries like q, and says what picked it ("tree" or
+// "profile"). The consultation instance carries the active estimator's
+// *current profile* performance — "this is what I am running and how it
+// is doing". When the tree's answer is the active estimator itself (it
+// usually is right after good periods) or fails the accuracy gate, the
+// profile argmax among the others is used instead.
+func (b *brain) recommend(q *stream.Query, active int) (int, string) {
 	qt := q.Type()
-	_, best, bestP, second, secondP := b.consult(q, active)
-	usable := func(est int, p float64) bool {
-		return est >= 0 && est != active && p > 0 && b.passesGate(est, qt)
+	_, best, bestP, _, _ := b.consult(q, active)
+	if best >= 0 && best != active && bestP > 0 && b.passesGate(best, qt) {
+		return best, "tree"
 	}
-	if usable(best, bestP) {
-		return best
-	}
-	if usable(second, secondP) {
-		return second
-	}
-	return b.bestByProfileExcluding(qt, active)
+	return b.bestByProfileExcluding(qt, active), "profile"
 }
 
 // consult is the tree's half of recommend, also read by the decision audit

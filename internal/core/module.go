@@ -342,9 +342,16 @@ func (m *Module) concludePretraining() {
 	}
 	m.phase = PhaseIncremental
 	m.accWindow.Reset()
-	m.cooldown = m.cfg.CooldownQueries
+	m.cooldown = m.cfg.AccWindow / 2
 	m.incrementalSeen = 0
 }
+
+// opportunityMargin is how far the best alternative's α-weighted profile
+// score must exceed the active estimator's, averaged over half an accuracy
+// window, before the opportunity trigger switches (the paper's Fig. 5/8
+// switches: RSH's accuracy was fine, but H4096 offered the same accuracy
+// at a fraction of the latency).
+const opportunityMargin = 0.15
 
 // adapt is the Estimator Adaptor (§V-D): monitors the sliding accuracy
 // average against the pre-fill and switch thresholds, and additionally
@@ -364,13 +371,12 @@ func (m *Module) adapt(q *stream.Query) {
 			m.prefill = -1
 		}
 	}
+	// The window empties only where the cool-down starts, at half its
+	// length, and every Observe adds to it first: when the cool-down ends
+	// the window is at least half full, so one bad query right after a
+	// switch cannot trigger flapping.
 	if m.cooldown > 0 {
 		m.cooldown--
-		return
-	}
-	// Decisions need a reasonably full window; otherwise one bad query
-	// right after a switch would trigger flapping.
-	if m.accWindow.Len() < m.cfg.AccWindow/2 {
 		return
 	}
 	mean := m.accWindow.Mean()
@@ -385,8 +391,8 @@ func (m *Module) adapt(q *stream.Query) {
 	if m.prefill < 0 && mean < m.prefillThreshold {
 		// Warm only a candidate the switch would take: one it would refuse
 		// is a second summary fed, measured and discarded for nothing.
-		if rec := m.brain.recommend(q, m.active); rec >= 0 && rec != m.active && m.admits(rec, q) {
-			m.startPrefill(rec, "beta")
+		if rec, _ := m.brain.recommend(q, m.active); rec >= 0 && rec != m.active && m.admits(rec, q) {
+			m.startPrefill(rec)
 		}
 		return
 	}
@@ -401,13 +407,10 @@ func (m *Module) adapt(q *stream.Query) {
 
 // opportunity maintains a sliding window of per-query score gaps between
 // the best alternative and the active estimator. A window mean above the
-// margin pre-fills (at half the margin) and then switches to the
-// alternative that was best most often. Returns true when it owns the
-// current pre-fill, so the τ/β logic leaves the candidate alone.
+// margin switches to the alternative that was best most often, adopting
+// the β candidate when that is the one warming. Returns true when it
+// switched.
 func (m *Module) opportunity(q *stream.Query) bool {
-	if m.cfg.OpportunityMargin < 0 {
-		return false
-	}
 	qt := q.Type()
 	best := m.brain.bestOpportunity(qt, m.active)
 	scores, ok := m.brain.scores(qt)
@@ -425,8 +428,7 @@ func (m *Module) opportunity(q *stream.Query) bool {
 	if !m.oppGap.Full() {
 		return false
 	}
-	mean := m.oppGap.Mean()
-	if mean <= m.cfg.OpportunityMargin/2 {
+	if m.oppGap.Mean() <= opportunityMargin {
 		return false
 	}
 	// Target: the alternative that won most of the recent window, the
@@ -454,29 +456,22 @@ func (m *Module) opportunity(q *stream.Query) bool {
 	if !m.passesPrevalentGates(target) {
 		return false
 	}
-	if mean > m.cfg.OpportunityMargin {
-		prefilled := m.prefill == target
-		if !prefilled {
-			if m.prefill >= 0 {
-				m.ests[m.prefill].Reset()
-				m.prefill = -1
-			}
-			m.freshen(target)
+	prefilled := m.prefill == target
+	if !prefilled {
+		if m.prefill >= 0 {
+			m.ests[m.prefill].Reset()
+			m.prefill = -1
 		}
-		m.switchTo(target, q, prefilled, "opportunity")
-		return true
+		m.freshen(target)
 	}
-	if m.prefill < 0 {
-		m.startPrefill(target, "opportunity")
-	}
-	return m.prefill == target
+	m.switchTo(target, q, prefilled, "opportunity", "opportunity")
+	return true
 }
 
-// startPrefill begins warming a switch candidate; trigger names the path
-// that asked ("beta" or "opportunity").
-func (m *Module) startPrefill(est int, trigger string) {
+// startPrefill begins warming the β candidate.
+func (m *Module) startPrefill(est int) {
 	m.log.Debug("prefill start", "candidate", m.names[est], "active", m.names[m.active],
-		"trigger", trigger, "accuracy", m.accWindow.Mean())
+		"accuracy", m.accWindow.Mean())
 	m.freshen(est)
 	m.prefill = est
 	m.prefillAge = 0
@@ -517,30 +512,19 @@ func (m *Module) freshen(i int) {
 // α=1 run parked on the fastest estimator instead of fleeing its poor
 // accuracy — the paper's Fig. 7 behaviour).
 func (m *Module) performSwitch(q *stream.Query) {
-	target := m.prefill
+	target, picker := m.prefill, "prefill-beta"
 	prefilled := target >= 0
 	if target < 0 {
-		target = m.brain.recommend(q, m.active)
+		target, picker = m.brain.recommend(q, m.active)
 		if target < 0 || target == m.active {
 			return // no credible alternative; stay put
 		}
 	}
 	if !m.passesPrevalentGates(target) {
-		// The recommendation wins on this query's type but would violate τ
-		// on another prevalent type; pick the best candidate that serves
-		// the whole mix, if any.
-		if alt := m.brain.bestByProfileExcluding(q.Type(), m.active); alt >= 0 &&
-			alt != target && m.passesPrevalentGates(alt) {
-			target = alt
-			prefilled = false
-			if m.prefill >= 0 {
-				m.ests[m.prefill].Reset()
-				m.prefill = -1
-			}
-		} else {
-			m.cooldown = m.cfg.CooldownQueries / 2
-			return
-		}
+		// The target wins on this query's type but would violate τ on
+		// another prevalent type: hold position, candidate still warming.
+		m.cooldown = m.cfg.AccWindow / 4
+		return
 	}
 	if !m.admits(target, q) {
 		// The alternative is no better under the configured α; discard any
@@ -549,13 +533,13 @@ func (m *Module) performSwitch(q *stream.Query) {
 			m.ests[m.prefill].Reset()
 			m.prefill = -1
 		}
-		m.cooldown = m.cfg.CooldownQueries / 2
+		m.cooldown = m.cfg.AccWindow / 4
 		return
 	}
 	if !prefilled {
 		m.freshen(target)
 	}
-	m.switchTo(target, q, prefilled, "tau-breach")
+	m.switchTo(target, q, prefilled, "tau-breach", picker)
 }
 
 // admits is the switch's admission rule, which adapt also applies before
@@ -592,9 +576,11 @@ func (m *Module) admits(target int, q *stream.Query) bool {
 }
 
 // switchTo performs the actual estimator swap and bookkeeping. The target
-// must already be filled (pre-filled or freshened by the caller); reason
-// names the trigger ("tau-breach" or "opportunity") for the audit trace.
-func (m *Module) switchTo(target int, q *stream.Query, prefilled bool, reason string) {
+// must already be filled (pre-filled or freshened by the caller). For the
+// audit trace, reason names the trigger ("tau-breach" or "opportunity")
+// and picker what chose the target ("prefill-beta", "tree", "profile" or
+// "opportunity").
+func (m *Module) switchTo(target int, q *stream.Query, prefilled bool, reason, picker string) {
 	ev := SwitchEvent{
 		QueryIndex: m.incrementalSeen - 1,
 		Timestamp:  q.Timestamp,
@@ -602,7 +588,7 @@ func (m *Module) switchTo(target int, q *stream.Query, prefilled bool, reason st
 		To:         m.names[target],
 		Prefilled:  prefilled,
 	}
-	m.traceDecision(ev, q, reason)
+	m.traceDecision(ev, q, reason, picker)
 	// The displaced estimator is wiped: only one summary (plus at most one
 	// warming candidate) is ever maintained.
 	m.ests[m.active].Reset()
@@ -617,7 +603,7 @@ func (m *Module) switchTo(target int, q *stream.Query, prefilled bool, reason st
 		m.oppBest[i] = -1
 	}
 	m.accWindow.Reset()
-	m.cooldown = m.cfg.CooldownQueries
+	m.cooldown = m.cfg.AccWindow / 2
 	m.switches = append(m.switches, ev)
 	if m.cfg.OnSwitch != nil {
 		m.cfg.OnSwitch(ev)
@@ -629,13 +615,14 @@ func (m *Module) switchTo(target int, q *stream.Query, prefilled bool, reason st
 // the trigger query (features, top class and the runner-up's probability —
 // the tie info), and every estimator's rolling q-error at that moment.
 // Runs only on the switch path, so the allocations are irrelevant.
-func (m *Module) traceDecision(ev SwitchEvent, q *stream.Query, reason string) {
+func (m *Module) traceDecision(ev SwitchEvent, q *stream.Query, reason, picker string) {
 	d := telemetry.Decision{
 		QueryIndex:  ev.QueryIndex,
 		Timestamp:   ev.Timestamp,
 		From:        ev.From,
 		To:          ev.To,
 		Reason:      reason,
+		Picker:      picker,
 		AccuracyAvg: m.accWindow.Mean(),
 		QueryType:   q.Type().String(),
 		Prefilled:   ev.Prefilled,
@@ -653,7 +640,7 @@ func (m *Module) traceDecision(ev SwitchEvent, q *stream.Query, reason string) {
 	}
 	m.trace.Record(d)
 	m.log.Info("estimator switch",
-		"from", ev.From, "to", ev.To, "reason", reason,
+		"from", ev.From, "to", ev.To, "reason", reason, "picker", picker,
 		"query", ev.QueryIndex, "accuracy", d.AccuracyAvg,
 		"prefilled", ev.Prefilled, "recommended", d.Recommended,
 		"confidence", d.Confidence)
@@ -686,8 +673,8 @@ type Stats struct {
 	PretrainSeen    int
 	IncrementalSeen int
 	Switches        int
-	// PrefillsStarted counts candidates a pre-fill began warming, on either
-	// trigger; PrefillsAdopted the switches that took a warmed candidate.
+	// PrefillsStarted counts candidates a β pre-fill began warming;
+	// PrefillsAdopted the switches that took a warmed candidate.
 	// Both count since the module was built; a restore leaves them be.
 	PrefillsStarted int
 	PrefillsAdopted int

@@ -60,11 +60,10 @@ func TestOpportunityTieGoesToFleetOrder(t *testing.T) {
 // learn's label and the opportunity check read come from the brain's
 // scratch, not from three fresh slices per call.
 func TestIncrementalCycleAllocs(t *testing.T) {
-	// Thresholds no accuracy falls below, and an opportunity margin no score
-	// gap reaches: the adaptor scores every query but must not act inside
-	// the measured cycles.
+	// Thresholds no accuracy falls below: the adaptor scores every query
+	// but must not act inside the measured cycles.
 	cfg := testConfig()
-	cfg.Tau, cfg.Beta, cfg.OpportunityMargin = 0.05, 0.9, 10
+	cfg.Tau, cfg.Beta = 0.05, 0.9
 	d := newDriver(t, cfg)
 	d.feed(3000)
 	for i := 0; i < cfg.PretrainQueries+200; i++ {

@@ -41,15 +41,14 @@ type gateCase struct {
 func gateModule(t *testing.T, c gateCase, log io.Writer) (*Module, *int) {
 	t.Helper()
 	m, err := New(Config{
-		Logger:            slog.New(slog.NewTextHandler(log, &slog.HandlerOptions{Level: slog.LevelDebug})),
-		World:             geo.UnitSquare,
-		Span:              10_000,
-		Estimators:        []string{estimator.NameH4096, estimator.NameRSH},
-		Default:           estimator.NameRSH,
-		AccWindow:         40,
-		PretrainQueries:   10,
-		OpportunityMargin: -1, // the β branch alone decides
-		Seed:              1,
+		Logger:          slog.New(slog.NewTextHandler(log, &slog.HandlerOptions{Level: slog.LevelDebug})),
+		World:           geo.UnitSquare,
+		Span:            10_000,
+		Estimators:      []string{estimator.NameH4096, estimator.NameRSH},
+		Default:         estimator.NameRSH,
+		AccWindow:       40,
+		PretrainQueries: 10,
+		Seed:            1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,15 +98,16 @@ var gateCases = []gateCase{
 // TestPrefillGateStartsOnlyWhatTheSwitchTakes walks the β branch of adapt
 // over staged profiles: a candidate the switch would refuse is never
 // warmed, and one it would take is warmed once. The debug log says which
-// check refused, or which trigger started the pre-fill.
+// check refused.
 func TestPrefillGateStartsOnlyWhatTheSwitchTakes(t *testing.T) {
+	// "" marks a case whose candidate the β branch warms.
 	want := map[string]string{"scored-lower": "check=score", "scored-equal": "check=score",
-		"scored-higher": "trigger=beta", "tau-bypass": "trigger=beta", "prevalent-gate": "check=gate"}
+		"scored-higher": "", "tau-bypass": "", "prevalent-gate": "check=gate"}
 	for _, c := range gateCases {
 		t.Run(c.name, func(t *testing.T) {
 			var log strings.Builder
 			m, fills := gateModule(t, c, &log)
-			if got := m.brain.recommend(&gateQuery, m.active); got != gateCand {
+			if got, _ := m.brain.recommend(&gateQuery, m.active); got != gateCand {
 				t.Fatalf("recommendation %d, the case stages %d", got, gateCand)
 			}
 			if s, _ := m.brain.scores(gateQuery.Type()); c.name == "tau-bypass" && s[gateCand] > s[gateActive] {
@@ -119,7 +119,7 @@ func TestPrefillGateStartsOnlyWhatTheSwitchTakes(t *testing.T) {
 			}
 			st := m.Snapshot()
 			started := st.Prefilling != ""
-			if started != strings.HasPrefix(want[c.name], "trigger") {
+			if started != (want[c.name] == "") {
 				t.Fatalf("pre-filling %q, want %s", st.Prefilling, want[c.name])
 			}
 			if started {
@@ -161,52 +161,5 @@ func TestPrefillGateMatchesSwitch(t *testing.T) {
 				t.Fatalf("adopted switch counted %d", st.PrefillsAdopted)
 			}
 		})
-	}
-}
-
-// TestOpportunityPrefillIsCounted: a pre-fill the opportunity trigger
-// starts counts as started, like a β start, and its log line names the
-// trigger.
-func TestOpportunityPrefillIsCounted(t *testing.T) {
-	var log strings.Builder
-	m, err := New(Config{
-		World:           geo.UnitSquare,
-		Span:            10_000,
-		Estimators:      []string{estimator.NameH4096, estimator.NameRSH},
-		Default:         estimator.NameRSH,
-		AccWindow:       16,
-		PretrainQueries: 10,
-		Seed:            1,
-		Logger:          slog.New(slog.NewTextHandler(&log, &slog.HandlerOptions{Level: slog.LevelDebug})),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fills := 0
-	m.cfg.Refill = func(estimator.Estimator) { fills++ }
-	m.phase = PhaseIncremental
-	m.active = gateActive
-	q := gateQuery
-	// H4096 clears the gate but falls too far below RSH to win this query,
-	// so the gap it adds is 0 and the window mean lands between half the
-	// margin and the margin: warm H4096, do not switch yet.
-	for i := 0; i < 20; i++ {
-		m.brain.observe(gateCand, q.Type(), 0.8, time.Microsecond)
-		m.brain.observe(gateActive, q.Type(), 0.95, time.Microsecond)
-	}
-	for i := 1; i < len(m.oppBest); i++ {
-		m.oppGap.Add(0.1)
-		m.oppBest[i] = gateCand
-	}
-	if !m.opportunity(&q) {
-		t.Fatal("the opportunity trigger does not own a pre-fill")
-	}
-	st := m.Snapshot()
-	if st.Prefilling != estimator.NameH4096 || st.PrefillsStarted != 1 || fills != 1 || len(m.switches) != 0 {
-		t.Fatalf("pre-filling %q, %d started, %d fills, %d switches; want H4096, 1, 1, 0",
-			st.Prefilling, st.PrefillsStarted, fills, len(m.switches))
-	}
-	if !strings.Contains(log.String(), "trigger=opportunity") {
-		t.Errorf("log lacks trigger=opportunity:\n%s", log.String())
 	}
 }

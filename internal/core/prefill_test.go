@@ -64,7 +64,6 @@ func TestCooldownBlocksAdaptation(t *testing.T) {
 		Estimators:      []string{estimator.NameH4096, estimator.NameRSH},
 		Default:         estimator.NameRSH,
 		AccWindow:       40,
-		CooldownQueries: 25,
 		PretrainQueries: 10,
 		Seed:            1,
 	}

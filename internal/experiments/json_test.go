@@ -98,3 +98,25 @@ func TestTimelineAccessorsOnSynthetic(t *testing.T) {
 		t.Error("empty ActiveAt should be \"\"")
 	}
 }
+
+// TestTimelineReferences checks the best-fixed and hindsight sums on a
+// hand-built result: A wins the first bucket, B the second and on average.
+func TestTimelineReferences(t *testing.T) {
+	r := &TimelineResult{Estimators: []string{"A", "B"}, ModuleAccuracy: 0.7, ServedLatencyUS: 120,
+		Points: []TimelinePoint{
+			{T: 0, Accuracy: map[string]float64{"A": 0.9, "B": 0.6}},
+			{T: 1, Accuracy: map[string]float64{"A": 0.2, "B": 0.8}},
+		}}
+	r.scoreReferences()
+	near := func(a, b float64) bool { return a-b < 1e-12 && b-a < 1e-12 }
+	if r.BestFixed != "B" || !near(r.BestFixedAccuracy, 0.7) || !near(r.HindsightAccuracy, 0.85) {
+		t.Fatalf("best fixed %s %v, hindsight %v; want B 0.7, 0.85", r.BestFixed, r.BestFixedAccuracy, r.HindsightAccuracy)
+	}
+	var buf bytes.Buffer
+	r.WriteTo(&buf)
+	for _, want := range []string{"vs best fixed B 0.700: +0.000; vs hindsight 0.850: -0.150", "served latency (modelled): 120.0 us"} {
+		if !bytes.Contains(buf.Bytes(), []byte(want)) {
+			t.Errorf("WriteTo lacks %q:\n%s", want, buf.String())
+		}
+	}
+}

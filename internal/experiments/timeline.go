@@ -42,6 +42,18 @@ type TimelineResult struct {
 	// served (always the active estimator's), the headline effectiveness
 	// number.
 	ModuleAccuracy float64 `json:"module_accuracy"`
+	// BestFixed is the estimator whose answers, served throughout, would
+	// have scored best, and BestFixedAccuracy their mean accuracy.
+	// HindsightAccuracy is the mean over buckets of each bucket's best
+	// estimator's accuracy. ModuleAccuracy's gaps to them are the switch's
+	// regret against the best fixed expert (Shen et al.) and against an
+	// adaptor that always knew which estimator to run.
+	BestFixed         string  `json:"best_fixed"`
+	BestFixedAccuracy float64 `json:"best_fixed_accuracy"`
+	HindsightAccuracy float64 `json:"hindsight_accuracy"`
+	// ServedLatencyUS is the mean latency (µs) of the answers served as
+	// RunConfig.LatencyOf models it; 0 when that is unset.
+	ServedLatencyUS float64 `json:"served_latency_us,omitempty"`
 }
 
 // ActiveAt returns the employed estimator at percent point t.
@@ -112,7 +124,7 @@ func RunSwitchTimeline(experiment string, cfg RunConfig) *TimelineResult {
 	if perBucket < 1 {
 		perBucket = 1
 	}
-	modAccTotal := 0.0
+	modAccTotal, servedLatTotal := 0.0, 0.0
 	queries := 0
 	activeCount := map[string]int{}
 	for b := 0; b <= buckets && e.wl.Remaining() > 0; b++ {
@@ -126,6 +138,9 @@ func RunSwitchTimeline(experiment string, cfg RunConfig) *TimelineResult {
 			for ei, name := range e.names {
 				latSum[name] += float64(m.latency[ei].Microseconds())
 				accSum[name] += m.accuracy[ei]
+				if name == m.active && cfg.LatencyOf != nil {
+					servedLatTotal += float64(cfg.LatencyOf(name, &m.q, m.latency[ei]).Microseconds())
+				}
 			}
 			activeCount[m.active]++
 			modAccTotal += accuracyOfModule(m)
@@ -156,8 +171,31 @@ func RunSwitchTimeline(experiment string, cfg RunConfig) *TimelineResult {
 	}
 	if queries > 0 {
 		res.ModuleAccuracy = modAccTotal / float64(queries)
+		res.ServedLatencyUS = servedLatTotal / float64(queries)
 	}
+	res.scoreReferences()
 	return res
+}
+
+// scoreReferences fills BestFixed, BestFixedAccuracy and HindsightAccuracy
+// from the points.
+func (r *TimelineResult) scoreReferences() {
+	r.BestFixed, r.BestFixedAccuracy, r.HindsightAccuracy = "", 0, 0
+	for _, n := range r.Estimators {
+		if a := r.MeanAccuracy(n); r.BestFixed == "" || a > r.BestFixedAccuracy {
+			r.BestFixed, r.BestFixedAccuracy = n, a
+		}
+	}
+	for _, p := range r.Points {
+		best := 0.0
+		for _, a := range p.Accuracy {
+			best = max(best, a)
+		}
+		r.HindsightAccuracy += best
+	}
+	if len(r.Points) > 0 {
+		r.HindsightAccuracy /= float64(len(r.Points))
+	}
 }
 
 func moduleAlpha(cfg RunConfig) float64 {
@@ -200,6 +238,12 @@ func (r *TimelineResult) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s — %s / %s (α=%.2f)\n", r.Experiment, r.Dataset, r.Workload, r.Alpha)
 	fmt.Fprintf(&b, "# module accuracy (answers served): %.3f\n", r.ModuleAccuracy)
+	fmt.Fprintf(&b, "#   vs best fixed %s %.3f: %+.3f; vs hindsight %.3f: %+.3f\n",
+		r.BestFixed, r.BestFixedAccuracy, r.ModuleAccuracy-r.BestFixedAccuracy,
+		r.HindsightAccuracy, r.ModuleAccuracy-r.HindsightAccuracy)
+	if r.ServedLatencyUS > 0 {
+		fmt.Fprintf(&b, "#   served latency (modelled): %.1f us\n", r.ServedLatencyUS)
+	}
 	fmt.Fprintf(&b, "%-4s %-7s", "t", "active")
 	for _, n := range r.Estimators {
 		fmt.Fprintf(&b, " %12s", n+"(us/acc)")

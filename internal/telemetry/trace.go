@@ -46,6 +46,12 @@ type Decision struct {
 	// or "opportunity" (a strictly better estimator emerged while accuracy
 	// was still fine).
 	Reason string `json:"reason"`
+	// Picker names what chose the adopted estimator: "prefill-beta" (the
+	// candidate the β pre-fill had been warming), "tree" (the Hoeffding
+	// tree's top class), "profile" (the profile argmax, when the tree's
+	// pick was the active estimator or failed the accuracy gate) or
+	// "opportunity". Images written before it existed carry none.
+	Picker string `json:"picker,omitempty"`
 	// AccuracyAvg is the sliding accuracy average at decision time.
 	AccuracyAvg float64 `json:"accuracy_avg"`
 	// QueryType classifies the trigger query (spatial/keyword/hybrid).

@@ -11,7 +11,7 @@ import (
 // window, pre-training length, memory scale), for seeding, sharding and
 // observability, and for the integration seams (registry, latency
 // model). Everything else is a constant: the switch
-// cooldown and opportunity margin take core's defaults, the exact store a
+// cooldown and opportunity margin are core's, the exact store a
 // 4096-cell grid, the decision trace 64 records, and input validation its
 // one clamp policy (validation.go). WithAlpha(0) unambiguously means
 // "accuracy only", no companion boolean required. All three build the one

@@ -105,7 +105,7 @@ const oracleGridCells = 4096
 
 // newShard builds one shard over cfg.World from options its caller has
 // validated, logging to cfg.Log, which the caller sets. Switch cooldown,
-// opportunity margin and trace depth take core's defaults.
+// opportunity margin and trace depth are core's constants.
 func newShard(cfg config) (*shard, error) {
 	w := stream.NewWindow(cfg.World, cfg.Window.Milliseconds(), oracleGridCells)
 	sh := &shard{rect: cfg.World, window: w, log: cfg.Log}

@@ -81,8 +81,10 @@ func configFingerprint(cfg *config, mc core.Config) []byte {
 	e.F64(mc.Beta)
 	e.Int(mc.AccWindow)
 	e.Int(mc.PretrainQueries)
-	e.Int(mc.CooldownQueries)
-	e.F64(mc.OpportunityMargin)
+	// The switch cool-down and the opportunity margin were once knobs;
+	// they keep their slots, written as the values core now fixes.
+	e.Int(mc.AccWindow / 2)
+	e.F64(0.15)
 	e.F64(mc.Scale)
 	e.I64(cfg.Seed)
 	// The exact-store grid, the decision-trace depth and the validation
