@@ -229,8 +229,7 @@ func TestConcurrentParallel(t *testing.T) {
 	close(stop)
 	producer.Wait()
 
-	// Tree records can reset on a drift retrain; the query counters are the
-	// stable invariant.
+	// The query counters stay exact under concurrent callers.
 	st := cs.Stats()
 	if st.PretrainSeen != 50 || st.IncrementalSeen != 800-50 {
 		t.Errorf("query accounting: pretrain=%d incremental=%d", st.PretrainSeen, st.IncrementalSeen)

@@ -330,9 +330,6 @@ func diffStats(report *DiffReport, qi int, name string, got *latest.Stats, refNa
 	if got.TreeSplits != want.TreeSplits {
 		mismatch("TreeSplits", got.TreeSplits, want.TreeSplits)
 	}
-	if got.ModelRetrains != want.ModelRetrains {
-		mismatch("ModelRetrains", got.ModelRetrains, want.ModelRetrains)
-	}
 	if got.AccuracyAvg != want.AccuracyAvg {
 		mismatch("AccuracyAvg", got.AccuracyAvg, want.AccuracyAvg)
 	}

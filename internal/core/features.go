@@ -44,26 +44,7 @@ type brain struct {
 	scoreBuf  []float64
 	okBuf     []bool
 	logLatBuf []float64
-
-	// Model self-monitoring (§V-D's manual retraining trigger): the tree's
-	// prequential accuracy against the labels it is about to learn, and the
-	// recent labels themselves. The tree is rebuilt only when it scores
-	// materially worse than the trivial predict-the-window-majority
-	// baseline — that means its learned structure actively contradicts the
-	// current workload (true drift). Scoring merely low because labels are
-	// churning between near-tied estimators, or because a workload phase
-	// shifted the majority, is NOT a rebuild trigger: the incremental
-	// learner absorbs those on its own.
-	selfAcc    *metrics.SlidingAverage
-	labels     []int8
-	labelN     int
-	retrains   int
-	minRecords int // records required before a retrain may trigger
 }
-
-// retrainSlack is how far below the windowed-majority baseline the tree's
-// prequential accuracy must fall before a rebuild.
-const retrainSlack = 0.25
 
 // profileAlpha is the EWMA smoothing for profile cells: recent queries
 // dominate within a few dozen observations, matching the "recent window"
@@ -84,16 +65,13 @@ func newBrain(names []string, cfg Config) *brain {
 		{Name: "kwCount", Kind: hoeffding.Numeric},
 	}
 	b := &brain{
-		tree:       hoeffding.New(attrs, names, cfg.Hoeffding),
-		names:      names,
-		alpha:      cfg.Alpha,
-		accGate:    cfg.Tau * clampUnit(2*(1-cfg.Alpha)),
-		selfAcc:    metrics.NewSlidingAverage(max(cfg.AccWindow, 8)),
-		labels:     make([]int8, max(cfg.AccWindow, 8)),
-		minRecords: cfg.AccWindow * len(names),
-		scoreBuf:   make([]float64, len(names)),
-		okBuf:      make([]bool, len(names)),
-		logLatBuf:  make([]float64, len(names)),
+		tree:      hoeffding.New(attrs, names, cfg.Hoeffding),
+		names:     names,
+		alpha:     cfg.Alpha,
+		accGate:   cfg.Tau * clampUnit(2*(1-cfg.Alpha)),
+		scoreBuf:  make([]float64, len(names)),
+		okBuf:     make([]bool, len(names)),
+		logLatBuf: make([]float64, len(names)),
 	}
 	for range names {
 		accRow := make([]*metrics.EWMA, numQueryTypes)
@@ -247,49 +225,15 @@ func (b *brain) features(q *stream.Query, est int, acc float64, lat time.Duratio
 }
 
 // learn feeds one training record: the measured features labelled with the
-// currently best-scoring estimator for this query type. Before learning,
-// the tree is scored prequentially against the label; sustained
-// disagreement means the workload has drifted past what the tree encodes,
-// and it is rebuilt from scratch (§V-D's manual retraining — cheap for a
-// VFDT, which relearns in one pass over the ongoing stream).
+// currently best-scoring estimator for this query type. Drift needs no
+// response here: the tree re-tests its own splits as the labels move.
 func (b *brain) learn(q *stream.Query, est int, acc float64, lat time.Duration, relErr float64) {
 	label := b.bestByProfile(q.Type())
 	if label < 0 {
 		return // nothing measured yet; no label to assign
 	}
-	x := b.features(q, est, acc, lat, relErr)
-	if b.tree.Predict(x) == label {
-		b.selfAcc.Add(1)
-	} else {
-		b.selfAcc.Add(0)
-	}
-	b.labels[b.labelN%len(b.labels)] = int8(label)
-	b.labelN++
-	if b.tree.Instances() > b.minRecords && b.selfAcc.Full() &&
-		b.selfAcc.Mean()+retrainSlack < b.majorityShare() {
-		b.tree.Reset()
-		b.selfAcc.Reset()
-		b.retrains++
-	}
-	b.tree.Learn(x, label)
+	b.tree.Learn(b.features(q, est, acc, lat, relErr), label)
 }
-
-// majorityShare is the best achievable prequential accuracy of a constant
-// predictor over the recent label window.
-func (b *brain) majorityShare() float64 {
-	var counts [32]int
-	best := 0
-	for _, l := range b.labels {
-		counts[l]++
-		if counts[l] > best {
-			best = counts[l]
-		}
-	}
-	return float64(best) / float64(len(b.labels))
-}
-
-// Retrains reports how many times the model was rebuilt due to drift.
-func (b *brain) Retrains() int { return b.retrains }
 
 // recommend consults the tree for the estimator to use instead of the
 // active one for queries like q, and says what picked it ("tree" or
@@ -342,28 +286,15 @@ func (b *brain) consult(q *stream.Query, active int) (x []float64, best int, bes
 }
 
 // recommendAny is recommend without excluding the active estimator — the
-// model's unconstrained choice for a query (Table II's read-out).
+// model's unconstrained choice for a query (Table II's read-out): the
+// tree's top class, consulted as the profile-best estimator. It is -1
+// while nothing has been measured for the query's type.
 func (b *brain) recommendAny(q *stream.Query) int {
-	qt := q.Type()
-	best := b.bestByProfile(qt)
-	if best < 0 {
+	prof := b.bestByProfile(q.Type())
+	if prof < 0 {
 		return -1
 	}
-	acc := b.profAcc[best][qt]
-	lat := b.profLat[best][qt]
-	x := b.features(q, best, acc.Value(),
-		time.Duration(lat.Value())*time.Microsecond,
-		1-acc.Value())
-	proba := b.tree.PredictProba(x)
-	treeBest, bestP := -1, 0.0
-	for i, p := range proba {
-		if p > bestP {
-			treeBest, bestP = i, p
-		}
-	}
-	if treeBest >= 0 && bestP > 0 {
-		return treeBest
-	}
+	_, best, _, _, _ := b.consult(q, prof)
 	return best
 }
 

@@ -107,35 +107,57 @@ func TestBrainOpportunityTolerance(t *testing.T) {
 	}
 }
 
-func TestBrainRetrainsOnDrift(t *testing.T) {
+// TestBrainFollowsDrift: the tree follows a change of best estimator by
+// learning alone. A stump trained on 560 regime-A records predicts regime
+// B after 560 regime-B records; the drift rebuild this brain once had,
+// which wiped the tree when its own accuracy fell well below the label
+// majority's, got there after 13.
+func TestBrainFollowsDrift(t *testing.T) {
 	b := newTestBrain(0)
 	qt := stream.SpatialQuery
 	q := stream.SpatialQ(geo.CenteredRect(geo.Pt(0.5, 0.5), 0.1, 0.1), 0)
-
-	// Regime A: estimator 1 dominates. Train well past minRecords.
-	seedProfile(b, qt, []float64{0.2, 0.95, 0.5}, []time.Duration{1, 1, 1}, 50)
-	for i := 0; i < b.minRecords+500; i++ {
-		b.learn(&q, i%3, 0.9, time.Microsecond, 0.1)
-	}
-	if b.Retrains() != 0 {
-		t.Fatalf("spurious retrain during stable regime: %d", b.Retrains())
-	}
-	// Regime B: estimator 0 dominates; the stale tree keeps predicting 1
-	// until the self-accuracy window collapses and triggers a rebuild.
-	seedProfile(b, qt, []float64{0.95, 0.2, 0.5}, []time.Duration{1, 1, 1}, 200)
-	for i := 0; i < 2000 && b.Retrains() == 0; i++ {
-		b.learn(&q, i%3, 0.9, time.Microsecond, 0.1)
-	}
-	if b.Retrains() == 0 {
-		t.Fatal("drift never triggered a model retrain")
-	}
-	// After relearning, the tree tracks the new regime again.
-	for i := 0; i < 1000; i++ {
-		b.learn(&q, i%3, 0.9, time.Microsecond, 0.1)
-	}
 	x := b.features(&q, 0, 0.9, time.Microsecond, 0.1)
+
+	// Regime A: estimator 1 dominates.
+	seedProfile(b, qt, []float64{0.2, 0.95, 0.5}, []time.Duration{1, 1, 1}, 50)
+	for i := 0; i < 560; i++ {
+		b.learn(&q, i%3, 0.9, time.Microsecond, 0.1)
+	}
+	if got := b.tree.Predict(x); got != 1 {
+		t.Fatalf("regime A prediction = %s, want slow-sharp", b.names[got])
+	}
+	// Regime B: estimator 0 dominates.
+	seedProfile(b, qt, []float64{0.95, 0.2, 0.5}, []time.Duration{1, 1, 1}, 200)
+	for i := 0; i < 560; i++ {
+		b.learn(&q, i%3, 0.9, time.Microsecond, 0.1)
+	}
 	if got := b.tree.Predict(x); got != 0 {
-		t.Errorf("post-retrain prediction = %s, want fast-sloppy", b.names[got])
+		t.Errorf("regime B prediction = %s, want fast-sloppy", b.names[got])
+	}
+}
+
+// TestBrainRecommendAny: the read-out is the tree's top class when the
+// profile-best estimator consults it. An untrained tree answers every
+// class with the same probability, and the first of them wins the tie.
+func TestBrainRecommendAny(t *testing.T) {
+	qt := stream.SpatialQuery
+	q := stream.SpatialQ(geo.CenteredRect(geo.Pt(0.5, 0.5), 0.1, 0.1), 0)
+	b := newTestBrain(0)
+	if got := b.recommendAny(&q); got != -1 {
+		t.Errorf("no profile: %d, want -1", got)
+	}
+	seedProfile(b, qt, []float64{0.2, 0.5, 0.95}, []time.Duration{1, 1, 1}, 50)
+	if got := b.recommendAny(&q); got != 0 {
+		t.Errorf("untrained tree: %s, want fast-sloppy", b.names[got])
+	}
+	for i := 0; i < 100; i++ {
+		b.learn(&q, i%3, 0.9, time.Microsecond, 0.1)
+	}
+	// The profile now ranks slow-sharp first; the tree has seen only
+	// balanced as the label and still answers it.
+	seedProfile(b, qt, []float64{0.2, 0.95, 0.5}, []time.Duration{1, 1, 1}, 200)
+	if prof, got := b.bestByProfile(qt), b.recommendAny(&q); prof != 1 || got != 2 {
+		t.Errorf("trained tree: %s (profile best %s), want balanced", b.names[got], b.names[prof])
 	}
 }
 

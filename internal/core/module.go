@@ -681,7 +681,6 @@ type Stats struct {
 	TrainingRecords int
 	TreeNodes       int
 	TreeSplits      int
-	ModelRetrains   int
 	// AccuracyAvg is the mean of the adaptor's served-accuracy window and
 	// AccuracySamples its live length. The window empties when
 	// pre-training ends and on every switch; while it is empty there is
@@ -726,7 +725,6 @@ func (m *Module) Snapshot() Stats {
 		TrainingRecords: m.brain.tree.Instances(),
 		TreeNodes:       m.brain.tree.NodeCount(),
 		TreeSplits:      m.brain.tree.Splits(),
-		ModelRetrains:   m.brain.Retrains(),
 		AccuracyAvg:     m.accWindow.Mean(),
 		AccuracySamples: m.accWindow.Len(),
 		MemoryBytes:     mem,

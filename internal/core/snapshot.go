@@ -50,7 +50,6 @@ func MergeStats(parts []Stats) Stats {
 		out.TrainingRecords += p.TrainingRecords
 		out.TreeNodes += p.TreeNodes
 		out.TreeSplits += p.TreeSplits
-		out.ModelRetrains += p.ModelRetrains
 		out.MemoryBytes += p.MemoryBytes
 		accWeighted += p.AccuracyAvg * float64(p.AccuracySamples)
 		out.AccuracySamples += p.AccuracySamples

@@ -12,7 +12,7 @@ func TestMergeStats(t *testing.T) {
 	a := Stats{
 		Phase: PhaseIncremental, Active: "RSH", Prefilling: "H4096",
 		PretrainSeen: 100, IncrementalSeen: 300, Switches: 2,
-		TrainingRecords: 400, TreeNodes: 5, TreeSplits: 2, ModelRetrains: 1,
+		TrainingRecords: 400, TreeNodes: 5, TreeSplits: 2,
 		AccuracyAvg: 0.9, AccuracySamples: 100, MemoryBytes: 1000,
 		Sanitized: map[string]uint64{"RSH": 2, "H4096": 0},
 	}
@@ -43,7 +43,7 @@ func TestMergeStats(t *testing.T) {
 	if m.PretrainSeen != 300 || m.IncrementalSeen != 400 || m.Switches != 3 {
 		t.Errorf("counters = %+v", m)
 	}
-	if m.TrainingRecords != 700 || m.TreeNodes != 9 || m.TreeSplits != 3 || m.ModelRetrains != 1 {
+	if m.TrainingRecords != 700 || m.TreeNodes != 9 || m.TreeSplits != 3 {
 		t.Errorf("model counters = %+v", m)
 	}
 	if want := map[string]uint64{"RSH": 3, "H4096": 4}; !reflect.DeepEqual(m.Sanitized, want) {

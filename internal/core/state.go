@@ -285,8 +285,14 @@ func (m *Module) loadEstimators(d *persist.Dec) error {
 }
 
 // saveState serializes the brain: normalizers, the per-(estimator, query
-// type) performance profile, the self-monitoring window and the Hoeffding
-// tree itself.
+// type) performance profile and the Hoeffding tree itself.
+//
+// Between the profile and the tree, the section keeps the slots of a
+// retired drift monitor that rebuilt the tree: a sliding window of the
+// tree's own accuracy (values, next, count, sum), a label ring, a label
+// count and a rebuild count. New images write them empty and loadState
+// discards them, so every image taken while the monitor ran still
+// restores.
 func (b *brain) saveState(e *persist.Enc) {
 	b.accNorm.SaveState(e)
 	b.latNorm.SaveState(e)
@@ -296,19 +302,17 @@ func (b *brain) saveState(e *persist.Enc) {
 			b.profLat[est][t].SaveState(e)
 		}
 	}
-	b.selfAcc.SaveState(e)
-	labels := make([]byte, len(b.labels))
-	for i, l := range b.labels {
-		labels[i] = byte(l)
-	}
-	e.Blob(labels)
-	e.Int(b.labelN)
-	e.Int(b.retrains)
+	e.F64s(nil) // the retired monitor's slots
+	e.Int(0)
+	e.Int(0)
+	e.F64(0)
+	e.Blob(nil)
+	e.Int(0)
+	e.Int(0)
 	b.tree.SaveState(e)
 }
 
 func (b *brain) loadState(d *persist.Dec) error {
-	const op = "brain"
 	if err := b.accNorm.LoadState(d); err != nil {
 		return err
 	}
@@ -325,29 +329,15 @@ func (b *brain) loadState(d *persist.Dec) error {
 			}
 		}
 	}
-	if err := b.selfAcc.LoadState(d); err != nil {
-		return err
-	}
-	labels := d.Blob()
-	labelN := d.Int()
-	retrains := d.Int()
+	d.F64s() // the retired monitor's slots
+	d.Int()
+	d.Int()
+	d.F64()
+	d.Blob()
+	d.Int()
+	d.Int()
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if labelN < 0 || retrains < 0 {
-		return persist.Errf(persist.CodeMalformed, op, "label count %d, retrains %d", labelN, retrains)
-	}
-	if len(labels) != len(b.labels) {
-		return persist.Errf(persist.CodeMismatch, op, "label window %d, receiver has %d", len(labels), len(b.labels))
-	}
-	for i, l := range labels {
-		// majorityShare indexes a fixed 32-slot counter by label.
-		if int(l) >= len(b.names) || l >= 32 {
-			return persist.Errf(persist.CodeMalformed, op, "label %d of %d estimators", l, len(b.names))
-		}
-		b.labels[i] = int8(l)
-	}
-	b.labelN = labelN
-	b.retrains = retrains
 	return b.tree.LoadState(d)
 }

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"github.com/spatiotext/latest/internal/estimator"
+	"github.com/spatiotext/latest/internal/geo"
 	"github.com/spatiotext/latest/internal/persist"
+	"github.com/spatiotext/latest/internal/stream"
 )
 
 // stateConfig is a small fleet with small images, none carrying an RNG
@@ -110,6 +113,60 @@ func TestModuleStateRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBrainReadsRetiredMonitor: images taken while the brain rebuilt its
+// tree on drift carry that monitor between the profile and the tree: a
+// window of the tree's own accuracy, a label ring, a label count and a
+// rebuild count. Such an image restores, and saving it again writes those
+// slots empty.
+func TestBrainReadsRetiredMonitor(t *testing.T) {
+	b := newTestBrain(0)
+	q := stream.SpatialQ(geo.CenteredRect(geo.Pt(0.5, 0.5), 0.1, 0.1), 0)
+	seedProfile(b, stream.SpatialQuery, []float64{0.2, 0.95, 0.5}, []time.Duration{1, 1, 1}, 50)
+	for i := 0; i < 300; i++ {
+		b.learn(&q, i%3, 0.9, time.Microsecond, 0.1)
+	}
+	var e persist.Enc
+	b.accNorm.SaveState(&e)
+	b.latNorm.SaveState(&e)
+	for est := range b.names {
+		for qt := 0; qt < numQueryTypes; qt++ {
+			b.profAcc[est][qt].SaveState(&e)
+			b.profLat[est][qt].SaveState(&e)
+		}
+	}
+	window := make([]float64, 20)
+	for i := range window {
+		window[i] = float64(i % 2)
+	}
+	ring := bytes.Repeat([]byte{1, 2}, 10)
+	e.F64s(window) // a full accuracy window
+	e.Int(7)       // next slot
+	e.Int(20)      // samples held
+	e.F64(10)      // sum
+	e.Blob(ring)   // a label ring
+	e.Int(357)     // labels seen
+	e.Int(3)       // rebuilds
+	b.tree.SaveState(&e)
+
+	restored := newTestBrain(0)
+	d := persist.NewDec(e.Data())
+	if err := restored.loadState(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	var got, want persist.Enc
+	restored.saveState(&got)
+	b.saveState(&want)
+	if !bytes.Equal(got.Data(), want.Data()) {
+		t.Errorf("re-saved brain is %d bytes that differ from a fresh save's %d", len(got.Data()), len(want.Data()))
+	}
+	if len(e.Data())-len(got.Data()) != 20*8+20 {
+		t.Errorf("re-saved brain is %d bytes, the old image %d; want the window and ring gone", len(got.Data()), len(e.Data()))
 	}
 }
 

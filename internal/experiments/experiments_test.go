@@ -52,6 +52,24 @@ func TestRunConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestSwitchTimelineScoresEveryQuery: a query count that is not a
+// multiple of 100 still fills the 100 buckets t0..t99, so the whole
+// schedule is scored.
+func TestSwitchTimelineScoresEveryQuery(t *testing.T) {
+	cfg := small()
+	cfg.Dataset, cfg.Workload = "Twitter", "TwQW1"
+	cfg.Queries, cfg.PretrainQueries = 250, 100
+	res := RunSwitchTimeline("fig3", cfg)
+	if len(res.Points) != 100 {
+		t.Fatalf("%d timeline points, want 100", len(res.Points))
+	}
+	for i, p := range res.Points {
+		if p.T != i {
+			t.Fatalf("point %d is t%d", i, p.T)
+		}
+	}
+}
+
 func TestSwitchTimelineTwQW6(t *testing.T) {
 	cfg := small()
 	cfg.Dataset, cfg.Workload = "Twitter", "TwQW6"

@@ -13,7 +13,7 @@ import (
 // latency (µs) and accuracy of every estimator over that bucket's queries,
 // plus which estimator LATEST had employed.
 type TimelinePoint struct {
-	T         int                `json:"t"` // 0..100
+	T         int                `json:"t"` // 0..99
 	LatencyUS map[string]float64 `json:"latency_us"`
 	Accuracy  map[string]float64 `json:"accuracy"`
 	Active    string             `json:"active"`
@@ -120,19 +120,17 @@ func RunSwitchTimeline(experiment string, cfg RunConfig) *TimelineResult {
 		Estimators: e.names,
 	}
 	const buckets = 100
-	perBucket := cfg.Queries / buckets
-	if perBucket < 1 {
-		perBucket = 1
-	}
 	modAccTotal, servedLatTotal := 0.0, 0.0
 	queries := 0
 	activeCount := map[string]int{}
-	for b := 0; b <= buckets && e.wl.Remaining() > 0; b++ {
+	for b := 0; b < buckets && e.wl.Remaining() > 0; b++ {
 		latSum := make(map[string]float64, len(e.names))
 		accSum := make(map[string]float64, len(e.names))
 		clearCounts(activeCount)
 		n := 0
-		for i := 0; i < perBucket && e.wl.Remaining() > 0; i++ {
+		// Query i falls in bucket ⌊100·i/Queries⌋, the rule that puts a
+		// switch at its t below.
+		for queries*buckets/cfg.Queries == b && e.wl.Remaining() > 0 {
 			m := e.step(e.wl)
 			queries++
 			for ei, name := range e.names {
@@ -147,7 +145,7 @@ func RunSwitchTimeline(experiment string, cfg RunConfig) *TimelineResult {
 			n++
 		}
 		if n == 0 {
-			break
+			continue // fewer than 100 queries leave some buckets empty
 		}
 		p := TimelinePoint{
 			T:         b,

@@ -600,13 +600,3 @@ func (t *Tree) Depth() int {
 	}
 	return walk(t.root)
 }
-
-// Reset wipes the tree back to a single empty leaf — the paper's manual
-// retraining trigger (§V-D) rebuilds from here.
-func (t *Tree) Reset() {
-	t.root = t.newLeaf(0)
-	t.nodes = 1
-	t.instances = 0
-	t.splits = 0
-	t.resplits = 0
-}

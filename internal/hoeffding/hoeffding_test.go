@@ -297,24 +297,6 @@ func TestConstructorPanics(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tr := twoClassNominal()
-	for i := 0; i < 2000; i++ {
-		tr.Learn([]float64{float64(i % 2)}, i%2)
-	}
-	if tr.Splits() == 0 {
-		t.Fatal("setup: expected splits")
-	}
-	tr.Reset()
-	if tr.NodeCount() != 1 || tr.Instances() != 0 || tr.Splits() != 0 {
-		t.Errorf("Reset incomplete: nodes=%d instances=%d splits=%d",
-			tr.NodeCount(), tr.Instances(), tr.Splits())
-	}
-	if got := tr.Predict([]float64{1}); got != 0 {
-		t.Errorf("post-Reset Predict = %d", got)
-	}
-}
-
 func TestPredictProbaSums(t *testing.T) {
 	tr := twoClassNominal()
 	rng := rand.New(rand.NewSource(7))
