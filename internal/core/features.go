@@ -239,13 +239,13 @@ func (b *brain) learn(q *stream.Query, est int, acc float64, lat time.Duration, 
 // active one for queries like q, and says what picked it ("tree" or
 // "profile"). The consultation instance carries the active estimator's
 // *current profile* performance — "this is what I am running and how it
-// is doing". When the tree's answer is the active estimator itself (it
-// usually is right after good periods) or fails the accuracy gate, the
-// profile argmax among the others is used instead.
+// is doing". When the tree names no class, names the active estimator
+// itself (it usually does right after good periods) or its answer fails
+// the accuracy gate, the profile argmax among the others is used instead.
 func (b *brain) recommend(q *stream.Query, active int) (int, string) {
 	qt := q.Type()
-	_, best, bestP, _, _ := b.consult(q, active)
-	if best >= 0 && best != active && bestP > 0 && b.passesGate(best, qt) {
+	_, best, _, _, _ := b.consult(q, active)
+	if best >= 0 && best != active && b.passesGate(best, qt) {
 		return best, "tree"
 	}
 	return b.bestByProfileExcluding(qt, active), "profile"
@@ -254,8 +254,9 @@ func (b *brain) recommend(q *stream.Query, active int) (int, string) {
 // consult is the tree's half of recommend, also read by the decision audit
 // trail: it returns the consultation feature vector and the tree's top two
 // classes with their probabilities (the margin between them is the tie
-// info an operator reads to judge how close the call was). best is -1 when
-// the active estimator has no profile yet.
+// info an operator reads to judge how close the call was). best and
+// second are -1 when the active estimator has no profile yet or the
+// consultation reaches a leaf that has seen no record.
 func (b *brain) consult(q *stream.Query, active int) (x []float64, best int, bestP float64, second int, secondP float64) {
 	qt := q.Type()
 	acc := b.profAcc[active][qt]
@@ -276,19 +277,19 @@ func (b *brain) consult(q *stream.Query, active int) (x []float64, best int, bes
 			second = i
 		}
 	}
-	if best >= 0 {
-		bestP = proba[best]
+	if best < 0 || proba[best] == 0 {
+		return x, -1, 0, -1, 0 // an empty leaf is no evidence for any class
 	}
 	if second >= 0 {
 		secondP = proba[second]
 	}
-	return x, best, bestP, second, secondP
+	return x, best, proba[best], second, secondP
 }
 
 // recommendAny is recommend without excluding the active estimator — the
-// model's unconstrained choice for a query (Table II's read-out): the
-// tree's top class, consulted as the profile-best estimator. It is -1
-// while nothing has been measured for the query's type.
+// model's unconstrained choice for a query: the tree's top class,
+// consulted as the profile-best estimator. It is -1 while nothing has been
+// measured for the query's type or the tree's leaf has seen no record.
 func (b *brain) recommendAny(q *stream.Query) int {
 	prof := b.bestByProfile(q.Type())
 	if prof < 0 {

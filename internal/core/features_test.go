@@ -137,8 +137,8 @@ func TestBrainFollowsDrift(t *testing.T) {
 }
 
 // TestBrainRecommendAny: the read-out is the tree's top class when the
-// profile-best estimator consults it. An untrained tree answers every
-// class with the same probability, and the first of them wins the tie.
+// profile-best estimator consults it. An untrained tree's leaf has seen no
+// record, so it names no class, and recommend falls back to the profile.
 func TestBrainRecommendAny(t *testing.T) {
 	qt := stream.SpatialQuery
 	q := stream.SpatialQ(geo.CenteredRect(geo.Pt(0.5, 0.5), 0.1, 0.1), 0)
@@ -147,8 +147,11 @@ func TestBrainRecommendAny(t *testing.T) {
 		t.Errorf("no profile: %d, want -1", got)
 	}
 	seedProfile(b, qt, []float64{0.2, 0.5, 0.95}, []time.Duration{1, 1, 1}, 50)
-	if got := b.recommendAny(&q); got != 0 {
-		t.Errorf("untrained tree: %s, want fast-sloppy", b.names[got])
+	if got := b.recommendAny(&q); got != -1 {
+		t.Errorf("untrained tree: %s, want no class", b.names[got])
+	}
+	if got, picker := b.recommend(&q, 0); got != 2 || picker != "profile" {
+		t.Errorf("untrained tree: recommend %d by %s, want balanced by profile", got, picker)
 	}
 	for i := 0; i < 100; i++ {
 		b.learn(&q, i%3, 0.9, time.Microsecond, 0.1)

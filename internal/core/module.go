@@ -736,8 +736,9 @@ func (m *Module) Snapshot() Stats {
 }
 
 // RecommendFor exposes the model's current recommendation for a query
-// without changing any state — the hook Table II uses to read LATEST's
-// choice at fixed time points.
+// without changing any state: the tree's top class when the profile-best
+// estimator consults it, or the active estimator while the tree has no
+// evidence for queries like q.
 func (m *Module) RecommendFor(q *stream.Query) string {
 	rec := m.brain.recommendAny(q)
 	if rec < 0 {

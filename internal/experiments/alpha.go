@@ -27,13 +27,12 @@ var alphaTablePoints = [3]int{20, 60, 100}
 // alphaTableValues are the paper's α column values.
 var alphaTableValues = []float64{0, 0.3, 0.5, 0.7, 1}
 
-// RunAlphaChoices regenerates Table II: for each α it runs TwQW3 and reads
-// the model's recommendation at t = 20, 60, 100 of the incremental
-// timeline. Recommendations, not just the active estimator, are recorded —
-// the paper notes the choice reflects the model's preference even when no
-// switch was warranted.
+// RunAlphaChoices regenerates Table II: for each α it runs the TwQW3
+// switch timeline and reads LATEST's choice at t = 20, 60 and 100: the
+// estimator it employed for most of the queries up to t, that is the
+// dominant active estimator of bucket t−1 (ActiveAt(t−1)). Below 100
+// queries some buckets are empty, and ActiveAt reads the nearest point.
 func RunAlphaChoices(cfg RunConfig) *AlphaResult {
-	cfg = cfg.withDefaults()
 	if cfg.Workload == "" {
 		cfg.Workload = "TwQW3"
 	}
@@ -43,33 +42,11 @@ func RunAlphaChoices(cfg RunConfig) *AlphaResult {
 	res := &AlphaResult{Dataset: cfg.Dataset, Workload: cfg.Workload}
 	for _, alpha := range alphaTableValues {
 		run := cfg
-		run.Alpha = alpha
-		run.AlphaSet = true
+		run.Alpha, run.AlphaSet = alpha, true
+		tl := RunSwitchTimeline("table2", run)
 		row := AlphaChoiceRow{Alpha: alpha}
-		e := newEnv(run)
-		e.warmup()
-		e.pretrain()
-		perBucket := run.Queries / 100
-		if perBucket < 1 {
-			perBucket = 1
-		}
-		point := 0
-		active := map[string]int{}
-		for b := 1; b <= 100 && e.wl.Remaining() > 0; b++ {
-			clearCounts(active)
-			for i := 0; i < perBucket && e.wl.Remaining() > 0; i++ {
-				active[e.step(e.wl).active]++
-			}
-			if point < len(alphaTablePoints) && b >= alphaTablePoints[point] {
-				// LATEST's choice at this time point is the estimator it
-				// actually employed for the bucket's queries.
-				row.ChoiceT[point] = dominant(active)
-				point++
-			}
-		}
-		for point < len(alphaTablePoints) {
-			row.ChoiceT[point] = e.module.ActiveName()
-			point++
+		for i, t := range alphaTablePoints {
+			row.ChoiceT[i] = tl.ActiveAt(t - 1)
 		}
 		res.Rows = append(res.Rows, row)
 	}

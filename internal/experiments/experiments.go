@@ -172,11 +172,6 @@ func (e *env) feed(n int) {
 	}
 }
 
-// warmup fills one full window of data before any query is issued.
-func (e *env) warmup() {
-	e.feed(int(float64(e.cfg.WindowMS) * e.cfg.Rate))
-}
-
 // measurement is one query's outcome across the shadow fleet.
 type measurement struct {
 	q        stream.Query
@@ -216,13 +211,19 @@ func (e *env) step(gen *workload.Generator) measurement {
 	return m
 }
 
-// pretrain drives the module through its pre-training phase.
-func (e *env) pretrain() {
+// run is every experiment's query loop: it fills one full window of data,
+// drives the module through its pre-training phase, then hands each
+// incremental query's index (from 0) and measurement to fn.
+func (e *env) run(fn func(i int, m measurement)) {
+	e.feed(int(float64(e.cfg.WindowMS) * e.cfg.Rate))
 	for e.pre.Remaining() > 0 {
 		e.step(e.pre)
 	}
 	if e.module.Phase() != core.PhaseIncremental {
 		panic("experiments: module did not reach incremental phase")
+	}
+	for i := 0; e.wl.Remaining() > 0; i++ {
+		fn(i, e.step(e.wl))
 	}
 }
 

@@ -216,6 +216,29 @@ func TestAlphaChoicesShape(t *testing.T) {
 	}
 }
 
+// TestAlphaChoicesReadTheTimeline: off the 100-query grid Table II still
+// runs every query, and each choice at t is the switch timeline's
+// ActiveAt(t−1) for that α.
+func TestAlphaChoicesReadTheTimeline(t *testing.T) {
+	cfg := RunConfig{Dataset: "Twitter", Workload: "TwQW3", Queries: 250, PretrainQueries: 200,
+		WindowMS: 5000, Rate: 1, Seed: 2, LatencyOf: check.DeterministicLatencyModel}
+	res := RunAlphaChoices(cfg)
+	if len(res.Rows) != len(alphaTableValues) {
+		t.Fatalf("%d rows, want %d", len(res.Rows), len(alphaTableValues))
+	}
+	for _, alpha := range alphaTableValues {
+		run := cfg
+		run.Alpha, run.AlphaSet = alpha, true
+		tl := RunSwitchTimeline("table2", run)
+		got, _ := res.ChoiceFor(alpha)
+		for i, at := range alphaTablePoints {
+			if want := tl.ActiveAt(at - 1); got[i] != want {
+				t.Errorf("α=%v t=%d: Table II reads %q, the timeline %q", alpha, at, got[i], want)
+			}
+		}
+	}
+}
+
 func TestSpatialSweepShape(t *testing.T) {
 	cfg := small()
 	cfg.Queries, cfg.PretrainQueries = 500, 150

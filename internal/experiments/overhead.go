@@ -31,13 +31,17 @@ type OverheadResult struct {
 	Rows []OverheadRow `json:"rows"`
 }
 
-// tableIPairings mirrors the paper's Table I: grid indexes against the
-// grid-flavoured estimators, quadtree indexes against AASP.
-var tableIPairings = []struct {
+// overheadCell is one (dataset, workload, index) cell of Table I and the
+// estimators its rows report.
+type overheadCell struct {
 	dataset, wl string
 	index       string
 	estimators  []string
-}{
+}
+
+// tableICells mirrors the paper's Table I: grid indexes against the
+// grid-flavoured estimators, quadtree indexes against AASP.
+var tableICells = []overheadCell{
 	{"eBird", "EbRQW1", "Grid", []string{estimator.NameH4096, estimator.NameRSL, estimator.NameRSH}},
 	{"eBird", "EbRQW1", "QuadTree", []string{estimator.NameAASP}},
 	{"CheckIn", "CiQW1", "Grid", []string{estimator.NameRSL, estimator.NameRSH}},
@@ -46,69 +50,45 @@ var tableIPairings = []struct {
 	{"Twitter", "TwQW4", "QuadTree", []string{estimator.NameAASP}},
 }
 
-// overheadCell is one measured (dataset, workload, index) combination.
-type overheadCell struct {
-	idxLat time.Duration
-	estLat map[string]time.Duration
-	estAcc map[string]float64
-}
-
-// RunIndexOverhead regenerates Table I: for each (dataset, workload) pair
-// it feeds the same stream into a full index and the estimator fleet, then
-// measures exact-search latency against estimator latency/accuracy.
+// RunIndexOverhead regenerates Table I: for each cell it feeds the same
+// stream into a full index and the cell's estimators, then measures
+// exact-search latency against estimator latency/accuracy.
 func RunIndexOverhead(cfg RunConfig) *OverheadResult {
 	cfg = cfg.withDefaults()
 	res := &OverheadResult{}
-	type key struct{ dataset, wl, idx string }
-	cache := map[key]*overheadCell{}
-	for _, p := range tableIPairings {
-		k := key{p.dataset, p.wl, p.index}
-		cell, ok := cache[k]
-		if !ok {
-			cell = runOverheadCell(cfg, p.dataset, p.wl, p.index)
-			cache[k] = cell
-		}
-		for _, estName := range p.estimators {
-			row := OverheadRow{
-				Dataset:      p.dataset,
-				Index:        p.index,
-				IndexLatency: cell.idxLat,
-				Estimator:    estName,
-				EstLatency:   cell.estLat[estName],
-				EstAccuracy:  cell.estAcc[estName],
-			}
-			if row.EstLatency > 0 {
-				row.OverheadFactor = float64(row.IndexLatency) / float64(row.EstLatency)
-			}
-			res.Rows = append(res.Rows, row)
-		}
+	for _, c := range tableICells {
+		res.Rows = append(res.Rows, c.run(cfg)...)
 	}
 	return res
 }
 
-// runOverheadCell feeds one stream into one index plus the fleet and
-// measures everything on the workload's queries.
-func runOverheadCell(cfg RunConfig, dataset, wl, idxName string) *overheadCell {
-	data := datagen.ByName(dataset, cfg.Seed, cfg.Rate)
-	spec := workload.ByName(wl)
+// run feeds one stream into the cell's index and estimators and measures
+// them all on the workload's queries, one row per estimator.
+func (c overheadCell) run(cfg RunConfig) []OverheadRow {
+	data := datagen.ByName(c.dataset, cfg.Seed, cfg.Rate)
 	queries := cfg.Queries / 2
 	if queries < 200 {
 		queries = 200
 	}
-	gen := workload.NewGenerator(spec, data, queries)
+	gen := workload.NewGenerator(workload.ByName(c.wl), data, queries)
 	oracle := stream.NewWindow(data.World(), cfg.WindowMS, 4096)
 
 	var idx index.Index
-	if idxName == "Grid" {
+	if c.index == "Grid" {
 		idx = index.NewGrid(data.World(), 4096, cfg.WindowMS)
 	} else {
 		idx = index.NewQuadTree(data.World(), cfg.WindowMS)
 	}
 	reg := estimator.DefaultRegistry()
-	fleet := reg.BuildAll(estimator.Params{
-		World: data.World(), Span: cfg.WindowMS, Scale: cfg.Scale, Seed: cfg.Seed,
-	})
-	names := reg.Names()
+	params := estimator.Params{World: data.World(), Span: cfg.WindowMS, Scale: cfg.Scale, Seed: cfg.Seed}
+	fleet := make([]estimator.Estimator, len(c.estimators))
+	for i, name := range c.estimators {
+		est, err := reg.Build(name, params)
+		if err != nil {
+			panic(err) // the cells are code-authored; this is a harness bug
+		}
+		fleet[i] = est
+	}
 
 	feed := func(n int) {
 		for i := 0; i < n; i++ {
@@ -142,16 +122,21 @@ func runOverheadCell(cfg RunConfig, dataset, wl, idxName string) *overheadCell {
 			f.Observe(&q, actual)
 		}
 	}
-	cell := &overheadCell{
-		idxLat: idxLat.Mean(),
-		estLat: make(map[string]time.Duration, len(names)),
-		estAcc: make(map[string]float64, len(names)),
+	rows := make([]OverheadRow, len(fleet))
+	for i, name := range c.estimators {
+		rows[i] = OverheadRow{
+			Dataset:      c.dataset,
+			Index:        c.index,
+			IndexLatency: idxLat.Mean(),
+			Estimator:    name,
+			EstLatency:   estLat[i].Mean(),
+			EstAccuracy:  estAcc[i].Mean(),
+		}
+		if rows[i].EstLatency > 0 {
+			rows[i].OverheadFactor = float64(rows[i].IndexLatency) / float64(rows[i].EstLatency)
+		}
 	}
-	for i, name := range names {
-		cell.estLat[name] = estLat[i].Mean()
-		cell.estAcc[name] = estAcc[i].Mean()
-	}
-	return cell
+	return rows
 }
 
 // WriteTo renders Table I.

@@ -42,33 +42,28 @@ var DefaultMemoryScales = []float64{0.25, 0.5, 1, 2, 4}
 // means plus LATEST's dominant choice over the final quarter of the run.
 func runSweepPoint(cfg RunConfig, spec workload.Spec, x float64, withMem bool) SweepPoint {
 	e := newEnvSpec(cfg, spec)
-	e.warmup()
-	e.pretrain()
-	latSum := make(map[string]float64, len(e.names))
-	accSum := make(map[string]float64, len(e.names))
+	lat := make([]float64, len(e.names))
+	acc := make([]float64, len(e.names))
 	tailActive := map[string]int{}
-	n := 0
-	total := cfg.Queries
-	for e.wl.Remaining() > 0 {
-		m := e.step(e.wl)
-		n++
-		for ei, name := range e.names {
-			latSum[name] += float64(m.latency[ei].Microseconds())
-			accSum[name] += m.accuracy[ei]
+	e.run(func(i int, m measurement) {
+		for ei := range e.names {
+			lat[ei] += float64(m.latency[ei].Microseconds())
+			acc[ei] += m.accuracy[ei]
 		}
-		if n > total*3/4 {
+		if i >= e.cfg.Queries*3/4 {
 			tailActive[m.active]++
 		}
-	}
+	})
 	p := SweepPoint{
 		X:         x,
 		LatencyUS: make(map[string]float64, len(e.names)),
 		Accuracy:  make(map[string]float64, len(e.names)),
 		Choice:    dominant(tailActive),
 	}
-	for _, name := range e.names {
-		p.LatencyUS[name] = latSum[name] / float64(n)
-		p.Accuracy[name] = accSum[name] / float64(n)
+	n := float64(e.cfg.Queries)
+	for ei, name := range e.names {
+		p.LatencyUS[name] = lat[ei] / n
+		p.Accuracy[name] = acc[ei] / n
 	}
 	if withMem {
 		p.MemoryB = make(map[string]int, len(e.names))

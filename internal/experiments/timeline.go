@@ -109,9 +109,6 @@ func (r *TimelineResult) MeanLatencyUS(name string) float64 {
 func RunSwitchTimeline(experiment string, cfg RunConfig) *TimelineResult {
 	cfg = cfg.withDefaults()
 	e := newEnv(cfg)
-	e.warmup()
-	e.pretrain()
-
 	res := &TimelineResult{
 		Experiment: experiment,
 		Dataset:    cfg.Dataset,
@@ -119,43 +116,43 @@ func RunSwitchTimeline(experiment string, cfg RunConfig) *TimelineResult {
 		Alpha:      moduleAlpha(cfg),
 		Estimators: e.names,
 	}
-	const buckets = 100
+	var buckets [100]struct {
+		n        int
+		lat, acc []float64 // per shadow estimator
+		active   map[string]int
+	}
 	modAccTotal, servedLatTotal := 0.0, 0.0
-	queries := 0
-	activeCount := map[string]int{}
-	for b := 0; b < buckets && e.wl.Remaining() > 0; b++ {
-		latSum := make(map[string]float64, len(e.names))
-		accSum := make(map[string]float64, len(e.names))
-		clearCounts(activeCount)
-		n := 0
+	e.run(func(i int, m measurement) {
 		// Query i falls in bucket ⌊100·i/Queries⌋, the rule that puts a
 		// switch at its t below.
-		for queries*buckets/cfg.Queries == b && e.wl.Remaining() > 0 {
-			m := e.step(e.wl)
-			queries++
-			for ei, name := range e.names {
-				latSum[name] += float64(m.latency[ei].Microseconds())
-				accSum[name] += m.accuracy[ei]
-				if name == m.active && cfg.LatencyOf != nil {
-					servedLatTotal += float64(cfg.LatencyOf(name, &m.q, m.latency[ei]).Microseconds())
-				}
-			}
-			activeCount[m.active]++
-			modAccTotal += accuracyOfModule(m)
-			n++
+		b := &buckets[i*len(buckets)/cfg.Queries]
+		if b.n == 0 {
+			b.lat, b.acc, b.active = make([]float64, len(e.names)), make([]float64, len(e.names)), map[string]int{}
 		}
-		if n == 0 {
+		b.n++
+		for ei, name := range e.names {
+			b.lat[ei] += float64(m.latency[ei].Microseconds())
+			b.acc[ei] += m.accuracy[ei]
+			if name == m.active && cfg.LatencyOf != nil {
+				servedLatTotal += float64(cfg.LatencyOf(name, &m.q, m.latency[ei]).Microseconds())
+			}
+		}
+		b.active[m.active]++
+		modAccTotal += accuracyOfModule(m)
+	})
+	for t, b := range buckets {
+		if b.n == 0 {
 			continue // fewer than 100 queries leave some buckets empty
 		}
 		p := TimelinePoint{
-			T:         b,
+			T:         t,
 			LatencyUS: make(map[string]float64, len(e.names)),
 			Accuracy:  make(map[string]float64, len(e.names)),
-			Active:    dominant(activeCount),
+			Active:    dominant(b.active),
 		}
-		for _, name := range e.names {
-			p.LatencyUS[name] = latSum[name] / float64(n)
-			p.Accuracy[name] = accSum[name] / float64(n)
+		for ei, name := range e.names {
+			p.LatencyUS[name] = b.lat[ei] / float64(b.n)
+			p.Accuracy[name] = b.acc[ei] / float64(b.n)
 		}
 		res.Points = append(res.Points, p)
 	}
@@ -167,10 +164,8 @@ func RunSwitchTimeline(experiment string, cfg RunConfig) *TimelineResult {
 			Prefilled: ev.Prefilled,
 		})
 	}
-	if queries > 0 {
-		res.ModuleAccuracy = modAccTotal / float64(queries)
-		res.ServedLatencyUS = servedLatTotal / float64(queries)
-	}
+	res.ModuleAccuracy = modAccTotal / float64(cfg.Queries)
+	res.ServedLatencyUS = servedLatTotal / float64(cfg.Queries)
 	res.scoreReferences()
 	return res
 }
@@ -206,12 +201,6 @@ func moduleAlpha(cfg RunConfig) float64 {
 func accuracyOfModule(m measurement) float64 {
 	// The module served m.modEst; score it like any estimator.
 	return metrics.Accuracy(m.modEst, m.actual)
-}
-
-func clearCounts(m map[string]int) {
-	for k := range m {
-		delete(m, k)
-	}
 }
 
 func dominant(m map[string]int) string {

@@ -392,29 +392,21 @@ func (t *Tree) subtreeSize(n *node) int {
 	return total
 }
 
-// Predict classifies an instance as the majority class of its leaf, or 0
-// when the leaf has seen nothing.
+// Predict classifies an instance as the majority class of its leaf, or -1
+// when the leaf has seen nothing: no evidence names no class.
 func (t *Tree) Predict(x []float64) int {
-	if p := t.sortToLeaf(x).majority(); p >= 0 {
-		return p
-	}
-	return 0
+	return t.sortToLeaf(x).majority()
 }
 
 // PredictProba returns the normalized class distribution at the instance's
-// leaf (uniform for an empty leaf).
+// leaf, all zeros for a leaf that has seen nothing.
 func (t *Tree) PredictProba(x []float64) []float64 {
 	leaf := t.sortToLeaf(x)
 	out := make([]float64, len(t.classes))
-	total := leaf.total()
-	if total == 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(out))
+	if total := leaf.total(); total > 0 {
+		for i, c := range leaf.classCounts {
+			out[i] = c / total
 		}
-		return out
-	}
-	for i, c := range leaf.classCounts {
-		out[i] = c / total
 	}
 	return out
 }

@@ -18,12 +18,13 @@ func twoClassNominal() *Tree {
 
 func TestEmptyTreePredicts(t *testing.T) {
 	tr := twoClassNominal()
-	if got := tr.Predict([]float64{0}); got != 0 {
-		t.Errorf("empty Predict = %d", got)
+	// A leaf that has seen nothing names no class.
+	if got := tr.Predict([]float64{0}); got != -1 {
+		t.Errorf("empty Predict = %d, want -1", got)
 	}
 	p := tr.PredictProba([]float64{1})
-	if math.Abs(p[0]-0.5) > 1e-12 || math.Abs(p[1]-0.5) > 1e-12 {
-		t.Errorf("empty PredictProba = %v", p)
+	if len(p) != 2 || p[0] != 0 || p[1] != 0 {
+		t.Errorf("empty PredictProba = %v, want all zeros", p)
 	}
 	if tr.NodeCount() != 1 || tr.Depth() != 0 {
 		t.Errorf("empty tree shape: nodes=%d depth=%d", tr.NodeCount(), tr.Depth())

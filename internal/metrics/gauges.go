@@ -111,12 +111,6 @@ type GaugeSnapshot struct {
 	//
 	// Deprecated: nothing sets it; stop reading it.
 	IngestBackpressure uint64
-	// AvgBatchLatency is the mean wall-clock duration per ingested batch,
-	// kept for dashboards that want a single number (derived from the
-	// histogram).
-	AvgBatchLatency time.Duration
-	// AvgQueryLatency is the mean wall-clock duration per query.
-	AvgQueryLatency time.Duration
 	// Occupancy is the last published live window size.
 	Occupancy int
 	// WindowBytes is the last published footprint of the window store.
@@ -148,7 +142,5 @@ func (g *ShardGauges) Snapshot() GaugeSnapshot {
 	}
 	s.Batches = s.BatchLatency.Count
 	s.Queries = s.QueryLatency.Count
-	s.AvgBatchLatency = s.BatchLatency.Mean()
-	s.AvgQueryLatency = s.QueryLatency.Mean()
 	return s
 }

@@ -19,11 +19,11 @@ func TestShardGauges(t *testing.T) {
 	if s.Feeds != 10 || s.Batches != 2 || s.Queries != 2 || s.Reordered != 1 || s.Occupancy != 42 || s.WindowBytes != 4200 {
 		t.Errorf("snapshot counts = %+v", s)
 	}
-	if s.AvgBatchLatency != 50*time.Millisecond {
-		t.Errorf("avg batch latency = %v", s.AvgBatchLatency)
+	if got := s.BatchLatency.Mean(); got != 50*time.Millisecond {
+		t.Errorf("mean batch latency = %v", got)
 	}
-	if s.AvgQueryLatency != 20*time.Millisecond {
-		t.Errorf("avg query latency = %v", s.AvgQueryLatency)
+	if got := s.QueryLatency.Mean(); got != 20*time.Millisecond {
+		t.Errorf("mean query latency = %v", got)
 	}
 }
 
@@ -35,8 +35,8 @@ func TestShardGaugesZero(t *testing.T) {
 	}
 }
 
-// TestShardGaugesHistograms verifies the latency histograms behind the
-// derived averages expose percentiles and maxima.
+// TestShardGaugesHistograms verifies the latency histograms expose
+// percentiles and maxima.
 func TestShardGaugesHistograms(t *testing.T) {
 	var g ShardGauges
 	for i := 0; i < 99; i++ {
